@@ -59,7 +59,8 @@ type Client struct {
 type ClientOption func(*Client) error
 
 // WithClientMaxStreams bounds the sessions concurrently in flight on
-// the client (backpressure: the next Fetch blocks until a slot frees).
+// the client (backpressure: the next Fetch blocks until a slot frees; a
+// slot frees when the server has closed its half of the stream too).
 // Default: 16. Servers additionally bound streams per connection
 // (WithServerMaxStreamsPerConn), so keep the client bound at or below
 // the server's.
@@ -326,9 +327,28 @@ func (cs *ClientSession) Fetch(ctx context.Context, local []Point) (*SyncResult,
 			// siblings; the server's session aborts promptly instead of
 			// waiting out its timeout.
 			st.Reset(ferr)
+			// A connection that died while idle may be found out only by
+			// the first write after the OPEN went through. Nothing came
+			// back on the stream, so no session ran: redial and retry
+			// once, as for a mux found dead at Open.
+			if attempt == 0 && stats.BytesRecv == 0 && m.Err() != nil && ctx.Err() == nil {
+				continue
+			}
 			return nil, stats, ferr
 		}
 		_ = st.Close()
+		// The server counts the stream against its per-connection bound
+		// until its own half closes, which is after this side has its
+		// result. Fetch waits for that close before it frees the slot —
+		// the server sends it as soon as its session function returns, so
+		// there is rarely anything to wait for — and a client whose bound
+		// equals the server's never has an OPEN refused while the server
+		// tears the last stream down. Nothing of a fetch outlives it.
+		for {
+			if _, err := st.Recv(ctx); err != nil {
+				break // io.EOF, a reset, ctx ended, or the connection died
+			}
+		}
 		return res, stats, nil
 	}
 }

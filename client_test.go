@@ -471,6 +471,53 @@ func TestClientBackpressure(t *testing.T) {
 	}
 }
 
+// TestClientBoundEqualToServerBound runs back-to-back sessions with the
+// client's stream bound equal to the server's per-connection bound, the
+// tightest configuration WithClientMaxStreams allows. The server counts
+// a stream until its own half closes, which is after the client has its
+// result; a client that freed its slot on its own close would race the
+// server's teardown and have its next OPEN refused with "too many
+// concurrent streams".
+func TestClientBoundEqualToServerBound(t *testing.T) {
+	for _, bound := range []int{1, 3} {
+		srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMaxStreamsPerConn(bound))
+		publishMany(t, srv, 1, 1500)
+		addr := startServer(t, srv)
+
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		cl, err := robustset.DialClient(ctx, addr.String(), robustset.WithClientMaxStreams(bound))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		_, local := deterministicPair(1500, 120, 4, 2)
+		var wg sync.WaitGroup
+		errCh := make(chan error, 2*bound)
+		for w := 0; w < 2*bound; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					cs, err := cl.Session("ds/0", robustset.Robust{})
+					if err == nil {
+						_, _, err = cs.Fetch(ctx, local)
+					}
+					if err != nil {
+						errCh <- fmt.Errorf("bound %d, session %d: %w", bound, i, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestServerShutdownDrainsMuxStreams verifies graceful shutdown with a
 // live multiplexed connection: in-flight sessions finish, new streams
 // are refused, and Shutdown returns without forcing.

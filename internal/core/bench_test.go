@@ -123,3 +123,84 @@ func BenchmarkSketchMarshal(b *testing.B) {
 		}
 	}
 }
+
+// The benchmarks below run at the ruler's size (benchmark/workloads.go):
+// n = 20 000 in d = 2, Δ = 2^20, noise ±4, 64 outliers, DiffBudget 160,
+// and the adaptive workload's estimator shape (k = 1024, levels 0..10).
+
+func rulerWorkload(b *testing.B, n int) (*workload.Instance, Params) {
+	b.Helper()
+	u := points.Universe{Dim: 2, Delta: 1 << 20}
+	inst, err := workload.Generate(workload.Config{
+		N: n, Universe: u, Outliers: 64,
+		Noise: workload.NoiseUniform, Scale: 4, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst, Params{Universe: u, Seed: 7, DiffBudget: 160}
+}
+
+func BenchmarkReconcile20k(b *testing.B) {
+	inst, p := rulerWorkload(b, 20000)
+	sk, err := BuildSketch(p, inst.Alice)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Reconcile(sk, inst.Bob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReconcileEqual2k is one shard session of a quiescent cluster
+// round: equal sets, decoded at the first level tried.
+func BenchmarkReconcileEqual2k(b *testing.B) {
+	inst, p := rulerWorkload(b, 2000)
+	p.DiffBudget = 16
+	sk, err := BuildSketch(p, inst.Alice)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Reconcile(sk, inst.Alice); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLevelEstimators20k(b *testing.B) {
+	inst, p := rulerWorkload(b, 20000)
+	p = p.WithLevels(0, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LevelEstimators(p, inst.Alice, 1024); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMortonOrder20k(b *testing.B) {
+	inst, p := rulerWorkload(b, 20000)
+	p, err := p.normalized()
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := gridFor(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if newMortonOrder(g, inst.Alice) == nil {
+			b.Fatal("no Morton order for a 42-bit code")
+		}
+	}
+}

@@ -17,7 +17,14 @@ import (
 // the occurrence-index reuse paths (a slot freed by a remove must be the
 // one the next add of that cell reuses) far harder than balanced churn.
 func TestMaintainerRemoveHeavyChurn(t *testing.T) {
-	u := points.Universe{Dim: 2, Delta: 1 << 12}
+	// The second universe's Morton code needs 8 × 10 = 80 bits, so its
+	// fresh builds take the view's occupancy-map fallback.
+	for _, u := range []points.Universe{{Dim: 2, Delta: 1 << 12}, {Dim: 8, Delta: 1 << 9}} {
+		testMaintainerRemoveHeavyChurn(t, u)
+	}
+}
+
+func testMaintainerRemoveHeavyChurn(t *testing.T, u points.Universe) {
 	p := testParams(u, 4, 17)
 	for _, seed := range []uint64{1, 2, 3} {
 		rng := rand.New(rand.NewPCG(seed, seed*7919))
@@ -62,7 +69,10 @@ func TestMaintainerRemoveHeavyChurn(t *testing.T) {
 				if len(current) > 0 && rng.IntN(3) == 0 {
 					pt = current[rng.IntN(len(current))].Clone() // re-add a duplicate
 				} else {
-					pt = points.Point{rng.Int64N(u.Delta), rng.Int64N(u.Delta)}
+					pt = make(points.Point, u.Dim)
+					for j := range pt {
+						pt[j] = rng.Int64N(u.Delta)
+					}
 				}
 				if err := m.Add(pt); err != nil {
 					t.Fatalf("seed %d step %d: add: %v", seed, step, err)
@@ -91,7 +101,7 @@ func TestMaintainerRemoveHeavyChurn(t *testing.T) {
 		checkpoint(-1)
 		// Removing from the drained multiset must fail cleanly, not
 		// corrupt the tables.
-		if err := m.Remove(points.Point{1, 1}); !errors.Is(err, ErrNotPresent) {
+		if err := m.Remove(make(points.Point, u.Dim)); !errors.Is(err, ErrNotPresent) {
 			t.Fatalf("seed %d: remove from empty multiset: %v", seed, err)
 		}
 		checkpoint(-2)

@@ -25,17 +25,28 @@
 // centers of Alice-only keys. The random shift makes the probability of
 // a pair at distance x surviving to level ℓ proportional to x/w_ℓ, which
 // yields the paper's O(d)·EMD_k(S_A,S_B) expected accuracy.
+//
+// # Implementation
+//
+// Every pass that rounds a party's points to cells — sketch and
+// level-table builds, the per-level difference estimators, Bob's level
+// scan and his repair — runs over one immutable View of that party's
+// multiset: the validated points, the grid, and a Morton presort that
+// makes each cell a contiguous run at every level at once. A session
+// builds its View once (NewView) and calls its methods; Reconcile,
+// LevelEstimators, BuildLevelTable and ReconcileLevel are the same
+// methods over a throwaway View. Reconcile builds Bob's table for a level
+// only when the finest→coarsest scan reaches it, a bounded few levels
+// ahead, so equal sets cost one level. Universes whose Morton code
+// exceeds 64 bits take an occupancy-map path inside the same kernel; a
+// Maintainer keeps occupancy maps always, to place points it has not
+// seen. All paths produce identical bytes.
 package core
 
 import (
-	"bytes"
-	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -143,14 +154,9 @@ func gridFor(p Params) (*grid.Grid, error) {
 	return grid.New(p.Universe, hashutil.DeriveSeed(p.Seed, "core/grid"))
 }
 
-// levelTable constructs the empty IBLT for one level under p.
-func levelTable(p Params, level, capacity int) (*iblt.Table, error) {
-	return iblt.New(levelConfig(p, level, capacity))
-}
-
-// levelConfig is the (normalized) table configuration levelTable builds
-// with — computable without constructing a table, which the sketch
-// decoder uses to validate deserialized tables allocation-free.
+// levelConfig is the (normalized) configuration of one level's table —
+// computable without constructing a table, which the sketch decoder and
+// ReconcileLevel use to validate a peer's tables allocation-free.
 func levelConfig(p Params, level, capacity int) iblt.Config {
 	return iblt.Config{
 		Cells:     iblt.RecommendedCells(capacity, p.HashCount),
@@ -181,155 +187,6 @@ func splitKey(g *grid.Grid, key []byte) (grid.Cell, uint32, error) {
 	return c, occ, nil
 }
 
-// occupancy maps an encoded cell to its point count at one level. The
-// counters are held by pointer so the per-point hot path is a single
-// allocation-free map lookup plus an increment; the string key and its
-// counter are allocated once per distinct cell, not once per point.
-type occupancy = map[string]*uint32
-
-// levelScratch is the reusable per-level working state of a sketch
-// build: the key buffer and the occupancy map. Builds are frequent on a
-// sync server (every dataset publish and every fetch), so the scratch is
-// pooled; clear() keeps the map's buckets warm across builds.
-type levelScratch struct {
-	key []byte
-	occ occupancy
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &levelScratch{occ: make(occupancy)}
-}}
-
-// fillLevel inserts every point's (cell, occurrence) key for one level,
-// using pooled scratch state.
-func fillLevel(t *iblt.Table, g *grid.Grid, level int, pts []points.Point) {
-	sc := scratchPool.Get().(*levelScratch)
-	sc.key = fillLevelOcc(t, g, level, pts, sc.occ, sc.key)
-	clear(sc.occ)
-	scratchPool.Put(sc)
-}
-
-// fillLevelOcc is fillLevel with caller-owned occupancy state; on return
-// occ holds the cell occupancies of pts at the level (the state a
-// Maintainer keeps for incremental updates). It returns the (possibly
-// regrown) key buffer for reuse.
-func fillLevelOcc(t *iblt.Table, g *grid.Grid, level int, pts []points.Point, occ occupancy, keyBuf []byte) []byte {
-	buf := keyBuf[:0]
-	for _, p := range pts {
-		buf = g.AppendCell(buf[:0], level, p)
-		c := occ[string(buf)]
-		if c == nil {
-			c = new(uint32)
-			occ[string(buf)] = c
-		}
-		o := *c
-		*c = o + 1
-		buf = append(buf, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
-		t.Insert(buf)
-	}
-	return buf
-}
-
-// mortonOrder is the Morton (Z-order) presorting of a point multiset.
-// Sorting by the bit-interleaved code of the shifted coordinates makes
-// the points of any single grid cell contiguous at every level
-// simultaneously: the level-ℓ cell of a point is the top ℓ+1 bits of
-// each shifted coordinate, so two points share a level-ℓ cell iff they
-// agree on the top d·(ℓ+1) bits of the code. That turns per-level
-// occurrence-index assignment — otherwise a hash-map lookup per point
-// per level, the dominant cost of sketch construction — into a run scan
-// with one uint64 compare per point. The shifted coordinates ride along
-// in code order as one flat array, so the per-level scans touch memory
-// strictly sequentially.
-type mortonOrder struct {
-	codes  []uint64 // sorted Morton codes, one per point
-	coords []int64  // shifted coordinates in code order, d per point
-}
-
-// newMortonOrder builds the presorting, or returns nil when the code
-// does not fit 64 bits (large dim × depth products fall back to the
-// occupancy-map path). The occurrence indices a run scan assigns differ
-// from the map path's only in which point of a cell gets which index —
-// the key set {(cell, 0..count−1)} and therefore the tables are
-// identical, so the two paths interoperate freely across parties.
-func newMortonOrder(g *grid.Grid, pts []points.Point) *mortonOrder {
-	d := g.Universe().Dim
-	coordBits := g.Levels() + 1 // shifted coords are < 2Δ = 2^(L+1)
-	if d*coordBits > 64 || len(pts) == 0 || len(pts) > 1<<31-1 {
-		return nil
-	}
-	shift := g.Shift()
-	type pair struct {
-		code uint64
-		idx  int32
-	}
-	pairs := make([]pair, len(pts))
-	for i, p := range pts {
-		var code uint64
-		for b := coordBits - 1; b >= 0; b-- {
-			for j := 0; j < d; j++ {
-				code = code<<1 | uint64((p[j]+shift[j])>>uint(b))&1
-			}
-		}
-		pairs[i] = pair{code: code, idx: int32(i)}
-	}
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.code, b.code) })
-	mo := &mortonOrder{
-		codes:  make([]uint64, len(pts)),
-		coords: make([]int64, len(pts)*d),
-	}
-	for i, pr := range pairs {
-		mo.codes[i] = pr.code
-		p := pts[pr.idx]
-		for j := 0; j < d; j++ {
-			mo.coords[i*d+j] = p[j] + shift[j]
-		}
-	}
-	return mo
-}
-
-// fillLevelSorted inserts every point's (cell, occurrence) key for one
-// level by scanning the Morton order: occurrence indices restart
-// whenever the code prefix — the cell — changes, and the key bytes come
-// straight from the presorted flat coordinate array. With a non-nil occ
-// it also records the per-cell counts (one map insert per distinct
-// cell, not per point).
-func fillLevelSorted(t *iblt.Table, g *grid.Grid, level int, mo *mortonOrder, occ occupancy, keyBuf []byte) []byte {
-	d := g.Universe().Dim
-	cellShift := uint(d * (g.Levels() - level)) // < 64 by newMortonOrder's bound
-	coordShift := uint(g.Levels() - level)      // cell coord = shifted coord >> (L−ℓ)
-	keyLen := 8*d + 4
-	buf := keyBuf
-	if cap(buf) < keyLen {
-		buf = make([]byte, keyLen)
-	}
-	buf = buf[:keyLen]
-	var prev uint64
-	var o uint32
-	var cnt *uint32
-	for i, code := range mo.codes {
-		cell := code >> cellShift
-		if i == 0 || cell != prev {
-			prev, o = cell, 0
-		} else {
-			o++
-		}
-		for j := 0; j < d; j++ {
-			binary.LittleEndian.PutUint64(buf[8*j:], uint64(mo.coords[i*d+j]>>coordShift))
-		}
-		if occ != nil {
-			if o == 0 {
-				cnt = new(uint32)
-				occ[string(buf[:8*d])] = cnt
-			}
-			*cnt++
-		}
-		binary.LittleEndian.PutUint32(buf[8*d:], o)
-		t.Insert(buf)
-	}
-	return buf
-}
-
 // Sketch is Alice's transmissible summary: one IBLT per grid level in
 // [Params.MinLevel, Params.MaxLevel].
 type Sketch struct {
@@ -341,11 +198,12 @@ type Sketch struct {
 	Tables []*iblt.Table
 }
 
-// BuildSketch summarizes pts under p. This is Alice's encoder; it is also
-// invoked by Bob to build the identical structure he subtracts. Levels
-// are built in parallel across up to runtime.GOMAXPROCS(0) workers; the
-// result is byte-identical to a sequential build (each level is a
-// deterministic function of the parameters and the point order).
+// BuildSketch summarizes pts under p. This is Alice's encoder (Bob
+// builds the identical tables he subtracts level by level, see
+// Reconcile). Levels are built in parallel across up to
+// runtime.GOMAXPROCS(0) workers; the result is byte-identical to a
+// sequential build (each level is a deterministic function of the
+// parameters and the point multiset).
 func BuildSketch(p Params, pts []points.Point) (*Sketch, error) {
 	return BuildSketchParallel(p, pts, 0)
 }
@@ -355,74 +213,62 @@ func BuildSketch(p Params, pts []points.Point) (*Sketch, error) {
 // Every worker count produces byte-identical sketches — the equivalence
 // the tests pin — so the knob trades only CPU placement, never output.
 func BuildSketchParallel(p Params, pts []points.Point, workers int) (*Sketch, error) {
-	p, err := p.normalized()
+	v, err := NewView(p, pts)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Universe.CheckSet(pts); err != nil {
-		return nil, err
-	}
-	g, err := gridFor(p)
+	tables, _, err := buildTables(v, workers, false)
 	if err != nil {
 		return nil, err
 	}
-	tables, _, err := buildTables(p, g, pts, workers, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Sketch{Params: p, Count: len(pts), Tables: tables}, nil
+	return &Sketch{Params: v.p, Count: len(pts), Tables: tables}, nil
 }
 
-// buildTables constructs the filled per-level IBLTs of pts under the
-// normalized p, fanning levels out over a bounded worker pool. With
-// wantOcc it also returns each level's occupancy map (fresh, unpooled —
-// the Maintainer keeps them). Each level is built independently and
-// deterministically, so the concurrency is race-free by construction and
-// invisible in the output.
-func buildTables(p Params, g *grid.Grid, pts []points.Point, workers int, wantOcc bool) ([]*iblt.Table, []occupancy, error) {
+// buildTables constructs the filled per-level IBLTs of the view's
+// points, fanning levels out over a bounded worker pool. With wantOcc it
+// also returns each level's occupancy map (the Maintainer keeps them).
+// Each level is built independently and deterministically, so the
+// concurrency is race-free by construction and invisible in the output.
+func buildTables(v *View, workers int, wantOcc bool) ([]*iblt.Table, []occupancy, error) {
+	p := v.p
 	levels := p.MaxLevel - p.MinLevel + 1
+	tables := make([]*iblt.Table, levels)
+	var occs []occupancy
+	if wantOcc {
+		occs = make([]occupancy, levels)
+	}
+	err := eachLevel(levels, workers, func(idx int) (err error) {
+		var occ occupancy
+		if wantOcc {
+			occ = make(occupancy, len(v.pts))
+			occs[idx] = occ
+		}
+		tables[idx], err = v.levelTable(p.MinLevel+idx, p.TableCapacity, occ)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return tables, occs, nil
+}
+
+// eachLevel runs fn(idx) for every idx in [0, levels) over a pool of at
+// most workers goroutines — workers ≤ 0 means runtime.GOMAXPROCS(0), 1
+// runs inline — and returns the first error.
+func eachLevel(levels, workers int, fn func(idx int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > levels {
 		workers = levels
 	}
-	tables := make([]*iblt.Table, levels)
-	var occs []occupancy
-	if wantOcc {
-		occs = make([]occupancy, levels)
-	}
-	order := newMortonOrder(g, pts) // nil → occupancy-map fallback
-	buildOne := func(idx int) error {
-		t, err := levelTable(p, p.MinLevel+idx, p.TableCapacity)
-		if err != nil {
-			return err
-		}
-		switch {
-		case order != nil:
-			var occ occupancy
-			if wantOcc {
-				occ = make(occupancy, len(pts))
-				occs[idx] = occ
-			}
-			fillLevelSorted(t, g, p.MinLevel+idx, order, occ, nil)
-		case wantOcc:
-			occ := make(occupancy, len(pts))
-			fillLevelOcc(t, g, p.MinLevel+idx, pts, occ, make([]byte, 0, KeyLen(p.Universe.Dim)))
-			occs[idx] = occ
-		default:
-			fillLevel(t, g, p.MinLevel+idx, pts)
-		}
-		tables[idx] = t
-		return nil
-	}
 	if workers == 1 {
 		for idx := 0; idx < levels; idx++ {
-			if err := buildOne(idx); err != nil {
-				return nil, nil, err
+			if err := fn(idx); err != nil {
+				return err
 			}
 		}
-		return tables, occs, nil
+		return nil
 	}
 	var (
 		next    atomic.Int64
@@ -439,7 +285,7 @@ func buildTables(p Params, g *grid.Grid, pts []points.Point, workers int, wantOc
 				if idx >= levels {
 					return
 				}
-				if err := buildOne(idx); err != nil {
+				if err := fn(idx); err != nil {
 					errOnce.Do(func() { firstEr = err })
 					return
 				}
@@ -447,10 +293,7 @@ func buildTables(p Params, g *grid.Grid, pts []points.Point, workers int, wantOc
 		}()
 	}
 	wg.Wait()
-	if firstEr != nil {
-		return nil, nil, firstEr
-	}
-	return tables, occs, nil
+	return firstEr
 }
 
 // WireSize returns the total marshalled size of the sketch in bytes.
@@ -505,236 +348,54 @@ var ErrNoDecodableLevel = errors.New("core: no level of the sketch decoded; incr
 // which indicates corruption or mismatched parameters.
 var ErrInconsistentSketch = errors.New("core: decoded difference inconsistent with local set")
 
+// ErrLevelOutOfRange is returned when a single-level operation names a
+// level the universe's grid hierarchy does not have.
+var ErrLevelOutOfRange = errors.New("core: level out of range")
+
+// ErrLevelTableMismatch is returned by ReconcileLevel when the peer's
+// table is not the one the level, capacity and parameters imply — the
+// single-level counterpart of the sketch decoder's per-table check.
+var ErrLevelTableMismatch = errors.New("core: level table does not match the requested shape")
+
 // Reconcile is Bob's side of the one-shot protocol: given Alice's sketch
 // and his own points, it returns S'_B ≈ S_A. Bob's points must lie in the
 // sketch's universe.
 func Reconcile(s *Sketch, bobPts []points.Point) (*Result, error) {
-	p, err := s.Params.normalized()
+	v, err := NewView(s.Params, bobPts)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.Tables) != p.MaxLevel-p.MinLevel+1 {
-		return nil, fmt.Errorf("core: sketch has %d tables for level range [%d,%d]", len(s.Tables), p.MinLevel, p.MaxLevel)
-	}
-	if err := p.Universe.CheckSet(bobPts); err != nil {
-		return nil, err
-	}
-	g, err := gridFor(p)
-	if err != nil {
-		return nil, err
-	}
-	mine, err := BuildSketch(p, bobPts)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Params: p}
-	// One scratch table cycles through the level scan: every level has
-	// the same shape, so each attempt is a storage-reusing copy, an
-	// in-place subtraction and a destructive decode — no per-level table
-	// allocations on this per-session path.
-	var scratch *iblt.Table
-	for l := p.MaxLevel; l >= p.MinLevel; l-- {
-		idx := l - p.MinLevel
-		if scratch == nil {
-			scratch = s.Tables[idx].Clone()
-		} else if err := scratch.CopyFrom(s.Tables[idx]); err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", l, err)
-		}
-		if err := scratch.Sub(mine.Tables[idx]); err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", l, err)
-		}
-		diff, derr := scratch.DecodeMut()
-		if derr != nil {
-			res.Outcomes = append(res.Outcomes, LevelOutcome{Level: l})
-			continue
-		}
-		res.Outcomes = append(res.Outcomes, LevelOutcome{Level: l, Decoded: true, DiffSize: diff.Size()})
-		if err := repair(res, g, l, diff, bobPts); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	return nil, ErrNoDecodableLevel
+	return v.reconcile(s)
 }
 
-// repair applies a decoded level difference to Bob's multiset.
-//
-// Per-point work here is the dominant allocation site of the whole
-// fetch path (it runs once per session over all of |S_B|), so the
-// occupancy grouping and the result clone both work out of single flat
-// buffers: a sorted index over one encoded-cells buffer instead of a
-// map of per-cell slices, and one backing array carved into the S'_B
-// points instead of a clone per point.
-func repair(res *Result, g *grid.Grid, level int, diff *iblt.Diff, bobPts []points.Point) error {
-	res.Level = level
-	res.CellWidth = g.CellWidth(level)
-	// Recompute Bob's occupancy at this level so Bob-only keys (cell,occ)
-	// resolve to concrete points of his. Sorting the point indices by
-	// (encoded cell, index) groups each cell's occupants contiguously in
-	// slice order, so occurrence j of a cell is the j-th entry of its run.
-	cs := g.EncodedCellSize()
-	cells := make([]byte, 0, len(bobPts)*cs)
-	for _, p := range bobPts {
-		cells = g.AppendCell(cells, level, p)
-	}
-	cellAt := func(i int32) []byte { return cells[int(i)*cs : (int(i)+1)*cs] }
-	order := make([]int32, len(bobPts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := bytes.Compare(cellAt(a), cellAt(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	cellBuf := make([]byte, 0, cs)
-	remove := make(map[int]bool, len(diff.Neg))
-	for _, key := range diff.Neg {
-		cell, occ, err := splitKey(g, key)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrInconsistentSketch, err)
-		}
-		cellBuf = g.EncodeCell(cellBuf[:0], cell)
-		first := sort.Search(len(order), func(j int) bool {
-			return bytes.Compare(cellAt(order[j]), cellBuf) >= 0
-		})
-		run := 0
-		for first+run < len(order) && bytes.Equal(cellAt(order[first+run]), cellBuf) {
-			run++
-		}
-		if int(occ) >= run {
-			return fmt.Errorf("%w: bob-only key names occurrence %d of a cell with %d local points", ErrInconsistentSketch, occ, run)
-		}
-		idx := int(order[first+int(occ)])
-		if remove[idx] {
-			return fmt.Errorf("%w: point %d removed twice", ErrInconsistentSketch, idx)
-		}
-		remove[idx] = true
-		res.Removed = append(res.Removed, bobPts[idx])
-	}
-	res.SPrime = make([]points.Point, 0, len(bobPts)-len(remove)+len(diff.Pos))
-	backing := make([]int64, 0, (len(bobPts)-len(remove))*g.Dim())
-	for i, p := range bobPts {
-		if !remove[i] {
-			// Full-slice expressions keep each point's capacity at its own
-			// length, so appending to one returned point cannot clobber its
-			// neighbor in the shared backing array.
-			start := len(backing)
-			backing = append(backing, p...)
-			res.SPrime = append(res.SPrime, points.Point(backing[start:len(backing):len(backing)]))
-		}
-	}
-	for _, key := range diff.Pos {
-		cell, _, err := splitKey(g, key)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrInconsistentSketch, err)
-		}
-		center := g.Center(level, cell)
-		res.Added = append(res.Added, center)
-		res.SPrime = append(res.SPrime, center)
-	}
-	return nil
-}
-
-// BuildLevelTable builds the single-level IBLT used by the estimate-first
-// protocol, with an explicit key capacity.
+// BuildLevelTable is View.BuildLevelTable over a throwaway view.
 func BuildLevelTable(p Params, pts []points.Point, level, capacity int) (*iblt.Table, error) {
-	p, err := p.normalized()
+	v, err := NewView(p, pts)
 	if err != nil {
 		return nil, err
 	}
-	if level < 0 || level > p.Universe.Levels() {
-		return nil, fmt.Errorf("core: level %d outside [0,%d]", level, p.Universe.Levels())
-	}
-	if err := p.Universe.CheckSet(pts); err != nil {
-		return nil, err
-	}
-	g, err := gridFor(p)
-	if err != nil {
-		return nil, err
-	}
-	t, err := levelTable(p, level, capacity)
-	if err != nil {
-		return nil, err
-	}
-	fillLevel(t, g, level, pts)
-	return t, nil
+	return v.BuildLevelTable(level, capacity)
 }
 
-// ReconcileLevel is the single-level analogue of Reconcile, used by the
-// estimate-first protocol once a level has been negotiated: it subtracts
-// Bob's identically sized table and repairs at exactly that level.
+// ReconcileLevel is View.ReconcileLevel over a throwaway view, for
+// callers that hold a table but not the capacity it was requested with:
+// the table's own cell count stands in for the requested one, and its
+// key length, hash count and seed must still be the level's.
 func ReconcileLevel(p Params, aliceTable *iblt.Table, bobPts []points.Point, level int) (*Result, error) {
-	p, err := p.normalized()
+	v, err := NewView(p, bobPts)
 	if err != nil {
 		return nil, err
 	}
-	g, err := gridFor(p)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Universe.CheckSet(bobPts); err != nil {
-		return nil, err
-	}
-	mine, err := iblt.New(aliceTable.Config())
-	if err != nil {
-		return nil, err
-	}
-	fillLevel(mine, g, level, bobPts)
-	t := aliceTable.Clone()
-	if err := t.Sub(mine); err != nil {
-		return nil, err
-	}
-	diff, err := t.Decode()
-	if err != nil {
-		return nil, fmt.Errorf("core: level %d table did not decode: %w", level, err)
-	}
-	res := &Result{Params: p, Outcomes: []LevelOutcome{{Level: level, Decoded: true, DiffSize: diff.Size()}}}
-	if err := repair(res, g, level, diff, bobPts); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return v.reconcileLevel(aliceTable, level, aliceTable.Cells())
 }
 
-// LevelEstimators builds one bottom-k difference estimator per level over
-// the same (cell, occurrence) keys the IBLTs would hold. The estimate-first
-// protocol sends these instead of full tables in its first round.
+// LevelEstimators is View.LevelEstimators over a throwaway view.
 func LevelEstimators(p Params, pts []points.Point, k int) ([]*sketch.BottomK, error) {
-	p, err := p.normalized()
+	v, err := NewView(p, pts)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Universe.CheckSet(pts); err != nil {
-		return nil, err
-	}
-	g, err := gridFor(p)
-	if err != nil {
-		return nil, err
-	}
-	ests := make([]*sketch.BottomK, 0, p.MaxLevel-p.MinLevel+1)
-	buf := make([]byte, 0, KeyLen(p.Universe.Dim))
-	for l := p.MinLevel; l <= p.MaxLevel; l++ {
-		e, err := sketch.NewBottomK(k, hashutil.DeriveSeedN(p.Seed, "core/est", l))
-		if err != nil {
-			return nil, err
-		}
-		occ := make(occupancy, len(pts))
-		for _, pt := range pts {
-			buf = g.AppendCell(buf[:0], l, pt)
-			c := occ[string(buf)]
-			if c == nil {
-				c = new(uint32)
-				occ[string(buf)] = c
-			}
-			o := *c
-			*c = o + 1
-			buf = append(buf, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
-			e.Add(buf)
-		}
-		ests = append(ests, e)
-	}
-	return ests, nil
+	return v.LevelEstimators(k)
 }
 
 // ChooseLevel picks the finest level whose estimated difference fits the

@@ -74,9 +74,9 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 
 // TestMortonAndMapPathsAgree forces the occupancy-map fallback by using
 // a high-dimensional universe and checks it against itself across worker
-// counts, then cross-checks the two fill paths on a universe where both
-// are available by comparing per-level tables built through
-// BuildLevelTable (map path) with the full build (Morton path).
+// counts, then checks on a universe that takes the Morton path that a
+// single-level table equals the same level of the full sketch. (The two
+// paths are held against each other in TestViewMatchesReference.)
 func TestMortonAndMapPathsAgree(t *testing.T) {
 	// dim 8 × (levels 9+1) = 80 bits > 64 → map fallback everywhere.
 	u := points.Universe{Dim: 8, Delta: 1 << 9}
@@ -99,8 +99,7 @@ func TestMortonAndMapPathsAgree(t *testing.T) {
 		t.Error("map-fallback parallel build diverges from sequential")
 	}
 
-	// Cross-path check: BuildLevelTable fills through the map path;
-	// the full sketch uses the Morton path. Same level ⇒ same bytes.
+	// Same level ⇒ same bytes, whether built alone or with the sketch.
 	u2 := points.Universe{Dim: 2, Delta: 1 << 10}
 	inst2 := genInstance(t, workload.Config{
 		N: 1000, Universe: u2, Outliers: 5,
@@ -122,7 +121,7 @@ func TestMortonAndMapPathsAgree(t *testing.T) {
 		want, _ := sk.Tables[level-p2.MinLevel].MarshalBinary()
 		got, _ := lt.MarshalBinary()
 		if string(got) != string(want) {
-			t.Errorf("level %d: map-path table diverges from Morton-path table", level)
+			t.Errorf("level %d: single-level table diverges from the sketch's", level)
 		}
 	}
 }

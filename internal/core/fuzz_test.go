@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"robustset/internal/points"
@@ -35,6 +37,43 @@ func FuzzSketchUnmarshal(f *testing.F) {
 		for _, p := range res.SPrime {
 			if !got.Params.Universe.Contains(p) {
 				t.Fatalf("reconcile emitted out-of-universe point %v", p)
+			}
+		}
+	})
+}
+
+// FuzzMortonSort holds the radix presort to a comparison sort: the codes
+// come out in slices.Sort order, the permutation maps each back to where
+// it came from, and equal codes keep ascending original indices — the
+// stability the repair's "j-th occupant in slice order" rests on.
+func FuzzMortonSort(f *testing.F) {
+	f.Add([]byte{}, uint8(64))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, uint8(8))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<41|5), 1<<41|5), uint8(42))
+	f.Add(slices.Repeat([]byte{0xff, 0x01, 0x80, 0x7f, 0, 0, 0, 0}, 40), uint8(32))
+
+	f.Fuzz(func(t *testing.T, data []byte, bits uint8) {
+		bits = bits%64 + 1
+		codes := make([]uint64, len(data)/8)
+		for i := range codes {
+			codes[i] = binary.LittleEndian.Uint64(data[8*i:]) & (1<<bits - 1)
+		}
+		want := slices.Clone(codes)
+		slices.Sort(want)
+		orig := slices.Clone(codes)
+		sorted, perm := sortCodes(codes, int(bits))
+		if !slices.Equal(sorted, want) {
+			t.Fatalf("radix order differs from slices.Sort on %d codes of %d bits", len(orig), bits)
+		}
+		if len(perm) != len(orig) {
+			t.Fatalf("permutation has %d entries for %d codes", len(perm), len(orig))
+		}
+		for i, at := range perm {
+			if orig[at] != sorted[i] {
+				t.Fatalf("perm[%d] = %d names code %#x, sorted has %#x", i, at, orig[at], sorted[i])
+			}
+			if i > 0 && sorted[i] == sorted[i-1] && perm[i-1] >= at {
+				t.Fatalf("equal codes at %d,%d out of original order (%d then %d)", i-1, i, perm[i-1], at)
 			}
 		}
 	})

@@ -48,31 +48,23 @@ func NewMaintainer(p Params, pts []points.Point) (*Maintainer, error) {
 // NewMaintainerParallel is NewMaintainer with an explicit worker-pool
 // bound (≤ 0 means runtime.GOMAXPROCS(0), 1 forces sequential).
 func NewMaintainerParallel(p Params, pts []points.Point, workers int) (*Maintainer, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Universe.CheckSet(pts); err != nil {
-		return nil, err
-	}
-	g, err := gridFor(p)
+	v, err := NewView(p, pts)
 	if err != nil {
 		return nil, err
 	}
 	// One pass builds both the tables and the occupancy state the
-	// incremental updates need — the occupancies are exactly the maps a
-	// plain build fills and discards.
-	tables, occs, err := buildTables(p, g, pts, workers, true)
+	// incremental updates need.
+	tables, occs, err := buildTables(v, workers, true)
 	if err != nil {
 		return nil, err
 	}
 	return &Maintainer{
-		params: p,
-		g:      g,
-		sketch: &Sketch{Params: p, Count: len(pts), Tables: tables},
+		params: v.p,
+		g:      v.g,
+		sketch: &Sketch{Params: v.p, Count: len(pts), Tables: tables},
 		occ:    occs,
 		count:  len(pts),
-		keyBuf: make([]byte, 0, KeyLen(p.Universe.Dim)),
+		keyBuf: make([]byte, 0, KeyLen(v.p.Universe.Dim)),
 	}, nil
 }
 

@@ -2,13 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"robustset/internal/grid"
 	"robustset/internal/points"
 )
 
@@ -46,99 +41,30 @@ func NewMaintainerFromSketch(p Params, pts []points.Point, sk *Sketch) (*Maintai
 	if got, want := len(sk.Tables), p.MaxLevel-p.MinLevel+1; got != want {
 		return nil, fmt.Errorf("core: recover: sketch has %d tables for level range [%d,%d]", got, p.MinLevel, p.MaxLevel)
 	}
-	if err := p.Universe.CheckSet(pts); err != nil {
-		return nil, err
-	}
-	g, err := gridFor(p)
+	v, err := NewView(p, pts)
 	if err != nil {
 		return nil, err
 	}
-	occs := buildOccupancies(p, g, pts, 0)
 	return &Maintainer{
 		params: p,
-		g:      g,
+		g:      v.g,
 		sketch: &Sketch{Params: p, Count: len(pts), Tables: sk.Tables},
-		occ:    occs,
+		occ:    buildOccupancies(v, 0),
 		count:  len(pts),
 		keyBuf: make([]byte, 0, KeyLen(p.Universe.Dim)),
 	}, nil
 }
 
-// buildOccupancies computes the per-level cell occupancy maps of pts —
-// the state buildTables produces alongside the tables, minus every IBLT
-// insert. Levels fan out over a bounded worker pool like buildTables.
-func buildOccupancies(p Params, g *grid.Grid, pts []points.Point, workers int) []occupancy {
-	levels := p.MaxLevel - p.MinLevel + 1
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > levels {
-		workers = levels
-	}
-	occs := make([]occupancy, levels)
-	order := newMortonOrder(g, pts)
-	fillOne := func(idx int) {
-		occ := make(occupancy, len(pts))
-		occs[idx] = occ
-		level := p.MinLevel + idx
-		if order != nil {
-			// Code-order scan: one map insert per distinct cell, counters
-			// bumped per point (see fillLevelSorted, minus the inserts).
-			d := g.Universe().Dim
-			cellShift := uint(d * (g.Levels() - level))
-			coordShift := uint(g.Levels() - level)
-			buf := make([]byte, 8*d)
-			var prev uint64
-			var cnt *uint32
-			for i, code := range order.codes {
-				cell := code >> cellShift
-				if i == 0 || cell != prev {
-					prev = cell
-					for j := 0; j < d; j++ {
-						binary.LittleEndian.PutUint64(buf[8*j:], uint64(order.coords[i*d+j]>>coordShift))
-					}
-					cnt = new(uint32)
-					occ[string(buf)] = cnt
-				}
-				*cnt++
-			}
-			return
-		}
-		buf := make([]byte, 0, KeyLen(p.Universe.Dim))
-		for _, pt := range pts {
-			buf = g.AppendCell(buf[:0], level, pt)
-			c := occ[string(buf)]
-			if c == nil {
-				c = new(uint32)
-				occ[string(buf)] = c
-			}
-			*c++
-		}
-	}
-	if workers == 1 {
-		for idx := 0; idx < levels; idx++ {
-			fillOne(idx)
-		}
-		return occs
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= levels {
-					return
-				}
-				fillOne(idx)
-			}
-		}()
-	}
-	wg.Wait()
+// buildOccupancies computes the per-level cell occupancy maps of the
+// view's points — the state buildTables produces alongside the tables,
+// minus every IBLT insert — over the same bounded worker pool.
+func buildOccupancies(v *View, workers int) []occupancy {
+	occs := make([]occupancy, v.p.MaxLevel-v.p.MinLevel+1)
+	_ = eachLevel(len(occs), workers, func(idx int) error { // the callback never fails
+		occs[idx] = make(occupancy, len(v.pts))
+		v.scanLevel(v.p.MinLevel+idx, occs[idx], nil)
+		return nil
+	})
 	return occs
 }
 

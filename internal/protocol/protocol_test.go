@@ -251,6 +251,77 @@ func TestEstimateBobRejectsGarbageEstimators(t *testing.T) {
 	}
 }
 
+// TestEstimateBobRejectsMismatchedLevelTable plays an Alice who answers
+// the estimator round honestly and then serves a level table that is not
+// the one Bob asked for. A table of another key length used to panic Bob
+// inside iblt's insert; every shape mismatch must now end the session
+// with core.ErrLevelTableMismatch, at once rather than after retries.
+func TestEstimateBobRejectsMismatchedLevelTable(t *testing.T) {
+	inst := testInstance(t, 200, 3)
+	params := core.Params{Universe: testU, Seed: 1, DiffBudget: 4}
+	wide := core.Params{Universe: points.Universe{Dim: 3, Delta: testU.Delta}, Seed: 1, DiffBudget: 4}
+	lies := map[string]func(level, capacity int) (*iblt.Table, error){
+		"other key length": func(level, capacity int) (*iblt.Table, error) {
+			return core.BuildLevelTable(wide, []points.Point{{1, 2, 3}}, level, capacity)
+		},
+		"other capacity": func(level, capacity int) (*iblt.Table, error) {
+			return core.BuildLevelTable(params, inst.Alice, level, 4*capacity)
+		},
+		"other level": func(level, capacity int) (*iblt.Table, error) {
+			return core.BuildLevelTable(params, inst.Alice, (level+1)%testU.Levels(), capacity)
+		},
+	}
+	for name, lie := range lies {
+		t.Run(name, func(t *testing.T) {
+			at, bt := transport.Pair()
+			defer at.Close()
+			defer bt.Close()
+			rounds := make(chan int, 1)
+			go func() {
+				n := 0
+				defer func() { rounds <- n }()
+				body, err := recvExpect(bg, at, MsgEstRequest)
+				if err != nil {
+					return
+				}
+				ests, err := core.LevelEstimators(params, inst.Alice, int(binary.LittleEndian.Uint32(body)))
+				if err != nil {
+					return
+				}
+				blobs := make([][]byte, len(ests))
+				for i, e := range ests {
+					blobs[i], _ = e.MarshalBinary()
+				}
+				if send(bg, at, MsgEstimators, appendBlobList(nil, blobs)) != nil {
+					return
+				}
+				for {
+					typ, body, err := recv(bg, at)
+					if err != nil || typ != MsgLevelRequest {
+						return
+					}
+					n++
+					tbl, err := lie(int(binary.LittleEndian.Uint16(body)), int(binary.LittleEndian.Uint32(body[2:])))
+					if err != nil {
+						return
+					}
+					blob, _ := tbl.MarshalBinary()
+					if send(bg, at, MsgLevelTable, blob) != nil {
+						return
+					}
+				}
+			}()
+			_, err := RunEstimateBob(bg, bt, params, inst.Bob, EstimateOpts{})
+			if !errors.Is(err, core.ErrLevelTableMismatch) {
+				t.Fatalf("lying Alice: %v, want core.ErrLevelTableMismatch", err)
+			}
+			if n := <-rounds; n != 1 {
+				t.Errorf("Bob asked for %d level tables; a mismatch is not a stalled decode and must not be retried", n)
+			}
+		})
+	}
+}
+
 func TestApplyExactDiffErrors(t *testing.T) {
 	bob := []points.Point{{1, 2}, {3, 4}}
 	// Key of the wrong length.

@@ -77,6 +77,28 @@ type EstimateOpts struct {
 	MaxRetries int
 }
 
+// Bounds on the estimator size Alice serves; Bob's side rejects values
+// outside them before opening a session.
+const (
+	minEstimatorK = 8
+	maxEstimatorK = 1 << 16
+)
+
+// Validate rejects options no session could run under. Zero values mean
+// the documented defaults and are valid.
+func (o EstimateOpts) Validate() error {
+	if o.EstimatorK != 0 && (o.EstimatorK < minEstimatorK || o.EstimatorK > maxEstimatorK) {
+		return fmt.Errorf("protocol: estimator k %d outside [%d, %d]", o.EstimatorK, minEstimatorK, maxEstimatorK)
+	}
+	if o.Budget < 0 {
+		return fmt.Errorf("protocol: estimate budget %d negative", o.Budget)
+	}
+	if o.MaxRetries < 0 {
+		return fmt.Errorf("protocol: estimate max retries %d negative", o.MaxRetries)
+	}
+	return nil
+}
+
 func (o EstimateOpts) filled(p core.Params) EstimateOpts {
 	if o.Budget == 0 {
 		o.Budget = 4 * p.DiffBudget
@@ -104,10 +126,15 @@ func RunEstimateAlice(ctx context.Context, t transport.Transport, p core.Params,
 		return sendErr(ctx, t, errors.New("protocol: malformed estimator request"))
 	}
 	estK := int(uint32(body[0]) | uint32(body[1])<<8 | uint32(body[2])<<16 | uint32(body[3])<<24)
-	if estK < 8 || estK > 1<<16 {
-		return sendErr(ctx, t, fmt.Errorf("protocol: estimator k %d outside [8, 65536]", estK))
+	if estK < minEstimatorK || estK > maxEstimatorK {
+		return sendErr(ctx, t, fmt.Errorf("protocol: estimator k %d outside [%d, %d]", estK, minEstimatorK, maxEstimatorK))
 	}
-	ests, err := core.LevelEstimators(p, pts, estK)
+	// One ordered view serves the estimators and every level-table round.
+	view, err := core.NewView(p, pts)
+	if err != nil {
+		return sendErr(ctx, t, err)
+	}
+	ests, err := view.LevelEstimators(estK)
 	if err != nil {
 		return sendErr(ctx, t, err)
 	}
@@ -140,7 +167,7 @@ func RunEstimateAlice(ctx context.Context, t transport.Transport, p core.Params,
 			if capacity < 1 || capacity > 1<<24 {
 				return sendErr(ctx, t, fmt.Errorf("protocol: capacity %d out of range", capacity))
 			}
-			tbl, err := core.BuildLevelTable(p, pts, level, capacity)
+			tbl, err := view.BuildLevelTable(level, capacity)
 			if err != nil {
 				return sendErr(ctx, t, err)
 			}
@@ -171,6 +198,17 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 	if err := send(ctx, t, MsgEstRequest, req[:]); err != nil {
 		return nil, err
 	}
+	// Bob builds his own estimators while Alice builds hers, and only
+	// then blocks on her reply. The view he sorts for them also serves
+	// every level-table round and the repair.
+	view, err := core.NewView(p, bobPts)
+	if err != nil {
+		return nil, abort(ctx, t, err)
+	}
+	bobEsts, err := view.LevelEstimators(opts.EstimatorK)
+	if err != nil {
+		return nil, abort(ctx, t, err)
+	}
 	body, err := recvExpect(ctx, t, MsgEstimators)
 	if err != nil {
 		return nil, err
@@ -185,10 +223,6 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 		if err := aliceEsts[i].UnmarshalBinary(b); err != nil {
 			return nil, fmt.Errorf("protocol: estimator %d: %w", i, err)
 		}
-	}
-	bobEsts, err := core.LevelEstimators(p, bobPts, opts.EstimatorK)
-	if err != nil {
-		return nil, abort(ctx, t, err)
 	}
 	level, est, err := core.ChooseLevel(p, aliceEsts, bobEsts, opts.Budget)
 	if err != nil {
@@ -205,9 +239,14 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 		if err != nil {
 			return nil, err
 		}
-		res, rerr := core.ReconcileLevel(p, tbl, bobPts, level)
+		res, rerr := view.ReconcileLevel(tbl, level, capacity)
 		round.End(trace.I("level", int64(level)), trace.I("capacity", int64(capacity)),
 			trace.I("decoded", boolStat(rerr == nil)))
+		if errors.Is(rerr, core.ErrLevelTableMismatch) {
+			// Not a stalled decode: Alice served a table Bob did not ask
+			// for, and a bigger request would not change that.
+			return nil, abort(ctx, t, rerr)
+		}
 		if rerr == nil {
 			if err := send(ctx, t, MsgDone, nil); err != nil {
 				return nil, err

@@ -17,6 +17,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"robustset/internal/hashutil"
@@ -48,19 +50,75 @@ func NewBottomK(k int, seed uint64) (*BottomK, error) {
 func (b *BottomK) Add(key []byte) {
 	b.n++
 	v := b.h.Hash(key)
+	full := len(b.mins) == b.k
+	if full && v >= b.mins[b.k-1] {
+		return // not among the k smallest: the common case, no search needed
+	}
 	i := sort.Search(len(b.mins), func(i int) bool { return b.mins[i] >= v })
 	if i < len(b.mins) && b.mins[i] == v {
 		return // duplicate hash (duplicate key, almost surely)
 	}
-	if len(b.mins) == b.k {
-		if v >= b.mins[b.k-1] {
-			return
-		}
+	if full {
 		b.mins = b.mins[:b.k-1]
 	}
 	b.mins = append(b.mins, 0)
 	copy(b.mins[i+1:], b.mins[i:])
 	b.mins[i] = v
+}
+
+// BottomKBuilder builds a BottomK over a long key stream without keeping
+// the min list sorted along the way: hashes below the running k-th
+// minimum are collected unsorted, and whenever 2k of them have piled up
+// they are sorted and cut back to the k smallest, which tightens the
+// threshold. Past the first few thousand keys nearly every key fails
+// the threshold test and costs one hash and one compare. The result is
+// exactly the sketch the same Adds on a BottomK would give.
+type BottomKBuilder struct {
+	b     *BottomK
+	cand  []uint64 // unsorted candidates, none above limit; fewer than 2k
+	limit uint64   // a hash above limit cannot be among the k smallest
+}
+
+// NewBottomKBuilder starts an empty sketch with NewBottomK's parameters.
+// n is the number of Adds the caller expects; it only sizes the
+// candidate buffer, so that a large k (a peer may ask for up to 65536)
+// over a small set costs memory in proportion to the set, not to k.
+func NewBottomKBuilder(k int, seed uint64, n int) (*BottomKBuilder, error) {
+	b, err := NewBottomK(k, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &BottomKBuilder{b: b, cand: make([]uint64, 0, max(0, min(2*k, n))), limit: math.MaxUint64}, nil
+}
+
+// Add inserts a key.
+func (c *BottomKBuilder) Add(key []byte) {
+	c.b.n++
+	v := c.b.h.Hash(key)
+	if v > c.limit {
+		return
+	}
+	if c.cand = append(c.cand, v); len(c.cand) == 2*c.b.k {
+		c.compact()
+	}
+}
+
+// compact cuts the candidates back to their k smallest distinct values,
+// sorted.
+func (c *BottomKBuilder) compact() {
+	slices.Sort(c.cand)
+	c.cand = slices.Compact(c.cand)
+	if len(c.cand) >= c.b.k {
+		c.cand = c.cand[:c.b.k]
+		c.limit = c.cand[c.b.k-1]
+	}
+}
+
+// Finish returns the sketch. The builder must not be used afterwards.
+func (c *BottomKBuilder) Finish() *BottomK {
+	c.compact()
+	c.b.mins = slices.Clip(c.cand)
+	return c.b
 }
 
 // K returns the sketch size parameter.

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -317,6 +318,56 @@ func TestStrataDistribution(t *testing.T) {
 		want := float64(n) / float64(uint64(2)<<uint(i))
 		if math.Abs(float64(counts[i])-want) > 6*math.Sqrt(want) {
 			t.Errorf("stratum %d: count %d, want ≈%.0f", i, counts[i], want)
+		}
+	}
+}
+
+// TestBottomKBuilderMatchesAdd holds the threshold-first builder to the
+// sorted-insert sketch: same bytes for every stream length around the
+// compaction points, with repeated keys, and for fewer keys than k.
+func TestBottomKBuilderMatchesAdd(t *testing.T) {
+	if _, err := NewBottomKBuilder(4, 1, 0); err == nil {
+		t.Error("builder accepted k = 4")
+	}
+	rng := rand.New(rand.NewPCG(5, 6))
+	const k = 16
+	keys := randKeys(rng, 40*k)
+	for _, n := range []int{0, 1, k - 1, k, k + 1, 2*k - 1, 2 * k, 2*k + 1, 3 * k, 7*k + 3, len(keys)} {
+		for _, repeat := range []bool{false, true} {
+			want, _ := NewBottomK(k, 99)
+			hint := n // the size hint is advice: a wrong one changes nothing
+			if repeat {
+				hint = n / 3
+			}
+			b, err := NewBottomKBuilder(k, 99, hint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(b.cand) > n {
+				t.Errorf("n=%d: candidate buffer of %d entries for %d keys", n, cap(b.cand), n)
+			}
+			for i := 0; i < n; i++ {
+				key := keys[i]
+				if repeat {
+					key = keys[i/3] // every key three times over
+				}
+				want.Add(key)
+				b.Add(key)
+			}
+			got := b.Finish()
+			wb, _ := want.MarshalBinary()
+			gb, _ := got.MarshalBinary()
+			if !bytes.Equal(gb, wb) {
+				t.Errorf("n=%d repeat=%v: builder sketch differs from Add's (%d vs %d minima)", n, repeat, len(got.mins), len(want.mins))
+			}
+			// The finished sketch keeps working as an ordinary one.
+			want.Add(keys[len(keys)-1])
+			got.Add(keys[len(keys)-1])
+			wb, _ = want.MarshalBinary()
+			gb, _ = got.MarshalBinary()
+			if !bytes.Equal(gb, wb) {
+				t.Errorf("n=%d repeat=%v: sketches diverge on an Add after Finish", n, repeat)
+			}
 		}
 	}
 }

@@ -776,11 +776,12 @@ func (s *Stream) Close() error {
 	s.sentClose = true
 	bothDone := s.recvDone
 	s.mu.Unlock()
-	err := s.mux.writeFrame(MuxFrame{StreamID: s.id, Type: MuxFrameClose})
+	// Forget a finished stream before telling the peer: once it sees the
+	// CLOSE it may open a stream into the slot this one held.
 	if bothDone {
 		s.mux.drop(s)
 	}
-	return err
+	return s.mux.writeFrame(MuxFrame{StreamID: s.id, Type: MuxFrameClose})
 }
 
 // Reset aborts the stream in both directions, relaying reason to the

@@ -86,7 +86,11 @@ func PushAdaptive(conn net.Conn, p Params, pts []Point) (TransferStats, error) {
 // Deprecated: use NewSession(Adaptive{Options: opts}, WithParams(p)) and
 // Session.Fetch.
 func PullAdaptive(conn net.Conn, p Params, local []Point, opts AdaptiveOptions) (*Result, TransferStats, error) {
-	res, stats, err := mustSession(Adaptive{Options: opts}, WithParams(p)).Fetch(context.Background(), conn, local)
+	s, err := NewSession(Adaptive{Options: opts}, WithParams(p))
+	if err != nil {
+		return nil, TransferStats{}, err
+	}
+	res, stats, err := s.Fetch(context.Background(), conn, local)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -79,7 +79,10 @@
 // byte-identical output at every worker count). On one 2.1 GHz core,
 // building the default sketch over 100k 2-d points takes ~150 ms, about
 // 3× faster than the naive build, and scales further with cores.
-// Reconciliation inherits the same machinery for Bob's local build.
+// The fetching side runs every per-level pass — the adaptive strategy's
+// estimators, Bob's level tables, the repair — over the same presort,
+// and builds his table for a level only when the finest-to-coarsest
+// scan gets there, so reconciling equal sets costs one level.
 //
 // cmd/bench runs a fixed workload matrix over all six strategies and
 // writes BENCH_core.json — the repository's recorded performance

@@ -934,6 +934,10 @@ func (s *Server) serveSession(ctx context.Context, t transport.Transport, hello 
 		ctx = trace.NewContext(ctx, tr)
 	}
 	err := s.runSession(ctx, t, hello, remote)
+	// The peer has all it will get. Close this end now — a client's Fetch
+	// reads its stream to this close — and keep the books afterwards, off
+	// the peer's clock.
+	t.Close()
 	if err != nil {
 		s.metrics.Counter("server_session_errors_total").Inc()
 	}

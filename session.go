@@ -135,6 +135,13 @@ type Adaptive struct {
 // Name implements Strategy.
 func (Adaptive) Name() string { return "robust-adaptive" }
 
+func (a Adaptive) validate() error {
+	if err := a.Options.Validate(); err != nil {
+		return fmt.Errorf("robustset: adaptive options: %w", err)
+	}
+	return nil
+}
+
 func (Adaptive) code() byte          { return protocol.StrategyAdaptive }
 func (Adaptive) helloConfig() []byte { return nil }
 

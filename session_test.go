@@ -482,6 +482,16 @@ func TestStrategyValidation(t *testing.T) {
 	if _, err := robustset.NewSession(robustset.CPI{Capacity: -1}); err == nil {
 		t.Error("negative CPI capacity accepted")
 	}
+	for _, o := range []robustset.AdaptiveOptions{
+		{EstimatorK: 4}, {EstimatorK: 1<<16 + 1}, {EstimatorK: -8}, {Budget: -1}, {MaxRetries: -1},
+	} {
+		if _, err := robustset.NewSession(robustset.Adaptive{Options: o}); err == nil {
+			t.Errorf("adaptive options %+v accepted (the server rejects them a round trip later)", o)
+		}
+	}
+	if _, err := robustset.NewSession(robustset.Adaptive{Options: robustset.AdaptiveOptions{EstimatorK: 1 << 16}}); err != nil {
+		t.Errorf("adaptive estimator k 65536 rejected: %v", err)
+	}
 	// The deprecated wrappers surface the same validation as errors.
 	c1, c2 := net.Pipe()
 	defer c1.Close()
@@ -489,6 +499,9 @@ func TestStrategyValidation(t *testing.T) {
 	cfg := robustset.ExactConfig{Universe: testU, Seed: 1, HashCount: 256}
 	if _, err := robustset.PushExact(c1, cfg, nil); err == nil {
 		t.Error("PushExact accepted hash count 256")
+	}
+	if _, _, err := robustset.PullAdaptive(c2, robustset.Params{Universe: testU, Seed: 1, DiffBudget: 4}, nil, robustset.AdaptiveOptions{EstimatorK: 4}); err == nil {
+		t.Error("PullAdaptive accepted estimator k 4")
 	}
 }
 
