@@ -16,23 +16,20 @@ import (
 // ErrClientClosed is returned for operations on a closed Client.
 var ErrClientClosed = errors.New("robustset: client closed")
 
-// Client amortizes one server connection over many reconciliation
-// sessions. Dial once, then open sessions against any of the server's
-// datasets; sessions run concurrently as pipelined streams of a single
-// multiplexed (MUX1) connection, with a bounded number in flight — the
-// cost-tracks-the-delta principle applied to transport: per-connection
-// setup is paid once per peer, not once per dataset.
+// Client is the way to reach a Server: it holds one multiplexed (MUX1)
+// connection and runs every reconciliation session as a pipelined stream
+// of it. Dial once, then open sessions against any of the server's
+// datasets; sessions run concurrently, with a bounded number in flight —
+// the cost-tracks-the-delta principle applied to transport:
+// per-connection setup is paid once per peer, not once per dataset. A
+// one-shot fetch is a Client with one stream.
 //
 //	cl, _ := robustset.DialClient(ctx, addr)
 //	defer cl.Close()
 //	sess, _ := cl.Session("sensors/a", robustset.Robust{})
 //	res, stats, err := sess.Fetch(ctx, localPts)
 //
-// Against a legacy (pre-mux) server the client downgrades transparently
-// to one connection per session: the server closes the probing
-// connection on the unknown mux hello, the client remembers, and every
-// Fetch dials its own connection exactly like Session.FetchAddr. If the
-// multiplexed connection dies mid-life the next Fetch redials and
+// If the connection dies mid-life the next Fetch redials and
 // renegotiates once before reporting the failure.
 //
 // A Client is safe for concurrent use.
@@ -41,14 +38,12 @@ type Client struct {
 	maxStreams int
 	maxMsg     int
 	window     int
-	noMux      bool
 	logf       func(format string, args ...any)
 
 	sem chan struct{}
 
 	mu       sync.Mutex
 	mux      *transport.Mux
-	legacy   bool
 	closed   bool
 	prev     TransferStats // accounting of connections already torn down
 	redials  int64
@@ -98,17 +93,8 @@ func WithClientWindow(n int) ClientOption {
 	}
 }
 
-// WithClientNoMux forces connection-per-session mode without probing
-// for mux support — for measurements and compatibility testing.
-func WithClientNoMux() ClientOption {
-	return func(c *Client) error {
-		c.noMux = true
-		return nil
-	}
-}
-
-// WithClientLogger directs connection-lifecycle reporting (redials,
-// downgrades). Default: discard.
+// WithClientLogger directs connection-lifecycle reporting (redials).
+// Default: discard.
 func WithClientLogger(logf func(format string, args ...any)) ClientOption {
 	return func(c *Client) error {
 		c.logf = logf
@@ -116,10 +102,9 @@ func WithClientLogger(logf func(format string, args ...any)) ClientOption {
 	}
 }
 
-// DialClient connects to a robustset Server and negotiates connection
-// multiplexing. Dial failures are returned immediately; a reachable
-// server that does not speak mux yields a working client in
-// connection-per-session mode.
+// DialClient connects to a robustset Server and opens the multiplexed
+// connection. A failed dial or a refused handshake is returned
+// immediately, with the connection closed.
 func DialClient(ctx context.Context, addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		addr:       addr,
@@ -141,13 +126,9 @@ func DialClient(ctx context.Context, addr string, opts ...ClientOption) (*Client
 	return c, nil
 }
 
-// connectLocked dials and negotiates, entering legacy mode on a
-// mux-refusing peer. Caller holds c.mu.
+// connectLocked dials and negotiates the multiplexed connection. Caller
+// holds c.mu.
 func (c *Client) connectLocked(ctx context.Context) error {
-	if c.noMux {
-		c.legacy = true
-		return nil
-	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
@@ -158,14 +139,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	t := transport.NewMuxConnLimit(conn, c.maxMsg)
 	serverWindow, err := protocol.RunMuxHelloClient(ctx, t, uint32(c.window))
 	if err != nil {
-		// The probe connection is dead either way; close it before
-		// deciding between downgrade and failure.
 		conn.Close()
-		if errors.Is(err, protocol.ErrMuxUnsupported) {
-			c.logf("robustset: client: %s: legacy server, downgrading to connection-per-session", c.addr)
-			c.legacy = true
-			return nil
-		}
 		return err
 	}
 	c.mux = transport.NewMux(t, true, transport.MuxConfig{
@@ -175,39 +149,31 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	return nil
 }
 
-// ensure returns a live mux, or legacy=true, redialing a dead mux once
-// per call.
-func (c *Client) ensure(ctx context.Context) (m *transport.Mux, legacy bool, err error) {
+// ensure returns a live mux, redialing a dead one once per call.
+func (c *Client) ensure(ctx context.Context) (*transport.Mux, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, false, ErrClientClosed
-	}
-	if c.legacy {
-		return nil, true, nil
+		return nil, ErrClientClosed
 	}
 	if c.mux != nil && c.mux.Err() == nil {
-		return c.mux, false, nil
+		return c.mux, nil
 	}
 	if c.mux != nil {
-		st := c.mux.Stats()
-		c.prev.BytesSent += st.BytesSent
-		c.prev.BytesRecv += st.BytesRecv
-		c.prev.MsgsSent += st.MsgsSent
-		c.prev.MsgsRecv += st.MsgsRecv
+		c.prev.Add(c.mux.Stats())
 		c.mux.Close()
 		c.mux = nil
 		c.redials++
 		c.logf("robustset: client: %s: connection lost, redialing", c.addr)
 	}
 	if err := c.connectLocked(ctx); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return c.mux, c.legacy, nil
+	return c.mux, nil
 }
 
-// Muxed reports whether the client currently holds a live multiplexed
-// connection (false in legacy connection-per-session mode).
+// Muxed reports whether the client currently holds a live connection
+// (false between a connection's death and the next Fetch's redial).
 func (c *Client) Muxed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -218,18 +184,13 @@ func (c *Client) Muxed() bool {
 func (c *Client) Addr() string { return c.addr }
 
 // Stats returns the client's connection-level accounting across every
-// connection it has held — mux framing included, legacy per-session
-// connections excluded (those are returned per Fetch).
+// connection it has held, mux framing included.
 func (c *Client) Stats() TransferStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.prev
 	if c.mux != nil {
-		st := c.mux.Stats()
-		out.BytesSent += st.BytesSent
-		out.BytesRecv += st.BytesRecv
-		out.MsgsSent += st.MsgsSent
-		out.MsgsRecv += st.MsgsRecv
+		out.Add(c.mux.Stats())
 	}
 	return out
 }
@@ -265,21 +226,24 @@ type ClientSession struct {
 }
 
 // Session builds a session against a named server dataset. Options are
-// the Session options (WithMetric, WithStatsSink, ...); the dataset and
-// the client's message cap are applied for you.
+// the Session options (WithMetric, WithSessionTrace, ...); parameters come
+// from the server, and the message cap is the connection's
+// (WithClientMaxMessageSize).
 func (c *Client) Session(dataset string, strategy Strategy, opts ...Option) (*ClientSession, error) {
-	all := append(append([]Option{}, opts...),
-		WithDataset(dataset), WithMaxMessageSize(c.maxMsg))
-	sess, err := NewSession(strategy, all...)
+	if err := validDatasetName(dataset); err != nil {
+		return nil, err
+	}
+	sess, err := NewSession(strategy, opts...)
 	if err != nil {
 		return nil, err
 	}
+	sess.dataset = dataset
 	return &ClientSession{c: c, sess: sess}, nil
 }
 
 // Fetch reconciles local against the session's dataset and returns the
 // result plus this session's wire accounting (its stream's share of the
-// multiplexed connection, or the whole connection in legacy mode).
+// multiplexed connection).
 // Concurrent Fetches beyond the client's stream bound block — that is
 // the backpressure, not an error.
 func (cs *ClientSession) Fetch(ctx context.Context, local []Point) (*SyncResult, TransferStats, error) {
@@ -295,12 +259,9 @@ func (cs *ClientSession) Fetch(ctx context.Context, local []Point) (*SyncResult,
 	c.mu.Unlock()
 
 	for attempt := 0; ; attempt++ {
-		m, legacy, err := c.ensure(ctx)
+		m, err := c.ensure(ctx)
 		if err != nil {
 			return nil, TransferStats{}, err
-		}
-		if legacy {
-			return cs.sess.FetchAddr(ctx, c.addr, local)
 		}
 		if r, ok := cs.sess.strategy.(Ranged); ok && r.Streams > 1 {
 			res, stats, ferr, opened := cs.sess.fetchRangedStreams(ctx, m, r, local)
@@ -375,7 +336,7 @@ func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ra
 	} else {
 		tr = trace.FromContext(ctx)
 	}
-	hello := protocol.Hello{Strategy: r.code(), Dataset: s.dataset, Config: r.helloConfig()}
+	hello := s.hello()
 	st0, err := m.Open(ctx)
 	if err != nil {
 		return nil, st, err, false
@@ -386,27 +347,10 @@ func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ra
 		return nil, stats, ferr, true
 	}
 	hsp := tr.Begin("hello")
-	p, feats, err := protocol.RunHelloClientExt(ctx, st0, hello)
+	p, err := protocol.RunHelloClient(ctx, st0, hello)
+	hsp.End()
 	if err != nil {
-		hsp.End()
 		return fail(st0, err)
-	}
-	hsp.End(trace.I("features", int64(feats)))
-	if feats&protocol.FeatureRanged == 0 {
-		// Legacy server: no ranged feature echoed, so finish as a plain
-		// single-stream fetch of the fallback strategy on the stream the
-		// handshake already opened.
-		strat := r.fallback()
-		tr.Label("", strat.Name(), "")
-		res, err = strat.fetch(ctx, st0, p, local)
-		if err != nil {
-			return fail(st0, err)
-		}
-		st = st0.Stats()
-		_ = st0.Close()
-		res.Params = p
-		res.metric = s.metric
-		return res, st, nil, true
 	}
 	if err = p.Universe.CheckSet(local); err != nil {
 		return fail(st0, err)
@@ -456,11 +400,7 @@ func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ra
 					cancel()
 					return
 				}
-				_, f2, herr := protocol.RunHelloClientExt(gctx, s2, hello)
-				if herr == nil && f2&protocol.FeatureRanged == 0 {
-					herr = errors.New("robustset: server dropped the ranged feature on a sibling stream")
-				}
-				if herr != nil {
+				if _, herr := protocol.RunHelloClient(gctx, s2, hello); herr != nil {
 					stats := s2.Stats()
 					s2.Reset(herr)
 					mu.Lock()

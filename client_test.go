@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"robustset"
+	"robustset/internal/protocol"
+	"robustset/internal/transport"
 )
 
 // publishMany publishes n small datasets named "ds/<i>" and returns
@@ -31,7 +35,7 @@ func publishMany(t *testing.T, srv *robustset.Server, n int, seed uint64) map[st
 
 // TestClientMuxConcurrentSessions is the tentpole acceptance test: 16
 // datasets reconcile as concurrent pipelined streams of ONE connection,
-// and every result is byte-identical to a serial connection-per-session
+// and every result is byte-identical to a serial connection-per-fetch
 // run of the same strategy.
 func TestClientMuxConcurrentSessions(t *testing.T) {
 	const datasets = 16
@@ -48,18 +52,14 @@ func TestClientMuxConcurrentSessions(t *testing.T) {
 	}
 	defer cl.Close()
 	if !cl.Muxed() {
-		t.Fatal("client did not negotiate mux against a mux-capable server")
+		t.Fatal("client holds no live connection after DialClient")
 	}
 
-	// Serial reference runs over plain single-session connections.
+	// Serial reference runs, each over a connection of its own.
 	serial := make(map[string][]robustset.Point, datasets)
 	for name := range sets {
-		sess, err := robustset.NewSession(robustset.ExactIBLT{}, robustset.WithDataset(name))
-		if err != nil {
-			t.Fatal(err)
-		}
 		_, bob := deterministicPair(8000, 120, 4, 2)
-		res, _, err := sess.FetchAddr(ctx, addr.String(), bob)
+		res, _, err := fetchOnce(t, addr.String(), name, robustset.ExactIBLT{}, bob)
 		if err != nil {
 			t.Fatalf("serial fetch %q: %v", name, err)
 		}
@@ -110,11 +110,12 @@ func TestClientMuxConcurrentSessions(t *testing.T) {
 	}
 
 	snap := m.Snapshot()
-	if snap["server_mux_conns_total"] != 1 {
-		t.Fatalf("mux conns: %d, want 1", snap["server_mux_conns_total"])
+	// One connection for the concurrent run, one per serial reference fetch.
+	if snap["server_mux_conns_total"] != 1+datasets {
+		t.Fatalf("mux conns: %d, want %d", snap["server_mux_conns_total"], 1+datasets)
 	}
-	if snap["server_mux_streams_total"] != datasets {
-		t.Fatalf("mux streams: %d, want %d", snap["server_mux_streams_total"], datasets)
+	if snap["server_mux_streams_total"] != 2*datasets {
+		t.Fatalf("mux streams: %d, want %d", snap["server_mux_streams_total"], 2*datasets)
 	}
 	if snap["server_mux_streams_per_conn_max"] != datasets {
 		t.Fatalf("streams per conn max: %d, want %d", snap["server_mux_streams_per_conn_max"], datasets)
@@ -133,70 +134,34 @@ func TestClientMuxConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestClientLegacyServerDowngrade covers the mux-client → legacy-server
-// direction: a server with multiplexing disabled behaves like a pre-mux
-// build, and the client transparently falls back to
-// connection-per-session.
-func TestClientLegacyServerDowngrade(t *testing.T) {
-	srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerNoMux())
-	sets := publishMany(t, srv, 2, 9000)
-	addr := startServer(t, srv)
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	cl, err := robustset.DialClient(ctx, addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Muxed() {
-		t.Fatal("client claims mux against a mux-disabled server")
-	}
-	for name, want := range sets {
-		cs, err := cl.Session(name, robustset.ExactIBLT{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, bob := deterministicPair(9100, 120, 4, 2)
-		res, stats, err := cs.Fetch(ctx, bob)
-		if err != nil {
-			t.Fatalf("legacy-mode fetch %q: %v", name, err)
-		}
-		if !robustset.EqualMultisets(res.SPrime, want) {
-			t.Fatalf("legacy-mode fetch %q: wrong result", name)
-		}
-		if stats.Total() == 0 {
-			t.Fatalf("legacy-mode fetch %q: empty accounting", name)
-		}
-	}
-}
-
-// TestLegacyClientOnMuxListener covers the other direction: a plain
-// pre-mux client (ordinary Session.FetchAddr) against a mux-capable
-// listener gets a normal single-session connection.
+// TestLegacyClientOnMuxListener: a pre-mux client — one that opens the
+// connection with a bare session hello — is refused with a relayed error
+// and a closed connection, and no session is counted.
 func TestLegacyClientOnMuxListener(t *testing.T) {
 	m := robustset.NewMetrics()
 	srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(m))
-	sets := publishMany(t, srv, 1, 9500)
+	publishMany(t, srv, 1, 9500)
 	addr := startServer(t, srv)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	sess, err := robustset.NewSession(robustset.Rateless{}, robustset.WithDataset("ds/0"))
+	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bob := deterministicPair(9600, 120, 4, 2)
-	res, _, err := sess.FetchAddr(ctx, addr.String(), bob)
-	if err != nil {
-		t.Fatal(err)
+	defer conn.Close()
+	tr := transport.NewConnLimit(conn, 0)
+	_, err = protocol.RunHelloClient(ctx, tr, protocol.Hello{Strategy: protocol.StrategyRateless, Dataset: "ds/0"})
+	var remote *protocol.RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("bare hello answered with %v, want the server's *RemoteError", err)
 	}
-	if !robustset.EqualMultisets(res.SPrime, sets["ds/0"]) {
-		t.Fatal("legacy client got wrong result from mux listener")
+	if _, err := tr.Recv(ctx); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after the refusal: %v, want EOF (connection closed)", err)
 	}
 	snap := m.Snapshot()
-	if snap["server_mux_conns_total"] != 0 || snap["server_sessions_total"] != 1 {
-		t.Fatalf("legacy client miscounted: %+v", snap)
+	if snap["server_conns_total"] != 1 || snap["server_mux_conns_total"] != 0 || snap["server_sessions_total"] != 0 {
+		t.Fatalf("refused client miscounted: %+v", snap)
 	}
 }
 
@@ -342,13 +307,14 @@ func TestClientRedialsAfterConnLoss(t *testing.T) {
 	}
 }
 
-// TestFetchAddrClosesConnOnHandshakeFailure is the leak-regression test
-// for the dial paths: when the handshake fails — a relayed rejection or
-// an injected torn/garbage reply — the dialed connection must be closed
-// promptly. The serving side watches for the close; a leaked conn shows
-// up as its read timing out instead of returning EOF.
-func TestFetchAddrClosesConnOnHandshakeFailure(t *testing.T) {
-	reason := []byte("robustset: unknown dataset \"nope\"")
+// TestDialClientClosesConnOnHandshakeFailure is the leak-regression test
+// for the one dial path: when the connection handshake fails — a relayed
+// rejection or an injected torn/garbage reply — DialClient returns the
+// error, the dialed connection is closed promptly and no goroutine stays
+// behind. The serving side watches for the close; a leaked conn shows up
+// as its read timing out instead of returning EOF.
+func TestDialClientClosesConnOnHandshakeFailure(t *testing.T) {
+	reason := []byte("protocol: mux hello version 9, this build speaks 2")
 	faults := []struct {
 		name  string
 		reply []byte
@@ -356,12 +322,13 @@ func TestFetchAddrClosesConnOnHandshakeFailure(t *testing.T) {
 		// MsgError frame: u32 length || 0x7f || reason.
 		{"remote-rejection", append([]byte{byte(len(reason) + 1), 0, 0, 0, 0x7f}, reason...)},
 		// A torn frame: the header announces 64 bytes, two arrive.
-		{"torn-accept", []byte{64, 0, 0, 0, 0x11, 0x01}},
+		{"torn-accept", []byte{64, 0, 0, 0, 0x13, 0x02}},
 		// Garbage that parses as a frame but not as any message.
 		{"garbage-frame", []byte{3, 0, 0, 0, 0xEE, 0xAA, 0xBB}},
 	}
 	for _, fault := range faults {
 		t.Run(fault.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -397,18 +364,15 @@ func TestFetchAddrClosesConnOnHandshakeFailure(t *testing.T) {
 				srvDone <- err
 			}()
 
-			sess, err := robustset.NewSession(robustset.ExactIBLT{}, robustset.WithDataset("nope"))
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Short deadline: the torn-accept fault stalls the client
 			// mid-frame until the context expires, and the close-on-error
 			// path must run then too.
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			_, _, err = sess.FetchAddr(ctx, ln.Addr().String(), nil)
+			cl, err := robustset.DialClient(ctx, ln.Addr().String())
 			if err == nil {
-				t.Fatal("fetch against faulty server succeeded")
+				cl.Close()
+				t.Fatal("dial against faulty server succeeded")
 			}
 			// The serving side must see the connection closed (io.EOF), not
 			// a read timeout — that is the difference between a closed and
@@ -417,11 +381,12 @@ func TestFetchAddrClosesConnOnHandshakeFailure(t *testing.T) {
 			case err := <-srvDone:
 				var ne net.Error
 				if errors.As(err, &ne) && ne.Timeout() {
-					t.Fatal("server read timed out: FetchAddr leaked the connection")
+					t.Fatal("server read timed out: DialClient leaked the connection")
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("server never observed the connection closing")
 			}
+			waitGoroutinesSettle(t, before)
 		})
 	}
 }

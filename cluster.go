@@ -125,7 +125,6 @@ type Replicator struct {
 	logf     func(format string, args ...any)
 	maxMsg   int
 	mirror   bool
-	mux      bool
 	onRound  func(RoundStats)
 	metrics  *metrics.Registry // nil-safe no-op when unset
 	traces   *TraceLog         // nil-safe no-op when unset
@@ -143,10 +142,9 @@ type Replicator struct {
 type peerEntry struct {
 	peer  Peer
 	state cluster.PeerState
-	// client is the peer's cached multiplexed connection when the
-	// replicator runs in mux mode: every dataset session of every round
-	// is a pipelined stream of this one connection. nil until first use
-	// and after a teardown. dialing single-flights the first dial so
+	// client is the peer's cached multiplexed connection: every dataset
+	// session of every round is a pipelined stream of it. nil until first
+	// use and after a teardown. dialing single-flights the first dial so
 	// concurrent shard workers share one connection instead of racing
 	// eight dials; it is non-nil (and closed on completion) while a dial
 	// is in progress.
@@ -273,18 +271,14 @@ func WithRoundCallback(fn func(RoundStats)) ReplicatorOption {
 	}
 }
 
-// WithReplicatorMux switches peer sessions onto multiplexed
-// connections: the replicator dials each peer once and keeps the
-// connection, and every dataset (every shard) of every round reconciles
-// as a pipelined stream of it — one dial and one handshake per peer
-// instead of one per (round × dataset). Peers that do not speak mux
-// degrade to connection-per-session automatically, and a dead
-// connection is redialed on the next session.
+// WithReplicatorMux does nothing: every replicator dials each peer once
+// and reconciles every dataset of every round as a pipelined stream of
+// that connection.
+//
+// Deprecated: the option predates multiplexing being the only transport
+// and is kept because benchmark/ passes it; drop it from call sites.
 func WithReplicatorMux() ReplicatorOption {
-	return func(r *Replicator) error {
-		r.mux = true
-		return nil
-	}
+	return func(*Replicator) error { return nil }
 }
 
 // WithReplicatorMetrics directs the replicator's instrumentation —
@@ -580,8 +574,10 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 
 // syncDataset reconciles one local dataset against one peer and applies
 // the diff. Returns the applied add/remove counts and the session's wire
-// bytes. In mux mode the session runs as one pipelined stream of the
-// peer's cached connection; otherwise it dials its own.
+// bytes. The session runs as one pipelined stream of the peer's cached
+// connection, dialed on first use; concurrent dataset workers hitting the
+// same peer share it, so a 64-shard round is one dial and 64 parallel
+// streams.
 func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (added, removed int, bytes int64, err error) {
 	d := r.srv.Dataset(name)
 	if d == nil {
@@ -593,20 +589,16 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 		ctx = trace.NewContext(ctx, child)
 		defer func() { child.Finish(err) }()
 	}
-	local := d.Snapshot()
-	var res *SyncResult
-	var st TransferStats
-	if r.mux {
-		res, st, err = r.muxFetch(ctx, peer, name, local)
-	} else {
-		var sess *Session
-		sess, err = NewSession(r.strategy,
-			WithDataset(name), WithMaxMessageSize(r.maxMsg))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		res, st, err = sess.FetchAddr(ctx, peer.Addr, local)
+	cl, err := r.clientFor(ctx, peer)
+	if err != nil {
+		return 0, 0, 0, err
 	}
+	cs, err := cl.Session(name, r.strategy)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	local := d.Snapshot()
+	res, st, err := cs.Fetch(ctx, local)
 	if err != nil {
 		return 0, 0, st.Total(), err
 	}
@@ -626,22 +618,6 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 		removed = len(rem)
 	}
 	return len(add), removed, st.Total(), nil
-}
-
-// muxFetch runs one dataset session over the peer's cached multiplexed
-// connection, dialing it on first use. Concurrent dataset workers
-// hitting the same peer share the connection — that is the whole point:
-// a 64-shard round is one dial and 64 parallel streams.
-func (r *Replicator) muxFetch(ctx context.Context, peer Peer, name string, local []Point) (*SyncResult, TransferStats, error) {
-	cl, err := r.clientFor(ctx, peer)
-	if err != nil {
-		return nil, TransferStats{}, err
-	}
-	cs, err := cl.Session(name, r.strategy)
-	if err != nil {
-		return nil, TransferStats{}, err
-	}
-	return cs.Fetch(ctx, local)
 }
 
 // clientFor returns the peer's cached Client, dialing one on first use.
@@ -727,8 +703,8 @@ func (r *Replicator) clientFor(ctx context.Context, peer Peer) (*Client, error) 
 }
 
 // Close releases the replicator's cached peer connections. Further
-// mux-mode sessions fail with ErrClientClosed; connectionless state
-// (stats, peers) remains readable.
+// sessions fail with ErrClientClosed; connectionless state (stats, peers)
+// remains readable.
 func (r *Replicator) Close() error {
 	r.mu.Lock()
 	var clients []*Client

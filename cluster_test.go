@@ -465,11 +465,11 @@ func TestReplicatorValidation(t *testing.T) {
 	}
 }
 
-// TestReplicatorMuxConvergence runs the three-node sharded scenario in
-// mux mode: every node keeps ONE connection per peer and reconciles all
-// its shards as parallel streams of it. Convergence must match the
-// connection-per-session mode, the per-peer connection count must be 1,
-// and the server metrics must show the shards riding a single
+// TestReplicatorMuxConvergence runs the three-node sharded scenario and
+// watches the transport: every node keeps ONE connection per peer and
+// reconciles all its shards as parallel streams of it. The cluster must
+// converge to the union, the per-peer connection count must be 1, and
+// the server metrics must show the shards riding a single
 // connection with zero decode failures.
 func TestReplicatorMuxConvergence(t *testing.T) {
 	const shards = 8
@@ -501,7 +501,6 @@ func TestReplicatorMuxConvergence(t *testing.T) {
 			robustset.WithPeerSelector(robustset.SelectRoundRobin(2)),
 			robustset.WithRoundTimeout(time.Minute),
 			robustset.WithReplicatorWorkers(shards),
-			robustset.WithReplicatorMux(),
 			robustset.WithReplicatorMetrics(m),
 		)
 		if err != nil {
@@ -512,7 +511,7 @@ func TestReplicatorMuxConvergence(t *testing.T) {
 	}
 
 	sweeps := runConvergence(t, nodes, reps, 5)
-	t.Logf("mux mode converged in %d sweep(s)", sweeps)
+	t.Logf("converged in %d sweep(s)", sweeps)
 
 	want := robustset.ClonePoints(common)
 	for _, ex := range extras {

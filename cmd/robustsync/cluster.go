@@ -44,8 +44,7 @@ func cmdCluster(args []string) error {
 	workers := fs.Int("workers", 4, "concurrent shard reconciliations per round")
 	maxSweeps := fs.Int("max-rounds", 32, "round sweeps before giving up")
 	deadline := fs.Duration("deadline", time.Minute, "overall demo deadline")
-	mux := fs.Bool("mux", false, "multiplex: one connection per peer, shards as parallel streams")
-	metricsAddr := fs.String("metrics", "", "serve the metrics JSON endpoint here (default: a loopback port when -mux)")
+	metricsAddr := fs.String("metrics", "127.0.0.1:0", "serve the metrics JSON endpoint here")
 	dataDir := fs.String("data", "", "durable storage root: one WAL+snapshot directory per node")
 	fsyncMode := fs.String("fsync", "always", "durable log fsync policy: always|none")
 	killRestart := fs.Bool("kill-restart", false, "kill one node mid-churn, restart it from its data directory, require re-convergence (needs -data)")
@@ -94,23 +93,16 @@ func cmdCluster(args []string) error {
 	// served on a debug listener so the smoke run (and anything else)
 	// can assert on live counters.
 	metrics := robustset.NewMetrics()
-	metricsURL := ""
-	if *metricsAddr != "" || *mux {
-		addr := *metricsAddr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		mln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return fmt.Errorf("cluster: metrics listener: %w", err)
-		}
-		defer mln.Close()
-		go metrics.Serve(mln)
-		// The smoke assertion decodes the JSON document, which lives on
-		// /debug/vars now that /metrics speaks Prometheus text.
-		metricsURL = "http://" + mln.Addr().String() + "/debug/vars"
-		fmt.Printf("metrics endpoint: %s\n", metricsURL)
+	mln, err := net.Listen("tcp", *metricsAddr)
+	if err != nil {
+		return fmt.Errorf("cluster: metrics listener: %w", err)
 	}
+	defer mln.Close()
+	go metrics.Serve(mln)
+	// The smoke assertion decodes the JSON document, which lives on
+	// /debug/vars now that /metrics speaks Prometheus text.
+	metricsURL := "http://" + mln.Addr().String() + "/debug/vars"
+	fmt.Printf("metrics endpoint: %s\n", metricsURL)
 
 	// Start the nodes: one Server each, all publishing dataset "demo".
 	// startNode also restarts: a node with a recorded address re-listens
@@ -188,17 +180,13 @@ func cmdCluster(args []string) error {
 		default:
 			return nil, fmt.Errorf("cluster: unknown -select %q (roundrobin|random)", *selection)
 		}
-		opts := []robustset.ReplicatorOption{
+		return robustset.NewReplicator(all[i].srv, peers,
 			robustset.WithReplicatorStrategy(strat),
 			robustset.WithPeerSelector(sel),
 			robustset.WithReplicatorWorkers(*workers),
 			robustset.WithRoundTimeout(*deadline),
 			robustset.WithReplicatorMetrics(metrics),
-		}
-		if *mux {
-			opts = append(opts, robustset.WithReplicatorMux())
-		}
-		return robustset.NewReplicator(all[i].srv, peers, opts...)
+		)
 	}
 	for i := range reps {
 		rep, err := newRep(i)
@@ -209,16 +197,12 @@ func cmdCluster(args []string) error {
 		reps[i] = rep
 	}
 
-	transportMode := "connection-per-session"
-	if *mux {
-		transportMode = "multiplexed (one connection per peer)"
-	}
 	durability := "in-memory"
 	if durable {
 		durability = fmt.Sprintf("durable under %s (fsync %s)", *dataDir, *fsyncMode)
 	}
-	fmt.Printf("cluster: %d nodes, %d base + %d extra points each, %d shard(s), %s, %s selection, %s, %s\n",
-		*nodes, *n, *extra, *shards, strat.Name(), *selection, transportMode, durability)
+	fmt.Printf("cluster: %d nodes, %d base + %d extra points each, %d shard(s), %s, %s selection, %s\n",
+		*nodes, *n, *extra, *shards, strat.Name(), *selection, durability)
 
 	snapshot := func(nd *node) []robustset.Point {
 		var out []robustset.Point
@@ -307,14 +291,11 @@ func cmdCluster(args []string) error {
 	if got != want {
 		return fmt.Errorf("cluster: converged multiset has %d points, want %d", got, want)
 	}
-	if *mux {
-		// The mux soak contract, asserted against the live HTTP endpoint
-		// rather than in-process state: a converged -mux run must have
-		// carried every shard of a round over ONE connection per peer
-		// and decoded every frame.
-		return checkMuxMetrics(metricsURL, *shards)
-	}
-	return nil
+	// The soak contract, asserted against the live HTTP endpoint rather
+	// than in-process state: a converged run must have carried every
+	// shard of a round over ONE connection per peer and decoded every
+	// frame.
+	return checkMuxMetrics(metricsURL, *shards)
 }
 
 // killRestartEnv carries the cluster hooks the crash-recovery smoke

@@ -8,25 +8,24 @@
 //	robustsync quantize -csv data.csv -cols 1,2 -out points.txt [-delta 16777216] [-min a,b -max c,d]
 //	robustsync local    -alice a.txt -bob b.txt [-k 16] [-proto adaptive] [-out sprime.txt]
 //	robustsync serve    -data a.txt [-data more.txt ...] -listen :7777 [-k 16] [-data-dir ./state] [-metrics-addr 127.0.0.1:9090]
-//	robustsync pull     -dataset a -data b.txt -connect host:7777 [-proto adaptive] [-mux] [-trace] [-out sprime.txt]
-//	robustsync explain  -dataset a -data b.txt -connect host:7777 [-proto adaptive] [-mux]
-//	robustsync cluster  -nodes 3 -n 500 -extra 8 -shards 4 [-proto exact] [-mux] [-metrics 127.0.0.1:9090] [-deadline 1m]
+//	robustsync pull     -dataset a -data b.txt -connect host:7777 [-proto adaptive] [-trace] [-out sprime.txt]
+//	robustsync explain  -dataset a -data b.txt -connect host:7777 [-proto adaptive]
+//	robustsync cluster  -nodes 3 -n 500 -extra 8 -shards 4 [-proto exact] [-metrics 127.0.0.1:9090] [-deadline 1m]
 //
 // `serve` publishes each -data file as a named dataset (the file's base
 // name without extension) on a multi-dataset sync server; it serves every
-// protocol variant concurrently — multiplexed (MUX1) and legacy
-// connections alike — and shuts down gracefully on SIGINT. With
+// strategy concurrently, as streams of multiplexed (MUX1) connections,
+// and shuts down gracefully on SIGINT. With
 // -data-dir the datasets are durable: every mutation is write-ahead
 // logged under the directory, and a restarted server recovers each
 // dataset from its snapshot plus log tail (the -data files then only
 // name the datasets; disk state wins).
-// `pull` opens a session naming one dataset and a protocol
-// (-proto oneshot|adaptive|exact|rateless|ranged|cpi|naive) and adopts the server's
-// reconciliation parameters automatically; -mux rides a multiplexed
-// client connection. `cluster` with -mux gossips every shard over one
-// connection per peer and asserts the metrics endpoint afterwards; with
-// -data the nodes are durable, and -kill-restart runs the crash-recovery
-// smoke on top.
+// `pull` dials the server, opens a session naming one dataset and a
+// protocol (-proto oneshot|adaptive|exact|rateless|ranged|cpi|naive) and
+// adopts the server's reconciliation parameters automatically. `cluster`
+// gossips every shard over one connection per peer and asserts the
+// metrics endpoint afterwards; with -data the nodes are durable, and
+// -kill-restart runs the crash-recovery smoke on top.
 package main
 
 import (
@@ -388,7 +387,6 @@ func cmdPull(args []string) error {
 	proto := fs.String("proto", "", "protocol: oneshot|adaptive|exact|rateless|ranged|cpi|naive (default oneshot)")
 	adaptive := fs.Bool("adaptive", false, "shorthand for -proto adaptive")
 	timeout := fs.Duration("timeout", time.Minute, "overall session deadline (0 = none)")
-	mux := fs.Bool("mux", false, "open the session over a multiplexed client connection")
 	showTrace := fs.Bool("trace", false, "print the session's phase spans and per-frame wire bytes")
 	out := fs.String("out", "", "write the reconciled set here")
 	fs.Parse(args)
@@ -431,36 +429,19 @@ func cmdPull(args []string) error {
 			captured.Format(os.Stdout)
 		}
 	}
-	var res *robustset.SyncResult
-	var stats robustset.TransferStats
-	if *mux {
-		cl, err := robustset.DialClient(ctx, *connect)
-		if err != nil {
-			return err
-		}
-		defer cl.Close()
-		cs, err := cl.Session(name, strat, traceOpts...)
-		if err != nil {
-			return err
-		}
-		if res, stats, err = cs.Fetch(ctx, bob); err != nil {
-			printTrace()
-			return err
-		}
-	} else {
-		sess, err := robustset.NewSession(strat, append([]robustset.Option{robustset.WithDataset(name)}, traceOpts...)...)
-		if err != nil {
-			return err
-		}
-		conn, err := net.Dial("tcp", *connect)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		if res, stats, err = sess.Fetch(ctx, conn, bob); err != nil {
-			printTrace()
-			return err
-		}
+	cl, err := robustset.DialClient(ctx, *connect)
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	cs, err := cl.Session(name, strat, traceOpts...)
+	if err != nil {
+		return err
+	}
+	res, stats, err := cs.Fetch(ctx, bob)
+	if err != nil {
+		printTrace()
+		return err
 	}
 	// The handshake adopted the server's parameters; write the result
 	// under that universe (it may be wider than the local file's).

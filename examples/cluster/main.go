@@ -106,14 +106,12 @@ func main() {
 				peers = append(peers, robustset.Peer{Name: fmt.Sprintf("node%d", j), Addr: other.addr})
 			}
 		}
-		// WithReplicatorMux: each node keeps one multiplexed connection
-		// per peer and reconciles all 4 shards as parallel streams of it,
-		// instead of dialing per shard per round.
+		// Each node keeps one multiplexed connection per peer and
+		// reconciles all 4 shards as parallel streams of it.
 		rep, err := robustset.NewReplicator(nd.srv, peers,
 			robustset.WithReplicatorStrategy(robustset.Robust{}),
 			robustset.WithPeerSelector(robustset.SelectRoundRobin(len(peers))),
 			robustset.WithRoundTimeout(30*time.Second),
-			robustset.WithReplicatorMux(),
 			robustset.WithReplicatorMetrics(metrics),
 		)
 		if err != nil {
@@ -155,9 +153,9 @@ func main() {
 	}
 	fmt.Printf("final sizes: %v (expected %d each)\n", sizes, nBase+nNodes*nExtra)
 
-	// The registry saw every connection and session in the run: with
-	// mux on, the connection count stays at one per replicator-peer
-	// edge no matter how many sweeps and shards gossiped over it.
+	// The registry saw every connection and session in the run: the
+	// connection count stays at one per replicator-peer edge no matter
+	// how many sweeps and shards gossiped over it.
 	snap := metrics.Snapshot()
 	fmt.Printf("transport: %d mux connection(s), %d stream sessions, max %d streams on one connection, %d decode failures\n",
 		snap["server_mux_conns_total"], snap["server_mux_streams_total"],

@@ -66,18 +66,25 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	// --- Client 1: one-shot robust pull of the main dataset. ---
-	res1, stats1 := fetch(ctx, ln.Addr(), robustset.Robust{}, "telemetry/main", clientSet)
+	// One client connection carries every session below as a stream.
+	cl, err := robustset.DialClient(ctx, ln.Addr().String())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
+
+	// --- Session 1: one-shot robust pull of the main dataset. ---
+	res1, stats1 := fetch(ctx, cl, robustset.Robust{}, "telemetry/main", clientSet)
 	fmt.Printf("one-shot pull:  %6d bytes, %d msgs, level %2d, %d diffs recovered\n",
 		stats1.Total(), stats1.MsgsSent+stats1.MsgsRecv, res1.Robust.Level, res1.Robust.DiffSize())
 
-	// --- Client 2: adaptive estimate-first pull of the same dataset. ---
-	res2, stats2 := fetch(ctx, ln.Addr(), robustset.Adaptive{}, "telemetry/main", clientSet)
+	// --- Session 2: adaptive estimate-first pull of the same dataset. ---
+	res2, stats2 := fetch(ctx, cl, robustset.Adaptive{}, "telemetry/main", clientSet)
 	fmt.Printf("adaptive pull:  %6d bytes, %d msgs, level %2d, %d diffs recovered\n",
 		stats2.Total(), stats2.MsgsSent+stats2.MsgsRecv, res2.Robust.Level, res2.Robust.DiffSize())
 
-	// --- Client 3: cold replica of the aux dataset via naive transfer. ---
-	res3, stats3 := fetch(ctx, ln.Addr(), robustset.Naive{}, "telemetry/aux", nil)
+	// --- Session 3: cold replica of the aux dataset via naive transfer. ---
+	res3, stats3 := fetch(ctx, cl, robustset.Naive{}, "telemetry/aux", nil)
 	fmt.Printf("aux full pull:  %6d bytes, %d msgs, %d points\n",
 		stats3.Total(), stats3.MsgsSent+stats3.MsgsRecv, len(res3.SPrime))
 
@@ -97,19 +104,14 @@ func main() {
 	fmt.Printf("\nnaive transfer would have cost %d bytes per session\n", 16*nPoints)
 }
 
-// fetch opens one client session against the server: dial, handshake for
-// the named dataset, run the strategy.
-func fetch(ctx context.Context, addr net.Addr, strat robustset.Strategy, dataset string, local []robustset.Point) (*robustset.SyncResult, robustset.TransferStats) {
-	sess, err := robustset.NewSession(strat, robustset.WithDataset(dataset))
+// fetch runs one session over the client's connection: handshake for the
+// named dataset, run the strategy.
+func fetch(ctx context.Context, cl *robustset.Client, strat robustset.Strategy, dataset string, local []robustset.Point) (*robustset.SyncResult, robustset.TransferStats) {
+	sess, err := cl.Session(dataset, strat)
 	if err != nil {
 		log.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.Close()
-	res, stats, err := sess.Fetch(ctx, conn, local)
+	res, stats, err := sess.Fetch(ctx, local)
 	if err != nil {
 		log.Fatalf("%s on %q: %v", strat.Name(), dataset, err)
 	}

@@ -67,8 +67,8 @@ func main() {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	// Client state: a noisy replica of the initial dataset, and a session
-	// reused for every pull.
+	// Client state: a noisy replica of the initial dataset, and one
+	// connection and session reused for every pull.
 	replica := make([]robustset.Point, nPoints)
 	for i, p := range dataset {
 		replica[i] = universe.Clamp(robustset.Point{
@@ -76,12 +76,17 @@ func main() {
 			p[1] + rng.Int64N(2*noise+1) - noise,
 		})
 	}
-	sess, err := robustset.NewSession(robustset.Robust{}, robustset.WithDataset("telemetry"))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
+	defer cl.Close()
+	sess, err := cl.Session("telemetry", robustset.Robust{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var maintainTotal time.Duration
 	for u := 1; u <= nUpdates; u++ {
@@ -99,7 +104,9 @@ func main() {
 		maintainTotal += time.Since(t0)
 
 		if u%pullEvery == 0 {
-			res, stats, err := pull(ctx, sess, ln.Addr().String(), replica)
+			// Each pull is one stream of the connection, reconciling the
+			// replica against the dataset's state at that instant.
+			res, stats, err := sess.Fetch(ctx, replica)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -131,17 +138,6 @@ func main() {
 
 func randPoint(rng *rand.Rand) robustset.Point {
 	return robustset.Point{rng.Int64N(universe.Delta), rng.Int64N(universe.Delta)}
-}
-
-// pull opens one client session against the server and reconciles the
-// replica against the dataset's state at that instant.
-func pull(ctx context.Context, sess *robustset.Session, addr string, local []robustset.Point) (*robustset.SyncResult, robustset.TransferStats, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, robustset.TransferStats{}, err
-	}
-	defer conn.Close()
-	return sess.Fetch(ctx, conn, local)
 }
 
 func compact(s robustset.TransferStats) string {

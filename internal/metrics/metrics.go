@@ -104,7 +104,7 @@ func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
 // durations by locating the bucket holding the target rank and
 // interpolating linearly inside it. The buckets are exponential, so the
 // estimate is coarse but monotone and cheap — good enough for the p50
-// and p99 the load harness and debug endpoint report. Observations that
+// and p99 the debug endpoint reports. Observations that
 // overflowed every finite bucket are credited the largest finite bound.
 // Returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) time.Duration {

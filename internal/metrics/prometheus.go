@@ -9,7 +9,7 @@ package metrics
 //
 // The suffix is parsed as an explicit k=v list only when every
 // comma-separated chunk contains "="; otherwise the whole suffix is the
-// legacy per-dataset form. Histograms render with their full cumulative
+// bare per-dataset form. Histograms render with their full cumulative
 // `le` bucket boundaries (every configured bound plus +Inf, zero or
 // not), `_sum` in seconds, and `_count` — so a scraper can recompute
 // any quantile, which the JSON snapshot's p50/p99 summary cannot offer.

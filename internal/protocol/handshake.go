@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"robustset/internal/core"
 	"robustset/internal/trace"
@@ -13,59 +12,46 @@ import (
 )
 
 // Session-server handshake message tags (0x10 block, disjoint from the
-// per-protocol tags so a server can tell a handshake-aware client from a
-// legacy point-to-point peer by the first byte).
+// per-protocol tags).
 const (
-	// MsgHello opens a session against a multi-dataset server: u8 strategy
-	// code | u32 name length | dataset name | u32 config length | strategy
-	// config blob.
+	// MsgHello opens a session on one mux stream of a server connection:
+	// u8 strategy code | u32 name length | dataset name | u32 config length
+	// | strategy config blob.
 	MsgHello byte = 0x10
 	// MsgAccept answers MsgHello: the dataset's normalized core.Params in
 	// the core wire encoding. The client adopts these parameters, so both
 	// endpoints derive identical grids and hash functions.
 	MsgAccept byte = 0x11
-	// MsgMuxHello asks to multiplex this connection: "MUX1" magic, u8
-	// version, u32 per-stream receive window. A mux-capable server
+	// MsgMuxHello is the first message of every connection to a server:
+	// "MUX1" magic, u8 version, u32 per-stream receive window. The server
 	// answers MsgMuxAccept and both endpoints switch the connection to
-	// MUX1 framing, each mux stream then carrying an ordinary
-	// MsgHello-opened session. A legacy server treats the tag as a bad
-	// handshake and closes the connection, which is the downgrade signal
-	// (see RunMuxHelloClient).
+	// MUX1 framing, each mux stream then carrying one MsgHello-opened
+	// session. Anything else — another tag, another version — is answered
+	// with MsgError and a closed connection.
 	MsgMuxHello byte = 0x12
 	// MsgMuxAccept answers MsgMuxHello: u8 version, u32 per-stream
 	// receive window of the serving side.
 	MsgMuxAccept byte = 0x13
 )
 
-// MuxVersion is the multiplexing protocol version spoken by this build.
-const MuxVersion = 1
+// MuxVersion is the connection protocol version spoken by this build. It
+// covers everything a connection carries, the meaning of the hello's
+// strategy codes included: version 2 gave Rateless and Ranged codes of
+// their own. Peers of another version are refused at parse time.
+const MuxVersion = 2
 
 // muxMagic guards MsgMuxHello against stray tag collisions.
 const muxMagic = "MUX1"
 
-// Strategy wire codes carried in MsgHello.
+// Strategy wire codes carried in MsgHello, one per strategy.
 const (
 	StrategyRobust    byte = 1
 	StrategyAdaptive  byte = 2
 	StrategyExactIBLT byte = 3
 	StrategyCPI       byte = 4
 	StrategyNaive     byte = 5
-)
-
-// Feature bits. A client advertises optional protocol features in byte 1
-// of the ExactIBLT-family hello config (byte 0 remains the hash count);
-// a server that honors a feature echoes the bit in a trailing byte of the
-// accept. Legacy endpoints ignore the extra config byte and send a bare
-// accept, so each side downgrades the other cleanly: a legacy server
-// gets a doubling-path client, a legacy client never sees a feature byte.
-const (
-	// FeatureRateless negotiates the rateless cell-stream protocol
-	// (MsgCellsRequest/MsgCells) in place of the doubling retry path.
-	FeatureRateless byte = 1 << 0
-	// FeatureRanged negotiates range-based divide-and-conquer sync
-	// (MsgRangeFingerprints/MsgRangeItems) on the Robust-family hello in
-	// place of the sketch exchange.
-	FeatureRanged byte = 1 << 1
+	StrategyRateless  byte = 6
+	StrategyRanged    byte = 7
 )
 
 // MaxDatasetName bounds the dataset-name length a server will parse.
@@ -131,35 +117,22 @@ func parseHello(body []byte) (Hello, error) {
 // A MsgError reply (unknown dataset, unsupported strategy) surfaces as a
 // *RemoteError.
 func RunHelloClient(ctx context.Context, t transport.Transport, h Hello) (core.Params, error) {
-	p, _, err := RunHelloClientExt(ctx, t, h)
-	return p, err
-}
-
-// RunHelloClientExt is RunHelloClient returning, in addition, the feature
-// bits the server echoed in the accept — zero from a legacy server, which
-// is exactly the signal a feature-requesting client uses to downgrade.
-func RunHelloClientExt(ctx context.Context, t transport.Transport, h Hello) (core.Params, byte, error) {
 	body, err := h.encode()
 	if err != nil {
-		return core.Params{}, 0, err
+		return core.Params{}, err
 	}
 	if err := send(ctx, t, MsgHello, body); err != nil {
-		return core.Params{}, 0, err
+		return core.Params{}, err
 	}
 	ab, err := recvExpect(ctx, t, MsgAccept)
 	if err != nil {
-		return core.Params{}, 0, err
-	}
-	var features byte
-	if len(ab) == core.ParamsWireSize+1 {
-		features = ab[len(ab)-1]
-		ab = ab[:len(ab)-1]
+		return core.Params{}, err
 	}
 	var p core.Params
 	if err := p.UnmarshalBinary(ab); err != nil {
-		return core.Params{}, 0, err
+		return core.Params{}, err
 	}
-	return p, features, nil
+	return p, nil
 }
 
 // RecvHello reads and parses the opening hello of a server session.
@@ -173,19 +146,9 @@ func RecvHello(ctx context.Context, t transport.Transport) (Hello, error) {
 
 // SendAccept acknowledges a hello with the dataset's parameters.
 func SendAccept(ctx context.Context, t transport.Transport, p core.Params) error {
-	return SendAcceptFeatures(ctx, t, p, 0)
-}
-
-// SendAcceptFeatures acknowledges a hello, echoing the feature bits the
-// server honors. features == 0 produces the legacy bare accept, byte for
-// byte — old clients never observe the extension.
-func SendAcceptFeatures(ctx context.Context, t transport.Transport, p core.Params, features byte) error {
 	blob, err := p.MarshalBinary()
 	if err != nil {
 		return sendErr(ctx, t, err)
-	}
-	if features != 0 {
-		blob = append(blob, features)
 	}
 	return send(ctx, t, MsgAccept, blob)
 }
@@ -235,7 +198,9 @@ func (h MuxHello) encode() []byte {
 	return binary.LittleEndian.AppendUint32(body, h.Window)
 }
 
-// ParseMuxHello decodes a MsgMuxHello body.
+// ParseMuxHello decodes a MsgMuxHello body. A hello of any version but
+// MuxVersion is refused here, before either side commits to framing the
+// other cannot read.
 func ParseMuxHello(body []byte) (MuxHello, error) {
 	var h MuxHello
 	if len(body) != len(muxMagic)+1+4 || string(body[:len(muxMagic)]) != muxMagic {
@@ -243,8 +208,8 @@ func ParseMuxHello(body []byte) (MuxHello, error) {
 	}
 	h.Version = body[len(muxMagic)]
 	h.Window = binary.LittleEndian.Uint32(body[len(muxMagic)+1:])
-	if h.Version == 0 {
-		return h, errors.New("protocol: mux hello version 0")
+	if h.Version != MuxVersion {
+		return h, fmt.Errorf("protocol: mux hello version %d, this build speaks %d", h.Version, MuxVersion)
 	}
 	if h.Window == 0 {
 		return h, errors.New("protocol: mux hello window 0")
@@ -252,20 +217,11 @@ func ParseMuxHello(body []byte) (MuxHello, error) {
 	return h, nil
 }
 
-// ErrMuxUnsupported reports that the peer did not (or will not) accept
-// connection multiplexing; callers downgrade to connection-per-session.
-var ErrMuxUnsupported = errors.New("protocol: peer does not support multiplexing")
-
-// RunMuxHelloClient negotiates MUX1 framing on a fresh connection: it
-// sends the mux hello and blocks for the accept, returning the server's
-// per-stream receive window (the client's initial send window). A
-// deliberate refusal — the clean connection close a legacy server
-// answers the unknown tag with, a relayed MsgError, an unexpected reply
-// or a version mismatch — is reported as ErrMuxUnsupported so callers
-// fall back to connection-per-session. Transient failures (resets,
-// timeouts, torn frames) and context errors pass through unchanged: a
-// peer restarting mid-probe must not be mistaken for a legacy peer and
-// latch the caller into per-session dialing forever.
+// RunMuxHelloClient opens a fresh connection to a server: it sends the
+// mux hello and blocks for the accept, returning the server's per-stream
+// receive window (the client's initial send window). A refusal arrives as
+// the server's relayed *RemoteError; an accept of another version or with
+// a zero window is an error of its own.
 func RunMuxHelloClient(ctx context.Context, t transport.Transport, window uint32) (uint32, error) {
 	h := MuxHello{Version: MuxVersion, Window: window}
 	if err := send(ctx, t, MsgMuxHello, h.encode()); err != nil {
@@ -273,24 +229,17 @@ func RunMuxHelloClient(ctx context.Context, t transport.Transport, window uint32
 	}
 	body, err := recvExpect(ctx, t, MsgMuxAccept)
 	if err != nil {
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		var remote *RemoteError
-		if errors.Is(err, io.EOF) || errors.Is(err, ErrUnexpectedMessage) || errors.As(err, &remote) {
-			return 0, fmt.Errorf("%w: %v", ErrMuxUnsupported, err)
-		}
 		return 0, err
 	}
 	if len(body) != 1+4 {
-		return 0, fmt.Errorf("%w: malformed mux accept", ErrMuxUnsupported)
+		return 0, errors.New("protocol: malformed mux accept")
 	}
 	if v := body[0]; v != MuxVersion {
-		return 0, fmt.Errorf("%w: server speaks mux version %d", ErrMuxUnsupported, v)
+		return 0, fmt.Errorf("protocol: server speaks mux version %d, this build speaks %d", v, MuxVersion)
 	}
 	serverWindow := binary.LittleEndian.Uint32(body[1:])
 	if serverWindow == 0 {
-		return 0, fmt.Errorf("%w: server announced window 0", ErrMuxUnsupported)
+		return 0, errors.New("protocol: server announced window 0")
 	}
 	return serverWindow, nil
 }
@@ -304,40 +253,31 @@ func SendMuxAccept(ctx context.Context, t transport.Transport, window uint32) er
 	return send(ctx, t, MsgMuxAccept, body)
 }
 
-// Opening is the first message of an accepted connection: either a
-// legacy single-session hello or a mux negotiation. One connection, two
-// dialects — the server dispatches on which arrived.
+// Opening is the parsed first message of an accepted connection.
 type Opening struct {
-	// Mux is true when the client asked to multiplex the connection.
+	// Mux is true on every Opening RecvOpening returns: MUX1 is the only
+	// way in.
 	Mux bool
-	// MuxHello is the parsed negotiation when Mux is true.
+	// MuxHello is the parsed negotiation.
 	MuxHello MuxHello
-	// Hello is the parsed session hello when Mux is false.
-	Hello Hello
 }
 
-// RecvOpening reads and parses a connection's first message, accepting
-// either dialect. This is what lets a mux-capable listener serve legacy
-// clients untouched: a plain MsgHello routes to the single-session path.
+// RecvOpening reads and parses a connection's first message. Only a mux
+// hello of this build's version opens a connection; for anything else it
+// read — a bare MsgHello, another tag, a skewed or malformed hello — the
+// refusal is relayed to the peer as MsgError before the error returns, so
+// the caller only has to close.
 func RecvOpening(ctx context.Context, t transport.Transport) (Opening, error) {
 	typ, body, err := recv(ctx, t)
 	if err != nil {
 		return Opening{}, err
 	}
-	switch typ {
-	case MsgHello:
-		h, err := parseHello(body)
-		if err != nil {
-			return Opening{}, err
-		}
-		return Opening{Hello: h}, nil
-	case MsgMuxHello:
-		mh, err := ParseMuxHello(body)
-		if err != nil {
-			return Opening{}, err
-		}
-		return Opening{Mux: true, MuxHello: mh}, nil
-	default:
-		return Opening{}, fmt.Errorf("%w: got 0x%02x, want hello", ErrUnexpectedMessage, typ)
+	if typ != MsgMuxHello {
+		return Opening{}, sendErr(ctx, t, fmt.Errorf("%w: got 0x%02x, want mux hello", ErrUnexpectedMessage, typ))
 	}
+	mh, err := ParseMuxHello(body)
+	if err != nil {
+		return Opening{}, sendErr(ctx, t, err)
+	}
+	return Opening{Mux: true, MuxHello: mh}, nil
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -39,25 +40,46 @@ func TestMuxNegotiationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMuxHelloLegacyServer simulates the pre-mux server behavior —
-// close the connection on the unknown tag — and requires the typed
-// downgrade signal, not a raw EOF.
-func TestMuxHelloLegacyServer(t *testing.T) {
-	at, bt := transport.Pair()
+// TestMuxVersionSkew covers both directions of a version mismatch: a
+// skewed client is refused at parse time with a relayed MsgError, and a
+// skewed server's accept is refused by the client.
+func TestMuxVersionSkew(t *testing.T) {
 	ctx := context.Background()
-	go func() {
-		// A legacy server's RecvHello fails on the mux tag and the
-		// handler closes the connection without replying.
-		_, _ = RecvHello(ctx, bt)
-		bt.Close()
-	}()
-	if _, err := RunMuxHelloClient(ctx, at, 1<<20); !errors.Is(err, ErrMuxUnsupported) {
-		t.Fatalf("legacy server produced %v, want ErrMuxUnsupported", err)
+	for _, v := range []byte{MuxVersion - 1, MuxVersion + 1} {
+		at, bt := transport.Pair()
+		done := make(chan error, 1)
+		go func() {
+			_, err := RecvOpening(ctx, bt)
+			done <- err
+		}()
+		if err := send(ctx, at, MsgMuxHello, MuxHello{Version: v, Window: 1 << 20}.encode()); err != nil {
+			t.Fatal(err)
+		}
+		_, err := recvExpect(ctx, at, MsgMuxAccept)
+		var remote *RemoteError
+		if !errors.As(err, &remote) {
+			t.Errorf("client of version %d got %v, want the server's *RemoteError", v, err)
+		}
+		if err := <-done; err == nil {
+			t.Errorf("server accepted a hello of version %d", v)
+		}
+
+		at, bt = transport.Pair()
+		go func() {
+			if _, err := RecvOpening(ctx, bt); err != nil {
+				return
+			}
+			body := binary.LittleEndian.AppendUint32([]byte{v}, 1<<20)
+			_ = send(ctx, bt, MsgMuxAccept, body)
+		}()
+		if _, err := RunMuxHelloClient(ctx, at, 1<<20); err == nil {
+			t.Errorf("client adopted an accept of version %d", v)
+		}
 	}
 }
 
 // TestMuxHelloCancellation: a cancelled context must surface as the
-// context's error, never as a spurious legacy-server downgrade.
+// context's error.
 func TestMuxHelloCancellation(t *testing.T) {
 	at, _ := transport.Pair()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -85,7 +107,9 @@ func TestParseMuxHelloRejectsMalformed(t *testing.T) {
 		good[:len(good)-1],
 		append(append([]byte(nil), good...), 0),
 		{'M', 'U', 'X', '1', 0, 0, 0, 16, 0}, // version 0
-		{'M', 'U', 'X', '1', 1, 0, 0, 0, 0},  // window 0
+		{'M', 'U', 'X', '1', MuxVersion - 1, 0, 0, 16, 0}, // the previous version
+		{'M', 'U', 'X', '1', MuxVersion + 1, 0, 0, 16, 0}, // a later version
+		{'M', 'U', 'X', '1', MuxVersion, 0, 0, 0, 0},      // window 0
 	}
 	for i, b := range bad {
 		if _, err := ParseMuxHello(b); err == nil {
@@ -94,8 +118,8 @@ func TestParseMuxHelloRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestRecvOpeningDispatch pins the two-dialect dispatch: a plain hello
-// routes to the legacy single-session path, garbage is rejected, EOF
+// TestRecvOpeningDispatch pins the one way in: an error frame is
+// rejected, a bare session hello is refused with a relayed MsgError, EOF
 // propagates.
 func TestRecvOpeningDispatch(t *testing.T) {
 	at, bt := transport.Pair()
@@ -108,17 +132,18 @@ func TestRecvOpeningDispatch(t *testing.T) {
 	}
 
 	at2, bt2 := transport.Pair()
+	refused := make(chan error, 1)
 	go func() {
-		body, _ := Hello{Strategy: StrategyNaive, Dataset: "d"}.encode()
-		_ = send(ctx, at2, MsgHello, body)
+		_, err := RunHelloClient(ctx, at2, Hello{Strategy: StrategyNaive, Dataset: "d"})
 		at2.Close()
+		refused <- err
 	}()
-	op, err := RecvOpening(ctx, bt2)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := RecvOpening(ctx, bt2); !errors.Is(err, ErrUnexpectedMessage) {
+		t.Fatalf("bare hello as opening: %v, want ErrUnexpectedMessage", err)
 	}
-	if op.Mux || op.Hello.Dataset != "d" || op.Hello.Strategy != StrategyNaive {
-		t.Fatalf("opening mis-dispatched: %+v", op)
+	var remote *RemoteError
+	if err := <-refused; !errors.As(err, &remote) {
+		t.Fatalf("bare-hello client got %v, want the server's *RemoteError", err)
 	}
 	if _, err := RecvOpening(ctx, bt2); !errors.Is(err, io.EOF) {
 		t.Fatalf("post-close opening: %v, want EOF", err)

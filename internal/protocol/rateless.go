@@ -32,10 +32,6 @@ import (
 //	loop:  Bob → MsgCellsRequest(n)   ("MORE")
 //	       Alice → MsgCells(block)    ("CELLS")
 //	until decode (or Bob's byte budget trips), then Bob → MsgDone.
-//
-// The serving loop also answers MsgIBLTRequest with classic exactly-sized
-// tables, so a peer that negotiated down to the doubling path mid-session
-// is still served correctly.
 
 // Rateless message tags.
 const (
@@ -64,15 +60,11 @@ const (
 )
 
 // RatelessConfig parameterizes the rateless comparator. The estimator
-// opening is wire-identical to ExactConfig's (same seed derivations), so
-// one serving loop can answer both the rateless and the doubling path.
+// opening is wire-identical to ExactConfig's (same seed derivations).
 type RatelessConfig struct {
 	Universe points.Universe
 	// Seed fixes the estimator and cell-stream hash functions.
 	Seed uint64
-	// HashCount is the IBLT q used only when a peer falls back to the
-	// doubling path mid-session (0 → 4).
-	HashCount int
 	// InitialFactor scales the strata estimate into the first requested
 	// increment (0 → 1.4, the stream's empirical decode overhead).
 	InitialFactor float64
@@ -82,9 +74,6 @@ type RatelessConfig struct {
 }
 
 func (c RatelessConfig) filled() RatelessConfig {
-	if c.HashCount == 0 {
-		c.HashCount = 4
-	}
 	if c.InitialFactor == 0 || c.InitialFactor < 0 ||
 		math.IsNaN(c.InitialFactor) || math.IsInf(c.InitialFactor, 0) {
 		// Non-finite or negative factors would turn the first request into
@@ -109,10 +98,10 @@ func maxChunkFor(keyLen int) int {
 	return maxChunkCells
 }
 
-// exact returns the ExactConfig serving the doubling-path fallback under
-// the same public coins.
+// exact returns the ExactConfig whose strata estimator the opening
+// shares, under the same public coins.
 func (c RatelessConfig) exact() ExactConfig {
-	return ExactConfig{Universe: c.Universe, Seed: c.Seed, HashCount: c.HashCount}
+	return ExactConfig{Universe: c.Universe, Seed: c.Seed}
 }
 
 // extend returns the cell-stream configuration both endpoints derive.
@@ -134,8 +123,7 @@ func parseCells(body []byte) (*iblt.CellBlock, error) {
 }
 
 // RunRatelessAlice serves Alice's side of rateless sync: estimator first,
-// then cell-stream increments (or classic tables, for a fallen-back peer)
-// on request until MsgDone.
+// then cell-stream increments on request until MsgDone.
 func RunRatelessAlice(ctx context.Context, t transport.Transport, cfg RatelessConfig, pts []points.Point) error {
 	cfg = cfg.filled()
 	tr := trace.FromContext(ctx)
@@ -197,30 +185,6 @@ func RunRatelessAlice(ctx context.Context, t transport.Transport, cfg RatelessCo
 				return err
 			}
 			round.End(trace.I("chunk", int64(n)), trace.I("frontier", int64(stream.Frontier())))
-		case MsgIBLTRequest:
-			// Doubling-path fallback: a peer that did not (or could not)
-			// negotiate the rateless feature speaks classic exact sync.
-			round := tr.Begin("iblt_round")
-			tr.Stat("rounds", 1)
-			if len(body) != 4 {
-				return sendErr(ctx, t, errors.New("protocol: malformed IBLT request"))
-			}
-			capacity := int(binary.LittleEndian.Uint32(body))
-			if capacity < 1 || capacity > 1<<24 {
-				return sendErr(ctx, t, fmt.Errorf("protocol: capacity %d out of range", capacity))
-			}
-			tbl, err := exactTable(cfg.exact().filled(), keys, capacity)
-			if err != nil {
-				return sendErr(ctx, t, err)
-			}
-			tb, err := tbl.MarshalBinary()
-			if err != nil {
-				return sendErr(ctx, t, err)
-			}
-			if err := send(ctx, t, MsgIBLT, tb); err != nil {
-				return err
-			}
-			round.End(trace.I("capacity", int64(capacity)))
 		default:
 			return sendErr(ctx, t, fmt.Errorf("%w: 0x%02x", ErrUnexpectedMessage, typ))
 		}

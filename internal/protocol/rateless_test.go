@@ -159,32 +159,9 @@ func TestRatelessBudgetTrips(t *testing.T) {
 	}
 }
 
-// TestRatelessAliceServesDoublingFallback: the rateless serving loop must
-// answer classic MsgIBLTRequest traffic, so a peer that negotiated down
-// mid-handshake still syncs (the estimator halves are wire-identical).
-func TestRatelessAliceServesDoublingFallback(t *testing.T) {
-	inst, err := exactInstanceForProtocol(t, 300, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := RatelessConfig{Universe: testU, Seed: 17}
-	ecfg := ExactConfig{Universe: testU, Seed: 17}
-	runPair(t,
-		func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, rcfg, inst.alice) },
-		func(tr transport.Transport) error {
-			got, err := RunExactIBLTBob(bg, tr, ecfg, inst.bob)
-			if err != nil {
-				return err
-			}
-			if !points.EqualMultisets(got, inst.alice) {
-				t.Error("doubling fallback against rateless server diverged")
-			}
-			return nil
-		})
-}
-
 // TestRatelessAliceRejectsMalformedRequests drives the serving loop with
-// corrupt MORE frames.
+// corrupt MORE frames, and with the doubling path's table request it no
+// longer answers.
 func TestRatelessAliceRejectsMalformedRequests(t *testing.T) {
 	inst, err := exactInstanceForProtocol(t, 50, 2)
 	if err != nil {
@@ -195,16 +172,18 @@ func TestRatelessAliceRejectsMalformedRequests(t *testing.T) {
 
 	cases := []struct {
 		name string
+		typ  byte
 		body []byte
 	}{
-		{"short body", []byte{1, 0}},
-		{"zero cells", binary.LittleEndian.AppendUint32(nil, 0)},
-		{"oversized chunk", binary.LittleEndian.AppendUint32(nil, maxChunkCells+1)},
+		{"short body", MsgCellsRequest, []byte{1, 0}},
+		{"zero cells", MsgCellsRequest, binary.LittleEndian.AppendUint32(nil, 0)},
+		{"oversized chunk", MsgCellsRequest, binary.LittleEndian.AppendUint32(nil, maxChunkCells+1)},
+		{"iblt request", MsgIBLTRequest, binary.LittleEndian.AppendUint32(nil, 16)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := driveAlice(t, alice, func(tr transport.Transport) {
-				_ = tr.Send(bg, append([]byte{MsgCellsRequest}, tc.body...))
+				_ = tr.Send(bg, append([]byte{tc.typ}, tc.body...))
 				_, _ = tr.Recv(bg) // the MsgError reply
 			})
 			if err == nil {
@@ -214,19 +193,25 @@ func TestRatelessAliceRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestAcceptFeatureNegotiation checks both directions of the accept
-// extension: a featured accept surfaces the bits, a bare accept reads as
-// zero (the legacy-server signal).
-func TestAcceptFeatureNegotiation(t *testing.T) {
+// TestHelloAcceptRoundTrip checks the session handshake: the hello
+// arrives as sent, a bare params accept is adopted, and an accept with a
+// trailing byte (the retired feature echo) is refused rather than read as
+// params plus something ignorable.
+func TestHelloAcceptRoundTrip(t *testing.T) {
 	params := core.Params{Universe: testU, Seed: 3, DiffBudget: 4}
-	hello := Hello{Strategy: StrategyExactIBLT, Dataset: "d", Config: []byte{4, FeatureRateless}}
+	hello := Hello{Strategy: StrategyRateless, Dataset: "d"}
+	blob, err := params.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
-		name  string
-		feats byte
+		name   string
+		accept []byte
+		ok     bool
 	}{
-		{"featured accept", FeatureRateless},
-		{"legacy bare accept", 0},
+		{"bare accept", blob, true},
+		{"trailing byte", append(append([]byte(nil), blob...), 1), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			at, bt := transport.Pair()
@@ -239,20 +224,23 @@ func TestAcceptFeatureNegotiation(t *testing.T) {
 					done <- err
 					return
 				}
-				if h.Strategy != StrategyExactIBLT || len(h.Config) != 2 || h.Config[1] != FeatureRateless {
+				if h.Strategy != hello.Strategy || h.Dataset != hello.Dataset || len(h.Config) != 0 {
 					t.Errorf("server parsed hello %+v", h)
 				}
-				done <- SendAcceptFeatures(bg, at, params, tc.feats)
+				done <- send(bg, at, MsgAccept, tc.accept)
 			}()
-			p, feats, err := RunHelloClientExt(bg, bt, hello)
+			p, err := RunHelloClient(bg, bt, hello)
+			if derr := <-done; derr != nil {
+				t.Fatal(derr)
+			}
+			if !tc.ok {
+				if err == nil {
+					t.Fatal("accept with a trailing byte adopted")
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			if feats != tc.feats {
-				t.Errorf("client saw features %#x, want %#x", feats, tc.feats)
 			}
 			if p.Universe != params.Universe {
 				t.Errorf("params diverged through the accept: %+v", p)

@@ -41,7 +41,7 @@ var poolingDisabled atomic.Bool
 
 // SetBufferPooling toggles buffer recycling on the serving path
 // process-wide. Pooling is on by default; the off switch exists so
-// tests and the load harness can compare pooled against fresh-allocated
+// tests can compare pooled against fresh-allocated
 // behavior (results must be byte-identical, only allocs/op may differ).
 func SetBufferPooling(on bool) { poolingDisabled.Store(!on) }
 

@@ -7,8 +7,11 @@ package robustset_test
 // must release every goroutine it started.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -18,6 +21,7 @@ import (
 	"time"
 
 	"robustset"
+	"robustset/internal/metrics"
 	"robustset/internal/trace"
 	"robustset/internal/transport"
 )
@@ -313,12 +317,19 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 // concurrent traced client sessions over one mux connection — the
 // configuration where trace state (ring inserts, registry folds, span
 // appends) is written from many goroutines at once. Run under -race in
-// CI; every client sink must still receive a complete trace.
+// CI; every client sink must still receive a complete trace. A scraper
+// reads the debug endpoints the whole time: /metrics must lint as
+// Prometheus text and /debug/traces must parse while sessions run, not
+// only at rest, and the slow ring must hold a trace at the end.
 func TestTracedSessionsConcurrent(t *testing.T) {
 	tl := robustset.NewTraceLog(robustset.WithByteThreshold(1))
 	m := robustset.NewMetrics()
-	srv := robustset.NewServer(WithTestLogger(t),
-		robustset.WithServerMetrics(m), robustset.WithServerTracing(tl))
+	mln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(m),
+		robustset.WithServerTracing(tl), robustset.WithServerMetricsListener(mln))
 	sets := publishMany(t, srv, 4, 8600)
 	names := make([]string, 0, len(sets))
 	for name := range sets {
@@ -333,6 +344,23 @@ func TestTracedSessionsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+
+	stopScrape := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stopScrape:
+				scraped <- nil
+				return
+			default:
+			}
+			if _, err := scrapeDebug(mln.Addr().String()); err != nil {
+				scraped <- err
+				return
+			}
+		}
+	}()
 
 	const workers, iters = 8, 4
 	var wg sync.WaitGroup
@@ -361,9 +389,16 @@ func TestTracedSessionsConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stopScrape)
+	if err := <-scraped; err != nil {
+		t.Fatalf("scrape during traffic: %v", err)
+	}
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	if slow, err := scrapeDebug(mln.Addr().String()); err != nil || slow == 0 {
+		t.Fatalf("after %d sessions /debug/traces holds %d slow traces (err %v)", workers*iters, slow, err)
 	}
 	got := 0
 	captured.Range(func(_, v any) bool {
@@ -379,9 +414,44 @@ func TestTracedSessionsConcurrent(t *testing.T) {
 	}
 }
 
+// scrapeDebug reads a server's debug listener once: /metrics must lint as
+// Prometheus text and /debug/traces must be the trace log's JSON. It
+// returns the number of traces in the slow ring.
+func scrapeDebug(addr string) (slow int, err error) {
+	get := func(path string) ([]byte, error) {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return io.ReadAll(resp.Body)
+	}
+	prom, err := get("/metrics")
+	if err != nil {
+		return 0, err
+	}
+	if err := metrics.LintPrometheus(bytes.NewReader(prom)); err != nil {
+		return 0, fmt.Errorf("/metrics: %w", err)
+	}
+	body, err := get("/debug/traces")
+	if err != nil {
+		return 0, err
+	}
+	var traces struct {
+		Slow []json.RawMessage `json:"slow"`
+	}
+	if err := json.Unmarshal(body, &traces); err != nil {
+		return 0, fmt.Errorf("/debug/traces: %w", err)
+	}
+	return len(traces.Slow), nil
+}
+
 // benchTracedSession measures one full loopback reconciliation per
 // iteration, with and without a client trace sink — the microbenchmark
-// behind the load harness's traced-phase overhead gate.
+// beside the ruler's trace.overhead_ratio.
 func benchTracedSession(b *testing.B, traced bool) {
 	srv := robustset.NewServer()
 	defer srv.Close()
@@ -395,19 +465,24 @@ func benchTracedSession(b *testing.B, traced bool) {
 		b.Fatal(err)
 	}
 	go srv.Serve(ln)
-	opts := []robustset.Option{robustset.WithDataset("ds/0")}
+	var opts []robustset.Option
 	if traced {
 		opts = append(opts, robustset.WithSessionTrace(func(*robustset.SessionTrace) {}))
 	}
-	sess, err := robustset.NewSession(robustset.Robust{}, opts...)
+	ctx := context.Background()
+	cl, err := robustset.DialClient(ctx, ln.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
+	defer cl.Close()
+	sess, err := cl.Session("ds/0", robustset.Robust{}, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sess.FetchAddr(ctx, ln.Addr().String(), bob); err != nil {
+		if _, _, err := sess.Fetch(ctx, bob); err != nil {
 			b.Fatal(err)
 		}
 	}

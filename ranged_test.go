@@ -9,14 +9,12 @@ import (
 	"time"
 
 	"robustset"
-	"robustset/internal/protocol"
-	"robustset/internal/transport"
 )
 
 // TestRangedAgainstServer fetches a server dataset with the Ranged
 // strategy and asserts (a) exact convergence and (b) that the range
-// probe protocol — not the robust fallback — actually ran, by spotting
-// the RANGE_FPS frames in the session trace.
+// probe protocol actually ran, by spotting the RANGE_FPS frames in the
+// session trace.
 func TestRangedAgainstServer(t *testing.T) {
 	alice, bob := ratelessExactPair(500, 15)
 	params := robustset.Params{Universe: testU, Seed: 11, DiffBudget: 15}
@@ -29,12 +27,8 @@ func TestRangedAgainstServer(t *testing.T) {
 	addr := startServer(t, srv)
 
 	var snap *robustset.SessionTrace
-	sess, err := robustset.NewSession(robustset.Ranged{}, robustset.WithDataset("d"),
-		robustset.WithSessionTrace(func(st *robustset.SessionTrace) { snap = st }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, stats, err := sess.FetchAddr(context.Background(), addr.String(), bob)
+	sink := robustset.WithSessionTrace(func(st *robustset.SessionTrace) { snap = st })
+	res, stats, err := fetchOnce(t, addr.String(), "d", robustset.Ranged{}, bob, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +42,7 @@ func TestRangedAgainstServer(t *testing.T) {
 		t.Fatal("no session trace captured")
 	}
 	if snap.Strategy != "ranged" {
-		t.Errorf("trace strategy %q, want ranged (did the client fall back?)", snap.Strategy)
+		t.Errorf("trace strategy %q, want ranged", snap.Strategy)
 	}
 	var sawRangeFrames bool
 	for _, f := range snap.Frames {
@@ -72,7 +66,7 @@ func TestRangedAgainstServer(t *testing.T) {
 	if err := d.RemoveBatch(alice[:3]); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = sess.FetchAddr(context.Background(), addr.String(), res.SPrime)
+	res, _, err = fetchOnce(t, addr.String(), "d", robustset.Ranged{}, res.SPrime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,69 +76,9 @@ func TestRangedAgainstServer(t *testing.T) {
 	}
 }
 
-// TestRangedLegacyServerFallsBack is the cross-version test: a legacy
-// peer — speaking the pre-ranged handshake (bare accept, no feature
-// echo) and only the robust one-shot push on the Robust wire code — must
-// be negotiated down cleanly by a Ranged client, with zero protocol
-// errors on either side.
-func TestRangedLegacyServerFallsBack(t *testing.T) {
-	alice, bob := ratelessExactPair(300, 12)
-	params := robustset.Params{Universe: testU, Seed: 19, DiffBudget: 12}
-
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	ctx := context.Background()
-
-	legacyDone := make(chan error, 1)
-	go func() {
-		// A faithful reproduction of the pre-ranged server session: parse
-		// the hello (any config bytes on the Robust code are ignored),
-		// send the bare accept, push the one-shot sketch.
-		tr := transport.NewConn(c1)
-		hello, err := protocol.RecvHello(ctx, tr)
-		if err != nil {
-			legacyDone <- err
-			return
-		}
-		if hello.Strategy != protocol.StrategyRobust {
-			t.Errorf("legacy server saw strategy code %d, want %d (ranged must ride the robust code)",
-				hello.Strategy, protocol.StrategyRobust)
-		}
-		if len(hello.Config) < 2 || hello.Config[1]&protocol.FeatureRanged == 0 {
-			t.Error("ranged hello does not advertise the feature bit in config byte 1")
-		}
-		if err := protocol.SendAccept(ctx, tr, params); err != nil {
-			legacyDone <- err
-			return
-		}
-		legacyDone <- protocol.RunPushAlice(ctx, tr, params, alice)
-	}()
-
-	var snap *robustset.SessionTrace
-	sess, err := robustset.NewSession(robustset.Ranged{}, robustset.WithDataset("d"),
-		robustset.WithSessionTrace(func(st *robustset.SessionTrace) { snap = st }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := sess.Fetch(ctx, c2, bob)
-	if err != nil {
-		t.Fatalf("fallback fetch failed: %v", err)
-	}
-	if err := <-legacyDone; err != nil {
-		t.Fatalf("legacy server session failed: %v", err)
-	}
-	if res.Robust == nil {
-		t.Error("fallback result carries no robust details; the client did not downgrade")
-	}
-	if snap.Strategy != "robust-oneshot" {
-		t.Errorf("trace strategy %q, want the fallback's name", snap.Strategy)
-	}
-}
-
-// TestRobustClientAgainstRangedServer: the reverse skew — a client that
-// never heard of the feature gets the classic one-shot push from a new
-// server, byte-compatible with the old handshake.
+// TestRobustClientAgainstRangedServer: a server that has served ranged
+// sessions from its range tree still answers a Robust client with the
+// one-shot push.
 func TestRobustClientAgainstRangedServer(t *testing.T) {
 	alice, bob := ratelessExactPair(300, 10)
 	params := robustset.Params{Universe: testU, Seed: 23, DiffBudget: 10}
@@ -156,11 +90,10 @@ func TestRobustClientAgainstRangedServer(t *testing.T) {
 	}
 	addr := startServer(t, srv)
 
-	sess, err := robustset.NewSession(robustset.Robust{}, robustset.WithDataset("d"))
-	if err != nil {
+	if _, _, err := fetchOnce(t, addr.String(), "d", robustset.Ranged{}, bob); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := sess.FetchAddr(context.Background(), addr.String(), bob)
+	res, _, err := fetchOnce(t, addr.String(), "d", robustset.Robust{}, bob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +183,6 @@ func TestRangedMuxPipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if !cl.Muxed() {
-		t.Fatal("no mux negotiated")
-	}
-
 	var mu sync.Mutex
 	var last *robustset.SessionTrace
 	sink := robustset.WithSessionTrace(func(st *robustset.SessionTrace) {

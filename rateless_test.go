@@ -1,14 +1,9 @@
 package robustset_test
 
 import (
-	"bytes"
-	"context"
-	"net"
 	"testing"
 
 	"robustset"
-	"robustset/internal/protocol"
-	"robustset/internal/transport"
 )
 
 // ratelessExactPair builds an exact-regime instance: Bob's set plus k
@@ -24,34 +19,21 @@ func ratelessExactPair(n, k int) (alice, bob []robustset.Point) {
 
 // TestRatelessAgainstServer fetches a server dataset with the Rateless
 // strategy and asserts (a) exact convergence and (b) that the rateless
-// cell stream — not the doubling fallback — actually flowed, by spotting
-// the cell-block wire magic in the received bytes.
+// cell stream actually flowed, by spotting the CELLS frames in the
+// session trace.
 func TestRatelessAgainstServer(t *testing.T) {
 	alice, bob := ratelessExactPair(400, 20)
 	params := robustset.Params{Universe: testU, Seed: 11, DiffBudget: 20}
 
 	srv := robustset.NewServer()
-	defer srv.Close()
 	if _, err := srv.Publish("d", params, alice); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
+	addr := startServer(t, srv)
 
-	sess, err := robustset.NewSession(robustset.Rateless{}, robustset.WithDataset("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rec := &recordingRecvConn{Conn: conn}
-	res, stats, err := sess.Fetch(context.Background(), rec, bob)
+	var snap *robustset.SessionTrace
+	sink := robustset.WithSessionTrace(func(st *robustset.SessionTrace) { snap = st })
+	res, stats, err := fetchOnce(t, addr.String(), "d", robustset.Rateless{}, bob, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,114 +43,40 @@ func TestRatelessAgainstServer(t *testing.T) {
 	if stats.Total() == 0 {
 		t.Error("no traffic accounted")
 	}
-	if !bytes.Contains(rec.received(), []byte("IBX1")) {
-		t.Error("no rateless cell block on the wire; the server served the fallback path")
+	if snap == nil || snap.Strategy != "rateless" {
+		t.Fatalf("session trace %+v, want one of a rateless session", snap)
+	}
+	var sawCells bool
+	for _, f := range snap.Frames {
+		if f.Type == "CELLS" {
+			sawCells = true
+		}
+	}
+	if !sawCells {
+		t.Error("no CELLS frames on the wire; the server served another protocol")
 	}
 }
 
-// TestRatelessLegacyServerFallsBack is the cross-version test: a legacy,
-// IBL2-only peer — speaking the pre-rateless handshake (bare accept, no
-// feature echo) and only the doubling exact-IBLT protocol — must be
-// negotiated down cleanly by a Rateless client, converging exactly with
-// zero protocol errors on either side.
-func TestRatelessLegacyServerFallsBack(t *testing.T) {
-	alice, bob := ratelessExactPair(300, 12)
-	params := robustset.Params{Universe: testU, Seed: 19, DiffBudget: 12}
-
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	ctx := context.Background()
-
-	legacyDone := make(chan error, 1)
-	go func() {
-		// A faithful reproduction of the pre-rateless server session:
-		// parse the hello (config byte 0 is the hash count; any further
-		// bytes are ignored), send the bare accept, serve doubling tables.
-		tr := transport.NewConn(c1)
-		hello, err := protocol.RecvHello(ctx, tr)
-		if err != nil {
-			legacyDone <- err
-			return
-		}
-		if hello.Strategy != protocol.StrategyExactIBLT {
-			t.Errorf("legacy server saw strategy code %d, want %d (rateless must ride the exact-IBLT code)",
-				hello.Strategy, protocol.StrategyExactIBLT)
-		}
-		hashCount := 0
-		if len(hello.Config) >= 1 {
-			hashCount = int(hello.Config[0])
-		}
-		if err := protocol.SendAccept(ctx, tr, params); err != nil {
-			legacyDone <- err
-			return
-		}
-		legacyDone <- protocol.RunExactIBLTAlice(ctx, tr, robustset.ExactConfig{
-			Universe: params.Universe, Seed: params.Seed, HashCount: hashCount,
-		}, alice)
-	}()
-
-	sess, err := robustset.NewSession(robustset.Rateless{}, robustset.WithDataset("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recordingRecvConn{Conn: c2}
-	res, _, err := sess.Fetch(ctx, rec, bob)
-	if err != nil {
-		t.Fatalf("fallback fetch failed: %v", err)
-	}
-	if err := <-legacyDone; err != nil {
-		t.Fatalf("legacy server session failed: %v", err)
-	}
-	if !robustset.EqualMultisets(res.SPrime, alice) {
-		t.Error("fallback fetch did not reproduce the legacy server's set")
-	}
-	if bytes.Contains(rec.received(), []byte("IBX1")) {
-		t.Error("cell blocks on the wire from a legacy server")
-	}
-}
-
-// TestExactClientAgainstRatelessServer: the reverse skew — a client that
-// never heard of the feature gets the classic doubling path from a new
-// server, byte-compatible with the old handshake.
+// TestExactClientAgainstRatelessServer: the doubling path and the cell
+// stream are separate strategies of one server; an ExactIBLT client gets
+// the doubling path next to a Rateless one.
 func TestExactClientAgainstRatelessServer(t *testing.T) {
 	alice, bob := ratelessExactPair(300, 10)
 	params := robustset.Params{Universe: testU, Seed: 23, DiffBudget: 10}
 
 	srv := robustset.NewServer()
-	defer srv.Close()
 	if _, err := srv.Publish("d", params, alice); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
+	addr := startServer(t, srv)
 
-	sess, err := robustset.NewSession(robustset.ExactIBLT{}, robustset.WithDataset("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := sess.FetchAddr(context.Background(), ln.Addr().String(), bob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !robustset.EqualMultisets(res.SPrime, alice) {
-		t.Error("exact client against new server did not converge")
+	for _, strat := range []robustset.Strategy{robustset.Rateless{}, robustset.ExactIBLT{}} {
+		res, _, err := fetchOnce(t, addr.String(), "d", strat, bob)
+		if err != nil {
+			t.Fatalf("%s: %v", strat.Name(), err)
+		}
+		if !robustset.EqualMultisets(res.SPrime, alice) {
+			t.Errorf("%s client did not converge", strat.Name())
+		}
 	}
 }
-
-// recordingRecvConn captures every byte read from the connection.
-type recordingRecvConn struct {
-	net.Conn
-	buf bytes.Buffer
-}
-
-func (r *recordingRecvConn) Read(b []byte) (int, error) {
-	n, err := r.Conn.Read(b)
-	r.buf.Write(b[:n])
-	return n, err
-}
-
-func (r *recordingRecvConn) received() []byte { return r.buf.Bytes() }

@@ -35,25 +35,34 @@
 // the wire protocol — Robust (one-shot), Adaptive (estimate-first,
 // multi-round), the classic exact schemes the paper benchmarks against,
 // ExactIBLT (difference digest), CPI (characteristic-polynomial sync)
-// and Naive (full transfer), or Rateless (extendable-IBLT cell
-// streaming: exact sync whose wire cost tracks the actual difference
-// even when the difference estimate is wrong) — and Session.Serve /
-// Session.Fetch run it over any net.Conn with context cancellation and
-// deadlines:
+// and Naive (full transfer), Rateless (extendable-IBLT cell streaming:
+// exact sync whose wire cost tracks the actual difference even when the
+// difference estimate is wrong) or Ranged (range-fingerprint probing) —
+// and Session.Serve / Session.Fetch run it peer to peer over any
+// net.Conn, under parameters both sides agree on, with context
+// cancellation and deadlines:
 //
 //	sess, _ := robustset.NewSession(robustset.Robust{}, robustset.WithParams(params))
 //	res, stats, err := sess.Fetch(ctx, conn, bobPoints)
 //
-// A Server multiplexes many named datasets over concurrent connections,
-// each backed by an incrementally maintained sketch (Maintainer):
+// A Server publishes many named datasets, each backed by an
+// incrementally maintained sketch (Maintainer):
 //
 //	srv := robustset.NewServer()
 //	srv.Publish("telemetry", params, pts)
 //	go srv.Serve(ln)
 //
-// and clients select a dataset with WithDataset("telemetry"), adopting
-// the server's parameters automatically. Datasets can be sharded
-// (Server.PublishSharded) and retired at runtime (Server.Unpublish).
+// and there is one way to reach it: DialClient opens a multiplexed
+// connection, Client.Session names a dataset and a strategy, and every
+// Fetch is one stream of that connection, adopting the server's
+// parameters through the handshake:
+//
+//	cl, _ := robustset.DialClient(ctx, addr)
+//	sess, _ := cl.Session("telemetry", robustset.Robust{})
+//	res, stats, err := sess.Fetch(ctx, bobPoints)
+//
+// Datasets can be sharded (Server.PublishSharded) and retired at runtime
+// (Server.Unpublish).
 //
 // A Replicator turns N such servers into an anti-entropy cluster: each
 // node continuously reconciles every shared dataset shard with a
@@ -61,11 +70,6 @@
 // the nodes to the identical multiset at a per-round cost that tracks
 // the live delta per shard — see NewReplicator and DESIGN.md's
 // "Replication & sharding".
-//
-// The legacy free functions
-// (Push/Pull, PushAdaptive/PullAdaptive, PushExact/PullExact,
-// PushCPI/PullCPI, SyncTwoWay) remain as deprecated wrappers that
-// delegate to the equivalent Session.
 //
 // # Performance
 //
@@ -84,7 +88,7 @@
 // and builds his table for a level only when the finest-to-coarsest
 // scan gets there, so reconciling equal sets costs one level.
 //
-// cmd/bench runs a fixed workload matrix over all six strategies and
+// cmd/bench runs a fixed workload matrix over all seven strategies and
 // writes BENCH_core.json — the repository's recorded performance
 // trajectory; see DESIGN.md for the harness and the hot-path
 // architecture.
@@ -240,3 +244,17 @@ func EMDApprox(x, y []Point, u Universe, seed uint64) (float64, error) {
 	}
 	return emd.GridApprox(x, y, g)
 }
+
+// ValidateSet checks that every point belongs to the universe; protocols
+// run this implicitly, but callers building pipelines may want the check
+// at ingestion time.
+func ValidateSet(u Universe, pts []Point) error {
+	return u.CheckSet(pts)
+}
+
+// ClonePoints deep-copies a point slice.
+func ClonePoints(pts []Point) []Point { return points.Clone(pts) }
+
+// EqualMultisets reports whether two point slices contain the same points
+// with the same multiplicities.
+func EqualMultisets(a, b []Point) bool { return points.EqualMultisets(a, b) }

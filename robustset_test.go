@@ -1,6 +1,7 @@
 package robustset_test
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -100,62 +101,21 @@ func TestPublicTwoWay(t *testing.T) {
 	}
 }
 
-func TestPublicPushPullOverTCP(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	alice, bob := makeNoisyPair(rng, 300, 6, 2)
-	params := robustset.Params{Universe: testU, Seed: 9, DiffBudget: 6}
-
+// sessionOverTCP runs one peer-to-peer exchange of strat over a loopback
+// TCP connection: Serve on the accepting side, Fetch on the dialing side.
+func sessionOverTCP(t *testing.T, strat robustset.Strategy, params robustset.Params,
+	alice, bob []robustset.Point) (res *robustset.SyncResult, fetched, served robustset.TransferStats) {
+	t.Helper()
+	sess, err := robustset.NewSession(strat, robustset.WithParams(params))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	type aliceOut struct {
-		stats robustset.TransferStats
-		err   error
-	}
-	done := make(chan aliceOut, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- aliceOut{err: err}
-			return
-		}
-		defer conn.Close()
-		stats, err := robustset.Push(conn, params, alice)
-		done <- aliceOut{stats: stats, err: err}
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	res, stats, err := robustset.Pull(conn, bob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := <-done
-	if a.err != nil {
-		t.Fatal(a.err)
-	}
-	if stats.BytesRecv != a.stats.BytesSent {
-		t.Errorf("bob received %d bytes, alice sent %d", stats.BytesRecv, a.stats.BytesSent)
-	}
-	if len(res.SPrime) != len(bob) {
-		t.Errorf("|S'_B| = %d, want %d", len(res.SPrime), len(bob))
-	}
-}
-
-func TestPublicAdaptiveOverTCP(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	alice, bob := makeNoisyPair(rng, 400, 6, 3)
-	params := robustset.Params{Universe: testU, Seed: 11, DiffBudget: 6}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ctx := context.Background()
 	done := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
@@ -164,7 +124,7 @@ func TestPublicAdaptiveOverTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_, err = robustset.PushAdaptive(conn, params, alice)
+		served, err = sess.Serve(ctx, conn, alice)
 		done <- err
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -172,13 +132,36 @@ func TestPublicAdaptiveOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	res, stats, err := robustset.PullAdaptive(conn, params, bob, robustset.AdaptiveOptions{})
+	res, fetched, err = sess.Fetch(ctx, conn, bob)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s fetch: %v", strat.Name(), err)
 	}
 	if err := <-done; err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s serve: %v", strat.Name(), err)
 	}
+	return res, fetched, served
+}
+
+func TestPublicPushPullOverTCP(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	alice, bob := makeNoisyPair(rng, 300, 6, 2)
+	params := robustset.Params{Universe: testU, Seed: 9, DiffBudget: 6}
+
+	res, stats, served := sessionOverTCP(t, robustset.Robust{}, params, alice, bob)
+	if stats.BytesRecv != served.BytesSent {
+		t.Errorf("bob received %d bytes, alice sent %d", stats.BytesRecv, served.BytesSent)
+	}
+	if res.Robust == nil || len(res.SPrime) != len(bob) {
+		t.Errorf("|S'_B| = %d, want %d (robust details: %v)", len(res.SPrime), len(bob), res.Robust != nil)
+	}
+}
+
+func TestPublicAdaptiveOverTCP(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	alice, bob := makeNoisyPair(rng, 400, 6, 3)
+	params := robustset.Params{Universe: testU, Seed: 11, DiffBudget: 6}
+
+	res, stats, _ := sessionOverTCP(t, robustset.Adaptive{}, params, alice, bob)
 	if len(res.SPrime) != len(bob) {
 		t.Errorf("|S'_B| = %d, want %d", len(res.SPrime), len(bob))
 	}
@@ -195,54 +178,18 @@ func TestPublicExactAndCPIOverTCP(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		alice[i] = robustset.Point{rng.Int64N(testU.Delta), rng.Int64N(testU.Delta)}
 	}
-
-	runExact := func(name string, push func(net.Conn) error, pull func(net.Conn) ([]robustset.Point, error)) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		done := make(chan error, 1)
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				done <- err
-				return
-			}
-			defer conn.Close()
-			done <- push(conn)
-		}()
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		got, err := pull(conn)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := <-done; err != nil {
-			t.Fatalf("%s alice: %v", name, err)
-		}
-		if !robustset.EqualMultisets(got, alice) {
-			t.Errorf("%s: result != S_A", name)
+	for _, tc := range []struct {
+		strat robustset.Strategy
+		seed  uint64
+	}{
+		{robustset.ExactIBLT{}, 21},
+		{robustset.CPI{Capacity: 32}, 23},
+	} {
+		res, _, _ := sessionOverTCP(t, tc.strat, robustset.Params{Universe: testU, Seed: tc.seed}, alice, bob)
+		if !robustset.EqualMultisets(res.SPrime, alice) {
+			t.Errorf("%s: result != S_A", tc.strat.Name())
 		}
 	}
-
-	ecfg := robustset.ExactConfig{Universe: testU, Seed: 21}
-	runExact("exact-iblt",
-		func(c net.Conn) error { _, err := robustset.PushExact(c, ecfg, alice); return err },
-		func(c net.Conn) ([]robustset.Point, error) {
-			sp, _, err := robustset.PullExact(c, ecfg, bob)
-			return sp, err
-		})
-	ccfg := robustset.CPIConfig{Universe: testU, Seed: 23, Capacity: 32}
-	runExact("cpi",
-		func(c net.Conn) error { _, err := robustset.PushCPI(c, ccfg, alice); return err },
-		func(c net.Conn) ([]robustset.Point, error) {
-			sp, _, err := robustset.PullCPI(c, ccfg, bob)
-			return sp, err
-		})
 }
 
 func TestPublicEMDApprox(t *testing.T) {

@@ -438,11 +438,13 @@ func (sd *ShardedDataset) Snapshot() []Point {
 }
 
 // Server reconciles many named datasets with many concurrent clients.
-// Each accepted connection is one session: the client opens with a
-// handshake naming a dataset and a strategy (Session.Fetch with
-// WithDataset does this), the server replies with the dataset's
-// parameters, and the chosen protocol runs. Sessions run in their own
-// goroutines; Shutdown stops accepting and drains them.
+// Each accepted connection is one multiplexed (MUX1) connection carrying
+// any number of sessions as streams: on a stream the client opens with a
+// handshake naming a dataset and a strategy (Client.Session does this),
+// the server replies with the dataset's parameters, and the chosen
+// protocol runs. A connection that opens with anything but the MUX1 hello
+// is refused. Sessions run in their own goroutines; Shutdown stops
+// accepting and drains them.
 //
 //	srv := robustset.NewServer()
 //	srv.Publish("sensors/a", paramsA, ptsA)
@@ -454,7 +456,6 @@ type Server struct {
 	logf           func(format string, args ...any)
 	maxMsg         int
 	sessionTimeout time.Duration
-	muxOff         bool
 	maxStreams     int
 	metrics        *metrics.Registry // nil-safe no-op when unset
 	traces         *TraceLog         // nil-safe no-op when unset
@@ -507,20 +508,11 @@ const DefaultSessionTimeout = 2 * time.Minute
 // WithServerSessionTimeout overrides the per-session deadline
 // (DefaultSessionTimeout). d <= 0 disables the timeout entirely; only do
 // that behind infrastructure that bounds connection lifetimes itself.
-// On a multiplexed connection the timeout bounds each stream's session,
-// not the connection: a pipelining client legitimately holds one
-// connection open across many rounds.
+// The timeout bounds the connection's opening handshake and then each
+// stream's session, not the connection: a pipelining client legitimately
+// holds one connection open across many rounds.
 func WithServerSessionTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.sessionTimeout = d }
-}
-
-// WithServerNoMux disables connection multiplexing: a MUX1 hello is
-// treated as a bad handshake and the connection closed, exactly like a
-// pre-mux server — which makes the option double as the legacy-peer
-// simulator in compatibility tests and as an operational off-switch.
-// Clients downgrade to connection-per-session automatically.
-func WithServerNoMux() ServerOption {
-	return func(s *Server) { s.muxOff = true }
 }
 
 // WithServerMaxStreamsPerConn bounds the sessions concurrently in
@@ -790,8 +782,8 @@ func (s *Server) Datasets() []string {
 	return names
 }
 
-// Serve accepts connections on ln and runs one session per connection
-// until Shutdown or Close. It always returns a non-nil error; after a
+// Serve accepts connections on ln and serves each one's sessions until
+// Shutdown or Close. It always returns a non-nil error; after a
 // clean shutdown the error is ErrServerClosed. Serve may be called on
 // multiple listeners concurrently.
 func (s *Server) Serve(ln net.Listener) error {
@@ -829,14 +821,13 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// handle runs one connection: it reads the opening message and
-// dispatches to the single-session path (legacy clients) or the MUX1
-// multiplexed path (one connection, many concurrent sessions).
+// handle runs one connection: the MUX1 negotiation, then the multiplexed
+// serving loop (one connection, many concurrent sessions).
 func (s *Server) handle(conn net.Conn) {
 	s.metrics.Counter("server_conns_total").Inc()
-	// The mux variant of the limit: if the opening negotiates MUX1 the
-	// same transport becomes the frame carrier, and a maximal legal
-	// protocol message must still fit with its mux header.
+	// The mux variant of the limit: the transport becomes the frame
+	// carrier, and a maximal legal protocol message must still fit with
+	// its mux header.
 	t := transport.NewMuxConnLimit(conn, s.maxMsg)
 	defer func() {
 		st := t.Stats()
@@ -851,26 +842,18 @@ func (s *Server) handle(conn net.Conn) {
 	defer cancel()
 	op, err := protocol.RecvOpening(ctx, t)
 	if err != nil {
+		// RecvOpening already relayed the refusal to the peer.
 		s.logf("robustset: server: %v: bad handshake: %v", conn.RemoteAddr(), err)
 		return
 	}
-	if op.Mux {
-		if s.muxOff {
-			// Behave exactly like a pre-mux build: unknown opening, close.
-			s.logf("robustset: server: %v: mux hello refused (multiplexing disabled)", conn.RemoteAddr())
-			return
-		}
-		if err := protocol.SendMuxAccept(ctx, t, transport.DefaultMuxWindow); err != nil {
-			s.logf("robustset: server: %v: mux accept: %v", conn.RemoteAddr(), err)
-			return
-		}
-		// The handshake deadline must not outlive the negotiation: a
-		// multiplexed connection is long-lived by design.
-		cancel()
-		s.serveMux(conn, t, op.MuxHello)
+	if err := protocol.SendMuxAccept(ctx, t, transport.DefaultMuxWindow); err != nil {
+		s.logf("robustset: server: %v: mux accept: %v", conn.RemoteAddr(), err)
 		return
 	}
-	s.serveSession(ctx, t, op.Hello, conn.RemoteAddr())
+	// The handshake deadline must not outlive the negotiation: a
+	// multiplexed connection is long-lived by design.
+	cancel()
+	s.serveMux(conn, t, op.MuxHello)
 }
 
 // serveMux drives one multiplexed connection: accept streams until the
@@ -920,8 +903,8 @@ func (s *Server) serveMux(conn net.Conn, t transport.Transport, mh protocol.MuxH
 	wg.Wait()
 }
 
-// serveSession answers one already-opened session hello over t — a
-// whole legacy connection or one mux stream, identically.
+// serveSession answers one already-opened session hello over its mux
+// stream t.
 func (s *Server) serveSession(ctx context.Context, t transport.Transport, hello protocol.Hello, remote net.Addr) {
 	start := time.Now()
 	s.metrics.Counter("server_sessions_total").Inc()
@@ -996,17 +979,7 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 	// raw hello bytes.
 	trace.FromContext(ctx).Label("", strat.Name(), "")
 	params := d.Params()
-	// Echo the features the negotiated strategy honors, so the client
-	// knows the feature protocol (rather than the legacy fallback) will
-	// be spoken on this session.
-	var feats byte
-	if _, ok := strat.(Rateless); ok {
-		feats = protocol.FeatureRateless
-	}
-	if _, ok := strat.(Ranged); ok {
-		feats = protocol.FeatureRanged
-	}
-	if err := protocol.SendAcceptFeatures(ctx, t, params, feats); err != nil {
+	if err := protocol.SendAccept(ctx, t, params); err != nil {
 		s.logf("robustset: server: %v: accept: %v", remote, err)
 		return err
 	}

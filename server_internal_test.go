@@ -3,6 +3,8 @@ package robustset
 import (
 	"errors"
 	"testing"
+
+	"robustset/internal/protocol"
 )
 
 // TestRetiredDatasetServingRejected pins the in-flight retirement
@@ -36,5 +38,36 @@ func TestRetiredDatasetServingRejected(t *testing.T) {
 	}
 	if pts := d.Snapshot(); len(pts) != 2 {
 		t.Errorf("Snapshot after retirement returned %d points; reads stay usable", len(pts))
+	}
+}
+
+// TestStrategyFromCodeExactConfigLength: every strategy code carries a
+// hello config of one exact length; a shorter or longer blob — e.g. the
+// retired {q, feature} pair on the exact-IBLT code — is refused rather
+// than served something the peer did not ask for, and so is an unknown
+// code. The accepted blob is what the strategy's own helloConfig writes.
+func TestStrategyFromCodeExactConfigLength(t *testing.T) {
+	for _, strat := range Strategies() {
+		code, n := strat.code(), len(strat.helloConfig())
+		for _, size := range []int{n - 1, n, n + 1} {
+			if size < 0 {
+				continue
+			}
+			got, err := strategyFromCode(code, make([]byte, size))
+			switch {
+			case size != n && err == nil:
+				t.Errorf("%s (code %d): %d-byte config accepted, want exactly %d", strat.Name(), code, size, n)
+			case size == n && err != nil:
+				t.Errorf("%s (code %d): its own %d-byte config refused: %v", strat.Name(), code, n, err)
+			case size == n && got.Name() != strat.Name():
+				t.Errorf("code %d decoded as %s, want %s", code, got.Name(), strat.Name())
+			}
+		}
+	}
+	if _, err := strategyFromCode(protocol.StrategyExactIBLT, []byte{4, 1}); err == nil {
+		t.Error("the retired {q, feature} hello on the exact-IBLT code accepted")
+	}
+	if _, err := strategyFromCode(0x7e, nil); err == nil {
+		t.Error("unknown strategy code accepted")
 	}
 }

@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"robustset"
+	"robustset/internal/protocol"
+	"robustset/internal/transport"
 )
 
 func startServer(t *testing.T, srv *robustset.Server) net.Addr {
@@ -28,6 +29,54 @@ func startServer(t *testing.T, srv *robustset.Server) net.Addr {
 		}
 	})
 	return ln.Addr()
+}
+
+// fetchOnce is the one-shot fetch against a Server: dial a Client, open a
+// session on the named dataset, fetch once, close — a mux with one stream.
+// The stats are the session's stream, as every ClientSession.Fetch reports.
+func fetchOnce(t testing.TB, addr, dataset string, strategy robustset.Strategy, local []robustset.Point, opts ...robustset.Option) (*robustset.SyncResult, robustset.TransferStats, error) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, addr)
+	if err != nil {
+		return nil, robustset.TransferStats{}, err
+	}
+	defer cl.Close()
+	cs, err := cl.Session(dataset, strategy, opts...)
+	if err != nil {
+		return nil, robustset.TransferStats{}, err
+	}
+	return cs.Fetch(ctx, local)
+}
+
+// openStream dials addr, negotiates MUX1 and opens one stream: the raw
+// counterpart of DialClient for tests that speak the session protocol by
+// hand. The connection is torn down with the test.
+func openStream(t *testing.T, addr string) *transport.Stream {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := transport.NewMuxConnLimit(conn, 0)
+	window, err := protocol.RunMuxHelloClient(ctx, tr, transport.DefaultMuxWindow)
+	if err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	m := transport.NewMux(tr, true, transport.MuxConfig{
+		RecvWindow: transport.DefaultMuxWindow,
+		SendWindow: int(window),
+	})
+	t.Cleanup(func() { m.Close() })
+	st, err := m.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestServerMultiDatasetConcurrent is the acceptance scenario: one server
@@ -77,20 +126,7 @@ func TestServerMultiDatasetConcurrent(t *testing.T) {
 			fail := func(err error) {
 				errs <- fmt.Errorf("client %d (%s on %q): %w", i, j.strategy.Name(), j.dataset, err)
 			}
-			sess, err := robustset.NewSession(j.strategy, robustset.WithDataset(j.dataset))
-			if err != nil {
-				fail(err)
-				return
-			}
-			conn, err := net.Dial("tcp", addr.String())
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer conn.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			res, _, err := sess.Fetch(ctx, conn, j.local)
+			res, _, err := fetchOnce(t, addr.String(), j.dataset, j.strategy, j.local)
 			if err != nil {
 				fail(err)
 				return
@@ -121,19 +157,10 @@ func TestServerUnknownDataset(t *testing.T) {
 	}
 	addr := startServer(t, srv)
 
-	sess, err := robustset.NewSession(robustset.Robust{}, robustset.WithDataset("missing"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, _, err := sess.Fetch(ctx, conn, bob); err == nil {
-		t.Fatal("fetch of unknown dataset succeeded")
+	_, _, err := fetchOnce(t, addr.String(), "missing", robustset.Robust{}, bob)
+	var remote *protocol.RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("fetch of unknown dataset: %v, want the server's *RemoteError", err)
 	}
 }
 
@@ -168,18 +195,7 @@ func TestServerDatasetUpdates(t *testing.T) {
 	}
 
 	// An exact fetch sees the updated multiset.
-	sess, err := robustset.NewSession(robustset.ExactIBLT{}, robustset.WithDataset("live"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, _, err := sess.Fetch(ctx, conn, d.Snapshot())
+	res, _, err := fetchOnce(t, addr.String(), "live", robustset.ExactIBLT{}, d.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +208,7 @@ func TestServerDatasetUpdates(t *testing.T) {
 // session to complete when the context allows it.
 func TestServerGracefulShutdown(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 71, DiffBudget: 4}
-	alice, bob := deterministicPair(71, 200, 4, 2)
+	alice, _ := deterministicPair(71, 200, 4, 2)
 	srv := robustset.NewServer(WithTestLogger(t))
 	if _, err := srv.Publish("d", params, alice); err != nil {
 		t.Fatal(err)
@@ -204,31 +220,30 @@ func TestServerGracefulShutdown(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	// Start a session and hold it mid-handshake briefly, then let it
-	// finish while Shutdown is waiting.
-	sess, err := robustset.NewSession(robustset.Robust{}, robustset.WithDataset("d"))
-	if err != nil {
+	// Start an exact-IBLT session by hand and hold it after the server's
+	// opening (accept, then strata): the server now waits on the client's
+	// next request. Let the client finish while Shutdown is waiting.
+	st := openStream(t, ln.Addr().String())
+	bg := context.Background()
+	hello := protocol.Hello{Strategy: protocol.StrategyExactIBLT, Dataset: "d", Config: []byte{0}}
+	if _, err := protocol.RunHelloClient(bg, st, hello); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	if _, err := st.Recv(bg); err != nil {
+		t.Fatalf("no strata: %v", err)
 	}
-	defer conn.Close()
 	fetchDone := make(chan error, 1)
 	go func() {
 		time.Sleep(100 * time.Millisecond) // ensure Shutdown starts first
-		_, _, err := sess.Fetch(context.Background(), conn, bob)
-		fetchDone <- err
+		fetchDone <- st.Send(bg, []byte{protocol.MsgDone})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the server accept the conn
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("graceful Shutdown: %v", err)
 	}
 	if err := <-fetchDone; err != nil {
-		t.Fatalf("in-flight fetch during graceful shutdown: %v", err)
+		t.Fatalf("in-flight session during graceful shutdown: %v", err)
 	}
 	if err := <-serveDone; !errors.Is(err, robustset.ErrServerClosed) {
 		t.Errorf("Serve returned %v, want ErrServerClosed", err)
@@ -239,9 +254,9 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServerForcedShutdown asserts Shutdown aborts sessions that outlive
-// its context: a client that completes the handshake and then goes
-// silent holds a session goroutine, which must be torn down.
+// TestServerForcedShutdown asserts Shutdown aborts connections that
+// outlive its context: a client that connects and then goes silent holds
+// a connection goroutine, which must be torn down.
 func TestServerForcedShutdown(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 81, DiffBudget: 4}
 	alice, _ := deterministicPair(81, 100, 4, 2)
@@ -256,7 +271,7 @@ func TestServerForcedShutdown(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	// A client that connects and never speaks: the session goroutine
+	// A client that connects and never speaks: the connection goroutine
 	// blocks in the handshake read.
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -309,9 +324,9 @@ func WithTestLogger(t *testing.T) robustset.ServerOption {
 	})
 }
 
-// TestServerSessionTimeout asserts a silent client cannot pin a session
-// goroutine past the configured per-session deadline: the server closes
-// the session on its own, without Shutdown.
+// TestServerSessionTimeout asserts a silent client cannot pin a
+// connection goroutine past the configured deadline: the server closes
+// the connection on its own, without Shutdown.
 func TestServerSessionTimeout(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 91, DiffBudget: 4}
 	alice, _ := deterministicPair(91, 100, 4, 2)
@@ -389,18 +404,7 @@ func TestServerConcurrentFetchAndMutation(t *testing.T) {
 		go func(f int) {
 			defer fetchers.Done()
 			for i := 0; i < 5; i++ {
-				sess, err := robustset.NewSession(robustset.Robust{}, robustset.WithDataset("hot"))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				conn, err := net.Dial("tcp", addr.String())
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				res, _, err := sess.Fetch(context.Background(), conn, bob)
-				conn.Close()
+				res, _, err := fetchOnce(t, addr.String(), "hot", robustset.Robust{}, bob)
 				if err != nil {
 					t.Errorf("fetcher %d round %d: %v", f, i, err)
 					return
@@ -445,20 +449,30 @@ func TestServerShutdownDuringBuild(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	// Open a session and stall: send the hello, read the accept, then
-	// neither read nor write again.
+	// Open a session and stall: negotiate the connection, put an OPEN and
+	// the session hello on the wire by hand, then neither read nor write
+	// again. No Mux runs on this side, so nothing drains the socket under
+	// the push.
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	body := []byte{0x10, 1 /* robust */, 4, 0, 0, 0, 's', 'l', 'o', 'w', 0, 0, 0, 0}
-	frame := append([]byte{byte(len(body)), 0, 0, 0}, body...)
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
+	bg := context.Background()
+	tr := transport.NewMuxConnLimit(conn, 0)
+	if _, err := protocol.RunMuxHelloClient(bg, tr, transport.DefaultMuxWindow); err != nil {
+		t.Fatalf("no mux accept: %v", err)
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := io.ReadFull(conn, make([]byte, 4)); err != nil {
+	hello := []byte{protocol.MsgHello, protocol.StrategyRobust, 4, 0, 0, 0, 's', 'l', 'o', 'w', 0, 0, 0, 0}
+	for _, f := range []transport.MuxFrame{
+		{StreamID: 1, Type: transport.MuxFrameOpen},
+		{StreamID: 1, Type: transport.MuxFrameData, Payload: hello},
+	} {
+		if err := tr.Send(bg, transport.AppendMuxFrame(nil, f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.Recv(bg); err != nil { // the accept, in its DATA frame
 		t.Fatalf("no accept: %v", err)
 	}
 
@@ -504,24 +518,14 @@ func TestServerRejectsHostileCPICapacity(t *testing.T) {
 	}
 	addr := startServer(t, srv)
 
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
+	st := openStream(t, addr.String())
+	hello := protocol.Hello{
+		Strategy: protocol.StrategyCPI, Dataset: "d",
+		Config: []byte{0xff, 0xff, 0xff, 0xff}, // u32 capacity
 	}
-	defer conn.Close()
-	// Frame: u32 length | 0x10 (hello) | strategy 4 (CPI) | u32 name len |
-	// "d" | u32 cfg len | u32 capacity 0xFFFFFFFF.
-	body := []byte{0x10, 4, 1, 0, 0, 0, 'd', 4, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
-	frame := append([]byte{byte(len(body)), 0, 0, 0}, body...)
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	reply := make([]byte, 5)
-	if _, err := io.ReadFull(conn, reply); err != nil {
-		t.Fatalf("no reply to hostile hello: %v", err)
-	}
-	if reply[4] != 0x7f { // MsgError tag
-		t.Fatalf("server replied with tag 0x%02x, want MsgError (0x7f)", reply[4])
+	_, err := protocol.RunHelloClient(context.Background(), st, hello)
+	var remote *protocol.RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("hostile hello answered with %v, want the server's *RemoteError", err)
 	}
 }

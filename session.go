@@ -55,6 +55,10 @@ type validatingStrategy interface {
 // handshake can never drive a pathological allocation.
 const maxCPICapacity = 1 << 24
 
+// TransferStats reports the bytes and messages an endpoint exchanged
+// during a connection-oriented reconciliation.
+type TransferStats = transport.Stats
+
 // SyncResult is the outcome of a Session.Fetch or Session.Sync: the
 // local party's updated multiset, plus the robust protocol's per-level
 // diagnostics when the strategy is robust.
@@ -123,6 +127,9 @@ func (Robust) sync(ctx context.Context, t transport.Transport, p Params, pts []P
 	return &SyncResult{SPrime: res.SPrime, Robust: res}, nil
 }
 
+// AdaptiveOptions tunes the fetching side of the Adaptive strategy.
+type AdaptiveOptions = protocol.EstimateOpts
+
 // Adaptive is the estimate-first robust protocol: tiny per-level
 // difference estimators first, then exactly one level table sized to the
 // estimated difference (plus retries if the fetching side asks).
@@ -156,6 +163,9 @@ func (a Adaptive) fetch(ctx context.Context, t transport.Transport, p Params, lo
 	}
 	return &SyncResult{SPrime: res.SPrime, Robust: res}, nil
 }
+
+// ExactConfig parameterizes the exact IBLT synchronization comparator.
+type ExactConfig = protocol.ExactConfig
 
 // ExactIBLT is classic exact set synchronization (difference digest:
 // strata estimator plus exactly-sized IBLTs). It remains the right tool
@@ -222,16 +232,7 @@ func (e ExactIBLT) fetch(ctx context.Context, t transport.Transport, p Params, l
 // difference by discarding the table and retrying with a doubled one,
 // Rateless pays only the incremental cells it was short — wire cost
 // tracks the actual difference, not the estimate.
-//
-// Against a Server (WithDataset) the strategy advertises itself as a
-// feature bit on the ExactIBLT handshake; a legacy server that does not
-// echo the bit is served with the classic doubling path automatically.
-// Peer-to-peer (WithParams), both endpoints must run Rateless.
 type Rateless struct {
-	// HashCount is the IBLT q of the doubling-path fallback; both
-	// endpoints must agree (a server session adopts it from the hello).
-	// 0 means 4.
-	HashCount int
 	// InitialFactor scales the strata estimate into the first requested
 	// cell increment (fetch side only; 0 means 1.4, the stream's
 	// empirical decode overhead).
@@ -245,9 +246,6 @@ type Rateless struct {
 func (Rateless) Name() string { return "rateless" }
 
 func (r Rateless) validate() error {
-	if r.HashCount != 0 && (r.HashCount < 2 || r.HashCount > 16) {
-		return fmt.Errorf("robustset: rateless hash count %d outside [2,16]", r.HashCount)
-	}
 	if r.InitialFactor < 0 || math.IsNaN(r.InitialFactor) || math.IsInf(r.InitialFactor, 0) {
 		return fmt.Errorf("robustset: rateless initial factor %v not a finite non-negative number", r.InitialFactor)
 	}
@@ -257,25 +255,13 @@ func (r Rateless) validate() error {
 	return nil
 }
 
-// code shares ExactIBLT's wire code: the rateless capability rides the
-// hello as a feature bit, which is what lets legacy peers fall back.
-func (r Rateless) code() byte { return protocol.StrategyExactIBLT }
-
-func (r Rateless) helloConfig() []byte {
-	return []byte{byte(r.HashCount), protocol.FeatureRateless}
-}
-
-// fallback returns the doubling-path strategy a fetch downgrades to when
-// the server's accept does not echo the rateless feature bit.
-func (r Rateless) fallback() Strategy {
-	return ExactIBLT{HashCount: r.HashCount}
-}
+func (Rateless) code() byte          { return protocol.StrategyRateless }
+func (Rateless) helloConfig() []byte { return nil }
 
 func (r Rateless) config(p Params) protocol.RatelessConfig {
 	return protocol.RatelessConfig{
 		Universe:      p.Universe,
 		Seed:          p.Seed,
-		HashCount:     r.HashCount,
 		InitialFactor: r.InitialFactor,
 		MaxBytes:      r.MaxBytes,
 	}
@@ -301,13 +287,9 @@ func (r Rateless) fetch(ctx context.Context, t transport.Transport, p Params, lo
 // set size itself — the strategy of choice for huge sets with tiny
 // differences, where every sized sketch pays its estimator up front.
 //
-// Against a Server (WithDataset) the strategy advertises itself as a
-// feature bit on the Robust-family hello; a legacy server that does not
-// echo the bit is synced with the one-shot robust path automatically.
-// Peer-to-peer (WithParams), both endpoints must run Ranged. When
-// fetching over a mux-capable client connection, Streams > 1 reconciles
-// that many disjoint subranges as parallel pipelined streams, cutting
-// wall-clock round depth without changing the result.
+// When fetching through a Client, Streams > 1 reconciles that many
+// disjoint subranges as parallel pipelined streams of its connection,
+// cutting wall-clock round depth without changing the result.
 type Ranged struct {
 	// Branch is the split fan-out k for mismatched ranges; both endpoints
 	// must agree (a server session adopts it from the hello). 0 means 8.
@@ -320,8 +302,8 @@ type Ranged struct {
 	// kept for latency comparisons (fetch side only).
 	Serial bool
 	// Streams is the number of parallel sibling-range streams a
-	// mux-capable Client.Fetch fans out to. 0 or 1 means a single
-	// stream; plain Session connections always use one stream.
+	// ClientSession.Fetch fans out to. 0 or 1 means a single stream;
+	// peer-to-peer Session connections always use one stream.
 	Streams int
 }
 
@@ -341,17 +323,11 @@ func (r Ranged) validate() error {
 	return nil
 }
 
-// code shares Robust's wire code: the ranged capability rides the hello
-// as a feature bit, which is what lets legacy peers fall back.
-func (r Ranged) code() byte { return protocol.StrategyRobust }
+func (Ranged) code() byte { return protocol.StrategyRanged }
 
 func (r Ranged) helloConfig() []byte {
-	return []byte{byte(r.Branch), protocol.FeatureRanged, byte(r.ItemLimit), byte(r.ItemLimit >> 8)}
+	return []byte{byte(r.Branch), byte(r.ItemLimit), byte(r.ItemLimit >> 8)}
 }
-
-// fallback returns the one-shot robust strategy a fetch downgrades to
-// when the server's accept does not echo the ranged feature bit.
-func (r Ranged) fallback() Strategy { return Robust{} }
 
 func (r Ranged) config(p Params) protocol.RangedConfig {
 	return protocol.RangedConfig{
@@ -377,6 +353,9 @@ func (r Ranged) fetch(ctx context.Context, t transport.Transport, p Params, loca
 	trace.FromContext(ctx).Stat("wall_rounds", int64(rounds))
 	return &SyncResult{SPrime: sp}, nil
 }
+
+// CPIConfig parameterizes the characteristic-polynomial comparator.
+type CPIConfig = protocol.CPIConfig
 
 // CPI is characteristic-polynomial exact synchronization
 // (minisketch-class: optimal O(capacity) communication for exact
@@ -465,61 +444,55 @@ func (Naive) fetch(ctx context.Context, t transport.Transport, p Params, local [
 }
 
 // strategyFromCode reconstructs the serving side of a strategy from its
-// handshake code and config blob.
+// handshake code and config blob. Every code carries a config of one
+// exact length — what the strategy's helloConfig writes — and any other
+// length is refused: a blob with bytes this build would ignore comes from
+// a peer that means something else by the code.
 func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
+	exact := func(n int) error {
+		if len(cfg) != n {
+			return fmt.Errorf("robustset: strategy code 0x%02x carries a %d-byte config, want %d", code, len(cfg), n)
+		}
+		return nil
+	}
+	var (
+		s   Strategy
+		err error
+	)
 	switch code {
 	case protocol.StrategyRobust:
-		// Byte 1 of the config, when present, carries feature bits; a
-		// ranged-capable client negotiates divide-and-conquer sync on the
-		// same wire code (legacy servers ignore the config and serve the
-		// one-shot push, which the client detects via the bare accept).
-		if len(cfg) >= 2 && cfg[1]&protocol.FeatureRanged != 0 {
-			r := Ranged{Branch: int(cfg[0])}
-			if len(cfg) >= 4 {
-				r.ItemLimit = int(cfg[2]) | int(cfg[3])<<8
-			}
-			if err := r.validate(); err != nil {
-				return nil, err
-			}
-			return r, nil
-		}
-		return Robust{}, nil
+		s, err = Robust{}, exact(0)
 	case protocol.StrategyAdaptive:
-		return Adaptive{}, nil
-	case protocol.StrategyExactIBLT:
-		// Byte 1 of the config, when present, carries feature bits; a
-		// rateless-capable client negotiates the cell-stream protocol on
-		// the same wire code (legacy servers ignore the byte and serve the
-		// doubling path, which the client detects via the bare accept).
-		if len(cfg) >= 2 && cfg[1]&protocol.FeatureRateless != 0 {
-			r := Rateless{HashCount: int(cfg[0])}
-			if err := r.validate(); err != nil {
-				return nil, err
-			}
-			return r, nil
-		}
-		e := ExactIBLT{}
-		if len(cfg) >= 1 {
-			e.HashCount = int(cfg[0])
-		}
-		if err := e.validate(); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case protocol.StrategyCPI:
-		c := CPI{}
-		if len(cfg) >= 4 {
-			c.Capacity = int(binary.LittleEndian.Uint32(cfg))
-		}
-		if err := c.validate(); err != nil {
-			return nil, err
-		}
-		return c, nil
+		s, err = Adaptive{}, exact(0)
 	case protocol.StrategyNaive:
-		return Naive{}, nil
+		s, err = Naive{}, exact(0)
+	case protocol.StrategyRateless:
+		s, err = Rateless{}, exact(0)
+	case protocol.StrategyExactIBLT:
+		if err = exact(1); err == nil {
+			s = ExactIBLT{HashCount: int(cfg[0])}
+		}
+	case protocol.StrategyRanged:
+		if err = exact(3); err == nil {
+			s = Ranged{Branch: int(cfg[0]), ItemLimit: int(cfg[1]) | int(cfg[2])<<8}
+		}
+	case protocol.StrategyCPI:
+		if err = exact(4); err == nil {
+			s = CPI{Capacity: int(binary.LittleEndian.Uint32(cfg))}
+		}
 	default:
-		return nil, fmt.Errorf("robustset: unknown strategy code 0x%02x", code)
+		err = fmt.Errorf("robustset: unknown strategy code 0x%02x", code)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// The knobs came off the wire; hold them to the bounds NewSession does.
+	if v, ok := s.(validatingStrategy); ok {
+		if err := v.validate(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // ---------------------------------------------------------------------
@@ -544,15 +517,17 @@ type Session struct {
 	statsSink func(TransferStats)
 	traceSink func(*SessionTrace)
 	maxMsg    int
-	dataset   string
+	// dataset is set on the sessions a Client builds: their fetch opens
+	// with the hello naming it. Empty on peer-to-peer sessions.
+	dataset string
 }
 
 // Option configures a Session.
 type Option func(*Session) error
 
 // WithParams sets the shared reconciliation parameters. Both endpoints
-// of a peer-to-peer session must agree on them (a Fetch against a Server
-// dataset instead adopts the server's parameters automatically).
+// of a peer-to-peer session must agree on them (a ClientSession.Fetch
+// against a Server dataset instead adopts the server's parameters).
 func WithParams(p Params) Option {
 	return func(s *Session) error {
 		s.params = p
@@ -611,25 +586,6 @@ func WithMaxMessageSize(n int) Option {
 	}
 }
 
-// WithDataset makes Fetch open the connection with a server handshake
-// naming the given dataset (see Server). The server replies with the
-// dataset's parameters, which the fetch adopts — WithParams is then
-// unnecessary on the client. The option applies to Fetch only: Serve and
-// Sync are peer roles with no server on the other end, and return an
-// error on a session configured with a dataset.
-func WithDataset(name string) Option {
-	return func(s *Session) error {
-		if name == "" {
-			return errors.New("robustset: empty dataset name")
-		}
-		if len(name) > protocol.MaxDatasetName {
-			return fmt.Errorf("robustset: dataset name longer than %d bytes", protocol.MaxDatasetName)
-		}
-		s.dataset = name
-		return nil
-	}
-}
-
 // NewSession builds a Session running the given strategy.
 func NewSession(strategy Strategy, opts ...Option) (*Session, error) {
 	if strategy == nil {
@@ -665,17 +621,10 @@ func (s *Session) emit(st TransferStats) {
 	}
 }
 
-// errDatasetFetchOnly reports WithDataset misuse: the handshake it
-// enables exists only on the fetching side (the Server answers it).
-var errDatasetFetchOnly = errors.New("robustset: WithDataset applies to Fetch only; Serve and Sync speak the bare protocol")
-
 // Serve runs the serving (Alice) side of the session's strategy over
 // conn: it answers exactly one fetching peer and returns the wire
 // accounting. The caller owns conn and closes it afterwards.
 func (s *Session) Serve(ctx context.Context, conn net.Conn, pts []Point) (TransferStats, error) {
-	if s.dataset != "" {
-		return TransferStats{}, errDatasetFetchOnly
-	}
 	t := s.newTransport(conn)
 	err := s.strategy.serve(ctx, t, s.params, pts)
 	st := t.Stats()
@@ -687,9 +636,6 @@ func (s *Session) Serve(ctx context.Context, conn net.Conn, pts []Point) (Transf
 // sketch — the path used by servers that maintain a sketch incrementally
 // (Maintainer) instead of re-encoding per session.
 func (s *Session) ServeSketch(ctx context.Context, conn net.Conn, sk *Sketch) (TransferStats, error) {
-	if s.dataset != "" {
-		return TransferStats{}, errDatasetFetchOnly
-	}
 	if _, ok := s.strategy.(Robust); !ok {
 		return TransferStats{}, fmt.Errorf("robustset: ServeSketch requires the Robust strategy, session uses %s", s.strategy.Name())
 	}
@@ -700,24 +646,9 @@ func (s *Session) ServeSketch(ctx context.Context, conn net.Conn, sk *Sketch) (T
 	return st, err
 }
 
-// FetchAddr dials addr over TCP and runs Fetch on the connection,
-// closing it afterwards. The context bounds the dial and the exchange
-// together — the plumbing a replication round driver wants, where one
-// deadline covers connect-through-reconcile per peer session.
-func (s *Session) FetchAddr(ctx context.Context, addr string, local []Point) (*SyncResult, TransferStats, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, TransferStats{}, err
-	}
-	defer conn.Close()
-	return s.Fetch(ctx, conn, local)
-}
-
 // Fetch runs the fetching (Bob) side over conn: it reconciles local
 // against the serving peer's data and returns the result with the wire
-// accounting. With WithDataset it first performs the server handshake
-// and adopts the dataset's parameters.
+// accounting.
 func (s *Session) Fetch(ctx context.Context, conn net.Conn, local []Point) (*SyncResult, TransferStats, error) {
 	t := s.newTransport(conn)
 	res, err := s.fetchOver(ctx, t, local)
@@ -726,13 +657,21 @@ func (s *Session) Fetch(ctx context.Context, conn net.Conn, local []Point) (*Syn
 	return res, st, err
 }
 
+// hello is the handshake opening a Client's session sends on its stream.
+func (s *Session) hello() protocol.Hello {
+	return protocol.Hello{
+		Strategy: s.strategy.code(),
+		Dataset:  s.dataset,
+		Config:   s.strategy.helloConfig(),
+	}
+}
+
 func (s *Session) fetchOver(ctx context.Context, t transport.Transport, local []Point) (res *SyncResult, err error) {
 	p := s.params
-	strat := s.strategy
 	var tr *trace.Trace
 	if s.traceSink != nil {
 		tr = trace.New("client")
-		tr.Label(s.dataset, strat.Name(), "")
+		tr.Label(s.dataset, s.strategy.Name(), "")
 		ctx = trace.NewContext(ctx, tr)
 		defer func() {
 			tr.Finish(err)
@@ -740,36 +679,19 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, local []
 		}()
 	} else {
 		// An ambient trace (e.g. a replicator round's per-session child)
-		// still gets the handshake span and the negotiated-strategy label.
+		// still gets the handshake span.
 		tr = trace.FromContext(ctx)
 	}
 	if s.dataset != "" {
+		// A Client's session on one stream of its connection: name the
+		// dataset and adopt the parameters the server dictates.
 		hello := tr.Begin("hello")
-		var feats byte
-		p, feats, err = protocol.RunHelloClientExt(ctx, t, protocol.Hello{
-			Strategy: strat.code(),
-			Dataset:  s.dataset,
-			Config:   strat.helloConfig(),
-		})
-		if err != nil {
+		if p, err = protocol.RunHelloClient(ctx, t, s.hello()); err != nil {
 			return nil, err
 		}
-		if r, ok := strat.(Rateless); ok && feats&protocol.FeatureRateless == 0 {
-			// Legacy server: it accepted the session but did not echo the
-			// rateless feature, so it will serve the doubling path.
-			strat = r.fallback()
-			// The trace must name the strategy actually spoken on the wire.
-			tr.Label("", strat.Name(), "")
-		}
-		if r, ok := strat.(Ranged); ok && feats&protocol.FeatureRanged == 0 {
-			// Legacy server: no ranged feature echoed, so it will serve the
-			// one-shot robust push.
-			strat = r.fallback()
-			tr.Label("", strat.Name(), "")
-		}
-		hello.End(trace.I("features", int64(feats)))
+		hello.End()
 	}
-	res, err = strat.fetch(ctx, t, p, local)
+	res, err = s.strategy.fetch(ctx, t, p, local)
 	if err != nil {
 		return nil, err
 	}
@@ -794,9 +716,6 @@ var ErrTwoWayUnsupported = errors.New("robustset: strategy does not support two-
 // two-way robust reconciliation leaves each party close (in EMD) to the
 // other's original data rather than converging the sets to equality.
 func (s *Session) Sync(ctx context.Context, conn net.Conn, pts []Point) (*SyncResult, TransferStats, error) {
-	if s.dataset != "" {
-		return nil, TransferStats{}, errDatasetFetchOnly
-	}
 	tw, ok := s.strategy.(twoWayStrategy)
 	if !ok {
 		return nil, TransferStats{}, fmt.Errorf("%w: %s", ErrTwoWayUnsupported, s.strategy.Name())

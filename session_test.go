@@ -1,7 +1,6 @@
 package robustset_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -13,183 +12,6 @@ import (
 
 	"robustset"
 )
-
-// recordingConn wraps a net.Conn and captures every byte written, so
-// tests can compare the wire traffic of two protocol implementations.
-type recordingConn struct {
-	net.Conn
-	mu   sync.Mutex
-	sent bytes.Buffer
-}
-
-func (r *recordingConn) Write(b []byte) (int, error) {
-	n, err := r.Conn.Write(b)
-	r.mu.Lock()
-	r.sent.Write(b[:n])
-	r.mu.Unlock()
-	return n, err
-}
-
-func (r *recordingConn) bytesSent() []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]byte(nil), r.sent.Bytes()...)
-}
-
-// runRecorded wires a serving and a fetching endpoint through an
-// in-process pipe and returns each side's raw transmitted bytes.
-func runRecorded(t *testing.T, serve, fetch func(net.Conn) error) (serveBytes, fetchBytes []byte) {
-	t.Helper()
-	c1, c2 := net.Pipe()
-	ra := &recordingConn{Conn: c1}
-	rb := &recordingConn{Conn: c2}
-	done := make(chan error, 1)
-	go func() {
-		defer c1.Close()
-		done <- serve(ra)
-	}()
-	ferr := fetch(rb)
-	c2.Close()
-	serr := <-done
-	if ferr != nil {
-		t.Fatalf("fetch side: %v", ferr)
-	}
-	if serr != nil {
-		t.Fatalf("serve side: %v", serr)
-	}
-	return ra.bytesSent(), rb.bytesSent()
-}
-
-// TestWrapperSessionWireParity asserts that every deprecated free
-// function produces byte-identical wire traffic to its Session
-// equivalent, in both directions.
-func TestWrapperSessionWireParity(t *testing.T) {
-	rngPair := func() (alice, bob []robustset.Point) {
-		return makeNoisyPairSeed(t, 1234, 240, 6, 3)
-	}
-	alice, bob := rngPair()
-	// Exact-regime inputs for the exact protocols: identical sets with a
-	// few replaced points, so CPI's capacity bound holds.
-	exactBob := robustset.ClonePoints(alice)
-	exactAlice := robustset.ClonePoints(alice)
-	for i := 0; i < 5; i++ {
-		exactAlice[i] = robustset.Point{int64(i) * 17, int64(i) * 29}
-	}
-
-	params := robustset.Params{Universe: testU, Seed: 77, DiffBudget: 6}
-	ecfg := robustset.ExactConfig{Universe: testU, Seed: 21}
-	ccfg := robustset.CPIConfig{Universe: testU, Seed: 23, Capacity: 24}
-	ctx := context.Background()
-
-	newSession := func(s robustset.Strategy, opts ...robustset.Option) *robustset.Session {
-		sess, err := robustset.NewSession(s, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-
-	cases := []struct {
-		name               string
-		aliceSet, bobSet   []robustset.Point
-		oldServe, newServe func(net.Conn) error
-		oldFetch, newFetch func(net.Conn) error
-	}{
-		{
-			name: "robust-oneshot", aliceSet: alice, bobSet: bob,
-			oldServe: func(c net.Conn) error { _, err := robustset.Push(c, params, alice); return err },
-			oldFetch: func(c net.Conn) error { _, _, err := robustset.Pull(c, bob); return err },
-			newServe: func(c net.Conn) error {
-				_, err := newSession(robustset.Robust{}, robustset.WithParams(params)).Serve(ctx, c, alice)
-				return err
-			},
-			newFetch: func(c net.Conn) error {
-				_, _, err := newSession(robustset.Robust{}).Fetch(ctx, c, bob)
-				return err
-			},
-		},
-		{
-			name: "robust-adaptive", aliceSet: alice, bobSet: bob,
-			oldServe: func(c net.Conn) error { _, err := robustset.PushAdaptive(c, params, alice); return err },
-			oldFetch: func(c net.Conn) error {
-				_, _, err := robustset.PullAdaptive(c, params, bob, robustset.AdaptiveOptions{})
-				return err
-			},
-			newServe: func(c net.Conn) error {
-				_, err := newSession(robustset.Adaptive{}, robustset.WithParams(params)).Serve(ctx, c, alice)
-				return err
-			},
-			newFetch: func(c net.Conn) error {
-				_, _, err := newSession(robustset.Adaptive{}, robustset.WithParams(params)).Fetch(ctx, c, bob)
-				return err
-			},
-		},
-		{
-			name: "exact-iblt", aliceSet: exactAlice, bobSet: exactBob,
-			oldServe: func(c net.Conn) error { _, err := robustset.PushExact(c, ecfg, exactAlice); return err },
-			oldFetch: func(c net.Conn) error { _, _, err := robustset.PullExact(c, ecfg, exactBob); return err },
-			newServe: func(c net.Conn) error {
-				sess := newSession(robustset.ExactIBLT{}, robustset.WithParams(robustset.Params{Universe: testU, Seed: 21}))
-				_, err := sess.Serve(ctx, c, exactAlice)
-				return err
-			},
-			newFetch: func(c net.Conn) error {
-				sess := newSession(robustset.ExactIBLT{}, robustset.WithParams(robustset.Params{Universe: testU, Seed: 21}))
-				_, _, err := sess.Fetch(ctx, c, exactBob)
-				return err
-			},
-		},
-		{
-			name: "cpi", aliceSet: exactAlice, bobSet: exactBob,
-			oldServe: func(c net.Conn) error { _, err := robustset.PushCPI(c, ccfg, exactAlice); return err },
-			oldFetch: func(c net.Conn) error { _, _, err := robustset.PullCPI(c, ccfg, exactBob); return err },
-			newServe: func(c net.Conn) error {
-				sess := newSession(robustset.CPI{Capacity: 24}, robustset.WithParams(robustset.Params{Universe: testU, Seed: 23}))
-				_, err := sess.Serve(ctx, c, exactAlice)
-				return err
-			},
-			newFetch: func(c net.Conn) error {
-				sess := newSession(robustset.CPI{Capacity: 24}, robustset.WithParams(robustset.Params{Universe: testU, Seed: 23}))
-				_, _, err := sess.Fetch(ctx, c, exactBob)
-				return err
-			},
-		},
-		{
-			name: "two-way", aliceSet: alice, bobSet: bob,
-			oldServe: func(c net.Conn) error { _, _, err := robustset.SyncTwoWay(c, params, alice); return err },
-			oldFetch: func(c net.Conn) error { _, _, err := robustset.SyncTwoWay(c, params, bob); return err },
-			newServe: func(c net.Conn) error {
-				_, _, err := newSession(robustset.Robust{}, robustset.WithParams(params)).Sync(ctx, c, alice)
-				return err
-			},
-			newFetch: func(c net.Conn) error {
-				_, _, err := newSession(robustset.Robust{}, robustset.WithParams(params)).Sync(ctx, c, bob)
-				return err
-			},
-		},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			oldA, oldB := runRecorded(t, tc.oldServe, tc.oldFetch)
-			newA, newB := runRecorded(t, tc.newServe, tc.newFetch)
-			if !bytes.Equal(oldA, newA) {
-				t.Errorf("serving-side traffic diverged: wrapper sent %d bytes, session %d", len(oldA), len(newA))
-			}
-			if !bytes.Equal(oldB, newB) {
-				t.Errorf("fetching-side traffic diverged: wrapper sent %d bytes, session %d", len(oldB), len(newB))
-			}
-		})
-	}
-}
-
-// makeNoisyPairSeed is makeNoisyPair with an explicit seed, for tests
-// that need several independent instances.
-func makeNoisyPairSeed(t *testing.T, seed uint64, n, k int, noise int64) (alice, bob []robustset.Point) {
-	t.Helper()
-	alice, bob = deterministicPair(seed, n, k, noise)
-	return alice, bob
-}
 
 // TestSessionAllStrategies drives every built-in strategy through the
 // same Serve/Fetch surface on inputs each can handle.
@@ -400,9 +222,6 @@ func TestSessionOptions(t *testing.T) {
 	if _, err := robustset.NewSession(robustset.Robust{}, robustset.WithMaxMessageSize(-1)); err == nil {
 		t.Error("negative max message size accepted")
 	}
-	if _, err := robustset.NewSession(robustset.Robust{}, robustset.WithDataset("")); err == nil {
-		t.Error("empty dataset name accepted")
-	}
 }
 
 // TestSyncUnsupported asserts non-robust strategies refuse the two-way
@@ -452,8 +271,8 @@ func TestStrategyValidation(t *testing.T) {
 	if _, err := robustset.NewSession(robustset.ExactIBLT{HashCount: 1}); err == nil {
 		t.Error("hash count 1 accepted")
 	}
-	if _, err := robustset.NewSession(robustset.Rateless{HashCount: 1}); err == nil {
-		t.Error("rateless hash count 1 accepted")
+	if _, err := robustset.NewSession(robustset.Rateless{InitialFactor: -1}); err == nil {
+		t.Error("negative rateless initial factor accepted")
 	}
 	if _, err := robustset.NewSession(robustset.Rateless{InitialFactor: math.Inf(1)}); err == nil {
 		t.Error("infinite rateless initial factor accepted")
@@ -491,17 +310,6 @@ func TestStrategyValidation(t *testing.T) {
 	}
 	if _, err := robustset.NewSession(robustset.Adaptive{Options: robustset.AdaptiveOptions{EstimatorK: 1 << 16}}); err != nil {
 		t.Errorf("adaptive estimator k 65536 rejected: %v", err)
-	}
-	// The deprecated wrappers surface the same validation as errors.
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	cfg := robustset.ExactConfig{Universe: testU, Seed: 1, HashCount: 256}
-	if _, err := robustset.PushExact(c1, cfg, nil); err == nil {
-		t.Error("PushExact accepted hash count 256")
-	}
-	if _, _, err := robustset.PullAdaptive(c2, robustset.Params{Universe: testU, Seed: 1, DiffBudget: 4}, nil, robustset.AdaptiveOptions{EstimatorK: 4}); err == nil {
-		t.Error("PullAdaptive accepted estimator k 4")
 	}
 }
 
@@ -795,24 +603,5 @@ func TestStrategyConformance(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestServeRejectsDatasetOption asserts the dataset handshake option is
-// refused on the roles that cannot use it, instead of silently speaking
-// the wrong protocol at a server.
-func TestServeRejectsDatasetOption(t *testing.T) {
-	sess, err := robustset.NewSession(robustset.Robust{}, robustset.WithDataset("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	if _, err := sess.Serve(context.Background(), c1, nil); err == nil {
-		t.Error("Serve accepted a dataset-configured session")
-	}
-	if _, _, err := sess.Sync(context.Background(), c1, nil); err == nil {
-		t.Error("Sync accepted a dataset-configured session")
 	}
 }

@@ -1,11 +1,9 @@
 package robustset_test
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"robustset"
 )
@@ -166,13 +164,7 @@ func TestServerUnpublish(t *testing.T) {
 		t.Errorf("RemoveBatch on retired dataset: %v", err)
 	}
 	// A new session naming the dataset is rejected at the handshake.
-	sess, err := robustset.NewSession(robustset.Robust{}, robustset.WithDataset("gone"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, _, err := sess.FetchAddr(ctx, addr.String(), bob); err == nil {
+	if _, _, err := fetchOnce(t, addr.String(), "gone", robustset.Robust{}, bob); err == nil {
 		t.Error("fetch of unpublished dataset succeeded")
 	}
 	// The name is free again.

@@ -22,21 +22,14 @@ import (
 	"robustset/internal/metrics"
 )
 
-// fetchTraced runs one traced plain-connection session against addr and
-// returns the result, the transfer accounting and the captured trace.
+// fetchTraced runs one traced session against addr and returns the
+// result, the transfer accounting and the captured trace.
 func fetchTraced(t *testing.T, addr string, dataset string, strat robustset.Strategy,
 	local []robustset.Point) (*robustset.SyncResult, robustset.TransferStats, *robustset.SessionTrace) {
 	t.Helper()
 	var captured *robustset.SessionTrace
-	sess, err := robustset.NewSession(strat,
-		robustset.WithDataset(dataset),
+	res, stats, err := fetchOnce(t, addr, dataset, strat, local,
 		robustset.WithSessionTrace(func(st *robustset.SessionTrace) { captured = st }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, stats, err := sess.FetchAddr(ctx, addr, local)
 	if err != nil {
 		t.Fatalf("%s: %v", strat.Name(), err)
 	}
