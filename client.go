@@ -247,6 +247,27 @@ func (c *Client) Session(dataset string, strategy Strategy, opts ...Option) (*Cl
 // Concurrent Fetches beyond the client's stream bound block — that is
 // the backpressure, not an error.
 func (cs *ClientSession) Fetch(ctx context.Context, local []Point) (*SyncResult, TransferStats, error) {
+	return cs.fetch(ctx, nil, local)
+}
+
+// FetchDataset is Fetch for a caller whose local multiset is a Dataset:
+// the hello carries the dataset's root aggregate, and a server whose
+// dataset has the same root — the two hold the same multiset — says so
+// in its accept. The result is then marked Unchanged and the fetch has
+// cost one hello and one accept, whatever the strategy: no snapshot of
+// local is taken and nothing is built or copied. Otherwise the session
+// goes on on the same stream, with no extra round trip, against a
+// snapshot of local taken at that moment. A mutation of local during the
+// fetch is not seen by it, as with a Snapshot handed to Fetch.
+func (cs *ClientSession) FetchDataset(ctx context.Context, local *Dataset) (*SyncResult, TransferStats, error) {
+	if local == nil {
+		return nil, TransferStats{}, errors.New("robustset: FetchDataset: nil dataset")
+	}
+	return cs.fetch(ctx, local, nil)
+}
+
+// fetch runs one session: against d when it is set, else against local.
+func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (*SyncResult, TransferStats, error) {
 	c := cs.c
 	select {
 	case c.sem <- struct{}{}:
@@ -264,7 +285,7 @@ func (cs *ClientSession) Fetch(ctx context.Context, local []Point) (*SyncResult,
 			return nil, TransferStats{}, err
 		}
 		if r, ok := cs.sess.strategy.(Ranged); ok && r.Streams > 1 {
-			res, stats, ferr, opened := cs.sess.fetchRangedStreams(ctx, m, r, local)
+			res, stats, ferr, opened := cs.sess.fetchRangedStreams(ctx, m, r, d, local)
 			if !opened {
 				// The mux died before any stream opened; redial once.
 				if attempt == 0 && ctx.Err() == nil {
@@ -281,7 +302,7 @@ func (cs *ClientSession) Fetch(ctx context.Context, local []Point) (*SyncResult,
 			}
 			return nil, TransferStats{}, err
 		}
-		res, ferr := cs.sess.fetchOver(ctx, st, local)
+		res, ferr := cs.sess.fetchOver(ctx, st, d, local)
 		stats := st.Stats()
 		if ferr != nil {
 			// Tear this stream down on both ends without disturbing its
@@ -323,7 +344,8 @@ func (cs *ClientSession) Fetch(ctx context.Context, local []Point) (*SyncResult,
 // is the maximum over streams (recorded as the wall_rounds trace stat)
 // instead of the sum a serial walk would pay. opened=false means the
 // mux died before the first stream existed, so the caller may redial.
-func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ranged, local []Point) (res *SyncResult, st TransferStats, err error, opened bool) {
+// With d set the first stream's hello carries d's root, as in fetchOver.
+func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ranged, d *Dataset, local []Point) (res *SyncResult, st TransferStats, err error, opened bool) {
 	var tr *trace.Trace
 	if s.traceSink != nil {
 		tr = trace.New("client")
@@ -336,7 +358,7 @@ func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ra
 	} else {
 		tr = trace.FromContext(ctx)
 	}
-	hello := s.hello()
+	hello := s.hello(nil)
 	st0, err := m.Open(ctx)
 	if err != nil {
 		return nil, st, err, false
@@ -347,10 +369,19 @@ func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ra
 		return nil, stats, ferr, true
 	}
 	hsp := tr.Begin("hello")
-	p, err := protocol.RunHelloClient(ctx, st0, hello)
+	acc, err := protocol.RunHello(ctx, st0, s.hello(d))
 	hsp.End()
 	if err != nil {
 		return fail(st0, err)
+	}
+	p := acc.Params
+	if acc.Same {
+		tr.Stat(trace.StatUnchanged, 1)
+		_ = st0.Close()
+		return &SyncResult{Params: p, Unchanged: true, metric: s.metric}, st0.Stats(), nil, true
+	}
+	if d != nil {
+		local = d.Snapshot()
 	}
 	if err = p.Universe.CheckSet(local); err != nil {
 		return fail(st0, err)
@@ -452,7 +483,6 @@ func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ra
 	tr.Stat("actual_diff", int64(len(adds)+len(rems)))
 	tr.Stat("wall_rounds", int64(wallRounds))
 	tr.Stat("streams", int64(len(scopes)))
-	res = &SyncResult{SPrime: sp, Params: p}
-	res.metric = s.metric
+	res = &SyncResult{SPrime: sp, Params: p, metric: s.metric, local: local}
 	return res, st, nil, true
 }

@@ -102,11 +102,15 @@ type ReplicatorStats struct {
 // round selects peers, reconciles every published dataset (including
 // every shard of a sharded dataset) against them via the configured
 // Session strategy, and applies the resulting diffs through the
-// dataset's batch mutations. Datasets reconcile concurrently on a
-// bounded worker pool; within one dataset the selected peers are visited
-// sequentially against a fresh snapshot each, so concurrent peers cannot
-// double-apply the same missing points. Unreachable peers back off
-// exponentially.
+// dataset's batch mutations. A session opens with the dataset's root
+// aggregate (ClientSession.FetchDataset): a peer that holds the same
+// multiset says so in its accept and the session is over — a converged
+// dataset costs one handshake and no snapshot, whatever the strategy.
+// Datasets reconcile concurrently on a bounded worker pool; within one
+// dataset the selected peers are visited sequentially, each against the
+// dataset as it then stands (a fresh snapshot whenever the peer
+// differs), so concurrent peers cannot double-apply the same missing
+// points. Unreachable peers back off exponentially.
 //
 // By default diffs apply union-style — points the peer has and the local
 // dataset lacks are added, local-only points are kept — which is
@@ -457,7 +461,7 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 	datasets := r.srv.Datasets()
 
 	// One task per dataset; within a task the selected peers are visited
-	// sequentially, re-snapshotting before each session so a point
+	// sequentially, each session reading the dataset afresh, so a point
 	// learned from one peer is not re-added from the next. Tasks fan out
 	// over the bounded pool — with sharded datasets this is exactly
 	// per-shard parallelism.
@@ -573,8 +577,8 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 }
 
 // syncDataset reconciles one local dataset against one peer and applies
-// the diff. Returns the applied add/remove counts and the session's wire
-// bytes. The session runs as one pipelined stream of the peer's cached
+// the diff, if the peer did not answer "same" at the handshake. Returns
+// the applied add/remove counts and the session's wire bytes. The session runs as one pipelined stream of the peer's cached
 // connection, dialed on first use; concurrent dataset workers hitting the
 // same peer share it, so a 64-shard round is one dial and 64 parallel
 // streams.
@@ -597,12 +601,14 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	local := d.Snapshot()
-	res, st, err := cs.Fetch(ctx, local)
+	res, st, err := cs.FetchDataset(ctx, d)
 	if err != nil {
 		return 0, 0, st.Total(), err
 	}
-	add, rem, err := diffToApply(res, local)
+	if res.Unchanged {
+		return 0, 0, st.Total(), nil // converged at the handshake
+	}
+	add, rem, err := diffToApply(res)
 	if err != nil {
 		return 0, 0, st.Total(), err
 	}
@@ -723,7 +729,7 @@ func (r *Replicator) Close() error {
 }
 
 // diffToApply extracts the points to add and remove from a fetch result
-// relative to the local snapshot the fetch ran with. Robust strategies
+// relative to the local snapshot the fetch ran against. Robust strategies
 // report the diff directly; exact strategies return the remote multiset,
 // which is diffed here.
 //
@@ -734,7 +740,7 @@ func (r *Replicator) Close() error {
 // into an authoritative dataset and gossip onward — so it is rejected
 // and surfaces as a session error: raise Params.DiffBudget so the live
 // delta decodes exactly.
-func diffToApply(res *SyncResult, local []Point) (add, rem []Point, err error) {
+func diffToApply(res *SyncResult) (add, rem []Point, err error) {
 	if res.Robust != nil {
 		if res.Robust.CellWidth > 1 {
 			return nil, nil, fmt.Errorf(
@@ -744,7 +750,7 @@ func diffToApply(res *SyncResult, local []Point) (add, rem []Point, err error) {
 		}
 		return res.Robust.Added, res.Robust.Removed, nil
 	}
-	onlyRemote, onlyLocal := points.MultisetDiff(res.SPrime, local)
+	onlyRemote, onlyLocal := points.MultisetDiff(res.SPrime, res.local)
 	return onlyRemote, onlyLocal, nil
 }
 

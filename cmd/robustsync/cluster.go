@@ -291,11 +291,53 @@ func cmdCluster(args []string) error {
 	if got != want {
 		return fmt.Errorf("cluster: converged multiset has %d points, want %d", got, want)
 	}
-	// The soak contract, asserted against the live HTTP endpoint rather
-	// than in-process state: a converged run must have carried every
-	// shard of a round over ONE connection per peer and decoded every
-	// frame.
+	// Both soak contracts are asserted against the live HTTP endpoint
+	// rather than in-process state. Quiescence first: one more sweep over
+	// the converged cluster must cost a handshake per session.
+	if err := checkQuiescentSweep(ctx, metricsURL, reps); err != nil {
+		return err
+	}
+	// Then the mux: a converged run must have carried every shard of a
+	// round over ONE connection per peer and decoded every frame.
 	return checkMuxMetrics(metricsURL, *shards)
+}
+
+// quiescentSessionBytes bounds what one session of a converged pair may
+// put on the wire: a hello with its root and an accept, framing included,
+// come to well under half of it even with a long dataset name.
+const quiescentSessionBytes = 256
+
+// checkQuiescentSweep runs one round on every node of a cluster that has
+// converged and fails unless every session stopped at the handshake, as
+// read off the replicator_bytes_total counter of the metrics endpoint.
+func checkQuiescentSweep(ctx context.Context, url string, reps []*robustset.Replicator) error {
+	before, err := scrapeMetrics(url)
+	if err != nil {
+		return err
+	}
+	sessions := 0
+	for i, rep := range reps {
+		st, err := rep.RunRound(ctx)
+		if err != nil {
+			return fmt.Errorf("cluster: node %d quiescent round: %w", i, err)
+		}
+		if !st.Converged {
+			return fmt.Errorf("cluster: node %d: round over the converged cluster: %+v", i, st)
+		}
+		sessions += st.Sessions
+	}
+	after, err := scrapeMetrics(url)
+	if err != nil {
+		return err
+	}
+	bytes := after("replicator_bytes_total") - before("replicator_bytes_total")
+	fmt.Printf("quiescent sweep: %d sessions, %.0f bytes on the wire (%.0f per session)\n",
+		sessions, bytes, bytes/float64(max(sessions, 1)))
+	if bytes > float64(quiescentSessionBytes*sessions) {
+		return fmt.Errorf("cluster: a sweep over the converged cluster moved %.0f bytes in %d sessions, want <= %d each (sessions did not stop at the handshake)",
+			bytes, sessions, quiescentSessionBytes)
+	}
+	return nil
 }
 
 // killRestartEnv carries the cluster hooks the crash-recovery smoke
@@ -375,26 +417,35 @@ func runKillRestart(env killRestartEnv) (int, error) {
 	return len(env.churn), nil
 }
 
-// checkMuxMetrics polls the metrics endpoint and enforces the mux soak
-// assertions: zero decode failures, and at least `shards` streams
-// carried by a single connection.
-func checkMuxMetrics(url string, shards int) error {
+// scrapeMetrics reads the metrics endpoint's JSON document once and
+// returns a lookup of its numbers by name (0 for a name it lacks).
+func scrapeMetrics(url string) (func(name string) float64, error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		return fmt.Errorf("cluster: metrics endpoint: %w", err)
+		return nil, fmt.Errorf("cluster: metrics endpoint: %w", err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("cluster: metrics endpoint: %w", err)
+		return nil, fmt.Errorf("cluster: metrics endpoint: %w", err)
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(body, &doc); err != nil {
-		return fmt.Errorf("cluster: metrics endpoint returned invalid JSON: %w", err)
+		return nil, fmt.Errorf("cluster: metrics endpoint returned invalid JSON: %w", err)
 	}
-	num := func(name string) float64 {
+	return func(name string) float64 {
 		v, _ := doc[name].(float64)
 		return v
+	}, nil
+}
+
+// checkMuxMetrics polls the metrics endpoint and enforces the mux soak
+// assertions: zero decode failures, and at least `shards` streams
+// carried by a single connection.
+func checkMuxMetrics(url string, shards int) error {
+	num, err := scrapeMetrics(url)
+	if err != nil {
+		return err
 	}
 	muxConns := num("server_mux_conns_total")
 	streamsMax := num("server_mux_streams_per_conn_max")

@@ -1,0 +1,432 @@
+package robustset_test
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"robustset"
+)
+
+// handshakeOnly reports whether a traced session carried nothing but its
+// hello and its accept, one of each.
+func handshakeOnly(s *robustset.SessionTrace) bool {
+	if len(s.Frames) != 2 {
+		return false
+	}
+	for _, f := range s.Frames {
+		if (f.Type != "HELLO" && f.Type != "ACCEPT") || f.Msgs != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// convergedPair starts two nodes publishing the same points in shards
+// and a traced replicator on the first that pulls from the second.
+func convergedPair(t *testing.T, params robustset.Params, pts []robustset.Point, shards int, opts ...robustset.ReplicatorOption) (a, b *clusterNode, rep *robustset.Replicator, tl *robustset.TraceLog) {
+	t.Helper()
+	a = startClusterNode(t, params, pts, shards)
+	b = startClusterNode(t, params, pts, shards)
+	tl = robustset.NewTraceLog()
+	opts = append([]robustset.ReplicatorOption{
+		robustset.WithReplicatorTracing(tl), robustset.WithReplicatorWorkers(2),
+		robustset.WithRoundTimeout(time.Minute), robustset.WithReplicatorLogger(t.Logf),
+	}, opts...)
+	rep, err := robustset.NewReplicator(a.srv, []robustset.Peer{{Name: "b", Addr: b.addr}}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rep.Close() })
+	return a, b, rep, tl
+}
+
+// TestReplicatorConvergedRoundStopsAtHandshake is the tentpole's
+// end-to-end statement, for the robust default and an exact strategy: a
+// round over a converged sharded pair is Converged with one session per
+// shard, and every session's wire attribution holds a hello and an accept
+// and nothing else; one point added on the peer sends exactly its shard
+// down the full path; and the round after that is handshakes again.
+func TestReplicatorConvergedRoundStopsAtHandshake(t *testing.T) {
+	const shards = 8
+	params := robustset.Params{Universe: testU, Seed: 21, DiffBudget: 16}
+	common, _ := clusterWorkload(1, 1600, 0)
+	for _, strat := range []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}} {
+		t.Run(strat.Name(), func(t *testing.T) {
+			a, b, rep, tl := convergedPair(t, params, common, shards, robustset.WithReplicatorStrategy(strat))
+			ctx := context.Background()
+			round := func() (robustset.RoundStats, *robustset.SessionTrace) {
+				t.Helper()
+				st, err := rep.RunRound(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recent := tl.Recent()
+				return st, recent[len(recent)-1]
+			}
+			quiet := func(label string) {
+				t.Helper()
+				st, tr := round()
+				if !st.Converged || st.Sessions != shards || st.Errors != 0 || st.Added != 0 || st.Removed != 0 {
+					t.Fatalf("%s: round %+v, want converged with %d sessions", label, st, shards)
+				}
+				if st.Bytes > 256*shards {
+					t.Errorf("%s: %d wire bytes over %d sessions, want <= 256 each", label, st.Bytes, shards)
+				}
+				if len(tr.Children) != shards {
+					t.Fatalf("%s: %d traced sessions, want %d", label, len(tr.Children), shards)
+				}
+				for _, c := range tr.Children {
+					if !handshakeOnly(c) {
+						t.Errorf("%s: session %s carried %+v, want one HELLO and one ACCEPT", label, c.Dataset, c.Frames)
+					}
+					if v, ok := c.Stat("unchanged"); !ok || v != 1 {
+						t.Errorf("%s: session %s lacks the unchanged stat", label, c.Dataset)
+					}
+				}
+			}
+			// The first round also dials the peer; its MUX1 negotiation is
+			// charged to whichever session got there first.
+			if st, _ := round(); !st.Converged || st.Sessions != shards {
+				t.Fatalf("dialing round %+v, want converged with %d sessions", st, shards)
+			}
+			quiet("second round")
+
+			extra := robustset.Point{60_000, 60_001}
+			if err := b.srv.ShardedDataset("data").Add(extra); err != nil {
+				t.Fatal(err)
+			}
+			owner := b.srv.ShardedDataset("data").Shard(extra).Name()
+			st, tr := round()
+			if st.Added != 1 || st.Converged || st.Sessions != shards || st.Errors != 0 {
+				t.Fatalf("diverged round %+v, want one point added over %d sessions", st, shards)
+			}
+			for _, c := range tr.Children {
+				if full := !handshakeOnly(c); full != (c.Dataset == owner) {
+					t.Errorf("session %s: full path = %v; only %s diverged", c.Dataset, full, owner)
+				}
+			}
+			if !robustset.EqualMultisets(a.snapshot(), b.snapshot()) {
+				t.Fatal("the nodes differ after the diverged round")
+			}
+			quiet("round after the repair")
+		})
+	}
+}
+
+// TestFetchDatasetAllStrategies: against a server that holds what the
+// local dataset holds, FetchDataset returns Unchanged for every strategy
+// at the price of a handshake and counts as an unchanged session on the
+// server; against one that differs it returns what Fetch over a snapshot
+// returns; and a local dataset under another Params.Seed — another
+// fingerprint space — never matches and takes the full path.
+func TestFetchDatasetAllStrategies(t *testing.T) {
+	params := robustset.Params{Universe: testU, Seed: 5, DiffBudget: 24}
+	common, extras := clusterWorkload(1, 300, 6)
+	remote := append(robustset.ClonePoints(common), extras[0]...)
+
+	m := robustset.NewMetrics()
+	srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(m))
+	if _, err := srv.Publish("d", params, remote); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv)
+
+	// The local side's datasets live on a server of their own that never
+	// listens: a Dataset is only ever made by publishing.
+	mine := robustset.NewServer()
+	defer mine.Close()
+	same, err := mine.Publish("same", params, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	behind, err := mine.Publish("behind", params, common)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseeded := params
+	reseeded.Seed++
+	otherSeed, err := mine.Publish("other-seed", reseeded, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	strategies := append(robustset.Strategies(), robustset.Ranged{Streams: 3})
+	for i, strat := range strategies {
+		name := fmt.Sprintf("%s/%d", strat.Name(), i)
+		var traced []*robustset.SessionTrace
+		cs, err := cl.Session("d", strat, robustset.WithSessionTrace(func(s *robustset.SessionTrace) { traced = append(traced, s) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := cs.FetchDataset(ctx, same)
+		if err != nil {
+			t.Fatalf("%s: converged FetchDataset: %v", name, err)
+		}
+		if !res.Unchanged || res.SPrime != nil || res.Robust != nil {
+			t.Errorf("%s: converged FetchDataset returned %+v, want Unchanged and nothing copied", name, res)
+		}
+		if res.Params.Seed != params.Seed || res.Params.Universe != params.Universe {
+			t.Errorf("%s: unchanged result carries params %+v", name, res.Params)
+		}
+		if st.MsgsSent != 1 || st.MsgsRecv != 1 || st.Total() > 256 {
+			t.Errorf("%s: converged FetchDataset moved %+v, want one message each way", name, st)
+		}
+		if len(traced) != 1 || !handshakeOnly(traced[0]) {
+			t.Errorf("%s: converged FetchDataset traced %+v", name, traced)
+		} else if v, ok := traced[0].Stat("unchanged"); !ok || v != 1 {
+			t.Errorf("%s: client trace lacks the unchanged stat", name)
+		}
+
+		for _, local := range []*robustset.Dataset{behind, otherSeed} {
+			res, _, err := cs.FetchDataset(ctx, local)
+			if err != nil {
+				t.Fatalf("%s: FetchDataset(%s): %v", name, local.Name(), err)
+			}
+			if res.Unchanged {
+				t.Fatalf("%s: FetchDataset(%s) reported Unchanged", name, local.Name())
+			}
+			want, _, err := cs.Fetch(ctx, local.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !robustset.EqualMultisets(res.SPrime, want.SPrime) || !robustset.EqualMultisets(res.SPrime, remote) {
+				t.Errorf("%s: FetchDataset(%s) reconciled to %d points, Fetch to %d, remote holds %d",
+					name, local.Name(), len(res.SPrime), len(want.SPrime), len(remote))
+			}
+		}
+	}
+	if got := m.Snapshot()["server_sessions_unchanged_total"]; got != int64(len(strategies)) {
+		t.Errorf("server_sessions_unchanged_total = %d, want %d", got, len(strategies))
+	}
+	cs, err := cl.Session("d", robustset.Robust{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cs.FetchDataset(ctx, nil); err == nil {
+		t.Error("FetchDataset(nil) succeeded")
+	}
+}
+
+// TestDatasetGauges: every published dataset exports its size and root
+// fingerprint, equal datasets on two servers export equal fingerprints,
+// a mutation moves both gauges, and Unpublish zeroes them.
+func TestDatasetGauges(t *testing.T) {
+	params := robustset.Params{Universe: testU, Seed: 5, DiffBudget: 8}
+	common, _ := clusterWorkload(1, 50, 0)
+	var regs [2]*robustset.Metrics
+	var sets [2]*robustset.Dataset
+	for i := range regs {
+		regs[i] = robustset.NewMetrics()
+		srv := robustset.NewServer(robustset.WithServerMetrics(regs[i]))
+		defer srv.Close()
+		var err error
+		if sets[i], err = srv.Publish("g", params, common); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			defer func() {
+				if err := srv.Unpublish("g"); err != nil {
+					t.Fatal(err)
+				}
+				snap := regs[1].Snapshot()
+				if snap["dataset_points:g"] != 0 || snap["dataset_root_fingerprint:g"] != 0 {
+					t.Errorf("gauges of an unpublished dataset: %d points, fingerprint %d", snap["dataset_points:g"], snap["dataset_root_fingerprint:g"])
+				}
+			}()
+		}
+	}
+	s0, s1 := regs[0].Snapshot(), regs[1].Snapshot()
+	if s0["dataset_points:g"] != int64(len(common)) || s0["dataset_root_fingerprint:g"] == 0 {
+		t.Fatalf("gauges after publish: %d points, fingerprint %d", s0["dataset_points:g"], s0["dataset_root_fingerprint:g"])
+	}
+	if s0["dataset_root_fingerprint:g"] != s1["dataset_root_fingerprint:g"] {
+		t.Error("equal datasets export different fingerprints")
+	}
+	if err := sets[0].Add(robustset.Point{9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	after := regs[0].Snapshot()
+	if after["dataset_points:g"] != int64(len(common))+1 || after["dataset_root_fingerprint:g"] == s0["dataset_root_fingerprint:g"] {
+		t.Errorf("gauges after an add: %d points, fingerprint moved = %v",
+			after["dataset_points:g"], after["dataset_root_fingerprint:g"] != s0["dataset_root_fingerprint:g"])
+	}
+}
+
+// TestConvergedRoundIsCheap holds the steadiness half of the claim: a
+// converged round allocates nothing per point — so it cannot have taken
+// a Snapshot, built a sketch or unmarshalled one — and nothing of it
+// outlives it.
+func TestConvergedRoundIsCheap(t *testing.T) {
+	const shards, perShard = 8, 2000
+	params := robustset.Params{Universe: testU, Seed: 23, DiffBudget: 16}
+	common, _ := clusterWorkload(1, shards*perShard, 0)
+	a := startClusterNode(t, params, common, shards)
+	b := startClusterNode(t, params, common, shards)
+	rep, err := robustset.NewReplicator(a.srv, []robustset.Peer{{Name: "b", Addr: b.addr}},
+		robustset.WithReplicatorWorkers(2), robustset.WithRoundTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	ctx := context.Background()
+	round := func() {
+		t.Helper()
+		st, err := rep.RunRound(ctx)
+		if err != nil || !st.Converged || st.Sessions != shards {
+			t.Fatalf("round %+v, %v", st, err)
+		}
+	}
+	round() // dials the peer
+	round()
+	waitGoroutinesSettle(t, runtime.NumGoroutine())
+	before := runtime.NumGoroutine()
+
+	const rounds = 20
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&m1)
+	// Both ends run in this process. One Snapshot of one shard is 2000
+	// points × 16 B of coordinates plus the slice headers, 80 KB; a round
+	// that took one per shard would allocate 640 KB.
+	perRound := (m1.TotalAlloc - m0.TotalAlloc) / rounds
+	if perRound > 64<<10 {
+		t.Errorf("a converged round of %d shards × %d points allocates %d bytes, want < 64 KiB", shards, perShard, perRound)
+	}
+	if mallocs := (m1.Mallocs - m0.Mallocs) / rounds; mallocs > perShard {
+		t.Errorf("a converged round makes %d allocations, want fewer than one shard has points", mallocs)
+	}
+	waitGoroutinesSettle(t, before)
+}
+
+// TestFetchDatasetUnderLocalChurn runs FetchDataset while the local
+// dataset gains and loses a point as fast as it can: whichever side of
+// a mutation the root read and the snapshot fall on, every result is
+// either Unchanged or the server's exact multiset. Run under -race.
+func TestFetchDatasetUnderLocalChurn(t *testing.T) {
+	params := robustset.Params{Universe: testU, Seed: 9, DiffBudget: 8}
+	common, _ := clusterWorkload(1, 200, 0)
+	srv := robustset.NewServer(WithTestLogger(t))
+	if _, err := srv.Publish("d", params, common); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv)
+	mine := robustset.NewServer()
+	defer mine.Close()
+	local, err := mine.Publish("local", params, common)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		extra := robustset.Point{50_000, 50_000}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := local.Add(extra); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := local.Remove(extra); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	unchanged, full := 0, 0
+	for _, strat := range []robustset.Strategy{robustset.Rateless{}, robustset.Ranged{}, robustset.Naive{}} {
+		cs, err := cl.Session("d", strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			res, _, err := cs.FetchDataset(ctx, local)
+			if err != nil {
+				t.Fatalf("%s fetch %d: %v", strat.Name(), i, err)
+			}
+			if res.Unchanged {
+				unchanged++
+				continue
+			}
+			full++
+			if !robustset.EqualMultisets(res.SPrime, common) {
+				t.Fatalf("%s fetch %d: full-path result of %d points is not the server's %d", strat.Name(), i, len(res.SPrime), len(common))
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d fetches ended at the handshake, %d took the full path", unchanged, full)
+}
+
+// TestReplicatorMirrorAndMixedCatalogConverged: a mirror follower whose
+// catalog also holds a dataset its upstream lacks keeps its round
+// semantics once it has caught up — the shared dataset stops at the
+// handshake, the other is Skipped, and the round is Converged.
+func TestReplicatorMirrorAndMixedCatalogConverged(t *testing.T) {
+	params := robustset.Params{Universe: testU, Seed: 13, DiffBudget: 32}
+	common, extras := clusterWorkload(2, 80, 5)
+	upstream := startClusterNode(t, params, append(robustset.ClonePoints(common), extras[0]...), 1)
+	follower := startClusterNode(t, params, append(robustset.ClonePoints(common), extras[1]...), 1)
+	if _, err := follower.srv.Publish("local-only", params, common); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := robustset.NewReplicator(follower.srv,
+		[]robustset.Peer{{Name: "up", Addr: upstream.addr}},
+		robustset.WithReplicatorStrategy(robustset.ExactIBLT{}),
+		robustset.WithMirror(), robustset.WithRoundTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	ctx := context.Background()
+	st, err := rep.RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Added != len(extras[0]) || st.Removed != len(extras[1]) || st.Skipped != 1 || st.Converged {
+		t.Fatalf("mirroring round %+v, want +%d/-%d and one skip", st, len(extras[0]), len(extras[1]))
+	}
+	st, err = rep.RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Converged || st.Sessions != 2 || st.Skipped != 1 || st.Errors != 0 || st.Added+st.Removed != 0 {
+		t.Fatalf("caught-up round %+v, want converged over 2 sessions with one skip", st)
+	}
+	if st.Bytes > 2*256 {
+		t.Errorf("caught-up round moved %d bytes, want two handshakes' worth", st.Bytes)
+	}
+	if !robustset.EqualMultisets(follower.srv.Dataset("data").Snapshot(), upstream.snapshot()) {
+		t.Error("follower does not mirror the upstream")
+	}
+}

@@ -89,7 +89,7 @@ func (s *Server) PublishDurable(name string, p Params, pts []Point) (*Dataset, e
 		d.closeStore()
 		return nil, err
 	}
-	s.datasets[name] = d
+	s.registerLocked(d)
 	return d, nil
 }
 
@@ -142,7 +142,7 @@ func (s *Server) PublishShardedDurable(name string, p Params, pts []Point, nshar
 		}
 	}
 	for _, d := range sd.shards {
-		s.datasets[d.name] = d
+		s.registerLocked(d)
 	}
 	s.sharded[name] = sd
 	return sd, nil
@@ -219,39 +219,17 @@ func (s *Server) recoverDataset(name string, p Params, rec *store.Recovered) (*D
 	if err != nil {
 		return nil, fmt.Errorf("robustset: recover %q: %w", name, err)
 	}
-	counts := make(map[string]int, len(pts))
-	for _, pt := range pts {
-		counts[string(points.EncodeNew(pt))]++
-	}
-	d := &Dataset{name: name, maintainer: m, counts: counts, size: len(pts), store: store.Mem()}
-	// Replay the tail through the normal maintainer paths; the dataset's
-	// store is still the inert Mem engine, so nothing is re-logged.
+	d := datasetOver(name, m, pts)
+	// Replay the tail through the live apply path. Nothing shares d yet,
+	// and its store is still the inert Mem engine, so nothing is re-logged.
 	for _, r := range rec.Tail {
 		for _, enc := range r.Points {
-			pt, derr := points.Decode(enc, dim)
-			if derr != nil {
-				return nil, fmt.Errorf("robustset: recover %q: log record %d: %w", name, r.Seq, derr)
-			}
-			switch r.Op {
-			case store.OpAdd:
-				err = d.maintainer.Add(pt)
-			case store.OpRemove:
-				err = d.maintainer.Remove(pt)
-			default:
-				err = fmt.Errorf("unknown op %d", r.Op)
+			pt, err := points.Decode(enc, dim)
+			if err == nil {
+				err = d.applyLocked(r.Op, pt, string(enc))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("robustset: recover %q: replaying log record %d: %w", name, r.Seq, err)
-			}
-			enc := string(enc)
-			if r.Op == store.OpAdd {
-				d.counts[enc]++
-				d.size++
-			} else {
-				if d.counts[enc]--; d.counts[enc] == 0 {
-					delete(d.counts, enc)
-				}
-				d.size--
 			}
 		}
 	}

@@ -229,18 +229,18 @@ func BuildSketchParallel(p Params, pts []points.Point, workers int) (*Sketch, er
 // also returns each level's occupancy map (the Maintainer keeps them).
 // Each level is built independently and deterministically, so the
 // concurrency is race-free by construction and invisible in the output.
-func buildTables(v *View, workers int, wantOcc bool) ([]*iblt.Table, []occupancy, error) {
+func buildTables(v *View, workers int, wantOcc bool) ([]*iblt.Table, []*occupancy, error) {
 	p := v.p
 	levels := p.MaxLevel - p.MinLevel + 1
 	tables := make([]*iblt.Table, levels)
-	var occs []occupancy
+	var occs []*occupancy
 	if wantOcc {
-		occs = make([]occupancy, levels)
+		occs = make([]*occupancy, levels)
 	}
 	err := eachLevel(levels, workers, func(idx int) (err error) {
-		var occ occupancy
+		var occ *occupancy
 		if wantOcc {
-			occ = make(occupancy, len(v.pts))
+			occ = v.newOccupancy(p.MinLevel + idx)
 			occs[idx] = occ
 		}
 		tables[idx], err = v.levelTable(p.MinLevel+idx, p.TableCapacity, occ)

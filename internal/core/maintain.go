@@ -33,7 +33,7 @@ type Maintainer struct {
 	params Params
 	g      *grid.Grid
 	sketch *Sketch
-	occ    []occupancy // per level: cell key → occupancy count
+	occ    []*occupancy // per level: cell → occupancy count
 	count  int
 	keyBuf []byte // scratch reused by Add/Remove (no per-update allocs)
 }
@@ -91,15 +91,9 @@ func (m *Maintainer) Add(pt points.Point) error {
 	for l := m.params.MinLevel; l <= m.params.MaxLevel; l++ {
 		idx := l - m.params.MinLevel
 		buf = m.g.AppendCell(buf[:0], l, pt)
-		c := m.occ[idx][string(buf)]
-		if c == nil {
-			c = new(uint32)
-			m.occ[idx][string(buf)] = c
-		}
-		o := *c
+		o := m.occ[idx].bump(buf, +1)
 		buf = append(buf, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
 		m.sketch.Tables[idx].Insert(buf)
-		*c = o + 1
 	}
 	m.keyBuf = buf
 	m.count++
@@ -126,7 +120,7 @@ func (m *Maintainer) Remove(pt points.Point) error {
 	for l := m.params.MinLevel; l <= m.params.MaxLevel; l++ {
 		idx := l - m.params.MinLevel
 		buf = m.g.AppendCell(buf[:0], l, pt)
-		if c := m.occ[idx][string(buf)]; c == nil || *c == 0 {
+		if m.occ[idx].bump(buf, 0) == 0 {
 			m.keyBuf = buf
 			return fmt.Errorf("%w: %v (empty cell at level %d)", ErrNotPresent, pt, l)
 		}
@@ -134,13 +128,7 @@ func (m *Maintainer) Remove(pt points.Point) error {
 	for l := m.params.MinLevel; l <= m.params.MaxLevel; l++ {
 		idx := l - m.params.MinLevel
 		buf = m.g.AppendCell(buf[:0], l, pt)
-		c := m.occ[idx][string(buf)]
-		o := *c - 1
-		if o == 0 {
-			delete(m.occ[idx], string(buf))
-		} else {
-			*c = o
-		}
+		o := m.occ[idx].bump(buf, -1) - 1
 		buf = append(buf, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
 		m.sketch.Tables[idx].Delete(buf)
 	}

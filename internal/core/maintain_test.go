@@ -171,3 +171,67 @@ func TestMaintainerValidation(t *testing.T) {
 		t.Error("out-of-universe remove accepted")
 	}
 }
+
+// TestMaintainerOccupancyKeying pins which form a Maintainer's per-level
+// cell counts take: packed cell coordinates in a pointer-free map wherever
+// dim × depth fits 64 bits — an empty initial set included, where no
+// presort exists to say so — and encoded cells otherwise. Either way the
+// counts agree with a recount of the points, and a cell emptied by Remove
+// is forgotten rather than kept at zero.
+func TestMaintainerOccupancyKeying(t *testing.T) {
+	for _, tc := range []struct {
+		u      points.Universe
+		narrow bool
+	}{
+		{points.Universe{Dim: 2, Delta: 1 << 12}, true},
+		{points.Universe{Dim: 4, Delta: 1 << 15}, true},  // 4 × 16 = 64 bits exactly
+		{points.Universe{Dim: 8, Delta: 1 << 9}, false},  // 80 bits
+		{points.Universe{Dim: 4, Delta: 1 << 16}, false}, // 68 bits
+	} {
+		p := testParams(tc.u, 4, 5)
+		inst := genInstance(t, workload.Config{N: 60, Universe: tc.u, Seed: 11, Clusters: 3})
+		pts := append(points.Clone(inst.Bob), inst.Bob[0].Clone(), inst.Bob[0].Clone())
+		for _, initial := range [][]points.Point{nil, pts} {
+			m, err := NewMaintainer(p, initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pt := range pts[len(initial):] {
+				if err := m.Add(pt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.VerifyFreshBuild(pts); err != nil {
+				t.Fatalf("%+v: %v", tc.u, err)
+			}
+			for idx, occ := range m.occ {
+				if (occ.packed != nil) != tc.narrow || (occ.cells != nil) == tc.narrow {
+					t.Fatalf("%+v level %d: packed=%v cells=%v, want the %v form", tc.u, idx, occ.packed != nil, occ.cells != nil, tc.narrow)
+				}
+				total := 0
+				for _, n := range occ.packed {
+					total += int(n)
+				}
+				for _, n := range occ.cells {
+					total += int(*n)
+				}
+				if total != len(pts) {
+					t.Fatalf("%+v level %d: occupancy counts %d points, want %d", tc.u, idx, total, len(pts))
+				}
+			}
+			for _, pt := range pts {
+				if err := m.Remove(pt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Remove(pts[0]); !errors.Is(err, ErrNotPresent) {
+				t.Fatalf("remove from an emptied maintainer: %v", err)
+			}
+			for idx, occ := range m.occ {
+				if len(occ.packed)+len(occ.cells) != 0 {
+					t.Fatalf("%+v level %d: %d cells survive the last remove", tc.u, idx, len(occ.packed)+len(occ.cells))
+				}
+			}
+		}
+	}
+}

@@ -58,10 +58,10 @@ func NewMaintainerFromSketch(p Params, pts []points.Point, sk *Sketch) (*Maintai
 // buildOccupancies computes the per-level cell occupancy maps of the
 // view's points — the state buildTables produces alongside the tables,
 // minus every IBLT insert — over the same bounded worker pool.
-func buildOccupancies(v *View, workers int) []occupancy {
-	occs := make([]occupancy, v.p.MaxLevel-v.p.MinLevel+1)
+func buildOccupancies(v *View, workers int) []*occupancy {
+	occs := make([]*occupancy, v.p.MaxLevel-v.p.MinLevel+1)
 	_ = eachLevel(len(occs), workers, func(idx int) error { // the callback never fails
-		occs[idx] = make(occupancy, len(v.pts))
+		occs[idx] = v.newOccupancy(v.p.MinLevel + idx)
 		v.scanLevel(v.p.MinLevel+idx, occs[idx], nil)
 		return nil
 	})

@@ -151,41 +151,97 @@ func sortCodes(codes []uint64, bits int) (sorted []uint64, perm []int32) {
 	return codes, perm
 }
 
-// occupancy maps an encoded cell to its point count at one level. The
-// counters are held by pointer so the per-point path is a single
-// allocation-free map lookup plus an increment; the string key and its
-// counter are allocated once per distinct cell, not once per point. Only
-// the Maintainer (which must answer "how many points share this cell"
-// for points it has never seen) and the dim × depth > 64 fallback use
-// it.
-type occupancy = map[string]*uint32
+// occupancy counts the points in each cell of one level. Where a cell's
+// d coordinates of depth+1 bits fit one word — the universes that have a
+// 64-bit Morton code — they are packed into it and the map holds no
+// pointers: the collector never scans it, and a Maintainer's occupancy is
+// nearly all of a serving node's live heap. Wider universes key the
+// encoded cell, with the counters held by pointer so the per-point path
+// is a single allocation-free map lookup plus an increment; the string
+// key and its counter are allocated once per distinct cell, not once per
+// point. Only the Maintainer (which must answer "how many points share
+// this cell" for points it has never seen) and the dim × depth > 64
+// fallback use it.
+type occupancy struct {
+	bits   uint // width of a packed coordinate; 0 when cells is the map in use
+	packed map[uint64]uint32
+	cells  map[string]*uint32
+}
+
+// newOccupancy returns an empty occupancy sized for the view's points at
+// the level.
+func (v *View) newOccupancy(level int) *occupancy {
+	bits := uint(v.g.Levels() + 1) // shifted coords are < 2Δ = 2^(L+1)
+	if v.g.Dim()*int(bits) > 64 {
+		return &occupancy{cells: make(map[string]*uint32, len(v.pts))}
+	}
+	cells := 0
+	if mo := v.mo; mo != nil {
+		shift := uint(v.g.Dim() * (v.g.Levels() - level))
+		for i, code := range mo.codes {
+			if i == 0 || code>>shift != mo.codes[i-1]>>shift {
+				cells++
+			}
+		}
+	}
+	return &occupancy{bits: bits, packed: make(map[uint64]uint32, cells)}
+}
+
+// bump changes the count of the encoded cell by delta — +1, −1 for a
+// cell that holds a point, or 0 to only read — and returns what the
+// count was; a cell that reaches zero is forgotten.
+func (o *occupancy) bump(cell []byte, delta int) uint32 {
+	if o.packed != nil {
+		var k uint64
+		for ; len(cell) >= 8; cell = cell[8:] {
+			k = k<<o.bits | binary.LittleEndian.Uint64(cell)
+		}
+		n := o.packed[k]
+		switch now := n + uint32(delta); {
+		case delta == 0:
+		case now == 0:
+			delete(o.packed, k)
+		default:
+			o.packed[k] = now
+		}
+		return n
+	}
+	c := o.cells[string(cell)]
+	if c == nil {
+		if delta == 0 {
+			return 0
+		}
+		c = new(uint32)
+		o.cells[string(cell)] = c
+	}
+	n := *c
+	if *c += uint32(delta); *c == 0 {
+		delete(o.cells, string(cell))
+	}
+	return n
+}
 
 // scanLevel is the kernel under every per-level pass: it calls emit with
 // the (cell, occurrence) key of each point at the level, exactly once
 // per point. The key buffer is reused between calls. With a non-nil occ
-// it also records the per-cell counts — the state a Maintainer keeps; a
-// caller that wants only the counts passes a nil emit.
+// — from newOccupancy — it also records the per-cell counts, the state a
+// Maintainer keeps; a caller that wants only the counts passes a nil
+// emit.
 //
 // On the Morton path occurrence indices restart whenever the code
 // prefix — the cell — changes, and the cell bytes come straight from the
 // presorted flat coordinate array, rewritten only at run boundaries.
-func (v *View) scanLevel(level int, occ occupancy, emit func(key []byte)) {
+func (v *View) scanLevel(level int, occ *occupancy, emit func(key []byte)) {
 	g, d := v.g, v.g.Dim()
 	mo := v.mo
 	if mo == nil {
 		if occ == nil {
-			occ = make(occupancy)
+			occ = &occupancy{cells: make(map[string]*uint32)}
 		}
 		buf := make([]byte, 0, KeyLen(d))
 		for _, p := range v.pts {
 			buf = g.AppendCell(buf[:0], level, p)
-			c := occ[string(buf)]
-			if c == nil {
-				c = new(uint32)
-				occ[string(buf)] = c
-			}
-			o := *c
-			*c = o + 1
+			o := occ.bump(buf, +1)
 			if emit != nil {
 				emit(binary.LittleEndian.AppendUint32(buf, o))
 			}
@@ -197,28 +253,26 @@ func (v *View) scanLevel(level int, occ occupancy, emit func(key []byte)) {
 	key := make([]byte, KeyLen(d))
 	var prev uint64
 	var o uint32
-	var cnt *uint32
 	for i, code := range mo.codes {
 		cell := code >> cellShift
 		if i == 0 || cell != prev {
+			if occ != nil && i > 0 {
+				occ.bump(key[:8*d], int(o+1)) // the run that just ended
+			}
 			prev, o = cell, 0
 			for j, x := range mo.coords[i*d : (i+1)*d] {
 				binary.LittleEndian.PutUint64(key[8*j:], uint64(x>>coordShift))
 			}
-			if occ != nil {
-				cnt = new(uint32)
-				occ[string(key[:8*d])] = cnt
-			}
 		} else {
 			o++
-		}
-		if occ != nil {
-			*cnt++
 		}
 		if emit != nil {
 			binary.LittleEndian.PutUint32(key[8*d:], o)
 			emit(key)
 		}
+	}
+	if occ != nil {
+		occ.bump(key[:8*d], int(o+1)) // the last run; mo is never empty
 	}
 }
 
@@ -231,7 +285,7 @@ func (v *View) checkLevel(level int) error {
 }
 
 // levelTable builds the view's filled IBLT for one level.
-func (v *View) levelTable(level, capacity int, occ occupancy) (*iblt.Table, error) {
+func (v *View) levelTable(level, capacity int, occ *occupancy) (*iblt.Table, error) {
 	t, err := iblt.New(levelConfig(v.p, level, capacity))
 	if err != nil {
 		return nil, err

@@ -26,14 +26,24 @@ func EncodeNew(p Point) []byte {
 
 // Decode parses a point of dimension d from the canonical encoding.
 func Decode(b []byte, d int) (Point, error) {
-	if len(b) != EncodedSize(d) {
-		return nil, fmt.Errorf("points: decode: have %d bytes, want %d for dim %d", len(b), EncodedSize(d), d)
-	}
 	p := make(Point, d)
-	for i := 0; i < d; i++ {
-		p[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	if err := DecodeInto(p, b); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// DecodeInto is Decode into the caller's point: b must hold exactly
+// len(dst) coordinates. It lets a caller that decodes many points carve
+// them out of one array.
+func DecodeInto(dst Point, b []byte) error {
+	if len(b) != EncodedSize(len(dst)) {
+		return fmt.Errorf("points: decode: have %d bytes, want %d for dim %d", len(b), EncodedSize(len(dst)), len(dst))
+	}
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
 }
 
 // EncodeSet encodes a slice of points as a length-prefixed concatenation of

@@ -1,6 +1,7 @@
 package points
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -231,5 +232,35 @@ func TestEqualMultisets(t *testing.T) {
 	}
 	if EqualMultisets(a, a[:2]) {
 		t.Error("different lengths should differ")
+	}
+}
+
+// TestDecodeInto: the caller's point is filled in place — many points can
+// share one backing array — and a buffer of the wrong length is refused
+// without touching it.
+func TestDecodeInto(t *testing.T) {
+	src := []Point{{1, -2, 3}, {4, 5, math.MinInt64}, {0, 0, math.MaxInt64}}
+	backing := make([]int64, 3*len(src))
+	var got []Point
+	for i, p := range src {
+		q := Point(backing[3*i : 3*i+3 : 3*i+3])
+		if err := DecodeInto(q, EncodeNew(p)); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, q)
+	}
+	for i, p := range src {
+		if !got[i].Equal(p) {
+			t.Errorf("point %d decoded as %v, want %v", i, got[i], p)
+		}
+	}
+	keep := Point{7, 8}
+	for _, n := range []int{0, 15, 17, 24} {
+		if err := DecodeInto(keep, make([]byte, n)); err == nil {
+			t.Errorf("%d bytes accepted for dim 2", n)
+		}
+	}
+	if !keep.Equal(Point{7, 8}) {
+		t.Errorf("a refused decode wrote %v", keep)
 	}
 }

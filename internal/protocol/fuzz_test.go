@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"robustset/internal/iblt"
+	"robustset/internal/ranges"
 )
 
 // FuzzParseHello feeds arbitrary bytes through the server-session
@@ -20,6 +21,11 @@ func FuzzParseHello(f *testing.F) {
 		{Strategy: StrategyExactIBLT, Dataset: "sensors/alpha", Config: []byte{4}},
 		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{0xff, 0xff, 0xff, 0xff}},
 		{Strategy: StrategyNaive, Dataset: string(bytes.Repeat([]byte{'n'}, MaxDatasetName))},
+		// The same shapes with the root tail: an empty set's, a full one's.
+		{Strategy: StrategyRobust, Dataset: "d", Root: &ranges.Agg{}},
+		{Strategy: StrategyRanged, Dataset: "shard~3.16", Config: []byte{8, 16, 0},
+			Root: &ranges.Agg{Count: 1 << 40, Fp: 0xfeedfacecafebeef}},
+		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{1, 0, 0, 0}, Root: &ranges.Agg{Count: 7, Fp: ^uint64(0)}},
 	} {
 		body, err := h.encode()
 		if err != nil {
@@ -30,6 +36,10 @@ func FuzzParseHello(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff})
+	// A tail one byte short of a root, and one byte past it.
+	short, _ := Hello{Strategy: StrategyRobust, Dataset: "d", Root: &ranges.Agg{Count: 1, Fp: 2}}.encode()
+	f.Add(short[:len(short)-1])
+	f.Add(append(short, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := parseHello(data)
@@ -52,6 +62,12 @@ func FuzzParseHello(f *testing.F) {
 		}
 		if h2.Strategy != h.Strategy || h2.Dataset != h.Dataset || !bytes.Equal(h2.Config, h.Config) {
 			t.Fatalf("hello roundtrip diverged: %+v vs %+v", h, h2)
+		}
+		if (h.Root == nil) != (h2.Root == nil) || (h.Root != nil && *h.Root != *h2.Root) {
+			t.Fatalf("hello root diverged through the roundtrip: %+v vs %+v", h.Root, h2.Root)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted hello is not canonical: %x re-encodes as %x", data, re)
 		}
 	})
 }

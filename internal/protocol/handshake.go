@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"robustset/internal/core"
+	"robustset/internal/ranges"
 	"robustset/internal/trace"
 	"robustset/internal/transport"
 )
@@ -16,11 +17,16 @@ import (
 const (
 	// MsgHello opens a session on one mux stream of a server connection:
 	// u8 strategy code | u32 name length | dataset name | u32 config length
-	// | strategy config blob.
+	// | strategy config blob | optional root: u64 count, u64 fingerprint.
+	// The root is the ranges.Agg of the client's local multiset; a client
+	// that holds none ends the hello at the config blob.
 	MsgHello byte = 0x10
 	// MsgAccept answers MsgHello: the dataset's normalized core.Params in
 	// the core wire encoding. The client adopts these parameters, so both
-	// endpoints derive identical grids and hash functions.
+	// endpoints derive identical grids and hash functions. One more byte,
+	// acceptSame, follows the parameters when the hello carried a root
+	// equal to the served dataset's: the sets are the same and the session
+	// is over.
 	MsgAccept byte = 0x11
 	// MsgMuxHello is the first message of every connection to a server:
 	// "MUX1" magic, u8 version, u32 per-stream receive window. The server
@@ -37,8 +43,16 @@ const (
 // MuxVersion is the connection protocol version spoken by this build. It
 // covers everything a connection carries, the meaning of the hello's
 // strategy codes included: version 2 gave Rateless and Ranged codes of
-// their own. Peers of another version are refused at parse time.
-const MuxVersion = 2
+// their own, version 3 the hello its root tail and the accept its "same"
+// byte. Peers of another version are refused at parse time.
+const MuxVersion = 3
+
+// acceptSame is the byte that follows the parameters of an accept which
+// ends the session at the handshake.
+const acceptSame byte = 1
+
+// rootLen is the wire size of a hello's root tail.
+const rootLen = 16
 
 // muxMagic guards MsgMuxHello against stray tag collisions.
 const muxMagic = "MUX1"
@@ -67,18 +81,27 @@ type Hello struct {
 	// hash count, the CPI capacity) that the serving side must honor for
 	// the two parties' sketches to be compatible.
 	Config []byte
+	// Root, when set, is the root aggregate of the client's local multiset
+	// under the key order and fingerprint hash of BuildRangeTree. A server
+	// whose dataset has the same root answers with an accept marked "same"
+	// instead of running the strategy.
+	Root *ranges.Agg
 }
 
 func (h Hello) encode() ([]byte, error) {
 	if len(h.Dataset) > MaxDatasetName {
 		return nil, fmt.Errorf("protocol: dataset name of %d bytes exceeds %d", len(h.Dataset), MaxDatasetName)
 	}
-	body := make([]byte, 0, 1+4+len(h.Dataset)+4+len(h.Config))
+	body := make([]byte, 0, 1+4+len(h.Dataset)+4+len(h.Config)+rootLen)
 	body = append(body, h.Strategy)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(h.Dataset)))
 	body = append(body, h.Dataset...)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(h.Config)))
 	body = append(body, h.Config...)
+	if h.Root != nil {
+		body = binary.LittleEndian.AppendUint64(body, h.Root.Count)
+		body = binary.LittleEndian.AppendUint64(body, h.Root.Fp)
+	}
 	return body, nil
 }
 
@@ -102,53 +125,109 @@ func parseHello(body []byte) (Hello, error) {
 	body = body[nameLen:]
 	cfgLen32 := binary.LittleEndian.Uint32(body)
 	body = body[4:]
-	if uint64(cfgLen32) != uint64(len(body)) {
+	if uint64(cfgLen32) > uint64(len(body)) {
 		return h, errors.New("protocol: malformed hello config")
 	}
 	cfgLen := int(cfgLen32)
 	if cfgLen > 0 {
-		h.Config = append([]byte(nil), body...)
+		h.Config = append([]byte(nil), body[:cfgLen]...)
+	}
+	// Nothing, or exactly one root, follows the config: a tail of any
+	// other length comes from a peer that means something else by it.
+	switch tail := body[cfgLen:]; len(tail) {
+	case 0:
+	case rootLen:
+		h.Root = &ranges.Agg{
+			Count: binary.LittleEndian.Uint64(tail),
+			Fp:    binary.LittleEndian.Uint64(tail[8:]),
+		}
+	default:
+		return h, fmt.Errorf("protocol: malformed hello: %d bytes after the config, want 0 or %d", len(tail), rootLen)
 	}
 	return h, nil
 }
 
-// RunHelloClient opens a server session: it sends the hello and blocks
-// for the accept, returning the dataset parameters the server dictated.
-// A MsgError reply (unknown dataset, unsupported strategy) surfaces as a
-// *RemoteError.
-func RunHelloClient(ctx context.Context, t transport.Transport, h Hello) (core.Params, error) {
+// Accept is the parsed form of a MsgAccept body.
+type Accept struct {
+	// Params are the dataset parameters the server dictates.
+	Params core.Params
+	// Same reports that the hello's root equals the served dataset's: the
+	// server has closed the session and nothing follows the accept.
+	Same bool
+}
+
+// RunHello opens a server session: it sends the hello and blocks for the
+// accept. A MsgError reply (unknown dataset, unsupported strategy)
+// surfaces as a *RemoteError; an accept marked "same" in answer to a
+// hello that carried no root is ErrUnexpectedMessage.
+func RunHello(ctx context.Context, t transport.Transport, h Hello) (Accept, error) {
 	body, err := h.encode()
 	if err != nil {
-		return core.Params{}, err
+		return Accept{}, err
 	}
 	if err := send(ctx, t, MsgHello, body); err != nil {
-		return core.Params{}, err
+		return Accept{}, err
 	}
 	ab, err := recvExpect(ctx, t, MsgAccept)
 	if err != nil {
-		return core.Params{}, err
+		return Accept{}, err
 	}
-	var p core.Params
-	if err := p.UnmarshalBinary(ab); err != nil {
-		return core.Params{}, err
+	var a Accept
+	if len(ab) == core.ParamsWireSize+1 && ab[core.ParamsWireSize] == acceptSame {
+		if h.Root == nil {
+			return Accept{}, fmt.Errorf("%w: accept marked same for a hello without a root", ErrUnexpectedMessage)
+		}
+		a.Same, ab = true, ab[:core.ParamsWireSize]
 	}
-	return p, nil
+	if err := a.Params.UnmarshalBinary(ab); err != nil {
+		return Accept{}, err
+	}
+	return a, nil
 }
 
-// RecvHello reads and parses the opening hello of a server session.
+// RunHelloClient is RunHello for a caller that holds no root: whatever
+// h.Root says, none is sent, so the accept is always the parameters of a
+// session that goes on.
+func RunHelloClient(ctx context.Context, t transport.Transport, h Hello) (core.Params, error) {
+	h.Root = nil
+	a, err := RunHello(ctx, t, h)
+	return a.Params, err
+}
+
+// RecvHello reads and parses the opening hello of a server session. A
+// hello that does not parse is refused: the reason is relayed to the peer
+// as MsgError before the error returns.
 func RecvHello(ctx context.Context, t transport.Transport) (Hello, error) {
 	body, err := recvExpect(ctx, t, MsgHello)
 	if err != nil {
 		return Hello{}, err
 	}
-	return parseHello(body)
+	h, err := parseHello(body)
+	if err != nil {
+		return Hello{}, RejectHello(ctx, t, err)
+	}
+	return h, nil
 }
 
-// SendAccept acknowledges a hello with the dataset's parameters.
+// SendAccept acknowledges a hello with the dataset's parameters; the
+// session goes on.
 func SendAccept(ctx context.Context, t transport.Transport, p core.Params) error {
+	return sendAccept(ctx, t, p, false)
+}
+
+// SendAcceptSame acknowledges a hello whose root equals the dataset's:
+// the parameters, then acceptSame. The session is over.
+func SendAcceptSame(ctx context.Context, t transport.Transport, p core.Params) error {
+	return sendAccept(ctx, t, p, true)
+}
+
+func sendAccept(ctx context.Context, t transport.Transport, p core.Params, same bool) error {
 	blob, err := p.MarshalBinary()
 	if err != nil {
 		return sendErr(ctx, t, err)
+	}
+	if same {
+		blob = append(blob, acceptSame)
 	}
 	return send(ctx, t, MsgAccept, blob)
 }

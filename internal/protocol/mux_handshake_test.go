@@ -1,12 +1,16 @@
 package protocol
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
 
+	"robustset/internal/core"
+	"robustset/internal/points"
+	"robustset/internal/ranges"
 	"robustset/internal/transport"
 )
 
@@ -44,6 +48,9 @@ func TestMuxNegotiationRoundTrip(t *testing.T) {
 // skewed client is refused at parse time with a relayed MsgError, and a
 // skewed server's accept is refused by the client.
 func TestMuxVersionSkew(t *testing.T) {
+	if MuxVersion != 3 {
+		t.Fatalf("MuxVersion is %d; the hello's root tail and the accept's same byte are version 3", MuxVersion)
+	}
 	ctx := context.Background()
 	for _, v := range []byte{MuxVersion - 1, MuxVersion + 1} {
 		at, bt := transport.Pair()
@@ -106,7 +113,8 @@ func TestParseMuxHelloRejectsMalformed(t *testing.T) {
 		[]byte("MUXX\x01\x00\x00\x10\x00"),
 		good[:len(good)-1],
 		append(append([]byte(nil), good...), 0),
-		{'M', 'U', 'X', '1', 0, 0, 0, 16, 0}, // version 0
+		{'M', 'U', 'X', '1', 0, 0, 0, 16, 0},              // version 0
+		{'M', 'U', 'X', '1', 2, 0, 0, 16, 0},              // version 2: no root tail, no "same" accept
 		{'M', 'U', 'X', '1', MuxVersion - 1, 0, 0, 16, 0}, // the previous version
 		{'M', 'U', 'X', '1', MuxVersion + 1, 0, 0, 16, 0}, // a later version
 		{'M', 'U', 'X', '1', MuxVersion, 0, 0, 0, 0},      // window 0
@@ -147,5 +155,138 @@ func TestRecvOpeningDispatch(t *testing.T) {
 	}
 	if _, err := RecvOpening(ctx, bt2); !errors.Is(err, io.EOF) {
 		t.Fatalf("post-close opening: %v, want EOF", err)
+	}
+}
+
+// TestParseHelloRootTail holds the hello to exactly nothing or exactly
+// one root after its config blob, for every config length a strategy
+// code carries: a tail a byte short or a byte long is malformed, and so
+// is a config length that claims more bytes than follow.
+func TestParseHelloRootTail(t *testing.T) {
+	root := ranges.Agg{Count: 3, Fp: 0x0123456789abcdef}
+	for _, cfgLen := range []int{0, 1, 3, 4} {
+		bare, err := Hello{Strategy: StrategyRobust, Dataset: "d", Config: make([]byte, cfgLen)}.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []int{0, 1, rootLen - 1, rootLen, rootLen + 1, 2 * rootLen} {
+			body := append(append([]byte(nil), bare...), make([]byte, tail)...)
+			if tail >= rootLen {
+				binary.LittleEndian.PutUint64(body[len(bare):], root.Count)
+				binary.LittleEndian.PutUint64(body[len(bare)+8:], root.Fp)
+			}
+			h, err := parseHello(body)
+			switch {
+			case tail != 0 && tail != rootLen:
+				if err == nil {
+					t.Errorf("config of %d bytes: a %d-byte tail accepted", cfgLen, tail)
+				}
+			case err != nil:
+				t.Errorf("config of %d bytes, tail of %d: %v", cfgLen, tail, err)
+			case len(h.Config) != cfgLen:
+				t.Errorf("config of %d bytes parsed as %d", cfgLen, len(h.Config))
+			case tail == 0 && h.Root != nil:
+				t.Errorf("config of %d bytes: a root parsed out of no tail", cfgLen)
+			case tail == rootLen && (h.Root == nil || *h.Root != root):
+				t.Errorf("config of %d bytes: root parsed as %+v, want %+v", cfgLen, h.Root, root)
+			}
+		}
+		over := append([]byte(nil), bare...)
+		binary.LittleEndian.PutUint32(over[1+4+1:], uint32(cfgLen+1))
+		if _, err := parseHello(over); err == nil {
+			t.Errorf("config length %d over %d bytes accepted", cfgLen+1, cfgLen)
+		}
+	}
+	// The rootless form is today's hello, byte for byte.
+	got, _ := Hello{Strategy: StrategyCPI, Dataset: "ab", Config: []byte{9, 0, 0, 0}}.encode()
+	want := []byte{StrategyCPI, 2, 0, 0, 0, 'a', 'b', 4, 0, 0, 0, 9, 0, 0, 0}
+	if !bytes.Equal(got, want) {
+		t.Errorf("rootless hello encodes as %x, want %x", got, want)
+	}
+}
+
+// TestHelloRootAccept drives the root-carrying handshake end to end: a
+// malformed hello is refused with a relayed MsgError, a "same" accept is
+// adopted only by a hello that carried a root, RunHelloClient never sends
+// one, and an accept with any other trailing byte is malformed.
+func TestHelloRootAccept(t *testing.T) {
+	ctx := context.Background()
+	params := core.Params{Universe: points.Universe{Dim: 2, Delta: 1 << 10}, Seed: 3, DiffBudget: 4}
+	root := &ranges.Agg{Count: 5, Fp: 77}
+	serve := func(same bool) (transport.Transport, chan Hello) {
+		at, bt := transport.Pair()
+		got := make(chan Hello, 1)
+		go func() {
+			defer bt.Close()
+			h, err := RecvHello(ctx, bt)
+			if err != nil {
+				close(got)
+				return
+			}
+			got <- h
+			if same {
+				_ = SendAcceptSame(ctx, bt, params)
+			} else {
+				_ = SendAccept(ctx, bt, params)
+			}
+		}()
+		return at, got
+	}
+
+	at, got := serve(true)
+	acc, err := RunHello(ctx, at, Hello{Strategy: StrategyNaive, Dataset: "d", Root: root})
+	if err != nil || !acc.Same || acc.Params.Universe != params.Universe {
+		t.Fatalf("same accept for a rooted hello: %+v, %v", acc, err)
+	}
+	if h := <-got; h.Root == nil || *h.Root != *root {
+		t.Fatalf("server parsed root %+v, want %+v", h.Root, root)
+	}
+
+	at, got = serve(false)
+	acc, err = RunHello(ctx, at, Hello{Strategy: StrategyNaive, Dataset: "d", Root: root})
+	if err != nil || acc.Same {
+		t.Fatalf("bare accept for a rooted hello: %+v, %v", acc, err)
+	}
+	<-got
+
+	at, got = serve(true)
+	if _, err := RunHello(ctx, at, Hello{Strategy: StrategyNaive, Dataset: "d"}); !errors.Is(err, ErrUnexpectedMessage) {
+		t.Fatalf("same accept for a rootless hello: %v, want ErrUnexpectedMessage", err)
+	}
+	<-got
+
+	at, got = serve(false)
+	if _, err := RunHelloClient(ctx, at, Hello{Strategy: StrategyNaive, Dataset: "d", Root: root}); err != nil {
+		t.Fatal(err)
+	}
+	if h := <-got; h.Root != nil {
+		t.Fatalf("RunHelloClient sent root %+v", h.Root)
+	}
+
+	// A hello that does not parse is answered, not dropped.
+	at, got = serve(false)
+	body, _ := Hello{Strategy: StrategyNaive, Dataset: "d", Root: root}.encode()
+	if err := send(ctx, at, MsgHello, body[:len(body)-1]); err != nil {
+		t.Fatal(err)
+	}
+	var remote *RemoteError
+	if _, err := recvExpect(ctx, at, MsgAccept); !errors.As(err, &remote) {
+		t.Fatalf("short root tail answered with %v, want the server's *RemoteError", err)
+	}
+	if _, ok := <-got; ok {
+		t.Fatal("server parsed a hello with a short root tail")
+	}
+
+	// Params plus a byte that is not acceptSame is no accept at all.
+	at, bt := transport.Pair()
+	go func() {
+		defer bt.Close()
+		if _, err := RecvHello(ctx, bt); err == nil {
+			blob, _ := params.MarshalBinary()
+			_ = send(ctx, bt, MsgAccept, append(blob, 2))
+		}
+	}()
+	if _, err := RunHello(ctx, at, Hello{Strategy: StrategyNaive, Dataset: "d", Root: root}); err == nil {
+		t.Fatal("accept with trailing byte 2 adopted")
 	}
 }

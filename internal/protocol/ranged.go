@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	"robustset/internal/hashutil"
 	"robustset/internal/points"
 	"robustset/internal/ranges"
 	"robustset/internal/trace"
@@ -138,7 +137,7 @@ func (c RangedConfig) keyLen() int { return ranges.KeyLen(c.Universe.Dim) }
 func BuildRangeTree(cfg RangedConfig, pts []points.Point) (*ranges.Tree, error) {
 	cfg = cfg.filled()
 	return ranges.NewFromSorted(cfg.keyLen(),
-		hashutil.DeriveSeed(cfg.Seed, "ranged/fp"), ranges.Keys(cfg.Universe, pts))
+		ranges.FingerprintSeed(cfg.Seed), ranges.Keys(cfg.Universe, pts))
 }
 
 // TreeView hands a consistent view of the serving side's range tree to

@@ -318,6 +318,10 @@ func (s *Snapshot) TotalBytes() int64 {
 	return total
 }
 
+// StatUnchanged is the stat both ends record on a session that ended at
+// its accept because the two datasets' roots were equal; Format reads it.
+const StatUnchanged = "unchanged"
+
 // Stat returns the named stat's value and whether it was recorded.
 func (s *Snapshot) Stat(name string) (int64, bool) {
 	if s == nil {
@@ -372,6 +376,11 @@ func (s *Snapshot) format(w io.Writer, indent string) {
 			fmt.Fprintf(w, " %s=%d", kv.K, kv.V)
 		}
 		fmt.Fprintln(w)
+	}
+	if v, _ := s.Stat(StatUnchanged); v > 0 {
+		// A session that ended at its accept has no phases to show; say
+		// why rather than print what looks like an empty session.
+		fmt.Fprintf(w, "%s  converged at handshake, 0 sketch bytes\n", indent)
 	}
 	if len(s.Frames) > 0 {
 		fmt.Fprintf(w, "%s  wire:  %-14s %-4s %8s %10s\n", indent, "type", "dir", "msgs", "bytes")

@@ -267,4 +267,18 @@ func TestSnapshotFormat(t *testing.T) {
 			t.Fatalf("formatted trace missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "converged at handshake") {
+		t.Fatalf("a session that ran says it stopped at the handshake:\n%s", out)
+	}
+
+	// A handshake-only session says so instead of looking empty.
+	same := New("server")
+	same.Label("sensors/a", "rateless", "")
+	same.Stat("unchanged", 1)
+	same.Finish(nil)
+	buf.Reset()
+	same.Snapshot().Format(&buf)
+	if out := buf.String(); !strings.Contains(out, "unchanged=1") || !strings.Contains(out, "converged at handshake, 0 sketch bytes") {
+		t.Fatalf("formatted handshake-only trace:\n%s", out)
+	}
 }

@@ -22,6 +22,9 @@ import (
 //	server_conns_total                 connections accepted
 //	server_sessions_total[:dataset]    sessions served, total and per dataset
 //	server_session_errors_total        sessions that ended in an error
+//	server_sessions_unchanged_total    sessions that ended at the handshake (equal roots)
+//	dataset_points:dataset             current size of a published dataset
+//	dataset_root_fingerprint:dataset   its root fingerprint; equal on equal datasets of one seed
 //	server_bytes_in_total              connection bytes received (framing included)
 //	server_bytes_out_total             connection bytes sent
 //	server_mux_conns_total             connections negotiated to MUX1 framing

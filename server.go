@@ -34,8 +34,13 @@ var ErrUnknownDataset = errors.New("robustset: unknown dataset")
 // dataset size, while the other strategies snapshot the points. The
 // multiset is stored as encoded-point occurrence counts, so Add and
 // Remove cost O(levels) maintainer updates plus an O(1) map operation —
-// no linear scans on high-churn datasets. All methods are safe for
-// concurrent use with each other and with serving sessions.
+// no linear scans on high-churn datasets. Beside them it keeps the root
+// aggregate of the multiset — its size and a 64-bit fingerprint, one
+// hash and XOR per point mutated — which is all that two datasets need
+// to exchange to learn they are equal: a ClientSession.FetchDataset
+// against a server whose dataset has the same root ends at the handshake,
+// whatever the strategy. All methods are safe for concurrent use with
+// each other and with serving sessions.
 //
 // Every mutation writes through the dataset's storage engine before it
 // applies ("append before apply"): a batch is validated up front, logged
@@ -64,6 +69,14 @@ type Dataset struct {
 	// ranged sessions on a high-churn dataset never pay an O(n log n)
 	// rebuild. nil until a ranged session has run.
 	rtree *ranges.Tree
+	// root is the aggregate of the same (point, occurrence) keys under
+	// the same fingerprint hash as rtree, so it equals rtree.Root()
+	// whenever the tree exists. It is keyed by Params.Seed: datasets of
+	// different seeds have unrelated roots.
+	root ranges.Root
+	// pointsGauge and rootGauge export size and root fingerprint; they are
+	// the registry's from the moment a Server registers the dataset.
+	pointsGauge, rootGauge *metrics.Gauge
 }
 
 // Name returns the dataset's published name.
@@ -96,7 +109,37 @@ func (d *Dataset) retire() {
 	d.mu.Lock()
 	d.retired = true
 	d.rtree = nil // free the range tree; no future session can use it
+	d.pointsGauge.Set(0)
+	d.rootGauge.Set(0)
 	d.mu.Unlock()
+}
+
+// exportLocked publishes size and root fingerprint to the dataset's
+// gauges, with d.mu held.
+func (d *Dataset) exportLocked() {
+	d.pointsGauge.Set(int64(d.size))
+	d.rootGauge.Set(int64(d.root.Agg.Fp))
+}
+
+// rootAgg returns the current root aggregate.
+func (d *Dataset) rootAgg() ranges.Agg {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.root.Agg
+}
+
+// openSession is the serving side of a handshake: the parameters to
+// dictate, and whether the client's root (nil if its hello carried none)
+// equals the dataset's at this instant — in which case the two hold the
+// same multiset, up to a 2⁻⁶⁴ fingerprint collision. A retired dataset
+// is never the same as anything: it is rejected here.
+func (d *Dataset) openSession(root *ranges.Agg) (p Params, same bool, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.retired {
+		return Params{}, false, d.errRetired()
+	}
+	return d.maintainer.Params(), root != nil && *root == d.root.Agg, nil
 }
 
 // rangeView returns the live range-tree view a ranged session serves
@@ -167,38 +210,60 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 	// The batch validated and is on disk; application cannot fail short
 	// of internal state corruption, which must not pass silently.
 	for i, pt := range pts {
-		enc := string(encs[i])
-		if op == store.OpAdd {
-			if err := d.maintainer.Add(pt); err != nil {
-				panic("robustset: validated add failed: " + err.Error())
-			}
-			// A new occurrence takes the next free occurrence index, so the
-			// range tree's key multiset stays dense per point.
-			if d.rtree != nil {
-				if err := d.rtree.Insert(ranges.EncodeKey(nil, pt, uint32(d.counts[enc]))); err != nil {
-					panic("robustset: range tree insert failed: " + err.Error())
-				}
-			}
-			d.counts[enc]++
-			d.size++
-		} else {
-			if err := d.maintainer.Remove(pt); err != nil {
-				panic("robustset: validated remove failed: " + err.Error())
-			}
-			// Removing the highest occurrence index keeps indexes dense.
-			if d.rtree != nil {
-				if err := d.rtree.Delete(ranges.EncodeKey(nil, pt, uint32(d.counts[enc]-1))); err != nil {
-					panic("robustset: range tree delete failed: " + err.Error())
-				}
-			}
-			if d.counts[enc]--; d.counts[enc] == 0 {
-				delete(d.counts, enc)
-			}
-			d.size--
+		if err := d.applyLocked(op, pt, string(encs[i])); err != nil {
+			panic("robustset: validated mutation failed: " + err.Error())
 		}
 	}
 	d.blobCache = nil // the serialized-sketch cache is stale now
+	d.exportLocked()
 	d.maybeSnapshotLocked()
+	return nil
+}
+
+// applyLocked applies one point mutation to every in-memory index — the
+// maintained sketch, the root aggregate, the range tree if one exists,
+// the occurrence counts — with d.mu held. enc is pt's canonical encoding.
+// Live mutations arrive validated; recovery replays log records through
+// here too and reports what a corrupt log makes fail.
+func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
+	switch op {
+	case store.OpAdd:
+		if err := d.maintainer.Add(pt); err != nil {
+			return err
+		}
+		// A new occurrence takes the next free occurrence index, so the
+		// key multiset stays dense per point.
+		occ := uint32(d.counts[enc])
+		d.root.Add(pt, occ)
+		if d.rtree != nil {
+			if err := d.rtree.Insert(ranges.EncodeKey(nil, pt, occ)); err != nil {
+				return fmt.Errorf("range tree insert: %w", err)
+			}
+		}
+		d.counts[enc]++
+		d.size++
+	case store.OpRemove:
+		if d.counts[enc] == 0 {
+			return fmt.Errorf("%w: %v", ErrNotPresent, pt)
+		}
+		if err := d.maintainer.Remove(pt); err != nil {
+			return err
+		}
+		// Removing the highest occurrence index keeps indexes dense.
+		occ := uint32(d.counts[enc] - 1)
+		d.root.Remove(pt, occ)
+		if d.rtree != nil {
+			if err := d.rtree.Delete(ranges.EncodeKey(nil, pt, occ)); err != nil {
+				return fmt.Errorf("range tree delete: %w", err)
+			}
+		}
+		if d.counts[enc]--; d.counts[enc] == 0 {
+			delete(d.counts, enc)
+		}
+		d.size--
+	default:
+		return fmt.Errorf("unknown op %d", op)
+	}
 	return nil
 }
 
@@ -282,15 +347,18 @@ func (d *Dataset) RemoveBatch(pts []Point) error {
 func (d *Dataset) snapshotLocked() []Point {
 	dim := d.maintainer.Params().Universe.Dim
 	out := make([]Point, 0, d.size)
+	// Every point is carved out of one array: two allocations a snapshot,
+	// not one per point.
+	coords := make([]int64, d.size*dim)
 	for enc, c := range d.counts {
-		p, err := points.Decode([]byte(enc), dim)
-		if err != nil {
-			// counts only ever holds EncodeNew output of validated points.
-			panic("robustset: corrupt dataset encoding: " + err.Error())
-		}
-		out = append(out, p)
-		for i := 1; i < c; i++ {
-			out = append(out, p.Clone())
+		for i := 0; i < c; i++ {
+			p := Point(coords[:dim:dim])
+			coords = coords[dim:]
+			if err := points.DecodeInto(p, []byte(enc)); err != nil {
+				// counts only ever holds EncodeNew output of validated points.
+				panic("robustset: corrupt dataset encoding: " + err.Error())
+			}
+			out = append(out, p)
 		}
 	}
 	return out
@@ -619,11 +687,36 @@ func newDataset(name string, p Params, pts []Point) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustset: publish %q: %w", name, err)
 	}
-	counts := make(map[string]int, len(pts))
-	for _, pt := range pts {
-		counts[string(points.EncodeNew(pt))]++
+	return datasetOver(name, m, pts), nil
+}
+
+// datasetOver wraps a maintainer and the points it summarizes as an
+// unregistered in-memory Dataset, building the occurrence counts and the
+// root aggregate in one pass over the points.
+func datasetOver(name string, m *Maintainer, pts []Point) *Dataset {
+	d := &Dataset{
+		name: name, maintainer: m, size: len(pts), store: store.Mem(),
+		counts: make(map[string]int, len(pts)),
+		root:   ranges.NewRoot(ranges.FingerprintSeed(m.Params().Seed)),
 	}
-	return &Dataset{name: name, maintainer: m, counts: counts, size: len(pts), store: store.Mem()}, nil
+	for _, pt := range pts {
+		enc := string(points.EncodeNew(pt))
+		d.root.Add(pt, uint32(d.counts[enc]))
+		d.counts[enc]++
+	}
+	return d
+}
+
+// registerLocked enters d in the catalog and binds its gauges to the
+// server's registry. Caller holds s.mu and has checked the name is free.
+func (s *Server) registerLocked(d *Dataset) {
+	s.datasets[d.name] = d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	// The label is a published name, never a client's bytes.
+	d.pointsGauge = s.metrics.Gauge("dataset_points:" + d.name)
+	d.rootGauge = s.metrics.Gauge("dataset_root_fingerprint:" + d.name)
+	d.exportLocked()
 }
 
 // validDatasetName rejects names the wire handshake cannot carry.
@@ -649,7 +742,7 @@ func (s *Server) Publish(name string, p Params, pts []Point) (*Dataset, error) {
 	if err := s.checkNameFreeLocked(name); err != nil {
 		return nil, err
 	}
-	s.datasets[name] = d
+	s.registerLocked(d)
 	return d, nil
 }
 
@@ -708,7 +801,7 @@ func (s *Server) PublishSharded(name string, p Params, pts []Point, nshards int)
 		}
 	}
 	for _, d := range sd.shards {
-		s.datasets[d.name] = d
+		s.registerLocked(d)
 	}
 	s.sharded[name] = sd
 	return sd, nil
@@ -977,11 +1070,28 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 	}
 	// Labels come from the negotiated strategy, a closed set — never from
 	// raw hello bytes.
-	trace.FromContext(ctx).Label("", strat.Name(), "")
-	params := d.Params()
-	if err := protocol.SendAccept(ctx, t, params); err != nil {
+	tr := trace.FromContext(ctx)
+	tr.Label("", strat.Name(), "")
+	params, same, err := d.openSession(hello.Root)
+	if err != nil {
+		_ = protocol.RejectHello(ctx, t, err)
+		s.logf("robustset: server: %v: dataset %q (%s): %v", remote, d.Name(), strat.Name(), err)
+		return err
+	}
+	accept := protocol.SendAccept
+	if same {
+		// The client holds what this dataset holds: the accept says so and
+		// the session ends here, whatever the strategy would have sent.
+		accept = protocol.SendAcceptSame
+		s.metrics.Counter("server_sessions_unchanged_total").Inc()
+		tr.Stat(trace.StatUnchanged, 1)
+	}
+	if err := accept(ctx, t, params); err != nil {
 		s.logf("robustset: server: %v: accept: %v", remote, err)
 		return err
+	}
+	if same {
+		return nil
 	}
 	// Robust one-shot sessions serve the maintained sketch directly —
 	// O(sketch size) per session instead of O(n·levels).

@@ -1,10 +1,13 @@
 package robustset
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"robustset/internal/protocol"
+	"robustset/internal/transport"
 )
 
 // TestRetiredDatasetServingRejected pins the in-flight retirement
@@ -27,8 +30,19 @@ func TestRetiredDatasetServingRejected(t *testing.T) {
 	if _, err := d.sketchBlob(); err != nil {
 		t.Fatalf("sketchBlob before retirement: %v", err)
 	}
+	root := d.rootAgg()
+	if _, same, err := d.openSession(&root); err != nil || !same {
+		t.Fatalf("openSession with the dataset's own root before retirement: same=%v, %v", same, err)
+	}
+	if _, same, err := d.openSession(nil); err != nil || same {
+		t.Fatalf("openSession without a root: same=%v, %v", same, err)
+	}
 	if err := srv.Unpublish("d"); err != nil {
 		t.Fatal(err)
+	}
+	// A retired dataset is never "same", not even as itself.
+	if _, same, err := d.openSession(&root); !errors.Is(err, ErrUnknownDataset) || same {
+		t.Errorf("openSession on retired dataset: same=%v, %v, want ErrUnknownDataset", same, err)
 	}
 	if _, err := d.servePoints(); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("servePoints on retired dataset: %v, want ErrUnknownDataset", err)
@@ -69,5 +83,41 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 	}
 	if _, err := strategyFromCode(0x7e, nil); err == nil {
 		t.Error("unknown strategy code accepted")
+	}
+
+	// The same table with the hello's tail: after each code's own config a
+	// whole root (16 bytes) is read as one and the strategy is what it was;
+	// a tail a byte short or a byte long is refused, and the refusal
+	// reaches the peer as MsgError.
+	ctx := context.Background()
+	for _, strat := range Strategies() {
+		cfg := strat.helloConfig()
+		for _, tail := range []int{15, 16, 17} {
+			msg := []byte{protocol.MsgHello, strat.code(), 1, 0, 0, 0, 'd'}
+			msg = binary.LittleEndian.AppendUint32(msg, uint32(len(cfg)))
+			msg = append(append(msg, cfg...), make([]byte, tail)...)
+			msg[len(msg)-tail] = 7 // count 7, fingerprint 0
+			at, bt := transport.Pair()
+			go func() { _ = at.Send(ctx, msg) }()
+			h, err := protocol.RecvHello(ctx, bt)
+			switch {
+			case tail != 16:
+				if err == nil {
+					t.Errorf("%s: hello with a %d-byte tail accepted", strat.Name(), tail)
+				} else if reply, rerr := at.Recv(ctx); rerr != nil || len(reply) == 0 || reply[0] != protocol.MsgError {
+					t.Errorf("%s: %d-byte tail answered with %x, %v; want MsgError", strat.Name(), tail, reply, rerr)
+				}
+			case err != nil:
+				t.Errorf("%s: hello with a root refused: %v", strat.Name(), err)
+			case h.Root == nil || h.Root.Count != 7 || h.Root.Fp != 0:
+				t.Errorf("%s: root parsed as %+v", strat.Name(), h.Root)
+			default:
+				if got, err := strategyFromCode(h.Strategy, h.Config); err != nil || got.Name() != strat.Name() {
+					t.Errorf("%s: config before a root decoded as %v, %v", strat.Name(), got, err)
+				}
+			}
+			at.Close()
+			bt.Close()
+		}
 	}
 }

@@ -76,8 +76,18 @@ type SyncResult struct {
 	// the handshake), so callers can interpret SPrime — e.g. write it
 	// under the right universe — without out-of-band agreement.
 	Params Params
+	// Unchanged reports that a ClientSession.FetchDataset ended at the
+	// handshake: the server's dataset has the root aggregate of the local
+	// one, so the two hold the same multiset and nothing was exchanged or
+	// copied. SPrime is nil — the reconciled multiset is the local dataset
+	// as it stands.
+	Unchanged bool
 
 	metric Metric
+	// local is the multiset the exchange ran against: the caller's points,
+	// or the snapshot FetchDataset took once the server had not said
+	// "same". The replicator diffs exact results against it.
+	local []Point
 }
 
 // EMD returns the exact Earth Mover's Distance between the result and
@@ -651,22 +661,32 @@ func (s *Session) ServeSketch(ctx context.Context, conn net.Conn, sk *Sketch) (T
 // accounting.
 func (s *Session) Fetch(ctx context.Context, conn net.Conn, local []Point) (*SyncResult, TransferStats, error) {
 	t := s.newTransport(conn)
-	res, err := s.fetchOver(ctx, t, local)
+	res, err := s.fetchOver(ctx, t, nil, local)
 	st := t.Stats()
 	s.emit(st)
 	return res, st, err
 }
 
-// hello is the handshake opening a Client's session sends on its stream.
-func (s *Session) hello() protocol.Hello {
-	return protocol.Hello{
+// hello is the handshake opening a Client's session sends on its stream;
+// with a local dataset it carries that dataset's root as of now.
+func (s *Session) hello(local *Dataset) protocol.Hello {
+	h := protocol.Hello{
 		Strategy: s.strategy.code(),
 		Dataset:  s.dataset,
 		Config:   s.strategy.helloConfig(),
 	}
+	if local != nil {
+		root := local.rootAgg()
+		h.Root = &root
+	}
+	return h
 }
 
-func (s *Session) fetchOver(ctx context.Context, t transport.Transport, local []Point) (res *SyncResult, err error) {
+// fetchOver runs one fetch over t. With d set — a Client's session only —
+// the hello carries d's root, an accept marked "same" ends the fetch with
+// an Unchanged result, and d's snapshot is taken as local only after the
+// server has not said so; the session then goes on on the same stream.
+func (s *Session) fetchOver(ctx context.Context, t transport.Transport, d *Dataset, local []Point) (res *SyncResult, err error) {
 	p := s.params
 	var tr *trace.Trace
 	if s.traceSink != nil {
@@ -685,11 +705,20 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, local []
 	if s.dataset != "" {
 		// A Client's session on one stream of its connection: name the
 		// dataset and adopt the parameters the server dictates.
-		hello := tr.Begin("hello")
-		if p, err = protocol.RunHelloClient(ctx, t, s.hello()); err != nil {
+		sp := tr.Begin("hello")
+		acc, err := protocol.RunHello(ctx, t, s.hello(d))
+		if err != nil {
 			return nil, err
 		}
-		hello.End()
+		sp.End()
+		if acc.Same {
+			tr.Stat(trace.StatUnchanged, 1)
+			return &SyncResult{Params: acc.Params, Unchanged: true, metric: s.metric}, nil
+		}
+		p = acc.Params
+		if d != nil {
+			local = d.Snapshot()
+		}
 	}
 	res, err = s.strategy.fetch(ctx, t, p, local)
 	if err != nil {
@@ -702,7 +731,7 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, local []
 	} else {
 		res.Params = p
 	}
-	res.metric = s.metric
+	res.metric, res.local = s.metric, local
 	return res, nil
 }
 
