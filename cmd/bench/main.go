@@ -53,7 +53,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -284,23 +283,6 @@ func strategyFor(c cell) robustset.Strategy {
 	return c.strategy
 }
 
-// occurrenceKeys builds the occurrence-indexed point keys the exact wire
-// protocols hash (encoded point | u32 occurrence) — one shared
-// implementation so the build timings and the skew miner key exactly what
-// internal/protocol's exactKeys keys.
-func occurrenceKeys(pts []robustset.Point, dim int) [][]byte {
-	occ := make(map[string]uint32, len(pts))
-	keys := make([][]byte, 0, len(pts))
-	buf := make([]byte, 0, points.EncodedSize(dim))
-	for _, pt := range pts {
-		buf = points.Encode(buf[:0], pt)
-		o := occ[string(buf)]
-		occ[string(buf)] = o + 1
-		keys = append(keys, binary.LittleEndian.AppendUint32(append([]byte(nil), buf...), o))
-	}
-	return keys
-}
-
 // timeBuild measures the strategy's standalone summary construction over
 // Alice's points: the hot path each strategy pays before any bytes move.
 func timeBuild(c cell, p robustset.Params, alice []robustset.Point) (int64, error) {
@@ -323,7 +305,7 @@ func timeBuild(c cell, p robustset.Params, alice []robustset.Point) (int64, erro
 		if err != nil {
 			return 0, err
 		}
-		for _, k := range occurrenceKeys(alice, c.dim) {
+		for _, k := range points.OccurrenceKeys(alice, c.dim) {
 			t.Insert(k)
 		}
 	case robustset.Rateless:
@@ -331,7 +313,7 @@ func timeBuild(c cell, p robustset.Params, alice []robustset.Point) (int64, erro
 		// the cells a well-estimated difference needs — the serving-side
 		// cost of the first CELLS answer.
 		keyLen := points.EncodedSize(c.dim) + 4
-		stream, err := iblt.NewCellStream(iblt.ExtendConfig{KeyLen: keyLen, Seed: 21}, occurrenceKeys(alice, c.dim))
+		stream, err := iblt.NewCellStream(iblt.ExtendConfig{KeyLen: keyLen, Seed: 21}, points.OccurrenceKeys(alice, c.dim))
 		if err != nil {
 			return 0, err
 		}
@@ -676,7 +658,7 @@ func ratelessWorkload(u robustset.Universe, n, diff int, skewed bool, seed uint6
 		}
 		// Occurrence index 0: extras are distinct and disjoint from the
 		// base stripe, so this is the exact wire key both protocols hash.
-		key := occurrenceKeys([]robustset.Point{p}, u.Dim)[0]
+		key := points.OccurrenceKeys([]robustset.Point{p}, u.Dim)[0]
 		if skewed && st.StratumOf(key) != 0 {
 			continue
 		}

@@ -137,6 +137,18 @@ func (b *CellBlock) apply(i int, key []byte, chk uint64, sign int64) {
 	b.Checks[i] ^= chk
 }
 
+// Slice returns cells [lo, hi) of the block as a block of their own that
+// shares b's storage.
+func (b *CellBlock) Slice(lo, hi int) *CellBlock {
+	return &CellBlock{
+		Start:   b.Start + lo,
+		KeyLen:  b.KeyLen,
+		Counts:  b.Counts[lo:hi],
+		KeySums: b.KeySums[lo*b.KeyLen : hi*b.KeyLen],
+		Checks:  b.Checks[lo:hi],
+	}
+}
+
 const (
 	// blockMagic identifies the cell-block wire format. It is versioned
 	// independently of the table magic ("IBL2"): the cell layout matches,
@@ -217,7 +229,6 @@ func (b *CellBlock) UnmarshalBinary(data []byte) error {
 
 // streamKey is one key's per-stream state in a CellStream.
 type streamKey struct {
-	key []byte
 	chk uint64
 	seq codedSeq
 }
@@ -225,8 +236,7 @@ type streamKey struct {
 // CellStream enumerates the rateless coded cells of a fixed key set, in
 // order, without ever rebuilding earlier cells: Emit(n) returns the next n
 // cells and advances the frontier. The serving side of the rateless
-// protocol holds one CellStream per session and answers each "more cells"
-// request with an Emit.
+// protocol streams from one whatever no CellPrefix holds for it.
 //
 // Keys must be distinct (multiset semantics via occurrence-indexed keys,
 // as with Table). A CellStream is not safe for concurrent use.
@@ -235,7 +245,8 @@ type CellStream struct {
 	hasher    hashutil.Hasher
 	checkSalt uint64
 	seqSalt   uint64
-	keys      []streamKey
+	keys      [][]byte    // the caller's
+	state     []streamKey // state[i] belongs to keys[i]
 	frontier  int
 }
 
@@ -247,25 +258,31 @@ func streamDerivations(cfg ExtendConfig) (h hashutil.Hasher, checkSalt, seqSalt 
 		hashutil.DeriveSeed(cfg.Seed, "iblt/rateless/seq")
 }
 
-// NewCellStream builds a stream over the given keys (copied).
+// NewCellStream builds a stream over the given keys. It keeps keys and
+// the slices in it rather than copies: the caller must leave them
+// unmodified for as long as the stream is used.
 func NewCellStream(cfg ExtendConfig, keys [][]byte) (*CellStream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &CellStream{cfg: cfg, keys: make([]streamKey, 0, len(keys))}
+	s := &CellStream{cfg: cfg, keys: keys, state: make([]streamKey, len(keys))}
 	s.hasher, s.checkSalt, s.seqSalt = streamDerivations(cfg)
 	for _, k := range keys {
 		if len(k) != cfg.KeyLen {
 			return nil, fmt.Errorf("iblt: stream key length %d != configured %d", len(k), cfg.KeyLen)
 		}
-		h := s.hasher.Hash(k)
-		s.keys = append(s.keys, streamKey{
-			key: append([]byte(nil), k...),
-			chk: hashutil.SplitMix64(h ^ s.checkSalt),
-			seq: newSeq(h, s.seqSalt),
-		})
 	}
+	s.rewind()
 	return s, nil
+}
+
+// rewind puts the stream back at cell 0.
+func (s *CellStream) rewind() {
+	for i, k := range s.keys {
+		h := s.hasher.Hash(k)
+		s.state[i] = streamKey{chk: hashutil.SplitMix64(h ^ s.checkSalt), seq: newSeq(h, s.seqSalt)}
+	}
+	s.frontier = 0
 }
 
 // Frontier returns the number of cells emitted so far.
@@ -291,14 +308,61 @@ func (s *CellStream) EmitInto(blk *CellBlock, n int) {
 	}
 	blk.resetTo(s.frontier, n, s.cfg.KeyLen)
 	hi := int64(s.frontier + n)
-	for i := range s.keys {
-		k := &s.keys[i]
+	for i := range s.state {
+		k := &s.state[i]
 		for k.seq.idx < hi {
-			blk.apply(int(k.seq.idx)-s.frontier, k.key, k.chk, +1)
+			blk.apply(int(k.seq.idx)-s.frontier, s.keys[i], k.chk, +1)
 			k.seq.next()
 		}
 	}
 	s.frontier += n
+}
+
+// CellPrefix is the first Len cells of a key set's rateless stream, kept
+// current under insertion and deletion: a cell is linear in the keys that
+// participate in it, so Add and Remove walk one key's index sequence
+// below Len (about 2·ln Len steps) and XOR it in or out. After any
+// sequence of them the cells equal NewCellStream(keys).Emit(Len) over
+// the surviving keys. A CellPrefix is not safe for concurrent use.
+type CellPrefix struct {
+	hasher    hashutil.Hasher
+	checkSalt uint64
+	seqSalt   uint64
+	cells     CellBlock
+}
+
+// NewCellPrefix returns the n-cell prefix of the empty key set.
+func NewCellPrefix(cfg ExtendConfig, n int) (*CellPrefix, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	p := &CellPrefix{cells: *newCellBlock(0, n, cfg.KeyLen)}
+	p.hasher, p.checkSalt, p.seqSalt = streamDerivations(cfg)
+	return p, nil
+}
+
+// Add puts key, of the configured length and not in the set, in.
+func (p *CellPrefix) Add(key []byte) { p.apply(key, +1) }
+
+// Remove takes key, which must be in the set, out.
+func (p *CellPrefix) Remove(key []byte) { p.apply(key, -1) }
+
+func (p *CellPrefix) apply(key []byte, sign int64) {
+	h := p.hasher.Hash(key)
+	chk := hashutil.SplitMix64(h ^ p.checkSalt)
+	for seq := newSeq(h, p.seqSalt); seq.idx < int64(p.cells.Len()); seq.next() {
+		p.cells.apply(int(seq.idx), key, chk, sign)
+	}
+}
+
+// Snapshot returns a copy of the cells as the block [0, Len).
+func (p *CellPrefix) Snapshot() *CellBlock {
+	return &CellBlock{
+		KeyLen:  p.cells.KeyLen,
+		Counts:  append([]int64(nil), p.cells.Counts...),
+		KeySums: append([]byte(nil), p.cells.KeySums...),
+		Checks:  append([]uint64(nil), p.cells.Checks...),
+	}
 }
 
 // recKey is one recovered difference key inside a CellDecoder, with its
@@ -318,7 +382,10 @@ type recKey struct {
 //
 // Usage: NewCellDecoder with the local keys, AddBlock for every received
 // block (blocks must arrive in order, each starting at Frontier()), then
-// Decoded to test for completion.
+// Decoded to test for completion. A block that starts at cell 0 again
+// once cells have been received is a restart: the peer's key set changed
+// under the stream, the block describes the new one from its first cell,
+// and the decoder forgets what it held.
 type CellDecoder struct {
 	cfg       ExtendConfig
 	hasher    hashutil.Hasher
@@ -335,7 +402,8 @@ type CellDecoder struct {
 	lb CellBlock
 }
 
-// NewCellDecoder builds a decoder subtracting the local keys (copied).
+// NewCellDecoder builds a decoder subtracting the local keys, which it
+// keeps under NewCellStream's contract.
 func NewCellDecoder(cfg ExtendConfig, localKeys [][]byte) (*CellDecoder, error) {
 	local, err := NewCellStream(cfg, localKeys)
 	if err != nil {
@@ -353,15 +421,24 @@ func (d *CellDecoder) Frontier() int { return len(d.counts) }
 func (d *CellDecoder) Recovered() int { return len(d.recovered) }
 
 // AddBlock folds the peer's next cell block into the decoder and peels as
-// far as possible. Blocks must be contiguous and in order.
+// far as possible. Blocks must be contiguous and in order; a restart block
+// must reach past the cells it replaces, or it is a replay.
 func (d *CellDecoder) AddBlock(b *CellBlock) error {
 	if b.KeyLen != d.cfg.KeyLen {
 		return fmt.Errorf("iblt: block key length %d != decoder key length %d", b.KeyLen, d.cfg.KeyLen)
 	}
+	n := b.Len()
+	if b.Start == 0 && d.Frontier() > 0 {
+		if n <= d.Frontier() {
+			return fmt.Errorf("iblt: restart block of %d cells, decoder frontier is %d", n, d.Frontier())
+		}
+		d.counts, d.keySums, d.checks = d.counts[:0], d.keySums[:0], d.checks[:0]
+		d.recovered = d.recovered[:0]
+		d.local.rewind()
+	}
 	if b.Start != d.Frontier() {
 		return fmt.Errorf("iblt: block starts at cell %d, decoder frontier is %d", b.Start, d.Frontier())
 	}
-	n := b.Len()
 	if d.Frontier()+n > MaxStreamCells {
 		return fmt.Errorf("iblt: cell stream beyond %d cells", MaxStreamCells)
 	}

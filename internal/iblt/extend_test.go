@@ -316,3 +316,119 @@ func BenchmarkCellStreamEmit(b *testing.B) {
 		})
 	}
 }
+
+// TestCellPrefixTracksStream: after any interleaving of Add and Remove the
+// maintained prefix equals the first cells of a fresh stream over the
+// surviving keys, cell for cell — and a stream keeps the caller's keys
+// rather than copies.
+func TestCellPrefixTracksStream(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 1))
+	cfg := ExtendConfig{KeyLen: 12, Seed: 31}
+	const n = 300
+	keys := extKeys(rng, 400, cfg.KeyLen)
+	p, err := NewCellPrefix(cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make(map[int]bool)
+	check := func(step int) {
+		t.Helper()
+		var live [][]byte
+		for i := range keys {
+			if in[i] {
+				live = append(live, keys[i])
+			}
+		}
+		s, err := NewCellStream(cfg, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := s.Emit(n), p.Snapshot()
+		for i := 0; i < n; i++ {
+			if got.Counts[i] != want.Counts[i] || got.Checks[i] != want.Checks[i] ||
+				!bytes.Equal(got.KeySums[i*cfg.KeyLen:(i+1)*cfg.KeyLen], want.KeySums[i*cfg.KeyLen:(i+1)*cfg.KeyLen]) {
+				t.Fatalf("step %d: cell %d of the maintained prefix differs from the fresh stream's", step, i)
+			}
+		}
+	}
+	check(-1) // the empty set
+	for step := 0; step < 600; step++ {
+		i := rng.IntN(len(keys))
+		if in[i] {
+			p.Remove(keys[i])
+		} else {
+			p.Add(keys[i])
+		}
+		in[i] = !in[i]
+		if step%25 == 0 {
+			check(step)
+		}
+	}
+	check(600)
+	// A snapshot is a copy: the prefix moves on without it.
+	snap := p.Snapshot()
+	c0 := snap.Counts[0]
+	p.Add(extKeys(rng, 1, cfg.KeyLen)[0])
+	if snap.Counts[0] != c0 {
+		t.Fatal("a snapshot follows the prefix it was taken from")
+	}
+	if _, err := NewCellPrefix(ExtendConfig{}, n); err == nil {
+		t.Fatal("zero key length config accepted")
+	}
+}
+
+// TestCellDecoderRestart: a block that starts at cell 0 again and reaches
+// past the frontier makes the decoder forget the set it was decoding —
+// cells, recovered keys, its own stream position — and decode the new one
+// as a fresh decoder would; one that does not reach past it is a replay.
+func TestCellDecoderRestart(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 4))
+	cfg := ExtendConfig{KeyLen: 10, Seed: 5}
+	shared := extKeys(rng, 200, cfg.KeyLen)
+	old := append(extKeys(rng, 40, cfg.KeyLen), shared...)
+	cur := append(extKeys(rng, 25, cfg.KeyLen), shared[:190]...)
+	local := append(extKeys(rng, 10, cfg.KeyLen), shared...)
+
+	dec, err := NewCellDecoder(cfg, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldStream, _ := NewCellStream(cfg, old)
+	for i := 0; i < 3; i++ { // 30 cells of a 50-key difference: partly peeled, not done
+		if err := dec.AddBlock(oldStream.Emit(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := dec.Decoded(); ok {
+		t.Fatal("decoded before the restart; the test wants a decoder mid-stream")
+	}
+	curStream, _ := NewCellStream(cfg, cur)
+	if err := dec.AddBlock(curStream.Emit(30)); err == nil {
+		t.Fatal("restart block that stops at the frontier accepted")
+	}
+	if dec.Frontier() != 30 {
+		t.Fatalf("refused restart moved the frontier to %d", dec.Frontier())
+	}
+	curStream, _ = NewCellStream(cfg, cur)
+	if err := dec.AddBlock(curStream.Emit(120)); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Frontier() != 120 {
+		t.Fatalf("frontier %d after a 120-cell restart block", dec.Frontier())
+	}
+	for {
+		if diff, ok := dec.Decoded(); ok {
+			// 25 + 0 peer-only, 10 + 10 local-only.
+			if len(diff.Pos) != 25 || len(diff.Neg) != 20 {
+				t.Fatalf("decoded +%d/-%d after the restart, want +25/-20", len(diff.Pos), len(diff.Neg))
+			}
+			break
+		}
+		if dec.Frontier() > 4000 {
+			t.Fatal("no decode after the restart")
+		}
+		if err := dec.AddBlock(curStream.Emit(40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

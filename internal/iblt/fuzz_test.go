@@ -114,3 +114,138 @@ func FuzzInsertDeleteDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCellDecoderBlocks drives a CellDecoder with fuzzer-scripted block
+// sequences: honest increments of a peer's stream, honest restart blocks
+// after the peer's set changed, restart blocks too short to be one, and
+// garbage at any start. Nothing may panic; a refused block leaves the
+// decoder as it was; the cell arrays stay in step and never hold more
+// than was accepted; and whenever every cell the decoder holds is an
+// honest cell of one peer set, a decode that certifies returns the diff
+// that turns the local keys into exactly that set.
+func FuzzCellDecoderBlocks(f *testing.F) {
+	f.Add([]byte{0, 8, 0, 8, 0, 40, 0, 60})             // plain stream to a decode
+	f.Add([]byte{0, 8, 0, 8, 1, 30, 0, 40})             // restart at a non-zero frontier
+	f.Add([]byte{1, 50, 2, 5, 0, 20})                   // start on the other set, short restart
+	f.Add([]byte{0, 12, 3, 4, 9, 1, 60})                // garbage appended, then an honest restart
+	f.Add([]byte{0, 12, 3, 132, 7, 3, 65, 7, 2, 1, 90}) // garbage restart, wrong key length
+	f.Add([]byte{})
+
+	const keyLen = 8
+	cfg := ExtendConfig{KeyLen: keyLen, Seed: 5}
+	mk := func(lo, hi int) [][]byte {
+		var keys [][]byte
+		for i := lo; i < hi; i++ {
+			keys = append(keys, []byte{byte(i), byte(i * 7), 3, 1, 4, 1, 5, byte(i >> 1)})
+		}
+		return keys
+	}
+	local := mk(0, 24)
+	peer := [2][][]byte{mk(4, 30), mk(12, 44)} // two versions of the sender's set
+	cells := func(set, lo, hi int) *CellBlock {
+		s, err := NewCellStream(cfg, peer[set])
+		if err != nil {
+			f.Fatal(err)
+		}
+		s.Emit(lo)
+		return s.Emit(hi - lo)
+	}
+
+	f.Fuzz(func(t *testing.T, script []byte) {
+		dec, err := NewCellDecoder(cfg, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// set is the peer set whose honest cells are all the decoder holds;
+		// -1 once anything else has been accepted, until an honest restart.
+		set, accepted := 0, 0
+		for len(script) >= 2 && accepted < 1<<12 {
+			op, n := script[0]%4, int(script[1])%64+1
+			script = script[2:]
+			front := dec.Frontier()
+			var b *CellBlock
+			mustTake, mustRefuse := false, false
+			switch op {
+			case 0: // the next n cells of the stream in progress
+				if set < 0 {
+					b = cells(0, front, front+n)
+				} else {
+					b, mustTake = cells(set, front, front+n), true
+				}
+			case 1: // the peer's set moved: cells [0, front+n) of the other one
+				set = (set + 1) & 1
+				b, mustTake = cells(set, 0, front+n), true
+			case 2: // a restart that does not reach past the frontier
+				if front == 0 {
+					continue
+				}
+				b, mustRefuse = cells(0, 0, min(n, front)), true
+			default: // garbage: any start, any cells, sometimes another key length
+				kl := keyLen
+				if n%5 == 0 {
+					kl++
+				}
+				b = newCellBlock([]int{front, 0, front + 1}[n%3], n, kl)
+				for i := range b.Counts {
+					if len(script) == 0 {
+						break
+					}
+					b.Counts[i] = int64(int8(script[0]))
+					b.Checks[i] = uint64(script[0]) * 0x9e3779b97f4a7c15
+					b.KeySums[i*kl] = script[0]
+					script = script[1:]
+				}
+				mustRefuse = kl != keyLen || b.Start == front+1 || (b.Start == 0 && front > 0 && n <= front)
+			}
+			err := dec.AddBlock(b)
+			switch {
+			case err != nil && mustTake:
+				t.Fatalf("honest block [%d,%d) refused at frontier %d: %v", b.Start, b.Start+b.Len(), front, err)
+			case err == nil && mustRefuse:
+				t.Fatalf("block [%d,%d) key length %d accepted at frontier %d", b.Start, b.Start+b.Len(), b.KeyLen, front)
+			case err != nil:
+				if dec.Frontier() != front {
+					t.Fatalf("refused block moved the frontier %d → %d", front, dec.Frontier())
+				}
+				continue
+			}
+			accepted += b.Len()
+			if !mustTake {
+				set = -1
+			}
+			if got := dec.Frontier(); got != b.Start+b.Len() || got > accepted || got > MaxStreamCells ||
+				len(dec.checks) != got || len(dec.keySums) != got*keyLen {
+				t.Fatalf("frontier %d after block [%d,%d): %d cells accepted in all, %d checks, %d key-sum bytes",
+					got, b.Start, b.Start+b.Len(), accepted, len(dec.checks), len(dec.keySums))
+			}
+			diff, ok := dec.Decoded()
+			if !ok || set < 0 {
+				continue
+			}
+			have := make(map[string]bool, len(local)+len(diff.Pos))
+			for _, k := range local {
+				have[string(k)] = true
+			}
+			for _, k := range diff.Neg {
+				if !have[string(k)] {
+					t.Fatalf("certified diff drops %x, which is not a local key", k)
+				}
+				delete(have, string(k))
+			}
+			for _, k := range diff.Pos {
+				if have[string(k)] {
+					t.Fatalf("certified diff adds %x twice", k)
+				}
+				have[string(k)] = true
+			}
+			if len(have) != len(peer[set]) {
+				t.Fatalf("certified diff leaves %d keys, the sender holds %d", len(have), len(peer[set]))
+			}
+			for _, k := range peer[set] {
+				if !have[string(k)] {
+					t.Fatalf("certified diff misses the sender's key %x", k)
+				}
+			}
+		}
+	})
+}

@@ -57,19 +57,24 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histBuckets are the upper bounds (seconds) of the latency histogram:
-// powers of two from 1ms to ~65s plus +Inf, covering everything from a
-// loopback session to a stalled round.
+// histBuckets are the upper bounds (seconds) of the latency histogram,
+// log-linear: 1, 2, … 9 times every power of ten from 10µs to 10s, then
+// +Inf. A session answered from served state takes about 100µs and a
+// stalled round a minute; both land in a bucket no wider than its lower
+// bound. It is the one definition Observe, Quantile, the JSON document
+// and the Prometheus exposition read.
 var histBuckets = func() []float64 {
 	var b []float64
-	for v := 0.001; v < 100; v *= 2 {
-		b = append(b, v)
+	for decade := 10; decade <= 10_000_000; decade *= 10 { // microseconds
+		for m := 1; m <= 9; m++ {
+			b = append(b, float64(m*decade)/1e6)
+		}
 	}
 	return append(b, math.Inf(1))
 }()
 
-// Histogram accumulates duration observations into fixed exponential
-// buckets, plus count and sum, so percentile estimates survive the
+// Histogram accumulates duration observations into the fixed histBuckets,
+// plus count and sum, so percentile estimates survive the
 // JSON round trip.
 type Histogram struct {
 	count   atomic.Int64
@@ -85,13 +90,8 @@ func newHistogram() *Histogram {
 func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 	h.sumNs.Add(d.Nanoseconds())
-	s := d.Seconds()
-	for i, ub := range histBuckets {
-		if s <= ub {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
+	// The first bound ≥ d; +Inf is one, so the index is always in range.
+	h.buckets[sort.SearchFloat64s(histBuckets, d.Seconds())].Add(1)
 }
 
 // Count returns the number of observations.
@@ -102,8 +102,8 @@ func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
 
 // Quantile estimates the q-th quantile (q in [0,1]) of the observed
 // durations by locating the bucket holding the target rank and
-// interpolating linearly inside it. The buckets are exponential, so the
-// estimate is coarse but monotone and cheap — good enough for the p50
+// interpolating linearly inside it. The estimate is off by at most the
+// bucket's width, is monotone in q and cheap — good enough for the p50
 // and p99 the debug endpoint reports. Observations that
 // overflowed every finite bucket are credited the largest finite bound.
 // Returns 0 when the histogram is empty.

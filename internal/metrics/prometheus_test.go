@@ -48,16 +48,52 @@ func TestHistogramQuantilePinned(t *testing.T) {
 	pin(h.Quantile(0.99), 0.00199)
 	pin(h.Quantile(1.0), 0.002)
 
-	// Split across buckets with a gap: 50 in (1,2]ms, 50 in (4,8]ms.
+	// Split across buckets with a gap: 50 in (1,2]ms, 50 in (4,5]ms.
 	// p50 exhausts the first mode exactly (→ its upper bound 2ms); p75
-	// is halfway through the second (→ 6ms).
+	// is halfway through the second (→ 4.5ms).
 	h2 := newHistogram()
 	for i := 0; i < 50; i++ {
 		h2.Observe(1500 * time.Microsecond)
 		h2.Observe(5 * time.Millisecond)
 	}
 	pin(h2.Quantile(0.5), 0.002)
-	pin(h2.Quantile(0.75), 0.006)
+	pin(h2.Quantile(0.75), 0.0045)
+
+	// Below a millisecond the ladder keeps its resolution: a loopback
+	// session served from state (~150µs) and a converged handshake (~15µs)
+	// each interpolate inside a bucket no wider than its lower bound, and
+	// anything under the first bound interpolates from zero.
+	for _, tc := range []struct {
+		obs      time.Duration
+		p50, p99 float64
+	}{
+		{150 * time.Microsecond, 150e-6, 199e-6},
+		{15 * time.Microsecond, 15e-6, 19.9e-6},
+		{900 * time.Microsecond, 850e-6, 899e-6}, // on a bound: the bucket it closes
+		{3 * time.Microsecond, 5e-6, 9.9e-6},
+	} {
+		h := newHistogram()
+		for i := 0; i < 100; i++ {
+			h.Observe(tc.obs)
+		}
+		pin(h.Quantile(0.5), tc.p50)
+		pin(h.Quantile(0.99), tc.p99)
+	}
+	// Fast and slow sessions no longer share bucket 0: the median of 90
+	// fast ones is not dragged to the millisecond scale by 10 slow ones.
+	h3 := newHistogram()
+	for i := 0; i < 90; i++ {
+		h3.Observe(120 * time.Microsecond)
+	}
+	for i := 0; i < 10; i++ {
+		h3.Observe(12 * time.Millisecond)
+	}
+	if p := h3.Quantile(0.5); p < 100*time.Microsecond || p > 200*time.Microsecond {
+		t.Fatalf("p50 of a fast majority = %v, want within (100µs, 200µs]", p)
+	}
+	if p := h3.Quantile(0.99); p < 10*time.Millisecond || p > 20*time.Millisecond {
+		t.Fatalf("p99 of a slow tail = %v, want within (10ms, 20ms]", p)
+	}
 }
 
 func TestWritePrometheus(t *testing.T) {
@@ -69,7 +105,7 @@ func TestWritePrometheus(t *testing.T) {
 	h := r.Histogram("server_session_seconds")
 	h.Observe(3 * time.Millisecond)
 	h.Observe(3 * time.Millisecond)
-	h.Observe(70 * time.Second) // past the last finite bound → only +Inf grows
+	h.Observe(100 * time.Second) // past the last finite bound → only +Inf grows
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -120,8 +156,8 @@ func TestWritePrometheus(t *testing.T) {
 	if !strings.Contains(out, `server_session_seconds_bucket{le="+Inf"} 3`) {
 		t.Fatalf("missing +Inf bucket:\n%s", out)
 	}
-	// 3ms + 3ms + 70s in seconds.
-	if !strings.Contains(out, "server_session_seconds_sum 70.006") {
+	// 3ms + 3ms + 100s in seconds.
+	if !strings.Contains(out, "server_session_seconds_sum 100.006") {
 		t.Fatalf("sum not in seconds:\n%s", out)
 	}
 

@@ -1,8 +1,10 @@
 package points
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // EncodedSize returns the number of bytes Encode produces for a point of
@@ -78,4 +80,40 @@ func DecodeSet(b []byte, d int) ([]Point, error) {
 		out[i] = p
 	}
 	return out, nil
+}
+
+// OccurrenceKeys builds the keys the exact strategies hash: keys[i] is
+// Encode(pts[i]) followed by the little-endian u32 count of earlier equal
+// points in pts, so a multiset becomes a set of distinct keys with dense
+// occurrence indices per point, identically on both sides. Every point
+// must have dimension d. The keys share one backing buffer; callers must
+// treat them as immutable.
+func OccurrenceKeys(pts []Point, d int) [][]byte {
+	enc := EncodedSize(d)
+	kl := enc + 4
+	buf := make([]byte, len(pts)*kl)
+	keys := make([][]byte, len(pts))
+	// Open-addressed table over buf: a slot holds 1 + the index of the
+	// latest point with its encoding, whose key carries that point's count.
+	mask := 1<<bits.Len(uint(2*len(pts))) - 1
+	slots := make([]uint32, mask+1)
+	for i, p := range pts {
+		k := buf[i*kl : (i+1)*kl : (i+1)*kl]
+		Encode(k[:0], p)
+		var h uint64
+		for _, c := range p {
+			h = (h ^ uint64(c)) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
+		}
+		s := int(h) & mask
+		for ; slots[s] != 0; s = (s + 1) & mask {
+			if prev := buf[int(slots[s]-1)*kl:][:kl]; bytes.Equal(prev[:enc], k[:enc]) {
+				binary.LittleEndian.PutUint32(k[enc:], binary.LittleEndian.Uint32(prev[enc:])+1)
+				break
+			}
+		}
+		slots[s] = uint32(i + 1)
+		keys[i] = k
+	}
+	return keys
 }

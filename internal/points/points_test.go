@@ -1,6 +1,8 @@
 package points
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -262,5 +264,63 @@ func TestDecodeInto(t *testing.T) {
 	}
 	if !keep.Equal(Point{7, 8}) {
 		t.Errorf("a refused decode wrote %v", keep)
+	}
+}
+
+// mapOccurrenceKeys is the form OccurrenceKeys replaced, kept as its
+// reference: one map lookup, one encoding and one key allocation a point.
+func mapOccurrenceKeys(pts []Point) [][]byte {
+	occ := make(map[string]uint32, len(pts))
+	keys := make([][]byte, len(pts))
+	for i, p := range pts {
+		enc := EncodeNew(p)
+		o := occ[string(enc)]
+		occ[string(enc)] = o + 1
+		keys[i] = binary.LittleEndian.AppendUint32(enc, o)
+	}
+	return keys
+}
+
+// TestOccurrenceKeysPinned pins the exact family's key encoding —
+// enc‖LE32(occ), keys[i] for pts[i], occurrence indices dense per point
+// in slice order — against the map-based form, so every strata blob and
+// rateless cell on the wire is what it was.
+func TestOccurrenceKeysPinned(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 1))
+	random := func(n, dim int, delta int64) []Point {
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = make(Point, dim)
+			for k := range pts[i] {
+				pts[i][k] = rng.Int64N(delta)
+			}
+		}
+		return pts
+	}
+	for _, tc := range []struct {
+		name string
+		pts  []Point
+		dim  int
+	}{
+		{"empty", nil, 2},
+		{"one", []Point{{7, 9}}, 2},
+		{"all equal", []Point{{1, 2}, {1, 2}, {1, 2}, {1, 2}}, 2},
+		{"interleaved duplicates", []Point{{1, 2}, {3, 4}, {1, 2}, {2, 1}, {3, 4}, {1, 2}}, 2},
+		{"dense 1-d", random(500, 1, 16), 1},      // ~30 occurrences a point
+		{"sparse 3-d", random(1000, 3, 1<<40), 3}, // no duplicates
+		{"mixed 2-d", random(3000, 2, 32), 2},
+	} {
+		got, want := OccurrenceKeys(tc.pts, tc.dim), mapOccurrenceKeys(tc.pts)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d keys for %d points", tc.name, len(got), len(tc.pts))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s: key %d = %x, want %x", tc.name, i, got[i], want[i])
+			}
+			if cap(got[i]) != len(got[i]) {
+				t.Fatalf("%s: key %d can be appended into its neighbour", tc.name, i)
+			}
+		}
 	}
 }

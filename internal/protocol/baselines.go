@@ -75,21 +75,10 @@ func (c ExactConfig) filled() ExactConfig {
 	return c
 }
 
-// exactKeys builds occurrence-indexed point-encoding keys, giving the
-// exact protocols multiset semantics (identical points get distinct keys
-// deterministically on both sides).
-func exactKeys(u points.Universe, pts []points.Point) [][]byte {
-	occ := make(map[string]uint32, len(pts))
-	keys := make([][]byte, len(pts))
-	for i, p := range pts {
-		enc := points.EncodeNew(p)
-		o := occ[string(enc)]
-		occ[string(enc)] = o + 1
-		keys[i] = binary.LittleEndian.AppendUint32(enc, o)
-	}
-	return keys
-}
-
+// exactStrata builds the strata estimator of the exact family over
+// occurrence keys (points.OccurrenceKeys), which give the exact protocols
+// multiset semantics: identical points get distinct keys, the same ones
+// on both sides.
 func exactStrata(cfg ExactConfig, keys [][]byte) (*sketch.Strata, error) {
 	s, err := sketch.NewStrata(sketch.StrataConfig{
 		KeyLen: points.EncodedSize(cfg.Universe.Dim) + 4,
@@ -128,7 +117,7 @@ func RunExactIBLTAlice(ctx context.Context, t transport.Transport, cfg ExactConf
 	if err := cfg.Universe.CheckSet(pts); err != nil {
 		return sendErr(ctx, t, err)
 	}
-	keys := exactKeys(cfg.Universe, pts)
+	keys := points.OccurrenceKeys(pts, cfg.Universe.Dim)
 	sp := tr.Begin("strata")
 	st, err := exactStrata(cfg, keys)
 	if err != nil {
@@ -186,7 +175,7 @@ func RunExactIBLTBob(ctx context.Context, t transport.Transport, cfg ExactConfig
 	if err := cfg.Universe.CheckSet(bobPts); err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	keys := exactKeys(cfg.Universe, bobPts)
+	keys := points.OccurrenceKeys(bobPts, cfg.Universe.Dim)
 	sp := tr.Begin("strata")
 	blob, err := recvExpect(ctx, t, MsgStrata)
 	if err != nil {
@@ -246,7 +235,7 @@ func RunExactIBLTBob(ctx context.Context, t transport.Transport, cfg ExactConfig
 		}
 		tr.Stat("actual_diff", int64(len(diff.Pos)+len(diff.Neg)))
 		ap := tr.Begin("apply")
-		res, err := applyExactDiff(cfg.Universe, bobPts, diff)
+		res, err := applyExactDiff(cfg.Universe, bobPts, keys, diff)
 		if err != nil {
 			return nil, abort(ctx, t, err)
 		}
@@ -258,39 +247,42 @@ func RunExactIBLTBob(ctx context.Context, t transport.Transport, cfg ExactConfig
 }
 
 // applyExactDiff turns decoded keys back into points: Alice-only keys are
-// added, Bob-only keys name Bob's own points to drop.
-func applyExactDiff(u points.Universe, bobPts []points.Point, diff *iblt.Diff) ([]points.Point, error) {
+// added, Bob-only keys name Bob's own points to drop — keys[i] is
+// bobPts[i]'s. The result is a deep copy carved out of one array.
+func applyExactDiff(u points.Universe, bobPts []points.Point, keys [][]byte, diff *iblt.Diff) ([]points.Point, error) {
 	encSize := points.EncodedSize(u.Dim)
-	drop := make(map[string]int, len(diff.Neg))
+	drop := make(map[string]struct{}, len(diff.Neg))
 	for _, k := range diff.Neg {
-		if len(k) != encSize+4 {
-			return nil, fmt.Errorf("protocol: exact diff key of %d bytes", len(k))
-		}
-		drop[string(k[:encSize])]++
+		drop[string(k)] = struct{}{}
 	}
-	out := make([]points.Point, 0, len(bobPts)+len(diff.Pos)-len(diff.Neg))
-	for _, p := range bobPts {
-		enc := points.EncodeNew(p)
-		if drop[string(enc)] > 0 {
-			drop[string(enc)]--
+	if len(drop) != len(diff.Neg) {
+		return nil, errors.New("protocol: exact diff names a key twice")
+	}
+	n := len(bobPts) + len(diff.Pos)
+	out := make([]points.Point, 0, n)
+	coords := make([]int64, n*u.Dim)
+	next := func() points.Point { // the result's next point, to be filled in
+		out = append(out, coords[:u.Dim:u.Dim])
+		coords = coords[u.Dim:]
+		return out[len(out)-1]
+	}
+	for i, p := range bobPts {
+		if _, gone := drop[string(keys[i])]; gone {
+			delete(drop, string(keys[i]))
 			continue
 		}
-		out = append(out, p.Clone())
+		copy(next(), p)
 	}
-	for _, v := range drop {
-		if v != 0 {
-			return nil, errors.New("protocol: exact diff names points Bob does not hold")
-		}
+	if len(drop) != 0 {
+		return nil, errors.New("protocol: exact diff names points Bob does not hold")
 	}
 	for _, k := range diff.Pos {
 		if len(k) != encSize+4 {
 			return nil, fmt.Errorf("protocol: exact diff key of %d bytes", len(k))
 		}
-		p, err := points.Decode(k[:encSize], u.Dim)
-		if err != nil {
+		if err := points.DecodeInto(next(), k[:encSize]); err != nil {
 			return nil, err
 		}
-		out = append(out, p)
 	}
 	return out, nil
 }
@@ -314,7 +306,7 @@ type CPIConfig struct {
 // and the element→point lookup used for payload serving and local drops.
 func cpiElems(cfg CPIConfig, pts []points.Point) ([]uint64, map[uint64]points.Point, error) {
 	h := hashutil.NewHasher(hashutil.DeriveSeed(cfg.Seed, "cpisync/elem"))
-	keys := exactKeys(cfg.Universe, pts)
+	keys := points.OccurrenceKeys(pts, cfg.Universe.Dim)
 	elems := make([]uint64, len(keys))
 	lookup := make(map[uint64]points.Point, len(keys))
 	for i, k := range keys {

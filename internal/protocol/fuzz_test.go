@@ -106,6 +106,18 @@ func FuzzParseCells(f *testing.F) {
 		}
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
+		// The restart block a serving side whose set moved answers the same
+		// request with: cells [0, skip+n) of the stream, start 0.
+		r, err := iblt.NewCellStream(cfg, keys[:len(keys)/2])
+		if err != nil {
+			f.Fatal(err)
+		}
+		restart, err := r.Emit(shape.skip + shape.n).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(restart)
+		f.Add(restart[:len(restart)-1])
 	}
 	f.Add([]byte{})
 	f.Add([]byte("IBX1"))

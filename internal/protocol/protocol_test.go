@@ -324,32 +324,43 @@ func TestEstimateBobRejectsMismatchedLevelTable(t *testing.T) {
 
 func TestApplyExactDiffErrors(t *testing.T) {
 	bob := []points.Point{{1, 2}, {3, 4}}
+	keys := points.OccurrenceKeys(bob, testU.Dim)
 	// Key of the wrong length.
 	shortNeg := diffWith(nil, [][]byte{{1, 2, 3}})
-	if _, err := applyExactDiff(testU, bob, &shortNeg); err == nil {
+	if _, err := applyExactDiff(testU, bob, keys, &shortNeg); err == nil {
 		t.Error("short neg key accepted")
 	}
 	shortPos := diffWith([][]byte{{1, 2, 3}}, nil)
-	if _, err := applyExactDiff(testU, bob, &shortPos); err == nil {
+	if _, err := applyExactDiff(testU, bob, keys, &shortPos); err == nil {
 		t.Error("short pos key accepted")
 	}
 	// Bob-only key naming a point Bob does not hold.
 	ghost := append(points.EncodeNew(points.Point{9, 9}), 0, 0, 0, 0)
 	ghostDiff := diffWith(nil, [][]byte{ghost})
-	if _, err := applyExactDiff(testU, bob, &ghostDiff); err == nil {
+	if _, err := applyExactDiff(testU, bob, keys, &ghostDiff); err == nil {
 		t.Error("ghost removal accepted")
+	}
+	// A Bob-only key named twice must not drop (or size for) two points.
+	rem := append(points.EncodeNew(points.Point{1, 2}), 0, 0, 0, 0)
+	twice := diffWith(nil, [][]byte{rem, rem})
+	if _, err := applyExactDiff(testU, bob, keys, &twice); err == nil {
+		t.Error("doubled removal accepted")
 	}
 	// Happy path: add one, remove one.
 	add := append(points.EncodeNew(points.Point{7, 7}), 0, 0, 0, 0)
-	rem := append(points.EncodeNew(points.Point{1, 2}), 0, 0, 0, 0)
 	d := diffWith([][]byte{add}, [][]byte{rem})
-	got, err := applyExactDiff(testU, bob, &d)
+	got, err := applyExactDiff(testU, bob, keys, &d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []points.Point{{3, 4}, {7, 7}}
 	if !points.EqualMultisets(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
+	}
+	// The result is a deep copy: writing to it leaves Bob's points alone.
+	got[0][0] = 99
+	if bob[1][0] != 3 {
+		t.Fatal("result aliases Bob's points")
 	}
 }
 

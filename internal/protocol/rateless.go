@@ -122,29 +122,131 @@ func parseCells(body []byte) (*iblt.CellBlock, error) {
 	return b, nil
 }
 
-// RunRatelessAlice serves Alice's side of rateless sync: estimator first,
-// then cell-stream increments on request until MsgDone.
+// ratelessPrefixCells is how much of its cell stream a RatelessState
+// keeps. A request is the estimate times 1.4, so 1024 cells answer every
+// session whose difference is under about 650 keys; at 36 bytes a cell in
+// memory, plus the estimator, the state costs its dataset about 60 KB.
+const ratelessPrefixCells = 1024
+
+// RatelessState is what a dataset that serves rateless sessions keeps so
+// that a session need not read its points: the strata estimator and the
+// first ratelessPrefixCells cells of the rateless stream over the
+// dataset's occurrence keys. Both are linear in the key set, so Add and
+// Remove keep them equal to a fresh build, and one stream serves every
+// fetching peer whatever its difference (Lázaro & Matuz), so the prefix
+// kept is the prefix every session asks for. Not safe for concurrent use.
+type RatelessState struct {
+	strata *sketch.Strata
+	prefix *iblt.CellPrefix
+	key    []byte // scratch for Add and Remove
+}
+
+// NewRatelessState builds the state of pts, which must lie in the
+// configured universe.
+func NewRatelessState(cfg RatelessConfig, pts []points.Point) (*RatelessState, error) {
+	strata, err := exactStrata(cfg.exact(), nil)
+	if err != nil {
+		return nil, err
+	}
+	prefix, err := iblt.NewCellPrefix(cfg.extend(), ratelessPrefixCells)
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range points.OccurrenceKeys(pts, cfg.Universe.Dim) {
+		strata.Add(k)
+		prefix.Add(k)
+	}
+	return &RatelessState{strata: strata, prefix: prefix}, nil
+}
+
+// occurrenceKey builds, in the scratch buffer, the key that
+// points.OccurrenceKeys gives the occ-th occurrence of the point encoded
+// as enc.
+func (s *RatelessState) occurrenceKey(enc string, occ uint32) []byte {
+	s.key = binary.LittleEndian.AppendUint32(append(s.key[:0], enc...), occ)
+	return s.key
+}
+
+// Add puts the occ-th occurrence of the point encoded as enc in.
+func (s *RatelessState) Add(enc string, occ uint32) {
+	k := s.occurrenceKey(enc, occ)
+	s.strata.Add(k)
+	s.prefix.Add(k)
+}
+
+// Remove takes the occ-th occurrence of the point encoded as enc out; it
+// must be in.
+func (s *RatelessState) Remove(enc string, occ uint32) {
+	k := s.occurrenceKey(enc, occ)
+	s.strata.Remove(k)
+	s.prefix.Remove(k)
+}
+
+// Opening copies out what one session is served from, in O(cells). The
+// caller supplies Rest.
+func (s *RatelessState) Opening() (*RatelessOpening, error) {
+	blob, err := s.strata.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return &RatelessOpening{Strata: blob, Prefix: s.prefix.Snapshot()}, nil
+}
+
+// RatelessOpening is what one rateless session is served from: a key
+// set's marshalled estimator and the head of its cell stream, with the
+// way to go on past it.
+type RatelessOpening struct {
+	Strata []byte
+	Prefix *iblt.CellBlock // cells [0, Prefix.Len()) of the stream
+	// Rest is called once, by the first request that runs past Prefix. It
+	// returns the occurrence keys to stream on from and whether they are
+	// still the set Strata and Prefix describe.
+	Rest func() (keys [][]byte, same bool, err error)
+}
+
+// RunRatelessAlice serves Alice's side of rateless sync over her points:
+// estimator first, then cell-stream increments on request until MsgDone.
 func RunRatelessAlice(ctx context.Context, t transport.Transport, cfg RatelessConfig, pts []points.Point) error {
+	return RunRatelessServed(ctx, t, cfg, func() (*RatelessOpening, error) {
+		if err := cfg.Universe.CheckSet(pts); err != nil {
+			return nil, err
+		}
+		keys := points.OccurrenceKeys(pts, cfg.Universe.Dim)
+		st, err := exactStrata(cfg.exact(), keys)
+		if err != nil {
+			return nil, err
+		}
+		blob, err := st.MarshalBinary()
+		return &RatelessOpening{
+			Strata: blob,
+			Prefix: new(iblt.CellBlock),
+			Rest:   func() ([][]byte, bool, error) { return keys, true, nil },
+		}, err
+	})
+}
+
+// RunRatelessServed is the serving side of rateless sync: it sends the
+// opening's estimator, then answers each cells request from the prefix
+// while the requests stay inside it and from a stream over Rest's keys
+// from the first one that does not. If by then the key set is no longer
+// the one the cells already sent describe, that answer is a restart
+// block: it starts at cell 0 and carries the new set's cells up to the
+// requested frontier, and the fetching side starts over on it. An error
+// from open is relayed to the peer.
+func RunRatelessServed(ctx context.Context, t transport.Transport, cfg RatelessConfig, open func() (*RatelessOpening, error)) error {
 	cfg = cfg.filled()
 	tr := trace.FromContext(ctx)
-	if err := cfg.Universe.CheckSet(pts); err != nil {
-		return sendErr(ctx, t, err)
-	}
-	keys := exactKeys(cfg.Universe, pts)
 	sp := tr.Begin("strata")
-	st, err := exactStrata(cfg.exact(), keys)
+	o, err := open()
 	if err != nil {
 		return sendErr(ctx, t, err)
 	}
-	blob, err := st.MarshalBinary()
-	if err != nil {
-		return sendErr(ctx, t, err)
-	}
-	if err := send(ctx, t, MsgStrata, blob); err != nil {
+	if err := send(ctx, t, MsgStrata, o.Strata); err != nil {
 		return err
 	}
-	sp.End(trace.I("bytes", int64(len(blob))))
-	var stream *iblt.CellStream // built lazily on the first request
+	sp.End(trace.I("bytes", int64(len(o.Strata))))
+	var stream *iblt.CellStream // built by the first request past the prefix
+	frontier := 0
 	// One block and one encode buffer serve every cell request of the
 	// session: EmitInto and AppendBinary reuse their storage, so the
 	// steady-state serve loop allocates nothing per increment.
@@ -168,23 +270,37 @@ func RunRatelessAlice(ctx context.Context, t transport.Transport, cfg RatelessCo
 			if max := maxChunkFor(cfg.extend().KeyLen); n < 1 || n > max {
 				return sendErr(ctx, t, fmt.Errorf("protocol: cells request %d outside [1,%d]", n, max))
 			}
-			if stream == nil {
+			if frontier+n > iblt.MaxStreamCells {
+				return sendErr(ctx, t, fmt.Errorf("protocol: cell stream beyond %d cells", iblt.MaxStreamCells))
+			}
+			out := &blk
+			switch {
+			case stream != nil:
+				stream.EmitInto(&blk, n)
+			case frontier+n <= o.Prefix.Len():
+				out = o.Prefix.Slice(frontier, frontier+n)
+			default:
+				keys, same, err := o.Rest()
+				if err != nil {
+					return sendErr(ctx, t, err)
+				}
 				if stream, err = iblt.NewCellStream(cfg.extend(), keys); err != nil {
 					return sendErr(ctx, t, err)
 				}
+				stream.EmitInto(&blk, frontier+n)
+				if same {
+					out = blk.Slice(frontier, frontier+n)
+				}
 			}
-			if stream.Frontier()+n > iblt.MaxStreamCells {
-				return sendErr(ctx, t, fmt.Errorf("protocol: cell stream beyond %d cells", iblt.MaxStreamCells))
-			}
-			stream.EmitInto(&blk, n)
-			cellBuf, err = blk.AppendBinary(cellBuf[:0])
+			cellBuf, err = out.AppendBinary(cellBuf[:0])
 			if err != nil {
 				return sendErr(ctx, t, err)
 			}
 			if err := send(ctx, t, MsgCells, cellBuf); err != nil {
 				return err
 			}
-			round.End(trace.I("chunk", int64(n)), trace.I("frontier", int64(stream.Frontier())))
+			frontier += n
+			round.End(trace.I("chunk", int64(n)), trace.I("frontier", int64(frontier)))
 		default:
 			return sendErr(ctx, t, fmt.Errorf("%w: 0x%02x", ErrUnexpectedMessage, typ))
 		}
@@ -201,7 +317,7 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 	if err := cfg.Universe.CheckSet(bobPts); err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	keys := exactKeys(cfg.Universe, bobPts)
+	keys := points.OccurrenceKeys(bobPts, cfg.Universe.Dim)
 	sp := tr.Begin("strata")
 	blob, err := recvExpect(ctx, t, MsgStrata)
 	if err != nil {
@@ -237,11 +353,14 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 	// One reusable block parses every received increment (AddBlock
 	// copies what it keeps), mirroring the serving side's reuse.
 	block := new(iblt.CellBlock)
+	// received counts every cell of every block against the budget; it
+	// runs ahead of the decoder's frontier only after a restart.
+	received := int64(0)
 	for {
-		if remaining := budgetCells - int64(dec.Frontier()); int64(chunk) > remaining {
+		if remaining := budgetCells - received; int64(chunk) > remaining {
 			if remaining < minChunkCells {
 				return nil, abort(ctx, t, fmt.Errorf("%w: %d cells (%d bytes) streamed",
-					ErrRatelessBudget, dec.Frontier(), int64(dec.Frontier())*cellBytes))
+					ErrRatelessBudget, received, received*cellBytes))
 			}
 			chunk = int(remaining)
 		}
@@ -262,9 +381,16 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 		if err := block.UnmarshalBinary(body); err != nil {
 			return nil, abort(ctx, t, err)
 		}
-		if block.Len() != chunk {
-			return nil, abort(ctx, t, fmt.Errorf("protocol: peer sent %d cells, %d requested", block.Len(), chunk))
+		want := chunk
+		if block.Start == 0 {
+			// A restart block (the peer's set moved under the stream)
+			// carries the new set's cells from 0 to the requested frontier.
+			want += dec.Frontier()
 		}
+		if block.Len() != want {
+			return nil, abort(ctx, t, fmt.Errorf("protocol: peer sent %d cells, %d expected", block.Len(), want))
+		}
+		received += int64(want)
 		if err := dec.AddBlock(block); err != nil {
 			return nil, abort(ctx, t, err)
 		}
@@ -273,7 +399,7 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 			trace.I("frontier", int64(dec.Frontier())), trace.I("decoded", boolStat(ok)))
 		if ok {
 			ap := tr.Begin("apply")
-			res, err := applyExactDiff(cfg.Universe, bobPts, diff)
+			res, err := applyExactDiff(cfg.Universe, bobPts, keys, diff)
 			if err != nil {
 				return nil, abort(ctx, t, err)
 			}

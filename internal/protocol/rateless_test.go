@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"robustset/internal/core"
+	"robustset/internal/iblt"
 	"robustset/internal/points"
 	"robustset/internal/transport"
 )
@@ -246,5 +247,136 @@ func TestHelloAcceptRoundTrip(t *testing.T) {
 				t.Errorf("params diverged through the accept: %+v", p)
 			}
 		})
+	}
+}
+
+// movedOpening serves before's estimator and first prefix cells, then —
+// its set having moved — after's stream, as a dataset mutated mid-session
+// does.
+func movedOpening(t *testing.T, cfg RatelessConfig, before, after []points.Point, prefix int) func() (*RatelessOpening, error) {
+	t.Helper()
+	return func() (*RatelessOpening, error) {
+		st, err := NewRatelessState(cfg, before)
+		if err != nil {
+			return nil, err
+		}
+		o, err := st.Opening()
+		if err != nil {
+			return nil, err
+		}
+		o.Prefix = o.Prefix.Slice(0, prefix)
+		o.Rest = func() ([][]byte, bool, error) {
+			return points.OccurrenceKeys(after, cfg.Universe.Dim), false, nil
+		}
+		return o, nil
+	}
+}
+
+// TestRatelessRestart: when the serving side's set moves under a stream
+// that then outruns its prefix, one restart block carries the new set from
+// cell 0 and Bob ends with the new set, exactly.
+func TestRatelessRestart(t *testing.T) {
+	inst, err := exactInstanceForProtocol(t, 600, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := append(points.Clone(inst.alice[40:]), points.Point{5, 5}, points.Point{5, 5}, points.Point{6, 7})
+	// A first request of 16 cells against a 160-key difference: several
+	// rounds inside the 64-cell prefix, then the overflow.
+	cfg := RatelessConfig{Universe: testU, Seed: 7, InitialFactor: 0.05}
+	runPair(t,
+		func(tr transport.Transport) error {
+			return RunRatelessServed(bg, tr, cfg, movedOpening(t, cfg, inst.alice, after, 64))
+		},
+		func(tr transport.Transport) error {
+			got, err := RunRatelessBob(bg, tr, cfg, inst.bob)
+			if err != nil {
+				return err
+			}
+			if !points.EqualMultisets(got, after) {
+				t.Error("Bob did not end with the set the restart block described")
+			}
+			return nil
+		})
+}
+
+// TestRatelessBobRefusesBadRestarts: a peer cannot use restart blocks to
+// make Bob spin or to shrink his stream. One that answers every request
+// with a restart is cut off by the byte budget — each block's cells
+// count — and a restart block of any length but frontier+request is
+// refused outright.
+func TestRatelessBobRefusesBadRestarts(t *testing.T) {
+	inst, err := exactInstanceForProtocol(t, 300, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RatelessConfig{Universe: testU, Seed: 5, InitialFactor: 0.05, MaxBytes: 64 << 10}
+	strata, err := exactStrata(cfg.exact(), points.OccurrenceKeys(inst.alice, testU.Dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := strata.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// hostile answers every request with a block of garbage starting at
+	// cell 0, of the length the argument chooses — the first one always
+	// what was asked, so that there is a frontier to restart from.
+	hostile := func(length func(frontier, n int) int) (sent int64, berr error) {
+		at, bt := transport.Pair()
+		defer at.Close()
+		defer bt.Close()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if send(bg, at, MsgStrata, blob) != nil {
+				return
+			}
+			frontier := 0
+			for {
+				typ, body, err := recv(bg, at)
+				if err != nil || typ != MsgCellsRequest {
+					return
+				}
+				n := int(binary.LittleEndian.Uint32(body))
+				blk := iblt.CellBlock{KeyLen: cfg.extend().KeyLen}
+				m := length(frontier, n)
+				blk.Counts, blk.Checks = make([]int64, m), make([]uint64, m)
+				blk.KeySums = make([]byte, m*blk.KeyLen)
+				for i := range blk.Counts {
+					blk.Counts[i] = 3 // never pure, never zero: nothing peels, nothing certifies
+				}
+				wire, _ := blk.MarshalBinary()
+				if send(bg, at, MsgCells, wire) != nil {
+					return
+				}
+				sent += int64(m)
+				frontier += n
+			}
+		}()
+		_, berr = RunRatelessBob(bg, bt, cfg, inst.bob)
+		at.Close()
+		<-done
+		return sent, berr
+	}
+	budgetCells := cfg.MaxBytes / int64(iblt.CellOverheadBytes+cfg.extend().KeyLen)
+	sent, err := hostile(func(frontier, n int) int { return frontier + n })
+	if !errors.Is(err, ErrRatelessBudget) {
+		t.Fatalf("a peer that restarts every round: %v, want ErrRatelessBudget", err)
+	}
+	// Charged, the blocks sum to the budget plus at most the last one (a
+	// quarter of it); charged by frontier alone they would sum to four
+	// times the budget.
+	if sent > budgetCells*3/2 || sent < budgetCells/2 {
+		t.Fatalf("Bob took %d cells of restarts under a budget of %d", sent, budgetCells)
+	}
+	for name, length := range map[string]func(frontier, n int) int{
+		"shorter than the frontier": func(frontier, n int) int { return n },
+		"stops at the frontier":     func(frontier, n int) int { return max(frontier, n) },
+		"longer than asked":         func(frontier, n int) int { return frontier + n + min(frontier, 1) },
+	} {
+		if _, err := hostile(length); err == nil || errors.Is(err, ErrRatelessBudget) {
+			t.Errorf("restart block %s: %v, want a refusal", name, err)
+		}
 	}
 }

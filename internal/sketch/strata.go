@@ -99,6 +99,12 @@ func (s *Strata) Add(key []byte) {
 	s.tables[s.StratumOf(key)].Insert(key)
 }
 
+// Remove is the inverse of Add: the estimator is linear in its keys, so
+// adding a key and removing it again leaves every cell as it was.
+func (s *Strata) Remove(key []byte) {
+	s.tables[s.StratumOf(key)].Delete(key)
+}
+
 // EstimateDiff estimates |A Δ B| from two compatible strata estimators.
 // Following the Difference Digest construction: subtract stratum-wise and
 // decode from the sparsest stratum downward; when stratum i fails to

@@ -200,3 +200,50 @@ func TestEstimateStrataDiffSkewedUndershoot(t *testing.T) {
 		t.Errorf("stratum-0-skewed difference of %d estimated as %.0f; expected a collapse toward 0", d, est)
 	}
 }
+
+// TestStrataRemoveInvertsAdd: the estimator is linear, so removing what
+// was added — in any order, interleaved with keys that stay — leaves the
+// bytes a fresh build over the survivors marshals to, and removing
+// everything leaves the empty estimator's.
+func TestStrataRemoveInvertsAdd(t *testing.T) {
+	cfg := StrataConfig{KeyLen: 12, Seed: 77}
+	marshal := func(s *Strata) string {
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	build := func(keys [][]byte) *Strata {
+		s, err := NewStrata(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			s.Add(k)
+		}
+		return s
+	}
+	rng := rand.New(rand.NewPCG(3, 9))
+	keys := make([][]byte, 500)
+	for i := range keys {
+		keys[i] = make([]byte, cfg.KeyLen)
+		for j := range keys[i] {
+			keys[i][j] = byte(rng.Uint32())
+		}
+	}
+	s := build(keys)
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, k := range keys[:200] {
+		s.Remove(k)
+	}
+	if marshal(s) != marshal(build(keys[200:])) {
+		t.Fatal("strata after removals differs from a fresh build over the survivors")
+	}
+	for _, k := range keys[200:] {
+		s.Remove(k)
+	}
+	if marshal(s) != marshal(build(nil)) {
+		t.Fatal("adding then removing every key does not marshal as the empty estimator")
+	}
+}

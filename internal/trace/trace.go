@@ -322,6 +322,11 @@ func (s *Snapshot) TotalBytes() int64 {
 // its accept because the two datasets' roots were equal; Format reads it.
 const StatUnchanged = "unchanged"
 
+// StatServedState is the stat a server records on a rateless session: 1
+// when the dataset's maintained state answered all of it, 0 when the
+// session read the points (to build that state, or past its prefix).
+const StatServedState = "served_state"
+
 // Stat returns the named stat's value and whether it was recorded.
 func (s *Snapshot) Stat(name string) (int64, bool) {
 	if s == nil {
@@ -381,6 +386,11 @@ func (s *Snapshot) format(w io.Writer, indent string) {
 		// A session that ended at its accept has no phases to show; say
 		// why rather than print what looks like an empty session.
 		fmt.Fprintf(w, "%s  converged at handshake, 0 sketch bytes\n", indent)
+	}
+	if v, ok := s.Stat(StatServedState); ok && v > 0 {
+		fmt.Fprintf(w, "%s  answered from the dataset's maintained state\n", indent)
+	} else if ok {
+		fmt.Fprintf(w, "%s  cold: rebuilt from a snapshot of the dataset's points\n", indent)
 	}
 	if len(s.Frames) > 0 {
 		fmt.Fprintf(w, "%s  wire:  %-14s %-4s %8s %10s\n", indent, "type", "dir", "msgs", "bytes")

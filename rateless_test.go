@@ -1,7 +1,11 @@
 package robustset_test
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"robustset"
 )
@@ -77,6 +81,75 @@ func TestExactClientAgainstRatelessServer(t *testing.T) {
 		}
 		if !robustset.EqualMultisets(res.SPrime, alice) {
 			t.Errorf("%s client did not converge", strat.Name())
+		}
+	}
+}
+
+// TestRatelessServedFromStateLeavesNothing: over real TCP, the first
+// rateless session builds the dataset's state and every later one is
+// answered from it while the dataset churns between them — 100 fetches,
+// each exactly the server's multiset, one cold session on the counter,
+// served_state on every trace — and nothing a session starts outlives
+// it: the goroutine count afterwards is the count before.
+func TestRatelessServedFromStateLeavesNothing(t *testing.T) {
+	alice, bob := ratelessExactPair(2000, 20)
+	params := robustset.Params{Universe: testU, Seed: 29, DiffBudget: 20}
+	m := robustset.NewMetrics()
+	tl := robustset.NewTraceLog(robustset.WithTraceCapacity(128))
+	srv := robustset.NewServer(robustset.WithServerMetrics(m), robustset.WithServerTracing(tl))
+	d, err := srv.Publish("d", params, alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sess, err := cl.Session("d", robustset.Rateless{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := bob
+	fetch := func(i int) {
+		t.Helper()
+		res, _, err := sess.Fetch(ctx, local)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", i, err)
+		}
+		if local = res.SPrime; !robustset.EqualMultisets(local, d.Snapshot()) {
+			t.Fatalf("fetch %d: result differs from the server's multiset", i)
+		}
+	}
+	fetch(0) // builds the state
+	waitGoroutinesSettle(t, runtime.NumGoroutine())
+	before := runtime.NumGoroutine()
+	const fetches = 100
+	for i := 1; i <= fetches; i++ {
+		batch := []robustset.Point{{int64(i), 7}, {int64(i), 7}, {int64(3 * i), int64(i)}}
+		if err := errors.Join(d.AddBatch(batch), d.Remove(alice[i])); err != nil {
+			t.Fatal(err)
+		}
+		fetch(i)
+	}
+	waitGoroutinesSettle(t, before)
+	if got := m.Snapshot()["server_sessions_cold_total"]; got != 1 {
+		t.Errorf("server_sessions_cold_total = %d, want 1: only the first session reads the points", got)
+	}
+	recent := tl.Recent()
+	if len(recent) != fetches+1 {
+		t.Fatalf("%d server traces, want %d", len(recent), fetches+1)
+	}
+	for i, tr := range recent {
+		want := int64(1)
+		if i == 0 {
+			want = 0
+		}
+		if got, ok := tr.Stat("served_state"); !ok || got != want {
+			t.Fatalf("trace %d: served_state = %d (recorded %v), want %d", i, got, ok, want)
 		}
 	}
 }

@@ -31,7 +31,9 @@ var ErrUnknownDataset = errors.New("robustset: unknown dataset")
 // Dataset is one named point multiset a Server publishes. It pairs the
 // live points with an incrementally maintained sketch, so robust one-shot
 // sessions are served from the Maintainer in O(sketch) time regardless of
-// dataset size, while the other strategies snapshot the points. The
+// dataset size — as ranged and rateless sessions are from state built at
+// the first of them (DESIGN.md, "Served state") — while the other
+// strategies snapshot the points. The
 // multiset is stored as encoded-point occurrence counts, so Add and
 // Remove cost O(levels) maintainer updates plus an O(1) map operation —
 // no linear scans on high-churn datasets. Beside them it keeps the root
@@ -69,14 +71,21 @@ type Dataset struct {
 	// ranged sessions on a high-churn dataset never pay an O(n log n)
 	// rebuild. nil until a ranged session has run.
 	rtree *ranges.Tree
+	// exact is the rateless strategy's strata estimator and cell-stream
+	// prefix over the multiset's occurrence keys, built and maintained like
+	// rtree: a rateless session copies O(cells) under d.mu and reads no
+	// points. nil until a rateless session has run.
+	exact *protocol.RatelessState
 	// root is the aggregate of the same (point, occurrence) keys under
 	// the same fingerprint hash as rtree, so it equals rtree.Root()
 	// whenever the tree exists. It is keyed by Params.Seed: datasets of
 	// different seeds have unrelated roots.
 	root ranges.Root
-	// pointsGauge and rootGauge export size and root fingerprint; they are
-	// the registry's from the moment a Server registers the dataset.
+	// pointsGauge, rootGauge and coldSessions export size, root fingerprint
+	// and rateless sessions that read the points; they are the registry's
+	// from the moment a Server registers the dataset.
 	pointsGauge, rootGauge *metrics.Gauge
+	coldSessions           *metrics.Counter
 }
 
 // Name returns the dataset's published name.
@@ -108,7 +117,7 @@ func (d *Dataset) errRetired() error {
 func (d *Dataset) retire() {
 	d.mu.Lock()
 	d.retired = true
-	d.rtree = nil // free the range tree; no future session can use it
+	d.rtree, d.exact = nil, nil // free the served state; no future session can use it
 	d.pointsGauge.Set(0)
 	d.rootGauge.Set(0)
 	d.mu.Unlock()
@@ -172,6 +181,41 @@ func (d *Dataset) rangeView() (protocol.TreeView, error) {
 	}, nil
 }
 
+// ratelessOpening captures, under one hold of d.mu and in O(cells), what
+// one rateless session is served from, building the state on first use.
+// Rest snapshots the points for a session that outruns the prefix and
+// says whether the root is still the captured one. *cold is set when the
+// session reads the points, here or there.
+func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *protocol.RatelessOpening, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.retired {
+		return nil, d.errRetired()
+	}
+	if d.exact == nil {
+		*cold = true
+		if d.exact, err = protocol.NewRatelessState(cfg, d.snapshotLocked()); err != nil {
+			return nil, err
+		}
+	}
+	if o, err = d.exact.Opening(); err != nil {
+		return nil, err
+	}
+	version := d.root.Agg
+	o.Rest = func() ([][]byte, bool, error) {
+		*cold = true
+		d.mu.Lock()
+		if d.retired {
+			d.mu.Unlock()
+			return nil, false, d.errRetired()
+		}
+		pts, same := d.snapshotLocked(), d.root.Agg == version
+		d.mu.Unlock()
+		return points.OccurrenceKeys(pts, cfg.Universe.Dim), same, nil
+	}
+	return o, nil
+}
+
 // mutateLocked is the single write path behind Add/Remove/AddBatch/
 // RemoveBatch, with d.mu held: validate the whole batch, append it to
 // the storage engine as one record, then apply. Validation precedes the
@@ -221,9 +265,9 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 }
 
 // applyLocked applies one point mutation to every in-memory index — the
-// maintained sketch, the root aggregate, the range tree if one exists,
-// the occurrence counts — with d.mu held. enc is pt's canonical encoding.
-// Live mutations arrive validated; recovery replays log records through
+// maintained sketch, the root aggregate, the range tree and the rateless
+// state if they exist, the occurrence counts — with d.mu held. enc is
+// pt's canonical encoding. Live mutations arrive validated; recovery replays log records through
 // here too and reports what a corrupt log makes fail.
 func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 	switch op {
@@ -239,6 +283,9 @@ func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 			if err := d.rtree.Insert(ranges.EncodeKey(nil, pt, occ)); err != nil {
 				return fmt.Errorf("range tree insert: %w", err)
 			}
+		}
+		if d.exact != nil {
+			d.exact.Add(enc, occ)
 		}
 		d.counts[enc]++
 		d.size++
@@ -256,6 +303,9 @@ func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 			if err := d.rtree.Delete(ranges.EncodeKey(nil, pt, occ)); err != nil {
 				return fmt.Errorf("range tree delete: %w", err)
 			}
+		}
+		if d.exact != nil {
+			d.exact.Remove(enc, occ)
 		}
 		if d.counts[enc]--; d.counts[enc] == 0 {
 			delete(d.counts, enc)
@@ -716,6 +766,7 @@ func (s *Server) registerLocked(d *Dataset) {
 	// The label is a published name, never a client's bytes.
 	d.pointsGauge = s.metrics.Gauge("dataset_points:" + d.name)
 	d.rootGauge = s.metrics.Gauge("dataset_root_fingerprint:" + d.name)
+	d.coldSessions = s.metrics.Counter("server_sessions_cold_total")
 	d.exportLocked()
 }
 
@@ -1009,13 +1060,14 @@ func (s *Server) serveSession(ctx context.Context, t transport.Transport, hello 
 		tr.Label(hello.Dataset, "", remote.String())
 		ctx = trace.NewContext(ctx, tr)
 	}
-	err := s.runSession(ctx, t, hello, remote)
+	err := s.runSession(ctx, t, hello)
 	// The peer has all it will get. Close this end now — a client's Fetch
 	// reads its stream to this close — and keep the books afterwards, off
 	// the peer's clock.
 	t.Close()
 	if err != nil {
 		s.metrics.Counter("server_session_errors_total").Inc()
+		s.logf("robustset: server: %v: dataset %q (strategy 0x%02x): %v", remote, hello.Dataset, hello.Strategy, err)
 	}
 	s.metrics.Histogram("server_session_seconds").Observe(time.Since(start))
 	if tr != nil {
@@ -1047,15 +1099,13 @@ func (s *Server) recordSessionMetrics(snap *SessionTrace) {
 	}
 }
 
-// runSession performs the dataset/strategy dispatch and the protocol
-// run, logging and returning the first failure.
-func (s *Server) runSession(ctx context.Context, t transport.Transport, hello protocol.Hello, remote net.Addr) error {
+// runSession performs the dataset/strategy dispatch and the protocol run
+// and returns the first failure — relayed to the peer where the protocol
+// allows — for serveSession to log.
+func (s *Server) runSession(ctx context.Context, t transport.Transport, hello protocol.Hello) error {
 	d := s.Dataset(hello.Dataset)
 	if d == nil {
-		err := fmt.Errorf("%w: %q", ErrUnknownDataset, hello.Dataset)
-		_ = protocol.RejectHello(ctx, t, err)
-		s.logf("robustset: server: %v: unknown dataset %q", remote, hello.Dataset)
-		return err
+		return protocol.RejectHello(ctx, t, fmt.Errorf("%w: %q", ErrUnknownDataset, hello.Dataset))
 	}
 	// The per-dataset counter is keyed only after the name resolved:
 	// registry labels must come from the published catalog, never from
@@ -1064,9 +1114,7 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 	s.metrics.Counter("server_sessions_total:" + d.Name()).Inc()
 	strat, err := strategyFromCode(hello.Strategy, hello.Config)
 	if err != nil {
-		_ = protocol.RejectHello(ctx, t, err)
-		s.logf("robustset: server: %v: %v", remote, err)
-		return err
+		return protocol.RejectHello(ctx, t, err)
 	}
 	// Labels come from the negotiated strategy, a closed set — never from
 	// raw hello bytes.
@@ -1074,9 +1122,7 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 	tr.Label("", strat.Name(), "")
 	params, same, err := d.openSession(hello.Root)
 	if err != nil {
-		_ = protocol.RejectHello(ctx, t, err)
-		s.logf("robustset: server: %v: dataset %q (%s): %v", remote, d.Name(), strat.Name(), err)
-		return err
+		return protocol.RejectHello(ctx, t, err)
 	}
 	accept := protocol.SendAccept
 	if same {
@@ -1086,61 +1132,10 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 		s.metrics.Counter("server_sessions_unchanged_total").Inc()
 		tr.Stat(trace.StatUnchanged, 1)
 	}
-	if err := accept(ctx, t, params); err != nil {
-		s.logf("robustset: server: %v: accept: %v", remote, err)
+	if err := accept(ctx, t, params); err != nil || same {
 		return err
 	}
-	if same {
-		return nil
-	}
-	// Robust one-shot sessions serve the maintained sketch directly —
-	// O(sketch size) per session instead of O(n·levels).
-	if _, oneShot := strat.(Robust); oneShot {
-		blob, err := d.sketchBlob()
-		if err != nil {
-			// The dataset was retired between the handshake and the push;
-			// relay the rejection so the client fails with a RemoteError.
-			_ = protocol.SendError(ctx, t, err)
-			s.logf("robustset: server: %v: dataset %q (%s): %v", remote, d.Name(), strat.Name(), err)
-			return err
-		}
-		if err := protocol.RunPushBlobAlice(ctx, t, blob); err != nil {
-			s.logf("robustset: server: %v: dataset %q (%s): %v", remote, d.Name(), strat.Name(), err)
-			return err
-		}
-		return nil
-	}
-	// Ranged sessions serve from the dataset's incrementally maintained
-	// fingerprint tree — no O(n) snapshot, and concurrent mutations only
-	// re-open ranges in later probe rounds.
-	if r, ok := strat.(Ranged); ok {
-		view, err := d.rangeView()
-		if err != nil {
-			_ = protocol.SendError(ctx, t, err)
-			s.logf("robustset: server: %v: dataset %q (%s): %v", remote, d.Name(), strat.Name(), err)
-			return err
-		}
-		cfg := protocol.RangedConfig{
-			Universe: params.Universe, Seed: params.Seed,
-			Branch: r.Branch, ItemLimit: r.ItemLimit,
-		}
-		if err := protocol.RunRangedAliceView(ctx, t, cfg, view); err != nil {
-			s.logf("robustset: server: %v: dataset %q (%s): %v", remote, d.Name(), strat.Name(), err)
-			return err
-		}
-		return nil
-	}
-	pts, err := d.servePoints()
-	if err != nil {
-		_ = protocol.SendError(ctx, t, err)
-		s.logf("robustset: server: %v: dataset %q (%s): %v", remote, d.Name(), strat.Name(), err)
-		return err
-	}
-	if err := strat.serve(ctx, t, params, pts); err != nil {
-		s.logf("robustset: server: %v: dataset %q (%s): %v", remote, d.Name(), strat.Name(), err)
-		return err
-	}
-	return nil
+	return serveDataset(ctx, t, strat, params, d)
 }
 
 func (s *Server) trackListener(ln net.Listener) bool {

@@ -37,6 +37,30 @@ type Strategy interface {
 	fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error)
 }
 
+// datasetStrategy is implemented by strategies that serve a published
+// dataset from state it maintains instead of a snapshot of its points.
+// Like serve, serveDataset relays to the peer whatever keeps it from
+// starting.
+type datasetStrategy interface {
+	serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error
+}
+
+// serveDataset answers one session of strat against d, which has accepted
+// it: from d's served state if the strategy keeps one there, else from a
+// snapshot of its points.
+func serveDataset(ctx context.Context, t transport.Transport, strat Strategy, p Params, d *Dataset) error {
+	if ds, ok := strat.(datasetStrategy); ok {
+		return ds.serveDataset(ctx, t, p, d)
+	}
+	pts, err := d.servePoints()
+	if err != nil {
+		// The dataset was retired between the handshake and here; relay the
+		// rejection so the client fails with a RemoteError.
+		return protocol.SendError(ctx, t, err)
+	}
+	return strat.serve(ctx, t, p, pts)
+}
+
 // twoWayStrategy is implemented by strategies that support the symmetric
 // Session.Sync mode.
 type twoWayStrategy interface {
@@ -119,6 +143,16 @@ func (Robust) helloConfig() []byte { return nil }
 
 func (Robust) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
 	return protocol.RunPushAlice(ctx, t, p, pts)
+}
+
+// serveDataset pushes the maintained sketch — O(sketch size) per session
+// instead of O(n·levels).
+func (Robust) serveDataset(ctx context.Context, t transport.Transport, _ Params, d *Dataset) error {
+	blob, err := d.sketchBlob()
+	if err != nil {
+		return protocol.SendError(ctx, t, err)
+	}
+	return protocol.RunPushBlobAlice(ctx, t, blob)
 }
 
 func (Robust) fetch(ctx context.Context, t transport.Transport, _ Params, local []Point) (*SyncResult, error) {
@@ -281,6 +315,24 @@ func (r Rateless) serve(ctx context.Context, t transport.Transport, p Params, pt
 	return protocol.RunRatelessAlice(ctx, t, r.config(p), pts)
 }
 
+// serveDataset answers from the dataset's maintained estimator and cell
+// prefix, and says on the trace and the cold-session counter whether that
+// was enough or the session had to read the points: to build the state,
+// or to stream past the prefix.
+func (r Rateless) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
+	cfg, cold := r.config(p), false
+	err := protocol.RunRatelessServed(ctx, t, cfg, func() (*protocol.RatelessOpening, error) {
+		return d.ratelessOpening(cfg, &cold)
+	})
+	served := int64(1)
+	if cold {
+		served = 0
+		d.coldSessions.Inc()
+	}
+	trace.FromContext(ctx).Stat(trace.StatServedState, served)
+	return err
+}
+
 func (r Rateless) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
 	sp, err := protocol.RunRatelessBob(ctx, t, r.config(p), local)
 	if err != nil {
@@ -351,6 +403,17 @@ func (r Ranged) config(p Params) protocol.RangedConfig {
 
 func (r Ranged) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
 	return protocol.RunRangedAlice(ctx, t, r.config(p), pts)
+}
+
+// serveDataset probes the dataset's incrementally maintained fingerprint
+// tree — no O(n) snapshot, and concurrent mutations only re-open ranges
+// in later probe rounds.
+func (r Ranged) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
+	view, err := d.rangeView()
+	if err != nil {
+		return protocol.SendError(ctx, t, err)
+	}
+	return protocol.RunRangedAliceView(ctx, t, r.config(p), view)
 }
 
 func (r Ranged) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
