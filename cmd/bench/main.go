@@ -29,9 +29,10 @@
 //
 // A ranges scenario (mode "ranges" rows) pins the divide-and-conquer
 // strategy's contract in its headline regime — huge sets, tiny
-// differences: ranged wire bytes against the exact-IBLT doubling path
-// on the identical workload (wire_bytes vs baseline_bytes, the -check
-// gate demands ≤0.5×), and the sequential round-trip depth of the same
+// differences: ranged wire bytes beside the exact-IBLT doubling path's
+// on the identical workload (wire_bytes vs baseline_bytes; the -check
+// gate holds wire_bytes under 1 KB a differing key and records the
+// ratio), and the sequential round-trip depth of the same
 // reconciliation pipelined as sibling-range mux streams against a
 // serial one-probe-per-frame run (rounds vs baseline_rounds, gated at
 // ≤0.6× on quick reports).
@@ -1164,6 +1165,13 @@ func checkReport(data []byte) error {
 	for _, s := range robustset.Strategies() {
 		want[s.Name()] = false
 	}
+	// robustWire and naiveWire map a core cell's workload to the wire
+	// bytes of the two strategies the last gate compares on it.
+	type workloadKey struct {
+		n, dim int
+		rate   float64
+	}
+	robustWire, naiveWire := map[workloadKey]int64{}, map[workloadKey]int64{}
 	clusterRows := 0
 	rangesRows := 0
 	ratelessRows := map[string]int{}
@@ -1189,6 +1197,14 @@ func checkReport(data []byte) error {
 		if r.Mode != "recovery" && (r.SyncNS <= 0 || r.WireBytes <= 0) {
 			return fmt.Errorf("bench: result %d (%s n=%d) carries no measurements", i, r.Strategy, r.N)
 		}
+		if r.Mode == "" {
+			switch k := (workloadKey{r.N, r.Dim, r.DiffRate}); r.Strategy {
+			case robustset.Robust{}.Name():
+				robustWire[k] = r.WireBytes
+			case robustset.Naive{}.Name():
+				naiveWire[k] = r.WireBytes
+			}
+		}
 		if r.Mode == "cluster" {
 			if r.Rounds < 1 || r.Nodes < 2 || r.Shards < 1 {
 				return fmt.Errorf("bench: cluster result %d (%s) carries no convergence measurements", i, r.Strategy)
@@ -1202,12 +1218,16 @@ func checkReport(data []byte) error {
 			if r.Rounds < 1 || r.BaselineRounds < 1 || r.MuxStreams < 2 {
 				return fmt.Errorf("bench: ranges result %d carries no pipelined round-depth comparison", i)
 			}
-			// The divide-and-conquer contract: on a tiny difference the
-			// probe tree must decisively undercut the exact-IBLT path,
-			// whose strata estimator costs tens of kilobytes before a
-			// single differing key moves.
-			if ratio := float64(r.WireBytes) / float64(r.BaselineBytes); ratio > 0.5 {
-				return fmt.Errorf("bench: ranges result %d (n=%d): wire ratio %.2f exceeds 0.5", i, r.N, ratio)
+			// The divide-and-conquer contract: the probe tree has no fixed
+			// cost, so the matrix's tiny differences move under 1 KB a
+			// differing key (0.57–0.83 KB from 2·10^4 to 10^6 points).
+			// The ratio to the exact-IBLT path is recorded, not gated: it
+			// reads 0.78–1.05× since the cell codec took that path's
+			// strata estimator from 17 KB to 7 (DESIGN.md "Range-based
+			// reconciliation").
+			if delta := int64(r.DiffRate*float64(r.N) + 0.5); r.WireBytes > delta<<10 {
+				return fmt.Errorf("bench: ranges result %d (n=%d): %d wire bytes for %d differing keys exceeds 1 KB a key",
+					i, r.N, r.WireBytes, delta)
 			}
 			// The pipelining contract: reconciling sibling subranges as
 			// concurrent mux streams must cut the sequential round-trip
@@ -1276,6 +1296,14 @@ func checkReport(data []byte) error {
 			recoveryRows[r.Phase]++
 		}
 		want[r.Strategy] = true
+	}
+	// The trade the paper is about: from ten thousand points up, the
+	// one-shot sketch must cross the wire in fewer bytes than the set.
+	for k, robust := range robustWire {
+		if naive, ok := naiveWire[k]; ok && k.n >= 10_000 && robust >= naive {
+			return fmt.Errorf("bench: n=%d rate=%g dim=%d: robust-oneshot moved %d bytes, not below naive's %d",
+				k.n, k.rate, k.dim, robust, naive)
+		}
 	}
 	if has("core") {
 		for name, seen := range want {

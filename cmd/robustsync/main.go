@@ -448,6 +448,11 @@ func cmdPull(args []string) error {
 	u = res.Params.Universe
 	report(res, stats, u, nil, bob)
 	printTrace()
+	// The counterfactual the breakdown is read against: what sending the
+	// reconciled set itself would have moved.
+	if naive := int64(len(res.SPrime)) * int64(points.EncodedSize(u.Dim)); *showTrace && naive > 0 {
+		fmt.Printf("wire %d B · naive %d B (%.2f ×)\n", stats.Total(), naive, float64(stats.Total())/float64(naive))
+	}
 	return writeResult(*out, u, res.SPrime)
 }
 

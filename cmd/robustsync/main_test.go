@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -210,5 +212,14 @@ func TestPullTrace(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("pull -trace output lacks %q:\n%s", want, out)
 		}
+	}
+	// The last line is the counterfactual: the session's bytes against
+	// sending the 150 reconciled points of 16 bytes each.
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	var wire, naive int64
+	var ratio float64
+	if _, err := fmt.Sscanf(lines[len(lines)-1], "wire %d B · naive %d B (%f ×)", &wire, &naive, &ratio); err != nil ||
+		naive != 150*16 || wire <= 0 || math.Abs(ratio-float64(wire)/float64(naive)) > 0.006 {
+		t.Errorf("pull -trace ends with %q (%v), want the wire bytes against naive %d B", lines[len(lines)-1], err, 150*16)
 	}
 }

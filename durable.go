@@ -189,8 +189,8 @@ func (s *Server) openDurableDataset(name string, p Params, pts []Point) (*Datase
 
 // recoverDataset rebuilds the live dataset from recovered disk state:
 // decode the snapshot's points, adopt its serialized sketch (rebuilding
-// only the occupancy maps), then replay the log tail through the
-// ordinary maintainer updates.
+// only the occupancy maps; all of it if the sketch does not parse), then
+// replay the log tail through the ordinary maintainer updates.
 func (s *Server) recoverDataset(name string, p Params, rec *store.Recovered) (*Dataset, error) {
 	start := time.Now()
 	dim := p.Universe.Dim
@@ -207,12 +207,19 @@ func (s *Server) recoverDataset(name string, p Params, rec *store.Recovered) (*D
 			pts = append(pts, pt)
 		}
 	}
+	var sk *Sketch
 	if rec.Snapshot != nil && len(rec.Snapshot.Sketch) > 0 {
-		var sk Sketch
+		sk = new(Sketch)
+		// The sketch is a cache of the CRC-covered points beside it: one
+		// this build cannot read — an earlier wire format's, say — costs a
+		// rebuild, not the data directory. The next snapshot rewrites it.
 		if err := sk.UnmarshalBinary(rec.Snapshot.Sketch); err != nil {
-			return nil, fmt.Errorf("robustset: recover %q: snapshot sketch: %w", name, err)
+			s.logf("robustset: server: recover %q: rebuilding the sketch from %d snapshot points: %v", name, len(pts), err)
+			sk = nil
 		}
-		m, err = core.NewMaintainerFromSketch(p, pts, &sk)
+	}
+	if sk != nil {
+		m, err = core.NewMaintainerFromSketch(p, pts, sk)
 	} else {
 		m, err = NewMaintainer(p, pts)
 	}

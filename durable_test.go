@@ -6,9 +6,11 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"robustset"
+	"robustset/internal/store"
 )
 
 // durableParams is the shared configuration of the durability tests.
@@ -126,6 +128,90 @@ func TestPublishDurableRecovery(t *testing.T) {
 			}
 			if d3.Size() != 0 {
 				t.Fatalf("drained dataset recovered %d points", d3.Size())
+			}
+		})
+	}
+}
+
+// TestDurableRecoveryOutlivesSketchFormat: the sketch in a snapshot is a
+// cache of the CRC-covered points beside it, so a data directory whose
+// snapshot carries a sketch this build cannot parse — the fixed-width
+// "RSK1" encoding a build before the cell codec wrote, or plain garbage
+// under a valid CRC — recovers by rebuilding the sketch, says so once,
+// and passes the fresh-build oracle; the next snapshot rewrites it.
+func TestDurableRecoveryOutlivesSketchFormat(t *testing.T) {
+	for name, spoil := range map[string]func(sketch []byte) []byte{
+		"old magic": func(sketch []byte) []byte { return append([]byte("RSK1"), sketch[4:]...) },
+		"truncated": func(sketch []byte) []byte { return sketch[:len(sketch)/2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv := robustset.NewServer(robustset.WithServerDataDir(dir), robustset.WithServerSnapshotEvery(1))
+			seed, _ := deterministicPair(43, 200, 0, 0)
+			d, err := srv.PublishDurable("data", durableParams, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			current := churnPoints(t, d, append([]robustset.Point(nil), seed...), rand.New(rand.NewPCG(7, 7)), 40)
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "data", "snapshot.rsnap")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := store.ParseSnapshot(raw)
+			if err != nil || len(snap.Sketch) < 8 {
+				t.Fatalf("snapshot on disk: %v, %d sketch bytes", err, len(snap.Sketch))
+			}
+			raw, err = store.AppendSnapshot(nil, snap.Seq, snap.PointSize, snap.Points, spoil(snap.Sketch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var logged []string
+			srv2 := robustset.NewServer(robustset.WithServerDataDir(dir), robustset.WithServerSnapshotEvery(1),
+				robustset.WithServerRecoveryVerify(),
+				robustset.WithServerLogger(func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }))
+			d2, err := srv2.PublishDurable("data", durableParams, nil)
+			if err != nil {
+				t.Fatalf("recovery with an unreadable sketch: %v", err)
+			}
+			if !robustset.EqualMultisets(d2.Snapshot(), current) {
+				t.Fatalf("recovered %d points, want %d", d2.Size(), len(current))
+			}
+			rebuilt := 0
+			for _, l := range logged {
+				if strings.Contains(l, "rebuilding the sketch") {
+					rebuilt++
+				}
+			}
+			if rebuilt != 1 {
+				t.Errorf("%d rebuild lines logged, want 1: %q", rebuilt, logged)
+			}
+			// One mutation writes the next snapshot; after it the directory
+			// recovers without a rebuild.
+			if err := d2.AddBatch([]robustset.Point{{1, 2}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			logged = nil
+			srv3 := robustset.NewServer(robustset.WithServerDataDir(dir), robustset.WithServerRecoveryVerify(),
+				robustset.WithServerLogger(func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }))
+			defer srv3.Close()
+			if d3, err := srv3.PublishDurable("data", durableParams, nil); err != nil || d3.Size() != len(current)+1 {
+				t.Fatalf("second recovery: %v", err)
+			}
+			for _, l := range logged {
+				if strings.Contains(l, "rebuilding the sketch") {
+					t.Errorf("the rewritten snapshot still needs a rebuild: %s", l)
+				}
 			}
 		})
 	}

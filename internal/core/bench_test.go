@@ -141,6 +141,27 @@ func rulerWorkload(b *testing.B, n int) (*workload.Instance, Params) {
 	return inst, Params{Universe: u, Seed: 7, DiffBudget: 160}
 }
 
+// BenchmarkSketchUnmarshal20k is the ruler's core.sketch_unmarshal_ms:
+// the 21-level sketch of the headline regime through the cell codec.
+func BenchmarkSketchUnmarshal20k(b *testing.B) {
+	inst, p := rulerWorkload(b, 20000)
+	sk, err := BuildSketch(p, inst.Alice)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := sk.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := new(Sketch).UnmarshalBinary(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkReconcile20k(b *testing.B) {
 	inst, p := rulerWorkload(b, 20000)
 	sk, err := BuildSketch(p, inst.Alice)

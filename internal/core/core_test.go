@@ -415,6 +415,7 @@ func TestSketchUnmarshalRejectsCorrupt(t *testing.T) {
 	cases := map[string][]byte{
 		"short":     good[:10],
 		"bad magic": append([]byte("NOPE"), good[4:]...),
+		"old magic": append([]byte("RSK1"), good[4:]...),
 		"truncated": good[:len(good)-2],
 		"trailing":  append(append([]byte{}, good...), 9),
 	}
@@ -429,6 +430,56 @@ func TestSketchUnmarshalRejectsCorrupt(t *testing.T) {
 	bad[14] ^= 0xff
 	if err := got.UnmarshalBinary(bad); err == nil {
 		t.Error("seed-corrupted sketch accepted")
+	}
+}
+
+// TestRobustSketchUnderHalfNaive pins the trade the paper is about at the
+// regime the ruler measures (n = 20 000, d = 2, Δ = 2^20, DiffBudget 160,
+// all 21 levels): the sketch crosses the wire in at most half the bytes
+// of the set it reconciles. And the dimension sweep pins why: a cell
+// costs its count, its checksum and the key-sum columns that are live —
+// at most three bytes a coordinate below 2^21 (fewer on the coarse
+// levels), two of the occurrence index — so the sketch grows by about 2
+// bytes a cell per dimension where fixed-width cells grew by 8.
+func TestRobustSketchUnderHalfNaive(t *testing.T) {
+	const n = 20000
+	perCell := func(dim int, seed uint64) float64 {
+		u := points.Universe{Dim: dim, Delta: 1 << 20}
+		inst := genInstance(t, workload.Config{N: n, Universe: u, Outliers: 64, Noise: workload.NoiseUniform, Scale: 4, Seed: seed})
+		sk, err := BuildSketch(Params{Universe: u, Seed: seed + 1, DiffBudget: 160}, inst.Alice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive := n * points.EncodedSize(dim)
+		if len(sk.Tables) != 21 || 2*len(blob) > naive {
+			t.Errorf("dim %d seed %d: %d levels in %d bytes, sending the set is %d", dim, seed, len(sk.Tables), len(blob), naive)
+		}
+		cells := 0
+		for _, tbl := range sk.Tables {
+			cells += tbl.Cells()
+		}
+		t.Logf("dim %d seed %d: %d B = %.3f × naive, %.2f B a cell (fixed width %d)",
+			dim, seed, len(blob), float64(len(blob))/float64(naive), float64(len(blob))/float64(cells), KeyLen(dim)+12)
+		return float64(len(blob)) / float64(cells)
+	}
+	for _, seed := range []uint64{1, 5, 42} {
+		perCell(2, seed)
+	}
+	d2, d4, d8 := perCell(2, 7), perCell(4, 7), perCell(8, 7)
+	for _, c := range []struct {
+		dim  int
+		cell float64
+	}{{2, d2}, {4, d4}, {8, d8}} {
+		if most := float64(2 + 8 + 2 + 3*c.dim); c.cell > most {
+			t.Errorf("dim %d: %.2f bytes a cell, above count + checksum + occurrence + 3 a coordinate = %.0f", c.dim, c.cell, most)
+		}
+	}
+	if slope := (d8 - d2) / 6; slope < 1.5 || slope > 3.1 || d4 < d2 || d8 < d4 {
+		t.Errorf("bytes a cell %.2f, %.2f, %.2f at d = 2, 4, 8: %.2f a dimension, want 1.5 to 3, far from 8", d2, d4, d8, slope)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,7 +12,11 @@ import (
 // FuzzSketchUnmarshal feeds arbitrary bytes through the sketch wire
 // parser and, on success, through a full reconciliation against a small
 // local set. No input may panic, hang, or produce an out-of-universe
-// point.
+// point. A sketch carries its own parameters, so those are what its
+// level tables are held to, and their cells to the bytes they came in,
+// before anything is allocated: the parse may allocate at most
+// (KeyLen(MaxDim) + 16)/9 + 1 times the input plus 64 KiB, the most a
+// run of empty cells of the widest key the parameters admit expands to.
 func FuzzSketchUnmarshal(f *testing.F) {
 	u := points.Universe{Dim: 2, Delta: 1 << 8}
 	alice := []points.Point{{1, 2}, {3, 4}, {100, 200}}
@@ -22,12 +27,26 @@ func FuzzSketchUnmarshal(f *testing.F) {
 	}
 	blob, _ := sk.MarshalBinary()
 	f.Add(blob)
-	f.Add([]byte("RSK1"))
+	f.Add([]byte(sketchMagic))
+	f.Add([]byte("RSK1")) // the previous wire version must be rejected cleanly
+	f.Add(append([]byte("RSK1"), blob[4:]...))
+	// A header whose parameters imply 21 tables of 1.5·2^24 cells each.
+	huge := append([]byte{}, blob[:sketchHeaderSize]...)
+	binary.LittleEndian.PutUint32(huge[4+25:], 1<<24)
+	f.Add(append(huge, blob[sketchHeaderSize:]...))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got Sketch
-		if err := got.UnmarshalBinary(data); err != nil {
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = got.UnmarshalBinary(data)
+		runtime.ReadMemStats(&after)
+		if used := after.TotalAlloc - before.TotalAlloc; used > uint64((KeyLen(MaxDim)+16)/9+1)*uint64(len(data))+64<<10 {
+			t.Fatalf("parsing %d bytes allocated %d", len(data), used)
+		}
+		if err != nil {
 			return
 		}
 		res, err := Reconcile(&got, bob)

@@ -10,10 +10,13 @@ import (
 
 // Sketch wire format:
 //
-//	"RSK1" | params (ParamsWireSize bytes, see Params.MarshalBinary) |
+//	"RSK2" | params (ParamsWireSize bytes, see Params.MarshalBinary) |
 //	count u32 | nTables u16 | nTables × ( u32 len | IBLT blob )
+//
+// "RSK2" replaced "RSK1" when the IBLT blobs moved to the cell codec
+// ("IBL3"): a table's length now follows its contents, not its shape.
 const (
-	sketchMagic      = "RSK1"
+	sketchMagic      = "RSK2"
 	sketchHeaderSize = 4 + ParamsWireSize + 4 + 2
 )
 
@@ -104,7 +107,32 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary parses MarshalBinary output.
+// unmarshalLevelTable parses the marshalled IBLT of one level, built for
+// the given key capacity under normalized parameters. A table of any
+// other shape would not subtract from Bob's, and is refused with
+// ErrLevelTableMismatch on its header, before anything the blob declares
+// is allocated.
+func unmarshalLevelTable(p Params, level, capacity int, blob []byte) (*iblt.Table, error) {
+	t, err := iblt.UnmarshalTable(blob, levelConfig(p, level, capacity))
+	if errors.Is(err, iblt.ErrShape) {
+		return nil, fmt.Errorf("%w: level %d: %v", ErrLevelTableMismatch, level, err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("level %d: %w", level, err)
+	}
+	return t, nil
+}
+
+// UnmarshalLevelTable parses Alice's answer to a request for the table
+// of one level at one capacity — what ReconcileLevel takes — refusing
+// any other shape with ErrLevelTableMismatch before it is allocated.
+func (v *View) UnmarshalLevelTable(level, capacity int, blob []byte) (*iblt.Table, error) {
+	return unmarshalLevelTable(v.p, level, capacity, blob)
+}
+
+// UnmarshalBinary parses MarshalBinary output. The sketch carries its
+// own parameters, so they are what its tables are held to: a table is at
+// most (KeyLen(MaxDim)+16)/9 times the bytes it arrived in.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < sketchHeaderSize || string(data[:4]) != sketchMagic {
 		return errors.New("core: sketch: bad magic or short header")
@@ -120,11 +148,6 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: sketch: %d tables for level range [%d,%d]", nTables, p.MinLevel, p.MaxLevel)
 	}
 	ns := &Sketch{Params: p, Count: count}
-	// The size of every conforming level table follows from the
-	// parameters alone; computing it up front means a hostile header can
-	// never trigger an allocation bigger than the bytes it actually sent.
-	expectTable := iblt.WireSizeFor(
-		iblt.RecommendedCells(p.TableCapacity, p.HashCount), KeyLen(p.Universe.Dim))
 	off := sketchHeaderSize
 	for i := 0; i < nTables; i++ {
 		if off+4 > len(data) {
@@ -132,20 +155,15 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 		l := int(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
-		if l != expectTable {
-			return fmt.Errorf("core: sketch: level %d table is %d bytes, parameters imply %d", p.MinLevel+i, l, expectTable)
-		}
-		if off+l > len(data) {
+		if l > len(data)-off {
 			return errors.New("core: sketch: truncated table body")
 		}
-		got := new(iblt.Table) // UnmarshalBinary builds the table itself
-		if err := got.UnmarshalBinary(data[off : off+l]); err != nil {
-			return fmt.Errorf("core: sketch: level %d: %w", p.MinLevel+i, err)
-		}
-		// The embedded table must match the config implied by the sketch
-		// parameters, or Bob's locally built tables would not subtract.
-		if want := levelConfig(p, p.MinLevel+i, p.TableCapacity); got.Config() != want {
-			return fmt.Errorf("core: sketch: level %d table config %+v does not match parameters (%+v)", p.MinLevel+i, got.Config(), want)
+		// The shape of every conforming level table follows from the
+		// parameters alone, and is held against the table's header
+		// before a cell of it is allocated.
+		got, err := unmarshalLevelTable(p, p.MinLevel+i, p.TableCapacity, data[off:off+l])
+		if err != nil {
+			return fmt.Errorf("core: sketch: %w", err)
 		}
 		off += l
 		ns.Tables = append(ns.Tables, got)

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"robustset/internal/hashutil"
 )
@@ -85,7 +86,7 @@ func (s *codedSeq) next() {
 
 // CellBlock is a contiguous range of coded cells [Start, Start+Len()) in
 // the canonical cell layout (count, key sum, checksum — the same cell
-// shape as Table's wire format).
+// shape as Table's, and the same codec on the wire).
 type CellBlock struct {
 	Start   int
 	KeyLen  int
@@ -151,80 +152,90 @@ func (b *CellBlock) Slice(lo, hi int) *CellBlock {
 
 const (
 	// blockMagic identifies the cell-block wire format. It is versioned
-	// independently of the table magic ("IBL2"): the cell layout matches,
-	// but the index-sequence derivation is part of this format.
-	blockMagic      = "IBX1"
+	// independently of the table magic: the cells are in the same codec,
+	// but the index-sequence derivation is part of this format. "IBX2"
+	// replaced "IBX1" with the cell codec.
+	blockMagic      = "IBX2"
 	blockHeaderSize = 4 + 4 + 4 + 2 // magic, start u32, count u32, keyLen u16
 )
 
-// BlockWireSize returns the marshalled size of a block of n cells with the
-// given key length, without constructing one.
-func BlockWireSize(n, keyLen int) int {
-	return blockHeaderSize + n*(CellOverheadBytes+keyLen)
+// WireSize returns the number of bytes MarshalBinary produces for the
+// block's present contents; MaxWireSize bounds it.
+func (b *CellBlock) WireSize() int {
+	return blockHeaderSize + cellsWireSize(b.Counts, b.KeySums, b.KeyLen)
 }
 
 // MarshalBinary encodes the block:
 //
-//	"IBX1" | start u32 | count u32 | keyLen u16 |
-//	count × ( count i32 | keySum keyLen bytes | checksum u64 )
+//	"IBX2" | start u32 | count u32 | keyLen u16 | count cells in the cell codec
 func (b *CellBlock) MarshalBinary() ([]byte, error) {
-	return b.AppendBinary(make([]byte, 0, BlockWireSize(b.Len(), b.KeyLen)))
+	return b.AppendBinary(nil)
 }
 
 // AppendBinary appends the wire encoding to dst and returns the
 // extended slice — MarshalBinary into a caller-reused buffer.
 func (b *CellBlock) AppendBinary(dst []byte) ([]byte, error) {
-	out := dst
-	out = append(out, blockMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(b.Start))
-	out = binary.LittleEndian.AppendUint32(out, uint32(b.Len()))
-	out = binary.LittleEndian.AppendUint16(out, uint16(b.KeyLen))
-	for i := 0; i < b.Len(); i++ {
-		if b.Counts[i] > math.MaxInt32 || b.Counts[i] < math.MinInt32 {
-			return nil, fmt.Errorf("iblt: block cell %d count %d overflows wire format", i, b.Counts[i])
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(int32(b.Counts[i])))
-		out = append(out, b.KeySums[i*b.KeyLen:(i+1)*b.KeyLen]...)
-		out = binary.LittleEndian.AppendUint64(out, b.Checks[i])
-	}
-	return out, nil
+	var buf [liveScratch]int
+	live := liveColumns(buf[:0], b.KeySums, b.KeyLen)
+	dst = slices.Grow(dst, blockHeaderSize+cellsSize(b.Counts, len(live), b.KeyLen))
+	dst = append(dst, blockMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Start))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Len()))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(b.KeyLen))
+	return appendCells(dst, live, b.Counts, b.KeySums, b.Checks, b.KeyLen)
 }
 
-// UnmarshalBinary parses MarshalBinary output. The declared cell count is
-// validated against the buffer length before any allocation, so a hostile
-// header cannot drive an oversized allocation. The receiver's slices are
-// reused when big enough, so parsing successive blocks into one
-// CellBlock is allocation-free at steady state.
-func (b *CellBlock) UnmarshalBinary(data []byte) error {
+// blockShape returns the start, cell count and key length a marshalled
+// block declares, with no cell decoded.
+func blockShape(data []byte) (start, n, keyLen int, err error) {
 	if len(data) < blockHeaderSize || string(data[:4]) != blockMagic {
-		return errors.New("iblt: block unmarshal: bad magic or short header")
+		return 0, 0, 0, errors.New("iblt: block unmarshal: bad magic or short header")
 	}
-	start := int(binary.LittleEndian.Uint32(data[4:]))
-	n := int(binary.LittleEndian.Uint32(data[8:]))
-	keyLen := int(binary.LittleEndian.Uint16(data[12:]))
+	start = int(binary.LittleEndian.Uint32(data[4:]))
+	n = int(binary.LittleEndian.Uint32(data[8:]))
+	keyLen = int(binary.LittleEndian.Uint16(data[12:]))
 	if keyLen < 1 {
-		return errors.New("iblt: block unmarshal: key length < 1")
+		return 0, 0, 0, fmt.Errorf("iblt: block unmarshal: key length %d < 1", keyLen)
 	}
 	if start > MaxStreamCells || n > MaxStreamCells {
-		return fmt.Errorf("iblt: block unmarshal: start %d / count %d beyond stream bound", start, n)
+		return 0, 0, 0, fmt.Errorf("iblt: block unmarshal: start %d / count %d beyond stream bound", start, n)
 	}
-	want := uint64(blockHeaderSize) + uint64(n)*uint64(CellOverheadBytes+keyLen)
-	if uint64(len(data)) != want {
-		return fmt.Errorf("iblt: block unmarshal: have %d bytes, want %d", len(data), want)
+	return start, n, keyLen, nil
+}
+
+// UnmarshalWithin parses MarshalBinary output for a receiver that knows
+// what it asked for: cells of its stream's key length, maxCells of them
+// at most. A block that declares anything else is refused with ErrShape
+// on its header, so no peer's header sizes an allocation. The receiver's
+// slices are reused when big enough, so parsing successive blocks into
+// one CellBlock allocates nothing at steady state; on error its contents
+// are unspecified.
+func (b *CellBlock) UnmarshalWithin(data []byte, keyLen, maxCells int) error {
+	start, n, declared, err := blockShape(data)
+	if err != nil {
+		return err
 	}
-	// All validation is done; the fill loop below cannot fail, so the
-	// receiver can be re-shaped in place.
+	if declared != keyLen || n > maxCells {
+		return fmt.Errorf("%w: block of %d cells, key length %d; want at most %d of key length %d",
+			ErrShape, n, declared, maxCells, keyLen)
+	}
+	if err := checkCellsLen(data[blockHeaderSize:], n, keyLen); err != nil {
+		return err
+	}
 	b.resetTo(start, n, keyLen)
-	off := blockHeaderSize
-	for i := 0; i < n; i++ {
-		b.Counts[i] = int64(int32(binary.LittleEndian.Uint32(data[off:])))
-		off += 4
-		copy(b.KeySums[i*keyLen:(i+1)*keyLen], data[off:off+keyLen])
-		off += keyLen
-		b.Checks[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
+	return decodeCells(data[blockHeaderSize:], b.Counts, b.KeySums, b.Checks, keyLen)
+}
+
+// UnmarshalBinary is UnmarshalWithin with nothing expected: the declared
+// cell count must fit the buffer at nine bytes a cell, so the block is
+// at most (KeyLen+16)/9 times the bytes received, KeyLen being whatever
+// the blob says.
+func (b *CellBlock) UnmarshalBinary(data []byte) error {
+	_, _, keyLen, err := blockShape(data)
+	if err != nil {
+		return err
 	}
-	return nil
+	return b.UnmarshalWithin(data, keyLen, MaxStreamCells)
 }
 
 // streamKey is one key's per-stream state in a CellStream.

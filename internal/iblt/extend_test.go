@@ -83,8 +83,8 @@ func TestCellBlockRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blob) != BlockWireSize(b.Len(), 9) {
-		t.Fatalf("wire size %d, want %d", len(blob), BlockWireSize(b.Len(), 9))
+	if len(blob) != b.WireSize() || len(blob) > MaxWireSize(b.Len(), 9) {
+		t.Fatalf("wire size %d, declared %d, bound %d", len(blob), b.WireSize(), MaxWireSize(b.Len(), 9))
 	}
 	var rt CellBlock
 	if err := rt.UnmarshalBinary(blob); err != nil {
@@ -112,8 +112,13 @@ func TestCellBlockUnmarshalRejects(t *testing.T) {
 	if err := b.UnmarshalBinary([]byte("XXXX\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")); err == nil {
 		t.Error("bad magic accepted")
 	}
+	// The magic of the fixed-width format this one replaced, over an
+	// otherwise well-formed empty block of key length 8.
+	if err := b.UnmarshalBinary([]byte("IBX1\x00\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00")); err == nil {
+		t.Error("previous wire version accepted")
+	}
 	// Header claiming more cells than the buffer carries.
-	hdr := []byte("IBX1")
+	hdr := []byte(blockMagic)
 	hdr = append(hdr, 0, 0, 0, 0)             // start
 	hdr = append(hdr, 0xff, 0xff, 0xff, 0x00) // count ≈ 16M
 	hdr = append(hdr, 8, 0)                   // keyLen
@@ -121,7 +126,7 @@ func TestCellBlockUnmarshalRejects(t *testing.T) {
 		t.Error("truncated block accepted")
 	}
 	// Zero key length.
-	zk := []byte("IBX1")
+	zk := []byte(blockMagic)
 	zk = append(zk, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 	if err := b.UnmarshalBinary(zk); err == nil {
 		t.Error("zero key length accepted")

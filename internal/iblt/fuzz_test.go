@@ -5,9 +5,14 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalDecode feeds arbitrary bytes through the wire parser and,
+// FuzzUnmarshalDecode feeds arbitrary bytes through the wire parsers and,
 // when parsing succeeds, through the peeling decoder. Nothing may panic
-// or loop; a reparse of a remarshal must be stable.
+// or loop. UnmarshalTable, which every parser of a peer's bytes calls
+// with the shape it expects, allocates no more than a table of that
+// shape takes (decodeSlack covers the seeds') whatever the input declares
+// or however long it is; UnmarshalBinary, told nothing, at most
+// maxExpansion(declared key length) times the input on top of that. A
+// remarshal must give the input back.
 func FuzzUnmarshalDecode(f *testing.F) {
 	// Seed corpus: a valid small table, an empty one, and header variants.
 	tbl, _ := New(Config{Cells: 24, HashCount: 3, KeyLen: 8, Seed: 7})
@@ -18,13 +23,37 @@ func FuzzUnmarshalDecode(f *testing.F) {
 	empty, _ := New(Config{Cells: 12, HashCount: 4, KeyLen: 4, Seed: 1})
 	eb, _ := empty.MarshalBinary()
 	f.Add(eb)
-	f.Add([]byte("IBL2"))
-	f.Add([]byte("IBL1")) // previous wire version must be rejected cleanly
+	sub, _ := New(Config{Cells: 24, HashCount: 3, KeyLen: 8, Seed: 7})
+	sub.Insert([]byte("0badf00d"))
+	_ = sub.Sub(tbl) // counts of both signs
+	sb, _ := sub.MarshalBinary()
+	f.Add(sb)
+	f.Add([]byte(magic))
+	f.Add([]byte("IBL2")) // previous wire versions must be rejected cleanly
+	f.Add([]byte("IBL1"))
+	f.Add(append([]byte(magic), 0xfc, 0xff, 0xff, 0x0f, 4, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0)) // a header that lies about its cells
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got Table
-		if err := got.UnmarshalBinary(data); err != nil {
+		var err error
+		for _, want := range []Config{tbl.Config(), empty.Config()} {
+			var as *Table
+			if used := allocatedBy(func() { as, err = UnmarshalTable(data, want) }); used > decodeSlack {
+				t.Fatalf("parsing %d bytes as %+v allocated %d", len(data), want, used)
+			}
+			if err == nil && as.Config() != want {
+				t.Fatalf("parsed %+v as %+v", as.Config(), want)
+			}
+		}
+		keyLen := 0
+		if len(data) >= headerSize {
+			keyLen = int(data[9]) | int(data[10])<<8
+		}
+		if used := allocatedBy(func() { err = got.UnmarshalBinary(data) }); used > maxExpansion(keyLen)*uint64(len(data))+decodeSlack {
+			t.Fatalf("parsing %d bytes (key length %d) allocated %d", len(data), keyLen, used)
+		}
+		if err != nil {
 			return
 		}
 		// Valid parse: decode must terminate without panicking.
@@ -122,7 +151,10 @@ func FuzzInsertDeleteDecode(f *testing.F) {
 // decoder as it was; the cell arrays stay in step and never hold more
 // than was accepted; and whenever every cell the decoder holds is an
 // honest cell of one peer set, a decode that certifies returns the diff
-// that turns the local keys into exactly that set.
+// that turns the local keys into exactly that set. Every block reaches
+// the decoder the way a peer's does, through AppendBinary and
+// UnmarshalWithin into one reused block, which must allocate no more
+// than the cells it is told to expect take, plus decodeSlack.
 func FuzzCellDecoderBlocks(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 8, 0, 40, 0, 60})             // plain stream to a decode
 	f.Add([]byte{0, 8, 0, 8, 1, 30, 0, 40})             // restart at a non-zero frontier
@@ -156,6 +188,8 @@ func FuzzCellDecoderBlocks(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var wire []byte
+		var parsed CellBlock
 		// set is the peer set whose honest cells are all the decoder holds;
 		// -1 once anything else has been accepted, until an honest restart.
 		set, accepted := 0, 0
@@ -197,7 +231,18 @@ func FuzzCellDecoderBlocks(f *testing.F) {
 				}
 				mustRefuse = kl != keyLen || b.Start == front+1 || (b.Start == 0 && front > 0 && n <= front)
 			}
-			err := dec.AddBlock(b)
+			if wire, err = b.AppendBinary(wire[:0]); err != nil || len(wire) != b.WireSize() {
+				t.Fatalf("encoding block [%d,%d): %d bytes, WireSize %d (%v)", b.Start, b.Start+b.Len(), len(wire), b.WireSize(), err)
+			}
+			if used := allocatedBy(func() { err = parsed.UnmarshalWithin(wire, b.KeyLen, b.Len()) }); err != nil ||
+				used > uint64(b.Len()*(b.KeyLen+16))+decodeSlack {
+				t.Fatalf("decoding block [%d,%d) from %d bytes allocated %d (%v)", b.Start, b.Start+b.Len(), len(wire), used, err)
+			}
+			if parsed.Start != b.Start || parsed.KeyLen != b.KeyLen ||
+				!equalCells(parsed.Counts, b.Counts, parsed.KeySums, b.KeySums, parsed.Checks, b.Checks) {
+				t.Fatalf("block [%d,%d) differs after the wire", b.Start, b.Start+b.Len())
+			}
+			err := dec.AddBlock(&parsed)
 			switch {
 			case err != nil && mustTake:
 				t.Fatalf("honest block [%d,%d) refused at frontier %d: %v", b.Start, b.Start+b.Len(), front, err)

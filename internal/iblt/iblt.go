@@ -17,7 +17,6 @@
 package iblt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -94,10 +93,6 @@ func RecommendedCells(capacity, q int) int {
 	return m
 }
 
-// CellOverheadBytes is the wire size of one cell beyond its key sum:
-// 4 bytes of signed count plus 8 bytes of checksum sum.
-const CellOverheadBytes = 4 + 8
-
 // Table is an IBLT. The zero value is not usable; construct with New.
 // Tables are not safe for concurrent mutation.
 //
@@ -168,17 +163,11 @@ func (t *Table) Cells() int { return t.cfg.Cells }
 // Balance returns inserts minus deletes applied so far (diagnostic).
 func (t *Table) Balance() int64 { return t.balance }
 
-// WireSize returns the number of bytes Marshal produces, which protocols
-// use for communication accounting.
+// WireSize returns the number of bytes MarshalBinary produces for the
+// table's present contents (see MaxWireSize for the bound its shape
+// implies).
 func (t *Table) WireSize() int {
-	return WireSizeFor(t.cfg.Cells, t.cfg.KeyLen)
-}
-
-// WireSizeFor returns the marshalled size of a table with the given cell
-// count and key length, without constructing one. Wire parsers use it to
-// validate peer-declared sizes before allocating.
-func WireSizeFor(cells, keyLen int) int {
-	return headerSize + cells*(CellOverheadBytes+keyLen)
+	return headerSize + cellsWireSize(t.counts, t.keySums, t.cfg.KeyLen)
 }
 
 // bucketIndex maps the key digest into hash function i's partition via
@@ -413,73 +402,93 @@ func (t *Table) nonZeroCells() int {
 func (t *Table) IsEmpty() bool { return t.nonZeroCells() == 0 }
 
 const (
-	// magic identifies the wire format. "IBL2" replaced "IBL1" when the
-	// per-key hashing switched from q+1 independent passes to a single
-	// keyed digest with derived buckets and checksum: the layout is
-	// unchanged but same-seed tables hold different bits, so a version
-	// skew must fail at parse time rather than as a garbled decode.
-	magic      = "IBL2"
+	// magic identifies the wire format; a blob under any other magic is
+	// refused at parse. "IBL2" replaced "IBL1" when the per-key hashing
+	// switched to a single keyed digest (same layout, different bits);
+	// "IBL3" replaced "IBL2" when fixed-width cells gave way to the cell
+	// codec of cells.go.
+	magic      = "IBL3"
 	headerSize = 4 + 4 + 1 + 2 + 8 // magic, cells, hashcount, keylen, seed
 )
 
 // MarshalBinary encodes the table in its canonical wire format:
 //
-//	"IBL2" | cells u32 | hashCount u8 | keyLen u16 | seed u64 |
-//	cells × ( count i32 | keySum keyLen bytes | checksum u64 )
+//	"IBL3" | cells u32 | hashCount u8 | keyLen u16 | seed u64 | cells in the cell codec
 //
-// Counts are clamped to int32 on the wire; real workloads stay far below
-// that, and Unmarshal of a clamped table would fail its decode loudly.
+// Counts outside int32 do not fit the wire and are an error; real
+// workloads stay far below that.
 func (t *Table) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, t.WireSize())
+	var buf [liveScratch]int
+	live := liveColumns(buf[:0], t.keySums, t.cfg.KeyLen)
+	out := make([]byte, 0, headerSize+cellsSize(t.counts, len(live), t.cfg.KeyLen))
 	out = append(out, magic...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(t.cfg.Cells))
 	out = append(out, byte(t.cfg.HashCount))
 	out = binary.LittleEndian.AppendUint16(out, uint16(t.cfg.KeyLen))
 	out = binary.LittleEndian.AppendUint64(out, t.cfg.Seed)
-	for i := 0; i < t.cfg.Cells; i++ {
-		if t.counts[i] > math.MaxInt32 || t.counts[i] < math.MinInt32 {
-			return nil, fmt.Errorf("iblt: cell %d count %d overflows wire format", i, t.counts[i])
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(int32(t.counts[i])))
-		out = append(out, t.keySums[i*t.cfg.KeyLen:(i+1)*t.cfg.KeyLen]...)
-		out = binary.LittleEndian.AppendUint64(out, t.checks[i])
-	}
-	return out, nil
+	return appendCells(out, live, t.counts, t.keySums, t.checks, t.cfg.KeyLen)
 }
 
-// UnmarshalBinary parses MarshalBinary output, reconstructing hash
-// functions from the embedded seed.
-func (t *Table) UnmarshalBinary(b []byte) error {
-	if len(b) < headerSize || !bytes.Equal(b[:4], []byte(magic)) {
-		return errors.New("iblt: unmarshal: bad magic or short header")
+// configOf returns the Config a marshalled table declares, validated but
+// with no cell decoded.
+func configOf(b []byte) (Config, error) {
+	if len(b) < headerSize || string(b[:4]) != magic {
+		return Config{}, errors.New("iblt: unmarshal: bad magic or short header")
 	}
-	cells := int(binary.LittleEndian.Uint32(b[4:]))
-	q := int(b[8])
-	keyLen := int(binary.LittleEndian.Uint16(b[9:]))
-	seed := binary.LittleEndian.Uint64(b[11:])
-	cfg := Config{Cells: cells, HashCount: q, KeyLen: keyLen, Seed: seed}
+	cfg := Config{
+		Cells:     int(binary.LittleEndian.Uint32(b[4:])),
+		HashCount: int(b[8]),
+		KeyLen:    int(binary.LittleEndian.Uint16(b[9:])),
+		Seed:      binary.LittleEndian.Uint64(b[11:]),
+	}
 	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("iblt: unmarshal: %w", err)
+		return Config{}, fmt.Errorf("iblt: unmarshal: %w", err)
 	}
-	if cells%q != 0 {
-		return fmt.Errorf("iblt: unmarshal: cells %d not a multiple of hash count %d", cells, q)
+	if cfg.Cells%cfg.HashCount != 0 {
+		return Config{}, fmt.Errorf("iblt: unmarshal: cells %d not a multiple of hash count %d", cfg.Cells, cfg.HashCount)
 	}
-	want := headerSize + cells*(CellOverheadBytes+keyLen)
-	if len(b) != want {
-		return fmt.Errorf("iblt: unmarshal: have %d bytes, want %d", len(b), want)
+	return cfg, nil
+}
+
+// UnmarshalTable parses MarshalBinary output for a caller whose
+// parameters imply the table's shape — every protocol's case, since a
+// table of any other would not subtract from its own. A blob that
+// declares another Config is refused with ErrShape on its header, so the
+// table allocated is the one the caller would have built itself.
+func UnmarshalTable(b []byte, want Config) (*Table, error) {
+	cfg, err := configOf(b)
+	if err != nil {
+		return nil, err
 	}
-	nt, err := New(cfg)
+	if cfg != want {
+		return nil, fmt.Errorf("%w: table is %+v, want %+v", ErrShape, cfg, want)
+	}
+	if err := checkCellsLen(b[headerSize:], cfg.Cells, cfg.KeyLen); err != nil {
+		return nil, err
+	}
+	t, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeCells(b[headerSize:], t.counts, t.keySums, t.checks, cfg.KeyLen); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// UnmarshalBinary parses MarshalBinary output with nothing to hold its
+// header against but the buffer: the declared cell count must fit it at
+// nine bytes a cell, so the table is at most (KeyLen+16)/9 times the
+// bytes received, KeyLen being whatever the blob says. Parsers of a
+// peer's bytes know the shape they expect and call UnmarshalTable.
+func (t *Table) UnmarshalBinary(b []byte) error {
+	cfg, err := configOf(b)
 	if err != nil {
 		return err
 	}
-	off := headerSize
-	for i := 0; i < cells; i++ {
-		nt.counts[i] = int64(int32(binary.LittleEndian.Uint32(b[off:])))
-		off += 4
-		copy(nt.keySums[i*keyLen:(i+1)*keyLen], b[off:off+keyLen])
-		off += keyLen
-		nt.checks[i] = binary.LittleEndian.Uint64(b[off:])
-		off += 8
+	nt, err := UnmarshalTable(b, cfg)
+	if err != nil {
+		return err
 	}
 	*t = *nt
 	return nil

@@ -373,14 +373,24 @@ func TestRecommendedCells(t *testing.T) {
 }
 
 func TestWireSizeScalesLinearly(t *testing.T) {
-	mk := func(cells int) int {
+	// An empty table has no live column: a cell is its one-byte count and
+	// its checksum. With random keys in it every column is live and a
+	// cell carries the whole key sum — still under the fixed-width bound.
+	rng := rand.New(rand.NewPCG(19, 20))
+	keys := mkKeys(rng, 12, 16)
+	mk := func(cells int, keys [][]byte) int {
 		tbl, _ := New(Config{Cells: cells, HashCount: 4, KeyLen: 16, Seed: 0})
+		tbl.InsertAll(keys)
+		if tbl.WireSize() > MaxWireSize(cells, 16) {
+			t.Errorf("%d cells: wire size %d above the bound %d", cells, tbl.WireSize(), MaxWireSize(cells, 16))
+		}
 		return tbl.WireSize()
 	}
-	small, big := mk(40), mk(80)
-	perCell := CellOverheadBytes + 16
-	if big-small != 40*perCell {
-		t.Errorf("wire growth %d, want %d", big-small, 40*perCell)
+	if small, big := mk(40, nil), mk(80, nil); big-small != 40*minCellBytes {
+		t.Errorf("empty table wire growth %d, want %d", big-small, 40*minCellBytes)
+	}
+	if small, big := mk(40, keys), mk(80, keys); big-small != 40*(minCellBytes+16) {
+		t.Errorf("loaded table wire growth %d, want %d", big-small, 40*(minCellBytes+16))
 	}
 }
 

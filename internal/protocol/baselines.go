@@ -75,15 +75,21 @@ func (c ExactConfig) filled() ExactConfig {
 	return c
 }
 
+// strata is the configuration of the exact family's strata estimator,
+// which both sides derive and a received estimator is held to.
+func (c ExactConfig) strata() sketch.StrataConfig {
+	return sketch.StrataConfig{
+		KeyLen: points.EncodedSize(c.Universe.Dim) + 4,
+		Seed:   hashutil.DeriveSeed(c.Seed, "exact/strata"),
+	}
+}
+
 // exactStrata builds the strata estimator of the exact family over
 // occurrence keys (points.OccurrenceKeys), which give the exact protocols
 // multiset semantics: identical points get distinct keys, the same ones
 // on both sides.
 func exactStrata(cfg ExactConfig, keys [][]byte) (*sketch.Strata, error) {
-	s, err := sketch.NewStrata(sketch.StrataConfig{
-		KeyLen: points.EncodedSize(cfg.Universe.Dim) + 4,
-		Seed:   hashutil.DeriveSeed(cfg.Seed, "exact/strata"),
-	})
+	s, err := sketch.NewStrata(cfg.strata())
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +188,7 @@ func RunExactIBLTBob(ctx context.Context, t transport.Transport, cfg ExactConfig
 		return nil, err
 	}
 	aliceStrata := new(sketch.Strata)
-	if err := aliceStrata.UnmarshalBinary(blob); err != nil {
+	if err := aliceStrata.UnmarshalAs(blob, cfg.strata()); err != nil {
 		return nil, abort(ctx, t, err)
 	}
 	mine, err := exactStrata(cfg, keys)
@@ -209,18 +215,16 @@ func RunExactIBLTBob(ctx context.Context, t transport.Transport, cfg ExactConfig
 		if err != nil {
 			return nil, err
 		}
-		aliceTbl := new(iblt.Table)
-		if err := aliceTbl.UnmarshalBinary(tb); err != nil {
-			return nil, abort(ctx, t, err)
-		}
 		mineTbl, err := exactTable(cfg, keys, capacity)
 		if err != nil {
 			return nil, abort(ctx, t, err)
 		}
-		if mineTbl.Config() != aliceTbl.Config() {
-			return nil, abort(ctx, t, errors.New("protocol: exact sync table configs diverged"))
+		// Alice's table must have the shape of Bob's, or the two would not
+		// subtract; its header says so before a cell of it is allocated.
+		work, err := iblt.UnmarshalTable(tb, mineTbl.Config())
+		if err != nil {
+			return nil, abort(ctx, t, err)
 		}
-		work := aliceTbl
 		if err := work.Sub(mineTbl); err != nil {
 			return nil, abort(ctx, t, err)
 		}

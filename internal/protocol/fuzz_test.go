@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"robustset/internal/iblt"
@@ -73,19 +74,24 @@ func FuzzParseHello(f *testing.F) {
 }
 
 // FuzzParseCells feeds arbitrary bytes through the rateless cell-block
-// parser, which fronts every MsgCells frame the fetching side accepts: it
-// must never panic, never allocate from an unvalidated header, and
-// parse⇄encode must roundtrip bit-for-bit for every accepted input.
+// parser, which fronts every MsgCells frame the fetching side accepts, as
+// the answer to each of three requests (key length, frontier, chunk). It
+// must never panic; it must never allocate more than the cells it asked
+// for take — 64 KiB covers all three — whatever the header declares and
+// however long the input; and parse⇄encode must roundtrip bit-for-bit
+// for every accepted input.
 func FuzzParseCells(f *testing.F) {
-	// Seed corpus: real blocks of several shapes, plus truncations.
-	for _, shape := range []struct {
+	// Seed corpus: the honest answers to the three requests, their restart
+	// forms, plus truncations.
+	shapes := []struct {
 		keys, skip, n int
 		keyLen        int
 	}{
 		{0, 0, 1, 8},
 		{5, 0, 16, 12},
 		{40, 32, 64, 20},
-	} {
+	}
+	for _, shape := range shapes {
 		cfg := iblt.ExtendConfig{KeyLen: shape.keyLen, Seed: 9}
 		keys := make([][]byte, shape.keys)
 		for i := range keys {
@@ -120,12 +126,26 @@ func FuzzParseCells(f *testing.F) {
 		f.Add(restart[:len(restart)-1])
 	}
 	f.Add([]byte{})
-	f.Add([]byte("IBX1"))
-	f.Add([]byte("IBX1\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("IBX2"))
+	f.Add([]byte("IBX2\xff\xff\xff\xff\xff\xff\xff\x03\xff\xff")) // 2^26 − 1 cells of key length 65535, none sent
+	f.Add([]byte("IBX1"))                                         // the previous wire version
+	f.Add([]byte("IBX1\x00\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := parseCells(data)
-		if err != nil {
+		var b *iblt.CellBlock
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, shape := range shapes {
+			got := new(iblt.CellBlock)
+			if parseCells(got, data, shape.keyLen, shape.skip, shape.n) == nil {
+				b = got
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if used := after.TotalAlloc - before.TotalAlloc; used > 64<<10 {
+			t.Fatalf("parsing %d bytes allocated %d", len(data), used)
+		}
+		if b == nil {
 			return
 		}
 		if b.Len()*b.KeyLen != len(b.KeySums) {

@@ -44,8 +44,10 @@ const (
 // covers everything a connection carries, the meaning of the hello's
 // strategy codes included: version 2 gave Rateless and Ranged codes of
 // their own, version 3 the hello its root tail and the accept its "same"
-// byte. Peers of another version are refused at parse time.
-const MuxVersion = 3
+// byte, version 4 every IBLT a session carries the cell codec (blobs
+// "IBL3", "IBX2", "RSK2", "STR2"). Peers of another version are refused at
+// parse time.
+const MuxVersion = 4
 
 // acceptSame is the byte that follows the parameters of an accept which
 // ends the session at the handshake.

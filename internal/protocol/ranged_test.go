@@ -316,9 +316,11 @@ func TestApplyRangedDiffRejections(t *testing.T) {
 }
 
 // TestRangedWireAdvantage pins the headline regime at test scale: for a
-// large set with a tiny difference, ranged sync must move well under the
-// bytes of the exact-IBLT path (which pays the strata estimator up
-// front).
+// large set with a tiny difference, ranged sync must move fewer bytes
+// than the exact-IBLT path (which pays the strata estimator up front)
+// and under 1 KB a differing key, its own cost model. "Fewer" read "at
+// most half" while exact-IBLT moved 19 246 bytes on this instance; under
+// the cell codec it moves 9 344 to ranged's unchanged 6 003.
 func TestRangedWireAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instance")
@@ -373,11 +375,13 @@ func TestRangedWireAdvantage(t *testing.T) {
 			}
 			return nil
 		})
-	if rangedBytes*2 > exactBytes {
-		t.Errorf("ranged %d bytes vs exact %d: advantage below 2x at n=%d delta=%d",
-			rangedBytes, exactBytes, n, d)
+	if rangedBytes >= exactBytes {
+		t.Errorf("ranged %d bytes vs exact %d: no advantage at n=%d, %d replaced", rangedBytes, exactBytes, n, d)
 	}
-	t.Logf("ranged %d bytes, exact-IBLT %d bytes", rangedBytes, exactBytes)
+	if budget := int64(2*d) << 10; rangedBytes > budget {
+		t.Errorf("ranged %d bytes for %d differing keys: above 1 KB a key (%d)", rangedBytes, 2*d, budget)
+	}
+	t.Logf("ranged %d bytes, exact-IBLT %d bytes (%.2fx)", rangedBytes, exactBytes, float64(exactBytes)/float64(rangedBytes))
 }
 
 // FuzzParseRangeFrame throws arbitrary bytes at all three ranged frame

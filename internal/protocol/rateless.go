@@ -54,8 +54,8 @@ const (
 	// maxChunkCells bounds a single requested increment (allocation
 	// guard on the serving side).
 	maxChunkCells = 1 << 20
-	// defaultRatelessBudget bounds the total streamed cell bytes when the
-	// config does not say otherwise.
+	// defaultRatelessBudget bounds the total bytes of received cell
+	// blocks when the config does not say otherwise.
 	defaultRatelessBudget = 64 << 20
 )
 
@@ -68,8 +68,8 @@ type RatelessConfig struct {
 	// InitialFactor scales the strata estimate into the first requested
 	// increment (0 → 1.4, the stream's empirical decode overhead).
 	InitialFactor float64
-	// MaxBytes caps the total streamed cell bytes before the fetching
-	// side gives up with ErrRatelessBudget (0 → 64 MiB).
+	// MaxBytes caps the total bytes of cell blocks received before the
+	// fetching side gives up with ErrRatelessBudget (0 → 64 MiB).
 	MaxBytes int64
 }
 
@@ -87,15 +87,19 @@ func (c RatelessConfig) filled() RatelessConfig {
 	return c
 }
 
+// cellsWithin returns how many cells of the given key length are sure to
+// fit a cell block of at most size bytes, whatever they hold.
+func cellsWithin(size int64, keyLen int) int64 {
+	empty := iblt.MaxWireSize(0, keyLen)
+	return (size - int64(empty)) / int64(iblt.MaxWireSize(1, keyLen)-empty)
+}
+
 // maxChunkFor bounds one requested increment for the given key length:
 // the cell-count ceiling, further capped so a full chunk's wire block
 // stays far below the transport frame limit even at extreme dimensions.
 func maxChunkFor(keyLen int) int {
 	const maxChunkBytes = 64 << 20
-	if byCap := maxChunkBytes / (iblt.CellOverheadBytes + keyLen); byCap < maxChunkCells {
-		return byCap
-	}
-	return maxChunkCells
+	return int(min(cellsWithin(maxChunkBytes, keyLen), maxChunkCells))
 }
 
 // exact returns the ExactConfig whose strata estimator the opening
@@ -112,20 +116,30 @@ func (c RatelessConfig) extend() iblt.ExtendConfig {
 	}
 }
 
-// parseCells validates a MsgCells body into a cell block. It fronts every
-// block the fetching side accepts, exactly as parseHello fronts sessions.
-func parseCells(body []byte) (*iblt.CellBlock, error) {
-	b := new(iblt.CellBlock)
-	if err := b.UnmarshalBinary(body); err != nil {
-		return nil, err
+// parseCells validates a MsgCells body — the answer to a request for
+// chunk cells past frontier — into block. It fronts every block the
+// fetching side accepts: cells of the stream's key length, the chunk
+// asked for or, in a restart block (the peer's set moved under the
+// stream; start 0), the frontier's more. The header is held to that
+// before the block is sized, so a peer allocates only what was asked for.
+func parseCells(block *iblt.CellBlock, body []byte, keyLen, frontier, chunk int) error {
+	if err := block.UnmarshalWithin(body, keyLen, frontier+chunk); err != nil {
+		return err
 	}
-	return b, nil
+	want := chunk
+	if block.Start == 0 {
+		want += frontier
+	}
+	if block.Len() != want {
+		return fmt.Errorf("protocol: peer sent %d cells, %d expected", block.Len(), want)
+	}
+	return nil
 }
 
 // ratelessPrefixCells is how much of its cell stream a RatelessState
 // keeps. A request is the estimate times 1.4, so 1024 cells answer every
 // session whose difference is under about 650 keys; at 36 bytes a cell in
-// memory, plus the estimator, the state costs its dataset about 60 KB.
+// memory (about 16 on the wire), plus the estimator, the state costs its dataset about 60 KB.
 const ratelessPrefixCells = 1024
 
 // RatelessState is what a dataset that serves rateless sessions keeps so
@@ -324,7 +338,7 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 		return nil, err
 	}
 	aliceStrata := new(sketch.Strata)
-	if err := aliceStrata.UnmarshalBinary(blob); err != nil {
+	if err := aliceStrata.UnmarshalAs(blob, cfg.exact().strata()); err != nil {
 		return nil, abort(ctx, t, err)
 	}
 	mine, err := exactStrata(cfg.exact(), keys)
@@ -341,9 +355,8 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	cellBytes := int64(iblt.CellOverheadBytes + points.EncodedSize(cfg.Universe.Dim) + 4)
-	budgetCells := cfg.MaxBytes / cellBytes
-	maxChunk := maxChunkFor(cfg.extend().KeyLen)
+	keyLen := cfg.extend().KeyLen
+	maxChunk := maxChunkFor(keyLen)
 	// Clamp the (peer-influenced) estimate before converting: a hostile
 	// strata blob must not drive an out-of-range float→int conversion.
 	if est*cfg.InitialFactor > float64(maxChunk) {
@@ -353,16 +366,18 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 	// One reusable block parses every received increment (AddBlock
 	// copies what it keeps), mirroring the serving side's reuse.
 	block := new(iblt.CellBlock)
-	// received counts every cell of every block against the budget; it
-	// runs ahead of the decoder's frontier only after a restart.
+	// received counts the bytes of every block against the budget, a
+	// restart's as much as an increment's. A block's size follows its
+	// contents, so a request is clipped to what fits the rest of the
+	// budget at full width.
 	received := int64(0)
 	for {
-		if remaining := budgetCells - received; int64(chunk) > remaining {
-			if remaining < minChunkCells {
+		if fits := cellsWithin(cfg.MaxBytes-received, keyLen); int64(chunk) > fits {
+			if fits < minChunkCells {
 				return nil, abort(ctx, t, fmt.Errorf("%w: %d cells (%d bytes) streamed",
-					ErrRatelessBudget, received, received*cellBytes))
+					ErrRatelessBudget, dec.Frontier(), received))
 			}
-			chunk = int(remaining)
+			chunk = int(fits)
 		}
 		if chunk > maxChunk {
 			chunk = maxChunk
@@ -378,19 +393,10 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 		if err != nil {
 			return nil, err
 		}
-		if err := block.UnmarshalBinary(body); err != nil {
+		received += int64(len(body))
+		if err := parseCells(block, body, keyLen, dec.Frontier(), chunk); err != nil {
 			return nil, abort(ctx, t, err)
 		}
-		want := chunk
-		if block.Start == 0 {
-			// A restart block (the peer's set moved under the stream)
-			// carries the new set's cells from 0 to the requested frontier.
-			want += dec.Frontier()
-		}
-		if block.Len() != want {
-			return nil, abort(ctx, t, fmt.Errorf("protocol: peer sent %d cells, %d expected", block.Len(), want))
-		}
-		received += int64(want)
 		if err := dec.AddBlock(block); err != nil {
 			return nil, abort(ctx, t, err)
 		}

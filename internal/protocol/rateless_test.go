@@ -302,9 +302,9 @@ func TestRatelessRestart(t *testing.T) {
 
 // TestRatelessBobRefusesBadRestarts: a peer cannot use restart blocks to
 // make Bob spin or to shrink his stream. One that answers every request
-// with a restart is cut off by the byte budget — each block's cells
-// count — and a restart block of any length but frontier+request is
-// refused outright.
+// with a restart is cut off by the byte budget — every byte of every
+// block counts — and a restart block of any length but frontier+request
+// is refused outright.
 func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 	inst, err := exactInstanceForProtocol(t, 300, 40)
 	if err != nil {
@@ -322,6 +322,7 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 	// hostile answers every request with a block of garbage starting at
 	// cell 0, of the length the argument chooses — the first one always
 	// what was asked, so that there is a frontier to restart from.
+	keyLen := cfg.extend().KeyLen
 	hostile := func(length func(frontier, n int) int) (sent int64, berr error) {
 		at, bt := transport.Pair()
 		defer at.Close()
@@ -339,7 +340,7 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 					return
 				}
 				n := int(binary.LittleEndian.Uint32(body))
-				blk := iblt.CellBlock{KeyLen: cfg.extend().KeyLen}
+				blk := iblt.CellBlock{KeyLen: keyLen}
 				m := length(frontier, n)
 				blk.Counts, blk.Checks = make([]int64, m), make([]uint64, m)
 				blk.KeySums = make([]byte, m*blk.KeyLen)
@@ -350,7 +351,7 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 				if send(bg, at, MsgCells, wire) != nil {
 					return
 				}
-				sent += int64(m)
+				sent += int64(len(wire))
 				frontier += n
 			}
 		}()
@@ -359,16 +360,16 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 		<-done
 		return sent, berr
 	}
-	budgetCells := cfg.MaxBytes / int64(iblt.CellOverheadBytes+cfg.extend().KeyLen)
 	sent, err := hostile(func(frontier, n int) int { return frontier + n })
 	if !errors.Is(err, ErrRatelessBudget) {
 		t.Fatalf("a peer that restarts every round: %v, want ErrRatelessBudget", err)
 	}
 	// Charged, the blocks sum to the budget plus at most the last one (a
 	// quarter of it); charged by frontier alone they would sum to four
-	// times the budget.
-	if sent > budgetCells*3/2 || sent < budgetCells/2 {
-		t.Fatalf("Bob took %d cells of restarts under a budget of %d", sent, budgetCells)
+	// times the budget. The garbage is nine bytes a cell where a request
+	// is clipped to the budget at full width, so Bob may also stop short.
+	if sent > cfg.MaxBytes*3/2 || sent < cfg.MaxBytes/4 {
+		t.Fatalf("Bob took %d bytes of restarts under a budget of %d", sent, cfg.MaxBytes)
 	}
 	for name, length := range map[string]func(frontier, n int) int{
 		"shorter than the frontier": func(frontier, n int) int { return n },
@@ -378,5 +379,11 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 		if _, err := hostile(length); err == nil || errors.Is(err, ErrRatelessBudget) {
 			t.Errorf("restart block %s: %v, want a refusal", name, err)
 		}
+	}
+	// As many cells as asked for, of a key length that makes each cost
+	// 64 KiB in memory and nine bytes on the wire: refused on the header.
+	keyLen = 0xffff
+	if _, err := hostile(func(frontier, n int) int { return frontier + n }); !errors.Is(err, iblt.ErrShape) {
+		t.Errorf("block of another key length: %v, want iblt.ErrShape", err)
 	}
 }

@@ -235,7 +235,7 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
 		round := tr.Begin("level_round")
 		tr.Stat("rounds", 1)
-		tbl, err := fetchLevelTable(ctx, t, level, capacity)
+		tbl, err := fetchLevelTable(ctx, t, view, level, capacity)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +282,9 @@ func abort(ctx context.Context, t transport.Transport, err error) error {
 	return err
 }
 
-func fetchLevelTable(ctx context.Context, t transport.Transport, level, capacity int) (*iblt.Table, error) {
+// fetchLevelTable asks Alice for one level's table and parses her answer
+// against the shape the request implies.
+func fetchLevelTable(ctx context.Context, t transport.Transport, view *core.View, level, capacity int) (*iblt.Table, error) {
 	body := []byte{
 		byte(level), byte(level >> 8),
 		byte(capacity), byte(capacity >> 8), byte(capacity >> 16), byte(capacity >> 24),
@@ -294,9 +296,9 @@ func fetchLevelTable(ctx context.Context, t transport.Transport, level, capacity
 	if err != nil {
 		return nil, err
 	}
-	tbl := new(iblt.Table)
-	if err := tbl.UnmarshalBinary(blob); err != nil {
-		return nil, err
+	tbl, err := view.UnmarshalLevelTable(level, capacity, blob)
+	if err != nil {
+		return nil, abort(ctx, t, err)
 	}
 	return tbl, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -296,12 +297,41 @@ func TestStrataUnmarshalRejectsCorrupt(t *testing.T) {
 	for name, blob := range map[string][]byte{
 		"short":    good[:5],
 		"badmagic": append([]byte("XXXX"), good[4:]...),
+		"oldmagic": append([]byte("STR1"), good[4:]...),
 		"truncate": good[:len(good)-3],
 		"trailing": append(append([]byte{}, good...), 1, 2, 3),
+		// The header's cells-per-stratum or key length is no longer that
+		// of the tables that follow it.
+		"cells":  append(append(append([]byte{}, good[:5]...), 36, 0, 0, 0), good[9:]...),
+		"keylen": append(append(append([]byte{}, good[:9]...), 9, 0), good[11:]...),
 	} {
 		if err := b.UnmarshalBinary(blob); err == nil {
 			t.Errorf("%s: corrupt strata accepted", name)
 		}
+	}
+	// A header that declares 40 strata of 2^32−1 cells of 65535-byte keys
+	// and sends none of them is refused before anything is allocated.
+	lie := append([]byte(strataMagic), 40, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := b.UnmarshalBinary(append(lie, make([]byte, 4096)...))
+	runtime.ReadMemStats(&after)
+	if used := after.TotalAlloc - before.TotalAlloc; err == nil || used > 64<<10 {
+		t.Errorf("lying header: err %v after allocating %d bytes", err, used)
+	}
+	// An honest estimator of another configuration — here 10 MB of empty
+	// cells of 20000-byte keys in 45 KB — is nothing a protocol that
+	// expects its own configuration allocates for.
+	wide, _ := NewStrata(StrataConfig{KeyLen: 20000, Seed: 3})
+	wb, _ := wide.MarshalBinary()
+	runtime.ReadMemStats(&before)
+	err = b.UnmarshalAs(wb, StrataConfig{KeyLen: 8, Seed: 3})
+	runtime.ReadMemStats(&after)
+	if used := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrIncompatibleSketch) || used > 64<<10 {
+		t.Errorf("%d bytes of another configuration: err %v after allocating %d bytes", len(wb), err, used)
+	}
+	if err := b.UnmarshalAs(good, StrataConfig{KeyLen: 8, Seed: 3}); err != nil {
+		t.Errorf("the expected configuration is refused: %v", err)
 	}
 }
 

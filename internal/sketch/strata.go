@@ -49,6 +49,20 @@ func (c *StrataConfig) fill() {
 
 // NewStrata constructs an empty strata estimator.
 func NewStrata(cfg StrataConfig) (*Strata, error) {
+	s, err := newStrata(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := range s.tables {
+		if s.tables[i], err = iblt.New(s.tableConfig(i)); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// newStrata validates cfg and returns the estimator without its tables.
+func newStrata(cfg StrataConfig) (*Strata, error) {
 	cfg.fill()
 	if cfg.Strata < 2 || cfg.Strata > 40 {
 		return nil, fmt.Errorf("sketch: strata count %d outside [2,40]", cfg.Strata)
@@ -56,27 +70,24 @@ func NewStrata(cfg StrataConfig) (*Strata, error) {
 	if cfg.KeyLen < 1 {
 		return nil, fmt.Errorf("sketch: strata key length %d < 1", cfg.KeyLen)
 	}
-	s := &Strata{
+	return &Strata{
 		strata:   cfg.Strata,
 		cells:    cfg.CellsPerStratum,
 		keyLen:   cfg.KeyLen,
 		seed:     cfg.Seed,
 		tables:   make([]*iblt.Table, cfg.Strata),
 		sampleFn: hashutil.NewHasher(hashutil.DeriveSeed(cfg.Seed, "sketch/strata/sample")),
-	}
-	for i := range s.tables {
-		t, err := iblt.New(iblt.Config{
-			Cells:     cfg.CellsPerStratum,
-			HashCount: 4,
-			KeyLen:    cfg.KeyLen,
-			Seed:      hashutil.DeriveSeedN(cfg.Seed, "sketch/strata/tbl", i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.tables[i] = t
-	}
-	return s, nil
+	}, nil
+}
+
+// tableConfig is the shape of stratum i's IBLT.
+func (s *Strata) tableConfig(i int) iblt.Config {
+	return iblt.Config{
+		Cells:     s.cells,
+		HashCount: 4,
+		KeyLen:    s.keyLen,
+		Seed:      hashutil.DeriveSeedN(s.seed, "sketch/strata/tbl", i),
+	}.Normalized()
 }
 
 // StratumOf maps a key to its stratum: the number of leading zero bits of
@@ -131,11 +142,13 @@ func EstimateStrataDiff(a, b *Strata) (float64, error) {
 	return float64(count), nil
 }
 
-const strataMagic = "STR1"
+// strataMagic became "STR2" when the stratum IBLT blobs moved to the
+// cell codec ("IBL3").
+const strataMagic = "STR2"
 
 // MarshalBinary encodes the estimator:
 //
-//	"STR1" | strata u8 | cells u32 | keyLen u16 | seed u64 | per-stratum IBLT blobs (u32 length prefix each)
+//	"STR2" | strata u8 | cells u32 | keyLen u16 | seed u64 | per-stratum IBLT blobs (u32 length prefix each)
 func (s *Strata) MarshalBinary() ([]byte, error) {
 	out := []byte(strataMagic)
 	out = append(out, byte(s.strata))
@@ -153,30 +166,59 @@ func (s *Strata) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary parses MarshalBinary output.
-func (s *Strata) UnmarshalBinary(data []byte) error {
+// strataHeader returns the configuration a marshalled estimator declares.
+func strataHeader(data []byte) (StrataConfig, error) {
 	if len(data) < 19 || string(data[:4]) != strataMagic {
-		return errors.New("sketch: strata: bad magic or short buffer")
+		return StrataConfig{}, errors.New("sketch: strata: bad magic or short buffer")
 	}
-	strata := int(data[4])
-	cells := int(binary.LittleEndian.Uint32(data[5:]))
-	keyLen := int(binary.LittleEndian.Uint16(data[9:]))
-	seed := binary.LittleEndian.Uint64(data[11:])
-	ns, err := NewStrata(StrataConfig{Strata: strata, CellsPerStratum: cells, KeyLen: keyLen, Seed: seed})
+	return StrataConfig{
+		Strata:          int(data[4]),
+		CellsPerStratum: int(binary.LittleEndian.Uint32(data[5:])),
+		KeyLen:          int(binary.LittleEndian.Uint16(data[9:])),
+		Seed:            binary.LittleEndian.Uint64(data[11:]),
+	}, nil
+}
+
+// UnmarshalBinary parses MarshalBinary output. Each stratum's table is
+// held to the shape the header declares before it is allocated, and to
+// its own bytes at nine a cell, so the estimator is at most
+// (KeyLen+16)/9 times the bytes received, KeyLen being the header's.
+func (s *Strata) UnmarshalBinary(data []byte) error {
+	cfg, err := strataHeader(data)
+	if err != nil {
+		return err
+	}
+	return s.UnmarshalAs(data, cfg)
+}
+
+// UnmarshalAs is UnmarshalBinary for a caller whose parameters imply the
+// estimator's configuration, as a protocol's do — any other would not
+// subtract from its own. A blob that declares another is refused with
+// ErrIncompatibleSketch on its header, so nothing a peer declares sizes
+// an allocation.
+func (s *Strata) UnmarshalAs(data []byte, want StrataConfig) error {
+	got, err := strataHeader(data)
+	if err != nil {
+		return err
+	}
+	if want.fill(); got != want {
+		return fmt.Errorf("%w: strata blob declares %+v, want %+v", ErrIncompatibleSketch, got, want)
+	}
+	ns, err := newStrata(want)
 	if err != nil {
 		return err
 	}
 	off := 19
-	for i := 0; i < strata; i++ {
+	for i := range ns.tables {
 		if off+4 > len(data) {
 			return errors.New("sketch: strata: truncated stratum table")
 		}
 		l := int(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
-		if off+l > len(data) {
+		if l > len(data)-off {
 			return errors.New("sketch: strata: truncated stratum table body")
 		}
-		if err := ns.tables[i].UnmarshalBinary(data[off : off+l]); err != nil {
+		if ns.tables[i], err = iblt.UnmarshalTable(data[off:off+l], ns.tableConfig(i)); err != nil {
 			return fmt.Errorf("sketch: strata: stratum %d: %w", i, err)
 		}
 		off += l

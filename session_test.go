@@ -356,7 +356,7 @@ type confScenario struct {
 }
 
 // confWireBudget returns the wire-byte ceiling for a cell: the
-// strategy's cost model with generous slack. keyLen bytes per IBLT cell
+// strategy's cost model with generous slack. The bytes of an IBLT cell
 // are overestimated, never underestimated.
 func confWireBudget(strat robustset.Strategy, sc confScenario) int64 {
 	dim := sc.params.Universe.Dim
@@ -366,11 +366,18 @@ func confWireBudget(strat robustset.Strategy, sc confScenario) int64 {
 	if len(sc.bob) > n {
 		n = len(sc.bob)
 	}
-	// tableUB bounds the wire size of an IBLT provisioned for `keys`
-	// difference keys (cells ≈ 1.9·keys + rounding, ≤ 2·keys + 60).
-	tableUB := func(keys int) int64 {
-		return (2*int64(keys) + 60) * int64(24+8*dim)
+	// cellsUB bounds the wire size of an IBLT of that many cells under
+	// the cell codec: a cell is a count of at most two bytes, the live
+	// key-sum columns — ⌈bits/8⌉ per coordinate below 2Δ and two of the
+	// occurrence index — and the checksum; a table adds its header and
+	// column mask. A fixed-width cell (24+8·dim bytes) does not fit it:
+	// a return to one fails Robust in every large-difference scenario.
+	cellsUB := func(cells int64) int64 {
+		return cells*(2+2+8+int64(dim)*((levels+7)/8)) + 32 + int64(dim)
 	}
+	// tableUB bounds an IBLT provisioned for `keys` difference keys
+	// (cells ≈ 1.9·keys + rounding, ≤ 2·keys + 60).
+	tableUB := func(keys int) int64 { return cellsUB(2*int64(keys) + 60) }
 	capacity := 2 * k
 	if capacity < 8 {
 		capacity = 8
@@ -387,14 +394,14 @@ func confWireBudget(strat robustset.Strategy, sc confScenario) int64 {
 	case robustset.ExactIBLT:
 		// Strata estimator (fixed size) + exactly-sized tables with
 		// retry headroom.
-		strata := int64(16*40*(24+8*dim)) + 2048
+		strata := 16*cellsUB(40) + 2048
 		return strata + 2*tableUB(8*sc.diffUB+64) + 2048
 	case robustset.Rateless:
 		// Strata estimator + the cell stream: ~1.5·diff cells to decode
 		// plus at most 50% chunk-growth overshoot — deliberately tighter
 		// than ExactIBLT's retry worst case, which is the strategy's
 		// whole point.
-		strata := int64(16*40*(24+8*dim)) + 2048
+		strata := 16*cellsUB(40) + 2048
 		return strata + tableUB(2*sc.diffUB+64) + 2048
 	case robustset.Ranged:
 		// Each difference key opens at most one root-to-leaf split chain:
