@@ -446,3 +446,77 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 	}
 	b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
 }
+
+// BenchmarkAdaptiveFetch20k is the ruler's adaptive_noisy op as a Go
+// benchmark: a server holding 20 000 points under levels 0–10, a loopback
+// client holding a noisy copy with 64 outliers, one estimate-first Fetch
+// per iteration with k = 1024 estimators. warm fetches an unchanged
+// dataset, so every session after the first is answered from the
+// estimator body the first left behind; cold puts one AddBatch and one
+// RemoveBatch of 32 between fetches, so every session finds that body
+// stale and is the stateless one over a snapshot.
+func BenchmarkAdaptiveFetch20k(b *testing.B) {
+	const n, batch = 20000, 32
+	inst, err := workload.Generate(workload.Config{
+		N: n, Universe: benchUniverse, Outliers: 64, Noise: workload.NoiseUniform, Scale: 4, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := robustset.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 160}.WithLevels(0, 10)
+	for _, cold := range []bool{false, true} {
+		name := map[bool]string{false: "warm", true: "cold"}[cold]
+		b.Run(name, func(b *testing.B) {
+			srv := robustset.NewServer()
+			defer srv.Close()
+			d, err := srv.Publish("noisy", params, inst.Alice)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() { _ = srv.Serve(ln) }() // returns ErrServerClosed on Close
+			ctx := context.Background()
+			cl, err := robustset.DialClient(ctx, ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			opts := robustset.AdaptiveOptions{EstimatorK: 1024}
+			sess, err := cl.Session("noisy", robustset.Adaptive{Options: opts})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wire int64
+			fetch := func() {
+				res, st, err := sess.Fetch(ctx, inst.Bob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.SPrime) != n {
+					b.Fatalf("result of %d points, want %d", len(res.SPrime), n)
+				}
+				wire += st.Total()
+			}
+			fetch() // the first session builds whatever the server keeps
+			wire = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					// The same 32 points out and back in: the multiset, and so
+					// the session's work, is the same every iteration.
+					pts := inst.Alice[i%(n/batch)*batch:][:batch]
+					if err := errors.Join(d.RemoveBatch(pts), d.AddBatch(pts)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				fetch()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
+		})
+	}
+}

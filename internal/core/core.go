@@ -411,19 +411,35 @@ func LevelEstimators(p Params, pts []points.Point, k int) ([]*sketch.BottomK, er
 // selection on large sets should raise the estimator size accordingly
 // (k ≈ n/32 makes the step ~64 keys).
 func ChooseLevel(p Params, alice, bob []*sketch.BottomK, budget int) (level int, estimate float64, err error) {
+	if len(alice) != len(bob) {
+		return 0, 0, fmt.Errorf("core: estimator count mismatch (%d alice, %d bob)", len(alice), len(bob))
+	}
+	return ChooseLevelLazy(p, alice, func(i int) (*sketch.BottomK, error) { return bob[i], nil }, budget)
+}
+
+// ChooseLevelLazy is ChooseLevel with Bob's estimators asked for one at a
+// time: bob(i) returns the estimator of level MinLevel+i. The scan runs
+// finest to coarsest and stops at the first affordable level, so bob is
+// called for the chosen level and the finer ones and never for a coarser
+// one — a caller that builds an estimator when asked builds only those.
+func ChooseLevelLazy(p Params, alice []*sketch.BottomK, bob func(i int) (*sketch.BottomK, error), budget int) (level int, estimate float64, err error) {
 	p, err = p.normalized()
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(alice) != len(bob) || len(alice) != p.MaxLevel-p.MinLevel+1 {
-		return 0, 0, fmt.Errorf("core: estimator count mismatch (%d alice, %d bob, want %d)", len(alice), len(bob), p.MaxLevel-p.MinLevel+1)
+	if len(alice) != p.MaxLevel-p.MinLevel+1 {
+		return 0, 0, fmt.Errorf("core: estimator count mismatch (%d alice, want %d)", len(alice), p.MaxLevel-p.MinLevel+1)
 	}
 	for i := len(alice) - 1; i >= 0; i-- {
-		est, err := sketch.EstimateDiff(alice[i], bob[i])
+		mine, err := bob(i)
 		if err != nil {
 			return 0, 0, err
 		}
-		step := float64(alice[i].Count()+bob[i].Count()) / float64(alice[i].K())
+		est, err := sketch.EstimateDiff(alice[i], mine)
+		if err != nil {
+			return 0, 0, err
+		}
+		step := float64(alice[i].Count()+mine.Count()) / float64(alice[i].K())
 		est += step / 2
 		// A level is affordable if its padded estimate fits the budget;
 		// when the budget is below the estimator's own resolution, one

@@ -5,7 +5,9 @@ import (
 	"fmt"
 
 	"robustset/internal/grid"
+	"robustset/internal/iblt"
 	"robustset/internal/points"
+	"robustset/internal/sketch"
 )
 
 // Maintainer keeps Alice's sketch synchronized with a changing multiset:
@@ -80,6 +82,40 @@ func (m *Maintainer) Params() Params { return m.params }
 func (m *Maintainer) Sketch() *Sketch {
 	m.sketch.Count = m.count
 	return m.sketch
+}
+
+// BuildLevelTable builds the single-level IBLT the estimate-first
+// protocol serves, from the level's cell counts and without the points:
+// the table View.BuildLevelTable builds over the current multiset. Only
+// the maintained levels have counts; any other is ErrLevelOutOfRange.
+func (m *Maintainer) BuildLevelTable(level, capacity int) (*iblt.Table, error) {
+	if level < m.params.MinLevel || level > m.params.MaxLevel {
+		return nil, fmt.Errorf("%w: %d outside [%d,%d]", ErrLevelOutOfRange, level, m.params.MinLevel, m.params.MaxLevel)
+	}
+	t, err := iblt.New(levelConfig(m.params, level, capacity))
+	if err != nil {
+		return nil, err
+	}
+	m.occ[level-m.params.MinLevel].scan(m.params.Universe.Dim, t.Insert)
+	return t, nil
+}
+
+// LevelEstimators builds the per-level difference estimators from the
+// cell counts: what View.LevelEstimators builds over the current
+// multiset. It hashes every key of every level — too long to hold a
+// dataset's lock for — so a serving Dataset builds its estimators from a
+// snapshot and keeps the bytes; this is what they are held equal to.
+func (m *Maintainer) LevelEstimators(k int) ([]*sketch.BottomK, error) {
+	ests := make([]*sketch.BottomK, 0, len(m.occ))
+	for idx, occ := range m.occ {
+		b, err := newLevelEstimator(m.params, m.params.MinLevel+idx, k, m.count)
+		if err != nil {
+			return nil, err
+		}
+		occ.scan(m.params.Universe.Dim, b.Add)
+		ests = append(ests, b.Finish())
+	}
+	return ests, nil
 }
 
 // Add inserts one point into the maintained multiset.

@@ -235,3 +235,105 @@ func TestMaintainerOccupancyKeying(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintainerLevelBuildsMatchView: what the Maintainer builds from its
+// cell counts alone — the estimate-first protocol's estimators and level
+// tables — is on the wire what a View builds over the surviving points,
+// after a long random add/remove sequence with duplicates. The second
+// universe needs 8 × 10 = 80 Morton bits, so its counts are keyed by the
+// encoded cell and its view takes the occupancy fallback; the first,
+// Δ = 2²⁰ in the plane, packs a cell into one word. A trimmed level range
+// rides along: levels outside it have no counts and are refused.
+func TestMaintainerLevelBuildsMatchView(t *testing.T) {
+	for _, tc := range []struct {
+		u      points.Universe
+		lo, hi int
+	}{
+		{points.Universe{Dim: 2, Delta: 1 << 20}, 0, 20},
+		{points.Universe{Dim: 2, Delta: 1 << 20}, 3, 10},
+		{points.Universe{Dim: 8, Delta: 1 << 9}, 0, 9},
+	} {
+		p := testParams(tc.u, 4, 23).WithLevels(tc.lo, tc.hi)
+		rng := rand.New(rand.NewPCG(uint64(tc.u.Dim), uint64(tc.hi)))
+		inst := genInstance(t, workload.Config{N: 500, Universe: tc.u, Seed: 7, Clusters: 4})
+		m, err := NewMaintainer(p, inst.Bob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		current := points.Clone(inst.Bob)
+		for step := 0; step < 2000; step++ {
+			switch r := rng.IntN(10); {
+			case len(current) > 0 && r < 5:
+				i := rng.IntN(len(current))
+				if err := m.Remove(current[i]); err != nil {
+					t.Fatalf("step %d: remove: %v", step, err)
+				}
+				current[i] = current[len(current)-1]
+				current = current[:len(current)-1]
+			default:
+				var pt points.Point
+				if len(current) > 0 && r < 7 {
+					pt = current[rng.IntN(len(current))].Clone() // a duplicate: occurrence > 0
+				} else {
+					pt = make(points.Point, tc.u.Dim)
+					for j := range pt {
+						pt[j] = rng.Int64N(tc.u.Delta)
+					}
+				}
+				if err := m.Add(pt); err != nil {
+					t.Fatalf("step %d: add: %v", step, err)
+				}
+				current = append(current, pt)
+			}
+		}
+		if packed := m.occ[0].packed != nil; packed != (tc.u.Dim == 2) {
+			t.Fatalf("dim %d: packed occupancy %v", tc.u.Dim, packed)
+		}
+		v, err := NewView(p, current)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{8, 64} {
+			want, err := v.LevelEstimators(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.LevelEstimators(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("dim %d: %d estimators, want %d", tc.u.Dim, len(got), len(want))
+			}
+			for i := range want {
+				g, _ := got[i].MarshalBinary()
+				w, _ := want[i].MarshalBinary()
+				if !bytes.Equal(g, w) {
+					t.Errorf("dim %d k %d: level %d estimator differs from the view's", tc.u.Dim, k, tc.lo+i)
+				}
+			}
+		}
+		for l := tc.lo; l <= tc.hi; l++ {
+			for _, capacity := range []int{8, 300} {
+				want, err := v.BuildLevelTable(l, capacity)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.BuildLevelTable(l, capacity)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, _ := got.MarshalBinary()
+				w, _ := want.MarshalBinary()
+				if !bytes.Equal(g, w) {
+					t.Errorf("dim %d: level %d capacity %d table differs from the view's", tc.u.Dim, l, capacity)
+				}
+			}
+		}
+		for _, l := range []int{-1, tc.lo - 1, tc.hi + 1, tc.u.Levels() + 1} {
+			if _, err := m.BuildLevelTable(l, 8); !errors.Is(err, ErrLevelOutOfRange) {
+				t.Errorf("dim %d: level %d outside [%d,%d]: %v, want ErrLevelOutOfRange", tc.u.Dim, l, tc.lo, tc.hi, err)
+			}
+		}
+	}
+}

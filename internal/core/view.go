@@ -52,6 +52,9 @@ func NewView(p Params, pts []points.Point) (*View, error) {
 	return &View{p: p, g: g, pts: pts, mo: newMortonOrder(g, pts)}, nil
 }
 
+// Params returns the view's normalized parameters.
+func (v *View) Params() Params { return v.p }
+
 // mortonOrder is the Morton (Z-order) presorting of a point multiset.
 // Sorting by the bit-interleaved code of the shifted coordinates makes
 // the points of any single grid cell contiguous at every level
@@ -221,6 +224,37 @@ func (o *occupancy) bump(cell []byte, delta int) uint32 {
 	return n
 }
 
+// scan calls emit with the (cell, occurrence) key of every point counted
+// — each cell's occurrences 0..count−1 — in no particular order; d is
+// the dimension. It is scanLevel for a holder of the counts alone: the
+// key set is the one scanLevel emits over the same multiset, and every
+// table and estimator is a function of the set. The key buffer is reused
+// between calls.
+func (o *occupancy) scan(d int, emit func(key []byte)) {
+	key := make([]byte, KeyLen(d))
+	occurrences := func(n uint32) {
+		for j := uint32(0); j < n; j++ {
+			binary.LittleEndian.PutUint32(key[8*d:], j)
+			emit(key)
+		}
+	}
+	if o.packed != nil {
+		mask := uint64(1)<<o.bits - 1
+		for k, n := range o.packed {
+			for j := d - 1; j >= 0; j-- { // bump packs the first coordinate highest
+				binary.LittleEndian.PutUint64(key[8*j:], k&mask)
+				k >>= o.bits
+			}
+			occurrences(n)
+		}
+		return
+	}
+	for cell, n := range o.cells {
+		copy(key, cell)
+		occurrences(*n)
+	}
+}
+
 // scanLevel is the kernel under every per-level pass: it calls emit with
 // the (cell, occurrence) key of each point at the level, exactly once
 // per point. The key buffer is reused between calls. With a non-nil occ
@@ -303,17 +337,33 @@ func (v *View) BuildLevelTable(level, capacity int) (*iblt.Table, error) {
 	return v.levelTable(level, capacity, nil)
 }
 
+// newLevelEstimator starts the bottom-k difference estimator of one
+// level, over the same (cell, occurrence) keys the level's IBLT holds; n
+// is how many of them the caller will add.
+func newLevelEstimator(p Params, level, k, n int) (*sketch.BottomKBuilder, error) {
+	return sketch.NewBottomKBuilder(k, hashutil.DeriveSeedN(p.Seed, "core/est", level), n)
+}
+
+// LevelEstimator builds the estimator of one level of the view's range.
+func (v *View) LevelEstimator(level, k int) (*sketch.BottomK, error) {
+	b, err := newLevelEstimator(v.p, level, k, len(v.pts))
+	if err != nil {
+		return nil, err
+	}
+	v.scanLevel(level, nil, b.Add)
+	return b.Finish(), nil
+}
+
 // LevelEstimators builds one bottom-k difference estimator per level of
-// the view's range over the same (cell, occurrence) keys the IBLTs hold.
+// the view's range, coarsest first.
 func (v *View) LevelEstimators(k int) ([]*sketch.BottomK, error) {
 	ests := make([]*sketch.BottomK, 0, v.p.MaxLevel-v.p.MinLevel+1)
 	for l := v.p.MinLevel; l <= v.p.MaxLevel; l++ {
-		b, err := sketch.NewBottomKBuilder(k, hashutil.DeriveSeedN(v.p.Seed, "core/est", l), len(v.pts))
+		e, err := v.LevelEstimator(l, k)
 		if err != nil {
 			return nil, err
 		}
-		v.scanLevel(l, nil, b.Add)
-		ests = append(ests, b.Finish())
+		ests = append(ests, e)
 	}
 	return ests, nil
 }
@@ -439,6 +489,26 @@ func (v *View) reconcileLevel(aliceTable *iblt.Table, level, cells int) (*Result
 		return nil, err
 	}
 	v.scanLevel(level, nil, mine.Insert)
+	return v.reconcileTables(aliceTable, mine, level)
+}
+
+// ReconcileLevelWith is ReconcileLevel for a caller that already holds
+// its own table of the level — BuildLevelTable(level, capacity), filled
+// while Alice's was on its way. A table of Alice's of any other shape is
+// rejected with ErrLevelTableMismatch.
+func (v *View) ReconcileLevelWith(aliceTable, mine *iblt.Table, level int) (*Result, error) {
+	if err := v.checkLevel(level); err != nil {
+		return nil, err
+	}
+	if got, want := aliceTable.Config(), mine.Config(); got != want {
+		return nil, fmt.Errorf("%w: level %d table is %+v, want %+v", ErrLevelTableMismatch, level, got, want)
+	}
+	return v.reconcileTables(aliceTable, mine, level)
+}
+
+// reconcileTables subtracts Bob's table of the level from Alice's equally
+// shaped one and repairs at that level.
+func (v *View) reconcileTables(aliceTable, mine *iblt.Table, level int) (*Result, error) {
 	t := aliceTable.Clone()
 	if err := t.Sub(mine); err != nil {
 		return nil, err

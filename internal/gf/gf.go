@@ -70,73 +70,6 @@ func Mul(a, b Elem) Elem {
 	return Elem(s)
 }
 
-// MulShiftAdd returns a · b by classic double-and-add over the bits of b:
-// the obviously-correct reference multiplier. It performs no 128-bit
-// arithmetic at all, so it runs on targets without a wide multiply, and it
-// is the reference implementation the optimized paths (Mul, MulTable) are
-// pinned against in the equivalence tests.
-func MulShiftAdd(a, b Elem) Elem {
-	var acc Elem
-	x := a
-	e := uint64(b)
-	for e != 0 {
-		if e&1 == 1 {
-			acc = Add(acc, x)
-		}
-		x = Add(x, x)
-		e >>= 1
-	}
-	return acc
-}
-
-// MulTable is a precomputed per-multiplicand multiplication table using
-// 4-bit slicing: row i holds v·16^i·m mod p for every nibble value v, so
-// x·m is the lazily reduced sum of 16 table entries selected by the
-// nibbles of x — no wide multiplication at evaluation time.
-//
-// Building a table costs 256 field operations, so it pays off only for
-// repeated multiplication by the same multiplicand (Horner steps at a
-// fixed point, fixed generators). On 64-bit CPUs with a fast 64×64→128
-// multiply the plain Mul routine is faster; the table path exists for
-// targets without one and as an independently constructed implementation
-// the equivalence tests cross-check. Benchmarks in this package compare
-// all three multipliers.
-type MulTable struct {
-	t [16][16]uint64
-}
-
-// NewMulTable builds the 4-bit sliced multiplication table for m.
-func NewMulTable(m Elem) *MulTable {
-	mt := &MulTable{}
-	base := m
-	for i := 0; i < 16; i++ {
-		for v := 1; v < 16; v++ {
-			mt.t[i][v] = uint64(Mul(base, Elem(v)))
-		}
-		base = Mul(base, Elem(16))
-	}
-	return mt
-}
-
-// Mul returns a · m for the table's multiplicand m: 16 table lookups and
-// a lazy Mersenne fold. Each entry is < 2^61, so two batches of 8 stay
-// below 2^64 and one fold each keeps the final sum in range.
-func (mt *MulTable) Mul(a Elem) Elem {
-	x := uint64(a)
-	s1 := mt.t[0][x&15] + mt.t[1][(x>>4)&15] + mt.t[2][(x>>8)&15] + mt.t[3][(x>>12)&15] +
-		mt.t[4][(x>>16)&15] + mt.t[5][(x>>20)&15] + mt.t[6][(x>>24)&15] + mt.t[7][(x>>28)&15]
-	s2 := mt.t[8][(x>>32)&15] + mt.t[9][(x>>36)&15] + mt.t[10][(x>>40)&15] + mt.t[11][(x>>44)&15] +
-		mt.t[12][(x>>48)&15] + mt.t[13][(x>>52)&15] + mt.t[14][(x>>56)&15] + mt.t[15][(x>>60)&15]
-	s1 = (s1 & P) + (s1 >> 61)
-	s2 = (s2 & P) + (s2 >> 61)
-	s := s1 + s2
-	s = (s & P) + (s >> 61)
-	if s >= P {
-		s -= P
-	}
-	return Elem(s)
-}
-
 // Pow returns a^e by square-and-multiply.
 func Pow(a Elem, e uint64) Elem {
 	result := Elem(1)

@@ -2,8 +2,11 @@ package protocol
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"robustset/internal/core"
 	"robustset/internal/iblt"
@@ -112,10 +115,62 @@ func (o EstimateOpts) filled(p core.Params) EstimateOpts {
 	return o
 }
 
-// RunEstimateAlice serves Alice's side of the estimate-first protocol:
-// she answers one estimator request and then any number of level-table
-// requests until Bob sends MsgDone.
+// EstimateOpening is what one estimate-first session is served from: a
+// multiset's estimators, already in their wire form, and the way to the
+// table of any one level.
+type EstimateOpening struct {
+	// Estimators is the MsgEstimators body: the blob list of the per-level
+	// estimators of levels MinLevel..MaxLevel, coarsest first.
+	Estimators []byte
+	// MinLevel and MaxLevel are the multiset's level range; a request for
+	// a table outside it is refused with core.ErrLevelOutOfRange.
+	MinLevel, MaxLevel int
+	// LevelTable builds the table of one level of the range. It may
+	// describe a newer version of the multiset than Estimators does: the
+	// fetching side then reconciles to that version, if the capacity it
+	// asked for still decodes, or retries.
+	LevelTable func(level, capacity int) (*iblt.Table, error)
+}
+
+// OpenEstimates builds the opening of a fixed point multiset for
+// estimator size k: one ordered view serves the estimators and every
+// level-table round.
+func OpenEstimates(p core.Params, pts []points.Point, k int) (*EstimateOpening, error) {
+	view, err := core.NewView(p, pts)
+	if err != nil {
+		return nil, err
+	}
+	ests, err := view.LevelEstimators(k)
+	if err != nil {
+		return nil, err
+	}
+	blobs := make([][]byte, len(ests))
+	for i, e := range ests {
+		if blobs[i], err = e.MarshalBinary(); err != nil {
+			return nil, err
+		}
+	}
+	p = view.Params()
+	return &EstimateOpening{
+		Estimators: appendBlobList(nil, blobs),
+		MinLevel:   p.MinLevel,
+		MaxLevel:   p.MaxLevel,
+		LevelTable: view.BuildLevelTable,
+	}, nil
+}
+
+// RunEstimateAlice serves Alice's side of the estimate-first protocol
+// over her points: she answers one estimator request and then any number
+// of level-table requests until Bob sends MsgDone.
 func RunEstimateAlice(ctx context.Context, t transport.Transport, p core.Params, pts []points.Point) error {
+	return RunEstimateServed(ctx, t, func(k int) (*EstimateOpening, error) { return OpenEstimates(p, pts, k) })
+}
+
+// RunEstimateServed is the serving side of the estimate-first protocol:
+// open is called with the estimator size the peer asked for, and the
+// session is answered from what it returns. An error from open is
+// relayed to the peer.
+func RunEstimateServed(ctx context.Context, t transport.Transport, open func(k int) (*EstimateOpening, error)) error {
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("estimate")
 	body, err := recvExpect(ctx, t, MsgEstRequest)
@@ -125,29 +180,18 @@ func RunEstimateAlice(ctx context.Context, t transport.Transport, p core.Params,
 	if len(body) != 4 {
 		return sendErr(ctx, t, errors.New("protocol: malformed estimator request"))
 	}
-	estK := int(uint32(body[0]) | uint32(body[1])<<8 | uint32(body[2])<<16 | uint32(body[3])<<24)
+	estK := int(binary.LittleEndian.Uint32(body))
 	if estK < minEstimatorK || estK > maxEstimatorK {
 		return sendErr(ctx, t, fmt.Errorf("protocol: estimator k %d outside [%d, %d]", estK, minEstimatorK, maxEstimatorK))
 	}
-	// One ordered view serves the estimators and every level-table round.
-	view, err := core.NewView(p, pts)
+	o, err := open(estK)
 	if err != nil {
 		return sendErr(ctx, t, err)
 	}
-	ests, err := view.LevelEstimators(estK)
-	if err != nil {
-		return sendErr(ctx, t, err)
-	}
-	blobs := make([][]byte, len(ests))
-	for i, e := range ests {
-		if blobs[i], err = e.MarshalBinary(); err != nil {
-			return sendErr(ctx, t, err)
-		}
-	}
-	if err := send(ctx, t, MsgEstimators, appendBlobList(nil, blobs)); err != nil {
+	if err := send(ctx, t, MsgEstimators, o.Estimators); err != nil {
 		return err
 	}
-	sp.End(trace.I("levels", int64(len(blobs))))
+	sp.End(trace.I("levels", int64(o.MaxLevel-o.MinLevel+1)))
 	for {
 		typ, body, err := recv(ctx, t)
 		if err != nil {
@@ -162,12 +206,15 @@ func RunEstimateAlice(ctx context.Context, t transport.Transport, p core.Params,
 			if len(body) != 6 {
 				return sendErr(ctx, t, errors.New("protocol: malformed level request"))
 			}
-			level := int(uint16(body[0]) | uint16(body[1])<<8)
-			capacity := int(uint32(body[2]) | uint32(body[3])<<8 | uint32(body[4])<<16 | uint32(body[5])<<24)
+			level := int(binary.LittleEndian.Uint16(body))
+			capacity := int(binary.LittleEndian.Uint32(body[2:]))
 			if capacity < 1 || capacity > 1<<24 {
 				return sendErr(ctx, t, fmt.Errorf("protocol: capacity %d out of range", capacity))
 			}
-			tbl, err := view.BuildLevelTable(level, capacity)
+			if level < o.MinLevel || level > o.MaxLevel {
+				return sendErr(ctx, t, fmt.Errorf("%w: %d outside [%d,%d]", core.ErrLevelOutOfRange, level, o.MinLevel, o.MaxLevel))
+			}
+			tbl, err := o.LevelTable(level, capacity)
 			if err != nil {
 				return sendErr(ctx, t, err)
 			}
@@ -185,6 +232,44 @@ func RunEstimateAlice(ctx context.Context, t transport.Transport, p core.Params,
 	}
 }
 
+// bobEstimators holds Bob's per-level estimators, each built the first
+// time it is asked for.
+type bobEstimators struct {
+	view  *core.View
+	k     int
+	ests  []*sketch.BottomK // by level−MinLevel; nil until built
+	built int
+}
+
+// at returns the estimator of level MinLevel+i.
+func (b *bobEstimators) at(i int) (*sketch.BottomK, error) {
+	if b.ests[i] == nil {
+		e, err := b.view.LevelEstimator(b.view.Params().MinLevel+i, b.k)
+		if err != nil {
+			return nil, err
+		}
+		b.ests[i] = e
+		b.built++
+	}
+	return b.ests[i], nil
+}
+
+// fillBelow builds the estimators of the levels under the finest, finest
+// first, until all are built or stop is set.
+func (b *bobEstimators) fillBelow(stop *atomic.Bool) error {
+	for i := len(b.ests) - 2; i >= 0; i-- {
+		// On one processor whoever sets stop has had no turn; give it one.
+		runtime.Gosched()
+		if stop.Load() {
+			return nil
+		}
+		if _, err := b.at(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunEstimateBob drives Bob's side of the estimate-first protocol:
 // request estimators, pick the finest affordable level, fetch one
 // exactly-sized table, reconcile — retrying with doubled capacity (and
@@ -194,22 +279,38 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("estimate")
 	var req [4]byte
-	req[0], req[1], req[2], req[3] = byte(opts.EstimatorK), byte(opts.EstimatorK>>8), byte(opts.EstimatorK>>16), byte(opts.EstimatorK>>24)
+	binary.LittleEndian.PutUint32(req[:], uint32(opts.EstimatorK))
 	if err := send(ctx, t, MsgEstRequest, req[:]); err != nil {
 		return nil, err
 	}
-	// Bob builds his own estimators while Alice builds hers, and only
-	// then blocks on her reply. The view he sorts for them also serves
-	// every level-table round and the repair.
+	// The view Bob sorts serves his estimators, every level-table round
+	// and the repair.
 	view, err := core.NewView(p, bobPts)
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	bobEsts, err := view.LevelEstimators(opts.EstimatorK)
-	if err != nil {
+	p = view.Params()
+	mine := &bobEstimators{view: view, k: opts.EstimatorK, ests: make([]*sketch.BottomK, p.MaxLevel-p.MinLevel+1)}
+	// The level choice reads Bob's estimators finest first and stops at
+	// the first affordable level: the finest is always read, each coarser
+	// one only if the scan gets there. So Bob builds the finest, and the
+	// coarser ones — in the scan's order — only for as long as Alice has
+	// not answered: she is then building hers, as slow as he is at his,
+	// and he is ready when she is. Once she has, the scan builds what it
+	// reads and no more. The filling goroutine touches only mine, stops at
+	// the level it is in when the answer arrives, and is joined before
+	// mine is read again.
+	if _, err := mine.at(len(mine.ests) - 1); err != nil {
 		return nil, abort(ctx, t, err)
 	}
+	var answered atomic.Bool
+	filled := make(chan error, 1)
+	go func() { filled <- mine.fillBelow(&answered) }()
 	body, err := recvExpect(ctx, t, MsgEstimators)
+	answered.Store(true)
+	if ferr := <-filled; err == nil && ferr != nil {
+		err = abort(ctx, t, ferr)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -224,22 +325,37 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 			return nil, fmt.Errorf("protocol: estimator %d: %w", i, err)
 		}
 	}
-	level, est, err := core.ChooseLevel(p, aliceEsts, bobEsts, opts.Budget)
+	level, est, err := core.ChooseLevelLazy(p, aliceEsts, mine.at, opts.Budget)
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	sp.End(trace.I("level", int64(level)), trace.I("est", int64(est)))
+	sp.End(trace.I("level", int64(level)), trace.I("est", int64(est)), trace.I("built", int64(mine.built)))
 	tr.Stat("estimated_diff", int64(est))
 	capacity := int(est*1.5) + 16
 	var lastErr error
 	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
 		round := tr.Begin("level_round")
 		tr.Stat("rounds", 1)
-		tbl, err := fetchLevelTable(ctx, t, view, level, capacity)
+		var req [6]byte
+		binary.LittleEndian.PutUint16(req[:], uint16(level))
+		binary.LittleEndian.PutUint32(req[2:], uint32(capacity))
+		if err := send(ctx, t, MsgLevelRequest, req[:]); err != nil {
+			return nil, err
+		}
+		// Bob fills his table of the level while Alice fills hers.
+		own, err := view.BuildLevelTable(level, capacity)
+		if err != nil {
+			return nil, abort(ctx, t, err)
+		}
+		blob, err := recvExpect(ctx, t, MsgLevelTable)
 		if err != nil {
 			return nil, err
 		}
-		res, rerr := view.ReconcileLevel(tbl, level, capacity)
+		tbl, err := view.UnmarshalLevelTable(level, capacity, blob)
+		if err != nil {
+			return nil, abort(ctx, t, err)
+		}
+		res, rerr := view.ReconcileLevelWith(tbl, own, level)
 		round.End(trace.I("level", int64(level)), trace.I("capacity", int64(capacity)),
 			trace.I("decoded", boolStat(rerr == nil)))
 		if errors.Is(rerr, core.ErrLevelTableMismatch) {
@@ -280,25 +396,4 @@ func boolStat(b bool) int64 {
 func abort(ctx context.Context, t transport.Transport, err error) error {
 	_ = send(ctx, t, MsgDone, nil)
 	return err
-}
-
-// fetchLevelTable asks Alice for one level's table and parses her answer
-// against the shape the request implies.
-func fetchLevelTable(ctx context.Context, t transport.Transport, view *core.View, level, capacity int) (*iblt.Table, error) {
-	body := []byte{
-		byte(level), byte(level >> 8),
-		byte(capacity), byte(capacity >> 8), byte(capacity >> 16), byte(capacity >> 24),
-	}
-	if err := send(ctx, t, MsgLevelRequest, body); err != nil {
-		return nil, err
-	}
-	blob, err := recvExpect(ctx, t, MsgLevelTable)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := view.UnmarshalLevelTable(level, capacity, blob)
-	if err != nil {
-		return nil, abort(ctx, t, err)
-	}
-	return tbl, nil
 }

@@ -322,9 +322,10 @@ func (s *Snapshot) TotalBytes() int64 {
 // its accept because the two datasets' roots were equal; Format reads it.
 const StatUnchanged = "unchanged"
 
-// StatServedState is the stat a server records on a rateless session: 1
-// when the dataset's maintained state answered all of it, 0 when the
-// session read the points (to build that state, or past its prefix).
+// StatServedState is the stat a server records on a rateless or adaptive
+// session: 1 when the dataset's served state answered all of it, 0 when
+// the session read the points (to build that state, or past a rateless
+// prefix).
 const StatServedState = "served_state"
 
 // Stat returns the named stat's value and whether it was recorded.

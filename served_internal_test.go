@@ -211,17 +211,24 @@ func TestRatelessStateAfterRecovery(t *testing.T) {
 	rebuild(d, "crash-cut tail")
 }
 
-// servedFetch runs one rateless fetch of local against srv's dataset "d"
-// over an in-process pair, tapping the serving side's transport: it
-// returns the result and the frames the server saw after the handshake.
-func servedFetch(t *testing.T, srv *Server, r Rateless, local []Point, beforeRecv map[int]func()) (*SyncResult, [][]byte) {
+// servedFetch runs one fetch of local against srv's dataset "d" over an
+// in-process pair, tapping the serving side's transport: it returns the
+// result and the frames the server saw after the handshake.
+func servedFetch(t *testing.T, srv *Server, strat Strategy, local []Point, beforeRecv map[int]func()) (*SyncResult, [][]byte) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	sess, err := NewSession(r)
+	sess, err := NewSession(strat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return servedFetchSession(t, srv, sess, local, beforeRecv)
+}
+
+// servedFetchSession is servedFetch through a session of the caller's,
+// with whatever options it was built with.
+func servedFetchSession(t *testing.T, srv *Server, sess *Session, local []Point, beforeRecv map[int]func()) (*SyncResult, [][]byte) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	sess.dataset = "d"
 	at, bt := transport.Pair()
 	tap := &tapTransport{Transport: bt}
@@ -233,7 +240,7 @@ func servedFetch(t *testing.T, srv *Server, r Rateless, local []Point, beforeRec
 			t.Error(err)
 			return
 		}
-		tap.beforeRecv = beforeRecv // counts from the first cells request
+		tap.beforeRecv = beforeRecv // counts from the first request after the hello
 		srv.serveSession(ctx, tap, hello, &net.TCPAddr{})
 	}()
 	res, err := sess.fetchOver(ctx, at, nil, local)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"robustset/internal/cluster"
+	"robustset/internal/iblt"
 	"robustset/internal/metrics"
 	"robustset/internal/points"
 	"robustset/internal/protocol"
@@ -31,12 +32,12 @@ var ErrUnknownDataset = errors.New("robustset: unknown dataset")
 // Dataset is one named point multiset a Server publishes. It pairs the
 // live points with an incrementally maintained sketch, so robust one-shot
 // sessions are served from the Maintainer in O(sketch) time regardless of
-// dataset size — as ranged and rateless sessions are from state built at
-// the first of them (DESIGN.md, "Served state") — while the other
-// strategies snapshot the points. The
-// multiset is stored as encoded-point occurrence counts, so Add and
-// Remove cost O(levels) maintainer updates plus an O(1) map operation —
-// no linear scans on high-churn datasets. Beside them it keeps the root
+// dataset size — as ranged, rateless and adaptive sessions are from state
+// a session of theirs leaves behind (DESIGN.md, "Served state") — while
+// ExactIBLT, CPI and Naive snapshot the points. The multiset is stored as
+// encoded-point occurrence counts, so Add and Remove cost O(levels)
+// maintainer updates plus an O(1) map operation — no linear scans on
+// high-churn datasets. Beside them it keeps the root
 // aggregate of the multiset — its size and a 64-bit fingerprint, one
 // hash and XOR per point mutated — which is all that two datasets need
 // to exchange to learn they are equal: a ClientSession.FetchDataset
@@ -76,14 +77,21 @@ type Dataset struct {
 	// rtree: a rateless session copies O(cells) under d.mu and reads no
 	// points. nil until a rateless session has run.
 	exact *protocol.RatelessState
+	// estBody is the adaptive strategy's MsgEstimators body — the per-level
+	// difference estimators of the multiset, marshalled — for estimator
+	// size estK, the last one asked for. The first adaptive session after a
+	// mutation builds it, from a snapshot and outside d.mu, and every later
+	// one sends these shared, immutable bytes. nil when stale or never built.
+	estBody []byte
+	estK    int
 	// root is the aggregate of the same (point, occurrence) keys under
 	// the same fingerprint hash as rtree, so it equals rtree.Root()
 	// whenever the tree exists. It is keyed by Params.Seed: datasets of
 	// different seeds have unrelated roots.
 	root ranges.Root
 	// pointsGauge, rootGauge and coldSessions export size, root fingerprint
-	// and rateless sessions that read the points; they are the registry's
-	// from the moment a Server registers the dataset.
+	// and the rateless and adaptive sessions that read the points; they are
+	// the registry's from the moment a Server registers the dataset.
 	pointsGauge, rootGauge *metrics.Gauge
 	coldSessions           *metrics.Counter
 }
@@ -117,7 +125,7 @@ func (d *Dataset) errRetired() error {
 func (d *Dataset) retire() {
 	d.mu.Lock()
 	d.retired = true
-	d.rtree, d.exact = nil, nil // free the served state; no future session can use it
+	d.rtree, d.exact, d.estBody = nil, nil, nil // free the served state; no future session can use it
 	d.pointsGauge.Set(0)
 	d.rootGauge.Set(0)
 	d.mu.Unlock()
@@ -216,6 +224,72 @@ func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *p
 	return o, nil
 }
 
+// estimateOpening returns what one adaptive session that asked for
+// estimator size k is served from. Warm — the cached body is for k — the
+// session reads no points: it sends the body and fills each level table
+// it is asked for from the Maintainer's cell counts, under d.mu, so a
+// table describes the dataset as of its request. Cold, *cold is set and
+// the session is the stateless one over a snapshot, built outside d.mu
+// (which it holds for the snapshot alone, as a session always has); its
+// estimator body becomes the cache if the root is still the snapshot's.
+func (d *Dataset) estimateOpening(p Params, k int, cold *bool) (*protocol.EstimateOpening, error) {
+	d.mu.Lock()
+	if d.retired {
+		d.mu.Unlock()
+		return nil, d.errRetired()
+	}
+	if d.estBody != nil && d.estK == k {
+		body := d.estBody
+		d.mu.Unlock()
+		return &protocol.EstimateOpening{Estimators: body, MinLevel: p.MinLevel, MaxLevel: p.MaxLevel, LevelTable: d.levelTable}, nil
+	}
+	pts, version := d.snapshotLocked(), d.root.Agg
+	d.mu.Unlock()
+	*cold = true
+	o, err := protocol.OpenEstimates(p, pts, k)
+	if err != nil {
+		return nil, err
+	}
+	d.publishEstimators(version, k, o.Estimators)
+	return o, nil
+}
+
+// publishEstimators makes body, built for estimator size k from a
+// snapshot whose root was version, the cached estimator body — unless the
+// dataset has moved on or been retired since, when it describes nothing a
+// later session should be sent.
+func (d *Dataset) publishEstimators(version ranges.Agg, k int, body []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.retired && d.root.Agg == version {
+		d.estBody, d.estK = body, k
+	}
+}
+
+// levelTable builds one level's table for a warm adaptive session from
+// the Maintainer's cell counts. It rejects retired datasets like
+// servePoints.
+func (d *Dataset) levelTable(level, capacity int) (*iblt.Table, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.retired {
+		return nil, d.errRetired()
+	}
+	return d.maintainer.BuildLevelTable(level, capacity)
+}
+
+// recordServed says on the session's trace and the cold-session counter
+// whether the dataset's served state answered the session or it had to
+// read the points.
+func (d *Dataset) recordServed(ctx context.Context, cold bool) {
+	served := int64(1)
+	if cold {
+		served = 0
+		d.coldSessions.Inc()
+	}
+	trace.FromContext(ctx).Stat(trace.StatServedState, served)
+}
+
 // mutateLocked is the single write path behind Add/Remove/AddBatch/
 // RemoveBatch, with d.mu held: validate the whole batch, append it to
 // the storage engine as one record, then apply. Validation precedes the
@@ -258,7 +332,7 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 			panic("robustset: validated mutation failed: " + err.Error())
 		}
 	}
-	d.blobCache = nil // the serialized-sketch cache is stale now
+	d.blobCache, d.estBody = nil, nil // the serialized sketch and estimators are stale now
 	d.exportLocked()
 	d.maybeSnapshotLocked()
 	return nil

@@ -2,14 +2,17 @@ package robustset_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"robustset"
+	"robustset/internal/core"
 	"robustset/internal/protocol"
 	"robustset/internal/transport"
 )
@@ -359,10 +362,12 @@ func TestServerSessionTimeout(t *testing.T) {
 // absurd CPI capacity and asserts the server replies with a protocol
 // error instead of attempting the allocation.
 // TestServerConcurrentFetchAndMutation hammers one dataset with parallel
-// robust fetches while two writer goroutines churn Add/Remove — the
-// high-contention shape a sync server lives under. Run with -race; every
-// fetch must see a consistent sketch snapshot (decode errors would
-// surface as fetch failures).
+// robust and adaptive fetches while two writer goroutines churn
+// Add/Remove — the high-contention shape a sync server lives under. Run
+// with -race; every robust fetch must see a consistent sketch snapshot,
+// and every adaptive one — cold, warm, or overtaken by a write between
+// its estimators and its level table — must still reconcile (decode
+// errors would surface as fetch failures).
 func TestServerConcurrentFetchAndMutation(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 3, DiffBudget: 64}
 	alice, bob := deterministicPair(55, 400, 8, 2)
@@ -403,8 +408,9 @@ func TestServerConcurrentFetchAndMutation(t *testing.T) {
 		fetchers.Add(1)
 		go func(f int) {
 			defer fetchers.Done()
+			strat := []robustset.Strategy{robustset.Robust{}, robustset.Adaptive{}}[f%2]
 			for i := 0; i < 5; i++ {
-				res, _, err := fetchOnce(t, addr.String(), "hot", robustset.Robust{}, bob)
+				res, _, err := fetchOnce(t, addr.String(), "hot", strat, bob)
 				if err != nil {
 					t.Errorf("fetcher %d round %d: %v", f, i, err)
 					return
@@ -527,5 +533,42 @@ func TestServerRejectsHostileCPICapacity(t *testing.T) {
 	var remote *protocol.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("hostile hello answered with %v, want the server's *RemoteError", err)
+	}
+}
+
+// TestAdaptiveServerRefusesLevelOutsideRange: against a Server, as over a
+// pipe (protocol.TestEstimateAliceRefusesLevelOutsideRange), a level
+// request outside the dataset's [MinLevel, MaxLevel] is refused with
+// core.ErrLevelOutOfRange, relayed — by the cold session, whose view
+// could have built any level of the universe, and by the warm ones after
+// it, whose Maintainer has no counts for such a level.
+func TestAdaptiveServerRefusesLevelOutsideRange(t *testing.T) {
+	params := robustset.Params{Universe: testU, Seed: 5, DiffBudget: 4}.WithLevels(3, 8)
+	srv := robustset.NewServer()
+	if _, err := srv.Publish("d", params, []robustset.Point{{1, 2}, {3, 4}, {1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv).String()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i, level := range []int{9, 9, 2, 0, testU.Levels(), testU.Levels() + 1, 1<<16 - 1} {
+		st := openStream(t, addr)
+		if _, err := protocol.RunHello(ctx, st, protocol.Hello{Strategy: protocol.StrategyAdaptive, Dataset: "d"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Send(ctx, []byte{protocol.MsgEstRequest, 64, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if msg, err := st.Recv(ctx); err != nil || msg[0] != protocol.MsgEstimators {
+			t.Fatalf("session %d: estimator reply %x, %v", i, msg, err)
+		}
+		req := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint16([]byte{protocol.MsgLevelRequest}, uint16(level)), 32)
+		if err := st.Send(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := st.Recv(ctx)
+		if err != nil || msg[0] != protocol.MsgError || !strings.Contains(string(msg[1:]), core.ErrLevelOutOfRange.Error()) {
+			t.Errorf("session %d, level %d outside [3,8]: got %q, %v; want core.ErrLevelOutOfRange relayed", i, level, msg, err)
+		}
 	}
 }

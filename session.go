@@ -200,6 +200,19 @@ func (Adaptive) serve(ctx context.Context, t transport.Transport, p Params, pts 
 	return protocol.RunEstimateAlice(ctx, t, p, pts)
 }
 
+// serveDataset sends the dataset's cached estimator body and fills level
+// tables from its Maintainer's cell counts; the first session after a
+// mutation, with no body to send, is the stateless one over a snapshot
+// and leaves its body behind. Trace and cold-session counter say which.
+func (Adaptive) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
+	cold := false
+	err := protocol.RunEstimateServed(ctx, t, func(k int) (*protocol.EstimateOpening, error) {
+		return d.estimateOpening(p, k, &cold)
+	})
+	d.recordServed(ctx, cold)
+	return err
+}
+
 func (a Adaptive) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
 	res, err := protocol.RunEstimateBob(ctx, t, p, local, a.Options)
 	if err != nil {
@@ -324,12 +337,7 @@ func (r Rateless) serveDataset(ctx context.Context, t transport.Transport, p Par
 	err := protocol.RunRatelessServed(ctx, t, cfg, func() (*protocol.RatelessOpening, error) {
 		return d.ratelessOpening(cfg, &cold)
 	})
-	served := int64(1)
-	if cold {
-		served = 0
-		d.coldSessions.Inc()
-	}
-	trace.FromContext(ctx).Stat(trace.StatServedState, served)
+	d.recordServed(ctx, cold)
 	return err
 }
 
