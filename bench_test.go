@@ -1,10 +1,9 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per
-// table/figure (E1–E11, indexed in DESIGN.md §4). Each benchmark runs the
-// corresponding experiment at reduced scale and reports its headline
+// Benchmarks over the paper's evaluation: one family per experiment
+// E1–E11 (DESIGN.md "Benchmark harness" maps each to the `cmd/bench -mode
+// paper` sweep, core-matrix column or test that records it). Each runs a
+// point of its experiment at reduced scale and reports its headline
 // quantity via b.ReportMetric, so `go test -bench=.` both exercises the
 // full protocol pipelines and prints the reproduction's key numbers.
-// `cmd/experiments` runs the same harness at full scale; EXPERIMENTS.md
-// records a full run.
 package robustset_test
 
 import (
@@ -18,10 +17,8 @@ import (
 	"robustset/internal/baseline"
 	"robustset/internal/core"
 	"robustset/internal/emd"
-	"robustset/internal/experiments"
 	"robustset/internal/iblt"
 	"robustset/internal/points"
-	"robustset/internal/protocol"
 	"robustset/internal/sketch"
 	"robustset/internal/workload"
 )
@@ -40,17 +37,23 @@ func benchInstance(b *testing.B, n, k int, noise float64) *workload.Instance {
 	return inst
 }
 
-// runReconciler executes rec once per iteration and reports mean bytes.
-func runReconciler(b *testing.B, rec baseline.Reconciler, inst *workload.Instance) {
+// exchange runs one in-process exchange of strat, failing b on error.
+func exchange(b *testing.B, strat robustset.Strategy, p robustset.Params, inst *workload.Instance) (*robustset.SyncResult, int64) {
+	b.Helper()
+	res, st, err := baseline.Exchange(context.Background(), strat, p, inst.Alice, inst.Bob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res, st.Total()
+}
+
+// runExchange executes strat once per iteration and reports mean bytes.
+func runExchange(b *testing.B, strat robustset.Strategy, p robustset.Params, inst *workload.Instance) {
 	b.Helper()
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := rec.Run(inst.Alice, inst.Bob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytes = out.BytesTransferred()
+		_, bytes = exchange(b, strat, p, inst)
 	}
 	b.ReportMetric(float64(bytes), "wire-bytes")
 }
@@ -60,23 +63,23 @@ func runReconciler(b *testing.B, rec baseline.Reconciler, inst *workload.Instanc
 func BenchmarkE1CommVsK_RobustOneShot_K16(b *testing.B) {
 	inst := benchInstance(b, 1024, 16, 4)
 	params := core.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 16}
-	runReconciler(b, baseline.RobustOneShot{Params: params}, inst)
+	runExchange(b, robustset.Robust{}, params, inst)
 }
 
 func BenchmarkE1CommVsK_RobustOneShot_K64(b *testing.B) {
 	inst := benchInstance(b, 1024, 64, 4)
 	params := core.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 64}
-	runReconciler(b, baseline.RobustOneShot{Params: params}, inst)
+	runExchange(b, robustset.Robust{}, params, inst)
 }
 
 func BenchmarkE1CommVsK_ExactIBLT(b *testing.B) {
 	inst := benchInstance(b, 1024, 16, 4)
-	runReconciler(b, baseline.ExactIBLT{Config: protocol.ExactConfig{Universe: benchUniverse, Seed: 11}}, inst)
+	runExchange(b, robustset.ExactIBLT{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
 }
 
 func BenchmarkE1CommVsK_Naive(b *testing.B) {
 	inst := benchInstance(b, 1024, 16, 4)
-	runReconciler(b, baseline.Naive{Universe: benchUniverse}, inst)
+	runExchange(b, robustset.Naive{}, robustset.Params{Universe: benchUniverse}, inst)
 }
 
 // --- E2: communication vs n ---
@@ -84,13 +87,13 @@ func BenchmarkE1CommVsK_Naive(b *testing.B) {
 func BenchmarkE2CommVsN_Robust_N512(b *testing.B) {
 	inst := benchInstance(b, 512, 16, 4)
 	params := core.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 16}
-	runReconciler(b, baseline.RobustOneShot{Params: params}, inst)
+	runExchange(b, robustset.Robust{}, params, inst)
 }
 
 func BenchmarkE2CommVsN_Robust_N4096(b *testing.B) {
 	inst := benchInstance(b, 4096, 16, 4)
 	params := core.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 16}
-	runReconciler(b, baseline.RobustOneShot{Params: params}, inst)
+	runExchange(b, robustset.Robust{}, params, inst)
 }
 
 // --- E3: approximation factor vs dimension ---
@@ -108,10 +111,7 @@ func benchApproxRatio(b *testing.B, d int) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := baseline.RobustOneShot{Params: params}.Run(inst.Alice, inst.Bob)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out, _ := exchange(b, robustset.Robust{}, params, inst)
 		after, _ := emd.Exact(inst.Alice, out.SPrime, points.L1)
 		floor, _ := emd.Partial(inst.Alice, inst.Bob, points.L1, 4)
 		if floor < 1 {
@@ -135,16 +135,8 @@ func benchNoise(b *testing.B, eps float64) {
 	var robustBytes, exactBytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := baseline.RobustOneShot{Params: params}.Run(inst.Alice, inst.Bob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := baseline.ExactIBLT{Config: protocol.ExactConfig{Universe: benchUniverse, Seed: 11}}.
-			Run(inst.Alice, inst.Bob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		robustBytes, exactBytes = r.BytesTransferred(), e.BytesTransferred()
+		_, robustBytes = exchange(b, robustset.Robust{}, params, inst)
+		_, exactBytes = exchange(b, robustset.ExactIBLT{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
 	}
 	b.ReportMetric(float64(robustBytes), "robust-bytes")
 	b.ReportMetric(float64(exactBytes), "exact-bytes")
@@ -248,18 +240,18 @@ func BenchmarkE7Runtime_Reconcile_N8000(b *testing.B) {
 
 func BenchmarkE8ExactBaselines_CPI(b *testing.B) {
 	inst := benchInstance(b, 1024, 8, 0)
-	runReconciler(b, baseline.CPISync{Config: protocol.CPIConfig{Universe: benchUniverse, Seed: 13, Capacity: 20}}, inst)
+	runExchange(b, robustset.CPI{Capacity: 20}, robustset.Params{Universe: benchUniverse, Seed: 13}, inst)
 }
 
 func BenchmarkE8ExactBaselines_ExactIBLT(b *testing.B) {
 	inst := benchInstance(b, 1024, 8, 0)
-	runReconciler(b, baseline.ExactIBLT{Config: protocol.ExactConfig{Universe: benchUniverse, Seed: 11}}, inst)
+	runExchange(b, robustset.ExactIBLT{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
 }
 
 func BenchmarkE8ExactBaselines_Robust(b *testing.B) {
 	inst := benchInstance(b, 1024, 8, 0)
 	params := core.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 8}
-	runReconciler(b, baseline.RobustOneShot{Params: params}, inst)
+	runExchange(b, robustset.Robust{}, params, inst)
 }
 
 // --- E9: estimator accuracy (throughput of the estimators themselves) ---
@@ -291,13 +283,13 @@ func BenchmarkE9Estimators_BottomK(b *testing.B) {
 func BenchmarkE10Variants_OneShot(b *testing.B) {
 	inst := benchInstance(b, 1024, 8, 4)
 	params := core.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 8}
-	runReconciler(b, baseline.RobustOneShot{Params: params}, inst)
+	runExchange(b, robustset.Robust{}, params, inst)
 }
 
 func BenchmarkE10Variants_EstimateFirst(b *testing.B) {
 	inst := benchInstance(b, 1024, 8, 4)
 	params := core.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 8}
-	runReconciler(b, baseline.RobustEstimateFirst{Params: params}, inst)
+	runExchange(b, robustset.Adaptive{}, params, inst)
 }
 
 // --- E11: design-choice ablations ---
@@ -332,20 +324,6 @@ func BenchmarkE11Ablation_Q4_Cap1(b *testing.B) { benchAblation(b, 4, 1) }
 func BenchmarkE11Ablation_Q4_Cap2(b *testing.B) { benchAblation(b, 4, 2) }
 func BenchmarkE11Ablation_Q4_Cap4(b *testing.B) { benchAblation(b, 4, 4) }
 func BenchmarkE11Ablation_Q5_Cap2(b *testing.B) { benchAblation(b, 5, 2) }
-
-// --- whole-suite smoke benchmark ---
-
-// BenchmarkExperimentSuiteQuick runs the entire harness once per
-// iteration at quick scale, guaranteeing every experiment stays runnable.
-func BenchmarkExperimentSuiteQuick(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, e := range experiments.All() {
-			if _, err := e.Run(experiments.ScaleQuick); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
 
 // --- public API micro-benchmarks ---
 

@@ -46,15 +46,31 @@
 // writes, restart it from disk and record the rejoin traffic, gated at
 // half a naive full-set transfer — delta-proportional recovery.
 //
+// A paper scenario (mode "paper" rows) regenerates the paper's evaluation
+// as cells of the core matrix's kind, one row per strategy per sweep
+// point, tagged with its E-id (sweep): communication against k (E1, with
+// E10 adding robust-adaptive on the same instances), against n (E2), the
+// EMD factor against d (E3), robust against exact sync under growing
+// noise (E4), the decoded level against noise (E6), the zero-noise regime
+// (E8) and IBLT hash count × table capacity (E11). Rows carry messages,
+// the decoded level and, up to n = 512, emd_ratio by exact matching;
+// -quick trims every sweep. The -check gate demands a row for every sweep
+// and holds E2's one-shot bytes independent of n (largest n ≤ 1.25× the
+// smallest).
+//
+// Every scenario runs a strategy between two parties through one helper,
+// baseline.Exchange, the same one the module's tests use.
+//
 // Usage:
 //
-//	bench [-quick] [-out BENCH_core.json]
+//	bench [-quick] [-mode core,cluster,rateless,ranges,recovery,paper|all] [-out BENCH_core.json]
 //	bench -check BENCH_core.json   # validate schema (CI drift gate)
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand/v2"
@@ -66,6 +82,7 @@ import (
 	"time"
 
 	"robustset"
+	"robustset/internal/baseline"
 	"robustset/internal/cpi"
 	"robustset/internal/hashutil"
 	"robustset/internal/iblt"
@@ -95,9 +112,6 @@ type Report struct {
 	Modes   []string `json:"modes,omitempty"`
 	Results []Result `json:"results"`
 }
-
-// allModes enumerates the scenarios -mode can select, in run order.
-var allModes = []string{"core", "cluster", "rateless", "ranges", "recovery"}
 
 // Result is one matrix cell.
 type Result struct {
@@ -168,9 +182,28 @@ type Result struct {
 	LogicalBytes  int64  `json:"logical_bytes,omitempty"`
 	ReplayRecords int    `json:"replay_records,omitempty"`
 	RecoveryNS    int64  `json:"recovery_ns,omitempty"`
+
+	// Paper-scenario rows (Mode == "paper") are cells of the paper's
+	// strategy sweeps: sweep is the E-id, noise the per-coordinate noise
+	// scale, msgs the messages exchanged, level the grid level a robust
+	// fetch decoded at (−1: no level decoded, a recorded outcome), and
+	// emd_ratio EMD(S_A, S'_B) / max(1, EMD_k(S_A, S_B)) by exact matching
+	// on robust rows with n ≤ 512. hash_count and table_capacity are the
+	// IBLT knobs E11 varies.
+	Sweep         string  `json:"sweep,omitempty"`
+	Noise         float64 `json:"noise,omitempty"`
+	Msgs          int64   `json:"msgs,omitempty"`
+	Level         int     `json:"level,omitempty"`
+	EMDRatio      float64 `json:"emd_ratio,omitempty"`
+	HashCount     int     `json:"hash_count,omitempty"`
+	TableCapacity int     `json:"table_capacity,omitempty"`
 }
 
-// cell is one matrix coordinate before execution.
+// cell is one measured coordinate before execution: a seeded workload,
+// the parameters both sides share and the strategy that reconciles it.
+// The core matrix derives k, noise, seed and params from (n, rate, dim);
+// the paper sweeps set them as the paper's experiments did and name their
+// sweep.
 type cell struct {
 	strategy robustset.Strategy
 	n        int
@@ -178,6 +211,11 @@ type cell struct {
 	dim      int
 	delta    int64
 	regime   string
+	k        int     // outliers: points genuinely different on Alice's side
+	noise    float64 // uniform per-coordinate noise on the other n−k
+	seed     uint64  // workload seed
+	params   robustset.Params
+	sweep    string // paper mode's E-id; empty in the core matrix
 }
 
 // matrix enumerates the workload cells. Quick mode trims sizes and
@@ -199,24 +237,35 @@ func matrix(quick bool) []cell {
 		for _, n := range sizes {
 			for _, rate := range rates {
 				for _, s := range robustset.Strategies() {
-					regime := "noisy"
-					switch s.(type) {
-					case robustset.ExactIBLT, robustset.Rateless, robustset.Ranged, robustset.CPI:
-						// The exact comparators get the regime they are
-						// designed for; under value noise their cost is
-						// Θ(n) by construction, which would measure the
-						// degeneracy, not the implementation.
-						regime = "exact"
-					}
-					cells = append(cells, cell{
-						strategy: s, n: n, rate: rate,
-						dim: dm.d, delta: dm.delta, regime: regime,
-					})
+					cells = append(cells, coreCell(s, n, rate, dm.d, dm.delta))
 				}
 			}
 		}
 	}
 	return cells
+}
+
+// coreCell derives a core-matrix cell from its coordinates: k = n·rate
+// outliers, noise ±4 on the rest, or none for the exact comparators.
+func coreCell(s robustset.Strategy, n int, rate float64, dim int, delta int64) cell {
+	c := cell{
+		strategy: s, n: n, rate: rate,
+		dim: dim, delta: delta, regime: "noisy",
+		k: outliersFor(n, rate), noise: 4,
+		seed: uint64(n)*1_000_003 ^ uint64(dim)<<32 ^ uint64(rate*1e6),
+	}
+	c.params = robustset.Params{Universe: robustset.Universe{Dim: dim, Delta: delta}, Seed: 77, DiffBudget: c.k + 4}
+	switch s.(type) {
+	case robustset.ExactIBLT, robustset.Rateless, robustset.Ranged, robustset.CPI:
+		// The exact comparators get the regime they are designed for;
+		// under value noise their cost is Θ(n) by construction, which
+		// would measure the degeneracy, not the implementation.
+		c.regime, c.noise = "exact", 0
+	}
+	if _, isCPI := s.(robustset.CPI); isCPI {
+		c.strategy = robustset.CPI{Capacity: cpiCapacityFor(c.k)}
+	}
+	return c
 }
 
 // outliersFor returns k, the number of genuinely different points.
@@ -235,13 +284,12 @@ func cpiCapacityFor(k int) int { return 4*k + 16 }
 // skipReason returns a non-empty reason when the cell's protocol cost
 // would be pathological rather than informative.
 func skipReason(c cell) string {
-	if _, isCPI := c.strategy.(robustset.CPI); isCPI {
-		capacity := cpiCapacityFor(outliersFor(c.n, c.rate))
-		if capacity > 512 {
-			return fmt.Sprintf("cpi capacity %d > 512 (root finding is quadratic in capacity)", capacity)
+	if cp, isCPI := c.strategy.(robustset.CPI); isCPI {
+		if cp.Capacity > 512 {
+			return fmt.Sprintf("cpi capacity %d > 512 (root finding is quadratic in capacity)", cp.Capacity)
 		}
-		if int64(c.n)*int64(capacity) > 1_000_000_000 {
-			return fmt.Sprintf("cpi evaluation cost n·m = %d exceeds budget", int64(c.n)*int64(capacity))
+		if int64(c.n)*int64(cp.Capacity) > 1_000_000_000 {
+			return fmt.Sprintf("cpi evaluation cost n·m = %d exceeds budget", int64(c.n)*int64(cp.Capacity))
 		}
 	}
 	return ""
@@ -249,48 +297,23 @@ func skipReason(c cell) string {
 
 // genWorkload builds the deterministic instance for a cell.
 func genWorkload(c cell) (*workload.Instance, error) {
-	noise := workload.NoiseUniform
-	scale := 4.0
-	if c.regime == "exact" {
-		noise = workload.NoiseNone
-		scale = 0
-	}
-	seed := uint64(c.n)*1_000_003 ^ uint64(c.dim)<<32 ^ uint64(c.rate*1e6)
 	return workload.Generate(workload.Config{
 		N:        c.n,
 		Universe: points.Universe{Dim: c.dim, Delta: c.delta},
-		Outliers: outliersFor(c.n, c.rate),
-		Noise:    noise,
-		Scale:    scale,
-		Seed:     seed,
+		Outliers: c.k,
+		Noise:    workload.NoiseUniform,
+		Scale:    c.noise,
+		Seed:     c.seed,
 	})
-}
-
-// paramsFor derives the shared session parameters for a cell.
-func paramsFor(c cell) robustset.Params {
-	return robustset.Params{
-		Universe:   robustset.Universe{Dim: c.dim, Delta: c.delta},
-		Seed:       77,
-		DiffBudget: outliersFor(c.n, c.rate) + 4,
-	}
-}
-
-// strategyFor returns the concrete strategy value with cell-dependent
-// knobs (CPI capacity) filled in.
-func strategyFor(c cell) robustset.Strategy {
-	if _, isCPI := c.strategy.(robustset.CPI); isCPI {
-		return robustset.CPI{Capacity: cpiCapacityFor(outliersFor(c.n, c.rate))}
-	}
-	return c.strategy
 }
 
 // timeBuild measures the strategy's standalone summary construction over
 // Alice's points: the hot path each strategy pays before any bytes move.
-func timeBuild(c cell, p robustset.Params, alice []robustset.Point) (int64, error) {
+func timeBuild(c cell, alice []robustset.Point) (int64, error) {
 	start := time.Now()
-	switch c.strategy.(type) {
+	switch s := c.strategy.(type) {
 	case robustset.Robust, robustset.Adaptive:
-		if _, err := robustset.NewSketch(p, alice); err != nil {
+		if _, err := robustset.NewSketch(c.params, alice); err != nil {
 			return 0, err
 		}
 	case robustset.ExactIBLT:
@@ -298,7 +321,7 @@ func timeBuild(c cell, p robustset.Params, alice []robustset.Point) (int64, erro
 		// the shape of the exact protocol's table construction.
 		keyLen := points.EncodedSize(c.dim) + 4
 		t, err := iblt.New(iblt.Config{
-			Cells:     iblt.RecommendedCells(4*outliersFor(c.n, c.rate)+16, 4),
+			Cells:     iblt.RecommendedCells(4*c.k+16, 4),
 			HashCount: 4,
 			KeyLen:    keyLen,
 			Seed:      21,
@@ -318,7 +341,7 @@ func timeBuild(c cell, p robustset.Params, alice []robustset.Point) (int64, erro
 		if err != nil {
 			return 0, err
 		}
-		stream.Emit(2*outliersFor(c.n, c.rate) + 32)
+		stream.Emit(2*c.k + 32)
 	case robustset.CPI:
 		h := hashutil.NewHasher(hashutil.DeriveSeed(23, "bench/elem"))
 		elems := make([]uint64, len(alice))
@@ -328,7 +351,7 @@ func timeBuild(c cell, p robustset.Params, alice []robustset.Point) (int64, erro
 			buf = append(buf, byte(i), byte(i>>8), byte(i>>16), byte(i>>24))
 			elems[i] = h.Hash(buf) % (1<<61 - 1)
 		}
-		if _, err := cpi.NewSketch(elems, cpiCapacityFor(outliersFor(c.n, c.rate)), 5); err != nil {
+		if _, err := cpi.NewSketch(elems, s.Capacity, 5); err != nil {
 			return 0, err
 		}
 	case robustset.Ranged:
@@ -344,11 +367,15 @@ func timeBuild(c cell, p robustset.Params, alice []robustset.Point) (int64, erro
 	return time.Since(start).Nanoseconds(), nil
 }
 
-// runCell executes one matrix cell end to end.
+// runCell executes one cell end to end.
 func runCell(c cell) Result {
 	res := Result{
 		Strategy: c.strategy.Name(), N: c.n, DiffRate: c.rate,
 		Dim: c.dim, Delta: c.delta, Regime: c.regime,
+	}
+	if c.sweep != "" {
+		res.Mode, res.Sweep, res.Noise = "paper", c.sweep, c.noise
+		res.HashCount, res.TableCapacity = c.params.HashCount, c.params.TableCapacity
 	}
 	if reason := skipReason(c); reason != "" {
 		res.Skipped, res.SkipReason = true, reason
@@ -359,49 +386,45 @@ func runCell(c cell) Result {
 		res.Err = err.Error()
 		return res
 	}
-	p := paramsFor(c)
-	if res.BuildNS, err = timeBuild(c, p, inst.Alice); err != nil {
+	if res.BuildNS, err = timeBuild(c, inst.Alice); err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	bytes, ns, out, err := pipeExchange(strategyFor(c), p, inst.Alice, inst.Bob)
-	res.SyncNS, res.WireBytes = ns, bytes
+	out, st, ns, err := exchange(c.strategy, c.params, inst.Alice, inst.Bob)
+	res.SyncNS, res.WireBytes = ns, st.Total()
+	if c.sweep != "" {
+		res.Msgs = st.MsgsSent + st.MsgsRecv
+		if errors.Is(err, robustset.ErrNoDecodableLevel) {
+			// E11's "failures": a sketch too small for the difference at
+			// every level is an outcome of the sweep, not of the harness.
+			res.Level = -1
+			return res
+		}
+	}
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	res.ResultSize = len(out)
+	res.ResultSize = len(out.SPrime)
+	if c.sweep != "" && out.Robust != nil {
+		res.Level = out.Robust.Level
+		if c.n <= maxEMDPoints {
+			if res.EMDRatio, err = emdRatio(inst.Alice, inst.Bob, out.SPrime, c.k); err != nil {
+				res.Err = err.Error()
+			}
+		}
+	}
 	return res
 }
 
-// pipeExchange runs one serve/fetch exchange over an in-process pipe and
-// returns the fetch-side traffic, wall time and result — the harness
-// every two-party scenario shares.
-func pipeExchange(strat robustset.Strategy, p robustset.Params, alice, bob []robustset.Point) (int64, int64, []robustset.Point, error) {
-	sess, err := robustset.NewSession(strat, robustset.WithParams(p))
-	if err != nil {
-		return 0, 0, nil, err
-	}
+// exchange runs one baseline.Exchange — the harness's only way to run a
+// strategy between two parties — and returns its fetch-side wall time.
+func exchange(strat robustset.Strategy, p robustset.Params, alice, bob []robustset.Point) (*robustset.SyncResult, robustset.TransferStats, int64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	serveErr := make(chan error, 1)
-	go func() {
-		_, err := sess.Serve(ctx, c1, alice)
-		serveErr <- err
-	}()
 	start := time.Now()
-	out, stats, err := sess.Fetch(ctx, c2, bob)
-	ns := time.Since(start).Nanoseconds()
-	if err != nil {
-		return stats.Total(), ns, nil, err
-	}
-	if err := <-serveErr; err != nil {
-		return stats.Total(), ns, nil, fmt.Errorf("serve: %w", err)
-	}
-	return stats.Total(), ns, out.SPrime, nil
+	out, st, err := baseline.Exchange(ctx, strat, p, alice, bob)
+	return out, st, time.Since(start).Nanoseconds(), err
 }
 
 // clusterCell is one anti-entropy convergence scenario: nodes replicas
@@ -691,23 +714,23 @@ func runRatelessCell(c ratelessCell) Result {
 		res.Err = err.Error()
 		return res
 	}
-	rBytes, rNS, rOut, err := pipeExchange(robustset.Rateless{}, params, alice, bob)
+	rOut, rSt, rNS, err := exchange(robustset.Rateless{}, params, alice, bob)
 	if err != nil {
 		res.Err = "rateless: " + err.Error()
 		return res
 	}
-	dBytes, _, dOut, err := pipeExchange(robustset.ExactIBLT{MaxRetries: 24}, params, alice, bob)
+	dOut, dSt, _, err := exchange(robustset.ExactIBLT{MaxRetries: 24}, params, alice, bob)
 	if err != nil {
 		res.Err = "doubling: " + err.Error()
 		return res
 	}
-	if !robustset.EqualMultisets(rOut, alice) || !robustset.EqualMultisets(dOut, alice) {
+	if !robustset.EqualMultisets(rOut.SPrime, alice) || !robustset.EqualMultisets(dOut.SPrime, alice) {
 		res.Err = "paths did not converge to Alice's multiset"
 		return res
 	}
-	res.WireBytes, res.BaselineBytes = rBytes, dBytes
+	res.WireBytes, res.BaselineBytes = rSt.Total(), dSt.Total()
 	res.SyncNS = rNS
-	res.ResultSize = len(rOut)
+	res.ResultSize = len(rOut.SPrime)
 	return res
 }
 
@@ -1101,33 +1124,58 @@ func runRecoveryScenario(quick bool, logf func(format string, args ...any)) []Re
 	return out
 }
 
-// runMatrix executes every cell and assembles the report.
-func runMatrix(cells []cell, quick bool, logf func(format string, args ...any)) Report {
-	rep := Report{
+// runMatrix executes every cell in order.
+func runMatrix(cells []cell, logf func(format string, args ...any)) []Result {
+	out := make([]Result, 0, len(cells))
+	for i, c := range cells {
+		r := runCell(c)
+		out = append(out, r)
+		at := fmt.Sprintf("[%3d/%d] %-3s %-16s n=%-8d rate=%-6g dim=%d", i+1, len(cells), r.Sweep, r.Strategy, r.N, r.DiffRate, r.Dim)
+		switch {
+		case r.Skipped:
+			logf("%s SKIP: %s", at, r.SkipReason)
+		case r.Err != "":
+			logf("%s ERROR: %s", at, r.Err)
+		default:
+			logf("%s build=%-12s sync=%-12s wire=%dB", at, time.Duration(r.BuildNS), time.Duration(r.SyncNS), r.WireBytes)
+		}
+	}
+	return out
+}
+
+// scenarios are what -mode selects, in run order.
+var scenarios = []struct {
+	name string
+	run  func(quick bool, logf func(format string, args ...any)) []Result
+}{
+	{"core", func(quick bool, logf func(string, ...any)) []Result { return runMatrix(matrix(quick), logf) }},
+	{"cluster", runClusterScenario},
+	{"rateless", runRatelessScenario},
+	{"ranges", runRangesScenario},
+	{"recovery", runRecoveryScenario},
+	{"paper", func(quick bool, logf func(string, ...any)) []Result { return runMatrix(paperMatrix(quick), logf) }},
+}
+
+// modeNames lists the scenario names in run order.
+func modeNames() []string {
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.name
+	}
+	return names
+}
+
+// newReport is an empty report stamped with this process's environment.
+func newReport(quick bool, modes []string) Report {
+	return Report{
 		SchemaVersion: SchemaVersion,
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,
 		CPUs:          runtime.NumCPU(),
 		Quick:         quick,
+		Modes:         modes,
 	}
-	for i, c := range cells {
-		r := runCell(c)
-		rep.Results = append(rep.Results, r)
-		switch {
-		case r.Skipped:
-			logf("[%3d/%d] %-16s n=%-8d rate=%-6g dim=%d SKIP: %s",
-				i+1, len(cells), r.Strategy, r.N, r.DiffRate, r.Dim, r.SkipReason)
-		case r.Err != "":
-			logf("[%3d/%d] %-16s n=%-8d rate=%-6g dim=%d ERROR: %s",
-				i+1, len(cells), r.Strategy, r.N, r.DiffRate, r.Dim, r.Err)
-		default:
-			logf("[%3d/%d] %-16s n=%-8d rate=%-6g dim=%d build=%-12s sync=%-12s wire=%dB",
-				i+1, len(cells), r.Strategy, r.N, r.DiffRate, r.Dim,
-				time.Duration(r.BuildNS), time.Duration(r.SyncNS), r.WireBytes)
-		}
-	}
-	return rep
 }
 
 // checkReport validates a serialized report against the schema contract:
@@ -1148,7 +1196,7 @@ func checkReport(data []byte) error {
 		return fmt.Errorf("bench: empty results")
 	}
 	known := map[string]bool{}
-	for _, m := range allModes {
+	for _, m := range modeNames() {
 		known[m] = true
 	}
 	sel := map[string]bool{}
@@ -1176,6 +1224,8 @@ func checkReport(data []byte) error {
 	rangesRows := 0
 	ratelessRows := map[string]int{}
 	recoveryRows := map[string]int{}
+	paperRows := map[string]int{}
+	e2Wire := map[int]int64{} // E2's robust-oneshot wire bytes by n
 	for i, r := range rep.Results {
 		if _, known := want[r.Strategy]; !known {
 			return fmt.Errorf("bench: result %d names unknown strategy %q", i, r.Strategy)
@@ -1295,6 +1345,12 @@ func checkReport(data []byte) error {
 			}
 			recoveryRows[r.Phase]++
 		}
+		if r.Mode == "paper" {
+			paperRows[r.Sweep]++
+			if r.Sweep == "E2" && r.Strategy == (robustset.Robust{}).Name() {
+				e2Wire[r.N] = r.WireBytes
+			}
+		}
 		want[r.Strategy] = true
 	}
 	// The trade the paper is about: from ten thousand points up, the
@@ -1326,6 +1382,26 @@ func checkReport(data []byte) error {
 		return fmt.Errorf("bench: recovery scenario incomplete: %d replay / %d rejoin rows",
 			recoveryRows["replay"], recoveryRows["rejoin"])
 	}
+	if has("paper") {
+		for _, sweep := range paperSweeps() {
+			if paperRows[sweep] == 0 {
+				return fmt.Errorf("bench: paper scenario incomplete: no successful %s row", sweep)
+			}
+		}
+		// The paper's "independent of n": with k held, the one-shot
+		// sketch at E2's largest n costs at most 1.25× its smallest
+		// (1.11× over n = 256 … 16 384 when the gate was set).
+		lo, hi := 0, 0
+		for n := range e2Wire {
+			if lo == 0 || n < lo {
+				lo = n
+			}
+			hi = max(hi, n)
+		}
+		if lo == hi || float64(e2Wire[hi]) > 1.25*float64(e2Wire[lo]) {
+			return fmt.Errorf("bench: E2: robust-oneshot wire bytes by n %v are not independent of n (want ≥ 2 sizes, largest ≤ 1.25× smallest)", e2Wire)
+		}
+	}
 	return nil
 }
 
@@ -1333,8 +1409,9 @@ func checkReport(data []byte) error {
 // the Modes list to stamp into the report (nil for a full run, so full
 // reports keep their historical shape).
 func parseModes(s string) (map[string]bool, []string, error) {
+	names := modeNames()
 	known := map[string]bool{}
-	for _, m := range allModes {
+	for _, m := range names {
 		known[m] = true
 	}
 	sel := map[string]bool{}
@@ -1344,7 +1421,7 @@ func parseModes(s string) (map[string]bool, []string, error) {
 		switch {
 		case m == "":
 		case m == "all":
-			for _, k := range allModes {
+			for _, k := range names {
 				sel[k] = true
 			}
 		case known[m]:
@@ -1353,13 +1430,13 @@ func parseModes(s string) (map[string]bool, []string, error) {
 				list = append(list, m)
 			}
 		default:
-			return nil, nil, fmt.Errorf("bench: unknown mode %q (have %s, or all)", m, strings.Join(allModes, ","))
+			return nil, nil, fmt.Errorf("bench: unknown mode %q (have %s, or all)", m, strings.Join(names, ","))
 		}
 	}
 	if len(sel) == 0 {
 		return nil, nil, fmt.Errorf("bench: -mode selected no scenarios")
 	}
-	if len(sel) == len(allModes) {
+	if len(sel) == len(names) {
 		list = nil // a full run; omit the field like every historical report
 	}
 	return sel, list, nil
@@ -1381,7 +1458,7 @@ func main() {
 	quick := flag.Bool("quick", false, "trimmed matrix for CI smoke runs")
 	out := flag.String("out", "BENCH_core.json", "output path")
 	check := flag.String("check", "", "validate an existing report instead of running")
-	mode := flag.String("mode", "all", "comma-separated scenarios to run: "+strings.Join(allModes, ",")+", or all")
+	mode := flag.String("mode", "all", "comma-separated scenarios to run: "+strings.Join(modeNames(), ",")+", or all")
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile (pprof) to this path")
 	flag.Parse()
 
@@ -1407,29 +1484,11 @@ func main() {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
-	rep := Report{
-		SchemaVersion: SchemaVersion,
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		CPUs:          runtime.NumCPU(),
-		Quick:         *quick,
-		Modes:         modeList,
-	}
-	if sel["core"] {
-		rep.Results = append(rep.Results, runMatrix(matrix(*quick), *quick, logf).Results...)
-	}
-	if sel["cluster"] {
-		rep.Results = append(rep.Results, runClusterScenario(*quick, logf)...)
-	}
-	if sel["rateless"] {
-		rep.Results = append(rep.Results, runRatelessScenario(*quick, logf)...)
-	}
-	if sel["ranges"] {
-		rep.Results = append(rep.Results, runRangesScenario(*quick, logf)...)
-	}
-	if sel["recovery"] {
-		rep.Results = append(rep.Results, runRecoveryScenario(*quick, logf)...)
+	rep := newReport(*quick, modeList)
+	for _, sc := range scenarios {
+		if sel[sc.name] {
+			rep.Results = append(rep.Results, sc.run(*quick, logf)...)
+		}
 	}
 	if *memprofile != "" {
 		if err := writeHeapProfile(*memprofile); err != nil {

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"robustset"
@@ -12,17 +14,38 @@ import (
 func tinyMatrix() []cell {
 	var cells []cell
 	for _, s := range robustset.Strategies() {
-		regime := "noisy"
-		switch s.(type) {
-		case robustset.ExactIBLT, robustset.Rateless, robustset.Ranged, robustset.CPI:
-			regime = "exact"
-		}
-		cells = append(cells, cell{
-			strategy: s, n: 300, rate: 0.01,
-			dim: 2, delta: 1 << 12, regime: regime,
-		})
+		cells = append(cells, coreCell(s, 300, 0.01, 2, 1<<12))
 	}
 	return cells
+}
+
+var (
+	paperOnce sync.Once
+	paperRows []Result
+)
+
+// quickPaperRows runs the quick paper sweeps once per test binary; the
+// tests that need paper rows share them and do not modify them.
+func quickPaperRows() []Result {
+	paperOnce.Do(func() { paperRows = runMatrix(paperMatrix(true), func(string, ...any) {}) })
+	return paperRows
+}
+
+// fullReport runs every scenario at test scale — the quick paper sweeps
+// among them — into one report.
+func fullReport(logf func(string, ...any)) Report {
+	rep := newReport(false, nil)
+	rep.Results = runMatrix(tinyMatrix(), logf)
+	rep.Results = append(rep.Results, runClusterCell(tinyClusterCell()))
+	for _, c := range tinyRatelessCells() {
+		rep.Results = append(rep.Results, runRatelessCell(c))
+	}
+	rep.Results = append(rep.Results, runRangesCell(tinyRangesCell()))
+	replayCell, rejoinCell := tinyRecoveryCells()
+	rep.Results = append(rep.Results, runRecoveryReplayCell(replayCell))
+	rep.Results = append(rep.Results, runRecoveryRejoinCell(rejoinCell))
+	rep.Results = append(rep.Results, quickPaperRows()...)
+	return rep
 }
 
 // tinyClusterCell is a minimal convergence scenario for in-process
@@ -61,18 +84,10 @@ func tinyRangesCell() rangesCell {
 // TestRunMatrixAndCheck runs the harness end to end on a tiny matrix and
 // validates the produced report with the same checker CI uses.
 func TestRunMatrixAndCheck(t *testing.T) {
-	rep := runMatrix(tinyMatrix(), false, t.Logf)
-	if len(rep.Results) != 7 {
-		t.Fatalf("got %d results, want 7", len(rep.Results))
+	rep := fullReport(t.Logf)
+	if got := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Mode != "" }); got != 7 {
+		t.Fatalf("got %d core results, want 7", got)
 	}
-	rep.Results = append(rep.Results, runClusterCell(tinyClusterCell()))
-	for _, c := range tinyRatelessCells() {
-		rep.Results = append(rep.Results, runRatelessCell(c))
-	}
-	rep.Results = append(rep.Results, runRangesCell(tinyRangesCell()))
-	replayCell, rejoinCell := tinyRecoveryCells()
-	rep.Results = append(rep.Results, runRecoveryReplayCell(replayCell))
-	rep.Results = append(rep.Results, runRecoveryRejoinCell(rejoinCell))
 	for _, r := range rep.Results {
 		if r.Err != "" {
 			t.Errorf("%s: %s", r.Strategy, r.Err)
@@ -131,16 +146,7 @@ func TestQuickMatrixCoversAllStrategies(t *testing.T) {
 // TestCheckReportRejectsDrift asserts the drift gate fires on schema
 // violations.
 func TestCheckReportRejectsDrift(t *testing.T) {
-	rep := runMatrix(tinyMatrix(), false, func(string, ...any) {})
-	rep.Results = append(rep.Results, runClusterCell(tinyClusterCell()))
-	for _, c := range tinyRatelessCells() {
-		rep.Results = append(rep.Results, runRatelessCell(c))
-	}
-	rep.Results = append(rep.Results, runRangesCell(tinyRangesCell()))
-	replayCell, rejoinCell := tinyRecoveryCells()
-	rep.Results = append(rep.Results, runRecoveryReplayCell(replayCell))
-	rep.Results = append(rep.Results, runRecoveryRejoinCell(rejoinCell))
-	good, _ := json.Marshal(rep)
+	good, _ := json.Marshal(fullReport(func(string, ...any) {}))
 
 	cases := []struct {
 		name   string
@@ -187,6 +193,24 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 		{"noreplay", func(r *Report) { r.Results[11].ReplayRecords = 0 }, "replayed no log records"},
 		{"writeamp", func(r *Report) { r.Results[11].WALBytes = 100 * r.Results[11].LogicalBytes }, "write amplification"},
 		{"rejoinratio", func(r *Report) { r.Results[12].WireBytes = r.Results[12].BaselineBytes }, "rejoin wire ratio"},
+		{"nopapersweep", func(r *Report) {
+			r.Results = slices.DeleteFunc(r.Results, func(x Result) bool { return x.Sweep == "E6" })
+		}, "paper scenario incomplete"},
+		{"e2notflat", func(r *Report) {
+			// The one-shot sketch at E2's largest n grown 30 % past its
+			// smallest: communication no longer independent of n.
+			lo := 0
+			for _, x := range r.Results {
+				if x.Sweep == "E2" && x.Strategy == (robustset.Robust{}).Name() && (lo == 0 || x.N < lo) {
+					lo = x.N
+				}
+			}
+			for i, x := range r.Results {
+				if x.Sweep == "E2" && x.Strategy == (robustset.Robust{}).Name() && x.N > lo {
+					r.Results[i].WireBytes = x.WireBytes * 13 / 10
+				}
+			}
+		}, "not independent of n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,5 +281,41 @@ func TestRunRangesCell(t *testing.T) {
 	}
 	if r.ResultSize != c.n {
 		t.Errorf("converged size %d, want %d", r.ResultSize, c.n)
+	}
+}
+
+// TestSuiteQuick holds the paper sweeps to running: every sweep of the
+// quick paper matrix yields rows, none of them a failed cell, and the
+// paper-mode report passes the -check gates.
+func TestSuiteQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick paper sweeps skipped in -short mode")
+	}
+	rows := quickPaperRows()
+	for _, sweep := range paperSweeps() {
+		t.Run(sweep, func(t *testing.T) {
+			n := 0
+			for _, r := range rows {
+				if r.Sweep != sweep {
+					continue
+				}
+				n++
+				if r.Mode != "paper" || r.Err != "" || r.Skipped {
+					t.Errorf("%s n=%d: %+v", r.Strategy, r.N, r)
+				}
+			}
+			if n == 0 {
+				t.Error("sweep produced no rows")
+			}
+		})
+	}
+	rep := newReport(true, []string{"paper"})
+	rep.Results = rows
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkReport(data); err != nil {
+		t.Fatalf("quick paper report fails the gates: %v", err)
 	}
 }

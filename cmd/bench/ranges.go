@@ -78,23 +78,23 @@ func runRangesCell(c rangesCell) Result {
 
 	// Wire comparison on the in-process pipe, both paths required to
 	// converge exactly.
-	rBytes, rNS, rOut, err := pipeExchange(robustset.Ranged{}, params, alice, bob)
+	rOut, rSt, rNS, err := exchange(robustset.Ranged{}, params, alice, bob)
 	if err != nil {
 		res.Err = "ranged: " + err.Error()
 		return res
 	}
-	dBytes, _, dOut, err := pipeExchange(robustset.ExactIBLT{MaxRetries: 24}, params, alice, bob)
+	dOut, dSt, _, err := exchange(robustset.ExactIBLT{MaxRetries: 24}, params, alice, bob)
 	if err != nil {
 		res.Err = "exact-iblt: " + err.Error()
 		return res
 	}
-	if !robustset.EqualMultisets(rOut, alice) || !robustset.EqualMultisets(dOut, alice) {
+	if !robustset.EqualMultisets(rOut.SPrime, alice) || !robustset.EqualMultisets(dOut.SPrime, alice) {
 		res.Err = "paths did not converge to Alice's multiset"
 		return res
 	}
-	res.WireBytes, res.BaselineBytes = rBytes, dBytes
+	res.WireBytes, res.BaselineBytes = rSt.Total(), dSt.Total()
 	res.SyncNS = rNS
-	res.ResultSize = len(rOut)
+	res.ResultSize = len(rOut.SPrime)
 
 	// Round-depth comparison on a live server: sibling subranges as
 	// pipelined mux streams against a serial one-probe-per-frame run.

@@ -1,15 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
 	"net/http"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"robustset"
@@ -99,9 +100,7 @@ func cmdCluster(args []string) error {
 	}
 	defer mln.Close()
 	go metrics.Serve(mln)
-	// The smoke assertion decodes the JSON document, which lives on
-	// /debug/vars now that /metrics speaks Prometheus text.
-	metricsURL := "http://" + mln.Addr().String() + "/debug/vars"
+	metricsURL := "http://" + mln.Addr().String() + "/metrics"
 	fmt.Printf("metrics endpoint: %s\n", metricsURL)
 
 	// Start the nodes: one Server each, all publishing dataset "demo".
@@ -417,26 +416,33 @@ func runKillRestart(env killRestartEnv) (int, error) {
 	return len(env.churn), nil
 }
 
-// scrapeMetrics reads the metrics endpoint's JSON document once and
-// returns a lookup of its numbers by name (0 for a name it lacks).
+// scrapeMetrics reads the Prometheus exposition on the metrics endpoint
+// once and returns a lookup of its unlabelled samples by name (0 for a
+// name it lacks) — every name the smoke asserts on is unlabelled.
 func scrapeMetrics(url string) (func(name string) float64, error) {
 	resp, err := http.Get(url)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: metrics endpoint: %w", err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("cluster: metrics endpoint: %s", resp.Status)
+	}
+	samples := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, value, ok := strings.Cut(sc.Text(), " ")
+		if !ok || strings.HasPrefix(name, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		if samples[name], err = strconv.ParseFloat(value, 64); err != nil {
+			return nil, fmt.Errorf("cluster: metrics endpoint: sample %q: %w", name, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: metrics endpoint: %w", err)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, fmt.Errorf("cluster: metrics endpoint returned invalid JSON: %w", err)
-	}
-	return func(name string) float64 {
-		v, _ := doc[name].(float64)
-		return v
-	}, nil
+	return func(name string) float64 { return samples[name] }, nil
 }
 
 // checkMuxMetrics polls the metrics endpoint and enforces the mux soak

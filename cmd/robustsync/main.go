@@ -290,7 +290,7 @@ func cmdServe(args []string) error {
 	k := fs.Int("k", 16, "difference budget")
 	seed := fs.Uint64("seed", 42, "shared protocol seed")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight sessions")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (Prometheus text), /debug/vars and /debug/traces on this address")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/traces on this address")
 	dataDir := fs.String("data-dir", "", "durable storage root: WAL+snapshot per dataset, recovered on restart")
 	fsyncMode := fs.String("fsync", "always", "durable log fsync policy: always|none")
 	snapEvery := fs.Int("snapshot-every", 0, "snapshot after this many log records (0 = store default, <0 = never)")
@@ -318,7 +318,7 @@ func cmdServe(args []string) error {
 			robustset.WithServerTracing(robustset.NewTraceLog()),
 			robustset.WithServerMetricsListener(mln),
 		)
-		fmt.Printf("observability on http://%s: /metrics /debug/vars /debug/traces\n", mln.Addr())
+		fmt.Printf("observability on http://%s: /metrics /debug/traces\n", mln.Addr())
 	}
 	durable := *dataDir != ""
 	if durable {

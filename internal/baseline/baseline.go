@@ -1,183 +1,40 @@
-// Package baseline wraps every reconciliation protocol in this module —
-// the robust protocol and its comparators — behind one Reconciler
-// interface that executes the full two-party exchange over an in-memory
-// transport and reports the resulting point set together with exact wire
-// accounting. The experiment harness and the examples iterate over
-// Reconcilers so every scheme is measured through the identical path a
-// real deployment would use.
+// Package baseline is the module's one in-process "run this strategy over
+// a pipe" helper: Exchange drives a robustset.Session's serving and
+// fetching sides against each other, exactly as two peers on a real
+// connection would. The bench harness (cmd/bench) and the cross-strategy
+// tests measure every strategy through it, so they compare the identical
+// path a deployment runs.
 package baseline
 
 import (
 	"context"
+	"fmt"
+	"net"
 
-	"robustset/internal/core"
-	"robustset/internal/points"
-	"robustset/internal/protocol"
-	"robustset/internal/transport"
+	"robustset"
 )
 
-// Outcome reports one completed reconciliation.
-type Outcome struct {
-	// SPrime is Bob's final multiset (S'_B for the robust protocol; S_A
-	// exactly for successful exact protocols).
-	SPrime []points.Point
-	// AliceStats and BobStats are the two endpoints' wire accounting.
-	AliceStats, BobStats transport.Stats
-	// Robust carries the protocol-internal result for robust variants
-	// (chosen level, added/removed points); nil for the comparators.
-	Robust *core.Result
-}
-
-// BytesTransferred returns the total bytes that crossed the wire in both
-// directions (measured at Bob, whose view includes everything he sent and
-// received).
-func (o *Outcome) BytesTransferred() int64 { return o.BobStats.Total() }
-
-// Messages returns the number of protocol messages exchanged.
-func (o *Outcome) Messages() int64 { return o.BobStats.MsgsSent + o.BobStats.MsgsRecv }
-
-// Reconciler is a complete two-party reconciliation scheme.
-type Reconciler interface {
-	// Name is a short stable identifier used in experiment tables.
-	Name() string
-	// Run executes the protocol with the given party inputs and returns
-	// Bob's outcome.
-	Run(alice, bob []points.Point) (*Outcome, error)
-}
-
-// execute wires Alice and Bob together over an in-memory pair.
-func execute(
-	aliceFn func(transport.Transport) error,
-	bobFn func(transport.Transport) ([]points.Point, *core.Result, error),
-) (*Outcome, error) {
-	at, bt := transport.Pair()
-	defer at.Close()
-	defer bt.Close()
-	aliceErr := make(chan error, 1)
-	go func() { aliceErr <- aliceFn(at) }()
-	sp, res, bobErr := bobFn(bt)
-	aerr := <-aliceErr
-	if bobErr != nil {
-		return nil, bobErr
+// Exchange runs one reconciliation of strat under p: alice serves, bob
+// fetches, over an in-process net.Pipe. It returns the fetching side's
+// result and wire accounting (both directions, framing included). The
+// stats are returned on failure too; a serve error after a successful
+// fetch is reported as the exchange's error.
+func Exchange(ctx context.Context, strat robustset.Strategy, p robustset.Params, alice, bob []robustset.Point) (*robustset.SyncResult, robustset.TransferStats, error) {
+	sess, err := robustset.NewSession(strat, robustset.WithParams(p))
+	if err != nil {
+		return nil, robustset.TransferStats{}, err
 	}
-	if aerr != nil {
-		return nil, aerr
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	serveErr := make(chan error, 1)
+	go func() {
+		_, err := sess.Serve(ctx, c1, alice)
+		serveErr <- err
+	}()
+	res, stats, err := sess.Fetch(ctx, c2, bob)
+	c2.Close() // unblocks the serving side when the fetch gave up early
+	if serr := <-serveErr; err == nil && serr != nil {
+		return nil, stats, fmt.Errorf("serve: %w", serr)
 	}
-	return &Outcome{
-		SPrime:     sp,
-		AliceStats: at.Stats(),
-		BobStats:   bt.Stats(),
-		Robust:     res,
-	}, nil
-}
-
-// RobustOneShot is the paper's one-message protocol: Alice pushes the full
-// multiresolution sketch.
-type RobustOneShot struct {
-	Params core.Params
-}
-
-// Name implements Reconciler.
-func (r RobustOneShot) Name() string { return "robust-oneshot" }
-
-// Run implements Reconciler.
-func (r RobustOneShot) Run(alice, bob []points.Point) (*Outcome, error) {
-	return execute(
-		func(t transport.Transport) error {
-			return protocol.RunPushAlice(context.Background(), t, r.Params, alice)
-		},
-		func(t transport.Transport) ([]points.Point, *core.Result, error) {
-			res, err := protocol.RunPushBob(context.Background(), t, bob)
-			if err != nil {
-				return nil, nil, err
-			}
-			return res.SPrime, res, nil
-		})
-}
-
-// RobustEstimateFirst is the multi-round robust variant: tiny per-level
-// estimators first, then a single exactly-sized level table.
-type RobustEstimateFirst struct {
-	Params core.Params
-	Opts   protocol.EstimateOpts
-}
-
-// Name implements Reconciler.
-func (r RobustEstimateFirst) Name() string { return "robust-estimate" }
-
-// Run implements Reconciler.
-func (r RobustEstimateFirst) Run(alice, bob []points.Point) (*Outcome, error) {
-	return execute(
-		func(t transport.Transport) error {
-			return protocol.RunEstimateAlice(context.Background(), t, r.Params, alice)
-		},
-		func(t transport.Transport) ([]points.Point, *core.Result, error) {
-			res, err := protocol.RunEstimateBob(context.Background(), t, r.Params, bob, r.Opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return res.SPrime, res, nil
-		})
-}
-
-// Naive transfers Alice's whole set.
-type Naive struct {
-	Universe points.Universe
-}
-
-// Name implements Reconciler.
-func (n Naive) Name() string { return "naive" }
-
-// Run implements Reconciler.
-func (n Naive) Run(alice, bob []points.Point) (*Outcome, error) {
-	return execute(
-		func(t transport.Transport) error {
-			return protocol.RunNaiveAlice(context.Background(), t, n.Universe, alice)
-		},
-		func(t transport.Transport) ([]points.Point, *core.Result, error) {
-			sp, err := protocol.RunNaiveBob(context.Background(), t, n.Universe)
-			return sp, nil, err
-		})
-}
-
-// ExactIBLT is classic exact set synchronization via a strata estimator
-// plus one IBLT (Difference Digest).
-type ExactIBLT struct {
-	Config protocol.ExactConfig
-}
-
-// Name implements Reconciler.
-func (e ExactIBLT) Name() string { return "exact-iblt" }
-
-// Run implements Reconciler.
-func (e ExactIBLT) Run(alice, bob []points.Point) (*Outcome, error) {
-	return execute(
-		func(t transport.Transport) error {
-			return protocol.RunExactIBLTAlice(context.Background(), t, e.Config, alice)
-		},
-		func(t transport.Transport) ([]points.Point, *core.Result, error) {
-			sp, err := protocol.RunExactIBLTBob(context.Background(), t, e.Config, bob)
-			return sp, nil, err
-		})
-}
-
-// CPISync is classic exact set synchronization via characteristic
-// polynomials (minisketch-class).
-type CPISync struct {
-	Config protocol.CPIConfig
-}
-
-// Name implements Reconciler.
-func (c CPISync) Name() string { return "cpi" }
-
-// Run implements Reconciler.
-func (c CPISync) Run(alice, bob []points.Point) (*Outcome, error) {
-	return execute(
-		func(t transport.Transport) error {
-			return protocol.RunCPIAlice(context.Background(), t, c.Config, alice)
-		},
-		func(t transport.Transport) ([]points.Point, *core.Result, error) {
-			sp, err := protocol.RunCPIBob(context.Background(), t, c.Config, bob)
-			return sp, nil, err
-		})
+	return res, stats, err
 }

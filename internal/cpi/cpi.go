@@ -66,8 +66,8 @@ func samplePoints(seed uint64, m int) []gf.Elem {
 
 // NewSketch summarizes the element set. Elements must be distinct values
 // in [0, gf.P); callers with arbitrary data hash into that range first
-// (see internal/baseline). capacity bounds the total difference |AΔB|
-// that Diff can recover.
+// (see the CPI exchange in internal/protocol). capacity bounds the total
+// difference |AΔB| that Diff can recover.
 func NewSketch(elems []uint64, capacity int, seed uint64) (*Sketch, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("cpi: capacity %d < 1", capacity)

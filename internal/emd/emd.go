@@ -10,7 +10,7 @@
 // excluded points), so one O(m³) Hungarian solver serves both.
 //
 // These routines are evaluation tools: protocols never call them, but the
-// experiment harness uses them to score reconciliation quality, so
+// bench harness uses them to score reconciliation quality, so
 // correctness here is validated against brute force in the tests.
 package emd
 

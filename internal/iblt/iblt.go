@@ -9,7 +9,7 @@
 // recovered by a peeling process whenever the difference is at most a
 // constant fraction of m. This is the coding substrate of the robust set
 // reconciliation protocol in internal/core and of the exact reconciliation
-// baseline in internal/baseline.
+// comparators in internal/protocol.
 //
 // Keys must be distinct within one logical multiset; multiset semantics are
 // obtained by the caller appending an occurrence index to repeated keys

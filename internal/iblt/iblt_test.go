@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,33 @@ func TestDecodeSuccessRateAtRecommendedSize(t *testing.T) {
 			}
 		}
 	}
+
+	// E5, the peeling threshold: 64 keys at α cells per key, 200 seeded
+	// trials per (α, q). Success rises sharply near the asymptotic
+	// thresholds (1.22 for q=3, 1.30 for q=4, 1.43 for q=5); at α = 2
+	// every q must peel at least 90 % of the time.
+	t.Run("E5", func(t *testing.T) {
+		const keys, trials = 64, 200
+		rng := rand.New(rand.NewPCG(5, 5))
+		for _, alpha := range []float64{1.1, 1.2, 1.3, 1.4, 1.5, 1.7, 2.0} {
+			row := fmt.Sprintf("α=%.1f", alpha)
+			for _, q := range []int{3, 4, 5} {
+				ok := 0
+				for trial := 0; trial < trials; trial++ {
+					tbl, _ := New(Config{Cells: int(math.Ceil(alpha * keys)), HashCount: q, KeyLen: 16, Seed: rng.Uint64()})
+					tbl.InsertAll(mkKeys(rng, keys, 16))
+					if _, err := tbl.Decode(); err == nil {
+						ok++
+					}
+				}
+				row += fmt.Sprintf("  q=%d %3.0f%%", q, 100*float64(ok)/trials)
+				if alpha == 2.0 && ok < trials*9/10 {
+					t.Errorf("α=2.0 q=%d: %d/%d tables peeled, want ≥ 90 %%", q, ok, trials)
+				}
+			}
+			t.Log(row)
+		}
+	})
 }
 
 func TestMarshalUnmarshalRoundtrip(t *testing.T) {

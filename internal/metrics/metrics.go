@@ -1,8 +1,8 @@
 // Package metrics is the module's lightweight observability registry:
 // named counters, gauges and latency histograms that servers, clients
 // and replicators increment on their hot paths (atomics, no allocation),
-// exported as an expvar-style JSON document on an optional debug
-// listener so smoke tests and dashboards can assert on real counters.
+// exported in the Prometheus text format on an optional debug listener
+// so smoke tests and dashboards can assert on real counters.
 //
 // Names are flat strings by convention "subsystem_quantity_unit", with
 // per-dataset variants appending ":" and the dataset name
@@ -10,9 +10,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -61,8 +58,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // log-linear: 1, 2, … 9 times every power of ten from 10µs to 10s, then
 // +Inf. A session answered from served state takes about 100µs and a
 // stalled round a minute; both land in a bucket no wider than its lower
-// bound. It is the one definition Observe, Quantile, the JSON document
-// and the Prometheus exposition read.
+// bound. It is the one definition Observe, Quantile and the Prometheus
+// exposition read.
 var histBuckets = func() []float64 {
 	var b []float64
 	for decade := 10; decade <= 10_000_000; decade *= 10 { // microseconds
@@ -74,8 +71,7 @@ var histBuckets = func() []float64 {
 }()
 
 // Histogram accumulates duration observations into the fixed histBuckets,
-// plus count and sum, so percentile estimates survive the
-// JSON round trip.
+// plus count and sum, so percentile estimates survive the exposition.
 type Histogram struct {
 	count   atomic.Int64
 	sumNs   atomic.Int64
@@ -145,27 +141,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
-}
-
-// snapshot renders the histogram for the JSON document.
-func (h *Histogram) snapshot() map[string]any {
-	buckets := make(map[string]int64, len(histBuckets))
-	for i := range histBuckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			key := "+inf"
-			if !math.IsInf(histBuckets[i], 1) {
-				key = fmt.Sprintf("%g", histBuckets[i])
-			}
-			buckets[key] = n
-		}
-	}
-	return map[string]any{
-		"count":      h.count.Load(),
-		"sum_ns":     h.sumNs.Load(),
-		"p50_ns":     h.Quantile(0.50).Nanoseconds(),
-		"p99_ns":     h.Quantile(0.99).Nanoseconds(),
-		"buckets_le": buckets,
-	}
 }
 
 // Registry is a concurrent name → metric map. The zero value is not
@@ -270,44 +245,16 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// WriteJSON renders the registry as one sorted-key JSON object:
-// counters and gauges as numbers, histograms as
-// {count, sum_ns, buckets_le}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	doc := make(map[string]any)
-	if r != nil {
-		r.mu.Lock()
-		for name, c := range r.ctrs {
-			doc[name] = c.Value()
-		}
-		for name, g := range r.gaugs {
-			doc[name] = g.Value()
-		}
-		for name, h := range r.hists {
-			doc[name] = h.snapshot()
-		}
-		r.mu.Unlock()
-	}
-	// Marshal through an ordered rendering so the document is diffable;
-	// encoding/json sorts map keys, which is exactly the stability we
-	// need.
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
 // Handler returns the registry's debug handler: "/metrics" serves the
-// Prometheus text exposition, "/debug/vars" (and, for back-compat,
-// every other path) serves the expvar-style JSON document.
+// Prometheus text exposition; every other path is 404.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/metrics" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = r.WritePrometheus(w)
+		if req.URL.Path != "/metrics" {
+			http.NotFound(w, req)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = r.WritePrometheus(w)
 	})
 }
 

@@ -2,10 +2,10 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +54,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatal("nil registry exported values")
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,16 +136,11 @@ func TestSnapshotExportsQuantiles(t *testing.T) {
 		t.Fatalf("flat snapshot missing quantile keys: %+v", snap)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	hist := doc["round_seconds"]
-	if hist["p50_ns"].(float64) <= 0 || hist["p99_ns"].(float64) <= 0 {
-		t.Fatalf("JSON document missing p50_ns/p99_ns: %v", hist)
+	if !strings.Contains(buf.String(), "round_seconds_count 10\n") {
+		t.Fatalf("exposition missing the histogram count:\n%s", buf.String())
 	}
 }
 
@@ -169,6 +164,9 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestJSONEndpoint checks the served endpoint: /metrics is lintable
+// Prometheus text carrying the registry's samples, and the JSON document
+// /debug/vars once served is gone.
 func TestJSONEndpoint(t *testing.T) {
 	r := New()
 	r.Counter("mux_decode_failures_total").Add(0)
@@ -182,24 +180,31 @@ func TestJSONEndpoint(t *testing.T) {
 	defer ln.Close()
 	go func() { _ = r.Serve(ln) }()
 
-	resp, err := http.Get("http://" + ln.Addr().String() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) (int, string) {
+		resp, err := http.Get("http://" + ln.Addr().String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	code, body := get("/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("endpoint document is not JSON: %v\n%s", err, body)
+	if err := LintPrometheus(strings.NewReader(body)); err != nil {
+		t.Fatalf("/metrics fails lint: %v\n%s", err, body)
 	}
-	if doc["server_sessions_total"].(float64) != 12 {
-		t.Fatalf("endpoint sessions: %v", doc["server_sessions_total"])
+	for _, want := range []string{"server_sessions_total 12\n", "session_seconds_count 1\n"} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, body)
+		}
 	}
-	hist, ok := doc["session_seconds"].(map[string]any)
-	if !ok || hist["count"].(float64) != 1 {
-		t.Fatalf("endpoint histogram: %v", doc["session_seconds"])
+	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
+		t.Fatalf("/debug/vars: status %d, want 404", code)
 	}
 }

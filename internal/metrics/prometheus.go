@@ -12,7 +12,7 @@ package metrics
 // bare per-dataset form. Histograms render with their full cumulative
 // `le` bucket boundaries (every configured bound plus +Inf, zero or
 // not), `_sum` in seconds, and `_count` — so a scraper can recompute
-// any quantile, which the JSON snapshot's p50/p99 summary cannot offer.
+// any quantile, which Snapshot's p50/p99 summary cannot offer.
 
 import (
 	"bufio"

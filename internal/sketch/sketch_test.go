@@ -103,25 +103,47 @@ func TestBottomKDisjointSets(t *testing.T) {
 	}
 }
 
+// meanRelErr averages |estimate − diff| / diff over reps seeded pairs
+// sharing `shared` keys, estimating each pair's difference with est.
+func meanRelErr(t *testing.T, rng *rand.Rand, shared, diff, reps int, est func(ba, bb *BottomK, sa, sb *Strata) (float64, error)) float64 {
+	t.Helper()
+	var errSum float64
+	for r := 0; r < reps; r++ {
+		ba, bb, sa, sb, trueDiff := buildPair(t, rng, shared, diff, rng.Uint64())
+		e, err := est(ba, bb, sa, sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errSum += math.Abs(e-float64(trueDiff)) / float64(trueDiff)
+	}
+	return errSum / float64(reps)
+}
+
+func bottomKEst(ba, bb *BottomK, _, _ *Strata) (float64, error) { return EstimateDiff(ba, bb) }
+
+func strataEst(_, _ *BottomK, sa, sb *Strata) (float64, error) { return EstimateStrataDiff(sa, sb) }
+
+// smallDiffs are differences from a handful of keys up inside a larger
+// shared set: the two estimators' accuracy there is logged beside the
+// regimes their tests assert on.
+var smallDiffs = []int{4, 16, 64, 256, 1024}
+
 func TestBottomKAccuracyAcrossRegimes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	for _, tc := range []struct{ shared, diff int }{
 		{2000, 100}, {2000, 400}, {500, 500}, {100, 1000},
 	} {
-		var errSum float64
-		const reps = 8
-		for r := 0; r < reps; r++ {
-			ba, bb, _, _, trueDiff := buildPair(t, rng, tc.shared, tc.diff, rng.Uint64())
-			est, err := EstimateDiff(ba, bb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			errSum += math.Abs(est-float64(trueDiff)) / float64(trueDiff)
-		}
-		if mean := errSum / reps; mean > 0.45 {
+		if mean := meanRelErr(t, rng, tc.shared, tc.diff, 8, bottomKEst); mean > 0.45 {
 			t.Errorf("shared=%d diff=%d: mean relative error %.2f too high", tc.shared, tc.diff, mean)
 		}
 	}
+	// E9: the estimator's accuracy on small differences, logged.
+	t.Run("E9", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(9, 9))
+		for _, diff := range smallDiffs {
+			t.Logf("shared=4096 diff=%d: bottom-k (128) mean relative error %.0f%%", diff, 100*meanRelErr(t, rng, 4096, diff, 10, bottomKEst))
+		}
+	})
 }
 
 func TestBottomKEmpty(t *testing.T) {
@@ -237,20 +259,17 @@ func TestStrataExactForSmallDiffs(t *testing.T) {
 func TestStrataAccuracyLargeDiffs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for _, diff := range []int{200, 1000, 5000} {
-		var errSum float64
-		const reps = 6
-		for r := 0; r < reps; r++ {
-			_, _, sa, sb, trueDiff := buildPair(t, rng, 1000, diff, rng.Uint64())
-			est, err := EstimateStrataDiff(sa, sb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			errSum += math.Abs(est-float64(trueDiff)) / float64(trueDiff)
-		}
-		if mean := errSum / reps; mean > 0.6 {
+		if mean := meanRelErr(t, rng, 1000, diff, 6, strataEst); mean > 0.6 {
 			t.Errorf("diff=%d: mean relative error %.2f too high", diff, mean)
 		}
 	}
+	// E9: the estimator's accuracy on small differences, logged.
+	t.Run("E9", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(9, 9))
+		for _, diff := range smallDiffs {
+			t.Logf("shared=4096 diff=%d: strata mean relative error %.0f%%", diff, 100*meanRelErr(t, rng, 4096, diff, 10, strataEst))
+		}
+	})
 }
 
 func TestStrataIncompatible(t *testing.T) {

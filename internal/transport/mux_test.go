@@ -400,6 +400,13 @@ func TestMuxOverTCP(t *testing.T) {
 	if _, err := srvSt.Recv(ctx); err == nil {
 		t.Fatal("recv on dead connection succeeded")
 	}
+	// The server side seeing the death says nothing about when the
+	// client's demux loop notices its own closed conn; wait for it.
+	select {
+	case <-client.dead:
+	case <-ctx.Done():
+		t.Fatal("client mux never noticed its conn died")
+	}
 	if err := client.Err(); err == nil {
 		t.Fatal("client mux still reports alive after conn death")
 	}

@@ -1,7 +1,7 @@
 // Package transport provides the message-oriented links the two-party
 // reconciliation protocols run over, with byte-level accounting. Two
-// implementations are provided: an in-process pipe (for tests, examples
-// and the experiment harness — the "two-host protocol simulation") and a
+// implementations are provided: an in-process pipe (for tests — the
+// "two-host protocol simulation") and a
 // length-prefixed framing over any net.Conn (net.Pipe, TCP), which is what
 // a real deployment uses.
 //

@@ -1,5 +1,5 @@
 // Package workload generates the synthetic reconciliation inputs used by
-// tests, examples and the experiment harness. A workload instance models
+// tests, examples and the bench harness. A workload instance models
 // the paper's motivating scenario: Bob holds n points; Alice holds noisy
 // copies of n−k of them (sensor noise, float rounding, lossy compression)
 // plus k genuinely new points that Bob should learn about.

@@ -11,11 +11,11 @@ import (
 // Metrics is the module's observability registry: servers and
 // replicators handed one (WithServerMetrics, WithReplicatorMetrics)
 // increment named counters, gauges and latency
-// histograms on their hot paths, and the registry renders them as an
-// expvar-style JSON document — either programmatically (Snapshot,
-// WriteJSON) or on a debug listener (Serve, Handler) that smoke tests
-// and dashboards poll. One registry may be shared by any number of
-// components; their counters aggregate.
+// histograms on their hot paths, and the registry renders them in the
+// Prometheus text format — either programmatically (Snapshot,
+// WritePrometheus) or on a debug listener's /metrics (Serve, Handler)
+// that smoke tests and dashboards poll. One registry may be shared by any
+// number of components; their counters aggregate.
 //
 // Well-known names:
 //
@@ -69,9 +69,6 @@ func (m *Metrics) registry() *metrics.Registry {
 // histograms are summarized as name_count and name_sum_ns.
 func (m *Metrics) Snapshot() map[string]int64 { return m.registry().Snapshot() }
 
-// WriteJSON renders the registry as one JSON object with sorted keys.
-func (m *Metrics) WriteJSON(w io.Writer) error { return m.registry().WriteJSON(w) }
-
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): counters and gauges as single samples,
 // latency histograms as cumulative le-bucket series with _sum (seconds)
@@ -80,8 +77,7 @@ func (m *Metrics) WriteJSON(w io.Writer) error { return m.registry().WriteJSON(w
 func (m *Metrics) WritePrometheus(w io.Writer) error { return m.registry().WritePrometheus(w) }
 
 // Handler returns an http.Handler serving /metrics in Prometheus text
-// format and the JSON document on every other path (conventionally
-// polled as /debug/vars).
+// format; every other path is 404.
 func (m *Metrics) Handler() http.Handler { return m.registry().Handler() }
 
 // Serve serves the debug endpoint on ln until the listener closes —

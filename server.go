@@ -723,9 +723,9 @@ func WithServerMetrics(m *Metrics) ServerOption {
 }
 
 // WithServerMetricsListener serves the observability endpoints on ln for
-// the server's lifetime: /metrics in Prometheus text exposition format,
-// /debug/vars as the expvar-style JSON document, and — when the server
-// also has WithServerTracing — /debug/traces as the trace log's JSON.
+// the server's lifetime: /metrics in Prometheus text exposition format
+// and — when the server also has WithServerTracing — /debug/traces as the
+// trace log's JSON.
 // Unlike a hand-rolled `go m.Serve(ln)`, the listener is owned by the
 // server: Shutdown and Close close it and reap its handler goroutines,
 // so a server torn down cleanly leaks neither the listener nor the
@@ -778,8 +778,8 @@ func NewServer(opts ...ServerOption) *Server {
 }
 
 // debugHandler composes the debug listener's endpoints: /debug/traces
-// from the trace log (when tracing is on), everything else — /metrics,
-// /debug/vars — from the metrics registry.
+// from the trace log (when tracing is on), everything else — /metrics, or
+// a 404 — from the metrics registry.
 func (s *Server) debugHandler() http.Handler {
 	reg := s.metrics.Handler()
 	if s.traces == nil {

@@ -24,7 +24,7 @@ import (
 // the wire semantics of every strategy code.
 type Strategy interface {
 	// Name returns the strategy's stable identifier, matching the names
-	// used in experiment tables.
+	// used in bench reports.
 	Name() string
 	// code is the wire code carried in a server handshake.
 	code() byte

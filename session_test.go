@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"robustset"
+	"robustset/internal/baseline"
 )
 
 // TestSessionAllStrategies drives every built-in strategy through the
@@ -29,23 +30,8 @@ func TestSessionAllStrategies(t *testing.T) {
 				// Exact protocols get the exact regime.
 				local = exactBob
 			}
-			sess, err := robustset.NewSession(strat, robustset.WithParams(params))
+			res, stats, err := baseline.Exchange(ctx, strat, params, alice, local)
 			if err != nil {
-				t.Fatal(err)
-			}
-			c1, c2 := net.Pipe()
-			defer c1.Close()
-			defer c2.Close()
-			done := make(chan error, 1)
-			go func() {
-				_, err := sess.Serve(ctx, c1, alice)
-				done <- err
-			}()
-			res, stats, err := sess.Fetch(ctx, c2, local)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
 			if len(res.SPrime) == 0 {
@@ -554,22 +540,9 @@ func TestStrategyConformance(t *testing.T) {
 					if e, ok := sc.expect[strat.Name()]; ok {
 						want = e
 					}
-					sess, err := robustset.NewSession(strat, robustset.WithParams(sc.params))
-					if err != nil {
-						t.Fatal(err)
-					}
-					c1, c2 := net.Pipe()
-					defer c1.Close()
-					defer c2.Close()
-					serveDone := make(chan error, 1)
-					go func() {
-						_, err := sess.Serve(ctx, c1, sc.alice)
-						serveDone <- err
-					}()
-					res, stats, err := sess.Fetch(ctx, c2, sc.bob)
-					c2.Close() // unblock the serving side on error paths
-					serveErr := <-serveDone
-
+					// A serve failure after a successful fetch is the
+					// exchange's error, so err covers both sides.
+					res, stats, err := baseline.Exchange(ctx, strat, sc.params, sc.alice, sc.bob)
 					switch want {
 					case expError:
 						if err == nil {
@@ -584,10 +557,7 @@ func TestStrategyConformance(t *testing.T) {
 						return
 					case expExact, expClose:
 						if err != nil {
-							t.Fatalf("fetch failed: %v", err)
-						}
-						if serveErr != nil {
-							t.Fatalf("serve failed: %v", serveErr)
+							t.Fatalf("exchange failed: %v", err)
 						}
 					}
 					if want == expExact && !robustset.EqualMultisets(res.SPrime, sc.alice) {
