@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -50,6 +53,34 @@ func sameFrames(t *testing.T, what string, got, want [][]byte) {
 	}
 }
 
+// checkEstimatorCache fails unless every per-level estimator d has cached
+// marshals to the bytes of View.LevelEstimator over d.Snapshot(), and
+// returns the cache's estimator size and how many levels it holds.
+func checkEstimatorCache(t *testing.T, d *Dataset, what string) (k, cached int) {
+	t.Helper()
+	d.mu.Lock()
+	ests, k := maps.Clone(d.estimators), d.estimatorsK
+	d.mu.Unlock()
+	if ests == nil {
+		return 0, 0
+	}
+	v, err := core.NewView(d.Params(), d.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for level, got := range ests {
+		e, err := v.LevelEstimator(level, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := e.MarshalBinary()
+		if blob, _ := got.MarshalBinary(); !bytes.Equal(blob, want) {
+			t.Fatalf("%s: the cached level %d estimator (k %d) differs from a fresh build over the snapshot", what, level, k)
+		}
+	}
+	return k, len(ests)
+}
+
 // noisyCopy returns pts with every coordinate moved by at most ±noise
 // (clamped to the universe) and the first k points replaced.
 func noisyCopy(rng *rand.Rand, u Universe, pts []Point, noise int64, k int) []Point {
@@ -68,101 +99,115 @@ func noisyCopy(rng *rand.Rand, u Universe, pts []Point, noise int64, k int) []Po
 
 // TestAdaptiveServedWireEqualsStateless: an adaptive session against a
 // published dataset puts on the wire, frame for frame, what the stateless
-// serving side puts there over the dataset's snapshot — the cold session
-// that finds no estimator body and builds one from a snapshot, the warm
-// ones after it that send that body and fill the level table from the
-// Maintainer's cell counts, and both again after a mutation and after a
-// request for another estimator size. Trace, cold counter and the cache
-// itself say which way each was answered; the server reads no points on
-// the warm ones.
+// serving side puts there over the dataset's snapshot — the first session,
+// whose estimators are built from the Maintainer's cell counts as it asks
+// for them, the later ones answered from the cache it left, and both again
+// after a request for another estimator size and after a mutation. Over
+// the full level range the client pulls several windows; over the clamped
+// one, the finest level alone. Every session says served_state=1 and none
+// counts as cold, the server's estimate spans name the windows the client
+// asked for, and the cache holds exactly the levels asked for, each equal
+// to a fresh build over the snapshot.
 func TestAdaptiveServedWireEqualsStateless(t *testing.T) {
 	u := Universe{Dim: 2, Delta: 1 << 20}
-	for _, params := range []Params{
-		{Universe: u, Seed: 17, DiffBudget: 40},
-		Params{Universe: u, Seed: 18, DiffBudget: 40}.WithLevels(2, 12),
+	for _, tc := range []struct {
+		params   Params
+		requests int
+	}{
+		{Params{Universe: u, Seed: 17, DiffBudget: 40}, 4},
+		{Params{Universe: u, Seed: 18, DiffBudget: 40}.WithLevels(2, 12), 1},
 	} {
-		rng := rand.New(rand.NewPCG(params.Seed, 5))
+		rng := rand.New(rand.NewPCG(tc.params.Seed, 5))
 		server, _ := ratelessTestSets(rng, 3000, 0)
 		server = append(server, server[0].Clone(), server[0].Clone(), server[1].Clone()) // occurrences > 0
 		client := noisyCopy(rng, u, server, 3, 12)
 		m := NewMetrics()
 		tl := NewTraceLog()
 		srv := NewServer(WithServerMetrics(m), WithServerTracing(tl))
-		d, err := srv.Publish("d", params, server)
+		d, err := srv.Publish("d", tc.params, server)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := d.Params()
-		colds := int64(0)
-		session := func(what string, a Adaptive, cold bool) {
+		session := func(what string, a Adaptive) {
 			t.Helper()
 			res, frames := servedFetch(t, srv, a, client, nil)
-			want := statelessAdaptive(t, a, p, d.Snapshot(), client)
-			sameFrames(t, what, frames, want)
+			sameFrames(t, what, frames, statelessAdaptive(t, a, p, d.Snapshot(), client))
 			if len(res.SPrime) != len(server) || res.Robust == nil {
 				t.Fatalf("%s: result of %d points, want %d", what, len(res.SPrime), len(server))
 			}
-			served := int64(1)
-			if cold {
-				served, colds = 0, colds+1
-			}
 			recent := tl.Recent()
 			last := recent[len(recent)-1]
-			if got, ok := last.Stat("served_state"); !ok || got != served {
-				t.Fatalf("%s: served_state = %d (recorded %v), want %d", what, got, ok, served)
+			if got, ok := last.Stat("served_state"); !ok || got != 1 {
+				t.Fatalf("%s: served_state = %d (recorded %v), want 1", what, got, ok)
 			}
-			if got := m.Snapshot()["server_sessions_cold_total"]; got != colds {
-				t.Fatalf("%s: server_sessions_cold_total = %d, want %d", what, got, colds)
+			if got := m.Snapshot()["server_sessions_cold_total"]; got != 0 {
+				t.Fatalf("%s: server_sessions_cold_total = %d, want 0", what, got)
 			}
-			levels := int64(-1)
-			for _, sp := range last.Spans {
-				if sp.Name == "estimate" && len(sp.Attrs) == 1 && sp.Attrs[0].K == "levels" {
-					levels = sp.Attrs[0].V
+			var windows, spans []int64
+			for _, f := range frames {
+				if f[0] == '<' && f[1] == protocol.MsgEstRequest {
+					windows = append(windows, int64(binary.LittleEndian.Uint16(f[8:])))
 				}
 			}
-			if levels != int64(p.MaxLevel-p.MinLevel+1) {
-				t.Fatalf("%s: the server's estimate span says %d levels, want %d", what, levels, p.MaxLevel-p.MinLevel+1)
+			for _, sp := range last.Spans {
+				if sp.Name == "estimate" && len(sp.Attrs) == 1 && sp.Attrs[0].K == "levels" {
+					spans = append(spans, sp.Attrs[0].V)
+				}
+			}
+			if len(windows) != tc.requests || !slices.Equal(spans, windows) {
+				t.Fatalf("%s: the client asked for windows of %v levels (want %d requests), the server's estimate spans say %v",
+					what, windows, tc.requests, spans)
+			}
+			k, cached := checkEstimatorCache(t, d, what)
+			fetched := 0
+			for _, w := range windows {
+				fetched += int(w)
+			}
+			want := a.Options.EstimatorK
+			if want == 0 {
+				want = 64
+			}
+			if k != want || cached != fetched {
+				t.Fatalf("%s: the cache holds %d levels for k %d; the session fetched %d for k %d", what, cached, k, fetched, want)
 			}
 			var buf bytes.Buffer
 			last.Format(&buf)
-			line := map[bool]string{true: "cold: rebuilt from a snapshot", false: "answered from the dataset's maintained state"}[cold]
-			if !strings.Contains(buf.String(), line) {
+			if line := "answered from the dataset's maintained state"; !strings.Contains(buf.String(), line) {
 				t.Fatalf("%s: the formatted trace lacks %q:\n%s", what, line, buf.String())
 			}
 		}
 		k64, k32 := Adaptive{}, Adaptive{Options: AdaptiveOptions{EstimatorK: 32}}
-		if d.estBody != nil {
-			t.Fatal("a dataset no adaptive session has asked keeps an estimator body")
+		if _, cached := checkEstimatorCache(t, d, "before any session"); cached != 0 {
+			t.Fatal("a dataset no adaptive session has asked keeps estimators")
 		}
-		session("first session", k64, true)
-		session("second session", k64, false)
-		session("third session", k64, false)
-		session("another estimator size", k32, true)
-		session("that size again", k32, false)
-		session("the first size, displaced", k64, true)
+		session("first session", k64)
+		session("second session", k64)
+		session("another estimator size", k32)
+		session("that size again", k32)
+		session("the first size, displaced", k64)
 		if err := errors.Join(d.AddBatch([]Point{{1, 1}, {1, 1}, server[5].Clone()}), d.RemoveBatch(server[10:20])); err != nil {
 			t.Fatal(err)
 		}
-		if d.estBody != nil {
-			t.Fatal("the estimator body outlived a mutation")
+		if _, cached := checkEstimatorCache(t, d, "after a mutation"); cached != 0 {
+			t.Fatal("the estimators outlived a mutation")
 		}
 		server = d.Snapshot()
-		session("after a mutation", k64, true)
-		session("and warm again", k64, false)
+		session("after a mutation", k64)
+		session("and again", k64)
 		srv.Close()
 	}
 }
 
-// TestAdaptiveServedUnderMutation: a mutation that lands inside a warm
-// session, between the estimator reply (the cached body, of the version
-// before) and the level request, is answered with the table of the
-// version after — the cell counts are the dataset's — so the fetch
-// reconciles to the newer multiset: exactly here, where the finest level
-// is affordable, through one clean retry when the mutation is more than
-// the capacity asked for holds. The body it was sent is gone with the
-// mutation; the next session is cold and equals the stateless one over
-// the new snapshot. A mutation before the estimator request just makes
-// the session a cold one.
+// TestAdaptiveServedUnderMutation: a mutation that lands inside a session
+// — before its estimator request, or between the estimator reply and the
+// level request — is answered with the estimators and table of the version
+// the dataset holds when each request is read, so the fetch reconciles to
+// the newer multiset: exactly here, where the finest level is affordable,
+// through one clean retry when the mutation is more than the capacity
+// asked for holds. The mutation drops the cached estimators; no session
+// reads the points, and the next one equals the stateless one over the
+// new snapshot.
 func TestAdaptiveServedUnderMutation(t *testing.T) {
 	params := Params{Universe: Universe{Dim: 2, Delta: 1 << 20}, Seed: 19, DiffBudget: 40}
 	for _, tc := range []struct {
@@ -170,11 +215,10 @@ func TestAdaptiveServedUnderMutation(t *testing.T) {
 		at      int // the mutation lands before the server reads this request
 		removed int
 		retries int64
-		cold    bool
 	}{
-		{"before the estimator request", 0, 10, 0, true},
-		{"between the estimator reply and the level request", 1, 10, 0, false},
-		{"a mutation the requested capacity does not hold", 1, 140, 1, false},
+		{"before the estimator request", 0, 10, 0},
+		{"between the estimator reply and the level request", 1, 10, 0},
+		{"a mutation the requested capacity does not hold", 1, 140, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(6, 1))
@@ -186,9 +230,9 @@ func TestAdaptiveServedUnderMutation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			servedFetch(t, srv, Adaptive{}, client, nil) // leaves the estimator body behind
-			if d.estBody == nil {
-				t.Fatal("the first session left no estimator body")
+			servedFetch(t, srv, Adaptive{}, client, nil) // leaves the finest level's estimator behind
+			if _, cached := checkEstimatorCache(t, d, "the first session"); cached != 1 {
+				t.Fatalf("the first session left %d cached estimators, want the finest level's", cached)
 			}
 			var after []Point
 			mutate := func() {
@@ -196,8 +240,8 @@ func TestAdaptiveServedUnderMutation(t *testing.T) {
 				if err := errors.Join(d.AddBatch(add), d.RemoveBatch(server[100:100+tc.removed])); err != nil {
 					t.Error(err)
 				}
-				if d.estBody != nil {
-					t.Error("the estimator body outlived the mutation")
+				if _, cached := checkEstimatorCache(t, d, "the mutation"); cached != 0 {
+					t.Error("the estimators outlived the mutation")
 				}
 				after = d.Snapshot()
 			}
@@ -220,8 +264,8 @@ func TestAdaptiveServedUnderMutation(t *testing.T) {
 			case len(res.SPrime) != len(after):
 				t.Fatalf("result of %d points, the newer version holds %d", len(res.SPrime), len(after))
 			}
-			if got := m.Snapshot()["server_sessions_cold_total"]; got != 1+map[bool]int64{true: 1}[tc.cold] {
-				t.Fatalf("server_sessions_cold_total = %d after a session that should have been cold: %v", got, tc.cold)
+			if got := m.Snapshot()["server_sessions_cold_total"]; got != 0 {
+				t.Fatalf("server_sessions_cold_total = %d: an adaptive session read the points", got)
 			}
 			// Every level table the session was sent is the newer version's.
 			for i, f := range frames {
@@ -238,49 +282,78 @@ func TestAdaptiveServedUnderMutation(t *testing.T) {
 					t.Fatalf("the level %d table sent is not the one over the multiset after the mutation", level)
 				}
 			}
-			// Nothing stale is left for the next session.
-			if !tc.cold && d.estBody != nil {
-				t.Fatal("a warm session published an estimator body")
-			}
+			checkEstimatorCache(t, d, "after the session")
 			_, next := servedFetch(t, srv, Adaptive{}, client, nil)
 			sameFrames(t, "the session after", next, statelessAdaptive(t, Adaptive{}, d.Params(), after, client))
 		})
 	}
 }
 
-// TestAdaptiveEstimatorBodyPublication: a body built from a snapshot is
-// kept only while the dataset is still that snapshot and still published.
-func TestAdaptiveEstimatorBodyPublication(t *testing.T) {
-	params := Params{Universe: Universe{Dim: 2, Delta: 1 << 12}, Seed: 5, DiffBudget: 4}
-	srv := NewServer()
-	defer srv.Close()
-	d, err := srv.Publish("d", params, []Point{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := []byte("estimators")
-	version := d.rootAgg()
-	if err := d.Add(Point{5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if d.publishEstimators(version, 64, body); d.estBody != nil {
-		t.Fatal("a body built before a mutation was published after it")
-	}
-	// The inverse mutation brings the multiset, and so the root, back.
-	if err := d.Remove(Point{5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if d.publishEstimators(version, 64, body); !bytes.Equal(d.estBody, body) || d.estK != 64 {
-		t.Fatal("a body of the dataset's own version was not published")
-	}
-	if err := srv.Unpublish("d"); err != nil {
-		t.Fatal(err)
-	}
-	if d.estBody != nil {
-		t.Fatal("retirement kept the estimator body")
-	}
-	if d.publishEstimators(version, 64, body); d.estBody != nil {
-		t.Fatal("a body was published on a retired dataset")
+// TestAdaptiveEstimatorCacheTracksMultiset is the adaptive served state's
+// property test: along a seeded mutation sequence — adds, removes, batches
+// with duplicate points, batches that fail whole — with levels asked for
+// between the steps, at a mostly steady estimator size, every cached
+// per-level estimator equals View.LevelEstimator over Snapshot(); a
+// mutation that applies drops the whole cache, one that fails keeps it, a
+// level outside the range is refused, and retirement drops the cache.
+func TestAdaptiveEstimatorCacheTracksMultiset(t *testing.T) {
+	u := Universe{Dim: 2, Delta: 1 << 10}
+	for seed := uint64(1); seed <= 3; seed++ {
+		params := Params{Universe: u, Seed: 40 + seed, DiffBudget: 8}
+		if seed == 2 {
+			params = params.WithLevels(3, 7)
+		}
+		rng := rand.New(rand.NewPCG(seed, 29))
+		initial := make([]Point, 0, 60)
+		for i := 0; i < 40; i++ {
+			pt := Point{rng.Int64N(u.Delta), rng.Int64N(u.Delta)}
+			initial = append(initial, pt)
+			if i%4 == 0 {
+				initial = append(initial, pt.Clone())
+			}
+		}
+		srv := NewServer()
+		d, err := srv.Publish("d", params, initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := d.Params()
+		ask := func() {
+			for range 3 {
+				k := 64
+				if rng.IntN(8) == 0 {
+					k = 8
+				}
+				if _, err := d.levelEstimator(p.MinLevel+rng.IntN(p.MaxLevel-p.MinLevel+1), k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ask()
+		root := d.rootAgg()
+		rootChurn(t, d, ClonePoints(initial), rng, 200, func(step int, _ []Point) {
+			_, cached := checkEstimatorCache(t, d, fmt.Sprintf("seed %d step %d", seed, step))
+			if applied := d.rootAgg() != root; applied != (cached == 0) {
+				t.Fatalf("seed %d step %d: %d cached estimators after a mutation that applied: %v", seed, step, cached, applied)
+			}
+			root = d.rootAgg()
+			ask()
+		})
+		for _, level := range []int{p.MinLevel - 1, p.MaxLevel + 1} {
+			if _, err := d.levelEstimator(level, 64); !errors.Is(err, core.ErrLevelOutOfRange) {
+				t.Fatalf("seed %d: level %d outside [%d,%d]: %v, want core.ErrLevelOutOfRange", seed, level, p.MinLevel, p.MaxLevel, err)
+			}
+		}
+		if err := srv.Unpublish("d"); err != nil {
+			t.Fatal(err)
+		}
+		if d.estimators != nil {
+			t.Fatalf("seed %d: a retired dataset keeps its estimators", seed)
+		}
+		if _, err := d.levelEstimator(p.MaxLevel, 64); !errors.Is(err, ErrUnknownDataset) {
+			t.Fatalf("seed %d: a retired dataset served an estimator: %v", seed, err)
+		}
+		srv.Close()
 	}
 }
 
@@ -299,14 +372,76 @@ func adaptiveAgainst(t *testing.T, d *Dataset, p Params, script func(ctx context
 	return <-done
 }
 
+// TestAdaptiveServedFullRangeRequest: the 4-byte estimator request a
+// client that predates windows sends is answered, by a dataset as by the
+// stateless serving side, with every level's estimator, coarsest first —
+// the same body, which protocol.TestEstimateFullRangeGolden pins to the
+// bytes such a client was always sent.
+func TestAdaptiveServedFullRangeRequest(t *testing.T) {
+	u := Universe{Dim: 2, Delta: 1 << 12}
+	for _, params := range []Params{
+		{Universe: u, Seed: 5, DiffBudget: 4},
+		Params{Universe: u, Seed: 6, DiffBudget: 4}.WithLevels(3, 8),
+	} {
+		rng := rand.New(rand.NewPCG(params.Seed, 2))
+		pts := make([]Point, 200)
+		for i := range pts {
+			pts[i] = Point{rng.Int64N(u.Delta), rng.Int64N(u.Delta)}
+		}
+		srv := NewServer()
+		d, err := srv.Publish("d", params, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := d.Params()
+		legacy := func(serve func(ctx context.Context, at transport.Transport) error) []byte {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			at, bt := transport.Pair()
+			defer at.Close()
+			defer bt.Close()
+			done := make(chan error, 1)
+			go func() { done <- serve(ctx, at) }()
+			if err := bt.Send(ctx, []byte{protocol.MsgEstRequest, 64, 0, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			msg, err := bt.Recv(ctx)
+			if err != nil || msg[0] != protocol.MsgEstimators {
+				t.Fatalf("full-range request answered with %x, %v", msg, err)
+			}
+			if err := bt.Send(ctx, []byte{protocol.MsgDone}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			return append([]byte(nil), msg[1:]...)
+		}
+		served := legacy(func(ctx context.Context, at transport.Transport) error {
+			return serveDataset(ctx, at, Adaptive{}, p, d)
+		})
+		stateless := legacy(func(ctx context.Context, at transport.Transport) error {
+			return protocol.RunEstimateAlice(ctx, at, p, d.Snapshot())
+		})
+		if !bytes.Equal(served, stateless) {
+			t.Fatalf("levels [%d,%d]: the dataset's full-range body (%d bytes) differs from the stateless one (%d bytes)",
+				p.MinLevel, p.MaxLevel, len(served), len(stateless))
+		}
+		if _, cached := checkEstimatorCache(t, d, "a full-range request"); cached != p.MaxLevel-p.MinLevel+1 {
+			t.Fatalf("levels [%d,%d]: a full-range request left %d levels cached", p.MinLevel, p.MaxLevel, cached)
+		}
+		srv.Close()
+	}
+}
+
 // TestAdaptiveRetiredDataset: an adaptive session that resolved the
 // dataset just before Unpublish fails with ErrUnknownDataset, relayed to
 // the client — at the estimator request when it had not started, at the
-// level request when the cached body had already gone out. Retirement
-// drops the body.
+// level request when an estimator reply had already gone out. Retirement
+// drops the cached estimators.
 func TestAdaptiveRetiredDataset(t *testing.T) {
 	params := Params{Universe: Universe{Dim: 2, Delta: 1 << 12}, Seed: 5, DiffBudget: 4}
-	estRequest := []byte{protocol.MsgEstRequest, 64, 0, 0, 0}
+	estRequest := []byte{protocol.MsgEstRequest, 64, 0, 0, 0, 12, 0, 1, 0} // the finest level alone
 	levelRequest := []byte{protocol.MsgLevelRequest, 12, 0, 32, 0, 0, 0}
 	refused := func(ctx context.Context, bt transport.Transport) {
 		msg, err := bt.Recv(ctx)
@@ -314,23 +449,21 @@ func TestAdaptiveRetiredDataset(t *testing.T) {
 			t.Errorf("client got %q, %v; want ErrUnknownDataset relayed", msg, err)
 		}
 	}
-	for _, warm := range []bool{false, true} {
+	for _, started := range []bool{false, true} {
 		srv := NewServer()
 		d, err := srv.Publish("d", params, []Point{{1, 2}, {3, 4}, {1, 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := d.Params()
-		if warm {
-			servedFetch(t, srv, Adaptive{}, []Point{{1, 2}}, nil)
-			if d.estBody == nil {
-				t.Fatal("no estimator body after a session")
-			}
+		servedFetch(t, srv, Adaptive{}, []Point{{1, 2}}, nil)
+		if _, cached := checkEstimatorCache(t, d, "a session"); cached == 0 {
+			t.Fatal("no cached estimator after a session")
 		}
 		err = adaptiveAgainst(t, d, p, func(ctx context.Context, bt transport.Transport) {
-			if warm {
+			if started {
 				// The session starts on the published dataset and is retired
-				// under between its two requests.
+				// under it between its two requests.
 				if err := bt.Send(ctx, estRequest); err != nil {
 					t.Error(err)
 				}
@@ -341,11 +474,11 @@ func TestAdaptiveRetiredDataset(t *testing.T) {
 			if err := srv.Unpublish("d"); err != nil {
 				t.Error(err)
 			}
-			if d.estBody != nil {
-				t.Error("retirement kept the estimator body")
+			if d.estimators != nil {
+				t.Error("retirement kept the cached estimators")
 			}
 			req := estRequest
-			if warm {
+			if started {
 				req = levelRequest
 			}
 			if err := bt.Send(ctx, req); err != nil {
@@ -354,7 +487,7 @@ func TestAdaptiveRetiredDataset(t *testing.T) {
 			refused(ctx, bt)
 		})
 		if !errors.Is(err, ErrUnknownDataset) {
-			t.Errorf("warm=%v: serving a retired dataset: %v, want ErrUnknownDataset", warm, err)
+			t.Errorf("started=%v: serving a retired dataset: %v, want ErrUnknownDataset", started, err)
 		}
 		srv.Close()
 	}

@@ -430,9 +430,10 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 // client holding a noisy copy with 64 outliers, one estimate-first Fetch
 // per iteration with k = 1024 estimators. warm fetches an unchanged
 // dataset, so every session after the first is answered from the
-// estimator body the first left behind; cold puts one AddBatch and one
-// RemoveBatch of 32 between fetches, so every session finds that body
-// stale and is the stateless one over a snapshot.
+// per-level estimators the first left cached; cold puts one AddBatch and
+// one RemoveBatch of 32 between fetches, so every session finds the cache
+// dropped and builds the levels it asks for from the Maintainer. Neither
+// reads the points: server_sessions_cold_total stays 0.
 func BenchmarkAdaptiveFetch20k(b *testing.B) {
 	const n, batch = 20000, 32
 	inst, err := workload.Generate(workload.Config{
@@ -445,7 +446,8 @@ func BenchmarkAdaptiveFetch20k(b *testing.B) {
 	for _, cold := range []bool{false, true} {
 		name := map[bool]string{false: "warm", true: "cold"}[cold]
 		b.Run(name, func(b *testing.B) {
-			srv := robustset.NewServer()
+			m := robustset.NewMetrics()
+			srv := robustset.NewServer(robustset.WithServerMetrics(m))
 			defer srv.Close()
 			d, err := srv.Publish("noisy", params, inst.Alice)
 			if err != nil {
@@ -495,6 +497,9 @@ func BenchmarkAdaptiveFetch20k(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
+			if got := m.Snapshot()["server_sessions_cold_total"]; got != 0 {
+				b.Fatalf("server_sessions_cold_total = %d: an adaptive session read the points", got)
+			}
 		})
 	}
 }

@@ -209,7 +209,7 @@ func BenchmarkLevelEstimators20k(b *testing.B) {
 
 func BenchmarkMortonOrder20k(b *testing.B) {
 	inst, p := rulerWorkload(b, 20000)
-	p, err := p.normalized()
+	p, err := p.Normalized()
 	if err != nil {
 		b.Fatal(err)
 	}

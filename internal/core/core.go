@@ -103,8 +103,8 @@ const (
 	MaxDiffBudget = 1 << 24
 )
 
-// normalized validates p and fills defaults.
-func (p Params) normalized() (Params, error) {
+// Normalized validates p and fills defaults.
+func (p Params) Normalized() (Params, error) {
 	if err := p.Universe.Validate(); err != nil {
 		return p, err
 	}
@@ -389,13 +389,20 @@ func ReconcileLevel(p Params, aliceTable *iblt.Table, bobPts []points.Point, lev
 	return v.reconcileLevel(aliceTable, level, aliceTable.Cells())
 }
 
-// LevelEstimators is View.LevelEstimators over a throwaway view.
+// LevelEstimators is View.LevelEstimator of every level, coarsest first,
+// over a throwaway view.
 func LevelEstimators(p Params, pts []points.Point, k int) ([]*sketch.BottomK, error) {
 	v, err := NewView(p, pts)
 	if err != nil {
 		return nil, err
 	}
-	return v.LevelEstimators(k)
+	ests := make([]*sketch.BottomK, v.p.MaxLevel-v.p.MinLevel+1)
+	for i := range ests {
+		if ests[i], err = v.LevelEstimator(v.p.MinLevel+i, k); err != nil {
+			return nil, err
+		}
+	}
+	return ests, nil
 }
 
 // ChooseLevel picks the finest level whose estimated difference fits the
@@ -411,35 +418,40 @@ func LevelEstimators(p Params, pts []points.Point, k int) ([]*sketch.BottomK, er
 // selection on large sets should raise the estimator size accordingly
 // (k ≈ n/32 makes the step ~64 keys).
 func ChooseLevel(p Params, alice, bob []*sketch.BottomK, budget int) (level int, estimate float64, err error) {
-	if len(alice) != len(bob) {
-		return 0, 0, fmt.Errorf("core: estimator count mismatch (%d alice, %d bob)", len(alice), len(bob))
+	if p, err = p.Normalized(); err != nil {
+		return 0, 0, err
 	}
-	return ChooseLevelLazy(p, alice, func(i int) (*sketch.BottomK, error) { return bob[i], nil }, budget)
+	if levels := p.MaxLevel - p.MinLevel + 1; len(alice) != levels || len(bob) != levels {
+		return 0, 0, fmt.Errorf("core: estimator count mismatch (%d alice, %d bob, want %d)", len(alice), len(bob), levels)
+	}
+	return ChooseLevelLazy(p, func(i int) (*sketch.BottomK, error) { return alice[i], nil },
+		func(i int) (*sketch.BottomK, error) { return bob[i], nil }, budget)
 }
 
-// ChooseLevelLazy is ChooseLevel with Bob's estimators asked for one at a
-// time: bob(i) returns the estimator of level MinLevel+i. The scan runs
-// finest to coarsest and stops at the first affordable level, so bob is
-// called for the chosen level and the finer ones and never for a coarser
-// one — a caller that builds an estimator when asked builds only those.
-func ChooseLevelLazy(p Params, alice []*sketch.BottomK, bob func(i int) (*sketch.BottomK, error), budget int) (level int, estimate float64, err error) {
-	p, err = p.normalized()
+// ChooseLevelLazy is ChooseLevel with the estimators asked for one at a
+// time: alice(i) and then bob(i) return each side's of level MinLevel+i.
+// The scan runs finest to coarsest and stops at the first affordable
+// level, so neither is called for a level coarser than the chosen one — a
+// caller that builds or fetches an estimator when asked does only those.
+func ChooseLevelLazy(p Params, alice, bob func(i int) (*sketch.BottomK, error), budget int) (level int, estimate float64, err error) {
+	p, err = p.Normalized()
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(alice) != p.MaxLevel-p.MinLevel+1 {
-		return 0, 0, fmt.Errorf("core: estimator count mismatch (%d alice, want %d)", len(alice), p.MaxLevel-p.MinLevel+1)
-	}
-	for i := len(alice) - 1; i >= 0; i-- {
+	for i := p.MaxLevel - p.MinLevel; i >= 0; i-- {
+		theirs, err := alice(i)
+		if err != nil {
+			return 0, 0, err
+		}
 		mine, err := bob(i)
 		if err != nil {
 			return 0, 0, err
 		}
-		est, err := sketch.EstimateDiff(alice[i], mine)
+		est, err := sketch.EstimateDiff(theirs, mine)
 		if err != nil {
 			return 0, 0, err
 		}
-		step := float64(alice[i].Count()+mine.Count()) / float64(alice[i].K())
+		step := float64(theirs.Count()+mine.Count()) / float64(theirs.K())
 		est += step / 2
 		// A level is affordable if its padded estimate fits the budget;
 		// when the budget is below the estimator's own resolution, one

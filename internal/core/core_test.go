@@ -105,7 +105,7 @@ func TestMortonAndMapPathsAgree(t *testing.T) {
 		N: 1000, Universe: u2, Outliers: 5,
 		Noise: workload.NoiseUniform, Scale: 2, Seed: 6,
 	})
-	p2, err := testParams(u2, 4, 23).normalized()
+	p2, err := testParams(u2, 4, 23).Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestLevelEstimatorsAndChooseLevel(t *testing.T) {
 
 func TestKeyRoundtrip(t *testing.T) {
 	u := points.Universe{Dim: 3, Delta: 1 << 8}
-	p, _ := testParams(u, 1, 1).normalized()
+	p, _ := testParams(u, 1, 1).Normalized()
 	g, err := gridFor(p)
 	if err != nil {
 		t.Fatal(err)

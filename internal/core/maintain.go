@@ -100,22 +100,19 @@ func (m *Maintainer) BuildLevelTable(level, capacity int) (*iblt.Table, error) {
 	return t, nil
 }
 
-// LevelEstimators builds the per-level difference estimators from the
-// cell counts: what View.LevelEstimators builds over the current
-// multiset. It hashes every key of every level — too long to hold a
-// dataset's lock for — so a serving Dataset builds its estimators from a
-// snapshot and keeps the bytes; this is what they are held equal to.
-func (m *Maintainer) LevelEstimators(k int) ([]*sketch.BottomK, error) {
-	ests := make([]*sketch.BottomK, 0, len(m.occ))
-	for idx, occ := range m.occ {
-		b, err := newLevelEstimator(m.params, m.params.MinLevel+idx, k, m.count)
-		if err != nil {
-			return nil, err
-		}
-		occ.scan(m.params.Universe.Dim, b.Add)
-		ests = append(ests, b.Finish())
+// LevelEstimator builds one level's difference estimator from its cell
+// counts, in BuildLevelTable's walk: View.LevelEstimator over the current
+// multiset. A level without counts is ErrLevelOutOfRange.
+func (m *Maintainer) LevelEstimator(level, k int) (*sketch.BottomK, error) {
+	if level < m.params.MinLevel || level > m.params.MaxLevel {
+		return nil, fmt.Errorf("%w: %d outside [%d,%d]", ErrLevelOutOfRange, level, m.params.MinLevel, m.params.MaxLevel)
 	}
-	return ests, nil
+	b, err := newLevelEstimator(m.params, level, k, m.count)
+	if err != nil {
+		return nil, err
+	}
+	m.occ[level-m.params.MinLevel].scan(m.params.Universe.Dim, b.Add)
+	return b.Finish(), nil
 }
 
 // Add inserts one point into the maintained multiset.

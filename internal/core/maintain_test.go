@@ -294,22 +294,19 @@ func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{8, 64} {
-			want, err := v.LevelEstimators(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := m.LevelEstimators(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("dim %d: %d estimators, want %d", tc.u.Dim, len(got), len(want))
-			}
-			for i := range want {
-				g, _ := got[i].MarshalBinary()
-				w, _ := want[i].MarshalBinary()
+			for l := tc.lo; l <= tc.hi; l++ {
+				want, err := v.LevelEstimator(l, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.LevelEstimator(l, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, _ := got.MarshalBinary()
+				w, _ := want.MarshalBinary()
 				if !bytes.Equal(g, w) {
-					t.Errorf("dim %d k %d: level %d estimator differs from the view's", tc.u.Dim, k, tc.lo+i)
+					t.Errorf("dim %d k %d: level %d estimator differs from the view's", tc.u.Dim, k, l)
 				}
 			}
 		}
@@ -333,6 +330,9 @@ func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 		for _, l := range []int{-1, tc.lo - 1, tc.hi + 1, tc.u.Levels() + 1} {
 			if _, err := m.BuildLevelTable(l, 8); !errors.Is(err, ErrLevelOutOfRange) {
 				t.Errorf("dim %d: level %d outside [%d,%d]: %v, want ErrLevelOutOfRange", tc.u.Dim, l, tc.lo, tc.hi, err)
+			}
+			if _, err := m.LevelEstimator(l, 8); !errors.Is(err, ErrLevelOutOfRange) {
+				t.Errorf("dim %d: level %d estimator outside [%d,%d]: %v, want ErrLevelOutOfRange", tc.u.Dim, l, tc.lo, tc.hi, err)
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // them; VerifyFreshBuild offers a full cross-check where paranoia is
 // warranted.
 func NewMaintainerFromSketch(p Params, pts []points.Point, sk *Sketch) (*Maintainer, error) {
-	p, err := p.normalized()
+	p, err := p.Normalized()
 	if err != nil {
 		return nil, err
 	}

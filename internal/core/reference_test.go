@@ -34,7 +34,7 @@ func refFillLevel(t *iblt.Table, g *grid.Grid, level int, pts []points.Point) {
 }
 
 func refLevelEstimators(p Params, pts []points.Point, k int) ([]*sketch.BottomK, error) {
-	p, err := p.normalized()
+	p, err := p.Normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func refLevelEstimators(p Params, pts []points.Point, k int) ([]*sketch.BottomK,
 }
 
 func refBuildLevelTable(p Params, pts []points.Point, level, capacity int) (*iblt.Table, error) {
-	p, err := p.normalized()
+	p, err := p.Normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func refBuildLevelTable(p Params, pts []points.Point, level, capacity int) (*ibl
 // refReconcile builds Bob's table at every level up front and scans
 // finest to coarsest.
 func refReconcile(s *Sketch, bobPts []points.Point) (*Result, error) {
-	p, err := s.Params.normalized()
+	p, err := s.Params.Normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func refReconcile(s *Sketch, bobPts []points.Point) (*Result, error) {
 }
 
 func refReconcileLevel(p Params, aliceTable *iblt.Table, bobPts []points.Point, level int) (*Result, error) {
-	p, err := p.normalized()
+	p, err := p.Normalized()
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ type View struct {
 
 // NewView validates pts against p's universe and presorts them.
 func NewView(p Params, pts []points.Point) (*View, error) {
-	p, err := p.normalized()
+	p, err := p.Normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -352,20 +352,6 @@ func (v *View) LevelEstimator(level, k int) (*sketch.BottomK, error) {
 	}
 	v.scanLevel(level, nil, b.Add)
 	return b.Finish(), nil
-}
-
-// LevelEstimators builds one bottom-k difference estimator per level of
-// the view's range, coarsest first.
-func (v *View) LevelEstimators(k int) ([]*sketch.BottomK, error) {
-	ests := make([]*sketch.BottomK, 0, v.p.MaxLevel-v.p.MinLevel+1)
-	for l := v.p.MinLevel; l <= v.p.MaxLevel; l++ {
-		e, err := v.LevelEstimator(l, k)
-		if err != nil {
-			return nil, err
-		}
-		ests = append(ests, e)
-	}
-	return ests, nil
 }
 
 // maxLookAhead caps how many of Bob's level tables a reconcile scan

@@ -81,7 +81,7 @@ func diffCases(t *testing.T) []diffCase {
 func TestViewMatchesReference(t *testing.T) {
 	for _, c := range diffCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			p, err := c.p.normalized()
+			p, err := c.p.Normalized()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,8 +319,10 @@ func TestViewConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := v.LevelEstimators(32); err != nil {
-				t.Error(err)
+			for l := v.p.MinLevel; l <= v.p.MaxLevel; l++ {
+				if _, err := v.LevelEstimator(l, 32); err != nil {
+					t.Error(err)
+				}
 			}
 			if _, err := v.BuildLevelTable(want.Level, 64); err != nil {
 				t.Error(err)

@@ -29,7 +29,7 @@ const ParamsWireSize = 2 + 8 + 8 + 4 + 1 + 1 + 1 + 4
 // shared by the sketch header and the session handshake. The parameters
 // are normalized first, so both endpoints decode identical defaults.
 func (p Params) MarshalBinary() ([]byte, error) {
-	p, err := p.normalized()
+	p, err := p.Normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +45,7 @@ func (p *Params) UnmarshalBinary(data []byte) error {
 	if len(data) != ParamsWireSize {
 		return fmt.Errorf("core: params encoding is %d bytes, want %d", len(data), ParamsWireSize)
 	}
-	np, err := parseParams(data).normalized()
+	np, err := parseParams(data).Normalized()
 	if err != nil {
 		return fmt.Errorf("core: params: %w", err)
 	}
@@ -65,7 +65,7 @@ func appendParams(dst []byte, p Params) []byte {
 }
 
 // parseParams decodes exactly ParamsWireSize bytes; the caller validates
-// the result via normalized().
+// the result via Normalized().
 func parseParams(data []byte) Params {
 	p := Params{}
 	p.Universe.Dim = int(binary.LittleEndian.Uint16(data))
@@ -84,7 +84,7 @@ func parseParams(data []byte) Params {
 // along, so Bob reconstructs everything (grid, hash functions) from the
 // message alone plus the shared universe conventions.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	p, err := s.Params.normalized()
+	p, err := s.Params.Normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	p := parseParams(data[4:])
 	count := int(binary.LittleEndian.Uint32(data[4+ParamsWireSize:]))
 	nTables := int(binary.LittleEndian.Uint16(data[4+ParamsWireSize+4:]))
-	p, err := p.normalized()
+	p, err := p.Normalized()
 	if err != nil {
 		return fmt.Errorf("core: sketch: %w", err)
 	}

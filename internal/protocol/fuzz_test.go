@@ -2,11 +2,17 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"runtime"
 	"testing"
 
+	"robustset/internal/core"
 	"robustset/internal/iblt"
 	"robustset/internal/ranges"
+	"robustset/internal/sketch"
+	"robustset/internal/transport"
+	"robustset/internal/workload"
 )
 
 // FuzzParseHello feeds arbitrary bytes through the server-session
@@ -69,6 +75,79 @@ func FuzzParseHello(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted hello is not canonical: %x re-encodes as %x", data, re)
+		}
+	})
+}
+
+// FuzzEstimateRequest feeds two arbitrary estimator request bodies to the
+// estimate-first serve loop over transport.Pair, the second after the
+// first was answered. It must never panic; a request it answers gets one
+// estimator of the requested size per level of the window — every level
+// for the 4-byte form — and one it refuses ends the session with the
+// refusal relayed.
+func FuzzEstimateRequest(f *testing.F) {
+	inst, err := workload.Generate(workload.Config{
+		N: 40, Universe: testU, Outliers: 2, Noise: workload.NoiseUniform, Scale: 2, Seed: 3,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	params := core.Params{Universe: testU, Seed: 5, DiffBudget: 2}.WithLevels(2, 9)
+	levels := 8
+	f.Add(estRequestBody(64, 9, 1), estRequestBody(64, 8, 2))
+	f.Add(estRequestBody(8, 9, 8), []byte{8, 0, 0, 0})
+	f.Add([]byte{64, 0, 0, 0}, estRequestBody(64, 2, 1))
+	f.Add(estRequestBody(64, 9, 0), []byte{})
+	f.Add(estRequestBody(64, 10, 1), estRequestBody(64, 9, 1))
+	f.Add(estRequestBody(64, 9, 1), estRequestBody(32, 8, 2))
+	f.Add(estRequestBody(1<<16, 9, 9), estRequestBody(1<<16+1, 8, 1))
+	f.Add([]byte{64, 0, 0, 0, 9, 0}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		at, bt := transport.Pair()
+		defer at.Close()
+		defer bt.Close()
+		done := make(chan error, 1)
+		go func() { done <- RunEstimateAlice(bg, at, params, inst.Alice) }()
+		var k int
+		for i, body := range [][]byte{first, second} {
+			if err := send(bg, bt, MsgEstRequest, body); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := recvExpect(bg, bt, MsgEstimators)
+			if err != nil {
+				var re *RemoteError
+				if serveErr := <-done; !errors.As(err, &re) || serveErr == nil || re.Reason != serveErr.Error() {
+					t.Fatalf("request %d refused as %v, the serving side returned %v", i, err, serveErr)
+				}
+				return
+			}
+			if len(body) < 4 {
+				t.Fatalf("request %d of %d bytes answered", i, len(body))
+			}
+			if i == 0 {
+				k = int(binary.LittleEndian.Uint32(body))
+			}
+			want := levels
+			if len(body) == 8 {
+				want = int(binary.LittleEndian.Uint16(body[6:]))
+			}
+			blobs, err := parseBlobList(reply)
+			if err != nil || len(blobs) != want {
+				t.Fatalf("request %d (%x) answered with %d estimators, %v; want %d", i, body, len(blobs), err, want)
+			}
+			for _, b := range blobs {
+				var e sketch.BottomK
+				if err := e.UnmarshalBinary(b); err != nil || e.K() != k {
+					t.Fatalf("request %d (%x): an estimator of k %d, %v; want k %d", i, body, e.K(), err, k)
+				}
+			}
+		}
+		if err := send(bg, bt, MsgDone, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("serving both requests: %v", err)
 		}
 	})
 }

@@ -57,11 +57,11 @@ func init() {
 const (
 	// MsgSketch carries a core.Sketch (robust one-shot push).
 	MsgSketch byte = 0x01
-	// MsgEstRequest asks Alice for level estimators: body is
-	// u32 estimatorK.
+	// MsgEstRequest asks Alice for the estimators of a window of levels:
+	// u32 estimatorK, u16 finest, u16 count; u32 estimatorK alone: all.
 	MsgEstRequest byte = 0x02
-	// MsgEstimators carries Alice's per-level bottom-k estimators as a
-	// u32-count list of u32-length-prefixed blobs.
+	// MsgEstimators carries the window's bottom-k estimators, coarsest
+	// first, as a u32-count list of u32-length-prefixed blobs.
 	MsgEstimators byte = 0x03
 	// MsgLevelRequest asks Alice for one level table: u16 level,
 	// u32 capacity.

@@ -280,36 +280,17 @@ func TestEstimateBobRejectsMismatchedLevelTable(t *testing.T) {
 			go func() {
 				n := 0
 				defer func() { rounds <- n }()
-				body, err := recvExpect(bg, at, MsgEstRequest)
-				if err != nil {
-					return
-				}
-				ests, err := core.LevelEstimators(params, inst.Alice, int(binary.LittleEndian.Uint32(body)))
-				if err != nil {
-					return
-				}
-				blobs := make([][]byte, len(ests))
-				for i, e := range ests {
-					blobs[i], _ = e.MarshalBinary()
-				}
-				if send(bg, at, MsgEstimators, appendBlobList(nil, blobs)) != nil {
-					return
-				}
-				for {
-					typ, body, err := recv(bg, at)
-					if err != nil || typ != MsgLevelRequest {
-						return
-					}
-					n++
-					tbl, err := lie(int(binary.LittleEndian.Uint16(body)), int(binary.LittleEndian.Uint32(body[2:])))
+				RunEstimateServed(bg, at, func(k int) (*EstimateOpening, error) {
+					o, err := OpenEstimates(params, inst.Alice, k)
 					if err != nil {
-						return
+						return nil, err
 					}
-					blob, _ := tbl.MarshalBinary()
-					if send(bg, at, MsgLevelTable, blob) != nil {
-						return
+					o.LevelTable = func(level, capacity int) (*iblt.Table, error) {
+						n++
+						return lie(level, capacity)
 					}
-				}
+					return o, nil
+				})
 			}()
 			_, err := RunEstimateBob(bg, bt, params, inst.Bob, EstimateOpts{})
 			if !errors.Is(err, core.ErrLevelTableMismatch) {

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -115,44 +116,32 @@ func (o EstimateOpts) filled(p core.Params) EstimateOpts {
 	return o
 }
 
-// EstimateOpening is what one estimate-first session is served from: a
-// multiset's estimators, already in their wire form, and the way to the
-// table of any one level.
+// EstimateOpening is what one estimate-first session is served from: the
+// way to the estimator and the table of any one level of a multiset.
 type EstimateOpening struct {
-	// Estimators is the MsgEstimators body: the blob list of the per-level
-	// estimators of levels MinLevel..MaxLevel, coarsest first.
-	Estimators []byte
+	// Estimator returns the estimator of one level, of the size the
+	// session was opened for.
+	Estimator func(level int) (*sketch.BottomK, error)
 	// MinLevel and MaxLevel are the multiset's level range; a request for
-	// a table outside it is refused with core.ErrLevelOutOfRange.
+	// a level outside it is refused with core.ErrLevelOutOfRange.
 	MinLevel, MaxLevel int
-	// LevelTable builds the table of one level of the range. It may
-	// describe a newer version of the multiset than Estimators does: the
-	// fetching side then reconciles to that version, if the capacity it
-	// asked for still decodes, or retries.
+	// LevelTable builds the table of one level. Like each Estimator call,
+	// it may see a newer version of the multiset than an earlier call: the
+	// fetching side then reconciles to the version its table describes if
+	// the capacity it asked for still decodes, or retries.
 	LevelTable func(level, capacity int) (*iblt.Table, error)
 }
 
-// OpenEstimates builds the opening of a fixed point multiset for
-// estimator size k: one ordered view serves the estimators and every
-// level-table round.
+// OpenEstimates opens a fixed point multiset for estimator size k: one
+// ordered view builds each level's estimator and table when asked.
 func OpenEstimates(p core.Params, pts []points.Point, k int) (*EstimateOpening, error) {
 	view, err := core.NewView(p, pts)
 	if err != nil {
 		return nil, err
 	}
-	ests, err := view.LevelEstimators(k)
-	if err != nil {
-		return nil, err
-	}
-	blobs := make([][]byte, len(ests))
-	for i, e := range ests {
-		if blobs[i], err = e.MarshalBinary(); err != nil {
-			return nil, err
-		}
-	}
 	p = view.Params()
 	return &EstimateOpening{
-		Estimators: appendBlobList(nil, blobs),
+		Estimator:  func(level int) (*sketch.BottomK, error) { return view.LevelEstimator(level, k) },
 		MinLevel:   p.MinLevel,
 		MaxLevel:   p.MaxLevel,
 		LevelTable: view.BuildLevelTable,
@@ -160,16 +149,58 @@ func OpenEstimates(p core.Params, pts []points.Point, k int) (*EstimateOpening, 
 }
 
 // RunEstimateAlice serves Alice's side of the estimate-first protocol
-// over her points: she answers one estimator request and then any number
-// of level-table requests until Bob sends MsgDone.
+// over her points: she answers estimator and level-table requests until
+// Bob sends MsgDone.
 func RunEstimateAlice(ctx context.Context, t transport.Transport, p core.Params, pts []points.Point) error {
 	return RunEstimateServed(ctx, t, func(k int) (*EstimateOpening, error) { return OpenEstimates(p, pts, k) })
 }
 
+// estimatorK returns the estimator size an estimator request asks for.
+func estimatorK(body []byte) (int, error) {
+	if len(body) != 4 && len(body) != 8 {
+		return 0, errors.New("protocol: malformed estimator request")
+	}
+	k := int(binary.LittleEndian.Uint32(body))
+	if k < minEstimatorK || k > maxEstimatorK {
+		return 0, fmt.Errorf("protocol: estimator k %d outside [%d, %d]", k, minEstimatorK, maxEstimatorK)
+	}
+	return k, nil
+}
+
+// serveEstimators answers an estimator request of a session opened for
+// size k with the window's estimators, coarsest first — every level for
+// the 4-byte form that predates windows — and ends sp with their count.
+func serveEstimators(ctx context.Context, t transport.Transport, sp trace.Region, o *EstimateOpening, k int, body []byte) error {
+	if got, err := estimatorK(body); err != nil || got != k {
+		return sendErr(ctx, t, cmp.Or(err, fmt.Errorf("protocol: estimator k %d in a session opened for %d", got, k)))
+	}
+	finest, count := o.MaxLevel, o.MaxLevel-o.MinLevel+1
+	if len(body) == 8 {
+		finest, count = int(binary.LittleEndian.Uint16(body[4:])), int(binary.LittleEndian.Uint16(body[6:]))
+	}
+	if count < 1 || finest > o.MaxLevel || finest-count+1 < o.MinLevel {
+		return sendErr(ctx, t, fmt.Errorf("%w: estimator window of %d levels from %d outside [%d,%d]",
+			core.ErrLevelOutOfRange, count, finest, o.MinLevel, o.MaxLevel))
+	}
+	blobs := make([][]byte, count)
+	for i := range blobs {
+		e, err := o.Estimator(finest - count + 1 + i)
+		if err != nil {
+			return sendErr(ctx, t, err)
+		}
+		blobs[i], _ = e.MarshalBinary() // a bottom-k sketch always marshals
+	}
+	if err := send(ctx, t, MsgEstimators, appendBlobList(nil, blobs)); err != nil {
+		return err
+	}
+	sp.End(trace.I("levels", int64(count)))
+	return nil
+}
+
 // RunEstimateServed is the serving side of the estimate-first protocol:
-// open is called with the estimator size the peer asked for, and the
-// session is answered from what it returns. An error from open is
-// relayed to the peer.
+// open is called with the estimator size of the peer's first request, and
+// every estimator and level request until MsgDone is answered from what
+// it returns. An error from either is relayed to the peer.
 func RunEstimateServed(ctx context.Context, t transport.Transport, open func(k int) (*EstimateOpening, error)) error {
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("estimate")
@@ -177,21 +208,17 @@ func RunEstimateServed(ctx context.Context, t transport.Transport, open func(k i
 	if err != nil {
 		return err
 	}
-	if len(body) != 4 {
-		return sendErr(ctx, t, errors.New("protocol: malformed estimator request"))
+	var o *EstimateOpening
+	k, err := estimatorK(body)
+	if err == nil {
+		o, err = open(k)
 	}
-	estK := int(binary.LittleEndian.Uint32(body))
-	if estK < minEstimatorK || estK > maxEstimatorK {
-		return sendErr(ctx, t, fmt.Errorf("protocol: estimator k %d outside [%d, %d]", estK, minEstimatorK, maxEstimatorK))
-	}
-	o, err := open(estK)
 	if err != nil {
 		return sendErr(ctx, t, err)
 	}
-	if err := send(ctx, t, MsgEstimators, o.Estimators); err != nil {
+	if err := serveEstimators(ctx, t, sp, o, k, body); err != nil {
 		return err
 	}
-	sp.End(trace.I("levels", int64(o.MaxLevel-o.MinLevel+1)))
 	for {
 		typ, body, err := recv(ctx, t)
 		if err != nil {
@@ -200,6 +227,10 @@ func RunEstimateServed(ctx context.Context, t transport.Transport, open func(k i
 		switch typ {
 		case MsgDone:
 			return nil
+		case MsgEstRequest:
+			if err := serveEstimators(ctx, t, tr.Begin("estimate"), o, k, body); err != nil {
+				return err
+			}
 		case MsgLevelRequest:
 			round := tr.Begin("level_round")
 			tr.Stat("rounds", 1)
@@ -232,104 +263,99 @@ func RunEstimateServed(ctx context.Context, t transport.Transport, open func(k i
 	}
 }
 
-// bobEstimators holds Bob's per-level estimators, each built the first
-// time it is asked for.
-type bobEstimators struct {
-	view  *core.View
-	k     int
-	ests  []*sketch.BottomK // by level−MinLevel; nil until built
-	built int
-}
-
-// at returns the estimator of level MinLevel+i.
-func (b *bobEstimators) at(i int) (*sketch.BottomK, error) {
-	if b.ests[i] == nil {
-		e, err := b.view.LevelEstimator(b.view.Params().MinLevel+i, b.k)
-		if err != nil {
-			return nil, err
-		}
-		b.ests[i] = e
-		b.built++
-	}
-	return b.ests[i], nil
-}
-
-// fillBelow builds the estimators of the levels under the finest, finest
-// first, until all are built or stop is set.
-func (b *bobEstimators) fillBelow(stop *atomic.Bool) error {
-	for i := len(b.ests) - 2; i >= 0; i-- {
-		// On one processor whoever sets stop has had no turn; give it one.
-		runtime.Gosched()
-		if stop.Load() {
-			return nil
-		}
-		if _, err := b.at(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunEstimateBob drives Bob's side of the estimate-first protocol:
-// request estimators, pick the finest affordable level, fetch one
-// exactly-sized table, reconcile — retrying with doubled capacity (and
-// eventually a coarser level) if the table stalls.
+// RunEstimateBob drives Bob's side of the estimate-first protocol: pull
+// estimators finest first to the first affordable level, fetch one
+// exactly-sized table of it, reconcile — retrying with doubled capacity
+// (and eventually a coarser level) if the table stalls.
 func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, bobPts []points.Point, opts EstimateOpts) (*core.Result, error) {
 	opts = opts.filled(p)
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("estimate")
-	var req [4]byte
-	binary.LittleEndian.PutUint32(req[:], uint32(opts.EstimatorK))
-	if err := send(ctx, t, MsgEstRequest, req[:]); err != nil {
+	p, err := p.Normalized()
+	if err != nil {
+		return nil, abort(ctx, t, err)
+	}
+	// Both sides' estimators by level − MinLevel, nil until fetched or
+	// built. Alice's are asked for a window at a time from index asked
+	// down: the finest level alone, then twice the last window's count,
+	// clipped at MinLevel — at most ⌈log₂ L⌉ + 1 requests for L levels.
+	theirs, mine := make([]*sketch.BottomK, p.MaxLevel-p.MinLevel+1), make([]*sketch.BottomK, p.MaxLevel-p.MinLevel+1)
+	asked, window, requests, built := len(theirs), 0, 0, 0
+	request := func() error {
+		window, requests = min(max(1, 2*window), asked), requests+1
+		asked -= window
+		req := binary.LittleEndian.AppendUint32(nil, uint32(opts.EstimatorK))
+		req = binary.LittleEndian.AppendUint16(req, uint16(p.MinLevel+asked+window-1))
+		return send(ctx, t, MsgEstRequest, binary.LittleEndian.AppendUint16(req, uint16(window)))
+	}
+	// Alice builds her finest estimator while Bob sorts his view, which
+	// serves his estimators, every level-table round and the repair.
+	if err := request(); err != nil {
 		return nil, err
 	}
-	// The view Bob sorts serves his estimators, every level-table round
-	// and the repair.
 	view, err := core.NewView(p, bobPts)
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	p = view.Params()
-	mine := &bobEstimators{view: view, k: opts.EstimatorK, ests: make([]*sketch.BottomK, p.MaxLevel-p.MinLevel+1)}
-	// The level choice reads Bob's estimators finest first and stops at
-	// the first affordable level: the finest is always read, each coarser
-	// one only if the scan gets there. So Bob builds the finest, and the
-	// coarser ones — in the scan's order — only for as long as Alice has
-	// not answered: she is then building hers, as slow as he is at his,
-	// and he is ready when she is. Once she has, the scan builds what it
-	// reads and no more. The filling goroutine touches only mine, stops at
-	// the level it is in when the answer arrives, and is joined before
-	// mine is read again.
-	if _, err := mine.at(len(mine.ests) - 1); err != nil {
-		return nil, abort(ctx, t, err)
-	}
-	var answered atomic.Bool
-	filled := make(chan error, 1)
-	go func() { filled <- mine.fillBelow(&answered) }()
-	body, err := recvExpect(ctx, t, MsgEstimators)
-	answered.Store(true)
-	if ferr := <-filled; err == nil && ferr != nil {
-		err = abort(ctx, t, ferr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	blobs, err := parseBlobList(body)
-	if err != nil {
-		return nil, err
-	}
-	aliceEsts := make([]*sketch.BottomK, len(blobs))
-	for i, b := range blobs {
-		aliceEsts[i] = new(sketch.BottomK)
-		if err := aliceEsts[i].UnmarshalBinary(b); err != nil {
-			return nil, fmt.Errorf("protocol: estimator %d: %w", i, err)
+	bob := func(i int) (e *sketch.BottomK, err error) {
+		if e = mine[i]; e == nil {
+			if e, err = view.LevelEstimator(p.MinLevel+i, opts.EstimatorK); err == nil {
+				mine[i], built = e, built+1
+			}
 		}
+		return e, err
 	}
-	level, est, err := core.ChooseLevelLazy(p, aliceEsts, mine.at, opts.Budget)
+	// The level choice reads level i, Alice's first, once no finer level
+	// was affordable; if not yet asked for, it is the finest of the next
+	// window. Bob builds his level i, then the window's coarser ones until
+	// Alice answers, in a goroutine joined before mine is read again. A
+	// reply of another count than the window, or an estimator of another
+	// size, seed or level, is sketch.ErrIncompatibleSketch.
+	alice := func(i int) (*sketch.BottomK, error) {
+		if theirs[i] != nil {
+			return theirs[i], nil
+		}
+		if i < asked {
+			if err := request(); err != nil {
+				return nil, err
+			}
+		}
+		var answered atomic.Bool
+		filled := make(chan error, 1)
+		go func() {
+			_, err := bob(i)
+			for l := i - 1; err == nil && l >= asked; l-- {
+				// On one processor whoever sets answered has had no turn; give it one.
+				if runtime.Gosched(); answered.Load() {
+					break
+				}
+				_, err = bob(l)
+			}
+			filled <- err
+		}()
+		body, err := recvExpect(ctx, t, MsgEstimators)
+		answered.Store(true)
+		if err = cmp.Or(err, <-filled); err != nil {
+			return nil, err
+		}
+		blobs, err := parseBlobList(body)
+		if err == nil && len(blobs) != window {
+			err = fmt.Errorf("%w: %d estimators for a window of %d levels", sketch.ErrIncompatibleSketch, len(blobs), window)
+		}
+		for j := 0; err == nil && j < len(blobs); j++ {
+			theirs[asked+j] = new(sketch.BottomK)
+			if err = theirs[asked+j].UnmarshalBinary(blobs[j]); err != nil {
+				err = fmt.Errorf("protocol: level %d estimator: %w", p.MinLevel+asked+j, err)
+			}
+		}
+		return theirs[i], err
+	}
+	level, est, err := core.ChooseLevelLazy(p, alice, bob, opts.Budget)
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	sp.End(trace.I("level", int64(level)), trace.I("est", int64(est)), trace.I("built", int64(mine.built)))
+	sp.End(trace.I("level", int64(level)), trace.I("est", int64(est)), trace.I("built", int64(built)),
+		trace.I("fetched", int64(len(theirs)-asked)), trace.I("requests", int64(requests)))
 	tr.Stat("estimated_diff", int64(est))
 	capacity := int(est*1.5) + 16
 	var lastErr error

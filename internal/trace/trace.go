@@ -324,8 +324,8 @@ const StatUnchanged = "unchanged"
 
 // StatServedState is the stat a server records on a rateless or adaptive
 // session: 1 when the dataset's served state answered all of it, 0 when
-// the session read the points (to build that state, or past a rateless
-// prefix).
+// the session read the points (to build a rateless state, or past its
+// prefix). Adaptive sessions, answered from the Maintainer, always say 1.
 const StatServedState = "served_state"
 
 // Stat returns the named stat's value and whether it was recorded.

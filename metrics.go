@@ -23,7 +23,7 @@ import (
 //	server_sessions_total[:dataset]    sessions served, total and per dataset
 //	server_session_errors_total        sessions that ended in an error
 //	server_sessions_unchanged_total    sessions that ended at the handshake (equal roots)
-//	server_sessions_cold_total         rateless and adaptive sessions that read the points, not the served state
+//	server_sessions_cold_total         rateless sessions that read the points, not the served state
 //	dataset_points:dataset             current size of a published dataset
 //	dataset_root_fingerprint:dataset   its root fingerprint; equal on equal datasets of one seed
 //	server_bytes_in_total              connection bytes received (framing included)

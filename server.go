@@ -17,6 +17,7 @@ import (
 	"robustset/internal/points"
 	"robustset/internal/protocol"
 	"robustset/internal/ranges"
+	"robustset/internal/sketch"
 	"robustset/internal/store"
 	"robustset/internal/trace"
 	"robustset/internal/transport"
@@ -32,12 +33,12 @@ var ErrUnknownDataset = errors.New("robustset: unknown dataset")
 // Dataset is one named point multiset a Server publishes. It pairs the
 // live points with an incrementally maintained sketch, so robust one-shot
 // sessions are served from the Maintainer in O(sketch) time regardless of
-// dataset size — as ranged, rateless and adaptive sessions are from state
-// a session of theirs leaves behind (DESIGN.md, "Served state") — while
-// ExactIBLT, CPI and Naive snapshot the points. The multiset is stored as
-// encoded-point occurrence counts, so Add and Remove cost O(levels)
-// maintainer updates plus an O(1) map operation — no linear scans on
-// high-churn datasets. Beside them it keeps the root
+// dataset size — adaptive ones a level at a time, ranged and rateless ones
+// from state a session of theirs leaves behind (DESIGN.md, "Served state")
+// — while ExactIBLT, CPI and Naive snapshot the points. The multiset is
+// stored as encoded-point occurrence counts, so Add and Remove cost
+// O(levels) maintainer updates plus an O(1) map operation — no linear
+// scans on high-churn datasets. Beside them it keeps the root
 // aggregate of the multiset — its size and a 64-bit fingerprint, one
 // hash and XOR per point mutated — which is all that two datasets need
 // to exchange to learn they are equal: a ClientSession.FetchDataset
@@ -77,21 +78,19 @@ type Dataset struct {
 	// rtree: a rateless session copies O(cells) under d.mu and reads no
 	// points. nil until a rateless session has run.
 	exact *protocol.RatelessState
-	// estBody is the adaptive strategy's MsgEstimators body — the per-level
-	// difference estimators of the multiset, marshalled — for estimator
-	// size estK, the last one asked for. The first adaptive session after a
-	// mutation builds it, from a snapshot and outside d.mu, and every later
-	// one sends these shared, immutable bytes. nil when stale or never built.
-	estBody []byte
-	estK    int
+	// estimators caches the adaptive strategy's estimators of size
+	// estimatorsK by level, each built on its first request. Mutations
+	// and retire() drop them; a request of another size too.
+	estimators  map[int]*sketch.BottomK
+	estimatorsK int
 	// root is the aggregate of the same (point, occurrence) keys under
 	// the same fingerprint hash as rtree, so it equals rtree.Root()
 	// whenever the tree exists. It is keyed by Params.Seed: datasets of
 	// different seeds have unrelated roots.
 	root ranges.Root
 	// pointsGauge, rootGauge and coldSessions export size, root fingerprint
-	// and the rateless and adaptive sessions that read the points; they are
-	// the registry's from the moment a Server registers the dataset.
+	// and the rateless sessions that read the points; they are the
+	// registry's from the moment a Server registers the dataset.
 	pointsGauge, rootGauge *metrics.Gauge
 	coldSessions           *metrics.Counter
 }
@@ -125,7 +124,7 @@ func (d *Dataset) errRetired() error {
 func (d *Dataset) retire() {
 	d.mu.Lock()
 	d.retired = true
-	d.rtree, d.exact, d.estBody = nil, nil, nil // free the served state; no future session can use it
+	d.rtree, d.exact, d.estimators = nil, nil, nil // free the served state; no future session can use it
 	d.pointsGauge.Set(0)
 	d.rootGauge.Set(0)
 	d.mu.Unlock()
@@ -224,51 +223,30 @@ func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *p
 	return o, nil
 }
 
-// estimateOpening returns what one adaptive session that asked for
-// estimator size k is served from. Warm — the cached body is for k — the
-// session reads no points: it sends the body and fills each level table
-// it is asked for from the Maintainer's cell counts, under d.mu, so a
-// table describes the dataset as of its request. Cold, *cold is set and
-// the session is the stateless one over a snapshot, built outside d.mu
-// (which it holds for the snapshot alone, as a session always has); its
-// estimator body becomes the cache if the root is still the snapshot's.
-func (d *Dataset) estimateOpening(p Params, k int, cold *bool) (*protocol.EstimateOpening, error) {
-	d.mu.Lock()
-	if d.retired {
-		d.mu.Unlock()
-		return nil, d.errRetired()
-	}
-	if d.estBody != nil && d.estK == k {
-		body := d.estBody
-		d.mu.Unlock()
-		return &protocol.EstimateOpening{Estimators: body, MinLevel: p.MinLevel, MaxLevel: p.MaxLevel, LevelTable: d.levelTable}, nil
-	}
-	pts, version := d.snapshotLocked(), d.root.Agg
-	d.mu.Unlock()
-	*cold = true
-	o, err := protocol.OpenEstimates(p, pts, k)
-	if err != nil {
-		return nil, err
-	}
-	d.publishEstimators(version, k, o.Estimators)
-	return o, nil
-}
-
-// publishEstimators makes body, built for estimator size k from a
-// snapshot whose root was version, the cached estimator body — unless the
-// dataset has moved on or been retired since, when it describes nothing a
-// later session should be sent.
-func (d *Dataset) publishEstimators(version ranges.Agg, k int, body []byte) {
+// levelEstimator returns one level's estimator of size k for an adaptive
+// session, building it from the Maintainer on a cache miss. It rejects
+// retired datasets like servePoints.
+func (d *Dataset) levelEstimator(level, k int) (*sketch.BottomK, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.retired && d.root.Agg == version {
-		d.estBody, d.estK = body, k
+	if d.retired {
+		return nil, d.errRetired()
 	}
+	if d.estimators == nil || d.estimatorsK != k {
+		d.estimators, d.estimatorsK = make(map[int]*sketch.BottomK), k
+	}
+	if e := d.estimators[level]; e != nil {
+		return e, nil
+	}
+	e, err := d.maintainer.LevelEstimator(level, k) // refuses a level outside the range
+	if err == nil {
+		d.estimators[level] = e
+	}
+	return e, err
 }
 
-// levelTable builds one level's table for a warm adaptive session from
-// the Maintainer's cell counts. It rejects retired datasets like
-// servePoints.
+// levelTable builds one level's table for an adaptive session from the
+// Maintainer's cell counts. It rejects retired datasets like servePoints.
 func (d *Dataset) levelTable(level, capacity int) (*iblt.Table, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -332,7 +310,7 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 			panic("robustset: validated mutation failed: " + err.Error())
 		}
 	}
-	d.blobCache, d.estBody = nil, nil // the serialized sketch and estimators are stale now
+	d.blobCache, d.estimators = nil, nil // the serialized sketch and estimators are stale now
 	d.exportLocked()
 	d.maybeSnapshotLocked()
 	return nil

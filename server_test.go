@@ -539,9 +539,9 @@ func TestServerRejectsHostileCPICapacity(t *testing.T) {
 // TestAdaptiveServerRefusesLevelOutsideRange: against a Server, as over a
 // pipe (protocol.TestEstimateAliceRefusesLevelOutsideRange), a level
 // request outside the dataset's [MinLevel, MaxLevel] is refused with
-// core.ErrLevelOutOfRange, relayed — by the cold session, whose view
-// could have built any level of the universe, and by the warm ones after
-// it, whose Maintainer has no counts for such a level.
+// core.ErrLevelOutOfRange, relayed: the dataset's Maintainer has no counts
+// for such a level, though the universe has it. So is an estimator window
+// that reaches outside the range.
 func TestAdaptiveServerRefusesLevelOutsideRange(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 5, DiffBudget: 4}.WithLevels(3, 8)
 	srv := robustset.NewServer()
@@ -569,6 +569,20 @@ func TestAdaptiveServerRefusesLevelOutsideRange(t *testing.T) {
 		msg, err := st.Recv(ctx)
 		if err != nil || msg[0] != protocol.MsgError || !strings.Contains(string(msg[1:]), core.ErrLevelOutOfRange.Error()) {
 			t.Errorf("session %d, level %d outside [3,8]: got %q, %v; want core.ErrLevelOutOfRange relayed", i, level, msg, err)
+		}
+	}
+	for _, window := range [][2]uint16{{9, 1}, {8, 7}, {2, 1}, {uint16(testU.Levels()), 13}} {
+		st := openStream(t, addr)
+		if _, err := protocol.RunHello(ctx, st, protocol.Hello{Strategy: protocol.StrategyAdaptive, Dataset: "d"}); err != nil {
+			t.Fatal(err)
+		}
+		req := binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16([]byte{protocol.MsgEstRequest, 64, 0, 0, 0}, window[0]), window[1])
+		if err := st.Send(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := st.Recv(ctx)
+		if err != nil || msg[0] != protocol.MsgError || !strings.Contains(string(msg[1:]), core.ErrLevelOutOfRange.Error()) {
+			t.Errorf("window of %d levels from %d, outside [3,8]: got %q, %v; want core.ErrLevelOutOfRange relayed", window[1], window[0], msg, err)
 		}
 	}
 }

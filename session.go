@@ -10,6 +10,7 @@ import (
 
 	"robustset/internal/emd"
 	"robustset/internal/protocol"
+	"robustset/internal/sketch"
 	"robustset/internal/trace"
 	"robustset/internal/transport"
 )
@@ -200,16 +201,14 @@ func (Adaptive) serve(ctx context.Context, t transport.Transport, p Params, pts 
 	return protocol.RunEstimateAlice(ctx, t, p, pts)
 }
 
-// serveDataset sends the dataset's cached estimator body and fills level
-// tables from its Maintainer's cell counts; the first session after a
-// mutation, with no body to send, is the stateless one over a snapshot
-// and leaves its body behind. Trace and cold-session counter say which.
+// serveDataset answers each estimator and level-table request from the
+// dataset's Maintainer, one level at a time, and never reads the points.
 func (Adaptive) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
-	cold := false
 	err := protocol.RunEstimateServed(ctx, t, func(k int) (*protocol.EstimateOpening, error) {
-		return d.estimateOpening(p, k, &cold)
+		est := func(level int) (*sketch.BottomK, error) { return d.levelEstimator(level, k) }
+		return &protocol.EstimateOpening{Estimator: est, MinLevel: p.MinLevel, MaxLevel: p.MaxLevel, LevelTable: d.levelTable}, nil
 	})
-	d.recordServed(ctx, cold)
+	d.recordServed(ctx, false)
 	return err
 }
 
