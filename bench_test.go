@@ -72,9 +72,9 @@ func BenchmarkE1CommVsK_RobustOneShot_K64(b *testing.B) {
 	runExchange(b, robustset.Robust{}, params, inst)
 }
 
-func BenchmarkE1CommVsK_ExactIBLT(b *testing.B) {
+func BenchmarkE1CommVsK_Rateless(b *testing.B) {
 	inst := benchInstance(b, 1024, 16, 4)
-	runExchange(b, robustset.ExactIBLT{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
+	runExchange(b, robustset.Rateless{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
 }
 
 func BenchmarkE1CommVsK_Naive(b *testing.B) {
@@ -136,7 +136,7 @@ func benchNoise(b *testing.B, eps float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, robustBytes = exchange(b, robustset.Robust{}, params, inst)
-		_, exactBytes = exchange(b, robustset.ExactIBLT{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
+		_, exactBytes = exchange(b, robustset.Rateless{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
 	}
 	b.ReportMetric(float64(robustBytes), "robust-bytes")
 	b.ReportMetric(float64(exactBytes), "exact-bytes")
@@ -243,9 +243,9 @@ func BenchmarkE8ExactBaselines_CPI(b *testing.B) {
 	runExchange(b, robustset.CPI{Capacity: 20}, robustset.Params{Universe: benchUniverse, Seed: 13}, inst)
 }
 
-func BenchmarkE8ExactBaselines_ExactIBLT(b *testing.B) {
+func BenchmarkE8ExactBaselines_Rateless(b *testing.B) {
 	inst := benchInstance(b, 1024, 8, 0)
-	runExchange(b, robustset.ExactIBLT{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
+	runExchange(b, robustset.Rateless{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)
 }
 
 func BenchmarkE8ExactBaselines_Robust(b *testing.B) {

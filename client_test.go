@@ -59,7 +59,7 @@ func TestClientMuxConcurrentSessions(t *testing.T) {
 	serial := make(map[string][]robustset.Point, datasets)
 	for name := range sets {
 		_, bob := deterministicPair(8000, 120, 4, 2)
-		res, _, err := fetchOnce(t, addr.String(), name, robustset.ExactIBLT{}, bob)
+		res, _, err := fetchOnce(t, addr.String(), name, robustset.Rateless{}, bob)
 		if err != nil {
 			t.Fatalf("serial fetch %q: %v", name, err)
 		}
@@ -75,7 +75,7 @@ func TestClientMuxConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			cs, err := cl.Session(name, robustset.ExactIBLT{})
+			cs, err := cl.Session(name, robustset.Rateless{})
 			if err != nil {
 				errCh <- err
 				return
@@ -220,7 +220,7 @@ func TestClientStreamResetLeavesSiblings(t *testing.T) {
 		wg.Add(1)
 		go func(name string, want []robustset.Point) {
 			defer wg.Done()
-			cs, err := cl.Session(name, robustset.ExactIBLT{})
+			cs, err := cl.Session(name, robustset.Rateless{})
 			if err != nil {
 				errCh <- err
 				return
@@ -274,7 +274,7 @@ func TestClientRedialsAfterConnLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cs, err := cl.Session("d", robustset.ExactIBLT{})
+	cs, err := cl.Session("d", robustset.Rateless{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestServerShutdownDrainsMuxStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cs, err := cl.Session("ds/0", robustset.ExactIBLT{})
+	cs, err := cl.Session("ds/0", robustset.Rateless{})
 	if err != nil {
 		t.Fatal(err)
 	}

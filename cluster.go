@@ -161,7 +161,7 @@ type ReplicatorOption func(*Replicator) error
 
 // WithReplicatorStrategy selects the reconciliation strategy for peer
 // sessions. Default: Robust{} (the paper's one-shot protocol; per-round
-// cost tracks the live delta). ExactIBLT{} converges bit-exact catalogs;
+// cost tracks the live delta). Rateless{} converges bit-exact catalogs;
 // strategies must support Session.Fetch (all built-ins do).
 func WithReplicatorStrategy(s Strategy) ReplicatorOption {
 	return func(r *Replicator) error {

@@ -98,10 +98,10 @@ func runConvergence(t *testing.T, nodes []*clusterNode, reps []*robustset.Replic
 
 // TestReplicatorThreeNodeConvergence is the acceptance scenario: three
 // nodes with disjoint extra points converge to the identical multiset
-// within a bounded number of rounds, for the Robust and ExactIBLT
+// within a bounded number of rounds, for the Robust and Rateless
 // strategies, on both plain and sharded datasets.
 func TestReplicatorThreeNodeConvergence(t *testing.T) {
-	strategies := []robustset.Strategy{robustset.Robust{}, robustset.ExactIBLT{}}
+	strategies := []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}}
 	for _, strat := range strategies {
 		for _, shards := range []int{1, 4} {
 			name := fmt.Sprintf("%s/shards=%d", strat.Name(), shards)
@@ -252,7 +252,7 @@ func TestReplicatorSkipsUnknownDataset(t *testing.T) {
 	addrB := startServer(t, b)
 
 	rep, err := robustset.NewReplicator(a, []robustset.Peer{{Name: "b", Addr: addrB.String()}},
-		robustset.WithReplicatorStrategy(robustset.ExactIBLT{}),
+		robustset.WithReplicatorStrategy(robustset.Rateless{}),
 		robustset.WithRoundTimeout(time.Minute),
 	)
 	if err != nil {
@@ -358,7 +358,7 @@ func TestReplicatorMirror(t *testing.T) {
 
 	rep, err := robustset.NewReplicator(follower.srv,
 		[]robustset.Peer{{Name: "up", Addr: upstream.addr}},
-		robustset.WithReplicatorStrategy(robustset.ExactIBLT{}),
+		robustset.WithReplicatorStrategy(robustset.Rateless{}),
 		robustset.WithMirror(),
 		robustset.WithRoundTimeout(time.Minute),
 	)
@@ -497,7 +497,7 @@ func TestReplicatorMuxConvergence(t *testing.T) {
 			}
 		}
 		rep, err := robustset.NewReplicator(n.srv, peers,
-			robustset.WithReplicatorStrategy(robustset.ExactIBLT{}),
+			robustset.WithReplicatorStrategy(robustset.Rateless{}),
 			robustset.WithPeerSelector(robustset.SelectRoundRobin(2)),
 			robustset.WithRoundTimeout(time.Minute),
 			robustset.WithReplicatorWorkers(shards),

@@ -16,21 +16,10 @@
 // records rounds- and bytes-to-convergence for the replication-grade
 // strategies (mode "cluster" rows).
 //
-// A rateless scenario (mode "rateless" rows) pairs the rateless cell
-// stream against the exact-IBLT doubling-retry path on the same
-// workloads, twice per cell: once with an honest difference (the strata
-// estimate lands within its ~2× band) and once with the difference
-// skewed entirely into stratum 0, which collapses the estimate to ~0 —
-// the estimator's blind spot. Each row records the rateless wire bytes
-// (wire_bytes) against the doubling path's (baseline_bytes); the -check
-// gate enforces the robustness contract on them: at most 0.6× the
-// doubling bytes when the estimate undershoots, at most 1.1× when it is
-// accurate.
-//
 // A ranges scenario (mode "ranges" rows) pins the divide-and-conquer
 // strategy's contract in its headline regime — huge sets, tiny
-// differences: ranged wire bytes beside the exact-IBLT doubling path's
-// on the identical workload (wire_bytes vs baseline_bytes; the -check
+// differences: ranged wire bytes beside the rateless strategy's on the
+// identical workload (wire_bytes vs baseline_bytes; the -check
 // gate holds wire_bytes under 1 KB a differing key and records the
 // ratio), and the sequential round-trip depth of the same
 // reconciliation pipelined as sibling-range mux streams against a
@@ -63,7 +52,7 @@
 //
 // Usage:
 //
-//	bench [-quick] [-mode core,cluster,rateless,ranges,recovery,paper|all] [-out BENCH_core.json]
+//	bench [-quick] [-mode core,cluster,ranges,recovery,paper|all] [-out BENCH_core.json]
 //	bench -check BENCH_core.json   # validate schema (CI drift gate)
 package main
 
@@ -88,7 +77,6 @@ import (
 	"robustset/internal/iblt"
 	"robustset/internal/points"
 	"robustset/internal/ranges"
-	"robustset/internal/sketch"
 	"robustset/internal/workload"
 )
 
@@ -146,23 +134,16 @@ type Result struct {
 	// node each) until every node held the identical multiset.
 	Rounds int `json:"rounds,omitempty"`
 
-	// Rateless-scenario rows (Mode == "rateless") additionally carry the
-	// estimate regime ("accurate" or "undershoot" — the latter forced by
-	// a stratum-0-skewed difference) and the doubling-retry path's total
-	// wire bytes on the identical workload, the baseline wire_bytes is
-	// contracted against.
-	Estimate      string `json:"estimate,omitempty"`
-	BaselineBytes int64  `json:"baseline_bytes,omitempty"`
-
 	// Ranges-scenario rows (Mode == "ranges") compare the ranged
-	// divide-and-conquer strategy's wire bytes against the exact-IBLT
-	// doubling path's (baseline_bytes) on an identical tiny-difference
+	// divide-and-conquer strategy's wire bytes against the rateless
+	// strategy's (baseline_bytes) on an identical tiny-difference
 	// workload, plus the sequential round-trip depth of the same
 	// reconciliation pipelined as sibling-range mux streams (rounds,
 	// mux_streams) against a serial one-probe-per-frame run
 	// (baseline_rounds).
-	BaselineRounds int `json:"baseline_rounds,omitempty"`
-	MuxStreams     int `json:"mux_streams,omitempty"`
+	BaselineBytes  int64 `json:"baseline_bytes,omitempty"`
+	BaselineRounds int   `json:"baseline_rounds,omitempty"`
+	MuxStreams     int   `json:"mux_streams,omitempty"`
 
 	// Recovery-scenario rows (Mode == "recovery") come in two phases.
 	// "replay" rows measure the durable storage engine: records and
@@ -256,7 +237,7 @@ func coreCell(s robustset.Strategy, n int, rate float64, dim int, delta int64) c
 	}
 	c.params = robustset.Params{Universe: robustset.Universe{Dim: dim, Delta: delta}, Seed: 77, DiffBudget: c.k + 4}
 	switch s.(type) {
-	case robustset.ExactIBLT, robustset.Rateless, robustset.Ranged, robustset.CPI:
+	case robustset.Rateless, robustset.Ranged, robustset.CPI:
 		// The exact comparators get the regime they are designed for;
 		// under value noise their cost is Θ(n) by construction, which
 		// would measure the degeneracy, not the implementation.
@@ -315,22 +296,6 @@ func timeBuild(c cell, alice []robustset.Point) (int64, error) {
 	case robustset.Robust, robustset.Adaptive:
 		if _, err := robustset.NewSketch(c.params, alice); err != nil {
 			return 0, err
-		}
-	case robustset.ExactIBLT:
-		// Occurrence-indexed point keys into an IBLT sized for the diff —
-		// the shape of the exact protocol's table construction.
-		keyLen := points.EncodedSize(c.dim) + 4
-		t, err := iblt.New(iblt.Config{
-			Cells:     iblt.RecommendedCells(4*c.k+16, 4),
-			HashCount: 4,
-			KeyLen:    keyLen,
-			Seed:      21,
-		})
-		if err != nil {
-			return 0, err
-		}
-		for _, k := range points.OccurrenceKeys(alice, c.dim) {
-			t.Insert(k)
 		}
 	case robustset.Rateless:
 		// Occurrence-indexed keys into a rateless cell stream, emitting
@@ -439,7 +404,7 @@ type clusterCell struct {
 }
 
 // clusterMatrix enumerates the replication scenarios. The two strategies
-// with exact finest-level diffs — Robust and ExactIBLT — are the ones a
+// with exact finest-level diffs — Robust and Rateless — are the ones a
 // replication layer deploys; rounds- and bytes-to-convergence are the
 // numbers that compare them.
 func clusterMatrix(quick bool) []clusterCell {
@@ -448,7 +413,7 @@ func clusterMatrix(quick bool) []clusterCell {
 		n, extra, shards = 1_000, 10, 4
 	}
 	var cells []clusterCell
-	for _, s := range []robustset.Strategy{robustset.Robust{}, robustset.ExactIBLT{}} {
+	for _, s := range []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}} {
 		cells = append(cells, clusterCell{strategy: s, n: n, extra: extra, nodes: 3, shards: shards})
 	}
 	return cells
@@ -606,149 +571,6 @@ func runClusterScenario(quick bool, logf func(format string, args ...any)) []Res
 		logf("[cluster %d/%d] %-16s n=%-8d nodes=%d shards=%d rounds=%d sync=%-12s wire=%dB",
 			i+1, len(cells), r.Strategy, r.N, r.Nodes, r.Shards, r.Rounds,
 			time.Duration(r.SyncNS), r.WireBytes)
-	}
-	return out
-}
-
-// ratelessCell is one rateless-vs-doubling comparison scenario: n shared
-// base points plus diff Alice-only extras, optionally skewed so the
-// strata estimate collapses.
-type ratelessCell struct {
-	n      int
-	diff   int
-	skewed bool
-}
-
-// ratelessMatrix enumerates the comparison scenarios. Differences are
-// kept ≥ a couple thousand keys so the fixed strata-estimator bytes —
-// identical on both paths — do not wash out the cell-stream comparison.
-func ratelessMatrix(quick bool) []ratelessCell {
-	grid := []struct{ n, diff int }{{10_000, 2_000}, {100_000, 8_000}, {1_000_000, 10_000}}
-	if quick {
-		grid = []struct{ n, diff int }{{2_000, 800}}
-	}
-	var cells []ratelessCell
-	for _, g := range grid {
-		cells = append(cells,
-			ratelessCell{n: g.n, diff: g.diff, skewed: false},
-			ratelessCell{n: g.n, diff: g.diff, skewed: true},
-		)
-	}
-	return cells
-}
-
-// ratelessSeed is the shared session seed of the rateless scenario; the
-// skew miner must derive the same strata sampling hash the protocols
-// will, so it is fixed here.
-const ratelessSeed = 77
-
-// ratelessWorkload builds the comparison instance: identical base sets in
-// the lower coordinate stripe plus diff Alice-only extras in the upper
-// stripe. With skewed set, every extra is rejection-sampled onto stratum
-// 0 of the protocols' strata estimator — half the key space, so the skew
-// is cheap to mine yet collapses the difference estimate toward zero
-// (everything above stratum 0 sees nothing, and stratum 0 itself is far
-// too loaded to decode).
-func ratelessWorkload(u robustset.Universe, n, diff int, skewed bool, seed uint64) (alice, bob []robustset.Point, err error) {
-	inst, err := workload.Generate(workload.Config{
-		N:        n,
-		Universe: points.Universe{Dim: u.Dim, Delta: u.Delta / 2},
-		Seed:     seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	bob = inst.Bob
-	alice = robustset.ClonePoints(bob)
-
-	st, err := sketch.NewStrata(sketch.StrataConfig{
-		KeyLen: points.EncodedSize(u.Dim) + 4,
-		Seed:   hashutil.DeriveSeed(ratelessSeed, "exact/strata"),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	h := hashutil.NewHasher(hashutil.DeriveSeed(seed, "bench/rateless-extra"))
-	seen := make(map[string]bool, diff)
-	stripe := u.Delta - u.Delta/2
-	for i, attempt := 0, uint64(0); i < diff; attempt++ {
-		p := make(robustset.Point, u.Dim)
-		for k := 0; k < u.Dim; k++ {
-			p[k] = u.Delta/2 + int64(h.HashUint64(uint64(k)<<48|attempt)%uint64(stripe))
-		}
-		enc := points.EncodeNew(p)
-		if seen[string(enc)] {
-			continue
-		}
-		// Occurrence index 0: extras are distinct and disjoint from the
-		// base stripe, so this is the exact wire key both protocols hash.
-		key := points.OccurrenceKeys([]robustset.Point{p}, u.Dim)[0]
-		if skewed && st.StratumOf(key) != 0 {
-			continue
-		}
-		seen[string(enc)] = true
-		alice = append(alice, p)
-		i++
-	}
-	return alice, bob, nil
-}
-
-// runRatelessCell measures one comparison: the rateless stream and the
-// doubling-retry path on the identical workload, both required to
-// converge exactly (the doubling path gets unlimited-in-practice retries,
-// so the comparison is bytes at equal decode success).
-func runRatelessCell(c ratelessCell) Result {
-	res := Result{
-		Strategy: robustset.Rateless{}.Name(), Mode: "rateless",
-		N: c.n, DiffRate: float64(c.diff) / float64(c.n),
-		Dim: 2, Delta: 1 << 20, Regime: "exact",
-		Estimate: "accurate",
-	}
-	if c.skewed {
-		res.Estimate = "undershoot"
-	}
-	u := robustset.Universe{Dim: res.Dim, Delta: res.Delta}
-	params := robustset.Params{Universe: u, Seed: ratelessSeed, DiffBudget: c.diff + 4}
-	alice, bob, err := ratelessWorkload(u, c.n, c.diff, c.skewed, uint64(c.n)*17+uint64(c.diff))
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	rOut, rSt, rNS, err := exchange(robustset.Rateless{}, params, alice, bob)
-	if err != nil {
-		res.Err = "rateless: " + err.Error()
-		return res
-	}
-	dOut, dSt, _, err := exchange(robustset.ExactIBLT{MaxRetries: 24}, params, alice, bob)
-	if err != nil {
-		res.Err = "doubling: " + err.Error()
-		return res
-	}
-	if !robustset.EqualMultisets(rOut.SPrime, alice) || !robustset.EqualMultisets(dOut.SPrime, alice) {
-		res.Err = "paths did not converge to Alice's multiset"
-		return res
-	}
-	res.WireBytes, res.BaselineBytes = rSt.Total(), dSt.Total()
-	res.SyncNS = rNS
-	res.ResultSize = len(rOut.SPrime)
-	return res
-}
-
-// runRatelessScenario executes the comparison matrix.
-func runRatelessScenario(quick bool, logf func(format string, args ...any)) []Result {
-	cells := ratelessMatrix(quick)
-	out := make([]Result, 0, len(cells))
-	for i, c := range cells {
-		r := runRatelessCell(c)
-		out = append(out, r)
-		if r.Err != "" {
-			logf("[rateless %d/%d] n=%-8d diff=%-6d %-10s ERROR: %s",
-				i+1, len(cells), r.N, c.diff, r.Estimate, r.Err)
-			continue
-		}
-		logf("[rateless %d/%d] n=%-8d diff=%-6d %-10s wire=%dB baseline=%dB (×%.2f)",
-			i+1, len(cells), r.N, c.diff, r.Estimate, r.WireBytes, r.BaselineBytes,
-			float64(r.WireBytes)/float64(r.BaselineBytes))
 	}
 	return out
 }
@@ -1150,7 +972,6 @@ var scenarios = []struct {
 }{
 	{"core", func(quick bool, logf func(string, ...any)) []Result { return runMatrix(matrix(quick), logf) }},
 	{"cluster", runClusterScenario},
-	{"rateless", runRatelessScenario},
 	{"ranges", runRangesScenario},
 	{"recovery", runRecoveryScenario},
 	{"paper", func(quick bool, logf func(string, ...any)) []Result { return runMatrix(paperMatrix(quick), logf) }},
@@ -1222,7 +1043,6 @@ func checkReport(data []byte) error {
 	robustWire, naiveWire := map[workloadKey]int64{}, map[workloadKey]int64{}
 	clusterRows := 0
 	rangesRows := 0
-	ratelessRows := map[string]int{}
 	recoveryRows := map[string]int{}
 	paperRows := map[string]int{}
 	e2Wire := map[int]int64{} // E2's robust-oneshot wire bytes by n
@@ -1263,7 +1083,7 @@ func checkReport(data []byte) error {
 		}
 		if r.Mode == "ranges" {
 			if r.BaselineBytes <= 0 {
-				return fmt.Errorf("bench: ranges result %d carries no exact-IBLT baseline", i)
+				return fmt.Errorf("bench: ranges result %d carries no rateless baseline", i)
 			}
 			if r.Rounds < 1 || r.BaselineRounds < 1 || r.MuxStreams < 2 {
 				return fmt.Errorf("bench: ranges result %d carries no pipelined round-depth comparison", i)
@@ -1271,10 +1091,9 @@ func checkReport(data []byte) error {
 			// The divide-and-conquer contract: the probe tree has no fixed
 			// cost, so the matrix's tiny differences move under 1 KB a
 			// differing key (0.57–0.83 KB from 2·10^4 to 10^6 points).
-			// The ratio to the exact-IBLT path is recorded, not gated: it
-			// reads 0.78–1.05× since the cell codec took that path's
-			// strata estimator from 17 KB to 7 (DESIGN.md "Range-based
-			// reconciliation").
+			// The ratio to the rateless strategy, whose strata estimator
+			// is a fixed ≈ 7 KB, is recorded, not gated (DESIGN.md
+			// "Range-based reconciliation").
 			if delta := int64(r.DiffRate*float64(r.N) + 0.5); r.WireBytes > delta<<10 {
 				return fmt.Errorf("bench: ranges result %d (n=%d): %d wire bytes for %d differing keys exceeds 1 KB a key",
 					i, r.N, r.WireBytes, delta)
@@ -1290,29 +1109,6 @@ func checkReport(data []byte) error {
 				}
 			}
 			rangesRows++
-		}
-		if r.Mode == "rateless" {
-			if r.Estimate != "accurate" && r.Estimate != "undershoot" {
-				return fmt.Errorf("bench: rateless result %d carries estimate regime %q", i, r.Estimate)
-			}
-			if r.BaselineBytes <= 0 {
-				return fmt.Errorf("bench: rateless result %d carries no doubling baseline", i)
-			}
-			// The robustness contract: streaming increments must beat the
-			// doubling-retry path decisively when the estimate collapses,
-			// and must never cost materially more when it is accurate.
-			ratio := float64(r.WireBytes) / float64(r.BaselineBytes)
-			switch r.Estimate {
-			case "undershoot":
-				if ratio > 0.6 {
-					return fmt.Errorf("bench: rateless result %d (n=%d): undershoot wire ratio %.2f exceeds 0.6", i, r.N, ratio)
-				}
-			case "accurate":
-				if ratio > 1.1 {
-					return fmt.Errorf("bench: rateless result %d (n=%d): accurate wire ratio %.2f exceeds 1.1", i, r.N, ratio)
-				}
-			}
-			ratelessRows[r.Estimate]++
 		}
 		if r.Mode == "recovery" {
 			switch r.Phase {
@@ -1370,10 +1166,6 @@ func checkReport(data []byte) error {
 	}
 	if has("cluster") && clusterRows == 0 {
 		return fmt.Errorf("bench: no successful cluster-convergence result")
-	}
-	if has("rateless") && (ratelessRows["accurate"] == 0 || ratelessRows["undershoot"] == 0) {
-		return fmt.Errorf("bench: rateless scenario incomplete: %d accurate / %d undershoot rows",
-			ratelessRows["accurate"], ratelessRows["undershoot"])
 	}
 	if has("ranges") && rangesRows == 0 {
 		return fmt.Errorf("bench: no successful range-reconciliation comparison result")

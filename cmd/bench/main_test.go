@@ -37,9 +37,6 @@ func fullReport(logf func(string, ...any)) Report {
 	rep := newReport(false, nil)
 	rep.Results = runMatrix(tinyMatrix(), logf)
 	rep.Results = append(rep.Results, runClusterCell(tinyClusterCell()))
-	for _, c := range tinyRatelessCells() {
-		rep.Results = append(rep.Results, runRatelessCell(c))
-	}
 	rep.Results = append(rep.Results, runRangesCell(tinyRangesCell()))
 	replayCell, rejoinCell := tinyRecoveryCells()
 	rep.Results = append(rep.Results, runRecoveryReplayCell(replayCell))
@@ -51,17 +48,7 @@ func fullReport(logf func(string, ...any)) Report {
 // tinyClusterCell is a minimal convergence scenario for in-process
 // testing.
 func tinyClusterCell() clusterCell {
-	return clusterCell{strategy: robustset.ExactIBLT{}, n: 100, extra: 3, nodes: 2, shards: 2}
-}
-
-// tinyRatelessCells is a minimal rateless-vs-doubling pair for in-process
-// testing: the difference is large enough for the undershoot contract to
-// hold over the fixed estimator bytes.
-func tinyRatelessCells() []ratelessCell {
-	return []ratelessCell{
-		{n: 2_000, diff: 800, skewed: false},
-		{n: 2_000, diff: 800, skewed: true},
-	}
+	return clusterCell{strategy: robustset.Rateless{}, n: 100, extra: 3, nodes: 2, shards: 2}
 }
 
 // tinyRecoveryCells is a minimal crash-recovery pair for in-process
@@ -85,8 +72,8 @@ func tinyRangesCell() rangesCell {
 // validates the produced report with the same checker CI uses.
 func TestRunMatrixAndCheck(t *testing.T) {
 	rep := fullReport(t.Logf)
-	if got := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Mode != "" }); got != 7 {
-		t.Fatalf("got %d core results, want 7", got)
+	if got := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Mode != "" }); got != 6 {
+		t.Fatalf("got %d core results, want 6", got)
 	}
 	for _, r := range rep.Results {
 		if r.Err != "" {
@@ -160,7 +147,7 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 		{"nomeasure", func(r *Report) { r.Results[2].SyncNS = 0 }, "no measurements"},
 		{"robustabovenaive", func(r *Report) {
 			// Core rows at a gated size, the sketch no cheaper than the set.
-			for i := range r.Results[:7] {
+			for i := range r.Results[:6] {
 				r.Results[i].N = 10_000
 				if r.Results[i].Strategy == (robustset.Robust{}).Name() {
 					r.Results[i].WireBytes = 10_000 * 16
@@ -170,29 +157,20 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 				}
 			}
 		}, "not below naive"},
-		{"nocluster", func(r *Report) { r.Results = append(r.Results[:7:7], r.Results[8:]...) }, "no successful cluster-convergence"},
-		{"norounds", func(r *Report) { r.Results[7].Rounds = 0 }, "no convergence measurements"},
-		{"norateless", func(r *Report) { r.Results = r.Results[:8] }, "rateless scenario incomplete"},
-		{"badestimate", func(r *Report) { r.Results[8].Estimate = "wild" }, "estimate regime"},
-		{"nobaseline", func(r *Report) { r.Results[8].BaselineBytes = 0 }, "no doubling baseline"},
-		{"contract", func(r *Report) {
-			for i := range r.Results {
-				if r.Results[i].Estimate == "undershoot" {
-					r.Results[i].WireBytes = r.Results[i].BaselineBytes
-				}
-			}
-		}, "undershoot wire ratio"},
-		{"noranges", func(r *Report) { r.Results = r.Results[:10] }, "no successful range-reconciliation"},
-		{"norangesdepth", func(r *Report) { r.Results[10].BaselineRounds = 0 }, "no pipelined round-depth comparison"},
-		{"rangeswire", func(r *Report) { r.Results[10].WireBytes = 8<<10 + 1 }, "exceeds 1 KB a key"},
+		{"nocluster", func(r *Report) { r.Results = append(r.Results[:6:6], r.Results[7:]...) }, "no successful cluster-convergence"},
+		{"norounds", func(r *Report) { r.Results[6].Rounds = 0 }, "no convergence measurements"},
+		{"noranges", func(r *Report) { r.Results = r.Results[:7] }, "no successful range-reconciliation"},
+		{"nobaseline", func(r *Report) { r.Results[7].BaselineBytes = 0 }, "no rateless baseline"},
+		{"norangesdepth", func(r *Report) { r.Results[7].BaselineRounds = 0 }, "no pipelined round-depth comparison"},
+		{"rangeswire", func(r *Report) { r.Results[7].WireBytes = 8<<10 + 1 }, "exceeds 1 KB a key"},
 		{"rangesrounds", func(r *Report) {
 			r.Quick = true
-			r.Results[10].Rounds = r.Results[10].BaselineRounds
+			r.Results[7].Rounds = r.Results[7].BaselineRounds
 		}, "round ratio"},
-		{"norecovery", func(r *Report) { r.Results = r.Results[:11] }, "recovery scenario incomplete"},
-		{"noreplay", func(r *Report) { r.Results[11].ReplayRecords = 0 }, "replayed no log records"},
-		{"writeamp", func(r *Report) { r.Results[11].WALBytes = 100 * r.Results[11].LogicalBytes }, "write amplification"},
-		{"rejoinratio", func(r *Report) { r.Results[12].WireBytes = r.Results[12].BaselineBytes }, "rejoin wire ratio"},
+		{"norecovery", func(r *Report) { r.Results = r.Results[:8] }, "recovery scenario incomplete"},
+		{"noreplay", func(r *Report) { r.Results[8].ReplayRecords = 0 }, "replayed no log records"},
+		{"writeamp", func(r *Report) { r.Results[8].WALBytes = 100 * r.Results[8].LogicalBytes }, "write amplification"},
+		{"rejoinratio", func(r *Report) { r.Results[9].WireBytes = r.Results[9].BaselineBytes }, "rejoin wire ratio"},
 		{"nopapersweep", func(r *Report) {
 			r.Results = slices.DeleteFunc(r.Results, func(x Result) bool { return x.Sweep == "E6" })
 		}, "paper scenario incomplete"},
@@ -231,35 +209,10 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 	}
 }
 
-// TestRunRatelessCell pins the comparison scenario's contract at test
-// scale: the skewed workload collapses the estimate and the rateless
-// stream must then decisively beat the doubling path; the honest workload
-// must stay within the 1.1× band.
-func TestRunRatelessCell(t *testing.T) {
-	for _, c := range tinyRatelessCells() {
-		r := runRatelessCell(c)
-		if r.Err != "" {
-			t.Fatalf("skewed=%v: %s", c.skewed, r.Err)
-		}
-		ratio := float64(r.WireBytes) / float64(r.BaselineBytes)
-		t.Logf("skewed=%v: rateless %d B vs doubling %d B (×%.2f)", c.skewed, r.WireBytes, r.BaselineBytes, ratio)
-		if c.skewed && ratio > 0.6 {
-			t.Errorf("undershoot ratio %.2f exceeds the 0.6 contract", ratio)
-		}
-		if !c.skewed && ratio > 1.1 {
-			t.Errorf("accurate ratio %.2f exceeds the 1.1 contract", ratio)
-		}
-		if want := c.n + c.diff; r.ResultSize != want {
-			t.Errorf("converged size %d, want %d", r.ResultSize, want)
-		}
-	}
-}
-
 // TestRunRangesCell pins the divide-and-conquer scenario's contract at
 // test scale: a tiny difference must move under 1 KB a differing key
-// and fewer bytes than the exact-IBLT path with its fixed strata cost
-// (under half of them until the cell codec halved that cost), and
-// pipelining sibling subranges must cut the round depth below the
+// and fewer bytes than the rateless strategy with its fixed strata cost,
+// and pipelining sibling subranges must cut the round depth below the
 // serial run's.
 func TestRunRangesCell(t *testing.T) {
 	c := tinyRangesCell()
@@ -271,10 +224,10 @@ func TestRunRangesCell(t *testing.T) {
 		t.Errorf("row coordinates %+v", r)
 	}
 	ratio := float64(r.WireBytes) / float64(r.BaselineBytes)
-	t.Logf("ranged %d B vs exact-IBLT %d B (×%.2f), rounds %d vs serial %d",
+	t.Logf("ranged %d B vs rateless %d B (×%.2f), rounds %d vs serial %d",
 		r.WireBytes, r.BaselineBytes, ratio, r.Rounds, r.BaselineRounds)
 	if ratio >= 1 || r.WireBytes > int64(2*c.replaced)<<10 {
-		t.Errorf("%d wire bytes for %d replaced points, ×%.2f the exact-IBLT path's", r.WireBytes, c.replaced, ratio)
+		t.Errorf("%d wire bytes for %d replaced points, ×%.2f the rateless strategy's", r.WireBytes, c.replaced, ratio)
 	}
 	if r.Rounds < 1 || r.BaselineRounds <= r.Rounds {
 		t.Errorf("pipelined rounds %d not below serial %d", r.Rounds, r.BaselineRounds)

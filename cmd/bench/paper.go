@@ -53,11 +53,11 @@ func paperMatrix(quick bool) []cell {
 	n := scale(4096, 1024)
 	for _, k := range pick([]int{1, 2, 4, 8, 16, 32, 64, 128, 256}, []int{4, 16, 64}) {
 		seed := uint64(1000 + k)
-		add("E1", []robustset.Strategy{robustset.Robust{}, robustset.ExactIBLT{}, robustset.Naive{}}, n, k, 4, seed, params(u, 7, k))
+		add("E1", []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}, robustset.Naive{}}, n, k, 4, seed, params(u, 7, k))
 		add("E10", []robustset.Strategy{robustset.Adaptive{}}, n, k, 4, seed, params(u, 7, k))
 	}
 	for _, n := range pick([]int{256, 512, 1024, 2048, 4096, 8192, 16384}, []int{512, 2048}) {
-		add("E2", []robustset.Strategy{robustset.Robust{}, robustset.Adaptive{}, robustset.ExactIBLT{}, robustset.Naive{}},
+		add("E2", []robustset.Strategy{robustset.Robust{}, robustset.Adaptive{}, robustset.Rateless{}, robustset.Naive{}},
 			n, 16, 4, uint64(2000+n), params(u, 7, 16))
 	}
 	n, reps := scale(256, 128), scale(5, 2)
@@ -69,7 +69,7 @@ func paperMatrix(quick bool) []cell {
 	}
 	n = scale(512, 256)
 	for _, eps := range pick([]int{0, 1, 2, 4, 8, 16, 32, 64, 128}, []int{0, 4, 64}) {
-		add("E4", []robustset.Strategy{robustset.Robust{}, robustset.ExactIBLT{}}, n, 8, float64(eps), uint64(4000+eps), params(u, 7, 8))
+		add("E4", []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}}, n, 8, float64(eps), uint64(4000+eps), params(u, 7, 8))
 	}
 	n, reps = scale(2048, 512), scale(5, 3)
 	for _, eps := range pick([]int{1, 4, 16, 64, 256, 1024}, []int{1, 64}) {
@@ -79,7 +79,7 @@ func paperMatrix(quick bool) []cell {
 	}
 	n = scale(4096, 1024)
 	for _, k := range pick([]int{2, 8, 32, 128}, []int{8}) {
-		add("E8", []robustset.Strategy{robustset.CPI{Capacity: 2*k + 4}, robustset.ExactIBLT{}, robustset.Robust{}, robustset.Naive{}},
+		add("E8", []robustset.Strategy{robustset.CPI{Capacity: 2*k + 4}, robustset.Rateless{}, robustset.Robust{}, robustset.Naive{}},
 			n, k, 0, uint64(8000+k), params(u, 7, k))
 	}
 	n, reps = scale(2048, 512), scale(3, 1)

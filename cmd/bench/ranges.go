@@ -15,11 +15,11 @@ import (
 // base points with `replaced` of them swapped on the fetching side — a
 // symmetric difference of 2·replaced, the huge-N/tiny-delta regime the
 // ranged strategy exists for. Each cell measures twice: the ranged
-// wire bytes against the exact-IBLT doubling path on an identical
-// in-process pipe (the strata estimator's fixed cost is exactly what
-// range probing undercuts), then the wall-clock round depth of the
-// same reconciliation pipelined as sibling-range mux streams against a
-// serial one-probe-per-round-trip run on the same live server.
+// wire bytes against the rateless strategy on an identical in-process
+// pipe (the strata estimator's fixed cost is exactly what range probing
+// undercuts), then the wall-clock round depth of the same
+// reconciliation pipelined as sibling-range mux streams against a serial
+// one-probe-per-round-trip run on the same live server.
 type rangesCell struct {
 	n        int
 	replaced int
@@ -83,9 +83,9 @@ func runRangesCell(c rangesCell) Result {
 		res.Err = "ranged: " + err.Error()
 		return res
 	}
-	dOut, dSt, _, err := exchange(robustset.ExactIBLT{MaxRetries: 24}, params, alice, bob)
+	dOut, dSt, _, err := exchange(robustset.Rateless{}, params, alice, bob)
 	if err != nil {
-		res.Err = "exact-iblt: " + err.Error()
+		res.Err = "rateless: " + err.Error()
 		return res
 	}
 	if !robustset.EqualMultisets(rOut.SPrime, alice) || !robustset.EqualMultisets(dOut.SPrime, alice) {
@@ -174,7 +174,7 @@ func runRangesScenario(quick bool, logf func(format string, args ...any)) []Resu
 				i+1, len(cells), r.N, 2*c.replaced, r.Err)
 			continue
 		}
-		logf("[ranges %d/%d] n=%-8d delta=%-3d wire=%dB exact=%dB (×%.2f) rounds=%d serial=%d (×%.2f) streams=%d",
+		logf("[ranges %d/%d] n=%-8d delta=%-3d wire=%dB rateless=%dB (×%.2f) rounds=%d serial=%d (×%.2f) streams=%d",
 			i+1, len(cells), r.N, 2*c.replaced, r.WireBytes, r.BaselineBytes,
 			float64(r.WireBytes)/float64(r.BaselineBytes),
 			r.Rounds, r.BaselineRounds, float64(r.Rounds)/float64(r.BaselineRounds), r.MuxStreams)

@@ -39,7 +39,7 @@ func cmdCluster(args []string) error {
 	delta := fs.Int64("delta", 1<<20, "coordinate range (power of two)")
 	shards := fs.Int("shards", 4, "shards per dataset (1 = unsharded)")
 	seed := fs.Uint64("seed", 42, "workload and protocol seed")
-	proto := fs.String("proto", "", "protocol: oneshot|adaptive|exact|rateless|cpi|naive (default oneshot)")
+	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|cpi|naive (default oneshot)")
 	selection := fs.String("select", "roundrobin", "peer selection: roundrobin|random")
 	fanout := fs.Int("fanout", 0, "peers contacted per round (0 = all)")
 	workers := fs.Int("workers", 4, "concurrent shard reconciliations per round")

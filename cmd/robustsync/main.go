@@ -10,7 +10,7 @@
 //	robustsync serve    -data a.txt [-data more.txt ...] -listen :7777 [-k 16] [-data-dir ./state] [-metrics-addr 127.0.0.1:9090]
 //	robustsync pull     -dataset a -data b.txt -connect host:7777 [-proto adaptive] [-trace] [-out sprime.txt]
 //	robustsync explain  -dataset a -data b.txt -connect host:7777 [-proto adaptive]
-//	robustsync cluster  -nodes 3 -n 500 -extra 8 -shards 4 [-proto exact] [-metrics 127.0.0.1:9090] [-deadline 1m]
+//	robustsync cluster  -nodes 3 -n 500 -extra 8 -shards 4 [-proto rateless] [-metrics 127.0.0.1:9090] [-deadline 1m]
 //
 // `serve` publishes each -data file as a named dataset (the file's base
 // name without extension) on a multi-dataset sync server; it serves every
@@ -21,7 +21,7 @@
 // dataset from its snapshot plus log tail (the -data files then only
 // name the datasets; disk state wins).
 // `pull` dials the server, opens a session naming one dataset and a
-// protocol (-proto oneshot|adaptive|exact|rateless|ranged|cpi|naive) and
+// protocol (-proto oneshot|adaptive|rateless|ranged|cpi|naive) and
 // adopts the server's reconciliation parameters automatically. `cluster`
 // gossips every shard over one connection per peer and asserts the
 // metrics endpoint afterwards; with -data the nodes are durable, and
@@ -110,8 +110,6 @@ func strategyFor(proto string) (robustset.Strategy, error) {
 		return robustset.Robust{}, nil
 	case "adaptive":
 		return robustset.Adaptive{}, nil
-	case "exact":
-		return robustset.ExactIBLT{}, nil
 	case "rateless":
 		return robustset.Rateless{}, nil
 	case "ranged":
@@ -121,7 +119,7 @@ func strategyFor(proto string) (robustset.Strategy, error) {
 	case "naive":
 		return robustset.Naive{}, nil
 	default:
-		return nil, fmt.Errorf("unknown -proto %q (oneshot|adaptive|exact|rateless|ranged|cpi|naive)", proto)
+		return nil, fmt.Errorf("unknown -proto %q (oneshot|adaptive|rateless|ranged|cpi|naive)", proto)
 	}
 }
 
@@ -196,7 +194,7 @@ func cmdLocal(args []string) error {
 	bobFile := fs.String("bob", "", "Bob's point file (required)")
 	k := fs.Int("k", 16, "difference budget")
 	seed := fs.Uint64("seed", 42, "shared protocol seed")
-	proto := fs.String("proto", "", "protocol: oneshot|adaptive|exact|rateless|ranged|cpi|naive (default oneshot)")
+	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|ranged|cpi|naive (default oneshot)")
 	adaptive := fs.Bool("adaptive", false, "shorthand for -proto adaptive")
 	out := fs.String("out", "", "write Bob's reconciled set here")
 	fs.Parse(args)
@@ -384,7 +382,7 @@ func cmdPull(args []string) error {
 	data := fs.String("data", "", "local point file (required)")
 	connect := fs.String("connect", "", "server address (required)")
 	dataset := fs.String("dataset", "", "dataset name on the server (default: derived from -data)")
-	proto := fs.String("proto", "", "protocol: oneshot|adaptive|exact|rateless|ranged|cpi|naive (default oneshot)")
+	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|ranged|cpi|naive (default oneshot)")
 	adaptive := fs.Bool("adaptive", false, "shorthand for -proto adaptive")
 	timeout := fs.Duration("timeout", time.Minute, "overall session deadline (0 = none)")
 	showTrace := fs.Bool("trace", false, "print the session's phase spans and per-frame wire bytes")

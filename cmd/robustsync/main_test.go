@@ -109,14 +109,14 @@ func TestCLIErrors(t *testing.T) {
 
 // TestClusterDemo smoke-tests the anti-entropy demo: a small 3-node
 // sharded cluster must converge within the deadline for both a robust
-// and an exact strategy.
+// and the exact (rateless) strategy.
 func TestClusterDemo(t *testing.T) {
 	if err := cmdCluster([]string{"-nodes", "3", "-n", "120", "-extra", "4",
 		"-shards", "2", "-deadline", "30s"}); err != nil {
 		t.Fatalf("robust cluster demo: %v", err)
 	}
 	if err := cmdCluster([]string{"-nodes", "2", "-n", "120", "-extra", "4",
-		"-shards", "1", "-proto", "exact", "-select", "random", "-deadline", "30s"}); err != nil {
+		"-shards", "1", "-proto", "rateless", "-select", "random", "-deadline", "30s"}); err != nil {
 		t.Fatalf("exact cluster demo: %v", err)
 	}
 }

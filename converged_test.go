@@ -402,7 +402,7 @@ func TestReplicatorMirrorAndMixedCatalogConverged(t *testing.T) {
 	}
 	rep, err := robustset.NewReplicator(follower.srv,
 		[]robustset.Peer{{Name: "up", Addr: upstream.addr}},
-		robustset.WithReplicatorStrategy(robustset.ExactIBLT{}),
+		robustset.WithReplicatorStrategy(robustset.Rateless{}),
 		robustset.WithMirror(), robustset.WithRoundTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)

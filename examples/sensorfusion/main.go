@@ -4,8 +4,8 @@
 // stations synchronize over a real (in-process) TCP connection, and the
 // example compares every reconciliation strategy this module ships on the
 // identical input by iterating the Strategy values behind one Session
-// runner: robust one-shot, robust estimate-first, exact IBLT sync, and
-// naive transfer.
+// runner: robust one-shot, robust estimate-first, exact (rateless) IBLT
+// sync, and naive transfer.
 //
 // Run it with:
 //
@@ -52,7 +52,7 @@ func main() {
 	strategies := []robustset.Strategy{
 		robustset.Robust{},
 		robustset.Adaptive{},
-		robustset.ExactIBLT{},
+		robustset.Rateless{},
 		robustset.Naive{},
 	}
 	for _, strat := range strategies {

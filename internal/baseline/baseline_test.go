@@ -52,7 +52,7 @@ func TestAllReconcilersExactRegime(t *testing.T) {
 	params := robustset.Params{Universe: testUniverse, Seed: 9, DiffBudget: 8}
 	for _, strat := range []robustset.Strategy{
 		robustset.Robust{}, robustset.Adaptive{}, robustset.Naive{},
-		robustset.ExactIBLT{}, robustset.CPI{Capacity: 40},
+		robustset.Rateless{}, robustset.CPI{Capacity: 40},
 	} {
 		out, st, err := exchange(strat, params, inst.Alice, inst.Bob)
 		if err != nil {
@@ -93,7 +93,7 @@ func TestRobustBeatsExactOnCommunicationUnderNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, exactSt, err := exchange(robustset.ExactIBLT{}, params, inst.Alice, inst.Bob)
+	_, exactSt, err := exchange(robustset.Rateless{}, params, inst.Alice, inst.Bob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,23 +161,6 @@ func TestCPICapacityExceededSurfaces(t *testing.T) {
 	params := robustset.Params{Universe: testUniverse, Seed: 71}
 	if _, _, err := exchange(robustset.CPI{Capacity: 10}, params, inst.Alice, inst.Bob); err == nil {
 		t.Fatal("over-capacity CPI sync succeeded")
-	}
-}
-
-func TestExactIBLTRetryPath(t *testing.T) {
-	// Start with a hopeless slack so the first table stalls and the retry
-	// doubling has to kick in.
-	inst := exactInstance(t, 300, 40, 81)
-	params := robustset.Params{Universe: testUniverse, Seed: 91}
-	out, st, err := exchange(robustset.ExactIBLT{Slack: 0.3, MaxRetries: 6}, params, inst.Alice, inst.Bob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !points.EqualMultisets(out.SPrime, inst.Alice) {
-		t.Error("retry path did not converge to S_A")
-	}
-	if messages(st) <= 4 {
-		t.Errorf("expected retries (> 4 messages), got %d", messages(st))
 	}
 }
 

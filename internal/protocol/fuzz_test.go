@@ -25,7 +25,7 @@ func FuzzParseHello(f *testing.F) {
 	for _, h := range []Hello{
 		{Strategy: StrategyRobust, Dataset: "d"},
 		{Strategy: StrategyAdaptive, Dataset: ""},
-		{Strategy: StrategyExactIBLT, Dataset: "sensors/alpha", Config: []byte{4}},
+		{Strategy: StrategyRateless, Dataset: "sensors/alpha"},
 		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{0xff, 0xff, 0xff, 0xff}},
 		{Strategy: StrategyNaive, Dataset: string(bytes.Repeat([]byte{'n'}, MaxDatasetName))},
 		// The same shapes with the root tail: an empty set's, a full one's.

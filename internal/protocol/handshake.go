@@ -60,6 +60,9 @@ const rootLen = 16
 const muxMagic = "MUX1"
 
 // Strategy wire codes carried in MsgHello, one per strategy.
+// StrategyExactIBLT is retired: it named the doubling exact-IBLT path,
+// which Rateless replaced. No strategy answers it, a server refuses a
+// hello naming it as an unknown strategy, and the code is not reused.
 const (
 	StrategyRobust    byte = 1
 	StrategyAdaptive  byte = 2
@@ -79,8 +82,8 @@ type Hello struct {
 	Strategy byte
 	// Dataset names the server-side dataset to reconcile against.
 	Dataset string
-	// Config is an opaque strategy-specific blob (e.g. the exact-IBLT
-	// hash count, the CPI capacity) that the serving side must honor for
+	// Config is an opaque strategy-specific blob (e.g. the ranged branch
+	// factor, the CPI capacity) that the serving side must honor for
 	// the two parties' sketches to be compatible.
 	Config []byte
 	// Root, when set, is the root aggregate of the client's local multiset

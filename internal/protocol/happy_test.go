@@ -75,26 +75,6 @@ func TestNaiveHappyPath(t *testing.T) {
 		})
 }
 
-func TestExactIBLTHappyPath(t *testing.T) {
-	inst, err := exactInstanceForProtocol(t, 300, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ExactConfig{Universe: testU, Seed: 7}
-	runPair(t,
-		func(tr transport.Transport) error { return RunExactIBLTAlice(bg, tr, cfg, inst.alice) },
-		func(tr transport.Transport) error {
-			got, err := RunExactIBLTBob(bg, tr, cfg, inst.bob)
-			if err != nil {
-				return err
-			}
-			if !points.EqualMultisets(got, inst.alice) {
-				t.Error("exact IBLT sync did not converge to S_A")
-			}
-			return nil
-		})
-}
-
 func TestCPIHappyPath(t *testing.T) {
 	inst, err := exactInstanceForProtocol(t, 250, 8)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package protocol implements the two-party wire protocols of this
 // module: the robust reconciliation protocol in its one-shot and
-// estimate-first variants, and the three comparators (naive transfer,
-// exact IBLT sync, characteristic-polynomial sync). Each protocol is a
-// pair of blocking session functions — RunXxxAlice / RunXxxBob — that
-// drive a transport.Transport until the exchange completes, so the same
-// code runs over an in-memory pipe in tests and over TCP in deployments.
+// estimate-first variants, and the comparators (naive transfer, rateless
+// exact IBLT sync, range-based sync, characteristic-polynomial sync).
+// Each protocol is a pair of blocking session functions — RunXxxAlice /
+// RunXxxBob — that drive a transport.Transport until the exchange
+// completes, so the same code runs over an in-memory pipe in tests and
+// over TCP in deployments.
 //
 // Every message is a one-byte type tag followed by a protocol-specific
 // body. A party that hits an unrecoverable error sends MsgError with a
@@ -36,8 +37,6 @@ func init() {
 		MsgDone:           "DONE",
 		MsgSet:            "SET",
 		MsgStrata:         "STRATA",
-		MsgIBLTRequest:    "IBLT_REQUEST",
-		MsgIBLT:           "IBLT",
 		MsgCPISketch:      "CPI_SKETCH",
 		MsgPayloadRequest: "PAYLOAD_REQUEST",
 		MsgPayloads:       "PAYLOADS",
@@ -74,10 +73,8 @@ const (
 	MsgSet byte = 0x07
 	// MsgStrata carries a strata difference estimator.
 	MsgStrata byte = 0x08
-	// MsgIBLTRequest asks for an exact-sync IBLT: u32 capacity.
-	MsgIBLTRequest byte = 0x09
-	// MsgIBLT carries the exact-sync IBLT blob.
-	MsgIBLT byte = 0x0a
+	// 0x09 and 0x0a were the retired doubling path's table request and
+	// table; no protocol answers them.
 	// MsgCPISketch carries a cpi.Sketch blob.
 	MsgCPISketch byte = 0x0b
 	// MsgPayloadRequest asks for point payloads by element hash: a

@@ -165,35 +165,6 @@ func TestEstimateAliceRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-func TestExactIBLTAliceRejectsMalformedRequests(t *testing.T) {
-	inst := testInstance(t, 50, 2)
-	cfg := ExactConfig{Universe: testU, Seed: 1}
-	alice := func(tr transport.Transport) error { return RunExactIBLTAlice(bg, tr, cfg, inst.Alice) }
-
-	err := driveAlice(t, alice, func(tr transport.Transport) {
-		if _, err := recvExpect(bg, tr, MsgStrata); err != nil {
-			t.Error(err)
-			return
-		}
-		send(bg, tr, MsgIBLTRequest, []byte{1, 2}) // truncated
-	})
-	if err == nil {
-		t.Error("truncated IBLT request accepted")
-	}
-	err = driveAlice(t, alice, func(tr transport.Transport) {
-		if _, err := recvExpect(bg, tr, MsgStrata); err != nil {
-			t.Error(err)
-			return
-		}
-		var req [4]byte
-		binary.LittleEndian.PutUint32(req[:], 1<<25) // over the cap limit
-		send(bg, tr, MsgIBLTRequest, req[:])
-	})
-	if err == nil {
-		t.Error("oversized capacity accepted")
-	}
-}
-
 func TestCPIAliceRejectsUnknownPayloadRequest(t *testing.T) {
 	inst := testInstance(t, 50, 2)
 	cfg := CPIConfig{Universe: testU, Seed: 1, Capacity: 8}

@@ -317,10 +317,9 @@ func TestApplyRangedDiffRejections(t *testing.T) {
 
 // TestRangedWireAdvantage pins the headline regime at test scale: for a
 // large set with a tiny difference, ranged sync must move fewer bytes
-// than the exact-IBLT path (which pays the strata estimator up front)
-// and under 1 KB a differing key, its own cost model. "Fewer" read "at
-// most half" while exact-IBLT moved 19 246 bytes on this instance; under
-// the cell codec it moves 9 344 to ranged's unchanged 6 003.
+// than rateless sync (which pays the strata estimator up front) and under
+// 1 KB a differing key, its own cost model: 6 003 bytes to rateless's
+// 8 607 on this instance.
 func TestRangedWireAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instance")
@@ -362,26 +361,26 @@ func TestRangedWireAdvantage(t *testing.T) {
 			}
 			return nil
 		})
-	ecfg := ExactConfig{Universe: u, Seed: 7}
-	exactBytes := run(
-		func(tr transport.Transport) error { return RunExactIBLTAlice(bg, tr, ecfg, alice) },
+	lcfg := RatelessConfig{Universe: u, Seed: 7}
+	ratelessBytes := run(
+		func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, lcfg, alice) },
 		func(tr transport.Transport) error {
-			got, err := RunExactIBLTBob(bg, tr, ecfg, bob)
+			got, err := RunRatelessBob(bg, tr, lcfg, bob)
 			if err != nil {
 				return err
 			}
 			if !points.EqualMultisets(got, alice) {
-				t.Error("exact diverged")
+				t.Error("rateless diverged")
 			}
 			return nil
 		})
-	if rangedBytes >= exactBytes {
-		t.Errorf("ranged %d bytes vs exact %d: no advantage at n=%d, %d replaced", rangedBytes, exactBytes, n, d)
+	if rangedBytes >= ratelessBytes {
+		t.Errorf("ranged %d bytes vs rateless %d: no advantage at n=%d, %d replaced", rangedBytes, ratelessBytes, n, d)
 	}
 	if budget := int64(2*d) << 10; rangedBytes > budget {
 		t.Errorf("ranged %d bytes for %d differing keys: above 1 KB a key (%d)", rangedBytes, 2*d, budget)
 	}
-	t.Logf("ranged %d bytes, exact-IBLT %d bytes (%.2fx)", rangedBytes, exactBytes, float64(exactBytes)/float64(rangedBytes))
+	t.Logf("ranged %d bytes, rateless %d bytes (%.2fx)", rangedBytes, ratelessBytes, float64(ratelessBytes)/float64(rangedBytes))
 }
 
 // FuzzParseRangeFrame throws arbitrary bytes at all three ranged frame

@@ -18,13 +18,15 @@ import (
 // ---------------------------------------------------------------------
 // Rateless incremental synchronization
 //
-// The rateless protocol replaces the doubling retry loop of exact-IBLT
-// sync with an extendable sketch: after the same strata-estimator opening,
-// the fetching side streams fixed-increment ranges of rateless coded cells
+// The module's exact IBLT sync (Difference Digest style, with an
+// extendable sketch): exact sync treats whole points as opaque keys, so a
+// noisy pair counts as two differences — precisely the failure mode
+// robust reconciliation fixes. After a strata-estimator opening, the
+// fetching side streams fixed-increment ranges of rateless coded cells
 // (internal/iblt's CellStream) until its decoder certifies completion.
-// A mis-estimated difference then costs extra increments proportional to
-// the shortfall instead of whole rebuilt-and-resent tables — the wire cost
-// tracks the actual difference, not the estimate.
+// A mis-estimated difference costs extra increments proportional to the
+// shortfall, never a rebuilt table — the wire cost tracks the actual
+// difference, not the estimate.
 //
 // Wire shape (Bob fetches from Alice):
 //
@@ -43,8 +45,7 @@ const (
 )
 
 // ErrRatelessBudget is returned by the fetching side when the cell-stream
-// byte budget is exhausted before the decoder completes — the typed
-// give-up that replaces the doubling path's "failed after retries".
+// byte budget is exhausted before the decoder completes.
 var ErrRatelessBudget = errors.New("protocol: rateless cell budget exhausted before decode")
 
 const (
@@ -59,8 +60,7 @@ const (
 	defaultRatelessBudget = 64 << 20
 )
 
-// RatelessConfig parameterizes the rateless comparator. The estimator
-// opening is wire-identical to ExactConfig's (same seed derivations).
+// RatelessConfig parameterizes the rateless comparator.
 type RatelessConfig struct {
 	Universe points.Universe
 	// Seed fixes the estimator and cell-stream hash functions.
@@ -102,10 +102,29 @@ func maxChunkFor(keyLen int) int {
 	return int(min(cellsWithin(maxChunkBytes, keyLen), maxChunkCells))
 }
 
-// exact returns the ExactConfig whose strata estimator the opening
-// shares, under the same public coins.
-func (c RatelessConfig) exact() ExactConfig {
-	return ExactConfig{Universe: c.Universe, Seed: c.Seed}
+// strata is the configuration of the opening's strata estimator, which
+// both sides derive and a received estimator is held to. Its seed label
+// is part of the wire: another would change every STRATA body.
+func (c RatelessConfig) strata() sketch.StrataConfig {
+	return sketch.StrataConfig{
+		KeyLen: points.EncodedSize(c.Universe.Dim) + 4,
+		Seed:   hashutil.DeriveSeed(c.Seed, "exact/strata"),
+	}
+}
+
+// exactStrata builds the opening's strata estimator over occurrence keys
+// (points.OccurrenceKeys), which give the exact protocol multiset
+// semantics: identical points get distinct keys, the same ones on both
+// sides.
+func exactStrata(cfg RatelessConfig, keys [][]byte) (*sketch.Strata, error) {
+	s, err := sketch.NewStrata(cfg.strata())
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range keys {
+		s.Add(k)
+	}
+	return s, nil
 }
 
 // extend returns the cell-stream configuration both endpoints derive.
@@ -158,7 +177,7 @@ type RatelessState struct {
 // NewRatelessState builds the state of pts, which must lie in the
 // configured universe.
 func NewRatelessState(cfg RatelessConfig, pts []points.Point) (*RatelessState, error) {
-	strata, err := exactStrata(cfg.exact(), nil)
+	strata, err := exactStrata(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +245,7 @@ func RunRatelessAlice(ctx context.Context, t transport.Transport, cfg RatelessCo
 			return nil, err
 		}
 		keys := points.OccurrenceKeys(pts, cfg.Universe.Dim)
-		st, err := exactStrata(cfg.exact(), keys)
+		st, err := exactStrata(cfg, keys)
 		if err != nil {
 			return nil, err
 		}
@@ -338,10 +357,10 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 		return nil, err
 	}
 	aliceStrata := new(sketch.Strata)
-	if err := aliceStrata.UnmarshalAs(blob, cfg.exact().strata()); err != nil {
+	if err := aliceStrata.UnmarshalAs(blob, cfg.strata()); err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	mine, err := exactStrata(cfg.exact(), keys)
+	mine, err := exactStrata(cfg, keys)
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
@@ -421,4 +440,45 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 			chunk = minChunkCells
 		}
 	}
+}
+
+// applyExactDiff turns decoded keys back into points: Alice-only keys are
+// added, Bob-only keys name Bob's own points to drop — keys[i] is
+// bobPts[i]'s. The result is a deep copy carved out of one array.
+func applyExactDiff(u points.Universe, bobPts []points.Point, keys [][]byte, diff *iblt.Diff) ([]points.Point, error) {
+	encSize := points.EncodedSize(u.Dim)
+	drop := make(map[string]struct{}, len(diff.Neg))
+	for _, k := range diff.Neg {
+		drop[string(k)] = struct{}{}
+	}
+	if len(drop) != len(diff.Neg) {
+		return nil, errors.New("protocol: exact diff names a key twice")
+	}
+	n := len(bobPts) + len(diff.Pos)
+	out := make([]points.Point, 0, n)
+	coords := make([]int64, n*u.Dim)
+	next := func() points.Point { // the result's next point, to be filled in
+		out = append(out, coords[:u.Dim:u.Dim])
+		coords = coords[u.Dim:]
+		return out[len(out)-1]
+	}
+	for i, p := range bobPts {
+		if _, gone := drop[string(keys[i])]; gone {
+			delete(drop, string(keys[i]))
+			continue
+		}
+		copy(next(), p)
+	}
+	if len(drop) != 0 {
+		return nil, errors.New("protocol: exact diff names points Bob does not hold")
+	}
+	for _, k := range diff.Pos {
+		if len(k) != encSize+4 {
+			return nil, fmt.Errorf("protocol: exact diff key of %d bytes", len(k))
+		}
+		if err := points.DecodeInto(next(), k[:encSize]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -1,7 +1,10 @@
 package protocol
 
 import (
+	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -77,64 +80,40 @@ func TestRatelessDuplicateMultiset(t *testing.T) {
 		})
 }
 
-// TestRatelessUndershootCheaperThanDoubling is the protocol-level version
-// of the tentpole claim: when the capacity seeding is forced far below the
-// true difference, the rateless stream pays incremental cells while the
-// doubling path pays whole rebuilt tables — strictly more bytes.
-func TestRatelessUndershootCheaperThanDoubling(t *testing.T) {
+// TestRatelessUndershootCellsPerKey: when the first request is forced to
+// a twentieth of the difference, the stream still pays only the cells it
+// was short, not rebuilt tables, and converges exactly. It decodes at
+// about 1.4 cells a differing key and each later round adds a third of
+// the frontier, so the whole stream stays under 2 cells a key.
+func TestRatelessUndershootCellsPerKey(t *testing.T) {
 	inst, err := exactInstanceForProtocol(t, 2000, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(alice func(transport.Transport) error, bob func(transport.Transport) error) int64 {
-		at, bt := transport.Pair()
-		defer at.Close()
-		defer bt.Close()
-		done := make(chan error, 1)
-		go func() { done <- alice(at) }()
-		if err := bob(bt); err != nil {
-			t.Fatalf("bob: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Fatalf("alice: %v", err)
-		}
-		return bt.Stats().Total()
-	}
-
-	// Both capacity seeds forced to ~1/20 of the true difference.
-	rcfg := RatelessConfig{Universe: testU, Seed: 7, InitialFactor: 0.05}
-	ratelessBytes := run(
-		func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, rcfg, inst.alice) },
+	const diff = 2 * 400 // each replaced point is a key on either side
+	cfg := RatelessConfig{Universe: testU, Seed: 7, InitialFactor: 0.05}
+	rec := new(recordingTransport)
+	runPair(t,
+		func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, cfg, inst.alice) },
 		func(tr transport.Transport) error {
-			got, err := RunRatelessBob(bg, tr, rcfg, inst.bob)
-			if err != nil {
-				return err
-			}
-			if !points.EqualMultisets(got, inst.alice) {
+			rec.Transport = tr
+			got, err := RunRatelessBob(bg, rec, cfg, inst.bob)
+			if err == nil && !points.EqualMultisets(got, inst.alice) {
 				t.Error("rateless result diverged")
 			}
-			return nil
+			return err
 		})
-
-	ecfg := ExactConfig{Universe: testU, Seed: 7, Slack: 0.05, MaxRetries: 16}
-	doublingBytes := run(
-		func(tr transport.Transport) error { return RunExactIBLTAlice(bg, tr, ecfg, inst.alice) },
-		func(tr transport.Transport) error {
-			got, err := RunExactIBLTBob(bg, tr, ecfg, inst.bob)
-			if err != nil {
-				return err
-			}
-			if !points.EqualMultisets(got, inst.alice) {
-				t.Error("doubling result diverged")
-			}
-			return nil
-		})
-
-	t.Logf("undershoot ×20: rateless %d B, doubling %d B (ratio %.2f)",
-		ratelessBytes, doublingBytes, float64(ratelessBytes)/float64(doublingBytes))
-	if ratelessBytes >= doublingBytes {
-		t.Errorf("rateless (%d B) not cheaper than doubling retries (%d B) under undershoot",
-			ratelessBytes, doublingBytes)
+	last := rec.got[len(rec.got)-1]
+	var block iblt.CellBlock
+	if last[0] != MsgCells || block.UnmarshalBinary(last[1:]) != nil {
+		t.Fatal("exchange did not end on a CELLS block")
+	}
+	streamed := block.Start + block.Len()
+	perKey := float64(streamed) / diff
+	t.Logf("undershoot ×20: %d cells over %d rounds for %d differing keys (%.2f a key)",
+		streamed, len(rec.got)-1, diff, perKey)
+	if perKey > 2 {
+		t.Errorf("%d cells streamed for %d differing keys: %.2f a key, above 2", streamed, diff, perKey)
 	}
 }
 
@@ -161,8 +140,8 @@ func TestRatelessBudgetTrips(t *testing.T) {
 }
 
 // TestRatelessAliceRejectsMalformedRequests drives the serving loop with
-// corrupt MORE frames, and with the doubling path's table request it no
-// longer answers.
+// corrupt MORE frames, and with the retired doubling path's table request
+// (tag 0x09, a u32 capacity), which no protocol answers.
 func TestRatelessAliceRejectsMalformedRequests(t *testing.T) {
 	inst, err := exactInstanceForProtocol(t, 50, 2)
 	if err != nil {
@@ -179,7 +158,7 @@ func TestRatelessAliceRejectsMalformedRequests(t *testing.T) {
 		{"short body", MsgCellsRequest, []byte{1, 0}},
 		{"zero cells", MsgCellsRequest, binary.LittleEndian.AppendUint32(nil, 0)},
 		{"oversized chunk", MsgCellsRequest, binary.LittleEndian.AppendUint32(nil, maxChunkCells+1)},
-		{"iblt request", MsgIBLTRequest, binary.LittleEndian.AppendUint32(nil, 16)},
+		{"iblt request", 0x09, binary.LittleEndian.AppendUint32(nil, 16)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,7 +290,7 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := RatelessConfig{Universe: testU, Seed: 5, InitialFactor: 0.05, MaxBytes: 64 << 10}
-	strata, err := exactStrata(cfg.exact(), points.OccurrenceKeys(inst.alice, testU.Dim))
+	strata, err := exactStrata(cfg, points.OccurrenceKeys(inst.alice, testU.Dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,5 +364,69 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 	keyLen = 0xffff
 	if _, err := hostile(func(frontier, n int) int { return frontier + n }); !errors.Is(err, iblt.ErrShape) {
 		t.Errorf("block of another key length: %v, want iblt.ErrShape", err)
+	}
+}
+
+// recordingTransport keeps a copy of every message its endpoint receives.
+type recordingTransport struct {
+	transport.Transport
+	got [][]byte
+}
+
+func (r *recordingTransport) Recv(ctx context.Context) ([]byte, error) {
+	msg, err := r.Transport.Recv(ctx)
+	if err == nil {
+		r.got = append(r.got, append([]byte(nil), msg...))
+	}
+	return msg, err
+}
+
+// TestRatelessOpeningGolden pins a rateless exchange's wire: the STRATA
+// body Alice opens with and the CELLS block that answers Bob's first,
+// estimate-sized request, held by length and SHA-256 at two seeds. Both
+// derive from the "exact/strata" and "rateless/cells" seeds and the
+// occurrence-key length, which every peer of this wire shares.
+func TestRatelessOpeningGolden(t *testing.T) {
+	inst, err := exactInstanceForProtocol(t, 300, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seed       uint64
+		strataSize int
+		strata     string
+		cellsSize  int
+		cells      string
+	}{
+		{7, 6067, "9001399955a9a420ca60d9d629c82b5aa7a3934725e9d1cba294aacc0fcf34b3", 493, "a2290b65dae5c0a22871baa40a30d7e823ad1795d46cba73e658f4d5c6352109"},
+		{19, 6067, "8d24b89e7810a779daddaecbcd360ba3af292316da4a647d89da7ca9960944b3", 493, "54903740a1ea046d1747a9d1d7acfdd429fe1100ec134141ef26bb78fbdcbd04"},
+	} {
+		cfg := RatelessConfig{Universe: testU, Seed: tc.seed}
+		rec := new(recordingTransport)
+		runPair(t,
+			func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, cfg, inst.alice) },
+			func(tr transport.Transport) error {
+				rec.Transport = tr
+				got, err := RunRatelessBob(bg, rec, cfg, inst.bob)
+				if err == nil && !points.EqualMultisets(got, inst.alice) {
+					t.Error("rateless sync did not converge to S_A")
+				}
+				return err
+			})
+		if len(rec.got) < 2 || rec.got[0][0] != MsgStrata || rec.got[1][0] != MsgCells {
+			t.Fatalf("seed %d: exchange did not open STRATA, CELLS", tc.seed)
+		}
+		for i, want := range []struct {
+			name   string
+			size   int
+			digest string
+		}{{"STRATA", tc.strataSize, tc.strata}, {"CELLS", tc.cellsSize, tc.cells}} {
+			body := rec.got[i][1:]
+			sum := sha256.Sum256(body)
+			if len(body) != want.size || hex.EncodeToString(sum[:]) != want.digest {
+				t.Errorf("seed %d: %s body of %d bytes, sha256 %x; want %d bytes, %s",
+					tc.seed, want.name, len(body), sum, want.size, want.digest)
+			}
+		}
 	}
 }

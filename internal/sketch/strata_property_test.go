@@ -8,8 +8,8 @@ import (
 )
 
 // TestEstimateStrataDiffPropertyBound is the property test behind the
-// "within ~2× whp" contract the exact protocols size their first table
-// from (ExactConfig.Slack documents it): over seeded random set pairs
+// "within ~2× whp" contract rateless sync sizes its first cell request
+// from: over seeded random set pairs
 // with true differences spanning 0..2^16, the estimate must fall within
 // the documented factor-of-~2 band with high probability. The observed
 // error distribution is recorded in the test log, so a drift in estimator

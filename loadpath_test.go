@@ -83,8 +83,8 @@ func muxFetchAll(t *testing.T, addr string, sets map[string][]robustset.Point, s
 // TestPoolingOnOffByteIdentical runs the same concurrent multi-dataset
 // mux reconciliation with buffer pooling enabled and disabled: the
 // recycled-buffer serving path must produce byte-identical results to
-// the fresh-allocation path, for both the classic and the rateless
-// (cell-streaming) strategies.
+// the fresh-allocation path, for both a snapshot-serving strategy
+// (naive) and the rateless (cell-streaming) one.
 func TestPoolingOnOffByteIdentical(t *testing.T) {
 	defer transport.SetBufferPooling(true)
 	run := func(pooling bool, strat robustset.Strategy) map[string][]string {
@@ -94,7 +94,7 @@ func TestPoolingOnOffByteIdentical(t *testing.T) {
 		addr := startServer(t, srv)
 		return muxFetchAll(t, addr.String(), sets, strat)
 	}
-	for _, strat := range []robustset.Strategy{robustset.ExactIBLT{}, robustset.Rateless{}} {
+	for _, strat := range []robustset.Strategy{robustset.Naive{}, robustset.Rateless{}} {
 		off := run(false, strat)
 		on := run(true, strat)
 		if len(on) != len(off) {
@@ -148,7 +148,7 @@ func TestSessionsRaceCloseAndShutdown(t *testing.T) {
 					return
 				default:
 				}
-				cs, err := cl.Session(names[(w+i)%len(names)], robustset.ExactIBLT{})
+				cs, err := cl.Session(names[(w+i)%len(names)], robustset.Rateless{})
 				if err != nil {
 					return // client closed mid-load: a clean exit
 				}
@@ -175,7 +175,7 @@ func TestSessionsRaceCloseAndShutdown(t *testing.T) {
 
 	// The closed client must fail fast, not hang. (Session itself is a
 	// pure constructor; the closed state surfaces at Fetch.)
-	cs, err := cl.Session(names[0], robustset.ExactIBLT{})
+	cs, err := cl.Session(names[0], robustset.Rateless{})
 	if err != nil {
 		t.Fatalf("Session construction failed: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name := range setsA {
-		cs, err := cl.Session(name, robustset.ExactIBLT{})
+		cs, err := cl.Session(name, robustset.Rateless{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func TestTracedSessionsConcurrent(t *testing.T) {
 			_, bob := deterministicPair(8600, 120, 4, 2)
 			for i := 0; i < iters; i++ {
 				key := fmt.Sprintf("%d/%d", w, i)
-				cs, err := cl.Session(names[(w+i)%len(names)], robustset.ExactIBLT{},
+				cs, err := cl.Session(names[(w+i)%len(names)], robustset.Rateless{},
 					robustset.WithSessionTrace(func(st *robustset.SessionTrace) {
 						captured.Store(key, st)
 					}))

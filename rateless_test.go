@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"robustset"
+	"robustset/internal/protocol"
 )
 
 // ratelessExactPair builds an exact-regime instance: Bob's set plus k
@@ -61,27 +63,33 @@ func TestRatelessAgainstServer(t *testing.T) {
 	}
 }
 
-// TestExactClientAgainstRatelessServer: the doubling path and the cell
-// stream are separate strategies of one server; an ExactIBLT client gets
-// the doubling path next to a Rateless one.
+// TestExactClientAgainstRatelessServer: a client of the retired
+// exact-IBLT strategy — a hello with its code and the one-byte config it
+// sent — against a server that serves the dataset rateless is refused as
+// an unknown strategy, and the refusal reaches it as the server's
+// *RemoteError; a Rateless client of the same dataset converges.
 func TestExactClientAgainstRatelessServer(t *testing.T) {
 	alice, bob := ratelessExactPair(300, 10)
 	params := robustset.Params{Universe: testU, Seed: 23, DiffBudget: 10}
-
-	srv := robustset.NewServer()
+	srv := robustset.NewServer(WithTestLogger(t))
 	if _, err := srv.Publish("d", params, alice); err != nil {
 		t.Fatal(err)
 	}
 	addr := startServer(t, srv)
 
-	for _, strat := range []robustset.Strategy{robustset.Rateless{}, robustset.ExactIBLT{}} {
-		res, _, err := fetchOnce(t, addr.String(), "d", strat, bob)
-		if err != nil {
-			t.Fatalf("%s: %v", strat.Name(), err)
-		}
-		if !robustset.EqualMultisets(res.SPrime, alice) {
-			t.Errorf("%s client did not converge", strat.Name())
-		}
+	st := openStream(t, addr.String())
+	hello := protocol.Hello{Strategy: protocol.StrategyExactIBLT, Dataset: "d", Config: []byte{4}}
+	_, err := protocol.RunHelloClient(context.Background(), st, hello)
+	var remote *protocol.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Reason, "unknown strategy") {
+		t.Fatalf("exact-IBLT hello: %v, want the server's unknown-strategy *RemoteError", err)
+	}
+	res, _, err := fetchOnce(t, addr.String(), "d", robustset.Rateless{}, bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !robustset.EqualMultisets(res.SPrime, alice) {
+		t.Error("rateless client did not converge")
 	}
 }
 

@@ -32,14 +32,14 @@
 //	// res.SPrime ≈ alicePoints in Earth Mover's Distance.
 //
 // For connection-oriented use, build a Session: a Strategy value picks
-// the wire protocol — Robust (one-shot), Adaptive (estimate-first,
-// multi-round), the classic exact schemes the paper benchmarks against,
-// ExactIBLT (difference digest), CPI (characteristic-polynomial sync)
-// and Naive (full transfer), Rateless (extendable-IBLT cell streaming:
-// exact sync whose wire cost tracks the actual difference even when the
-// difference estimate is wrong) or Ranged (range-fingerprint probing) —
-// and Session.Serve / Session.Fetch run it peer to peer over any
-// net.Conn, under parameters both sides agree on, with context
+// the wire protocol. Robust (one-shot) and Adaptive (estimate-first,
+// multi-round) are the paper's; Rateless (difference digest over an
+// extendable-IBLT cell stream, whose wire cost tracks the actual
+// difference even when the estimate is wrong), CPI
+// (characteristic-polynomial sync) and Naive (full transfer) are the
+// classic exact schemes it benchmarks against; Ranged probes range
+// fingerprints. Session.Serve / Session.Fetch run it peer to peer over
+// any net.Conn, under parameters both sides agree on, with context
 // cancellation and deadlines:
 //
 //	sess, _ := robustset.NewSession(robustset.Robust{}, robustset.WithParams(params))

@@ -182,7 +182,7 @@ func TestPublicExactAndCPIOverTCP(t *testing.T) {
 		strat robustset.Strategy
 		seed  uint64
 	}{
-		{robustset.ExactIBLT{}, 21},
+		{robustset.Rateless{}, 21},
 		{robustset.CPI{Capacity: 32}, 23},
 	} {
 		res, _, _ := sessionOverTCP(t, tc.strat, robustset.Params{Universe: testU, Seed: tc.seed}, alice, bob)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"robustset/internal/protocol"
@@ -56,10 +57,11 @@ func TestRetiredDatasetServingRejected(t *testing.T) {
 }
 
 // TestStrategyFromCodeExactConfigLength: every strategy code carries a
-// hello config of one exact length; a shorter or longer blob — e.g. the
-// retired {q, feature} pair on the exact-IBLT code — is refused rather
-// than served something the peer did not ask for, and so is an unknown
-// code. The accepted blob is what the strategy's own helloConfig writes.
+// hello config of one exact length; a shorter or longer blob is refused
+// rather than served something the peer did not ask for, and so is an
+// unknown code — the retired exact-IBLT code among them, whatever config
+// it carries. The accepted blob is what the strategy's own helloConfig
+// writes.
 func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 	for _, strat := range Strategies() {
 		code, n := strat.code(), len(strat.helloConfig())
@@ -78,8 +80,10 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 			}
 		}
 	}
-	if _, err := strategyFromCode(protocol.StrategyExactIBLT, []byte{4, 1}); err == nil {
-		t.Error("the retired {q, feature} hello on the exact-IBLT code accepted")
+	for _, cfg := range [][]byte{nil, {4}, {4, 1}} {
+		if _, err := strategyFromCode(protocol.StrategyExactIBLT, cfg); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Errorf("retired exact-IBLT code with a %d-byte config: %v, want an unknown strategy", len(cfg), err)
+		}
 	}
 	if _, err := strategyFromCode(0x7e, nil); err == nil {
 		t.Error("unknown strategy code accepted")

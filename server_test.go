@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -112,11 +113,11 @@ func TestServerMultiDatasetConcurrent(t *testing.T) {
 	jobs := []job{
 		{"sensors/alpha", robustset.Robust{}, bobA, aliceA, false},
 		{"sensors/alpha", robustset.Adaptive{}, bobA, aliceA, false},
-		{"sensors/alpha", robustset.ExactIBLT{}, robustset.ClonePoints(aliceA), aliceA, true},
+		{"sensors/alpha", robustset.Rateless{}, robustset.ClonePoints(aliceA), aliceA, true},
 		{"sensors/alpha", robustset.Naive{}, bobA, aliceA, true},
 		{"sensors/beta", robustset.Robust{}, bobB, aliceB, false},
 		{"sensors/beta", robustset.Adaptive{}, bobB, aliceB, false},
-		{"sensors/beta", robustset.ExactIBLT{}, robustset.ClonePoints(aliceB), aliceB, true},
+		{"sensors/beta", robustset.Rateless{}, robustset.ClonePoints(aliceB), aliceB, true},
 		{"sensors/beta", robustset.Naive{}, bobB, aliceB, true},
 	}
 
@@ -198,7 +199,7 @@ func TestServerDatasetUpdates(t *testing.T) {
 	}
 
 	// An exact fetch sees the updated multiset.
-	res, _, err := fetchOnce(t, addr.String(), "live", robustset.ExactIBLT{}, d.Snapshot())
+	res, _, err := fetchOnce(t, addr.String(), "live", robustset.Rateless{}, d.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +224,12 @@ func TestServerGracefulShutdown(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	// Start an exact-IBLT session by hand and hold it after the server's
+	// Start a rateless session by hand and hold it after the server's
 	// opening (accept, then strata): the server now waits on the client's
 	// next request. Let the client finish while Shutdown is waiting.
 	st := openStream(t, ln.Addr().String())
 	bg := context.Background()
-	hello := protocol.Hello{Strategy: protocol.StrategyExactIBLT, Dataset: "d", Config: []byte{0}}
+	hello := protocol.Hello{Strategy: protocol.StrategyRateless, Dataset: "d"}
 	if _, err := protocol.RunHelloClient(bg, st, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,15 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 	fetchDone := make(chan error, 1)
 	go func() {
-		time.Sleep(100 * time.Millisecond) // ensure Shutdown starts first
+		// Shutdown has begun once its listener refuses a dial.
+		for {
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				break
+			}
+			c.Close()
+			runtime.Gosched()
+		}
 		fetchDone <- st.Send(bg, []byte{protocol.MsgDone})
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -263,7 +272,8 @@ func TestServerGracefulShutdown(t *testing.T) {
 func TestServerForcedShutdown(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 81, DiffBudget: 4}
 	alice, _ := deterministicPair(81, 100, 4, 2)
-	srv := robustset.NewServer(WithTestLogger(t))
+	m := robustset.NewMetrics()
+	srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(m))
 	if _, err := srv.Publish("d", params, alice); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +291,9 @@ func TestServerForcedShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	time.Sleep(50 * time.Millisecond) // let the server accept
+	for m.Snapshot()["server_conns_total"] != 1 { // let the server accept
+		runtime.Gosched()
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()

@@ -15,10 +15,9 @@ import (
 	"robustset/internal/transport"
 )
 
-// Strategy selects which reconciliation protocol a Session runs. The
-// seven implementations — Robust, Adaptive, ExactIBLT, Rateless, Ranged,
-// CPI and Naive
-// — wrap the module's wire protocols behind one interface, so serving and
+// Strategy selects which reconciliation protocol a Session runs. The six
+// implementations — Robust, Adaptive, Rateless, Ranged, CPI and Naive —
+// wrap the module's wire protocols behind one interface, so serving and
 // fetching code is written once and the protocol is a configuration
 // choice. The interface is closed (its lower-case methods cannot be
 // implemented outside this package) because both endpoints must agree on
@@ -76,8 +75,8 @@ type validatingStrategy interface {
 }
 
 // maxCPICapacity bounds the CPI sketch size, matching the 1<<24 ceiling
-// every other wire-supplied capacity in the protocols enforces — a
-// handshake can never drive a pathological allocation.
+// the robust level-table request enforces — a handshake can never drive a
+// pathological allocation.
 const maxCPICapacity = 1 << 24
 
 // TransferStats reports the bytes and messages an endpoint exchanged
@@ -93,8 +92,8 @@ type SyncResult struct {
 	// is close to the remote set in Earth Mover's Distance.
 	SPrime []Point
 	// Robust carries the robust protocol's detailed result (chosen level,
-	// added/removed points, per-level outcomes); nil for ExactIBLT,
-	// Rateless, CPI and Naive.
+	// added/removed points, per-level outcomes); nil for Rateless, Ranged,
+	// CPI and Naive.
 	Robust *Result
 	// Params are the parameters the exchange actually ran under. When
 	// fetching a named dataset these are the server's (adopted through
@@ -220,74 +219,13 @@ func (a Adaptive) fetch(ctx context.Context, t transport.Transport, p Params, lo
 	return &SyncResult{SPrime: res.SPrime, Robust: res}, nil
 }
 
-// ExactConfig parameterizes the exact IBLT synchronization comparator.
-type ExactConfig = protocol.ExactConfig
-
-// ExactIBLT is classic exact set synchronization (difference digest:
-// strata estimator plus exactly-sized IBLTs). It remains the right tool
-// when values match bit-for-bit; under value noise its cost degenerates
-// to Θ(n).
-type ExactIBLT struct {
-	// HashCount is the IBLT q; both endpoints must agree (a server
-	// session adopts it from the hello). 0 means 4.
-	HashCount int
-	// Slack multiplies the estimated difference when sizing the IBLT
-	// (fetch side only; 0 means 2.0).
-	Slack float64
-	// MaxRetries bounds decode-failure retries (fetch side only; 0
-	// means 4).
-	MaxRetries int
-}
-
-// Name implements Strategy.
-func (ExactIBLT) Name() string { return "exact-iblt" }
-
-func (e ExactIBLT) validate() error {
-	if e.HashCount != 0 && (e.HashCount < 2 || e.HashCount > 16) {
-		return fmt.Errorf("robustset: exact-IBLT hash count %d outside [2,16]", e.HashCount)
-	}
-	if e.Slack < 0 {
-		return fmt.Errorf("robustset: exact-IBLT slack %v negative", e.Slack)
-	}
-	if e.MaxRetries < 0 {
-		return fmt.Errorf("robustset: exact-IBLT max retries %d negative", e.MaxRetries)
-	}
-	return nil
-}
-
-func (e ExactIBLT) code() byte { return protocol.StrategyExactIBLT }
-
-func (e ExactIBLT) helloConfig() []byte { return []byte{byte(e.HashCount)} }
-
-func (e ExactIBLT) config(p Params) ExactConfig {
-	return ExactConfig{
-		Universe:   p.Universe,
-		Seed:       p.Seed,
-		HashCount:  e.HashCount,
-		Slack:      e.Slack,
-		MaxRetries: e.MaxRetries,
-	}
-}
-
-func (e ExactIBLT) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
-	return protocol.RunExactIBLTAlice(ctx, t, e.config(p), pts)
-}
-
-func (e ExactIBLT) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
-	sp, err := protocol.RunExactIBLTBob(ctx, t, e.config(p), local)
-	if err != nil {
-		return nil, err
-	}
-	return &SyncResult{SPrime: sp}, nil
-}
-
-// Rateless is rateless incremental exact synchronization: after the same
-// strata-estimator opening as ExactIBLT, the fetching side streams
-// fixed-increment ranges of extendable-IBLT cells until its decoder
-// certifies completion. Where ExactIBLT answers a mis-estimated
-// difference by discarding the table and retrying with a doubled one,
-// Rateless pays only the incremental cells it was short — wire cost
-// tracks the actual difference, not the estimate.
+// Rateless is exact set synchronization (difference digest: a strata
+// estimator, then an IBLT) over a rateless cell stream: the fetching side
+// streams fixed-increment ranges of extendable-IBLT cells until its
+// decoder certifies completion, so a mis-estimated difference costs only
+// the cells it was short — wire cost tracks the actual difference, not
+// the estimate. It is the right tool when values match bit-for-bit; under
+// value noise its cost degenerates to Θ(n).
 type Rateless struct {
 	// InitialFactor scales the strata estimate into the first requested
 	// cell increment (fetch side only; 0 means 1.4, the stream's
@@ -548,10 +486,6 @@ func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 		s, err = Naive{}, exact(0)
 	case protocol.StrategyRateless:
 		s, err = Rateless{}, exact(0)
-	case protocol.StrategyExactIBLT:
-		if err = exact(1); err == nil {
-			s = ExactIBLT{HashCount: int(cfg[0])}
-		}
 	case protocol.StrategyRanged:
 		if err = exact(3); err == nil {
 			s = Ranged{Branch: int(cfg[0]), ItemLimit: int(cfg[1]) | int(cfg[2])<<8}
@@ -834,5 +768,5 @@ func (s *Session) Sync(ctx context.Context, conn net.Conn, pts []Point) (*SyncRe
 // Strategies returns one value of every built-in strategy, in a stable
 // order — handy for tools and tests that iterate over all protocols.
 func Strategies() []Strategy {
-	return []Strategy{Robust{}, Adaptive{}, ExactIBLT{}, Rateless{}, Ranged{}, CPI{}, Naive{}}
+	return []Strategy{Robust{}, Adaptive{}, Rateless{}, Ranged{}, CPI{}, Naive{}}
 }

@@ -26,7 +26,7 @@ func TestSessionAllStrategies(t *testing.T) {
 		t.Run(strat.Name(), func(t *testing.T) {
 			local := bob
 			switch strat.(type) {
-			case robustset.ExactIBLT, robustset.Rateless, robustset.CPI:
+			case robustset.Rateless, robustset.CPI:
 				// Exact protocols get the exact regime.
 				local = exactBob
 			}
@@ -251,12 +251,6 @@ func deterministicPair(seed uint64, n, k int, noise int64) (alice, bob []robusts
 // TestStrategyValidation asserts out-of-range strategy knobs are rejected
 // at session construction, before they can desynchronize endpoints.
 func TestStrategyValidation(t *testing.T) {
-	if _, err := robustset.NewSession(robustset.ExactIBLT{HashCount: 256}); err == nil {
-		t.Error("hash count 256 accepted (would truncate to 0 on the wire)")
-	}
-	if _, err := robustset.NewSession(robustset.ExactIBLT{HashCount: 1}); err == nil {
-		t.Error("hash count 1 accepted")
-	}
 	if _, err := robustset.NewSession(robustset.Rateless{InitialFactor: -1}); err == nil {
 		t.Error("negative rateless initial factor accepted")
 	}
@@ -377,16 +371,9 @@ func confWireBudget(strat robustset.Strategy, sc confScenario) int64 {
 		est := levels * (64*8 + 256)
 		step := int64(2*n)/64 + 8
 		return est + 4*tableUB(4*k+int(step)) + 2048
-	case robustset.ExactIBLT:
-		// Strata estimator (fixed size) + exactly-sized tables with
-		// retry headroom.
-		strata := 16*cellsUB(40) + 2048
-		return strata + 2*tableUB(8*sc.diffUB+64) + 2048
 	case robustset.Rateless:
 		// Strata estimator + the cell stream: ~1.5·diff cells to decode
-		// plus at most 50% chunk-growth overshoot — deliberately tighter
-		// than ExactIBLT's retry worst case, which is the strategy's
-		// whole point.
+		// plus at most 50% chunk-growth overshoot.
 		strata := 16*cellsUB(40) + 2048
 		return strata + tableUB(2*sc.diffUB+64) + 2048
 	case robustset.Ranged:
@@ -493,11 +480,10 @@ func confScenarios(t *testing.T) []confScenario {
 			name: "noisy-at-capacity", alice: noisyA, bob: noisyB,
 			params: params(6), def: expClose, diffUB: 2 * 240,
 			expect: map[string]confExpect{
-				"exact-iblt": expExact, // Θ(n) cost, still correct
-				"rateless":   expExact, // streams until decode, still correct
-				"ranged":     expExact, // splits down to item transfer, still correct
-				"cpi":        expError, // diff ≫ capacity, no retry path
-				"naive":      expExact,
+				"rateless": expExact, // streams until decode, still correct
+				"ranged":   expExact, // splits down to item transfer, still correct
+				"cpi":      expError, // diff ≫ capacity, no retry path
+				"naive":    expExact,
 			},
 			errLike: "capacity",
 		},
@@ -505,11 +491,10 @@ func confScenarios(t *testing.T) []confScenario {
 			name: "above-capacity", alice: overA, bob: overB,
 			params: params(8), def: expClose, diffUB: 2 * 200,
 			expect: map[string]confExpect{
-				"exact-iblt": expExact,
-				"rateless":   expExact,
-				"ranged":     expExact,
-				"cpi":        expError,
-				"naive":      expExact,
+				"rateless": expExact,
+				"ranged":   expExact,
+				"cpi":      expError,
+				"naive":    expExact,
 			},
 			errLike: "capacity",
 		},
@@ -517,11 +502,10 @@ func confScenarios(t *testing.T) []confScenario {
 			name: "scale-sublinear", alice: scaleA, bob: scaleB,
 			params: params(8), def: expClose, diffUB: 2 * 20000,
 			expect: map[string]confExpect{
-				"exact-iblt": expExact,
-				"rateless":   expExact,
-				"ranged":     expExact,
-				"cpi":        expError,
-				"naive":      expExact,
+				"rateless": expExact,
+				"ranged":   expExact,
+				"cpi":      expError,
+				"naive":    expExact,
 			},
 			errLike: "capacity",
 		},

@@ -55,8 +55,8 @@ func TestTraceByteAttributionSums(t *testing.T) {
 	_, bob := deterministicPair(8900, 120, 4, 2)
 
 	for _, strat := range []robustset.Strategy{
-		robustset.Robust{}, robustset.Adaptive{}, robustset.ExactIBLT{},
-		robustset.Rateless{}, robustset.CPI{}, robustset.Naive{},
+		robustset.Robust{}, robustset.Adaptive{}, robustset.Rateless{},
+		robustset.CPI{}, robustset.Naive{},
 	} {
 		local := bob
 		if _, ok := strat.(robustset.CPI); ok {
@@ -139,7 +139,7 @@ func TestServerObservabilityEndpoints(t *testing.T) {
 	defer cl.Close()
 	_, bob := deterministicPair(9400, 120, 4, 2)
 	for name := range sets {
-		for _, strat := range []robustset.Strategy{robustset.Robust{}, robustset.ExactIBLT{}} {
+		for _, strat := range []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}} {
 			cs, err := cl.Session(name, strat)
 			if err != nil {
 				t.Fatal(err)
@@ -173,7 +173,7 @@ func TestServerObservabilityEndpoints(t *testing.T) {
 	wanted := []string{
 		`session_wire_bytes_total{frame="ACCEPT",dir="out"}`,
 		`session_wire_bytes_total{frame="SKETCH",dir="out"}`,
-		`session_rounds_total{strategy="exact-iblt"}`,
+		`session_rounds_total{strategy="rateless"}`,
 	}
 	var promText string
 	deadline := time.Now().Add(5 * time.Second)
@@ -265,7 +265,7 @@ func TestMetricInventoryDocumented(t *testing.T) {
 	}
 	defer cl.Close()
 	for name := range sets {
-		for _, strat := range []robustset.Strategy{robustset.Robust{}, robustset.ExactIBLT{}} {
+		for _, strat := range []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}} {
 			cs, err := cl.Session(name, strat)
 			if err != nil {
 				t.Fatal(err)
