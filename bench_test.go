@@ -365,7 +365,11 @@ func BenchmarkPublicEMDApprox_N4096(b *testing.B) {
 // BenchmarkRatelessChurn20k is the ruler's exact_churn_durable op as a Go
 // benchmark: a durable server holding 20 000 points, a loopback client
 // holding the previous fetch's result, and per iteration one 32+32 churn
-// cycle followed by one rateless Fetch that repairs it.
+// cycle followed by one rateless Fetch that repairs it. warm is the
+// ruler's op: every fetch after the first opens warm from the 64-key
+// difference the one before decoded. cold makes the client forget that
+// before every fetch, so each opens with the strata estimator. rounds/op
+// counts the round trips a fetch waits out, the hello's included.
 func BenchmarkRatelessChurn20k(b *testing.B) {
 	const n, batch, period = 20000, 32, 64
 	inst, err := workload.Generate(workload.Config{
@@ -375,54 +379,64 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 		b.Fatal(err)
 	}
 	pool, initial := inst.Bob[:period*batch], inst.Bob[period/2*batch:]
-	srv := robustset.NewServer(robustset.WithServerDataDir(b.TempDir()),
-		robustset.WithServerFsync(robustset.SyncNone), robustset.WithServerSnapshotEvery(256))
-	defer srv.Close()
-	d, err := srv.PublishDurable("churn", robustset.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 84}, initial)
-	if err != nil {
-		b.Fatal(err)
+	for _, cold := range []bool{false, true} {
+		name := map[bool]string{false: "warm", true: "cold"}[cold]
+		b.Run(name, func(b *testing.B) {
+			srv := robustset.NewServer(robustset.WithServerDataDir(b.TempDir()),
+				robustset.WithServerFsync(robustset.SyncNone), robustset.WithServerSnapshotEvery(256))
+			defer srv.Close()
+			d, err := srv.PublishDurable("churn", robustset.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 84}, initial)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() { _ = srv.Serve(ln) }() // returns ErrServerClosed on Close
+			ctx := context.Background()
+			cl, err := robustset.DialClient(ctx, ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			sess, err := cl.Session("churn", robustset.Rateless{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			local := robustset.ClonePoints(initial)
+			var wire, rounds int64
+			cycle := func(i int) {
+				add := pool[i%period*batch:][:batch]
+				rem := pool[(i+period/2)%period*batch:][:batch]
+				if err := errors.Join(d.AddBatch(add), d.RemoveBatch(rem)); err != nil {
+					b.Fatal(err)
+				}
+				if cold {
+					robustset.ForgetRatelessHint(cl, "churn")
+				}
+				res, st, err := sess.Fetch(ctx, local)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Every message but the closing DONE waits for an answer.
+				local, wire, rounds = res.SPrime, wire+st.Total(), rounds+st.MsgsSent-1
+			}
+			cycle(0) // the first session builds whatever the server keeps
+			wire, rounds = 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				cycle(i)
+			}
+			b.StopTimer()
+			if !robustset.EqualMultisets(local, d.Snapshot()) {
+				b.Fatal("fetched set differs from the server's snapshot")
+			}
+			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }() // returns ErrServerClosed on Close
-	ctx := context.Background()
-	cl, err := robustset.DialClient(ctx, ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	sess, err := cl.Session("churn", robustset.Rateless{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	local := robustset.ClonePoints(initial)
-	var wire int64
-	cycle := func(i int) {
-		add := pool[i%period*batch:][:batch]
-		rem := pool[(i+period/2)%period*batch:][:batch]
-		if err := errors.Join(d.AddBatch(add), d.RemoveBatch(rem)); err != nil {
-			b.Fatal(err)
-		}
-		res, st, err := sess.Fetch(ctx, local)
-		if err != nil {
-			b.Fatal(err)
-		}
-		local, wire = res.SPrime, wire+st.Total()
-	}
-	cycle(0) // the first session builds whatever the server keeps
-	wire = 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
-		cycle(i)
-	}
-	b.StopTimer()
-	if !robustset.EqualMultisets(local, d.Snapshot()) {
-		b.Fatal("fetched set differs from the server's snapshot")
-	}
-	b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
 }
 
 // BenchmarkAdaptiveFetch20k is the ruler's adaptive_noisy op as a Go

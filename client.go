@@ -48,6 +48,9 @@ type Client struct {
 	prev     TransferStats // accounting of connections already torn down
 	redials  int64
 	sessions int64
+	// hints holds, per dataset name, the size of the difference the last
+	// rateless fetch of it decoded; the next one opens warm from it.
+	hints map[string]int
 }
 
 // ClientOption configures a Client.
@@ -266,9 +269,43 @@ func (cs *ClientSession) FetchDataset(ctx context.Context, local *Dataset) (*Syn
 	return cs.fetch(ctx, local, nil)
 }
 
-// fetch runs one session: against d when it is set, else against local.
-func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (*SyncResult, TransferStats, error) {
-	c := cs.c
+// warm returns r for the next fetch of dataset: warm from the difference
+// the last rateless fetch of it decoded, or cold if there is none.
+func (c *Client) warm(dataset string, r Rateless) Rateless {
+	c.mu.Lock()
+	hint, ok := c.hints[dataset]
+	c.mu.Unlock()
+	if !ok {
+		return r
+	}
+	return r.warm(hint)
+}
+
+// learn keeps the difference a rateless fetch of dataset decoded as the
+// next one's hint, and forgets the hint after a failed fetch. A fetch that
+// ended at the handshake decoded nothing and leaves the hint as it was.
+func (c *Client) learn(dataset string, res *SyncResult, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case err != nil:
+		delete(c.hints, dataset)
+	case !res.Unchanged:
+		if c.hints == nil {
+			c.hints = make(map[string]int)
+		}
+		c.hints[dataset] = res.diff
+	}
+}
+
+// fetch runs one session: against d when it is set, else against local. A
+// Rateless session opens warm when an earlier one of the dataset decoded.
+func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (res *SyncResult, stats TransferStats, err error) {
+	c, strat := cs.c, cs.sess.strategy
+	if r, ok := strat.(Rateless); ok {
+		strat = c.warm(cs.sess.dataset, r)
+		defer func() { c.learn(cs.sess.dataset, res, err) }()
+	}
 	select {
 	case c.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -302,7 +339,7 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 			}
 			return nil, TransferStats{}, err
 		}
-		res, ferr := cs.sess.fetchOver(ctx, st, d, local)
+		res, ferr := cs.sess.fetchOver(ctx, st, strat, d, local)
 		stats := st.Stats()
 		if ferr != nil {
 			// Tear this stream down on both ends without disturbing its
@@ -358,7 +395,7 @@ func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ra
 	} else {
 		tr = trace.FromContext(ctx)
 	}
-	hello := s.hello(nil)
+	hello := s.hello(r, nil)
 	st0, err := m.Open(ctx)
 	if err != nil {
 		return nil, st, err, false
@@ -369,7 +406,7 @@ func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ra
 		return nil, stats, ferr, true
 	}
 	hsp := tr.Begin("hello")
-	acc, err := protocol.RunHello(ctx, st0, s.hello(d))
+	acc, err := protocol.RunHello(ctx, st0, s.hello(r, d))
 	hsp.End()
 	if err != nil {
 		return fail(st0, err)

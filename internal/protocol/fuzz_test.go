@@ -25,7 +25,12 @@ func FuzzParseHello(f *testing.F) {
 	for _, h := range []Hello{
 		{Strategy: StrategyRobust, Dataset: "d"},
 		{Strategy: StrategyAdaptive, Dataset: ""},
-		{Strategy: StrategyRateless, Dataset: "sensors/alpha"},
+		{Strategy: StrategyRateless, Dataset: "sensors/alpha", Config: []byte{0, 0, 0, 0}},
+		// Warm rateless hellos: a first request of 97 cells, the largest
+		// word, and 512 cells with a root.
+		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{97, 0, 0, 0}},
+		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0xff, 0xff, 0xff, 0xff}},
+		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0, 2, 0, 0}, Root: &ranges.Agg{Count: 20000, Fp: 1}},
 		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{0xff, 0xff, 0xff, 0xff}},
 		{Strategy: StrategyNaive, Dataset: string(bytes.Repeat([]byte{'n'}, MaxDatasetName))},
 		// The same shapes with the root tail: an empty set's, a full one's.

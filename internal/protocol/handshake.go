@@ -45,9 +45,9 @@ const (
 // strategy codes included: version 2 gave Rateless and Ranged codes of
 // their own, version 3 the hello its root tail and the accept its "same"
 // byte, version 4 every IBLT a session carries the cell codec (blobs
-// "IBL3", "IBX2", "RSK2", "STR2"). Peers of another version are refused at
-// parse time.
-const MuxVersion = 4
+// "IBL3", "IBX2", "RSK2", "STR2"), version 5 the rateless hello its 4-byte
+// warm first request. Peers of another version are refused at parse time.
+const MuxVersion = 5
 
 // acceptSame is the byte that follows the parameters of an accept which
 // ends the session at the handshake.
@@ -83,8 +83,9 @@ type Hello struct {
 	// Dataset names the server-side dataset to reconcile against.
 	Dataset string
 	// Config is an opaque strategy-specific blob (e.g. the ranged branch
-	// factor, the CPI capacity) that the serving side must honor for
-	// the two parties' sketches to be compatible.
+	// factor, the CPI capacity, the rateless warm first request) that the
+	// serving side must honor for the two parties' sketches to be
+	// compatible.
 	Config []byte
 	// Root, when set, is the root aggregate of the client's local multiset
 	// under the key order and fingerprint hash of BuildRangeTree. A server

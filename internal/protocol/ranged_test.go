@@ -369,7 +369,7 @@ func TestRangedWireAdvantage(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if !points.EqualMultisets(got, alice) {
+			if !points.EqualMultisets(got.SPrime, alice) {
 				t.Error("rateless diverged")
 			}
 			return nil

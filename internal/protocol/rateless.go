@@ -26,13 +26,17 @@ import (
 // (internal/iblt's CellStream) until its decoder certifies completion.
 // A mis-estimated difference costs extra increments proportional to the
 // shortfall, never a rebuilt table — the wire cost tracks the actual
-// difference, not the estimate.
+// difference, not the estimate. A warm opening skips the estimator: Bob
+// names his first request up front (RatelessConfig.First, carried by a
+// server session's hello) and Alice answers it at once.
 //
 // Wire shape (Bob fetches from Alice):
 //
-//	Alice → MsgStrata
-//	loop:  Bob → MsgCellsRequest(n)   ("MORE")
-//	       Alice → MsgCells(block)    ("CELLS")
+//	cold:  Alice → MsgStrata
+//	       Bob → MsgCellsRequest(n)   ("MORE")
+//	warm:  (the first request rode the hello)
+//	loop:  Alice → MsgCells(block)    ("CELLS")
+//	       Bob → MsgCellsRequest(n)
 //	until decode (or Bob's byte budget trips), then Bob → MsgDone.
 
 // Rateless message tags.
@@ -65,12 +69,18 @@ type RatelessConfig struct {
 	Universe points.Universe
 	// Seed fixes the estimator and cell-stream hash functions.
 	Seed uint64
-	// InitialFactor scales the strata estimate into the first requested
-	// increment (0 → 1.4, the stream's empirical decode overhead).
+	// InitialFactor scales the difference the first requested increment is
+	// sized from — the strata estimate, or a warm opening's hint (WarmFirst)
+	// — (0 → 1.4, the stream's empirical decode overhead).
 	InitialFactor float64
 	// MaxBytes caps the total bytes of cell blocks received before the
 	// fetching side gives up with ErrRatelessBudget (0 → 64 MiB).
 	MaxBytes int64
+	// First, when not 0, opens warm: the fetching side has already asked
+	// for the first First cells of the stream, so no estimator is sent and
+	// the serving side answers that request at once. 0 opens cold, with the
+	// strata estimator.
+	First int
 }
 
 func (c RatelessConfig) filled() RatelessConfig {
@@ -161,6 +171,26 @@ func parseCells(block *iblt.CellBlock, body []byte, keyLen, frontier, chunk int)
 // memory (about 16 on the wire), plus the estimator, the state costs its dataset about 60 KB.
 const ratelessPrefixCells = 1024
 
+// maxWarmCells bounds a warm opening's first request: half the prefix, so
+// a dataset's maintained state always answers it, and at about 16 bytes a
+// cell it is no larger than the 16 × 32-cell strata estimator it replaces.
+const maxWarmCells = ratelessPrefixCells / 2
+
+// WarmFirst returns the first request of a warm opening sized from hint,
+// the size of the difference an earlier session against the same set
+// decoded: hint·InitialFactor + 8 cells, or 0 — open cold — when that is
+// above 512 cells.
+func (c RatelessConfig) WarmFirst(hint int) int {
+	f := float64(hint) * c.filled().InitialFactor
+	if hint < 0 || f > maxWarmCells { // also keeps the conversion in range
+		return 0
+	}
+	if first := int(f) + minChunkCells; first <= maxWarmCells {
+		return first
+	}
+	return 0
+}
+
 // RatelessState is what a dataset that serves rateless sessions keeps so
 // that a session need not read its points: the strata estimator and the
 // first ratelessPrefixCells cells of the rateless stream over the
@@ -215,19 +245,22 @@ func (s *RatelessState) Remove(enc string, occ uint32) {
 	s.prefix.Remove(k)
 }
 
-// Opening copies out what one session is served from, in O(cells). The
+// Opening copies out what one session is served from, in O(cells): the
+// prefix, and the marshalled estimator unless the session opens warm. The
 // caller supplies Rest.
-func (s *RatelessState) Opening() (*RatelessOpening, error) {
-	blob, err := s.strata.MarshalBinary()
-	if err != nil {
-		return nil, err
+func (s *RatelessState) Opening(warm bool) (*RatelessOpening, error) {
+	o := &RatelessOpening{Prefix: s.prefix.Snapshot()}
+	if warm {
+		return o, nil
 	}
-	return &RatelessOpening{Strata: blob, Prefix: s.prefix.Snapshot()}, nil
+	var err error
+	o.Strata, err = s.strata.MarshalBinary()
+	return o, err
 }
 
 // RatelessOpening is what one rateless session is served from: a key
-// set's marshalled estimator and the head of its cell stream, with the
-// way to go on past it.
+// set's marshalled estimator (nil for a warm session) and the head of its
+// cell stream, with the way to go on past it.
 type RatelessOpening struct {
 	Strata []byte
 	Prefix *iblt.CellBlock // cells [0, Prefix.Len()) of the stream
@@ -238,46 +271,58 @@ type RatelessOpening struct {
 }
 
 // RunRatelessAlice serves Alice's side of rateless sync over her points:
-// estimator first, then cell-stream increments on request until MsgDone.
+// estimator first unless the session opens warm, then cell-stream
+// increments on request until MsgDone.
 func RunRatelessAlice(ctx context.Context, t transport.Transport, cfg RatelessConfig, pts []points.Point) error {
 	return RunRatelessServed(ctx, t, cfg, func() (*RatelessOpening, error) {
 		if err := cfg.Universe.CheckSet(pts); err != nil {
 			return nil, err
 		}
 		keys := points.OccurrenceKeys(pts, cfg.Universe.Dim)
+		o := &RatelessOpening{
+			Prefix: new(iblt.CellBlock),
+			Rest:   func() ([][]byte, bool, error) { return keys, true, nil },
+		}
+		if cfg.First != 0 {
+			return o, nil
+		}
 		st, err := exactStrata(cfg, keys)
 		if err != nil {
 			return nil, err
 		}
-		blob, err := st.MarshalBinary()
-		return &RatelessOpening{
-			Strata: blob,
-			Prefix: new(iblt.CellBlock),
-			Rest:   func() ([][]byte, bool, error) { return keys, true, nil },
-		}, err
+		o.Strata, err = st.MarshalBinary()
+		return o, err
 	})
 }
 
 // RunRatelessServed is the serving side of rateless sync: it sends the
-// opening's estimator, then answers each cells request from the prefix
-// while the requests stay inside it and from a stream over Rest's keys
-// from the first one that does not. If by then the key set is no longer
-// the one the cells already sent describe, that answer is a restart
-// block: it starts at cell 0 and carries the new set's cells up to the
-// requested frontier, and the fetching side starts over on it. An error
-// from open is relayed to the peer.
+// opening's estimator — or, on a warm opening, answers cfg.First at once —
+// then answers each cells request from the prefix while the requests stay
+// inside it and from a stream over Rest's keys from the first one that
+// does not. If by then the key set is no longer the one the cells already
+// sent describe, that answer is a restart block: it starts at cell 0 and
+// carries the new set's cells up to the requested frontier, and the
+// fetching side starts over on it. An error from open, and a request out
+// of bounds, warm or not, is relayed to the peer; a warm one is refused
+// before open is called.
 func RunRatelessServed(ctx context.Context, t transport.Transport, cfg RatelessConfig, open func() (*RatelessOpening, error)) error {
 	cfg = cfg.filled()
 	tr := trace.FromContext(ctx)
-	sp := tr.Begin("strata")
-	o, err := open()
-	if err != nil {
-		return sendErr(ctx, t, err)
+	maxChunk := maxChunkFor(cfg.extend().KeyLen)
+	var o *RatelessOpening
+	if cfg.First == 0 {
+		sp := tr.Begin("strata")
+		var err error
+		if o, err = open(); err != nil {
+			return sendErr(ctx, t, err)
+		}
+		if err := send(ctx, t, MsgStrata, o.Strata); err != nil {
+			return err
+		}
+		sp.End(trace.I("bytes", int64(len(o.Strata))))
+	} else {
+		tr.Stat(trace.StatWarm, 1)
 	}
-	if err := send(ctx, t, MsgStrata, o.Strata); err != nil {
-		return err
-	}
-	sp.End(trace.I("bytes", int64(len(o.Strata))))
 	var stream *iblt.CellStream // built by the first request past the prefix
 	frontier := 0
 	// One block and one encode buffer serve every cell request of the
@@ -285,6 +330,55 @@ func RunRatelessServed(ctx context.Context, t transport.Transport, cfg RatelessC
 	// steady-state serve loop allocates nothing per increment.
 	var blk iblt.CellBlock
 	var cellBuf []byte
+	answer := func(n int) error {
+		round := tr.Begin("cells_round")
+		tr.Stat("rounds", 1)
+		if n < 1 || n > maxChunk {
+			return sendErr(ctx, t, fmt.Errorf("protocol: cells request %d outside [1,%d]", n, maxChunk))
+		}
+		if frontier+n > iblt.MaxStreamCells {
+			return sendErr(ctx, t, fmt.Errorf("protocol: cell stream beyond %d cells", iblt.MaxStreamCells))
+		}
+		var err error
+		if o == nil { // a warm opening's first request
+			if o, err = open(); err != nil {
+				return sendErr(ctx, t, err)
+			}
+		}
+		out := &blk
+		switch {
+		case stream != nil:
+			stream.EmitInto(&blk, n)
+		case frontier+n <= o.Prefix.Len():
+			out = o.Prefix.Slice(frontier, frontier+n)
+		default:
+			keys, same, err := o.Rest()
+			if err != nil {
+				return sendErr(ctx, t, err)
+			}
+			if stream, err = iblt.NewCellStream(cfg.extend(), keys); err != nil {
+				return sendErr(ctx, t, err)
+			}
+			stream.EmitInto(&blk, frontier+n)
+			if same {
+				out = blk.Slice(frontier, frontier+n)
+			}
+		}
+		if cellBuf, err = out.AppendBinary(cellBuf[:0]); err != nil {
+			return sendErr(ctx, t, err)
+		}
+		if err := send(ctx, t, MsgCells, cellBuf); err != nil {
+			return err
+		}
+		frontier += n
+		round.End(trace.I("chunk", int64(n)), trace.I("frontier", int64(frontier)))
+		return nil
+	}
+	if cfg.First != 0 {
+		if err := answer(cfg.First); err != nil {
+			return err
+		}
+	}
 	for {
 		typ, body, err := recv(ctx, t)
 		if err != nil {
@@ -294,104 +388,65 @@ func RunRatelessServed(ctx context.Context, t transport.Transport, cfg RatelessC
 		case MsgDone:
 			return nil
 		case MsgCellsRequest:
-			round := tr.Begin("cells_round")
-			tr.Stat("rounds", 1)
 			if len(body) != 4 {
 				return sendErr(ctx, t, errors.New("protocol: malformed cells request"))
 			}
-			n := int(binary.LittleEndian.Uint32(body))
-			if max := maxChunkFor(cfg.extend().KeyLen); n < 1 || n > max {
-				return sendErr(ctx, t, fmt.Errorf("protocol: cells request %d outside [1,%d]", n, max))
-			}
-			if frontier+n > iblt.MaxStreamCells {
-				return sendErr(ctx, t, fmt.Errorf("protocol: cell stream beyond %d cells", iblt.MaxStreamCells))
-			}
-			out := &blk
-			switch {
-			case stream != nil:
-				stream.EmitInto(&blk, n)
-			case frontier+n <= o.Prefix.Len():
-				out = o.Prefix.Slice(frontier, frontier+n)
-			default:
-				keys, same, err := o.Rest()
-				if err != nil {
-					return sendErr(ctx, t, err)
-				}
-				if stream, err = iblt.NewCellStream(cfg.extend(), keys); err != nil {
-					return sendErr(ctx, t, err)
-				}
-				stream.EmitInto(&blk, frontier+n)
-				if same {
-					out = blk.Slice(frontier, frontier+n)
-				}
-			}
-			cellBuf, err = out.AppendBinary(cellBuf[:0])
-			if err != nil {
-				return sendErr(ctx, t, err)
-			}
-			if err := send(ctx, t, MsgCells, cellBuf); err != nil {
+			if err := answer(int(binary.LittleEndian.Uint32(body))); err != nil {
 				return err
 			}
-			frontier += n
-			round.End(trace.I("chunk", int64(n)), trace.I("frontier", int64(frontier)))
 		default:
 			return sendErr(ctx, t, fmt.Errorf("%w: 0x%02x", ErrUnexpectedMessage, typ))
 		}
 	}
 }
 
+// RatelessResult is the fetching side's outcome of a rateless session.
+type RatelessResult struct {
+	// SPrime is Alice's multiset, exactly.
+	SPrime []points.Point
+	// Diff is the size of the difference decoded to reach it, in keys: what
+	// a later session's warm opening is sized from (WarmFirst).
+	Diff int
+}
+
 // RunRatelessBob drives Bob's side of rateless sync: estimate, then
 // request increments — the first sized from the estimate, later ones a
 // third of everything streamed so far — until the decoder certifies
-// completion. On success Bob's result equals Alice's multiset exactly.
-func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConfig, bobPts []points.Point) ([]points.Point, error) {
+// completion. A warm opening (cfg.First) skips the estimate, and its
+// first request, already made, is answered without being sent. On
+// success Bob's result equals Alice's multiset exactly.
+func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConfig, bobPts []points.Point) (*RatelessResult, error) {
 	cfg = cfg.filled()
 	tr := trace.FromContext(ctx)
 	if err := cfg.Universe.CheckSet(bobPts); err != nil {
 		return nil, abort(ctx, t, err)
 	}
 	keys := points.OccurrenceKeys(bobPts, cfg.Universe.Dim)
-	sp := tr.Begin("strata")
-	blob, err := recvExpect(ctx, t, MsgStrata)
-	if err != nil {
-		return nil, err
+	keyLen := cfg.extend().KeyLen
+	maxChunk := maxChunkFor(keyLen)
+	chunk := cfg.First
+	if chunk == 0 {
+		var err error
+		if chunk, err = ratelessEstimate(ctx, t, cfg, keys, maxChunk); err != nil {
+			return nil, err
+		}
+	} else {
+		tr.Stat(trace.StatWarm, 1)
 	}
-	aliceStrata := new(sketch.Strata)
-	if err := aliceStrata.UnmarshalAs(blob, cfg.strata()); err != nil {
-		return nil, abort(ctx, t, err)
-	}
-	mine, err := exactStrata(cfg, keys)
-	if err != nil {
-		return nil, abort(ctx, t, err)
-	}
-	est, err := sketch.EstimateStrataDiff(aliceStrata, mine)
-	if err != nil {
-		return nil, abort(ctx, t, err)
-	}
-	sp.End(trace.I("est", int64(est)))
-	tr.Stat("estimated_diff", int64(est))
 	dec, err := iblt.NewCellDecoder(cfg.extend(), keys)
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	keyLen := cfg.extend().KeyLen
-	maxChunk := maxChunkFor(keyLen)
-	// Clamp the (peer-influenced) estimate before converting: a hostile
-	// strata blob must not drive an out-of-range float→int conversion.
-	if est*cfg.InitialFactor > float64(maxChunk) {
-		est = float64(maxChunk) / cfg.InitialFactor
-	}
-	chunk := int(est*cfg.InitialFactor) + minChunkCells
 	// One reusable block parses every received increment (AddBlock
 	// copies what it keeps), mirroring the serving side's reuse.
 	block := new(iblt.CellBlock)
 	// received counts the bytes of every block against the budget, a
-	// restart's as much as an increment's. A block's size follows its
-	// contents, so a request is clipped to what fits the rest of the
-	// budget at full width.
+	// restart's as much as an increment's — a warm opening's first block
+	// too. A block's size follows its contents, so a request is clipped to
+	// what fits the rest of the budget at full width.
 	received := int64(0)
-	for {
-		if fits := cellsWithin(cfg.MaxBytes-received, keyLen); int64(chunk) > fits {
+	for asked := cfg.First != 0; ; asked = false {
+		if fits := cellsWithin(cfg.MaxBytes-received, keyLen); !asked && int64(chunk) > fits {
 			if fits < minChunkCells {
 				return nil, abort(ctx, t, fmt.Errorf("%w: %d cells (%d bytes) streamed",
 					ErrRatelessBudget, dec.Frontier(), received))
@@ -403,10 +458,12 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 		}
 		round := tr.Begin("cells_round")
 		tr.Stat("rounds", 1)
-		var req [4]byte
-		binary.LittleEndian.PutUint32(req[:], uint32(chunk))
-		if err := send(ctx, t, MsgCellsRequest, req[:]); err != nil {
-			return nil, err
+		if !asked {
+			var req [4]byte
+			binary.LittleEndian.PutUint32(req[:], uint32(chunk))
+			if err := send(ctx, t, MsgCellsRequest, req[:]); err != nil {
+				return nil, err
+			}
 		}
 		body, err := recvExpect(ctx, t, MsgCells)
 		if err != nil {
@@ -424,13 +481,14 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 			trace.I("frontier", int64(dec.Frontier())), trace.I("decoded", boolStat(ok)))
 		if ok {
 			ap := tr.Begin("apply")
-			res, err := applyExactDiff(cfg.Universe, bobPts, keys, diff)
+			sp, err := applyExactDiff(cfg.Universe, bobPts, keys, diff)
 			if err != nil {
 				return nil, abort(ctx, t, err)
 			}
 			ap.End(trace.I("added", int64(len(diff.Pos))), trace.I("removed", int64(len(diff.Neg))))
-			tr.Stat("actual_diff", int64(len(diff.Pos)+len(diff.Neg)))
-			return res, send(ctx, t, MsgDone, nil)
+			n := len(diff.Pos) + len(diff.Neg)
+			tr.Stat("actual_diff", int64(n))
+			return &RatelessResult{SPrime: sp, Diff: n}, send(ctx, t, MsgDone, nil)
 		}
 		// Geometric growth: each round adds a third of everything streamed
 		// so far, so total cells overshoot the point of decodability by at
@@ -440,6 +498,38 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 			chunk = minChunkCells
 		}
 	}
+}
+
+// ratelessEstimate is a cold opening on Bob's side: it receives Alice's
+// strata estimator, estimates the difference against his keys and returns
+// the first request sized from it.
+func ratelessEstimate(ctx context.Context, t transport.Transport, cfg RatelessConfig, keys [][]byte, maxChunk int) (int, error) {
+	tr := trace.FromContext(ctx)
+	sp := tr.Begin("strata")
+	blob, err := recvExpect(ctx, t, MsgStrata)
+	if err != nil {
+		return 0, err
+	}
+	aliceStrata := new(sketch.Strata)
+	if err := aliceStrata.UnmarshalAs(blob, cfg.strata()); err != nil {
+		return 0, abort(ctx, t, err)
+	}
+	mine, err := exactStrata(cfg, keys)
+	if err != nil {
+		return 0, abort(ctx, t, err)
+	}
+	est, err := sketch.EstimateStrataDiff(aliceStrata, mine)
+	if err != nil {
+		return 0, abort(ctx, t, err)
+	}
+	sp.End(trace.I("est", int64(est)))
+	tr.Stat("estimated_diff", int64(est))
+	// Clamp the (peer-influenced) estimate before converting: a hostile
+	// strata blob must not drive an out-of-range float→int conversion.
+	if est*cfg.InitialFactor > float64(maxChunk) {
+		est = float64(maxChunk) / cfg.InitialFactor
+	}
+	return int(est*cfg.InitialFactor) + minChunkCells, nil
 }
 
 // applyExactDiff turns decoded keys back into points: Alice-only keys are

@@ -27,7 +27,7 @@ func TestRatelessHappyPath(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if !points.EqualMultisets(got, inst.alice) {
+			if !points.EqualMultisets(got.SPrime, inst.alice) {
 				t.Error("rateless sync did not converge to S_A")
 			}
 			return nil
@@ -47,7 +47,7 @@ func TestRatelessNoDifference(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if !points.EqualMultisets(got, inst.alice) {
+			if !points.EqualMultisets(got.SPrime, inst.alice) {
 				t.Error("identical sets changed under rateless sync")
 			}
 			return nil
@@ -73,8 +73,8 @@ func TestRatelessDuplicateMultiset(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if !points.EqualMultisets(got, alice) {
-				t.Errorf("got %d points, want %d identical copies", len(got), len(alice))
+			if !points.EqualMultisets(got.SPrime, alice) {
+				t.Errorf("got %d points, want %d identical copies", len(got.SPrime), len(alice))
 			}
 			return nil
 		})
@@ -98,7 +98,7 @@ func TestRatelessUndershootCellsPerKey(t *testing.T) {
 		func(tr transport.Transport) error {
 			rec.Transport = tr
 			got, err := RunRatelessBob(bg, rec, cfg, inst.bob)
-			if err == nil && !points.EqualMultisets(got, inst.alice) {
+			if err == nil && !points.EqualMultisets(got.SPrime, inst.alice) {
 				t.Error("rateless result diverged")
 			}
 			return err
@@ -239,7 +239,7 @@ func movedOpening(t *testing.T, cfg RatelessConfig, before, after []points.Point
 		if err != nil {
 			return nil, err
 		}
-		o, err := st.Opening()
+		o, err := st.Opening(false)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +272,7 @@ func TestRatelessRestart(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if !points.EqualMultisets(got, after) {
+			if !points.EqualMultisets(got.SPrime, after) {
 				t.Error("Bob did not end with the set the restart block described")
 			}
 			return nil
@@ -408,7 +408,7 @@ func TestRatelessOpeningGolden(t *testing.T) {
 			func(tr transport.Transport) error {
 				rec.Transport = tr
 				got, err := RunRatelessBob(bg, rec, cfg, inst.bob)
-				if err == nil && !points.EqualMultisets(got, inst.alice) {
+				if err == nil && !points.EqualMultisets(got.SPrime, inst.alice) {
 					t.Error("rateless sync did not converge to S_A")
 				}
 				return err
@@ -427,6 +427,170 @@ func TestRatelessOpeningGolden(t *testing.T) {
 				t.Errorf("seed %d: %s body of %d bytes, sha256 %x; want %d bytes, %s",
 					tc.seed, want.name, len(body), sum, want.size, want.digest)
 			}
+		}
+	}
+}
+
+// TestRatelessWarmOpeningGolden pins a warm exchange's wire at the seeds
+// of TestRatelessOpeningGolden: asked up front for as many cells as the
+// cold exchange's first request, Alice opens with a CELLS body byte for
+// byte the cold one (the same length and SHA-256), sends no STRATA, and
+// hears no request before it. The hello that carries the request ends in
+// its 4-byte little-endian word.
+func TestRatelessWarmOpeningGolden(t *testing.T) {
+	inst, err := exactInstanceForProtocol(t, 300, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seed      uint64
+		cellsSize int
+		cells     string
+	}{
+		{7, 493, "a2290b65dae5c0a22871baa40a30d7e823ad1795d46cba73e658f4d5c6352109"},
+		{19, 493, "54903740a1ea046d1747a9d1d7acfdd429fe1100ec134141ef26bb78fbdcbd04"},
+	} {
+		// The cold exchange's first request, read off its first block.
+		cold := RatelessConfig{Universe: testU, Seed: tc.seed}
+		rec := new(recordingTransport)
+		runPair(t,
+			func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, cold, inst.alice) },
+			func(tr transport.Transport) error {
+				rec.Transport = tr
+				_, err := RunRatelessBob(bg, rec, cold, inst.bob)
+				return err
+			})
+		var first iblt.CellBlock
+		if err := first.UnmarshalBinary(rec.got[1][1:]); err != nil {
+			t.Fatal(err)
+		}
+		warm := RatelessConfig{Universe: testU, Seed: tc.seed, First: first.Len()}
+		bob, alice := new(recordingTransport), new(recordingTransport)
+		runPair(t,
+			func(tr transport.Transport) error {
+				alice.Transport = tr
+				return RunRatelessAlice(bg, alice, warm, inst.alice)
+			},
+			func(tr transport.Transport) error {
+				bob.Transport = tr
+				got, err := RunRatelessBob(bg, bob, warm, inst.bob)
+				if err == nil && (!points.EqualMultisets(got.SPrime, inst.alice) || got.Diff != 20) {
+					t.Errorf("seed %d: warm sync decoded %d keys, converged %v; want 20, true",
+						tc.seed, got.Diff, points.EqualMultisets(got.SPrime, inst.alice))
+				}
+				return err
+			})
+		body := bob.got[0][1:]
+		sum := sha256.Sum256(body)
+		if bob.got[0][0] != MsgCells || len(body) != tc.cellsSize || hex.EncodeToString(sum[:]) != tc.cells {
+			t.Errorf("seed %d: warm opening frame 0x%02x of %d bytes, sha256 %x; want CELLS of %d bytes, %s",
+				tc.seed, bob.got[0][0], len(body), sum, tc.cellsSize, tc.cells)
+		}
+		var cells, requests int
+		for _, m := range bob.got {
+			if m[0] == MsgStrata {
+				t.Errorf("seed %d: a warm exchange carried STRATA", tc.seed)
+			}
+			cells += boolInt(m[0] == MsgCells)
+		}
+		for _, m := range alice.got {
+			requests += boolInt(m[0] == MsgCellsRequest)
+		}
+		if requests != cells-1 {
+			t.Errorf("seed %d: %d CELLS answered %d requests; the first rode the hello", tc.seed, cells, requests)
+		}
+	}
+	hello, err := Hello{Strategy: StrategyRateless, Dataset: "d", Config: binary.LittleEndian.AppendUint32(nil, 97)}.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "0601000000640400000061000000"; hex.EncodeToString(hello) != want {
+		t.Errorf("warm rateless hello %x, want %s", hello, want)
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestRatelessWarmFirst pins the warm opening's first request: the hint
+// times 1.4 plus 8 cells, truncated as the cold request is, while that is
+// at most 512 cells — up to a hint of 360 keys (1.4 × 360 rounds down to
+// 503) — and cold (0) above that or for a negative hint.
+func TestRatelessWarmFirst(t *testing.T) {
+	cfg := RatelessConfig{}
+	for hint, want := range map[int]int{0: 8, 1: 9, 64: 97, 360: 511, 361: 0, 1 << 40: 0, -1: 0} {
+		if got := cfg.WarmFirst(hint); got != want {
+			t.Errorf("WarmFirst(%d) = %d, want %d", hint, got, want)
+		}
+	}
+	if got := (RatelessConfig{InitialFactor: 2}).WarmFirst(64); got != 136 {
+		t.Errorf("WarmFirst(64) at factor 2 = %d, want 136", got)
+	}
+}
+
+// TestRatelessWarmUndershootCellsPerKey is the warm twin of
+// TestRatelessUndershootCellsPerKey: a first request a twentieth of what
+// the difference needs still streams under 2 cells a differing key.
+func TestRatelessWarmUndershootCellsPerKey(t *testing.T) {
+	inst, err := exactInstanceForProtocol(t, 2000, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const diff = 2 * 400
+	cfg := RatelessConfig{Universe: testU, Seed: 7, First: int(0.05*1.4*diff) + minChunkCells}
+	rec := new(recordingTransport)
+	runPair(t,
+		func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, cfg, inst.alice) },
+		func(tr transport.Transport) error {
+			rec.Transport = tr
+			got, err := RunRatelessBob(bg, rec, cfg, inst.bob)
+			if err == nil && (!points.EqualMultisets(got.SPrime, inst.alice) || got.Diff != diff) {
+				t.Errorf("warm rateless result diverged (%d keys decoded)", got.Diff)
+			}
+			return err
+		})
+	last := rec.got[len(rec.got)-1]
+	var block iblt.CellBlock
+	if last[0] != MsgCells || block.UnmarshalBinary(last[1:]) != nil {
+		t.Fatal("exchange did not end on a CELLS block")
+	}
+	streamed := block.Start + block.Len()
+	perKey := float64(streamed) / diff
+	t.Logf("warm undershoot ×20: %d cells over %d rounds for %d differing keys (%.2f a key)",
+		streamed, len(rec.got), diff, perKey)
+	if rec.got[0][0] != MsgCells {
+		t.Errorf("warm exchange opened with 0x%02x, want CELLS", rec.got[0][0])
+	}
+	if perKey > 2 {
+		t.Errorf("%d cells streamed for %d differing keys: %.2f a key, above 2", streamed, diff, perKey)
+	}
+}
+
+// TestRatelessWarmRequestRefused: a warm first request outside the bound
+// a MORE is held to is refused, the refusal relayed, before the opening is
+// built — the serving side allocates nothing for it.
+func TestRatelessWarmRequestRefused(t *testing.T) {
+	max := maxChunkFor(RatelessConfig{Universe: testU}.extend().KeyLen)
+	for _, first := range []int{max + 1, -1} {
+		cfg := RatelessConfig{Universe: testU, Seed: 1, First: first}
+		opened := false
+		err := driveAlice(t, func(tr transport.Transport) error {
+			return RunRatelessServed(bg, tr, cfg, func() (*RatelessOpening, error) {
+				opened = true
+				return nil, errors.New("opened")
+			})
+		}, func(tr transport.Transport) {
+			var remote *RemoteError
+			if _, err := recvExpect(bg, tr, MsgCells); !errors.As(err, &remote) {
+				t.Errorf("first %d: fetching side got %v, want the relayed *RemoteError", first, err)
+			}
+		})
+		if err == nil || opened {
+			t.Errorf("first %d: serve returned %v after opening=%v; want a refusal before the opening", first, err, opened)
 		}
 	}
 }

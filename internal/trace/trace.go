@@ -328,6 +328,12 @@ const StatUnchanged = "unchanged"
 // prefix). Adaptive sessions, answered from the Maintainer, always say 1.
 const StatServedState = "served_state"
 
+// StatWarm is the stat both ends of a rateless session record when it
+// opened warm: its first block was sized from the difference the client's
+// last fetch of the dataset decoded, which the client records as
+// estimated_diff, and no strata estimator crossed.
+const StatWarm = "warm"
+
 // Stat returns the named stat's value and whether it was recorded.
 func (s *Snapshot) Stat(name string) (int64, bool) {
 	if s == nil {
@@ -387,6 +393,11 @@ func (s *Snapshot) format(w io.Writer, indent string) {
 		// A session that ended at its accept has no phases to show; say
 		// why rather than print what looks like an empty session.
 		fmt.Fprintf(w, "%s  converged at handshake, 0 sketch bytes\n", indent)
+	}
+	if hint, ok := s.Stat("estimated_diff"); ok {
+		if v, _ := s.Stat(StatWarm); v > 0 { // a client's trace: the server's knows no hint
+			fmt.Fprintf(w, "%s  warm opening: first block sized from the last difference (%d keys), no strata\n", indent, hint)
+		}
 	}
 	if v, ok := s.Stat(StatServedState); ok && v > 0 {
 		fmt.Fprintf(w, "%s  answered from the dataset's maintained state\n", indent)

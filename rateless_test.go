@@ -2,9 +2,11 @@ package robustset_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,5 +161,273 @@ func TestRatelessServedFromStateLeavesNothing(t *testing.T) {
 		if got, ok := tr.Stat("served_state"); !ok || got != want {
 			t.Fatalf("trace %d: served_state = %d (recorded %v), want %d", i, got, ok, want)
 		}
+	}
+}
+
+// ratelessClient dials addr and opens a traced rateless session of
+// dataset "d"; *last is each fetch's client trace.
+func ratelessClient(t *testing.T, ctx context.Context, addr string, last **robustset.SessionTrace) (*robustset.Client, *robustset.ClientSession) {
+	t.Helper()
+	cl, err := robustset.DialClient(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	sess, err := cl.Session("d", robustset.Rateless{},
+		robustset.WithSessionTrace(func(st *robustset.SessionTrace) { *last = st }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl, sess
+}
+
+// frameRows sums a trace's wire table: messages per frame type, and the
+// bytes and messages per direction.
+func frameRows(snap *robustset.SessionTrace) (msgs map[string]int64, st robustset.TransferStats) {
+	msgs = map[string]int64{}
+	for _, f := range snap.Frames {
+		msgs[f.Type] += f.Msgs
+		if f.Dir == "in" {
+			st.BytesRecv, st.MsgsRecv = st.BytesRecv+f.Bytes, st.MsgsRecv+f.Msgs
+		} else {
+			st.BytesSent, st.MsgsSent = st.BytesSent+f.Bytes, st.MsgsSent+f.Msgs
+		}
+	}
+	return msgs, st
+}
+
+// spanCount counts a trace's spans of one name.
+func spanCount(snap *robustset.SessionTrace, name string) int {
+	n := 0
+	for _, sp := range snap.Spans {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRatelessWarmOpening follows one Client's rateless fetches of a
+// churning dataset. The first opens cold: strata, then cells. The second
+// opens warm from the 40 keys the first decoded: no strata span or frame,
+// no request before the first CELLS, one cells round for a 5-key
+// difference, estimated_diff the hint, a wire table that sums exactly to
+// the transport's count, the explain line, and a server trace answered
+// from the maintained state with no cold session counted. A failed fetch
+// makes the next one cold, and so does a hint whose first block would be
+// above 512 cells.
+func TestRatelessWarmOpening(t *testing.T) {
+	alice, bob := ratelessExactPair(2000, 20)
+	params := robustset.Params{Universe: testU, Seed: 37, DiffBudget: 20}
+	m := robustset.NewMetrics()
+	tl := robustset.NewTraceLog()
+	srv := robustset.NewServer(robustset.WithServerMetrics(m), robustset.WithServerTracing(tl))
+	d, err := srv.Publish("d", params, alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var snap *robustset.SessionTrace
+	_, sess := ratelessClient(t, ctx, addr.String(), &snap)
+	fetch := func(local []robustset.Point) (*robustset.SyncResult, robustset.TransferStats) {
+		t.Helper()
+		res, st, err := sess.Fetch(ctx, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !robustset.EqualMultisets(res.SPrime, d.Snapshot()) {
+			t.Fatal("fetch differs from the server's multiset")
+		}
+		return res, st
+	}
+	warm := func(what string, want bool) {
+		t.Helper()
+		msgs, _ := frameRows(snap)
+		w, _ := snap.Stat("warm")
+		if strata := msgs["STRATA"] + int64(spanCount(snap, "strata")); (w == 1) != want || (strata == 0) != want {
+			t.Fatalf("%s: warm=%d, %d STRATA frames, %d strata spans; want warm %v", what, w, msgs["STRATA"], spanCount(snap, "strata"), want)
+		}
+	}
+
+	res, _ := fetch(bob)
+	warm("first fetch", false)
+
+	if err := errors.Join(d.AddBatch([]robustset.Point{{1, 2}, {3, 4}, {1, 2}}), d.RemoveBatch(alice[100:102])); err != nil {
+		t.Fatal(err)
+	}
+	res, st := fetch(res.SPrime)
+	warm("second fetch", true)
+	msgs, rows := frameRows(snap)
+	if est, _ := snap.Stat("estimated_diff"); est != 40 || msgs["CELLS_REQUEST"] != 0 || spanCount(snap, "cells_round") != 1 {
+		t.Errorf("warm fetch: estimated_diff %d, %d CELLS_REQUEST frames, %d cells rounds; want 40, 0, 1",
+			est, msgs["CELLS_REQUEST"], spanCount(snap, "cells_round"))
+	}
+	if rows != st || snap.BytesIn != st.BytesRecv || snap.BytesOut != st.BytesSent {
+		t.Errorf("warm fetch: frame rows sum to %+v, the transport counted %+v", rows, st)
+	}
+	var out strings.Builder
+	snap.Format(&out)
+	if line := "warm opening: first block sized from the last difference (40 keys), no strata"; !strings.Contains(out.String(), line) {
+		t.Errorf("explain output lacks %q:\n%s", line, out.String())
+	}
+	// The server files a session's trace after it closes the stream the
+	// fetch waits for: wait for the second trace to land.
+	var server *robustset.SessionTrace
+	for deadline := time.Now().Add(10 * time.Second); server == nil; runtime.Gosched() {
+		if recent := tl.Recent(); len(recent) == 2 {
+			server = recent[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("%d server traces after two fetches", len(recent))
+		}
+	}
+	if w, _ := server.Stat("warm"); w != 1 {
+		t.Errorf("server trace of the warm session: warm=%d", w)
+	}
+	if served, _ := server.Stat("served_state"); served != 1 {
+		t.Errorf("server trace of the warm session: served_state=%d", served)
+	}
+	if got := m.Snapshot()["server_sessions_cold_total"]; got != 1 {
+		t.Errorf("server_sessions_cold_total = %d after a cold and a warm fetch, want 1", got)
+	}
+
+	// A failed fetch forgets the hint.
+	if _, _, err := sess.Fetch(ctx, []robustset.Point{{-1, 0}}); err == nil {
+		t.Fatal("a fetch of a point outside the universe succeeded")
+	}
+	res, _ = fetch(res.SPrime)
+	warm("fetch after a failed one", false)
+
+	// 200 replaced points: a 400-key difference, decoded warm from a hint
+	// of 0; the next first block would be 568 cells, so it opens cold.
+	local := robustset.ClonePoints(res.SPrime)
+	for i := range 200 {
+		local[i] = robustset.Point{int64(i)*41 + 7, int64(i)*43 + 11}
+	}
+	res, _ = fetch(local)
+	warm("fetch after a clean one", true)
+	fetch(res.SPrime)
+	warm("fetch after a 400-key difference", false)
+}
+
+// TestRatelessWarmZeroDiff: a fetch whose set is unchanged, opened warm
+// from a 360-key hint — the largest that opens warm, a 511-cell first
+// block — moves no more bytes than a cold fetch of it, which sends the
+// 16 × 32-cell strata estimator and a minimal block instead.
+func TestRatelessWarmZeroDiff(t *testing.T) {
+	alice, bob := ratelessExactPair(20000, 180)
+	srv := robustset.NewServer()
+	if _, err := srv.Publish("d", robustset.Params{Universe: testU, Seed: 41, DiffBudget: 20}, alice); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var snap *robustset.SessionTrace
+	_, sess := ratelessClient(t, ctx, addr.String(), &snap)
+	if _, _, err := sess.Fetch(ctx, bob); err != nil {
+		t.Fatal(err)
+	}
+	if est, _ := snap.Stat("actual_diff"); est != 360 {
+		t.Fatalf("first fetch decoded %d keys, want 360", est)
+	}
+	_, warm, err := sess.Fetch(ctx, alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := snap.Stat("warm"); w != 1 {
+		t.Fatal("the fetch after a 360-key difference opened cold")
+	}
+	_, coldSess := ratelessClient(t, ctx, addr.String(), &snap)
+	_, cold, err := coldSess.Fetch(ctx, alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("no difference: warm from a 360-key hint %d B, cold %d B", warm.Total(), cold.Total())
+	if warm.Total() > cold.Total() {
+		t.Errorf("warm fetch of an unchanged set moved %d bytes, a cold one %d", warm.Total(), cold.Total())
+	}
+}
+
+// TestRatelessConcurrentWarmFetches runs fetches of one dataset
+// concurrently on one ClientSession, so hints are read and written from
+// many goroutines at once (run it under -race); every fetch converges.
+func TestRatelessConcurrentWarmFetches(t *testing.T) {
+	alice, bob := ratelessExactPair(1000, 10)
+	srv := robustset.NewServer()
+	if _, err := srv.Publish("d", robustset.Params{Universe: testU, Seed: 43, DiffBudget: 20}, alice); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sess, err := cl.Session("d", robustset.Rateless{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 32)
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 4 {
+				local := bob
+				if (g+i)%2 == 1 {
+					local = alice
+				}
+				res, _, err := sess.Fetch(ctx, local)
+				if err == nil && !robustset.EqualMultisets(res.SPrime, alice) {
+					err = errors.New("fetch did not converge")
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestRatelessWarmHelloRefused: a hello whose warm first request is above
+// the bound a MORE is held to is accepted as a hello, then refused by the
+// rateless session before it opens: the client gets the server's
+// *RemoteError, and the dataset builds no state (no cold session).
+func TestRatelessWarmHelloRefused(t *testing.T) {
+	alice, bob := ratelessExactPair(300, 10)
+	params := robustset.Params{Universe: testU, Seed: 47, DiffBudget: 10}
+	m := robustset.NewMetrics()
+	srv := robustset.NewServer(robustset.WithServerMetrics(m), WithTestLogger(t))
+	if _, err := srv.Publish("d", params, alice); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	const first = 1<<20 + 1
+	st := openStream(t, addr.String())
+	hello := protocol.Hello{Strategy: protocol.StrategyRateless, Dataset: "d", Config: binary.LittleEndian.AppendUint32(nil, first)}
+	p, err := protocol.RunHelloClient(ctx, st, hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := protocol.RatelessConfig{Universe: p.Universe, Seed: p.Seed, First: first}
+	_, err = protocol.RunRatelessBob(ctx, st, cfg, bob)
+	var remote *protocol.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Reason, "outside") {
+		t.Fatalf("warm hello asking for %d cells: %v, want the server's *RemoteError", first, err)
+	}
+	if got := m.Snapshot()["server_sessions_cold_total"]; got != 0 {
+		t.Errorf("server_sessions_cold_total = %d: the refused session built the dataset's state", got)
 	}
 }

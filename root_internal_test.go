@@ -312,7 +312,7 @@ func TestFetchDatasetMutationAfterRootRead(t *testing.T) {
 					srv.serveSession(ctx, bt, hello, &net.TCPAddr{})
 				}
 			}()
-			res, err := sess.fetchOver(ctx, &hookedTransport{Transport: at, before: before}, local, nil)
+			res, err := sess.fetchOver(ctx, &hookedTransport{Transport: at, before: before}, strat, local, nil)
 			at.Close()
 			<-done
 			if err != nil {

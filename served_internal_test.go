@@ -243,7 +243,7 @@ func servedFetchSession(t *testing.T, srv *Server, sess *Session, local []Point,
 		tap.beforeRecv = beforeRecv // counts from the first request after the hello
 		srv.serveSession(ctx, tap, hello, &net.TCPAddr{})
 	}()
-	res, err := sess.fetchOver(ctx, at, nil, local)
+	res, err := sess.fetchOver(ctx, at, sess.strategy, nil, local)
 	at.Close()
 	<-done
 	if err != nil {

@@ -189,7 +189,8 @@ func (d *Dataset) rangeView() (protocol.TreeView, error) {
 }
 
 // ratelessOpening captures, under one hold of d.mu and in O(cells), what
-// one rateless session is served from, building the state on first use.
+// one rateless session is served from — no estimator for a warm one —
+// building the state on first use.
 // Rest snapshots the points for a session that outruns the prefix and
 // says whether the root is still the captured one. *cold is set when the
 // session reads the points, here or there.
@@ -205,7 +206,7 @@ func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *p
 			return nil, err
 		}
 	}
-	if o, err = d.exact.Opening(); err != nil {
+	if o, err = d.exact.Opening(cfg.First != 0); err != nil {
 		return nil, err
 	}
 	version := d.root.Agg

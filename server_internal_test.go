@@ -1,6 +1,7 @@
 package robustset
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -87,6 +88,24 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 	}
 	if _, err := strategyFromCode(0x7e, nil); err == nil {
 		t.Error("unknown strategy code accepted")
+	}
+	// Rateless's config is its warm first request, one u32: the empty
+	// config of MuxVersion 4 is refused with the other wrong lengths, and
+	// the word a warm strategy writes is the one the server reads.
+	for _, size := range []int{0, 3, 5} {
+		if _, err := strategyFromCode(protocol.StrategyRateless, make([]byte, size)); err == nil {
+			t.Errorf("rateless with a %d-byte config accepted", size)
+		}
+	}
+	warm := Rateless{}.warm(64)
+	if cfg := warm.helloConfig(); !bytes.Equal(cfg, []byte{97, 0, 0, 0}) {
+		t.Errorf("warm rateless hello config %x, want 61000000", cfg)
+	}
+	if got, err := strategyFromCode(protocol.StrategyRateless, warm.helloConfig()); err != nil || got.(Rateless).first != 97 {
+		t.Errorf("warm rateless config decoded as %+v, %v; want a first request of 97 cells", got, err)
+	}
+	if cold := (Rateless{}).warm(361); cold.first != 0 || !bytes.Equal(cold.helloConfig(), []byte{0, 0, 0, 0}) {
+		t.Errorf("a hint above the 512-cell bound opened warm: %+v", cold)
 	}
 
 	// The same table with the hello's tail: after each code's own config a

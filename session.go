@@ -112,6 +112,9 @@ type SyncResult struct {
 	// or the snapshot FetchDataset took once the server had not said
 	// "same". The replicator diffs exact results against it.
 	local []Point
+	// diff is the size of the difference a Rateless fetch decoded, in
+	// keys: the hint its Client sizes the next warm opening from.
+	diff int
 }
 
 // EMD returns the exact Earth Mover's Distance between the result and
@@ -226,14 +229,24 @@ func (a Adaptive) fetch(ctx context.Context, t transport.Transport, p Params, lo
 // the cells it was short — wire cost tracks the actual difference, not
 // the estimate. It is the right tool when values match bit-for-bit; under
 // value noise its cost degenerates to Θ(n).
+//
+// A Client that has fetched a dataset rateless before opens warm: its
+// hello asks for a first block sized from the difference the last fetch
+// decoded, the server answers it with the accept, and no strata estimator
+// is built or sent. Peer-to-peer sessions and first fetches open cold.
 type Rateless struct {
-	// InitialFactor scales the strata estimate into the first requested
-	// cell increment (fetch side only; 0 means 1.4, the stream's
-	// empirical decode overhead).
+	// InitialFactor scales the difference the first requested cell
+	// increment is sized from — the strata estimate, or on a warm opening
+	// the last fetch's difference — (fetch side only; 0 means 1.4, the
+	// stream's empirical decode overhead).
 	InitialFactor float64
 	// MaxBytes caps the total streamed cell bytes before the fetching
 	// side gives up (fetch side only; 0 means 64 MiB).
 	MaxBytes int64
+
+	// first is a warm opening's first request, in cells, carried by the
+	// hello; 0 opens cold. hint is the difference it was sized from.
+	first, hint int
 }
 
 // Name implements Strategy.
@@ -249,8 +262,21 @@ func (r Rateless) validate() error {
 	return nil
 }
 
-func (Rateless) code() byte          { return protocol.StrategyRateless }
-func (Rateless) helloConfig() []byte { return nil }
+func (Rateless) code() byte { return protocol.StrategyRateless }
+
+func (r Rateless) helloConfig() []byte {
+	return binary.LittleEndian.AppendUint32(nil, uint32(r.first))
+}
+
+// warm returns r opening warm from hint, the size of the difference the
+// last fetch of the dataset decoded — or r, cold, when the first block
+// sized from it would be above protocol's 512-cell bound.
+func (r Rateless) warm(hint int) Rateless {
+	if r.first = (protocol.RatelessConfig{InitialFactor: r.InitialFactor}).WarmFirst(hint); r.first != 0 {
+		r.hint = hint
+	}
+	return r
+}
 
 func (r Rateless) config(p Params) protocol.RatelessConfig {
 	return protocol.RatelessConfig{
@@ -258,6 +284,7 @@ func (r Rateless) config(p Params) protocol.RatelessConfig {
 		Seed:          p.Seed,
 		InitialFactor: r.InitialFactor,
 		MaxBytes:      r.MaxBytes,
+		First:         r.first,
 	}
 }
 
@@ -279,11 +306,14 @@ func (r Rateless) serveDataset(ctx context.Context, t transport.Transport, p Par
 }
 
 func (r Rateless) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
-	sp, err := protocol.RunRatelessBob(ctx, t, r.config(p), local)
+	if r.first != 0 {
+		trace.FromContext(ctx).Stat("estimated_diff", int64(r.hint))
+	}
+	res, err := protocol.RunRatelessBob(ctx, t, r.config(p), local)
 	if err != nil {
 		return nil, err
 	}
-	return &SyncResult{SPrime: sp}, nil
+	return &SyncResult{SPrime: res.SPrime, diff: res.Diff}, nil
 }
 
 // Ranged is divide-and-conquer exact synchronization over the Morton
@@ -485,7 +515,9 @@ func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 	case protocol.StrategyNaive:
 		s, err = Naive{}, exact(0)
 	case protocol.StrategyRateless:
-		s, err = Rateless{}, exact(0)
+		if err = exact(4); err == nil {
+			s = Rateless{first: int(binary.LittleEndian.Uint32(cfg))}
+		}
 	case protocol.StrategyRanged:
 		if err = exact(3); err == nil {
 			s = Ranged{Branch: int(cfg[0]), ItemLimit: int(cfg[1]) | int(cfg[2])<<8}
@@ -665,19 +697,19 @@ func (s *Session) ServeSketch(ctx context.Context, conn net.Conn, sk *Sketch) (T
 // accounting.
 func (s *Session) Fetch(ctx context.Context, conn net.Conn, local []Point) (*SyncResult, TransferStats, error) {
 	t := s.newTransport(conn)
-	res, err := s.fetchOver(ctx, t, nil, local)
+	res, err := s.fetchOver(ctx, t, s.strategy, nil, local)
 	st := t.Stats()
 	s.emit(st)
 	return res, st, err
 }
 
-// hello is the handshake opening a Client's session sends on its stream;
-// with a local dataset it carries that dataset's root as of now.
-func (s *Session) hello(local *Dataset) protocol.Hello {
+// hello is the handshake opening a Client's session of strat sends on its
+// stream; with a local dataset it carries that dataset's root as of now.
+func (s *Session) hello(strat Strategy, local *Dataset) protocol.Hello {
 	h := protocol.Hello{
-		Strategy: s.strategy.code(),
+		Strategy: strat.code(),
 		Dataset:  s.dataset,
-		Config:   s.strategy.helloConfig(),
+		Config:   strat.helloConfig(),
 	}
 	if local != nil {
 		root := local.rootAgg()
@@ -686,16 +718,17 @@ func (s *Session) hello(local *Dataset) protocol.Hello {
 	return h
 }
 
-// fetchOver runs one fetch over t. With d set — a Client's session only —
-// the hello carries d's root, an accept marked "same" ends the fetch with
-// an Unchanged result, and d's snapshot is taken as local only after the
+// fetchOver runs one fetch of strat — the session's strategy, or a Client's
+// warm Rateless — over t. With d set — a Client's session only — the hello
+// carries d's root, an accept marked "same" ends the fetch with an
+// Unchanged result, and d's snapshot is taken as local only after the
 // server has not said so; the session then goes on on the same stream.
-func (s *Session) fetchOver(ctx context.Context, t transport.Transport, d *Dataset, local []Point) (res *SyncResult, err error) {
+func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat Strategy, d *Dataset, local []Point) (res *SyncResult, err error) {
 	p := s.params
 	var tr *trace.Trace
 	if s.traceSink != nil {
 		tr = trace.New("client")
-		tr.Label(s.dataset, s.strategy.Name(), "")
+		tr.Label(s.dataset, strat.Name(), "")
 		ctx = trace.NewContext(ctx, tr)
 		defer func() {
 			tr.Finish(err)
@@ -710,7 +743,7 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, d *Datas
 		// A Client's session on one stream of its connection: name the
 		// dataset and adopt the parameters the server dictates.
 		sp := tr.Begin("hello")
-		acc, err := protocol.RunHello(ctx, t, s.hello(d))
+		acc, err := protocol.RunHello(ctx, t, s.hello(strat, d))
 		if err != nil {
 			return nil, err
 		}
@@ -724,7 +757,7 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, d *Datas
 			local = d.Snapshot()
 		}
 	}
-	res, err = s.strategy.fetch(ctx, t, p, local)
+	res, err = strat.fetch(ctx, t, p, local)
 	if err != nil {
 		return nil, err
 	}

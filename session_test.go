@@ -57,6 +57,25 @@ func TestSessionAllStrategies(t *testing.T) {
 	}
 }
 
+// readSignal is a net.Conn that closes reading when its first Read
+// begins. A session arms the context's cancellation on the connection
+// before it reads, so a cancel after the signal lands on a Read that
+// blocks, or is about to, on a peer that never speaks.
+type readSignal struct {
+	net.Conn
+	reading chan struct{}
+	once    sync.Once
+}
+
+func newReadSignal(c net.Conn) *readSignal {
+	return &readSignal{Conn: c, reading: make(chan struct{})}
+}
+
+func (r *readSignal) Read(p []byte) (int, error) {
+	r.once.Do(func() { close(r.reading) })
+	return r.Conn.Read(p)
+}
+
 // TestSessionFetchCancel asserts that cancelling the context aborts a
 // fetch blocked on a silent peer, well within the test's deadline.
 func TestSessionFetchCancel(t *testing.T) {
@@ -69,11 +88,12 @@ func TestSessionFetchCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
+	conn := newReadSignal(c2)
 	go func() {
-		_, _, err := sess.Fetch(ctx, c2, nil)
+		_, _, err := sess.Fetch(ctx, conn, nil)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-conn.reading
 	cancel()
 	select {
 	case err := <-done:
@@ -99,11 +119,12 @@ func TestSessionServeCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
+	conn := newReadSignal(c1)
 	go func() {
-		_, err := sess.Serve(ctx, c1, alice)
+		_, err := sess.Serve(ctx, conn, alice)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-conn.reading
 	cancel()
 	select {
 	case err := <-done:
