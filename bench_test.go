@@ -413,7 +413,7 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 					b.Fatal(err)
 				}
 				if cold {
-					robustset.ForgetRatelessHint(cl, "churn")
+					robustset.ForgetHints(cl, "churn")
 				}
 				res, st, err := sess.Fetch(ctx, local)
 				if err != nil {
@@ -435,6 +435,87 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 			}
 			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
+	}
+}
+
+// BenchmarkRobustFetch20k is the ruler's robust_noisy op as a Go
+// benchmark: a server holding 20 000 points under all 21 levels of the
+// universe, a loopback client holding a noisy copy with 64 outliers, one
+// one-shot Fetch per iteration. warm is the ruler's op: every fetch after
+// the first asks for the window from one level finer than the last one
+// chose. cold makes the client forget that before every fetch, so each
+// gets the full sketch. tables-parsed/op counts the level tables the
+// client's SKETCH carried.
+func BenchmarkRobustFetch20k(b *testing.B) {
+	const n = 20000
+	inst, err := workload.Generate(workload.Config{
+		N: n, Universe: benchUniverse, Outliers: 64, Noise: workload.NoiseUniform, Scale: 4, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := robustset.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 160}
+	for _, cold := range []bool{false, true} {
+		name := map[bool]string{false: "warm", true: "cold"}[cold]
+		b.Run(name, func(b *testing.B) {
+			srv := robustset.NewServer()
+			defer srv.Close()
+			if _, err := srv.Publish("noisy", params, inst.Alice); err != nil {
+				b.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() { _ = srv.Serve(ln) }() // returns ErrServerClosed on Close
+			ctx := context.Background()
+			cl, err := robustset.DialClient(ctx, ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			var tables int64
+			count := robustset.WithSessionTrace(func(st *robustset.SessionTrace) {
+				top, _ := st.Stat("max_level")
+				if lo, ok := st.Stat("window_lo"); ok {
+					tables += top - lo + 1
+				} else {
+					tables += int64(params.Universe.Levels() + 1)
+				}
+			})
+			sess, err := cl.Session("noisy", robustset.Robust{}, count)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wire int64
+			var first *robustset.SyncResult
+			fetch := func() {
+				if cold {
+					robustset.ForgetHints(cl, "noisy")
+				}
+				res, st, err := sess.Fetch(ctx, inst.Bob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if first == nil {
+					first = res
+				} else if res.Robust.Level != first.Robust.Level || len(res.SPrime) != len(first.SPrime) {
+					b.Fatalf("fetch chose level %d (%d points), the first %d (%d points)",
+						res.Robust.Level, len(res.SPrime), first.Robust.Level, len(first.SPrime))
+				}
+				wire += st.Total()
+			}
+			fetch() // the first session marshals the blob the server caches
+			wire, tables = 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fetch()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
+			b.ReportMetric(float64(tables)/float64(b.N), "tables-parsed/op")
 		})
 	}
 }

@@ -48,9 +48,17 @@ type Client struct {
 	prev     TransferStats // accounting of connections already torn down
 	redials  int64
 	sessions int64
-	// hints holds, per dataset name, the size of the difference the last
-	// rateless fetch of it decoded; the next one opens warm from it.
-	hints map[string]int
+	// hints holds, per dataset name and warm strategy, what the last fetch
+	// of the dataset with the strategy left the next one to open warm from:
+	// the size of the difference a rateless fetch decoded, the low end of
+	// the next robust fetch's window.
+	hints map[hintKey]int
+}
+
+// hintKey names one of a Client's warm-start hints.
+type hintKey struct {
+	dataset string
+	code    byte // the strategy's wire code
 }
 
 // ClientOption configures a Client.
@@ -114,6 +122,7 @@ func DialClient(ctx context.Context, addr string, opts ...ClientOption) (*Client
 		maxStreams: 16,
 		window:     transport.DefaultMuxWindow,
 		logf:       func(string, ...any) {},
+		hints:      make(map[hintKey]int),
 	}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
@@ -269,42 +278,48 @@ func (cs *ClientSession) FetchDataset(ctx context.Context, local *Dataset) (*Syn
 	return cs.fetch(ctx, local, nil)
 }
 
-// warm returns r for the next fetch of dataset: warm from the difference
-// the last rateless fetch of it decoded, or cold if there is none.
-func (c *Client) warm(dataset string, r Rateless) Rateless {
+// warm returns w for the next fetch of dataset: warm from the hint the
+// last fetch of it with w's strategy left, or w itself, cold, if there is
+// none.
+func (c *Client) warm(dataset string, w warmStrategy) Strategy {
 	c.mu.Lock()
-	hint, ok := c.hints[dataset]
+	hint, ok := c.hints[hintKey{dataset, w.code()}]
 	c.mu.Unlock()
 	if !ok {
-		return r
+		return w
 	}
-	return r.warm(hint)
+	return w.warm(hint)
 }
 
-// learn keeps the difference a rateless fetch of dataset decoded as the
-// next one's hint, and forgets the hint after a failed fetch. A fetch that
-// ended at the handshake decoded nothing and leaves the hint as it was.
-func (c *Client) learn(dataset string, res *SyncResult, err error) {
+// learn keeps the hint a fetch of dataset with w's strategy leaves for the
+// next one, and forgets it after a failed fetch or a result that leaves
+// none. A fetch that ended at the handshake decoded nothing and leaves the
+// hint as it was.
+func (c *Client) learn(dataset string, w warmStrategy, res *SyncResult, err error) {
+	if err == nil && res.Unchanged {
+		return
+	}
+	key := hintKey{dataset, w.code()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case err != nil:
-		delete(c.hints, dataset)
-	case !res.Unchanged:
-		if c.hints == nil {
-			c.hints = make(map[string]int)
+	if err == nil {
+		if hint, ok := w.hintFrom(res); ok {
+			c.hints[key] = hint
+			return
 		}
-		c.hints[dataset] = res.diff
 	}
+	delete(c.hints, key)
 }
 
-// fetch runs one session: against d when it is set, else against local. A
-// Rateless session opens warm when an earlier one of the dataset decoded.
+// fetch runs one fetch: against d when it is set, else against local.
+// Rateless and Robust sessions open warm when an earlier fetch of the
+// dataset left a hint. A warm robust session that chooses no level of its
+// window is run again, cold, on a new stream; the stats count both.
 func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (res *SyncResult, stats TransferStats, err error) {
 	c, strat := cs.c, cs.sess.strategy
-	if r, ok := strat.(Rateless); ok {
-		strat = c.warm(cs.sess.dataset, r)
-		defer func() { c.learn(cs.sess.dataset, res, err) }()
+	if w, ok := strat.(warmStrategy); ok {
+		strat = c.warm(cs.sess.dataset, w)
+		defer func() { c.learn(cs.sess.dataset, w, res, err) }()
 	}
 	select {
 	case c.sem <- struct{}{}:
@@ -312,10 +327,22 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 		return nil, TransferStats{}, ctx.Err()
 	}
 	defer func() { <-c.sem }()
+	res, stats, err = cs.session(ctx, strat, d, local)
+	if errors.Is(err, protocol.ErrWindowMiss) {
+		var cold TransferStats
+		res, cold, err = cs.session(ctx, cs.sess.strategy, d, local)
+		stats.Add(cold)
+	}
+	return res, stats, err
+}
+
+// session runs one session of strat on one stream of the connection,
+// redialing once a connection found dead before the session began.
+func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset, local []Point) (*SyncResult, TransferStats, error) {
+	c := cs.c
 	c.mu.Lock()
 	c.sessions++
 	c.mu.Unlock()
-
 	for attempt := 0; ; attempt++ {
 		m, err := c.ensure(ctx)
 		if err != nil {

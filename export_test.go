@@ -1,9 +1,13 @@
 package robustset
 
-// ForgetRatelessHint drops the difference c remembers for dataset, so its
-// next rateless fetch of it opens cold, as its first did.
-func ForgetRatelessHint(c *Client, dataset string) {
+// ForgetHints drops every hint c keeps for dataset, so its next fetch of
+// it opens cold, as its first did.
+func ForgetHints(c *Client, dataset string) {
 	c.mu.Lock()
-	delete(c.hints, dataset)
+	for key := range c.hints {
+		if key.dataset == dataset {
+			delete(c.hints, key)
+		}
+	}
 	c.mu.Unlock()
 }

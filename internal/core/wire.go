@@ -130,10 +130,54 @@ func (v *View) UnmarshalLevelTable(level, capacity int, blob []byte) (*iblt.Tabl
 	return unmarshalLevelTable(v.p, level, capacity, blob)
 }
 
+// SketchWindow cuts the window of levels [lo, MaxLevel] out of a
+// marshalled sketch without parsing a table of it. The window is head
+// followed by tail: head is blob's header with MinLevel lo and the table
+// count to match, tail is blob from level lo's table on, byte for byte.
+// Since no level's table depends on MinLevel, that is the sketch
+// BuildSketch writes under the parameters WithLevels(lo, MaxLevel). A lo
+// outside (MinLevel, MaxLevel] is ErrLevelOutOfRange.
+func SketchWindow(blob []byte, lo int) (head, tail []byte, err error) {
+	if len(blob) < sketchHeaderSize || string(blob[:4]) != sketchMagic {
+		return nil, nil, errors.New("core: sketch: bad magic or short header")
+	}
+	p := parseParams(blob[4:])
+	if lo <= p.MinLevel || lo > p.MaxLevel {
+		return nil, nil, fmt.Errorf("%w: window from level %d of a sketch of levels [%d,%d]", ErrLevelOutOfRange, lo, p.MinLevel, p.MaxLevel)
+	}
+	off := sketchHeaderSize
+	for l := p.MinLevel; l < lo; l++ {
+		if off+4 > len(blob) {
+			return nil, nil, errors.New("core: sketch: truncated table header")
+		}
+		off += 4 + int(binary.LittleEndian.Uint32(blob[off:]))
+	}
+	if off > len(blob) {
+		return nil, nil, errors.New("core: sketch: truncated table body")
+	}
+	head = append(make([]byte, 0, sketchHeaderSize), sketchMagic...)
+	head = appendParams(head, p.WithLevels(lo, p.MaxLevel))
+	head = append(head, blob[4+ParamsWireSize:][:4]...) // the point count
+	head = binary.LittleEndian.AppendUint16(head, uint16(p.MaxLevel-lo+1))
+	return head, blob[off:], nil
+}
+
 // UnmarshalBinary parses MarshalBinary output. The sketch carries its
 // own parameters, so they are what its tables are held to: a table is at
 // most (KeyLen(MaxDim)+16)/9 times the bytes it arrived in.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
+	return s.unmarshal(data, nil)
+}
+
+// UnmarshalAs is UnmarshalBinary for a caller that knows the normalized
+// parameters the sketch must carry: a sketch of any others is refused with
+// ErrInconsistentSketch on its header, before a table of it is parsed.
+func (s *Sketch) UnmarshalAs(data []byte, want Params) error {
+	want.levelsSet = true // as on every Params read off the wire
+	return s.unmarshal(data, &want)
+}
+
+func (s *Sketch) unmarshal(data []byte, want *Params) error {
 	if len(data) < sketchHeaderSize || string(data[:4]) != sketchMagic {
 		return errors.New("core: sketch: bad magic or short header")
 	}
@@ -143,6 +187,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	p, err := p.Normalized()
 	if err != nil {
 		return fmt.Errorf("core: sketch: %w", err)
+	}
+	if want != nil && p != *want {
+		return fmt.Errorf("%w: sketch parameters %+v, want %+v", ErrInconsistentSketch, p, *want)
 	}
 	if nTables != p.MaxLevel-p.MinLevel+1 {
 		return fmt.Errorf("core: sketch: %d tables for level range [%d,%d]", nTables, p.MinLevel, p.MaxLevel)

@@ -8,7 +8,6 @@ import (
 
 	"robustset/internal/core"
 	"robustset/internal/ranges"
-	"robustset/internal/trace"
 	"robustset/internal/transport"
 )
 
@@ -46,8 +45,9 @@ const (
 // their own, version 3 the hello its root tail and the accept its "same"
 // byte, version 4 every IBLT a session carries the cell codec (blobs
 // "IBL3", "IBX2", "RSK2", "STR2"), version 5 the rateless hello its 4-byte
-// warm first request. Peers of another version are refused at parse time.
-const MuxVersion = 5
+// warm first request, version 6 the robust hello its optional 1-byte warm
+// window. Peers of another version are refused at parse time.
+const MuxVersion = 6
 
 // acceptSame is the byte that follows the parameters of an accept which
 // ends the session at the handshake.
@@ -83,9 +83,9 @@ type Hello struct {
 	// Dataset names the server-side dataset to reconcile against.
 	Dataset string
 	// Config is an opaque strategy-specific blob (e.g. the ranged branch
-	// factor, the CPI capacity, the rateless warm first request) that the
-	// serving side must honor for the two parties' sketches to be
-	// compatible.
+	// factor, the CPI capacity, the rateless warm first request, the robust
+	// warm window) that the serving side must honor for the two parties'
+	// sketches to be compatible.
 	Config []byte
 	// Root, when set, is the root aggregate of the client's local multiset
 	// under the key order and fingerprint hash of BuildRangeTree. A server
@@ -251,18 +251,6 @@ func RejectHello(ctx context.Context, t transport.Transport, reason error) error
 // protocols' fail-fast contract.
 func SendError(ctx context.Context, t transport.Transport, err error) error {
 	return sendErr(ctx, t, err)
-}
-
-// RunPushBlobAlice pushes a pre-marshaled sketch as the one-shot robust
-// protocol's single message. Servers snapshot a Maintainer's sketch under
-// their dataset lock and serve concurrent sessions from the blob.
-func RunPushBlobAlice(ctx context.Context, t transport.Transport, blob []byte) error {
-	sp := trace.FromContext(ctx).Begin("sketch_send")
-	if err := send(ctx, t, MsgSketch, blob); err != nil {
-		return err
-	}
-	sp.End(trace.I("bytes", int64(len(blob))))
-	return nil
 }
 
 // ---------------------------------------------------------------------

@@ -95,14 +95,21 @@ func (e *RemoteError) Error() string { return "protocol: peer error: " + e.Reaso
 // ErrUnexpectedMessage reports a protocol-state violation.
 var ErrUnexpectedMessage = errors.New("protocol: unexpected message type")
 
-// send transmits a typed message. The tag-plus-body encoding is built
-// in a recycled buffer: Transport.Send does not retain the slice, so it
-// goes straight back to the pool and the per-message allocation on the
-// send path disappears.
-func send(ctx context.Context, t transport.Transport, typ byte, body []byte) error {
-	msg := transport.GetBuf(1 + len(body))
+// send transmits a typed message whose body is the concatenation of
+// parts. The tag-plus-body encoding is built in a recycled buffer:
+// Transport.Send does not retain the slice, so it goes straight back to
+// the pool and the per-message allocation on the send path disappears.
+func send(ctx context.Context, t transport.Transport, typ byte, parts ...[]byte) error {
+	n := 1
+	for _, p := range parts {
+		n += len(p)
+	}
+	msg := transport.GetBuf(n)
 	msg[0] = typ
-	copy(msg[1:], body)
+	n = 1
+	for _, p := range parts {
+		n += copy(msg[n:], p)
+	}
 	err := t.Send(ctx, msg)
 	transport.PutBuf(msg)
 	return err

@@ -43,9 +43,86 @@ func RunPushSketchAlice(ctx context.Context, t transport.Transport, sk *core.Ske
 	return nil
 }
 
+// RunPushBlobAlice pushes a pre-marshaled sketch as the one-shot robust
+// protocol's single message. Servers snapshot a Maintainer's sketch under
+// their dataset lock and serve concurrent sessions from the blob.
+func RunPushBlobAlice(ctx context.Context, t transport.Transport, blob []byte) error {
+	sp := trace.FromContext(ctx).Begin("sketch_send")
+	if err := send(ctx, t, MsgSketch, blob); err != nil {
+		return err
+	}
+	sp.End(trace.I("bytes", int64(len(blob))))
+	return nil
+}
+
+// RunPushWindowAlice is RunPushBlobAlice for a warm session, one that
+// asked for the window [lo, MaxLevel] of the sketch of a dataset of
+// parameters p: the window core.SketchWindow cuts out of blob, written
+// straight into the send buffer. A lo outside (MinLevel, MaxLevel] is
+// refused, and the refusal relayed.
+func RunPushWindowAlice(ctx context.Context, t transport.Transport, p core.Params, blob []byte, lo int) error {
+	head, tail, err := core.SketchWindow(blob, lo)
+	if err != nil {
+		return sendErr(ctx, t, err)
+	}
+	tr := trace.FromContext(ctx)
+	windowStats(tr, p, lo)
+	sp := tr.Begin("sketch_send")
+	if err := send(ctx, t, MsgSketch, head, tail); err != nil {
+		return err
+	}
+	sp.End(trace.I("bytes", int64(len(head)+len(tail))))
+	return nil
+}
+
+// windowStats records on tr that its session opened warm, on the window
+// [lo, MaxLevel] of p's levels.
+func windowStats(tr *trace.Trace, p core.Params, lo int) {
+	tr.Stat(trace.StatWarm, 1)
+	tr.Stat(trace.StatWindowLo, int64(lo))
+	tr.Stat(trace.StatMinLevel, int64(p.MinLevel))
+	tr.Stat(trace.StatMaxLevel, int64(p.MaxLevel))
+}
+
+// ErrWindowMiss marks a warm robust session that chose no level: none of
+// its window's levels decoded, or the serving side refused the window.
+// The full sketch's scan would have gone on past the window, so the
+// caller reruns the session cold.
+var ErrWindowMiss = errors.New("protocol: no level of the warm window chosen")
+
 // RunPushBob executes Bob's side of the one-shot robust protocol. The
 // sketch carries its own parameters, so Bob needs only his points.
 func RunPushBob(ctx context.Context, t transport.Transport, bobPts []points.Point) (*core.Result, error) {
+	return pushBob(ctx, t, bobPts, nil)
+}
+
+// RunPushWindowBob is RunPushBob for a warm session, one that asked for
+// the window [lo, MaxLevel] of the sketch of a dataset whose accept
+// carried p. The sketch must carry p with MinLevel lo: one of any other
+// parameters is core.ErrInconsistentSketch. Whenever the full sketch's
+// finest-first scan would choose a level ≥ lo, the window's visits the
+// same levels and returns the same result, which reports p. Otherwise
+// the error wraps ErrWindowMiss.
+func RunPushWindowBob(ctx context.Context, t transport.Transport, p core.Params, lo int, bobPts []points.Point) (*core.Result, error) {
+	tr := trace.FromContext(ctx)
+	windowStats(tr, p, lo)
+	window := p.WithLevels(lo, p.MaxLevel)
+	res, err := pushBob(ctx, t, bobPts, &window)
+	var remote *RemoteError
+	if errors.Is(err, core.ErrNoDecodableLevel) || errors.As(err, &remote) {
+		tr.Stat(trace.StatWindowMiss, 1)
+		return nil, fmt.Errorf("%w: %w", ErrWindowMiss, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Params = p
+	return res, nil
+}
+
+// pushBob receives the sketch — one of parameters want, when that is set —
+// and reconciles bobPts against it.
+func pushBob(ctx context.Context, t transport.Transport, bobPts []points.Point, want *core.Params) (*core.Result, error) {
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("sketch_recv")
 	body, err := recvExpect(ctx, t, MsgSketch)
@@ -53,7 +130,12 @@ func RunPushBob(ctx context.Context, t transport.Transport, bobPts []points.Poin
 		return nil, err
 	}
 	var sk core.Sketch
-	if err := sk.UnmarshalBinary(body); err != nil {
+	if want != nil {
+		err = sk.UnmarshalAs(body, *want)
+	} else {
+		err = sk.UnmarshalBinary(body)
+	}
+	if err != nil {
 		return nil, err
 	}
 	sp.End(trace.I("bytes", int64(len(body))))

@@ -328,11 +328,24 @@ const StatUnchanged = "unchanged"
 // prefix). Adaptive sessions, answered from the Maintainer, always say 1.
 const StatServedState = "served_state"
 
-// StatWarm is the stat both ends of a rateless session record when it
-// opened warm: its first block was sized from the difference the client's
-// last fetch of the dataset decoded, which the client records as
-// estimated_diff, and no strata estimator crossed.
+// StatWarm is the stat both ends of a session record when it opened warm
+// from what the client's last fetch of the dataset learned. A rateless
+// session's first block was sized from the difference that fetch decoded,
+// which the client records as estimated_diff, and no strata estimator
+// crossed. A robust session's sketch was the window of levels
+// [StatWindowLo, StatMaxLevel] of [StatMinLevel, StatMaxLevel], from one
+// level finer than the one that fetch chose.
 const StatWarm = "warm"
+
+// The window of a warm robust session, recorded on both ends with
+// StatWarm, and StatWindowMiss, recorded by the client when no level of the
+// window was chosen and the fetch reran the session cold.
+const (
+	StatWindowLo   = "window_lo"
+	StatMinLevel   = "min_level"
+	StatMaxLevel   = "max_level"
+	StatWindowMiss = "window_miss"
+)
 
 // Stat returns the named stat's value and whether it was recorded.
 func (s *Snapshot) Stat(name string) (int64, bool) {
@@ -398,6 +411,14 @@ func (s *Snapshot) format(w io.Writer, indent string) {
 		if v, _ := s.Stat(StatWarm); v > 0 { // a client's trace: the server's knows no hint
 			fmt.Fprintf(w, "%s  warm opening: first block sized from the last difference (%d keys), no strata\n", indent, hint)
 		}
+	}
+	if lo, ok := s.Stat(StatWindowLo); ok {
+		bottom, _ := s.Stat(StatMinLevel)
+		top, _ := s.Stat(StatMaxLevel)
+		fmt.Fprintf(w, "%s  warm window: levels [%d,%d] of [%d,%d], %d of %d tables\n", indent, lo, top, bottom, top, top-lo+1, top-bottom+1)
+	}
+	if v, _ := s.Stat(StatWindowMiss); v > 0 {
+		fmt.Fprintf(w, "%s  window miss: no level of the window chosen, the fetch reran cold\n", indent)
 	}
 	if v, ok := s.Stat(StatServedState); ok && v > 0 {
 		fmt.Fprintf(w, "%s  answered from the dataset's maintained state\n", indent)

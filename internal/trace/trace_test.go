@@ -281,4 +281,23 @@ func TestSnapshotFormat(t *testing.T) {
 	if out := buf.String(); !strings.Contains(out, "unchanged=1") || !strings.Contains(out, "converged at handshake, 0 sketch bytes") {
 		t.Fatalf("formatted handshake-only trace:\n%s", out)
 	}
+
+	// A warm robust session names its window; one that missed says so.
+	for _, miss := range []bool{false, true} {
+		w := New("client")
+		w.Stat(StatWarm, 1)
+		w.Stat(StatWindowLo, 9)
+		w.Stat(StatMinLevel, 0)
+		w.Stat(StatMaxLevel, 20)
+		if miss {
+			w.Stat(StatWindowMiss, 1)
+		}
+		buf.Reset()
+		w.Snapshot().Format(&buf)
+		out := buf.String()
+		if !strings.Contains(out, "warm window: levels [9,20] of [0,20], 12 of 21 tables") ||
+			strings.Contains(out, "window miss") != miss || strings.Contains(out, "warm opening") {
+			t.Fatalf("formatted warm robust trace (miss %v):\n%s", miss, out)
+		}
+	}
 }

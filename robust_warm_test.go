@@ -1,0 +1,398 @@
+package robustset_test
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"robustset"
+)
+
+// jitter returns a copy of pts with every coordinate moved by a seeded
+// offset in [−noise, +noise], clamped to the test universe.
+func jitter(pts []robustset.Point, noise int64, seed uint64) []robustset.Point {
+	next := seed
+	out := make([]robustset.Point, len(pts))
+	for i, p := range pts {
+		q := make(robustset.Point, len(p))
+		for j, x := range p {
+			next = next*6364136223846793005 + 1442695040888963407
+			q[j] = x + int64((next>>33)%uint64(2*noise+1)) - noise
+		}
+		out[i] = testU.Clamp(q)
+	}
+	return out
+}
+
+// traceLog collects a client's session traces in order.
+type traceLog struct {
+	mu    sync.Mutex
+	snaps []*robustset.SessionTrace
+}
+
+func (l *traceLog) sink(st *robustset.SessionTrace) {
+	l.mu.Lock()
+	l.snaps = append(l.snaps, st)
+	l.mu.Unlock()
+}
+
+// since returns the traces recorded from index i on.
+func (l *traceLog) since(i int) []*robustset.SessionTrace {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*robustset.SessionTrace(nil), l.snaps[i:]...)
+}
+
+func (l *traceLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.snaps)
+}
+
+// coldRobustFetch fetches dataset d from addr on a Client of its own, so
+// the session opens cold.
+func coldRobustFetch(t *testing.T, addr string, local []robustset.Point) (*robustset.SyncResult, robustset.TransferStats) {
+	t.Helper()
+	res, st, err := fetchOnce(t, addr, "d", robustset.Robust{}, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, st
+}
+
+// sameRobustResult reports whether two fetches returned the same result:
+// S'_B in the same order, the same diagnostics and parameters.
+func sameRobustResult(a, b *robustset.SyncResult) bool {
+	return reflect.DeepEqual(a.SPrime, b.SPrime) && reflect.DeepEqual(a.Robust, b.Robust) && reflect.DeepEqual(a.Params, b.Params)
+}
+
+// TestRobustWarmWindow follows one Client's robust fetches of a dataset.
+// The first opens cold. The second, warm from the level the first chose,
+// gets the window from one level finer only: fewer SKETCH bytes, the same
+// result as a cold fetch, warm and window stats on both ends, the explain
+// line, and a wire table that sums to the transport's count. A local set
+// whose scan must go coarser than the window misses: the same Fetch runs
+// again cold, the stats count both sessions, and the next fetch opens on
+// the window of the cold result's level. A dataset republished with
+// fewer levels refuses the window and the fetch reruns cold; a failed
+// fetch makes the next one cold.
+func TestRobustWarmWindow(t *testing.T) {
+	alice, bob := deterministicPair(71, 2000, 10, 3)
+	params := robustset.Params{Universe: testU, Seed: 73, DiffBudget: 12}
+	tl := robustset.NewTraceLog()
+	srv := robustset.NewServer(robustset.WithServerTracing(tl), WithTestLogger(t))
+	if _, err := srv.Publish("d", params, alice); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, srv).String()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var traces traceLog
+	sess, err := cl.Session("d", robustset.Robust{}, robustset.WithSessionTrace(traces.sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(local []robustset.Point) (*robustset.SyncResult, robustset.TransferStats, []*robustset.SessionTrace) {
+		t.Helper()
+		from := traces.len()
+		res, st, err := sess.Fetch(ctx, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, _ := coldRobustFetch(t, addr, local)
+		if !sameRobustResult(res, cold) {
+			t.Fatalf("result (level %d) differs from a cold fetch's (level %d)", res.Robust.Level, cold.Robust.Level)
+		}
+		return res, st, traces.since(from)
+	}
+	window := func(snap *robustset.SessionTrace) (lo int64, warm bool) {
+		w, _ := snap.Stat("warm")
+		lo, ok := snap.Stat("window_lo")
+		if (w == 1) != ok {
+			t.Fatalf("warm=%d with window_lo recorded %v", w, ok)
+		}
+		return lo, ok
+	}
+	sketchBytes := func(snap *robustset.SessionTrace) (n int64) {
+		for _, f := range snap.Frames {
+			if f.Type == "SKETCH" {
+				n += f.Bytes
+			}
+		}
+		return n
+	}
+
+	first, _, snaps := fetch(bob)
+	if _, warm := window(snaps[0]); warm || len(snaps) != 1 {
+		t.Fatalf("first fetch: %d sessions, warm %v", len(snaps), warm)
+	}
+	level, top := first.Robust.Level, first.Params.MaxLevel
+	if level < 3 || level == top {
+		t.Fatalf("first fetch chose level %d of [0,%d]; the test needs one in between", level, top)
+	}
+	coldSketch := sketchBytes(snaps[0])
+
+	_, st, snaps := fetch(bob)
+	snap := snaps[0]
+	if lo, warm := window(snap); !warm || lo != int64(level-1) || len(snaps) != 1 {
+		t.Fatalf("second fetch: %d sessions, warm %v from %d; want one, warm from %d", len(snaps), warm, lo, level-1)
+	}
+	if got := sketchBytes(snap); got >= coldSketch {
+		t.Errorf("warm SKETCH %d B, cold %d B", got, coldSketch)
+	}
+	t.Logf("level %d of [0,%d]: SKETCH cold %d B, warm %d B", level, top, coldSketch, sketchBytes(snap))
+	if _, rows := frameRows(snap); rows != st {
+		t.Errorf("warm fetch: frame rows sum to %+v, the transport counted %+v", rows, st)
+	}
+	var out strings.Builder
+	snap.Format(&out)
+	line := fmt.Sprintf("warm window: levels [%d,%d] of [0,%d], %d of %d tables", level-1, top, top, top-level+2, top+1)
+	if !strings.Contains(out.String(), line) {
+		t.Errorf("explain output lacks %q:\n%s", line, out.String())
+	}
+	// The server files a session's trace after it closes the stream the
+	// fetch waits for: wait for the warm session's to land.
+	var server *robustset.SessionTrace
+	for deadline := time.Now().Add(10 * time.Second); server == nil; runtime.Gosched() {
+		for _, tr := range tl.Recent() {
+			if _, ok := tr.Stat("window_lo"); ok {
+				server = tr
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no server trace of a warm session")
+		}
+	}
+	if lo, _ := server.Stat("window_lo"); lo != int64(level-1) {
+		t.Errorf("server trace of the warm session: window_lo=%d, want %d", lo, level-1)
+	}
+
+	// Noisier local points: the scan goes coarser than the window.
+	noisy := jitter(alice, 200, 79)
+	missed, st, snaps := fetch(noisy)
+	if len(snaps) != 2 {
+		t.Fatalf("a fetch past the window ran %d sessions, want the warm one and a cold one", len(snaps))
+	}
+	if miss, _ := snaps[0].Stat("window_miss"); miss != 1 || snaps[0].Err == "" {
+		t.Errorf("the warm session of a miss: window_miss=%d, err %q", miss, snaps[0].Err)
+	}
+	if _, warm := window(snaps[1]); warm {
+		t.Error("the rerun after a miss opened warm")
+	}
+	if both := snaps[0].BytesIn + snaps[0].BytesOut + snaps[1].BytesIn + snaps[1].BytesOut; st.Total() != both {
+		t.Errorf("a miss's stats count %d B, its two sessions %d B", st.Total(), both)
+	}
+	if missed.Robust.Level >= level-1 {
+		t.Fatalf("the noisier set chose level %d; the test needs one below %d", missed.Robust.Level, level-1)
+	}
+	_, _, snaps = fetch(noisy)
+	if lo, warm := window(snaps[0]); !warm || lo != int64(missed.Robust.Level-1) || len(snaps) != 1 {
+		t.Errorf("fetch after a miss: warm %v from %d, %d sessions; want warm from %d", warm, lo, len(snaps), missed.Robust.Level-1)
+	}
+
+	// A failed fetch forgets the hint.
+	if _, _, err := sess.Fetch(ctx, []robustset.Point{{-1, 0}}); err == nil {
+		t.Fatal("a fetch of a point outside the universe succeeded")
+	}
+	if _, _, snaps = fetch(bob); len(snaps) != 1 {
+		t.Fatalf("fetch after a failed one ran %d sessions", len(snaps))
+	} else if _, warm := window(snaps[0]); warm {
+		t.Error("the fetch after a failed one opened warm")
+	}
+
+	// The dataset republished with levels that end below the hint: the
+	// server refuses the window, and the fetch reruns cold.
+	if err := srv.Unpublish("d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Publish("d", params.WithLevels(0, level-2), alice); err != nil {
+		t.Fatal(err)
+	}
+	refused, _, snaps := fetch(bob)
+	if len(snaps) != 2 {
+		t.Fatalf("a refused window ran %d sessions, want two", len(snaps))
+	}
+	if miss, _ := snaps[0].Stat("window_miss"); miss != 1 || !strings.Contains(snaps[0].Err, "level out of range") {
+		t.Errorf("the refused warm session: window_miss=%d, err %q", miss, snaps[0].Err)
+	}
+	if refused.Params.MaxLevel != level-2 {
+		t.Errorf("the rerun reports levels up to %d, want %d", refused.Params.MaxLevel, level-2)
+	}
+}
+
+// TestRobustHintFollowsEachDataset: one Client's hints are per dataset and
+// strategy. Robust fetches of two datasets open warm on each one's own
+// window, and a rateless fetch of the first leaves its window alone.
+func TestRobustHintFollowsEachDataset(t *testing.T) {
+	alice, bob := deterministicPair(83, 1500, 8, 3)
+	params := robustset.Params{Universe: testU, Seed: 89, DiffBudget: 10}
+	srv := robustset.NewServer()
+	for _, name := range []string{"a", "b"} {
+		if _, err := srv.Publish(name, params, alice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr := startServer(t, srv).String()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var traces traceLog
+	session := func(name string, strat robustset.Strategy) *robustset.ClientSession {
+		cs, err := cl.Session(name, strat, robustset.WithSessionTrace(traces.sink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	a, b, exact := session("a", robustset.Robust{}), session("b", robustset.Robust{}), session("a", robustset.Rateless{})
+	warmFrom := func(cs *robustset.ClientSession, local []robustset.Point) (int64, bool, *robustset.SyncResult) {
+		t.Helper()
+		res, _, err := cs.Fetch(ctx, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := traces.since(traces.len() - 1)
+		lo, ok := snaps[0].Stat("window_lo")
+		return lo, ok, res
+	}
+	_, warmA, resA := warmFrom(a, bob)
+	_, warmB, _ := warmFrom(b, jitter(alice, 40, 97))
+	if warmA || warmB {
+		t.Fatal("a first fetch opened warm")
+	}
+	if _, _, err := exact.Fetch(ctx, alice); err != nil {
+		t.Fatal(err)
+	}
+	loA, warmA, _ := warmFrom(a, bob)
+	loB, warmB, resB := warmFrom(b, jitter(alice, 40, 97))
+	if !warmA || !warmB || loA != int64(resA.Robust.Level-1) || loB != int64(resB.Robust.Level-1) {
+		t.Errorf("second fetches: a warm %v from %d (level %d), b warm %v from %d (level %d)",
+			warmA, loA, resA.Robust.Level, warmB, loB, resB.Robust.Level)
+	}
+}
+
+// TestReplicatorWarmDivergedShard: three nodes publish one sharded
+// dataset; between rounds one shard gains a point on both peers of the
+// replicating node. From the second diverged round on, that shard's
+// robust session against the first peer opens warm, on the window from
+// one level below the finest; its result is a cold client's, round for
+// round; and every other shard, never diverged, ends at the handshake with
+// a cold hello of the same bytes every round.
+func TestReplicatorWarmDivergedShard(t *testing.T) {
+	const shards, rounds = 4, 5
+	params := robustset.Params{Universe: testU, Seed: 101, DiffBudget: 16}
+	common, _ := clusterWorkload(1, 400, 0)
+	var nodes []*clusterNode
+	for range 3 {
+		nodes = append(nodes, startClusterNode(t, params, common, shards))
+	}
+	tl := robustset.NewTraceLog(robustset.WithTraceCapacity(64))
+	rep, err := robustset.NewReplicator(nodes[0].srv, []robustset.Peer{
+		{Name: "b", Addr: nodes[1].addr}, {Name: "c", Addr: nodes[2].addr},
+	}, robustset.WithPeerSelector(robustset.SelectRoundRobin(2)), robustset.WithReplicatorTracing(tl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	local := nodes[0].srv.ShardedDataset("data")
+	diverged := local.Shards()[0].Name()
+	// A cold-only client of the first peer: it forgets its hints before
+	// every fetch.
+	cold, err := robustset.DialClient(ctx, nodes[1].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	coldSess, err := cold.Session(diverged, robustset.Robust{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hellos := map[string]int64{}
+	for round := 0; round < rounds; round++ {
+		var want *robustset.SyncResult
+		before := local.Shards()[0].Snapshot()
+		if round > 0 {
+			// A fresh point that routes to the diverged shard, on both peers.
+			for x := int64(0); ; x++ {
+				pt := robustset.Point{20_000 + 97*int64(round) + x, 333}
+				if local.Shard(pt).Name() != diverged {
+					continue
+				}
+				for _, n := range nodes[1:] {
+					if err := n.srv.ShardedDataset("data").Add(pt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				break
+			}
+			robustset.ForgetHints(cold, diverged)
+			if want, _, err = coldSess.Fetch(ctx, before); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := rep.RunRound(ctx)
+		if err != nil || st.Errors != 0 {
+			t.Fatalf("round %d: %+v, %v", round, st, err)
+		}
+		if want != nil {
+			after := append(robustset.ClonePoints(before), want.Robust.Added...)
+			if got := local.Shards()[0].Snapshot(); !robustset.EqualMultisets(got, after) {
+				t.Errorf("round %d: the replicator applied other points than a cold client's result", round)
+			}
+		}
+		recent := tl.Recent()
+		for _, s := range recent[len(recent)-1].Children {
+			lo, warm := s.Stat("window_lo")
+			hello := int64(0)
+			for _, f := range s.Frames {
+				if f.Type == "HELLO" {
+					hello += f.Bytes
+				}
+			}
+			switch {
+			case s.Dataset == diverged && s.Peer == "b" && round > 0:
+				var repair int64 = -1
+				for _, sp := range s.Spans {
+					if sp.Name == "repair" {
+						repair = sp.Attrs[0].V
+					}
+				}
+				if repair != int64(want.Robust.Level) {
+					t.Errorf("round %d: the replicator repaired at level %d, a cold client at %d", round, repair, want.Robust.Level)
+				}
+				if wantWarm := round >= 2; warm != wantWarm || (warm && lo != int64(params.Universe.Levels()-1)) {
+					t.Errorf("round %d: diverged shard's session warm %v from %d, want warm %v", round, warm, lo, wantWarm)
+				}
+			case s.Dataset != diverged:
+				if unchanged, _ := s.Stat("unchanged"); unchanged != 1 || warm {
+					t.Errorf("round %d: %s/%s: unchanged %d, warm %v; want a cold session that ends at the handshake", round, s.Dataset, s.Peer, unchanged, warm)
+				}
+				key := s.Dataset + "/" + s.Peer
+				if first, ok := hellos[key]; ok && first != hello {
+					t.Errorf("round %d: %s hello of %d B, %d B in round 0", round, key, hello, first)
+				}
+				hellos[key] = hello
+			}
+		}
+	}
+	if len(hellos) != 2*(shards-1) {
+		t.Errorf("%d quiescent shard sessions traced per round, want %d", len(hellos), 2*(shards-1))
+	}
+}

@@ -104,8 +104,22 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 	if got, err := strategyFromCode(protocol.StrategyRateless, warm.helloConfig()); err != nil || got.(Rateless).first != 97 {
 		t.Errorf("warm rateless config decoded as %+v, %v; want a first request of 97 cells", got, err)
 	}
-	if cold := (Rateless{}).warm(361); cold.first != 0 || !bytes.Equal(cold.helloConfig(), []byte{0, 0, 0, 0}) {
+	if cold := (Rateless{}).warm(361).(Rateless); cold.first != 0 || !bytes.Equal(cold.helloConfig(), []byte{0, 0, 0, 0}) {
 		t.Errorf("a hint above the 512-cell bound opened warm: %+v", cold)
+	}
+	// Robust's config is empty, cold, or one byte, a warm window's coarsest
+	// level: above MinLevel, so never 0. Serving holds it to the rest of
+	// the dataset's range (TestRobustWarmWindowRefused).
+	for _, cfg := range [][]byte{{0}, {9, 0}, {1, 2, 3}} {
+		if _, err := strategyFromCode(protocol.StrategyRobust, cfg); err == nil {
+			t.Errorf("robust with config %x accepted", cfg)
+		}
+	}
+	for _, lo := range []int{1, 9, 255} {
+		cfg := Robust{}.warm(lo).helloConfig()
+		if got, err := strategyFromCode(protocol.StrategyRobust, cfg); err != nil || !bytes.Equal(cfg, []byte{byte(lo)}) || got.(Robust).lo != lo {
+			t.Errorf("warm robust window from level %d: config %x decoded as %+v, %v", lo, cfg, got, err)
+		}
 	}
 
 	// The same table with the hello's tail: after each code's own config a

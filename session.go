@@ -61,6 +61,18 @@ func serveDataset(ctx context.Context, t transport.Transport, strat Strategy, p 
 	return strat.serve(ctx, t, p, pts)
 }
 
+// warmStrategy is implemented by the strategies a Client's session opens
+// warm, from a hint that the last fetch of the same dataset left.
+type warmStrategy interface {
+	Strategy
+	// warm returns the strategy opening warm from hint, or cold when hint
+	// does not qualify.
+	warm(hint int) Strategy
+	// hintFrom returns what a fetch's result leaves the next fetch, and
+	// false when that should open cold.
+	hintFrom(res *SyncResult) (int, bool)
+}
+
 // twoWayStrategy is implemented by strategies that support the symmetric
 // Session.Sync mode.
 type twoWayStrategy interface {
@@ -136,30 +148,68 @@ func (r *SyncResult) EMD(other []Point) (float64, error) {
 // one message carrying the full multiresolution sketch; the fetching side
 // reconciles at the finest decodable level. It is the only strategy that
 // also supports the symmetric Session.Sync mode.
-type Robust struct{}
+//
+// A Client that has fetched a dataset robust before opens warm: its finest-
+// first scan last chose level L, so its hello asks for the window of levels
+// [L−1, MaxLevel] only — the levels the scan can read, with one of slack —
+// and the server sends that window, cut from its cached sketch. A window
+// of which no level decodes, or that the server refuses, makes the fetch
+// run the session again, cold, so the result is the full sketch's always.
+// Peer-to-peer sessions, first fetches, and fetches after a level at or
+// next to MinLevel open cold.
+type Robust struct {
+	// lo is a warm opening's window's coarsest level, carried by the hello;
+	// 0 opens cold.
+	lo int
+}
 
 // Name implements Strategy.
 func (Robust) Name() string { return "robust-oneshot" }
 
-func (Robust) code() byte          { return protocol.StrategyRobust }
-func (Robust) helloConfig() []byte { return nil }
+func (Robust) code() byte { return protocol.StrategyRobust }
+
+func (r Robust) helloConfig() []byte {
+	if r.lo == 0 {
+		return nil
+	}
+	return []byte{byte(r.lo)}
+}
+
+// warm returns Robust opening on the window from level lo.
+func (Robust) warm(lo int) Strategy { return Robust{lo: lo} }
+
+// hintFrom is the next window's coarsest level: one finer than the level
+// res chose, while that is above MinLevel.
+func (Robust) hintFrom(res *SyncResult) (int, bool) {
+	lo := res.Robust.Level - 1
+	return lo, lo > res.Params.MinLevel
+}
 
 func (Robust) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
 	return protocol.RunPushAlice(ctx, t, p, pts)
 }
 
 // serveDataset pushes the maintained sketch — O(sketch size) per session
-// instead of O(n·levels).
-func (Robust) serveDataset(ctx context.Context, t transport.Transport, _ Params, d *Dataset) error {
+// instead of O(n·levels) — or on a warm opening the window of it asked for.
+func (r Robust) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
 	blob, err := d.sketchBlob()
 	if err != nil {
 		return protocol.SendError(ctx, t, err)
 	}
-	return protocol.RunPushBlobAlice(ctx, t, blob)
+	if r.lo == 0 {
+		return protocol.RunPushBlobAlice(ctx, t, blob)
+	}
+	return protocol.RunPushWindowAlice(ctx, t, p, blob, r.lo)
 }
 
-func (Robust) fetch(ctx context.Context, t transport.Transport, _ Params, local []Point) (*SyncResult, error) {
-	res, err := protocol.RunPushBob(ctx, t, local)
+func (r Robust) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
+	var res *Result
+	var err error
+	if r.lo == 0 {
+		res, err = protocol.RunPushBob(ctx, t, local)
+	} else {
+		res, err = protocol.RunPushWindowBob(ctx, t, p, r.lo, local)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -271,12 +321,15 @@ func (r Rateless) helloConfig() []byte {
 // warm returns r opening warm from hint, the size of the difference the
 // last fetch of the dataset decoded — or r, cold, when the first block
 // sized from it would be above protocol's 512-cell bound.
-func (r Rateless) warm(hint int) Rateless {
+func (r Rateless) warm(hint int) Strategy {
 	if r.first = (protocol.RatelessConfig{InitialFactor: r.InitialFactor}).WarmFirst(hint); r.first != 0 {
 		r.hint = hint
 	}
 	return r
 }
+
+// hintFrom is the size of the difference res decoded.
+func (Rateless) hintFrom(res *SyncResult) (int, bool) { return res.diff, true }
 
 func (r Rateless) config(p Params) protocol.RatelessConfig {
 	return protocol.RatelessConfig{
@@ -495,7 +548,10 @@ func (Naive) fetch(ctx context.Context, t transport.Transport, p Params, local [
 // handshake code and config blob. Every code carries a config of one
 // exact length — what the strategy's helloConfig writes — and any other
 // length is refused: a blob with bytes this build would ignore comes from
-// a peer that means something else by the code.
+// a peer that means something else by the code. Robust is the exception:
+// its config is empty (cold) or one byte, a warm window's coarsest level,
+// which is above MinLevel and so never 0; serving holds it to the rest of
+// the dataset's range.
 func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 	exact := func(n int) error {
 		if len(cfg) != n {
@@ -509,7 +565,11 @@ func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 	)
 	switch code {
 	case protocol.StrategyRobust:
-		s, err = Robust{}, exact(0)
+		if len(cfg) == 1 && cfg[0] != 0 {
+			s = Robust{lo: int(cfg[0])}
+		} else {
+			s, err = Robust{}, exact(0)
+		}
 	case protocol.StrategyAdaptive:
 		s, err = Adaptive{}, exact(0)
 	case protocol.StrategyNaive:
