@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"robustset/internal/protocol"
-	"robustset/internal/ranges"
-	"robustset/internal/trace"
 	"robustset/internal/transport"
 )
 
@@ -348,16 +346,6 @@ func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset
 		if err != nil {
 			return nil, TransferStats{}, err
 		}
-		if r, ok := cs.sess.strategy.(Ranged); ok && r.Streams > 1 {
-			res, stats, ferr, opened := cs.sess.fetchRangedStreams(ctx, m, r, d, local)
-			if !opened {
-				// The mux died before any stream opened; redial once.
-				if attempt == 0 && ctx.Err() == nil {
-					continue
-				}
-			}
-			return res, stats, ferr
-		}
 		st, err := m.Open(ctx)
 		if err != nil {
 			// A dead mux surfaces here; redial and retry exactly once.
@@ -397,156 +385,4 @@ func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset
 		}
 		return res, stats, nil
 	}
-}
-
-// fetchRangedStreams runs one ranged fetch as up to r.Streams parallel
-// pipelined streams of the multiplexed connection, each reconciling a
-// disjoint subrange of the key space against its own server session.
-// The partition comes from the local tree — no extra round trip — and
-// every stream performs its own handshake, so to the server this is
-// simply r.Streams concurrent ranged sessions. Wall-clock round depth
-// is the maximum over streams (recorded as the wall_rounds trace stat)
-// instead of the sum a serial walk would pay. opened=false means the
-// mux died before the first stream existed, so the caller may redial.
-// With d set the first stream's hello carries d's root, as in fetchOver.
-func (s *Session) fetchRangedStreams(ctx context.Context, m *transport.Mux, r Ranged, d *Dataset, local []Point) (res *SyncResult, st TransferStats, err error, opened bool) {
-	var tr *trace.Trace
-	if s.traceSink != nil {
-		tr = trace.New("client")
-		tr.Label(s.dataset, r.Name(), "")
-		ctx = trace.NewContext(ctx, tr)
-		defer func() {
-			tr.Finish(err)
-			s.traceSink(tr.Snapshot())
-		}()
-	} else {
-		tr = trace.FromContext(ctx)
-	}
-	hello := s.hello(r, nil)
-	st0, err := m.Open(ctx)
-	if err != nil {
-		return nil, st, err, false
-	}
-	fail := func(stream *transport.Stream, ferr error) (*SyncResult, TransferStats, error, bool) {
-		stats := stream.Stats()
-		stream.Reset(ferr)
-		return nil, stats, ferr, true
-	}
-	hsp := tr.Begin("hello")
-	acc, err := protocol.RunHello(ctx, st0, s.hello(r, d))
-	hsp.End()
-	if err != nil {
-		return fail(st0, err)
-	}
-	p := acc.Params
-	if acc.Same {
-		tr.Stat(trace.StatUnchanged, 1)
-		_ = st0.Close()
-		return &SyncResult{Params: p, Unchanged: true, metric: s.metric}, st0.Stats(), nil, true
-	}
-	if d != nil {
-		local = d.Snapshot()
-	}
-	if err = p.Universe.CheckSet(local); err != nil {
-		return fail(st0, err)
-	}
-	cfg := r.config(p)
-	build := tr.Begin("range_tree_build")
-	tree, err := protocol.BuildRangeTree(cfg, local)
-	if err != nil {
-		build.End()
-		return fail(st0, err)
-	}
-	build.End(trace.I("keys", int64(tree.Len())))
-	// Partition the key space at the local tree's equal-count ranks. A
-	// sparse tree may yield fewer cuts than requested; every scope is
-	// non-empty locally and together they cover the whole space.
-	bounds := append(tree.PartitionBounds(r.Streams), ranges.TopBound(tree.KeyLen()))
-	type scope struct{ lo, hi []byte }
-	scopes := make([]scope, 0, len(bounds))
-	lo := []byte(nil)
-	for _, b := range bounds {
-		scopes = append(scopes, scope{lo, b})
-		lo = b
-	}
-
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu         sync.Mutex
-		adds, rems [][]byte
-		wallRounds int
-		firstErr   error
-	)
-	var wg sync.WaitGroup
-	for i, sc := range scopes {
-		wg.Add(1)
-		go func(i int, sc scope) {
-			defer wg.Done()
-			stream := st0
-			if i > 0 {
-				s2, oerr := m.Open(gctx)
-				if oerr != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = oerr
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				if _, herr := protocol.RunHelloClient(gctx, s2, hello); herr != nil {
-					stats := s2.Stats()
-					s2.Reset(herr)
-					mu.Lock()
-					st.Add(stats)
-					if firstErr == nil {
-						firstErr = herr
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				stream = s2
-			}
-			add, rem, rounds, serr := protocol.RunRangedBobScoped(gctx, stream, cfg, tree, sc.lo, sc.hi)
-			stats := stream.Stats()
-			if serr != nil {
-				stream.Reset(serr)
-			} else {
-				_ = stream.Close()
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			st.Add(stats)
-			if serr != nil {
-				if firstErr == nil {
-					firstErr = serr
-				}
-				cancel()
-				return
-			}
-			adds = append(adds, add...)
-			rems = append(rems, rem...)
-			if rounds > wallRounds {
-				wallRounds = rounds
-			}
-		}(i, sc)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, st, firstErr, true
-	}
-	ap := tr.Begin("apply")
-	sp, err := protocol.ApplyRangedDiff(cfg.Universe, local, adds, rems)
-	if err != nil {
-		ap.End()
-		return nil, st, err, true
-	}
-	ap.End(trace.I("added", int64(len(adds))), trace.I("removed", int64(len(rems))))
-	tr.Stat("actual_diff", int64(len(adds)+len(rems)))
-	tr.Stat("wall_rounds", int64(wallRounds))
-	tr.Stat("streams", int64(len(scopes)))
-	res = &SyncResult{SPrime: sp, Params: p, metric: s.metric, local: local}
-	return res, st, nil, true
 }

@@ -16,16 +16,6 @@
 // records rounds- and bytes-to-convergence for the replication-grade
 // strategies (mode "cluster" rows).
 //
-// A ranges scenario (mode "ranges" rows) pins the divide-and-conquer
-// strategy's contract in its headline regime — huge sets, tiny
-// differences: ranged wire bytes beside the rateless strategy's on the
-// identical workload (wire_bytes vs baseline_bytes; the -check
-// gate holds wire_bytes under 1 KB a differing key and records the
-// ratio), and the sequential round-trip depth of the same
-// reconciliation pipelined as sibling-range mux streams against a
-// serial one-probe-per-frame run (rounds vs baseline_rounds, gated at
-// ≤0.6× on quick reports).
-//
 // A recovery scenario (mode "recovery" rows) measures the durable
 // storage engine. "replay" rows churn a write-ahead-logged dataset,
 // restart it, and record write amplification (the -check gate bounds
@@ -52,7 +42,7 @@
 //
 // Usage:
 //
-//	bench [-quick] [-mode core,cluster,ranges,recovery,paper|all] [-out BENCH_core.json]
+//	bench [-quick] [-mode core,cluster,recovery,paper|all] [-out BENCH_core.json]
 //	bench -check BENCH_core.json   # validate schema (CI drift gate)
 package main
 
@@ -76,7 +66,6 @@ import (
 	"robustset/internal/hashutil"
 	"robustset/internal/iblt"
 	"robustset/internal/points"
-	"robustset/internal/ranges"
 	"robustset/internal/workload"
 )
 
@@ -96,7 +85,7 @@ type Report struct {
 	// Modes lists the scenarios this report ran when -mode selected a
 	// subset; empty (or absent, as in every full report) means all of
 	// them. The -check gates only demand coverage for listed scenarios,
-	// so a -mode ranges report validates without core rows.
+	// so a -mode recovery report validates without core rows.
 	Modes   []string `json:"modes,omitempty"`
 	Results []Result `json:"results"`
 }
@@ -134,17 +123,6 @@ type Result struct {
 	// node each) until every node held the identical multiset.
 	Rounds int `json:"rounds,omitempty"`
 
-	// Ranges-scenario rows (Mode == "ranges") compare the ranged
-	// divide-and-conquer strategy's wire bytes against the rateless
-	// strategy's (baseline_bytes) on an identical tiny-difference
-	// workload, plus the sequential round-trip depth of the same
-	// reconciliation pipelined as sibling-range mux streams (rounds,
-	// mux_streams) against a serial one-probe-per-frame run
-	// (baseline_rounds).
-	BaselineBytes  int64 `json:"baseline_bytes,omitempty"`
-	BaselineRounds int   `json:"baseline_rounds,omitempty"`
-	MuxStreams     int   `json:"mux_streams,omitempty"`
-
 	// Recovery-scenario rows (Mode == "recovery") come in two phases.
 	// "replay" rows measure the durable storage engine: records and
 	// bytes appended to the WAL during churn (write amplification =
@@ -155,6 +133,7 @@ type Result struct {
 	// ordinary rateless sessions: wire_bytes is the rejoin traffic,
 	// baseline_bytes the naive full-set transfer it must undercut, and
 	// rounds the sweeps to full re-convergence.
+	BaselineBytes int64  `json:"baseline_bytes,omitempty"`
 	Phase         string `json:"phase,omitempty"`
 	SnapshotEvery int    `json:"snapshot_every,omitempty"`
 	WALRecords    int    `json:"wal_records,omitempty"`
@@ -237,7 +216,7 @@ func coreCell(s robustset.Strategy, n int, rate float64, dim int, delta int64) c
 	}
 	c.params = robustset.Params{Universe: robustset.Universe{Dim: dim, Delta: delta}, Seed: 77, DiffBudget: c.k + 4}
 	switch s.(type) {
-	case robustset.Rateless, robustset.Ranged, robustset.CPI:
+	case robustset.Rateless, robustset.CPI:
 		// The exact comparators get the regime they are designed for;
 		// under value noise their cost is Θ(n) by construction, which
 		// would measure the degeneracy, not the implementation.
@@ -317,13 +296,6 @@ func timeBuild(c cell, alice []robustset.Point) (int64, error) {
 			elems[i] = h.Hash(buf) % (1<<61 - 1)
 		}
 		if _, err := cpi.NewSketch(elems, s.Capacity, 5); err != nil {
-			return 0, err
-		}
-	case robustset.Ranged:
-		// The ordered fingerprint tree over Morton-interleaved occurrence
-		// keys the divide-and-conquer protocol probes.
-		u := points.Universe{Dim: c.dim, Delta: c.delta}
-		if _, err := ranges.NewFromSorted(ranges.KeyLen(c.dim), 21, ranges.Keys(u, alice)); err != nil {
 			return 0, err
 		}
 	case robustset.Naive:
@@ -972,7 +944,6 @@ var scenarios = []struct {
 }{
 	{"core", func(quick bool, logf func(string, ...any)) []Result { return runMatrix(matrix(quick), logf) }},
 	{"cluster", runClusterScenario},
-	{"ranges", runRangesScenario},
 	{"recovery", runRecoveryScenario},
 	{"paper", func(quick bool, logf func(string, ...any)) []Result { return runMatrix(paperMatrix(quick), logf) }},
 }
@@ -1042,7 +1013,6 @@ func checkReport(data []byte) error {
 	}
 	robustWire, naiveWire := map[workloadKey]int64{}, map[workloadKey]int64{}
 	clusterRows := 0
-	rangesRows := 0
 	recoveryRows := map[string]int{}
 	paperRows := map[string]int{}
 	e2Wire := map[int]int64{} // E2's robust-oneshot wire bytes by n
@@ -1080,35 +1050,6 @@ func checkReport(data []byte) error {
 				return fmt.Errorf("bench: cluster result %d (%s) carries no convergence measurements", i, r.Strategy)
 			}
 			clusterRows++
-		}
-		if r.Mode == "ranges" {
-			if r.BaselineBytes <= 0 {
-				return fmt.Errorf("bench: ranges result %d carries no rateless baseline", i)
-			}
-			if r.Rounds < 1 || r.BaselineRounds < 1 || r.MuxStreams < 2 {
-				return fmt.Errorf("bench: ranges result %d carries no pipelined round-depth comparison", i)
-			}
-			// The divide-and-conquer contract: the probe tree has no fixed
-			// cost, so the matrix's tiny differences move under 1 KB a
-			// differing key (0.57–0.83 KB from 2·10^4 to 10^6 points).
-			// The ratio to the rateless strategy, whose strata estimator
-			// is a fixed ≈ 7 KB, is recorded, not gated (DESIGN.md
-			// "Range-based reconciliation").
-			if delta := int64(r.DiffRate*float64(r.N) + 0.5); r.WireBytes > delta<<10 {
-				return fmt.Errorf("bench: ranges result %d (n=%d): %d wire bytes for %d differing keys exceeds 1 KB a key",
-					i, r.N, r.WireBytes, delta)
-			}
-			// The pipelining contract: reconciling sibling subranges as
-			// concurrent mux streams must cut the sequential round-trip
-			// depth well below the serial run's. It is enforced on the
-			// quick reports CI measures fresh and recorded, not gated, in
-			// the committed trajectory.
-			if rep.Quick {
-				if ratio := float64(r.Rounds) / float64(r.BaselineRounds); ratio > 0.6 {
-					return fmt.Errorf("bench: ranges result %d (n=%d): pipelined/serial round ratio %.2f exceeds 0.6", i, r.N, ratio)
-				}
-			}
-			rangesRows++
 		}
 		if r.Mode == "recovery" {
 			switch r.Phase {
@@ -1166,9 +1107,6 @@ func checkReport(data []byte) error {
 	}
 	if has("cluster") && clusterRows == 0 {
 		return fmt.Errorf("bench: no successful cluster-convergence result")
-	}
-	if has("ranges") && rangesRows == 0 {
-		return fmt.Errorf("bench: no successful range-reconciliation comparison result")
 	}
 	if has("recovery") && (recoveryRows["replay"] == 0 || recoveryRows["rejoin"] == 0) {
 		return fmt.Errorf("bench: recovery scenario incomplete: %d replay / %d rejoin rows",

@@ -37,7 +37,6 @@ func fullReport(logf func(string, ...any)) Report {
 	rep := newReport(false, nil)
 	rep.Results = runMatrix(tinyMatrix(), logf)
 	rep.Results = append(rep.Results, runClusterCell(tinyClusterCell()))
-	rep.Results = append(rep.Results, runRangesCell(tinyRangesCell()))
 	replayCell, rejoinCell := tinyRecoveryCells()
 	rep.Results = append(rep.Results, runRecoveryReplayCell(replayCell))
 	rep.Results = append(rep.Results, runRecoveryRejoinCell(rejoinCell))
@@ -61,19 +60,12 @@ func tinyRecoveryCells() (recoveryReplayCell, recoveryRejoinCell) {
 		recoveryRejoinCell{n: 8_000, extra: 12, missed: 48}
 }
 
-// tinyRangesCell is a minimal divide-and-conquer comparison for
-// in-process testing: the difference is tiny relative to n, the regime
-// of the wire contract.
-func tinyRangesCell() rangesCell {
-	return rangesCell{n: 2_000, replaced: 4, streams: 2}
-}
-
 // TestRunMatrixAndCheck runs the harness end to end on a tiny matrix and
 // validates the produced report with the same checker CI uses.
 func TestRunMatrixAndCheck(t *testing.T) {
 	rep := fullReport(t.Logf)
-	if got := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Mode != "" }); got != 6 {
-		t.Fatalf("got %d core results, want 6", got)
+	if got := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Mode != "" }); got != 5 {
+		t.Fatalf("got %d core results, want 5", got)
 	}
 	for _, r := range rep.Results {
 		if r.Err != "" {
@@ -147,7 +139,7 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 		{"nomeasure", func(r *Report) { r.Results[2].SyncNS = 0 }, "no measurements"},
 		{"robustabovenaive", func(r *Report) {
 			// Core rows at a gated size, the sketch no cheaper than the set.
-			for i := range r.Results[:6] {
+			for i := range r.Results[:5] {
 				r.Results[i].N = 10_000
 				if r.Results[i].Strategy == (robustset.Robust{}).Name() {
 					r.Results[i].WireBytes = 10_000 * 16
@@ -157,20 +149,13 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 				}
 			}
 		}, "not below naive"},
-		{"nocluster", func(r *Report) { r.Results = append(r.Results[:6:6], r.Results[7:]...) }, "no successful cluster-convergence"},
-		{"norounds", func(r *Report) { r.Results[6].Rounds = 0 }, "no convergence measurements"},
-		{"noranges", func(r *Report) { r.Results = r.Results[:7] }, "no successful range-reconciliation"},
-		{"nobaseline", func(r *Report) { r.Results[7].BaselineBytes = 0 }, "no rateless baseline"},
-		{"norangesdepth", func(r *Report) { r.Results[7].BaselineRounds = 0 }, "no pipelined round-depth comparison"},
-		{"rangeswire", func(r *Report) { r.Results[7].WireBytes = 8<<10 + 1 }, "exceeds 1 KB a key"},
-		{"rangesrounds", func(r *Report) {
-			r.Quick = true
-			r.Results[7].Rounds = r.Results[7].BaselineRounds
-		}, "round ratio"},
-		{"norecovery", func(r *Report) { r.Results = r.Results[:8] }, "recovery scenario incomplete"},
-		{"noreplay", func(r *Report) { r.Results[8].ReplayRecords = 0 }, "replayed no log records"},
-		{"writeamp", func(r *Report) { r.Results[8].WALBytes = 100 * r.Results[8].LogicalBytes }, "write amplification"},
-		{"rejoinratio", func(r *Report) { r.Results[9].WireBytes = r.Results[9].BaselineBytes }, "rejoin wire ratio"},
+		{"nocluster", func(r *Report) { r.Results = append(r.Results[:5:5], r.Results[6:]...) }, "no successful cluster-convergence"},
+		{"norounds", func(r *Report) { r.Results[5].Rounds = 0 }, "no convergence measurements"},
+		{"norecovery", func(r *Report) { r.Results = r.Results[:6] }, "recovery scenario incomplete"},
+		{"noreplay", func(r *Report) { r.Results[6].ReplayRecords = 0 }, "replayed no log records"},
+		{"writeamp", func(r *Report) { r.Results[6].WALBytes = 100 * r.Results[6].LogicalBytes }, "write amplification"},
+		{"nobaseline", func(r *Report) { r.Results[7].BaselineBytes = 0 }, "no rejoin measurements"},
+		{"rejoinratio", func(r *Report) { r.Results[7].WireBytes = r.Results[7].BaselineBytes }, "rejoin wire ratio"},
 		{"nopapersweep", func(r *Report) {
 			r.Results = slices.DeleteFunc(r.Results, func(x Result) bool { return x.Sweep == "E6" })
 		}, "paper scenario incomplete"},
@@ -206,34 +191,6 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 	}
 	if err := checkReport([]byte("{not json")); err == nil {
 		t.Error("malformed JSON accepted")
-	}
-}
-
-// TestRunRangesCell pins the divide-and-conquer scenario's contract at
-// test scale: a tiny difference must move under 1 KB a differing key
-// and fewer bytes than the rateless strategy with its fixed strata cost,
-// and pipelining sibling subranges must cut the round depth below the
-// serial run's.
-func TestRunRangesCell(t *testing.T) {
-	c := tinyRangesCell()
-	r := runRangesCell(c)
-	if r.Err != "" {
-		t.Fatal(r.Err)
-	}
-	if r.Mode != "ranges" || r.MuxStreams < 2 {
-		t.Errorf("row coordinates %+v", r)
-	}
-	ratio := float64(r.WireBytes) / float64(r.BaselineBytes)
-	t.Logf("ranged %d B vs rateless %d B (×%.2f), rounds %d vs serial %d",
-		r.WireBytes, r.BaselineBytes, ratio, r.Rounds, r.BaselineRounds)
-	if ratio >= 1 || r.WireBytes > int64(2*c.replaced)<<10 {
-		t.Errorf("%d wire bytes for %d replaced points, ×%.2f the rateless strategy's", r.WireBytes, c.replaced, ratio)
-	}
-	if r.Rounds < 1 || r.BaselineRounds <= r.Rounds {
-		t.Errorf("pipelined rounds %d not below serial %d", r.Rounds, r.BaselineRounds)
-	}
-	if r.ResultSize != c.n {
-		t.Errorf("converged size %d, want %d", r.ResultSize, c.n)
 	}
 }
 

@@ -21,7 +21,7 @@
 // dataset from its snapshot plus log tail (the -data files then only
 // name the datasets; disk state wins).
 // `pull` dials the server, opens a session naming one dataset and a
-// protocol (-proto oneshot|adaptive|rateless|ranged|cpi|naive) and
+// protocol (-proto oneshot|adaptive|rateless|cpi|naive) and
 // adopts the server's reconciliation parameters automatically. `cluster`
 // gossips every shard over one connection per peer and asserts the
 // metrics endpoint afterwards; with -data the nodes are durable, and
@@ -112,14 +112,12 @@ func strategyFor(proto string) (robustset.Strategy, error) {
 		return robustset.Adaptive{}, nil
 	case "rateless":
 		return robustset.Rateless{}, nil
-	case "ranged":
-		return robustset.Ranged{}, nil
 	case "cpi":
 		return robustset.CPI{}, nil
 	case "naive":
 		return robustset.Naive{}, nil
 	default:
-		return nil, fmt.Errorf("unknown -proto %q (oneshot|adaptive|rateless|ranged|cpi|naive)", proto)
+		return nil, fmt.Errorf("unknown -proto %q (oneshot|adaptive|rateless|cpi|naive)", proto)
 	}
 }
 
@@ -194,7 +192,7 @@ func cmdLocal(args []string) error {
 	bobFile := fs.String("bob", "", "Bob's point file (required)")
 	k := fs.Int("k", 16, "difference budget")
 	seed := fs.Uint64("seed", 42, "shared protocol seed")
-	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|ranged|cpi|naive (default oneshot)")
+	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|cpi|naive (default oneshot)")
 	adaptive := fs.Bool("adaptive", false, "shorthand for -proto adaptive")
 	out := fs.String("out", "", "write Bob's reconciled set here")
 	fs.Parse(args)
@@ -382,7 +380,7 @@ func cmdPull(args []string) error {
 	data := fs.String("data", "", "local point file (required)")
 	connect := fs.String("connect", "", "server address (required)")
 	dataset := fs.String("dataset", "", "dataset name on the server (default: derived from -data)")
-	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|ranged|cpi|naive (default oneshot)")
+	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|cpi|naive (default oneshot)")
 	adaptive := fs.Bool("adaptive", false, "shorthand for -proto adaptive")
 	timeout := fs.Duration("timeout", time.Minute, "overall session deadline (0 = none)")
 	showTrace := fs.Bool("trace", false, "print the session's phase spans and per-frame wire bytes")

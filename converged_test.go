@@ -162,7 +162,7 @@ func TestFetchDatasetAllStrategies(t *testing.T) {
 	}
 	defer cl.Close()
 
-	strategies := append(robustset.Strategies(), robustset.Ranged{Streams: 3})
+	strategies := robustset.Strategies()
 	for i, strat := range strategies {
 		name := fmt.Sprintf("%s/%d", strat.Name(), i)
 		var traced []*robustset.SessionTrace
@@ -363,7 +363,7 @@ func TestFetchDatasetUnderLocalChurn(t *testing.T) {
 		}
 	}()
 	unchanged, full := 0, 0
-	for _, strat := range []robustset.Strategy{robustset.Rateless{}, robustset.Ranged{}, robustset.Naive{}} {
+	for _, strat := range []robustset.Strategy{robustset.Rateless{}, robustset.Naive{}} {
 		cs, err := cl.Session("d", strat)
 		if err != nil {
 			t.Fatal(err)

@@ -40,7 +40,7 @@ func FuzzParseHello(f *testing.F) {
 		{Strategy: StrategyNaive, Dataset: string(bytes.Repeat([]byte{'n'}, MaxDatasetName))},
 		// The same shapes with the root tail: an empty set's, a full one's.
 		{Strategy: StrategyRobust, Dataset: "d", Root: &ranges.Agg{}},
-		{Strategy: StrategyRanged, Dataset: "shard~3.16", Config: []byte{8, 16, 0},
+		{Strategy: StrategyRangeBased, Dataset: "shard~3.16", Config: []byte{8, 16, 0},
 			Root: &ranges.Agg{Count: 1 << 40, Fp: 0xfeedfacecafebeef}},
 		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{1, 0, 0, 0}, Root: &ranges.Agg{Count: 7, Fp: ^uint64(0)}},
 	} {

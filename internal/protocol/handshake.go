@@ -41,12 +41,13 @@ const (
 
 // MuxVersion is the connection protocol version spoken by this build. It
 // covers everything a connection carries, the meaning of the hello's
-// strategy codes included: version 2 gave Rateless and Ranged codes of
-// their own, version 3 the hello its root tail and the accept its "same"
-// byte, version 4 every IBLT a session carries the cell codec (blobs
-// "IBL3", "IBX2", "RSK2", "STR2"), version 5 the rateless hello its 4-byte
-// warm first request, version 6 the robust hello its optional 1-byte warm
-// window. Peers of another version are refused at parse time.
+// strategy codes included: version 2 gave Rateless and the range-based
+// strategy codes of their own, version 3 the hello its root tail and the
+// accept its "same" byte, version 4 every IBLT a session carries the cell
+// codec (blobs "IBL3", "IBX2", "RSK2", "STR2"), version 5 the rateless
+// hello its 4-byte warm first request, version 6 the robust hello its
+// optional 1-byte warm window. Peers of another version are refused at
+// parse time.
 const MuxVersion = 6
 
 // acceptSame is the byte that follows the parameters of an accept which
@@ -60,17 +61,18 @@ const rootLen = 16
 const muxMagic = "MUX1"
 
 // Strategy wire codes carried in MsgHello, one per strategy.
-// StrategyExactIBLT is retired: it named the doubling exact-IBLT path,
-// which Rateless replaced. No strategy answers it, a server refuses a
-// hello naming it as an unknown strategy, and the code is not reused.
+// StrategyExactIBLT and StrategyRangeBased are retired: they named the
+// doubling exact-IBLT path and the range-based divide-and-conquer
+// strategy. No strategy answers either, a server refuses a hello naming
+// one as an unknown strategy, and neither code is reused.
 const (
-	StrategyRobust    byte = 1
-	StrategyAdaptive  byte = 2
-	StrategyExactIBLT byte = 3
-	StrategyCPI       byte = 4
-	StrategyNaive     byte = 5
-	StrategyRateless  byte = 6
-	StrategyRanged    byte = 7
+	StrategyRobust     byte = 1
+	StrategyAdaptive   byte = 2
+	StrategyExactIBLT  byte = 3
+	StrategyCPI        byte = 4
+	StrategyNaive      byte = 5
+	StrategyRateless   byte = 6
+	StrategyRangeBased byte = 7
 )
 
 // MaxDatasetName bounds the dataset-name length a server will parse.
@@ -82,13 +84,14 @@ type Hello struct {
 	Strategy byte
 	// Dataset names the server-side dataset to reconcile against.
 	Dataset string
-	// Config is an opaque strategy-specific blob (e.g. the ranged branch
-	// factor, the CPI capacity, the rateless warm first request, the robust
-	// warm window) that the serving side must honor for the two parties'
-	// sketches to be compatible.
+	// Config is an opaque strategy-specific blob (e.g. the CPI capacity,
+	// the rateless warm first request, the robust warm window) that the
+	// serving side must honor for the two parties' sketches to be
+	// compatible.
 	Config []byte
-	// Root, when set, is the root aggregate of the client's local multiset
-	// under the key order and fingerprint hash of BuildRangeTree. A server
+	// Root, when set, is the root aggregate of the client's local multiset:
+	// the ranges.Agg of its occurrence keys (ranges.Keys) under the hash
+	// seeded by ranges.FingerprintSeed of the parameters' seed. A server
 	// whose dataset has the same root answers with an accept marked "same"
 	// instead of running the strategy.
 	Root *ranges.Agg

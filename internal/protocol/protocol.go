@@ -1,7 +1,7 @@
 // Package protocol implements the two-party wire protocols of this
 // module: the robust reconciliation protocol in its one-shot and
 // estimate-first variants, and the comparators (naive transfer, rateless
-// exact IBLT sync, range-based sync, characteristic-polynomial sync).
+// exact IBLT sync, characteristic-polynomial sync).
 // Each protocol is a pair of blocking session functions — RunXxxAlice /
 // RunXxxBob — that drive a transport.Transport until the exchange
 // completes, so the same code runs over an in-memory pipe in tests and
@@ -83,6 +83,8 @@ const (
 	// MsgPayloads answers MsgPayloadRequest with points.EncodeSet data in
 	// request order.
 	MsgPayloads byte = 0x0d
+	// 0x14 and 0x15 were the retired range-based strategy's probe and
+	// item frames; no protocol answers them.
 	// MsgError carries a UTF-8 reason; the sender is aborting.
 	MsgError byte = 0x7f
 )

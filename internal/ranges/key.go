@@ -1,19 +1,20 @@
-// Package ranges implements the ordered-key machinery behind the ranged
-// divide-and-conquer reconciliation strategy: a canonical order-preserving
-// Morton (Z-order) encoding of points into fixed-length byte keys, and a
-// balanced B-tree over those keys that maintains an XOR monoid fingerprint
-// per subtree so any contiguous key range can be fingerprinted in
-// O(B·log N) without touching the items.
+// Package ranges implements the key-order fingerprint behind a dataset's
+// root: a canonical order-preserving Morton (Z-order) encoding of points
+// into fixed-length occurrence-indexed byte keys, the running Root
+// aggregate (count and XOR of the keys' 64-bit fingerprints) a dataset
+// keeps and a hello carries, and a balanced B-tree over the keys that
+// maintains the same aggregate per subtree — the bulk-built oracle the
+// root is tested against.
 //
-// The key codec is part of the wire contract: both parties must derive the
-// identical total order from a shared Universe, so the encoding is fully
+// The key codec and the fingerprint seed are part of the wire contract:
+// two parties compare roots only if both derive the identical keys and
+// hashes from a shared Universe and seed, so the encoding is fully
 // deterministic and versioned by the protocol, not by this package.
 package ranges
 
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -56,27 +57,6 @@ func mortonInto(buf []byte, p points.Point) {
 	}
 }
 
-// DecodeKey inverts EncodeKey: it recovers the point and occurrence
-// index from a key of a dim-dimensional universe.
-func DecodeKey(key []byte, dim int) (points.Point, uint32, error) {
-	if len(key) != KeyLen(dim) {
-		return nil, 0, fmt.Errorf("ranges: key length %d, want %d for dim %d", len(key), KeyLen(dim), dim)
-	}
-	p := make(points.Point, dim)
-	total := 64 * dim
-	for pos := 0; pos < total; pos++ {
-		if key[pos>>3]&(1<<(7-pos&7)) != 0 {
-			p[pos%dim] |= 1 << (63 - pos/dim)
-		}
-	}
-	for _, c := range p {
-		if c < 0 {
-			return nil, 0, fmt.Errorf("ranges: key decodes to negative coordinate")
-		}
-	}
-	return p, binary.BigEndian.Uint32(key[8*dim:]), nil
-}
-
 // Keys builds the sorted occurrence-indexed key multiset for pts: each
 // point contributes one key per occurrence, suffixed 0,1,2,... so
 // duplicates stay distinct and XOR fingerprints never cancel. The keys
@@ -104,28 +84,4 @@ func Keys(u points.Universe, pts []points.Point) [][]byte {
 		i = j
 	}
 	return keys
-}
-
-// TopBound returns a bound strictly greater than every key of the given
-// length: one byte longer than a key and all-0xFF, so a plain
-// bytes.Compare places every real key below it. The empty slice is the
-// matching bottom bound (≤ every key).
-func TopBound(keyLen int) []byte {
-	b := make([]byte, keyLen+1)
-	for i := range b {
-		b[i] = 0xFF
-	}
-	return b
-}
-
-// CutBetween returns the shortest prefix of hi that still compares
-// strictly greater than lo — the minimal separating bound between two
-// adjacent keys, used to keep range boundaries short on the wire. lo
-// and hi must be distinct equal-length keys with lo < hi.
-func CutBetween(lo, hi []byte) []byte {
-	i := 0
-	for i < len(lo) && i < len(hi) && lo[i] == hi[i] {
-		i++
-	}
-	return append([]byte(nil), hi[:i+1]...)
 }

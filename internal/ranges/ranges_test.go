@@ -4,11 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"robustset/internal/points"
 )
+
+// decodeKey inverts EncodeKey: the point and occurrence index of a key of
+// a dim-dimensional universe.
+func decodeKey(t *testing.T, key []byte, dim int) (points.Point, uint32) {
+	t.Helper()
+	if len(key) != KeyLen(dim) {
+		t.Fatalf("key length %d, want %d for dim %d", len(key), KeyLen(dim), dim)
+	}
+	p := make(points.Point, dim)
+	for pos := 0; pos < 64*dim; pos++ {
+		if key[pos>>3]&(1<<(7-pos&7)) != 0 {
+			p[pos%dim] |= 1 << (63 - pos/dim)
+		}
+	}
+	return p, binary.BigEndian.Uint32(key[8*dim:])
+}
 
 func TestKeyRoundtrip(t *testing.T) {
 	u := points.Universe{Dim: 3, Delta: 1 << 16}
@@ -20,16 +35,9 @@ func TestKeyRoundtrip(t *testing.T) {
 		if len(k) != KeyLen(u.Dim) {
 			t.Fatalf("key length %d, want %d", len(k), KeyLen(u.Dim))
 		}
-		q, o, err := DecodeKey(k, u.Dim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !q.Equal(p) || o != occ {
+		if q, o := decodeKey(t, k, u.Dim); !q.Equal(p) || o != occ {
 			t.Fatalf("roundtrip %v/%d -> %v/%d", p, occ, q, o)
 		}
-	}
-	if _, _, err := DecodeKey(make([]byte, 5), 2); err == nil {
-		t.Fatal("short key accepted")
 	}
 }
 
@@ -68,35 +76,13 @@ func TestKeysOccurrenceIndexing(t *testing.T) {
 	}
 	seen := map[uint32]bool{}
 	for _, k := range keys {
-		p, occ, err := DecodeKey(k, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Equal(points.Point{1, 2}) {
+		if p, occ := decodeKey(t, k, 2); p.Equal(points.Point{1, 2}) {
 			seen[occ] = true
 		}
 	}
 	for occ := uint32(0); occ < 3; occ++ {
 		if !seen[occ] {
 			t.Fatalf("missing occurrence %d of duplicated point", occ)
-		}
-	}
-}
-
-func TestCutBetween(t *testing.T) {
-	lo := []byte{1, 2, 3, 4}
-	hi := []byte{1, 2, 9, 9}
-	cut := CutBetween(lo, hi)
-	if bytes.Compare(cut, lo) <= 0 || bytes.Compare(cut, hi) > 0 {
-		t.Fatalf("cut %v not in (lo, hi]", cut)
-	}
-	if len(cut) != 3 {
-		t.Fatalf("cut length %d, want minimal 3", len(cut))
-	}
-	top := TopBound(4)
-	for _, k := range [][]byte{lo, hi, {255, 255, 255, 255}} {
-		if bytes.Compare(k, top) >= 0 {
-			t.Fatalf("key %v not below TopBound", k)
 		}
 	}
 }
@@ -115,14 +101,6 @@ func TestTreeInsertDeleteAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr := NewTree(keyLen, 42)
 	ref := map[string]bool{}
-	var refKeys [][]byte
-	rebuild := func() {
-		refKeys = refKeys[:0]
-		for k := range ref {
-			refKeys = append(refKeys, []byte(k))
-		}
-		sort.Slice(refKeys, func(i, j int) bool { return bytes.Compare(refKeys[i], refKeys[j]) < 0 })
-	}
 	for step := 0; step < 4000; step++ {
 		k := randKey(rng, keyLen)
 		if ref[string(k)] || rng.Intn(3) == 0 && len(ref) > 0 {
@@ -158,9 +136,8 @@ func TestTreeInsertDeleteAgainstReference(t *testing.T) {
 	if err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
-	rebuild()
-	if tr.Len() != len(refKeys) {
-		t.Fatalf("len %d, want %d", tr.Len(), len(refKeys))
+	if got, want := tr.Root(), refRoot(tr, ref); got != want {
+		t.Fatalf("root %+v, want %+v", got, want)
 	}
 	if err := tr.Delete(append(randKey(rng, keyLen-1), 9)); err == nil {
 		t.Fatal("wrong-length delete accepted")
@@ -168,56 +145,16 @@ func TestTreeInsertDeleteAgainstReference(t *testing.T) {
 		// A wrong-length key is simply absent.
 		t.Fatalf("unexpected delete error: %v", err)
 	}
+}
 
-	// Range queries against the sorted reference.
-	refAgg := func(lo, hi []byte) Agg {
-		var a Agg
-		for _, k := range refKeys {
-			if bytes.Compare(k, lo) >= 0 && bytes.Compare(k, hi) < 0 {
-				a.Count++
-				a.Fp ^= tr.hash.Hash(k)
-			}
-		}
-		return a
+// refRoot is the aggregate of the reference model's keys under tr's hash.
+func refRoot(tr *Tree, ref map[string]bool) Agg {
+	var a Agg
+	for k := range ref {
+		a.Count++
+		a.Fp ^= tr.hash.Hash([]byte(k))
 	}
-	for trial := 0; trial < 300; trial++ {
-		lo := randKey(rng, rng.Intn(keyLen+1))
-		hi := randKey(rng, rng.Intn(keyLen+1))
-		if bytes.Compare(lo, hi) > 0 {
-			lo, hi = hi, lo
-		}
-		if got, want := tr.Agg(lo, hi), refAgg(lo, hi); got != want {
-			t.Fatalf("Agg(%x,%x) = %+v, want %+v", lo, hi, got, want)
-		}
-		wantRank := sort.Search(len(refKeys), func(i int) bool { return bytes.Compare(refKeys[i], lo) >= 0 })
-		if got := tr.Rank(lo); got != wantRank {
-			t.Fatalf("Rank(%x) = %d, want %d", lo, got, wantRank)
-		}
-		got := tr.AppendRange(nil, lo, hi)
-		var want [][]byte
-		for _, k := range refKeys {
-			if bytes.Compare(k, lo) >= 0 && bytes.Compare(k, hi) < 0 {
-				want = append(want, k)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("AppendRange count %d, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("AppendRange[%d] = %x, want %x", i, got[i], want[i])
-			}
-		}
-	}
-	for i, k := range refKeys {
-		if !bytes.Equal(tr.At(i), k) {
-			t.Fatalf("At(%d) mismatch", i)
-		}
-	}
-	whole := tr.Agg(nil, TopBound(keyLen))
-	if whole != tr.Root() {
-		t.Fatalf("whole-range agg %+v != root %+v", whole, tr.Root())
-	}
+	return a
 }
 
 func TestTreeBulkBuildMatchesIncremental(t *testing.T) {
@@ -245,30 +182,9 @@ func TestTreeBulkBuildMatchesIncremental(t *testing.T) {
 	if bulk.Root() != inc.Root() {
 		t.Fatalf("bulk root %+v != incremental %+v", bulk.Root(), inc.Root())
 	}
-	if bulk.Len() != len(keys) {
-		t.Fatalf("bulk len %d", bulk.Len())
+	if got := bulk.Root().Count; got != uint64(len(keys)) {
+		t.Fatalf("bulk count %d, want %d", got, len(keys))
 	}
-	bounds := bulk.PartitionBounds(8)
-	if len(bounds) != 7 {
-		t.Fatalf("got %d partition bounds", len(bounds))
-	}
-	var total Agg
-	prev := []byte(nil)
-	for _, b := range append(bounds, TopBound(bulk.KeyLen())) {
-		if bytes.Compare(prev, b) >= 0 {
-			t.Fatal("partition bounds not ascending")
-		}
-		part := bulk.Agg(prev, b)
-		if part.Count == 0 {
-			t.Fatal("empty partition")
-		}
-		total.add(part)
-		prev = b
-	}
-	if total != bulk.Root() {
-		t.Fatalf("partitions do not cover the tree: %+v vs %+v", total, bulk.Root())
-	}
-
 	if _, err := NewFromSorted(4, 1, [][]byte{{1, 2, 3}}); err == nil {
 		t.Fatal("wrong-length bulk key accepted")
 	}
@@ -279,7 +195,7 @@ func TestTreeBulkBuildMatchesIncremental(t *testing.T) {
 
 // FuzzTreeOps drives a mutation script against the map-and-sorted-slice
 // reference model and checks every structural invariant after each
-// mutation batch, plus a final range-aggregate cross-check.
+// mutation batch, plus a final root-aggregate cross-check.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, uint8(3))
 	f.Add(bytes.Repeat([]byte{7}, 40), uint8(2))
@@ -318,15 +234,7 @@ func FuzzTreeOps(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if tr.Len() != len(ref) {
-			t.Fatalf("len %d, want %d", tr.Len(), len(ref))
-		}
-		var want Agg
-		for k := range ref {
-			want.Count++
-			want.Fp ^= tr.hash.Hash([]byte(k))
-		}
-		if got := tr.Agg(nil, TopBound(keyLen)); got != want {
+		if got, want := tr.Root(), refRoot(tr, ref); got != want {
 			t.Fatalf("aggregate %+v, want %+v", got, want)
 		}
 	})

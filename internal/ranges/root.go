@@ -7,7 +7,9 @@ import (
 
 // FingerprintSeed derives the seed of the key fingerprints — a Tree's
 // and a Root's alike — from the reconciliation parameters' shared seed,
-// so parties that agree on the parameters agree on the fingerprints.
+// so parties that agree on the parameters agree on the fingerprints. A
+// hello root is compared across builds with no version bump, so the label
+// must not change, however dated it reads.
 func FingerprintSeed(paramsSeed uint64) uint64 {
 	return hashutil.DeriveSeed(paramsSeed, "ranged/fp")
 }
@@ -15,10 +17,10 @@ func FingerprintSeed(paramsSeed uint64) uint64 {
 // Root is the Agg of a whole key multiset kept without the tree: the
 // count, and the XOR of the fingerprints of the (point, occurrence) keys,
 // updated with one hash per key added or removed. It equals Tree.Root of
-// a tree built with the same seed over the same keys, so a holder that
-// never answers a range probe pays for no tree. The caller supplies the
-// occurrence indices and keeps them dense per point (the k-th copy of a
-// point has index k−1), as Keys numbers them. Not safe for concurrent use.
+// a tree built with the same seed over the same keys, at no tree's cost.
+// The caller supplies the occurrence indices and keeps them dense per
+// point (the k-th copy of a point has index k−1), as Keys numbers them.
+// Not safe for concurrent use.
 type Root struct {
 	Agg
 	hash hashutil.Hasher

@@ -12,7 +12,7 @@ import (
 // Node fill bounds. Leaves hold data keys with their hashes; internal
 // nodes hold copied separator keys (left subtree < sep ≤ right subtree)
 // plus per-subtree aggregates, B+-tree style, so every data key lives in
-// exactly one leaf and range aggregates never double-count.
+// exactly one leaf and aggregates never double-count.
 const (
 	maxLeaf = 32
 	minLeaf = maxLeaf / 2
@@ -20,10 +20,10 @@ const (
 	minFan  = maxFan / 2
 )
 
-// Agg is the monoid aggregate of a key range: its cardinality and the
-// XOR of the keys' 64-bit fingerprint hashes. Two ranges holding the
-// same key multiset agree on Agg; a disagreement proves a difference
-// (the converse fails with probability 2^-64 per comparison).
+// Agg is the monoid aggregate of a key set: its cardinality and the XOR
+// of the keys' 64-bit fingerprint hashes. Two sets holding the same keys
+// agree on Agg; a disagreement proves a difference (the converse fails
+// with probability 2^-64 per comparison).
 type Agg struct {
 	Count uint64
 	Fp    uint64
@@ -42,10 +42,10 @@ type node struct {
 	agg      Agg
 }
 
-// Tree is a balanced order-statistics B-tree over fixed-length byte
-// keys with an incrementally maintained fingerprint aggregate per
-// subtree. It is not safe for concurrent mutation; concurrent readers
-// are safe once mutation stops.
+// Tree is a balanced B-tree over fixed-length byte keys with an
+// incrementally maintained fingerprint aggregate per subtree. It is not
+// safe for concurrent mutation; concurrent readers are safe once mutation
+// stops.
 type Tree struct {
 	keyLen int
 	hash   hashutil.Hasher
@@ -115,14 +115,8 @@ func NewFromSorted(keyLen int, seed uint64, keys [][]byte) (*Tree, error) {
 	return t, nil
 }
 
-// Len returns the number of keys in the tree.
-func (t *Tree) Len() int { return int(t.root.agg.Count) }
-
 // Root returns the aggregate of the whole tree.
 func (t *Tree) Root() Agg { return t.root.agg }
-
-// KeyLen returns the fixed key length the tree was built for.
-func (t *Tree) KeyLen() int { return t.keyLen }
 
 func (t *Tree) recompute(n *node) {
 	n.agg = Agg{}
@@ -335,125 +329,6 @@ func (t *Tree) merge(n *node, i int) {
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
 	t.recompute(l)
-}
-
-// Agg returns the aggregate over keys k with lo ≤ k < hi under plain
-// bytewise comparison. Bounds may be any byte strings — truncated
-// prefixes act as the prefix zero-padded to key length, and TopBound
-// exceeds every key.
-func (t *Tree) Agg(lo, hi []byte) Agg {
-	var out Agg
-	if bytes.Compare(lo, hi) >= 0 {
-		return out
-	}
-	t.agg(t.root, lo, hi, &out)
-	return out
-}
-
-func (t *Tree) agg(n *node, lo, hi []byte, out *Agg) {
-	if n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], lo) >= 0 })
-		j := sort.Search(len(n.keys), func(j int) bool { return bytes.Compare(n.keys[j], hi) >= 0 })
-		for ; i < j; i++ {
-			out.Count++
-			out.Fp ^= n.hashes[i]
-		}
-		return
-	}
-	a := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], lo) > 0 })
-	b := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], hi) >= 0 })
-	if a >= b {
-		// lo and hi fall in the same child (a == b); a > b cannot happen.
-		t.agg(n.children[a], lo, hi, out)
-		return
-	}
-	t.agg(n.children[a], lo, hi, out)
-	for j := a + 1; j < b; j++ {
-		out.add(n.children[j].agg)
-	}
-	t.agg(n.children[b], lo, hi, out)
-}
-
-// Rank returns the number of keys strictly below bound.
-func (t *Tree) Rank(bound []byte) int {
-	r := 0
-	n := t.root
-	for !n.leaf {
-		a := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], bound) > 0 })
-		for j := 0; j < a; j++ {
-			r += int(n.children[j].agg.Count)
-		}
-		n = n.children[a]
-	}
-	return r + sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], bound) >= 0 })
-}
-
-// At returns the i-th smallest key (0-based). The caller must keep
-// 0 ≤ i < Len(); the returned slice is owned by the tree.
-func (t *Tree) At(i int) []byte {
-	n := t.root
-	for !n.leaf {
-		for _, c := range n.children {
-			if uint64(i) < c.agg.Count {
-				n = c
-				break
-			}
-			i -= int(c.agg.Count)
-		}
-	}
-	return n.keys[i]
-}
-
-// AppendRange appends the keys in [lo, hi) to dst in ascending order.
-// The appended slices are owned by the tree.
-func (t *Tree) AppendRange(dst [][]byte, lo, hi []byte) [][]byte {
-	if bytes.Compare(lo, hi) >= 0 {
-		return dst
-	}
-	return t.appendRange(dst, t.root, lo, hi)
-}
-
-func (t *Tree) appendRange(dst [][]byte, n *node, lo, hi []byte) [][]byte {
-	if n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], lo) >= 0 })
-		j := sort.Search(len(n.keys), func(j int) bool { return bytes.Compare(n.keys[j], hi) >= 0 })
-		return append(dst, n.keys[i:j]...)
-	}
-	a := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], lo) > 0 })
-	b := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], hi) >= 0 })
-	if a >= b {
-		return t.appendRange(dst, n.children[a], lo, hi)
-	}
-	dst = t.appendRange(dst, n.children[a], lo, hi)
-	for j := a + 1; j < b; j++ {
-		dst = t.appendRange(dst, n.children[j], lo, hi)
-	}
-	return t.appendRange(dst, n.children[b], lo, hi)
-}
-
-// PartitionBounds returns up to parts-1 strictly ascending inner bounds
-// that divide the tree's keys into near-equal runs — the seed for
-// pipelining sibling subranges over parallel streams. Fewer bounds come
-// back when the tree is too small to cut.
-func (t *Tree) PartitionBounds(parts int) [][]byte {
-	n := t.Len()
-	var out [][]byte
-	if parts < 2 || n < 2 {
-		return out
-	}
-	if parts > n {
-		parts = n
-	}
-	prev := -1
-	for i := 1; i < parts; i++ {
-		at := i * n / parts
-		if at == prev || at == 0 {
-			continue
-		}
-		prev = at
-		out = append(out, CutBetween(t.At(at-1), t.At(at)))
-	}
-	return out
 }
 
 // Check verifies every structural invariant — key order and length,

@@ -65,11 +65,12 @@ func TestRatelessAgainstServer(t *testing.T) {
 	}
 }
 
-// TestExactClientAgainstRatelessServer: a client of the retired
-// exact-IBLT strategy — a hello with its code and the one-byte config it
-// sent — against a server that serves the dataset rateless is refused as
-// an unknown strategy, and the refusal reaches it as the server's
-// *RemoteError; a Rateless client of the same dataset converges.
+// TestExactClientAgainstRatelessServer: a client of a retired strategy —
+// exact-IBLT's hello with the one-byte config it sent, or the range-based
+// strategy's with its three-byte branch and item limit — against a server
+// that serves the dataset rateless is refused as an unknown strategy, and
+// the refusal reaches it as the server's *RemoteError; a Rateless client
+// of the same dataset converges afterwards.
 func TestExactClientAgainstRatelessServer(t *testing.T) {
 	alice, bob := ratelessExactPair(300, 10)
 	params := robustset.Params{Universe: testU, Seed: 23, DiffBudget: 10}
@@ -79,12 +80,16 @@ func TestExactClientAgainstRatelessServer(t *testing.T) {
 	}
 	addr := startServer(t, srv)
 
-	st := openStream(t, addr.String())
-	hello := protocol.Hello{Strategy: protocol.StrategyExactIBLT, Dataset: "d", Config: []byte{4}}
-	_, err := protocol.RunHelloClient(context.Background(), st, hello)
-	var remote *protocol.RemoteError
-	if !errors.As(err, &remote) || !strings.Contains(remote.Reason, "unknown strategy") {
-		t.Fatalf("exact-IBLT hello: %v, want the server's unknown-strategy *RemoteError", err)
+	for _, hello := range []protocol.Hello{
+		{Strategy: protocol.StrategyExactIBLT, Dataset: "d", Config: []byte{4}},
+		{Strategy: protocol.StrategyRangeBased, Dataset: "d", Config: []byte{8, 16, 0}},
+	} {
+		st := openStream(t, addr.String())
+		_, err := protocol.RunHelloClient(context.Background(), st, hello)
+		var remote *protocol.RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Reason, "unknown strategy") {
+			t.Fatalf("hello with retired code %d: %v, want the server's unknown-strategy *RemoteError", hello.Strategy, err)
+		}
 	}
 	res, _, err := fetchOnce(t, addr.String(), "d", robustset.Rateless{}, bob)
 	if err != nil {

@@ -37,8 +37,8 @@
 // extendable-IBLT cell stream, whose wire cost tracks the actual
 // difference even when the estimate is wrong), CPI
 // (characteristic-polynomial sync) and Naive (full transfer) are the
-// classic exact schemes it benchmarks against; Ranged probes range
-// fingerprints. Session.Serve / Session.Fetch run it peer to peer over
+// classic exact schemes it benchmarks against. Session.Serve /
+// Session.Fetch run it peer to peer over
 // any net.Conn, under parameters both sides agree on, with context
 // cancellation and deadlines:
 //

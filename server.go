@@ -33,8 +33,8 @@ var ErrUnknownDataset = errors.New("robustset: unknown dataset")
 // Dataset is one named point multiset a Server publishes. It pairs the
 // live points with an incrementally maintained sketch, so robust one-shot
 // sessions are served from the Maintainer in O(sketch) time regardless of
-// dataset size — adaptive ones a level at a time, ranged and rateless ones
-// from state a session of theirs leaves behind (DESIGN.md, "Served state")
+// dataset size — adaptive ones a level at a time, rateless ones from state
+// a session of theirs leaves behind (DESIGN.md, "Served state")
 // — while CPI and Naive snapshot the points. The multiset is
 // stored as encoded-point occurrence counts, so Add and Remove cost
 // O(levels) maintainer updates plus an O(1) map operation — no linear
@@ -67,26 +67,21 @@ type Dataset struct {
 	// each re-marshaling the whole sketch under d.mu — the snapshot-free
 	// concurrent read path. Callers must treat the blob as read-only.
 	blobCache []byte
-	// rtree is the ranged strategy's fingerprint tree over the multiset's
-	// Morton keys. It is built lazily by the first ranged session and
-	// from then on maintained incrementally through mutateLocked, so
-	// ranged sessions on a high-churn dataset never pay an O(n log n)
-	// rebuild. nil until a ranged session has run.
-	rtree *ranges.Tree
 	// exact is the rateless strategy's strata estimator and cell-stream
-	// prefix over the multiset's occurrence keys, built and maintained like
-	// rtree: a rateless session copies O(cells) under d.mu and reads no
-	// points. nil until a rateless session has run.
+	// prefix over the multiset's occurrence keys. It is built lazily by the
+	// first rateless session and from then on maintained incrementally
+	// through applyLocked: a rateless session copies O(cells) under d.mu
+	// and reads no points. nil until a rateless session has run.
 	exact *protocol.RatelessState
 	// estimators caches the adaptive strategy's estimators of size
 	// estimatorsK by level, each built on its first request. Mutations
 	// and retire() drop them; a request of another size too.
 	estimators  map[int]*sketch.BottomK
 	estimatorsK int
-	// root is the aggregate of the same (point, occurrence) keys under
-	// the same fingerprint hash as rtree, so it equals rtree.Root()
-	// whenever the tree exists. It is keyed by Params.Seed: datasets of
-	// different seeds have unrelated roots.
+	// root is the aggregate of the multiset's (point, occurrence) keys:
+	// the count and the XOR of their fingerprints, equal to the root of a
+	// ranges.Tree built over the same keys. It is keyed by Params.Seed:
+	// datasets of different seeds have unrelated roots.
 	root ranges.Root
 	// pointsGauge, rootGauge and coldSessions export size, root fingerprint
 	// and the rateless sessions that read the points; they are the
@@ -124,7 +119,7 @@ func (d *Dataset) errRetired() error {
 func (d *Dataset) retire() {
 	d.mu.Lock()
 	d.retired = true
-	d.rtree, d.exact, d.estimators = nil, nil, nil // free the served state; no future session can use it
+	d.exact, d.estimators = nil, nil // free the served state; no future session can use it
 	d.pointsGauge.Set(0)
 	d.rootGauge.Set(0)
 	d.mu.Unlock()
@@ -156,36 +151,6 @@ func (d *Dataset) openSession(root *ranges.Agg) (p Params, same bool, err error)
 		return Params{}, false, d.errRetired()
 	}
 	return d.maintainer.Params(), root != nil && *root == d.root.Agg, nil
-}
-
-// rangeView returns the live range-tree view a ranged session serves
-// from, building the tree on first use. Each probe round runs under
-// d.mu, so a round sees a write-atomic tree; between rounds the tree
-// may advance with the dataset, which at worst re-opens a range in a
-// later probe. The view rejects retired datasets like servePoints.
-func (d *Dataset) rangeView() (protocol.TreeView, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.retired {
-		return nil, d.errRetired()
-	}
-	if d.rtree == nil {
-		p := d.maintainer.Params()
-		tree, err := protocol.BuildRangeTree(
-			protocol.RangedConfig{Universe: p.Universe, Seed: p.Seed}, d.snapshotLocked())
-		if err != nil {
-			return nil, err
-		}
-		d.rtree = tree
-	}
-	return func(fn func(*ranges.Tree) error) error {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.retired {
-			return d.errRetired()
-		}
-		return fn(d.rtree)
-	}, nil
 }
 
 // ratelessOpening captures, under one hold of d.mu and in O(cells), what
@@ -318,8 +283,8 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 }
 
 // applyLocked applies one point mutation to every in-memory index — the
-// maintained sketch, the root aggregate, the range tree and the rateless
-// state if they exist, the occurrence counts — with d.mu held. enc is
+// maintained sketch, the root aggregate, the rateless state if it exists,
+// the occurrence counts — with d.mu held. enc is
 // pt's canonical encoding. Live mutations arrive validated; recovery replays log records through
 // here too and reports what a corrupt log makes fail.
 func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
@@ -332,11 +297,6 @@ func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 		// key multiset stays dense per point.
 		occ := uint32(d.counts[enc])
 		d.root.Add(pt, occ)
-		if d.rtree != nil {
-			if err := d.rtree.Insert(ranges.EncodeKey(nil, pt, occ)); err != nil {
-				return fmt.Errorf("range tree insert: %w", err)
-			}
-		}
 		if d.exact != nil {
 			d.exact.Add(enc, occ)
 		}
@@ -352,11 +312,6 @@ func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 		// Removing the highest occurrence index keeps indexes dense.
 		occ := uint32(d.counts[enc] - 1)
 		d.root.Remove(pt, occ)
-		if d.rtree != nil {
-			if err := d.rtree.Delete(ranges.EncodeKey(nil, pt, occ)); err != nil {
-				return fmt.Errorf("range tree delete: %w", err)
-			}
-		}
 		if d.exact != nil {
 			d.exact.Remove(enc, occ)
 		}

@@ -15,8 +15,8 @@ import (
 	"robustset/internal/transport"
 )
 
-// Strategy selects which reconciliation protocol a Session runs. The six
-// implementations — Robust, Adaptive, Rateless, Ranged, CPI and Naive —
+// Strategy selects which reconciliation protocol a Session runs. The five
+// implementations — Robust, Adaptive, Rateless, CPI and Naive —
 // wrap the module's wire protocols behind one interface, so serving and
 // fetching code is written once and the protocol is a configuration
 // choice. The interface is closed (its lower-case methods cannot be
@@ -104,8 +104,8 @@ type SyncResult struct {
 	// is close to the remote set in Earth Mover's Distance.
 	SPrime []Point
 	// Robust carries the robust protocol's detailed result (chosen level,
-	// added/removed points, per-level outcomes); nil for Rateless, Ranged,
-	// CPI and Naive.
+	// added/removed points, per-level outcomes); nil for Rateless, CPI and
+	// Naive.
 	Robust *Result
 	// Params are the parameters the exchange actually ran under. When
 	// fetching a named dataset these are the server's (adopted through
@@ -369,92 +369,6 @@ func (r Rateless) fetch(ctx context.Context, t transport.Transport, p Params, lo
 	return &SyncResult{SPrime: res.SPrime, diff: res.Diff}, nil
 }
 
-// Ranged is divide-and-conquer exact synchronization over the Morton
-// key order: the fetching side probes key ranges with (count,
-// fingerprint) aggregates, mismatched ranges split k ways, and ranges of
-// at most ItemLimit keys terminate by exact item transfer. Wire cost
-// scales with the difference (times log of the set size), not with the
-// set size itself — the strategy of choice for huge sets with tiny
-// differences, where every sized sketch pays its estimator up front.
-//
-// When fetching through a Client, Streams > 1 reconciles that many
-// disjoint subranges as parallel pipelined streams of its connection,
-// cutting wall-clock round depth without changing the result.
-type Ranged struct {
-	// Branch is the split fan-out k for mismatched ranges; both endpoints
-	// must agree (a server session adopts it from the hello). 0 means 8.
-	Branch int
-	// ItemLimit is the serving-side range size at which splitting stops
-	// and exact keys are transferred. 0 means 16.
-	ItemLimit int
-	// Serial probes one range per round trip instead of batching each
-	// recursion level into one frame — the classic recursive ping-pong,
-	// kept for latency comparisons (fetch side only).
-	Serial bool
-	// Streams is the number of parallel sibling-range streams a
-	// ClientSession.Fetch fans out to. 0 or 1 means a single stream;
-	// peer-to-peer Session connections always use one stream.
-	Streams int
-}
-
-// Name implements Strategy.
-func (Ranged) Name() string { return "ranged" }
-
-func (r Ranged) validate() error {
-	if r.Branch != 0 && (r.Branch < 2 || r.Branch > protocol.MaxRangedBranch) {
-		return fmt.Errorf("robustset: ranged branch %d outside [2,%d]", r.Branch, protocol.MaxRangedBranch)
-	}
-	if r.ItemLimit < 0 || r.ItemLimit > protocol.MaxRangedItemLimit {
-		return fmt.Errorf("robustset: ranged item limit %d outside [0,%d]", r.ItemLimit, protocol.MaxRangedItemLimit)
-	}
-	if r.Streams < 0 || r.Streams > 64 {
-		return fmt.Errorf("robustset: ranged streams %d outside [0,64]", r.Streams)
-	}
-	return nil
-}
-
-func (Ranged) code() byte { return protocol.StrategyRanged }
-
-func (r Ranged) helloConfig() []byte {
-	return []byte{byte(r.Branch), byte(r.ItemLimit), byte(r.ItemLimit >> 8)}
-}
-
-func (r Ranged) config(p Params) protocol.RangedConfig {
-	return protocol.RangedConfig{
-		Universe:  p.Universe,
-		Seed:      p.Seed,
-		Branch:    r.Branch,
-		ItemLimit: r.ItemLimit,
-		Serial:    r.Serial,
-	}
-}
-
-func (r Ranged) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
-	return protocol.RunRangedAlice(ctx, t, r.config(p), pts)
-}
-
-// serveDataset probes the dataset's incrementally maintained fingerprint
-// tree — no O(n) snapshot, and concurrent mutations only re-open ranges
-// in later probe rounds.
-func (r Ranged) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
-	view, err := d.rangeView()
-	if err != nil {
-		return protocol.SendError(ctx, t, err)
-	}
-	return protocol.RunRangedAliceView(ctx, t, r.config(p), view)
-}
-
-func (r Ranged) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
-	sp, rounds, err := protocol.RunRangedBob(ctx, t, r.config(p), local)
-	if err != nil {
-		return nil, err
-	}
-	// wall_rounds is the sequential round-trip depth of the exchange; the
-	// pipelined client overwrites it with the per-stream maximum.
-	trace.FromContext(ctx).Stat("wall_rounds", int64(rounds))
-	return &SyncResult{SPrime: sp}, nil
-}
-
 // CPIConfig parameterizes the characteristic-polynomial comparator.
 type CPIConfig = protocol.CPIConfig
 
@@ -577,10 +491,6 @@ func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 	case protocol.StrategyRateless:
 		if err = exact(4); err == nil {
 			s = Rateless{first: int(binary.LittleEndian.Uint32(cfg))}
-		}
-	case protocol.StrategyRanged:
-		if err = exact(3); err == nil {
-			s = Ranged{Branch: int(cfg[0]), ItemLimit: int(cfg[1]) | int(cfg[2])<<8}
 		}
 	case protocol.StrategyCPI:
 		if err = exact(4); err == nil {
@@ -861,5 +771,5 @@ func (s *Session) Sync(ctx context.Context, conn net.Conn, pts []Point) (*SyncRe
 // Strategies returns one value of every built-in strategy, in a stable
 // order — handy for tools and tests that iterate over all protocols.
 func Strategies() []Strategy {
-	return []Strategy{Robust{}, Adaptive{}, Rateless{}, Ranged{}, CPI{}, Naive{}}
+	return []Strategy{Robust{}, Adaptive{}, Rateless{}, CPI{}, Naive{}}
 }

@@ -284,18 +284,6 @@ func TestStrategyValidation(t *testing.T) {
 	if _, err := robustset.NewSession(robustset.Rateless{MaxBytes: -1}); err == nil {
 		t.Error("negative rateless byte budget accepted")
 	}
-	if _, err := robustset.NewSession(robustset.Ranged{Branch: 1}); err == nil {
-		t.Error("ranged branch 1 accepted")
-	}
-	if _, err := robustset.NewSession(robustset.Ranged{Branch: 100}); err == nil {
-		t.Error("oversized ranged branch accepted")
-	}
-	if _, err := robustset.NewSession(robustset.Ranged{ItemLimit: 1 << 20}); err == nil {
-		t.Error("oversized ranged item limit accepted")
-	}
-	if _, err := robustset.NewSession(robustset.Ranged{Streams: -1}); err == nil {
-		t.Error("negative ranged stream count accepted")
-	}
 	if _, err := robustset.NewSession(robustset.CPI{Capacity: 1 << 30}); err == nil {
 		t.Error("oversized CPI capacity accepted")
 	}
@@ -397,26 +385,6 @@ func confWireBudget(strat robustset.Strategy, sc confScenario) int64 {
 		// plus at most 50% chunk-growth overshoot.
 		strata := 16*cellsUB(40) + 2048
 		return strata + tableUB(2*sc.diffUB+64) + 2048
-	case robustset.Ranged:
-		// Each difference key opens at most one root-to-leaf split chain:
-		// per level one probe entry (~3·keyLen) plus one 8-way split
-		// reply (8 aggregates and 7 truncated bounds, ≈ 8·(keyLen+12));
-		// terminal ranges transfer exact keys, bounded both by per-range
-		// item limits and by the whole key population.
-		keyLen := int64(8*dim + 4)
-		d := int64(sc.diffUB)
-		if d < 8 {
-			d = 8
-		}
-		items := 2 * d * 16
-		if ub := int64(n) + d; items > ub {
-			items = ub
-		}
-		depth := int64(2)
-		for m := int64(n); m > 16; m /= 8 {
-			depth++
-		}
-		return d*depth*(3*keyLen+8*(keyLen+12)) + items*keyLen + 4096
 	case robustset.CPI:
 		// Sketch Θ(capacity) + payload round-trip Θ(diff).
 		return int64(8*(2*k+16)) + int64(sc.diffUB)*int64(16+8*dim) + 2048
@@ -502,7 +470,6 @@ func confScenarios(t *testing.T) []confScenario {
 			params: params(6), def: expClose, diffUB: 2 * 240,
 			expect: map[string]confExpect{
 				"rateless": expExact, // streams until decode, still correct
-				"ranged":   expExact, // splits down to item transfer, still correct
 				"cpi":      expError, // diff ≫ capacity, no retry path
 				"naive":    expExact,
 			},
@@ -513,7 +480,6 @@ func confScenarios(t *testing.T) []confScenario {
 			params: params(8), def: expClose, diffUB: 2 * 200,
 			expect: map[string]confExpect{
 				"rateless": expExact,
-				"ranged":   expExact,
 				"cpi":      expError,
 				"naive":    expExact,
 			},
@@ -524,7 +490,6 @@ func confScenarios(t *testing.T) []confScenario {
 			params: params(8), def: expClose, diffUB: 2 * 20000,
 			expect: map[string]confExpect{
 				"rateless": expExact,
-				"ranged":   expExact,
 				"cpi":      expError,
 				"naive":    expExact,
 			},
