@@ -443,10 +443,10 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 // benchmark: a server holding 20 000 points under all 21 levels of the
 // universe, a loopback client holding a noisy copy with 64 outliers, one
 // one-shot Fetch per iteration. warm is the ruler's op: every fetch after
-// the first asks for the window from one level finer than the last one
+// the first asks for the window of the levels around the one the last
 // chose. cold makes the client forget that before every fetch, so each
 // gets the full sketch. tables-parsed/op counts the level tables the
-// client's SKETCH carried.
+// client's SKETCHes carried.
 func BenchmarkRobustFetch20k(b *testing.B) {
 	const n = 20000
 	inst, err := workload.Generate(workload.Config{
@@ -477,9 +477,9 @@ func BenchmarkRobustFetch20k(b *testing.B) {
 			defer cl.Close()
 			var tables int64
 			count := robustset.WithSessionTrace(func(st *robustset.SessionTrace) {
-				top, _ := st.Stat("max_level")
 				if lo, ok := st.Stat("window_lo"); ok {
-					tables += top - lo + 1
+					hi, _ := st.Stat("window_hi")
+					tables += hi - lo + 1
 				} else {
 					tables += int64(params.Universe.Levels() + 1)
 				}

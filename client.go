@@ -48,8 +48,8 @@ type Client struct {
 	sessions int64
 	// hints holds, per dataset name and warm strategy, what the last fetch
 	// of the dataset with the strategy left the next one to open warm from:
-	// the size of the difference a rateless fetch decoded, the low end of
-	// the next robust fetch's window.
+	// the size of the difference a rateless fetch decoded, the next robust
+	// fetch's window.
 	hints map[hintKey]int
 }
 
@@ -311,8 +311,9 @@ func (c *Client) learn(dataset string, w warmStrategy, res *SyncResult, err erro
 
 // fetch runs one fetch: against d when it is set, else against local.
 // Rateless and Robust sessions open warm when an earlier fetch of the
-// dataset left a hint. A warm robust session that chooses no level of its
-// window is run again, cold, on a new stream; the stats count both.
+// dataset left a hint. A warm robust session that misses upward is run
+// again from its window's finest level through MaxLevel, one that chooses
+// no level, cold; each on a new stream, and the stats count every session.
 func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (res *SyncResult, stats TransferStats, err error) {
 	c, strat := cs.c, cs.sess.strategy
 	if w, ok := strat.(warmStrategy); ok {
@@ -326,6 +327,15 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 	}
 	defer func() { <-c.sem }()
 	res, stats, err = cs.session(ctx, strat, d, local)
+	if err == nil {
+		return res, stats, nil
+	}
+	var up *protocol.WindowUpError
+	if errors.As(err, &up) {
+		var more TransferStats
+		res, more, err = cs.session(ctx, robustWindow(up.Lo, up.Hi), d, local)
+		stats.Add(more)
+	}
 	if errors.Is(err, protocol.ErrWindowMiss) {
 		var cold TransferStats
 		res, cold, err = cs.session(ctx, cs.sess.strategy, d, local)

@@ -310,6 +310,7 @@ type LevelOutcome struct {
 	Level    int
 	Decoded  bool
 	DiffSize int // decoded keys (valid only when Decoded)
+	Residue  int // non-zero cells the stalled peel left (valid only when not Decoded)
 }
 
 // Result is the outcome of a reconciliation on Bob's side.
@@ -330,12 +331,35 @@ type Result struct {
 	// key).
 	Removed []points.Point
 	// Outcomes records the decode attempt at every scanned level, finest
-	// first, ending with the successful one.
+	// first, ending with the successful one. A warm fetch's begin at its
+	// window's finest level: they are a cold fetch's from there on.
 	Outcomes []LevelOutcome
 }
 
 // DiffSize returns the total number of decoded difference keys.
 func (r *Result) DiffSize() int { return len(r.Added) + len(r.Removed) }
+
+// Overloaded reports whether o, a decode attempt under normalized p,
+// stalled on at least as many non-zero cells as p's tables have beyond
+// their key capacity: past its load, as are the finer levels. A stall on
+// fewer is a chance 2-core, which says nothing of the finer levels.
+func (p Params) Overloaded(o LevelOutcome) bool {
+	return !o.Decoded && o.Residue >= iblt.RecommendedCells(p.TableCapacity, p.HashCount)-p.TableCapacity
+}
+
+// WarmWindow is the window of levels the next fetch asks for after one
+// that returned res: from res.Level−1 up to the first finer level res saw
+// overloaded, or else did not see, MaxLevel at most. ok is false when it
+// would reach below MinLevel or be the whole range.
+func WarmWindow(res *Result) (lo, hi int, ok bool) {
+	p, top := res.Params, res.Outcomes[0].Level
+	lo, hi = res.Level-1, res.Level+1
+	for hi < p.MaxLevel && hi <= top && !p.Overloaded(res.Outcomes[top-hi]) {
+		hi++
+	}
+	hi = min(hi, p.MaxLevel)
+	return lo, hi, lo >= p.MinLevel && (lo > p.MinLevel || hi < p.MaxLevel)
+}
 
 // ErrNoDecodableLevel is returned when no level of the sketch decodes —
 // the difference exceeded the sketch's budget at every resolution. The

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"slices"
@@ -56,6 +57,59 @@ func FuzzSketchUnmarshal(f *testing.F) {
 		for _, p := range res.SPrime {
 			if !got.Params.Universe.Contains(p) {
 				t.Fatalf("reconcile emitted out-of-universe point %v", p)
+			}
+		}
+	})
+}
+
+// FuzzSketchWindow cuts windows out of arbitrary bytes. No input may
+// panic, and whenever the bytes unmarshal as a sketch, a window inside its
+// levels other than the whole range is cut, and parses under
+// UnmarshalAs(WithLevels(lo, hi)) into the sketch's own tables lo through
+// hi; any other window is refused.
+func FuzzSketchWindow(f *testing.F) {
+	u := points.Universe{Dim: 2, Delta: 1 << 8}
+	sk, err := BuildSketch(testParams(u, 2, 5), []points.Point{{1, 2}, {3, 4}, {100, 200}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, _ := sk.MarshalBinary()
+	for _, w := range [][2]uint8{{3, 5}, {0, 7}, {8, 8}, {0, 8}, {5, 3}, {9, 9}, {0, 0}} {
+		f.Add(blob, w[0], w[1])
+	}
+	f.Add(blob[:len(blob)/2], uint8(0), uint8(4))
+	f.Add([]byte(sketchMagic), uint8(1), uint8(2))
+	f.Add([]byte{}, uint8(0), uint8(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, lo8, hi8 uint8) {
+		lo, hi := int(lo8), int(hi8)
+		head, tail, werr := SketchWindow(data, lo, hi)
+		var full Sketch
+		if full.UnmarshalBinary(data) != nil {
+			return
+		}
+		p := full.Params
+		if lo < p.MinLevel || lo > hi || hi > p.MaxLevel || (lo == p.MinLevel && hi == p.MaxLevel) {
+			if werr == nil {
+				t.Fatalf("window [%d,%d] of levels [%d,%d] was cut", lo, hi, p.MinLevel, p.MaxLevel)
+			}
+			return
+		}
+		if werr != nil {
+			t.Fatalf("window [%d,%d] of levels [%d,%d]: %v", lo, hi, p.MinLevel, p.MaxLevel, werr)
+		}
+		var w Sketch
+		if err := w.UnmarshalAs(append(head, tail...), p.WithLevels(lo, hi)); err != nil {
+			t.Fatalf("window [%d,%d] of levels [%d,%d]: %v", lo, hi, p.MinLevel, p.MaxLevel, err)
+		}
+		if w.Count != full.Count || len(w.Tables) != hi-lo+1 {
+			t.Fatalf("window [%d,%d]: %d tables of %d points, the sketch %d points", lo, hi, len(w.Tables), w.Count, full.Count)
+		}
+		for i, tbl := range w.Tables {
+			got, _ := tbl.MarshalBinary()
+			want, _ := full.Tables[lo-p.MinLevel+i].MarshalBinary()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("window [%d,%d]: level %d's table differs from the sketch's", lo, hi, lo+i)
 			}
 		}
 	})

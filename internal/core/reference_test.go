@@ -113,7 +113,7 @@ func refReconcile(s *Sketch, bobPts []points.Point) (*Result, error) {
 		}
 		diff, derr := scratch.DecodeMut()
 		if derr != nil {
-			res.Outcomes = append(res.Outcomes, LevelOutcome{Level: l})
+			res.Outcomes = append(res.Outcomes, LevelOutcome{Level: l, Residue: derr.(*iblt.DecodeError).RemainingCells})
 			continue
 		}
 		res.Outcomes = append(res.Outcomes, LevelOutcome{Level: l, Decoded: true, DiffSize: diff.Size()})

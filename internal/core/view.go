@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -438,7 +439,9 @@ func (v *View) reconcile(s *Sketch) (*Result, error) {
 		}
 		diff, derr := scratch.DecodeMut()
 		if derr != nil {
-			res.Outcomes = append(res.Outcomes, LevelOutcome{Level: l})
+			var stall *iblt.DecodeError
+			errors.As(derr, &stall) // the one error DecodeMut returns
+			res.Outcomes = append(res.Outcomes, LevelOutcome{Level: l, Residue: stall.RemainingCells})
 			continue
 		}
 		res.Outcomes = append(res.Outcomes, LevelOutcome{Level: l, Decoded: true, DiffSize: diff.Size()})

@@ -130,36 +130,39 @@ func (v *View) UnmarshalLevelTable(level, capacity int, blob []byte) (*iblt.Tabl
 	return unmarshalLevelTable(v.p, level, capacity, blob)
 }
 
-// SketchWindow cuts the window of levels [lo, MaxLevel] out of a
-// marshalled sketch without parsing a table of it. The window is head
-// followed by tail: head is blob's header with MinLevel lo and the table
-// count to match, tail is blob from level lo's table on, byte for byte.
-// Since no level's table depends on MinLevel, that is the sketch
-// BuildSketch writes under the parameters WithLevels(lo, MaxLevel). A lo
-// outside (MinLevel, MaxLevel] is ErrLevelOutOfRange.
-func SketchWindow(blob []byte, lo int) (head, tail []byte, err error) {
+// SketchWindow cuts the window of levels [lo, hi] out of a marshalled
+// sketch without parsing a table of it. The window is head followed by
+// tail: head is blob's header with the levels lo and hi and the table
+// count to match, tail is blob's tables of levels lo through hi, byte for
+// byte. Since no level's table depends on MinLevel or MaxLevel, that is
+// the sketch BuildSketch writes under the parameters WithLevels(lo, hi).
+// A window outside [MinLevel, MaxLevel], with lo > hi, or of the whole
+// range is ErrLevelOutOfRange.
+func SketchWindow(blob []byte, lo, hi int) (head, tail []byte, err error) {
 	if len(blob) < sketchHeaderSize || string(blob[:4]) != sketchMagic {
 		return nil, nil, errors.New("core: sketch: bad magic or short header")
 	}
 	p := parseParams(blob[4:])
-	if lo <= p.MinLevel || lo > p.MaxLevel {
-		return nil, nil, fmt.Errorf("%w: window from level %d of a sketch of levels [%d,%d]", ErrLevelOutOfRange, lo, p.MinLevel, p.MaxLevel)
+	if lo < p.MinLevel || lo > hi || hi > p.MaxLevel || (lo == p.MinLevel && hi == p.MaxLevel) {
+		return nil, nil, fmt.Errorf("%w: window [%d,%d] of a sketch of levels [%d,%d]", ErrLevelOutOfRange, lo, hi, p.MinLevel, p.MaxLevel)
 	}
-	off := sketchHeaderSize
-	for l := p.MinLevel; l < lo; l++ {
+	start, off := 0, sketchHeaderSize
+	for l := p.MinLevel; l <= hi; l++ {
+		if l == lo {
+			start = off
+		}
 		if off+4 > len(blob) {
 			return nil, nil, errors.New("core: sketch: truncated table header")
 		}
-		off += 4 + int(binary.LittleEndian.Uint32(blob[off:]))
-	}
-	if off > len(blob) {
-		return nil, nil, errors.New("core: sketch: truncated table body")
+		if off += 4 + int(binary.LittleEndian.Uint32(blob[off:])); off > len(blob) {
+			return nil, nil, errors.New("core: sketch: truncated table body")
+		}
 	}
 	head = append(make([]byte, 0, sketchHeaderSize), sketchMagic...)
-	head = appendParams(head, p.WithLevels(lo, p.MaxLevel))
+	head = appendParams(head, p.WithLevels(lo, hi))
 	head = append(head, blob[4+ParamsWireSize:][:4]...) // the point count
-	head = binary.LittleEndian.AppendUint16(head, uint16(p.MaxLevel-lo+1))
-	return head, blob[off:], nil
+	head = binary.LittleEndian.AppendUint16(head, uint16(hi-lo+1))
+	return head, blob[start:off], nil
 }
 
 // UnmarshalBinary parses MarshalBinary output. The sketch carries its

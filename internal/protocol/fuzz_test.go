@@ -31,11 +31,16 @@ func FuzzParseHello(f *testing.F) {
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{97, 0, 0, 0}},
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0xff, 0xff, 0xff, 0xff}},
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0, 2, 0, 0}, Root: &ranges.Agg{Count: 20000, Fp: 1}},
-		// Warm robust hellos: a window from level 9, from the largest
-		// level a byte holds with a root, and the never-valid level 0.
-		{Strategy: StrategyRobust, Dataset: "noisy/0", Config: []byte{9}},
-		{Strategy: StrategyRobust, Dataset: "data~3.16", Config: []byte{0xff}, Root: &ranges.Agg{Count: 2000, Fp: 3}},
-		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{0}},
+		// Warm robust hellos: the window [9,11], the largest levels a byte
+		// holds with a root, one level, and the never-valid windows: the
+		// old one-byte form, three bytes, lo > hi and a hi of 0.
+		{Strategy: StrategyRobust, Dataset: "noisy/0", Config: []byte{9, 11}},
+		{Strategy: StrategyRobust, Dataset: "data~3.16", Config: []byte{0xfe, 0xff}, Root: &ranges.Agg{Count: 2000, Fp: 3}},
+		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{4, 4}},
+		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{9}},
+		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{9, 10, 11}},
+		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{11, 9}},
+		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{0, 0}},
 		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{0xff, 0xff, 0xff, 0xff}},
 		{Strategy: StrategyNaive, Dataset: string(bytes.Repeat([]byte{'n'}, MaxDatasetName))},
 		// The same shapes with the root tail: an empty set's, a full one's.

@@ -56,17 +56,17 @@ func RunPushBlobAlice(ctx context.Context, t transport.Transport, blob []byte) e
 }
 
 // RunPushWindowAlice is RunPushBlobAlice for a warm session, one that
-// asked for the window [lo, MaxLevel] of the sketch of a dataset of
-// parameters p: the window core.SketchWindow cuts out of blob, written
-// straight into the send buffer. A lo outside (MinLevel, MaxLevel] is
-// refused, and the refusal relayed.
-func RunPushWindowAlice(ctx context.Context, t transport.Transport, p core.Params, blob []byte, lo int) error {
-	head, tail, err := core.SketchWindow(blob, lo)
+// asked for the window [lo, hi] of the sketch of a dataset of parameters
+// p: the window core.SketchWindow cuts out of blob, written straight into
+// the send buffer. A window core.SketchWindow refuses is refused, and the
+// refusal relayed.
+func RunPushWindowAlice(ctx context.Context, t transport.Transport, p core.Params, blob []byte, lo, hi int) error {
+	head, tail, err := core.SketchWindow(blob, lo, hi)
 	if err != nil {
 		return sendErr(ctx, t, err)
 	}
 	tr := trace.FromContext(ctx)
-	windowStats(tr, p, lo)
+	windowStats(tr, p, lo, hi)
 	sp := tr.Begin("sketch_send")
 	if err := send(ctx, t, MsgSketch, head, tail); err != nil {
 		return err
@@ -76,10 +76,11 @@ func RunPushWindowAlice(ctx context.Context, t transport.Transport, p core.Param
 }
 
 // windowStats records on tr that its session opened warm, on the window
-// [lo, MaxLevel] of p's levels.
-func windowStats(tr *trace.Trace, p core.Params, lo int) {
+// [lo, hi] of p's levels.
+func windowStats(tr *trace.Trace, p core.Params, lo, hi int) {
 	tr.Stat(trace.StatWarm, 1)
 	tr.Stat(trace.StatWindowLo, int64(lo))
+	tr.Stat(trace.StatWindowHi, int64(hi))
 	tr.Stat(trace.StatMinLevel, int64(p.MinLevel))
 	tr.Stat(trace.StatMaxLevel, int64(p.MaxLevel))
 }
@@ -90,6 +91,19 @@ func windowStats(tr *trace.Trace, p core.Params, lo int) {
 // caller reruns the session cold.
 var ErrWindowMiss = errors.New("protocol: no level of the warm window chosen")
 
+// WindowUpError marks an upward miss: a warm robust session whose
+// window's finest level, below the dataset's MaxLevel, decoded or stalled
+// within its load, so the full sketch's scan might have chosen a finer
+// level. Lo is
+// that level and Hi is MaxLevel. A session on [Lo, Hi] returns the full
+// sketch's result whenever one of its levels decodes, since then the full
+// scan chooses one of them.
+type WindowUpError struct{ Lo, Hi int }
+
+func (e *WindowUpError) Error() string {
+	return fmt.Sprintf("protocol: the warm window's finest level is not overloaded; rerun on [%d,%d]", e.Lo, e.Hi)
+}
+
 // RunPushBob executes Bob's side of the one-shot robust protocol. The
 // sketch carries its own parameters, so Bob needs only his points.
 func RunPushBob(ctx context.Context, t transport.Transport, bobPts []points.Point) (*core.Result, error) {
@@ -97,16 +111,20 @@ func RunPushBob(ctx context.Context, t transport.Transport, bobPts []points.Poin
 }
 
 // RunPushWindowBob is RunPushBob for a warm session, one that asked for
-// the window [lo, MaxLevel] of the sketch of a dataset whose accept
-// carried p. The sketch must carry p with MinLevel lo: one of any other
-// parameters is core.ErrInconsistentSketch. Whenever the full sketch's
-// finest-first scan would choose a level ≥ lo, the window's visits the
-// same levels and returns the same result, which reports p. Otherwise
-// the error wraps ErrWindowMiss.
-func RunPushWindowBob(ctx context.Context, t transport.Transport, p core.Params, lo int, bobPts []points.Point) (*core.Result, error) {
+// the window [lo, hi] of the sketch of a dataset whose accept carried p.
+// The sketch must carry p with the levels lo and hi: one of any other
+// parameters is core.ErrInconsistentSketch. A window none of whose levels
+// decodes, or that the serving side refused, is a downward miss, an error
+// wrapping ErrWindowMiss. Below MaxLevel, a window whose level hi is not
+// core.Params.Overloaded — it decoded, or stalled on a chance 2-core a
+// finer level may well not meet — is an upward miss, a *WindowUpError.
+// Otherwise the result, which reports p, is the full sketch's unless some
+// level above hi decodes while hi is overloaded; its Outcomes begin at
+// hi.
+func RunPushWindowBob(ctx context.Context, t transport.Transport, p core.Params, lo, hi int, bobPts []points.Point) (*core.Result, error) {
 	tr := trace.FromContext(ctx)
-	windowStats(tr, p, lo)
-	window := p.WithLevels(lo, p.MaxLevel)
+	windowStats(tr, p, lo, hi)
+	window := p.WithLevels(lo, hi)
 	res, err := pushBob(ctx, t, bobPts, &window)
 	var remote *RemoteError
 	if errors.Is(err, core.ErrNoDecodableLevel) || errors.As(err, &remote) {
@@ -115,6 +133,10 @@ func RunPushWindowBob(ctx context.Context, t transport.Transport, p core.Params,
 	}
 	if err != nil {
 		return nil, err
+	}
+	if hi < p.MaxLevel && !p.Overloaded(res.Outcomes[0]) {
+		tr.Stat(trace.StatWindowUp, 1)
+		return nil, &WindowUpError{Lo: hi, Hi: p.MaxLevel}
 	}
 	res.Params = p
 	return res, nil

@@ -333,18 +333,23 @@ const StatServedState = "served_state"
 // session's first block was sized from the difference that fetch decoded,
 // which the client records as estimated_diff, and no strata estimator
 // crossed. A robust session's sketch was the window of levels
-// [StatWindowLo, StatMaxLevel] of [StatMinLevel, StatMaxLevel], from one
-// level finer than the one that fetch chose.
+// [StatWindowLo, StatWindowHi] of [StatMinLevel, StatMaxLevel], the levels
+// around the one that fetch chose.
 const StatWarm = "warm"
 
 // The window of a warm robust session, recorded on both ends with
-// StatWarm, and StatWindowMiss, recorded by the client when no level of the
-// window was chosen and the fetch reran the session cold.
+// StatWarm; StatWindowMiss, recorded by the client when no level of the
+// window was chosen and the fetch reran the session cold; and
+// StatWindowUp, recorded by the client when the window's finest level,
+// below MaxLevel, was not overloaded and the fetch reran the session on
+// the window from that level through MaxLevel.
 const (
 	StatWindowLo   = "window_lo"
+	StatWindowHi   = "window_hi"
 	StatMinLevel   = "min_level"
 	StatMaxLevel   = "max_level"
 	StatWindowMiss = "window_miss"
+	StatWindowUp   = "window_up"
 )
 
 // Stat returns the named stat's value and whether it was recorded.
@@ -413,9 +418,13 @@ func (s *Snapshot) format(w io.Writer, indent string) {
 		}
 	}
 	if lo, ok := s.Stat(StatWindowLo); ok {
+		hi, _ := s.Stat(StatWindowHi)
 		bottom, _ := s.Stat(StatMinLevel)
 		top, _ := s.Stat(StatMaxLevel)
-		fmt.Fprintf(w, "%s  warm window: levels [%d,%d] of [%d,%d], %d of %d tables\n", indent, lo, top, bottom, top, top-lo+1, top-bottom+1)
+		fmt.Fprintf(w, "%s  warm window: levels [%d,%d] of [%d,%d], %d of %d tables\n", indent, lo, hi, bottom, top, hi-lo+1, top-bottom+1)
+		if v, _ := s.Stat(StatWindowUp); v > 0 {
+			fmt.Fprintf(w, "%s  window up: a level above %d may decode, the fetch reran on [%d,%d]\n", indent, hi, hi, top)
+		}
 	}
 	if v, _ := s.Stat(StatWindowMiss); v > 0 {
 		fmt.Fprintf(w, "%s  window miss: no level of the window chosen, the fetch reran cold\n", indent)

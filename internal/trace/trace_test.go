@@ -282,22 +282,26 @@ func TestSnapshotFormat(t *testing.T) {
 		t.Fatalf("formatted handshake-only trace:\n%s", out)
 	}
 
-	// A warm robust session names its window; one that missed says so.
-	for _, miss := range []bool{false, true} {
+	// A warm robust session names its window; one that missed, downward or
+	// upward, says so.
+	for _, miss := range []string{"", StatWindowMiss, StatWindowUp} {
 		w := New("client")
 		w.Stat(StatWarm, 1)
 		w.Stat(StatWindowLo, 9)
+		w.Stat(StatWindowHi, 11)
 		w.Stat(StatMinLevel, 0)
 		w.Stat(StatMaxLevel, 20)
-		if miss {
-			w.Stat(StatWindowMiss, 1)
+		if miss != "" {
+			w.Stat(miss, 1)
 		}
 		buf.Reset()
 		w.Snapshot().Format(&buf)
 		out := buf.String()
-		if !strings.Contains(out, "warm window: levels [9,20] of [0,20], 12 of 21 tables") ||
-			strings.Contains(out, "window miss") != miss || strings.Contains(out, "warm opening") {
-			t.Fatalf("formatted warm robust trace (miss %v):\n%s", miss, out)
+		if !strings.Contains(out, "warm window: levels [9,11] of [0,20], 3 of 21 tables") ||
+			strings.Contains(out, "window miss: no level of the window chosen, the fetch reran cold") != (miss == StatWindowMiss) ||
+			strings.Contains(out, "window up: a level above 11 may decode, the fetch reran on [11,20]") != (miss == StatWindowUp) ||
+			strings.Contains(out, "warm opening") {
+			t.Fatalf("formatted warm robust trace (miss %q):\n%s", miss, out)
 		}
 	}
 }

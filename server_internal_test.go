@@ -109,18 +109,47 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 	if cold := (Rateless{}).warm(361).(Rateless); cold.first != 0 || !bytes.Equal(cold.helloConfig(), []byte{0, 0, 0, 0}) {
 		t.Errorf("a hint above the 512-cell bound opened warm: %+v", cold)
 	}
-	// Robust's config is empty, cold, or one byte, a warm window's coarsest
-	// level: above MinLevel, so never 0. Serving holds it to the rest of
-	// the dataset's range (TestRobustWarmWindowRefused).
-	for _, cfg := range [][]byte{{0}, {9, 0}, {1, 2, 3}} {
+	// Robust's config is empty, cold, or two bytes, a warm window's levels
+	// lo ≤ hi, hi above MinLevel and so never 0: the one-byte form of
+	// MuxVersion 6, three bytes, lo > hi and hi 0 are refused. Serving holds
+	// the window to the dataset's range (TestRobustWarmWindowRefused).
+	for _, cfg := range [][]byte{{0}, {9}, {9, 10, 11}, {11, 9}, {1, 0}, {0, 0}} {
 		if _, err := strategyFromCode(protocol.StrategyRobust, cfg); err == nil {
 			t.Errorf("robust with config %x accepted", cfg)
 		}
 	}
-	for _, lo := range []int{1, 9, 255} {
-		cfg := Robust{}.warm(lo).helloConfig()
-		if got, err := strategyFromCode(protocol.StrategyRobust, cfg); err != nil || !bytes.Equal(cfg, []byte{byte(lo)}) || got.(Robust).lo != lo {
-			t.Errorf("warm robust window from level %d: config %x decoded as %+v, %v", lo, cfg, got, err)
+	for _, w := range [][2]int{{0, 1}, {9, 11}, {10, 10}, {254, 255}} {
+		cfg := robustWindow(w[0], w[1]).helloConfig()
+		got, err := strategyFromCode(protocol.StrategyRobust, cfg)
+		if err != nil || !bytes.Equal(cfg, []byte{byte(w[0]), byte(w[1])}) || got != robustWindow(w[0], w[1]) {
+			t.Errorf("warm robust window %v: config %x decoded as %+v, %v", w, cfg, got, err)
+		}
+	}
+	// The hint a result leaves is the window from one level below its own
+	// up to the first finer level its scan saw overloaded (20 non-zero
+	// cells of the 28 of a table of capacity 8), or else the first it did
+	// not see, clipped at MaxLevel; none when it would reach below MinLevel
+	// or be every level.
+	over, small := LevelOutcome{Residue: 20}, LevelOutcome{Residue: 19}
+	for _, c := range []struct {
+		level, min, max int
+		above           []LevelOutcome // what the scan read above level, finest first
+		lo, hi          int
+	}{
+		{10, 0, 20, []LevelOutcome{over, over}, 9, 11}, {10, 0, 20, nil, 9, 11},
+		{10, 0, 20, []LevelOutcome{over, small, small}, 9, 13}, {10, 0, 20, []LevelOutcome{small}, 9, 12},
+		{20, 0, 20, nil, 19, 20}, {19, 0, 20, []LevelOutcome{small}, 18, 20}, {1, 0, 20, []LevelOutcome{over}, 0, 2},
+		{0, 0, 20, []LevelOutcome{over}, -1, -1}, {3, 2, 4, []LevelOutcome{over}, -1, -1}, {4, 2, 6, []LevelOutcome{over, over}, 3, 5},
+	} {
+		res := &Result{Level: c.level, Params: Params{MinLevel: c.min, MaxLevel: c.max, TableCapacity: 8, HashCount: 4}}
+		for i, o := range c.above {
+			o.Level = c.level + len(c.above) - i
+			res.Outcomes = append(res.Outcomes, o)
+		}
+		res.Outcomes = append(res.Outcomes, LevelOutcome{Level: c.level, Decoded: true})
+		hint, ok := Robust{}.hintFrom(&SyncResult{Robust: res, Params: res.Params})
+		if want := c.lo >= 0; ok != want || (ok && Robust{}.warm(hint) != robustWindow(c.lo, c.hi)) {
+			t.Errorf("level %d of [%d,%d] under %v: hint %+v, %v; want the window [%d,%d]", c.level, c.min, c.max, c.above, Robust{}.warm(hint), ok, c.lo, c.hi)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 
+	"robustset/internal/core"
 	"robustset/internal/emd"
 	"robustset/internal/protocol"
 	"robustset/internal/sketch"
@@ -149,18 +150,19 @@ func (r *SyncResult) EMD(other []Point) (float64, error) {
 // reconciles at the finest decodable level. It is the only strategy that
 // also supports the symmetric Session.Sync mode.
 //
-// A Client that has fetched a dataset robust before opens warm: its finest-
-// first scan last chose level L, so its hello asks for the window of levels
-// [L−1, MaxLevel] only — the levels the scan can read, with one of slack —
-// and the server sends that window, cut from its cached sketch. A window
-// of which no level decodes, or that the server refuses, makes the fetch
-// run the session again, cold, so the result is the full sketch's always.
-// Peer-to-peer sessions, first fetches, and fetches after a level at or
-// next to MinLevel open cold.
+// A Client that has fetched a dataset robust before opens warm, on the
+// levels around its last choice (core.WarmWindow; [L−1, L+1] nearly
+// always), cut from the server's cached sketch. A window no level of which
+// decodes, or that the server refuses, makes the fetch rerun cold; one
+// whose finest level, below MaxLevel, is not overloaded, rerun from that
+// level through MaxLevel. The result is the full sketch's, Outcomes from
+// the window on, unless that finest level is overloaded while a finer one
+// decodes (DESIGN.md "Warm robust window"). Peer-to-peer sessions, first
+// fetches, and fetches after a choice of MinLevel open cold.
 type Robust struct {
-	// lo is a warm opening's window's coarsest level, carried by the hello;
-	// 0 opens cold.
-	lo int
+	// window is a warm opening's window of levels [lo, hi], carried by the
+	// hello, as lo<<8 | hi; 0 opens cold.
+	window int
 }
 
 // Name implements Strategy.
@@ -169,20 +171,23 @@ func (Robust) Name() string { return "robust-oneshot" }
 func (Robust) code() byte { return protocol.StrategyRobust }
 
 func (r Robust) helloConfig() []byte {
-	if r.lo == 0 {
+	if r.window == 0 {
 		return nil
 	}
-	return []byte{byte(r.lo)}
+	return []byte{byte(r.window >> 8), byte(r.window)}
 }
 
-// warm returns Robust opening on the window from level lo.
-func (Robust) warm(lo int) Strategy { return Robust{lo: lo} }
+// robustWindow returns Robust opening warm on the window [lo, hi].
+func robustWindow(lo, hi int) Robust { return Robust{window: lo<<8 | hi} }
 
-// hintFrom is the next window's coarsest level: one finer than the level
-// res chose, while that is above MinLevel.
+// warm returns Robust opening on the window hintFrom packed into hint.
+func (Robust) warm(hint int) Strategy { return Robust{window: hint} }
+
+// hintFrom packs the next window, core.WarmWindow of res's result; there
+// is none when it would reach below MinLevel or be the whole range.
 func (Robust) hintFrom(res *SyncResult) (int, bool) {
-	lo := res.Robust.Level - 1
-	return lo, lo > res.Params.MinLevel
+	lo, hi, ok := core.WarmWindow(res.Robust)
+	return robustWindow(lo, hi).window, ok
 }
 
 func (Robust) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
@@ -196,19 +201,19 @@ func (r Robust) serveDataset(ctx context.Context, t transport.Transport, p Param
 	if err != nil {
 		return protocol.SendError(ctx, t, err)
 	}
-	if r.lo == 0 {
+	if r.window == 0 {
 		return protocol.RunPushBlobAlice(ctx, t, blob)
 	}
-	return protocol.RunPushWindowAlice(ctx, t, p, blob, r.lo)
+	return protocol.RunPushWindowAlice(ctx, t, p, blob, r.window>>8, r.window&0xff)
 }
 
 func (r Robust) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
 	var res *Result
 	var err error
-	if r.lo == 0 {
+	if r.window == 0 {
 		res, err = protocol.RunPushBob(ctx, t, local)
 	} else {
-		res, err = protocol.RunPushWindowBob(ctx, t, p, r.lo, local)
+		res, err = protocol.RunPushWindowBob(ctx, t, p, r.window>>8, r.window&0xff, local)
 	}
 	if err != nil {
 		return nil, err
@@ -463,8 +468,8 @@ func (Naive) fetch(ctx context.Context, t transport.Transport, p Params, local [
 // exact length — what the strategy's helloConfig writes — and any other
 // length is refused: a blob with bytes this build would ignore comes from
 // a peer that means something else by the code. Robust is the exception:
-// its config is empty (cold) or one byte, a warm window's coarsest level,
-// which is above MinLevel and so never 0; serving holds it to the rest of
+// its config is empty (cold) or two bytes, a warm window's levels lo ≤ hi,
+// where hi is above MinLevel and so never 0; serving holds the window to
 // the dataset's range.
 func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 	exact := func(n int) error {
@@ -479,8 +484,8 @@ func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 	)
 	switch code {
 	case protocol.StrategyRobust:
-		if len(cfg) == 1 && cfg[0] != 0 {
-			s = Robust{lo: int(cfg[0])}
+		if len(cfg) == 2 && cfg[0] <= cfg[1] && cfg[1] != 0 {
+			s = robustWindow(int(cfg[0]), int(cfg[1]))
 		} else {
 			s, err = Robust{}, exact(0)
 		}
