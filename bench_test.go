@@ -368,8 +368,11 @@ func BenchmarkPublicEMDApprox_N4096(b *testing.B) {
 // cycle followed by one rateless Fetch that repairs it. warm is the
 // ruler's op: every fetch after the first opens warm from the 64-key
 // difference the one before decoded. cold makes the client forget that
-// before every fetch, so each opens with the strata estimator. rounds/op
-// counts the round trips a fetch waits out, the hello's included.
+// before every fetch, so each opens with the strata estimator and keys its
+// points. rounds/op counts the round trips a fetch waits out, the hello's
+// included; keyed/op the share of fetches that keyed the client's points
+// for some of their cells instead of subtracting the cells kept from the
+// fetch before.
 func BenchmarkRatelessChurn20k(b *testing.B) {
 	const n, batch, period = 20000, 32, 64
 	inst, err := workload.Generate(workload.Config{
@@ -400,7 +403,12 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer cl.Close()
-			sess, err := cl.Session("churn", robustset.Rateless{})
+			var keyed int64
+			sess, err := cl.Session("churn", robustset.Rateless{}, robustset.WithSessionTrace(func(st *robustset.SessionTrace) {
+				if kept, _ := st.Stat("kept_cells"); kept == 0 || lastFrontier(st) > kept {
+					keyed++
+				}
+			}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -423,7 +431,7 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 				local, wire, rounds = res.SPrime, wire+st.Total(), rounds+st.MsgsSent-1
 			}
 			cycle(0) // the first session builds whatever the server keeps
-			wire, rounds = 0, 0
+			wire, rounds, keyed = 0, 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 1; i <= b.N; i++ {
@@ -435,6 +443,7 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 			}
 			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(keyed)/float64(b.N), "keyed/op")
 		})
 	}
 }

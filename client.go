@@ -47,16 +47,26 @@ type Client struct {
 	redials  int64
 	sessions int64
 	// hints holds, per dataset name and warm strategy, what the last fetch
-	// of the dataset with the strategy left the next one to open warm from:
-	// the size of the difference a rateless fetch decoded, the next robust
-	// fetch's window.
-	hints map[hintKey]int
+	// of the dataset with the strategy left the next one to open warm from.
+	hints map[hintKey]hint
 }
 
 // hintKey names one of a Client's warm-start hints.
 type hintKey struct {
 	dataset string
 	code    byte // the strategy's wire code
+}
+
+// hint is what a fetch leaves the next fetch of the dataset with the same
+// strategy.
+type hint struct {
+	// n is the size of the difference a rateless fetch decoded, or the
+	// next robust fetch's window.
+	n int
+	// kept is what a rateless fetch keeps of the multiset it returned. One
+	// fetch at a time holds it, and the entry has none meanwhile: a
+	// concurrent fetch keys its points and starts a kept state of its own.
+	kept *protocol.RatelessKept
 }
 
 // ClientOption configures a Client.
@@ -120,7 +130,7 @@ func DialClient(ctx context.Context, addr string, opts ...ClientOption) (*Client
 		maxStreams: 16,
 		window:     transport.DefaultMuxWindow,
 		logf:       func(string, ...any) {},
-		hints:      make(map[hintKey]int),
+		hints:      make(map[hintKey]hint),
 	}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
@@ -278,31 +288,41 @@ func (cs *ClientSession) FetchDataset(ctx context.Context, local *Dataset) (*Syn
 
 // warm returns w for the next fetch of dataset: warm from the hint the
 // last fetch of it with w's strategy left, or w itself, cold, if there is
-// none.
+// none. The fetch takes the hint's kept state with it.
 func (c *Client) warm(dataset string, w warmStrategy) Strategy {
+	key := hintKey{dataset, w.code()}
 	c.mu.Lock()
-	hint, ok := c.hints[hintKey{dataset, w.code()}]
-	c.mu.Unlock()
-	if !ok {
-		return w
+	h, ok := c.hints[key]
+	if h.kept != nil {
+		c.hints[key] = hint{n: h.n}
 	}
-	return w.warm(hint)
+	c.mu.Unlock()
+	return w.warm(h, ok)
 }
 
 // learn keeps the hint a fetch of dataset with w's strategy leaves for the
-// next one, and forgets it after a failed fetch or a result that leaves
-// none. A fetch that ended at the handshake decoded nothing and leaves the
-// hint as it was.
-func (c *Client) learn(dataset string, w warmStrategy, res *SyncResult, err error) {
-	if err == nil && res.Unchanged {
-		return
-	}
+// next one, with the kept state of used, the strategy whose session
+// returned res, and forgets it after a failed fetch or a result that
+// leaves none. A fetch that ended at the handshake decoded nothing and
+// leaves the hint as it was, with the kept state it took back in it.
+func (c *Client) learn(dataset string, w warmStrategy, used Strategy, res *SyncResult, err error) {
 	key := hintKey{dataset, w.code()}
+	var kept *protocol.RatelessKept
+	if r, ok := used.(Rateless); ok {
+		kept = r.kept
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err == nil && res.Unchanged {
+		if h, ok := c.hints[key]; ok && h.kept == nil {
+			h.kept = kept
+			c.hints[key] = h
+		}
+		return
+	}
 	if err == nil {
-		if hint, ok := w.hintFrom(res); ok {
-			c.hints[key] = hint
+		if n, ok := w.hintFrom(res); ok {
+			c.hints[key] = hint{n: n, kept: kept}
 			return
 		}
 	}
@@ -313,12 +333,14 @@ func (c *Client) learn(dataset string, w warmStrategy, res *SyncResult, err erro
 // Rateless and Robust sessions open warm when an earlier fetch of the
 // dataset left a hint. A warm robust session that misses upward is run
 // again from its window's finest level through MaxLevel, one that chooses
-// no level, cold; each on a new stream, and the stats count every session.
+// no level, cold; a rateless session whose kept cells turn out not to be
+// local's, with its points keyed. Each rerun is on a new stream, and the
+// stats count every session.
 func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (res *SyncResult, stats TransferStats, err error) {
 	c, strat := cs.c, cs.sess.strategy
 	if w, ok := strat.(warmStrategy); ok {
 		strat = c.warm(cs.sess.dataset, w)
-		defer func() { c.learn(cs.sess.dataset, w, res, err) }()
+		defer func() { c.learn(cs.sess.dataset, w, strat, res, err) }()
 	}
 	select {
 	case c.sem <- struct{}{}:
@@ -340,6 +362,14 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 		var cold TransferStats
 		res, cold, err = cs.session(ctx, cs.sess.strategy, d, local)
 		stats.Add(cold)
+	}
+	if errors.Is(err, protocol.ErrKeptStale) {
+		r := strat.(Rateless)
+		r.kept = protocol.NewRatelessKept()
+		strat = r
+		var keyed TransferStats
+		res, keyed, err = cs.session(ctx, strat, d, local)
+		stats.Add(keyed)
 	}
 	return res, stats, err
 }

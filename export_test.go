@@ -1,5 +1,10 @@
 package robustset
 
+import (
+	"robustset/internal/iblt"
+	"robustset/internal/protocol"
+)
+
 // ForgetHints drops every hint c keeps for dataset, so its next fetch of
 // it opens cold, as its first did.
 func ForgetHints(c *Client, dataset string) {
@@ -10,4 +15,27 @@ func ForgetHints(c *Client, dataset string) {
 		}
 	}
 	c.mu.Unlock()
+}
+
+// KeptCells returns the cells c keeps of the multiset its last rateless
+// fetch of dataset returned: nil when it keeps none, or a fetch holds them.
+func KeptCells(c *Client, dataset string) *iblt.CellPrefix {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if h := c.hints[hintKey{dataset, protocol.StrategyRateless}]; h.kept != nil {
+		return h.kept.Prefix()
+	}
+	return nil
+}
+
+// ForgetKeptCells drops the cells c keeps for dataset and leaves its hint,
+// so its next rateless fetch of it opens as it would have but keys its
+// points.
+func ForgetKeptCells(c *Client, dataset string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := hintKey{dataset, protocol.StrategyRateless}
+	if h, ok := c.hints[key]; ok {
+		c.hints[key] = hint{n: h.n}
+	}
 }

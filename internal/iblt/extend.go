@@ -299,6 +299,18 @@ func (s *CellStream) rewind() {
 // Frontier returns the number of cells emitted so far.
 func (s *CellStream) Frontier() int { return s.frontier }
 
+// skip advances the frontier by n cells without emitting them: each key's
+// sequence is walked past them, and nothing is written.
+func (s *CellStream) skip(n int) {
+	hi := int64(s.frontier + n)
+	for i := range s.state {
+		for k := &s.state[i]; k.seq.idx < hi; {
+			k.seq.next()
+		}
+	}
+	s.frontier += n
+}
+
 // Emit returns cells [Frontier, Frontier+n) and advances the frontier.
 // Each key's index sequence is walked exactly once across all Emit calls,
 // so the amortized cost of streaming M cells is O(keys · log M) sequence
@@ -366,6 +378,27 @@ func (p *CellPrefix) apply(key []byte, sign int64) {
 	}
 }
 
+// Len returns the number of cells the prefix keeps.
+func (p *CellPrefix) Len() int { return p.cells.Len() }
+
+// Cells returns the cells as the block [0, Len), sharing the prefix's
+// storage: it is valid until the next Add, Remove or Extend.
+func (p *CellPrefix) Cells() *CellBlock { return &p.cells }
+
+// Extend appends the cells of b past the prefix's end, up to max cells in
+// all: b is a run of the stream over the prefix's key set and starts at
+// or before Len. The prefix only grows.
+func (p *CellPrefix) Extend(b *CellBlock, max int) {
+	lo, hi := p.Len()-b.Start, min(b.Len(), max-b.Start)
+	if lo < 0 || hi <= lo {
+		return
+	}
+	kl := p.cells.KeyLen
+	p.cells.Counts = append(p.cells.Counts, b.Counts[lo:hi]...)
+	p.cells.KeySums = append(p.cells.KeySums, b.KeySums[lo*kl:hi*kl]...)
+	p.cells.Checks = append(p.cells.Checks, b.Checks[lo:hi]...)
+}
+
 // Snapshot returns a copy of the cells as the block [0, Len).
 func (p *CellPrefix) Snapshot() *CellBlock {
 	return &CellBlock{
@@ -391,17 +424,23 @@ type recKey struct {
 // difference incrementally: work done on earlier blocks — peeled keys and
 // partially drained cells — carries over when the next block arrives.
 //
-// Usage: NewCellDecoder with the local keys, AddBlock for every received
-// block (blocks must arrive in order, each starting at Frontier()), then
-// Decoded to test for completion. A block that starts at cell 0 again
-// once cells have been received is a restart: the peer's key set changed
-// under the stream, the block describes the new one from its first cell,
-// and the decoder forgets what it held.
+// Usage: NewCellDecoderFrom with the local set's cells it already holds
+// and its keys, AddBlock for every received block (blocks must arrive in
+// order, each starting at Frontier()), then Decoded to test for
+// completion. A block that starts at cell 0 again once cells have been
+// received is a restart: the peer's key set changed under the stream, the
+// block describes the new one from its first cell, and the decoder
+// forgets what it held.
 type CellDecoder struct {
 	cfg       ExtendConfig
 	hasher    hashutil.Hasher
 	checkSalt uint64
 	seqSalt   uint64
+	// known is the local set's cells [0, known.Len()); past them the
+	// decoder streams local, over the keys keys returns, which it is asked
+	// for once, by the first block that reaches past known.
+	known     *CellBlock
+	keys      func() [][]byte
 	local     *CellStream
 	counts    []int64
 	keySums   []byte
@@ -414,13 +453,29 @@ type CellDecoder struct {
 }
 
 // NewCellDecoder builds a decoder subtracting the local keys, which it
-// keeps under NewCellStream's contract.
+// keeps under NewCellStream's contract: NewCellDecoderFrom with no cells
+// known.
 func NewCellDecoder(cfg ExtendConfig, localKeys [][]byte) (*CellDecoder, error) {
-	local, err := NewCellStream(cfg, localKeys)
-	if err != nil {
+	return NewCellDecoderFrom(cfg, nil, func() [][]byte { return localKeys })
+}
+
+// NewCellDecoderFrom builds a decoder whose local side is known, the
+// first known.Len() cells of the local set's stream (nil for none), and
+// past them the stream over the local keys keys returns. Those it asks
+// for only when a block reaches past known, and keeps under
+// NewCellStream's contract. The decoder reads known and never writes it.
+func NewCellDecoderFrom(cfg ExtendConfig, known *CellBlock, keys func() [][]byte) (*CellDecoder, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &CellDecoder{cfg: cfg, local: local}
+	if known == nil {
+		known = &CellBlock{KeyLen: cfg.KeyLen}
+	}
+	if known.Start != 0 || known.KeyLen != cfg.KeyLen {
+		return nil, fmt.Errorf("iblt: known cells from %d of key length %d; want cells from 0 of key length %d",
+			known.Start, known.KeyLen, cfg.KeyLen)
+	}
+	d := &CellDecoder{cfg: cfg, known: known, keys: keys}
 	d.hasher, d.checkSalt, d.seqSalt = streamDerivations(cfg)
 	return d, nil
 }
@@ -439,34 +494,43 @@ func (d *CellDecoder) AddBlock(b *CellBlock) error {
 		return fmt.Errorf("iblt: block key length %d != decoder key length %d", b.KeyLen, d.cfg.KeyLen)
 	}
 	n := b.Len()
-	if b.Start == 0 && d.Frontier() > 0 {
-		if n <= d.Frontier() {
-			return fmt.Errorf("iblt: restart block of %d cells, decoder frontier is %d", n, d.Frontier())
-		}
-		d.counts, d.keySums, d.checks = d.counts[:0], d.keySums[:0], d.checks[:0]
-		d.recovered = d.recovered[:0]
-		d.local.rewind()
+	restart := b.Start == 0 && d.Frontier() > 0
+	if restart && n <= d.Frontier() {
+		return fmt.Errorf("iblt: restart block of %d cells, decoder frontier is %d", n, d.Frontier())
 	}
-	if b.Start != d.Frontier() {
+	if !restart && b.Start != d.Frontier() {
 		return fmt.Errorf("iblt: block starts at cell %d, decoder frontier is %d", b.Start, d.Frontier())
 	}
-	if d.Frontier()+n > MaxStreamCells {
+	if b.Start+n > MaxStreamCells {
 		return fmt.Errorf("iblt: cell stream beyond %d cells", MaxStreamCells)
+	}
+	if d.local == nil && b.Start+n > d.known.Len() {
+		local, err := NewCellStream(d.cfg, d.keys())
+		if err != nil {
+			return err
+		}
+		d.local = local
+	}
+	if restart {
+		d.counts, d.keySums, d.checks = d.counts[:0], d.keySums[:0], d.checks[:0]
+		d.recovered = d.recovered[:0]
 	}
 	lo := d.Frontier()
 	kl := d.cfg.KeyLen
 	d.counts = append(d.counts, b.Counts...)
 	d.keySums = append(d.keySums, b.KeySums...)
 	d.checks = append(d.checks, b.Checks...)
-	// Subtract the local keys' cells for the same range: the residual
+	// Subtract the local set's cells for the same range: the residual
 	// sketches the symmetric difference (+1 peer-only, −1 local-only).
-	d.local.EmitInto(&d.lb, n)
-	lb := &d.lb
-	for i := 0; i < n; i++ {
-		d.counts[lo+i] -= lb.Counts[i]
-		d.checks[lo+i] ^= lb.Checks[i]
+	d.subtract(d.known, lo, min(lo+n, d.known.Len()))
+	if from := max(lo, d.known.Len()); from < lo+n {
+		if d.local.Frontier() > from {
+			d.local.rewind()
+		}
+		d.local.skip(from - d.local.Frontier())
+		d.local.EmitInto(&d.lb, lo+n-from)
+		d.subtract(&d.lb, from, lo+n)
 	}
-	xorInto(d.keySums[lo*kl:], lb.KeySums)
 	// Cancel already-recovered keys out of the new range, continuing each
 	// parked sequence — this is the work reuse that makes increments cheap.
 	hi := int64(lo + n)
@@ -482,6 +546,21 @@ func (d *CellDecoder) AddBlock(b *CellBlock) error {
 	}
 	d.peel()
 	return nil
+}
+
+// subtract takes cells [lo, hi) of the local set's stream, which lb holds
+// from its own start, out of the residual.
+func (d *CellDecoder) subtract(lb *CellBlock, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	kl := d.cfg.KeyLen
+	off := lo - lb.Start
+	for i := lo; i < hi; i++ {
+		d.counts[i] -= lb.Counts[i-lb.Start]
+		d.checks[i] ^= lb.Checks[i-lb.Start]
+	}
+	xorInto(d.keySums[lo*kl:hi*kl], lb.KeySums[off*kl:(hi-lb.Start)*kl])
 }
 
 // peel drains every currently pure cell, bounded so corrupt inputs cannot

@@ -2,6 +2,7 @@ package iblt
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -154,7 +155,11 @@ func FuzzInsertDeleteDecode(f *testing.F) {
 // that turns the local keys into exactly that set. Every block reaches
 // the decoder the way a peer's does, through AppendBinary and
 // UnmarshalWithin into one reused block, which must allocate no more
-// than the cells it is told to expect take, plus decodeSlack.
+// than the cells it is told to expect take, plus decodeSlack. Beside it a
+// decoder that knows the local set's first cells — as many as the script
+// is long, mod 48 — and keys the local set only past them takes the same
+// blocks: it must accept and refuse the same ones, reach the same
+// frontiers and decode when and to what the keyed one does.
 func FuzzCellDecoderBlocks(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 8, 0, 40, 0, 60})             // plain stream to a decode
 	f.Add([]byte{0, 8, 0, 8, 1, 30, 0, 40})             // restart at a non-zero frontier
@@ -185,6 +190,15 @@ func FuzzCellDecoderBlocks(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		dec, err := NewCellDecoder(cfg, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		localStream, err := NewCellStream(cfg, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyed := false
+		kept, err := NewCellDecoderFrom(cfg, localStream.Emit(len(script)%48), func() [][]byte { keyed = true; return local })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,6 +257,18 @@ func FuzzCellDecoderBlocks(f *testing.F) {
 				t.Fatalf("block [%d,%d) differs after the wire", b.Start, b.Start+b.Len())
 			}
 			err := dec.AddBlock(&parsed)
+			if keptErr := kept.AddBlock(&parsed); (keptErr == nil) != (err == nil) || kept.Frontier() != dec.Frontier() {
+				t.Fatalf("block [%d,%d): the keyed decoder says %v at frontier %d, the kept-cells one %v at %d",
+					b.Start, b.Start+b.Len(), err, dec.Frontier(), keptErr, kept.Frontier())
+			}
+			if keyed != (kept.Frontier() > kept.known.Len()) {
+				t.Fatalf("kept-cells decoder at frontier %d of %d known cells: keyed %v", kept.Frontier(), kept.known.Len(), keyed)
+			}
+			diff, ok := dec.Decoded()
+			if keptDiff, keptOK := kept.Decoded(); keptOK != ok || (ok && !sameDiff(diff, keptDiff)) {
+				t.Fatalf("after block [%d,%d): the keyed decoder decoded %v, the kept-cells one %v, or to another diff",
+					b.Start, b.Start+b.Len(), ok, keptOK)
+			}
 			switch {
 			case err != nil && mustTake:
 				t.Fatalf("honest block [%d,%d) refused at frontier %d: %v", b.Start, b.Start+b.Len(), front, err)
@@ -263,7 +289,6 @@ func FuzzCellDecoderBlocks(f *testing.F) {
 				t.Fatalf("frontier %d after block [%d,%d): %d cells accepted in all, %d checks, %d key-sum bytes",
 					got, b.Start, b.Start+b.Len(), accepted, len(dec.checks), len(dec.keySums))
 			}
-			diff, ok := dec.Decoded()
 			if !ok || set < 0 {
 				continue
 			}
@@ -293,4 +318,12 @@ func FuzzCellDecoderBlocks(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameDiff reports whether two diffs hold the same keys in the same order.
+func sameDiff(a, b *Diff) bool {
+	same := func(x, y [][]byte) bool {
+		return slices.EqualFunc(x, y, func(p, q []byte) bool { return bytes.Equal(p, q) })
+	}
+	return same(a.Pos, b.Pos) && same(a.Neg, b.Neg)
 }

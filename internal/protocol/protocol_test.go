@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"robustset/internal/core"
@@ -276,32 +277,31 @@ func TestEstimateBobRejectsMismatchedLevelTable(t *testing.T) {
 
 func TestApplyExactDiffErrors(t *testing.T) {
 	bob := []points.Point{{1, 2}, {3, 4}}
-	keys := points.OccurrenceKeys(bob, testU.Dim)
 	// Key of the wrong length.
 	shortNeg := diffWith(nil, [][]byte{{1, 2, 3}})
-	if _, err := applyExactDiff(testU, bob, keys, &shortNeg); err == nil {
+	if _, err := applyExactDiff(testU, bob, &shortNeg); err == nil {
 		t.Error("short neg key accepted")
 	}
 	shortPos := diffWith([][]byte{{1, 2, 3}}, nil)
-	if _, err := applyExactDiff(testU, bob, keys, &shortPos); err == nil {
+	if _, err := applyExactDiff(testU, bob, &shortPos); err == nil {
 		t.Error("short pos key accepted")
 	}
 	// Bob-only key naming a point Bob does not hold.
 	ghost := append(points.EncodeNew(points.Point{9, 9}), 0, 0, 0, 0)
 	ghostDiff := diffWith(nil, [][]byte{ghost})
-	if _, err := applyExactDiff(testU, bob, keys, &ghostDiff); err == nil {
+	if _, err := applyExactDiff(testU, bob, &ghostDiff); err == nil {
 		t.Error("ghost removal accepted")
 	}
 	// A Bob-only key named twice must not drop (or size for) two points.
 	rem := append(points.EncodeNew(points.Point{1, 2}), 0, 0, 0, 0)
 	twice := diffWith(nil, [][]byte{rem, rem})
-	if _, err := applyExactDiff(testU, bob, keys, &twice); err == nil {
+	if _, err := applyExactDiff(testU, bob, &twice); err == nil {
 		t.Error("doubled removal accepted")
 	}
 	// Happy path: add one, remove one.
 	add := append(points.EncodeNew(points.Point{7, 7}), 0, 0, 0, 0)
 	d := diffWith([][]byte{add}, [][]byte{rem})
-	got, err := applyExactDiff(testU, bob, keys, &d)
+	got, err := applyExactDiff(testU, bob, &d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +313,39 @@ func TestApplyExactDiffErrors(t *testing.T) {
 	got[0][0] = 99
 	if bob[1][0] != 3 {
 		t.Fatal("result aliases Bob's points")
+	}
+
+	// Removals name occurrences: Bob's copies of a point are numbered in
+	// slice order, a removal must name his top ones, and it drops his last
+	// copies. A doubled removal, one of a point he lacks, and one of a copy
+	// he holds but not at the top all fail with ErrNotLocal.
+	dup := []points.Point{{1, 2}, {5, 5}, {1, 2}, {3, 4}, {1, 2}}
+	occ := func(p points.Point, i uint32) []byte {
+		return binary.LittleEndian.AppendUint32(points.EncodeNew(p), i)
+	}
+	for _, c := range []struct {
+		what string
+		neg  [][]byte
+		want []points.Point // nil: must fail
+	}{
+		{"top two of three", [][]byte{occ(points.Point{1, 2}, 2), occ(points.Point{1, 2}, 1)},
+			[]points.Point{{1, 2}, {5, 5}, {3, 4}}},
+		{"every copy", [][]byte{occ(points.Point{1, 2}, 0), occ(points.Point{1, 2}, 2), occ(points.Point{1, 2}, 1)},
+			[]points.Point{{5, 5}, {3, 4}}},
+		{"doubled", [][]byte{occ(points.Point{1, 2}, 2), occ(points.Point{1, 2}, 2)}, nil},
+		{"absent point", [][]byte{occ(points.Point{9, 9}, 0)}, nil},
+		{"absent occurrence", [][]byte{occ(points.Point{5, 5}, 1)}, nil},
+		{"not the top copy", [][]byte{occ(points.Point{1, 2}, 0)}, nil},
+		{"not the top two", [][]byte{occ(points.Point{1, 2}, 2), occ(points.Point{1, 2}, 0)}, nil},
+	} {
+		d := diffWith(nil, c.neg)
+		got, err := applyExactDiff(testU, dup, &d)
+		switch {
+		case c.want == nil && !errors.Is(err, ErrNotLocal):
+			t.Errorf("%s: %v, want ErrNotLocal", c.what, err)
+		case c.want != nil && (err != nil || !slices.EqualFunc(got, c.want, points.Point.Equal)):
+			t.Errorf("%s: %v, %v; want %v", c.what, got, err, c.want)
+		}
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 
 	"robustset/internal/hashutil"
 	"robustset/internal/iblt"
@@ -81,6 +84,11 @@ type RatelessConfig struct {
 	// the serving side answers that request at once. 0 opens cold, with the
 	// strata estimator.
 	First int
+	// Kept, on the fetching side, is what it keeps of the multiset its last
+	// session returned (RatelessKept). The session subtracts its cells
+	// instead of keying the local points when it describes them, and leaves
+	// it describing the multiset this session returns. nil keeps nothing.
+	Kept *RatelessKept
 }
 
 func (c RatelessConfig) filled() RatelessConfig {
@@ -409,31 +417,153 @@ type RatelessResult struct {
 	Diff int
 }
 
+// ErrNotLocal marks a decoded difference that removes a point, or an
+// occurrence of one, that the local multiset does not hold.
+var ErrNotLocal = errors.New("protocol: exact diff removes points Bob does not hold")
+
+// ErrKeptStale marks a session that subtracted kept cells whose decoded
+// difference does not apply to the local points (it wraps ErrNotLocal):
+// the cells were not the local multiset's after all. A session that keys
+// the points instead does not depend on them.
+var ErrKeptStale = errors.New("protocol: kept cells are not the local multiset's")
+
+// RatelessKept is what a fetching side keeps of the multiset a rateless
+// session returned, so that its next session against that multiset
+// subtracts cells instead of keying it: the first cells of the multiset's
+// stream — the cells the session received, since the multiset is Alice's
+// — and its fingerprint (SetPrint) under a key of its own. Cells are
+// linear in the key set, so a later session folds its decoded difference
+// in (CellPrefix.Add and Remove) and appends the cells it received past
+// their end; there are at most ratelessPrefixCells of them, about 36 KB
+// at dimension 2. A RatelessKept belongs to one session at a time.
+type RatelessKept struct {
+	key      uint64
+	universe points.Universe
+	seed     uint64
+	print    SetPrint
+	cells    *iblt.CellPrefix // nil: describes no multiset yet
+}
+
+// NewRatelessKept returns a RatelessKept that describes no multiset yet,
+// with a fingerprint key drawn at random.
+func NewRatelessKept() *RatelessKept { return &RatelessKept{key: rand.Uint64()} }
+
+// Prefix returns the kept cells, nil before a session has filled them.
+func (k *RatelessKept) Prefix() *iblt.CellPrefix { return k.cells }
+
+// SetPrint is an order-free, duplicate-aware fingerprint of a multiset of
+// points: the count, and the sum mod 2⁶⁴ of a keyed 64-bit hash of each
+// point. Two multisets that differ share one with probability about 2⁻⁶⁴.
+type SetPrint struct {
+	N   int
+	Sum uint64
+}
+
+// pointHash is the keyed point hash SetPrint sums, over the point's
+// coordinates or the little-endian words of its encoding alike.
+func (k *RatelessKept) pointHash(p points.Point) uint64 {
+	h := k.key
+	for _, c := range p {
+		h = hashutil.SplitMix64(h ^ uint64(c))
+	}
+	return h
+}
+
+// keyHash is pointHash of the point an occurrence key encodes.
+func (k *RatelessKept) keyHash(key []byte) uint64 {
+	h := k.key
+	for enc := key[:len(key)-4]; len(enc) >= 8; enc = enc[8:] {
+		h = hashutil.SplitMix64(h ^ binary.LittleEndian.Uint64(enc))
+	}
+	return h
+}
+
+// printOf returns the fingerprint of pts.
+func (k *RatelessKept) printOf(pts []points.Point) SetPrint {
+	f := SetPrint{N: len(pts)}
+	for _, p := range pts {
+		f.Sum += k.pointHash(p)
+	}
+	return f
+}
+
+// known returns the kept cells if they are those of the multiset
+// fingerprinted print in cfg's stream, else nil.
+func (k *RatelessKept) known(cfg RatelessConfig, print SetPrint) *iblt.CellBlock {
+	if k.cells == nil || k.universe != cfg.Universe || k.seed != cfg.Seed || k.print != print {
+		return nil
+	}
+	return k.cells.Cells()
+}
+
+// update makes k describe the multiset a session returned: the one
+// fingerprinted print, whose cells k kept if known, turned by diff. recv
+// is the cells the session received, those of the returned multiset.
+func (k *RatelessKept) update(cfg RatelessConfig, known bool, print SetPrint, diff *iblt.Diff, recv *iblt.CellPrefix) error {
+	if !known {
+		cells, err := iblt.NewCellPrefix(cfg.extend(), 0)
+		if err != nil {
+			return err
+		}
+		k.cells, k.universe, k.seed = cells, cfg.Universe, cfg.Seed
+	}
+	for _, key := range diff.Pos {
+		k.cells.Add(key)
+		print.N, print.Sum = print.N+1, print.Sum+k.keyHash(key)
+	}
+	for _, key := range diff.Neg {
+		k.cells.Remove(key)
+		print.N, print.Sum = print.N-1, print.Sum-k.keyHash(key)
+	}
+	k.cells.Extend(recv.Cells(), ratelessPrefixCells)
+	k.print = print
+	return nil
+}
+
 // RunRatelessBob drives Bob's side of rateless sync: estimate, then
 // request increments — the first sized from the estimate, later ones a
 // third of everything streamed so far — until the decoder certifies
 // completion. A warm opening (cfg.First) skips the estimate, and its
-// first request, already made, is answered without being sent. On
-// success Bob's result equals Alice's multiset exactly.
+// first request, already made, is answered without being sent. Bob's
+// side of the cells is cfg.Kept's, when they are his points', as far as
+// they reach, and past them the stream over his occurrence keys. On
+// success Bob's result equals Alice's multiset exactly; a difference that
+// does not apply to his points fails with ErrNotLocal, wrapped in
+// ErrKeptStale if he subtracted kept cells.
 func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConfig, bobPts []points.Point) (*RatelessResult, error) {
 	cfg = cfg.filled()
 	tr := trace.FromContext(ctx)
 	if err := cfg.Universe.CheckSet(bobPts); err != nil {
 		return nil, abort(ctx, t, err)
 	}
-	keys := points.OccurrenceKeys(bobPts, cfg.Universe.Dim)
+	var keys [][]byte
+	keysOf := func() [][]byte {
+		if keys == nil {
+			keys = points.OccurrenceKeys(bobPts, cfg.Universe.Dim)
+		}
+		return keys
+	}
+	var (
+		print SetPrint
+		known *iblt.CellBlock
+		recv  *iblt.CellPrefix // the cells received, up to ratelessPrefixCells
+	)
+	if cfg.Kept != nil {
+		print = cfg.Kept.printOf(bobPts)
+		known = cfg.Kept.known(cfg, print)
+	}
 	keyLen := cfg.extend().KeyLen
 	maxChunk := maxChunkFor(keyLen)
 	chunk := cfg.First
 	if chunk == 0 {
 		var err error
-		if chunk, err = ratelessEstimate(ctx, t, cfg, keys, maxChunk); err != nil {
+		if chunk, err = ratelessEstimate(ctx, t, cfg, keysOf(), maxChunk); err != nil {
 			return nil, err
 		}
 	} else {
 		tr.Stat(trace.StatWarm, 1)
 	}
-	dec, err := iblt.NewCellDecoder(cfg.extend(), keys)
+	dec, err := iblt.NewCellDecoderFrom(cfg.extend(), known, keysOf)
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
@@ -476,16 +606,39 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 		if err := dec.AddBlock(block); err != nil {
 			return nil, abort(ctx, t, err)
 		}
+		if cfg.Kept != nil {
+			if recv == nil || block.Start == 0 {
+				if recv, err = iblt.NewCellPrefix(cfg.extend(), 0); err != nil {
+					return nil, abort(ctx, t, err)
+				}
+			}
+			recv.Extend(block, ratelessPrefixCells)
+		}
 		diff, ok := dec.Decoded()
 		round.End(trace.I("chunk", int64(chunk)),
 			trace.I("frontier", int64(dec.Frontier())), trace.I("decoded", boolStat(ok)))
 		if ok {
+			if cfg.Kept != nil {
+				kept := 0
+				if known != nil {
+					kept = min(known.Len(), dec.Frontier())
+				}
+				tr.Stat(trace.StatKeptCells, int64(kept))
+			}
 			ap := tr.Begin("apply")
-			sp, err := applyExactDiff(cfg.Universe, bobPts, keys, diff)
+			sp, err := applyExactDiff(cfg.Universe, bobPts, diff)
 			if err != nil {
+				if known != nil && errors.Is(err, ErrNotLocal) {
+					err = fmt.Errorf("%w: %w", ErrKeptStale, err)
+				}
 				return nil, abort(ctx, t, err)
 			}
 			ap.End(trace.I("added", int64(len(diff.Pos))), trace.I("removed", int64(len(diff.Neg))))
+			if cfg.Kept != nil {
+				if err := cfg.Kept.update(cfg, known != nil, print, diff, recv); err != nil {
+					return nil, abort(ctx, t, err)
+				}
+			}
 			n := len(diff.Pos) + len(diff.Neg)
 			tr.Stat("actual_diff", int64(n))
 			return &RatelessResult{SPrime: sp, Diff: n}, send(ctx, t, MsgDone, nil)
@@ -532,41 +685,110 @@ func ratelessEstimate(ctx context.Context, t transport.Transport, cfg RatelessCo
 	return int(est*cfg.InitialFactor) + minChunkCells, nil
 }
 
+// dropped is one point a decoded difference removes: the occurrences of
+// it that the Neg keys name, and the indices of Bob's points equal to it.
+type dropped struct {
+	p    points.Point
+	h    uint64 // mixPoint(p)
+	occs []uint32
+	at   []int
+}
+
+// mixPoint is the unkeyed hash applyExactDiff's scan looks points up by.
+func mixPoint(p points.Point) uint64 {
+	var h uint64
+	for _, c := range p {
+		h = (h ^ uint64(c)) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
+}
+
 // applyExactDiff turns decoded keys back into points: Alice-only keys are
-// added, Bob-only keys name Bob's own points to drop — keys[i] is
-// bobPts[i]'s. The result is a deep copy carved out of one array.
-func applyExactDiff(u points.Universe, bobPts []points.Point, keys [][]byte, diff *iblt.Diff) ([]points.Point, error) {
+// added, and each Bob-only key (p, occ) names an occurrence of p to drop.
+// Bob's occurrences of p are numbered in slice order, as
+// points.OccurrenceKeys numbers them, so the k keys naming p must name
+// his top k occurrences, and the last k copies of p in bobPts are dropped.
+// One hashed scan of bobPts, which copies them too, finds those copies; a
+// key naming anything else fails with ErrNotLocal. The result is a deep
+// copy carved out of one array.
+func applyExactDiff(u points.Universe, bobPts []points.Point, diff *iblt.Diff) ([]points.Point, error) {
 	encSize := points.EncodedSize(u.Dim)
-	drop := make(map[string]struct{}, len(diff.Neg))
+	for _, keys := range [][][]byte{diff.Pos, diff.Neg} {
+		for _, k := range keys {
+			if len(k) != encSize+4 {
+				return nil, fmt.Errorf("protocol: exact diff key of %d bytes", len(k))
+			}
+		}
+	}
+	// An open-addressed table of the points Neg names, at most half full:
+	// a slot holds 1 + the point's index in drops.
+	drops := make([]dropped, 0, len(diff.Neg))
+	mask := 1<<bits.Len(uint(2*len(diff.Neg))) - 1
+	slots := make([]int32, mask+1)
 	for _, k := range diff.Neg {
-		drop[string(k)] = struct{}{}
+		p := make(points.Point, u.Dim)
+		if err := points.DecodeInto(p, k[:encSize]); err != nil {
+			return nil, err
+		}
+		h := mixPoint(p)
+		s := int(h) & mask
+		for ; slots[s] != 0 && !drops[slots[s]-1].p.Equal(p); s = (s + 1) & mask {
+		}
+		if slots[s] == 0 {
+			drops = append(drops, dropped{p: p, h: h})
+			slots[s] = int32(len(drops))
+		}
+		dp := &drops[slots[s]-1]
+		dp.occs = append(dp.occs, binary.LittleEndian.Uint32(k[encSize:]))
 	}
-	if len(drop) != len(diff.Neg) {
-		return nil, errors.New("protocol: exact diff names a key twice")
-	}
-	n := len(bobPts) + len(diff.Pos)
-	out := make([]points.Point, 0, n)
-	coords := make([]int64, n*u.Dim)
-	next := func() points.Point { // the result's next point, to be filled in
-		out = append(out, coords[:u.Dim:u.Dim])
-		coords = coords[u.Dim:]
-		return out[len(out)-1]
-	}
+	dim, n := u.Dim, len(bobPts)
+	out := make([]points.Point, n+len(diff.Pos))
+	coords := make([]int64, len(out)*dim)
 	for i, p := range bobPts {
-		if _, gone := drop[string(keys[i])]; gone {
-			delete(drop, string(keys[i]))
+		q := coords[i*dim : (i+1)*dim : (i+1)*dim]
+		copy(q, p)
+		out[i] = q
+		if len(drops) == 0 {
 			continue
 		}
-		copy(next(), p)
-	}
-	if len(drop) != 0 {
-		return nil, errors.New("protocol: exact diff names points Bob does not hold")
-	}
-	for _, k := range diff.Pos {
-		if len(k) != encSize+4 {
-			return nil, fmt.Errorf("protocol: exact diff key of %d bytes", len(k))
+		h := mixPoint(p)
+		for s := int(h) & mask; slots[s] != 0; s = (s + 1) & mask {
+			if dp := &drops[slots[s]-1]; dp.h == h && dp.p.Equal(p) {
+				dp.at = append(dp.at, i)
+				break
+			}
 		}
-		if err := points.DecodeInto(next(), k[:encSize]); err != nil {
+	}
+	var gone []int // indices into bobPts, one per Neg key
+	for _, dp := range drops {
+		slices.Sort(dp.occs)
+		have, k := len(dp.at), len(dp.occs)
+		for j, occ := range dp.occs {
+			if want := have - k + j; want < 0 || occ != uint32(want) {
+				return nil, fmt.Errorf("%w: %d removals of %v name occurrence %d; Bob holds %d copies",
+					ErrNotLocal, k, dp.p, occ, have)
+			}
+		}
+		gone = append(gone, dp.at[have-k:]...)
+	}
+	if len(gone) > 0 {
+		slices.Sort(gone)
+		w := gone[0]
+		for r := w; r < n; r++ {
+			if len(gone) > 0 && gone[0] == r {
+				gone = gone[1:]
+				continue
+			}
+			out[w] = out[r]
+			w++
+		}
+		out = append(out[:w], out[n:]...)
+	}
+	added := out[len(out)-len(diff.Pos):]
+	for j, k := range diff.Pos {
+		added[j] = coords[(n+j)*dim : (n+j+1)*dim : (n+j+1)*dim]
+		if err := points.DecodeInto(added[j], k[:encSize]); err != nil {
 			return nil, err
 		}
 	}

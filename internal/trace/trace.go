@@ -352,6 +352,13 @@ const (
 	StatWindowUp   = "window_up"
 )
 
+// StatKeptCells is the stat a Client's rateless fetch records: how many of
+// the local cells it subtracted it kept from its last fetch of the dataset
+// instead of building them from its points' keys, 0 when it keyed them
+// all. Past the kept cells — when the last cells_round's frontier is
+// beyond them — it keyed its points for the rest.
+const StatKeptCells = "kept_cells"
+
 // Stat returns the named stat's value and whether it was recorded.
 func (s *Snapshot) Stat(name string) (int64, bool) {
 	if s == nil {
@@ -363,6 +370,22 @@ func (s *Snapshot) Stat(name string) (int64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// frontier is the frontier attribute of the last cells_round span: how
+// far into its cell stream a rateless session went.
+func (s *Snapshot) frontier() int64 {
+	for i := len(s.Spans) - 1; i >= 0; i-- {
+		if s.Spans[i].Name != "cells_round" {
+			continue
+		}
+		for _, a := range s.Spans[i].Attrs {
+			if a.K == "frontier" {
+				return a.V
+			}
+		}
+	}
+	return 0
 }
 
 // Format writes the snapshot as an indented human-readable breakdown —
@@ -415,6 +438,13 @@ func (s *Snapshot) format(w io.Writer, indent string) {
 	if hint, ok := s.Stat("estimated_diff"); ok {
 		if v, _ := s.Stat(StatWarm); v > 0 { // a client's trace: the server's knows no hint
 			fmt.Fprintf(w, "%s  warm opening: first block sized from the last difference (%d keys), no strata\n", indent, hint)
+		}
+	}
+	if kept, _ := s.Stat(StatKeptCells); kept > 0 {
+		if s.frontier() <= kept {
+			fmt.Fprintf(w, "%s  local cells: %d kept from the last fetch, no keys built\n", indent, kept)
+		} else {
+			fmt.Fprintf(w, "%s  local cells: %d kept from the last fetch, keys built past them\n", indent, kept)
 		}
 	}
 	if lo, ok := s.Stat(StatWindowLo); ok {

@@ -305,3 +305,27 @@ func TestSnapshotFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatKeptCells: a rateless fetch that subtracted kept cells says
+// how many, and whether its last round went past them; one that keyed its
+// points from the first cell says nothing.
+func TestFormatKeptCells(t *testing.T) {
+	for _, c := range []struct {
+		kept, frontier int64
+		line           string
+	}{
+		{128, 97, "local cells: 128 kept from the last fetch, no keys built"},
+		{128, 129, "local cells: 128 kept from the last fetch, keys built past them"},
+		{0, 97, ""},
+	} {
+		k := New("client")
+		k.Begin("cells_round").End(I("chunk", 97), I("frontier", c.frontier))
+		k.Stat(StatKeptCells, c.kept)
+		var buf strings.Builder
+		k.Snapshot().Format(&buf)
+		out := buf.String()
+		if strings.Contains(out, "local cells:") != (c.line != "") || !strings.Contains(out, c.line) {
+			t.Fatalf("formatted trace of %d kept cells, frontier %d, want %q:\n%s", c.kept, c.frontier, c.line, out)
+		}
+	}
+}

@@ -358,6 +358,11 @@ func TestRatelessWarmZeroDiff(t *testing.T) {
 // TestRatelessConcurrentWarmFetches runs fetches of one dataset
 // concurrently on one ClientSession, so hints are read and written from
 // many goroutines at once (run it under -race); every fetch converges.
+// Then fetches that could all subtract the cells kept of the dataset run
+// at once: a fetch takes the kept cells out of the Client's hint and puts
+// its own back, so one fetch at a time holds any kept state (under -race,
+// two writing one would be a race) and the others key their points; every
+// result is the dataset's multiset.
 func TestRatelessConcurrentWarmFetches(t *testing.T) {
 	alice, bob := ratelessExactPair(1000, 10)
 	srv := robustset.NewServer()
@@ -402,6 +407,52 @@ func TestRatelessConcurrentWarmFetches(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+
+	var mu sync.Mutex
+	var snaps []*robustset.SessionTrace
+	traced, err := cl.Session("d", robustset.Rateless{}, robustset.WithSessionTrace(func(st *robustset.SessionTrace) {
+		mu.Lock()
+		snaps = append(snaps, st)
+		mu.Unlock()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := traced.Fetch(ctx, bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs = make(chan error, 32)
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				got, _, err := traced.Fetch(ctx, res.SPrime)
+				if err == nil && !robustset.EqualMultisets(got.SPrime, alice) {
+					err = errors.New("fetch did not converge")
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var held []*robustset.SessionTrace
+	for _, st := range snaps[1:] {
+		if n, _ := st.Stat("kept_cells"); n > 0 {
+			held = append(held, st)
+		}
+	}
+	if len(held) == 0 {
+		t.Fatal("no concurrent fetch subtracted the kept cells")
+	}
+	t.Logf("%d of %d concurrent fetches subtracted kept cells, the others keyed their points", len(held), len(snaps)-1)
 }
 
 // TestRatelessWarmHelloRefused: a hello whose warm first request is above

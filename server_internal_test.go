@@ -99,14 +99,14 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 			t.Errorf("rateless with a %d-byte config accepted", size)
 		}
 	}
-	warm := Rateless{}.warm(64)
+	warm := Rateless{}.warm(hint{n: 64}, true)
 	if cfg := warm.helloConfig(); !bytes.Equal(cfg, []byte{97, 0, 0, 0}) {
 		t.Errorf("warm rateless hello config %x, want 61000000", cfg)
 	}
 	if got, err := strategyFromCode(protocol.StrategyRateless, warm.helloConfig()); err != nil || got.(Rateless).first != 97 {
 		t.Errorf("warm rateless config decoded as %+v, %v; want a first request of 97 cells", got, err)
 	}
-	if cold := (Rateless{}).warm(361).(Rateless); cold.first != 0 || !bytes.Equal(cold.helloConfig(), []byte{0, 0, 0, 0}) {
+	if cold := (Rateless{}).warm(hint{n: 361}, true).(Rateless); cold.first != 0 || !bytes.Equal(cold.helloConfig(), []byte{0, 0, 0, 0}) {
 		t.Errorf("a hint above the 512-cell bound opened warm: %+v", cold)
 	}
 	// Robust's config is empty, cold, or two bytes, a warm window's levels
@@ -147,9 +147,9 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 			res.Outcomes = append(res.Outcomes, o)
 		}
 		res.Outcomes = append(res.Outcomes, LevelOutcome{Level: c.level, Decoded: true})
-		hint, ok := Robust{}.hintFrom(&SyncResult{Robust: res, Params: res.Params})
-		if want := c.lo >= 0; ok != want || (ok && Robust{}.warm(hint) != robustWindow(c.lo, c.hi)) {
-			t.Errorf("level %d of [%d,%d] under %v: hint %+v, %v; want the window [%d,%d]", c.level, c.min, c.max, c.above, Robust{}.warm(hint), ok, c.lo, c.hi)
+		n, ok := Robust{}.hintFrom(&SyncResult{Robust: res, Params: res.Params})
+		if want := c.lo >= 0; ok != want || (ok && Robust{}.warm(hint{n: n}, true) != robustWindow(c.lo, c.hi)) {
+			t.Errorf("level %d of [%d,%d] under %v: hint %+v, %v; want the window [%d,%d]", c.level, c.min, c.max, c.above, Robust{}.warm(hint{n: n}, true), ok, c.lo, c.hi)
 		}
 	}
 

@@ -66,9 +66,10 @@ func serveDataset(ctx context.Context, t transport.Transport, strat Strategy, p 
 // warm, from a hint that the last fetch of the same dataset left.
 type warmStrategy interface {
 	Strategy
-	// warm returns the strategy opening warm from hint, or cold when hint
-	// does not qualify.
-	warm(hint int) Strategy
+	// warm returns the strategy opening warm from h, what the last fetch
+	// of the dataset left (ok), or cold when there is none or it does not
+	// qualify.
+	warm(h hint, ok bool) Strategy
 	// hintFrom returns what a fetch's result leaves the next fetch, and
 	// false when that should open cold.
 	hintFrom(res *SyncResult) (int, bool)
@@ -180,8 +181,13 @@ func (r Robust) helloConfig() []byte {
 // robustWindow returns Robust opening warm on the window [lo, hi].
 func robustWindow(lo, hi int) Robust { return Robust{window: lo<<8 | hi} }
 
-// warm returns Robust opening on the window hintFrom packed into hint.
-func (Robust) warm(hint int) Strategy { return Robust{window: hint} }
+// warm returns Robust opening on the window hintFrom packed into h.
+func (r Robust) warm(h hint, ok bool) Strategy {
+	if !ok {
+		return r
+	}
+	return Robust{window: h.n}
+}
 
 // hintFrom packs the next window, core.WarmWindow of res's result; there
 // is none when it would reach below MinLevel or be the whole range.
@@ -289,6 +295,13 @@ func (a Adaptive) fetch(ctx context.Context, t transport.Transport, p Params, lo
 // hello asks for a first block sized from the difference the last fetch
 // decoded, the server answers it with the accept, and no strata estimator
 // is built or sent. Peer-to-peer sessions and first fetches open cold.
+//
+// A Client also keeps, per dataset, the first cells (up to 1 024) of the
+// multiset its last rateless fetch returned: the cells that fetch
+// received. A fetch whose local points are that multiset — by an
+// order-free fingerprint, as when the caller hands back the last SPrime —
+// subtracts those cells instead of keying its points, and keys them only
+// for cells past the kept ones. Nothing changes on the wire.
 type Rateless struct {
 	// InitialFactor scales the difference the first requested cell
 	// increment is sized from — the strata estimate, or on a warm opening
@@ -302,6 +315,8 @@ type Rateless struct {
 	// first is a warm opening's first request, in cells, carried by the
 	// hello; 0 opens cold. hint is the difference it was sized from.
 	first, hint int
+	// kept is a Client's fetch's kept state of the dataset (nil elsewhere).
+	kept *protocol.RatelessKept
 }
 
 // Name implements Strategy.
@@ -323,12 +338,19 @@ func (r Rateless) helloConfig() []byte {
 	return binary.LittleEndian.AppendUint32(nil, uint32(r.first))
 }
 
-// warm returns r opening warm from hint, the size of the difference the
-// last fetch of the dataset decoded — or r, cold, when the first block
-// sized from it would be above protocol's 512-cell bound.
-func (r Rateless) warm(hint int) Strategy {
-	if r.first = (protocol.RatelessConfig{InitialFactor: r.InitialFactor}).WarmFirst(hint); r.first != 0 {
-		r.hint = hint
+// warm returns r with h's kept state, or a new one, opening warm from
+// h.n, the size of the difference the last fetch of the dataset decoded —
+// or cold, when there is none or the first block sized from it would be
+// above protocol's 512-cell bound.
+func (r Rateless) warm(h hint, ok bool) Strategy {
+	if r.kept = h.kept; r.kept == nil {
+		r.kept = protocol.NewRatelessKept()
+	}
+	if !ok {
+		return r
+	}
+	if r.first = (protocol.RatelessConfig{InitialFactor: r.InitialFactor}).WarmFirst(h.n); r.first != 0 {
+		r.hint = h.n
 	}
 	return r
 }
@@ -343,6 +365,7 @@ func (r Rateless) config(p Params) protocol.RatelessConfig {
 		InitialFactor: r.InitialFactor,
 		MaxBytes:      r.MaxBytes,
 		First:         r.first,
+		Kept:          r.kept,
 	}
 }
 
