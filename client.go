@@ -288,8 +288,9 @@ func (cs *ClientSession) FetchDataset(ctx context.Context, local *Dataset) (*Syn
 
 // warm returns w for the next fetch of dataset: warm from the hint the
 // last fetch of it with w's strategy left, or w itself, cold, if there is
-// none. The fetch takes the hint's kept state with it.
-func (c *Client) warm(dataset string, w warmStrategy) Strategy {
+// none. The fetch takes the hint's kept state with it, and warm returns
+// that too.
+func (c *Client) warm(dataset string, w warmStrategy) (Strategy, *protocol.RatelessKept) {
 	key := hintKey{dataset, w.code()}
 	c.mu.Lock()
 	h, ok := c.hints[key]
@@ -297,32 +298,30 @@ func (c *Client) warm(dataset string, w warmStrategy) Strategy {
 		c.hints[key] = hint{n: h.n}
 	}
 	c.mu.Unlock()
-	return w.warm(h, ok)
+	if !ok {
+		return w, nil
+	}
+	return w.warm(h), h.kept
 }
 
 // learn keeps the hint a fetch of dataset with w's strategy leaves for the
-// next one, with the kept state of used, the strategy whose session
-// returned res, and forgets it after a failed fetch or a result that
-// leaves none. A fetch that ended at the handshake decoded nothing and
-// leaves the hint as it was, with the kept state it took back in it.
-func (c *Client) learn(dataset string, w warmStrategy, used Strategy, res *SyncResult, err error) {
+// next one, read from res, and forgets it after a failed fetch or a result
+// that leaves none. A fetch that ended at the handshake decoded nothing and
+// leaves the hint as it was, with taken, the kept state it took, back in it.
+func (c *Client) learn(dataset string, w warmStrategy, taken *protocol.RatelessKept, res *SyncResult, err error) {
 	key := hintKey{dataset, w.code()}
-	var kept *protocol.RatelessKept
-	if r, ok := used.(Rateless); ok {
-		kept = r.kept
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err == nil && res.Unchanged {
 		if h, ok := c.hints[key]; ok && h.kept == nil {
-			h.kept = kept
+			h.kept = taken
 			c.hints[key] = h
 		}
 		return
 	}
 	if err == nil {
-		if n, ok := w.hintFrom(res); ok {
-			c.hints[key] = hint{n: n, kept: kept}
+		if h, ok := w.hintFrom(res); ok {
+			c.hints[key] = h
 			return
 		}
 	}
@@ -339,8 +338,9 @@ func (c *Client) learn(dataset string, w warmStrategy, used Strategy, res *SyncR
 func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (res *SyncResult, stats TransferStats, err error) {
 	c, strat := cs.c, cs.sess.strategy
 	if w, ok := strat.(warmStrategy); ok {
-		strat = c.warm(cs.sess.dataset, w)
-		defer func() { c.learn(cs.sess.dataset, w, strat, res, err) }()
+		var taken *protocol.RatelessKept
+		strat, taken = c.warm(cs.sess.dataset, w)
+		defer func() { c.learn(cs.sess.dataset, w, taken, res, err) }()
 	}
 	select {
 	case c.sem <- struct{}{}:
@@ -365,7 +365,7 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 	}
 	if errors.Is(err, protocol.ErrKeptStale) {
 		r := strat.(Rateless)
-		r.kept = protocol.NewRatelessKept()
+		r.kept = nil
 		strat = r
 		var keyed TransferStats
 		res, keyed, err = cs.session(ctx, strat, d, local)

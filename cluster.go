@@ -22,8 +22,8 @@ import (
 // reconciled diffs locally. N replicators pointed at each other converge
 // the cluster — the gossip-style generalization of the repo's two-party
 // sessions. The selection, backoff and sharding policies live in
-// internal/cluster; the wire protocols are the unchanged Session
-// strategies, so a Replicator interoperates with any robustset Server.
+// internal/cluster; the wire protocol is the unchanged Rateless strategy,
+// so a Replicator interoperates with any robustset Server.
 
 // Peer identifies one remote Server a Replicator reconciles with.
 type Peer struct {
@@ -100,12 +100,17 @@ type ReplicatorStats struct {
 
 // Replicator runs continuous anti-entropy over a Server's datasets: each
 // round selects peers, reconciles every published dataset (including
-// every shard of a sharded dataset) against them via the configured
-// Session strategy, and applies the resulting diffs through the
-// dataset's batch mutations. A session opens with the dataset's root
-// aggregate (ClientSession.FetchDataset): a peer that holds the same
-// multiset says so in its accept and the session is over — a converged
-// dataset costs one handshake and no snapshot, whatever the strategy.
+// every shard of a sharded dataset) against them with the Rateless
+// strategy, and applies the resulting diffs through the dataset's batch
+// mutations. Replication needs the peer's actual points, which only an
+// exact strategy returns, and Rateless streams cells until it decodes, so
+// no difference is too large for a round: any two replicas converge.
+// (Robust and Adaptive answer a fetch with a multiset close to the peer's
+// in EMD, for a Client that wants that.) A session opens with the
+// dataset's root aggregate (ClientSession.FetchDataset): a peer that holds
+// the same multiset says so in its accept and the session is over — a
+// converged dataset costs one handshake and no snapshot. From the second
+// fetch of a dataset that differed, its session opens warm.
 // Datasets reconcile concurrently on a bounded worker pool; within one
 // dataset the selected peers are visited sequentially, each against the
 // dataset as it then stands (a fresh snapshot whenever the peer
@@ -120,7 +125,6 @@ type ReplicatorStats struct {
 // follower replicas, not mutual gossip.
 type Replicator struct {
 	srv      *Server
-	strategy Strategy
 	interval time.Duration
 	timeout  time.Duration
 	workers  int
@@ -158,20 +162,6 @@ type peerEntry struct {
 
 // ReplicatorOption configures a Replicator.
 type ReplicatorOption func(*Replicator) error
-
-// WithReplicatorStrategy selects the reconciliation strategy for peer
-// sessions. Default: Robust{} (the paper's one-shot protocol; per-round
-// cost tracks the live delta). Rateless{} converges bit-exact catalogs;
-// strategies must support Session.Fetch (all built-ins do).
-func WithReplicatorStrategy(s Strategy) ReplicatorOption {
-	return func(r *Replicator) error {
-		if s == nil {
-			return errors.New("robustset: nil replicator strategy")
-		}
-		r.strategy = s
-		return nil
-	}
-}
 
 // WithRoundInterval sets the pause between rounds in Replicator.Run.
 // Default: 1s.
@@ -314,7 +304,6 @@ func NewReplicator(srv *Server, peers []Peer, opts ...ReplicatorOption) (*Replic
 	}
 	r := &Replicator{
 		srv:      srv,
-		strategy: Robust{},
 		interval: time.Second,
 		timeout:  30 * time.Second,
 		workers:  4,
@@ -577,8 +566,10 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 }
 
 // syncDataset reconciles one local dataset against one peer and applies
-// the diff, if the peer did not answer "same" at the handshake. Returns
-// the applied add/remove counts and the session's wire bytes. The session runs as one pipelined stream of the peer's cached
+// the diff — the peer's points the fetch's snapshot lacks, and in mirror
+// mode the snapshot's points the peer lacks — if the peer did not answer
+// "same" at the handshake. Returns the applied add/remove counts and the
+// session's wire bytes. The session runs as one pipelined stream of the peer's cached
 // connection, dialed on first use; concurrent dataset workers hitting the
 // same peer share it, so a 64-shard round is one dial and 64 parallel
 // streams.
@@ -589,7 +580,7 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 	}
 	if parent := trace.FromContext(ctx); parent != nil {
 		child := parent.Child("peer-session")
-		child.Label(name, r.strategy.Name(), peer.name())
+		child.Label(name, coldRateless.Name(), peer.name())
 		ctx = trace.NewContext(ctx, child)
 		defer func() { child.Finish(err) }()
 	}
@@ -597,7 +588,7 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	cs, err := cl.Session(name, r.strategy)
+	cs, err := cl.Session(name, coldRateless)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -608,10 +599,7 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 	if res.Unchanged {
 		return 0, 0, st.Total(), nil // converged at the handshake
 	}
-	add, rem, err := diffToApply(res)
-	if err != nil {
-		return 0, 0, st.Total(), err
-	}
+	add, rem := points.MultisetDiff(res.SPrime, res.local)
 	if len(add) > 0 {
 		if err := d.AddBatch(add); err != nil {
 			return 0, 0, st.Total(), err
@@ -726,32 +714,6 @@ func (r *Replicator) Close() error {
 		cl.Close()
 	}
 	return nil
-}
-
-// diffToApply extracts the points to add and remove from a fetch result
-// relative to the local snapshot the fetch ran against. Robust strategies
-// report the diff directly; exact strategies return the remote multiset,
-// which is diffed here.
-//
-// A robust result is only safe to apply when it decoded at the finest
-// grid level (cell width 1), where the repaired points are the peer's
-// actual points. At coarser levels the diff is made of synthetic cell
-// centers — fine for a one-shot EMD-close answer, poisonous to feed back
-// into an authoritative dataset and gossip onward — so it is rejected
-// and surfaces as a session error: raise Params.DiffBudget so the live
-// delta decodes exactly.
-func diffToApply(res *SyncResult) (add, rem []Point, err error) {
-	if res.Robust != nil {
-		if res.Robust.CellWidth > 1 {
-			return nil, nil, fmt.Errorf(
-				"robustset: replicator: robust decode only reached cell width %d (level %d); "+
-					"diff exceeds Params.DiffBudget and the repair would be approximate — not applied",
-				res.Robust.CellWidth, res.Robust.Level)
-		}
-		return res.Robust.Added, res.Robust.Removed, nil
-	}
-	onlyRemote, onlyLocal := points.MultisetDiff(res.SPrime, res.local)
-	return onlyRemote, onlyLocal, nil
 }
 
 // isUnknownDataset reports whether err is the peer's rejection of a

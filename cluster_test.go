@@ -98,77 +98,71 @@ func runConvergence(t *testing.T, nodes []*clusterNode, reps []*robustset.Replic
 
 // TestReplicatorThreeNodeConvergence is the acceptance scenario: three
 // nodes with disjoint extra points converge to the identical multiset
-// within a bounded number of rounds, for the Robust and Rateless
-// strategies, on both plain and sharded datasets.
+// within a bounded number of rounds, on both plain and sharded datasets.
 func TestReplicatorThreeNodeConvergence(t *testing.T) {
-	strategies := []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}}
-	for _, strat := range strategies {
-		for _, shards := range []int{1, 4} {
-			name := fmt.Sprintf("%s/shards=%d", strat.Name(), shards)
-			t.Run(name, func(t *testing.T) {
-				params := robustset.Params{Universe: testU, Seed: 55, DiffBudget: 40}
-				common, extras := clusterWorkload(3, 120, 6)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			params := robustset.Params{Universe: testU, Seed: 55, DiffBudget: 40}
+			common, extras := clusterWorkload(3, 120, 6)
 
-				var nodes []*clusterNode
-				for i := 0; i < 3; i++ {
-					pts := append(robustset.ClonePoints(common), extras[i]...)
-					nodes = append(nodes, startClusterNode(t, params, pts, shards))
-				}
+			var nodes []*clusterNode
+			for i := 0; i < 3; i++ {
+				pts := append(robustset.ClonePoints(common), extras[i]...)
+				nodes = append(nodes, startClusterNode(t, params, pts, shards))
+			}
 
-				var reps []*robustset.Replicator
-				for i, n := range nodes {
-					var peers []robustset.Peer
-					for j, m := range nodes {
-						if j != i {
-							peers = append(peers, robustset.Peer{Name: fmt.Sprintf("node%d", j), Addr: m.addr})
-						}
-					}
-					rep, err := robustset.NewReplicator(n.srv, peers,
-						robustset.WithReplicatorStrategy(strat),
-						robustset.WithPeerSelector(robustset.SelectRoundRobin(2)),
-						robustset.WithRoundTimeout(time.Minute),
-						robustset.WithReplicatorWorkers(4),
-					)
-					if err != nil {
-						t.Fatal(err)
-					}
-					reps = append(reps, rep)
-				}
-
-				sweeps := runConvergence(t, nodes, reps, 5)
-				t.Logf("converged in %d sweep(s)", sweeps)
-
-				// The converged multiset is the union: common plus every
-				// node's extras.
-				want := robustset.ClonePoints(common)
-				for _, ex := range extras {
-					want = append(want, ex...)
-				}
-				if got := nodes[0].snapshot(); !robustset.EqualMultisets(got, want) {
-					t.Errorf("converged multiset has %d points, want the %d-point union", len(got), len(want))
-				}
-
-				// A post-convergence sweep reports Converged on every node
-				// and moves only estimator/sketch bytes, no diffs.
-				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-				defer cancel()
-				for i, rep := range reps {
-					st, err := rep.RunRound(ctx)
-					if err != nil {
-						t.Fatalf("node %d quiescent round: %v", i, err)
-					}
-					if !st.Converged || st.Added != 0 || st.Removed != 0 || st.Errors != 0 {
-						t.Errorf("node %d quiescent round: %+v, want converged and diff-free", i, st)
-					}
-					if st.Bytes <= 0 || st.Sessions == 0 {
-						t.Errorf("node %d quiescent round carried no traffic accounting: %+v", i, st)
-					}
-					if rep.Stats().ConvergedStreak < 1 {
-						t.Errorf("node %d: converged streak %d", i, rep.Stats().ConvergedStreak)
+			var reps []*robustset.Replicator
+			for i, n := range nodes {
+				var peers []robustset.Peer
+				for j, m := range nodes {
+					if j != i {
+						peers = append(peers, robustset.Peer{Name: fmt.Sprintf("node%d", j), Addr: m.addr})
 					}
 				}
-			})
-		}
+				rep, err := robustset.NewReplicator(n.srv, peers,
+					robustset.WithPeerSelector(robustset.SelectRoundRobin(2)),
+					robustset.WithRoundTimeout(time.Minute),
+					robustset.WithReplicatorWorkers(4),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reps = append(reps, rep)
+			}
+
+			sweeps := runConvergence(t, nodes, reps, 5)
+			t.Logf("converged in %d sweep(s)", sweeps)
+
+			// The converged multiset is the union: common plus every
+			// node's extras.
+			want := robustset.ClonePoints(common)
+			for _, ex := range extras {
+				want = append(want, ex...)
+			}
+			if got := nodes[0].snapshot(); !robustset.EqualMultisets(got, want) {
+				t.Errorf("converged multiset has %d points, want the %d-point union", len(got), len(want))
+			}
+
+			// A post-convergence sweep reports Converged on every node
+			// and moves only handshakes, no diffs.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			for i, rep := range reps {
+				st, err := rep.RunRound(ctx)
+				if err != nil {
+					t.Fatalf("node %d quiescent round: %v", i, err)
+				}
+				if !st.Converged || st.Added != 0 || st.Removed != 0 || st.Errors != 0 {
+					t.Errorf("node %d quiescent round: %+v, want converged and diff-free", i, st)
+				}
+				if st.Bytes <= 0 || st.Sessions == 0 {
+					t.Errorf("node %d quiescent round carried no traffic accounting: %+v", i, st)
+				}
+				if rep.Stats().ConvergedStreak < 1 {
+					t.Errorf("node %d: converged streak %d", i, rep.Stats().ConvergedStreak)
+				}
+			}
+		})
 	}
 }
 
@@ -252,7 +246,6 @@ func TestReplicatorSkipsUnknownDataset(t *testing.T) {
 	addrB := startServer(t, b)
 
 	rep, err := robustset.NewReplicator(a, []robustset.Peer{{Name: "b", Addr: addrB.String()}},
-		robustset.WithReplicatorStrategy(robustset.Rateless{}),
 		robustset.WithRoundTimeout(time.Minute),
 	)
 	if err != nil {
@@ -281,36 +274,36 @@ func TestReplicatorSkipsUnknownDataset(t *testing.T) {
 	}
 }
 
-// TestReplicatorRejectsApproximateRobustDiff asserts a robust decode
-// that only reached a coarse grid level — synthetic cell-center points —
-// is never applied to the live dataset: the session errors and the
-// multiset stays untouched.
-func TestReplicatorRejectsApproximateRobustDiff(t *testing.T) {
-	// DiffBudget 2 against a 30-point disjoint diff: the finest levels
-	// cannot decode, a coarse one can.
+// TestReplicatorConvergesPastDiffBudget: replication has no capacity
+// cliff. Two replicas 15× Params.DiffBudget apart — 30 disjoint points
+// against a budget of 2 — converge in one round each with the default
+// options, every session clean and every point the peer's own.
+func TestReplicatorConvergesPastDiffBudget(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 3, DiffBudget: 2}
 	common, extras := clusterWorkload(2, 200, 15)
-	a := startClusterNode(t, params, append(robustset.ClonePoints(common), extras[0]...), 1)
-	b := startClusterNode(t, params, append(robustset.ClonePoints(common), extras[1]...), 1)
-
-	rep, err := robustset.NewReplicator(a.srv, []robustset.Peer{{Name: "b", Addr: b.addr}},
-		robustset.WithReplicatorStrategy(robustset.Robust{}),
-		robustset.WithRoundTimeout(time.Minute),
-		robustset.WithReplicatorLogger(t.Logf),
-	)
-	if err != nil {
-		t.Fatal(err)
+	nodes := []*clusterNode{
+		startClusterNode(t, params, append(robustset.ClonePoints(common), extras[0]...), 1),
+		startClusterNode(t, params, append(robustset.ClonePoints(common), extras[1]...), 1),
 	}
-	before := a.snapshot()
-	st, err := rep.RunRound(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	var reps []*robustset.Replicator
+	for i, n := range nodes {
+		rep, err := robustset.NewReplicator(n.srv, []robustset.Peer{{Name: "peer", Addr: nodes[1-i].addr}},
+			robustset.WithReplicatorLogger(t.Logf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+		reps = append(reps, rep)
 	}
-	if st.Errors == 0 || st.Added != 0 || st.Converged {
-		t.Fatalf("approximate robust diff was applied: %+v", st)
+	runConvergence(t, nodes, reps, 1)
+	for i, rep := range reps {
+		if st := rep.LastRound(); st.Errors != 0 || st.Added != len(extras[1-i]) {
+			t.Errorf("node %d round %+v, want +%d points and no errors", i, st, len(extras[1-i]))
+		}
 	}
-	if !robustset.EqualMultisets(a.snapshot(), before) {
-		t.Fatal("dataset mutated by an approximate robust repair")
+	want := append(append(robustset.ClonePoints(common), extras[0]...), extras[1]...)
+	if got := nodes[0].snapshot(); !robustset.EqualMultisets(got, want) {
+		t.Errorf("converged multiset has %d points, want the %d-point union", len(got), len(want))
 	}
 }
 
@@ -358,7 +351,6 @@ func TestReplicatorMirror(t *testing.T) {
 
 	rep, err := robustset.NewReplicator(follower.srv,
 		[]robustset.Peer{{Name: "up", Addr: upstream.addr}},
-		robustset.WithReplicatorStrategy(robustset.Rateless{}),
 		robustset.WithMirror(),
 		robustset.WithRoundTimeout(time.Minute),
 	)
@@ -429,9 +421,6 @@ func TestReplicatorValidation(t *testing.T) {
 	if _, err := robustset.NewReplicator(nil, nil); err == nil {
 		t.Error("nil server accepted")
 	}
-	if _, err := robustset.NewReplicator(srv, nil, robustset.WithReplicatorStrategy(nil)); err == nil {
-		t.Error("nil strategy accepted")
-	}
 	if _, err := robustset.NewReplicator(srv, nil, robustset.WithRoundInterval(0)); err == nil {
 		t.Error("zero interval accepted")
 	}
@@ -497,7 +486,6 @@ func TestReplicatorMuxConvergence(t *testing.T) {
 			}
 		}
 		rep, err := robustset.NewReplicator(n.srv, peers,
-			robustset.WithReplicatorStrategy(robustset.Rateless{}),
 			robustset.WithPeerSelector(robustset.SelectRoundRobin(2)),
 			robustset.WithRoundTimeout(time.Minute),
 			robustset.WithReplicatorWorkers(shards),

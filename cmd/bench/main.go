@@ -13,8 +13,8 @@
 // configuration (CPI beyond its capacity budget) are recorded as skipped
 // with a reason rather than silently dropped. A cluster scenario then
 // stands up a 3-node sharded anti-entropy cluster over loopback TCP and
-// records rounds- and bytes-to-convergence for the replication-grade
-// strategies (mode "cluster" rows).
+// records its rounds- and bytes-to-convergence (mode "cluster" rows; the
+// Replicator runs Rateless).
 //
 // A recovery scenario (mode "recovery" rows) measures the durable
 // storage engine. "replay" rows churn a write-ahead-logged dataset,
@@ -368,27 +368,18 @@ func exchange(strat robustset.Strategy, p robustset.Params, alice, bob []robusts
 // of one sharded dataset, each seeded with disjoint extra points, gossip
 // until every node holds the identical multiset.
 type clusterCell struct {
-	strategy robustset.Strategy
-	n        int // shared base points
-	extra    int // disjoint extra points per node
-	nodes    int
-	shards   int
+	n      int // shared base points
+	extra  int // disjoint extra points per node
+	nodes  int
+	shards int
 }
 
-// clusterMatrix enumerates the replication scenarios. The two strategies
-// with exact finest-level diffs — Robust and Rateless — are the ones a
-// replication layer deploys; rounds- and bytes-to-convergence are the
-// numbers that compare them.
+// clusterMatrix enumerates the replication scenarios.
 func clusterMatrix(quick bool) []clusterCell {
-	n, extra, shards := 10_000, 50, 8
 	if quick {
-		n, extra, shards = 1_000, 10, 4
+		return []clusterCell{{n: 1_000, extra: 10, nodes: 3, shards: 4}}
 	}
-	var cells []clusterCell
-	for _, s := range []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}} {
-		cells = append(cells, clusterCell{strategy: s, n: n, extra: extra, nodes: 3, shards: shards})
-	}
-	return cells
+	return []clusterCell{{n: 10_000, extra: 50, nodes: 3, shards: 8}}
 }
 
 // clusterWorkload builds the deterministic cluster instance: a common
@@ -425,7 +416,7 @@ func clusterWorkload(u robustset.Universe, n, nodes, extra int, seed uint64) ([]
 // drives replicator rounds to convergence.
 func runClusterCell(c clusterCell) Result {
 	res := Result{
-		Strategy: c.strategy.Name(), N: c.n,
+		Strategy: robustset.Rateless{}.Name(), N: c.n,
 		DiffRate: float64(c.extra) / float64(c.n),
 		Dim:      2, Delta: 1 << 20, Regime: "exact",
 		Mode: "cluster", Nodes: c.nodes, Shards: c.shards,
@@ -467,7 +458,6 @@ func runClusterCell(c clusterCell) Result {
 			}
 		}
 		rep, err := robustset.NewReplicator(nd.srv, peers,
-			robustset.WithReplicatorStrategy(c.strategy),
 			robustset.WithPeerSelector(robustset.SelectRoundRobin(len(peers))),
 			robustset.WithRoundTimeout(5*time.Minute),
 		)
@@ -766,7 +756,6 @@ func runRecoveryRejoinCell(c recoveryRejoinCell) Result {
 			}
 		}
 		return robustset.NewReplicator(srvs[i], peers,
-			robustset.WithReplicatorStrategy(robustset.Rateless{}),
 			robustset.WithPeerSelector(robustset.SelectRoundRobin(nodes-1)),
 			robustset.WithRoundTimeout(5*time.Minute),
 		)

@@ -47,7 +47,7 @@ func fullReport(logf func(string, ...any)) Report {
 // tinyClusterCell is a minimal convergence scenario for in-process
 // testing.
 func tinyClusterCell() clusterCell {
-	return clusterCell{strategy: robustset.Rateless{}, n: 100, extra: 3, nodes: 2, shards: 2}
+	return clusterCell{n: 100, extra: 3, nodes: 2, shards: 2}
 }
 
 // tinyRecoveryCells is a minimal crash-recovery pair for in-process

@@ -39,7 +39,6 @@ func cmdCluster(args []string) error {
 	delta := fs.Int64("delta", 1<<20, "coordinate range (power of two)")
 	shards := fs.Int("shards", 4, "shards per dataset (1 = unsharded)")
 	seed := fs.Uint64("seed", 42, "workload and protocol seed")
-	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|cpi|naive (default oneshot)")
 	selection := fs.String("select", "roundrobin", "peer selection: roundrobin|random")
 	fanout := fs.Int("fanout", 0, "peers contacted per round (0 = all)")
 	workers := fs.Int("workers", 4, "concurrent shard reconciliations per round")
@@ -56,10 +55,6 @@ func cmdCluster(args []string) error {
 	}
 	if *extra < 1 {
 		return fmt.Errorf("cluster: -extra %d < 1", *extra)
-	}
-	strat, err := strategyFor(*proto)
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
 	}
 	durable := *dataDir != ""
 	if *killRestart {
@@ -80,9 +75,9 @@ func cmdCluster(args []string) error {
 	}
 
 	u := robustset.Universe{Dim: *dim, Delta: *delta}
-	// DiffBudget must cover the worst per-shard decode: with union
-	// application a session's diff is at most all nodes' extras plus any
-	// churn a downed node missed.
+	// Replication runs Rateless, which streams until it decodes and needs
+	// no DiffBudget; the budget only sizes what a robust or CPI fetch of a
+	// node's dataset would be served.
 	params := robustset.Params{Universe: u, Seed: *seed, DiffBudget: *nodes**extra + *churn + 8}
 
 	common, extras := clusterPoints(u, *n, *nodes, *extra, *seed)
@@ -180,7 +175,6 @@ func cmdCluster(args []string) error {
 			return nil, fmt.Errorf("cluster: unknown -select %q (roundrobin|random)", *selection)
 		}
 		return robustset.NewReplicator(all[i].srv, peers,
-			robustset.WithReplicatorStrategy(strat),
 			robustset.WithPeerSelector(sel),
 			robustset.WithReplicatorWorkers(*workers),
 			robustset.WithRoundTimeout(*deadline),
@@ -201,7 +195,7 @@ func cmdCluster(args []string) error {
 		durability = fmt.Sprintf("durable under %s (fsync %s)", *dataDir, *fsyncMode)
 	}
 	fmt.Printf("cluster: %d nodes, %d base + %d extra points each, %d shard(s), %s, %s selection, %s\n",
-		*nodes, *n, *extra, *shards, strat.Name(), *selection, durability)
+		*nodes, *n, *extra, *shards, robustset.Rateless{}.Name(), *selection, durability)
 
 	snapshot := func(nd *node) []robustset.Point {
 		var out []robustset.Point

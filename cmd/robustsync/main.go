@@ -10,7 +10,7 @@
 //	robustsync serve    -data a.txt [-data more.txt ...] -listen :7777 [-k 16] [-data-dir ./state] [-metrics-addr 127.0.0.1:9090]
 //	robustsync pull     -dataset a -data b.txt -connect host:7777 [-proto adaptive] [-trace] [-out sprime.txt]
 //	robustsync explain  -dataset a -data b.txt -connect host:7777 [-proto adaptive]
-//	robustsync cluster  -nodes 3 -n 500 -extra 8 -shards 4 [-proto rateless] [-metrics 127.0.0.1:9090] [-deadline 1m]
+//	robustsync cluster  -nodes 3 -n 500 -extra 8 -shards 4 [-metrics 127.0.0.1:9090] [-deadline 1m]
 //
 // `serve` publishes each -data file as a named dataset (the file's base
 // name without extension) on a multi-dataset sync server; it serves every
@@ -23,7 +23,8 @@
 // `pull` dials the server, opens a session naming one dataset and a
 // protocol (-proto oneshot|adaptive|rateless|cpi|naive) and
 // adopts the server's reconciliation parameters automatically. `cluster`
-// gossips every shard over one connection per peer and asserts the
+// replicates with rateless sessions, gossips every shard over one
+// connection per peer and asserts the
 // metrics endpoint afterwards; with -data the nodes are durable, and
 // -kill-restart runs the crash-recovery smoke on top.
 package main

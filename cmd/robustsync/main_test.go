@@ -108,16 +108,16 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // TestClusterDemo smoke-tests the anti-entropy demo: a small 3-node
-// sharded cluster must converge within the deadline for both a robust
-// and the exact (rateless) strategy.
+// sharded cluster, and an unsharded 2-node one under random selection,
+// must converge within the deadline.
 func TestClusterDemo(t *testing.T) {
 	if err := cmdCluster([]string{"-nodes", "3", "-n", "120", "-extra", "4",
 		"-shards", "2", "-deadline", "30s"}); err != nil {
-		t.Fatalf("robust cluster demo: %v", err)
+		t.Fatalf("sharded cluster demo: %v", err)
 	}
 	if err := cmdCluster([]string{"-nodes", "2", "-n", "120", "-extra", "4",
-		"-shards", "1", "-proto", "rateless", "-select", "random", "-deadline", "30s"}); err != nil {
-		t.Fatalf("exact cluster demo: %v", err)
+		"-shards", "1", "-select", "random", "-deadline", "30s"}); err != nil {
+		t.Fatalf("random-selection cluster demo: %v", err)
 	}
 }
 
@@ -125,9 +125,6 @@ func TestClusterDemo(t *testing.T) {
 func TestClusterValidation(t *testing.T) {
 	if err := cmdCluster([]string{"-nodes", "1"}); err == nil {
 		t.Error("one-node cluster accepted")
-	}
-	if err := cmdCluster([]string{"-proto", "bogus"}); err == nil {
-		t.Error("unknown protocol accepted")
 	}
 	if err := cmdCluster([]string{"-select", "bogus"}); err == nil {
 		t.Error("unknown selection policy accepted")

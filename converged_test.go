@@ -44,77 +44,76 @@ func convergedPair(t *testing.T, params robustset.Params, pts []robustset.Point,
 	return a, b, rep, tl
 }
 
-// TestReplicatorConvergedRoundStopsAtHandshake is the tentpole's
-// end-to-end statement, for the robust default and an exact strategy: a
-// round over a converged sharded pair is Converged with one session per
-// shard, and every session's wire attribution holds a hello and an accept
-// and nothing else; one point added on the peer sends exactly its shard
-// down the full path; and the round after that is handshakes again.
+// TestReplicatorConvergedRoundStopsAtHandshake is the end-to-end
+// statement of a converged round: a round over a converged sharded pair
+// is Converged with one session per shard, and every session's wire
+// attribution holds a hello and an accept and nothing else; one point
+// added on the peer sends exactly its shard down the full path; and the
+// round after that is handshakes again.
 func TestReplicatorConvergedRoundStopsAtHandshake(t *testing.T) {
 	const shards = 8
 	params := robustset.Params{Universe: testU, Seed: 21, DiffBudget: 16}
 	common, _ := clusterWorkload(1, 1600, 0)
-	for _, strat := range []robustset.Strategy{robustset.Robust{}, robustset.Rateless{}} {
-		t.Run(strat.Name(), func(t *testing.T) {
-			a, b, rep, tl := convergedPair(t, params, common, shards, robustset.WithReplicatorStrategy(strat))
-			ctx := context.Background()
-			round := func() (robustset.RoundStats, *robustset.SessionTrace) {
-				t.Helper()
-				st, err := rep.RunRound(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recent := tl.Recent()
-				return st, recent[len(recent)-1]
-			}
-			quiet := func(label string) {
-				t.Helper()
-				st, tr := round()
-				if !st.Converged || st.Sessions != shards || st.Errors != 0 || st.Added != 0 || st.Removed != 0 {
-					t.Fatalf("%s: round %+v, want converged with %d sessions", label, st, shards)
-				}
-				if st.Bytes > 256*shards {
-					t.Errorf("%s: %d wire bytes over %d sessions, want <= 256 each", label, st.Bytes, shards)
-				}
-				if len(tr.Children) != shards {
-					t.Fatalf("%s: %d traced sessions, want %d", label, len(tr.Children), shards)
-				}
-				for _, c := range tr.Children {
-					if !handshakeOnly(c) {
-						t.Errorf("%s: session %s carried %+v, want one HELLO and one ACCEPT", label, c.Dataset, c.Frames)
-					}
-					if v, ok := c.Stat("unchanged"); !ok || v != 1 {
-						t.Errorf("%s: session %s lacks the unchanged stat", label, c.Dataset)
-					}
-				}
-			}
-			// The first round also dials the peer; its MUX1 negotiation is
-			// charged to whichever session got there first.
-			if st, _ := round(); !st.Converged || st.Sessions != shards {
-				t.Fatalf("dialing round %+v, want converged with %d sessions", st, shards)
-			}
-			quiet("second round")
-
-			extra := robustset.Point{60_000, 60_001}
-			if err := b.srv.ShardedDataset("data").Add(extra); err != nil {
+	// The Replicator runs Rateless; the subtest keeps its strategy name.
+	t.Run(robustset.Rateless{}.Name(), func(t *testing.T) {
+		a, b, rep, tl := convergedPair(t, params, common, shards)
+		ctx := context.Background()
+		round := func() (robustset.RoundStats, *robustset.SessionTrace) {
+			t.Helper()
+			st, err := rep.RunRound(ctx)
+			if err != nil {
 				t.Fatal(err)
 			}
-			owner := b.srv.ShardedDataset("data").Shard(extra).Name()
+			recent := tl.Recent()
+			return st, recent[len(recent)-1]
+		}
+		quiet := func(label string) {
+			t.Helper()
 			st, tr := round()
-			if st.Added != 1 || st.Converged || st.Sessions != shards || st.Errors != 0 {
-				t.Fatalf("diverged round %+v, want one point added over %d sessions", st, shards)
+			if !st.Converged || st.Sessions != shards || st.Errors != 0 || st.Added != 0 || st.Removed != 0 {
+				t.Fatalf("%s: round %+v, want converged with %d sessions", label, st, shards)
+			}
+			if st.Bytes > 256*shards {
+				t.Errorf("%s: %d wire bytes over %d sessions, want <= 256 each", label, st.Bytes, shards)
+			}
+			if len(tr.Children) != shards {
+				t.Fatalf("%s: %d traced sessions, want %d", label, len(tr.Children), shards)
 			}
 			for _, c := range tr.Children {
-				if full := !handshakeOnly(c); full != (c.Dataset == owner) {
-					t.Errorf("session %s: full path = %v; only %s diverged", c.Dataset, full, owner)
+				if !handshakeOnly(c) {
+					t.Errorf("%s: session %s carried %+v, want one HELLO and one ACCEPT", label, c.Dataset, c.Frames)
+				}
+				if v, ok := c.Stat("unchanged"); !ok || v != 1 {
+					t.Errorf("%s: session %s lacks the unchanged stat", label, c.Dataset)
 				}
 			}
-			if !robustset.EqualMultisets(a.snapshot(), b.snapshot()) {
-				t.Fatal("the nodes differ after the diverged round")
+		}
+		// The first round also dials the peer; its MUX1 negotiation is
+		// charged to whichever session got there first.
+		if st, _ := round(); !st.Converged || st.Sessions != shards {
+			t.Fatalf("dialing round %+v, want converged with %d sessions", st, shards)
+		}
+		quiet("second round")
+
+		extra := robustset.Point{60_000, 60_001}
+		if err := b.srv.ShardedDataset("data").Add(extra); err != nil {
+			t.Fatal(err)
+		}
+		owner := b.srv.ShardedDataset("data").Shard(extra).Name()
+		st, tr := round()
+		if st.Added != 1 || st.Converged || st.Sessions != shards || st.Errors != 0 {
+			t.Fatalf("diverged round %+v, want one point added over %d sessions", st, shards)
+		}
+		for _, c := range tr.Children {
+			if full := !handshakeOnly(c); full != (c.Dataset == owner) {
+				t.Errorf("session %s: full path = %v; only %s diverged", c.Dataset, full, owner)
 			}
-			quiet("round after the repair")
-		})
-	}
+		}
+		if !robustset.EqualMultisets(a.snapshot(), b.snapshot()) {
+			t.Fatal("the nodes differ after the diverged round")
+		}
+		quiet("round after the repair")
+	})
 }
 
 // TestFetchDatasetAllStrategies: against a server that holds what the
@@ -402,7 +401,6 @@ func TestReplicatorMirrorAndMixedCatalogConverged(t *testing.T) {
 	}
 	rep, err := robustset.NewReplicator(follower.srv,
 		[]robustset.Peer{{Name: "up", Addr: upstream.addr}},
-		robustset.WithReplicatorStrategy(robustset.Rateless{}),
 		robustset.WithMirror(), robustset.WithRoundTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)

@@ -342,7 +342,6 @@ func TestDurableRejoinDeltaProportional(t *testing.T) {
 			}
 		}
 		rep, err := robustset.NewReplicator(srvs[i], peers,
-			robustset.WithReplicatorStrategy(robustset.Rateless{}),
 			robustset.WithReplicatorWorkers(2))
 		if err != nil {
 			t.Fatal(err)

@@ -10,8 +10,8 @@
 //     point's shard and each shard reconciles independently.
 //   - NewReplicator wraps the node's Server with a peer list; every
 //     RunRound selects peers, reconciles each shard dataset against them
-//     with an ordinary Session strategy, and applies the diffs through
-//     the dataset's batch mutations.
+//     with a Rateless session — exact, and sized by the difference it
+//     finds — and applies the diffs through the dataset's batch mutations.
 //   - Diffs apply union-style — missing points are added, local points
 //     kept — which is monotone, so mutual replication converges.
 //
@@ -48,8 +48,8 @@ func main() {
 	params := robustset.Params{
 		Universe: universe,
 		Seed:     4242,
-		// The diff budget must cover the largest per-shard diff a round
-		// can see — all nodes' extras in the worst case.
+		// The diff budget sizes what a robust or CPI fetch would be
+		// served; replication streams until it decodes and needs none.
 		DiffBudget: nNodes*nExtra + 8,
 	}
 
@@ -109,7 +109,6 @@ func main() {
 		// Each node keeps one multiplexed connection per peer and
 		// reconciles all 4 shards as parallel streams of it.
 		rep, err := robustset.NewReplicator(nd.srv, peers,
-			robustset.WithReplicatorStrategy(robustset.Robust{}),
 			robustset.WithPeerSelector(robustset.SelectRoundRobin(len(peers))),
 			robustset.WithRoundTimeout(30*time.Second),
 			robustset.WithReplicatorMetrics(metrics),

@@ -25,10 +25,12 @@ func FuzzParseHello(f *testing.F) {
 	for _, h := range []Hello{
 		{Strategy: StrategyRobust, Dataset: "d"},
 		{Strategy: StrategyAdaptive, Dataset: ""},
-		{Strategy: StrategyRateless, Dataset: "sensors/alpha", Config: []byte{0, 0, 0, 0}},
+		{Strategy: StrategyRateless, Dataset: "sensors/alpha"},
 		// Warm rateless hellos: a first request of 97 cells, the largest
-		// word, and 512 cells with a root.
+		// word, and 512 cells with a root; and the never-valid zero word,
+		// the cold config of MuxVersion 7.
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{97, 0, 0, 0}},
+		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0, 0, 0, 0}},
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0xff, 0xff, 0xff, 0xff}},
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0, 2, 0, 0}, Root: &ranges.Agg{Count: 20000, Fp: 1}},
 		// Warm robust hellos: the window [9,11], the largest levels a byte

@@ -47,8 +47,9 @@ const (
 // codec (blobs "IBL3", "IBX2", "RSK2", "STR2"), version 5 the rateless
 // hello its 4-byte warm first request, version 6 the robust hello its
 // optional 1-byte warm window, version 7 that window's finest level as
-// a second byte. Peers of another version are refused at parse time.
-const MuxVersion = 7
+// a second byte, version 8 the rateless hello an empty config when it
+// opens cold. Peers of another version are refused at parse time.
+const MuxVersion = 8
 
 // acceptSame is the byte that follows the parameters of an accept which
 // ends the session at the handshake.

@@ -48,8 +48,8 @@ func TestMuxNegotiationRoundTrip(t *testing.T) {
 // skewed client is refused at parse time with a relayed MsgError, and a
 // skewed server's accept is refused by the client.
 func TestMuxVersionSkew(t *testing.T) {
-	if MuxVersion != 7 {
-		t.Fatalf("MuxVersion is %d; the robust hello's two-sided warm window is version 7", MuxVersion)
+	if MuxVersion != 8 {
+		t.Fatalf("MuxVersion is %d; the rateless hello's empty cold config is version 8", MuxVersion)
 	}
 	ctx := context.Background()
 	for _, v := range []byte{MuxVersion - 1, MuxVersion + 1} {

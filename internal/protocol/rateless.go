@@ -415,6 +415,9 @@ type RatelessResult struct {
 	// Diff is the size of the difference decoded to reach it, in keys: what
 	// a later session's warm opening is sized from (WarmFirst).
 	Diff int
+	// Kept is the config's Kept, which now describes SPrime (nil if the
+	// session kept nothing).
+	Kept *RatelessKept
 }
 
 // ErrNotLocal marks a decoded difference that removes a point, or an
@@ -641,7 +644,7 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 			}
 			n := len(diff.Pos) + len(diff.Neg)
 			tr.Stat("actual_diff", int64(n))
-			return &RatelessResult{SPrime: sp, Diff: n}, send(ctx, t, MsgDone, nil)
+			return &RatelessResult{SPrime: sp, Diff: n, Kept: cfg.Kept}, send(ctx, t, MsgDone, nil)
 		}
 		// Geometric growth: each round adds a third of everything streamed
 		// so far, so total cells overshoot the point of decodability by at

@@ -487,3 +487,105 @@ func TestRatelessWarmHelloRefused(t *testing.T) {
 		t.Errorf("server_sessions_cold_total = %d: the refused session built the dataset's state", got)
 	}
 }
+
+// TestReplicatorWarmDivergedShard: three nodes publish one sharded
+// dataset; between rounds one shard gains a point on both peers of the
+// replicating node. From the second diverged round on, that shard's
+// rateless session against the first peer opens warm — warm=1 and no
+// STRATA frame — and every round it leaves the shard holding what a cold
+// client's fetch returns; every other shard, never diverged, ends at the
+// handshake with a cold hello of the same bytes every round.
+func TestReplicatorWarmDivergedShard(t *testing.T) {
+	const shards, rounds = 4, 5
+	params := robustset.Params{Universe: testU, Seed: 101, DiffBudget: 16}
+	common, _ := clusterWorkload(1, 400, 0)
+	var nodes []*clusterNode
+	for range 3 {
+		nodes = append(nodes, startClusterNode(t, params, common, shards))
+	}
+	tl := robustset.NewTraceLog(robustset.WithTraceCapacity(64))
+	rep, err := robustset.NewReplicator(nodes[0].srv, []robustset.Peer{
+		{Name: "b", Addr: nodes[1].addr}, {Name: "c", Addr: nodes[2].addr},
+	}, robustset.WithPeerSelector(robustset.SelectRoundRobin(2)), robustset.WithReplicatorTracing(tl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	local := nodes[0].srv.ShardedDataset("data")
+	diverged := local.Shards()[0].Name()
+	// A cold-only client of the first peer: it forgets its hints before
+	// every fetch.
+	cold, err := robustset.DialClient(ctx, nodes[1].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	coldSess, err := cold.Session(diverged, robustset.Rateless{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hellos := map[string]int64{}
+	for round := 0; round < rounds; round++ {
+		var want *robustset.SyncResult
+		if round > 0 {
+			// A fresh point that routes to the diverged shard, on both peers.
+			for x := int64(0); ; x++ {
+				pt := robustset.Point{20_000 + 97*int64(round) + x, 333}
+				if local.Shard(pt).Name() != diverged {
+					continue
+				}
+				for _, n := range nodes[1:] {
+					if err := n.srv.ShardedDataset("data").Add(pt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				break
+			}
+			robustset.ForgetHints(cold, diverged)
+			if want, _, err = coldSess.Fetch(ctx, local.Shards()[0].Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := rep.RunRound(ctx)
+		if err != nil || st.Errors != 0 {
+			t.Fatalf("round %d: %+v, %v", round, st, err)
+		}
+		if want != nil && !robustset.EqualMultisets(local.Shards()[0].Snapshot(), want.SPrime) {
+			t.Errorf("round %d: the replicator left the shard other than a cold client's result", round)
+		}
+		recent := tl.Recent()
+		for _, s := range recent[len(recent)-1].Children {
+			warm, _ := s.Stat("warm")
+			hello, strata := int64(0), int64(0)
+			for _, f := range s.Frames {
+				switch f.Type {
+				case "HELLO":
+					hello += f.Bytes
+				case "STRATA":
+					strata += f.Msgs
+				}
+			}
+			switch {
+			case s.Dataset == diverged && s.Peer == "b" && round > 0:
+				if wantWarm := round >= 2; (warm == 1) != wantWarm || (strata == 0) != wantWarm {
+					t.Errorf("round %d: diverged shard's session warm=%d with %d STRATA frames, want warm %v", round, warm, strata, wantWarm)
+				}
+			case s.Dataset != diverged:
+				if unchanged, _ := s.Stat("unchanged"); unchanged != 1 || warm != 0 {
+					t.Errorf("round %d: %s/%s: unchanged %d, warm %d; want a cold session that ends at the handshake", round, s.Dataset, s.Peer, unchanged, warm)
+				}
+				key := s.Dataset + "/" + s.Peer
+				if first, ok := hellos[key]; ok && first != hello {
+					t.Errorf("round %d: %s hello of %d B, %d B in round 0", round, key, hello, first)
+				}
+				hellos[key] = hello
+			}
+		}
+	}
+	if len(hellos) != 2*(shards-1) {
+		t.Errorf("%d quiescent shard sessions traced per round, want %d", len(hellos), 2*(shards-1))
+	}
+}

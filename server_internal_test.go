@@ -91,22 +91,23 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 	if _, err := strategyFromCode(0x7e, nil); err == nil {
 		t.Error("unknown strategy code accepted")
 	}
-	// Rateless's config is its warm first request, one u32: the empty
-	// config of MuxVersion 4 is refused with the other wrong lengths, and
-	// the word a warm strategy writes is the one the server reads.
-	for _, size := range []int{0, 3, 5} {
-		if _, err := strategyFromCode(protocol.StrategyRateless, make([]byte, size)); err == nil {
-			t.Errorf("rateless with a %d-byte config accepted", size)
+	// Rateless's config is empty, cold, or its warm first request, one
+	// u32 that is never 0: the zero word, MuxVersion 7's cold config, is
+	// refused with the other wrong lengths, and the word a warm strategy
+	// writes is the one the server reads.
+	for _, cfg := range [][]byte{{0}, {97, 0, 0}, {0, 0, 0, 0}, {97, 0, 0, 0, 0}} {
+		if _, err := strategyFromCode(protocol.StrategyRateless, cfg); err == nil {
+			t.Errorf("rateless with config %x accepted", cfg)
 		}
 	}
-	warm := Rateless{}.warm(hint{n: 64}, true)
+	warm := Rateless{}.warm(hint{n: 64})
 	if cfg := warm.helloConfig(); !bytes.Equal(cfg, []byte{97, 0, 0, 0}) {
 		t.Errorf("warm rateless hello config %x, want 61000000", cfg)
 	}
 	if got, err := strategyFromCode(protocol.StrategyRateless, warm.helloConfig()); err != nil || got.(Rateless).first != 97 {
 		t.Errorf("warm rateless config decoded as %+v, %v; want a first request of 97 cells", got, err)
 	}
-	if cold := (Rateless{}).warm(hint{n: 361}, true).(Rateless); cold.first != 0 || !bytes.Equal(cold.helloConfig(), []byte{0, 0, 0, 0}) {
+	if cold := (Rateless{}).warm(hint{n: 361}).(Rateless); cold.first != 0 || cold.helloConfig() != nil {
 		t.Errorf("a hint above the 512-cell bound opened warm: %+v", cold)
 	}
 	// Robust's config is empty, cold, or two bytes, a warm window's levels
@@ -147,9 +148,9 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 			res.Outcomes = append(res.Outcomes, o)
 		}
 		res.Outcomes = append(res.Outcomes, LevelOutcome{Level: c.level, Decoded: true})
-		n, ok := Robust{}.hintFrom(&SyncResult{Robust: res, Params: res.Params})
-		if want := c.lo >= 0; ok != want || (ok && Robust{}.warm(hint{n: n}, true) != robustWindow(c.lo, c.hi)) {
-			t.Errorf("level %d of [%d,%d] under %v: hint %+v, %v; want the window [%d,%d]", c.level, c.min, c.max, c.above, Robust{}.warm(hint{n: n}, true), ok, c.lo, c.hi)
+		h, ok := Robust{}.hintFrom(&SyncResult{Robust: res, Params: res.Params})
+		if want := c.lo >= 0; ok != want || (ok && Robust{}.warm(h) != robustWindow(c.lo, c.hi)) {
+			t.Errorf("level %d of [%d,%d] under %v: hint %+v, %v; want the window [%d,%d]", c.level, c.min, c.max, c.above, Robust{}.warm(h), ok, c.lo, c.hi)
 		}
 	}
 

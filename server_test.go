@@ -229,7 +229,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	// next request. Let the client finish while Shutdown is waiting.
 	st := openStream(t, ln.Addr().String())
 	bg := context.Background()
-	hello := protocol.Hello{Strategy: protocol.StrategyRateless, Dataset: "d", Config: []byte{0, 0, 0, 0}} // cold
+	hello := protocol.Hello{Strategy: protocol.StrategyRateless, Dataset: "d"} // cold
 	if _, err := protocol.RunHelloClient(bg, st, hello); err != nil {
 		t.Fatal(err)
 	}

@@ -67,12 +67,11 @@ func serveDataset(ctx context.Context, t transport.Transport, strat Strategy, p 
 type warmStrategy interface {
 	Strategy
 	// warm returns the strategy opening warm from h, what the last fetch
-	// of the dataset left (ok), or cold when there is none or it does not
-	// qualify.
-	warm(h hint, ok bool) Strategy
+	// of the dataset left, or cold when it does not qualify.
+	warm(h hint) Strategy
 	// hintFrom returns what a fetch's result leaves the next fetch, and
 	// false when that should open cold.
-	hintFrom(res *SyncResult) (int, bool)
+	hintFrom(res *SyncResult) (hint, bool)
 }
 
 // twoWayStrategy is implemented by strategies that support the symmetric
@@ -124,11 +123,12 @@ type SyncResult struct {
 	metric Metric
 	// local is the multiset the exchange ran against: the caller's points,
 	// or the snapshot FetchDataset took once the server had not said
-	// "same". The replicator diffs exact results against it.
+	// "same". The replicator diffs results against it.
 	local []Point
-	// diff is the size of the difference a Rateless fetch decoded, in
-	// keys: the hint its Client sizes the next warm opening from.
-	diff int
+	// rateless is a Rateless fetch's own result: the size of the
+	// difference it decoded, which its Client sizes the next warm opening
+	// from, and the state it kept of the multiset it returned.
+	rateless *protocol.RatelessResult
 }
 
 // EMD returns the exact Earth Mover's Distance between the result and
@@ -182,18 +182,13 @@ func (r Robust) helloConfig() []byte {
 func robustWindow(lo, hi int) Robust { return Robust{window: lo<<8 | hi} }
 
 // warm returns Robust opening on the window hintFrom packed into h.
-func (r Robust) warm(h hint, ok bool) Strategy {
-	if !ok {
-		return r
-	}
-	return Robust{window: h.n}
-}
+func (Robust) warm(h hint) Strategy { return Robust{window: h.n} }
 
 // hintFrom packs the next window, core.WarmWindow of res's result; there
 // is none when it would reach below MinLevel or be the whole range.
-func (Robust) hintFrom(res *SyncResult) (int, bool) {
+func (Robust) hintFrom(res *SyncResult) (hint, bool) {
 	lo, hi, ok := core.WarmWindow(res.Robust)
-	return robustWindow(lo, hi).window, ok
+	return hint{n: robustWindow(lo, hi).window}, ok
 }
 
 func (Robust) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
@@ -315,9 +310,15 @@ type Rateless struct {
 	// first is a warm opening's first request, in cells, carried by the
 	// hello; 0 opens cold. hint is the difference it was sized from.
 	first, hint int
-	// kept is a Client's fetch's kept state of the dataset (nil elsewhere).
+	// kept is a Client's fetch's kept state of the dataset: the one the
+	// last fetch left, or a new one once the session is past the accept
+	// (nil elsewhere).
 	kept *protocol.RatelessKept
 }
+
+// coldRateless is Rateless{} as a Strategy, boxed once: every replicator
+// session runs it, and a server reads it off every cold rateless hello.
+var coldRateless Strategy = Rateless{}
 
 // Name implements Strategy.
 func (Rateless) Name() string { return "rateless" }
@@ -335,28 +336,28 @@ func (r Rateless) validate() error {
 func (Rateless) code() byte { return protocol.StrategyRateless }
 
 func (r Rateless) helloConfig() []byte {
+	if r.first == 0 {
+		return nil
+	}
 	return binary.LittleEndian.AppendUint32(nil, uint32(r.first))
 }
 
-// warm returns r with h's kept state, or a new one, opening warm from
-// h.n, the size of the difference the last fetch of the dataset decoded —
-// or cold, when there is none or the first block sized from it would be
-// above protocol's 512-cell bound.
-func (r Rateless) warm(h hint, ok bool) Strategy {
-	if r.kept = h.kept; r.kept == nil {
-		r.kept = protocol.NewRatelessKept()
-	}
-	if !ok {
-		return r
-	}
+// warm returns r with h's kept state, opening warm from h.n, the size of
+// the difference the last fetch of the dataset decoded — or cold, when
+// the first block sized from it would be above protocol's 512-cell bound.
+func (r Rateless) warm(h hint) Strategy {
+	r.kept = h.kept
 	if r.first = (protocol.RatelessConfig{InitialFactor: r.InitialFactor}).WarmFirst(h.n); r.first != 0 {
 		r.hint = h.n
 	}
 	return r
 }
 
-// hintFrom is the size of the difference res decoded.
-func (Rateless) hintFrom(res *SyncResult) (int, bool) { return res.diff, true }
+// hintFrom is the size of the difference res decoded, with the state res
+// kept of the multiset it returned.
+func (Rateless) hintFrom(res *SyncResult) (hint, bool) {
+	return hint{n: res.rateless.Diff, kept: res.rateless.Kept}, true
+}
 
 func (r Rateless) config(p Params) protocol.RatelessConfig {
 	return protocol.RatelessConfig{
@@ -394,7 +395,7 @@ func (r Rateless) fetch(ctx context.Context, t transport.Transport, p Params, lo
 	if err != nil {
 		return nil, err
 	}
-	return &SyncResult{SPrime: res.SPrime, diff: res.Diff}, nil
+	return &SyncResult{SPrime: res.SPrime, rateless: res}, nil
 }
 
 // CPIConfig parameterizes the characteristic-polynomial comparator.
@@ -490,10 +491,12 @@ func (Naive) fetch(ctx context.Context, t transport.Transport, p Params, local [
 // handshake code and config blob. Every code carries a config of one
 // exact length — what the strategy's helloConfig writes — and any other
 // length is refused: a blob with bytes this build would ignore comes from
-// a peer that means something else by the code. Robust is the exception:
-// its config is empty (cold) or two bytes, a warm window's levels lo ≤ hi,
-// where hi is above MinLevel and so never 0; serving holds the window to
-// the dataset's range.
+// a peer that means something else by the code. The strategies that open
+// warm are the exception, with one rule: an empty config opens cold, and
+// any other is a warm opening's. Robust's is two bytes, a window's levels
+// lo ≤ hi, where hi is above MinLevel and so never 0 (serving holds the
+// window to the dataset's range); Rateless's is a u32 first request,
+// never 0.
 func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 	exact := func(n int) error {
 		if len(cfg) != n {
@@ -517,8 +520,10 @@ func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 	case protocol.StrategyNaive:
 		s, err = Naive{}, exact(0)
 	case protocol.StrategyRateless:
-		if err = exact(4); err == nil {
+		if len(cfg) == 4 && binary.LittleEndian.Uint32(cfg) != 0 {
 			s = Rateless{first: int(binary.LittleEndian.Uint32(cfg))}
+		} else {
+			s, err = coldRateless, exact(0)
 		}
 	case protocol.StrategyCPI:
 		if err = exact(4); err == nil {
@@ -717,10 +722,12 @@ func (s *Session) hello(strat Strategy, local *Dataset) protocol.Hello {
 }
 
 // fetchOver runs one fetch of strat — the session's strategy, or a Client's
-// warm Rateless — over t. With d set — a Client's session only — the hello
+// warm one — over t. With d set — a Client's session only — the hello
 // carries d's root, an accept marked "same" ends the fetch with an
 // Unchanged result, and d's snapshot is taken as local only after the
 // server has not said so; the session then goes on on the same stream.
+// A Client's Rateless session that goes on without a kept state starts a
+// new one there, so a fetch that ends at the accept allocates none.
 func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat Strategy, d *Dataset, local []Point) (res *SyncResult, err error) {
 	p := s.params
 	var tr *trace.Trace
@@ -753,6 +760,10 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat St
 		p = acc.Params
 		if d != nil {
 			local = d.Snapshot()
+		}
+		if r, ok := strat.(Rateless); ok && r.kept == nil {
+			r.kept = protocol.NewRatelessKept()
+			strat = r
 		}
 	}
 	res, err = strat.fetch(ctx, t, p, local)
