@@ -368,7 +368,7 @@ func BenchmarkPublicEMDApprox_N4096(b *testing.B) {
 // cycle followed by one rateless Fetch that repairs it. warm is the
 // ruler's op: every fetch after the first opens warm from the 64-key
 // difference the one before decoded. cold makes the client forget that
-// before every fetch, so each opens with the strata estimator and keys its
+// before every fetch, so each opens on the 32-cell head and keys its
 // points. rounds/op counts the round trips a fetch waits out, the hello's
 // included; keyed/op the share of fetches that keyed the client's points
 // for some of their cells instead of subtracting the cells kept from the

@@ -173,8 +173,9 @@ func TestClientStreamResetLeavesSiblings(t *testing.T) {
 	m := robustset.NewMetrics()
 	srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(m))
 	// A large dataset so the doomed rateless session is still mid-CELLS
-	// when it is cancelled: after the strata round trip the serving side
-	// has tens of milliseconds of cell building and streaming left.
+	// when it is cancelled: after the head and the first request the
+	// serving side has tens of milliseconds of cell building and streaming
+	// left.
 	alice, bob := deterministicPair(777, 40000, 2000, 0)
 	params := robustset.Params{Universe: testU, Seed: 31, DiffBudget: 2500}
 	if _, err := srv.Publish("big", params, alice); err != nil {

@@ -687,7 +687,8 @@ type recoveryRejoinCell struct {
 
 func recoveryRejoinMatrix(quick bool) []recoveryRejoinCell {
 	// The base set must be large enough that the gated ratio measures
-	// delta-proportionality, not the fixed per-session strata overhead.
+	// delta-proportionality, not the fixed per-session overhead (the
+	// handshake and a cold rateless session's 32-cell head).
 	if quick {
 		return []recoveryRejoinCell{{n: 8_000, extra: 12, missed: 48}}
 	}

@@ -54,7 +54,7 @@ func tinyClusterCell() clusterCell {
 // testing: one replay cell (churn deliberately not a multiple of the
 // snapshot interval so a non-empty tail is replayed) and one rejoin
 // cell sized so the gated wire ratio measures delta-proportionality
-// rather than the fixed per-session strata overhead.
+// rather than the fixed per-session overhead.
 func tinyRecoveryCells() (recoveryReplayCell, recoveryRejoinCell) {
 	return recoveryReplayCell{n: 2_000, churn: 300, every: 64},
 		recoveryRejoinCell{n: 8_000, extra: 12, missed: 48}

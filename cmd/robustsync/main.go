@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"robustset"
+	"robustset/internal/baseline"
 	"robustset/internal/pointio"
 	"robustset/internal/points"
 	"robustset/internal/workload"
@@ -219,51 +220,12 @@ func cmdLocal(args []string) error {
 		return fmt.Errorf("local: universes differ: %+v vs %+v", u, ub)
 	}
 	params := robustset.Params{Universe: u, Seed: *seed, DiffBudget: *k}
-	res, stats, err := runLocal(strat, params, alice, bob)
+	res, stats, err := baseline.Exchange(context.Background(), strat, params, alice, bob)
 	if err != nil {
 		return err
 	}
 	report(res, stats, u, alice, bob)
 	return writeResult(*out, u, res.SPrime)
-}
-
-// runLocal wires the two sides through an in-process TCP connection so
-// the byte accounting matches a real deployment.
-func runLocal(strat robustset.Strategy, params robustset.Params, alice, bob []points.Point) (*robustset.SyncResult, robustset.TransferStats, error) {
-	sess, err := robustset.NewSession(strat, robustset.WithParams(params))
-	if err != nil {
-		return nil, robustset.TransferStats{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, robustset.TransferStats{}, err
-	}
-	defer ln.Close()
-	ctx := context.Background()
-	aliceErr := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			aliceErr <- err
-			return
-		}
-		defer conn.Close()
-		_, err = sess.Serve(ctx, conn, alice)
-		aliceErr <- err
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		return nil, robustset.TransferStats{}, err
-	}
-	defer conn.Close()
-	res, stats, err := sess.Fetch(ctx, conn, bob)
-	if err != nil {
-		return nil, stats, err
-	}
-	if err := <-aliceErr; err != nil {
-		return nil, stats, err
-	}
-	return res, stats, nil
 }
 
 // datasetName derives a dataset name from a point-file path: the base

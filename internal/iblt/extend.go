@@ -446,6 +446,10 @@ type CellDecoder struct {
 	keySums   []byte
 	checks    []uint64
 	recovered []recKey
+	// last is the last block's range, empty how many of its cells were
+	// empty before it peeled and peeled how many keys had been before it.
+	last          [2]int
+	empty, peeled int
 	// lb is the scratch block the local stream emits into on every
 	// AddBlock — reused so folding in a block allocates nothing beyond
 	// the decoder's own growth.
@@ -485,6 +489,16 @@ func (d *CellDecoder) Frontier() int { return len(d.counts) }
 
 // Recovered returns the number of difference keys peeled so far.
 func (d *CellDecoder) Recovered() int { return len(d.recovered) }
+
+// Estimate estimates the size of the difference from the last block
+// AddBlock folded in: the keys peeled before it, plus the keys its
+// residual held before it peeled, estimateKeys of how many of its cells
+// were empty — count and checksum zero — which every one of those keys
+// missed. ok is false when none was.
+func (d *CellDecoder) Estimate() (keys float64, ok bool) {
+	hidden, ok := estimateKeys(d.last[0], d.last[1], d.empty)
+	return float64(d.peeled) + hidden, ok
+}
 
 // AddBlock folds the peer's next cell block into the decoder and peels as
 // far as possible. Blocks must be contiguous and in order; a restart block
@@ -542,6 +556,12 @@ func (d *CellDecoder) AddBlock(b *CellBlock) error {
 			xorInto(d.keySums[j*kl:(j+1)*kl], r.key)
 			d.checks[j] ^= r.chk
 			r.seq.next()
+		}
+	}
+	d.last, d.empty, d.peeled = [2]int{lo, lo + n}, 0, len(d.recovered)
+	for i := lo; i < lo+n; i++ {
+		if d.counts[i] == 0 && d.checks[i] == 0 {
+			d.empty++
 		}
 	}
 	d.peel()
@@ -636,4 +656,73 @@ func (d *CellDecoder) Decoded() (*Diff, bool) {
 		}
 	}
 	return diff, true
+}
+
+// exactParticipation holds, for each of the first cells of a stream, the
+// probability that a key takes part in it. A key's next index after i is
+// at most j with probability 1 − ((i+1.5)/(j+2.5))² (codedSeq.next), so
+// the probabilities follow from cell 0, where every key takes part.
+var exactParticipation = func() []float64 {
+	const n = 64
+	p := make([]float64, n)
+	p[0] = 1
+	for i := 0; i < n; i++ {
+		a := float64(i) + 1.5
+		for j := i + 1; j < n; j++ {
+			below := 0.0 // the chance the next index is below j
+			if j > i+1 {
+				below = 1 - a*a/((float64(j)+1.5)*(float64(j)+1.5))
+			}
+			p[j] += p[i] * (1 - a*a/((float64(j)+2.5)*(float64(j)+2.5)) - below)
+		}
+	}
+	return p
+}()
+
+// participation returns the probability that a key takes part in cell i:
+// exactParticipation's, and past its end 2/(i+1), which it tends to (by
+// cell 64 the two agree to 0.01 %).
+func participation(i int) float64 {
+	if i < len(exactParticipation) {
+		return exactParticipation[i]
+	}
+	return 2 / float64(i+1)
+}
+
+// estimateKeys estimates how many keys a run of cells [lo, hi) of a
+// residual stream holds, empty of the cells being empty: the d at which
+// the expected count of empty cells, Σᵢ (1 − pᵢ)ᵈ over the participation
+// probabilities pᵢ, is empty. With no cell empty the keys are too many
+// for the run to measure, and ok is false.
+func estimateKeys(lo, hi, empty int) (d float64, ok bool) {
+	if empty <= 0 {
+		return 0, false
+	}
+	// Cells whose pᵢ differ by under 0.1 % count as one term: past cell
+	// 1024 the run is summed in groups of i/1024 cells, so a block costs
+	// O(log(hi/lo)) terms, not O(hi−lo).
+	type group struct{ cells, logMiss float64 }
+	var groups []group
+	for i := max(lo, 1); i < hi; { // every key is in cell 0
+		j := min(i+max(1, i/1024), hi)
+		groups = append(groups, group{float64(j - i), math.Log1p(-participation((i + j - 1) / 2))})
+		i = j
+	}
+	expected := func(d float64) (e float64) {
+		for _, g := range groups {
+			e += g.cells * math.Exp(d*g.logMiss)
+		}
+		return e
+	}
+	// At 64·hi keys every cell of [lo, hi) is missed by all of them with
+	// probability under e⁻¹⁰⁰, so the root lies below that.
+	bot, top := 0.0, 64*float64(hi)
+	for range 48 {
+		if mid := (bot + top) / 2; expected(mid) > float64(empty) {
+			bot = mid
+		} else {
+			top = mid
+		}
+	}
+	return (bot + top) / 2, true
 }

@@ -3,7 +3,9 @@ package iblt
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -436,4 +438,117 @@ func TestCellDecoderRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestParticipationMatchesSequence: the participation probabilities
+// estimateKeys solves with are the frequencies with which keys' index
+// sequences hit each cell.
+func TestParticipationMatchesSequence(t *testing.T) {
+	const n, keys = 256, 200000
+	hits := make([]int, n)
+	for k := range uint64(keys) {
+		for seq := newSeq(k*0x9e3779b97f4a7c15, 1); seq.idx < n; seq.next() {
+			hits[seq.idx]++
+		}
+	}
+	for i := range n {
+		p, got := participation(i), float64(hits[i])/keys
+		if sd := math.Sqrt(p * (1 - p) / keys); math.Abs(got-p) > 5*sd+1e-9 {
+			t.Errorf("cell %d: hit by %.5f of keys, participation %.5f", i, got, p)
+		}
+	}
+}
+
+// TestHeadEstimatorBand measures the estimate a cold rateless session
+// sizes its requests from, over 1 000 seeded trials per difference d: the
+// residual stream of d keys opens with a 32-cell head and, while a block
+// has no empty cell (saturated), grows to four times its frontier, as the
+// session does. It holds three things per d: the share of heads
+// saturated; est/d's 5th–95th percentile band for CellDecoder.Estimate
+// over the unsaturated heads; and the same band for the estimate of the
+// first unsaturated block, the one the session sizes from. DESIGN.md
+// quotes the bands.
+func TestHeadEstimatorBand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("6 000 trials")
+	}
+	const head, trials = 32, 1000
+	type band struct{ p5Min, p95Max float64 }
+	for _, tc := range []struct {
+		d                    int
+		saturatedMin, satMax float64
+		head                 band // over unsaturated heads
+		sized                band // the first unsaturated block's
+	}{
+		{1, 0, 0, band{0.25, 2.5}, band{0.25, 2.5}},
+		{8, 0, 0, band{0.5, 2}, band{0.5, 2}},
+		{32, 0.15, 0.45, band{0.5, 1.5}, band{0.5, 1.5}},
+		{128, 0.99, 1, band{}, band{0.6, 1.4}},
+		{512, 1, 1, band{}, band{0.7, 1.3}},
+		{2048, 1, 1, band{}, band{0.8, 1.2}},
+	} {
+		rng := rand.New(rand.NewPCG(uint64(tc.d), 34))
+		var heads, sized []float64
+		saturated := 0
+		for trial := range trials {
+			cfg := ExtendConfig{KeyLen: 20, Seed: uint64(trial)}
+			st, err := NewCellStream(cfg, extKeys(rng, tc.d, cfg.KeyLen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := NewCellDecoder(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.AddBlock(st.Emit(head)); err != nil {
+				t.Fatal(err)
+			}
+			est, ok := dec.Estimate()
+			if ok {
+				heads = append(heads, est/float64(tc.d))
+			} else {
+				saturated++
+			}
+			for !ok {
+				if err := dec.AddBlock(st.Emit(3 * dec.Frontier())); err != nil {
+					t.Fatal(err)
+				}
+				est, ok = dec.Estimate()
+			}
+			sized = append(sized, est/float64(tc.d))
+		}
+		share := float64(saturated) / trials
+		t.Logf("d=%4d: %5.1f%% of heads saturated; est/d over unsaturated heads %s, first unsaturated block %s",
+			tc.d, 100*share, quantiles(heads), quantiles(sized))
+		if share < tc.saturatedMin || share > tc.satMax {
+			t.Errorf("d=%d: %.1f%% of heads saturated, want %.0f%%–%.0f%%", tc.d, 100*share, 100*tc.saturatedMin, 100*tc.satMax)
+		}
+		for _, c := range []struct {
+			what   string
+			ratios []float64
+			want   band
+		}{{"unsaturated heads", heads, tc.head}, {"first unsaturated block", sized, tc.sized}} {
+			if len(c.ratios) == 0 {
+				continue
+			}
+			if p5, p95 := quantile(c.ratios, 0.05), quantile(c.ratios, 0.95); p5 < c.want.p5Min || p95 > c.want.p95Max {
+				t.Errorf("d=%d, %s: est/d band [%.2f, %.2f], want within [%.2f, %.2f]",
+					tc.d, c.what, p5, p95, c.want.p5Min, c.want.p95Max)
+			}
+		}
+	}
+}
+
+// quantile returns the f-quantile of xs, which it sorts.
+func quantile(xs []float64, f float64) float64 {
+	slices.Sort(xs)
+	return xs[int(f*float64(len(xs)-1))]
+}
+
+// quantiles renders the 5th, 50th and 95th percentiles of xs.
+func quantiles(xs []float64) string {
+	if len(xs) == 0 {
+		return "(none)"
+	}
+	return fmt.Sprintf("p5 %.2f p50 %.2f p95 %.2f (%d)", quantile(xs, 0.05), quantile(xs, 0.5), quantile(xs, 0.95), len(xs))
 }

@@ -283,8 +283,8 @@ func mapOccurrenceKeys(pts []Point) [][]byte {
 
 // TestOccurrenceKeysPinned pins the exact family's key encoding —
 // enc‖LE32(occ), keys[i] for pts[i], occurrence indices dense per point
-// in slice order — against the map-based form, so every strata blob and
-// rateless cell on the wire is what it was.
+// in slice order — against the map-based form, so every rateless cell on
+// the wire is what it was.
 func TestOccurrenceKeysPinned(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 1))
 	random := func(n, dim int, delta int64) []Point {

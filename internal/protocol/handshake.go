@@ -48,8 +48,10 @@ const (
 // hello its 4-byte warm first request, version 6 the robust hello its
 // optional 1-byte warm window, version 7 that window's finest level as
 // a second byte, version 8 the rateless hello an empty config when it
-// opens cold. Peers of another version are refused at parse time.
-const MuxVersion = 8
+// opens cold, version 9 a cold rateless session its 32-cell head in place
+// of the strata estimator. Peers of another version are refused at parse
+// time.
+const MuxVersion = 9
 
 // acceptSame is the byte that follows the parameters of an accept which
 // ends the session at the handshake.

@@ -48,8 +48,8 @@ func TestMuxNegotiationRoundTrip(t *testing.T) {
 // skewed client is refused at parse time with a relayed MsgError, and a
 // skewed server's accept is refused by the client.
 func TestMuxVersionSkew(t *testing.T) {
-	if MuxVersion != 8 {
-		t.Fatalf("MuxVersion is %d; the rateless hello's empty cold config is version 8", MuxVersion)
+	if MuxVersion != 9 {
+		t.Fatalf("MuxVersion is %d; a cold rateless session's head in place of the strata estimator is version 9", MuxVersion)
 	}
 	ctx := context.Background()
 	for _, v := range []byte{MuxVersion - 1, MuxVersion + 1} {

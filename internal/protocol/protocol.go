@@ -36,7 +36,6 @@ func init() {
 		MsgLevelTable:     "LEVEL_TABLE",
 		MsgDone:           "DONE",
 		MsgSet:            "SET",
-		MsgStrata:         "STRATA",
 		MsgCPISketch:      "CPI_SKETCH",
 		MsgPayloadRequest: "PAYLOAD_REQUEST",
 		MsgPayloads:       "PAYLOADS",
@@ -71,10 +70,9 @@ const (
 	MsgDone byte = 0x06
 	// MsgSet carries a raw point set (points.EncodeSet format).
 	MsgSet byte = 0x07
-	// MsgStrata carries a strata difference estimator.
-	MsgStrata byte = 0x08
-	// 0x09 and 0x0a were the retired doubling path's table request and
-	// table; no protocol answers them.
+	// 0x08 was the rateless strategy's strata estimator, 0x09 and 0x0a
+	// the retired doubling path's table request and table; no protocol
+	// answers them.
 	// MsgCPISketch carries a cpi.Sketch blob.
 	MsgCPISketch byte = 0x0b
 	// MsgPayloadRequest asks for point payloads by element hash: a

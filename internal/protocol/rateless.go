@@ -13,7 +13,6 @@ import (
 	"robustset/internal/hashutil"
 	"robustset/internal/iblt"
 	"robustset/internal/points"
-	"robustset/internal/sketch"
 	"robustset/internal/trace"
 	"robustset/internal/transport"
 )
@@ -24,22 +23,24 @@ import (
 // The module's exact IBLT sync (Difference Digest style, with an
 // extendable sketch): exact sync treats whole points as opaque keys, so a
 // noisy pair counts as two differences — precisely the failure mode
-// robust reconciliation fixes. After a strata-estimator opening, the
-// fetching side streams fixed-increment ranges of rateless coded cells
-// (internal/iblt's CellStream) until its decoder certifies completion.
-// A mis-estimated difference costs extra increments proportional to the
-// shortfall, never a rebuilt table — the wire cost tracks the actual
-// difference, not the estimate. A warm opening skips the estimator: Bob
-// names his first request up front (RatelessConfig.First, carried by a
-// server session's hello) and Alice answers it at once.
+// robust reconciliation fixes. The fetching side streams ranges of
+// rateless coded cells (internal/iblt's CellStream) until its decoder
+// certifies completion. One stream serves every difference (Lázaro &
+// Matuz), so its head is its own estimator: a session opens with Alice
+// answering a first request at once, with no estimator. A warm opening's
+// was sized from the last difference and rode the hello
+// (RatelessConfig.First); a cold opening's is the fixed headCells-cell
+// head, and Bob sizes his next request from the cells of its residual
+// that the difference left empty (iblt.CellDecoder.Estimate). A mis-estimated
+// difference costs extra increments proportional to the shortfall, never
+// a rebuilt table — the wire cost tracks the actual difference, not the
+// estimate.
 //
 // Wire shape (Bob fetches from Alice):
 //
-//	cold:  Alice → MsgStrata
-//	       Bob → MsgCellsRequest(n)   ("MORE")
-//	warm:  (the first request rode the hello)
+//	       (the first request — First cells, or the head — is implicit)
 //	loop:  Alice → MsgCells(block)    ("CELLS")
-//	       Bob → MsgCellsRequest(n)
+//	       Bob → MsgCellsRequest(n)   ("MORE")
 //	until decode (or Bob's byte budget trips), then Bob → MsgDone.
 
 // Rateless message tags.
@@ -70,19 +71,19 @@ const (
 // RatelessConfig parameterizes the rateless comparator.
 type RatelessConfig struct {
 	Universe points.Universe
-	// Seed fixes the estimator and cell-stream hash functions.
+	// Seed fixes the cell-stream hash functions.
 	Seed uint64
-	// InitialFactor scales the difference the first requested increment is
-	// sized from — the strata estimate, or a warm opening's hint (WarmFirst)
-	// — (0 → 1.4, the stream's empirical decode overhead).
+	// InitialFactor scales the difference the cells are sized from — the
+	// head's estimate on a cold opening, in all cells streamed, or a warm
+	// opening's hint (WarmFirst) — (0 → 1.4, the stream's empirical decode
+	// overhead).
 	InitialFactor float64
 	// MaxBytes caps the total bytes of cell blocks received before the
 	// fetching side gives up with ErrRatelessBudget (0 → 64 MiB).
 	MaxBytes int64
 	// First, when not 0, opens warm: the fetching side has already asked
-	// for the first First cells of the stream, so no estimator is sent and
-	// the serving side answers that request at once. 0 opens cold, with the
-	// strata estimator.
+	// for the first First cells of the stream. 0 opens cold, on the
+	// headCells-cell head. Either way the serving side answers at once.
 	First int
 	// Kept, on the fetching side, is what it keeps of the multiset its last
 	// session returned (RatelessKept). The session subtracts its cells
@@ -120,31 +121,6 @@ func maxChunkFor(keyLen int) int {
 	return int(min(cellsWithin(maxChunkBytes, keyLen), maxChunkCells))
 }
 
-// strata is the configuration of the opening's strata estimator, which
-// both sides derive and a received estimator is held to. Its seed label
-// is part of the wire: another would change every STRATA body.
-func (c RatelessConfig) strata() sketch.StrataConfig {
-	return sketch.StrataConfig{
-		KeyLen: points.EncodedSize(c.Universe.Dim) + 4,
-		Seed:   hashutil.DeriveSeed(c.Seed, "exact/strata"),
-	}
-}
-
-// exactStrata builds the opening's strata estimator over occurrence keys
-// (points.OccurrenceKeys), which give the exact protocol multiset
-// semantics: identical points get distinct keys, the same ones on both
-// sides.
-func exactStrata(cfg RatelessConfig, keys [][]byte) (*sketch.Strata, error) {
-	s, err := sketch.NewStrata(cfg.strata())
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range keys {
-		s.Add(k)
-	}
-	return s, nil
-}
-
 // extend returns the cell-stream configuration both endpoints derive.
 func (c RatelessConfig) extend() iblt.ExtendConfig {
 	return iblt.ExtendConfig{
@@ -176,13 +152,49 @@ func parseCells(block *iblt.CellBlock, body []byte, keyLen, frontier, chunk int)
 // ratelessPrefixCells is how much of its cell stream a RatelessState
 // keeps. A request is the estimate times 1.4, so 1024 cells answer every
 // session whose difference is under about 650 keys; at 36 bytes a cell in
-// memory (about 16 on the wire), plus the estimator, the state costs its dataset about 60 KB.
+// memory (about 16 on the wire) the state costs its dataset about 37 KB.
 const ratelessPrefixCells = 1024
 
 // maxWarmCells bounds a warm opening's first request: half the prefix, so
-// a dataset's maintained state always answers it, and at about 16 bytes a
-// cell it is no larger than the 16 × 32-cell strata estimator it replaces.
+// a dataset's maintained state always answers it.
 const maxWarmCells = ratelessPrefixCells / 2
+
+// headCells is a cold opening's first block: the cells Alice sends
+// unasked. Their residual decodes a difference of up to about 10 keys
+// outright and measures one of up to about 30; a larger one leaves no
+// cell empty, and Bob asks for three times the head (coldNext).
+const headCells = 32
+
+// opening returns the size of the session's first block, which Alice
+// sends unasked — First, or on a cold opening the head — and records a
+// warm opening on tr.
+func (c RatelessConfig) opening(tr *trace.Trace) int {
+	if c.First == 0 {
+		return headCells
+	}
+	tr.Stat(trace.StatWarm, 1)
+	return c.First
+}
+
+// coldNext sizes a cold session's next request from the block it just
+// received, which did not decode, and returns the difference it estimated
+// (CellDecoder.Estimate; 0 for none). With no cell of the block's
+// residual empty, the difference is beyond what the block measures: three
+// times everything streamed. Otherwise up to the estimate times
+// InitialFactor plus minChunkCells in all, and at least an eighth of
+// everything streamed: a block sized from an estimate that still does not
+// decode is one whose difference sits just past the decode threshold
+// (about 1.36 cells a key), so the next step can be small.
+func (c RatelessConfig) coldNext(dec *iblt.CellDecoder) (chunk int, est float64) {
+	frontier := dec.Frontier()
+	est, ok := dec.Estimate()
+	if !ok {
+		return 3 * frontier, 0
+	}
+	// A hostile block must not drive an out-of-range float→int conversion.
+	total := min(est*c.InitialFactor, iblt.MaxStreamCells)
+	return max(int(total)+minChunkCells-frontier, frontier/8, minChunkCells), est
+}
 
 // WarmFirst returns the first request of a warm opening sized from hint,
 // the size of the difference an earlier session against the same set
@@ -200,14 +212,13 @@ func (c RatelessConfig) WarmFirst(hint int) int {
 }
 
 // RatelessState is what a dataset that serves rateless sessions keeps so
-// that a session need not read its points: the strata estimator and the
-// first ratelessPrefixCells cells of the rateless stream over the
-// dataset's occurrence keys. Both are linear in the key set, so Add and
-// Remove keep them equal to a fresh build, and one stream serves every
-// fetching peer whatever its difference (Lázaro & Matuz), so the prefix
-// kept is the prefix every session asks for. Not safe for concurrent use.
+// that a session need not read its points: the first ratelessPrefixCells
+// cells of the rateless stream over the dataset's occurrence keys. They
+// are linear in the key set, so Add and Remove keep them equal to a fresh
+// build, and one stream serves every fetching peer whatever its
+// difference (Lázaro & Matuz), so the prefix kept is the prefix every
+// session asks for. Not safe for concurrent use.
 type RatelessState struct {
-	strata *sketch.Strata
 	prefix *iblt.CellPrefix
 	key    []byte // scratch for Add and Remove
 }
@@ -215,19 +226,14 @@ type RatelessState struct {
 // NewRatelessState builds the state of pts, which must lie in the
 // configured universe.
 func NewRatelessState(cfg RatelessConfig, pts []points.Point) (*RatelessState, error) {
-	strata, err := exactStrata(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
 	prefix, err := iblt.NewCellPrefix(cfg.extend(), ratelessPrefixCells)
 	if err != nil {
 		return nil, err
 	}
 	for _, k := range points.OccurrenceKeys(pts, cfg.Universe.Dim) {
-		strata.Add(k)
 		prefix.Add(k)
 	}
-	return &RatelessState{strata: strata, prefix: prefix}, nil
+	return &RatelessState{prefix: prefix}, nil
 }
 
 // occurrenceKey builds, in the scratch buffer, the key that
@@ -240,97 +246,63 @@ func (s *RatelessState) occurrenceKey(enc string, occ uint32) []byte {
 
 // Add puts the occ-th occurrence of the point encoded as enc in.
 func (s *RatelessState) Add(enc string, occ uint32) {
-	k := s.occurrenceKey(enc, occ)
-	s.strata.Add(k)
-	s.prefix.Add(k)
+	s.prefix.Add(s.occurrenceKey(enc, occ))
 }
 
 // Remove takes the occ-th occurrence of the point encoded as enc out; it
 // must be in.
 func (s *RatelessState) Remove(enc string, occ uint32) {
-	k := s.occurrenceKey(enc, occ)
-	s.strata.Remove(k)
-	s.prefix.Remove(k)
+	s.prefix.Remove(s.occurrenceKey(enc, occ))
 }
 
-// Opening copies out what one session is served from, in O(cells): the
-// prefix, and the marshalled estimator unless the session opens warm. The
-// caller supplies Rest.
-func (s *RatelessState) Opening(warm bool) (*RatelessOpening, error) {
-	o := &RatelessOpening{Prefix: s.prefix.Snapshot()}
-	if warm {
-		return o, nil
-	}
-	var err error
-	o.Strata, err = s.strata.MarshalBinary()
-	return o, err
+// Opening copies out what one session is served from, the prefix, in
+// O(cells). The caller supplies Rest.
+func (s *RatelessState) Opening() *RatelessOpening {
+	return &RatelessOpening{Prefix: s.prefix.Snapshot()}
 }
 
-// RatelessOpening is what one rateless session is served from: a key
-// set's marshalled estimator (nil for a warm session) and the head of its
-// cell stream, with the way to go on past it.
+// RatelessOpening is what one rateless session is served from: the head
+// of a key set's cell stream, with the way to go on past it.
 type RatelessOpening struct {
-	Strata []byte
 	Prefix *iblt.CellBlock // cells [0, Prefix.Len()) of the stream
 	// Rest is called once, by the first request that runs past Prefix. It
 	// returns the occurrence keys to stream on from and whether they are
-	// still the set Strata and Prefix describe.
+	// still the set Prefix describes.
 	Rest func() (keys [][]byte, same bool, err error)
 }
 
 // RunRatelessAlice serves Alice's side of rateless sync over her points:
-// estimator first unless the session opens warm, then cell-stream
-// increments on request until MsgDone.
+// the first block at once, then cell-stream increments on request until
+// MsgDone.
 func RunRatelessAlice(ctx context.Context, t transport.Transport, cfg RatelessConfig, pts []points.Point) error {
 	return RunRatelessServed(ctx, t, cfg, func() (*RatelessOpening, error) {
 		if err := cfg.Universe.CheckSet(pts); err != nil {
 			return nil, err
 		}
 		keys := points.OccurrenceKeys(pts, cfg.Universe.Dim)
-		o := &RatelessOpening{
+		return &RatelessOpening{
 			Prefix: new(iblt.CellBlock),
 			Rest:   func() ([][]byte, bool, error) { return keys, true, nil },
-		}
-		if cfg.First != 0 {
-			return o, nil
-		}
-		st, err := exactStrata(cfg, keys)
-		if err != nil {
-			return nil, err
-		}
-		o.Strata, err = st.MarshalBinary()
-		return o, err
+		}, nil
 	})
 }
 
-// RunRatelessServed is the serving side of rateless sync: it sends the
-// opening's estimator — or, on a warm opening, answers cfg.First at once —
-// then answers each cells request from the prefix while the requests stay
-// inside it and from a stream over Rest's keys from the first one that
-// does not. If by then the key set is no longer the one the cells already
-// sent describe, that answer is a restart block: it starts at cell 0 and
-// carries the new set's cells up to the requested frontier, and the
-// fetching side starts over on it. An error from open, and a request out
-// of bounds, warm or not, is relayed to the peer; a warm one is refused
+// RunRatelessServed is the serving side of rateless sync: it answers the
+// session's first request — cfg.First, or the head — at once, then each
+// cells request, from the prefix while the requests stay inside it and
+// from a stream over Rest's keys from the first one that does not. If by
+// then the key set is no longer the one the cells already sent describe,
+// that answer is a restart block: it starts at cell 0 and carries the new
+// set's cells up to the requested frontier, and the fetching side starts
+// over on it. An error from open, and a request out of bounds, the first
+// one too, is relayed to the peer; a first one out of bounds is refused
 // before open is called.
 func RunRatelessServed(ctx context.Context, t transport.Transport, cfg RatelessConfig, open func() (*RatelessOpening, error)) error {
 	cfg = cfg.filled()
 	tr := trace.FromContext(ctx)
 	maxChunk := maxChunkFor(cfg.extend().KeyLen)
-	var o *RatelessOpening
-	if cfg.First == 0 {
-		sp := tr.Begin("strata")
-		var err error
-		if o, err = open(); err != nil {
-			return sendErr(ctx, t, err)
-		}
-		if err := send(ctx, t, MsgStrata, o.Strata); err != nil {
-			return err
-		}
-		sp.End(trace.I("bytes", int64(len(o.Strata))))
-	} else {
-		tr.Stat(trace.StatWarm, 1)
-	}
+	first := cfg.opening(tr)
+	var o *RatelessOpening      // opened by the first request
 	var stream *iblt.CellStream // built by the first request past the prefix
 	frontier := 0
 	// One block and one encode buffer serve every cell request of the
@@ -348,7 +320,7 @@ func RunRatelessServed(ctx context.Context, t transport.Transport, cfg RatelessC
 			return sendErr(ctx, t, fmt.Errorf("protocol: cell stream beyond %d cells", iblt.MaxStreamCells))
 		}
 		var err error
-		if o == nil { // a warm opening's first request
+		if o == nil {
 			if o, err = open(); err != nil {
 				return sendErr(ctx, t, err)
 			}
@@ -382,10 +354,8 @@ func RunRatelessServed(ctx context.Context, t transport.Transport, cfg RatelessC
 		round.End(trace.I("chunk", int64(n)), trace.I("frontier", int64(frontier)))
 		return nil
 	}
-	if cfg.First != 0 {
-		if err := answer(cfg.First); err != nil {
-			return err
-		}
+	if err := answer(first); err != nil {
+		return err
 	}
 	for {
 		typ, body, err := recv(ctx, t)
@@ -523,16 +493,16 @@ func (k *RatelessKept) update(cfg RatelessConfig, known bool, print SetPrint, di
 	return nil
 }
 
-// RunRatelessBob drives Bob's side of rateless sync: estimate, then
-// request increments — the first sized from the estimate, later ones a
-// third of everything streamed so far — until the decoder certifies
-// completion. A warm opening (cfg.First) skips the estimate, and its
-// first request, already made, is answered without being sent. Bob's
-// side of the cells is cfg.Kept's, when they are his points', as far as
-// they reach, and past them the stream over his occurrence keys. On
-// success Bob's result equals Alice's multiset exactly; a difference that
-// does not apply to his points fails with ErrNotLocal, wrapped in
-// ErrKeptStale if he subtracted kept cells.
+// RunRatelessBob drives Bob's side of rateless sync: take the first
+// block, asked for without a request — cfg.First cells, or on a cold
+// opening the head — then request increments until the decoder certifies
+// completion: on a cold opening each sized from the empty cells of the
+// block before it (coldNext), on a warm one a third of everything
+// streamed so far. Bob's side of the cells is cfg.Kept's, when they are
+// his points', as far as they reach, and past them the stream over his
+// occurrence keys. On success Bob's result equals Alice's multiset
+// exactly; a difference that does not apply to his points fails with
+// ErrNotLocal, wrapped in ErrKeptStale if he subtracted kept cells.
 func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConfig, bobPts []points.Point) (*RatelessResult, error) {
 	cfg = cfg.filled()
 	tr := trace.FromContext(ctx)
@@ -557,15 +527,7 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 	}
 	keyLen := cfg.extend().KeyLen
 	maxChunk := maxChunkFor(keyLen)
-	chunk := cfg.First
-	if chunk == 0 {
-		var err error
-		if chunk, err = ratelessEstimate(ctx, t, cfg, keysOf(), maxChunk); err != nil {
-			return nil, err
-		}
-	} else {
-		tr.Stat(trace.StatWarm, 1)
-	}
+	chunk := cfg.opening(tr)
 	dec, err := iblt.NewCellDecoderFrom(cfg.extend(), known, keysOf)
 	if err != nil {
 		return nil, abort(ctx, t, err)
@@ -574,11 +536,12 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 	// copies what it keeps), mirroring the serving side's reuse.
 	block := new(iblt.CellBlock)
 	// received counts the bytes of every block against the budget, a
-	// restart's as much as an increment's — a warm opening's first block
-	// too. A block's size follows its contents, so a request is clipped to
-	// what fits the rest of the budget at full width.
+	// restart's as much as an increment's — the first block too. A
+	// block's size follows its contents, so a request is clipped to what
+	// fits the rest of the budget at full width.
 	received := int64(0)
-	for asked := cfg.First != 0; ; asked = false {
+	est := 0.0 // a cold session's last estimate of the difference
+	for asked := true; ; asked = false {
 		if fits := cellsWithin(cfg.MaxBytes-received, keyLen); !asked && int64(chunk) > fits {
 			if fits < minChunkCells {
 				return nil, abort(ctx, t, fmt.Errorf("%w: %d cells (%d bytes) streamed",
@@ -643,49 +606,21 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 				}
 			}
 			n := len(diff.Pos) + len(diff.Neg)
+			if est > 0 {
+				tr.Stat("estimated_diff", int64(est))
+			}
 			tr.Stat("actual_diff", int64(n))
 			return &RatelessResult{SPrime: sp, Diff: n, Kept: cfg.Kept}, send(ctx, t, MsgDone, nil)
+		}
+		if cfg.First == 0 {
+			chunk, est = cfg.coldNext(dec)
+			continue
 		}
 		// Geometric growth: each round adds a third of everything streamed
 		// so far, so total cells overshoot the point of decodability by at
 		// most ~33% while the number of round trips stays logarithmic.
-		chunk = dec.Frontier() / 3
-		if chunk < minChunkCells {
-			chunk = minChunkCells
-		}
+		chunk = max(dec.Frontier()/3, minChunkCells)
 	}
-}
-
-// ratelessEstimate is a cold opening on Bob's side: it receives Alice's
-// strata estimator, estimates the difference against his keys and returns
-// the first request sized from it.
-func ratelessEstimate(ctx context.Context, t transport.Transport, cfg RatelessConfig, keys [][]byte, maxChunk int) (int, error) {
-	tr := trace.FromContext(ctx)
-	sp := tr.Begin("strata")
-	blob, err := recvExpect(ctx, t, MsgStrata)
-	if err != nil {
-		return 0, err
-	}
-	aliceStrata := new(sketch.Strata)
-	if err := aliceStrata.UnmarshalAs(blob, cfg.strata()); err != nil {
-		return 0, abort(ctx, t, err)
-	}
-	mine, err := exactStrata(cfg, keys)
-	if err != nil {
-		return 0, abort(ctx, t, err)
-	}
-	est, err := sketch.EstimateStrataDiff(aliceStrata, mine)
-	if err != nil {
-		return 0, abort(ctx, t, err)
-	}
-	sp.End(trace.I("est", int64(est)))
-	tr.Stat("estimated_diff", int64(est))
-	// Clamp the (peer-influenced) estimate before converting: a hostile
-	// strata blob must not drive an out-of-range float→int conversion.
-	if est*cfg.InitialFactor > float64(maxChunk) {
-		est = float64(maxChunk) / cfg.InitialFactor
-	}
-	return int(est*cfg.InitialFactor) + minChunkCells, nil
 }
 
 // dropped is one point a decoded difference removes: the occurrences of

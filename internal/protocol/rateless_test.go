@@ -80,11 +80,12 @@ func TestRatelessDuplicateMultiset(t *testing.T) {
 		})
 }
 
-// TestRatelessUndershootCellsPerKey: when the first request is forced to
-// a twentieth of the difference, the stream still pays only the cells it
-// was short, not rebuilt tables, and converges exactly. It decodes at
-// about 1.4 cells a differing key and each later round adds a third of
-// the frontier, so the whole stream stays under 2 cells a key.
+// TestRatelessUndershootCellsPerKey: when every request sized from the
+// head's estimate is forced to a twentieth of what the difference needs,
+// the stream still pays only the cells it was short, not rebuilt tables,
+// and converges exactly. It decodes at about 1.4 cells a differing key and
+// each later round adds at least an eighth of the frontier, so the whole
+// stream stays under 2 cells a key.
 func TestRatelessUndershootCellsPerKey(t *testing.T) {
 	inst, err := exactInstanceForProtocol(t, 2000, 400)
 	if err != nil {
@@ -229,7 +230,7 @@ func TestHelloAcceptRoundTrip(t *testing.T) {
 	}
 }
 
-// movedOpening serves before's estimator and first prefix cells, then —
+// movedOpening serves before's first prefix cells, then —
 // its set having moved — after's stream, as a dataset mutated mid-session
 // does.
 func movedOpening(t *testing.T, cfg RatelessConfig, before, after []points.Point, prefix int) func() (*RatelessOpening, error) {
@@ -239,10 +240,7 @@ func movedOpening(t *testing.T, cfg RatelessConfig, before, after []points.Point
 		if err != nil {
 			return nil, err
 		}
-		o, err := st.Opening(false)
-		if err != nil {
-			return nil, err
-		}
+		o := st.Opening()
 		o.Prefix = o.Prefix.Slice(0, prefix)
 		o.Rest = func() ([][]byte, bool, error) {
 			return points.OccurrenceKeys(after, cfg.Universe.Dim), false, nil
@@ -260,8 +258,8 @@ func TestRatelessRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := append(points.Clone(inst.alice[40:]), points.Point{5, 5}, points.Point{5, 5}, points.Point{6, 7})
-	// A first request of 16 cells against a 160-key difference: several
-	// rounds inside the 64-cell prefix, then the overflow.
+	// Against a 160-key difference the 32-cell head, inside the 64-cell
+	// prefix, is saturated; the request after it overflows the prefix.
 	cfg := RatelessConfig{Universe: testU, Seed: 7, InitialFactor: 0.05}
 	runPair(t,
 		func(tr transport.Transport) error {
@@ -290,17 +288,10 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := RatelessConfig{Universe: testU, Seed: 5, InitialFactor: 0.05, MaxBytes: 64 << 10}
-	strata, err := exactStrata(cfg, points.OccurrenceKeys(inst.alice, testU.Dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := strata.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// hostile answers every request with a block of garbage starting at
-	// cell 0, of the length the argument chooses — the first one always
-	// what was asked, so that there is a frontier to restart from.
+	// hostile answers every request, the head's first, with a block of
+	// garbage starting at cell 0, of the length the argument chooses — the
+	// first one always what was asked, so that there is a frontier to
+	// restart from.
 	keyLen := cfg.extend().KeyLen
 	hostile := func(length func(frontier, n int) int) (sent int64, berr error) {
 		at, bt := transport.Pair()
@@ -309,16 +300,8 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if send(bg, at, MsgStrata, blob) != nil {
-				return
-			}
-			frontier := 0
+			frontier, n := 0, headCells
 			for {
-				typ, body, err := recv(bg, at)
-				if err != nil || typ != MsgCellsRequest {
-					return
-				}
-				n := int(binary.LittleEndian.Uint32(body))
 				blk := iblt.CellBlock{KeyLen: keyLen}
 				m := length(frontier, n)
 				blk.Counts, blk.Checks = make([]int64, m), make([]uint64, m)
@@ -332,6 +315,11 @@ func TestRatelessBobRefusesBadRestarts(t *testing.T) {
 				}
 				sent += int64(len(wire))
 				frontier += n
+				typ, body, err := recv(bg, at)
+				if err != nil || typ != MsgCellsRequest {
+					return
+				}
+				n = int(binary.LittleEndian.Uint32(body))
 			}
 		}()
 		_, berr = RunRatelessBob(bg, bt, cfg, inst.bob)
@@ -381,62 +369,73 @@ func (r *recordingTransport) Recv(ctx context.Context) ([]byte, error) {
 	return msg, err
 }
 
-// TestRatelessOpeningGolden pins a rateless exchange's wire: the STRATA
-// body Alice opens with and the CELLS block that answers Bob's first,
-// estimate-sized request, held by length and SHA-256 at two seeds. Both
-// derive from the "exact/strata" and "rateless/cells" seeds and the
-// occurrence-key length, which every peer of this wire shares.
+// TestRatelessOpeningGolden pins a cold rateless exchange's opening: the
+// CELLS block of the headCells-cell head, which Alice sends before she
+// hears any request, held by length and SHA-256 at two seeds. It derives
+// from the "rateless/cells" seed and the occurrence-key length, which
+// every peer of this wire shares. No STRATA frame crosses, ever: every
+// frame Bob receives is CELLS.
 func TestRatelessOpeningGolden(t *testing.T) {
 	inst, err := exactInstanceForProtocol(t, 300, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		seed       uint64
-		strataSize int
-		strata     string
-		cellsSize  int
-		cells      string
+		seed     uint64
+		headSize int
+		head     string
 	}{
-		{7, 6067, "9001399955a9a420ca60d9d629c82b5aa7a3934725e9d1cba294aacc0fcf34b3", 493, "a2290b65dae5c0a22871baa40a30d7e823ad1795d46cba73e658f4d5c6352109"},
-		{19, 6067, "8d24b89e7810a779daddaecbcd360ba3af292316da4a647d89da7ca9960944b3", 493, "54903740a1ea046d1747a9d1d7acfdd429fe1100ec134141ef26bb78fbdcbd04"},
+		{7, 441, "d6315bf5223cc833b24a00ba9acc5f037be21e5ba1f78f79462c62b505601472"},
+		{19, 441, "21e0ea3fdb06289ffa23df9c4e2b80e7974c6a3c5e44e8c31dc01b6dba6083f1"},
 	} {
 		cfg := RatelessConfig{Universe: testU, Seed: tc.seed}
-		rec := new(recordingTransport)
+		bob, alice := new(recordingTransport), new(recordingTransport)
 		runPair(t,
-			func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, cfg, inst.alice) },
 			func(tr transport.Transport) error {
-				rec.Transport = tr
-				got, err := RunRatelessBob(bg, rec, cfg, inst.bob)
+				alice.Transport = tr
+				return RunRatelessAlice(bg, alice, cfg, inst.alice)
+			},
+			func(tr transport.Transport) error {
+				bob.Transport = tr
+				got, err := RunRatelessBob(bg, bob, cfg, inst.bob)
 				if err == nil && !points.EqualMultisets(got.SPrime, inst.alice) {
 					t.Error("rateless sync did not converge to S_A")
 				}
 				return err
 			})
-		if len(rec.got) < 2 || rec.got[0][0] != MsgStrata || rec.got[1][0] != MsgCells {
-			t.Fatalf("seed %d: exchange did not open STRATA, CELLS", tc.seed)
-		}
-		for i, want := range []struct {
-			name   string
-			size   int
-			digest string
-		}{{"STRATA", tc.strataSize, tc.strata}, {"CELLS", tc.cellsSize, tc.cells}} {
-			body := rec.got[i][1:]
-			sum := sha256.Sum256(body)
-			if len(body) != want.size || hex.EncodeToString(sum[:]) != want.digest {
-				t.Errorf("seed %d: %s body of %d bytes, sha256 %x; want %d bytes, %s",
-					tc.seed, want.name, len(body), sum, want.size, want.digest)
+		var cells, requests int
+		for _, m := range bob.got {
+			if m[0] != MsgCells {
+				t.Errorf("seed %d: Bob received frame 0x%02x, want CELLS only", tc.seed, m[0])
 			}
+			cells++
+		}
+		for _, m := range alice.got {
+			requests += boolInt(m[0] == MsgCellsRequest)
+		}
+		if requests != cells-1 {
+			t.Errorf("seed %d: %d CELLS answered %d requests; the head went unasked", tc.seed, cells, requests)
+		}
+		var head iblt.CellBlock
+		body := bob.got[0][1:]
+		if err := head.UnmarshalBinary(body); err != nil || head.Start != 0 || head.Len() != headCells {
+			t.Fatalf("seed %d: opening block of cells [%d,%d), %v; want the %d-cell head", tc.seed, head.Start, head.Start+head.Len(), err, headCells)
+		}
+		sum := sha256.Sum256(body)
+		if len(body) != tc.headSize || hex.EncodeToString(sum[:]) != tc.head {
+			t.Errorf("seed %d: head of %d bytes, sha256 %x; want %d bytes, %s",
+				tc.seed, len(body), sum, tc.headSize, tc.head)
 		}
 	}
 }
 
 // TestRatelessWarmOpeningGolden pins a warm exchange's wire at the seeds
-// of TestRatelessOpeningGolden: asked up front for as many cells as the
-// cold exchange's first request, Alice opens with a CELLS body byte for
-// byte the cold one (the same length and SHA-256), sends no STRATA, and
-// hears no request before it. The hello that carries the request ends in
-// its 4-byte little-endian word.
+// of TestRatelessOpeningGolden: asked up front for the first 36 cells —
+// the request WarmFirst sizes from the instance's 20-key difference —
+// Alice opens with a CELLS body of pinned length and SHA-256, sends
+// nothing but CELLS (no STRATA frame, ever), and hears no request before
+// it. The hello that carries the request ends in its 4-byte
+// little-endian word.
 func TestRatelessWarmOpeningGolden(t *testing.T) {
 	inst, err := exactInstanceForProtocol(t, 300, 10)
 	if err != nil {
@@ -450,21 +449,8 @@ func TestRatelessWarmOpeningGolden(t *testing.T) {
 		{7, 493, "a2290b65dae5c0a22871baa40a30d7e823ad1795d46cba73e658f4d5c6352109"},
 		{19, 493, "54903740a1ea046d1747a9d1d7acfdd429fe1100ec134141ef26bb78fbdcbd04"},
 	} {
-		// The cold exchange's first request, read off its first block.
-		cold := RatelessConfig{Universe: testU, Seed: tc.seed}
-		rec := new(recordingTransport)
-		runPair(t,
-			func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, cold, inst.alice) },
-			func(tr transport.Transport) error {
-				rec.Transport = tr
-				_, err := RunRatelessBob(bg, rec, cold, inst.bob)
-				return err
-			})
-		var first iblt.CellBlock
-		if err := first.UnmarshalBinary(rec.got[1][1:]); err != nil {
-			t.Fatal(err)
-		}
-		warm := RatelessConfig{Universe: testU, Seed: tc.seed, First: first.Len()}
+		const first = 36
+		warm := RatelessConfig{Universe: testU, Seed: tc.seed, First: first}
 		bob, alice := new(recordingTransport), new(recordingTransport)
 		runPair(t,
 			func(tr transport.Transport) error {
@@ -488,10 +474,10 @@ func TestRatelessWarmOpeningGolden(t *testing.T) {
 		}
 		var cells, requests int
 		for _, m := range bob.got {
-			if m[0] == MsgStrata {
-				t.Errorf("seed %d: a warm exchange carried STRATA", tc.seed)
+			if m[0] != MsgCells {
+				t.Errorf("seed %d: Bob received frame 0x%02x, want CELLS only", tc.seed, m[0])
 			}
-			cells += boolInt(m[0] == MsgCells)
+			cells++
 		}
 		for _, m := range alice.got {
 			requests += boolInt(m[0] == MsgCellsRequest)
@@ -597,10 +583,10 @@ func TestRatelessWarmRequestRefused(t *testing.T) {
 
 // TestTinyDifferenceHugeSetWire pins the corner a range-probing strategy
 // once held: a set of 20 000 points with 8 replaced. A warm rateless
-// opening, whose first request is sized from the last difference, and CPI
-// provisioned for it each stay under the 6 003 bytes range probing moved
-// on this instance (511 and 588 B when pinned); a cold rateless opening
-// pays the strata estimator up front and is only logged (8 607 B).
+// opening, whose first request is sized from the last difference, a cold
+// one, which opens on the 32-cell head, and CPI provisioned for the
+// difference each stay under the 6 003 bytes range probing moved on this
+// instance (511, 543 and 588 B when pinned).
 func TestTinyDifferenceHugeSetWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instance")
@@ -653,6 +639,9 @@ func TestTinyDifferenceHugeSetWire(t *testing.T) {
 		warmBytes, cpiBytes, coldBytes, rangeProbeBytes)
 	if warmBytes >= rangeProbeBytes {
 		t.Errorf("warm rateless moved %d bytes, not under range probing's %d", warmBytes, rangeProbeBytes)
+	}
+	if coldBytes >= rangeProbeBytes {
+		t.Errorf("cold rateless moved %d bytes, not under range probing's %d", coldBytes, rangeProbeBytes)
 	}
 	if cpiBytes >= rangeProbeBytes {
 		t.Errorf("cpi moved %d bytes, not under range probing's %d", cpiBytes, rangeProbeBytes)

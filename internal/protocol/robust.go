@@ -24,23 +24,11 @@ func RunPushAlice(ctx context.Context, t transport.Transport, p core.Params, pts
 	if err != nil {
 		return sendErr(ctx, t, err)
 	}
-	return RunPushSketchAlice(ctx, t, sk)
-}
-
-// RunPushSketchAlice pushes an already-built sketch — the path used by
-// servers that maintain a sketch incrementally (core.Maintainer) instead
-// of re-encoding per session.
-func RunPushSketchAlice(ctx context.Context, t transport.Transport, sk *core.Sketch) error {
 	blob, err := sk.MarshalBinary()
 	if err != nil {
 		return sendErr(ctx, t, err)
 	}
-	sp := trace.FromContext(ctx).Begin("sketch_send")
-	if err := send(ctx, t, MsgSketch, blob); err != nil {
-		return err
-	}
-	sp.End(trace.I("bytes", int64(len(blob))))
-	return nil
+	return RunPushBlobAlice(ctx, t, blob)
 }
 
 // RunPushBlobAlice pushes a pre-marshaled sketch as the one-shot robust

@@ -1,6 +1,6 @@
 // Package trace is the serving path's per-session diagnosis layer:
 // every sync can carry a Trace that records typed phase spans (hello,
-// strata estimate, each IBLT round, rateless chunk growth, repair),
+// estimate requests, each IBLT round, rateless chunk growth, repair),
 // named stats (estimated vs actual difference, rounds, decode retries)
 // and per-frame-type wire-byte attribution charged by the transport
 // layer itself — so the per-type byte table sums exactly to the
@@ -331,8 +331,8 @@ const StatServedState = "served_state"
 // StatWarm is the stat both ends of a session record when it opened warm
 // from what the client's last fetch of the dataset learned. A rateless
 // session's first block was sized from the difference that fetch decoded,
-// which the client records as estimated_diff, and no strata estimator
-// crossed. A robust session's sketch was the window of levels
+// which the client records as estimated_diff, in place of a cold
+// opening's 32-cell head (whose estimate is estimated_diff there). A robust session's sketch was the window of levels
 // [StatWindowLo, StatWindowHi] of [StatMinLevel, StatMaxLevel], the levels
 // around the one that fetch chose.
 const StatWarm = "warm"
@@ -437,7 +437,7 @@ func (s *Snapshot) format(w io.Writer, indent string) {
 	}
 	if hint, ok := s.Stat("estimated_diff"); ok {
 		if v, _ := s.Stat(StatWarm); v > 0 { // a client's trace: the server's knows no hint
-			fmt.Fprintf(w, "%s  warm opening: first block sized from the last difference (%d keys), no strata\n", indent, hint)
+			fmt.Fprintf(w, "%s  warm opening: first block sized from the last difference (%d keys), no head\n", indent, hint)
 		}
 	}
 	if kept, _ := s.Stat(StatKeptCells); kept > 0 {

@@ -201,6 +201,20 @@ func frameRows(snap *robustset.SessionTrace) (msgs map[string]int64, st robustse
 	return msgs, st
 }
 
+// foreignFrames counts a rateless session trace's frames of any type but
+// its own — the connection's and the session's hello and accept, cells,
+// requests, done: no estimator crosses, cold or warm.
+func foreignFrames(snap *robustset.SessionTrace) (n int64) {
+	for _, f := range snap.Frames {
+		switch f.Type {
+		case "MUX_HELLO", "MUX_ACCEPT", "HELLO", "ACCEPT", "CELLS", "CELLS_REQUEST", "DONE":
+		default:
+			n += f.Msgs
+		}
+	}
+	return n
+}
+
 // spanCount counts a trace's spans of one name.
 func spanCount(snap *robustset.SessionTrace, name string) int {
 	n := 0
@@ -213,14 +227,14 @@ func spanCount(snap *robustset.SessionTrace, name string) int {
 }
 
 // TestRatelessWarmOpening follows one Client's rateless fetches of a
-// churning dataset. The first opens cold: strata, then cells. The second
-// opens warm from the 40 keys the first decoded: no strata span or frame,
-// no request before the first CELLS, one cells round for a 5-key
+// churning dataset. The first opens cold: the head, then cells. The
+// second opens warm from the 40 keys the first decoded: no request before
+// the first CELLS, one cells round for a 5-key
 // difference, estimated_diff the hint, a wire table that sums exactly to
 // the transport's count, the explain line, and a server trace answered
 // from the maintained state with no cold session counted. A failed fetch
 // makes the next one cold, and so does a hint whose first block would be
-// above 512 cells.
+// above 512 cells. No fetch, cold or warm, carries a STRATA frame or span.
 func TestRatelessWarmOpening(t *testing.T) {
 	alice, bob := ratelessExactPair(2000, 20)
 	params := robustset.Params{Universe: testU, Seed: 37, DiffBudget: 20}
@@ -249,10 +263,9 @@ func TestRatelessWarmOpening(t *testing.T) {
 	}
 	warm := func(what string, want bool) {
 		t.Helper()
-		msgs, _ := frameRows(snap)
 		w, _ := snap.Stat("warm")
-		if strata := msgs["STRATA"] + int64(spanCount(snap, "strata")); (w == 1) != want || (strata == 0) != want {
-			t.Fatalf("%s: warm=%d, %d STRATA frames, %d strata spans; want warm %v", what, w, msgs["STRATA"], spanCount(snap, "strata"), want)
+		if foreign := foreignFrames(snap) + int64(spanCount(snap, "strata")); (w == 1) != want || foreign != 0 {
+			t.Fatalf("%s: warm=%d, %d frames or spans of an estimator; want warm %v and none", what, w, foreign, want)
 		}
 	}
 
@@ -274,7 +287,7 @@ func TestRatelessWarmOpening(t *testing.T) {
 	}
 	var out strings.Builder
 	snap.Format(&out)
-	if line := "warm opening: first block sized from the last difference (40 keys), no strata"; !strings.Contains(out.String(), line) {
+	if line := "warm opening: first block sized from the last difference (40 keys), no head"; !strings.Contains(out.String(), line) {
 		t.Errorf("explain output lacks %q:\n%s", line, out.String())
 	}
 	// The server files a session's trace after it closes the stream the
@@ -318,8 +331,8 @@ func TestRatelessWarmOpening(t *testing.T) {
 
 // TestRatelessWarmZeroDiff: a fetch whose set is unchanged, opened warm
 // from a 360-key hint — the largest that opens warm, a 511-cell first
-// block — moves no more bytes than a cold fetch of it, which sends the
-// 16 × 32-cell strata estimator and a minimal block instead.
+// block — is one CELLS block that no request preceded, and a cold fetch
+// of it, the 32-cell head alone, moves under 1 KB.
 func TestRatelessWarmZeroDiff(t *testing.T) {
 	alice, bob := ratelessExactPair(20000, 180)
 	srv := robustset.NewServer()
@@ -344,14 +357,20 @@ func TestRatelessWarmZeroDiff(t *testing.T) {
 	if w, _ := snap.Stat("warm"); w != 1 {
 		t.Fatal("the fetch after a 360-key difference opened cold")
 	}
+	if msgs, _ := frameRows(snap); msgs["CELLS"] != 1 || msgs["CELLS_REQUEST"] != 0 {
+		t.Errorf("warm fetch of an unchanged set: %d CELLS, %d CELLS_REQUEST frames; want 1, 0", msgs["CELLS"], msgs["CELLS_REQUEST"])
+	}
 	_, coldSess := ratelessClient(t, ctx, addr.String(), &snap)
 	_, cold, err := coldSess.Fetch(ctx, alice)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("no difference: warm from a 360-key hint %d B, cold %d B", warm.Total(), cold.Total())
-	if warm.Total() > cold.Total() {
-		t.Errorf("warm fetch of an unchanged set moved %d bytes, a cold one %d", warm.Total(), cold.Total())
+	if msgs, _ := frameRows(snap); msgs["CELLS"] != 1 || msgs["CELLS_REQUEST"] != 0 {
+		t.Errorf("cold fetch of an unchanged set: %d CELLS, %d CELLS_REQUEST frames; want the head alone", msgs["CELLS"], msgs["CELLS_REQUEST"])
+	}
+	if cold.Total() >= 1000 {
+		t.Errorf("cold fetch of an unchanged set moved %d bytes, not under 1 KB", cold.Total())
 	}
 }
 
@@ -491,8 +510,9 @@ func TestRatelessWarmHelloRefused(t *testing.T) {
 // TestReplicatorWarmDivergedShard: three nodes publish one sharded
 // dataset; between rounds one shard gains a point on both peers of the
 // replicating node. From the second diverged round on, that shard's
-// rateless session against the first peer opens warm — warm=1 and no
-// STRATA frame — and every round it leaves the shard holding what a cold
+// rateless session against the first peer opens warm (warm=1); no session
+// carries a frame of an estimator — STRATA or any other not a rateless
+// session's own — and every round it leaves the shard holding what a cold
 // client's fetch returns; every other shard, never diverged, ends at the
 // handshake with a cold hello of the same bytes every round.
 func TestReplicatorWarmDivergedShard(t *testing.T) {
@@ -559,19 +579,19 @@ func TestReplicatorWarmDivergedShard(t *testing.T) {
 		recent := tl.Recent()
 		for _, s := range recent[len(recent)-1].Children {
 			warm, _ := s.Stat("warm")
-			hello, strata := int64(0), int64(0)
+			hello := int64(0)
 			for _, f := range s.Frames {
-				switch f.Type {
-				case "HELLO":
+				if f.Type == "HELLO" {
 					hello += f.Bytes
-				case "STRATA":
-					strata += f.Msgs
 				}
+			}
+			if foreign := foreignFrames(s); foreign != 0 {
+				t.Errorf("round %d: %s/%s carried %d frames of an estimator", round, s.Dataset, s.Peer, foreign)
 			}
 			switch {
 			case s.Dataset == diverged && s.Peer == "b" && round > 0:
-				if wantWarm := round >= 2; (warm == 1) != wantWarm || (strata == 0) != wantWarm {
-					t.Errorf("round %d: diverged shard's session warm=%d with %d STRATA frames, want warm %v", round, warm, strata, wantWarm)
+				if wantWarm := round >= 2; (warm == 1) != wantWarm {
+					t.Errorf("round %d: diverged shard's session warm=%d, want warm %v", round, warm, wantWarm)
 				}
 			case s.Dataset != diverged:
 				if unchanged, _ := s.Stat("unchanged"); unchanged != 1 || warm != 0 {

@@ -43,10 +43,11 @@ func (tt *tapTransport) Recv(ctx context.Context) ([]byte, error) {
 	return msg, err
 }
 
-// freshRateless is the oracle of the served-state tests: the estimator
-// frame and the first n cells that the stateless serving path,
-// RunRatelessAlice over pts, puts on the wire.
-func freshRateless(t *testing.T, cfg protocol.RatelessConfig, pts []Point, n int) (strata, cells []byte) {
+// freshRateless is the oracle of the served-state tests: the first n
+// cells that the stateless serving path, RunRatelessAlice over pts, puts
+// on the wire, as the head it opens with unasked (no STRATA frame, ever)
+// and the block that answers a request for the rest.
+func freshRateless(t *testing.T, cfg protocol.RatelessConfig, pts []Point, n int) (head, rest []byte) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -62,19 +63,23 @@ func freshRateless(t *testing.T, cfg protocol.RatelessConfig, pts []Point, n int
 		}
 		return append([]byte(nil), msg[1:]...)
 	}
-	strata = recv(protocol.MsgStrata)
-	req := binary.LittleEndian.AppendUint32([]byte{protocol.MsgCellsRequest}, uint32(n))
+	head = recv(protocol.MsgCells)
+	var blk iblt.CellBlock
+	if err := blk.UnmarshalBinary(head); err != nil {
+		t.Fatal(err)
+	}
+	req := binary.LittleEndian.AppendUint32([]byte{protocol.MsgCellsRequest}, uint32(n-blk.Len()))
 	if err := bt.Send(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	cells = recv(protocol.MsgCells)
+	rest = recv(protocol.MsgCells)
 	if err := bt.Send(ctx, []byte{protocol.MsgDone}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	return strata, cells
+	return head, rest
 }
 
 // checkRatelessStateFresh fails unless d's maintained rateless state is
@@ -87,23 +92,29 @@ func checkRatelessStateFresh(t *testing.T, d *Dataset, what string) {
 	if err != nil || built {
 		t.Fatalf("%s: opening: built=%v, %v; the state should exist", what, built, err)
 	}
-	cells, err := o.Prefix.MarshalBinary()
-	if err != nil {
+	head, rest := freshRateless(t, cfg, d.Snapshot(), o.Prefix.Len())
+	var blk iblt.CellBlock
+	if err := blk.UnmarshalBinary(head); err != nil {
 		t.Fatal(err)
 	}
-	strata, fresh := freshRateless(t, cfg, d.Snapshot(), o.Prefix.Len())
-	if !bytes.Equal(o.Strata, strata) {
-		t.Fatalf("%s: maintained strata differs from a fresh build over the snapshot", what)
-	}
-	if !bytes.Equal(cells, fresh) {
-		t.Fatalf("%s: maintained cell prefix differs from a fresh stream's first %d cells", what, o.Prefix.Len())
+	for _, part := range []struct {
+		cells *iblt.CellBlock
+		fresh []byte
+	}{{o.Prefix.Slice(0, blk.Len()), head}, {o.Prefix.Slice(blk.Len(), o.Prefix.Len()), rest}} {
+		cells, err := part.cells.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cells, part.fresh) {
+			t.Fatalf("%s: maintained cells [%d,%d) differ from a fresh stream's", what, part.cells.Start, part.cells.Start+part.cells.Len())
+		}
 	}
 }
 
 // TestRatelessStateTracksMultiset is the served state's property test:
 // once a rateless session has built it, after every step of a seeded
 // mutation sequence — adds, removes, batches with duplicate points,
-// batches that fail whole — the strata and the cell prefix equal a fresh
+// batches that fail whole — the cell prefix equals a fresh
 // build over Snapshot(); a dataset that has seen no rateless session
 // keeps none, and a retired one drops it.
 func TestRatelessStateTracksMultiset(t *testing.T) {
@@ -358,7 +369,7 @@ func TestRatelessServedUnderMutation(t *testing.T) {
 	}{
 		{"between capture and the first request", 30, Rateless{}, 0, false, 0},
 		{"between two requests inside the prefix", 60, slow, 1, false, 0},
-		{"before an overflow at frontier 0", 700, Rateless{}, 0, true, 0},
+		{"between the head and the first request, then an overflow", 700, Rateless{}, 0, true, 1},
 		{"before an overflow at a non-zero frontier", 400, slow, 1, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

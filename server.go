@@ -67,8 +67,8 @@ type Dataset struct {
 	// each re-marshaling the whole sketch under d.mu — the snapshot-free
 	// concurrent read path. Callers must treat the blob as read-only.
 	blobCache []byte
-	// exact is the rateless strategy's strata estimator and cell-stream
-	// prefix over the multiset's occurrence keys. It is built lazily by the
+	// exact is the rateless strategy's cell-stream prefix over the
+	// multiset's occurrence keys. It is built lazily by the
 	// first rateless session and from then on maintained incrementally
 	// through applyLocked: a rateless session copies O(cells) under d.mu
 	// and reads no points. nil until a rateless session has run.
@@ -154,8 +154,7 @@ func (d *Dataset) openSession(root *ranges.Agg) (p Params, same bool, err error)
 }
 
 // ratelessOpening captures, under one hold of d.mu and in O(cells), what
-// one rateless session is served from — no estimator for a warm one —
-// building the state on first use.
+// one rateless session is served from, building the state on first use.
 // Rest snapshots the points for a session that outruns the prefix and
 // says whether the root is still the captured one. *cold is set when the
 // session reads the points, here or there.
@@ -171,9 +170,7 @@ func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *p
 			return nil, err
 		}
 	}
-	if o, err = d.exact.Opening(cfg.First != 0); err != nil {
-		return nil, err
-	}
+	o = d.exact.Opening()
 	version := d.root.Agg
 	o.Rest = func() ([][]byte, bool, error) {
 		*cold = true

@@ -225,7 +225,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	go func() { serveDone <- srv.Serve(ln) }()
 
 	// Start a rateless session by hand and hold it after the server's
-	// opening (accept, then strata): the server now waits on the client's
+	// opening (accept, then the head): the server now waits on the client's
 	// next request. Let the client finish while Shutdown is waiting.
 	st := openStream(t, ln.Addr().String())
 	bg := context.Background()
@@ -234,7 +234,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := st.Recv(bg); err != nil {
-		t.Fatalf("no strata: %v", err)
+		t.Fatalf("no head: %v", err)
 	}
 	fetchDone := make(chan error, 1)
 	go func() {

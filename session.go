@@ -278,18 +278,21 @@ func (a Adaptive) fetch(ctx context.Context, t transport.Transport, p Params, lo
 	return &SyncResult{SPrime: res.SPrime, Robust: res}, nil
 }
 
-// Rateless is exact set synchronization (difference digest: a strata
-// estimator, then an IBLT) over a rateless cell stream: the fetching side
-// streams fixed-increment ranges of extendable-IBLT cells until its
+// Rateless is exact set synchronization over a rateless cell stream (an
+// extendable IBLT): the fetching side streams ranges of cells until its
 // decoder certifies completion, so a mis-estimated difference costs only
 // the cells it was short — wire cost tracks the actual difference, not
 // the estimate. It is the right tool when values match bit-for-bit; under
 // value noise its cost degenerates to Θ(n).
 //
-// A Client that has fetched a dataset rateless before opens warm: its
-// hello asks for a first block sized from the difference the last fetch
-// decoded, the server answers it with the accept, and no strata estimator
-// is built or sent. Peer-to-peer sessions and first fetches open cold.
+// There is no separate estimator: the stream's head is its own. A cold
+// session — peer to peer, or a Client's first fetch of a dataset — opens
+// with the serving side sending the first 32 cells unasked; they decode a
+// difference of up to about 10 points outright, and the fetching side
+// sizes its next request from the cells of their residual the difference
+// left empty. A Client that has fetched a dataset rateless before opens
+// warm: its hello asks for a first block sized from the difference the
+// last fetch decoded, and the server answers it with the accept.
 //
 // A Client also keeps, per dataset, the first cells (up to 1 024) of the
 // multiset its last rateless fetch returned: the cells that fetch
@@ -298,10 +301,11 @@ func (a Adaptive) fetch(ctx context.Context, t transport.Transport, p Params, lo
 // subtracts those cells instead of keying its points, and keys them only
 // for cells past the kept ones. Nothing changes on the wire.
 type Rateless struct {
-	// InitialFactor scales the difference the first requested cell
-	// increment is sized from — the strata estimate, or on a warm opening
-	// the last fetch's difference — (fetch side only; 0 means 1.4, the
-	// stream's empirical decode overhead).
+	// InitialFactor scales the difference the cells are sized from — on a
+	// cold opening the estimate read off the head, for all cells streamed,
+	// on a warm one the last fetch's difference, for the first block —
+	// (fetch side only; 0 means 1.4, the stream's empirical decode
+	// overhead).
 	InitialFactor float64
 	// MaxBytes caps the total streamed cell bytes before the fetching
 	// side gives up (fetch side only; 0 means 64 MiB).
@@ -676,20 +680,6 @@ func (s *Session) emit(st TransferStats) {
 func (s *Session) Serve(ctx context.Context, conn net.Conn, pts []Point) (TransferStats, error) {
 	t := s.newTransport(conn)
 	err := s.strategy.serve(ctx, t, s.params, pts)
-	st := t.Stats()
-	s.emit(st)
-	return st, err
-}
-
-// ServeSketch is Serve for the Robust strategy with an already-built
-// sketch — the path used by servers that maintain a sketch incrementally
-// (Maintainer) instead of re-encoding per session.
-func (s *Session) ServeSketch(ctx context.Context, conn net.Conn, sk *Sketch) (TransferStats, error) {
-	if _, ok := s.strategy.(Robust); !ok {
-		return TransferStats{}, fmt.Errorf("robustset: ServeSketch requires the Robust strategy, session uses %s", s.strategy.Name())
-	}
-	t := s.newTransport(conn)
-	err := protocol.RunPushSketchAlice(ctx, t, sk)
 	st := t.Stats()
 	s.emit(st)
 	return st, err

@@ -381,10 +381,10 @@ func confWireBudget(strat robustset.Strategy, sc confScenario) int64 {
 		step := int64(2*n)/64 + 8
 		return est + 4*tableUB(4*k+int(step)) + 2048
 	case robustset.Rateless:
-		// Strata estimator + the cell stream: ~1.5·diff cells to decode
+		// The 32-cell head + the cell stream: ~1.5·diff cells to decode
 		// plus at most 50% chunk-growth overshoot.
-		strata := 16*cellsUB(40) + 2048
-		return strata + tableUB(2*sc.diffUB+64) + 2048
+		head := cellsUB(32) + 2048
+		return head + tableUB(2*sc.diffUB+64) + 2048
 	case robustset.CPI:
 		// Sketch Θ(capacity) + payload round-trip Θ(diff).
 		return int64(8*(2*k+16)) + int64(sc.diffUB)*int64(16+8*dim) + 2048
