@@ -453,9 +453,13 @@ func BenchmarkRatelessChurn20k(b *testing.B) {
 // universe, a loopback client holding a noisy copy with 64 outliers, one
 // one-shot Fetch per iteration. warm is the ruler's op: every fetch after
 // the first asks for the window of the levels around the one the last
-// chose. cold makes the client forget that before every fetch, so each
-// gets the full sketch. tables-parsed/op counts the level tables the
-// client's SKETCHes carried.
+// chose, and subtracts the tables the last fetch kept of the unchanged
+// local set. cold makes the client forget its hint before every fetch, so
+// each gets the full sketch and keys its points. warm-moved hands every
+// fetch the local set with one point moved by one unit, a different point
+// each time, so it opens on the window but misses the kept tables and
+// keys its points. tables-parsed/op counts the level tables the client's
+// SKETCHes carried, keyed/op the sessions that kept no table.
 func BenchmarkRobustFetch20k(b *testing.B) {
 	const n = 20000
 	inst, err := workload.Generate(workload.Config{
@@ -465,8 +469,7 @@ func BenchmarkRobustFetch20k(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := robustset.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 160}
-	for _, cold := range []bool{false, true} {
-		name := map[bool]string{false: "warm", true: "cold"}[cold]
+	for _, name := range []string{"warm", "cold", "warm-moved"} {
 		b.Run(name, func(b *testing.B) {
 			srv := robustset.NewServer()
 			defer srv.Close()
@@ -484,7 +487,7 @@ func BenchmarkRobustFetch20k(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer cl.Close()
-			var tables int64
+			var tables, keyed int64
 			count := robustset.WithSessionTrace(func(st *robustset.SessionTrace) {
 				if lo, ok := st.Stat("window_lo"); ok {
 					hi, _ := st.Stat("window_hi")
@@ -492,18 +495,32 @@ func BenchmarkRobustFetch20k(b *testing.B) {
 				} else {
 					tables += int64(params.Universe.Levels() + 1)
 				}
+				if kept, _ := st.Stat("kept_levels"); kept == 0 {
+					keyed++
+				}
 			})
 			sess, err := cl.Session("noisy", robustset.Robust{}, count)
 			if err != nil {
 				b.Fatal(err)
 			}
+			// local is Bob's set, in warm-moved a clone of it in which the
+			// fetch moves one point by one unit and the next puts it back.
+			local, moved := inst.Bob, 0
+			if name == "warm-moved" {
+				local = robustset.ClonePoints(inst.Bob)
+			}
 			var wire int64
 			var first *robustset.SyncResult
 			fetch := func() {
-				if cold {
+				switch name {
+				case "cold":
 					robustset.ForgetHints(cl, "noisy")
+				case "warm-moved":
+					local[moved%n][0] ^= 1
+					local[(moved+n-1)%n][0] = inst.Bob[(moved+n-1)%n][0]
+					moved++
 				}
-				res, st, err := sess.Fetch(ctx, inst.Bob)
+				res, st, err := sess.Fetch(ctx, local)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -516,7 +533,7 @@ func BenchmarkRobustFetch20k(b *testing.B) {
 				wire += st.Total()
 			}
 			fetch() // the first session marshals the blob the server caches
-			wire, tables = 0, 0
+			wire, tables, keyed = 0, 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -525,6 +542,7 @@ func BenchmarkRobustFetch20k(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
 			b.ReportMetric(float64(tables)/float64(b.N), "tables-parsed/op")
+			b.ReportMetric(float64(keyed)/float64(b.N), "keyed/op")
 		})
 	}
 }

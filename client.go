@@ -63,10 +63,18 @@ type hint struct {
 	// n is the size of the difference a rateless fetch decoded, or the
 	// next robust fetch's window.
 	n int
-	// kept is what a rateless fetch keeps of the multiset it returned. One
-	// fetch at a time holds it, and the entry has none meanwhile: a
+	// kept is what a rateless fetch keeps of the multiset it returned, and
+	// tables what a robust fetch keeps of the local multiset it reconciled:
+	// its tables of the levels of the window n. One fetch at a time holds
+	// them, its reruns included, and the entry has none meanwhile: a
 	// concurrent fetch keys its points and starts a kept state of its own.
-	kept *protocol.RatelessKept
+	kept   *protocol.RatelessKept
+	tables *protocol.RobustKept
+}
+
+// taken returns the kept state h holds, and whether there is any.
+func (h hint) taken() (hint, bool) {
+	return hint{kept: h.kept, tables: h.tables}, h.kept != nil || h.tables != nil
 }
 
 // ClientOption configures a Client.
@@ -290,32 +298,35 @@ func (cs *ClientSession) FetchDataset(ctx context.Context, local *Dataset) (*Syn
 // last fetch of it with w's strategy left, or w itself, cold, if there is
 // none. The fetch takes the hint's kept state with it, and warm returns
 // that too.
-func (c *Client) warm(dataset string, w warmStrategy) (Strategy, *protocol.RatelessKept) {
+func (c *Client) warm(dataset string, w warmStrategy) (Strategy, hint) {
 	key := hintKey{dataset, w.code()}
 	c.mu.Lock()
 	h, ok := c.hints[key]
-	if h.kept != nil {
+	taken, has := h.taken()
+	if has {
 		c.hints[key] = hint{n: h.n}
 	}
 	c.mu.Unlock()
 	if !ok {
-		return w, nil
+		return w, hint{}
 	}
-	return w.warm(h), h.kept
+	return w.warm(h), taken
 }
 
 // learn keeps the hint a fetch of dataset with w's strategy leaves for the
 // next one, read from res, and forgets it after a failed fetch or a result
 // that leaves none. A fetch that ended at the handshake decoded nothing and
 // leaves the hint as it was, with taken, the kept state it took, back in it.
-func (c *Client) learn(dataset string, w warmStrategy, taken *protocol.RatelessKept, res *SyncResult, err error) {
+func (c *Client) learn(dataset string, w warmStrategy, taken hint, res *SyncResult, err error) {
 	key := hintKey{dataset, w.code()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err == nil && res.Unchanged {
-		if h, ok := c.hints[key]; ok && h.kept == nil {
-			h.kept = taken
-			c.hints[key] = h
+		if h, ok := c.hints[key]; ok {
+			if _, has := h.taken(); !has {
+				h.kept, h.tables = taken.kept, taken.tables
+				c.hints[key] = h
+			}
 		}
 		return
 	}
@@ -332,13 +343,16 @@ func (c *Client) learn(dataset string, w warmStrategy, taken *protocol.RatelessK
 // Rateless and Robust sessions open warm when an earlier fetch of the
 // dataset left a hint. A warm robust session that misses upward is run
 // again from its window's finest level through MaxLevel, one that chooses
-// no level, cold; a rateless session whose kept cells turn out not to be
-// local's, with its points keyed. Each rerun is on a new stream, and the
-// stats count every session.
+// no level, cold; a session whose kept state turns out not to be local's
+// — rateless cells, robust tables — with its points keyed. Each rerun is
+// on a new stream and holds what the session before it held but for a
+// stale kept state, and the stats count every session. The reruns end:
+// an upward one's window ends at MaxLevel, a cold session misses neither
+// way, and a keyed one keeps nothing to find stale.
 func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (res *SyncResult, stats TransferStats, err error) {
 	c, strat := cs.c, cs.sess.strategy
 	if w, ok := strat.(warmStrategy); ok {
-		var taken *protocol.RatelessKept
+		var taken hint
 		strat, taken = c.warm(cs.sess.dataset, w)
 		defer func() { c.learn(cs.sess.dataset, w, taken, res, err) }()
 	}
@@ -348,30 +362,35 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 		return nil, TransferStats{}, ctx.Err()
 	}
 	defer func() { <-c.sem }()
-	res, stats, err = cs.session(ctx, strat, d, local)
-	if err == nil {
-		return res, stats, nil
-	}
-	var up *protocol.WindowUpError
-	if errors.As(err, &up) {
+	for {
 		var more TransferStats
-		res, more, err = cs.session(ctx, robustWindow(up.Lo, up.Hi), d, local)
+		res, more, err = cs.session(ctx, strat, d, local)
 		stats.Add(more)
+		if err == nil {
+			return res, stats, nil
+		}
+		var up *protocol.WindowUpError
+		switch {
+		case errors.As(err, &up):
+			r := strat.(Robust)
+			r.window = robustWindow(up.Lo, up.Hi).window
+			strat = r
+		case errors.Is(err, protocol.ErrWindowMiss):
+			r := strat.(Robust)
+			r.window = 0
+			strat = r
+		case errors.Is(err, protocol.ErrKeptStale):
+			r := strat.(Rateless)
+			r.kept = nil
+			strat = r
+		case errors.Is(err, protocol.ErrKeptTablesStale):
+			r := strat.(Robust)
+			r.kept = nil
+			strat = r
+		default:
+			return nil, stats, err
+		}
 	}
-	if errors.Is(err, protocol.ErrWindowMiss) {
-		var cold TransferStats
-		res, cold, err = cs.session(ctx, cs.sess.strategy, d, local)
-		stats.Add(cold)
-	}
-	if errors.Is(err, protocol.ErrKeptStale) {
-		r := strat.(Rateless)
-		r.kept = nil
-		strat = r
-		var keyed TransferStats
-		res, keyed, err = cs.session(ctx, strat, d, local)
-		stats.Add(keyed)
-	}
-	return res, stats, err
 }
 
 // session runs one session of strat on one stream of the connection,

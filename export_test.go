@@ -1,6 +1,9 @@
 package robustset
 
 import (
+	"errors"
+
+	"robustset/internal/core"
 	"robustset/internal/iblt"
 	"robustset/internal/protocol"
 )
@@ -35,6 +38,39 @@ func ForgetKeptCells(c *Client, dataset string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := hintKey{dataset, protocol.StrategyRateless}
+	if h, ok := c.hints[key]; ok {
+		c.hints[key] = hint{n: h.n}
+	}
+}
+
+// PlantKeptTables replaces every table c keeps for dataset with pts'
+// table of the level, so that c keeps another multiset's tables under the
+// fingerprint of the one it reconciled.
+func PlantKeptTables(c *Client, dataset string, pts []Point) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kept := c.hints[hintKey{dataset, protocol.StrategyRobust}].tables
+	if kept == nil {
+		return errors.New("no kept tables")
+	}
+	p := kept.Params()
+	for level := range kept.Tables() {
+		t, err := core.BuildLevelTable(p, pts, level, p.TableCapacity)
+		if err != nil {
+			return err
+		}
+		kept.Tables()[level] = t
+	}
+	return nil
+}
+
+// ForgetKeptTables drops the tables c keeps for dataset and leaves its
+// hint, so its next robust fetch of it opens on the same window but keys
+// its points.
+func ForgetKeptTables(c *Client, dataset string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := hintKey{dataset, protocol.StrategyRobust}
 	if h, ok := c.hints[key]; ok {
 		c.hints[key] = hint{n: h.n}
 	}

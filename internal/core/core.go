@@ -30,14 +30,17 @@
 //
 // Every pass that rounds a party's points to cells — sketch and
 // level-table builds, the per-level difference estimators, Bob's level
-// scan and his repair — runs over one immutable View of that party's
-// multiset: the validated points, the grid, and a Morton presort that
-// makes each cell a contiguous run at every level at once. A session
-// builds its View once (NewView) and calls its methods; Reconcile,
-// LevelEstimators, BuildLevelTable and ReconcileLevel are the same
-// methods over a throwaway View. Reconcile builds Bob's table for a level
-// only when the finest→coarsest scan reaches it, a bounded few levels
-// ahead, so equal sets cost one level. Universes whose Morton code
+// scan and his repair — runs over one View of that party's multiset: the
+// validated points, the grid, and a Morton presort that makes each cell a
+// contiguous run at every level at once, built by the first level scan.
+// A session builds its View once (NewView) and calls its methods;
+// Reconcile, LevelEstimators, BuildLevelTable and ReconcileLevel are the
+// same methods over a throwaway View. Reconcile builds Bob's table for a
+// level only when the finest→coarsest scan reaches it, a bounded few
+// levels ahead, so equal sets cost one level, and only when the caller
+// does not hold it already: ReconcileWith takes the tables an earlier
+// scan of the same multiset built, and one handed every table it scans
+// neither keys nor presorts the points. Universes whose Morton code
 // exceeds 64 bits take an occupancy-map path inside the same kernel; a
 // Maintainer keeps occupancy maps always, to place points it has not
 // seen. All paths produce identical bytes.
@@ -389,7 +392,7 @@ func Reconcile(s *Sketch, bobPts []points.Point) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.reconcile(s)
+	return v.ReconcileWith(s, nil)
 }
 
 // BuildLevelTable is View.BuildLevelTable over a throwaway view.

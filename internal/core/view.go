@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"robustset/internal/grid"
 	"robustset/internal/hashutil"
@@ -16,28 +17,30 @@ import (
 	"robustset/internal/sketch"
 )
 
-// View is the immutable ordered view of one party's local point
-// multiset: the validated points, the shared grid and the Morton
-// presort. Every per-level pass of the protocol — sketch and level-table
-// builds, the level estimators, the reconcile scan and the repair — runs
-// over one View through scanLevel, so a session that needs several of
-// them (the estimate-first protocol needs all) validates and sorts its
-// points once.
+// View is the ordered view of one party's local point multiset: the
+// validated points, the shared grid and the Morton presort. Every
+// per-level pass of the protocol — sketch and level-table builds, the
+// level estimators, the reconcile scan and the repair — runs over one
+// View through scanLevel, so a session that needs several of them (the
+// estimate-first protocol needs all) validates and sorts its points once.
+// The presort is built by the first level scan, so a reconcile scan that
+// is handed all its tables (ReconcileWith) never sorts.
 //
-// A View never changes after NewView and is safe for concurrent use. It
-// aliases the caller's point slice; the points must not be modified
-// while the View is in use.
+// A View is safe for concurrent use. It aliases the caller's point
+// slice; the points must not be modified while the View is in use.
 type View struct {
 	p   Params // normalized
 	g   *grid.Grid
 	pts []points.Point
-	// mo is nil for an empty set and for universes whose Morton code
-	// does not fit 64 bits (dim × depth > 64); the per-level passes then
-	// take the occupancy-map path.
-	mo *mortonOrder
+	// mo is the presort once order has built it. It stays nil for an
+	// empty set and for universes whose Morton code does not fit 64 bits
+	// (dim × depth > 64); the per-level passes then take the
+	// occupancy-map path.
+	mo       atomic.Pointer[mortonOrder]
+	sortOnce sync.Once
 }
 
-// NewView validates pts against p's universe and presorts them.
+// NewView validates pts against p's universe.
 func NewView(p Params, pts []points.Point) (*View, error) {
 	p, err := p.Normalized()
 	if err != nil {
@@ -50,7 +53,14 @@ func NewView(p Params, pts []points.Point) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &View{p: p, g: g, pts: pts, mo: newMortonOrder(g, pts)}, nil
+	return &View{p: p, g: g, pts: pts}, nil
+}
+
+// order returns the view's presort, building it on the first call; nil
+// where there is none.
+func (v *View) order() *mortonOrder {
+	v.sortOnce.Do(func() { v.mo.Store(newMortonOrder(v.g, v.pts)) })
+	return v.mo.Load()
 }
 
 // Params returns the view's normalized parameters.
@@ -180,7 +190,7 @@ func (v *View) newOccupancy(level int) *occupancy {
 		return &occupancy{cells: make(map[string]*uint32, len(v.pts))}
 	}
 	cells := 0
-	if mo := v.mo; mo != nil {
+	if mo := v.order(); mo != nil {
 		shift := uint(v.g.Dim() * (v.g.Levels() - level))
 		for i, code := range mo.codes {
 			if i == 0 || code>>shift != mo.codes[i-1]>>shift {
@@ -268,7 +278,7 @@ func (o *occupancy) scan(d int, emit func(key []byte)) {
 // presorted flat coordinate array, rewritten only at run boundaries.
 func (v *View) scanLevel(level int, occ *occupancy, emit func(key []byte)) {
 	g, d := v.g, v.g.Dim()
-	mo := v.mo
+	mo := v.order()
 	if mo == nil {
 		if occ == nil {
 			occ = &occupancy{cells: make(map[string]*uint32)}
@@ -367,18 +377,31 @@ const maxLookAhead = 4
 // reconcile scan starts to build.
 var testHookLevelFill func(level int)
 
-// reconcile is Bob's finest→coarsest scan over Alice's sketch. Bob's
-// table for a level is built only when the scan gets there: the finest
-// level first, alone and on the caller's goroutine (equal sets decode it
-// and nothing else is built or started), then up to min(GOMAXPROCS,
-// maxLookAhead) levels in flight ahead of the one being decoded. Level
-// choice is exactly the sequential scan's: the first level, finest
-// first, whose table decodes.
-func (v *View) reconcile(s *Sketch) (*Result, error) {
+// ReconcileWith is Reconcile over the view for a Bob who holds some of
+// his level tables already: mine maps a level to his table of it, built
+// under the view's Params over the view's multiset. A level's table
+// depends only on the multiset and the public coins, so the result is
+// Reconcile's.
+//
+// The scan is Bob's finest→coarsest pass over Alice's sketch. It takes
+// his table of a level from mine when it is there; any other is built
+// only when the scan gets there: the finest level first, alone and on
+// the caller's goroutine (equal sets decode it and nothing else is built
+// or started), then up to min(GOMAXPROCS, maxLookAhead) levels in flight
+// ahead of the one being decoded. Level choice is exactly the sequential
+// scan's: the first level, finest first, whose table decodes. The scan
+// adds every table it builds to mine, look-ahead levels it did not reach
+// included, and changes none. One that builds no level does not presort
+// the points either: its repair finds the named cells' occupants in one
+// pass over them. mine may be nil.
+func (v *View) ReconcileWith(s *Sketch, mine map[int]*iblt.Table) (*Result, error) {
 	p := v.p
 	levels := p.MaxLevel - p.MinLevel + 1
 	if len(s.Tables) != levels {
 		return nil, fmt.Errorf("core: sketch has %d tables for level range [%d,%d]", len(s.Tables), p.MinLevel, p.MaxLevel)
+	}
+	if mine == nil {
+		mine = make(map[int]*iblt.Table, levels)
 	}
 	type built struct {
 		t   *iblt.Table
@@ -386,21 +409,30 @@ func (v *View) reconcile(s *Sketch) (*Result, error) {
 	}
 	var (
 		fills   = make([]chan built, levels) // by level−MinLevel; each receives once
-		started int                          // levels started, counting down from MaxLevel
+		started int                          // levels started or found in mine, counting down from MaxLevel
 		wg      sync.WaitGroup
 	)
-	defer wg.Wait() // builders read only the immutable view; wait so none outlives the call
-	start := func() int {
-		l := p.MaxLevel - started
-		started++
-		if testHookLevelFill != nil {
-			testHookLevelFill(l)
+	defer func() {
+		// Builders read the view; wait so none outlives the call, and keep
+		// the tables of the levels the scan did not reach.
+		wg.Wait()
+		for idx, ch := range fills {
+			if ch != nil {
+				if b := <-ch; b.err == nil {
+					mine[p.MinLevel+idx] = b.t
+				}
+			}
 		}
-		return l
-	}
+	}()
 	startThrough := func(n int) {
-		for started < n && started < levels {
-			l := start()
+		for ; started < n && started < levels; started++ {
+			l := p.MaxLevel - started
+			if mine[l] != nil {
+				continue
+			}
+			if testHookLevelFill != nil {
+				testHookLevelFill(l)
+			}
 			ch := make(chan built, 1)
 			fills[l-p.MinLevel] = ch
 			wg.Add(1)
@@ -419,22 +451,36 @@ func (v *View) reconcile(s *Sketch) (*Result, error) {
 	var scratch *iblt.Table
 	for l := p.MaxLevel; l >= p.MinLevel; l-- {
 		idx := l - p.MinLevel
-		var mine built
-		if l == p.MaxLevel {
-			mine.t, mine.err = v.levelTable(start(), p.TableCapacity, nil)
-		} else {
+		switch {
+		case l == p.MaxLevel:
+			started = 1
+			if mine[l] == nil {
+				if testHookLevelFill != nil {
+					testHookLevelFill(l)
+				}
+				t, err := v.levelTable(l, p.TableCapacity, nil)
+				if err != nil {
+					return nil, err
+				}
+				mine[l] = t
+			}
+		default:
 			startThrough(p.MaxLevel - l + ahead)
-			mine = <-fills[idx]
-		}
-		if mine.err != nil {
-			return nil, mine.err
+			if ch := fills[idx]; ch != nil {
+				b := <-ch
+				fills[idx] = nil
+				if b.err != nil {
+					return nil, b.err
+				}
+				mine[l] = b.t
+			}
 		}
 		if scratch == nil {
 			scratch = s.Tables[idx].Clone()
 		} else if err := scratch.CopyFrom(s.Tables[idx]); err != nil {
 			return nil, fmt.Errorf("core: level %d: %w", l, err)
 		}
-		if err := scratch.Sub(mine.t); err != nil {
+		if err := scratch.Sub(mine[l]); err != nil {
 			return nil, fmt.Errorf("core: level %d: %w", l, err)
 		}
 		diff, derr := scratch.DecodeMut()
@@ -569,14 +615,16 @@ func (v *View) repair(res *Result, level int, diff *iblt.Diff) error {
 // original indices of the view's points inside it. keys are the (cell,
 // occurrence) keys whose cells will be looked up.
 //
-// On the Morton path a cell is a run of the order, found by binary
-// search on the code prefix; runs of more than one point are sorted by
-// original index once and remembered, so the work is bounded by the
-// points in the cells actually named. The fallback makes one pass over
-// the points, collecting the occupants of the named cells only.
+// Once a level scan has presorted the view, a cell is a run of the
+// order, found by binary search on the code prefix; runs of more than
+// one point are sorted by original index once and remembered, so the
+// work is bounded by the points in the cells actually named. Otherwise —
+// no level was scanned, or the universe is too wide for the presort — it
+// makes one pass over the points, collecting the occupants of the named
+// cells only. Both return the same indices.
 func (v *View) cellOccupants(level int, keys [][]byte) func(grid.Cell) []int32 {
 	g, d := v.g, v.g.Dim()
-	mo := v.mo
+	mo := v.mo.Load()
 	if mo == nil {
 		cs := g.EncodedCellSize()
 		named := make(map[string][]int32, len(keys))

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"robustset/internal/iblt"
 	"robustset/internal/points"
 	"robustset/internal/workload"
 )
@@ -87,7 +90,7 @@ func TestViewMatchesReference(t *testing.T) {
 			}
 			if v, err := NewView(c.p, c.alice); err != nil {
 				t.Fatal(err)
-			} else if sorted, want := v.mo != nil, len(c.alice) > 0 && !strings.HasPrefix(c.name, "fallback"); sorted != want {
+			} else if sorted, want := v.order() != nil, len(c.alice) > 0 && !strings.HasPrefix(c.name, "fallback"); sorted != want {
 				t.Fatalf("view has a Morton order: %v, want %v", sorted, want)
 			}
 			for _, side := range [][]points.Point{c.alice, c.bob} {
@@ -218,6 +221,63 @@ func TestReconcileFillsLevelsLazily(t *testing.T) {
 	}
 }
 
+// TestReconcileWithKeptTables: a scan handed the tables an earlier scan of
+// the same multiset built returns Reconcile's result, failures alike, and
+// builds only the levels it was not handed: none when it holds them all,
+// so it never presorts the points, whose occupants its repair then finds
+// in one pass. It adds what it builds to the map and changes nothing
+// else there. A permuted multiset takes the same tables and returns the
+// result Reconcile gives on the permuted slice.
+func TestReconcileWithKeptTables(t *testing.T) {
+	for _, c := range diffCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			sk, err := BuildSketch(c.p, c.alice)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := NewView(sk.Params, c.bob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built := map[int]*iblt.Table{}
+			want, werr := first.ReconcileWith(sk, built)
+			ref, rerr := Reconcile(sk, c.bob)
+			checkSameResult(t, "the first scan", want, werr, ref, rerr)
+			kept := maps.Clone(built)
+			var filled []int
+			testHookLevelFill = func(level int) { filled = append(filled, level) }
+			defer func() { testHookLevelFill = nil }()
+			again, err := NewView(sk.Params, c.bob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gerr := again.ReconcileWith(sk, kept)
+			checkSameResult(t, "with every table kept", got, gerr, want, werr)
+			if len(filled) != 0 || again.mo.Load() != nil || !maps.Equal(kept, built) {
+				t.Fatalf("a scan handed every table built levels %v (presorted %v, map changed %v)", filled, again.mo.Load() != nil, !maps.Equal(kept, built))
+			}
+			if werr != nil {
+				return
+			}
+			// Only the chosen level's table: the scan builds the others.
+			filled = nil
+			one := map[int]*iblt.Table{want.Level: built[want.Level]}
+			again, _ = NewView(sk.Params, c.bob)
+			got, gerr = again.ReconcileWith(sk, one)
+			checkSameResult(t, "with the chosen level's table kept", got, gerr, want, werr)
+			if slices.Contains(filled, want.Level) || one[want.Level] != built[want.Level] || len(one) != len(built) {
+				t.Fatalf("a scan handed level %d built %v and kept %d of %d tables", want.Level, filled, len(one), len(built))
+			}
+			shuffled := slices.Clone(c.bob)
+			slices.Reverse(shuffled)
+			again, _ = NewView(sk.Params, shuffled)
+			got, gerr = again.ReconcileWith(sk, maps.Clone(built))
+			ref, rerr = Reconcile(sk, shuffled)
+			checkSameResult(t, "permuted, with every table kept", got, gerr, ref, rerr)
+		})
+	}
+}
+
 // TestLevelEstimatorsAllocCeiling keeps the occupancy-map path (one map
 // entry per distinct cell per level, ~13 600 allocations a level at this
 // size) from creeping back into the estimator build.
@@ -310,7 +370,7 @@ func TestViewConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := v.reconcile(sk)
+	want, err := v.ReconcileWith(sk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +387,7 @@ func TestViewConcurrentUse(t *testing.T) {
 			if _, err := v.BuildLevelTable(want.Level, 64); err != nil {
 				t.Error(err)
 			}
-			got, err := v.reconcile(sk)
+			got, err := v.ReconcileWith(sk, nil)
 			if err != nil {
 				t.Error(err)
 			} else if !reflect.DeepEqual(got, want) {

@@ -112,8 +112,8 @@ func TestWindowReconcileMatchesFull(t *testing.T) {
 		}
 		p := sk.Params
 		view, err := NewView(p, c.bob)
-		if err != nil || (p.Universe.Dim == 8) != (view.mo == nil && len(c.bob) > 0) {
-			t.Fatalf("%s: view without a Morton order %v (%v); want it exactly for the wide universe", c.name, view.mo == nil, err)
+		if err != nil || (p.Universe.Dim == 8) != (view.order() == nil && len(c.bob) > 0) {
+			t.Fatalf("%s: view without a Morton order %v (%v); want it exactly for the wide universe", c.name, view.order() == nil, err)
 		}
 		blob, err := sk.MarshalBinary()
 		if err != nil {

@@ -410,7 +410,7 @@ var ErrKeptStale = errors.New("protocol: kept cells are not the local multiset's
 // their end; there are at most ratelessPrefixCells of them, about 36 KB
 // at dimension 2. A RatelessKept belongs to one session at a time.
 type RatelessKept struct {
-	key      uint64
+	printKey
 	universe points.Universe
 	seed     uint64
 	print    SetPrint
@@ -419,7 +419,7 @@ type RatelessKept struct {
 
 // NewRatelessKept returns a RatelessKept that describes no multiset yet,
 // with a fingerprint key drawn at random.
-func NewRatelessKept() *RatelessKept { return &RatelessKept{key: rand.Uint64()} }
+func NewRatelessKept() *RatelessKept { return &RatelessKept{printKey: newPrintKey()} }
 
 // Prefix returns the kept cells, nil before a session has filled them.
 func (k *RatelessKept) Prefix() *iblt.CellPrefix { return k.cells }
@@ -427,15 +427,21 @@ func (k *RatelessKept) Prefix() *iblt.CellPrefix { return k.cells }
 // SetPrint is an order-free, duplicate-aware fingerprint of a multiset of
 // points: the count, and the sum mod 2⁶⁴ of a keyed 64-bit hash of each
 // point. Two multisets that differ share one with probability about 2⁻⁶⁴.
+// A kept state — RatelessKept, RobustKept — knows its multiset by it.
 type SetPrint struct {
 	N   int
 	Sum uint64
 }
 
+// printKey is the key of a kept state's SetPrint, drawn at random.
+type printKey uint64
+
+func newPrintKey() printKey { return printKey(rand.Uint64()) }
+
 // pointHash is the keyed point hash SetPrint sums, over the point's
 // coordinates or the little-endian words of its encoding alike.
-func (k *RatelessKept) pointHash(p points.Point) uint64 {
-	h := k.key
+func (k printKey) pointHash(p points.Point) uint64 {
+	h := uint64(k)
 	for _, c := range p {
 		h = hashutil.SplitMix64(h ^ uint64(c))
 	}
@@ -443,8 +449,8 @@ func (k *RatelessKept) pointHash(p points.Point) uint64 {
 }
 
 // keyHash is pointHash of the point an occurrence key encodes.
-func (k *RatelessKept) keyHash(key []byte) uint64 {
-	h := k.key
+func (k printKey) keyHash(key []byte) uint64 {
+	h := uint64(k)
 	for enc := key[:len(key)-4]; len(enc) >= 8; enc = enc[8:] {
 		h = hashutil.SplitMix64(h ^ binary.LittleEndian.Uint64(enc))
 	}
@@ -452,7 +458,7 @@ func (k *RatelessKept) keyHash(key []byte) uint64 {
 }
 
 // printOf returns the fingerprint of pts.
-func (k *RatelessKept) printOf(pts []points.Point) SetPrint {
+func (k printKey) printOf(pts []points.Point) SetPrint {
 	f := SetPrint{N: len(pts)}
 	for _, p := range pts {
 		f.Sum += k.pointHash(p)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync/atomic"
 
@@ -95,7 +96,7 @@ func (e *WindowUpError) Error() string {
 // RunPushBob executes Bob's side of the one-shot robust protocol. The
 // sketch carries its own parameters, so Bob needs only his points.
 func RunPushBob(ctx context.Context, t transport.Transport, bobPts []points.Point) (*core.Result, error) {
-	return pushBob(ctx, t, bobPts, nil)
+	return (*RobustKept)(nil).RunPushBob(ctx, t, bobPts)
 }
 
 // RunPushWindowBob is RunPushBob for a warm session, one that asked for
@@ -110,10 +111,32 @@ func RunPushBob(ctx context.Context, t transport.Transport, bobPts []points.Poin
 // level above hi decodes while hi is overloaded; its Outcomes begin at
 // hi.
 func RunPushWindowBob(ctx context.Context, t transport.Transport, p core.Params, lo, hi int, bobPts []points.Point) (*core.Result, error) {
+	return (*RobustKept)(nil).RunPushWindowBob(ctx, t, p, lo, hi, bobPts)
+}
+
+// RunPushBob is the package's RunPushBob for a fetching side that keeps
+// its tables between sessions in k, which may be nil, keeping none: the
+// session subtracts k's tables of the levels it scans instead of keying
+// bobPts when they describe them, and on success leaves k holding its
+// tables of the levels of the next session's window (core.WarmWindow). A
+// difference decoded with kept tables that contradicts bobPts fails with
+// ErrKeptTablesStale.
+func (k *RobustKept) RunPushBob(ctx context.Context, t transport.Transport, bobPts []points.Point) (*core.Result, error) {
+	res, mine, err := pushBob(ctx, t, bobPts, nil, k)
+	if err != nil {
+		return nil, err
+	}
+	k.keep(mine, res)
+	return res, nil
+}
+
+// RunPushWindowBob is the package's RunPushWindowBob keeping its tables
+// in k as k.RunPushBob does. A miss leaves k as it was.
+func (k *RobustKept) RunPushWindowBob(ctx context.Context, t transport.Transport, p core.Params, lo, hi int, bobPts []points.Point) (*core.Result, error) {
 	tr := trace.FromContext(ctx)
 	windowStats(tr, p, lo, hi)
 	window := p.WithLevels(lo, hi)
-	res, err := pushBob(ctx, t, bobPts, &window)
+	res, mine, err := pushBob(ctx, t, bobPts, &window, k)
 	var remote *RemoteError
 	if errors.Is(err, core.ErrNoDecodableLevel) || errors.As(err, &remote) {
 		tr.Stat(trace.StatWindowMiss, 1)
@@ -127,17 +150,99 @@ func RunPushWindowBob(ctx context.Context, t transport.Transport, p core.Params,
 		return nil, &WindowUpError{Lo: hi, Hi: p.MaxLevel}
 	}
 	res.Params = p
+	k.keep(mine, res)
 	return res, nil
 }
 
+// ErrKeptTablesStale marks a session that subtracted kept tables whose
+// decoded difference contradicts the local points (it wraps
+// core.ErrInconsistentSketch): the tables were not the local multiset's
+// after all. A session that keys the points instead does not depend on
+// them.
+var ErrKeptTablesStale = errors.New("protocol: kept tables are not the local multiset's")
+
+// RobustKept is what a fetching side keeps of its local multiset after a
+// robust session, so that its next session over the same multiset
+// subtracts tables instead of keying it: its tables of the levels of the
+// next session's window, the normalized Params they were built under,
+// and the multiset's fingerprint (SetPrint) under a key of its own. Bob's
+// table of a level depends only on his multiset and the public coins, so
+// a later session whose local points have the fingerprint, under Params
+// of the same seed, universe, capacity and hash count, takes the kept
+// table of any level it scans. There are at most a window's tables,
+// nearly always three of about 18 KB at capacity 320 in dimension 2; the
+// presort they were built from is not kept. A RobustKept belongs to one
+// session at a time.
+type RobustKept struct {
+	printKey
+	params core.Params
+	print  SetPrint
+	tables map[int]*iblt.Table // by level; nil: describes no multiset yet
+}
+
+// NewRobustKept returns a RobustKept that describes no multiset yet, with
+// a fingerprint key drawn at random.
+func NewRobustKept() *RobustKept { return &RobustKept{printKey: newPrintKey()} }
+
+// Tables returns the kept tables by level, nil before a session has
+// filled them.
+func (k *RobustKept) Tables() map[int]*iblt.Table { return k.tables }
+
+// Params returns the Params the kept tables were built under.
+func (k *RobustKept) Params() core.Params { return k.params }
+
+// bobTables is what a session's scan had of the local multiset: Bob's
+// tables of the levels it scanned or looked ahead to, the Params they
+// were built under and the multiset's fingerprint.
+type bobTables struct {
+	params core.Params
+	print  SetPrint
+	tables map[int]*iblt.Table
+}
+
+// lend returns Bob's tables for a session over pts under normalized p: a
+// copy of the kept tables' map when they describe pts' multiset under p,
+// else an empty map.
+func (k *RobustKept) lend(p core.Params, pts []points.Point) *bobTables {
+	b := &bobTables{params: p, tables: make(map[int]*iblt.Table)}
+	if k == nil {
+		return b
+	}
+	b.print = k.printOf(pts)
+	q := k.params
+	if k.tables != nil && k.print == b.print && p.Seed == q.Seed && p.Universe == q.Universe &&
+		p.TableCapacity == q.TableCapacity && p.HashCount == q.HashCount {
+		maps.Copy(b.tables, k.tables)
+	}
+	return b
+}
+
+// keep makes k describe the multiset b fingerprints, with b's tables of
+// the levels of the window res leaves the next session (none when it
+// leaves none). k may be nil, keeping nothing.
+func (k *RobustKept) keep(b *bobTables, res *core.Result) {
+	if k == nil {
+		return
+	}
+	k.params, k.print, k.tables = b.params, b.print, make(map[int]*iblt.Table, 3)
+	if lo, hi, ok := core.WarmWindow(res); ok {
+		for l := lo; l <= hi; l++ {
+			if t := b.tables[l]; t != nil {
+				k.tables[l] = t
+			}
+		}
+	}
+}
+
 // pushBob receives the sketch — one of parameters want, when that is set —
-// and reconciles bobPts against it.
-func pushBob(ctx context.Context, t transport.Transport, bobPts []points.Point, want *core.Params) (*core.Result, error) {
+// and reconciles bobPts against it, taking kept's tables where they are
+// bobPts'. It returns, with the result, every table of Bob's the scan had.
+func pushBob(ctx context.Context, t transport.Transport, bobPts []points.Point, want *core.Params, kept *RobustKept) (*core.Result, *bobTables, error) {
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("sketch_recv")
 	body, err := recvExpect(ctx, t, MsgSketch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var sk core.Sketch
 	if want != nil {
@@ -146,18 +251,36 @@ func pushBob(ctx context.Context, t transport.Transport, bobPts []points.Point, 
 		err = sk.UnmarshalBinary(body)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp.End(trace.I("bytes", int64(len(body))))
 	sp = tr.Begin("repair")
-	res, err := core.Reconcile(&sk, bobPts)
+	view, err := core.NewView(sk.Params, bobPts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sp.End(trace.I("level", int64(res.Level)),
-		trace.I("added", int64(len(res.Added))), trace.I("removed", int64(len(res.Removed))))
+	mine := kept.lend(view.Params(), bobPts)
+	lent := 0
+	for l := sk.Params.MinLevel; l <= sk.Params.MaxLevel; l++ {
+		if mine.tables[l] != nil {
+			lent++
+		}
+	}
+	if kept != nil {
+		tr.Stat(trace.StatKeptLevels, int64(lent))
+	}
+	had := len(mine.tables)
+	res, err := view.ReconcileWith(&sk, mine.tables)
+	if err != nil {
+		if lent > 0 && errors.Is(err, core.ErrInconsistentSketch) {
+			err = fmt.Errorf("%w: %w", ErrKeptTablesStale, err)
+		}
+		return nil, nil, err
+	}
+	sp.End(trace.I("level", int64(res.Level)), trace.I("added", int64(len(res.Added))),
+		trace.I("removed", int64(len(res.Removed))), trace.I("built", int64(len(mine.tables)-had)))
 	tr.Stat("actual_diff", int64(len(res.Added)+len(res.Removed)))
-	return res, nil
+	return res, mine, nil
 }
 
 // EstimateOpts tunes the estimate-first robust protocol.

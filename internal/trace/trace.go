@@ -359,6 +359,13 @@ const (
 // beyond them — it keyed its points for the rest.
 const StatKeptCells = "kept_cells"
 
+// StatKeptLevels is the stat a Client's robust fetch records: how many of
+// the levels of its sketch it took its own table of from what it kept
+// from its last fetch of the dataset, instead of keying its points, 0
+// when it kept none. The repair span's built attribute counts the tables
+// it built.
+const StatKeptLevels = "kept_levels"
+
 // Stat returns the named stat's value and whether it was recorded.
 func (s *Snapshot) Stat(name string) (int64, bool) {
 	if s == nil {
@@ -372,20 +379,21 @@ func (s *Snapshot) Stat(name string) (int64, bool) {
 	return 0, false
 }
 
-// frontier is the frontier attribute of the last cells_round span: how
-// far into its cell stream a rateless session went.
-func (s *Snapshot) frontier() int64 {
+// lastAttr is the attribute key of the last span named name, and whether
+// there is one: e.g. cells_round's frontier, how far into its cell stream
+// a rateless session went.
+func (s *Snapshot) lastAttr(name, key string) (int64, bool) {
 	for i := len(s.Spans) - 1; i >= 0; i-- {
-		if s.Spans[i].Name != "cells_round" {
+		if s.Spans[i].Name != name {
 			continue
 		}
 		for _, a := range s.Spans[i].Attrs {
-			if a.K == "frontier" {
-				return a.V
+			if a.K == key {
+				return a.V, true
 			}
 		}
 	}
-	return 0
+	return 0, false
 }
 
 // Format writes the snapshot as an indented human-readable breakdown —
@@ -441,10 +449,20 @@ func (s *Snapshot) format(w io.Writer, indent string) {
 		}
 	}
 	if kept, _ := s.Stat(StatKeptCells); kept > 0 {
-		if s.frontier() <= kept {
+		if frontier, _ := s.lastAttr("cells_round", "frontier"); frontier <= kept {
 			fmt.Fprintf(w, "%s  local cells: %d kept from the last fetch, no keys built\n", indent, kept)
 		} else {
 			fmt.Fprintf(w, "%s  local cells: %d kept from the last fetch, keys built past them\n", indent, kept)
+		}
+	}
+	if kept, _ := s.Stat(StatKeptLevels); kept > 0 {
+		switch built, ok := s.lastAttr("repair", "built"); {
+		case !ok:
+			fmt.Fprintf(w, "%s  local tables: %d levels kept from the last fetch\n", indent, kept)
+		case built == 0:
+			fmt.Fprintf(w, "%s  local tables: %d levels kept from the last fetch, no points keyed\n", indent, kept)
+		default:
+			fmt.Fprintf(w, "%s  local tables: %d levels kept from the last fetch, points keyed for %d more\n", indent, kept, built)
 		}
 	}
 	if lo, ok := s.Stat(StatWindowLo); ok {

@@ -329,3 +329,31 @@ func TestFormatKeptCells(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatKeptLevels: a robust fetch that subtracted kept tables says
+// how many levels, and whether its repair built any table besides; one
+// that keyed its points says nothing.
+func TestFormatKeptLevels(t *testing.T) {
+	for _, c := range []struct {
+		kept, built int64
+		repaired    bool
+		line        string
+	}{
+		{3, 0, true, "local tables: 3 levels kept from the last fetch, no points keyed"},
+		{1, 9, true, "local tables: 1 levels kept from the last fetch, points keyed for 9 more"},
+		{3, 0, false, "local tables: 3 levels kept from the last fetch\n"},
+		{0, 3, true, ""},
+	} {
+		k := New("client")
+		if c.repaired {
+			k.Begin("repair").End(I("level", 10), I("built", c.built))
+		}
+		k.Stat(StatKeptLevels, c.kept)
+		var buf strings.Builder
+		k.Snapshot().Format(&buf)
+		out := buf.String()
+		if strings.Contains(out, "local tables:") != (c.line != "") || !strings.Contains(out, c.line) {
+			t.Fatalf("formatted trace of %d kept levels, %d built, want %q:\n%s", c.kept, c.built, c.line, out)
+		}
+	}
+}

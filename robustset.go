@@ -86,7 +86,10 @@
 // The fetching side runs every per-level pass — the adaptive strategy's
 // estimators, Bob's level tables, the repair — over the same presort,
 // and builds his table for a level only when the finest-to-coarsest
-// scan gets there, so reconciling equal sets costs one level.
+// scan gets there, so reconciling equal sets costs one level. A Client
+// that fetches a dataset robust again with the same local multiset
+// subtracts the tables its last fetch built instead, and then neither
+// keys nor presorts its points.
 //
 // cmd/bench runs a fixed workload matrix over all seven strategies and
 // writes BENCH_core.json — the repository's recorded performance

@@ -125,10 +125,12 @@ type SyncResult struct {
 	// or the snapshot FetchDataset took once the server had not said
 	// "same". The replicator diffs results against it.
 	local []Point
-	// rateless is a Rateless fetch's own result: the size of the
-	// difference it decoded, which its Client sizes the next warm opening
-	// from, and the state it kept of the multiset it returned.
-	rateless *protocol.RatelessResult
+	// next is what a Client's Rateless or Robust fetch leaves the next
+	// fetch of the dataset, as far as the strategy's fetch knows it: a
+	// rateless fetch's difference size, which the next warm opening is
+	// sized from, and the cells it kept of the multiset it returned; a
+	// robust fetch's tables of local (hintFrom adds the window).
+	next *hint
 }
 
 // EMD returns the exact Earth Mover's Distance between the result and
@@ -160,10 +162,23 @@ func (r *SyncResult) EMD(other []Point) (float64, error) {
 // the window on, unless that finest level is overloaded while a finer one
 // decodes (DESIGN.md "Warm robust window"). Peer-to-peer sessions, first
 // fetches, and fetches after a choice of MinLevel open cold.
+//
+// A Client also keeps, per dataset, its own tables of the next window's
+// levels, built by its last robust fetch over its local points. A fetch
+// whose local points are that multiset again — by the order-free
+// fingerprint rateless's kept cells use, in any order — under the same
+// seed, universe, capacity and hash count subtracts those tables instead
+// of keying and presorting its points, and builds only the levels they
+// lack. The result, element order included, is a fresh fetch's; nothing
+// changes on the wire.
 type Robust struct {
 	// window is a warm opening's window of levels [lo, hi], carried by the
 	// hello, as lo<<8 | hi; 0 opens cold.
 	window int
+	// kept is a Client's fetch's kept tables of the dataset: the ones the
+	// last fetch left, or a new state once the session is past the accept
+	// (nil elsewhere).
+	kept *protocol.RobustKept
 }
 
 // Name implements Strategy.
@@ -181,14 +196,20 @@ func (r Robust) helloConfig() []byte {
 // robustWindow returns Robust opening warm on the window [lo, hi].
 func robustWindow(lo, hi int) Robust { return Robust{window: lo<<8 | hi} }
 
-// warm returns Robust opening on the window hintFrom packed into h.
-func (Robust) warm(h hint) Strategy { return Robust{window: h.n} }
+// warm returns Robust opening on the window hintFrom packed into h, with
+// h's kept tables.
+func (Robust) warm(h hint) Strategy { return Robust{window: h.n, kept: h.tables} }
 
-// hintFrom packs the next window, core.WarmWindow of res's result; there
-// is none when it would reach below MinLevel or be the whole range.
+// hintFrom packs the next window, core.WarmWindow of res's result, with
+// the tables res kept of its levels; there is none when it would reach
+// below MinLevel or be the whole range.
 func (Robust) hintFrom(res *SyncResult) (hint, bool) {
 	lo, hi, ok := core.WarmWindow(res.Robust)
-	return hint{n: robustWindow(lo, hi).window}, ok
+	h := hint{n: robustWindow(lo, hi).window}
+	if res.next != nil {
+		h.tables = res.next.tables
+	}
+	return h, ok
 }
 
 func (Robust) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
@@ -212,14 +233,18 @@ func (r Robust) fetch(ctx context.Context, t transport.Transport, p Params, loca
 	var res *Result
 	var err error
 	if r.window == 0 {
-		res, err = protocol.RunPushBob(ctx, t, local)
+		res, err = r.kept.RunPushBob(ctx, t, local)
 	} else {
-		res, err = protocol.RunPushWindowBob(ctx, t, p, r.window>>8, r.window&0xff, local)
+		res, err = r.kept.RunPushWindowBob(ctx, t, p, r.window>>8, r.window&0xff, local)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &SyncResult{SPrime: res.SPrime, Robust: res}, nil
+	out := &SyncResult{SPrime: res.SPrime, Robust: res}
+	if r.kept != nil {
+		out.next = &hint{tables: r.kept}
+	}
+	return out, nil
 }
 
 func (Robust) sync(ctx context.Context, t transport.Transport, p Params, pts []Point) (*SyncResult, error) {
@@ -359,9 +384,7 @@ func (r Rateless) warm(h hint) Strategy {
 
 // hintFrom is the size of the difference res decoded, with the state res
 // kept of the multiset it returned.
-func (Rateless) hintFrom(res *SyncResult) (hint, bool) {
-	return hint{n: res.rateless.Diff, kept: res.rateless.Kept}, true
-}
+func (Rateless) hintFrom(res *SyncResult) (hint, bool) { return *res.next, true }
 
 func (r Rateless) config(p Params) protocol.RatelessConfig {
 	return protocol.RatelessConfig{
@@ -399,7 +422,7 @@ func (r Rateless) fetch(ctx context.Context, t transport.Transport, p Params, lo
 	if err != nil {
 		return nil, err
 	}
-	return &SyncResult{SPrime: res.SPrime, rateless: res}, nil
+	return &SyncResult{SPrime: res.SPrime, next: &hint{n: res.Diff, kept: res.Kept}}, nil
 }
 
 // CPIConfig parameterizes the characteristic-polynomial comparator.
@@ -716,8 +739,9 @@ func (s *Session) hello(strat Strategy, local *Dataset) protocol.Hello {
 // carries d's root, an accept marked "same" ends the fetch with an
 // Unchanged result, and d's snapshot is taken as local only after the
 // server has not said so; the session then goes on on the same stream.
-// A Client's Rateless session that goes on without a kept state starts a
-// new one there, so a fetch that ends at the accept allocates none.
+// A Client's Rateless or Robust session that goes on without a kept state
+// starts a new one there, so a fetch that ends at the accept allocates
+// none.
 func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat Strategy, d *Dataset, local []Point) (res *SyncResult, err error) {
 	p := s.params
 	var tr *trace.Trace
@@ -751,9 +775,17 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat St
 		if d != nil {
 			local = d.Snapshot()
 		}
-		if r, ok := strat.(Rateless); ok && r.kept == nil {
-			r.kept = protocol.NewRatelessKept()
-			strat = r
+		switch r := strat.(type) {
+		case Rateless:
+			if r.kept == nil {
+				r.kept = protocol.NewRatelessKept()
+				strat = r
+			}
+		case Robust:
+			if r.kept == nil {
+				r.kept = protocol.NewRobustKept()
+				strat = r
+			}
 		}
 	}
 	res, err = strat.fetch(ctx, t, p, local)
