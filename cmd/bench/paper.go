@@ -79,7 +79,7 @@ func paperMatrix(quick bool) []cell {
 	}
 	n = scale(4096, 1024)
 	for _, k := range pick([]int{2, 8, 32, 128}, []int{8}) {
-		add("E8", []robustset.Strategy{robustset.CPI{Capacity: 2*k + 4}, robustset.Rateless{}, robustset.Robust{}, robustset.Naive{}},
+		add("E8", []robustset.Strategy{robustset.Rateless{}, robustset.Robust{}, robustset.Naive{}},
 			n, k, 0, uint64(8000+k), params(u, 7, k))
 	}
 	n, reps = scale(2048, 512), scale(3, 1)

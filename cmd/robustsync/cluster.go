@@ -76,8 +76,8 @@ func cmdCluster(args []string) error {
 
 	u := robustset.Universe{Dim: *dim, Delta: *delta}
 	// Replication runs Rateless, which streams until it decodes and needs
-	// no DiffBudget; the budget only sizes what a robust or CPI fetch of a
-	// node's dataset would be served.
+	// no DiffBudget; the budget only sizes what a robust fetch of a node's
+	// dataset would be served.
 	params := robustset.Params{Universe: u, Seed: *seed, DiffBudget: *nodes**extra + *churn + 8}
 
 	common, extras := clusterPoints(u, *n, *nodes, *extra, *seed)

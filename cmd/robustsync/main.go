@@ -21,7 +21,7 @@
 // dataset from its snapshot plus log tail (the -data files then only
 // name the datasets; disk state wins).
 // `pull` dials the server, opens a session naming one dataset and a
-// protocol (-proto oneshot|adaptive|rateless|cpi|naive) and
+// protocol (-proto oneshot|adaptive|rateless|naive) and
 // adopts the server's reconciliation parameters automatically. `cluster`
 // replicates with rateless sessions, gossips every shard over one
 // connection per peer and asserts the
@@ -105,6 +105,9 @@ func fsyncPolicyFor(mode string) (robustset.FsyncPolicy, error) {
 	}
 }
 
+// protoUsage is the -proto flag's help text.
+const protoUsage = "protocol: oneshot|adaptive|rateless|naive (default oneshot)"
+
 // strategyFor maps a -proto flag value to a Strategy.
 func strategyFor(proto string) (robustset.Strategy, error) {
 	switch proto {
@@ -114,12 +117,10 @@ func strategyFor(proto string) (robustset.Strategy, error) {
 		return robustset.Adaptive{}, nil
 	case "rateless":
 		return robustset.Rateless{}, nil
-	case "cpi":
-		return robustset.CPI{}, nil
 	case "naive":
 		return robustset.Naive{}, nil
 	default:
-		return nil, fmt.Errorf("unknown -proto %q (oneshot|adaptive|rateless|cpi|naive)", proto)
+		return nil, fmt.Errorf("unknown -proto %q (oneshot|adaptive|rateless|naive)", proto)
 	}
 }
 
@@ -194,15 +195,11 @@ func cmdLocal(args []string) error {
 	bobFile := fs.String("bob", "", "Bob's point file (required)")
 	k := fs.Int("k", 16, "difference budget")
 	seed := fs.Uint64("seed", 42, "shared protocol seed")
-	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|cpi|naive (default oneshot)")
-	adaptive := fs.Bool("adaptive", false, "shorthand for -proto adaptive")
+	proto := fs.String("proto", "", protoUsage)
 	out := fs.String("out", "", "write Bob's reconciled set here")
 	fs.Parse(args)
 	if *aliceFile == "" || *bobFile == "" {
 		return fmt.Errorf("local: -alice and -bob are required")
-	}
-	if *adaptive && *proto == "" {
-		*proto = "adaptive"
 	}
 	strat, err := strategyFor(*proto)
 	if err != nil {
@@ -343,17 +340,13 @@ func cmdPull(args []string) error {
 	data := fs.String("data", "", "local point file (required)")
 	connect := fs.String("connect", "", "server address (required)")
 	dataset := fs.String("dataset", "", "dataset name on the server (default: derived from -data)")
-	proto := fs.String("proto", "", "protocol: oneshot|adaptive|rateless|cpi|naive (default oneshot)")
-	adaptive := fs.Bool("adaptive", false, "shorthand for -proto adaptive")
+	proto := fs.String("proto", "", protoUsage)
 	timeout := fs.Duration("timeout", time.Minute, "overall session deadline (0 = none)")
 	showTrace := fs.Bool("trace", false, "print the session's phase spans and per-frame wire bytes")
 	out := fs.String("out", "", "write the reconciled set here")
 	fs.Parse(args)
 	if *data == "" || *connect == "" {
 		return fmt.Errorf("pull: -data and -connect are required")
-	}
-	if *adaptive && *proto == "" {
-		*proto = "adaptive"
 	}
 	strat, err := strategyFor(*proto)
 	if err != nil {

@@ -56,7 +56,7 @@ func TestGenAdaptiveLocal(t *testing.T) {
 	if err := cmdGen([]string{"-out", alice, "-from", bob, "-noise", "2", "-outliers", "4", "-seed", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdLocal([]string{"-alice", alice, "-bob", bob, "-k", "4", "-adaptive"}); err != nil {
+	if err := cmdLocal([]string{"-alice", alice, "-bob", bob, "-k", "4", "-proto", "adaptive"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -48,8 +48,8 @@ func main() {
 	params := robustset.Params{
 		Universe: universe,
 		Seed:     4242,
-		// The diff budget sizes what a robust or CPI fetch would be
-		// served; replication streams until it decodes and needs none.
+		// The diff budget sizes what a robust fetch would be served;
+		// replication streams until it decodes and needs none.
 		DiffBudget: nNodes*nExtra + 8,
 	}
 

@@ -47,15 +47,8 @@ func main() {
 	params := robustset.Params{Universe: universe, Seed: 1234, DiffBudget: missed}
 
 	// The same runner serves every protocol: the Strategy value is the
-	// only thing that changes. (CPI is omitted: under per-reading noise
-	// its fixed capacity would have to cover ~2n differences.)
-	strategies := []robustset.Strategy{
-		robustset.Robust{},
-		robustset.Adaptive{},
-		robustset.Rateless{},
-		robustset.Naive{},
-	}
-	for _, strat := range strategies {
+	// only thing that changes.
+	for _, strat := range robustset.Strategies() {
 		runStrategy(strat, params, stationA, stationB)
 	}
 

@@ -52,7 +52,7 @@ func TestAllReconcilersExactRegime(t *testing.T) {
 	params := robustset.Params{Universe: testUniverse, Seed: 9, DiffBudget: 8}
 	for _, strat := range []robustset.Strategy{
 		robustset.Robust{}, robustset.Adaptive{}, robustset.Naive{},
-		robustset.Rateless{}, robustset.CPI{Capacity: 40},
+		robustset.Rateless{},
 	} {
 		out, st, err := exchange(strat, params, inst.Alice, inst.Bob)
 		if err != nil {
@@ -153,14 +153,6 @@ func TestEstimateFirstCheaperThanOneShot(t *testing.T) {
 		if len(est.SPrime) != len(inst.Bob) {
 			t.Errorf("k=%d: |S'_B| = %d, want %d", k, len(est.SPrime), len(inst.Bob))
 		}
-	}
-}
-
-func TestCPICapacityExceededSurfaces(t *testing.T) {
-	inst := exactInstance(t, 200, 30, 61) // 60 diffs > capacity 10
-	params := robustset.Params{Universe: testUniverse, Seed: 71}
-	if _, _, err := exchange(robustset.CPI{Capacity: 10}, params, inst.Alice, inst.Bob); err == nil {
-		t.Fatal("over-capacity CPI sync succeeded")
 	}
 }
 

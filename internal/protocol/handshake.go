@@ -64,10 +64,11 @@ const rootLen = 16
 const muxMagic = "MUX1"
 
 // Strategy wire codes carried in MsgHello, one per strategy.
-// StrategyExactIBLT and StrategyRangeBased are retired: they named the
-// doubling exact-IBLT path and the range-based divide-and-conquer
-// strategy. No strategy answers either, a server refuses a hello naming
-// one as an unknown strategy, and neither code is reused.
+// StrategyExactIBLT, StrategyCPI and StrategyRangeBased are retired: they
+// named the doubling exact-IBLT path, characteristic-polynomial sync and
+// the range-based divide-and-conquer strategy. No strategy answers any of
+// them, a server refuses a hello naming one as an unknown strategy, and
+// no code is reused.
 const (
 	StrategyRobust     byte = 1
 	StrategyAdaptive   byte = 2
@@ -87,10 +88,9 @@ type Hello struct {
 	Strategy byte
 	// Dataset names the server-side dataset to reconcile against.
 	Dataset string
-	// Config is an opaque strategy-specific blob (e.g. the CPI capacity,
-	// the rateless warm first request, the robust warm window) that the
-	// serving side must honor for the two parties' sketches to be
-	// compatible.
+	// Config is an opaque strategy-specific blob (e.g. the rateless warm
+	// first request, the robust warm window) that the serving side must
+	// honor for the two parties' sketches to be compatible.
 	Config []byte
 	// Root, when set, is the root aggregate of the client's local multiset:
 	// the ranges.Agg of its occurrence keys (ranges.Keys) under the hash

@@ -75,46 +75,6 @@ func TestNaiveHappyPath(t *testing.T) {
 		})
 }
 
-func TestCPIHappyPath(t *testing.T) {
-	inst, err := exactInstanceForProtocol(t, 250, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := CPIConfig{Universe: testU, Seed: 9, Capacity: 24}
-	runPair(t,
-		func(tr transport.Transport) error { return RunCPIAlice(bg, tr, cfg, inst.alice) },
-		func(tr transport.Transport) error {
-			got, err := RunCPIBob(bg, tr, cfg, inst.bob)
-			if err != nil {
-				return err
-			}
-			if !points.EqualMultisets(got, inst.alice) {
-				t.Error("cpi sync did not converge to S_A")
-			}
-			return nil
-		})
-}
-
-func TestCPIHappyPathNoDifference(t *testing.T) {
-	inst, err := exactInstanceForProtocol(t, 100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := CPIConfig{Universe: testU, Seed: 11, Capacity: 8}
-	runPair(t,
-		func(tr transport.Transport) error { return RunCPIAlice(bg, tr, cfg, inst.alice) },
-		func(tr transport.Transport) error {
-			got, err := RunCPIBob(bg, tr, cfg, inst.bob)
-			if err != nil {
-				return err
-			}
-			if !points.EqualMultisets(got, inst.alice) {
-				t.Error("identical sets changed under cpi sync")
-			}
-			return nil
-		})
-}
-
 type exactPair struct{ alice, bob []points.Point }
 
 // exactInstanceForProtocol builds a zero-noise instance with k replaced

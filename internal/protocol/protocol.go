@@ -29,23 +29,20 @@ import (
 // dependency points protocol → trace only.
 func init() {
 	for tag, name := range map[byte]string{
-		MsgSketch:         "SKETCH",
-		MsgEstRequest:     "EST_REQUEST",
-		MsgEstimators:     "ESTIMATORS",
-		MsgLevelRequest:   "LEVEL_REQUEST",
-		MsgLevelTable:     "LEVEL_TABLE",
-		MsgDone:           "DONE",
-		MsgSet:            "SET",
-		MsgCPISketch:      "CPI_SKETCH",
-		MsgPayloadRequest: "PAYLOAD_REQUEST",
-		MsgPayloads:       "PAYLOADS",
-		MsgError:          "ERROR",
-		MsgCellsRequest:   "CELLS_REQUEST",
-		MsgCells:          "CELLS",
-		MsgHello:          "HELLO",
-		MsgAccept:         "ACCEPT",
-		MsgMuxHello:       "MUX_HELLO",
-		MsgMuxAccept:      "MUX_ACCEPT",
+		MsgSketch:       "SKETCH",
+		MsgEstRequest:   "EST_REQUEST",
+		MsgEstimators:   "ESTIMATORS",
+		MsgLevelRequest: "LEVEL_REQUEST",
+		MsgLevelTable:   "LEVEL_TABLE",
+		MsgDone:         "DONE",
+		MsgSet:          "SET",
+		MsgError:        "ERROR",
+		MsgCellsRequest: "CELLS_REQUEST",
+		MsgCells:        "CELLS",
+		MsgHello:        "HELLO",
+		MsgAccept:       "ACCEPT",
+		MsgMuxHello:     "MUX_HELLO",
+		MsgMuxAccept:    "MUX_ACCEPT",
 	} {
 		trace.RegisterFrameName(tag, name)
 	}
@@ -73,14 +70,8 @@ const (
 	// 0x08 was the rateless strategy's strata estimator, 0x09 and 0x0a
 	// the retired doubling path's table request and table; no protocol
 	// answers them.
-	// MsgCPISketch carries a cpi.Sketch blob.
-	MsgCPISketch byte = 0x0b
-	// MsgPayloadRequest asks for point payloads by element hash: a
-	// u32-count list of u64 hashes.
-	MsgPayloadRequest byte = 0x0c
-	// MsgPayloads answers MsgPayloadRequest with points.EncodeSet data in
-	// request order.
-	MsgPayloads byte = 0x0d
+	// 0x0b, 0x0c and 0x0d were the retired CPI strategy's sketch,
+	// payload request and payloads; no protocol answers them.
 	// 0x14 and 0x15 were the retired range-based strategy's probe and
 	// item frames; no protocol answers them.
 	// MsgError carries a UTF-8 reason; the sender is aborting.

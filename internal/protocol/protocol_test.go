@@ -166,36 +166,6 @@ func TestEstimateAliceRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-func TestCPIAliceRejectsUnknownPayloadRequest(t *testing.T) {
-	inst := testInstance(t, 50, 2)
-	cfg := CPIConfig{Universe: testU, Seed: 1, Capacity: 8}
-	alice := func(tr transport.Transport) error { return RunCPIAlice(bg, tr, cfg, inst.Alice) }
-
-	err := driveAlice(t, alice, func(tr transport.Transport) {
-		if _, err := recvExpect(bg, tr, MsgCPISketch); err != nil {
-			t.Error(err)
-			return
-		}
-		req := binary.LittleEndian.AppendUint32(nil, 1)
-		req = binary.LittleEndian.AppendUint64(req, 0xdeadbeef) // not an element
-		send(bg, tr, MsgPayloadRequest, req)
-	})
-	if err == nil {
-		t.Error("unknown element request accepted")
-	}
-	// Malformed body length.
-	err = driveAlice(t, alice, func(tr transport.Transport) {
-		if _, err := recvExpect(bg, tr, MsgCPISketch); err != nil {
-			t.Error(err)
-			return
-		}
-		send(bg, tr, MsgPayloadRequest, []byte{5, 0, 0, 0, 1}) // claims 5, carries 1 byte
-	})
-	if err == nil {
-		t.Error("malformed payload request accepted")
-	}
-}
-
 func TestPushBobRejectsGarbageSketch(t *testing.T) {
 	at, bt := transport.Pair()
 	defer at.Close()

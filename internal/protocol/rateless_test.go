@@ -583,10 +583,9 @@ func TestRatelessWarmRequestRefused(t *testing.T) {
 
 // TestTinyDifferenceHugeSetWire pins the corner a range-probing strategy
 // once held: a set of 20 000 points with 8 replaced. A warm rateless
-// opening, whose first request is sized from the last difference, a cold
-// one, which opens on the 32-cell head, and CPI provisioned for the
-// difference each stay under the 6 003 bytes range probing moved on this
-// instance (511, 543 and 588 B when pinned).
+// opening, whose first request is sized from the last difference, and a
+// cold one, which opens on the 32-cell head, each stay under the 6 003
+// bytes range probing moved on this instance (511 and 543 B when pinned).
 func TestTinyDifferenceHugeSetWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instance")
@@ -602,48 +601,32 @@ func TestTinyDifferenceHugeSetWire(t *testing.T) {
 	for i := 0; i < d; i++ {
 		bob[i*97] = points.Point{int64(1 + i), int64(2 + i)}
 	}
-	// run reconciles bob against alice over a pipe and returns the bytes
-	// that crossed it, both ways.
-	run := func(name string, serve func(transport.Transport) error, fetch func(transport.Transport) ([]points.Point, error)) (total int64) {
+	// rateless reconciles bob against alice over a pipe and returns the
+	// bytes that crossed it, both ways.
+	rateless := func(cfg RatelessConfig) (total int64) {
 		t.Helper()
-		runPair(t, serve, func(tr transport.Transport) error {
-			got, err := fetch(tr)
-			if err == nil && !points.EqualMultisets(got, alice) {
-				t.Errorf("%s diverged", name)
-			}
-			total = tr.Stats().Total()
-			return err
-		})
-		return total
-	}
-	rateless := func(cfg RatelessConfig) int64 {
-		return run("rateless",
+		runPair(t,
 			func(tr transport.Transport) error { return RunRatelessAlice(bg, tr, cfg, alice) },
-			func(tr transport.Transport) ([]points.Point, error) {
+			func(tr transport.Transport) error {
 				res, err := RunRatelessBob(bg, tr, cfg, bob)
-				if err != nil {
-					return nil, err
+				if err == nil && !points.EqualMultisets(res.SPrime, alice) {
+					t.Error("rateless diverged")
 				}
-				return res.SPrime, nil
+				total = tr.Stats().Total()
+				return err
 			})
+		return total
 	}
 	cold := RatelessConfig{Universe: u, Seed: 7}
 	warm := cold
 	warm.First = warm.WarmFirst(2 * d)
-	ccfg := CPIConfig{Universe: u, Seed: 7, Capacity: 40}
-	cpiBytes := run("cpi",
-		func(tr transport.Transport) error { return RunCPIAlice(bg, tr, ccfg, alice) },
-		func(tr transport.Transport) ([]points.Point, error) { return RunCPIBob(bg, tr, ccfg, bob) })
 	warmBytes, coldBytes := rateless(warm), rateless(cold)
-	t.Logf("warm rateless %d B, cpi %d B, cold rateless %d B; range probing moved %d B",
-		warmBytes, cpiBytes, coldBytes, rangeProbeBytes)
+	t.Logf("warm rateless %d B, cold rateless %d B; range probing moved %d B",
+		warmBytes, coldBytes, rangeProbeBytes)
 	if warmBytes >= rangeProbeBytes {
 		t.Errorf("warm rateless moved %d bytes, not under range probing's %d", warmBytes, rangeProbeBytes)
 	}
 	if coldBytes >= rangeProbeBytes {
 		t.Errorf("cold rateless moved %d bytes, not under range probing's %d", coldBytes, rangeProbeBytes)
-	}
-	if cpiBytes >= rangeProbeBytes {
-		t.Errorf("cpi moved %d bytes, not under range probing's %d", cpiBytes, rangeProbeBytes)
 	}
 }

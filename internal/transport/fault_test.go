@@ -92,26 +92,13 @@ func (c shortReadConn) Read(b []byte) (int, error) {
 	return c.Conn.Read(b)
 }
 
-// fetchStrategies enumerates every built-in strategy with knobs that make
-// the fault runs deterministic and fast (CPI needs an explicit capacity).
-func fetchStrategies() []robustset.Strategy {
-	out := make([]robustset.Strategy, 0, 6)
-	for _, s := range robustset.Strategies() {
-		if _, isCPI := s.(robustset.CPI); isCPI {
-			s = robustset.CPI{Capacity: 16}
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // TestFaultShortReadsStillCorrect injects pathological 1-byte reads under
 // every strategy's fetch side and requires the exchange to succeed
 // bit-for-bit anyway: framing must never depend on read segmentation.
 func TestFaultShortReadsStillCorrect(t *testing.T) {
 	alice, bob := faultPair(120, 4)
 	params := faultParams()
-	for _, strat := range fetchStrategies() {
+	for _, strat := range robustset.Strategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
 			sess, err := robustset.NewSession(strat, robustset.WithParams(params))
 			if err != nil {
@@ -145,7 +132,7 @@ func TestFaultShortReadsStillCorrect(t *testing.T) {
 func TestFaultMidFrameEOF(t *testing.T) {
 	_, bob := faultPair(80, 4)
 	params := faultParams()
-	for _, strat := range fetchStrategies() {
+	for _, strat := range robustset.Strategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
 			sess, err := robustset.NewSession(strat, robustset.WithParams(params))
 			if err != nil {
@@ -198,7 +185,7 @@ func TestFaultMidFrameEOF(t *testing.T) {
 func TestFaultStallPastDeadline(t *testing.T) {
 	_, bob := faultPair(80, 4)
 	params := faultParams()
-	for _, strat := range fetchStrategies() {
+	for _, strat := range robustset.Strategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
 			sess, err := robustset.NewSession(strat, robustset.WithParams(params))
 			if err != nil {
@@ -240,7 +227,7 @@ func TestFaultStallPastDeadline(t *testing.T) {
 func TestFaultGarbageFrame(t *testing.T) {
 	_, bob := faultPair(80, 4)
 	params := faultParams()
-	for _, strat := range fetchStrategies() {
+	for _, strat := range robustset.Strategies() {
 		t.Run(strat.Name(), func(t *testing.T) {
 			sess, err := robustset.NewSession(strat, robustset.WithParams(params))
 			if err != nil {

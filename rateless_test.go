@@ -66,8 +66,9 @@ func TestRatelessAgainstServer(t *testing.T) {
 }
 
 // TestExactClientAgainstRatelessServer: a client of a retired strategy —
-// exact-IBLT's hello with the one-byte config it sent, or the range-based
-// strategy's with its three-byte branch and item limit — against a server
+// exact-IBLT's hello with the one-byte config it sent, CPI's with its
+// four-byte capacity, or the range-based strategy's with its three-byte
+// branch and item limit — against a server
 // that serves the dataset rateless is refused as an unknown strategy, and
 // the refusal reaches it as the server's *RemoteError; a Rateless client
 // of the same dataset converges afterwards.
@@ -82,6 +83,7 @@ func TestExactClientAgainstRatelessServer(t *testing.T) {
 
 	for _, hello := range []protocol.Hello{
 		{Strategy: protocol.StrategyExactIBLT, Dataset: "d", Config: []byte{4}},
+		{Strategy: protocol.StrategyCPI, Dataset: "d", Config: []byte{40, 0, 0, 0}},
 		{Strategy: protocol.StrategyRangeBased, Dataset: "d", Config: []byte{8, 16, 0}},
 	} {
 		st := openStream(t, addr.String())

@@ -35,12 +35,10 @@
 // the wire protocol. Robust (one-shot) and Adaptive (estimate-first,
 // multi-round) are the paper's; Rateless (difference digest over an
 // extendable-IBLT cell stream, whose wire cost tracks the actual
-// difference even when the estimate is wrong), CPI
-// (characteristic-polynomial sync) and Naive (full transfer) are the
-// classic exact schemes it benchmarks against. Session.Serve /
-// Session.Fetch run it peer to peer over
-// any net.Conn, under parameters both sides agree on, with context
-// cancellation and deadlines:
+// difference even when the estimate is wrong) and Naive (full transfer)
+// are the classic exact schemes it benchmarks against. Session.Serve /
+// Session.Fetch run it peer to peer over any net.Conn, under parameters
+// both sides agree on, with context cancellation and deadlines:
 //
 //	sess, _ := robustset.NewSession(robustset.Robust{}, robustset.WithParams(params))
 //	res, stats, err := sess.Fetch(ctx, conn, bobPoints)

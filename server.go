@@ -35,7 +35,7 @@ var ErrUnknownDataset = errors.New("robustset: unknown dataset")
 // sessions are served from the Maintainer in O(sketch) time regardless of
 // dataset size — adaptive ones a level at a time, rateless ones from state
 // a session of theirs leaves behind (DESIGN.md, "Served state")
-// — while CPI and Naive snapshot the points. The multiset is
+// — while Naive snapshots the points. The multiset is
 // stored as encoded-point occurrence counts, so Add and Remove cost
 // O(levels) maintainer updates plus an O(1) map operation — no linear
 // scans on high-churn datasets. Beside them it keeps the root

@@ -60,8 +60,8 @@ func TestRetiredDatasetServingRejected(t *testing.T) {
 // TestStrategyFromCodeExactConfigLength: every strategy code carries a
 // hello config of one exact length; a shorter or longer blob is refused
 // rather than served something the peer did not ask for, and so is an
-// unknown code — the retired exact-IBLT and range-based codes among them,
-// whatever config they carry. The accepted blob is what the strategy's
+// unknown code — the retired exact-IBLT, CPI and range-based codes among
+// them, whatever config they carry. The accepted blob is what the strategy's
 // own helloConfig writes.
 func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 	for _, strat := range Strategies() {
@@ -81,8 +81,8 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 			}
 		}
 	}
-	for _, code := range []byte{protocol.StrategyExactIBLT, protocol.StrategyRangeBased} {
-		for _, cfg := range [][]byte{nil, {4}, {4, 1}, {8, 16, 0}} {
+	for _, code := range []byte{protocol.StrategyExactIBLT, protocol.StrategyCPI, protocol.StrategyRangeBased} {
+		for _, cfg := range [][]byte{nil, {4}, {4, 1}, {8, 16, 0}, {40, 0, 0, 0}} {
 			if _, err := strategyFromCode(code, cfg); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
 				t.Errorf("retired code %d with a %d-byte config: %v, want an unknown strategy", code, len(cfg), err)
 			}

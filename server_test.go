@@ -370,9 +370,6 @@ func TestServerSessionTimeout(t *testing.T) {
 	}
 }
 
-// TestServerRejectsHostileCPICapacity sends a handcrafted hello naming an
-// absurd CPI capacity and asserts the server replies with a protocol
-// error instead of attempting the allocation.
 // TestServerConcurrentFetchAndMutation hammers one dataset with parallel
 // robust and adaptive fetches while two writer goroutines churn
 // Add/Remove — the high-contention shape a sync server lives under. Run
@@ -527,6 +524,9 @@ func TestServerShutdownDuringBuild(t *testing.T) {
 	}
 }
 
+// TestServerRejectsHostileCPICapacity sends a handcrafted hello naming the
+// retired CPI code with an absurd 4-byte capacity and asserts the server
+// relays its unknown-strategy refusal instead of serving anything.
 func TestServerRejectsHostileCPICapacity(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 7, DiffBudget: 4}
 	alice, _ := deterministicPair(99, 50, 4, 2)
@@ -543,8 +543,8 @@ func TestServerRejectsHostileCPICapacity(t *testing.T) {
 	}
 	_, err := protocol.RunHelloClient(context.Background(), st, hello)
 	var remote *protocol.RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("hostile hello answered with %v, want the server's *RemoteError", err)
+	if !errors.As(err, &remote) || !strings.Contains(remote.Reason, "unknown strategy") {
+		t.Fatalf("hostile hello answered with %v, want the server's unknown-strategy *RemoteError", err)
 	}
 }
 

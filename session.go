@@ -16,9 +16,9 @@ import (
 	"robustset/internal/transport"
 )
 
-// Strategy selects which reconciliation protocol a Session runs. The five
-// implementations — Robust, Adaptive, Rateless, CPI and Naive —
-// wrap the module's wire protocols behind one interface, so serving and
+// Strategy selects which reconciliation protocol a Session runs. The four
+// implementations — Robust, Adaptive, Rateless and Naive — wrap the
+// module's wire protocols behind one interface, so serving and
 // fetching code is written once and the protocol is a configuration
 // choice. The interface is closed (its lower-case methods cannot be
 // implemented outside this package) because both endpoints must agree on
@@ -87,11 +87,6 @@ type validatingStrategy interface {
 	validate() error
 }
 
-// maxCPICapacity bounds the CPI sketch size, matching the 1<<24 ceiling
-// the robust level-table request enforces — a handshake can never drive a
-// pathological allocation.
-const maxCPICapacity = 1 << 24
-
 // TransferStats reports the bytes and messages an endpoint exchanged
 // during a connection-oriented reconciliation.
 type TransferStats = transport.Stats
@@ -105,7 +100,7 @@ type SyncResult struct {
 	// is close to the remote set in Earth Mover's Distance.
 	SPrime []Point
 	// Robust carries the robust protocol's detailed result (chosen level,
-	// added/removed points, per-level outcomes); nil for Rateless, CPI and
+	// added/removed points, per-level outcomes); nil for Rateless and
 	// Naive.
 	Robust *Result
 	// Params are the parameters the exchange actually ran under. When
@@ -425,72 +420,6 @@ func (r Rateless) fetch(ctx context.Context, t transport.Transport, p Params, lo
 	return &SyncResult{SPrime: res.SPrime, next: &hint{n: res.Diff, kept: res.Kept}}, nil
 }
 
-// CPIConfig parameterizes the characteristic-polynomial comparator.
-type CPIConfig = protocol.CPIConfig
-
-// CPI is characteristic-polynomial exact synchronization
-// (minisketch-class: optimal O(capacity) communication for exact
-// differences, no cheap retry path).
-type CPI struct {
-	// Capacity is the maximum recoverable difference |AΔB|. 0 derives
-	// 2·DiffBudget+8 from the session parameters.
-	Capacity int
-}
-
-// Name implements Strategy.
-func (CPI) Name() string { return "cpi" }
-
-func (c CPI) validate() error {
-	if c.Capacity < 0 || c.Capacity > maxCPICapacity {
-		return fmt.Errorf("robustset: CPI capacity %d outside [0,%d]", c.Capacity, maxCPICapacity)
-	}
-	return nil
-}
-
-func (c CPI) code() byte { return protocol.StrategyCPI }
-
-func (c CPI) helloConfig() []byte {
-	return binary.LittleEndian.AppendUint32(nil, uint32(c.Capacity))
-}
-
-func (c CPI) config(p Params) (CPIConfig, error) {
-	capacity := c.Capacity
-	if capacity == 0 {
-		if p.DiffBudget < 1 {
-			return CPIConfig{}, errors.New("robustset: CPI strategy needs Capacity or Params.DiffBudget")
-		}
-		capacity = 2*p.DiffBudget + 8
-	}
-	// Re-validated here (not only in NewSession) because a server derives
-	// the capacity from an untrusted hello blob.
-	if capacity < 1 || capacity > maxCPICapacity {
-		return CPIConfig{}, fmt.Errorf("robustset: CPI capacity %d outside [1,%d]", capacity, maxCPICapacity)
-	}
-	return CPIConfig{Universe: p.Universe, Seed: p.Seed, Capacity: capacity}, nil
-}
-
-func (c CPI) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
-	cfg, err := c.config(p)
-	if err != nil {
-		// Relay the configuration error so the peer fails fast with a
-		// RemoteError instead of blocking until the connection drops.
-		return protocol.SendError(ctx, t, err)
-	}
-	return protocol.RunCPIAlice(ctx, t, cfg, pts)
-}
-
-func (c CPI) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
-	cfg, err := c.config(p)
-	if err != nil {
-		return nil, protocol.SendError(ctx, t, err)
-	}
-	sp, err := protocol.RunCPIBob(ctx, t, cfg, local)
-	if err != nil {
-		return nil, err
-	}
-	return &SyncResult{SPrime: sp}, nil
-}
-
 // Naive transfers the serving side's entire point set — the trivial
 // comparator every sublinear protocol must beat, and occasionally the
 // right answer for tiny sets.
@@ -515,58 +444,35 @@ func (Naive) fetch(ctx context.Context, t transport.Transport, p Params, local [
 }
 
 // strategyFromCode reconstructs the serving side of a strategy from its
-// handshake code and config blob. Every code carries a config of one
-// exact length — what the strategy's helloConfig writes — and any other
-// length is refused: a blob with bytes this build would ignore comes from
-// a peer that means something else by the code. The strategies that open
-// warm are the exception, with one rule: an empty config opens cold, and
-// any other is a warm opening's. Robust's is two bytes, a window's levels
-// lo ≤ hi, where hi is above MinLevel and so never 0 (serving holds the
-// window to the dataset's range); Rateless's is a u32 first request,
-// never 0.
+// handshake code and config blob. A config is empty — what a strategy's
+// helloConfig writes when it opens cold — unless it is a warm opening's:
+// Robust's is two bytes, a window's levels lo ≤ hi, where hi is above
+// MinLevel and so never 0 (serving holds the window to the dataset's
+// range); Rateless's is a u32 first request, never 0. Any other blob is
+// refused: bytes this build would ignore come from a peer that means
+// something else by the code.
 func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
-	exact := func(n int) error {
-		if len(cfg) != n {
-			return fmt.Errorf("robustset: strategy code 0x%02x carries a %d-byte config, want %d", code, len(cfg), n)
-		}
-		return nil
-	}
-	var (
-		s   Strategy
-		err error
-	)
+	var s Strategy
 	switch code {
 	case protocol.StrategyRobust:
 		if len(cfg) == 2 && cfg[0] <= cfg[1] && cfg[1] != 0 {
-			s = robustWindow(int(cfg[0]), int(cfg[1]))
-		} else {
-			s, err = Robust{}, exact(0)
+			return robustWindow(int(cfg[0]), int(cfg[1])), nil
 		}
+		s = Robust{}
 	case protocol.StrategyAdaptive:
-		s, err = Adaptive{}, exact(0)
+		s = Adaptive{}
 	case protocol.StrategyNaive:
-		s, err = Naive{}, exact(0)
+		s = Naive{}
 	case protocol.StrategyRateless:
 		if len(cfg) == 4 && binary.LittleEndian.Uint32(cfg) != 0 {
-			s = Rateless{first: int(binary.LittleEndian.Uint32(cfg))}
-		} else {
-			s, err = coldRateless, exact(0)
+			return Rateless{first: int(binary.LittleEndian.Uint32(cfg))}, nil
 		}
-	case protocol.StrategyCPI:
-		if err = exact(4); err == nil {
-			s = CPI{Capacity: int(binary.LittleEndian.Uint32(cfg))}
-		}
+		s = coldRateless
 	default:
-		err = fmt.Errorf("robustset: unknown strategy code 0x%02x", code)
+		return nil, fmt.Errorf("robustset: unknown strategy code 0x%02x", code)
 	}
-	if err != nil {
-		return nil, err
-	}
-	// The knobs came off the wire; hold them to the bounds NewSession does.
-	if v, ok := s.(validatingStrategy); ok {
-		if err := v.validate(); err != nil {
-			return nil, err
-		}
+	if len(cfg) != 0 {
+		return nil, fmt.Errorf("robustset: strategy code 0x%02x carries a %d-byte config, want 0", code, len(cfg))
 	}
 	return s, nil
 }
@@ -832,5 +738,5 @@ func (s *Session) Sync(ctx context.Context, conn net.Conn, pts []Point) (*SyncRe
 // Strategies returns one value of every built-in strategy, in a stable
 // order — handy for tools and tests that iterate over all protocols.
 func Strategies() []Strategy {
-	return []Strategy{Robust{}, Adaptive{}, Rateless{}, CPI{}, Naive{}}
+	return []Strategy{Robust{}, Adaptive{}, Rateless{}, Naive{}}
 }

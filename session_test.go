@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +25,8 @@ func TestSessionAllStrategies(t *testing.T) {
 		t.Run(strat.Name(), func(t *testing.T) {
 			local := bob
 			switch strat.(type) {
-			case robustset.Rateless, robustset.CPI:
-				// Exact protocols get the exact regime.
+			case robustset.Rateless:
+				// The exact protocol gets the exact regime.
 				local = exactBob
 			}
 			res, stats, err := baseline.Exchange(ctx, strat, params, alice, local)
@@ -284,12 +283,6 @@ func TestStrategyValidation(t *testing.T) {
 	if _, err := robustset.NewSession(robustset.Rateless{MaxBytes: -1}); err == nil {
 		t.Error("negative rateless byte budget accepted")
 	}
-	if _, err := robustset.NewSession(robustset.CPI{Capacity: 1 << 30}); err == nil {
-		t.Error("oversized CPI capacity accepted")
-	}
-	if _, err := robustset.NewSession(robustset.CPI{Capacity: -1}); err == nil {
-		t.Error("negative CPI capacity accepted")
-	}
 	for _, o := range []robustset.AdaptiveOptions{
 		{EstimatorK: 4}, {EstimatorK: 1<<16 + 1}, {EstimatorK: -8}, {Budget: -1}, {MaxRetries: -1},
 	} {
@@ -322,8 +315,6 @@ const (
 	// expClose: fetch succeeds (robust best-effort semantics; quality is
 	// covered by the EMD tests in internal/core).
 	expClose
-	// expError: the fetch must fail loudly with a recognizable error.
-	expError
 )
 
 // confScenario is one input matrix row.
@@ -335,10 +326,6 @@ type confScenario struct {
 	// def.
 	def    confExpect
 	expect map[string]confExpect
-	// errLike: for expError cells, a substring the error must carry (or
-	// an errors.Is target in errIs).
-	errLike string
-	errIs   error
 	// diffUB bounds the exact-regime symmetric difference |AΔB|, used by
 	// the exact-IBLT wire budget.
 	diffUB int
@@ -385,9 +372,6 @@ func confWireBudget(strat robustset.Strategy, sc confScenario) int64 {
 		// plus at most 50% chunk-growth overshoot.
 		head := cellsUB(32) + 2048
 		return head + tableUB(2*sc.diffUB+64) + 2048
-	case robustset.CPI:
-		// Sketch Θ(capacity) + payload round-trip Θ(diff).
-		return int64(8*(2*k+16)) + int64(sc.diffUB)*int64(16+8*dim) + 2048
 	case robustset.Naive:
 		return 2*int64(8*dim*n) + 2048
 	}
@@ -435,7 +419,7 @@ func confScenarios(t *testing.T) []confScenario {
 
 	// Above capacity: equal sizes, 80 genuine replacements against a
 	// budget of 8 — the robust protocols degrade to a coarse level, the
-	// exact IBLT retries its way through, CPI must refuse.
+	// exact IBLT streams its way through.
 	overA, overB := deterministicPair(13, 200, 80, 0)
 
 	scaleA, scaleB := deterministicPair(29, 20000, 8, 2)
@@ -470,30 +454,24 @@ func confScenarios(t *testing.T) []confScenario {
 			params: params(6), def: expClose, diffUB: 2 * 240,
 			expect: map[string]confExpect{
 				"rateless": expExact, // streams until decode, still correct
-				"cpi":      expError, // diff ≫ capacity, no retry path
 				"naive":    expExact,
 			},
-			errLike: "capacity",
 		},
 		{
 			name: "above-capacity", alice: overA, bob: overB,
 			params: params(8), def: expClose, diffUB: 2 * 200,
 			expect: map[string]confExpect{
 				"rateless": expExact,
-				"cpi":      expError,
 				"naive":    expExact,
 			},
-			errLike: "capacity",
 		},
 		{
 			name: "scale-sublinear", alice: scaleA, bob: scaleB,
 			params: params(8), def: expClose, diffUB: 2 * 20000,
 			expect: map[string]confExpect{
 				"rateless": expExact,
-				"cpi":      expError,
 				"naive":    expExact,
 			},
-			errLike: "capacity",
 		},
 	}
 }
@@ -513,22 +491,8 @@ func TestStrategyConformance(t *testing.T) {
 					// A serve failure after a successful fetch is the
 					// exchange's error, so err covers both sides.
 					res, stats, err := baseline.Exchange(ctx, strat, sc.params, sc.alice, sc.bob)
-					switch want {
-					case expError:
-						if err == nil {
-							t.Fatalf("expected a loud error, got success (%d points)", len(res.SPrime))
-						}
-						if sc.errIs != nil && !errors.Is(err, sc.errIs) {
-							t.Fatalf("error %v, want errors.Is(%v)", err, sc.errIs)
-						}
-						if sc.errLike != "" && !strings.Contains(err.Error(), sc.errLike) {
-							t.Fatalf("error %q does not mention %q", err, sc.errLike)
-						}
-						return
-					case expExact, expClose:
-						if err != nil {
-							t.Fatalf("exchange failed: %v", err)
-						}
+					if err != nil {
+						t.Fatalf("exchange failed: %v", err)
 					}
 					if want == expExact && !robustset.EqualMultisets(res.SPrime, sc.alice) {
 						t.Errorf("SPrime (%d points) does not equal Alice's multiset (%d points)",

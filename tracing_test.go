@@ -54,17 +54,8 @@ func TestTraceByteAttributionSums(t *testing.T) {
 	}
 	_, bob := deterministicPair(8900, 120, 4, 2)
 
-	for _, strat := range []robustset.Strategy{
-		robustset.Robust{}, robustset.Adaptive{}, robustset.Rateless{},
-		robustset.CPI{}, robustset.Naive{},
-	} {
-		local := bob
-		if _, ok := strat.(robustset.CPI); ok {
-			// CPI's sketch capacity is exact, not estimated: give it a
-			// small known difference instead of the noisy pair.
-			local = sets[name][4:]
-		}
-		res, stats, snap := fetchTraced(t, addr.String(), name, strat, local)
+	for _, strat := range robustset.Strategies() {
+		res, stats, snap := fetchTraced(t, addr.String(), name, strat, bob)
 		if len(res.SPrime) != len(sets[name]) {
 			t.Errorf("%s: result has %d points, want %d", strat.Name(), len(res.SPrime), len(sets[name]))
 		}
