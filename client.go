@@ -35,7 +35,6 @@ type Client struct {
 	addr       string
 	maxStreams int
 	maxMsg     int
-	window     int
 	logf       func(format string, args ...any)
 
 	sem chan struct{}
@@ -108,18 +107,6 @@ func WithClientMaxMessageSize(n int) ClientOption {
 	}
 }
 
-// WithClientWindow sets the per-stream receive window granted to the
-// server. Default: transport.DefaultMuxWindow.
-func WithClientWindow(n int) ClientOption {
-	return func(c *Client) error {
-		if n < 1 {
-			return fmt.Errorf("robustset: client window %d < 1", n)
-		}
-		c.window = n
-		return nil
-	}
-}
-
 // WithClientLogger directs connection-lifecycle reporting (redials).
 // Default: discard.
 func WithClientLogger(logf func(format string, args ...any)) ClientOption {
@@ -136,7 +123,6 @@ func DialClient(ctx context.Context, addr string, opts ...ClientOption) (*Client
 	c := &Client{
 		addr:       addr,
 		maxStreams: 16,
-		window:     transport.DefaultMuxWindow,
 		logf:       func(string, ...any) {},
 		hints:      make(map[hintKey]hint),
 	}
@@ -165,13 +151,13 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	// Mux-sized frame limit: a maximal legal protocol message must fit
 	// in one mux frame, header included.
 	t := transport.NewMuxConnLimit(conn, c.maxMsg)
-	serverWindow, err := protocol.RunMuxHelloClient(ctx, t, uint32(c.window))
+	serverWindow, err := protocol.RunMuxHelloClient(ctx, t, transport.DefaultMuxWindow)
 	if err != nil {
 		conn.Close()
 		return err
 	}
 	c.mux = transport.NewMux(t, true, transport.MuxConfig{
-		RecvWindow: c.window,
+		RecvWindow: transport.DefaultMuxWindow,
 		SendWindow: int(serverWindow),
 	})
 	return nil
@@ -253,10 +239,11 @@ type ClientSession struct {
 	sess *Session
 }
 
-// Session builds a session against a named server dataset. Options are
-// the Session options (WithMetric, WithSessionTrace, ...); parameters come
-// from the server, and the message cap is the connection's
-// (WithClientMaxMessageSize).
+// Session builds a session against a named server dataset. Of the
+// Session options it takes WithSessionTrace; WithParams and
+// WithMaxMessageSize are refused, because the parameters are the
+// server's Params for the dataset and the message cap is the
+// connection's (WithClientMaxMessageSize).
 func (c *Client) Session(dataset string, strategy Strategy, opts ...Option) (*ClientSession, error) {
 	if err := validDatasetName(dataset); err != nil {
 		return nil, err
@@ -264,6 +251,12 @@ func (c *Client) Session(dataset string, strategy Strategy, opts ...Option) (*Cl
 	sess, err := NewSession(strategy, opts...)
 	if err != nil {
 		return nil, err
+	}
+	if sess.params != (Params{}) {
+		return nil, errors.New("robustset: Client.Session: WithParams does not apply; the server's Params for the dataset do")
+	}
+	if sess.maxMsg != 0 {
+		return nil, errors.New("robustset: Client.Session: WithMaxMessageSize does not apply; set the cap with WithClientMaxMessageSize")
 	}
 	sess.dataset = dataset
 	return &ClientSession{c: c, sess: sess}, nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,6 +54,16 @@ func TestClientMuxConcurrentSessions(t *testing.T) {
 	defer cl.Close()
 	if !cl.Muxed() {
 		t.Fatal("client holds no live connection after DialClient")
+	}
+	// A client session refuses the Session options it cannot honour, and
+	// says where each setting lives.
+	for where, opt := range map[string]robustset.Option{
+		"Params":                   robustset.WithParams(robustset.Params{Universe: testU, Seed: 1, DiffBudget: 8}),
+		"WithClientMaxMessageSize": robustset.WithMaxMessageSize(1 << 20),
+	} {
+		if _, err := cl.Session("ds/0", robustset.Rateless{}, opt); err == nil || !strings.Contains(err.Error(), where) {
+			t.Fatalf("Client.Session with an option set by %s: %v", where, err)
+		}
 	}
 
 	// Serial reference runs, each over a connection of its own.

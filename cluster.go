@@ -133,7 +133,6 @@ type Replicator struct {
 	logf     func(format string, args ...any)
 	maxMsg   int
 	mirror   bool
-	onRound  func(RoundStats)
 	metrics  *metrics.Registry // nil-safe no-op when unset
 	traces   *TraceLog         // nil-safe no-op when unset
 
@@ -252,15 +251,6 @@ func WithReplicatorMaxMessageSize(n int) ReplicatorOption {
 func WithMirror() ReplicatorOption {
 	return func(r *Replicator) error {
 		r.mirror = true
-		return nil
-	}
-}
-
-// WithRoundCallback registers a callback invoked after every round with
-// its stats — the hook demos and metrics pipelines use.
-func WithRoundCallback(fn func(RoundStats)) ReplicatorOption {
-	return func(r *Replicator) error {
-		r.onRound = fn
 		return nil
 	}
 }
@@ -557,10 +547,6 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 		// outcome; only a context-ended round finishes with an error.
 		roundTr.Finish(ctx.Err())
 		r.traces.add(roundTr.Snapshot())
-	}
-
-	if r.onRound != nil {
-		r.onRound(stats)
 	}
 	return stats, ctx.Err()
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"robustset/internal/cluster"
 	"robustset/internal/core"
 	"robustset/internal/points"
 	"robustset/internal/store"
@@ -73,24 +72,10 @@ func (s *Server) datasetDir(name string) string {
 // sessions (e.g. rejoining a Replicator), in cost proportional to the
 // missed mutations.
 func (s *Server) PublishDurable(name string, p Params, pts []Point) (*Dataset, error) {
-	if err := validDatasetName(name); err != nil {
-		return nil, err
-	}
 	if s.dataDir == "" {
 		return nil, fmt.Errorf("robustset: publish durable %q: no data directory (use WithServerDataDir)", name)
 	}
-	d, err := s.openDurableDataset(name, p, pts)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkNameFreeLocked(name); err != nil {
-		d.closeStore()
-		return nil, err
-	}
-	s.registerLocked(d)
-	return d, nil
+	return s.publish(name, p, pts, s.openDurableDataset)
 }
 
 // PublishShardedDurable is PublishSharded with one WAL+snapshot pair per
@@ -98,54 +83,10 @@ func (s *Server) PublishDurable(name string, p Params, pts []Point) (*Dataset, e
 // (e.g. "name~0.4/", "name~1.4/"). Shards recover independently on
 // restart; pts seeds only shards whose directories are fresh.
 func (s *Server) PublishShardedDurable(name string, p Params, pts []Point, nshards int) (*ShardedDataset, error) {
-	if err := validDatasetName(name); err != nil {
-		return nil, err
-	}
 	if s.dataDir == "" {
 		return nil, fmt.Errorf("robustset: publish durable %q: no data directory (use WithServerDataDir)", name)
 	}
-	if err := validDatasetName(cluster.ShardName(name, nshards-1, nshards)); err != nil {
-		return nil, fmt.Errorf("robustset: sharded dataset %q: shard names too long: %w", name, err)
-	}
-	sm, err := cluster.NewShardMap(nshards, p.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("robustset: publish sharded %q: %w", name, err)
-	}
-	if err := p.Universe.CheckSet(pts); err != nil {
-		return nil, fmt.Errorf("robustset: publish sharded %q: %w", name, err)
-	}
-	parts := sm.Partition(pts)
-	sd := &ShardedDataset{name: name, m: sm, shards: make([]*Dataset, nshards)}
-	closeAll := func(through int) {
-		for i := 0; i < through; i++ {
-			sd.shards[i].closeStore()
-		}
-	}
-	for i, part := range parts {
-		d, err := s.openDurableDataset(cluster.ShardName(name, i, nshards), p, part)
-		if err != nil {
-			closeAll(i)
-			return nil, fmt.Errorf("robustset: publish sharded %q: shard %d: %w", name, i, err)
-		}
-		sd.shards[i] = d
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkNameFreeLocked(name); err != nil {
-		closeAll(nshards)
-		return nil, err
-	}
-	for _, d := range sd.shards {
-		if err := s.checkNameFreeLocked(d.name); err != nil {
-			closeAll(nshards)
-			return nil, err
-		}
-	}
-	for _, d := range sd.shards {
-		s.registerLocked(d)
-	}
-	s.sharded[name] = sd
-	return sd, nil
+	return s.publishSharded(name, p, pts, nshards, s.openDurableDataset)
 }
 
 // openDurableDataset opens (or recovers) one dataset's storage engine

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"robustset"
@@ -217,15 +218,131 @@ func TestDurableRecoveryOutlivesSketchFormat(t *testing.T) {
 	}
 }
 
-// TestPublishDurableRequiresDataDir pins the option contract.
-func TestPublishDurableRequiresDataDir(t *testing.T) {
-	srv := robustset.NewServer()
-	defer srv.Close()
-	if _, err := srv.PublishDurable("d", durableParams, nil); err == nil {
-		t.Fatal("PublishDurable without a data dir succeeded")
+// TestRefusedDurablePublishKeepsLiveDataset: publishes refused because
+// a live durable dataset holds the name must not touch its directory. A
+// duplicate that opened the store before checking the name re-snapshotted
+// the directory and truncated the log under the live engine, and a
+// restart lost acknowledged points to a torn tail.
+func TestRefusedDurablePublishKeepsLiveDataset(t *testing.T) {
+	dir := t.TempDir()
+	srv := robustset.NewServer(robustset.WithServerDataDir(dir))
+	d, err := srv.PublishDurable("x", durableParams, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := srv.PublishShardedDurable("d", durableParams, nil, 2); err == nil {
-		t.Fatal("PublishShardedDurable without a data dir succeeded")
+	// One log record that no snapshot holds yet.
+	acked := []robustset.Point{{1, 1}, {2, 2}}
+	if err := d.AddBatch(acked); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.PublishDurable("x", durableParams, nil); err == nil {
+		t.Fatal("duplicate PublishDurable accepted")
+	}
+	if _, err := srv.PublishShardedDurable("x", durableParams, nil, 2); err == nil {
+		t.Fatal("PublishShardedDurable over a live dataset accepted")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Errorf("data dir holds %d entries after refused publishes, want 1 (%v)", len(ents), err)
+	}
+	more := []robustset.Point{{3, 3}, {4, 4}, {5, 5}}
+	if err := d.AddBatch(more); err != nil {
+		t.Fatal(err)
+	}
+	acked = append(acked, more...)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := robustset.NewMetrics()
+	srv2 := robustset.NewServer(robustset.WithServerDataDir(dir), robustset.WithServerMetrics(m), WithTestLogger(t))
+	defer srv2.Close()
+	d2, err := srv2.PublishDurable("x", durableParams, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !robustset.EqualMultisets(d2.Snapshot(), acked) {
+		t.Fatalf("recovered %d points, want the %d acknowledged", d2.Size(), len(acked))
+	}
+	if got := m.Snapshot()["store_torn_truncations_total"]; got != 0 {
+		t.Fatalf("recovery truncated %d torn log tails, want 0", got)
+	}
+}
+
+// TestRefusedDurablePublishWritesNothing: a durable publish refused
+// because an in-memory dataset holds the name leaves no directory, so a
+// later durable publish of the name starts from its own points, not the
+// refused ones.
+func TestRefusedDurablePublishWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	srv := robustset.NewServer(robustset.WithServerDataDir(dir))
+	defer srv.Close()
+	if _, err := srv.Publish("y", durableParams, []robustset.Point{{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.PublishDurable("y", durableParams, []robustset.Point{{7, 7}, {8, 8}}); err == nil {
+		t.Fatal("PublishDurable over an in-memory dataset accepted")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("refused publish left %d entries in the data dir (%v)", len(ents), err)
+	}
+	if err := srv.Unpublish("y"); err != nil {
+		t.Fatal(err)
+	}
+	pts := []robustset.Point{{2, 2}, {3, 3}, {4, 4}}
+	d, err := srv.PublishDurable("y", durableParams, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !robustset.EqualMultisets(d.Snapshot(), pts) {
+		t.Fatalf("durable %q holds %v, want %v", "y", d.Snapshot(), pts)
+	}
+}
+
+// TestConcurrentDurablePublishOneWinner: goroutines racing to publish one
+// fresh durable name claim it one at a time. Exactly one wins, the rest
+// are refused as duplicates, and a restart recovers the winner's points.
+func TestConcurrentDurablePublishOneWinner(t *testing.T) {
+	const racers = 8
+	dir := t.TempDir()
+	srv := robustset.NewServer(robustset.WithServerDataDir(dir))
+	racerPoints := func(i int) []robustset.Point {
+		return []robustset.Point{{int64(i), 0}, {int64(i), 1}, {int64(i), 2}}
+	}
+	errs := make([]error, racers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = srv.PublishDurable("z", durableParams, racerPoints(i))
+		}()
+	}
+	wg.Wait()
+	winner := -1
+	for i, err := range errs {
+		switch {
+		case err == nil && winner >= 0:
+			t.Fatalf("racers %d and %d both published %q", winner, i, "z")
+		case err == nil:
+			winner = i
+		case !strings.Contains(err.Error(), "already published"):
+			t.Fatalf("racer %d: %v, want the duplicate error", i, err)
+		}
+	}
+	if winner < 0 {
+		t.Fatal("no racer published")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := robustset.NewServer(robustset.WithServerDataDir(dir))
+	defer srv2.Close()
+	d, err := srv2.PublishDurable("z", durableParams, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !robustset.EqualMultisets(d.Snapshot(), racerPoints(winner)) {
+		t.Fatalf("recovered %v, want racer %d's points", d.Snapshot(), winner)
 	}
 }
 

@@ -592,6 +592,7 @@ type Server struct {
 	mu         sync.Mutex
 	datasets   map[string]*Dataset
 	sharded    map[string]*ShardedDataset
+	claimed    map[string]bool // names a publish in progress holds
 	listeners  map[net.Listener]struct{}
 	conns      map[net.Conn]struct{}
 	inShutdown atomic.Bool
@@ -686,6 +687,7 @@ func NewServer(opts ...ServerOption) *Server {
 		sessionTimeout: DefaultSessionTimeout,
 		datasets:       make(map[string]*Dataset),
 		sharded:        make(map[string]*ShardedDataset),
+		claimed:        make(map[string]bool),
 		listeners:      make(map[net.Listener]struct{}),
 		conns:          make(map[net.Conn]struct{}),
 		baseCtx:        ctx,
@@ -763,7 +765,7 @@ func datasetOver(name string, m *Maintainer, pts []Point) *Dataset {
 }
 
 // registerLocked enters d in the catalog and binds its gauges to the
-// server's registry. Caller holds s.mu and has checked the name is free.
+// server's registry. Caller holds s.mu and has claimed the name.
 func (s *Server) registerLocked(d *Dataset) {
 	s.datasets[d.name] = d
 	d.mu.Lock()
@@ -783,35 +785,69 @@ func validDatasetName(name string) error {
 	return nil
 }
 
-// Publish registers a named dataset and builds its maintained sketch.
-// The points are copied. Publishing a name twice is an error.
-func (s *Server) Publish(name string, p Params, pts []Point) (*Dataset, error) {
+// openFunc builds one unregistered dataset: newDataset in memory, or a
+// Server's openDurableDataset on its own storage.
+type openFunc func(name string, p Params, pts []Point) (*Dataset, error)
+
+// validPublish refuses what no publish of name can hold, before any name
+// is claimed.
+func validPublish(name string, p Params, pts []Point) error {
 	if err := validDatasetName(name); err != nil {
-		return nil, err
+		return err
 	}
-	d, err := newDataset(name, p, pts)
-	if err != nil {
-		return nil, err
+	if _, err := p.Normalized(); err != nil {
+		return fmt.Errorf("robustset: publish %q: %w", name, err)
 	}
+	if err := p.Universe.CheckSet(pts); err != nil {
+		return fmt.Errorf("robustset: publish %q: %w", name, err)
+	}
+	return nil
+}
+
+// claim reserves names for one publish. It refuses them all if any is
+// published, as a dataset or a sharded base name, or claimed by another
+// publish in progress. The caller gives the claims back under s.mu.
+func (s *Server) claim(names ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.checkNameFreeLocked(name); err != nil {
+	for _, name := range names {
+		_, plain := s.datasets[name]
+		_, sharded := s.sharded[name]
+		if plain || sharded || s.claimed[name] {
+			return fmt.Errorf("robustset: dataset %q already published", name)
+		}
+	}
+	for _, name := range names {
+		s.claimed[name] = true
+	}
+	return nil
+}
+
+// Publish registers a named dataset and builds its maintained sketch.
+// The points are copied. Publishing a name that is published, or that
+// another publish in progress holds, is an error.
+func (s *Server) Publish(name string, p Params, pts []Point) (*Dataset, error) {
+	return s.publish(name, p, pts, newDataset)
+}
+
+// publish validates, claims name, and only then opens the dataset and
+// registers it: a refused publish builds nothing and writes nothing.
+func (s *Server) publish(name string, p Params, pts []Point, open openFunc) (*Dataset, error) {
+	if err := validPublish(name, p, pts); err != nil {
+		return nil, err
+	}
+	if err := s.claim(name); err != nil {
+		return nil, err
+	}
+	d, err := open(name, p, pts)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.claimed, name)
+	if err != nil {
 		return nil, err
 	}
 	s.registerLocked(d)
 	return d, nil
-}
-
-// checkNameFreeLocked reports a collision with any published dataset or
-// sharded-dataset base name. Caller holds s.mu.
-func (s *Server) checkNameFreeLocked(name string) error {
-	if _, dup := s.datasets[name]; dup {
-		return fmt.Errorf("robustset: dataset %q already published", name)
-	}
-	if _, dup := s.sharded[name]; dup {
-		return fmt.Errorf("robustset: dataset %q already published (sharded)", name)
-	}
-	return nil
 }
 
 // PublishSharded registers a dataset split across nshards shard datasets,
@@ -824,7 +860,13 @@ func (s *Server) checkNameFreeLocked(name string) error {
 // under ShardName(name, i, nshards) ("name~i.k") and is fetchable like
 // any other dataset; the base name itself is reserved and not fetchable.
 func (s *Server) PublishSharded(name string, p Params, pts []Point, nshards int) (*ShardedDataset, error) {
-	if err := validDatasetName(name); err != nil {
+	return s.publishSharded(name, p, pts, nshards, newDataset)
+}
+
+// publishSharded is publish for the base name and every shard name at
+// once: all are claimed before the first shard is opened.
+func (s *Server) publishSharded(name string, p Params, pts []Point, nshards int, open openFunc) (*ShardedDataset, error) {
+	if err := validPublish(name, p, pts); err != nil {
 		return nil, err
 	}
 	if err := validDatasetName(cluster.ShardName(name, nshards-1, nshards)); err != nil {
@@ -834,27 +876,30 @@ func (s *Server) PublishSharded(name string, p Params, pts []Point, nshards int)
 	if err != nil {
 		return nil, fmt.Errorf("robustset: publish sharded %q: %w", name, err)
 	}
-	if err := p.Universe.CheckSet(pts); err != nil {
-		return nil, fmt.Errorf("robustset: publish sharded %q: %w", name, err)
+	names := []string{name}
+	for i := 0; i < nshards; i++ {
+		names = append(names, cluster.ShardName(name, i, nshards))
 	}
-	parts := sm.Partition(pts)
+	if err := s.claim(names...); err != nil {
+		return nil, err
+	}
 	sd := &ShardedDataset{name: name, m: sm, shards: make([]*Dataset, nshards)}
-	for i, part := range parts {
-		d, err := newDataset(cluster.ShardName(name, i, nshards), p, part)
-		if err != nil {
-			return nil, fmt.Errorf("robustset: publish sharded %q: shard %d: %w", name, i, err)
+	for i, part := range sm.Partition(pts) {
+		if sd.shards[i], err = open(names[i+1], p, part); err != nil {
+			for _, d := range sd.shards[:i] {
+				d.closeStore()
+			}
+			err = fmt.Errorf("robustset: publish sharded %q: shard %d: %w", name, i, err)
+			break
 		}
-		sd.shards[i] = d
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.checkNameFreeLocked(name); err != nil {
-		return nil, err
+	for _, n := range names {
+		delete(s.claimed, n)
 	}
-	for _, d := range sd.shards {
-		if err := s.checkNameFreeLocked(d.name); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	for _, d := range sd.shards {
 		s.registerLocked(d)

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -310,25 +312,136 @@ func TestServerForcedShutdown(t *testing.T) {
 	}
 }
 
-// TestServerPublishValidation covers dataset registration errors.
+// TestServerPublishValidation covers the refusals the four publish
+// methods share. A refusal leaves Datasets() as it was and writes nothing
+// under the data directory.
 func TestServerPublishValidation(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 1, DiffBudget: 2}
-	srv := robustset.NewServer()
-	defer srv.Close()
-	if _, err := srv.Publish("", params, nil); err == nil {
-		t.Error("empty name accepted")
+	type publishFunc func(srv *robustset.Server, name string, p robustset.Params) error
+	methods := []struct {
+		name             string
+		durable, sharded bool
+		publish          publishFunc
+	}{
+		{"Publish", false, false, func(srv *robustset.Server, name string, p robustset.Params) error {
+			_, err := srv.Publish(name, p, nil)
+			return err
+		}},
+		{"PublishSharded", false, true, func(srv *robustset.Server, name string, p robustset.Params) error {
+			_, err := srv.PublishSharded(name, p, nil, 2)
+			return err
+		}},
+		{"PublishDurable", true, false, func(srv *robustset.Server, name string, p robustset.Params) error {
+			_, err := srv.PublishDurable(name, p, nil)
+			return err
+		}},
+		{"PublishShardedDurable", true, true, func(srv *robustset.Server, name string, p robustset.Params) error {
+			_, err := srv.PublishShardedDurable(name, p, nil, 2)
+			return err
+		}},
 	}
-	if _, err := srv.Publish("x", robustset.Params{}, nil); err == nil {
-		t.Error("invalid params accepted")
+	cases := []struct {
+		name             string
+		dataset          string
+		params           robustset.Params
+		durable, sharded bool // the case applies to these methods only
+		noDataDir        bool
+		setup            func(srv *robustset.Server, publish publishFunc) error
+	}{
+		{name: "empty name", dataset: "", params: params},
+		{name: "invalid params", dataset: "x", params: robustset.Params{}},
+		{name: "duplicate name", dataset: "x", params: params, setup: func(srv *robustset.Server, publish publishFunc) error {
+			return publish(srv, "x", params)
+		}},
+		{name: "shard name taken", dataset: "x", params: params, sharded: true, setup: func(srv *robustset.Server, _ publishFunc) error {
+			_, err := srv.Publish("x~1.2", params, nil)
+			return err
+		}},
+		{name: "no data dir", dataset: "x", params: params, durable: true, noDataDir: true},
 	}
-	if _, err := srv.Publish("x", params, nil); err != nil {
+	for _, m := range methods {
+		t.Run(m.name, func(t *testing.T) {
+			for _, c := range cases {
+				if (c.durable && !m.durable) || (c.sharded && !m.sharded) {
+					continue
+				}
+				t.Run(c.name, func(t *testing.T) {
+					dir := t.TempDir()
+					srv := robustset.NewServer(robustset.WithServerDataDir(dir))
+					if c.noDataDir {
+						srv = robustset.NewServer()
+					}
+					defer srv.Close()
+					if c.setup != nil {
+						if err := c.setup(srv, m.publish); err != nil {
+							t.Fatal(err)
+						}
+					}
+					names := srv.Datasets()
+					ents, _ := os.ReadDir(dir)
+					if err := m.publish(srv, c.dataset, c.params); err == nil {
+						t.Fatalf("%s(%q) accepted", m.name, c.dataset)
+					}
+					if got := srv.Datasets(); !slices.Equal(got, names) {
+						t.Errorf("refusal changed Datasets(): %q, was %q", got, names)
+					}
+					if after, _ := os.ReadDir(dir); len(after) != len(ents) {
+						t.Errorf("refusal wrote under the data dir: %d entries, was %d", len(after), len(ents))
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestServerMaxMessageSize: a server capped below the size of a robust
+// sketch fails that session promptly, without hanging the client and with
+// no relayed refusal, counts it as a session error, and goes on serving
+// small sessions on the same connection.
+func TestServerMaxMessageSize(t *testing.T) {
+	params := robustset.Params{Universe: testU, Seed: 92, DiffBudget: 4}
+	alice, bob := deterministicPair(92, 2000, 2, 0)
+	m := robustset.NewMetrics()
+	srv := robustset.NewServer(robustset.WithServerMaxMessageSize(4096), robustset.WithServerMetrics(m))
+	if _, err := srv.Publish("d", params, alice); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Publish("x", params, nil); err == nil {
-		t.Error("duplicate name accepted")
+	addr := startServer(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl, err := robustset.DialClient(ctx, addr.String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if srv.Dataset("x") == nil || srv.Dataset("y") != nil {
-		t.Error("Dataset lookup inconsistent")
+	defer cl.Close()
+
+	robust, err := cl.Session("d", robustset.Robust{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, _, err := robust.Fetch(ctx, bob); err == nil {
+		t.Fatal("a robust sketch above the server's message cap was delivered")
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("the oversize session took %v to fail", elapsed)
+	}
+	rateless, err := cl.Session("d", robustset.Rateless{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := rateless.Fetch(ctx, bob)
+	if err != nil {
+		t.Fatalf("rateless fetch after the oversize session: %v", err)
+	}
+	if !robustset.EqualMultisets(res.SPrime, alice) {
+		t.Fatal("rateless fetch did not return the server's set")
+	}
+	for m.Snapshot()["server_session_errors_total"] != 1 {
+		if ctx.Err() != nil {
+			t.Fatalf("server_session_errors_total = %d, want 1", m.Snapshot()["server_session_errors_total"])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

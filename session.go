@@ -9,7 +9,6 @@ import (
 	"net"
 
 	"robustset/internal/core"
-	"robustset/internal/emd"
 	"robustset/internal/protocol"
 	"robustset/internal/sketch"
 	"robustset/internal/trace"
@@ -97,7 +96,8 @@ type TransferStats = transport.Stats
 type SyncResult struct {
 	// SPrime is the reconciled multiset (S'_B). For exact strategies it
 	// equals the remote set exactly on success; for robust strategies it
-	// is close to the remote set in Earth Mover's Distance.
+	// is close to the remote set in Earth Mover's Distance, which
+	// EMD(SPrime, remote, metric) measures.
 	SPrime []Point
 	// Robust carries the robust protocol's detailed result (chosen level,
 	// added/removed points, per-level outcomes); nil for Rateless and
@@ -115,7 +115,6 @@ type SyncResult struct {
 	// as it stands.
 	Unchanged bool
 
-	metric Metric
 	// local is the multiset the exchange ran against: the caller's points,
 	// or the snapshot FetchDataset took once the server had not said
 	// "same". The replicator diffs results against it.
@@ -126,18 +125,6 @@ type SyncResult struct {
 	// sized from, and the cells it kept of the multiset it returned; a
 	// robust fetch's tables of local (hintFrom adds the window).
 	next *hint
-}
-
-// EMD returns the exact Earth Mover's Distance between the result and
-// other under the session's metric (WithMetric, default L1). It solves an
-// assignment problem in O(n³); intended for diagnostics and tests, not
-// hot paths.
-func (r *SyncResult) EMD(other []Point) (float64, error) {
-	m := r.metric
-	if m == nil {
-		m = L1
-	}
-	return emd.Exact(r.SPrime, other, m)
 }
 
 // ---------------------------------------------------------------------
@@ -495,8 +482,6 @@ func strategyFromCode(code byte, cfg []byte) (Strategy, error) {
 type Session struct {
 	strategy  Strategy
 	params    Params
-	metric    Metric
-	statsSink func(TransferStats)
 	traceSink func(*SessionTrace)
 	maxMsg    int
 	// dataset is set on the sessions a Client builds: their fetch opens
@@ -513,28 +498,6 @@ type Option func(*Session) error
 func WithParams(p Params) Option {
 	return func(s *Session) error {
 		s.params = p
-		return nil
-	}
-}
-
-// WithMetric sets the ground metric used by SyncResult.EMD diagnostics.
-// Default: L1, the paper's primary metric.
-func WithMetric(m Metric) Option {
-	return func(s *Session) error {
-		if m == nil {
-			return errors.New("robustset: nil metric")
-		}
-		s.metric = m
-		return nil
-	}
-}
-
-// WithStatsSink registers a callback that receives the connection's
-// transfer accounting after every Serve, Fetch or Sync — including failed
-// ones — for metrics pipelines.
-func WithStatsSink(sink func(TransferStats)) Option {
-	return func(s *Session) error {
-		s.statsSink = sink
 		return nil
 	}
 }
@@ -578,7 +541,7 @@ func NewSession(strategy Strategy, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	s := &Session{strategy: strategy, metric: L1}
+	s := &Session{strategy: strategy}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
@@ -597,21 +560,13 @@ func (s *Session) newTransport(conn net.Conn) transport.Transport {
 	return transport.NewConnLimit(conn, s.maxMsg)
 }
 
-func (s *Session) emit(st TransferStats) {
-	if s.statsSink != nil {
-		s.statsSink(st)
-	}
-}
-
 // Serve runs the serving (Alice) side of the session's strategy over
 // conn: it answers exactly one fetching peer and returns the wire
 // accounting. The caller owns conn and closes it afterwards.
 func (s *Session) Serve(ctx context.Context, conn net.Conn, pts []Point) (TransferStats, error) {
 	t := s.newTransport(conn)
 	err := s.strategy.serve(ctx, t, s.params, pts)
-	st := t.Stats()
-	s.emit(st)
-	return st, err
+	return t.Stats(), err
 }
 
 // Fetch runs the fetching (Bob) side over conn: it reconciles local
@@ -620,9 +575,7 @@ func (s *Session) Serve(ctx context.Context, conn net.Conn, pts []Point) (Transf
 func (s *Session) Fetch(ctx context.Context, conn net.Conn, local []Point) (*SyncResult, TransferStats, error) {
 	t := s.newTransport(conn)
 	res, err := s.fetchOver(ctx, t, s.strategy, nil, local)
-	st := t.Stats()
-	s.emit(st)
-	return res, st, err
+	return res, t.Stats(), err
 }
 
 // hello is the handshake opening a Client's session of strat sends on its
@@ -675,7 +628,7 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat St
 		sp.End()
 		if acc.Same {
 			tr.Stat(trace.StatUnchanged, 1)
-			return &SyncResult{Params: acc.Params, Unchanged: true, metric: s.metric}, nil
+			return &SyncResult{Params: acc.Params, Unchanged: true}, nil
 		}
 		p = acc.Params
 		if d != nil {
@@ -705,7 +658,7 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat St
 	} else {
 		res.Params = p
 	}
-	res.metric, res.local = s.metric, local
+	res.local = local
 	return res, nil
 }
 
@@ -726,12 +679,10 @@ func (s *Session) Sync(ctx context.Context, conn net.Conn, pts []Point) (*SyncRe
 	t := s.newTransport(conn)
 	res, err := tw.sync(ctx, t, s.params, pts)
 	st := t.Stats()
-	s.emit(st)
 	if err != nil {
 		return nil, st, err
 	}
 	res.Params = res.Robust.Params
-	res.metric = s.metric
 	return res, st, nil
 }
 

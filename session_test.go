@@ -161,18 +161,7 @@ func TestSessionOptions(t *testing.T) {
 	alice, bob := deterministicPair(21, 150, 4, 2)
 	params := robustset.Params{Universe: testU, Seed: 5, DiffBudget: 4}
 
-	var sunk []robustset.TransferStats
-	var mu sync.Mutex
-	sink := func(st robustset.TransferStats) {
-		mu.Lock()
-		sunk = append(sunk, st)
-		mu.Unlock()
-	}
-	sess, err := robustset.NewSession(robustset.Robust{},
-		robustset.WithParams(params),
-		robustset.WithMetric(robustset.L2),
-		robustset.WithStatsSink(sink),
-	)
+	sess, err := robustset.NewSession(robustset.Robust{}, robustset.WithParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,18 +169,8 @@ func TestSessionOptions(t *testing.T) {
 	defer c1.Close()
 	defer c2.Close()
 	go sess.Serve(context.Background(), c1, alice)
-	res, _, err := sess.Fetch(context.Background(), c2, bob)
-	if err != nil {
+	if _, _, err := sess.Fetch(context.Background(), c2, bob); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := res.EMD(alice); err != nil {
-		t.Fatalf("result EMD under session metric: %v", err)
-	}
-	mu.Lock()
-	n := len(sunk)
-	mu.Unlock()
-	if n < 1 {
-		t.Error("stats sink never invoked")
 	}
 
 	// A max message size below the sketch size must refuse the push
@@ -221,9 +200,6 @@ func TestSessionOptions(t *testing.T) {
 	// Option validation.
 	if _, err := robustset.NewSession(nil); err == nil {
 		t.Error("nil strategy accepted")
-	}
-	if _, err := robustset.NewSession(robustset.Robust{}, robustset.WithMetric(nil)); err == nil {
-		t.Error("nil metric accepted")
 	}
 	if _, err := robustset.NewSession(robustset.Robust{}, robustset.WithMaxMessageSize(-1)); err == nil {
 		t.Error("negative max message size accepted")

@@ -28,10 +28,12 @@ type TraceLog struct {
 	r *trace.Ring
 }
 
+// slowSession is the latency from which a session is captured as slow.
+const slowSession = 100 * time.Millisecond
+
 // traceLogConfig collects the NewTraceLog options.
 type traceLogConfig struct {
 	capacity  int
-	slowLat   time.Duration
 	slowBytes int64
 }
 
@@ -44,12 +46,6 @@ func WithTraceCapacity(n int) TraceLogOption {
 	return func(c *traceLogConfig) { c.capacity = n }
 }
 
-// WithSlowThreshold marks sessions at or above d as slow, capturing them
-// in the slow ring. 0 disables latency-based capture. Default: 100ms.
-func WithSlowThreshold(d time.Duration) TraceLogOption {
-	return func(c *traceLogConfig) { c.slowLat = d }
-}
-
 // WithByteThreshold marks sessions that moved at least n wire bytes
 // (both directions, children included) as expensive, capturing them in
 // the slow ring. 0 disables byte-based capture. Default: 1 MiB.
@@ -59,11 +55,11 @@ func WithByteThreshold(n int64) TraceLogOption {
 
 // NewTraceLog builds a trace log with the given capture policy.
 func NewTraceLog(opts ...TraceLogOption) *TraceLog {
-	cfg := traceLogConfig{capacity: 64, slowLat: 100 * time.Millisecond, slowBytes: 1 << 20}
+	cfg := traceLogConfig{capacity: 64, slowBytes: 1 << 20}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return &TraceLog{r: trace.NewRing(cfg.capacity, cfg.slowLat, cfg.slowBytes)}
+	return &TraceLog{r: trace.NewRing(cfg.capacity, slowSession, cfg.slowBytes)}
 }
 
 // ring unwraps the log for internal plumbing; nil-safe.
