@@ -367,7 +367,7 @@ func adaptiveAgainst(t *testing.T, d *Dataset, p Params, script func(ctx context
 	defer at.Close()
 	defer bt.Close()
 	done := make(chan error, 1)
-	go func() { done <- serveDataset(ctx, at, Adaptive{}, p, d) }()
+	go func() { done <- Adaptive{}.serveDataset(ctx, at, p, d) }()
 	script(ctx, bt)
 	return <-done
 }
@@ -418,7 +418,7 @@ func TestAdaptiveServedFullRangeRequest(t *testing.T) {
 			return append([]byte(nil), msg[1:]...)
 		}
 		served := legacy(func(ctx context.Context, at transport.Transport) error {
-			return serveDataset(ctx, at, Adaptive{}, p, d)
+			return Adaptive{}.serveDataset(ctx, at, p, d)
 		})
 		stateless := legacy(func(ctx context.Context, at transport.Transport) error {
 			return protocol.RunEstimateAlice(ctx, at, p, d.Snapshot())

@@ -120,6 +120,19 @@ func WithClientLogger(logf func(format string, args ...any)) ClientOption {
 // connection. A failed dial or a refused handshake is returned
 // immediately, with the connection closed.
 func DialClient(ctx context.Context, addr string, opts ...ClientOption) (*Client, error) {
+	c, err := newClient(addr, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.ensure(ctx); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// newClient builds a Client of addr that has not dialed yet: its first
+// session does.
+func newClient(addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		addr:       addr,
 		maxStreams: 16,
@@ -132,11 +145,6 @@ func DialClient(ctx context.Context, addr string, opts ...ClientOption) (*Client
 		}
 	}
 	c.sem = make(chan struct{}, c.maxStreams)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.connectLocked(ctx); err != nil {
-		return nil, err
-	}
 	return c, nil
 }
 
@@ -163,7 +171,9 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	return nil
 }
 
-// ensure returns a live mux, redialing a dead one once per call.
+// ensure returns a live mux: it dials one if there is none and redials a
+// dead one, once per call. Holding c.mu through the dial, it makes
+// concurrent sessions share one connection.
 func (c *Client) ensure(ctx context.Context) (*transport.Mux, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -178,7 +188,7 @@ func (c *Client) ensure(ctx context.Context) (*transport.Mux, error) {
 		c.mux.Close()
 		c.mux = nil
 		c.redials++
-		c.logf("robustset: client: %s: connection lost, redialing", c.addr)
+		c.logf("robustset: client: %s: connection lost, reconnecting", c.addr)
 	}
 	if err := c.connectLocked(ctx); err != nil {
 		return nil, err
@@ -386,8 +396,8 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 	}
 }
 
-// session runs one session of strat on one stream of the connection,
-// redialing once a connection found dead before the session began.
+// session runs one session of strat on one stream of the connection. A
+// connection found dead before the session began is dialed again, once.
 func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset, local []Point) (*SyncResult, TransferStats, error) {
 	c := cs.c
 	c.mu.Lock()

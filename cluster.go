@@ -149,14 +149,10 @@ type Replicator struct {
 type peerEntry struct {
 	peer  Peer
 	state cluster.PeerState
-	// client is the peer's cached multiplexed connection: every dataset
-	// session of every round is a pipelined stream of it. nil until first
-	// use and after a teardown. dialing single-flights the first dial so
-	// concurrent shard workers share one connection instead of racing
-	// eight dials; it is non-nil (and closed on completion) while a dial
-	// is in progress.
-	client  *Client
-	dialing chan struct{}
+	// client is the peer's Client, built with the entry: every dataset
+	// session of every round is a pipelined stream of its one connection,
+	// which the first session dials.
+	client *Client
 }
 
 // ReplicatorOption configures a Replicator.
@@ -320,18 +316,22 @@ func (r *Replicator) AddPeer(p Peer) error {
 	if p.Addr == "" {
 		return errors.New("robustset: peer with empty address")
 	}
+	cl, err := newClient(p.Addr, WithClientMaxMessageSize(r.maxMsg), WithClientLogger(r.logf))
+	if err != nil {
+		return err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	name := p.name()
 	if _, dup := r.peers[name]; dup {
 		return fmt.Errorf("robustset: peer %q already registered", name)
 	}
-	r.peers[name] = &peerEntry{peer: p}
+	r.peers[name] = &peerEntry{peer: p, client: cl}
 	return nil
 }
 
-// RemovePeer drops a peer by name (or address, for unnamed peers),
-// closing its cached connection if one exists.
+// RemovePeer drops a peer by name (or address, for unnamed peers) and
+// closes its Client: a session still running on it fails.
 func (r *Replicator) RemovePeer(name string) error {
 	r.mu.Lock()
 	e, ok := r.peers[name]
@@ -340,13 +340,8 @@ func (r *Replicator) RemovePeer(name string) error {
 		return fmt.Errorf("robustset: unknown peer %q", name)
 	}
 	delete(r.peers, name)
-	cl := e.client
-	e.client = nil
 	r.mu.Unlock()
-	if cl != nil {
-		cl.Close()
-	}
-	return nil
+	return e.client.Close()
 }
 
 // Peers returns the registered peers in unspecified order.
@@ -555,10 +550,10 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 // the diff — the peer's points the fetch's snapshot lacks, and in mirror
 // mode the snapshot's points the peer lacks — if the peer did not answer
 // "same" at the handshake. Returns the applied add/remove counts and the
-// session's wire bytes. The session runs as one pipelined stream of the peer's cached
-// connection, dialed on first use; concurrent dataset workers hitting the
-// same peer share it, so a 64-shard round is one dial and 64 parallel
-// streams.
+// session's wire bytes. The session runs as one pipelined stream of the
+// peer's Client, whose first session dials; concurrent dataset workers
+// hitting the same peer share its connection, so a 64-shard round is one
+// dial and 64 parallel streams.
 func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (added, removed int, bytes int64, err error) {
 	d := r.srv.Dataset(name)
 	if d == nil {
@@ -570,7 +565,7 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 		ctx = trace.NewContext(ctx, child)
 		defer func() { child.Finish(err) }()
 	}
-	cl, err := r.clientFor(ctx, peer)
+	cl, err := r.clientFor(peer)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -600,100 +595,31 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 	return len(add), removed, st.Total(), nil
 }
 
-// clientFor returns the peer's cached Client, dialing one on first use.
-// A lost connection is not handled here — the Client redials itself —
-// so a cached handle stays valid for the peer's lifetime.
-func (r *Replicator) clientFor(ctx context.Context, peer Peer) (*Client, error) {
-	name := peer.name()
+// clientFor returns the peer's Client. A lost connection is not handled
+// here — the Client redials itself — so the handle stays valid for the
+// peer's lifetime.
+func (r *Replicator) clientFor(peer Peer) (*Client, error) {
 	r.mu.Lock()
-	for {
-		if r.closed {
-			r.mu.Unlock()
-			return nil, ErrClientClosed
-		}
-		e, ok := r.peers[name]
-		if !ok {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("robustset: unknown peer %q", name)
-		}
-		if e.client != nil {
-			cl := e.client
-			r.mu.Unlock()
-			return cl, nil
-		}
-		if e.dialing == nil {
-			e.dialing = make(chan struct{})
-			break
-		}
-		// A sibling worker is dialing this peer; wait for it and re-check.
-		wait := e.dialing
-		r.mu.Unlock()
-		select {
-		case <-wait:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return nil, ErrClientClosed
 	}
-	myDial := r.peers[name].dialing
-	r.mu.Unlock()
-
-	cl, err := DialClient(ctx, peer.Addr,
-		WithClientMaxMessageSize(r.maxMsg), WithClientLogger(r.logf))
-
-	r.mu.Lock()
-	e, ok := r.peers[name]
-	closed := r.closed
-	current := ok && e.dialing == myDial
-	if current {
-		e.dialing = nil
+	e, ok := r.peers[peer.name()]
+	if !ok {
+		return nil, fmt.Errorf("robustset: unknown peer %q", peer.name())
 	}
-	// This goroutine created myDial, so it closes it unconditionally —
-	// even when the peer was removed (or removed and re-added) mid-dial,
-	// where the entry no longer holds it but sibling workers may still
-	// be blocked on it.
-	close(myDial)
-	switch {
-	case err != nil:
-		r.mu.Unlock()
-		return nil, err
-	case closed, !ok:
-		r.mu.Unlock()
-		cl.Close()
-		if closed {
-			return nil, ErrClientClosed
-		}
-		return nil, fmt.Errorf("robustset: unknown peer %q", name)
-	case !current:
-		// The peer was removed and re-added while we dialed: this client
-		// may be pinned to the old address, so it must not be cached.
-		// Hand back the re-added entry's client if one exists; otherwise
-		// report the churn and let the round's error handling retry.
-		winner := e.client
-		r.mu.Unlock()
-		cl.Close()
-		if winner != nil {
-			return winner, nil
-		}
-		return nil, fmt.Errorf("robustset: peer %q changed during dial", name)
-	}
-	e.client = cl
-	r.mu.Unlock()
-	return cl, nil
+	return e.client, nil
 }
 
-// Close releases the replicator's cached peer connections. Further
-// sessions fail with ErrClientClosed; connectionless state (stats, peers)
-// remains readable.
+// Close closes the replicator's peer connections. Further sessions fail
+// with ErrClientClosed; connectionless state (stats, peers) remains
+// readable.
 func (r *Replicator) Close() error {
 	r.mu.Lock()
-	var clients []*Client
 	r.closed = true
+	clients := make([]*Client, 0, len(r.peers))
 	for _, e := range r.peers {
-		if e.client != nil {
-			clients = append(clients, e.client)
-			e.client = nil
-		}
+		clients = append(clients, e.client)
 	}
 	r.mu.Unlock()
 	for _, cl := range clients {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -541,5 +542,112 @@ func TestReplicatorMuxConvergence(t *testing.T) {
 	}
 	if st.Errors == 0 {
 		t.Errorf("post-close round reported no session errors: %+v", st)
+	}
+}
+
+// endWatcher is a listener whose connections report, on ended, the first
+// failed read the server makes of each: what it sees once the peer has
+// closed the connection.
+type endWatcher struct {
+	net.Listener
+	ended chan struct{}
+}
+
+func (l endWatcher) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &watchedConn{Conn: c, ended: l.ended}, nil
+}
+
+type watchedConn struct {
+	net.Conn
+	ended chan struct{}
+	once  sync.Once
+}
+
+func (c *watchedConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if err != nil {
+		c.once.Do(func() { c.ended <- struct{}{} })
+	}
+	return n, err
+}
+
+// TestReplicatorReAddPeerNewAddress removes a peer whose connection is
+// live and adds it back under the same name at another address: the
+// removal closes the connection to the old address, and the next round's
+// sessions dial the new one.
+func TestReplicatorReAddPeerNewAddress(t *testing.T) {
+	params := robustset.Params{Universe: testU, Seed: 55, DiffBudget: 40}
+	common, extras := clusterWorkload(3, 120, 6)
+	type node struct {
+		srv   *robustset.Server
+		m     *robustset.Metrics
+		addr  string
+		ended chan struct{}
+	}
+	start := func(pts []robustset.Point) node {
+		n := node{m: robustset.NewMetrics(), ended: make(chan struct{}, 4)}
+		n.srv = robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(n.m))
+		if _, err := n.srv.Publish("data", params, pts); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- n.srv.Serve(endWatcher{ln, n.ended}) }()
+		t.Cleanup(func() {
+			n.srv.Close()
+			<-done
+		})
+		n.addr = ln.Addr().String()
+		return n
+	}
+	local := start(append(robustset.ClonePoints(common), extras[0]...))
+	a := start(append(robustset.ClonePoints(common), extras[1]...))
+	b := start(append(robustset.ClonePoints(common), extras[2]...))
+
+	rep, err := robustset.NewReplicator(local.srv, []robustset.Peer{{Name: "p", Addr: a.addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	round := func(want []robustset.Point) {
+		t.Helper()
+		st, err := rep.RunRound(ctx)
+		if err != nil || st.Errors != 0 || st.Sessions != 1 {
+			t.Fatalf("round: %+v, %v", st, err)
+		}
+		if got := local.srv.Dataset("data").Snapshot(); !robustset.EqualMultisets(got, want) {
+			t.Fatalf("after the round the local dataset has %d points, want %d", len(got), len(want))
+		}
+	}
+	want := append(append(robustset.ClonePoints(common), extras[0]...), extras[1]...)
+	round(want)
+
+	if err := rep.RemovePeer("p"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-a.ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("removing the peer left its connection to the old address open")
+	}
+	if err := rep.AddPeer(robustset.Peer{Name: "p", Addr: b.addr}); err != nil {
+		t.Fatal(err)
+	}
+	round(append(want, extras[2]...))
+
+	if got := a.m.Snapshot()["server_mux_conns_total"]; got != 1 {
+		t.Errorf("old address: %d mux connections, want 1", got)
+	}
+	if got := b.m.Snapshot()["server_mux_conns_total"]; got != 1 {
+		t.Errorf("new address: %d mux connections, want 1", got)
 	}
 }

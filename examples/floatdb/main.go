@@ -6,7 +6,9 @@
 // almost every row — the worst case for exact reconciliation and the
 // intended case for robust reconciliation.
 //
-// The example also demonstrates the two-way mode: both replicas pull the
+// The example also shows two-way reconciliation, which is the one-way
+// protocol run once in each direction: each replica sketches its rows,
+// and each reconciles against the other's sketch, so both pull the
 // other's genuinely new rows while ignoring rounding drift.
 //
 // Run it with:

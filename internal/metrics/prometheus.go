@@ -7,9 +7,10 @@ package metrics
 //	server_sessions_total:sensors/a          → {dataset="sensors/a"}
 //	replicator_sessions_total:peer=b,outcome=ok → {peer="b",outcome="ok"}
 //
-// The suffix is parsed as an explicit k=v list only when every
-// comma-separated chunk contains "="; otherwise the whole suffix is the
-// bare per-dataset form. Histograms render with their full cumulative
+// The suffix of a per-dataset family (datasetFamilies) is always the
+// bare per-dataset form. Any other suffix is parsed as an explicit k=v
+// list when every comma-separated chunk contains "=", and is the bare
+// form otherwise. Histograms render with their full cumulative
 // `le` bucket boundaries (every configured bound plus +Inf, zero or
 // not), `_sum` in seconds, and `_count` — so a scraper can recompute
 // any quantile, which Snapshot's p50/p99 summary cannot offer.
@@ -46,6 +47,15 @@ type promHist struct {
 	sumSec  float64
 }
 
+// datasetFamilies are the families registered per dataset, as
+// family:name: the whole suffix is the dataset label's value, "=" and
+// "," included, since a dataset name may hold either.
+var datasetFamilies = map[string]bool{
+	"server_sessions_total":    true,
+	"dataset_points":           true,
+	"dataset_root_fingerprint": true,
+}
+
 // splitName separates a registered name into its family and rendered
 // label set following the ":" conventions above.
 func splitName(name string) (family, labels string) {
@@ -55,26 +65,25 @@ func splitName(name string) (family, labels string) {
 	}
 	family, suffix := name[:i], name[i+1:]
 	chunks := strings.Split(suffix, ",")
-	explicit := true
 	for _, c := range chunks {
-		if !strings.Contains(c, "=") {
-			explicit = false
-			break
+		if datasetFamilies[family] || !strings.Contains(c, "=") {
+			return family, "dataset=" + quoteLabel(suffix)
 		}
 	}
-	// %q escapes `"` and `\` — the characters the text format requires
-	// escaped in label values.
-	var parts []string
-	if explicit {
-		for _, c := range chunks {
-			kv := strings.SplitN(c, "=", 2)
-			parts = append(parts, fmt.Sprintf("%s=%q", sanitizeLabelName(kv[0]), kv[1]))
-		}
-	} else {
-		parts = append(parts, fmt.Sprintf("dataset=%q", suffix))
+	parts := make([]string, len(chunks))
+	for j, c := range chunks {
+		k, v, _ := strings.Cut(c, "=")
+		parts[j] = sanitizeLabelName(k) + "=" + quoteLabel(v)
 	}
 	return family, strings.Join(parts, ",")
 }
+
+// labelEscaper applies the text format's three label-value escapes; any
+// other byte is written as it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// quoteLabel renders v as a quoted label value.
+func quoteLabel(v string) string { return `"` + labelEscaper.Replace(v) + `"` }
 
 var labelNameClean = regexp.MustCompile(`[^a-zA-Z0-9_]`)
 

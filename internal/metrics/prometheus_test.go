@@ -29,6 +29,41 @@ func TestSplitName(t *testing.T) {
 	}
 }
 
+// TestDatasetLabelWholeSuffix renders dataset names that look like label
+// lists, or hold bytes the text format escapes, under each per-dataset
+// family: the whole name is the dataset label's value, escaped with the
+// format's three escapes only.
+func TestDatasetLabelWholeSuffix(t *testing.T) {
+	for _, tc := range []struct{ name, value string }{
+		{"a=b", `"a=b"`},
+		{"x,y=z", `"x,y=z"`},
+		{"peer=p", `"peer=p"`},
+		{"tab\there\nnext \"q\" \\", "\"tab\there" + `\nnext \"q\" \\"`},
+	} {
+		r := New()
+		r.Gauge("dataset_points:" + tc.name).Set(1)
+		r.Gauge("dataset_root_fingerprint:" + tc.name).Set(-2)
+		r.Counter("server_sessions_total:" + tc.name).Add(3)
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		for _, want := range []string{
+			"dataset_points{dataset=" + tc.value + "} 1\n",
+			"dataset_root_fingerprint{dataset=" + tc.value + "} -2\n",
+			"server_sessions_total{dataset=" + tc.value + "} 3\n",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("dataset %q: exposition lacks %q:\n%s", tc.name, want, out)
+			}
+		}
+		if err := LintPrometheus(strings.NewReader(out)); err != nil {
+			t.Errorf("dataset %q: %v\n%s", tc.name, err, out)
+		}
+	}
+}
+
 func TestHistogramQuantilePinned(t *testing.T) {
 	// A known distribution with exact interpolation answers. 100
 	// observations at 1.5ms all land in the (1ms, 2ms] bucket, so

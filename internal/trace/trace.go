@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -613,20 +612,5 @@ func (r *Ring) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
-	})
-}
-
-// SortFramesStable orders a snapshot's frame rows by (type, dir) —
-// test helper keeping comparisons deterministic regardless of tag
-// numbering.
-func (s *Snapshot) SortFramesStable() {
-	if s == nil {
-		return
-	}
-	sort.SliceStable(s.Frames, func(i, j int) bool {
-		if s.Frames[i].Type != s.Frames[j].Type {
-			return s.Frames[i].Type < s.Frames[j].Type
-		}
-		return s.Frames[i].Dir < s.Frames[j].Dir
 	})
 }

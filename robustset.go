@@ -89,15 +89,13 @@
 // subtracts the tables its last fetch built instead, and then neither
 // keys nor presorts its points.
 //
-// cmd/bench runs a fixed workload matrix over all seven strategies and
+// cmd/bench runs a fixed workload matrix over all four strategies and
 // writes BENCH_core.json — the repository's recorded performance
 // trajectory; see DESIGN.md for the harness and the hot-path
 // architecture.
 package robustset
 
 import (
-	"fmt"
-
 	"robustset/internal/core"
 	"robustset/internal/emd"
 	"robustset/internal/grid"
@@ -188,39 +186,6 @@ func NewMaintainer(p Params, pts []Point) (*Maintainer, error) {
 // side of the one-shot protocol).
 func Reconcile(s *Sketch, local []Point) (*Result, error) {
 	return core.Reconcile(s, local)
-}
-
-// ReconcileTwoWay runs the one-way protocol once in each direction and
-// returns both parties' updated multisets. As the paper notes, two-way
-// robust reconciliation does not make the sets equal — each party ends
-// close to the other's original data.
-func ReconcileTwoWay(p Params, alice, bob []Point) (alicePrime, bobPrime []Point, err error) {
-	// Validate both inputs up front so a bad point is attributed to the
-	// party holding it, instead of surfacing as a bare core error midway
-	// through the exchange.
-	if err := p.Universe.CheckSet(alice); err != nil {
-		return nil, nil, fmt.Errorf("robustset: two-way: alice's set: %w", err)
-	}
-	if err := p.Universe.CheckSet(bob); err != nil {
-		return nil, nil, fmt.Errorf("robustset: two-way: bob's set: %w", err)
-	}
-	skA, err := core.BuildSketch(p, alice)
-	if err != nil {
-		return nil, nil, err
-	}
-	skB, err := core.BuildSketch(p, bob)
-	if err != nil {
-		return nil, nil, err
-	}
-	resB, err := core.Reconcile(skA, bob)
-	if err != nil {
-		return nil, nil, err
-	}
-	resA, err := core.Reconcile(skB, alice)
-	if err != nil {
-		return nil, nil, err
-	}
-	return resA.SPrime, resB.SPrime, nil
 }
 
 // EMD returns the exact Earth Mover's Distance between two equal-sized

@@ -81,26 +81,6 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestPublicTwoWay(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	alice, bob := makeNoisyPair(rng, 150, 4, 2)
-	params := robustset.Params{Universe: testU, Seed: 7, DiffBudget: 4}
-	ap, bp, err := robustset.ReconcileTwoWay(params, alice, bob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ap) != len(alice) || len(bp) != len(bob) {
-		t.Fatal("two-way size invariants broken")
-	}
-	// Each side must end closer to the other's original data.
-	d0, _ := robustset.EMD(alice, bob, robustset.L1)
-	dA, _ := robustset.EMD(bob, ap, robustset.L1)
-	dB, _ := robustset.EMD(alice, bp, robustset.L1)
-	if dA >= d0 || dB >= d0 {
-		t.Errorf("two-way did not improve either side: d0=%v dA=%v dB=%v", d0, dA, dB)
-	}
-}
-
 // sessionOverTCP runs one peer-to-peer exchange of strat over a loopback
 // TCP connection: Serve on the accepting side, Fetch on the dialing side.
 func sessionOverTCP(t *testing.T, strat robustset.Strategy, params robustset.Params,

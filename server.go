@@ -1185,7 +1185,7 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 	if err := accept(ctx, t, params); err != nil || same {
 		return err
 	}
-	return serveDataset(ctx, t, strat, params, d)
+	return strat.serveDataset(ctx, t, params, d)
 }
 
 func (s *Server) trackListener(ln net.Listener) bool {

@@ -35,30 +35,11 @@ type Strategy interface {
 	serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error
 	// fetch runs Bob's side and returns his reconciled multiset.
 	fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error)
-}
-
-// datasetStrategy is implemented by strategies that serve a published
-// dataset from state it maintains instead of a snapshot of its points.
-// Like serve, serveDataset relays to the peer whatever keeps it from
-// starting.
-type datasetStrategy interface {
+	// serveDataset runs Alice's side against a published dataset that has
+	// accepted the session, from the state the dataset maintains for the
+	// strategy or a snapshot of its points. Like serve, it relays to the
+	// peer whatever keeps it from starting.
 	serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error
-}
-
-// serveDataset answers one session of strat against d, which has accepted
-// it: from d's served state if the strategy keeps one there, else from a
-// snapshot of its points.
-func serveDataset(ctx context.Context, t transport.Transport, strat Strategy, p Params, d *Dataset) error {
-	if ds, ok := strat.(datasetStrategy); ok {
-		return ds.serveDataset(ctx, t, p, d)
-	}
-	pts, err := d.servePoints()
-	if err != nil {
-		// The dataset was retired between the handshake and here; relay the
-		// rejection so the client fails with a RemoteError.
-		return protocol.SendError(ctx, t, err)
-	}
-	return strat.serve(ctx, t, p, pts)
 }
 
 // warmStrategy is implemented by the strategies a Client's session opens
@@ -73,12 +54,6 @@ type warmStrategy interface {
 	hintFrom(res *SyncResult) (hint, bool)
 }
 
-// twoWayStrategy is implemented by strategies that support the symmetric
-// Session.Sync mode.
-type twoWayStrategy interface {
-	sync(ctx context.Context, t transport.Transport, p Params, pts []Point) (*SyncResult, error)
-}
-
 // validatingStrategy is implemented by strategies with knobs that can be
 // out of range; NewSession rejects invalid values up front instead of
 // letting them desynchronize the endpoints mid-protocol.
@@ -90,9 +65,9 @@ type validatingStrategy interface {
 // during a connection-oriented reconciliation.
 type TransferStats = transport.Stats
 
-// SyncResult is the outcome of a Session.Fetch or Session.Sync: the
-// local party's updated multiset, plus the robust protocol's per-level
-// diagnostics when the strategy is robust.
+// SyncResult is the outcome of a fetch: the local party's updated
+// multiset, plus the robust protocol's per-level diagnostics when the
+// strategy is robust.
 type SyncResult struct {
 	// SPrime is the reconciled multiset (S'_B). For exact strategies it
 	// equals the remote set exactly on success; for robust strategies it
@@ -132,8 +107,7 @@ type SyncResult struct {
 
 // Robust is the paper's one-shot robust protocol: the serving side pushes
 // one message carrying the full multiresolution sketch; the fetching side
-// reconciles at the finest decodable level. It is the only strategy that
-// also supports the symmetric Session.Sync mode.
+// reconciles at the finest decodable level.
 //
 // A Client that has fetched a dataset robust before opens warm, on the
 // levels around its last choice (core.WarmWindow; [L−1, L+1] nearly
@@ -227,14 +201,6 @@ func (r Robust) fetch(ctx context.Context, t transport.Transport, p Params, loca
 		out.next = &hint{tables: r.kept}
 	}
 	return out, nil
-}
-
-func (Robust) sync(ctx context.Context, t transport.Transport, p Params, pts []Point) (*SyncResult, error) {
-	res, err := protocol.RunTwoWay(ctx, t, p, pts)
-	if err != nil {
-		return nil, err
-	}
-	return &SyncResult{SPrime: res.SPrime, Robust: res}, nil
 }
 
 // AdaptiveOptions tunes the fetching side of the Adaptive strategy.
@@ -419,6 +385,17 @@ func (Naive) code() byte          { return protocol.StrategyNaive }
 func (Naive) helloConfig() []byte { return nil }
 
 func (Naive) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
+	return protocol.RunNaiveAlice(ctx, t, p.Universe, pts)
+}
+
+// serveDataset sends a snapshot of the dataset's points: Naive keeps no
+// state of its own.
+func (Naive) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
+	pts, err := d.servePoints()
+	if err != nil {
+		// The dataset was retired between the handshake and here.
+		return protocol.SendError(ctx, t, err)
+	}
 	return protocol.RunNaiveAlice(ctx, t, p.Universe, pts)
 }
 
@@ -660,30 +637,6 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat St
 	}
 	res.local = local
 	return res, nil
-}
-
-// ErrTwoWayUnsupported is returned by Session.Sync for strategies without
-// a symmetric mode.
-var ErrTwoWayUnsupported = errors.New("robustset: strategy does not support two-way sync")
-
-// Sync runs the symmetric two-way mode: both peers call Sync on the same
-// strategy, each pushing its own summary and reconciling against the
-// other's. Only the Robust strategy supports it; as the paper notes,
-// two-way robust reconciliation leaves each party close (in EMD) to the
-// other's original data rather than converging the sets to equality.
-func (s *Session) Sync(ctx context.Context, conn net.Conn, pts []Point) (*SyncResult, TransferStats, error) {
-	tw, ok := s.strategy.(twoWayStrategy)
-	if !ok {
-		return nil, TransferStats{}, fmt.Errorf("%w: %s", ErrTwoWayUnsupported, s.strategy.Name())
-	}
-	t := s.newTransport(conn)
-	res, err := tw.sync(ctx, t, s.params, pts)
-	st := t.Stats()
-	if err != nil {
-		return nil, st, err
-	}
-	res.Params = res.Robust.Params
-	return res, st, nil
 }
 
 // Strategies returns one value of every built-in strategy, in a stable

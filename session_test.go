@@ -206,21 +206,6 @@ func TestSessionOptions(t *testing.T) {
 	}
 }
 
-// TestSyncUnsupported asserts non-robust strategies refuse the two-way
-// mode with a recognizable error.
-func TestSyncUnsupported(t *testing.T) {
-	sess, err := robustset.NewSession(robustset.Naive{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	if _, _, err := sess.Sync(context.Background(), c1, nil); !errors.Is(err, robustset.ErrTwoWayUnsupported) {
-		t.Fatalf("want ErrTwoWayUnsupported, got %v", err)
-	}
-}
-
 // deterministicPair builds Bob's set plus Alice's noisy copy with k fresh
 // outliers, seeded so repeated calls agree.
 func deterministicPair(seed uint64, n, k int, noise int64) (alice, bob []robustset.Point) {
