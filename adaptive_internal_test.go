@@ -330,13 +330,13 @@ func TestAdaptiveEstimatorCacheTracksMultiset(t *testing.T) {
 			}
 		}
 		ask()
-		root := d.rootAgg()
+		root := d.rootPrint()
 		rootChurn(t, d, ClonePoints(initial), rng, 200, func(step int, _ []Point) {
 			_, cached := checkEstimatorCache(t, d, fmt.Sprintf("seed %d step %d", seed, step))
-			if applied := d.rootAgg() != root; applied != (cached == 0) {
+			if applied := d.rootPrint() != root; applied != (cached == 0) {
 				t.Fatalf("seed %d step %d: %d cached estimators after a mutation that applied: %v", seed, step, cached, applied)
 			}
-			root = d.rootAgg()
+			root = d.rootPrint()
 			ask()
 		})
 		for _, level := range []int{p.MinLevel - 1, p.MaxLevel + 1} {
@@ -372,11 +372,10 @@ func adaptiveAgainst(t *testing.T, d *Dataset, p Params, script func(ctx context
 	return <-done
 }
 
-// TestAdaptiveServedFullRangeRequest: the 4-byte estimator request a
-// client that predates windows sends is answered, by a dataset as by the
-// stateless serving side, with every level's estimator, coarsest first —
-// the same body, which protocol.TestEstimateFullRangeGolden pins to the
-// bytes such a client was always sent.
+// TestAdaptiveServedFullRangeRequest: an estimator request whose window
+// is every level is answered, by a dataset as by the stateless serving
+// side, with every level's estimator, coarsest first — the same body,
+// which protocol.TestEstimateFullRangeGolden pins.
 func TestAdaptiveServedFullRangeRequest(t *testing.T) {
 	u := Universe{Dim: 2, Delta: 1 << 12}
 	for _, params := range []Params{
@@ -394,7 +393,7 @@ func TestAdaptiveServedFullRangeRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := d.Params()
-		legacy := func(serve func(ctx context.Context, at transport.Transport) error) []byte {
+		fullRange := func(serve func(ctx context.Context, at transport.Transport) error) []byte {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			at, bt := transport.Pair()
@@ -402,7 +401,8 @@ func TestAdaptiveServedFullRangeRequest(t *testing.T) {
 			defer bt.Close()
 			done := make(chan error, 1)
 			go func() { done <- serve(ctx, at) }()
-			if err := bt.Send(ctx, []byte{protocol.MsgEstRequest, 64, 0, 0, 0}); err != nil {
+			req := binary.LittleEndian.AppendUint16([]byte{protocol.MsgEstRequest, 64, 0, 0, 0}, uint16(p.MaxLevel))
+			if err := bt.Send(ctx, binary.LittleEndian.AppendUint16(req, uint16(p.MaxLevel-p.MinLevel+1))); err != nil {
 				t.Fatal(err)
 			}
 			msg, err := bt.Recv(ctx)
@@ -417,10 +417,10 @@ func TestAdaptiveServedFullRangeRequest(t *testing.T) {
 			}
 			return append([]byte(nil), msg[1:]...)
 		}
-		served := legacy(func(ctx context.Context, at transport.Transport) error {
+		served := fullRange(func(ctx context.Context, at transport.Transport) error {
 			return Adaptive{}.serveDataset(ctx, at, p, d)
 		})
-		stateless := legacy(func(ctx context.Context, at transport.Transport) error {
+		stateless := fullRange(func(ctx context.Context, at transport.Transport) error {
 			return protocol.RunEstimateAlice(ctx, at, p, d.Snapshot())
 		})
 		if !bytes.Equal(served, stateless) {

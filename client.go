@@ -282,7 +282,7 @@ func (cs *ClientSession) Fetch(ctx context.Context, local []Point) (*SyncResult,
 }
 
 // FetchDataset is Fetch for a caller whose local multiset is a Dataset:
-// the hello carries the dataset's root aggregate, and a server whose
+// the hello carries the dataset's root fingerprint, and a server whose
 // dataset has the same root — the two hold the same multiset — says so
 // in its accept. The result is then marked Unchanged and the fetch has
 // cost one hello and one accept, whatever the strategy: no snapshot of

@@ -107,7 +107,7 @@ type ReplicatorStats struct {
 // no difference is too large for a round: any two replicas converge.
 // (Robust and Adaptive answer a fetch with a multiset close to the peer's
 // in EMD, for a Client that wants that.) A session opens with the
-// dataset's root aggregate (ClientSession.FetchDataset): a peer that holds
+// dataset's root (ClientSession.FetchDataset): a peer that holds
 // the same multiset says so in its accept and the session is over — a
 // converged dataset costs one handshake and no snapshot. From the second
 // fetch of a dataset that differed, its session opens warm.
@@ -311,10 +311,15 @@ func NewReplicator(srv *Server, peers []Peer, opts ...ReplicatorOption) (*Replic
 	return r, nil
 }
 
-// AddPeer registers a peer. Adding a name twice is an error.
+// AddPeer registers a peer. Adding a name twice is an error, and so is
+// a name with a comma: it labels the peer's metrics, whose label list
+// is comma-separated.
 func (r *Replicator) AddPeer(p Peer) error {
 	if p.Addr == "" {
 		return errors.New("robustset: peer with empty address")
+	}
+	if strings.Contains(p.name(), ",") {
+		return fmt.Errorf("robustset: peer name %q holds a comma", p.name())
 	}
 	cl, err := newClient(p.Addr, WithClientMaxMessageSize(r.maxMsg), WithClientLogger(r.logf))
 	if err != nil {

@@ -437,12 +437,23 @@ func TestReplicatorValidation(t *testing.T) {
 	if _, err := robustset.NewReplicator(srv, []robustset.Peer{{Addr: "x:1"}, {Addr: "x:1"}}); err == nil {
 		t.Error("duplicate peer accepted")
 	}
+	// A peer's name is a label value in replicator_sessions_total:peer=<name>,outcome=<o>,
+	// a comma-separated k=v list: "a,b" would render as one dataset label,
+	// "x,y=z" with a stray y label.
+	for _, p := range []robustset.Peer{{Name: "a,b", Addr: "x:1"}, {Name: "x,y=z", Addr: "x:1"}, {Addr: "x:1,y:2"}} {
+		if _, err := robustset.NewReplicator(srv, []robustset.Peer{p}); err == nil {
+			t.Errorf("peer %+v accepted: a comma in its name", p)
+		}
+	}
 	rep, err := robustset.NewReplicator(srv, []robustset.Peer{{Name: "p", Addr: "x:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rep.AddPeer(robustset.Peer{Name: "p", Addr: "y:1"}); err == nil {
 		t.Error("duplicate peer name accepted by AddPeer")
+	}
+	if err := rep.AddPeer(robustset.Peer{Name: "q,r", Addr: "y:1"}); err == nil {
+		t.Error("a peer name with a comma accepted by AddPeer")
 	}
 	if err := rep.RemovePeer("nope"); err == nil {
 		t.Error("RemovePeer of unknown peer succeeded")

@@ -69,7 +69,7 @@ func main() {
 		// explain is pull with tracing forced on: run the sync and print
 		// the phase/byte breakdown of what just happened on the wire.
 		err = cmdPull(append([]string{"-trace"}, os.Args[2:]...))
-	case "cluster", "-cluster":
+	case "cluster":
 		err = cmdCluster(os.Args[2:])
 	default:
 		usage()
@@ -111,7 +111,7 @@ const protoUsage = "protocol: oneshot|adaptive|rateless|naive (default oneshot)"
 // strategyFor maps a -proto flag value to a Strategy.
 func strategyFor(proto string) (robustset.Strategy, error) {
 	switch proto {
-	case "", "oneshot", "robust":
+	case "", "oneshot":
 		return robustset.Robust{}, nil
 	case "adaptive":
 		return robustset.Adaptive{}, nil

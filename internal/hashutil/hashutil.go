@@ -5,14 +5,12 @@
 // fully deterministic given their seed and stable across runs, platforms
 // and module versions (they are part of the wire contract).
 //
-// Three families are provided:
+// Two families are provided:
 //
 //   - SplitMix64: a fast full-avalanche 64-bit mixer, used for sub-seed
 //     derivation and integer hashing.
 //   - Hasher: a keyed byte-string hash (xxhash-style construction) used
 //     for IBLT bucket selection and checksums.
-//   - MultShift: a 2-universal multiply-shift family over 64-bit inputs,
-//     used where the analysis wants pairwise independence.
 package hashutil
 
 import (
@@ -97,33 +95,3 @@ func (h Hasher) Hash(b []byte) uint64 {
 func (h Hasher) HashUint64(x uint64) uint64 {
 	return SplitMix64(h.seed ^ SplitMix64(x))
 }
-
-// MultShift is Dietzfelbinger's multiply-add-shift hash family
-// h(x) = ((a·x + b) mod 2^64) >> (64 − bits) with a odd, which is
-// 2-approximately universal: Pr[h(x) = h(y)] ≤ 2/2^bits for x ≠ y.
-type MultShift struct {
-	a, b uint64 // a odd
-	out  uint   // number of output bits, 1..64
-}
-
-// NewMultShift draws a member of the family from seed, producing out-bit
-// values (1 ≤ out ≤ 64).
-func NewMultShift(seed uint64, out uint) MultShift {
-	if out < 1 {
-		out = 1
-	}
-	if out > 64 {
-		out = 64
-	}
-	a := SplitMix64(seed) | 1 // multiplier must be odd
-	b := SplitMix64(seed ^ 0xdeadbeefcafef00d)
-	return MultShift{a: a, b: b, out: out}
-}
-
-// Hash maps x to an out-bit value.
-func (m MultShift) Hash(x uint64) uint64 {
-	return (m.a*x + m.b) >> (64 - m.out)
-}
-
-// Bits returns the number of output bits.
-func (m MultShift) Bits() uint { return m.out }

@@ -1,10 +1,8 @@
 package hashutil
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestSplitMix64KnownVectors(t *testing.T) {
@@ -135,51 +133,5 @@ func TestHashUint64(t *testing.T) {
 	}
 	if h.HashUint64(1) != h.HashUint64(1) {
 		t.Error("not deterministic")
-	}
-}
-
-func TestMultShiftRange(t *testing.T) {
-	for _, bits := range []uint{1, 8, 16, 32, 63, 64} {
-		m := NewMultShift(77, bits)
-		if m.Bits() != bits {
-			t.Fatalf("Bits() = %d, want %d", m.Bits(), bits)
-		}
-		limit := uint64(math.MaxUint64)
-		if bits < 64 {
-			limit = 1<<bits - 1
-		}
-		f := func(x uint64) bool { return m.Hash(x) <= limit }
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("bits=%d: %v", bits, err)
-		}
-	}
-}
-
-func TestMultShiftClampsBits(t *testing.T) {
-	if NewMultShift(1, 0).Bits() != 1 {
-		t.Error("out=0 should clamp to 1")
-	}
-	if NewMultShift(1, 100).Bits() != 64 {
-		t.Error("out=100 should clamp to 64")
-	}
-}
-
-func TestMultShiftPairwiseCollisions(t *testing.T) {
-	// Empirical 2-universality: for random distinct pairs, collision rate
-	// over random family members should be ≈ 2^-bits.
-	const bits = 10
-	rng := rand.New(rand.NewPCG(1, 9))
-	trials, collisions := 200000, 0
-	x, y := rng.Uint64(), rng.Uint64()
-	for i := 0; i < trials; i++ {
-		m := NewMultShift(rng.Uint64(), bits)
-		if m.Hash(x) == m.Hash(y) {
-			collisions++
-		}
-	}
-	rate := float64(collisions) / float64(trials)
-	want := 1.0 / (1 << bits)
-	if rate > 4*want {
-		t.Errorf("collision rate %.5f far above 2/2^bits %.5f", rate, want)
 	}
 }

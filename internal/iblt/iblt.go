@@ -114,7 +114,6 @@ type Table struct {
 	salts     []uint64        // per bucket function (bucket selection)
 	checkSalt uint64          // per-key checksum derivation
 	partSize  int             // cells / HashCount
-	balance   int64           // inserts − deletes, diagnostic only
 }
 
 // Normalized returns the configuration as New would adopt it: the cell
@@ -159,9 +158,6 @@ func (t *Table) Config() Config { return t.cfg }
 
 // Cells returns the actual number of cells.
 func (t *Table) Cells() int { return t.cfg.Cells }
-
-// Balance returns inserts minus deletes applied so far (diagnostic).
-func (t *Table) Balance() int64 { return t.balance }
 
 // WireSize returns the number of bytes MarshalBinary produces for the
 // table's present contents (see MaxWireSize for the bound its shape
@@ -214,7 +210,6 @@ func (t *Table) applyHashed(key []byte, h uint64, sign int64) {
 		xorInto(t.keySums[idx*kl:(idx+1)*kl], key)
 		t.checks[idx] ^= chk
 	}
-	t.balance += sign
 }
 
 // Insert adds a key to the table.
@@ -243,7 +238,6 @@ func (t *Table) Clone() *Table {
 		salts:     t.salts,
 		checkSalt: t.checkSalt,
 		partSize:  t.partSize,
-		balance:   t.balance,
 	}
 	return c
 }
@@ -265,7 +259,6 @@ func (t *Table) CopyFrom(other *Table) error {
 	t.salts = other.salts // immutable after New; sharing is what Clone does too
 	t.checkSalt = other.checkSalt
 	t.partSize = other.partSize
-	t.balance = other.balance
 	return nil
 }
 
@@ -287,7 +280,6 @@ func (t *Table) Sub(other *Table) error {
 	for i := range t.keySums {
 		t.keySums[i] ^= other.keySums[i]
 	}
-	t.balance -= other.balance
 	return nil
 }
 

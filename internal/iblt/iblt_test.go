@@ -109,9 +109,6 @@ func TestInsertDeleteCancels(t *testing.T) {
 	if err != nil || diff.Size() != 0 {
 		t.Fatalf("decode of empty table: %v, %v", diff, err)
 	}
-	if tbl.Balance() != 0 {
-		t.Errorf("balance = %d, want 0", tbl.Balance())
-	}
 }
 
 func TestSubtractDecodesSymmetricDifference(t *testing.T) {

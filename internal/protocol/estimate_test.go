@@ -223,11 +223,11 @@ func TestEstimateBobWarmBuildsFinestOnly(t *testing.T) {
 	}
 }
 
-// TestEstimateFullRangeGolden pins the answer to the 4-byte estimator
-// request a client that predates windows sends: every level's estimator,
-// coarsest first, byte for byte the MsgEstimators body such a client was
-// always sent — held here by the body's length and SHA-256 for two level
-// ranges and two estimator sizes, and against core.LevelEstimators.
+// TestEstimateFullRangeGolden pins the answer to an estimator request
+// whose window is every level: every level's estimator, coarsest first,
+// byte for byte the MsgEstimators body the 4-byte request that predated
+// windows was sent — held here by the body's length and SHA-256 for two
+// level ranges and two estimator sizes, and against core.LevelEstimators.
 func TestEstimateFullRangeGolden(t *testing.T) {
 	inst := testInstance(t, 300, 5)
 	for _, tc := range []struct {
@@ -245,7 +245,11 @@ func TestEstimateFullRangeGolden(t *testing.T) {
 		err := driveAlice(t,
 			func(tr transport.Transport) error { return RunEstimateAlice(bg, tr, tc.params, inst.Alice) },
 			func(tr transport.Transport) {
-				send(bg, tr, MsgEstRequest, binary.LittleEndian.AppendUint32(nil, uint32(tc.k)))
+				p, err := tc.params.Normalized()
+				if err != nil {
+					t.Error(err)
+				}
+				send(bg, tr, MsgEstRequest, estRequestBody(tc.k, p.MaxLevel, p.MaxLevel-p.MinLevel+1))
 				b, err := recvExpect(bg, tr, MsgEstimators)
 				if err != nil {
 					t.Error(err)
@@ -374,6 +378,7 @@ func TestEstimateAliceRefusesBadWindows(t *testing.T) {
 		reqs [][]byte
 	}{
 		{"empty body", [][]byte{{}}},
+		{"four bytes, the form that predated windows", [][]byte{{64, 0, 0, 0}}},
 		{"six bytes", [][]byte{{64, 0, 0, 0, 8, 0}}},
 		{"nine bytes", [][]byte{append(estRequestBody(64, 8, 1), 0)}},
 		{"no levels", [][]byte{estRequestBody(64, 8, 0)}},
@@ -433,7 +438,7 @@ func TestEstimateAliceRefusesLevelOutsideRange(t *testing.T) {
 		err := driveAlice(t,
 			func(tr transport.Transport) error { return RunEstimateAlice(bg, tr, params, inst.Alice) },
 			func(tr transport.Transport) {
-				send(bg, tr, MsgEstRequest, []byte{64, 0, 0, 0})
+				send(bg, tr, MsgEstRequest, estRequestBody(64, 8, 1))
 				if _, err := recvExpect(bg, tr, MsgEstimators); err != nil {
 					t.Error(err)
 					return
@@ -455,7 +460,7 @@ func TestEstimateAliceRefusesLevelOutsideRange(t *testing.T) {
 		err := driveAlice(t,
 			func(tr transport.Transport) error { return RunEstimateAlice(bg, tr, params, inst.Alice) },
 			func(tr transport.Transport) {
-				send(bg, tr, MsgEstRequest, []byte{64, 0, 0, 0})
+				send(bg, tr, MsgEstRequest, estRequestBody(64, 8, 1))
 				recvExpect(bg, tr, MsgEstimators)
 				req := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint16(nil, uint16(level)), 32)
 				send(bg, tr, MsgLevelRequest, req)

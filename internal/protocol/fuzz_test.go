@@ -9,7 +9,7 @@ import (
 
 	"robustset/internal/core"
 	"robustset/internal/iblt"
-	"robustset/internal/ranges"
+	"robustset/internal/points"
 	"robustset/internal/sketch"
 	"robustset/internal/transport"
 	"robustset/internal/workload"
@@ -32,12 +32,12 @@ func FuzzParseHello(f *testing.F) {
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{97, 0, 0, 0}},
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0, 0, 0, 0}},
 		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0xff, 0xff, 0xff, 0xff}},
-		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0, 2, 0, 0}, Root: &ranges.Agg{Count: 20000, Fp: 1}},
+		{Strategy: StrategyRateless, Dataset: "churn", Config: []byte{0, 2, 0, 0}, Root: &points.Print{Count: 20000, Sum: 1}},
 		// Warm robust hellos: the window [9,11], the largest levels a byte
 		// holds with a root, one level, and the never-valid windows: the
 		// old one-byte form, three bytes, lo > hi and a hi of 0.
 		{Strategy: StrategyRobust, Dataset: "noisy/0", Config: []byte{9, 11}},
-		{Strategy: StrategyRobust, Dataset: "data~3.16", Config: []byte{0xfe, 0xff}, Root: &ranges.Agg{Count: 2000, Fp: 3}},
+		{Strategy: StrategyRobust, Dataset: "data~3.16", Config: []byte{0xfe, 0xff}, Root: &points.Print{Count: 2000, Sum: 3}},
 		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{4, 4}},
 		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{9}},
 		{Strategy: StrategyRobust, Dataset: "d", Config: []byte{9, 10, 11}},
@@ -46,10 +46,10 @@ func FuzzParseHello(f *testing.F) {
 		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{0xff, 0xff, 0xff, 0xff}},
 		{Strategy: StrategyNaive, Dataset: string(bytes.Repeat([]byte{'n'}, MaxDatasetName))},
 		// The same shapes with the root tail: an empty set's, a full one's.
-		{Strategy: StrategyRobust, Dataset: "d", Root: &ranges.Agg{}},
+		{Strategy: StrategyRobust, Dataset: "d", Root: &points.Print{}},
 		{Strategy: StrategyRangeBased, Dataset: "shard~3.16", Config: []byte{8, 16, 0},
-			Root: &ranges.Agg{Count: 1 << 40, Fp: 0xfeedfacecafebeef}},
-		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{1, 0, 0, 0}, Root: &ranges.Agg{Count: 7, Fp: ^uint64(0)}},
+			Root: &points.Print{Count: 1 << 40, Sum: 0xfeedfacecafebeef}},
+		{Strategy: StrategyCPI, Dataset: "x", Config: []byte{1, 0, 0, 0}, Root: &points.Print{Count: 7, Sum: ^uint64(0)}},
 	} {
 		body, err := h.encode()
 		if err != nil {
@@ -61,7 +61,7 @@ func FuzzParseHello(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff})
 	// A tail one byte short of a root, and one byte past it.
-	short, _ := Hello{Strategy: StrategyRobust, Dataset: "d", Root: &ranges.Agg{Count: 1, Fp: 2}}.encode()
+	short, _ := Hello{Strategy: StrategyRobust, Dataset: "d", Root: &points.Print{Count: 1, Sum: 2}}.encode()
 	f.Add(short[:len(short)-1])
 	f.Add(append(short, 0))
 
@@ -98,10 +98,10 @@ func FuzzParseHello(f *testing.F) {
 
 // FuzzEstimateRequest feeds two arbitrary estimator request bodies to the
 // estimate-first serve loop over transport.Pair, the second after the
-// first was answered. It must never panic; a request it answers gets one
-// estimator of the requested size per level of the window — every level
-// for the 4-byte form — and one it refuses ends the session with the
-// refusal relayed.
+// first was answered. It must never panic; a request it answers is 8
+// bytes long and gets one estimator of the requested size per level of
+// its window, and one it refuses ends the session with the refusal
+// relayed.
 func FuzzEstimateRequest(f *testing.F) {
 	inst, err := workload.Generate(workload.Config{
 		N: 40, Universe: testU, Outliers: 2, Noise: workload.NoiseUniform, Scale: 2, Seed: 3,
@@ -110,10 +110,9 @@ func FuzzEstimateRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	params := core.Params{Universe: testU, Seed: 5, DiffBudget: 2}.WithLevels(2, 9)
-	levels := 8
 	f.Add(estRequestBody(64, 9, 1), estRequestBody(64, 8, 2))
-	f.Add(estRequestBody(8, 9, 8), []byte{8, 0, 0, 0})
-	f.Add([]byte{64, 0, 0, 0}, estRequestBody(64, 2, 1))
+	f.Add(estRequestBody(8, 9, 8), []byte{8, 0, 0, 0}) // the 4-byte form is refused
+	f.Add(estRequestBody(64, 9, 8), estRequestBody(64, 2, 1))
 	f.Add(estRequestBody(64, 9, 0), []byte{})
 	f.Add(estRequestBody(64, 10, 1), estRequestBody(64, 9, 1))
 	f.Add(estRequestBody(64, 9, 1), estRequestBody(32, 8, 2))
@@ -139,16 +138,13 @@ func FuzzEstimateRequest(f *testing.F) {
 				}
 				return
 			}
-			if len(body) < 4 {
+			if len(body) != 8 {
 				t.Fatalf("request %d of %d bytes answered", i, len(body))
 			}
 			if i == 0 {
 				k = int(binary.LittleEndian.Uint32(body))
 			}
-			want := levels
-			if len(body) == 8 {
-				want = int(binary.LittleEndian.Uint16(body[6:]))
-			}
+			want := int(binary.LittleEndian.Uint16(body[6:]))
 			blobs, err := parseBlobList(reply)
 			if err != nil || len(blobs) != want {
 				t.Fatalf("request %d (%x) answered with %d estimators, %v; want %d", i, body, len(blobs), err, want)

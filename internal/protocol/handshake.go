@@ -7,7 +7,7 @@ import (
 	"fmt"
 
 	"robustset/internal/core"
-	"robustset/internal/ranges"
+	"robustset/internal/points"
 	"robustset/internal/transport"
 )
 
@@ -16,9 +16,9 @@ import (
 const (
 	// MsgHello opens a session on one mux stream of a server connection:
 	// u8 strategy code | u32 name length | dataset name | u32 config length
-	// | strategy config blob | optional root: u64 count, u64 fingerprint.
-	// The root is the ranges.Agg of the client's local multiset; a client
-	// that holds none ends the hello at the config blob.
+	// | strategy config blob | optional root: u64 count, u64 sum.
+	// The root is the points.Print of the client's local multiset; a
+	// client that holds none ends the hello at the config blob.
 	MsgHello byte = 0x10
 	// MsgAccept answers MsgHello: the dataset's normalized core.Params in
 	// the core wire encoding. The client adopts these parameters, so both
@@ -49,9 +49,11 @@ const (
 // optional 1-byte warm window, version 7 that window's finest level as
 // a second byte, version 8 the rateless hello an empty config when it
 // opens cold, version 9 a cold rateless session its 32-cell head in place
-// of the strata estimator. Peers of another version are refused at parse
-// time.
-const MuxVersion = 9
+// of the strata estimator, version 10 the hello a root that is a
+// points.Print (the order-free sum, not the XOR over occurrence keys) and
+// the estimator request its 8-byte windowed form alone. Peers of another
+// version are refused at parse time.
+const MuxVersion = 10
 
 // acceptSame is the byte that follows the parameters of an accept which
 // ends the session at the handshake.
@@ -92,12 +94,11 @@ type Hello struct {
 	// first request, the robust warm window) that the serving side must
 	// honor for the two parties' sketches to be compatible.
 	Config []byte
-	// Root, when set, is the root aggregate of the client's local multiset:
-	// the ranges.Agg of its occurrence keys (ranges.Keys) under the hash
-	// seeded by ranges.FingerprintSeed of the parameters' seed. A server
+	// Root, when set, is the fingerprint of the client's local multiset,
+	// under the key both sides derive from the parameters' seed. A server
 	// whose dataset has the same root answers with an accept marked "same"
 	// instead of running the strategy.
-	Root *ranges.Agg
+	Root *points.Print
 }
 
 func (h Hello) encode() ([]byte, error) {
@@ -112,7 +113,7 @@ func (h Hello) encode() ([]byte, error) {
 	body = append(body, h.Config...)
 	if h.Root != nil {
 		body = binary.LittleEndian.AppendUint64(body, h.Root.Count)
-		body = binary.LittleEndian.AppendUint64(body, h.Root.Fp)
+		body = binary.LittleEndian.AppendUint64(body, h.Root.Sum)
 	}
 	return body, nil
 }
@@ -149,9 +150,9 @@ func parseHello(body []byte) (Hello, error) {
 	switch tail := body[cfgLen:]; len(tail) {
 	case 0:
 	case rootLen:
-		h.Root = &ranges.Agg{
+		h.Root = &points.Print{
 			Count: binary.LittleEndian.Uint64(tail),
-			Fp:    binary.LittleEndian.Uint64(tail[8:]),
+			Sum:   binary.LittleEndian.Uint64(tail[8:]),
 		}
 	default:
 		return h, fmt.Errorf("protocol: malformed hello: %d bytes after the config, want 0 or %d", len(tail), rootLen)

@@ -10,7 +10,6 @@ import (
 
 	"robustset/internal/core"
 	"robustset/internal/points"
-	"robustset/internal/ranges"
 	"robustset/internal/transport"
 )
 
@@ -48,11 +47,13 @@ func TestMuxNegotiationRoundTrip(t *testing.T) {
 // skewed client is refused at parse time with a relayed MsgError, and a
 // skewed server's accept is refused by the client.
 func TestMuxVersionSkew(t *testing.T) {
-	if MuxVersion != 9 {
-		t.Fatalf("MuxVersion is %d; a cold rateless session's head in place of the strata estimator is version 9", MuxVersion)
+	if MuxVersion != 10 {
+		t.Fatalf("MuxVersion is %d; a hello root that is a points.Print is version 10", MuxVersion)
 	}
 	ctx := context.Background()
-	for _, v := range []byte{MuxVersion - 1, MuxVersion + 1} {
+	// Version 9 roots are XORs over occurrence keys: equal multisets
+	// would never match across the skew, so 9 is refused like any other.
+	for _, v := range []byte{9, MuxVersion + 1} {
 		at, bt := transport.Pair()
 		done := make(chan error, 1)
 		go func() {
@@ -163,7 +164,7 @@ func TestRecvOpeningDispatch(t *testing.T) {
 // code carries: a tail a byte short or a byte long is malformed, and so
 // is a config length that claims more bytes than follow.
 func TestParseHelloRootTail(t *testing.T) {
-	root := ranges.Agg{Count: 3, Fp: 0x0123456789abcdef}
+	root := points.Print{Count: 3, Sum: 0x0123456789abcdef}
 	for _, cfgLen := range []int{0, 1, 3, 4} {
 		bare, err := Hello{Strategy: StrategyRobust, Dataset: "d", Config: make([]byte, cfgLen)}.encode()
 		if err != nil {
@@ -173,7 +174,7 @@ func TestParseHelloRootTail(t *testing.T) {
 			body := append(append([]byte(nil), bare...), make([]byte, tail)...)
 			if tail >= rootLen {
 				binary.LittleEndian.PutUint64(body[len(bare):], root.Count)
-				binary.LittleEndian.PutUint64(body[len(bare)+8:], root.Fp)
+				binary.LittleEndian.PutUint64(body[len(bare)+8:], root.Sum)
 			}
 			h, err := parseHello(body)
 			switch {
@@ -212,7 +213,7 @@ func TestParseHelloRootTail(t *testing.T) {
 func TestHelloRootAccept(t *testing.T) {
 	ctx := context.Background()
 	params := core.Params{Universe: points.Universe{Dim: 2, Delta: 1 << 10}, Seed: 3, DiffBudget: 4}
-	root := &ranges.Agg{Count: 5, Fp: 77}
+	root := &points.Print{Count: 5, Sum: 77}
 	serve := func(same bool) (transport.Transport, chan Hello) {
 		at, bt := transport.Pair()
 		got := make(chan Hello, 1)

@@ -1,7 +1,7 @@
 // Package protocol implements the two-party wire protocols of this
 // module: the robust reconciliation protocol in its one-shot and
-// estimate-first variants, and the comparators (naive transfer, rateless
-// exact IBLT sync, characteristic-polynomial sync).
+// estimate-first variants, and the comparators (naive transfer and
+// rateless exact IBLT sync).
 // Each protocol is a pair of blocking session functions — RunXxxAlice /
 // RunXxxBob — that drive a transport.Transport until the exchange
 // completes, so the same code runs over an in-memory pipe in tests and
@@ -53,7 +53,7 @@ const (
 	// MsgSketch carries a core.Sketch (robust one-shot push).
 	MsgSketch byte = 0x01
 	// MsgEstRequest asks Alice for the estimators of a window of levels:
-	// u32 estimatorK, u16 finest, u16 count; u32 estimatorK alone: all.
+	// u32 estimatorK, u16 finest, u16 count.
 	MsgEstRequest byte = 0x02
 	// MsgEstimators carries the window's bottom-k estimators, coarsest
 	// first, as a u32-count list of u32-length-prefixed blobs.

@@ -111,8 +111,9 @@ func driveAlice(t *testing.T, alice func(transport.Transport) error, script func
 
 func TestEstimateAliceRejectsMalformedRequests(t *testing.T) {
 	inst := testInstance(t, 50, 2)
-	params := core.Params{Universe: testU, Seed: 1, DiffBudget: 2}
+	params := core.Params{Universe: testU, Seed: 1, DiffBudget: 2}.WithLevels(3, 8)
 	alice := func(tr transport.Transport) error { return RunEstimateAlice(bg, tr, params, inst.Alice) }
+	valid := estRequestBody(64, 8, 1) // the finest level alone
 
 	// Truncated estimator request body.
 	err := driveAlice(t, alice, func(tr transport.Transport) {
@@ -123,14 +124,14 @@ func TestEstimateAliceRejectsMalformedRequests(t *testing.T) {
 	}
 	// Estimator k out of range.
 	err = driveAlice(t, alice, func(tr transport.Transport) {
-		send(bg, tr, MsgEstRequest, []byte{0, 0, 0, 0})
+		send(bg, tr, MsgEstRequest, estRequestBody(0, 8, 1))
 	})
 	if err == nil {
 		t.Error("estK=0 accepted")
 	}
 	// Valid request, then a bogus capacity.
 	err = driveAlice(t, alice, func(tr transport.Transport) {
-		send(bg, tr, MsgEstRequest, []byte{64, 0, 0, 0})
+		send(bg, tr, MsgEstRequest, valid)
 		if _, err := recvExpect(bg, tr, MsgEstimators); err != nil {
 			t.Error(err)
 			return
@@ -142,7 +143,7 @@ func TestEstimateAliceRejectsMalformedRequests(t *testing.T) {
 	}
 	// Valid request, then an unexpected message type.
 	err = driveAlice(t, alice, func(tr transport.Transport) {
-		send(bg, tr, MsgEstRequest, []byte{64, 0, 0, 0})
+		send(bg, tr, MsgEstRequest, valid)
 		if _, err := recvExpect(bg, tr, MsgEstimators); err != nil {
 			t.Error(err)
 			return
@@ -154,7 +155,7 @@ func TestEstimateAliceRejectsMalformedRequests(t *testing.T) {
 	}
 	// Clean shutdown path.
 	err = driveAlice(t, alice, func(tr transport.Transport) {
-		send(bg, tr, MsgEstRequest, []byte{64, 0, 0, 0})
+		send(bg, tr, MsgEstRequest, valid)
 		if _, err := recvExpect(bg, tr, MsgEstimators); err != nil {
 			t.Error(err)
 			return

@@ -14,13 +14,17 @@ import (
 
 // pushAllBob is the fetching side of the estimate-first protocol as it
 // was before Alice's estimators were pulled a window at a time, kept as
-// the reference the pull is held equal to. Bob asks once, with the 4-byte
-// request, for every level's estimator; he builds all of his own, picks
+// the reference the pull is held equal to. Bob asks once, with a window
+// of every level, for every level's estimator; he builds all of his own, picks
 // the level with core.ChooseLevel over both full slices and then runs the
 // same level-table rounds. It returns the chosen level and estimate too.
 func pushAllBob(ctx context.Context, t transport.Transport, p core.Params, bobPts []points.Point, opts EstimateOpts) (*core.Result, int, float64, error) {
 	opts = opts.filled(p)
-	if err := send(ctx, t, MsgEstRequest, binary.LittleEndian.AppendUint32(nil, uint32(opts.EstimatorK))); err != nil {
+	p, err := p.Normalized()
+	if err != nil {
+		return nil, 0, 0, abort(ctx, t, err)
+	}
+	if err := send(ctx, t, MsgEstRequest, estRequestBody(opts.EstimatorK, p.MaxLevel, p.MaxLevel-p.MinLevel+1)); err != nil {
 		return nil, 0, 0, err
 	}
 	view, err := core.NewView(p, bobPts)

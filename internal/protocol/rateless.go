@@ -404,71 +404,29 @@ var ErrKeptStale = errors.New("protocol: kept cells are not the local multiset's
 // session returned, so that its next session against that multiset
 // subtracts cells instead of keying it: the first cells of the multiset's
 // stream — the cells the session received, since the multiset is Alice's
-// — and its fingerprint (SetPrint) under a key of its own. Cells are
+// — and its fingerprint (points.Print) under a key of its own. Cells are
 // linear in the key set, so a later session folds its decoded difference
 // in (CellPrefix.Add and Remove) and appends the cells it received past
 // their end; there are at most ratelessPrefixCells of them, about 36 KB
 // at dimension 2. A RatelessKept belongs to one session at a time.
 type RatelessKept struct {
-	printKey
+	key      points.PrintKey
 	universe points.Universe
 	seed     uint64
-	print    SetPrint
+	print    points.Print
 	cells    *iblt.CellPrefix // nil: describes no multiset yet
 }
 
 // NewRatelessKept returns a RatelessKept that describes no multiset yet,
 // with a fingerprint key drawn at random.
-func NewRatelessKept() *RatelessKept { return &RatelessKept{printKey: newPrintKey()} }
+func NewRatelessKept() *RatelessKept { return &RatelessKept{key: points.PrintKey(rand.Uint64())} }
 
 // Prefix returns the kept cells, nil before a session has filled them.
 func (k *RatelessKept) Prefix() *iblt.CellPrefix { return k.cells }
 
-// SetPrint is an order-free, duplicate-aware fingerprint of a multiset of
-// points: the count, and the sum mod 2⁶⁴ of a keyed 64-bit hash of each
-// point. Two multisets that differ share one with probability about 2⁻⁶⁴.
-// A kept state — RatelessKept, RobustKept — knows its multiset by it.
-type SetPrint struct {
-	N   int
-	Sum uint64
-}
-
-// printKey is the key of a kept state's SetPrint, drawn at random.
-type printKey uint64
-
-func newPrintKey() printKey { return printKey(rand.Uint64()) }
-
-// pointHash is the keyed point hash SetPrint sums, over the point's
-// coordinates or the little-endian words of its encoding alike.
-func (k printKey) pointHash(p points.Point) uint64 {
-	h := uint64(k)
-	for _, c := range p {
-		h = hashutil.SplitMix64(h ^ uint64(c))
-	}
-	return h
-}
-
-// keyHash is pointHash of the point an occurrence key encodes.
-func (k printKey) keyHash(key []byte) uint64 {
-	h := uint64(k)
-	for enc := key[:len(key)-4]; len(enc) >= 8; enc = enc[8:] {
-		h = hashutil.SplitMix64(h ^ binary.LittleEndian.Uint64(enc))
-	}
-	return h
-}
-
-// printOf returns the fingerprint of pts.
-func (k printKey) printOf(pts []points.Point) SetPrint {
-	f := SetPrint{N: len(pts)}
-	for _, p := range pts {
-		f.Sum += k.pointHash(p)
-	}
-	return f
-}
-
 // known returns the kept cells if they are those of the multiset
 // fingerprinted print in cfg's stream, else nil.
-func (k *RatelessKept) known(cfg RatelessConfig, print SetPrint) *iblt.CellBlock {
+func (k *RatelessKept) known(cfg RatelessConfig, print points.Print) *iblt.CellBlock {
 	if k.cells == nil || k.universe != cfg.Universe || k.seed != cfg.Seed || k.print != print {
 		return nil
 	}
@@ -478,7 +436,7 @@ func (k *RatelessKept) known(cfg RatelessConfig, print SetPrint) *iblt.CellBlock
 // update makes k describe the multiset a session returned: the one
 // fingerprinted print, whose cells k kept if known, turned by diff. recv
 // is the cells the session received, those of the returned multiset.
-func (k *RatelessKept) update(cfg RatelessConfig, known bool, print SetPrint, diff *iblt.Diff, recv *iblt.CellPrefix) error {
+func (k *RatelessKept) update(cfg RatelessConfig, known bool, print points.Print, diff *iblt.Diff, recv *iblt.CellPrefix) error {
 	if !known {
 		cells, err := iblt.NewCellPrefix(cfg.extend(), 0)
 		if err != nil {
@@ -486,13 +444,14 @@ func (k *RatelessKept) update(cfg RatelessConfig, known bool, print SetPrint, di
 		}
 		k.cells, k.universe, k.seed = cells, cfg.Universe, cfg.Seed
 	}
+	// An occurrence key is the point's encoding and a u32 index.
 	for _, key := range diff.Pos {
 		k.cells.Add(key)
-		print.N, print.Sum = print.N+1, print.Sum+k.keyHash(key)
+		print.Add(k.key.HashEncoded(key[:len(key)-4]))
 	}
 	for _, key := range diff.Neg {
 		k.cells.Remove(key)
-		print.N, print.Sum = print.N-1, print.Sum-k.keyHash(key)
+		print.Remove(k.key.HashEncoded(key[:len(key)-4]))
 	}
 	k.cells.Extend(recv.Cells(), ratelessPrefixCells)
 	k.print = print
@@ -523,12 +482,12 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 		return keys
 	}
 	var (
-		print SetPrint
+		print points.Print
 		known *iblt.CellBlock
 		recv  *iblt.CellPrefix // the cells received, up to ratelessPrefixCells
 	)
 	if cfg.Kept != nil {
-		print = cfg.Kept.printOf(bobPts)
+		print = cfg.Kept.key.Of(bobPts)
 		known = cfg.Kept.known(cfg, print)
 	}
 	keyLen := cfg.extend().KeyLen

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 
@@ -165,7 +166,7 @@ var ErrKeptTablesStale = errors.New("protocol: kept tables are not the local mul
 // robust session, so that its next session over the same multiset
 // subtracts tables instead of keying it: its tables of the levels of the
 // next session's window, the normalized Params they were built under,
-// and the multiset's fingerprint (SetPrint) under a key of its own. Bob's
+// and the multiset's fingerprint (points.Print) under a key of its own. Bob's
 // table of a level depends only on his multiset and the public coins, so
 // a later session whose local points have the fingerprint, under Params
 // of the same seed, universe, capacity and hash count, takes the kept
@@ -174,15 +175,15 @@ var ErrKeptTablesStale = errors.New("protocol: kept tables are not the local mul
 // presort they were built from is not kept. A RobustKept belongs to one
 // session at a time.
 type RobustKept struct {
-	printKey
+	key    points.PrintKey
 	params core.Params
-	print  SetPrint
+	print  points.Print
 	tables map[int]*iblt.Table // by level; nil: describes no multiset yet
 }
 
 // NewRobustKept returns a RobustKept that describes no multiset yet, with
 // a fingerprint key drawn at random.
-func NewRobustKept() *RobustKept { return &RobustKept{printKey: newPrintKey()} }
+func NewRobustKept() *RobustKept { return &RobustKept{key: points.PrintKey(rand.Uint64())} }
 
 // Tables returns the kept tables by level, nil before a session has
 // filled them.
@@ -196,7 +197,7 @@ func (k *RobustKept) Params() core.Params { return k.params }
 // were built under and the multiset's fingerprint.
 type bobTables struct {
 	params core.Params
-	print  SetPrint
+	print  points.Print
 	tables map[int]*iblt.Table
 }
 
@@ -208,7 +209,7 @@ func (k *RobustKept) lend(p core.Params, pts []points.Point) *bobTables {
 	if k == nil {
 		return b
 	}
-	b.print = k.printOf(pts)
+	b.print = k.key.Of(pts)
 	q := k.params
 	if k.tables != nil && k.print == b.print && p.Seed == q.Seed && p.Universe == q.Universe &&
 		p.TableCapacity == q.TableCapacity && p.HashCount == q.HashCount {
@@ -372,7 +373,7 @@ func RunEstimateAlice(ctx context.Context, t transport.Transport, p core.Params,
 
 // estimatorK returns the estimator size an estimator request asks for.
 func estimatorK(body []byte) (int, error) {
-	if len(body) != 4 && len(body) != 8 {
+	if len(body) != 8 {
 		return 0, errors.New("protocol: malformed estimator request")
 	}
 	k := int(binary.LittleEndian.Uint32(body))
@@ -383,16 +384,13 @@ func estimatorK(body []byte) (int, error) {
 }
 
 // serveEstimators answers an estimator request of a session opened for
-// size k with the window's estimators, coarsest first — every level for
-// the 4-byte form that predates windows — and ends sp with their count.
+// size k with the window's estimators, coarsest first, and ends sp with
+// their count.
 func serveEstimators(ctx context.Context, t transport.Transport, sp trace.Region, o *EstimateOpening, k int, body []byte) error {
 	if got, err := estimatorK(body); err != nil || got != k {
 		return sendErr(ctx, t, cmp.Or(err, fmt.Errorf("protocol: estimator k %d in a session opened for %d", got, k)))
 	}
-	finest, count := o.MaxLevel, o.MaxLevel-o.MinLevel+1
-	if len(body) == 8 {
-		finest, count = int(binary.LittleEndian.Uint16(body[4:])), int(binary.LittleEndian.Uint16(body[6:]))
-	}
+	finest, count := int(binary.LittleEndian.Uint16(body[4:])), int(binary.LittleEndian.Uint16(body[6:]))
 	if count < 1 || finest > o.MaxLevel || finest-count+1 < o.MinLevel {
 		return sendErr(ctx, t, fmt.Errorf("%w: estimator window of %d levels from %d outside [%d,%d]",
 			core.ErrLevelOutOfRange, count, finest, o.MinLevel, o.MaxLevel))

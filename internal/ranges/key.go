@@ -1,15 +1,9 @@
-// Package ranges implements the key-order fingerprint behind a dataset's
-// root: a canonical order-preserving Morton (Z-order) encoding of points
-// into fixed-length occurrence-indexed byte keys, the running Root
-// aggregate (count and XOR of the keys' 64-bit fingerprints) a dataset
-// keeps and a hello carries, and a balanced B-tree over the keys that
-// maintains the same aggregate per subtree — the bulk-built oracle the
-// root is tested against.
-//
-// The key codec and the fingerprint seed are part of the wire contract:
-// two parties compare roots only if both derive the identical keys and
-// hashes from a shared Universe and seed, so the encoding is fully
-// deterministic and versioned by the protocol, not by this package.
+// Package ranges is the Morton-ordered key index the benchmark's probes
+// time and nothing in the product uses: a canonical order-preserving
+// Morton (Z-order) encoding of points into fixed-length
+// occurrence-indexed byte keys, and a balanced B-tree over the keys that
+// keeps a per-subtree aggregate (count and XOR of the keys' 64-bit
+// fingerprints). A dataset's root is a points.Print, not a tree root.
 package ranges
 
 import (

@@ -239,64 +239,3 @@ func FuzzTreeOps(f *testing.F) {
 		}
 	})
 }
-
-// TestRootMatchesTree: a Root fed the (point, occurrence) keys one at a
-// time, in any order, equals the root of a tree bulk-built over the same
-// multiset with the same seed; taking a key out undoes putting it in; and
-// any single add or remove changes it.
-func TestRootMatchesTree(t *testing.T) {
-	u := points.Universe{Dim: 2, Delta: 1 << 10}
-	rng := rand.New(rand.NewSource(7))
-	var pts []points.Point
-	for i := 0; i < 300; i++ {
-		p := points.Point{rng.Int63n(u.Delta), rng.Int63n(u.Delta)}
-		for c := rng.Intn(3); c >= 0; c-- { // 1–3 copies: duplicates matter
-			pts = append(pts, p)
-		}
-	}
-	const seed = 99
-	tree, err := NewFromSorted(KeyLen(u.Dim), seed, Keys(u, pts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(order []points.Point) Root {
-		r := NewRoot(seed)
-		seen := map[string]uint32{}
-		for _, p := range order {
-			k := string(points.EncodeNew(p))
-			r.Add(p, seen[k])
-			seen[k]++
-		}
-		return r
-	}
-	fwd := build(pts)
-	if fwd.Agg != tree.Root() {
-		t.Fatalf("running root %+v, tree root %+v", fwd.Agg, tree.Root())
-	}
-	shuffled := append([]points.Point(nil), pts...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	if got := build(shuffled); got.Agg != fwd.Agg {
-		t.Fatalf("root depends on insertion order: %+v vs %+v", got.Agg, fwd.Agg)
-	}
-	if other := NewRoot(seed + 1); other.Agg != (Agg{}) {
-		t.Fatalf("empty root is %+v", other.Agg)
-	}
-	before := fwd.Agg
-	extra := points.Point{5, 5}
-	fwd.Add(extra, 0)
-	if fwd.Agg == before || fwd.Agg.Count != before.Count+1 {
-		t.Fatalf("one add left the root at %+v", fwd.Agg)
-	}
-	fwd.Remove(extra, 0)
-	if fwd.Agg != before {
-		t.Fatalf("add then remove moved the root: %+v vs %+v", fwd.Agg, before)
-	}
-	// Seeds are unrelated fingerprint spaces.
-	other := NewRoot(seed + 1)
-	other.Add(extra, 0)
-	same := NewRoot(seed)
-	same.Add(extra, 0)
-	if other.Agg.Fp == same.Agg.Fp {
-		t.Fatal("two seeds fingerprint one key alike")
-	}
-}

@@ -12,20 +12,12 @@ import (
 
 	"robustset/internal/points"
 	"robustset/internal/protocol"
-	"robustset/internal/ranges"
 	"robustset/internal/transport"
 )
 
-// freshRoot is the oracle of the root tests: the root of a fingerprint
-// tree bulk-built over pts' occurrence keys.
-func freshRoot(t *testing.T, p Params, pts []Point) ranges.Agg {
-	t.Helper()
-	tree, err := ranges.NewFromSorted(ranges.KeyLen(p.Universe.Dim), ranges.FingerprintSeed(p.Seed), ranges.Keys(p.Universe, pts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree.Root()
-}
+// freshRoot is the oracle of the root tests: the fingerprint of pts,
+// computed in one pass under d's root key.
+func freshRoot(d *Dataset, pts []Point) points.Print { return d.rootKey.Of(pts) }
 
 // rootChurn drives steps seeded mutations through d — single adds and
 // removes, batches with duplicate points, and batches that must fail
@@ -98,9 +90,10 @@ func rootChurn(t *testing.T, d *Dataset, current []Point, rng *rand.Rand, steps 
 // TestDatasetRootTracksMultiset is the root's property test: after every
 // step of a seeded mutation sequence the running root equals a fresh
 // build over Snapshot(); it does not depend on the order the points
-// arrived in, and any single add or remove moves it. The hello carries the
-// root and no version bump guards its hash, so one published root is
-// pinned by value.
+// arrived in, the roots of the multiset's shards sum to it, and any
+// single add or remove moves it. The hello carries the
+// root, so one published root is pinned by value: a change to its hash
+// must come with a MuxVersion bump.
 func TestDatasetRootTracksMultiset(t *testing.T) {
 	params := Params{Universe: Universe{Dim: 2, Delta: 1 << 10}, Seed: 31, DiffBudget: 8}
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -118,16 +111,16 @@ func TestDatasetRootTracksMultiset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := d.rootAgg(), freshRoot(t, params, initial); got != want {
+		if got, want := d.rootPrint(), freshRoot(d, initial); got != want {
 			t.Fatalf("seed %d: published root %+v, fresh build %+v", seed, got, want)
 		}
-		if pinned := (ranges.Agg{Count: 50, Fp: 0x202320471fcdd248}); seed == 1 && d.rootAgg() != pinned {
-			t.Fatalf("published root %+v, pinned %+v: the hello root's hash moved", d.rootAgg(), pinned)
+		if pinned := (points.Print{Count: 50, Sum: 0xf1e58ce728b9cd28}); seed == 1 && d.rootPrint() != pinned {
+			t.Fatalf("published root %+v, pinned %+v: the hello root's hash moved", d.rootPrint(), pinned)
 		}
 		check := func(step int, current []Point) {
 			t.Helper()
-			got := d.rootAgg()
-			if want := freshRoot(t, params, d.Snapshot()); got != want {
+			got := d.rootPrint()
+			if want := freshRoot(d, d.Snapshot()); got != want {
 				t.Fatalf("seed %d step %d: running root %+v, fresh build over the snapshot %+v", seed, step, got, want)
 			}
 			if int(got.Count) != len(current) || d.Size() != len(current) {
@@ -143,8 +136,21 @@ func TestDatasetRootTracksMultiset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d2.rootAgg() != d.rootAgg() {
-			t.Fatalf("seed %d: root depends on arrival order: %+v vs %+v", seed, d2.rootAgg(), d.rootAgg())
+		if d2.rootPrint() != d.rootPrint() {
+			t.Fatalf("seed %d: root depends on arrival order: %+v vs %+v", seed, d2.rootPrint(), d.rootPrint())
+		}
+		// Sharded, its shards' roots sum to the whole multiset's.
+		sd, err := srv.PublishSharded("sharded", params, current, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum points.Print
+		for _, shard := range sd.Shards() {
+			r := shard.rootPrint()
+			sum.Count, sum.Sum = sum.Count+r.Count, sum.Sum+r.Sum
+		}
+		if sum != d.rootPrint() {
+			t.Fatalf("seed %d: shard roots sum to %+v, the whole multiset's root is %+v", seed, sum, d.rootPrint())
 		}
 		// Another seed is another fingerprint space.
 		other := params
@@ -153,26 +159,26 @@ func TestDatasetRootTracksMultiset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d3.rootAgg().Fp == d.rootAgg().Fp {
+		if d3.rootPrint().Sum == d.rootPrint().Sum {
 			t.Fatalf("seed %d: roots under two Params.Seed values collide", seed)
 		}
 		// One add, or one remove, and the roots part.
 		if err := d2.Add(current[0]); err != nil {
 			t.Fatal(err)
 		}
-		if d2.rootAgg() == d.rootAgg() {
+		if d2.rootPrint() == d.rootPrint() {
 			t.Fatalf("seed %d: a duplicate add left the root unchanged", seed)
 		}
 		if err := d2.Remove(current[0]); err != nil {
 			t.Fatal(err)
 		}
-		if d2.rootAgg() != d.rootAgg() {
+		if d2.rootPrint() != d.rootPrint() {
 			t.Fatalf("seed %d: add then remove did not restore the root", seed)
 		}
 		if err := d2.Remove(current[1]); err != nil {
 			t.Fatal(err)
 		}
-		if d2.rootAgg() == d.rootAgg() {
+		if d2.rootPrint() == d.rootPrint() {
 			t.Fatalf("seed %d: a remove left the root unchanged", seed)
 		}
 		srv.Close()
@@ -202,9 +208,9 @@ func TestDurableRootSurvivesRecovery(t *testing.T) {
 			initial[i] = Point{rng.Int64N(1 << 10), rng.Int64N(1 << 10)}
 		}
 		srv, d := open(dir, every, initial)
-		var roots []ranges.Agg // after each mutation that applied
+		var roots []points.Print // after each mutation that applied
 		rootChurn(t, d, append([]Point(nil), initial...), rng, 90, func(int, []Point) {
-			if r := d.rootAgg(); len(roots) == 0 || r != roots[len(roots)-1] {
+			if r := d.rootPrint(); len(roots) == 0 || r != roots[len(roots)-1] {
 				roots = append(roots, r)
 			}
 		})
@@ -212,19 +218,19 @@ func TestDurableRootSurvivesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, d = open(dir, every, nil)
-		if got := d.rootAgg(); got != roots[len(roots)-1] {
+		if got := d.rootPrint(); got != roots[len(roots)-1] {
 			t.Fatalf("every=%d: recovered root %+v, had %+v", every, got, roots[len(roots)-1])
 		}
-		if got, want := d.rootAgg(), freshRoot(t, params, d.Snapshot()); got != want {
+		if got, want := d.rootPrint(), freshRoot(d, d.Snapshot()); got != want {
 			t.Fatalf("every=%d: recovered root %+v, fresh build %+v", every, got, want)
 		}
 		// Recovery re-snapshots, so put one more record in the log, then
 		// crash-cut it: the batch is lost and the root is the one before.
-		before := d.rootAgg()
+		before := d.rootPrint()
 		if err := d.AddBatch([]Point{{1, 2}, {3, 4}, {1, 2}}); err != nil {
 			t.Fatal(err)
 		}
-		if d.rootAgg() == before {
+		if d.rootPrint() == before {
 			t.Fatalf("every=%d: a batch left the root unchanged", every)
 		}
 		if err := srv.Close(); err != nil {
@@ -242,7 +248,7 @@ func TestDurableRootSurvivesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, d = open(dir, every, nil)
-		if got := d.rootAgg(); got != before {
+		if got := d.rootPrint(); got != before {
 			t.Fatalf("every=%d: root after a crash-cut tail %+v, want the pre-batch %+v", every, got, before)
 		}
 		srv.Close()

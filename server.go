@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"robustset/internal/cluster"
+	"robustset/internal/hashutil"
 	"robustset/internal/iblt"
 	"robustset/internal/metrics"
 	"robustset/internal/points"
 	"robustset/internal/protocol"
-	"robustset/internal/ranges"
 	"robustset/internal/sketch"
 	"robustset/internal/store"
 	"robustset/internal/trace"
@@ -39,8 +39,8 @@ var ErrUnknownDataset = errors.New("robustset: unknown dataset")
 // stored as encoded-point occurrence counts, so Add and Remove cost
 // O(levels) maintainer updates plus an O(1) map operation — no linear
 // scans on high-churn datasets. Beside them it keeps the root
-// aggregate of the multiset — its size and a 64-bit fingerprint, one
-// hash and XOR per point mutated — which is all that two datasets need
+// of the multiset — its size and a 64-bit sum of point hashes, one hash
+// per point mutated (points.Print) — which is all that two datasets need
 // to exchange to learn they are equal: a ClientSession.FetchDataset
 // against a server whose dataset has the same root ends at the handshake,
 // whatever the strategy. All methods are safe for concurrent use with
@@ -78,11 +78,11 @@ type Dataset struct {
 	// and retire() drop them; a request of another size too.
 	estimators  map[int]*sketch.BottomK
 	estimatorsK int
-	// root is the aggregate of the multiset's (point, occurrence) keys:
-	// the count and the XOR of their fingerprints, equal to the root of a
-	// ranges.Tree built over the same keys. It is keyed by Params.Seed:
-	// datasets of different seeds have unrelated roots.
-	root ranges.Root
+	// root is the fingerprint of the multiset under rootKey, which is
+	// derived from Params.Seed: datasets of different seeds have
+	// unrelated roots.
+	root    points.Print
+	rootKey points.PrintKey
 	// pointsGauge, rootGauge and coldSessions export size, root fingerprint
 	// and the rateless sessions that read the points; they are the
 	// registry's from the moment a Server registers the dataset.
@@ -129,14 +129,14 @@ func (d *Dataset) retire() {
 // gauges, with d.mu held.
 func (d *Dataset) exportLocked() {
 	d.pointsGauge.Set(int64(d.size))
-	d.rootGauge.Set(int64(d.root.Agg.Fp))
+	d.rootGauge.Set(int64(d.root.Sum))
 }
 
-// rootAgg returns the current root aggregate.
-func (d *Dataset) rootAgg() ranges.Agg {
+// rootPrint returns the current root.
+func (d *Dataset) rootPrint() points.Print {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.root.Agg
+	return d.root
 }
 
 // openSession is the serving side of a handshake: the parameters to
@@ -144,13 +144,13 @@ func (d *Dataset) rootAgg() ranges.Agg {
 // equals the dataset's at this instant — in which case the two hold the
 // same multiset, up to a 2⁻⁶⁴ fingerprint collision. A retired dataset
 // is never the same as anything: it is rejected here.
-func (d *Dataset) openSession(root *ranges.Agg) (p Params, same bool, err error) {
+func (d *Dataset) openSession(root *points.Print) (p Params, same bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.retired {
 		return Params{}, false, d.errRetired()
 	}
-	return d.maintainer.Params(), root != nil && *root == d.root.Agg, nil
+	return d.maintainer.Params(), root != nil && *root == d.root, nil
 }
 
 // ratelessOpening captures, under one hold of d.mu and in O(cells), what
@@ -171,7 +171,7 @@ func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *p
 		}
 	}
 	o = d.exact.Opening()
-	version := d.root.Agg
+	version := d.root
 	o.Rest = func() ([][]byte, bool, error) {
 		*cold = true
 		d.mu.Lock()
@@ -179,7 +179,7 @@ func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *p
 			d.mu.Unlock()
 			return nil, false, d.errRetired()
 		}
-		pts, same := d.snapshotLocked(), d.root.Agg == version
+		pts, same := d.snapshotLocked(), d.root == version
 		d.mu.Unlock()
 		return points.OccurrenceKeys(pts, cfg.Universe.Dim), same, nil
 	}
@@ -280,7 +280,7 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 }
 
 // applyLocked applies one point mutation to every in-memory index — the
-// maintained sketch, the root aggregate, the rateless state if it exists,
+// maintained sketch, the root, the rateless state if it exists,
 // the occurrence counts — with d.mu held. enc is
 // pt's canonical encoding. Live mutations arrive validated; recovery replays log records through
 // here too and reports what a corrupt log makes fail.
@@ -290,12 +290,11 @@ func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 		if err := d.maintainer.Add(pt); err != nil {
 			return err
 		}
+		d.root.Add(d.rootKey.Hash(pt))
 		// A new occurrence takes the next free occurrence index, so the
 		// key multiset stays dense per point.
-		occ := uint32(d.counts[enc])
-		d.root.Add(pt, occ)
 		if d.exact != nil {
-			d.exact.Add(enc, occ)
+			d.exact.Add(enc, uint32(d.counts[enc]))
 		}
 		d.counts[enc]++
 		d.size++
@@ -306,11 +305,10 @@ func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 		if err := d.maintainer.Remove(pt); err != nil {
 			return err
 		}
+		d.root.Remove(d.rootKey.Hash(pt))
 		// Removing the highest occurrence index keeps indexes dense.
-		occ := uint32(d.counts[enc] - 1)
-		d.root.Remove(pt, occ)
 		if d.exact != nil {
-			d.exact.Remove(enc, occ)
+			d.exact.Remove(enc, uint32(d.counts[enc]-1))
 		}
 		if d.counts[enc]--; d.counts[enc] == 0 {
 			delete(d.counts, enc)
@@ -749,17 +747,16 @@ func newDataset(name string, p Params, pts []Point) (*Dataset, error) {
 
 // datasetOver wraps a maintainer and the points it summarizes as an
 // unregistered in-memory Dataset, building the occurrence counts and the
-// root aggregate in one pass over the points.
+// root.
 func datasetOver(name string, m *Maintainer, pts []Point) *Dataset {
+	key := points.PrintKey(hashutil.DeriveSeed(m.Params().Seed, "dataset/root"))
 	d := &Dataset{
 		name: name, maintainer: m, size: len(pts), store: store.Mem(),
 		counts: make(map[string]int, len(pts)),
-		root:   ranges.NewRoot(ranges.FingerprintSeed(m.Params().Seed)),
+		root:   key.Of(pts), rootKey: key,
 	}
 	for _, pt := range pts {
-		enc := string(points.EncodeNew(pt))
-		d.root.Add(pt, uint32(d.counts[enc]))
-		d.counts[enc]++
+		d.counts[string(points.EncodeNew(pt))]++
 	}
 	return d
 }

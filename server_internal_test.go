@@ -32,7 +32,7 @@ func TestRetiredDatasetServingRejected(t *testing.T) {
 	if _, err := d.sketchBlob(); err != nil {
 		t.Fatalf("sketchBlob before retirement: %v", err)
 	}
-	root := d.rootAgg()
+	root := d.rootPrint()
 	if _, same, err := d.openSession(&root); err != nil || !same {
 		t.Fatalf("openSession with the dataset's own root before retirement: same=%v, %v", same, err)
 	}
@@ -178,7 +178,7 @@ func TestStrategyFromCodeExactConfigLength(t *testing.T) {
 				}
 			case err != nil:
 				t.Errorf("%s: hello with a root refused: %v", strat.Name(), err)
-			case h.Root == nil || h.Root.Count != 7 || h.Root.Fp != 0:
+			case h.Root == nil || h.Root.Count != 7 || h.Root.Sum != 0:
 				t.Errorf("%s: root parsed as %+v", strat.Name(), h.Root)
 			default:
 				if got, err := strategyFromCode(h.Strategy, h.Config); err != nil || got.Name() != strat.Name() {

@@ -681,7 +681,7 @@ func TestAdaptiveServerRefusesLevelOutsideRange(t *testing.T) {
 		if _, err := protocol.RunHello(ctx, st, protocol.Hello{Strategy: protocol.StrategyAdaptive, Dataset: "d"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Send(ctx, []byte{protocol.MsgEstRequest, 64, 0, 0, 0}); err != nil {
+		if err := st.Send(ctx, []byte{protocol.MsgEstRequest, 64, 0, 0, 0, 8, 0, 1, 0}); err != nil { // the finest level alone
 			t.Fatal(err)
 		}
 		if msg, err := st.Recv(ctx); err != nil || msg[0] != protocol.MsgEstimators {

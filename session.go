@@ -84,7 +84,7 @@ type SyncResult struct {
 	// under the right universe — without out-of-band agreement.
 	Params Params
 	// Unchanged reports that a ClientSession.FetchDataset ended at the
-	// handshake: the server's dataset has the root aggregate of the local
+	// handshake: the server's dataset has the root of the local
 	// one, so the two hold the same multiset and nothing was exchanged or
 	// copied. SPrime is nil — the reconciled multiset is the local dataset
 	// as it stands.
@@ -564,7 +564,7 @@ func (s *Session) hello(strat Strategy, local *Dataset) protocol.Hello {
 		Config:   strat.helloConfig(),
 	}
 	if local != nil {
-		root := local.rootAgg()
+		root := local.rootPrint()
 		h.Root = &root
 	}
 	return h
