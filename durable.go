@@ -130,8 +130,9 @@ func (s *Server) openDurableDataset(name string, p Params, pts []Point) (*Datase
 
 // recoverDataset rebuilds the live dataset from recovered disk state:
 // decode the snapshot's points, adopt its serialized sketch (rebuilding
-// only the occupancy maps; all of it if the sketch does not parse), then
-// replay the log tail through the ordinary maintainer updates.
+// only the maintainer's index of the points; all of it if the sketch does
+// not parse), then replay the log tail through the ordinary maintainer
+// updates.
 func (s *Server) recoverDataset(name string, p Params, rec *store.Recovered) (*Dataset, error) {
 	start := time.Now()
 	dim := p.Universe.Dim

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"robustset/internal/points"
@@ -207,6 +208,54 @@ func BenchmarkLevelEstimators20k(b *testing.B) {
 	}
 }
 
+// BenchmarkMaintainerChurn20k is one add of a fresh point and one remove
+// of a present one at n = 20 000, the set size held steady: the
+// mutations of the ruler's churn workload.
+func BenchmarkMaintainerChurn20k(b *testing.B) {
+	inst, p := rulerWorkload(b, 20000)
+	m, err := NewMaintainer(p, inst.Alice)
+	if err != nil {
+		b.Fatal(err)
+	}
+	current := points.Clone(inst.Alice)
+	rng := rand.New(rand.NewPCG(1, 2))
+	fresh := make([]points.Point, 4096)
+	for i := range fresh {
+		fresh[i] = points.Point{rng.Int64N(p.Universe.Delta), rng.Int64N(p.Universe.Delta)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt := fresh[i%len(fresh)]
+		if err := m.Add(pt); err != nil {
+			b.Fatal(err)
+		}
+		j := rng.IntN(len(current))
+		if err := m.Remove(current[j]); err != nil {
+			b.Fatal(err)
+		}
+		current[j] = pt
+	}
+}
+
+// BenchmarkMaintainerLevelTable20k is the table an adaptive session's
+// level request builds under the dataset lock at the ruler's size: level
+// 10, capacity 466.
+func BenchmarkMaintainerLevelTable20k(b *testing.B) {
+	inst, p := rulerWorkload(b, 20000)
+	m, err := NewMaintainer(p, inst.Alice)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.BuildLevelTable(10, 466); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMortonOrder20k(b *testing.B) {
 	inst, p := rulerWorkload(b, 20000)
 	p, err := p.Normalized()
@@ -220,7 +269,7 @@ func BenchmarkMortonOrder20k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if newMortonOrder(g, inst.Alice) == nil {
+		if presort(g, inst.Alice) == nil {
 			b.Fatal("no Morton order for a 42-bit code")
 		}
 	}

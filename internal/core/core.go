@@ -40,10 +40,12 @@
 // levels ahead, so equal sets cost one level, and only when the caller
 // does not hold it already: ReconcileWith takes the tables an earlier
 // scan of the same multiset built, and one handed every table it scans
-// neither keys nor presorts the points. Universes whose Morton code
-// exceeds 64 bits take an occupancy-map path inside the same kernel; a
-// Maintainer keeps occupancy maps always, to place points it has not
-// seen. All paths produce identical bytes.
+// neither keys nor presorts the points. A Maintainer, which must place
+// points it has not seen, keeps the presort's sorted codes as an index
+// and reads every level's cell counts from it. Universes whose Morton
+// code exceeds 64 bits take an occupancy-map path inside the same kernel,
+// and their Maintainer keeps one map per level. All paths produce
+// identical bytes.
 package core
 
 import (
@@ -220,7 +222,7 @@ func BuildSketchParallel(p Params, pts []points.Point, workers int) (*Sketch, er
 	if err != nil {
 		return nil, err
 	}
-	tables, _, err := buildTables(v, workers, false)
+	tables, err := buildTables(v, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -228,31 +230,17 @@ func BuildSketchParallel(p Params, pts []points.Point, workers int) (*Sketch, er
 }
 
 // buildTables constructs the filled per-level IBLTs of the view's
-// points, fanning levels out over a bounded worker pool. With wantOcc it
-// also returns each level's occupancy map (the Maintainer keeps them).
-// Each level is built independently and deterministically, so the
-// concurrency is race-free by construction and invisible in the output.
-func buildTables(v *View, workers int, wantOcc bool) ([]*iblt.Table, []*occupancy, error) {
+// points, fanning levels out over a bounded worker pool. Each level is
+// built independently and deterministically, so the concurrency is
+// race-free by construction and invisible in the output.
+func buildTables(v *View, workers int) ([]*iblt.Table, error) {
 	p := v.p
-	levels := p.MaxLevel - p.MinLevel + 1
-	tables := make([]*iblt.Table, levels)
-	var occs []*occupancy
-	if wantOcc {
-		occs = make([]*occupancy, levels)
-	}
-	err := eachLevel(levels, workers, func(idx int) (err error) {
-		var occ *occupancy
-		if wantOcc {
-			occ = v.newOccupancy(p.MinLevel + idx)
-			occs[idx] = occ
-		}
-		tables[idx], err = v.levelTable(p.MinLevel+idx, p.TableCapacity, occ)
+	tables := make([]*iblt.Table, p.MaxLevel-p.MinLevel+1)
+	err := eachLevel(len(tables), workers, func(idx int) (err error) {
+		tables[idx], err = v.levelTable(p.MinLevel+idx, p.TableCapacity, nil)
 		return err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return tables, occs, nil
+	return tables, err
 }
 
 // eachLevel runs fn(idx) for every idx in [0, levels) over a pool of at

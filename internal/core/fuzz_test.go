@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand/v2"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"robustset/internal/points"
@@ -116,9 +118,7 @@ func FuzzSketchWindow(f *testing.F) {
 }
 
 // FuzzMortonSort holds the radix presort to a comparison sort: the codes
-// come out in slices.Sort order, the permutation maps each back to where
-// it came from, and equal codes keep ascending original indices — the
-// stability the repair's "j-th occupant in slice order" rests on.
+// come out in slices.Sort order, whatever their width.
 func FuzzMortonSort(f *testing.F) {
 	f.Add([]byte{}, uint8(64))
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, uint8(8))
@@ -133,20 +133,95 @@ func FuzzMortonSort(f *testing.F) {
 		}
 		want := slices.Clone(codes)
 		slices.Sort(want)
-		orig := slices.Clone(codes)
-		sorted, perm := sortCodes(codes, int(bits))
-		if !slices.Equal(sorted, want) {
-			t.Fatalf("radix order differs from slices.Sort on %d codes of %d bits", len(orig), bits)
+		if sorted := sortCodes(codes, int(bits)); !slices.Equal(sorted, want) {
+			t.Fatalf("radix order differs from slices.Sort on %d codes of %d bits", len(want), bits)
 		}
-		if len(perm) != len(orig) {
-			t.Fatalf("permutation has %d entries for %d codes", len(perm), len(orig))
-		}
-		for i, at := range perm {
-			if orig[at] != sorted[i] {
-				t.Fatalf("perm[%d] = %d names code %#x, sorted has %#x", i, at, orig[at], sorted[i])
+	})
+}
+
+// FuzzCodeIndex holds the Maintainer's chunked code index to a sorted
+// slice: after every insert or remove the chunks concatenate to the
+// model, each holds 1..codeChunk codes and the running counts agree, and
+// every code's cell count at every shift is the model's count of codes
+// sharing that prefix. Ops are three bytes: kind, code, count. Codes
+// repeat a lot, a bulk insert lays a run of one code longer than a chunk,
+// and a bulk remove empties chunks.
+func FuzzCodeIndex(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 0}, uint16(0))
+	f.Add([]byte{1, 7, 3, 1, 7, 3, 2, 7, 3, 2, 7, 3, 0, 255, 0}, uint16(0))
+	f.Add([]byte{5, 9, 1, 6, 9, 3, 1, 9, 2, 4, 3, 0}, uint16(1400))
+	f.Add(slices.Repeat([]byte{0, 200, 0, 4, 17, 0, 1, 255, 1, 2, 200, 0}, 30), uint16(700))
+
+	f.Fuzz(func(t *testing.T, data []byte, n0 uint16) {
+		code := func(a, pos byte) uint64 {
+			if a == 255 {
+				return ^uint64(0)
 			}
-			if i > 0 && sorted[i] == sorted[i-1] && perm[i-1] >= at {
-				t.Fatalf("equal codes at %d,%d out of original order (%d then %d)", i-1, i, perm[i-1], at)
+			return uint64(a) << (8 * (pos % 8))
+		}
+		rng := rand.New(rand.NewPCG(uint64(n0), 1))
+		model := make([]uint64, n0%1500)
+		for i := range model {
+			model[i] = rng.Uint64N(64) << (rng.Uint64N(8) * 8)
+		}
+		slices.Sort(model)
+		x := newCodeIndex(nil, slices.Clone(model))
+		check := func(op int) {
+			var all []uint64
+			for c, ch := range x.chunks {
+				if len(ch) == 0 || len(ch) > codeChunk || x.before[c] != len(all) {
+					t.Fatalf("op %d: chunk %d holds %d codes after %d (counted %d)", op, c, len(ch), len(all), x.before[c])
+				}
+				all = append(all, ch...)
+			}
+			if !slices.Equal(all, model) || x.len() != len(model) {
+				t.Fatalf("op %d: the index holds %d codes (%d counted), the model %d", op, len(all), x.len(), len(model))
+			}
+		}
+		check(-1)
+		for op := 0; op+3 <= len(data); op += 3 {
+			kind, v, n := data[op]%3, code(data[op+1], data[op]>>2), int(data[op+2]%4)
+			switch {
+			case kind == 0 || kind == 1:
+				reps := 1
+				if kind == 1 {
+					reps = 200 * (n + 1) // up to 800: longer than a chunk
+				}
+				for range min(reps, 4000-len(model)) {
+					c, i := x.find(v)
+					x.insert(c, i, v)
+					at, _ := slices.BinarySearch(model, v)
+					model = slices.Insert(model, at, v)
+				}
+			default:
+				for range 200*n + 1 {
+					c, i := x.find(v)
+					at, found := slices.BinarySearch(model, v)
+					has := c < len(x.chunks) && i < len(x.chunks[c]) && x.chunks[c][i] == v
+					if has != found || (len(x.chunks) > 0 && x.before[c]+i != at) {
+						t.Fatalf("op %d: find(%#x) = chunk %d at %d, has %v; the model has it %v at %d", op, v, c, i, has, found, at)
+					}
+					if !found {
+						break
+					}
+					x.remove(c, i)
+					model = slices.Delete(model, at, at+1)
+				}
+			}
+			check(op)
+		}
+		probes := append(slices.Compact(slices.Clone(model)), 0, 1, ^uint64(0), 1<<63)
+		for p := 0; p < len(probes); p += 1 + len(probes)/256 {
+			v := probes[p]
+			c, i := x.find(v)
+			for sh := uint(0); sh < 64; sh += 1 + sh/8 {
+				lo, hi := v>>sh<<sh, v>>sh<<sh|(1<<sh-1)
+				want := sort.Search(len(model), func(k int) bool { return model[k] > hi }) -
+					sort.Search(len(model), func(k int) bool { return model[k] >= lo })
+				if got := x.cellCount(v, sh, c, i); got != want {
+					t.Fatalf("cell count of %#x above bit %d: %d, the model %d", v, sh, got, want)
+				}
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -23,11 +24,16 @@ import (
 // are bitwise identical to what BuildSketch would produce on the final
 // multiset — a property the tests assert on the wire encoding.
 //
-// The maintainer stores per-level cell occupancies, which costs O(n ·
-// levels) memory; datasets that are rebuilt rarely and updated never are
-// cheaper off with plain BuildSketch. The initial build fans levels out
-// over the same bounded worker pool as BuildSketch, so publishing a
-// large dataset scales with cores.
+// Of the multiset itself the maintainer keeps one sorted array of the
+// points' full-resolution Morton codes, a word per point (a codeIndex):
+// a cell's count at any level — the occurrence index an update inserts
+// or deletes — is the number of codes in the cell's code range, and the
+// level tables and estimators of the estimate-first protocol walk runs
+// of equal code prefixes. Universes whose code exceeds 64 bits (dim ×
+// (depth+1) > 64) keep per-level cell occupancy maps instead, O(n ·
+// levels) memory. The initial build fans levels out over the same
+// bounded worker pool as BuildSketch, so publishing a large dataset
+// scales with cores.
 //
 // A Maintainer is not safe for concurrent use; callers that share one
 // across goroutines (e.g. a server Dataset) serialize access externally.
@@ -35,14 +41,15 @@ type Maintainer struct {
 	params Params
 	g      *grid.Grid
 	sketch *Sketch
-	occ    []*occupancy // per level: cell → occupancy count
+	codes  *codeIndex  // the points' Morton codes; nil where they exceed 64 bits
+	occ    []occupancy // per level: cell → count, where codes is nil
 	count  int
 	keyBuf []byte // scratch reused by Add/Remove (no per-update allocs)
 }
 
 // NewMaintainer builds the sketch for the initial multiset and the
-// occupancy state needed for incremental updates, using up to
-// runtime.GOMAXPROCS(0) parallel level builders.
+// state incremental updates need, using up to runtime.GOMAXPROCS(0)
+// parallel level builders.
 func NewMaintainer(p Params, pts []points.Point) (*Maintainer, error) {
 	return NewMaintainerParallel(p, pts, 0)
 }
@@ -54,20 +61,48 @@ func NewMaintainerParallel(p Params, pts []points.Point, workers int) (*Maintain
 	if err != nil {
 		return nil, err
 	}
-	// One pass builds both the tables and the occupancy state the
-	// incremental updates need.
-	tables, occs, err := buildTables(v, workers, true)
+	return newMaintainer(v, nil, workers)
+}
+
+// newMaintainer assembles a Maintainer of the view's points around their
+// level tables, built by at most workers goroutines when tables is nil. It
+// keeps the view's presort (an empty index for an empty set) or, where the
+// code exceeds 64 bits, counts each level's cells in its table's scan.
+func newMaintainer(v *View, tables []*iblt.Table, workers int) (*Maintainer, error) {
+	m := &Maintainer{
+		params: v.p,
+		g:      v.g,
+		codes:  v.order(),
+		count:  len(v.pts),
+		keyBuf: make([]byte, 0, KeyLen(v.p.Universe.Dim)),
+	}
+	if mc := newMorton(v.g); mc != nil && len(v.pts) == 0 {
+		m.codes = newCodeIndex(mc, nil)
+	}
+	var err error
+	switch build := tables == nil; {
+	case m.codes == nil:
+		if build {
+			tables = make([]*iblt.Table, v.p.MaxLevel-v.p.MinLevel+1)
+		}
+		m.occ = make([]occupancy, len(tables))
+		err = eachLevel(len(tables), workers, func(idx int) (err error) {
+			level, occ := v.p.MinLevel+idx, make(occupancy, len(v.pts))
+			if m.occ[idx] = occ; build {
+				tables[idx], err = v.levelTable(level, v.p.TableCapacity, occ)
+			} else {
+				v.scanLevel(level, occ, nil)
+			}
+			return err
+		})
+	case build:
+		tables, err = buildTables(v, workers)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &Maintainer{
-		params: v.p,
-		g:      v.g,
-		sketch: &Sketch{Params: v.p, Count: len(pts), Tables: tables},
-		occ:    occs,
-		count:  len(pts),
-		keyBuf: make([]byte, 0, KeyLen(v.p.Universe.Dim)),
-	}, nil
+	m.sketch = &Sketch{Params: v.p, Count: len(v.pts), Tables: tables}
+	return m, nil
 }
 
 // Count returns the current multiset size.
@@ -85,9 +120,10 @@ func (m *Maintainer) Sketch() *Sketch {
 }
 
 // BuildLevelTable builds the single-level IBLT the estimate-first
-// protocol serves, from the level's cell counts and without the points:
-// the table View.BuildLevelTable builds over the current multiset. Only
-// the maintained levels have counts; any other is ErrLevelOutOfRange.
+// protocol serves, from the maintained codes (or cell counts) and without
+// the points: the table View.BuildLevelTable builds over the current
+// multiset. Only the maintained levels are served; any other is
+// ErrLevelOutOfRange.
 func (m *Maintainer) BuildLevelTable(level, capacity int) (*iblt.Table, error) {
 	if level < m.params.MinLevel || level > m.params.MaxLevel {
 		return nil, fmt.Errorf("%w: %d outside [%d,%d]", ErrLevelOutOfRange, level, m.params.MinLevel, m.params.MaxLevel)
@@ -96,13 +132,13 @@ func (m *Maintainer) BuildLevelTable(level, capacity int) (*iblt.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.occ[level-m.params.MinLevel].scan(m.params.Universe.Dim, t.Insert)
+	m.scan(level, t.Insert)
 	return t, nil
 }
 
-// LevelEstimator builds one level's difference estimator from its cell
-// counts, in BuildLevelTable's walk: View.LevelEstimator over the current
-// multiset. A level without counts is ErrLevelOutOfRange.
+// LevelEstimator builds one level's difference estimator in
+// BuildLevelTable's walk: View.LevelEstimator over the current multiset.
+// A level outside the maintained range is ErrLevelOutOfRange.
 func (m *Maintainer) LevelEstimator(level, k int) (*sketch.BottomK, error) {
 	if level < m.params.MinLevel || level > m.params.MaxLevel {
 		return nil, fmt.Errorf("%w: %d outside [%d,%d]", ErrLevelOutOfRange, level, m.params.MinLevel, m.params.MaxLevel)
@@ -111,8 +147,17 @@ func (m *Maintainer) LevelEstimator(level, k int) (*sketch.BottomK, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.occ[level-m.params.MinLevel].scan(m.params.Universe.Dim, b.Add)
+	m.scan(level, b.Add)
 	return b.Finish(), nil
+}
+
+// scan calls emit with every (cell, occurrence) key of the level.
+func (m *Maintainer) scan(level int, emit func(key []byte)) {
+	if m.codes != nil {
+		m.codes.scan(level, emit)
+	} else {
+		m.occ[level-m.params.MinLevel].scan(m.params.Universe.Dim, emit)
+	}
 }
 
 // Add inserts one point into the maintained multiset.
@@ -120,17 +165,7 @@ func (m *Maintainer) Add(pt points.Point) error {
 	if !m.params.Universe.Contains(pt) {
 		return fmt.Errorf("core: maintainer: point %v outside universe", pt)
 	}
-	buf := m.keyBuf
-	for l := m.params.MinLevel; l <= m.params.MaxLevel; l++ {
-		idx := l - m.params.MinLevel
-		buf = m.g.AppendCell(buf[:0], l, pt)
-		o := m.occ[idx].bump(buf, +1)
-		buf = append(buf, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
-		m.sketch.Tables[idx].Insert(buf)
-	}
-	m.keyBuf = buf
-	m.count++
-	return nil
+	return m.apply(pt, +1)
 }
 
 // ErrNotPresent is returned by Remove when the point cannot be in the
@@ -138,34 +173,62 @@ func (m *Maintainer) Add(pt points.Point) error {
 var ErrNotPresent = errors.New("core: maintainer: point not present")
 
 // Remove deletes one instance of a point from the maintained multiset.
-// When the sketch includes the finest grid level (the default), absence
-// is detected exactly; with a trimmed MaxLevel, removal of an absent
-// point that shares every included cell with a present one will instead
-// remove that neighbour — the same ambiguity the protocol's repair has
-// at that resolution.
+// Absence is detected exactly wherever the universe has Morton codes,
+// which hold every point at full resolution whatever the level range. A
+// wider universe's occupancy maps hold only the sketch's levels: with a
+// trimmed MaxLevel, removing an absent point that shares every included
+// cell with a present one removes that neighbour instead — the same
+// ambiguity the protocol's repair has at that resolution.
 func (m *Maintainer) Remove(pt points.Point) error {
 	if !m.params.Universe.Contains(pt) {
 		return fmt.Errorf("core: maintainer: point %v outside universe", pt)
 	}
-	// Validate every level before touching any table, so a failed remove
-	// leaves the sketch untouched.
-	buf := m.keyBuf
-	for l := m.params.MinLevel; l <= m.params.MaxLevel; l++ {
-		idx := l - m.params.MinLevel
+	return m.apply(pt, -1)
+}
+
+// apply adds (delta +1) or removes (−1) one occurrence of pt: at every
+// level it inserts the key of the occurrence the cell's count before the
+// change names, or deletes the key of the one below it, and then updates
+// the record of the points. A remove finds an absent point before it
+// touches any table, so a failed one leaves the sketch as it was.
+func (m *Maintainer) apply(pt points.Point, delta int) error {
+	x, n, buf := m.codes, 1, m.keyBuf
+	code, c, i := uint64(0), 0, 0
+	if x != nil { // the point's code is searched once, for every level
+		code = x.code(pt)
+		c, i = x.find(code)
+		if delta < 0 && (c == len(x.chunks) || i == len(x.chunks[c]) || x.chunks[c][i] != code) {
+			return fmt.Errorf("%w: %v", ErrNotPresent, pt)
+		}
+	}
+	for l := m.params.MinLevel; l <= m.params.MaxLevel && x == nil && delta < 0; l++ {
 		buf = m.g.AppendCell(buf[:0], l, pt)
-		if m.occ[idx].bump(buf, 0) == 0 {
-			m.keyBuf = buf
+		if m.occ[l-m.params.MinLevel].bump(buf, 0) == 0 {
 			return fmt.Errorf("%w: %v (empty cell at level %d)", ErrNotPresent, pt, l)
 		}
 	}
 	for l := m.params.MinLevel; l <= m.params.MaxLevel; l++ {
-		idx := l - m.params.MinLevel
 		buf = m.g.AppendCell(buf[:0], l, pt)
-		o := m.occ[idx].bump(buf, -1) - 1
-		buf = append(buf, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
-		m.sketch.Tables[idx].Delete(buf)
+		switch {
+		case x == nil:
+			n = int(m.occ[l-m.params.MinLevel].bump(buf, delta))
+		case n > 0: // a cell empty at a coarser level is empty at every finer one
+			n = x.cellCount(code, x.cellShift(l), c, i)
+		}
+		if t := m.sketch.Tables[l-m.params.MinLevel]; delta > 0 {
+			t.Insert(binary.LittleEndian.AppendUint32(buf, uint32(n)))
+		} else {
+			t.Delete(binary.LittleEndian.AppendUint32(buf, uint32(n-1)))
+		}
 	}
 	m.keyBuf = buf
-	m.count--
+	switch {
+	case x == nil:
+	case delta > 0:
+		x.insert(c, i, code)
+	default:
+		x.remove(c, i)
+	}
+	m.count += delta
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"robustset/internal/points"
@@ -172,12 +173,13 @@ func TestMaintainerValidation(t *testing.T) {
 	}
 }
 
-// TestMaintainerOccupancyKeying pins which form a Maintainer's per-level
-// cell counts take: packed cell coordinates in a pointer-free map wherever
-// dim × depth fits 64 bits — an empty initial set included, where no
-// presort exists to say so — and encoded cells otherwise. Either way the
-// counts agree with a recount of the points, and a cell emptied by Remove
-// is forgotten rather than kept at zero.
+// TestMaintainerOccupancyKeying pins which form a Maintainer's record of
+// its points takes: one sorted index of their Morton codes and no map
+// wherever dim × depth fits 64 bits — an empty initial set included,
+// where no presort exists to say so — and per-level maps keyed by the
+// encoded cell otherwise. Either way the record agrees with a recount of
+// the points, and a cell emptied by Remove is forgotten rather than kept
+// at zero.
 func TestMaintainerOccupancyKeying(t *testing.T) {
 	for _, tc := range []struct {
 		u      points.Universe
@@ -204,15 +206,25 @@ func TestMaintainerOccupancyKeying(t *testing.T) {
 			if err := m.VerifyFreshBuild(pts); err != nil {
 				t.Fatalf("%+v: %v", tc.u, err)
 			}
+			if (m.codes != nil) != tc.narrow || (m.occ != nil) == tc.narrow {
+				t.Fatalf("%+v: codes=%v maps=%v, want the codes %v", tc.u, m.codes != nil, m.occ != nil, tc.narrow)
+			}
+			if m.codes != nil {
+				var want, got []uint64
+				for _, pt := range pts {
+					want = append(want, m.codes.code(pt))
+				}
+				slices.Sort(want)
+				for _, ch := range m.codes.chunks {
+					got = append(got, ch...)
+				}
+				if !slices.Equal(got, want) || m.codes.len() != len(pts) {
+					t.Fatalf("%+v: the index holds %d codes (%d counted), not the points' %d", tc.u, len(got), m.codes.len(), len(want))
+				}
+			}
 			for idx, occ := range m.occ {
-				if (occ.packed != nil) != tc.narrow || (occ.cells != nil) == tc.narrow {
-					t.Fatalf("%+v level %d: packed=%v cells=%v, want the %v form", tc.u, idx, occ.packed != nil, occ.cells != nil, tc.narrow)
-				}
 				total := 0
-				for _, n := range occ.packed {
-					total += int(n)
-				}
-				for _, n := range occ.cells {
+				for _, n := range occ {
 					total += int(*n)
 				}
 				if total != len(pts) {
@@ -227,9 +239,12 @@ func TestMaintainerOccupancyKeying(t *testing.T) {
 			if err := m.Remove(pts[0]); !errors.Is(err, ErrNotPresent) {
 				t.Fatalf("remove from an emptied maintainer: %v", err)
 			}
+			if m.codes != nil && (len(m.codes.chunks) != 0 || m.codes.len() != 0) {
+				t.Fatalf("%+v: %d chunks survive the last remove", tc.u, len(m.codes.chunks))
+			}
 			for idx, occ := range m.occ {
-				if len(occ.packed)+len(occ.cells) != 0 {
-					t.Fatalf("%+v level %d: %d cells survive the last remove", tc.u, idx, len(occ.packed)+len(occ.cells))
+				if len(occ) != 0 {
+					t.Fatalf("%+v level %d: %d cells survive the last remove", tc.u, idx, len(occ))
 				}
 			}
 		}
@@ -237,30 +252,39 @@ func TestMaintainerOccupancyKeying(t *testing.T) {
 }
 
 // TestMaintainerLevelBuildsMatchView: what the Maintainer builds from its
-// cell counts alone — the estimate-first protocol's estimators and level
-// tables — is on the wire what a View builds over the surviving points,
-// after a long random add/remove sequence with duplicates. The second
-// universe needs 8 × 10 = 80 Morton bits, so its counts are keyed by the
-// encoded cell and its view takes the occupancy fallback; the first,
-// Δ = 2²⁰ in the plane, packs a cell into one word. A trimmed level range
-// rides along: levels outside it have no counts and are refused.
+// codes alone — the estimate-first protocol's estimators and level tables
+// — is on the wire what a View builds over the surviving points, after a
+// long random add/remove sequence with duplicates, from the initial set
+// and from an empty one. The 8-dimensional universe needs 8 × 10 = 80
+// Morton bits, so its counts are keyed by the encoded cell and its view
+// takes the occupancy fallback; Δ = 2²⁰ in the plane and Δ = 2¹⁵ in four
+// dimensions — exactly 64 bits — keep codes. A trimmed level range rides
+// along: levels outside it are refused.
 func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 	for _, tc := range []struct {
 		u      points.Universe
 		lo, hi int
+		empty  bool
 	}{
-		{points.Universe{Dim: 2, Delta: 1 << 20}, 0, 20},
-		{points.Universe{Dim: 2, Delta: 1 << 20}, 3, 10},
-		{points.Universe{Dim: 8, Delta: 1 << 9}, 0, 9},
+		{points.Universe{Dim: 2, Delta: 1 << 20}, 0, 20, false},
+		{points.Universe{Dim: 2, Delta: 1 << 20}, 3, 10, false},
+		{points.Universe{Dim: 2, Delta: 1 << 20}, 0, 20, true},
+		{points.Universe{Dim: 4, Delta: 1 << 15}, 0, 15, false},
+		{points.Universe{Dim: 4, Delta: 1 << 15}, 2, 9, true},
+		{points.Universe{Dim: 8, Delta: 1 << 9}, 0, 9, false},
 	} {
 		p := testParams(tc.u, 4, 23).WithLevels(tc.lo, tc.hi)
 		rng := rand.New(rand.NewPCG(uint64(tc.u.Dim), uint64(tc.hi)))
 		inst := genInstance(t, workload.Config{N: 500, Universe: tc.u, Seed: 7, Clusters: 4})
-		m, err := NewMaintainer(p, inst.Bob)
+		initial := inst.Bob
+		if tc.empty {
+			initial = nil
+		}
+		m, err := NewMaintainer(p, initial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		current := points.Clone(inst.Bob)
+		current := points.Clone(initial)
 		for step := 0; step < 2000; step++ {
 			switch r := rng.IntN(10); {
 			case len(current) > 0 && r < 5:
@@ -286,8 +310,8 @@ func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 				current = append(current, pt)
 			}
 		}
-		if packed := m.occ[0].packed != nil; packed != (tc.u.Dim == 2) {
-			t.Fatalf("dim %d: packed occupancy %v", tc.u.Dim, packed)
+		if (m.codes != nil) != (tc.u.Dim < 8) {
+			t.Fatalf("dim %d: codes %v", tc.u.Dim, m.codes != nil)
 		}
 		v, err := NewView(p, current)
 		if err != nil {

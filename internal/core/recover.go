@@ -10,9 +10,11 @@ import (
 // NewMaintainerFromSketch rebuilds a Maintainer from a recovered point
 // multiset and its previously serialized sketch, adopting the sketch's
 // tables instead of re-inserting every (cell, occurrence) key. Only the
-// per-level occupancy maps are recomputed — cell hashing without any
-// IBLT work — so recovery costs a fraction of a fresh build and the
-// adopted tables are bit-for-bit the ones that were persisted.
+// points' sorted Morton codes are recomputed — the presort a View makes,
+// with no IBLT work — so recovery costs a fraction of a fresh build and
+// the adopted tables are bit-for-bit the ones that were persisted. A
+// universe whose code exceeds 64 bits recounts its per-level occupancy
+// maps instead.
 //
 // The sketch must actually describe pts: its parameters must equal p
 // (compared on the normalized wire encoding) and its count must match.
@@ -45,27 +47,7 @@ func NewMaintainerFromSketch(p Params, pts []points.Point, sk *Sketch) (*Maintai
 	if err != nil {
 		return nil, err
 	}
-	return &Maintainer{
-		params: p,
-		g:      v.g,
-		sketch: &Sketch{Params: p, Count: len(pts), Tables: sk.Tables},
-		occ:    buildOccupancies(v, 0),
-		count:  len(pts),
-		keyBuf: make([]byte, 0, KeyLen(p.Universe.Dim)),
-	}, nil
-}
-
-// buildOccupancies computes the per-level cell occupancy maps of the
-// view's points — the state buildTables produces alongside the tables,
-// minus every IBLT insert — over the same bounded worker pool.
-func buildOccupancies(v *View, workers int) []*occupancy {
-	occs := make([]*occupancy, v.p.MaxLevel-v.p.MinLevel+1)
-	_ = eachLevel(len(occs), workers, func(idx int) error { // the callback never fails
-		occs[idx] = v.newOccupancy(v.p.MinLevel + idx)
-		v.scanLevel(v.p.MinLevel+idx, occs[idx], nil)
-		return nil
-	})
-	return occs
+	return newMaintainer(v, sk.Tables, 0)
 }
 
 // VerifyFreshBuild checks the maintainer's live sketch against a fresh

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -32,11 +31,11 @@ type View struct {
 	p   Params // normalized
 	g   *grid.Grid
 	pts []points.Point
-	// mo is the presort once order has built it. It stays nil for an
+	// sorted is the presort once order has built it. It stays nil for an
 	// empty set and for universes whose Morton code does not fit 64 bits
 	// (dim × depth > 64); the per-level passes then take the
 	// occupancy-map path.
-	mo       atomic.Pointer[mortonOrder]
+	sorted   atomic.Pointer[codeIndex]
 	sortOnce sync.Once
 }
 
@@ -58,85 +57,42 @@ func NewView(p Params, pts []points.Point) (*View, error) {
 
 // order returns the view's presort, building it on the first call; nil
 // where there is none.
-func (v *View) order() *mortonOrder {
-	v.sortOnce.Do(func() { v.mo.Store(newMortonOrder(v.g, v.pts)) })
-	return v.mo.Load()
+func (v *View) order() *codeIndex {
+	v.sortOnce.Do(func() { v.sorted.Store(presort(v.g, v.pts)) })
+	return v.sorted.Load()
 }
 
 // Params returns the view's normalized parameters.
 func (v *View) Params() Params { return v.p }
 
-// mortonOrder is the Morton (Z-order) presorting of a point multiset.
-// Sorting by the bit-interleaved code of the shifted coordinates makes
-// the points of any single grid cell contiguous at every level
-// simultaneously: the level-ℓ cell of a point is the top ℓ+1 bits of
-// each shifted coordinate, so two points share a level-ℓ cell iff they
-// agree on the top d·(ℓ+1) bits of the code. That turns per-level
-// occurrence-index assignment — otherwise a hash-map lookup per point
-// per level, the dominant cost of every per-level pass — into a run scan
-// with one uint64 compare per point, and finding one cell's occupants
-// into a binary search. The shifted coordinates ride along in code order
-// as one flat array, so the scans touch memory strictly sequentially.
-type mortonOrder struct {
-	codes  []uint64 // sorted Morton codes, one per point
-	coords []int64  // shifted coordinates in code order, d per point
-	idx    []int32  // original index of each point; ascending among equal codes
-}
-
-// newMortonOrder builds the presorting, or returns nil when there is
-// nothing to sort or the code does not fit 64 bits. The occurrence
-// indices a run scan assigns differ from the occupancy-map path's only
-// in which point of a cell gets which index — the key set
-// {(cell, 0..count−1)} and therefore every table and estimator is
-// identical, so the two paths interoperate freely across parties.
-func newMortonOrder(g *grid.Grid, pts []points.Point) *mortonOrder {
-	d := g.Dim()
-	coordBits := g.Levels() + 1 // shifted coords are < 2Δ = 2^(L+1)
-	if d*coordBits > 64 || len(pts) == 0 || len(pts) > 1<<31-1 {
+// presort returns the points' Morton (Z-order) codes as one sorted
+// index, or nil when there is nothing to sort or the code does not fit 64
+// bits. Sorting by the codes makes the points of any single grid cell
+// contiguous at every level simultaneously: two points share a level-ℓ
+// cell iff they agree on the top d·(ℓ+1) bits of the code. That turns
+// per-level occurrence-index assignment — otherwise a hash-map lookup per
+// point per level, the dominant cost of every per-level pass — into a run
+// scan with one uint64 compare per point. The occurrence indices a run
+// scan assigns differ from the occupancy-map path's only in which point
+// of a cell gets which index — the key set {(cell, 0..count−1)} and
+// therefore every table and estimator is identical, so the two paths
+// interoperate freely across parties.
+func presort(g *grid.Grid, pts []points.Point) *codeIndex {
+	m := newMorton(g)
+	if m == nil || len(pts) == 0 {
 		return nil
-	}
-	shift := g.Shift()
-	// Bit b of coordinate j lands at code bit b·d + (d−1−j). spread[x]
-	// holds byte x with its bits d apart, so a coordinate is interleaved
-	// a byte at a time instead of a bit at a time.
-	var spread [256]uint64
-	for x := range spread {
-		for b := 0; b < 8; b++ {
-			spread[x] |= uint64(x>>b&1) << (b * d)
-		}
 	}
 	codes := make([]uint64, len(pts))
 	for i, p := range pts {
-		var code uint64
-		for j := 0; j < d; j++ {
-			x := uint64(p[j] + shift[j])
-			for c := 0; 8*c < coordBits; c++ {
-				code |= spread[byte(x>>(8*c))] << (8*c*d + d - 1 - j)
-			}
-		}
-		codes[i] = code
+		codes[i] = m.code(p)
 	}
-	mo := &mortonOrder{coords: make([]int64, len(pts)*d)}
-	mo.codes, mo.idx = sortCodes(codes, d*coordBits)
-	for i, at := range mo.idx {
-		p := pts[at]
-		for j := 0; j < d; j++ {
-			mo.coords[i*d+j] = p[j] + shift[j]
-		}
-	}
-	return mo
+	return newCodeIndex(m, sortCodes(codes, m.d*m.bits))
 }
 
 // sortCodes sorts codes ascending by LSD radix sort on their low bits
-// bits and returns them with the permutation that sorted them:
-// sorted[i] == codes[perm[i]]. The sort is stable, so equal codes keep
-// ascending original indices. codes is consumed as scratch.
-func sortCodes(codes []uint64, bits int) (sorted []uint64, perm []int32) {
+// bits. codes is consumed as scratch.
+func sortCodes(codes []uint64, bits int) []uint64 {
 	n := len(codes)
-	perm = make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
 	passes := (bits + 7) / 8
 	var hist [8][256]int
 	for _, c := range codes {
@@ -144,7 +100,7 @@ func sortCodes(codes []uint64, bits int) (sorted []uint64, perm []int32) {
 			hist[p][byte(c>>(8*p))]++
 		}
 	}
-	codesTmp, permTmp := make([]uint64, n), make([]int32, n)
+	tmp := make([]uint64, n)
 	for p := 0; p < passes && n > 0; p++ {
 		h, sh := &hist[p], uint(8*p)
 		if h[byte(codes[0]>>sh)] == n {
@@ -154,83 +110,39 @@ func sortCodes(codes []uint64, bits int) (sorted []uint64, perm []int32) {
 		for digit, c := range h {
 			h[digit], at = at, at+c
 		}
-		for i, c := range codes {
-			to := h[byte(c>>sh)]
+		for _, c := range codes {
+			tmp[h[byte(c>>sh)]] = c
 			h[byte(c>>sh)]++
-			codesTmp[to], permTmp[to] = c, perm[i]
 		}
-		codes, codesTmp = codesTmp, codes
-		perm, permTmp = permTmp, perm
+		codes, tmp = tmp, codes
 	}
-	return codes, perm
+	return codes
 }
 
-// occupancy counts the points in each cell of one level. Where a cell's
-// d coordinates of depth+1 bits fit one word — the universes that have a
-// 64-bit Morton code — they are packed into it and the map holds no
-// pointers: the collector never scans it, and a Maintainer's occupancy is
-// nearly all of a serving node's live heap. Wider universes key the
-// encoded cell, with the counters held by pointer so the per-point path
-// is a single allocation-free map lookup plus an increment; the string
-// key and its counter are allocated once per distinct cell, not once per
-// point. Only the Maintainer (which must answer "how many points share
-// this cell" for points it has never seen) and the dim × depth > 64
-// fallback use it.
-type occupancy struct {
-	bits   uint // width of a packed coordinate; 0 when cells is the map in use
-	packed map[uint64]uint32
-	cells  map[string]*uint32
-}
-
-// newOccupancy returns an empty occupancy sized for the view's points at
-// the level.
-func (v *View) newOccupancy(level int) *occupancy {
-	bits := uint(v.g.Levels() + 1) // shifted coords are < 2Δ = 2^(L+1)
-	if v.g.Dim()*int(bits) > 64 {
-		return &occupancy{cells: make(map[string]*uint32, len(v.pts))}
-	}
-	cells := 0
-	if mo := v.order(); mo != nil {
-		shift := uint(v.g.Dim() * (v.g.Levels() - level))
-		for i, code := range mo.codes {
-			if i == 0 || code>>shift != mo.codes[i-1]>>shift {
-				cells++
-			}
-		}
-	}
-	return &occupancy{bits: bits, packed: make(map[uint64]uint32, cells)}
-}
+// occupancy counts the points in each cell of one level, keyed by the
+// encoded cell, for universes whose Morton code does not fit 64 bits
+// (dim × depth > 64): the counters are held by pointer so the per-point
+// path is a single allocation-free map lookup plus an increment, and the
+// string key and its counter are allocated once per distinct cell, not
+// once per point. View.scanLevel's fallback fills one per level, and a
+// Maintainer of such a universe keeps them.
+type occupancy map[string]*uint32
 
 // bump changes the count of the encoded cell by delta — +1, −1 for a
 // cell that holds a point, or 0 to only read — and returns what the
 // count was; a cell that reaches zero is forgotten.
-func (o *occupancy) bump(cell []byte, delta int) uint32 {
-	if o.packed != nil {
-		var k uint64
-		for ; len(cell) >= 8; cell = cell[8:] {
-			k = k<<o.bits | binary.LittleEndian.Uint64(cell)
-		}
-		n := o.packed[k]
-		switch now := n + uint32(delta); {
-		case delta == 0:
-		case now == 0:
-			delete(o.packed, k)
-		default:
-			o.packed[k] = now
-		}
-		return n
-	}
-	c := o.cells[string(cell)]
+func (o occupancy) bump(cell []byte, delta int) uint32 {
+	c := o[string(cell)]
 	if c == nil {
 		if delta == 0 {
 			return 0
 		}
 		c = new(uint32)
-		o.cells[string(cell)] = c
+		o[string(cell)] = c
 	}
 	n := *c
 	if *c += uint32(delta); *c == 0 {
-		delete(o.cells, string(cell))
+		delete(o, string(cell))
 	}
 	return n
 }
@@ -241,83 +153,39 @@ func (o *occupancy) bump(cell []byte, delta int) uint32 {
 // key set is the one scanLevel emits over the same multiset, and every
 // table and estimator is a function of the set. The key buffer is reused
 // between calls.
-func (o *occupancy) scan(d int, emit func(key []byte)) {
+func (o occupancy) scan(d int, emit func(key []byte)) {
 	key := make([]byte, KeyLen(d))
-	occurrences := func(n uint32) {
-		for j := uint32(0); j < n; j++ {
+	for cell, n := range o {
+		copy(key, cell)
+		for j := uint32(0); j < *n; j++ {
 			binary.LittleEndian.PutUint32(key[8*d:], j)
 			emit(key)
 		}
-	}
-	if o.packed != nil {
-		mask := uint64(1)<<o.bits - 1
-		for k, n := range o.packed {
-			for j := d - 1; j >= 0; j-- { // bump packs the first coordinate highest
-				binary.LittleEndian.PutUint64(key[8*j:], k&mask)
-				k >>= o.bits
-			}
-			occurrences(n)
-		}
-		return
-	}
-	for cell, n := range o.cells {
-		copy(key, cell)
-		occurrences(*n)
 	}
 }
 
 // scanLevel is the kernel under every per-level pass: it calls emit with
 // the (cell, occurrence) key of each point at the level, exactly once
-// per point. The key buffer is reused between calls. With a non-nil occ
-// — from newOccupancy — it also records the per-cell counts, the state a
-// Maintainer keeps; a caller that wants only the counts passes a nil
-// emit.
-//
-// On the Morton path occurrence indices restart whenever the code
-// prefix — the cell — changes, and the cell bytes come straight from the
-// presorted flat coordinate array, rewritten only at run boundaries.
-func (v *View) scanLevel(level int, occ *occupancy, emit func(key []byte)) {
-	g, d := v.g, v.g.Dim()
-	mo := v.order()
-	if mo == nil {
-		if occ == nil {
-			occ = &occupancy{cells: make(map[string]*uint32)}
-		}
-		buf := make([]byte, 0, KeyLen(d))
-		for _, p := range v.pts {
-			buf = g.AppendCell(buf[:0], level, p)
-			o := occ.bump(buf, +1)
-			if emit != nil {
-				emit(binary.LittleEndian.AppendUint32(buf, o))
-			}
-		}
+// per point. The key buffer is reused between calls. A presorted view
+// walks its index's runs of equal code prefixes (codeIndex.scan). One
+// without a presort counts its cells in occ — a caller that keeps them (a
+// Maintainer of a universe too wide for Morton codes) passes its own and
+// may pass a nil emit — and ignores occ otherwise.
+func (v *View) scanLevel(level int, occ occupancy, emit func(key []byte)) {
+	if x := v.order(); x != nil {
+		x.scan(level, emit)
 		return
 	}
-	cellShift := uint(d * (g.Levels() - level)) // < 64 by newMortonOrder's bound
-	coordShift := uint(g.Levels() - level)      // cell coord = shifted coord >> (L−ℓ)
-	key := make([]byte, KeyLen(d))
-	var prev uint64
-	var o uint32
-	for i, code := range mo.codes {
-		cell := code >> cellShift
-		if i == 0 || cell != prev {
-			if occ != nil && i > 0 {
-				occ.bump(key[:8*d], int(o+1)) // the run that just ended
-			}
-			prev, o = cell, 0
-			for j, x := range mo.coords[i*d : (i+1)*d] {
-				binary.LittleEndian.PutUint64(key[8*j:], uint64(x>>coordShift))
-			}
-		} else {
-			o++
-		}
-		if emit != nil {
-			binary.LittleEndian.PutUint32(key[8*d:], o)
-			emit(key)
-		}
+	if occ == nil {
+		occ = occupancy{}
 	}
-	if occ != nil {
-		occ.bump(key[:8*d], int(o+1)) // the last run; mo is never empty
+	buf := make([]byte, 0, KeyLen(v.g.Dim()))
+	for _, p := range v.pts {
+		buf = v.g.AppendCell(buf[:0], level, p)
+		o := occ.bump(buf, +1)
+		if emit != nil {
+			emit(binary.LittleEndian.AppendUint32(buf, o))
+		}
 	}
 }
 
@@ -330,7 +198,7 @@ func (v *View) checkLevel(level int) error {
 }
 
 // levelTable builds the view's filled IBLT for one level.
-func (v *View) levelTable(level, capacity int, occ *occupancy) (*iblt.Table, error) {
+func (v *View) levelTable(level, capacity int, occ occupancy) (*iblt.Table, error) {
 	t, err := iblt.New(levelConfig(v.p, level, capacity))
 	if err != nil {
 		return nil, err
@@ -562,43 +430,101 @@ func (v *View) reconcileTables(aliceTable, mine *iblt.Table, level int) (*Result
 // repair applies a decoded level difference to Bob's multiset: it
 // deletes the points named by Bob-only keys and adds the cell centers of
 // Alice-only keys. Occurrence j of a cell names Bob's j-th point in that
-// cell in slice order.
+// cell in slice order. The ≤ |Neg| named cells sit in a small
+// open-addressed table, and one pass over Bob's points copies them into
+// S'_B's backing array and, rounding each to its cell with shifts,
+// collects the named cells' points.
 func (v *View) repair(res *Result, level int, diff *iblt.Diff) error {
-	g := v.g
+	g, d := v.g, v.g.Dim()
 	res.Level = level
 	res.CellWidth = g.CellWidth(level)
-	remove := make(map[int32]bool, len(diff.Neg))
-	occupants := v.cellOccupants(level, diff.Neg)
-	for _, key := range diff.Neg {
-		cell, occ, err := splitKey(g, key)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrInconsistentSketch, err)
+	var (
+		cells   []uint64  // the named cells, d coordinates each
+		members [][]int32 // each named cell's points in slice order
+		named   []int32   // each well-formed Bob-only key's cell, up to the first malformed
+		bits    = 1
+	)
+	for 1<<bits < 2*len(diff.Neg) {
+		bits++
+	}
+	table := make([]int32, 1<<bits) // a named cell's index + 1; 0 is free
+	mask, top := uint64(len(table)-1), uint(64-bits)
+	const mix = 0x9e3779b97f4a7c15
+	cell := make([]uint64, d)
+	// slot returns where cell, of hash h, sits in the table, or the free
+	// slot it would take.
+	slot := func(h uint64) uint64 {
+		t := h >> top
+		for e := table[t]; e != 0 && !slices.Equal(cells[(e-1)*int32(d):e*int32(d)], cell); e = table[t] {
+			t = (t + 1) & mask
 		}
-		in := occupants(cell)
+		return t
+	}
+	for _, key := range diff.Neg {
+		if len(key) != KeyLen(d) {
+			break
+		}
+		h := uint64(0)
+		for j := range cell {
+			cell[j] = binary.LittleEndian.Uint64(key[8*j:])
+			h = (h ^ cell[j]) * mix
+		}
+		t := slot(h)
+		if table[t] == 0 {
+			cells, members = append(cells, cell...), append(members, nil)
+			table[t] = int32(len(members))
+		}
+		named = append(named, table[t]-1)
+	}
+	// One backing array is carved into the S'_B points instead of a clone
+	// per point: this runs once per session over all of |S_B|. Full-slice
+	// expressions keep each point's capacity at its own length, so
+	// appending to one returned point cannot clobber its neighbor.
+	backing := make([]int64, len(v.pts)*d)
+	res.SPrime = make([]points.Point, len(v.pts), len(v.pts)+len(diff.Pos))
+	sh, shift := uint(g.Levels()-level), g.Shift()
+	for i, p := range v.pts {
+		row := backing[i*d : (i+1)*d : (i+1)*d]
+		res.SPrime[i] = row
+		h := uint64(0)
+		for j, x := range p {
+			row[j], cell[j] = x, uint64(x+shift[j])>>sh
+			h = (h ^ cell[j]) * mix
+		}
+		if len(named) == 0 {
+			continue
+		}
+		if e := table[slot(h)]; e != 0 {
+			members[e-1] = append(members[e-1], int32(i))
+		}
+	}
+	drop := make([]int32, len(named))
+	taken := make(map[int32]bool, len(named))
+	for k, e := range named {
+		occ, in := binary.LittleEndian.Uint32(diff.Neg[k][8*d:]), members[e]
 		if int(occ) >= len(in) {
 			return fmt.Errorf("%w: bob-only key names occurrence %d of a cell with %d local points", ErrInconsistentSketch, occ, len(in))
 		}
-		at := in[occ]
-		if remove[at] {
-			return fmt.Errorf("%w: point %d removed twice", ErrInconsistentSketch, at)
+		if drop[k] = in[occ]; taken[drop[k]] {
+			return fmt.Errorf("%w: point %d removed twice", ErrInconsistentSketch, drop[k])
 		}
-		remove[at] = true
-		res.Removed = append(res.Removed, v.pts[at])
+		taken[drop[k]] = true
+		res.Removed = append(res.Removed, v.pts[drop[k]])
 	}
-	// One backing array is carved into the S'_B points instead of a clone
-	// per point: this runs once per session over all of |S_B|.
-	res.SPrime = make([]points.Point, 0, len(v.pts)-len(remove)+len(diff.Pos))
-	backing := make([]int64, 0, (len(v.pts)-len(remove))*g.Dim())
-	for i, p := range v.pts {
-		if !remove[int32(i)] {
-			// Full-slice expressions keep each point's capacity at its own
-			// length, so appending to one returned point cannot clobber its
-			// neighbor in the shared backing array.
-			start := len(backing)
-			backing = append(backing, p...)
-			res.SPrime = append(res.SPrime, points.Point(backing[start:len(backing):len(backing)]))
+	if len(named) < len(diff.Neg) {
+		return fmt.Errorf("%w: core: key length %d, want %d", ErrInconsistentSketch, len(diff.Neg[len(named)]), KeyLen(d))
+	}
+	// The removals, sorted, close up S'_B a run of survivors at a time.
+	slices.Sort(drop)
+	kept := res.SPrime[:0]
+	for k, at := range append(drop, int32(len(v.pts))) {
+		from := 0
+		if k > 0 {
+			from = int(drop[k-1]) + 1
 		}
+		kept = append(kept, res.SPrime[from:at]...)
 	}
+	res.SPrime = kept
 	for _, key := range diff.Pos {
 		cell, _, err := splitKey(g, key)
 		if err != nil {
@@ -609,68 +535,4 @@ func (v *View) repair(res *Result, level int, diff *iblt.Diff) error {
 		res.SPrime = append(res.SPrime, center)
 	}
 	return nil
-}
-
-// cellOccupants returns a lookup from a level cell to the ascending
-// original indices of the view's points inside it. keys are the (cell,
-// occurrence) keys whose cells will be looked up.
-//
-// Once a level scan has presorted the view, a cell is a run of the
-// order, found by binary search on the code prefix; runs of more than
-// one point are sorted by original index once and remembered, so the
-// work is bounded by the points in the cells actually named. Otherwise —
-// no level was scanned, or the universe is too wide for the presort — it
-// makes one pass over the points, collecting the occupants of the named
-// cells only. Both return the same indices.
-func (v *View) cellOccupants(level int, keys [][]byte) func(grid.Cell) []int32 {
-	g, d := v.g, v.g.Dim()
-	mo := v.mo.Load()
-	if mo == nil {
-		cs := g.EncodedCellSize()
-		named := make(map[string][]int32, len(keys))
-		for _, key := range keys {
-			if len(key) >= cs {
-				named[string(key[:cs])] = nil
-			}
-		}
-		buf := make([]byte, 0, cs)
-		for i, p := range v.pts {
-			buf = g.AppendCell(buf[:0], level, p)
-			if in, ok := named[string(buf)]; ok {
-				named[string(buf)] = append(in, int32(i))
-			}
-		}
-		return func(cell grid.Cell) []int32 {
-			buf = g.EncodeCell(buf[:0], cell)
-			return named[string(buf)]
-		}
-	}
-	cellBits := uint(level + 1)                 // bits per cell coordinate
-	cellShift := uint(d * (g.Levels() - level)) // code bits below the cell prefix
-	sortedRuns := map[int][]int32{}             // by run start
-	return func(cell grid.Cell) []int32 {
-		var prefix uint64
-		for _, c := range cell {
-			if c>>cellBits != 0 {
-				return nil // no point of the universe rounds to this cell
-			}
-		}
-		for b := int(cellBits) - 1; b >= 0; b-- {
-			for _, c := range cell {
-				prefix = prefix<<1 | uint64(c>>uint(b))&1
-			}
-		}
-		lo := sort.Search(len(mo.codes), func(i int) bool { return mo.codes[i]>>cellShift >= prefix })
-		n := sort.Search(len(mo.codes)-lo, func(i int) bool { return mo.codes[lo+i]>>cellShift > prefix })
-		if n <= 1 {
-			return mo.idx[lo : lo+n]
-		}
-		in, ok := sortedRuns[lo]
-		if !ok {
-			in = slices.Clone(mo.idx[lo : lo+n])
-			slices.Sort(in)
-			sortedRuns[lo] = in
-		}
-		return in
-	}
 }

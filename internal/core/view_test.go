@@ -253,8 +253,8 @@ func TestReconcileWithKeptTables(t *testing.T) {
 			}
 			got, gerr := again.ReconcileWith(sk, kept)
 			checkSameResult(t, "with every table kept", got, gerr, want, werr)
-			if len(filled) != 0 || again.mo.Load() != nil || !maps.Equal(kept, built) {
-				t.Fatalf("a scan handed every table built levels %v (presorted %v, map changed %v)", filled, again.mo.Load() != nil, !maps.Equal(kept, built))
+			if len(filled) != 0 || again.sorted.Load() != nil || !maps.Equal(kept, built) {
+				t.Fatalf("a scan handed every table built levels %v (presorted %v, map changed %v)", filled, again.sorted.Load() != nil, !maps.Equal(kept, built))
 			}
 			if werr != nil {
 				return

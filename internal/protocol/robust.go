@@ -338,9 +338,11 @@ type EstimateOpening struct {
 	// Estimator returns the estimator of one level, of the size the
 	// session was opened for.
 	Estimator func(level int) (*sketch.BottomK, error)
-	// MinLevel and MaxLevel are the multiset's level range; a request for
-	// a level outside it is refused with core.ErrLevelOutOfRange.
-	MinLevel, MaxLevel int
+	// Params are the multiset's normalized parameters. A request for a
+	// level outside their range is refused with core.ErrLevelOutOfRange,
+	// and one for a table that may not fit the transport's message limit
+	// before the table is built.
+	Params core.Params
 	// LevelTable builds the table of one level. Like each Estimator call,
 	// it may see a newer version of the multiset than an earlier call: the
 	// fetching side then reconciles to the version its table describes if
@@ -355,11 +357,9 @@ func OpenEstimates(p core.Params, pts []points.Point, k int) (*EstimateOpening, 
 	if err != nil {
 		return nil, err
 	}
-	p = view.Params()
 	return &EstimateOpening{
 		Estimator:  func(level int) (*sketch.BottomK, error) { return view.LevelEstimator(level, k) },
-		MinLevel:   p.MinLevel,
-		MaxLevel:   p.MaxLevel,
+		Params:     view.Params(),
 		LevelTable: view.BuildLevelTable,
 	}, nil
 }
@@ -391,9 +391,9 @@ func serveEstimators(ctx context.Context, t transport.Transport, sp trace.Region
 		return sendErr(ctx, t, cmp.Or(err, fmt.Errorf("protocol: estimator k %d in a session opened for %d", got, k)))
 	}
 	finest, count := int(binary.LittleEndian.Uint16(body[4:])), int(binary.LittleEndian.Uint16(body[6:]))
-	if count < 1 || finest > o.MaxLevel || finest-count+1 < o.MinLevel {
+	if p := o.Params; count < 1 || finest > p.MaxLevel || finest-count+1 < p.MinLevel {
 		return sendErr(ctx, t, fmt.Errorf("%w: estimator window of %d levels from %d outside [%d,%d]",
-			core.ErrLevelOutOfRange, count, finest, o.MinLevel, o.MaxLevel))
+			core.ErrLevelOutOfRange, count, finest, p.MinLevel, p.MaxLevel))
 	}
 	blobs := make([][]byte, count)
 	for i := range blobs {
@@ -455,8 +455,16 @@ func RunEstimateServed(ctx context.Context, t transport.Transport, open func(k i
 			if capacity < 1 || capacity > 1<<24 {
 				return sendErr(ctx, t, fmt.Errorf("protocol: capacity %d out of range", capacity))
 			}
-			if level < o.MinLevel || level > o.MaxLevel {
-				return sendErr(ctx, t, fmt.Errorf("%w: %d outside [%d,%d]", core.ErrLevelOutOfRange, level, o.MinLevel, o.MaxLevel))
+			// The table is built under the dataset's lock: one the reply
+			// could not carry is refused before it is built. Under the
+			// default frame limit that still admits one of ≈ 270 MB.
+			p := o.Params
+			size := 1 + iblt.MaxWireSize(iblt.RecommendedCells(capacity, p.HashCount), core.KeyLen(p.Universe.Dim))
+			if limit := transport.MessageLimit(t); size > limit {
+				return sendErr(ctx, t, fmt.Errorf("protocol: capacity %d: a table of up to %d bytes exceeds the %d-byte message limit", capacity, size, limit))
+			}
+			if level < p.MinLevel || level > p.MaxLevel {
+				return sendErr(ctx, t, fmt.Errorf("%w: %d outside [%d,%d]", core.ErrLevelOutOfRange, level, p.MinLevel, p.MaxLevel))
 			}
 			tbl, err := o.LevelTable(level, capacity)
 			if err != nil {

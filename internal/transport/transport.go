@@ -255,6 +255,19 @@ func NewConnLimit(c net.Conn, maxFrame int) Transport {
 	return &connTransport{conn: c, maxFrame: maxFrame}
 }
 
+// MessageLimit returns the largest message t sends: a framed
+// connection's frame limit, that limit less the largest mux header on a
+// stream, MaxFrameSize on any other transport.
+func MessageLimit(t Transport) int {
+	switch t := t.(type) {
+	case *connTransport:
+		return t.maxFrame
+	case *Stream:
+		return MessageLimit(t.mux.t) - MuxFrameOverhead
+	}
+	return MaxFrameSize
+}
+
 // MuxFrameOverhead is the largest mux frame header (uvarint stream id +
 // type byte) a frame can carry on top of its payload.
 const MuxFrameOverhead = binary.MaxVarintLen64 + 1

@@ -174,10 +174,11 @@ type Maintainer = core.Maintainer
 var ErrNotPresent = core.ErrNotPresent
 
 // NewMaintainer builds the sketch for the initial multiset together with
-// the occupancy state needed for incremental Add/Remove updates. A sync
-// server ingesting an update stream keeps one Maintainer per dataset and
-// serves Maintainer.Sketch() on demand; the maintained sketch is always
-// bitwise identical to a fresh NewSketch of the current multiset.
+// the sorted index of its points that incremental Add/Remove updates
+// read. A sync server ingesting an update stream keeps one Maintainer per
+// dataset and serves Maintainer.Sketch() on demand; the maintained sketch
+// is always bitwise identical to a fresh NewSketch of the current
+// multiset.
 func NewMaintainer(p Params, pts []Point) (*Maintainer, error) {
 	return core.NewMaintainer(p, pts)
 }

@@ -664,12 +664,15 @@ func TestServerRejectsHostileCPICapacity(t *testing.T) {
 // TestAdaptiveServerRefusesLevelOutsideRange: against a Server, as over a
 // pipe (protocol.TestEstimateAliceRefusesLevelOutsideRange), a level
 // request outside the dataset's [MinLevel, MaxLevel] is refused with
-// core.ErrLevelOutOfRange, relayed: the dataset's Maintainer has no counts
-// for such a level, though the universe has it. So is an estimator window
-// that reaches outside the range.
+// core.ErrLevelOutOfRange, relayed: the dataset's Maintainer serves no
+// such level, though the universe has it. So is an estimator window that
+// reaches outside the range. A level request whose table could not fit
+// the server's message limit — a configured one or the default — is
+// refused, relayed, before the table is built: a 6-byte request must not
+// make the server allocate one.
 func TestAdaptiveServerRefusesLevelOutsideRange(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 5, DiffBudget: 4}.WithLevels(3, 8)
-	srv := robustset.NewServer()
+	srv := robustset.NewServer(robustset.WithServerMaxMessageSize(1 << 16))
 	if _, err := srv.Publish("d", params, []robustset.Point{{1, 2}, {3, 4}, {1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -708,6 +711,40 @@ func TestAdaptiveServerRefusesLevelOutsideRange(t *testing.T) {
 		msg, err := st.Recv(ctx)
 		if err != nil || msg[0] != protocol.MsgError || !strings.Contains(string(msg[1:]), core.ErrLevelOutOfRange.Error()) {
 			t.Errorf("window of %d levels from %d, outside [3,8]: got %q, %v; want core.ErrLevelOutOfRange relayed", window[1], window[0], msg, err)
+		}
+	}
+	// Under the default limit, the transport's 256 MiB frame, capacity
+	// 1<<23 (≈ 12.6 M cells, up to 415 MB on the wire) is refused.
+	dflt := robustset.NewServer()
+	if _, err := dflt.Publish("d", params, []robustset.Point{{1, 2}, {3, 4}, {1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		addr     string
+		capacity uint32
+	}{{addr, 1 << 20}, {startServer(t, dflt).String(), 1 << 23}} {
+		st := openStream(t, tc.addr)
+		if _, err := protocol.RunHello(ctx, st, protocol.Hello{Strategy: protocol.StrategyAdaptive, Dataset: "d"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Send(ctx, []byte{protocol.MsgEstRequest, 64, 0, 0, 0, 8, 0, 1, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if msg, err := st.Recv(ctx); err != nil || msg[0] != protocol.MsgEstimators {
+			t.Fatalf("estimator reply %x, %v", msg, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := st.Send(ctx, binary.LittleEndian.AppendUint32([]byte{protocol.MsgLevelRequest, 8, 0}, tc.capacity)); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := st.Recv(ctx)
+		runtime.ReadMemStats(&after)
+		if err != nil || msg[0] != protocol.MsgError || !strings.Contains(string(msg[1:]), "message limit") {
+			t.Errorf("capacity %d: got %.80q, %v; want the message-limit refusal relayed", tc.capacity, msg, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+			t.Errorf("capacity %d: a refused level request allocated %d bytes", tc.capacity, grew)
 		}
 	}
 }

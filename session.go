@@ -237,7 +237,7 @@ func (Adaptive) serve(ctx context.Context, t transport.Transport, p Params, pts 
 func (Adaptive) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
 	err := protocol.RunEstimateServed(ctx, t, func(k int) (*protocol.EstimateOpening, error) {
 		est := func(level int) (*sketch.BottomK, error) { return d.levelEstimator(level, k) }
-		return &protocol.EstimateOpening{Estimator: est, MinLevel: p.MinLevel, MaxLevel: p.MaxLevel, LevelTable: d.levelTable}, nil
+		return &protocol.EstimateOpening{Estimator: est, Params: p, LevelTable: d.levelTable}, nil
 	})
 	d.recordServed(ctx, false)
 	return err
