@@ -124,6 +124,33 @@ func TestMaintainerRemoveAbsent(t *testing.T) {
 	if m.Count() != 0 {
 		t.Fatalf("count %d, want 0", m.Count())
 	}
+
+	// A universe too wide for 64-bit codes (4 × 17 bits), with a trimmed
+	// MaxLevel: an absent point that shares every included cell with a
+	// present one is refused too, not taken for its neighbour.
+	wide := testParams(points.Universe{Dim: 4, Delta: 1 << 16}, 2, 1).WithLevels(2, 9)
+	present := points.Point{1000, 2000, 3000, 4000}
+	if m, err = NewMaintainer(wide, []points.Point{present}); err != nil {
+		t.Fatal(err)
+	}
+	var absent points.Point
+	for k := int64(1); absent == nil; k++ {
+		for _, q := range []points.Point{{1000 + k, 2000, 3000, 4000}, {1000 - k, 2000, 3000, 4000}} {
+			if bytes.Equal(m.g.AppendCell(nil, wide.MaxLevel, q), m.g.AppendCell(nil, wide.MaxLevel, present)) {
+				absent = q
+			}
+		}
+	}
+	before, _ := m.Sketch().MarshalBinary()
+	if err := m.Remove(absent); !errors.Is(err, ErrNotPresent) {
+		t.Fatalf("removing %v, absent, beside %v in every included cell: %v", absent, present, err)
+	}
+	if after, _ := m.Sketch().MarshalBinary(); m.Count() != 1 || !bytes.Equal(after, before) {
+		t.Fatalf("the refused remove left count %d (want 1) and changed the sketch: %v", m.Count(), !bytes.Equal(after, before))
+	}
+	if m.Multiplicity(present) != 1 || m.Multiplicity(absent) != 0 {
+		t.Fatalf("multiplicities %d and %d, want 1 and 0", m.Multiplicity(present), m.Multiplicity(absent))
+	}
 }
 
 func TestMaintainerDuplicates(t *testing.T) {
@@ -259,7 +286,8 @@ func TestMaintainerOccupancyKeying(t *testing.T) {
 // Morton bits, so its counts are keyed by the encoded cell and its view
 // takes the occupancy fallback; Δ = 2²⁰ in the plane and Δ = 2¹⁵ in four
 // dimensions — exactly 64 bits — keep codes. A trimmed level range rides
-// along: levels outside it are refused.
+// along: levels outside it are refused. The points the Maintainer yields
+// and the multiplicities it answers are the model's.
 func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 	for _, tc := range []struct {
 		u      points.Universe
@@ -272,6 +300,7 @@ func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 		{points.Universe{Dim: 4, Delta: 1 << 15}, 0, 15, false},
 		{points.Universe{Dim: 4, Delta: 1 << 15}, 2, 9, true},
 		{points.Universe{Dim: 8, Delta: 1 << 9}, 0, 9, false},
+		{points.Universe{Dim: 8, Delta: 1 << 9}, 2, 6, false},
 	} {
 		p := testParams(tc.u, 4, 23).WithLevels(tc.lo, tc.hi)
 		rng := rand.New(rand.NewPCG(uint64(tc.u.Dim), uint64(tc.hi)))
@@ -312,6 +341,24 @@ func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 		}
 		if (m.codes != nil) != (tc.u.Dim < 8) {
 			t.Fatalf("dim %d: codes %v", tc.u.Dim, m.codes != nil)
+		}
+		// The maintainer holds the multiset itself: its points and each
+		// one's multiplicity are the model's.
+		var held []points.Point
+		m.EachPoint(func(pt points.Point) { held = append(held, pt.Clone()) })
+		if !points.EqualMultisets(held, current) || m.Count() != len(current) {
+			t.Fatalf("dim %d [%d,%d]: the maintainer yields %d points, count %d, not the model's %d", tc.u.Dim, tc.lo, tc.hi, len(held), m.Count(), len(current))
+		}
+		for _, pt := range current[:min(len(current), 50)] {
+			n := 0
+			for _, q := range current {
+				if q.Equal(pt) {
+					n++
+				}
+			}
+			if got := m.Multiplicity(pt); got != n {
+				t.Fatalf("dim %d: multiplicity of %v is %d, the model holds %d", tc.u.Dim, pt, got, n)
+			}
 		}
 		v, err := NewView(p, current)
 		if err != nil {

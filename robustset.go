@@ -169,8 +169,8 @@ func NewSketch(p Params, pts []Point) (*Sketch, error) {
 // NewMaintainer.
 type Maintainer = core.Maintainer
 
-// ErrNotPresent is returned by Maintainer.Remove for points that cannot
-// be in the maintained multiset.
+// ErrNotPresent is returned by Maintainer.Remove for points that are not
+// in the maintained multiset.
 var ErrNotPresent = core.ErrNotPresent
 
 // NewMaintainer builds the sketch for the initial multiset together with

@@ -3,15 +3,18 @@ package robustset
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"robustset/internal/points"
 	"robustset/internal/protocol"
+	"robustset/internal/store"
 	"robustset/internal/transport"
 )
 
@@ -26,7 +29,9 @@ func freshRoot(d *Dataset, pts []Point) points.Print { return d.rootKey.Of(pts) 
 func rootChurn(t *testing.T, d *Dataset, current []Point, rng *rand.Rand, steps int, check func(step int, current []Point)) []Point {
 	t.Helper()
 	u := d.Params().Universe
-	fresh := func() Point { return Point{rng.Int64N(u.Delta), rng.Int64N(u.Delta)} }
+	fresh := func() Point { return randomPoint(rng, u) }
+	outside := make(Point, u.Dim)
+	outside[0] = u.Delta
 	take := func() Point {
 		i := rng.IntN(len(current))
 		pt := current[i]
@@ -63,7 +68,7 @@ func rootChurn(t *testing.T, d *Dataset, current []Point, rng *rand.Rand, steps 
 			}
 		case op == 4:
 			// All or nothing: two good points, then one outside.
-			if err := d.AddBatch([]Point{fresh(), fresh(), {u.Delta, 0}}); err == nil {
+			if err := d.AddBatch([]Point{fresh(), fresh(), outside}); err == nil {
 				t.Fatalf("step %d: add batch with a point outside the universe applied", step)
 			}
 		default:
@@ -87,20 +92,40 @@ func rootChurn(t *testing.T, d *Dataset, current []Point, rng *rand.Rand, steps 
 	return current
 }
 
+// randomPoint draws a point of u, its coordinates in order.
+func randomPoint(rng *rand.Rand, u Universe) Point {
+	pt := make(Point, u.Dim)
+	for j := range pt {
+		pt[j] = rng.Int64N(u.Delta)
+	}
+	return pt
+}
+
 // TestDatasetRootTracksMultiset is the root's property test: after every
 // step of a seeded mutation sequence the running root equals a fresh
 // build over Snapshot(); it does not depend on the order the points
 // arrived in, the roots of the multiset's shards sum to it, and any
 // single add or remove moves it. The hello carries the
 // root, so one published root is pinned by value: a change to its hash
-// must come with a MuxVersion bump.
+// must come with a MuxVersion bump. After every step the dataset's
+// points, size and sketch are also the model's, in the plane and in a
+// universe too wide for 64-bit Morton codes (4 × 17 bits) with a trimmed
+// level range.
 func TestDatasetRootTracksMultiset(t *testing.T) {
-	params := Params{Universe: Universe{Dim: 2, Delta: 1 << 10}, Seed: 31, DiffBudget: 8}
+	for _, params := range []Params{
+		{Universe: Universe{Dim: 2, Delta: 1 << 10}, Seed: 31, DiffBudget: 8},
+		Params{Universe: Universe{Dim: 4, Delta: 1 << 16}, Seed: 31, DiffBudget: 8}.WithLevels(2, 9),
+	} {
+		testDatasetRootTracksMultiset(t, params)
+	}
+}
+
+func testDatasetRootTracksMultiset(t *testing.T, params Params) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		initial := make([]Point, 0, 60)
 		for i := 0; i < 40; i++ {
-			pt := Point{rng.Int64N(1 << 10), rng.Int64N(1 << 10)}
+			pt := randomPoint(rng, params.Universe)
 			initial = append(initial, pt)
 			if i%4 == 0 {
 				initial = append(initial, pt.Clone())
@@ -114,7 +139,7 @@ func TestDatasetRootTracksMultiset(t *testing.T) {
 		if got, want := d.rootPrint(), freshRoot(d, initial); got != want {
 			t.Fatalf("seed %d: published root %+v, fresh build %+v", seed, got, want)
 		}
-		if pinned := (points.Print{Count: 50, Sum: 0xf1e58ce728b9cd28}); seed == 1 && d.rootPrint() != pinned {
+		if pinned := (points.Print{Count: 50, Sum: 0xf1e58ce728b9cd28}); seed == 1 && params.Universe.Dim == 2 && d.rootPrint() != pinned {
 			t.Fatalf("published root %+v, pinned %+v: the hello root's hash moved", d.rootPrint(), pinned)
 		}
 		check := func(step int, current []Point) {
@@ -125,6 +150,15 @@ func TestDatasetRootTracksMultiset(t *testing.T) {
 			}
 			if int(got.Count) != len(current) || d.Size() != len(current) {
 				t.Fatalf("seed %d step %d: root counts %d, size %d, model %d", seed, step, got.Count, d.Size(), len(current))
+			}
+			if !points.EqualMultisets(d.Snapshot(), current) {
+				t.Fatalf("seed %d step %d: the snapshot is not the model's multiset", seed, step)
+			}
+			d.mu.Lock()
+			err := d.maintainer.VerifyFreshBuild(current)
+			d.mu.Unlock()
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
 		current := rootChurn(t, d, append([]Point(nil), initial...), rng, 300, check)
@@ -344,5 +378,47 @@ func TestFetchDatasetMutationAfterRootRead(t *testing.T) {
 			t.Fatalf("%s: root equal at the read, result %+v", strat.Name(), res)
 		}
 		mine.Close()
+	}
+}
+
+// TestRecoveryRefusesRemoveOfAbsentPoint: a log record that removes a
+// point the recovered state does not hold fails the publish with
+// ErrNotPresent, naming the record — in a universe with 64-bit Morton
+// codes and in one too wide for them, with a trimmed level range.
+func TestRecoveryRefusesRemoveOfAbsentPoint(t *testing.T) {
+	for _, params := range []Params{
+		{Universe: Universe{Dim: 2, Delta: 1 << 10}, Seed: 5, DiffBudget: 4},
+		Params{Universe: Universe{Dim: 4, Delta: 1 << 16}, Seed: 5, DiffBudget: 4}.WithLevels(2, 9),
+	} {
+		dim := params.Universe.Dim
+		present, absent := make(Point, dim), make(Point, dim)
+		for j := range present {
+			present[j], absent[j] = int64(100*(j+1)), int64(100*(j+1)+1)
+		}
+		dir := t.TempDir()
+		srv := NewServer(WithServerDataDir(dir))
+		if _, err := srv.PublishDurable("data", params, []Point{present, present}); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		eng, _, err := store.Open(srv.datasetDir("data"), points.EncodedSize(dim), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Append(store.OpRemove, [][]byte{points.EncodeNew(present), points.EncodeNew(absent)}); err != nil {
+			t.Fatal(err)
+		}
+		seq := eng.Seq()
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv = NewServer(WithServerDataDir(dir))
+		_, err = srv.PublishDurable("data", params, nil)
+		if !errors.Is(err, ErrNotPresent) || !strings.Contains(err.Error(), fmt.Sprintf("replaying log record %d:", seq)) {
+			t.Fatalf("dim %d: recovery over a log that removes an absent point: %v, want ErrNotPresent at record %d", dim, err, seq)
+		}
+		srv.Close()
 	}
 }

@@ -30,19 +30,19 @@ var ErrServerClosed = errors.New("robustset: server closed")
 // server does not publish.
 var ErrUnknownDataset = errors.New("robustset: unknown dataset")
 
-// Dataset is one named point multiset a Server publishes. It pairs the
-// live points with an incrementally maintained sketch, so robust one-shot
-// sessions are served from the Maintainer in O(sketch) time regardless of
-// dataset size — adaptive ones a level at a time, rateless ones from state
-// a session of theirs leaves behind (DESIGN.md, "Served state")
-// — while Naive snapshots the points. The multiset is
-// stored as encoded-point occurrence counts, so Add and Remove cost
-// O(levels) maintainer updates plus an O(1) map operation — no linear
-// scans on high-churn datasets. Beside them it keeps the root
-// of the multiset — its size and a 64-bit sum of point hashes, one hash
-// per point mutated (points.Print) — which is all that two datasets need
-// to exchange to learn they are equal: a ClientSession.FetchDataset
-// against a server whose dataset has the same root ends at the handshake,
+// Dataset is one named point multiset a Server publishes. Its Maintainer
+// holds the multiset, once, beside the incrementally maintained sketch:
+// robust one-shot sessions are served from it in O(sketch) time
+// regardless of dataset size — adaptive ones a level at a time, rateless
+// ones from state a session of theirs leaves behind (DESIGN.md, "Served
+// state") — while Naive snapshots the points, decoded from the
+// Maintainer's sorted index. A point's multiplicity is read there too, so
+// Add and Remove cost O(levels) maintainer updates — no linear scans on
+// high-churn datasets. Beside it the dataset keeps the root of the
+// multiset — its size and a 64-bit sum of point hashes, one hash per
+// point mutated (points.Print) — which is all that two datasets need to
+// exchange to learn they are equal: a ClientSession.FetchDataset against
+// a server whose dataset has the same root ends at the handshake,
 // whatever the strategy. All methods are safe for concurrent use with
 // each other and with serving sessions.
 //
@@ -56,9 +56,7 @@ type Dataset struct {
 	name string
 
 	mu         sync.Mutex
-	maintainer *Maintainer
-	counts     map[string]int // encoded point → multiplicity
-	size       int
+	maintainer *Maintainer // the multiset and its sketch
 	retired    bool        // set by Server.Unpublish; mutations and serving reject
 	store      store.Store // write-ahead engine; store.Mem() unless durable
 	// blobCache is the marshaled form of the maintained sketch, built
@@ -105,7 +103,7 @@ func (d *Dataset) Params() Params {
 func (d *Dataset) Size() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.size
+	return d.maintainer.Count()
 }
 
 // errRetired builds the rejection mutations and sessions see after
@@ -128,7 +126,7 @@ func (d *Dataset) retire() {
 // exportLocked publishes size and root fingerprint to the dataset's
 // gauges, with d.mu held.
 func (d *Dataset) exportLocked() {
-	d.pointsGauge.Set(int64(d.size))
+	d.pointsGauge.Set(int64(d.maintainer.Count()))
 	d.rootGauge.Set(int64(d.root.Sum))
 }
 
@@ -257,7 +255,7 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 		for i, pt := range pts {
 			encs[i] = points.EncodeNew(pt)
 			enc := string(encs[i])
-			if need[enc]++; need[enc] > d.counts[enc] {
+			if need[enc]++; need[enc] > d.maintainer.Multiplicity(pt) {
 				return fmt.Errorf("robustset: remove batch from %q: point %d of %d: %w: %v not in dataset (nothing applied)",
 					d.name, i, len(pts), ErrNotPresent, pt)
 			}
@@ -280,10 +278,10 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 }
 
 // applyLocked applies one point mutation to every in-memory index — the
-// maintained sketch, the root, the rateless state if it exists,
-// the occurrence counts — with d.mu held. enc is
-// pt's canonical encoding. Live mutations arrive validated; recovery replays log records through
-// here too and reports what a corrupt log makes fail.
+// maintained sketch and multiset, the root, the rateless state if it
+// exists — with d.mu held. enc is pt's canonical encoding. Live mutations
+// arrive validated; recovery replays log records through here too and
+// reports what a corrupt log makes fail.
 func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 	switch op {
 	case store.OpAdd:
@@ -294,41 +292,32 @@ func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 		// A new occurrence takes the next free occurrence index, so the
 		// key multiset stays dense per point.
 		if d.exact != nil {
-			d.exact.Add(enc, uint32(d.counts[enc]))
+			d.exact.Add(enc, uint32(d.maintainer.Multiplicity(pt)-1))
 		}
-		d.counts[enc]++
-		d.size++
 	case store.OpRemove:
-		if d.counts[enc] == 0 {
-			return fmt.Errorf("%w: %v", ErrNotPresent, pt)
-		}
 		if err := d.maintainer.Remove(pt); err != nil {
 			return err
 		}
 		d.root.Remove(d.rootKey.Hash(pt))
 		// Removing the highest occurrence index keeps indexes dense.
 		if d.exact != nil {
-			d.exact.Remove(enc, uint32(d.counts[enc]-1))
+			d.exact.Remove(enc, uint32(d.maintainer.Multiplicity(pt)))
 		}
-		if d.counts[enc]--; d.counts[enc] == 0 {
-			delete(d.counts, enc)
-		}
-		d.size--
 	default:
 		return fmt.Errorf("unknown op %d", op)
 	}
 	return nil
 }
 
-// encodedStateLocked expands the occurrence counts into the flat list of
-// encoded points a snapshot stores, with d.mu held.
+// encodedStateLocked encodes the Maintainer's points into the flat list
+// a snapshot stores, all carved out of one array, with d.mu held.
 func (d *Dataset) encodedStateLocked() [][]byte {
-	out := make([][]byte, 0, d.size)
-	for enc, c := range d.counts {
-		for i := 0; i < c; i++ {
-			out = append(out, []byte(enc))
-		}
-	}
+	n, size := d.maintainer.Count(), points.EncodedSize(d.maintainer.Params().Universe.Dim)
+	out, buf := make([][]byte, 0, n), make([]byte, 0, n*size)
+	d.maintainer.EachPoint(func(pt Point) {
+		buf = points.Encode(buf, pt)
+		out = append(out, buf[len(buf)-size:])
+	})
 	return out
 }
 
@@ -398,22 +387,17 @@ func (d *Dataset) RemoveBatch(pts []Point) error {
 
 // snapshotLocked copies the current points with d.mu held.
 func (d *Dataset) snapshotLocked() []Point {
-	dim := d.maintainer.Params().Universe.Dim
-	out := make([]Point, 0, d.size)
+	n, dim := d.maintainer.Count(), d.maintainer.Params().Universe.Dim
+	out := make([]Point, 0, n)
 	// Every point is carved out of one array: two allocations a snapshot,
 	// not one per point.
-	coords := make([]int64, d.size*dim)
-	for enc, c := range d.counts {
-		for i := 0; i < c; i++ {
-			p := Point(coords[:dim:dim])
-			coords = coords[dim:]
-			if err := points.DecodeInto(p, []byte(enc)); err != nil {
-				// counts only ever holds EncodeNew output of validated points.
-				panic("robustset: corrupt dataset encoding: " + err.Error())
-			}
-			out = append(out, p)
-		}
-	}
+	coords := make([]int64, n*dim)
+	d.maintainer.EachPoint(func(pt Point) {
+		p := Point(coords[:dim:dim])
+		coords = coords[dim:]
+		copy(p, pt)
+		out = append(out, p)
+	})
 	return out
 }
 
@@ -746,19 +730,10 @@ func newDataset(name string, p Params, pts []Point) (*Dataset, error) {
 }
 
 // datasetOver wraps a maintainer and the points it summarizes as an
-// unregistered in-memory Dataset, building the occurrence counts and the
-// root.
+// unregistered in-memory Dataset with their root.
 func datasetOver(name string, m *Maintainer, pts []Point) *Dataset {
 	key := points.PrintKey(hashutil.DeriveSeed(m.Params().Seed, "dataset/root"))
-	d := &Dataset{
-		name: name, maintainer: m, size: len(pts), store: store.Mem(),
-		counts: make(map[string]int, len(pts)),
-		root:   key.Of(pts), rootKey: key,
-	}
-	for _, pt := range pts {
-		d.counts[string(points.EncodeNew(pt))]++
-	}
-	return d
+	return &Dataset{name: name, maintainer: m, store: store.Mem(), root: key.Of(pts), rootKey: key}
 }
 
 // registerLocked enters d in the catalog and binds its gauges to the
