@@ -59,7 +59,7 @@ func sameFrames(t *testing.T, what string, got, want [][]byte) {
 func checkEstimatorCache(t *testing.T, d *Dataset, what string) (k, cached int) {
 	t.Helper()
 	d.mu.Lock()
-	ests, k := maps.Clone(d.estimators), d.estimatorsK
+	ests, k := maps.Clone(d.adaptive.estimators), d.adaptive.k
 	d.mu.Unlock()
 	if ests == nil {
 		return 0, 0
@@ -347,7 +347,7 @@ func TestAdaptiveEstimatorCacheTracksMultiset(t *testing.T) {
 		if err := srv.Unpublish("d"); err != nil {
 			t.Fatal(err)
 		}
-		if d.estimators != nil {
+		if d.adaptive.estimators != nil {
 			t.Fatalf("seed %d: a retired dataset keeps its estimators", seed)
 		}
 		if _, err := d.levelEstimator(p.MaxLevel, 64); !errors.Is(err, ErrUnknownDataset) {
@@ -474,7 +474,7 @@ func TestAdaptiveRetiredDataset(t *testing.T) {
 			if err := srv.Unpublish("d"); err != nil {
 				t.Error(err)
 			}
-			if d.estimators != nil {
+			if d.adaptive.estimators != nil {
 				t.Error("retirement kept the cached estimators")
 			}
 			req := estRequest
@@ -490,5 +490,106 @@ func TestAdaptiveRetiredDataset(t *testing.T) {
 			t.Errorf("started=%v: serving a retired dataset: %v, want ErrUnknownDataset", started, err)
 		}
 		srv.Close()
+	}
+}
+
+// TestAdaptiveReplyCache: the level-table reply a dataset serves is, byte
+// for byte, a fresh Maintainer's table of its snapshot, marshaled — built
+// for the first request of a level and capacity, taken from the cache for
+// the next, whose session's level_round span says cached=1 — and AddBatch,
+// RemoveBatch and Unpublish drop the cache: a retired dataset refuses the
+// request. A request above the cache bound is built and served, and
+// leaves nothing cached.
+func TestAdaptiveReplyCache(t *testing.T) {
+	params := Params{Universe: Universe{Dim: 2, Delta: 1 << 20}, Seed: 23, DiffBudget: 40}
+	rng := rand.New(rand.NewPCG(8, 1))
+	server, client := ratelessTestSets(rng, 3000, 8)
+	tl := NewTraceLog()
+	srv := NewServer(WithServerTracing(tl))
+	defer srv.Close()
+	d, err := srv.Publish("d", params, server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Params()
+	// reply asks for the table the first session asked for and checks it
+	// against a fresh build.
+	var level, capacity int
+	reply := func(what string, wantCached bool) {
+		t.Helper()
+		m, err := core.NewMaintainer(p, d.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := m.BuildLevelTable(level, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := tbl.MarshalBinary()
+		got, cached, err := d.levelTable(level, capacity)
+		if err != nil || cached != wantCached || !bytes.Equal(got, want) {
+			t.Fatalf("%s: a reply of %d bytes, cached %v, %v; want a fresh table's %d bytes, cached %v",
+				what, len(got), cached, err, len(want), wantCached)
+		}
+	}
+	// session fetches through d and returns its server's level_round
+	// span's cached attribute; the first sets the level and capacity reply
+	// asks for.
+	session := func(what string) int64 {
+		t.Helper()
+		servedFetch(t, srv, Adaptive{}, client, nil)
+		recent := tl.Recent()
+		for _, sp := range recent[len(recent)-1].Spans {
+			if sp.Name != "level_round" {
+				continue
+			}
+			attrs := make(map[string]int64)
+			for _, a := range sp.Attrs {
+				attrs[a.K] = a.V
+			}
+			if capacity == 0 {
+				level, capacity = int(attrs["level"]), int(attrs["capacity"])
+			}
+			return attrs["cached"]
+		}
+		t.Fatalf("%s: the server's trace has no level_round span", what)
+		return 0
+	}
+	if session("the first session") != 0 || session("the second session") != 1 {
+		t.Fatal("the second session's reply was not the first's, cached")
+	}
+	reply("after two sessions", true)
+	if err := d.AddBatch([]Point{{1, 1}, {1, 1}, server[3].Clone()}); err != nil {
+		t.Fatal(err)
+	}
+	reply("after AddBatch", false)
+	reply("the same request again", true)
+	if err := d.RemoveBatch(server[10:30]); err != nil {
+		t.Fatal(err)
+	}
+	reply("after RemoveBatch", false)
+	reply("and again", true)
+
+	big := maxCachedCapacity*p.TableCapacity + 1
+	for range 2 {
+		if _, cached, err := d.levelTable(level-1, big); err != nil || cached {
+			t.Fatalf("a request of capacity %d above the bound: cached %v, %v", big, cached, err)
+		}
+	}
+	d.mu.Lock()
+	_, held := d.adaptive.replies[level-1]
+	d.mu.Unlock()
+	if held {
+		t.Fatalf("a request of capacity %d, above the bound %d, left its reply cached", big, maxCachedCapacity*p.TableCapacity)
+	}
+
+	if err := srv.Unpublish("d"); err != nil {
+		t.Fatal(err)
+	}
+	if d.adaptive.replies != nil {
+		t.Fatal("retirement kept the cached replies")
+	}
+	if _, _, err := d.levelTable(level, capacity); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("a retired dataset served a level table: %v", err)
 	}
 }

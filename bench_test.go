@@ -546,11 +546,16 @@ func BenchmarkRobustFetch20k(b *testing.B) {
 // benchmark: a server holding 20 000 points under levels 0–10, a loopback
 // client holding a noisy copy with 64 outliers, one estimate-first Fetch
 // per iteration with k = 1024 estimators. warm fetches an unchanged
-// dataset, so every session after the first is answered from the
-// per-level estimators the first left cached; cold puts one AddBatch and
-// one RemoveBatch of 32 between fetches, so every session finds the cache
-// dropped and builds the levels it asks for from the Maintainer. Neither
-// reads the points: server_sessions_cold_total stays 0.
+// dataset with an unchanged local set, so every session after the first
+// is answered from the estimators and the level-table reply the first
+// left cached, and subtracts the estimators and table the client kept.
+// cold puts one AddBatch and one RemoveBatch of 32 between fetches, so
+// every session finds the server's cache dropped and builds the levels it
+// asks for from the Maintainer. warm-moved hands every fetch the local set
+// with one point moved by one unit, a different point each time, so the
+// client misses its kept state and keys its points. None reads the
+// server's points: server_sessions_cold_total stays 0. keyed/op counts the
+// sessions that kept nothing.
 func BenchmarkAdaptiveFetch20k(b *testing.B) {
 	const n, batch = 20000, 32
 	inst, err := workload.Generate(workload.Config{
@@ -560,8 +565,7 @@ func BenchmarkAdaptiveFetch20k(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := robustset.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 160}.WithLevels(0, 10)
-	for _, cold := range []bool{false, true} {
-		name := map[bool]string{false: "warm", true: "cold"}[cold]
+	for _, name := range []string{"warm", "cold", "warm-moved"} {
 		b.Run(name, func(b *testing.B) {
 			m := robustset.NewMetrics()
 			srv := robustset.NewServer(robustset.WithServerMetrics(m))
@@ -581,14 +585,31 @@ func BenchmarkAdaptiveFetch20k(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer cl.Close()
+			var keyed int64
+			count := robustset.WithSessionTrace(func(st *robustset.SessionTrace) {
+				if kept, _ := st.Stat("kept_levels"); kept == 0 {
+					keyed++
+				}
+			})
 			opts := robustset.AdaptiveOptions{EstimatorK: 1024}
-			sess, err := cl.Session("noisy", robustset.Adaptive{Options: opts})
+			sess, err := cl.Session("noisy", robustset.Adaptive{Options: opts}, count)
 			if err != nil {
 				b.Fatal(err)
 			}
+			// local is Bob's set, in warm-moved a clone of it in which the
+			// fetch moves one point by one unit and the next puts it back.
+			local, moved := inst.Bob, 0
+			if name == "warm-moved" {
+				local = robustset.ClonePoints(inst.Bob)
+			}
 			var wire int64
 			fetch := func() {
-				res, st, err := sess.Fetch(ctx, inst.Bob)
+				if name == "warm-moved" {
+					local[moved%n][0] ^= 1
+					local[(moved+n-1)%n][0] = inst.Bob[(moved+n-1)%n][0]
+					moved++
+				}
+				res, st, err := sess.Fetch(ctx, local)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -597,12 +618,12 @@ func BenchmarkAdaptiveFetch20k(b *testing.B) {
 				}
 				wire += st.Total()
 			}
-			fetch() // the first session builds whatever the server keeps
-			wire = 0
+			fetch() // the first session builds whatever either end keeps
+			wire, keyed = 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if cold {
+				if name == "cold" {
 					// The same 32 points out and back in: the multiset, and so
 					// the session's work, is the same every iteration.
 					pts := inst.Alice[i%(n/batch)*batch:][:batch]
@@ -614,6 +635,7 @@ func BenchmarkAdaptiveFetch20k(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
+			b.ReportMetric(float64(keyed)/float64(b.N), "keyed/op")
 			if got := m.Snapshot()["server_sessions_cold_total"]; got != 0 {
 				b.Fatalf("server_sessions_cold_total = %d: an adaptive session read the points", got)
 			}

@@ -63,8 +63,9 @@ type hint struct {
 	// next robust fetch's window.
 	n int
 	// kept is what a rateless fetch keeps of the multiset it returned, and
-	// tables what a robust fetch keeps of the local multiset it reconciled:
-	// its tables of the levels of the window n. One fetch at a time holds
+	// tables what a robust fetch keeps of the local multiset it reconciled
+	// — its tables of the levels of the window n — or an adaptive fetch:
+	// its estimators and the table that decoded. One fetch at a time holds
 	// them, its reruns included, and the entry has none meanwhile: a
 	// concurrent fetch keys its points and starts a kept state of its own.
 	kept   *protocol.RatelessKept
@@ -343,11 +344,12 @@ func (c *Client) learn(dataset string, w warmStrategy, taken hint, res *SyncResu
 }
 
 // fetch runs one fetch: against d when it is set, else against local.
-// Rateless and Robust sessions open warm when an earlier fetch of the
-// dataset left a hint. A warm robust session that misses upward is run
-// again from its window's finest level through MaxLevel, one that chooses
-// no level, cold; a session whose kept state turns out not to be local's
-// — rateless cells, robust tables — with its points keyed. Each rerun is
+// Rateless, Robust and Adaptive sessions open warm when an earlier fetch
+// of the dataset left a hint. A warm robust session that misses upward is
+// run again from its window's finest level through MaxLevel, one that
+// chooses no level, cold; a session whose kept state turns out not to be
+// local's — rateless cells, robust or adaptive tables — with its points
+// keyed. Each rerun is
 // on a new stream and holds what the session before it held but for a
 // stale kept state, and the stats count every session. The reruns end:
 // an upward one's window ends at MaxLevel, a cold session misses neither
@@ -382,14 +384,8 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 			r := strat.(Robust)
 			r.window = 0
 			strat = r
-		case errors.Is(err, protocol.ErrKeptStale):
-			r := strat.(Rateless)
-			r.kept = nil
-			strat = r
-		case errors.Is(err, protocol.ErrKeptTablesStale):
-			r := strat.(Robust)
-			r.kept = nil
-			strat = r
+		case errors.Is(err, protocol.ErrKeptStale), errors.Is(err, protocol.ErrKeptTablesStale):
+			// The session forgot its stale kept state: the rerun keys.
 		default:
 			return nil, stats, err
 		}

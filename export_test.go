@@ -75,3 +75,36 @@ func ForgetKeptTables(c *Client, dataset string) {
 		c.hints[key] = hint{n: h.n}
 	}
 }
+
+// PlantKeptEstimates replaces the estimators and the table c keeps for
+// its adaptive fetches of dataset with pts' of the same levels, sizes and
+// capacity, so that c keeps another multiset's under the fingerprint of
+// the one it reconciled.
+func PlantKeptEstimates(c *Client, dataset string, pts []Point) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kept := c.hints[hintKey{dataset, protocol.StrategyAdaptive}].tables
+	if kept == nil {
+		return errors.New("no kept estimators")
+	}
+	v, err := core.NewView(kept.Params(), pts)
+	if err != nil {
+		return err
+	}
+	ests, k := kept.Estimators()
+	for level := range ests {
+		if ests[level], err = v.LevelEstimator(level, k); err != nil {
+			return err
+		}
+	}
+	for level, t := range kept.Tables() {
+		capacity := 1
+		for iblt.RecommendedCells(capacity, t.Config().HashCount) < t.Config().Cells {
+			capacity++
+		}
+		if kept.Tables()[level], err = v.BuildLevelTable(level, capacity); err != nil {
+			return err
+		}
+	}
+	return nil
+}

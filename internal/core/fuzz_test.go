@@ -141,7 +141,8 @@ func FuzzMortonSort(f *testing.F) {
 
 // FuzzCodeIndex holds the Maintainer's chunked code index to a sorted
 // slice: after every insert or remove the chunks concatenate to the
-// model, each holds 1..codeChunk codes and the running counts agree, and
+// model, each holds 1..codeChunk codes, the running counts agree and the
+// dense array of last codes holds each chunk's, and
 // every code's cell count at every shift is the model's count of codes
 // sharing that prefix. Ops are three bytes: kind, code, count. Codes
 // repeat a lot, a bulk insert lays a run of one code longer than a chunk,
@@ -173,7 +174,13 @@ func FuzzCodeIndex(f *testing.F) {
 				if len(ch) == 0 || len(ch) > codeChunk || x.before[c] != len(all) {
 					t.Fatalf("op %d: chunk %d holds %d codes after %d (counted %d)", op, c, len(ch), len(all), x.before[c])
 				}
+				if x.lasts[c] != last(ch) {
+					t.Fatalf("op %d: chunk %d ends in %#x, its last code is held as %#x", op, c, last(ch), x.lasts[c])
+				}
 				all = append(all, ch...)
+			}
+			if len(x.lasts) != len(x.chunks) {
+				t.Fatalf("op %d: %d last codes held for %d chunks", op, len(x.lasts), len(x.chunks))
 			}
 			if !slices.Equal(all, model) || x.len() != len(model) {
 				t.Fatalf("op %d: the index holds %d codes (%d counted), the model %d", op, len(all), x.len(), len(model))

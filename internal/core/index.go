@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"slices"
-	"sort"
 
 	"robustset/internal/grid"
 	"robustset/internal/points"
@@ -99,6 +98,9 @@ type codeIndex struct {
 	*morton
 	chunks [][]uint64 // each sorted and non-empty; in order, one sorted array
 	before []int      // before[c] = codes in chunks[:c]; len(chunks)+1 entries
+	// lasts[c] is last(chunks[c]): find binary-searches this dense array
+	// rather than reading each probed chunk, a cache miss apiece.
+	lasts []uint64
 }
 
 // newCodeIndex holds the sorted codes, sharing their storage.
@@ -108,6 +110,7 @@ func newCodeIndex(m *morton, sorted []uint64) *codeIndex {
 		end := min(at+codeChunk, len(sorted))
 		x.chunks = append(x.chunks, sorted[at:end:end])
 		x.before = append(x.before, end)
+		x.lasts = append(x.lasts, sorted[end-1])
 	}
 	return x
 }
@@ -122,7 +125,7 @@ func (x *codeIndex) find(code uint64) (c, i int) {
 	if len(x.chunks) == 0 {
 		return 0, 0
 	}
-	c = sort.Search(len(x.chunks)-1, func(k int) bool { return last(x.chunks[k]) >= code })
+	c, _ = slices.BinarySearch(x.lasts[:len(x.lasts)-1], code)
 	i, _ = slices.BinarySearch(x.chunks[c], code)
 	return c, i
 }
@@ -145,7 +148,7 @@ func (x *codeIndex) cellCount(code uint64, sh uint, c, i int) int {
 		from = x.rank(lo)
 	}
 	to := x.len()
-	if last(ch) > hi {
+	if x.lasts[c] > hi {
 		j, _ := slices.BinarySearch(ch[i:], hi+1)
 		to = x.before[c] + i + j
 	} else if hi != ^uint64(0) {
@@ -163,7 +166,7 @@ func (x *codeIndex) rank(v uint64) int {
 // insert puts code at find's (c, i) for it.
 func (x *codeIndex) insert(c, i int, code uint64) {
 	if len(x.chunks) == 0 {
-		x.chunks, x.before = [][]uint64{{code}}, []int{0, 1}
+		x.chunks, x.before, x.lasts = [][]uint64{{code}}, []int{0, 1}, []uint64{code}
 		return
 	}
 	if ch := x.chunks[c]; len(ch) == codeChunk {
@@ -173,11 +176,13 @@ func (x *codeIndex) insert(c, i int, code uint64) {
 		x.chunks[c] = ch[:half]
 		x.chunks = slices.Insert(x.chunks, c+1, right)
 		x.before = slices.Insert(x.before, c+1, x.before[c]+half)
+		x.lasts = slices.Insert(x.lasts, c, ch[half-1])
 		if i > half {
 			c, i = c+1, i-half
 		}
 	}
 	x.chunks[c] = slices.Insert(x.chunks[c], i, code)
+	x.lasts[c] = last(x.chunks[c])
 	for k := c + 1; k < len(x.before); k++ {
 		x.before[k]++
 	}
@@ -192,8 +197,10 @@ func (x *codeIndex) remove(c, i int) {
 	if len(x.chunks[c]) == 0 {
 		x.chunks = slices.Delete(x.chunks, c, c+1)
 		x.before = slices.Delete(x.before, c+1, c+2)
+		x.lasts = slices.Delete(x.lasts, c, c+1)
 		return
 	}
+	x.lasts[c] = last(x.chunks[c])
 	if c > 0 && len(x.chunks[c-1])+len(x.chunks[c]) <= codeChunk/2 {
 		c-- // merge into the chunk before
 	}
@@ -201,6 +208,7 @@ func (x *codeIndex) remove(c, i int) {
 		x.chunks[c] = append(x.chunks[c], x.chunks[c+1]...)
 		x.chunks = slices.Delete(x.chunks, c+1, c+2)
 		x.before = slices.Delete(x.before, c+1, c+2)
+		x.lasts = slices.Delete(x.lasts, c, c+1)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"robustset/internal/core"
+	"robustset/internal/iblt"
 	"robustset/internal/points"
 	"robustset/internal/sketch"
 	"robustset/internal/trace"
@@ -471,6 +472,86 @@ func TestEstimateAliceRefusesLevelOutsideRange(t *testing.T) {
 			})
 		if err != nil {
 			t.Errorf("level %d inside [3,8]: %v", level, err)
+		}
+	}
+}
+
+// TestEstimateBobKept: a RobustKept carries Bob's estimators and his table
+// of the level that decoded from one estimate-first session to the next
+// over the same multiset, over five seeded instances. The next session,
+// over the points as they were or permuted, builds no estimator and takes
+// the kept table (kept_levels > 0), one over a point moved keys its points
+// (kept_levels = 0), and each returns what a session keeping nothing
+// returns over the same slice. Kept state planted under the fingerprint
+// of a multiset it does not describe fails the session with
+// ErrKeptTablesStale.
+func TestEstimateBobKept(t *testing.T) {
+	for seed := range uint64(5) {
+		inst, err := workload.Generate(workload.Config{
+			N: 1500, Universe: testU, Outliers: 5, Noise: workload.NoiseUniform, Scale: 2, Seed: 40 + seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := core.Params{Universe: testU, Seed: 11 + seed, DiffBudget: 8}
+		// session runs Bob over local keeping in k, and returns his result,
+		// his trace and his error.
+		session := func(k *RobustKept, local []points.Point) (*core.Result, *trace.Snapshot, error) {
+			tr := trace.New("client")
+			at, bt := transport.Pair()
+			defer at.Close()
+			defer bt.Close()
+			done := make(chan error, 1)
+			go func() { done <- RunEstimateAlice(bg, at, params, inst.Alice) }()
+			res, err := k.RunEstimateBob(trace.NewContext(bg, tr), bt, params, local, EstimateOpts{})
+			if aerr := <-done; aerr != nil {
+				t.Fatalf("seed %d: alice: %v", seed, aerr)
+			}
+			return res, tr.Snapshot(), err
+		}
+		k := NewRobustKept()
+		step := func(what string, local []points.Point, wantKept bool) {
+			t.Helper()
+			got, snap, err := session(k, local)
+			want, _, werr := session(nil, local)
+			if err != nil || werr != nil {
+				t.Fatalf("seed %d, %s: %v; keeping nothing: %v", seed, what, err, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: the result (level %d) differs from one keeping nothing (level %d)", seed, what, got.Level, want.Level)
+			}
+			kept, _ := snap.Stat(trace.StatKeptLevels)
+			if built := spanAttr(t, snap, "estimate", "built"); (kept > 0) != wantKept || (wantKept && built != 0) {
+				t.Fatalf("seed %d, %s: kept_levels=%d with %d estimators built, want kept %v", seed, what, kept, built, wantKept)
+			}
+		}
+		step("first session", inst.Bob, false)
+		step("unchanged", inst.Bob, true)
+		shuffled := append([]points.Point(nil), inst.Bob...)
+		shuffled[0], shuffled[len(shuffled)-1] = shuffled[len(shuffled)-1], shuffled[0]
+		step("permuted", shuffled, true)
+		moved := points.Clone(inst.Bob)
+		moved[seed][1] ^= 1
+		step("one point moved", moved, false)
+
+		// The kept table becomes the one of moved with a point more, of the
+		// same level and size; the estimators stay, so the next session
+		// asks for that table again.
+		view, err := core.NewView(params, append(points.Clone(moved), points.Point{3, 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for level, tbl := range k.tables {
+			capacity := 1
+			for iblt.RecommendedCells(capacity, tbl.Config().HashCount) < tbl.Config().Cells {
+				capacity++
+			}
+			if k.tables[level], err = view.BuildLevelTable(level, capacity); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := session(k, moved); !errors.Is(err, ErrKeptTablesStale) {
+			t.Fatalf("seed %d: a session over a kept table of another multiset: %v, want ErrKeptTablesStale", seed, err)
 		}
 	}
 }

@@ -228,9 +228,14 @@ func TestEstimateBobRejectsMismatchedLevelTable(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					o.LevelTable = func(level, capacity int) (*iblt.Table, error) {
+					o.LevelTable = func(level, capacity int) ([]byte, bool, error) {
 						n++
-						return lie(level, capacity)
+						tbl, err := lie(level, capacity)
+						if err != nil {
+							return nil, false, err
+						}
+						blob, err := tbl.MarshalBinary()
+						return blob, false, err
 					}
 					return o, nil
 				})

@@ -396,8 +396,8 @@ var ErrNotLocal = errors.New("protocol: exact diff removes points Bob does not h
 
 // ErrKeptStale marks a session that subtracted kept cells whose decoded
 // difference does not apply to the local points (it wraps ErrNotLocal):
-// the cells were not the local multiset's after all. A session that keys
-// the points instead does not depend on them.
+// the cells were not the local multiset's after all. The session forgets
+// them, so the next one keys the points and does not depend on them.
 var ErrKeptStale = errors.New("protocol: kept cells are not the local multiset's")
 
 // RatelessKept is what a fetching side keeps of the multiset a rateless
@@ -560,7 +560,7 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 			sp, err := applyExactDiff(cfg.Universe, bobPts, diff)
 			if err != nil {
 				if known != nil && errors.Is(err, ErrNotLocal) {
-					err = fmt.Errorf("%w: %w", ErrKeptStale, err)
+					cfg.Kept.cells, err = nil, fmt.Errorf("%w: %w", ErrKeptStale, err)
 				}
 				return nil, abort(ctx, t, err)
 			}

@@ -158,8 +158,8 @@ func (k *RobustKept) RunPushWindowBob(ctx context.Context, t transport.Transport
 // ErrKeptTablesStale marks a session that subtracted kept tables whose
 // decoded difference contradicts the local points (it wraps
 // core.ErrInconsistentSketch): the tables were not the local multiset's
-// after all. A session that keys the points instead does not depend on
-// them.
+// after all. The session forgets what it kept, so the next one keys the
+// points and does not depend on it.
 var ErrKeptTablesStale = errors.New("protocol: kept tables are not the local multiset's")
 
 // RobustKept is what a fetching side keeps of its local multiset after a
@@ -174,11 +174,16 @@ var ErrKeptTablesStale = errors.New("protocol: kept tables are not the local mul
 // nearly always three of about 18 KB at capacity 320 in dimension 2; the
 // presort they were built from is not kept. A RobustKept belongs to one
 // session at a time.
+// After an estimate-first session it holds instead Bob's estimators of
+// size estK the level choice read, by level, and his one table of the
+// level that decoded, at the capacity it decoded at.
 type RobustKept struct {
 	key    points.PrintKey
 	params core.Params
 	print  points.Print
 	tables map[int]*iblt.Table // by level; nil: describes no multiset yet
+	estK   int
+	ests   map[int]*sketch.BottomK // by level
 }
 
 // NewRobustKept returns a RobustKept that describes no multiset yet, with
@@ -192,6 +197,9 @@ func (k *RobustKept) Tables() map[int]*iblt.Table { return k.tables }
 // Params returns the Params the kept tables were built under.
 func (k *RobustKept) Params() core.Params { return k.params }
 
+// Estimators returns the kept estimators by level and their size.
+func (k *RobustKept) Estimators() (map[int]*sketch.BottomK, int) { return k.ests, k.estK }
+
 // bobTables is what a session's scan had of the local multiset: Bob's
 // tables of the levels it scanned or looked ahead to, the Params they
 // were built under and the multiset's fingerprint.
@@ -202,20 +210,21 @@ type bobTables struct {
 }
 
 // lend returns Bob's tables for a session over pts under normalized p: a
-// copy of the kept tables' map when they describe pts' multiset under p,
-// else an empty map.
-func (k *RobustKept) lend(p core.Params, pts []points.Point) *bobTables {
+// copy of the kept tables' map, and true, when they describe pts'
+// multiset under p, else an empty map.
+func (k *RobustKept) lend(p core.Params, pts []points.Point) (*bobTables, bool) {
 	b := &bobTables{params: p, tables: make(map[int]*iblt.Table)}
 	if k == nil {
-		return b
+		return b, false
 	}
 	b.print = k.key.Of(pts)
 	q := k.params
 	if k.tables != nil && k.print == b.print && p.Seed == q.Seed && p.Universe == q.Universe &&
 		p.TableCapacity == q.TableCapacity && p.HashCount == q.HashCount {
 		maps.Copy(b.tables, k.tables)
+		return b, true
 	}
-	return b
+	return b, false
 }
 
 // keep makes k describe the multiset b fingerprints, with b's tables of
@@ -225,7 +234,7 @@ func (k *RobustKept) keep(b *bobTables, res *core.Result) {
 	if k == nil {
 		return
 	}
-	k.params, k.print, k.tables = b.params, b.print, make(map[int]*iblt.Table, 3)
+	k.params, k.print, k.tables, k.ests = b.params, b.print, make(map[int]*iblt.Table, 3), nil
 	if lo, hi, ok := core.WarmWindow(res); ok {
 		for l := lo; l <= hi; l++ {
 			if t := b.tables[l]; t != nil {
@@ -260,7 +269,7 @@ func pushBob(ctx context.Context, t transport.Transport, bobPts []points.Point, 
 	if err != nil {
 		return nil, nil, err
 	}
-	mine := kept.lend(view.Params(), bobPts)
+	mine, _ := kept.lend(view.Params(), bobPts)
 	lent := 0
 	for l := sk.Params.MinLevel; l <= sk.Params.MaxLevel; l++ {
 		if mine.tables[l] != nil {
@@ -274,7 +283,7 @@ func pushBob(ctx context.Context, t transport.Transport, bobPts []points.Point, 
 	res, err := view.ReconcileWith(&sk, mine.tables)
 	if err != nil {
 		if lent > 0 && errors.Is(err, core.ErrInconsistentSketch) {
-			err = fmt.Errorf("%w: %w", ErrKeptTablesStale, err)
+			kept.tables, err = nil, fmt.Errorf("%w: %w", ErrKeptTablesStale, err)
 		}
 		return nil, nil, err
 	}
@@ -343,11 +352,12 @@ type EstimateOpening struct {
 	// and one for a table that may not fit the transport's message limit
 	// before the table is built.
 	Params core.Params
-	// LevelTable builds the table of one level. Like each Estimator call,
+	// LevelTable returns the table of one level marshaled, and whether
+	// those bytes were cached rather than built. Like each Estimator call,
 	// it may see a newer version of the multiset than an earlier call: the
 	// fetching side then reconciles to the version its table describes if
 	// the capacity it asked for still decodes, or retries.
-	LevelTable func(level, capacity int) (*iblt.Table, error)
+	LevelTable func(level, capacity int) (reply []byte, cached bool, err error)
 }
 
 // OpenEstimates opens a fixed point multiset for estimator size k: one
@@ -358,9 +368,16 @@ func OpenEstimates(p core.Params, pts []points.Point, k int) (*EstimateOpening, 
 		return nil, err
 	}
 	return &EstimateOpening{
-		Estimator:  func(level int) (*sketch.BottomK, error) { return view.LevelEstimator(level, k) },
-		Params:     view.Params(),
-		LevelTable: view.BuildLevelTable,
+		Estimator: func(level int) (*sketch.BottomK, error) { return view.LevelEstimator(level, k) },
+		Params:    view.Params(),
+		LevelTable: func(level, capacity int) ([]byte, bool, error) {
+			t, err := view.BuildLevelTable(level, capacity)
+			if err != nil {
+				return nil, false, err
+			}
+			blob, err := t.MarshalBinary()
+			return blob, false, err
+		},
 	}, nil
 }
 
@@ -466,18 +483,14 @@ func RunEstimateServed(ctx context.Context, t transport.Transport, open func(k i
 			if level < p.MinLevel || level > p.MaxLevel {
 				return sendErr(ctx, t, fmt.Errorf("%w: %d outside [%d,%d]", core.ErrLevelOutOfRange, level, p.MinLevel, p.MaxLevel))
 			}
-			tbl, err := o.LevelTable(level, capacity)
-			if err != nil {
-				return sendErr(ctx, t, err)
-			}
-			blob, err := tbl.MarshalBinary()
+			blob, cached, err := o.LevelTable(level, capacity)
 			if err != nil {
 				return sendErr(ctx, t, err)
 			}
 			if err := send(ctx, t, MsgLevelTable, blob); err != nil {
 				return err
 			}
-			round.End(trace.I("level", int64(level)), trace.I("capacity", int64(capacity)))
+			round.End(trace.I("level", int64(level)), trace.I("capacity", int64(capacity)), trace.I("cached", boolStat(cached)))
 		default:
 			return sendErr(ctx, t, fmt.Errorf("%w: 0x%02x", ErrUnexpectedMessage, typ))
 		}
@@ -489,6 +502,15 @@ func RunEstimateServed(ctx context.Context, t transport.Transport, open func(k i
 // exactly-sized table of it, reconcile — retrying with doubled capacity
 // (and eventually a coarser level) if the table stalls.
 func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, bobPts []points.Point, opts EstimateOpts) (*core.Result, error) {
+	return (*RobustKept)(nil).RunEstimateBob(ctx, t, p, bobPts, opts)
+}
+
+// RunEstimateBob is the package's RunEstimateBob keeping Bob's estimators
+// and table in k as k.RunPushBob keeps his tables: the session takes what
+// k holds of bobPts' multiset under p and opts.EstimatorK instead of
+// building it, and on success leaves k the estimators the level choice
+// read and the table that decoded.
+func (k *RobustKept) RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, bobPts []points.Point, opts EstimateOpts) (*core.Result, error) {
 	opts = opts.filled(p)
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("estimate")
@@ -518,6 +540,19 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 	if err != nil {
 		return nil, abort(ctx, t, err)
 	}
+	held, known := k.lend(p, bobPts)
+	lent := 0
+	for i := range mine {
+		if known && k.estK == opts.EstimatorK {
+			mine[i] = k.ests[p.MinLevel+i]
+		}
+		if mine[i] != nil || held.tables[p.MinLevel+i] != nil {
+			lent++
+		}
+	}
+	if k != nil {
+		tr.Stat(trace.StatKeptLevels, int64(lent))
+	}
 	bob := func(i int) (e *sketch.BottomK, err error) {
 		if e = mine[i]; e == nil {
 			if e, err = view.LevelEstimator(p.MinLevel+i, opts.EstimatorK); err == nil {
@@ -529,9 +564,11 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 	// The level choice reads level i, Alice's first, once no finer level
 	// was affordable; if not yet asked for, it is the finest of the next
 	// window. Bob builds his level i, then the window's coarser ones until
-	// Alice answers, in a goroutine joined before mine is read again. A
-	// reply of another count than the window, or an estimator of another
-	// size, seed or level, is sketch.ErrIncompatibleSketch.
+	// Alice answers (none when he kept level i: he kept every level the
+	// last choice read, and this one most likely stops where it did), in a
+	// goroutine joined before mine is read again. A reply of another count
+	// than the window, or an estimator of another size, seed or level, is
+	// sketch.ErrIncompatibleSketch.
 	alice := func(i int) (*sketch.BottomK, error) {
 		if theirs[i] != nil {
 			return theirs[i], nil
@@ -544,8 +581,9 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 		var answered atomic.Bool
 		filled := make(chan error, 1)
 		go func() {
+			ahead := mine[i] == nil
 			_, err := bob(i)
-			for l := i - 1; err == nil && l >= asked; l-- {
+			for l := i - 1; err == nil && ahead && l >= asked; l-- {
 				// On one processor whoever sets answered has had no turn; give it one.
 				if runtime.Gosched(); answered.Load() {
 					break
@@ -578,6 +616,11 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 	sp.End(trace.I("level", int64(level)), trace.I("est", int64(est)), trace.I("built", int64(built)),
 		trace.I("fetched", int64(len(theirs)-asked)), trace.I("requests", int64(requests)))
 	tr.Stat("estimated_diff", int64(est))
+	// The choice read Bob's estimators of the chosen level and every finer one.
+	read := make(map[int]*sketch.BottomK, p.MaxLevel-level+1)
+	for l := level; l <= p.MaxLevel; l++ {
+		read[l] = mine[l-p.MinLevel]
+	}
 	capacity := int(est*1.5) + 16
 	var lastErr error
 	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
@@ -589,10 +632,14 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 		if err := send(ctx, t, MsgLevelRequest, req[:]); err != nil {
 			return nil, err
 		}
-		// Bob fills his table of the level while Alice fills hers.
-		own, err := view.BuildLevelTable(level, capacity)
-		if err != nil {
-			return nil, abort(ctx, t, err)
+		// Bob fills his table of the level while Alice fills hers, unless
+		// he kept it.
+		own := held.tables[level]
+		kept := own != nil && own.Config().Cells == iblt.RecommendedCells(capacity, p.HashCount)
+		if !kept {
+			if own, err = view.BuildLevelTable(level, capacity); err != nil {
+				return nil, abort(ctx, t, err)
+			}
 		}
 		blob, err := recvExpect(ctx, t, MsgLevelTable)
 		if err != nil {
@@ -605,16 +652,23 @@ func RunEstimateBob(ctx context.Context, t transport.Transport, p core.Params, b
 		res, rerr := view.ReconcileLevelWith(tbl, own, level)
 		round.End(trace.I("level", int64(level)), trace.I("capacity", int64(capacity)),
 			trace.I("decoded", boolStat(rerr == nil)))
-		if errors.Is(rerr, core.ErrLevelTableMismatch) {
+		switch {
+		case errors.Is(rerr, core.ErrLevelTableMismatch):
 			// Not a stalled decode: Alice served a table Bob did not ask
 			// for, and a bigger request would not change that.
 			return nil, abort(ctx, t, rerr)
-		}
-		if rerr == nil {
+		case kept && errors.Is(rerr, core.ErrInconsistentSketch):
+			k.tables, k.ests = nil, nil
+			return nil, abort(ctx, t, fmt.Errorf("%w: %w", ErrKeptTablesStale, rerr))
+		case rerr == nil:
 			if err := send(ctx, t, MsgDone, nil); err != nil {
 				return nil, err
 			}
 			tr.Stat("actual_diff", int64(len(res.Added)+len(res.Removed)))
+			if k != nil {
+				k.params, k.print, k.tables = held.params, held.print, map[int]*iblt.Table{level: own}
+				k.estK, k.ests = opts.EstimatorK, read
+			}
 			return res, nil
 		}
 		tr.Stat("decode_retries", 1)

@@ -43,6 +43,8 @@ type Store interface {
 	// Append logs one mutation batch of canonical point encodings. It is
 	// called before the batch is applied to the in-memory state; a
 	// non-nil error means nothing was applied and the mutation fails.
+	// The encodings may share one array and are the caller's again once
+	// Append returns: an engine that keeps them copies them.
 	Append(op Op, encodedPts [][]byte) error
 	// ShouldSnapshot reports whether the engine wants the caller to
 	// offer a snapshot (the log has grown past its interval).

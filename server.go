@@ -13,7 +13,6 @@ import (
 
 	"robustset/internal/cluster"
 	"robustset/internal/hashutil"
-	"robustset/internal/iblt"
 	"robustset/internal/metrics"
 	"robustset/internal/points"
 	"robustset/internal/protocol"
@@ -71,11 +70,9 @@ type Dataset struct {
 	// through applyLocked: a rateless session copies O(cells) under d.mu
 	// and reads no points. nil until a rateless session has run.
 	exact *protocol.RatelessState
-	// estimators caches the adaptive strategy's estimators of size
-	// estimatorsK by level, each built on its first request. Mutations
-	// and retire() drop them; a request of another size too.
-	estimators  map[int]*sketch.BottomK
-	estimatorsK int
+	// adaptive is what adaptive sessions are served from between
+	// mutations; mutations and retire() drop it.
+	adaptive adaptiveServed
 	// root is the fingerprint of the multiset under rootKey, which is
 	// derived from Params.Seed: datasets of different seeds have
 	// unrelated roots.
@@ -117,7 +114,7 @@ func (d *Dataset) errRetired() error {
 func (d *Dataset) retire() {
 	d.mu.Lock()
 	d.retired = true
-	d.exact, d.estimators = nil, nil // free the served state; no future session can use it
+	d.exact, d.adaptive = nil, adaptiveServed{} // free the served state; no future session can use it
 	d.pointsGauge.Set(0)
 	d.rootGauge.Set(0)
 	d.mu.Unlock()
@@ -184,6 +181,25 @@ func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *p
 	return o, nil
 }
 
+// adaptiveServed is a dataset's served state for adaptive sessions: its
+// estimators of size k by level, each built on its first request (one of
+// another size replaces them), and by level the last table reply, of the
+// capacity caps holds, marshaled: about half the memory of the table. The
+// zero value holds nothing.
+type adaptiveServed struct {
+	k          int
+	estimators map[int]*sketch.BottomK
+	replies    map[int][]byte
+	caps       map[int]int
+}
+
+// maxCachedCapacity bounds what a dataset's cached replies pin: a reply is
+// cached only when its capacity is at most this multiple of the dataset's
+// TableCapacity. A default-options client's first request asks for at most
+// 1.5 × its budget, 4·DiffBudget = 2·TableCapacity, plus 16 keys: about
+// 3·TableCapacity + 16. A larger request is built, sent and dropped.
+const maxCachedCapacity = 4
+
 // levelEstimator returns one level's estimator of size k for an adaptive
 // session, building it from the Maintainer on a cache miss. It rejects
 // retired datasets like servePoints.
@@ -193,28 +209,48 @@ func (d *Dataset) levelEstimator(level, k int) (*sketch.BottomK, error) {
 	if d.retired {
 		return nil, d.errRetired()
 	}
-	if d.estimators == nil || d.estimatorsK != k {
-		d.estimators, d.estimatorsK = make(map[int]*sketch.BottomK), k
+	a := &d.adaptive
+	if a.estimators == nil || a.k != k {
+		a.estimators, a.k = make(map[int]*sketch.BottomK), k
 	}
-	if e := d.estimators[level]; e != nil {
+	if e := a.estimators[level]; e != nil {
 		return e, nil
 	}
 	e, err := d.maintainer.LevelEstimator(level, k) // refuses a level outside the range
 	if err == nil {
-		d.estimators[level] = e
+		a.estimators[level] = e
 	}
 	return e, err
 }
 
-// levelTable builds one level's table for an adaptive session from the
-// Maintainer's cell counts. It rejects retired datasets like servePoints.
-func (d *Dataset) levelTable(level, capacity int) (*iblt.Table, error) {
+// levelTable answers an adaptive session's request for one level's table:
+// with the reply cached for the level if it was of the same capacity, else
+// with one built from the Maintainer's cell counts, cached if
+// maxCachedCapacity admits it. It rejects retired datasets like servePoints.
+func (d *Dataset) levelTable(level, capacity int) (reply []byte, cached bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.retired {
-		return nil, d.errRetired()
+		return nil, false, d.errRetired()
 	}
-	return d.maintainer.BuildLevelTable(level, capacity)
+	a := &d.adaptive
+	if a.replies[level] != nil && a.caps[level] == capacity {
+		return a.replies[level], true, nil
+	}
+	t, err := d.maintainer.BuildLevelTable(level, capacity)
+	if err != nil {
+		return nil, false, err
+	}
+	if reply, err = t.MarshalBinary(); err != nil {
+		return nil, false, err
+	}
+	if capacity <= maxCachedCapacity*d.maintainer.Params().TableCapacity {
+		if a.replies == nil {
+			a.replies, a.caps = make(map[int][]byte), make(map[int]int)
+		}
+		a.replies[level], a.caps[level] = reply, capacity
+	}
+	return reply, false, nil
 }
 
 // recordServed says on the session's trace and the cold-session counter
@@ -239,21 +275,25 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 		return d.errRetired()
 	}
 	u := d.maintainer.Params().Universe
-	encs := make([][]byte, len(pts))
+	// Every point's encoding is carved out of one array per batch.
+	encs, buf := make([][]byte, len(pts)), make([]byte, 0, len(pts)*points.EncodedSize(u.Dim))
+	for i, pt := range pts {
+		at := len(buf)
+		buf = points.Encode(buf, pt)
+		encs[i] = buf[at:len(buf):len(buf)]
+	}
 	if op == store.OpAdd {
 		for i, pt := range pts {
 			if !u.Contains(pt) {
 				return fmt.Errorf("robustset: add batch to %q: point %d of %d: %v outside universe (nothing applied)",
 					d.name, i, len(pts), pt)
 			}
-			encs[i] = points.EncodeNew(pt)
 		}
 	} else {
 		// Multiset-aware tally: the batch may remove several occurrences
 		// of one point, but never more than the dataset holds.
 		need := make(map[string]int, len(pts))
 		for i, pt := range pts {
-			encs[i] = points.EncodeNew(pt)
 			enc := string(encs[i])
 			if need[enc]++; need[enc] > d.maintainer.Multiplicity(pt) {
 				return fmt.Errorf("robustset: remove batch from %q: point %d of %d: %w: %v not in dataset (nothing applied)",
@@ -271,7 +311,7 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 			panic("robustset: validated mutation failed: " + err.Error())
 		}
 	}
-	d.blobCache, d.estimators = nil, nil // the serialized sketch and estimators are stale now
+	d.blobCache, d.adaptive = nil, adaptiveServed{} // the serialized sketch and adaptive state are stale now
 	d.exportLocked()
 	d.maybeSnapshotLocked()
 	return nil

@@ -94,11 +94,11 @@ type SyncResult struct {
 	// or the snapshot FetchDataset took once the server had not said
 	// "same". The replicator diffs results against it.
 	local []Point
-	// next is what a Client's Rateless or Robust fetch leaves the next
-	// fetch of the dataset, as far as the strategy's fetch knows it: a
-	// rateless fetch's difference size, which the next warm opening is
-	// sized from, and the cells it kept of the multiset it returned; a
-	// robust fetch's tables of local (hintFrom adds the window).
+	// next is what a warm strategy's fetch leaves a Client's next fetch of
+	// the dataset, as far as the fetch knows it: a rateless fetch's
+	// difference size, which the next warm opening is sized from, and the
+	// cells it kept of the multiset it returned; a robust or adaptive
+	// fetch's kept state of local (hintFrom adds a robust window).
 	next *hint
 }
 
@@ -196,11 +196,7 @@ func (r Robust) fetch(ctx context.Context, t transport.Transport, p Params, loca
 	if err != nil {
 		return nil, err
 	}
-	out := &SyncResult{SPrime: res.SPrime, Robust: res}
-	if r.kept != nil {
-		out.next = &hint{tables: r.kept}
-	}
-	return out, nil
+	return &SyncResult{SPrime: res.SPrime, Robust: res, next: &hint{tables: r.kept}}, nil
 }
 
 // AdaptiveOptions tunes the fetching side of the Adaptive strategy.
@@ -208,11 +204,21 @@ type AdaptiveOptions = protocol.EstimateOpts
 
 // Adaptive is the estimate-first robust protocol: tiny per-level
 // difference estimators first, then exactly one level table sized to the
-// estimated difference (plus retries if the fetching side asks).
+// estimated difference (plus retries if the fetching side asks). A server
+// keeps its estimators, and per level its last table reply, until the
+// dataset changes. A Client keeps, per dataset, the estimators of its own
+// that its last fetch's level choice read and its table of the level that
+// decoded; a fetch whose local points are that multiset again (by Robust's
+// order-free fingerprint) takes them instead of building them, returns a
+// fresh fetch's result, element order included, and changes nothing on
+// the wire.
 type Adaptive struct {
 	// Options tunes the fetching side; the zero value uses the defaults
 	// documented on AdaptiveOptions.
 	Options AdaptiveOptions
+	// kept is a Client's fetch's kept estimators and table, as Robust's
+	// kept tables are.
+	kept *protocol.RobustKept
 }
 
 // Name implements Strategy.
@@ -227,6 +233,15 @@ func (a Adaptive) validate() error {
 
 func (Adaptive) code() byte          { return protocol.StrategyAdaptive }
 func (Adaptive) helloConfig() []byte { return nil }
+
+// warm returns a with h's kept estimators and table, and nothing else.
+func (a Adaptive) warm(h hint) Strategy {
+	a.kept = h.tables
+	return a
+}
+
+// hintFrom leaves the next fetch what res kept of its local points.
+func (Adaptive) hintFrom(res *SyncResult) (hint, bool) { return *res.next, true }
 
 func (Adaptive) serve(ctx context.Context, t transport.Transport, p Params, pts []Point) error {
 	return protocol.RunEstimateAlice(ctx, t, p, pts)
@@ -244,11 +259,11 @@ func (Adaptive) serveDataset(ctx context.Context, t transport.Transport, p Param
 }
 
 func (a Adaptive) fetch(ctx context.Context, t transport.Transport, p Params, local []Point) (*SyncResult, error) {
-	res, err := protocol.RunEstimateBob(ctx, t, p, local, a.Options)
+	res, err := a.kept.RunEstimateBob(ctx, t, p, local, a.Options)
 	if err != nil {
 		return nil, err
 	}
-	return &SyncResult{SPrime: res.SPrime, Robust: res}, nil
+	return &SyncResult{SPrime: res.SPrime, Robust: res, next: &hint{tables: a.kept}}, nil
 }
 
 // Rateless is exact set synchronization over a rateless cell stream (an
@@ -575,9 +590,9 @@ func (s *Session) hello(strat Strategy, local *Dataset) protocol.Hello {
 // carries d's root, an accept marked "same" ends the fetch with an
 // Unchanged result, and d's snapshot is taken as local only after the
 // server has not said so; the session then goes on on the same stream.
-// A Client's Rateless or Robust session that goes on without a kept state
-// starts a new one there, so a fetch that ends at the accept allocates
-// none.
+// A Client's Rateless, Robust or Adaptive session that goes on without a
+// kept state starts a new one there, so a fetch that ends at the accept
+// allocates none.
 func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat Strategy, d *Dataset, local []Point) (res *SyncResult, err error) {
 	p := s.params
 	var tr *trace.Trace
@@ -618,6 +633,11 @@ func (s *Session) fetchOver(ctx context.Context, t transport.Transport, strat St
 				strat = r
 			}
 		case Robust:
+			if r.kept == nil {
+				r.kept = protocol.NewRobustKept()
+				strat = r
+			}
+		case Adaptive:
 			if r.kept == nil {
 				r.kept = protocol.NewRobustKept()
 				strat = r
