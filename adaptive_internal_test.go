@@ -54,7 +54,7 @@ func sameFrames(t *testing.T, what string, got, want [][]byte) {
 }
 
 // checkEstimatorCache fails unless every per-level estimator d has cached
-// marshals to the bytes of View.LevelEstimator over d.Snapshot(), and
+// is the marshaled bytes of View.LevelEstimator over d.Snapshot(), and
 // returns the cache's estimator size and how many levels it holds.
 func checkEstimatorCache(t *testing.T, d *Dataset, what string) (k, cached int) {
 	t.Helper()
@@ -74,7 +74,7 @@ func checkEstimatorCache(t *testing.T, d *Dataset, what string) (k, cached int) 
 			t.Fatal(err)
 		}
 		want, _ := e.MarshalBinary()
-		if blob, _ := got.MarshalBinary(); !bytes.Equal(blob, want) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: the cached level %d estimator (k %d) differs from a fresh build over the snapshot", what, level, k)
 		}
 	}
@@ -499,7 +499,8 @@ func TestAdaptiveRetiredDataset(t *testing.T) {
 // the next, whose session's level_round span says cached=1 — and AddBatch,
 // RemoveBatch and Unpublish drop the cache: a retired dataset refuses the
 // request. A request above the cache bound is built and served, and
-// leaves nothing cached.
+// leaves nothing cached. The marshaled estimators the dataset keeps stay
+// a fresh marshal's bytes through the same mutations.
 func TestAdaptiveReplyCache(t *testing.T) {
 	params := Params{Universe: Universe{Dim: 2, Delta: 1 << 20}, Seed: 23, DiffBudget: 40}
 	rng := rand.New(rand.NewPCG(8, 1))
@@ -530,6 +531,19 @@ func TestAdaptiveReplyCache(t *testing.T) {
 		if err != nil || cached != wantCached || !bytes.Equal(got, want) {
 			t.Fatalf("%s: a reply of %d bytes, cached %v, %v; want a fresh table's %d bytes, cached %v",
 				what, len(got), cached, err, len(want), wantCached)
+		}
+		for _, lvl := range []int{level, p.MaxLevel} {
+			for range 2 { // built, then cached
+				e, err := m.LevelEstimator(lvl, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := e.MarshalBinary()
+				if got, err := d.levelEstimator(lvl, 1024); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: level %d estimator of %d bytes, %v; want a fresh marshal's %d bytes",
+						what, lvl, len(got), err, len(want))
+				}
+			}
 		}
 	}
 	// session fetches through d and returns its server's level_round

@@ -36,6 +36,7 @@ type Client struct {
 	maxStreams int
 	maxMsg     int
 	logf       func(format string, args ...any)
+	dial       func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	sem chan struct{}
 
@@ -138,6 +139,7 @@ func newClient(addr string, opts ...ClientOption) (*Client, error) {
 		addr:       addr,
 		maxStreams: 16,
 		logf:       func(string, ...any) {},
+		dial:       (&net.Dialer{}).DialContext,
 		hints:      make(map[hintKey]hint),
 	}
 	for _, opt := range opts {
@@ -152,8 +154,7 @@ func newClient(addr string, opts ...ClientOption) (*Client, error) {
 // connectLocked dials and negotiates the multiplexed connection. Caller
 // holds c.mu.
 func (c *Client) connectLocked(ctx context.Context) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
+	conn, err := c.dial(ctx, "tcp", c.addr)
 	if err != nil {
 		return err
 	}
@@ -428,19 +429,20 @@ func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset
 			}
 			return nil, stats, ferr
 		}
-		_ = st.Close()
 		// The server counts the stream against its per-connection bound
 		// until its own half closes, which is after this side has its
 		// result. Fetch waits for that close before it frees the slot —
 		// the server sends it as soon as its session function returns, so
 		// there is rarely anything to wait for — and a client whose bound
 		// equals the server's never has an OPEN refused while the server
-		// tears the last stream down. Nothing of a fetch outlives it.
+		// tears the last stream down. Nothing of a fetch outlives it but
+		// its CLOSE, held for the mux's next write.
 		for {
 			if _, err := st.Recv(ctx); err != nil {
 				break // io.EOF, a reset, ctx ended, or the connection died
 			}
 		}
+		_ = st.Close()
 		return res, stats, nil
 	}
 }

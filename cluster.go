@@ -475,21 +475,24 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 					resMu.Lock()
 					stats.Sessions++
 					stats.Bytes += bytes
+					outcome := "ok"
 					switch {
 					case err == nil:
 						stats.Added += added
 						stats.Removed += removed
 						peerOK[peer.name()] = true
-						r.metrics.Counter("replicator_sessions_total:peer=" + peer.name() + ",outcome=ok").Inc()
 					case isUnknownDataset(err):
 						stats.Skipped++
 						peerOK[peer.name()] = true
-						r.metrics.Counter("replicator_sessions_total:peer=" + peer.name() + ",outcome=skip").Inc()
+						outcome = "skip"
 					default:
 						stats.Errors++
 						peerFail[peer.name()] = true
-						r.metrics.Counter("replicator_sessions_total:peer=" + peer.name() + ",outcome=error").Inc()
+						outcome = "error"
 						r.logf("robustset: replicator: peer %s: dataset %q: %v", peer.name(), name, err)
+					}
+					if r.metrics != nil { // no counter name is built while metrics are off
+						r.metrics.Counter("replicator_sessions_total:peer=" + peer.name() + ",outcome=" + outcome).Inc()
 					}
 					resMu.Unlock()
 				}

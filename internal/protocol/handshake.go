@@ -209,7 +209,7 @@ func RunHelloClient(ctx context.Context, t transport.Transport, h Hello) (core.P
 
 // RecvHello reads and parses the opening hello of a server session. A
 // hello that does not parse is refused: the reason is relayed to the peer
-// as MsgError before the error returns.
+// as MsgError, and t closed, before the error returns.
 func RecvHello(ctx context.Context, t transport.Transport) (Hello, error) {
 	body, err := recvExpect(ctx, t, MsgHello)
 	if err != nil {
@@ -229,7 +229,7 @@ func SendAccept(ctx context.Context, t transport.Transport, p core.Params) error
 }
 
 // SendAcceptSame acknowledges a hello whose root equals the dataset's:
-// the parameters, then acceptSame. The session is over.
+// the parameters, then acceptSame. The session is over: t closes with it.
 func SendAcceptSame(ctx context.Context, t transport.Transport, p core.Params) error {
 	return sendAccept(ctx, t, p, true)
 }
@@ -240,15 +240,15 @@ func sendAccept(ctx context.Context, t transport.Transport, p core.Params, same 
 		return sendErr(ctx, t, err)
 	}
 	if same {
-		blob = append(blob, acceptSame)
+		return send(ctx, lastSend{t}, MsgAccept, blob, []byte{acceptSame})
 	}
 	return send(ctx, t, MsgAccept, blob)
 }
 
-// RejectHello refuses a session, relaying reason to the peer, and
-// returns reason.
+// RejectHello refuses a session, relaying reason to the peer and closing
+// t with it, and returns reason.
 func RejectHello(ctx context.Context, t transport.Transport, reason error) error {
-	return SendError(ctx, t, reason)
+	return sendErr(ctx, lastSend{t}, reason)
 }
 
 // SendError best-effort-relays err to the peer as MsgError — so it fails

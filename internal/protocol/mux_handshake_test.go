@@ -291,3 +291,22 @@ func TestHelloRootAccept(t *testing.T) {
 		t.Fatal("accept with trailing byte 2 adopted")
 	}
 }
+
+// TestRejectHelloCloses: a refusal is the session's last message — on a
+// transport other than a mux stream it is sent and then the transport
+// closes, so the peer reads the reason and then EOF.
+func TestRejectHelloCloses(t *testing.T) {
+	ctx := context.Background()
+	at, bt := transport.Pair()
+	reason := errors.New("no such dataset")
+	if err := RejectHello(ctx, at, reason); err != reason {
+		t.Fatalf("RejectHello returned %v, want its reason", err)
+	}
+	var remote *RemoteError
+	if _, _, err := recv(ctx, bt); !errors.As(err, &remote) || remote.Reason != reason.Error() {
+		t.Fatalf("peer read %v, want the relayed reason", err)
+	}
+	if _, err := bt.Recv(ctx); !errors.Is(err, io.EOF) {
+		t.Fatalf("peer read %v after the refusal, want EOF", err)
+	}
+}

@@ -106,6 +106,17 @@ func send(ctx context.Context, t transport.Transport, typ byte, parts ...[]byte)
 	return err
 }
 
+// lastSend is t whose Send is its last: t closes with the message — in
+// the same write on a mux stream, Send then Close on any other Transport.
+type lastSend struct{ transport.Transport }
+
+func (l lastSend) Send(ctx context.Context, msg []byte) error {
+	if s, ok := l.Transport.(*transport.Stream); ok {
+		return s.SendClose(ctx, msg)
+	}
+	return errors.Join(l.Transport.Send(ctx, msg), l.Transport.Close())
+}
+
 // sendErr best-effort-notifies the peer and returns the original error.
 func sendErr(ctx context.Context, t transport.Transport, err error) error {
 	_ = send(ctx, t, MsgError, []byte(err.Error()))

@@ -345,8 +345,8 @@ func (o EstimateOpts) filled(p core.Params) EstimateOpts {
 // way to the estimator and the table of any one level of a multiset.
 type EstimateOpening struct {
 	// Estimator returns the estimator of one level, of the size the
-	// session was opened for.
-	Estimator func(level int) (*sketch.BottomK, error)
+	// session was opened for, marshaled. The session only reads the bytes.
+	Estimator func(level int) ([]byte, error)
 	// Params are the multiset's normalized parameters. A request for a
 	// level outside their range is refused with core.ErrLevelOutOfRange,
 	// and one for a table that may not fit the transport's message limit
@@ -368,8 +368,14 @@ func OpenEstimates(p core.Params, pts []points.Point, k int) (*EstimateOpening, 
 		return nil, err
 	}
 	return &EstimateOpening{
-		Estimator: func(level int) (*sketch.BottomK, error) { return view.LevelEstimator(level, k) },
-		Params:    view.Params(),
+		Estimator: func(level int) ([]byte, error) {
+			e, err := view.LevelEstimator(level, k)
+			if err != nil {
+				return nil, err
+			}
+			return e.MarshalBinary()
+		},
+		Params: view.Params(),
 		LevelTable: func(level, capacity int) ([]byte, bool, error) {
 			t, err := view.BuildLevelTable(level, capacity)
 			if err != nil {
@@ -414,11 +420,10 @@ func serveEstimators(ctx context.Context, t transport.Transport, sp trace.Region
 	}
 	blobs := make([][]byte, count)
 	for i := range blobs {
-		e, err := o.Estimator(finest - count + 1 + i)
-		if err != nil {
+		var err error
+		if blobs[i], err = o.Estimator(finest - count + 1 + i); err != nil {
 			return sendErr(ctx, t, err)
 		}
-		blobs[i], _ = e.MarshalBinary() // a bottom-k sketch always marshals
 	}
 	if err := send(ctx, t, MsgEstimators, appendBlobList(nil, blobs)); err != nil {
 		return err

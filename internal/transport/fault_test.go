@@ -9,7 +9,7 @@ package transport_test
 //
 // CI runs this file separately under the race detector:
 //
-//	go test -run Fault -race ./internal/transport/...
+//	go test -run 'Fault|Coalesce|Held' -race ./internal/transport/...
 
 import (
 	"context"

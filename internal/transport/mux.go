@@ -30,6 +30,16 @@
 // unacknowledged, which is exactly when the receiver will flush) while
 // buffering stays bounded by 1.5 windows + one maximal message per
 // stream.
+//
+// Frames known together share one conn write, the same bytes as ever: a
+// last message and its CLOSE (SendClose); an initiator's CLOSE after the
+// peer's, held — nothing waits for it — for the mux's next write, or
+// until a stream's Send or Recv is about to block, or a stream's end
+// leaves the mux empty (an idle mux holds at most one). OPEN is never
+// deferred: a caller may wait for the peer to Accept before sending. The
+// acceptor's CLOSE is never held: a Client's Fetch reads its stream to
+// it, so holding it deadlocks the replicator's converged rounds. One
+// buffered read takes every frame already sent.
 package transport
 
 import (
@@ -191,10 +201,12 @@ type Mux struct {
 	epoch time.Time
 
 	wmu sync.Mutex // serializes all frame writes on t
-	// wscratch is the frame-encoding buffer reused by every write on
-	// this mux — all writes serialize under wmu, so one buffer suffices
-	// and the per-frame header allocation disappears. Guarded by wmu.
-	wscratch []byte
+	// wbuf holds the next write's wn frames, each length-prefixed: held
+	// CLOSEs, then the write's own. Reused; guarded by wmu.
+	wbuf []byte
+	wn   int
+	held atomic.Bool    // wbuf holds CLOSEs; tested without wmu
+	conn *connTransport // t if it frames a net.Conn: one conn write per flush
 
 	mu        sync.Mutex
 	streams   map[uint64]*Stream
@@ -228,6 +240,9 @@ func NewMux(t Transport, initiator bool, cfg MuxConfig) *Mux {
 		streams:   make(map[uint64]*Stream),
 		acceptCh:  make(chan struct{}, 1),
 		dead:      make(chan struct{}),
+	}
+	if m.conn, _ = t.(*connTransport); m.conn != nil {
+		_ = m.conn.conn.SetWriteDeadline(time.Time{}) // mux writes carry none
 	}
 	// Initiator streams are odd, acceptor streams would be even; only
 	// initiator-opened streams exist today but the parity rule keeps the
@@ -356,7 +371,7 @@ func (m *Mux) dispatch(f MuxFrame) {
 		m.lastPeer = f.StreamID
 		if m.peerOpen >= m.cfg.MaxStreams {
 			m.mu.Unlock()
-			_ = m.writeFrame(MuxFrame{StreamID: f.StreamID, Type: MuxFrameReset,
+			_ = m.writeFrames(MuxFrame{StreamID: f.StreamID, Type: MuxFrameReset,
 				Payload: []byte(ErrTooManyStreams.Error())})
 			return
 		}
@@ -390,53 +405,80 @@ func (m *Mux) dispatch(f MuxFrame) {
 }
 
 // drop forgets a stream (after reset or full close), releasing its
-// accept-side concurrency slot.
-func (m *Mux) drop(s *Stream) {
+// accept-side concurrency slot, and reports whether no stream is left.
+func (m *Mux) drop(s *Stream) (last bool) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if _, ok := m.streams[s.id]; ok {
 		delete(m.streams, s.id)
 		if s.accepted {
 			m.peerOpen--
 		}
 	}
-	m.mu.Unlock()
+	return len(m.streams) == 0
 }
 
-// writeFrame serializes one frame onto the link. All writes go through
-// here under wmu, with the mux's lifetime context bounded by
-// muxWriteTimeout: per-caller contexts must not poke deadlines into the
-// shared connection while another stream's frame is in flight.
-func (m *Mux) writeFrame(f MuxFrame) error {
+// flushHeld writes the held CLOSEs, if any; a failed write kills the mux.
+func (m *Mux) flushHeld() {
+	if m.held.Load() {
+		_ = m.writeFrames()
+	}
+}
+
+// writeFrames puts fs on the link in one write, behind any held CLOSEs.
+// All writes go through here under wmu; writeFramesLocked holds it.
+func (m *Mux) writeFrames(fs ...MuxFrame) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	return m.writeFrameLocked(f)
+	return m.writeFramesLocked(fs...)
 }
 
-// writeFrameLocked is writeFrame with wmu already held. The write
-// carries no per-call context — cancellation pokes would corrupt the
-// shared connection mid-frame — so a stall is broken by the watchdog
-// (or Close) closing the transport under it.
-func (m *Mux) writeFrameLocked(f MuxFrame) error {
-	// Encode into the mux's scratch buffer: Send does not retain the
-	// slice, and wmu is held, so reuse is safe and the steady-state
-	// write path allocates nothing. A jumbo frame's scratch is dropped
-	// after use rather than pinned.
-	var buf []byte
-	if BufferPoolingEnabled() {
-		m.wscratch = AppendMuxFrame(m.wscratch[:0], f)
-		buf = m.wscratch
-		if cap(m.wscratch) > maxRetainedFrame {
-			m.wscratch = nil
-		}
-	} else {
-		buf = AppendMuxFrame(make([]byte, 0, binary.MaxVarintLen64+1+len(f.Payload)), f)
+func (m *Mux) writeFramesLocked(fs ...MuxFrame) error {
+	for _, f := range fs {
+		m.appendFrameLocked(f)
+	}
+	return m.flushLocked()
+}
+
+// appendFrameLocked adds f to the next write.
+func (m *Mux) appendFrameLocked(f MuxFrame) {
+	at := len(m.wbuf)
+	m.wbuf = AppendMuxFrame(append(m.wbuf, 0, 0, 0, 0), f)
+	binary.LittleEndian.PutUint32(m.wbuf[at:], uint32(len(m.wbuf)-at-frameOverhead))
+	m.wn++
+}
+
+// flushLocked writes wbuf's frames: one conn write on a framed
+// connection, one Send each on any other transport. No per-call context
+// — a cancellation poke would corrupt the shared connection mid-frame —
+// so the watchdog (or Close) breaks a stall. Caller holds wmu.
+func (m *Mux) flushLocked() error {
+	buf, n := m.wbuf, m.wn
+	m.wbuf, m.wn = m.wbuf[:0], 0
+	if cap(buf) > maxRetainedFrame || !BufferPoolingEnabled() {
+		m.wbuf = nil // a jumbo buffer is not pinned; unpooled writes get fresh ones
+	}
+	if m.held.Store(false); n == 0 {
+		return nil // another writer took the held CLOSEs
 	}
 	start := int64(time.Since(m.epoch))
 	if start == 0 {
 		start = 1 // 0 is the "no write in flight" sentinel
 	}
 	m.writeStart.Store(start)
-	err := m.t.Send(context.Background(), buf)
+	var err error
+	if c := m.conn; c != nil { // the connection's only writer
+		if _, err = c.conn.Write(buf); err == nil {
+			c.ctrs.bytesSent.Add(int64(len(buf)))
+			c.ctrs.msgsSent.Add(int64(n))
+		}
+	} else {
+		for rest := buf; err == nil && len(rest) > 0; {
+			size := frameOverhead + int(binary.LittleEndian.Uint32(rest))
+			err = m.t.Send(context.Background(), rest[frameOverhead:size])
+			rest = rest[size:]
+		}
+	}
 	m.writeStart.Store(0)
 	if err != nil {
 		m.shutdown(fmt.Errorf("transport: mux write: %w", err))
@@ -483,7 +525,7 @@ func (m *Mux) Open(ctx context.Context) (*Stream, error) {
 	m.streams[id] = s
 	m.opened.Add(1)
 	m.mu.Unlock()
-	if err := m.writeFrameLocked(MuxFrame{StreamID: id, Type: MuxFrameOpen}); err != nil {
+	if err := m.writeFramesLocked(MuxFrame{StreamID: id, Type: MuxFrameOpen}); err != nil {
 		m.drop(s)
 		return nil, err
 	}
@@ -668,11 +710,20 @@ func (s *Stream) terminalErr() error {
 // credit when the peer's receive window is exhausted. The gate is
 // min(len(msg), window/2), matching the receiver's half-window credit
 // flush, so even a message larger than the whole window makes progress.
-func (s *Stream) Send(ctx context.Context, msg []byte) error {
+func (s *Stream) Send(ctx context.Context, msg []byte) error { return s.send(ctx, msg, false) }
+
+// SendClose is Send then Close, in one write; its CLOSE is never held.
+func (s *Stream) SendClose(ctx context.Context, msg []byte) error { return s.send(ctx, msg, true) }
+
+func (s *Stream) send(ctx context.Context, msg []byte, close bool) error {
+	if limit := MessageLimit(s); len(msg) > limit { // refused here, the mux unharmed
+		return fmt.Errorf("transport: message of %d bytes exceeds frame limit %d", len(msg), limit)
+	}
 	gate := len(msg)
 	if half := s.sendCap / 2; gate > half {
 		gate = half
 	}
+	bothDone := false
 	for {
 		s.mu.Lock()
 		if err := s.terminalErr(); err != nil {
@@ -685,10 +736,12 @@ func (s *Stream) Send(ctx context.Context, msg []byte) error {
 		}
 		if s.sendWin >= gate {
 			s.sendWin -= len(msg)
+			s.sentClose, bothDone = close, close && s.recvDone
 			s.mu.Unlock()
 			break
 		}
 		s.mu.Unlock()
+		s.mux.flushHeld()
 		select {
 		case <-s.sendCh:
 		case <-s.done:
@@ -696,9 +749,17 @@ func (s *Stream) Send(ctx context.Context, msg []byte) error {
 			return ctx.Err()
 		}
 	}
-	// No defensive copy: writeFrame serializes the payload into its own
-	// frame buffer before the caller regains control of msg.
-	if err := s.mux.writeFrame(MuxFrame{StreamID: s.id, Type: MuxFrameData, Payload: msg}); err != nil {
+	// No defensive copy: writeFrames serializes the payload into its own
+	// buffer before the caller regains control of msg.
+	fs := [2]MuxFrame{{StreamID: s.id, Type: MuxFrameData, Payload: msg}, {StreamID: s.id, Type: MuxFrameClose}}
+	frames := fs[:1]
+	if close {
+		frames = fs[:]
+	}
+	if bothDone {
+		s.mux.drop(s) // as Close does, before the peer can act on the CLOSE
+	}
+	if err := s.mux.writeFrames(frames...); err != nil {
 		return err
 	}
 	s.ctrs.bytesSent.Add(int64(len(msg) + muxStreamOverhead))
@@ -743,7 +804,7 @@ func (s *Stream) Recv(ctx context.Context) ([]byte, error) {
 				// already dead and the next Recv reports it.
 				var win [4]byte
 				binary.LittleEndian.PutUint32(win[:], uint32(credit))
-				_ = s.mux.writeFrame(MuxFrame{StreamID: s.id, Type: MuxFrameWindow, Payload: win[:]})
+				_ = s.mux.writeFrames(MuxFrame{StreamID: s.id, Type: MuxFrameWindow, Payload: win[:]})
 			}
 			return msg, nil
 		}
@@ -756,6 +817,7 @@ func (s *Stream) Recv(ctx context.Context) ([]byte, error) {
 			return nil, io.EOF
 		}
 		s.mu.Unlock()
+		s.mux.flushHeld()
 		select {
 		case <-s.recvCh:
 		case <-ctx.Done():
@@ -767,6 +829,7 @@ func (s *Stream) Recv(ctx context.Context) ([]byte, error) {
 // Close half-closes the sending direction: the peer drains queued
 // messages and then sees io.EOF. Safe to call multiple times. When both
 // directions have closed the stream is forgotten by the mux.
+// An initiator's CLOSE after the peer's is held (see the package comment).
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	if s.sentClose || s.reset != "" || s.failErr != nil {
@@ -778,10 +841,19 @@ func (s *Stream) Close() error {
 	s.mu.Unlock()
 	// Forget a finished stream before telling the peer: once it sees the
 	// CLOSE it may open a stream into the slot this one held.
-	if bothDone {
-		s.mux.drop(s)
+	last := bothDone && s.mux.drop(s)
+	if !bothDone || s.accepted {
+		return s.mux.writeFrames(MuxFrame{StreamID: s.id, Type: MuxFrameClose})
 	}
-	return s.mux.writeFrame(MuxFrame{StreamID: s.id, Type: MuxFrameClose})
+	// Held, unless its end left the mux empty with CLOSEs held: all go now.
+	s.mux.wmu.Lock()
+	defer s.mux.wmu.Unlock()
+	flush := last && s.mux.wn > 0
+	if s.mux.appendFrameLocked(MuxFrame{StreamID: s.id, Type: MuxFrameClose}); flush {
+		return s.mux.flushLocked()
+	}
+	s.mux.held.Store(true)
+	return nil
 }
 
 // Reset aborts the stream in both directions, relaying reason to the
@@ -803,6 +875,6 @@ func (s *Stream) Reset(reason error) {
 	s.doneOnce.Do(func() { close(s.done) })
 	signal(s.recvCh)
 	signal(s.sendCh)
-	_ = s.mux.writeFrame(MuxFrame{StreamID: s.id, Type: MuxFrameReset, Payload: []byte(msg)})
+	_ = s.mux.writeFrames(MuxFrame{StreamID: s.id, Type: MuxFrameReset, Payload: []byte(msg)})
 	s.mux.drop(s)
 }

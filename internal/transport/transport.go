@@ -13,6 +13,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -163,45 +164,34 @@ func (m *memEnd) Send(ctx context.Context, msg []byte) error {
 }
 
 func (m *memEnd) Recv(ctx context.Context) ([]byte, error) {
+	var closed error
 	select {
 	case msg, ok := <-m.recv:
-		if !ok {
-			return nil, io.EOF
-		}
-		m.ctrs.bytesRecv.Add(int64(len(msg) + frameOverhead))
-		m.ctrs.msgsRecv.Add(1)
-		traceFrame(ctx, msg, false, len(msg)+frameOverhead)
-		return msg, nil
+		return m.got(ctx, msg, ok)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-m.closed:
-		// Drain anything already queued before reporting closure.
-		select {
-		case msg, ok := <-m.recv:
-			if !ok {
-				return nil, io.EOF
-			}
-			m.ctrs.bytesRecv.Add(int64(len(msg) + frameOverhead))
-			m.ctrs.msgsRecv.Add(1)
-			traceFrame(ctx, msg, false, len(msg)+frameOverhead)
-			return msg, nil
-		default:
-			return nil, ErrClosed
-		}
+		closed = ErrClosed
 	case <-m.peer.closed:
-		select {
-		case msg, ok := <-m.recv:
-			if !ok {
-				return nil, io.EOF
-			}
-			m.ctrs.bytesRecv.Add(int64(len(msg) + frameOverhead))
-			m.ctrs.msgsRecv.Add(1)
-			traceFrame(ctx, msg, false, len(msg)+frameOverhead)
-			return msg, nil
-		default:
-			return nil, io.EOF
-		}
+		closed = io.EOF
 	}
+	// Drain anything already queued before reporting closure.
+	select {
+	case msg, ok := <-m.recv:
+		return m.got(ctx, msg, ok)
+	default:
+		return nil, closed
+	}
+}
+
+func (m *memEnd) got(ctx context.Context, msg []byte, ok bool) ([]byte, error) {
+	if !ok {
+		return nil, io.EOF
+	}
+	m.ctrs.bytesRecv.Add(int64(len(msg) + frameOverhead))
+	m.ctrs.msgsRecv.Add(1)
+	traceFrame(ctx, msg, false, len(msg)+frameOverhead)
+	return msg, nil
 }
 
 func (m *memEnd) Close() error {
@@ -233,6 +223,9 @@ type connTransport struct {
 	// length prefix and payload leave in one writev (one TCP segment for
 	// small messages) instead of two Writes. Guarded by sendMu.
 	wbufs [2][]byte
+	// br reads the connection (recvMu): one read takes up to 4 KiB of the
+	// frames already sent; a longer body is read straight into its message.
+	br *bufio.Reader
 	// rbuf is the grow-only receive buffer Recv reads frames into — the
 	// reuse behind the "valid until next Recv" contract. Guarded by
 	// recvMu. Frames above maxRetainedFrame are allocated fresh so a
@@ -252,7 +245,7 @@ func NewConnLimit(c net.Conn, maxFrame int) Transport {
 	if maxFrame <= 0 || maxFrame > MaxFrameSize {
 		maxFrame = MaxFrameSize
 	}
-	return &connTransport{conn: c, maxFrame: maxFrame}
+	return &connTransport{conn: c, maxFrame: maxFrame, br: bufio.NewReaderSize(c, 4<<10)}
 }
 
 // MessageLimit returns the largest message t sends: a framed
@@ -280,10 +273,9 @@ const MuxFrameOverhead = binary.MaxVarintLen64 + 1
 // handshake that precedes the mux upgrade rides the same transport; its
 // messages are tiny, so the extra headroom is immaterial there.
 func NewMuxConnLimit(c net.Conn, maxFrame int) Transport {
-	if maxFrame <= 0 || maxFrame > MaxFrameSize {
-		maxFrame = MaxFrameSize
-	}
-	return &connTransport{conn: c, maxFrame: maxFrame + MuxFrameOverhead}
+	t := NewConnLimit(c, maxFrame).(*connTransport)
+	t.maxFrame += MuxFrameOverhead
+	return t
 }
 
 // aLongTimeAgo is a non-zero time in the distant past, used to force a
@@ -387,7 +379,7 @@ func (t *connTransport) Recv(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	defer stop()
-	if _, err := io.ReadFull(t.conn, t.rLenBuf[:]); err != nil {
+	if _, err := io.ReadFull(t.br, t.rLenBuf[:]); err != nil {
 		if cerr := ctxErr(ctx, err); cerr != err {
 			return nil, cerr
 		}
@@ -409,7 +401,7 @@ func (t *connTransport) Recv(ctx context.Context) ([]byte, error) {
 	} else {
 		msg = make([]byte, n)
 	}
-	if _, err := io.ReadFull(t.conn, msg); err != nil {
+	if _, err := io.ReadFull(t.br, msg); err != nil {
 		if cerr := ctxErr(ctx, err); cerr != err {
 			return nil, cerr
 		}

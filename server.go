@@ -1,6 +1,7 @@
 package robustset
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -16,7 +17,6 @@ import (
 	"robustset/internal/metrics"
 	"robustset/internal/points"
 	"robustset/internal/protocol"
-	"robustset/internal/sketch"
 	"robustset/internal/store"
 	"robustset/internal/trace"
 	"robustset/internal/transport"
@@ -182,13 +182,13 @@ func (d *Dataset) ratelessOpening(cfg protocol.RatelessConfig, cold *bool) (o *p
 }
 
 // adaptiveServed is a dataset's served state for adaptive sessions: its
-// estimators of size k by level, each built on its first request (one of
-// another size replaces them), and by level the last table reply, of the
-// capacity caps holds, marshaled: about half the memory of the table. The
-// zero value holds nothing.
+// estimators of size k by level, marshaled, each built on its first
+// request (one of another size replaces them), and by level the last
+// table reply, of the capacity caps holds, marshaled: about half the
+// memory of the table. The zero value holds nothing.
 type adaptiveServed struct {
 	k          int
-	estimators map[int]*sketch.BottomK
+	estimators map[int][]byte
 	replies    map[int][]byte
 	caps       map[int]int
 }
@@ -200,10 +200,11 @@ type adaptiveServed struct {
 // 3·TableCapacity + 16. A larger request is built, sent and dropped.
 const maxCachedCapacity = 4
 
-// levelEstimator returns one level's estimator of size k for an adaptive
-// session, building it from the Maintainer on a cache miss. It rejects
-// retired datasets like servePoints.
-func (d *Dataset) levelEstimator(level, k int) (*sketch.BottomK, error) {
+// levelEstimator returns one level's estimator of size k, marshaled, for
+// an adaptive session, building it from the Maintainer on a cache miss.
+// Callers must treat the bytes as read-only. It rejects retired datasets
+// like servePoints.
+func (d *Dataset) levelEstimator(level, k int) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.retired {
@@ -211,16 +212,18 @@ func (d *Dataset) levelEstimator(level, k int) (*sketch.BottomK, error) {
 	}
 	a := &d.adaptive
 	if a.estimators == nil || a.k != k {
-		a.estimators, a.k = make(map[int]*sketch.BottomK), k
+		a.estimators, a.k = make(map[int][]byte), k
 	}
-	if e := a.estimators[level]; e != nil {
-		return e, nil
+	if blob := a.estimators[level]; blob != nil {
+		return blob, nil
 	}
 	e, err := d.maintainer.LevelEstimator(level, k) // refuses a level outside the range
-	if err == nil {
-		a.estimators[level] = e
+	if err != nil {
+		return nil, err
 	}
-	return e, err
+	blob, _ := e.MarshalBinary() // a bottom-k sketch always marshals
+	a.estimators[level] = blob
+	return blob, nil
 }
 
 // levelTable answers an adaptive session's request for one level's table:
@@ -291,14 +294,25 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 		}
 	} else {
 		// Multiset-aware tally: the batch may remove several occurrences
-		// of one point, but never more than the dataset holds.
-		need := make(map[string]int, len(pts))
-		for i, pt := range pts {
-			enc := string(encs[i])
-			if need[enc]++; need[enc] > d.maintainer.Multiplicity(pt) {
-				return fmt.Errorf("robustset: remove batch from %q: point %d of %d: %w: %v not in dataset (nothing applied)",
-					d.name, i, len(pts), ErrNotPresent, pt)
+		// of one point, but never more than the dataset holds. Indices
+		// sorted by encoding form runs of equal points: no key per point.
+		order := make([]int, len(pts))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(encs[a], encs[b]) })
+		first, run := len(pts), 0
+		for i, j := range order {
+			if i > 0 && !bytes.Equal(encs[j], encs[order[i-1]]) {
+				run = i
 			}
+			if i-run == d.maintainer.Multiplicity(pts[j]) {
+				first = min(first, j)
+			}
+		}
+		if first < len(pts) {
+			return fmt.Errorf("robustset: remove batch from %q: point %d of %d: %w: %v not in dataset (nothing applied)",
+				d.name, first, len(pts), ErrNotPresent, pts[first])
 		}
 	}
 	if err := d.store.Append(op, encs); err != nil {
@@ -1173,7 +1187,9 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 	// registry labels must come from the published catalog, never from
 	// an untrusted hello (which could otherwise grow the registry
 	// without bound).
-	s.metrics.Counter("server_sessions_total:" + d.Name()).Inc()
+	if s.metrics != nil { // no counter name is built while metrics are off
+		s.metrics.Counter("server_sessions_total:" + d.Name()).Inc()
+	}
 	strat, err := strategyFromCode(hello.Strategy, hello.Config)
 	if err != nil {
 		return protocol.RejectHello(ctx, t, err)

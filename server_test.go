@@ -777,9 +777,11 @@ func TestMutationBatchAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per add-and-remove cycle of %d + %d points", allocs, batch, batch)
-	// 39 at this writing, most of them the remove batch's tally; an
-	// encoding of its own per point would add 64.
-	if allocs > 3*batch/2 {
-		t.Fatalf("%.1f allocations per add-and-remove cycle of %d + %d points, want at most %d", allocs, batch, batch, 3*batch/2)
+	// 5 at this writing: each batch's encodings and their array, and the
+	// remove tally's sort order. A key or an encoding of its own per point
+	// would add 32 or 64.
+	const most = 8
+	if allocs > most {
+		t.Fatalf("%.1f allocations per add-and-remove cycle of %d + %d points, want at most %d", allocs, batch, batch, most)
 	}
 }

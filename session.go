@@ -10,7 +10,6 @@ import (
 
 	"robustset/internal/core"
 	"robustset/internal/protocol"
-	"robustset/internal/sketch"
 	"robustset/internal/trace"
 	"robustset/internal/transport"
 )
@@ -251,7 +250,7 @@ func (Adaptive) serve(ctx context.Context, t transport.Transport, p Params, pts 
 // dataset's Maintainer, one level at a time, and never reads the points.
 func (Adaptive) serveDataset(ctx context.Context, t transport.Transport, p Params, d *Dataset) error {
 	err := protocol.RunEstimateServed(ctx, t, func(k int) (*protocol.EstimateOpening, error) {
-		est := func(level int) (*sketch.BottomK, error) { return d.levelEstimator(level, k) }
+		est := func(level int) ([]byte, error) { return d.levelEstimator(level, k) }
 		return &protocol.EstimateOpening{Estimator: est, Params: p, LevelTable: d.levelTable}, nil
 	})
 	d.recordServed(ctx, false)

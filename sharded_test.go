@@ -108,6 +108,12 @@ func TestDatasetBatchSemantics(t *testing.T) {
 	if err := d.RemoveBatch([]robustset.Point{{1, 2}, {1, 2}}); !errors.Is(err, robustset.ErrNotPresent) {
 		t.Fatalf("over-removal of a present point = %v, want ErrNotPresent", err)
 	}
+	// The error names the first failing point in batch order, whichever
+	// point it is an occurrence of.
+	err = d.RemoveBatch([]robustset.Point{{5, 6}, {1, 2}, {5, 6}, {999, 999}})
+	if !errors.Is(err, robustset.ErrNotPresent) || !strings.Contains(err.Error(), "point 2 of 4") {
+		t.Errorf("over-removal before a missing point = %v, want point 2 of 4", err)
+	}
 	if d.Size() != len(alice)+3 {
 		t.Errorf("size %d after rejected over-removal, want %d", d.Size(), len(alice)+3)
 	}
