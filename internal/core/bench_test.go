@@ -9,8 +9,15 @@ import (
 )
 
 func benchWorkload(b *testing.B, n int) (*workload.Instance, Params) {
+	return benchWorkloadIn(b, n, points.Universe{Dim: 2, Delta: 1 << 20})
+}
+
+// wideUniverse is E3's d = 8 row at Δ = 2^16: 8 × 17 = 136-bit Morton
+// codes, three words.
+var wideUniverse = points.Universe{Dim: 8, Delta: 1 << 16}
+
+func benchWorkloadIn(b *testing.B, n int, u points.Universe) (*workload.Instance, Params) {
 	b.Helper()
-	u := points.Universe{Dim: 2, Delta: 1 << 20}
 	inst, err := workload.Generate(workload.Config{
 		N: n, Universe: u, Outliers: 16,
 		Noise: workload.NoiseUniform, Scale: 4, Seed: 1,
@@ -55,7 +62,13 @@ func BenchmarkBuildSketch100kSequential(b *testing.B) {
 }
 
 func BenchmarkNewMaintainer100k(b *testing.B) {
-	inst, p := benchWorkload(b, 100000)
+	benchNewMaintainer(b, points.Universe{Dim: 2, Delta: 1 << 20})
+}
+
+func BenchmarkNewMaintainer100kWide(b *testing.B) { benchNewMaintainer(b, wideUniverse) }
+
+func benchNewMaintainer(b *testing.B, u points.Universe) {
+	inst, p := benchWorkloadIn(b, 100000, u)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewMaintainer(p, inst.Alice); err != nil {
@@ -130,8 +143,11 @@ func BenchmarkSketchMarshal(b *testing.B) {
 // and the adaptive workload's estimator shape (k = 1024, levels 0..10).
 
 func rulerWorkload(b *testing.B, n int) (*workload.Instance, Params) {
+	return rulerWorkloadIn(b, n, points.Universe{Dim: 2, Delta: 1 << 20})
+}
+
+func rulerWorkloadIn(b *testing.B, n int, u points.Universe) (*workload.Instance, Params) {
 	b.Helper()
-	u := points.Universe{Dim: 2, Delta: 1 << 20}
 	inst, err := workload.Generate(workload.Config{
 		N: n, Universe: u, Outliers: 64,
 		Noise: workload.NoiseUniform, Scale: 4, Seed: 1,
@@ -210,9 +226,16 @@ func BenchmarkLevelEstimators20k(b *testing.B) {
 
 // BenchmarkMaintainerChurn20k is one add of a fresh point and one remove
 // of a present one at n = 20 000, the set size held steady: the
-// mutations of the ruler's churn workload.
+// mutations of the ruler's churn workload. The Wide variant runs them in
+// wideUniverse.
 func BenchmarkMaintainerChurn20k(b *testing.B) {
-	inst, p := rulerWorkload(b, 20000)
+	benchMaintainerChurn(b, points.Universe{Dim: 2, Delta: 1 << 20})
+}
+
+func BenchmarkMaintainerChurn20kWide(b *testing.B) { benchMaintainerChurn(b, wideUniverse) }
+
+func benchMaintainerChurn(b *testing.B, u points.Universe) {
+	inst, p := rulerWorkloadIn(b, 20000, u)
 	m, err := NewMaintainer(p, inst.Alice)
 	if err != nil {
 		b.Fatal(err)
@@ -221,7 +244,10 @@ func BenchmarkMaintainerChurn20k(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	fresh := make([]points.Point, 4096)
 	for i := range fresh {
-		fresh[i] = points.Point{rng.Int64N(p.Universe.Delta), rng.Int64N(p.Universe.Delta)}
+		fresh[i] = make(points.Point, u.Dim)
+		for j := range fresh[i] {
+			fresh[i][j] = rng.Int64N(u.Delta)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -269,8 +295,8 @@ func BenchmarkMortonOrder20k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if presort(g, inst.Alice) == nil {
-			b.Fatal("no Morton order for a 42-bit code")
+		if presort(g, inst.Alice).len() != len(inst.Alice) {
+			b.Fatal("the Morton order lost codes")
 		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 // the occurrence-index reuse paths (a slot freed by a remove must be the
 // one the next add of that cell reuses) far harder than balanced churn.
 func TestMaintainerRemoveHeavyChurn(t *testing.T) {
-	// The second universe's Morton code needs 8 × 10 = 80 bits, so its
-	// fresh builds take the view's occupancy-map fallback.
-	for _, u := range []points.Universe{{Dim: 2, Delta: 1 << 12}, {Dim: 8, Delta: 1 << 9}} {
+	// Morton codes of one word (2 × 13 bits), two (8 × 10 = 80 bits) and
+	// five (16 × 17 = 272 bits).
+	for _, u := range []points.Universe{{Dim: 2, Delta: 1 << 12}, {Dim: 8, Delta: 1 << 9}, {Dim: 16, Delta: 1 << 16}} {
 		testMaintainerRemoveHeavyChurn(t, u)
 	}
 }

@@ -42,10 +42,9 @@
 // scan of the same multiset built, and one handed every table it scans
 // neither keys nor presorts the points. A Maintainer, which must place
 // points it has not seen, keeps the presort's sorted codes as an index
-// and reads every level's cell counts from it. Universes whose Morton
-// code exceeds 64 bits take an occupancy-map path inside the same kernel,
-// and their Maintainer keeps one map per level. All paths produce
-// identical bytes.
+// and reads every level's cell counts from it. A code is as many 64-bit
+// words as the universe's d·(L+1) bits need, compared most significant
+// first, so every universe takes the same path.
 package core
 
 import (
@@ -237,7 +236,7 @@ func buildTables(v *View, workers int) ([]*iblt.Table, error) {
 	p := v.p
 	tables := make([]*iblt.Table, p.MaxLevel-p.MinLevel+1)
 	err := eachLevel(len(tables), workers, func(idx int) (err error) {
-		tables[idx], err = v.levelTable(p.MinLevel+idx, p.TableCapacity, nil)
+		tables[idx], err = v.levelTable(p.MinLevel+idx, p.TableCapacity)
 		return err
 	})
 	return tables, err

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"robustset/internal/emd"
@@ -25,9 +27,7 @@ func genInstance(t *testing.T, cfg workload.Config) *workload.Instance {
 
 // TestParallelBuildByteIdentical pins the parallel sketch builder to the
 // sequential one: every worker count must produce byte-identical wire
-// encodings, and the Morton fast path must agree with the occupancy-map
-// fallback (exercised via a universe whose dim × depth product exceeds
-// the 64-bit Morton code).
+// encodings.
 func TestParallelBuildByteIdentical(t *testing.T) {
 	u := points.Universe{Dim: 2, Delta: 1 << 12}
 	inst := genInstance(t, workload.Config{
@@ -72,56 +72,74 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMortonAndMapPathsAgree forces the occupancy-map fallback by using
-// a high-dimensional universe and checks it against itself across worker
-// counts, then checks on a universe that takes the Morton path that a
-// single-level table equals the same level of the full sketch. (The two
-// paths are held against each other in TestViewMatchesReference.)
-func TestMortonAndMapPathsAgree(t *testing.T) {
-	// dim 8 × (levels 9+1) = 80 bits > 64 → map fallback everywhere.
-	u := points.Universe{Dim: 8, Delta: 1 << 9}
-	inst := genInstance(t, workload.Config{
-		N: 400, Universe: u, Outliers: 4,
-		Noise: workload.NoiseUniform, Scale: 2, Seed: 5,
-	})
-	p := testParams(u, 4, 17)
-	seq, err := BuildSketchParallel(p, inst.Alice, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := BuildSketchParallel(p, inst.Alice, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, _ := seq.MarshalBinary()
-	pb, _ := par.MarshalBinary()
-	if string(sb) != string(pb) {
-		t.Error("map-fallback parallel build diverges from sequential")
-	}
-
-	// Same level ⇒ same bytes, whether built alone or with the sketch.
-	u2 := points.Universe{Dim: 2, Delta: 1 << 10}
-	inst2 := genInstance(t, workload.Config{
-		N: 1000, Universe: u2, Outliers: 5,
-		Noise: workload.NoiseUniform, Scale: 2, Seed: 6,
-	})
-	p2, err := testParams(u2, 4, 23).Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := BuildSketch(p2, inst2.Alice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, level := range []int{0, 3, p2.MaxLevel} {
-		lt, err := BuildLevelTable(p2, inst2.Alice, level, p2.TableCapacity)
+// TestMortonCodesEveryWidth holds the presort to the points' reference
+// codes in universes whose codes take one word (42 bits, and exactly 64),
+// two (68 and 80 bits), five (272 bits, where cells end inside words) and
+// ten (600 bits in 100 dimensions, more than a word apart),
+// and every cell its scan decodes to the grid's own; the sketch is the
+// same across worker counts, and a single-level table is the same level
+// of the full sketch and the map-based reference's.
+func TestMortonCodesEveryWidth(t *testing.T) {
+	for _, u := range []points.Universe{
+		{Dim: 2, Delta: 1 << 20}, {Dim: 4, Delta: 1 << 15},
+		{Dim: 4, Delta: 1 << 16}, {Dim: 8, Delta: 1 << 9}, {Dim: 16, Delta: 1 << 16},
+		{Dim: 100, Delta: 1 << 5},
+	} {
+		inst := genInstance(t, workload.Config{
+			N: 400, Universe: u, Outliers: 4,
+			Noise: workload.NoiseUniform, Scale: 2, Seed: 5,
+		})
+		pts := append(points.Clone(inst.Alice), inst.Alice[:30]...)
+		p, err := testParams(u, 4, 17).Normalized()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := sk.Tables[level-p2.MinLevel].MarshalBinary()
-		got, _ := lt.MarshalBinary()
-		if string(got) != string(want) {
-			t.Errorf("level %d: single-level table diverges from the sketch's", level)
+		v, err := NewView(p, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := v.order()
+		if got, want := slices.Concat(x.chunks...), refCodes(v.g, pts); !slices.Equal(got, want) || x.len() != len(pts) {
+			t.Fatalf("%+v: the presort holds %d words (%d codes), not the points' %d", u, len(got), x.len(), len(want))
+		}
+		key := make([]byte, KeyLen(u.Dim))
+		for _, pt := range pts[:40] {
+			code := refCodes(v.g, []points.Point{pt})
+			for l := 0; l <= u.Levels(); l++ {
+				x.putCell(key, code, l)
+				if want := v.g.AppendCell(nil, l, pt); !bytes.Equal(key[:8*u.Dim], want) {
+					t.Fatalf("%+v: %v's level-%d cell decodes to %x, want %x", u, pt, l, key[:8*u.Dim], want)
+				}
+			}
+		}
+		seq, err := BuildSketchParallel(p, pts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := BuildSketchParallel(p, pts, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, _ := seq.MarshalBinary()
+		pb, _ := par.MarshalBinary()
+		if !bytes.Equal(sb, pb) {
+			t.Errorf("%+v: parallel build diverges from sequential", u)
+		}
+		for _, level := range []int{0, 3, p.MaxLevel} {
+			lt, err := BuildLevelTable(p, pts, level, p.TableCapacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := refBuildLevelTable(p, pts, level, p.TableCapacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := seq.Tables[level-p.MinLevel].MarshalBinary()
+			got, _ := lt.MarshalBinary()
+			rb, _ := ref.MarshalBinary()
+			if !bytes.Equal(got, want) || !bytes.Equal(rb, want) {
+				t.Errorf("%+v level %d: single-level table diverges from the sketch's or the reference's", u, level)
+			}
 		}
 	}
 }

@@ -117,78 +117,113 @@ func FuzzSketchWindow(f *testing.F) {
 	})
 }
 
-// FuzzMortonSort holds the radix presort to a comparison sort: the codes
-// come out in slices.Sort order, whatever their width.
+// FuzzMortonSort holds the radix presort to a comparison sort: codes of
+// w words come out in the order of their word tuples, whatever their
+// width; the top word holds bits bits, the lower ones 64.
 func FuzzMortonSort(f *testing.F) {
-	f.Add([]byte{}, uint8(64))
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, uint8(8))
-	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<41|5), 1<<41|5), uint8(42))
-	f.Add(slices.Repeat([]byte{0xff, 0x01, 0x80, 0x7f, 0, 0, 0, 0}, 40), uint8(32))
+	f.Add([]byte{}, uint8(63), uint8(0))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, uint8(7), uint8(0))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<41|5), 1<<41|5), uint8(41), uint8(0))
+	f.Add(slices.Repeat([]byte{0xff, 0x01, 0x80, 0x7f, 0, 0, 0, 0}, 40), uint8(31), uint8(0))
+	f.Add(slices.Repeat([]byte{0xff, 0x01, 0x80, 0x7f, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0x80}, 40), uint8(3), uint8(1))
+	f.Add(slices.Repeat([]byte{9, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0}, 50), uint8(15), uint8(4))
 
-	f.Fuzz(func(t *testing.T, data []byte, bits uint8) {
-		bits = bits%64 + 1
-		codes := make([]uint64, len(data)/8)
+	f.Fuzz(func(t *testing.T, data []byte, bits, w8 uint8) {
+		w := int(w8%5) + 1
+		top := uint64(1)<<(bits%64+1) - 1
+		codes := make([]uint64, len(data)/(8*w)*w)
 		for i := range codes {
-			codes[i] = binary.LittleEndian.Uint64(data[8*i:]) & (1<<bits - 1)
+			codes[i] = binary.LittleEndian.Uint64(data[8*i:])
+			if i%w == 0 {
+				codes[i] &= top
+			}
 		}
-		want := slices.Clone(codes)
-		slices.Sort(want)
-		if sorted := sortCodes(codes, int(bits)); !slices.Equal(sorted, want) {
-			t.Fatalf("radix order differs from slices.Sort on %d codes of %d bits", len(want), bits)
+		want := make([][]uint64, len(codes)/w)
+		for i := range want {
+			want[i] = codes[i*w : (i+1)*w]
+		}
+		slices.SortFunc(want, slices.Compare)
+		sorted := sortCodes(slices.Clone(codes), w, 64*(w-1)+int(bits%64)+1)
+		if !slices.Equal(sorted, slices.Concat(want...)) {
+			t.Fatalf("radix order differs from a comparison sort on %d codes of %d words", len(want), w)
 		}
 	})
 }
 
 // FuzzCodeIndex holds the Maintainer's chunked code index to a sorted
-// slice: after every insert or remove the chunks concatenate to the
-// model, each holds 1..codeChunk codes, the running counts agree and the
-// dense array of last codes holds each chunk's, and
-// every code's cell count at every shift is the model's count of codes
-// sharing that prefix. Ops are three bytes: kind, code, count. Codes
-// repeat a lot, a bulk insert lays a run of one code longer than a chunk,
-// and a bulk remove empties chunks.
+// slice, for codes of one to five words: after every insert or remove the
+// chunks concatenate to the model, each holds 1..codeChunk codes, the
+// running counts agree and the dense array of last codes holds each
+// chunk's, and every code's cell count at the shifts around each word
+// boundary and every fifth between is the model's count of codes that
+// agree above it. Ops are three bytes: kind, code,
+// count. Codes repeat a lot, a bulk insert lays a run of one code longer
+// than a chunk, and a bulk remove empties chunks.
 func FuzzCodeIndex(f *testing.F) {
-	f.Add([]byte{}, uint16(0))
-	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 0}, uint16(0))
-	f.Add([]byte{1, 7, 3, 1, 7, 3, 2, 7, 3, 2, 7, 3, 0, 255, 0}, uint16(0))
-	f.Add([]byte{5, 9, 1, 6, 9, 3, 1, 9, 2, 4, 3, 0}, uint16(1400))
-	f.Add(slices.Repeat([]byte{0, 200, 0, 4, 17, 0, 1, 255, 1, 2, 200, 0}, 30), uint16(700))
+	f.Add([]byte{}, uint16(0), uint8(0))
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 0}, uint16(0), uint8(0))
+	f.Add([]byte{1, 7, 3, 1, 7, 3, 2, 7, 3, 2, 7, 3, 0, 255, 0}, uint16(0), uint8(0))
+	f.Add([]byte{5, 9, 1, 6, 9, 3, 1, 9, 2, 4, 3, 0}, uint16(1400), uint8(0))
+	f.Add(slices.Repeat([]byte{0, 200, 0, 4, 17, 0, 1, 255, 1, 2, 200, 0}, 30), uint16(700), uint8(0))
+	// Two words: 0x80 in the low word's top byte and 1 in the high word's
+	// bottom byte are neighbours across the boundary a 64-bit shift cuts.
+	f.Add([]byte{28, 128, 1, 32, 1, 1, 28, 128, 0, 2, 128, 0, 32, 1, 0}, uint16(300), uint8(1))
+	f.Add(slices.Repeat([]byte{0, 200, 0, 4, 17, 0, 1, 255, 1, 2, 200, 0, 61, 3, 2}, 20), uint16(900), uint8(4))
 
-	f.Fuzz(func(t *testing.T, data []byte, n0 uint16) {
-		code := func(a, pos byte) uint64 {
-			if a == 255 {
-				return ^uint64(0)
+	f.Fuzz(func(t *testing.T, data []byte, n0 uint16, w8 uint8) {
+		w := int(w8%5) + 1
+		// code is byte a at byte pos%8 of word pos/8 from the lowest, or
+		// every bit set for a = 255.
+		code := func(a, pos byte) []uint64 {
+			v := make([]uint64, w)
+			for k := range v {
+				if a == 255 {
+					v[k] = ^uint64(0)
+				}
 			}
-			return uint64(a) << (8 * (pos % 8))
+			if a != 255 {
+				v[w-1-int(pos/8)%w] = uint64(a) << (8 * (pos % 8))
+			}
+			return v
 		}
 		rng := rand.New(rand.NewPCG(uint64(n0), 1))
-		model := make([]uint64, n0%1500)
+		model := make([][]uint64, n0%1500)
 		for i := range model {
-			model[i] = rng.Uint64N(64) << (rng.Uint64N(8) * 8)
+			model[i] = make([]uint64, w)
+			for k := range model[i] {
+				if k == w-1 || rng.IntN(4) == 0 {
+					model[i][k] = rng.Uint64N(64) << (rng.Uint64N(8) * 8)
+				}
+			}
 		}
-		slices.Sort(model)
-		x := newCodeIndex(nil, slices.Clone(model))
+		slices.SortFunc(model, slices.Compare)
+		x := newCodeIndex(&morton{w: w}, slices.Concat(model...))
 		check := func(op int) {
-			var all []uint64
+			n := 0 // codes in the chunks so far, each the model's
 			for c, ch := range x.chunks {
-				if len(ch) == 0 || len(ch) > codeChunk || x.before[c] != len(all) {
-					t.Fatalf("op %d: chunk %d holds %d codes after %d (counted %d)", op, c, len(ch), len(all), x.before[c])
+				if len(ch) == 0 || len(ch) > codeChunk*w || len(ch)%w != 0 || x.before[c] != n {
+					t.Fatalf("op %d: chunk %d holds %d words after %d codes (counted %d)", op, c, len(ch), n, x.before[c])
 				}
-				if x.lasts[c] != last(ch) {
-					t.Fatalf("op %d: chunk %d ends in %#x, its last code is held as %#x", op, c, last(ch), x.lasts[c])
+				if got := x.lasts[c*w : (c+1)*w]; !slices.Equal(got, ch[len(ch)-w:]) {
+					t.Fatalf("op %d: chunk %d ends in %#x, its last code is held as %#x", op, c, ch[len(ch)-w:], got)
 				}
-				all = append(all, ch...)
+				for at := 0; at < len(ch); at, n = at+w, n+1 {
+					if n >= len(model) || !slices.Equal(ch[at:at+w], model[n]) {
+						t.Fatalf("op %d: code %d of the index is not the model's (%d codes)", op, n, len(model))
+					}
+				}
 			}
-			if len(x.lasts) != len(x.chunks) {
-				t.Fatalf("op %d: %d last codes held for %d chunks", op, len(x.lasts), len(x.chunks))
+			if len(x.lasts) != len(x.chunks)*w {
+				t.Fatalf("op %d: %d words of last codes held for %d chunks", op, len(x.lasts), len(x.chunks))
 			}
-			if !slices.Equal(all, model) || x.len() != len(model) {
-				t.Fatalf("op %d: the index holds %d codes (%d counted), the model %d", op, len(all), x.len(), len(model))
+			if n != len(model) || x.len() != len(model) {
+				t.Fatalf("op %d: the index holds %d codes (%d counted), the model %d", op, n, x.len(), len(model))
 			}
 		}
 		check(-1)
 		for op := 0; op+3 <= len(data); op += 3 {
 			kind, v, n := data[op]%3, code(data[op+1], data[op]>>2), int(data[op+2]%4)
+			at, found := slices.BinarySearchFunc(model, v, slices.Compare)
 			switch {
 			case kind == 0 || kind == 1:
 				reps := 1
@@ -198,14 +233,12 @@ func FuzzCodeIndex(f *testing.F) {
 				for range min(reps, 4000-len(model)) {
 					c, i := x.find(v)
 					x.insert(c, i, v)
-					at, _ := slices.BinarySearch(model, v)
 					model = slices.Insert(model, at, v)
 				}
 			default:
 				for range 200*n + 1 {
 					c, i := x.find(v)
-					at, found := slices.BinarySearch(model, v)
-					has := c < len(x.chunks) && i < len(x.chunks[c]) && x.chunks[c][i] == v
+					has := c < len(x.chunks) && i < len(x.chunks[c])/w && slices.Equal(x.chunks[c][i*w:(i+1)*w], v)
 					if has != found || (len(x.chunks) > 0 && x.before[c]+i != at) {
 						t.Fatalf("op %d: find(%#x) = chunk %d at %d, has %v; the model has it %v at %d", op, v, c, i, has, found, at)
 					}
@@ -214,18 +247,38 @@ func FuzzCodeIndex(f *testing.F) {
 					}
 					x.remove(c, i)
 					model = slices.Delete(model, at, at+1)
+					found = at < len(model) && slices.Equal(model[at], v)
 				}
 			}
 			check(op)
 		}
-		probes := append(slices.Compact(slices.Clone(model)), 0, 1, ^uint64(0), 1<<63)
-		for p := 0; p < len(probes); p += 1 + len(probes)/256 {
+		// above reports whether a's bits at and above bit sh (from the
+		// lowest) exceed b's, or, eq, are not below them.
+		above := func(a, b []uint64, sh int, eq bool) bool {
+			for k := range w {
+				m := ^uint64(0)
+				if low := 64 * (w - 1 - k); sh >= low+64 {
+					m = 0
+				} else if sh > low {
+					m <<= sh - low
+				}
+				if a[k]&m != b[k]&m {
+					return a[k]&m > b[k]&m
+				}
+			}
+			return eq
+		}
+		probes := slices.CompactFunc(slices.Clone(model), slices.Equal)
+		probes = append(probes, code(0, 0), code(255, 0), code(1, 0), code(128, 63), code(1, 8))
+		for p := 0; p < len(probes); p += 1 + len(probes)/128 {
 			v := probes[p]
 			c, i := x.find(v)
-			for sh := uint(0); sh < 64; sh += 1 + sh/8 {
-				lo, hi := v>>sh<<sh, v>>sh<<sh|(1<<sh-1)
-				want := sort.Search(len(model), func(k int) bool { return model[k] > hi }) -
-					sort.Search(len(model), func(k int) bool { return model[k] >= lo })
+			for sh := 0; sh < 64*w; sh++ {
+				if b := sh % 64; b > 3 && b < 61 && b%5 != 0 {
+					continue // every shift near a word boundary, a fifth of the rest
+				}
+				want := sort.Search(len(model), func(k int) bool { return above(model[k], v, sh, false) }) -
+					sort.Search(len(model), func(k int) bool { return above(model[k], v, sh, true) })
 				if got := x.cellCount(v, sh, c, i); got != want {
 					t.Fatalf("cell count of %#x above bit %d: %d, the model %d", v, sh, got, want)
 				}

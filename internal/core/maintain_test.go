@@ -125,31 +125,39 @@ func TestMaintainerRemoveAbsent(t *testing.T) {
 		t.Fatalf("count %d, want 0", m.Count())
 	}
 
-	// A universe too wide for 64-bit codes (4 × 17 bits), with a trimmed
-	// MaxLevel: an absent point that shares every included cell with a
-	// present one is refused too, not taken for its neighbour.
-	wide := testParams(points.Universe{Dim: 4, Delta: 1 << 16}, 2, 1).WithLevels(2, 9)
-	present := points.Point{1000, 2000, 3000, 4000}
-	if m, err = NewMaintainer(wide, []points.Point{present}); err != nil {
-		t.Fatal(err)
-	}
-	var absent points.Point
-	for k := int64(1); absent == nil; k++ {
-		for _, q := range []points.Point{{1000 + k, 2000, 3000, 4000}, {1000 - k, 2000, 3000, 4000}} {
-			if bytes.Equal(m.g.AppendCell(nil, wide.MaxLevel, q), m.g.AppendCell(nil, wide.MaxLevel, present)) {
-				absent = q
+	// Universes whose codes take two words (4 × 17 bits) and five (16 ×
+	// 17), with a trimmed MaxLevel: an absent point that shares every
+	// included cell with a present one is refused too, not taken for its
+	// neighbour.
+	for _, d := range []int{4, 16} {
+		wide := testParams(points.Universe{Dim: d, Delta: 1 << 16}, 2, 1).WithLevels(2, 9)
+		present := make(points.Point, d)
+		for j := range present {
+			present[j] = int64(1000 * (j + 1))
+		}
+		if m, err = NewMaintainer(wide, []points.Point{present}); err != nil {
+			t.Fatal(err)
+		}
+		var absent points.Point
+		for k := int64(1); absent == nil; k++ {
+			for _, delta := range []int64{k, -k} {
+				q := present.Clone()
+				q[0] += delta
+				if bytes.Equal(m.g.AppendCell(nil, wide.MaxLevel, q), m.g.AppendCell(nil, wide.MaxLevel, present)) {
+					absent = q
+				}
 			}
 		}
-	}
-	before, _ := m.Sketch().MarshalBinary()
-	if err := m.Remove(absent); !errors.Is(err, ErrNotPresent) {
-		t.Fatalf("removing %v, absent, beside %v in every included cell: %v", absent, present, err)
-	}
-	if after, _ := m.Sketch().MarshalBinary(); m.Count() != 1 || !bytes.Equal(after, before) {
-		t.Fatalf("the refused remove left count %d (want 1) and changed the sketch: %v", m.Count(), !bytes.Equal(after, before))
-	}
-	if m.Multiplicity(present) != 1 || m.Multiplicity(absent) != 0 {
-		t.Fatalf("multiplicities %d and %d, want 1 and 0", m.Multiplicity(present), m.Multiplicity(absent))
+		before, _ := m.Sketch().MarshalBinary()
+		if err := m.Remove(absent); !errors.Is(err, ErrNotPresent) {
+			t.Fatalf("d=%d: removing %v, absent, beside %v in every included cell: %v", d, absent, present, err)
+		}
+		if after, _ := m.Sketch().MarshalBinary(); m.Count() != 1 || !bytes.Equal(after, before) {
+			t.Fatalf("d=%d: the refused remove left count %d (want 1) and changed the sketch: %v", d, m.Count(), !bytes.Equal(after, before))
+		}
+		if m.Multiplicity(present) != 1 || m.Multiplicity(absent) != 0 {
+			t.Fatalf("d=%d: multiplicities %d and %d, want 1 and 0", d, m.Multiplicity(present), m.Multiplicity(absent))
+		}
 	}
 }
 
@@ -200,22 +208,24 @@ func TestMaintainerValidation(t *testing.T) {
 	}
 }
 
-// TestMaintainerOccupancyKeying pins which form a Maintainer's record of
-// its points takes: one sorted index of their Morton codes and no map
-// wherever dim × depth fits 64 bits — an empty initial set included,
-// where no presort exists to say so — and per-level maps keyed by the
-// encoded cell otherwise. Either way the record agrees with a recount of
-// the points, and a cell emptied by Remove is forgotten rather than kept
-// at zero.
-func TestMaintainerOccupancyKeying(t *testing.T) {
+// TestMaintainerCodeIndexEveryWidth pins a Maintainer's record of its
+// points to one sorted index of their Morton codes in every universe — an
+// empty initial set included — of one word up to exactly 64 bits, two
+// words from 65 and five at 272 bits, where a level's cell boundary falls
+// inside a word, up to MaxDim dimensions. The index holds the points' reference codes in order,
+// and the last Remove leaves it empty.
+func TestMaintainerCodeIndexEveryWidth(t *testing.T) {
 	for _, tc := range []struct {
-		u      points.Universe
-		narrow bool
+		u points.Universe
+		w int
 	}{
-		{points.Universe{Dim: 2, Delta: 1 << 12}, true},
-		{points.Universe{Dim: 4, Delta: 1 << 15}, true},  // 4 × 16 = 64 bits exactly
-		{points.Universe{Dim: 8, Delta: 1 << 9}, false},  // 80 bits
-		{points.Universe{Dim: 4, Delta: 1 << 16}, false}, // 68 bits
+		{points.Universe{Dim: 2, Delta: 1 << 12}, 1},
+		{points.Universe{Dim: 4, Delta: 1 << 15}, 1},   // 4 × 16 = 64 bits exactly
+		{points.Universe{Dim: 8, Delta: 1 << 9}, 2},    // 80 bits
+		{points.Universe{Dim: 4, Delta: 1 << 16}, 2},   // 68 bits
+		{points.Universe{Dim: 16, Delta: 1 << 16}, 5},  // 272 bits
+		{points.Universe{Dim: 100, Delta: 1 << 5}, 10}, // 600 bits, d > 64: words without a bit of a coordinate
+		{points.Universe{Dim: MaxDim, Delta: 1 << 3}, 32},
 	} {
 		p := testParams(tc.u, 4, 5)
 		inst := genInstance(t, workload.Config{N: 60, Universe: tc.u, Seed: 11, Clusters: 3})
@@ -233,30 +243,11 @@ func TestMaintainerOccupancyKeying(t *testing.T) {
 			if err := m.VerifyFreshBuild(pts); err != nil {
 				t.Fatalf("%+v: %v", tc.u, err)
 			}
-			if (m.codes != nil) != tc.narrow || (m.occ != nil) == tc.narrow {
-				t.Fatalf("%+v: codes=%v maps=%v, want the codes %v", tc.u, m.codes != nil, m.occ != nil, tc.narrow)
+			if m.codes.w != tc.w {
+				t.Fatalf("%+v: codes of %d words, want %d", tc.u, m.codes.w, tc.w)
 			}
-			if m.codes != nil {
-				var want, got []uint64
-				for _, pt := range pts {
-					want = append(want, m.codes.code(pt))
-				}
-				slices.Sort(want)
-				for _, ch := range m.codes.chunks {
-					got = append(got, ch...)
-				}
-				if !slices.Equal(got, want) || m.codes.len() != len(pts) {
-					t.Fatalf("%+v: the index holds %d codes (%d counted), not the points' %d", tc.u, len(got), m.codes.len(), len(want))
-				}
-			}
-			for idx, occ := range m.occ {
-				total := 0
-				for _, n := range occ {
-					total += int(*n)
-				}
-				if total != len(pts) {
-					t.Fatalf("%+v level %d: occupancy counts %d points, want %d", tc.u, idx, total, len(pts))
-				}
+			if got, want := slices.Concat(m.codes.chunks...), refCodes(m.g, pts); !slices.Equal(got, want) || m.codes.len() != len(pts) {
+				t.Fatalf("%+v: the index holds %d words (%d codes counted), not the points' %d", tc.u, len(got), m.codes.len(), len(want))
 			}
 			for _, pt := range pts {
 				if err := m.Remove(pt); err != nil {
@@ -266,13 +257,8 @@ func TestMaintainerOccupancyKeying(t *testing.T) {
 			if err := m.Remove(pts[0]); !errors.Is(err, ErrNotPresent) {
 				t.Fatalf("remove from an emptied maintainer: %v", err)
 			}
-			if m.codes != nil && (len(m.codes.chunks) != 0 || m.codes.len() != 0) {
+			if len(m.codes.chunks) != 0 || len(m.codes.lasts) != 0 || m.codes.len() != 0 {
 				t.Fatalf("%+v: %d chunks survive the last remove", tc.u, len(m.codes.chunks))
-			}
-			for idx, occ := range m.occ {
-				if len(occ) != 0 {
-					t.Fatalf("%+v level %d: %d cells survive the last remove", tc.u, idx, len(occ))
-				}
 			}
 		}
 	}
@@ -282,10 +268,10 @@ func TestMaintainerOccupancyKeying(t *testing.T) {
 // codes alone — the estimate-first protocol's estimators and level tables
 // — is on the wire what a View builds over the surviving points, after a
 // long random add/remove sequence with duplicates, from the initial set
-// and from an empty one. The 8-dimensional universe needs 8 × 10 = 80
-// Morton bits, so its counts are keyed by the encoded cell and its view
-// takes the occupancy fallback; Δ = 2²⁰ in the plane and Δ = 2¹⁵ in four
-// dimensions — exactly 64 bits — keep codes. A trimmed level range rides
+// and from an empty one. Codes take one word at Δ = 2²⁰ in the plane and
+// Δ = 2¹⁵ in four dimensions (exactly 64 bits), two at Δ = 2⁹ in eight
+// (80 bits) and Δ = 2¹⁶ in four (68), and five at Δ = 2¹⁶ in sixteen
+// (272 bits). A trimmed level range rides
 // along: levels outside it are refused. The points the Maintainer yields
 // and the multiplicities it answers are the model's.
 func TestMaintainerLevelBuildsMatchView(t *testing.T) {
@@ -301,6 +287,9 @@ func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 		{points.Universe{Dim: 4, Delta: 1 << 15}, 2, 9, true},
 		{points.Universe{Dim: 8, Delta: 1 << 9}, 0, 9, false},
 		{points.Universe{Dim: 8, Delta: 1 << 9}, 2, 6, false},
+		{points.Universe{Dim: 4, Delta: 1 << 16}, 0, 16, true},
+		{points.Universe{Dim: 16, Delta: 1 << 16}, 0, 16, false},
+		{points.Universe{Dim: 16, Delta: 1 << 16}, 3, 11, true},
 	} {
 		p := testParams(tc.u, 4, 23).WithLevels(tc.lo, tc.hi)
 		rng := rand.New(rand.NewPCG(uint64(tc.u.Dim), uint64(tc.hi)))
@@ -339,8 +328,8 @@ func TestMaintainerLevelBuildsMatchView(t *testing.T) {
 				current = append(current, pt)
 			}
 		}
-		if (m.codes != nil) != (tc.u.Dim < 8) {
-			t.Fatalf("dim %d: codes %v", tc.u.Dim, m.codes != nil)
+		if w := (tc.u.Dim*(tc.u.Levels()+1) + 63) / 64; m.codes.w != w {
+			t.Fatalf("dim %d: codes of %d words, want %d", tc.u.Dim, m.codes.w, w)
 		}
 		// The maintainer holds the multiset itself: its points and each
 		// one's multiplicity are the model's.

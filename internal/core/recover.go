@@ -12,8 +12,7 @@ import (
 // tables instead of re-inserting every (cell, occurrence) key. Only the
 // points' sorted Morton codes are recomputed — the presort a View makes,
 // with no IBLT work — so recovery costs a fraction of a fresh build and
-// the adopted tables are bit-for-bit the ones that were persisted. A
-// universe whose code exceeds 64 bits recounts its occupancy maps instead.
+// the adopted tables are bit-for-bit the ones that were persisted.
 //
 // The sketch must actually describe pts: its parameters must equal p
 // (compared on the normalized wire encoding) and its count must match.

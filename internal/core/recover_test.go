@@ -10,10 +10,16 @@ import (
 
 // TestNewMaintainerFromSketch recovers a maintainer from a serialized
 // sketch (the snapshot path) and drives it through further churn: the
-// adopted tables plus rebuilt occupancies must behave exactly like the
-// original maintainer, byte-identical to fresh builds throughout.
+// adopted tables plus the rebuilt code index must behave exactly like the
+// original maintainer, byte-identical to fresh builds throughout, with
+// codes of one word, two and five.
 func TestNewMaintainerFromSketch(t *testing.T) {
-	u := points.Universe{Dim: 2, Delta: 1 << 12}
+	for _, u := range []points.Universe{{Dim: 2, Delta: 1 << 12}, {Dim: 4, Delta: 1 << 16}, {Dim: 16, Delta: 1 << 16}} {
+		testNewMaintainerFromSketch(t, u)
+	}
+}
+
+func testNewMaintainerFromSketch(t *testing.T, u points.Universe) {
 	p := testParams(u, 4, 29)
 	rng := rand.New(rand.NewPCG(5, 11))
 	inst := genInstance(t, workload.Config{N: 300, Universe: u, Seed: 55, Clusters: 3})
@@ -47,13 +53,13 @@ func TestNewMaintainerFromSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.Count() != len(current) {
-		t.Fatalf("recovered count %d, want %d", rec.Count(), len(current))
+		t.Fatalf("%+v: recovered count %d, want %d", u, rec.Count(), len(current))
 	}
 	if err := rec.VerifyFreshBuild(current); err != nil {
 		t.Fatalf("recovered maintainer fails the oracle immediately: %v", err)
 	}
 
-	// Churn the recovered maintainer: occupancy state must be fully live.
+	// Churn the recovered maintainer: its code index must be fully live.
 	for step := 0; step < 600; step++ {
 		if len(current) > 0 && rng.IntN(10) < 6 {
 			i := rng.IntN(len(current))
@@ -63,7 +69,10 @@ func TestNewMaintainerFromSketch(t *testing.T) {
 			current[i] = current[len(current)-1]
 			current = current[:len(current)-1]
 		} else {
-			pt := points.Point{rng.Int64N(u.Delta), rng.Int64N(u.Delta)}
+			pt := make(points.Point, u.Dim)
+			for j := range pt {
+				pt[j] = rng.Int64N(u.Delta)
+			}
 			if len(current) > 0 && rng.IntN(3) == 0 {
 				pt = current[rng.IntN(len(current))].Clone()
 			}

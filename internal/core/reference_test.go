@@ -217,3 +217,23 @@ func refRepair(res *Result, g *grid.Grid, level int, diff *iblt.Diff, bobPts []p
 	}
 	return nil
 }
+
+// refCodes returns the points' Morton codes, sorted, a bit at a time: bit
+// b of shifted coordinate j is code bit b·d + (d−1−j), counted from the
+// lowest bit of the last of ⌈d·(L+1)/64⌉ words.
+func refCodes(g *grid.Grid, pts []points.Point) []uint64 {
+	d, bits, shift := g.Dim(), g.Levels()+1, g.Shift()
+	codes := make([][]uint64, len(pts))
+	for i, p := range pts {
+		codes[i] = make([]uint64, (d*bits+63)/64)
+		for j, x := range p {
+			for b := range bits {
+				if at := b*d + d - 1 - j; uint64(x+shift[j])>>b&1 == 1 {
+					codes[i][len(codes[i])-1-at/64] |= 1 << (at % 64)
+				}
+			}
+		}
+	}
+	slices.SortFunc(codes, slices.Compare)
+	return slices.Concat(codes...)
+}

@@ -20,10 +20,11 @@ import (
 // validated points, the shared grid and the Morton presort. Every
 // per-level pass of the protocol — sketch and level-table builds, the
 // level estimators, the reconcile scan and the repair — runs over one
-// View through scanLevel, so a session that needs several of them (the
-// estimate-first protocol needs all) validates and sorts its points once.
-// The presort is built by the first level scan, so a reconcile scan that
-// is handed all its tables (ReconcileWith) never sorts.
+// View, the level passes as scans of its presort, so a session that
+// needs several of them (the estimate-first protocol needs all)
+// validates and sorts its points once. The presort is built by the first
+// level scan, so a reconcile scan that is handed all its tables
+// (ReconcileWith) never sorts.
 //
 // A View is safe for concurrent use. It aliases the caller's point
 // slice; the points must not be modified while the View is in use.
@@ -31,10 +32,8 @@ type View struct {
 	p   Params // normalized
 	g   *grid.Grid
 	pts []points.Point
-	// sorted is the presort once order has built it. It stays nil for an
-	// empty set and for universes whose Morton code does not fit 64 bits
-	// (dim × depth > 64); the per-level passes then take the
-	// occupancy-map path.
+	// sorted is the presort once order has built it: the points' codes,
+	// of as many words as the universe's Morton code needs.
 	sorted   atomic.Pointer[codeIndex]
 	sortOnce sync.Once
 }
@@ -55,8 +54,7 @@ func NewView(p Params, pts []points.Point) (*View, error) {
 	return &View{p: p, g: g, pts: pts}, nil
 }
 
-// order returns the view's presort, building it on the first call; nil
-// where there is none.
+// order returns the view's presort, building it on the first call.
 func (v *View) order() *codeIndex {
 	v.sortOnce.Do(func() { v.sorted.Store(presort(v.g, v.pts)) })
 	return v.sorted.Load()
@@ -66,127 +64,23 @@ func (v *View) order() *codeIndex {
 func (v *View) Params() Params { return v.p }
 
 // presort returns the points' Morton (Z-order) codes as one sorted
-// index, or nil when there is nothing to sort or the code does not fit 64
-// bits. Sorting by the codes makes the points of any single grid cell
+// index. Sorting by the codes makes the points of any single grid cell
 // contiguous at every level simultaneously: two points share a level-ℓ
 // cell iff they agree on the top d·(ℓ+1) bits of the code. That turns
 // per-level occurrence-index assignment — otherwise a hash-map lookup per
 // point per level, the dominant cost of every per-level pass — into a run
-// scan with one uint64 compare per point. The occurrence indices a run
-// scan assigns differ from the occupancy-map path's only in which point
-// of a cell gets which index — the key set {(cell, 0..count−1)} and
-// therefore every table and estimator is identical, so the two paths
-// interoperate freely across parties.
+// scan with one compare of the cell's words per point. The occurrence
+// indices a run scan assigns differ from a per-cell counter's in slice
+// order only in which point of a cell gets which index — the key set
+// {(cell, 0..count−1)} and therefore every table and estimator is
+// identical, whatever order either party's points come in.
 func presort(g *grid.Grid, pts []points.Point) *codeIndex {
 	m := newMorton(g)
-	if m == nil || len(pts) == 0 {
-		return nil
-	}
-	codes := make([]uint64, len(pts))
+	codes := make([]uint64, len(pts)*m.w)
 	for i, p := range pts {
-		codes[i] = m.code(p)
+		m.code(codes[i*m.w:(i+1)*m.w], p)
 	}
-	return newCodeIndex(m, sortCodes(codes, m.d*m.bits))
-}
-
-// sortCodes sorts codes ascending by LSD radix sort on their low bits
-// bits. codes is consumed as scratch.
-func sortCodes(codes []uint64, bits int) []uint64 {
-	n := len(codes)
-	passes := (bits + 7) / 8
-	var hist [8][256]int
-	for _, c := range codes {
-		for p := 0; p < passes; p++ {
-			hist[p][byte(c>>(8*p))]++
-		}
-	}
-	tmp := make([]uint64, n)
-	for p := 0; p < passes && n > 0; p++ {
-		h, sh := &hist[p], uint(8*p)
-		if h[byte(codes[0]>>sh)] == n {
-			continue // every code shares this digit: the pass moves nothing
-		}
-		at := 0
-		for digit, c := range h {
-			h[digit], at = at, at+c
-		}
-		for _, c := range codes {
-			tmp[h[byte(c>>sh)]] = c
-			h[byte(c>>sh)]++
-		}
-		codes, tmp = tmp, codes
-	}
-	return codes
-}
-
-// occupancy counts the points in each cell of one level, keyed by the
-// encoded cell, for universes whose Morton code does not fit 64 bits
-// (dim × depth > 64): the counters are held by pointer so the per-point
-// path is a single allocation-free map lookup plus an increment, and the
-// string key and its counter are allocated once per distinct cell, not
-// once per point. View.scanLevel's fallback fills one per level, and a
-// Maintainer of such a universe keeps them.
-type occupancy map[string]*uint32
-
-// bump changes the count of the encoded cell by delta — +1, −1 for a
-// cell that holds a point, or 0 to only read — and returns what the
-// count was; a cell that reaches zero is forgotten.
-func (o occupancy) bump(cell []byte, delta int) uint32 {
-	c := o[string(cell)]
-	if c == nil {
-		if delta == 0 {
-			return 0
-		}
-		c = new(uint32)
-		o[string(cell)] = c
-	}
-	n := *c
-	if *c += uint32(delta); *c == 0 {
-		delete(o, string(cell))
-	}
-	return n
-}
-
-// scan calls emit with the (cell, occurrence) key of every point counted
-// — each cell's occurrences 0..count−1 — in no particular order; d is
-// the dimension. It is scanLevel for a holder of the counts alone: the
-// key set is the one scanLevel emits over the same multiset, and every
-// table and estimator is a function of the set. The key buffer is reused
-// between calls.
-func (o occupancy) scan(d int, emit func(key []byte)) {
-	key := make([]byte, KeyLen(d))
-	for cell, n := range o {
-		copy(key, cell)
-		for j := uint32(0); j < *n; j++ {
-			binary.LittleEndian.PutUint32(key[8*d:], j)
-			emit(key)
-		}
-	}
-}
-
-// scanLevel is the kernel under every per-level pass: it calls emit with
-// the (cell, occurrence) key of each point at the level, exactly once
-// per point. The key buffer is reused between calls. A presorted view
-// walks its index's runs of equal code prefixes (codeIndex.scan). One
-// without a presort counts its cells in occ — a caller that keeps them (a
-// Maintainer of a universe too wide for Morton codes) passes its own and
-// may pass a nil emit — and ignores occ otherwise.
-func (v *View) scanLevel(level int, occ occupancy, emit func(key []byte)) {
-	if x := v.order(); x != nil {
-		x.scan(level, emit)
-		return
-	}
-	if occ == nil {
-		occ = occupancy{}
-	}
-	buf := make([]byte, 0, KeyLen(v.g.Dim()))
-	for _, p := range v.pts {
-		buf = v.g.AppendCell(buf[:0], level, p)
-		o := occ.bump(buf, +1)
-		if emit != nil {
-			emit(binary.LittleEndian.AppendUint32(buf, o))
-		}
-	}
+	return newCodeIndex(m, sortCodes(codes, m.w, m.d*m.bits))
 }
 
 // checkLevel rejects levels outside the universe's hierarchy.
@@ -198,12 +92,12 @@ func (v *View) checkLevel(level int) error {
 }
 
 // levelTable builds the view's filled IBLT for one level.
-func (v *View) levelTable(level, capacity int, occ occupancy) (*iblt.Table, error) {
+func (v *View) levelTable(level, capacity int) (*iblt.Table, error) {
 	t, err := iblt.New(levelConfig(v.p, level, capacity))
 	if err != nil {
 		return nil, err
 	}
-	v.scanLevel(level, occ, t.Insert)
+	v.order().scan(level, t.Insert)
 	return t, nil
 }
 
@@ -213,7 +107,7 @@ func (v *View) BuildLevelTable(level, capacity int) (*iblt.Table, error) {
 	if err := v.checkLevel(level); err != nil {
 		return nil, err
 	}
-	return v.levelTable(level, capacity, nil)
+	return v.levelTable(level, capacity)
 }
 
 // newLevelEstimator starts the bottom-k difference estimator of one
@@ -229,7 +123,7 @@ func (v *View) LevelEstimator(level, k int) (*sketch.BottomK, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.scanLevel(level, nil, b.Add)
+	v.order().scan(level, b.Add)
 	return b.Finish(), nil
 }
 
@@ -306,7 +200,7 @@ func (v *View) ReconcileWith(s *Sketch, mine map[int]*iblt.Table) (*Result, erro
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				t, err := v.levelTable(l, p.TableCapacity, nil)
+				t, err := v.levelTable(l, p.TableCapacity)
 				ch <- built{t, err}
 			}()
 		}
@@ -326,7 +220,7 @@ func (v *View) ReconcileWith(s *Sketch, mine map[int]*iblt.Table) (*Result, erro
 				if testHookLevelFill != nil {
 					testHookLevelFill(l)
 				}
-				t, err := v.levelTable(l, p.TableCapacity, nil)
+				t, err := v.levelTable(l, p.TableCapacity)
 				if err != nil {
 					return nil, err
 				}
@@ -391,7 +285,7 @@ func (v *View) reconcileLevel(aliceTable *iblt.Table, level, cells int) (*Result
 	if err != nil {
 		return nil, err
 	}
-	v.scanLevel(level, nil, mine.Insert)
+	v.order().scan(level, mine.Insert)
 	return v.reconcileTables(aliceTable, mine, level)
 }
 

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -47,16 +46,20 @@ func diffCases(t *testing.T) []diffCase {
 		}
 	}
 
-	// dim 8 × (levels 9+1) = 80 bits > 64: the occupancy-map fallback.
+	// dim 8 × (levels 9+1) = 80 bits: codes of two words.
 	wide := points.Universe{Dim: 8, Delta: 1 << 9}
 	wideInst := gen(wide, 300, 4, workload.NoiseUniform, 14)
 	wideDup := append(points.Clone(wideInst.Bob), wideInst.Bob[:40]...)
 
-	// dim 8 × (levels 7+1) = 64 bits: the widest code the Morton path takes.
+	// dim 8 × (levels 7+1) = 64 bits: the widest code of one word.
 	full := points.Universe{Dim: 8, Delta: 1 << 7}
 	fullInst := gen(full, 300, 4, workload.NoiseUniform, 15)
 	cube := points.Universe{Dim: 3, Delta: 1 << 16}
 	cubeInst := gen(cube, 400, 5, workload.NoiseUniform, 16)
+	// dim 16 × (levels 16+1) = 272 bits: five words, and cells that end
+	// inside one.
+	hyper := points.Universe{Dim: 16, Delta: 1 << 16}
+	hyperInst := gen(hyper, 300, 4, workload.NoiseUniform, 17)
 
 	one := []points.Point{{17, 4000}}
 	return []diffCase{
@@ -75,6 +78,8 @@ func diffCases(t *testing.T) []diffCase {
 		{"no-level-decodes", testParams(u, 1, 33).WithLevels(6, 12), noisy.Alice, clustered.Bob},
 		{"64-bit-code", testParams(full, 6, 37), fullInst.Alice, fullInst.Bob},
 		{"dim-3", testParams(cube, 8, 38), cubeInst.Alice, cubeInst.Bob},
+		{"272-bit-code", testParams(hyper, 6, 39), hyperInst.Alice, hyperInst.Bob},
+		// The 80-bit universe, named for the map path it once took.
 		{"fallback", testParams(wide, 6, 34), wideInst.Alice, wideInst.Bob},
 		{"fallback-duplicates", testParams(wide, 40, 35), wideInst.Alice, wideDup},
 		{"fallback-empty", testParams(wide, 4, 36), nil, nil},
@@ -90,8 +95,8 @@ func TestViewMatchesReference(t *testing.T) {
 			}
 			if v, err := NewView(c.p, c.alice); err != nil {
 				t.Fatal(err)
-			} else if sorted, want := v.order() != nil, len(c.alice) > 0 && !strings.HasPrefix(c.name, "fallback"); sorted != want {
-				t.Fatalf("view has a Morton order: %v, want %v", sorted, want)
+			} else if n := v.order().len(); n != len(c.alice) {
+				t.Fatalf("the view's Morton order holds %d codes, want %d", n, len(c.alice))
 			}
 			for _, side := range [][]points.Point{c.alice, c.bob} {
 				for _, k := range []int{8, 64} {
@@ -278,9 +283,9 @@ func TestReconcileWithKeptTables(t *testing.T) {
 	}
 }
 
-// TestLevelEstimatorsAllocCeiling keeps the occupancy-map path (one map
-// entry per distinct cell per level, ~13 600 allocations a level at this
-// size) from creeping back into the estimator build.
+// TestLevelEstimatorsAllocCeiling keeps per-cell allocations — a map
+// entry per distinct cell per level, ~13 600 a level at this size, as a
+// counter keyed by the encoded cell made — out of the estimator build.
 func TestLevelEstimatorsAllocCeiling(t *testing.T) {
 	u := points.Universe{Dim: 2, Delta: 1 << 20}
 	inst := genInstance(t, workload.Config{N: 20000, Universe: u, Outliers: 64, Noise: workload.NoiseUniform, Scale: 4, Seed: 1})

@@ -24,8 +24,7 @@ type windowCase struct {
 // windowCases spans noise 0/1/4/64 × n ∈ {0, 1, 2 000, 20 000} × d ∈ {1,
 // 2, 3} over five seeds (one at n = 20 000), every instance with
 // duplicate points on both sides once n allows, plus instances of a
-// universe whose Morton code does not fit 64 bits (dim 8 × 10 bits),
-// which take the occupancy-map path.
+// universe whose Morton code takes two words (dim 8 × 10 bits).
 func windowCases(t *testing.T) []windowCase {
 	t.Helper()
 	var cases []windowCase
@@ -74,6 +73,19 @@ func windowCases(t *testing.T) []windowCase {
 	return cases
 }
 
+// reconcileKept is Reconcile of sk, a sketch or a window of one, that
+// takes Bob's level tables from mine and adds those it builds to it. A
+// level's table depends only on the multiset and the public coins
+// (ReconcileWith's contract, TestReconcileWithKeptTables), so one mine
+// serves every reconcile of an instance and the result is Reconcile's.
+func reconcileKept(sk *Sketch, bob []points.Point, mine map[int]*iblt.Table) (*Result, error) {
+	v, err := NewView(sk.Params, bob)
+	if err != nil {
+		return nil, err
+	}
+	return v.ReconcileWith(sk, mine)
+}
+
 // cutWindow cuts the window [lo, hi] out of blob, a marshalled sketch of
 // normalized parameters p, and parses it as a client holding p does.
 func cutWindow(t *testing.T, blob []byte, p Params, lo, hi int) *Sketch {
@@ -97,7 +109,9 @@ func cutWindow(t *testing.T, blob []byte, p Params, lo, hi int) *Sketch {
 // order, Added, Removed, Level, CellWidth — of that level, and Outcomes
 // from hi down to it, each level's own; ErrNoDecodableLevel when none
 // does. So wherever the full scan chose a level in [lo, hi], the window
-// returns the full sketch's result with the Outcomes from hi on.
+// returns the full sketch's result with the Outcomes from hi on. Bob's
+// level tables are built once per instance, by its view, and every
+// reconcile of it reads them (reconcileKept).
 func TestWindowReconcileMatchesFull(t *testing.T) {
 	t.Parallel()
 	cases := windowCases(t)
@@ -112,14 +126,20 @@ func TestWindowReconcileMatchesFull(t *testing.T) {
 		}
 		p := sk.Params
 		view, err := NewView(p, c.bob)
-		if err != nil || (p.Universe.Dim == 8) != (view.order() == nil && len(c.bob) > 0) {
-			t.Fatalf("%s: view without a Morton order %v (%v); want it exactly for the wide universe", c.name, view.order() == nil, err)
+		if err != nil || view.order().len() != len(c.bob) {
+			t.Fatalf("%s: the view's Morton order holds %d codes, not its %d points (%v)", c.name, view.order().len(), len(c.bob), err)
+		}
+		mine := make(map[int]*iblt.Table, len(sk.Tables))
+		for l := p.MinLevel; l <= p.MaxLevel; l++ {
+			if mine[l], err = view.BuildLevelTable(l, p.TableCapacity); err != nil {
+				t.Fatal(err)
+			}
 		}
 		blob, err := sk.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, ferr := Reconcile(sk, c.bob)
+		full, ferr := reconcileKept(sk, c.bob, mine)
 		if ferr != nil && !errors.Is(ferr, ErrNoDecodableLevel) {
 			t.Fatalf("%s: %v", c.name, ferr)
 		}
@@ -128,7 +148,7 @@ func TestWindowReconcileMatchesFull(t *testing.T) {
 		alone := make([]*Result, p.MaxLevel+1)
 		own := make([]LevelOutcome, p.MaxLevel+1)
 		for l := p.MinLevel; l <= p.MaxLevel; l++ {
-			res, err := Reconcile(cutWindow(t, blob, p, l, l), c.bob)
+			res, err := reconcileKept(cutWindow(t, blob, p, l, l), c.bob, mine)
 			if err != nil && !errors.Is(err, ErrNoDecodableLevel) {
 				t.Fatalf("%s: level %d alone: %v", c.name, l, err)
 			}
@@ -136,12 +156,8 @@ func TestWindowReconcileMatchesFull(t *testing.T) {
 				own[l] = res.Outcomes[0]
 				continue
 			}
-			mine, err := view.BuildLevelTable(l, p.TableCapacity)
-			if err != nil {
-				t.Fatal(err)
-			}
 			tbl := sk.Tables[l-p.MinLevel].Clone()
-			if err := tbl.Sub(mine); err != nil {
+			if err := tbl.Sub(mine[l]); err != nil {
 				t.Fatal(err)
 			}
 			_, err = tbl.DecodeMut()
@@ -168,7 +184,7 @@ func TestWindowReconcileMatchesFull(t *testing.T) {
 				if hi > p.MaxLevel || (lo == p.MinLevel && hi == p.MaxLevel) || (hi == p.MaxLevel && lo+2 == hi) {
 					continue // past the range, the whole range, or a window just tried
 				}
-				got, gerr := Reconcile(cutWindow(t, blob, p, lo, hi), c.bob)
+				got, gerr := reconcileKept(cutWindow(t, blob, p, lo, hi), c.bob, mine)
 				windows++
 				want := scan(lo, hi)
 				if want == nil {
@@ -212,6 +228,9 @@ type driftStep struct {
 	blob []byte
 	bob  []points.Point
 	full *Result // nil where no level decodes
+	// mine holds Bob's level tables, built by the instance's reconciles
+	// as they reach them and read by every later one (reconcileKept).
+	mine map[int]*iblt.Table
 }
 
 // warm is a warm robust fetch of s on the window [lo, hi] as a Client
@@ -222,15 +241,15 @@ type driftStep struct {
 func (s *driftStep) warm(t *testing.T, lo, hi int) (res *Result, up, down bool, tables int) {
 	t.Helper()
 	p := s.sk.Params
-	res, err := Reconcile(cutWindow(t, s.blob, p, lo, hi), s.bob)
+	res, err := reconcileKept(cutWindow(t, s.blob, p, lo, hi), s.bob, s.mine)
 	tables = hi - lo + 1
 	if err == nil && hi < p.MaxLevel && !p.Overloaded(res.Outcomes[0]) {
 		up, tables = true, tables+p.MaxLevel-hi+1
-		res, err = Reconcile(cutWindow(t, s.blob, p, hi, p.MaxLevel), s.bob)
+		res, err = reconcileKept(cutWindow(t, s.blob, p, hi, p.MaxLevel), s.bob, s.mine)
 	}
 	if errors.Is(err, ErrNoDecodableLevel) {
 		down, tables = true, tables+len(s.sk.Tables)
-		res, err = Reconcile(s.sk, s.bob)
+		res, err = reconcileKept(s.sk, s.bob, s.mine)
 	}
 	if err != nil && !errors.Is(err, ErrNoDecodableLevel) {
 		t.Fatalf("%s: window [%d,%d]: %v", s.name, lo, hi, err)
@@ -272,11 +291,12 @@ func driftChains(t *testing.T, f, reps int, off uint64, visit func([]*driftStep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Reconcile(sk, inst.Bob)
+		mine := make(map[int]*iblt.Table, len(sk.Tables))
+		full, err := reconcileKept(sk, inst.Bob, mine)
 		if err != nil && !errors.Is(err, ErrNoDecodableLevel) {
 			t.Fatalf("%s: %v", name, err)
 		}
-		return &driftStep{name: name, sk: sk, blob: blob, bob: inst.Bob, full: full}
+		return &driftStep{name: name, sk: sk, blob: blob, bob: inst.Bob, full: full, mine: mine}
 	}
 	bothWays := func(chain []*driftStep) {
 		visit(chain)

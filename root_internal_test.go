@@ -109,7 +109,7 @@ func randomPoint(rng *rand.Rand, u Universe) Point {
 // root, so one published root is pinned by value: a change to its hash
 // must come with a MuxVersion bump. After every step the dataset's
 // points, size and sketch are also the model's, in the plane and in a
-// universe too wide for 64-bit Morton codes (4 × 17 bits) with a trimmed
+// universe whose Morton codes take two words (4 × 17 bits) with a trimmed
 // level range.
 func TestDatasetRootTracksMultiset(t *testing.T) {
 	for _, params := range []Params{
@@ -383,8 +383,8 @@ func TestFetchDatasetMutationAfterRootRead(t *testing.T) {
 
 // TestRecoveryRefusesRemoveOfAbsentPoint: a log record that removes a
 // point the recovered state does not hold fails the publish with
-// ErrNotPresent, naming the record — in a universe with 64-bit Morton
-// codes and in one too wide for them, with a trimmed level range.
+// ErrNotPresent, naming the record — in a universe whose Morton codes
+// take one word and in one whose take two, with a trimmed level range.
 func TestRecoveryRefusesRemoveOfAbsentPoint(t *testing.T) {
 	for _, params := range []Params{
 		{Universe: Universe{Dim: 2, Delta: 1 << 10}, Seed: 5, DiffBudget: 4},
