@@ -300,3 +300,31 @@ func BenchmarkMortonOrder20k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRepair20k is a warm robust fetch's client work once the level
+// is known, at the ruler's noisy shape: ReconcileLevelWith on prebuilt
+// level-10 tables — a table copy, the subtraction, the peel and the
+// repair that turns the decoded difference into S'_B.
+func BenchmarkRepair20k(b *testing.B) {
+	inst, p := rulerWorkload(b, 20000)
+	v, err := NewView(p, inst.Bob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	capacity := v.Params().TableCapacity
+	alice, err := BuildLevelTable(p, inst.Alice, 10, capacity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mine, err := v.BuildLevelTable(10, capacity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.ReconcileLevelWith(alice, mine, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -177,20 +177,6 @@ func appendKey(dst []byte, g *grid.Grid, c grid.Cell, occ uint32) []byte {
 	return dst
 }
 
-// splitKey decodes an IBLT key back into cell and occurrence.
-func splitKey(g *grid.Grid, key []byte) (grid.Cell, uint32, error) {
-	cs := g.EncodedCellSize()
-	if len(key) != cs+4 {
-		return nil, 0, fmt.Errorf("core: key length %d, want %d", len(key), cs+4)
-	}
-	c, err := g.DecodeCell(key[:cs])
-	if err != nil {
-		return nil, 0, err
-	}
-	occ := uint32(key[cs]) | uint32(key[cs+1])<<8 | uint32(key[cs+2])<<16 | uint32(key[cs+3])<<24
-	return c, occ, nil
-}
-
 // Sketch is Alice's transmissible summary: one IBLT per grid level in
 // [Params.MinLevel, Params.MaxLevel].
 type Sketch struct {
@@ -305,7 +291,9 @@ type LevelOutcome struct {
 
 // Result is the outcome of a reconciliation on Bob's side.
 type Result struct {
-	// SPrime is Bob's reconciled multiset S'_B.
+	// SPrime is Bob's reconciled multiset S'_B: copies of his points that
+	// no Bob-only key removed, in the order of his slice, then the Added
+	// points, in Alice-only key order.
 	SPrime []points.Point
 	// Params are the normalized parameters the reconciliation ran under
 	// (for the one-shot protocol, the ones carried by Alice's sketch).
@@ -317,8 +305,8 @@ type Result struct {
 	// Added holds the cell-center points inserted into S'_B (one per
 	// Alice-only key).
 	Added []points.Point
-	// Removed holds Bob's own points deleted from S'_B (one per Bob-only
-	// key).
+	// Removed holds Bob's own points deleted from S'_B, one per Bob-only
+	// key in key order; they are his slice's points, not copies.
 	Removed []points.Point
 	// Outcomes records the decode attempt at every scanned level, finest
 	// first, ending with the successful one. A warm fetch's begin at its

@@ -41,8 +41,8 @@ type Maintainer struct {
 	g      *grid.Grid
 	sketch *Sketch
 	codes  *codeIndex // the points' Morton codes
-	code   []uint64   // scratch: the code of the point Add, Remove or Multiplicity looks up
-	keyBuf []byte     // scratch reused by Add/Remove (no per-update allocs)
+	code   []uint64   // scratch: the code of the point Update or Multiplicity looks up
+	keyBuf []byte     // scratch reused by Update (no per-update allocs)
 }
 
 // NewMaintainer builds the sketch for the initial multiset and the
@@ -127,7 +127,7 @@ func (m *Maintainer) LevelEstimator(level, k int) (*sketch.BottomK, error) {
 }
 
 // Add inserts one point into the maintained multiset.
-func (m *Maintainer) Add(pt points.Point) error { return m.apply(pt, +1) }
+func (m *Maintainer) Add(pt points.Point) error { _, err := m.Update(pt, +1); return err }
 
 // ErrNotPresent is returned by Remove when the point is not in the
 // maintained multiset.
@@ -136,7 +136,7 @@ var ErrNotPresent = errors.New("core: maintainer: point not present")
 // Remove deletes one instance of a point from the maintained multiset. A
 // point it does not hold is ErrNotPresent, and the sketch is left as it
 // was.
-func (m *Maintainer) Remove(pt points.Point) error { return m.apply(pt, -1) }
+func (m *Maintainer) Remove(pt points.Point) error { _, err := m.Update(pt, -1); return err }
 
 // Multiplicity returns how many instances of pt the multiset holds: 0
 // for a point outside the universe.
@@ -171,19 +171,21 @@ func (m *Maintainer) EachPoint(emit func(pt points.Point)) {
 	})
 }
 
-// apply adds (delta +1) or removes (−1) one occurrence of pt: at every
-// level it inserts the key of the occurrence the cell's count before the
-// change names, or deletes the key of the one below it, and then updates
-// the record of the points. A point outside the universe, and one a
-// remove finds absent, fail before any table is touched.
-func (m *Maintainer) apply(pt points.Point, delta int) error {
+// Update adds (delta +1) or removes (−1) one occurrence of pt, and
+// returns how many the multiset held before: the occurrence index an add
+// gives the new copy, one more than the index a remove takes away. At
+// every level it inserts the key of the occurrence the cell's count
+// before the change names, or deletes the key of the one below it, and
+// then updates the record of the points. A point outside the universe,
+// and one a remove finds absent, fail before any table is touched.
+func (m *Maintainer) Update(pt points.Point, delta int) (held int, err error) {
 	if !m.params.Universe.Contains(pt) {
-		return fmt.Errorf("core: maintainer: point %v outside universe", pt)
+		return 0, fmt.Errorf("core: maintainer: point %v outside universe", pt)
 	}
 	x, n, buf := m.codes, 1, m.keyBuf
 	held, c, i := m.locate(pt) // the point's code is searched once, for every level
 	if delta < 0 && held == 0 {
-		return fmt.Errorf("%w: %v", ErrNotPresent, pt)
+		return 0, fmt.Errorf("%w: %v", ErrNotPresent, pt)
 	}
 	for l := m.params.MinLevel; l <= m.params.MaxLevel; l++ {
 		buf = m.g.AppendCell(buf[:0], l, pt)
@@ -203,5 +205,5 @@ func (m *Maintainer) apply(pt points.Point, delta int) error {
 	}
 	m.keyBuf = buf
 	m.sketch.Count += delta
-	return nil
+	return held, nil
 }

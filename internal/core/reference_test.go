@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -154,6 +155,20 @@ func refReconcileLevel(p Params, aliceTable *iblt.Table, bobPts []points.Point, 
 	return res, nil
 }
 
+// splitKey decodes an IBLT key back into cell and occurrence.
+func splitKey(g *grid.Grid, key []byte) (grid.Cell, uint32, error) {
+	cs := g.EncodedCellSize()
+	if len(key) != cs+4 {
+		return nil, 0, fmt.Errorf("core: key length %d, want %d", len(key), cs+4)
+	}
+	c := make(grid.Cell, g.Dim())
+	for i := range c {
+		c[i] = int64(binary.LittleEndian.Uint64(key[8*i:]))
+	}
+	occ := binary.LittleEndian.Uint32(key[cs:])
+	return c, occ, nil
+}
+
 // refRepair resolves Bob-only keys through a global sort of all of Bob's
 // points by (encoded cell, index).
 func refRepair(res *Result, g *grid.Grid, level int, diff *iblt.Diff, bobPts []points.Point) error {
@@ -207,11 +222,11 @@ func refRepair(res *Result, g *grid.Grid, level int, diff *iblt.Diff, bobPts []p
 		}
 	}
 	for _, key := range diff.Pos {
-		cell, _, err := splitKey(g, key)
-		if err != nil {
+		if _, _, err := splitKey(g, key); err != nil {
 			return fmt.Errorf("%w: %v", ErrInconsistentSketch, err)
 		}
-		center := g.Center(level, cell)
+		center := make(points.Point, g.Dim())
+		g.PutCenter(center, level, key)
 		res.Added = append(res.Added, center)
 		res.SPrime = append(res.SPrime, center)
 	}

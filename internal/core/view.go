@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -324,109 +322,23 @@ func (v *View) reconcileTables(aliceTable, mine *iblt.Table, level int) (*Result
 // repair applies a decoded level difference to Bob's multiset: it
 // deletes the points named by Bob-only keys and adds the cell centers of
 // Alice-only keys. Occurrence j of a cell names Bob's j-th point in that
-// cell in slice order. The ≤ |Neg| named cells sit in a small
-// open-addressed table, and one pass over Bob's points copies them into
-// S'_B's backing array and, rounding each to its cell with shifts,
-// collects the named cells' points.
+// cell in slice order. One points.DropOccurrences pass over Bob's points,
+// which map to their cells by the grid's shift and the level's right
+// shift, finds the named points and copies the rest into S'_B, which
+// has room for the centers after them.
 func (v *View) repair(res *Result, level int, diff *iblt.Diff) error {
-	g, d := v.g, v.g.Dim()
-	res.Level = level
-	res.CellWidth = g.CellWidth(level)
-	var (
-		cells   []uint64  // the named cells, d coordinates each
-		members [][]int32 // each named cell's points in slice order
-		named   []int32   // each well-formed Bob-only key's cell, up to the first malformed
-		bits    = 1
-	)
-	for 1<<bits < 2*len(diff.Neg) {
-		bits++
+	g := v.g
+	res.Level, res.CellWidth = level, g.CellWidth(level)
+	dr, err := points.DropOccurrences(v.pts, g.Dim(), points.KeyWords{Shift: g.Shift(), RShift: uint(g.Levels() - level)}, diff.Neg, diff.Pos)
+	if err != nil {
+		return fmt.Errorf("%w: core: %w", ErrInconsistentSketch, err)
 	}
-	table := make([]int32, 1<<bits) // a named cell's index + 1; 0 is free
-	mask, top := uint64(len(table)-1), uint(64-bits)
-	const mix = 0x9e3779b97f4a7c15
-	cell := make([]uint64, d)
-	// slot returns where cell, of hash h, sits in the table, or the free
-	// slot it would take.
-	slot := func(h uint64) uint64 {
-		t := h >> top
-		for e := table[t]; e != 0 && !slices.Equal(cells[(e-1)*int32(d):e*int32(d)], cell); e = table[t] {
-			t = (t + 1) & mask
-		}
-		return t
-	}
-	for _, key := range diff.Neg {
-		if len(key) != KeyLen(d) {
-			break
-		}
-		h := uint64(0)
-		for j := range cell {
-			cell[j] = binary.LittleEndian.Uint64(key[8*j:])
-			h = (h ^ cell[j]) * mix
-		}
-		t := slot(h)
-		if table[t] == 0 {
-			cells, members = append(cells, cell...), append(members, nil)
-			table[t] = int32(len(members))
-		}
-		named = append(named, table[t]-1)
-	}
-	// One backing array is carved into the S'_B points instead of a clone
-	// per point: this runs once per session over all of |S_B|. Full-slice
-	// expressions keep each point's capacity at its own length, so
-	// appending to one returned point cannot clobber its neighbor.
-	backing := make([]int64, len(v.pts)*d)
-	res.SPrime = make([]points.Point, len(v.pts), len(v.pts)+len(diff.Pos))
-	sh, shift := uint(g.Levels()-level), g.Shift()
-	for i, p := range v.pts {
-		row := backing[i*d : (i+1)*d : (i+1)*d]
-		res.SPrime[i] = row
-		h := uint64(0)
-		for j, x := range p {
-			row[j], cell[j] = x, uint64(x+shift[j])>>sh
-			h = (h ^ cell[j]) * mix
-		}
-		if len(named) == 0 {
-			continue
-		}
-		if e := table[slot(h)]; e != 0 {
-			members[e-1] = append(members[e-1], int32(i))
-		}
-	}
-	drop := make([]int32, len(named))
-	taken := make(map[int32]bool, len(named))
-	for k, e := range named {
-		occ, in := binary.LittleEndian.Uint32(diff.Neg[k][8*d:]), members[e]
-		if int(occ) >= len(in) {
-			return fmt.Errorf("%w: bob-only key names occurrence %d of a cell with %d local points", ErrInconsistentSketch, occ, len(in))
-		}
-		if drop[k] = in[occ]; taken[drop[k]] {
-			return fmt.Errorf("%w: point %d removed twice", ErrInconsistentSketch, drop[k])
-		}
-		taken[drop[k]] = true
-		res.Removed = append(res.Removed, v.pts[drop[k]])
-	}
-	if len(named) < len(diff.Neg) {
-		return fmt.Errorf("%w: core: key length %d, want %d", ErrInconsistentSketch, len(diff.Neg[len(named)]), KeyLen(d))
-	}
-	// The removals, sorted, close up S'_B a run of survivors at a time.
-	slices.Sort(drop)
-	kept := res.SPrime[:0]
-	for k, at := range append(drop, int32(len(v.pts))) {
-		from := 0
-		if k > 0 {
-			from = int(drop[k-1]) + 1
-		}
-		kept = append(kept, res.SPrime[from:at]...)
-	}
-	res.SPrime = kept
 	for _, key := range diff.Pos {
-		cell, _, err := splitKey(g, key)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrInconsistentSketch, err)
-		}
-		center := g.Center(level, cell)
-		res.Added = append(res.Added, center)
-		res.SPrime = append(res.SPrime, center)
+		g.PutCenter(dr.Add(), level, key)
+	}
+	res.SPrime, res.Removed = dr.Kept, dr.Removed
+	if len(diff.Pos) > 0 {
+		res.Added = res.SPrime[len(res.SPrime)-len(diff.Pos):]
 	}
 	return nil
 }

@@ -402,3 +402,67 @@ func TestViewConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// allocBytes returns the bytes f allocates a call, over runs calls after
+// a first one, on one P.
+func allocBytes(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	f()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// pages is the size of a large allocation of b bytes: the allocator hands
+// out an array above 32 KiB in whole 8 KiB pages.
+func pages(b int) uint64 { return uint64(b+8191) &^ 8191 }
+
+// TestRepairAllocCeiling holds the repair of a decoded level difference
+// at the ruler's noisy shape (n = 20 000, level 10) to S'_B's own bytes —
+// its two arrays, a header and d coordinates for each kept and added
+// point — plus 8 KiB for the lookup of the named cells and
+// Result.Removed.
+func TestRepairAllocCeiling(t *testing.T) {
+	u := points.Universe{Dim: 2, Delta: 1 << 20}
+	inst := genInstance(t, workload.Config{N: 20000, Universe: u, Outliers: 64, Noise: workload.NoiseUniform, Scale: 4, Seed: 1})
+	v, err := NewView(Params{Universe: u, Seed: 7, DiffBudget: 160}, inst.Bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const level = 10
+	capacity := v.Params().TableCapacity
+	alice, err := BuildLevelTable(v.Params(), inst.Alice, level, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, err := v.BuildLevelTable(level, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Sub(mine); err != nil {
+		t.Fatal(err)
+	}
+	diff, err := alice.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := new(Result)
+	got := allocBytes(5, func() {
+		if err := v.repair(res, level, diff); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rows := len(inst.Bob) - len(diff.Neg) + len(diff.Pos)
+	if len(res.SPrime) != rows || cap(res.SPrime) != rows {
+		t.Fatalf("S'_B holds %d points of capacity %d, want %d", len(res.SPrime), cap(res.SPrime), rows)
+	}
+	own := pages(rows*24) + pages(rows*8*u.Dim)
+	t.Logf("|Neg| %d, |Pos| %d: %d B allocated, %d B of them S'_B's", len(diff.Neg), len(diff.Pos), got, own)
+	if got > own+8<<10 {
+		t.Errorf("the repair allocates %d B, over S'_B's %d B + 8 KiB", got, own)
+	}
+}

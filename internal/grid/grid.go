@@ -113,31 +113,18 @@ func (g *Grid) Cell(level int, p points.Point) Cell {
 	return c
 }
 
-// Center returns the representative point for a cell at a level: the cell's
-// geometric center mapped back into raw coordinates and clamped into the
-// universe. At level Levels() (width-1 cells) the center is exactly the
-// unique point of the cell, making the finest level lossless.
-func (g *Grid) Center(level int, c Cell) points.Point {
-	g.checkLevel(level)
-	if len(c) != g.u.Dim {
-		panic(fmt.Sprintf("grid: cell dimension %d != universe dimension %d", len(c), g.u.Dim))
-	}
+// PutCenter writes into dst, of the grid's dimension, the representative
+// point of the cell enc encodes (EncodeCell's form) at a valid level: the
+// cell's geometric center mapped back into raw coordinates and clamped
+// into the universe. Cell c spans shifted coordinates [c·w, (c+1)·w), so
+// its center is c·w + w/2 − shift; at level Levels() (width 1) that is
+// the cell's one point, which makes the finest level lossless.
+func (g *Grid) PutCenter(dst points.Point, level int, enc []byte) {
 	w := g.u.Delta >> uint(level)
-	p := make(points.Point, g.u.Dim)
-	for i, ci := range c {
-		// Cell ci spans shifted coordinates [ci*w, (ci+1)*w), i.e. raw
-		// coordinates [ci*w - shift, (ci+1)*w - shift). Its center is
-		// ci*w + w/2 - shift (for w=1 the "+w/2" vanishes and the center is
-		// the cell's unique raw coordinate).
-		p[i] = ci*w + w/2 - g.shift[i]
+	for i := range dst {
+		c := int64(binary.LittleEndian.Uint64(enc[8*i:]))
+		dst[i] = min(max(c*w+w/2-g.shift[i], 0), g.u.Delta-1)
 	}
-	return g.u.Clamp(p)
-}
-
-// Round maps a point to the center of its cell at the given level — the
-// paper's rounding operation.
-func (g *Grid) Round(level int, p points.Point) points.Point {
-	return g.Center(level, g.Cell(level, p))
 }
 
 // AppendCell appends the canonical encoding of the cell containing p at
@@ -172,18 +159,6 @@ func (g *Grid) EncodeCell(dst []byte, c Cell) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(ci))
 	}
 	return dst
-}
-
-// DecodeCell parses EncodeCell output.
-func (g *Grid) DecodeCell(b []byte) (Cell, error) {
-	if len(b) != g.EncodedCellSize() {
-		return nil, fmt.Errorf("grid: decode cell: have %d bytes, want %d", len(b), g.EncodedCellSize())
-	}
-	c := make(Cell, g.u.Dim)
-	for i := range c {
-		c[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return c, nil
 }
 
 // SeparationProbabilityBound returns the standard upper bound, under the ℓ1

@@ -1,12 +1,44 @@
 package grid
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 
 	"robustset/internal/points"
 )
+
+// Center is PutCenter of a Cell: the representative point of cell c at
+// a level.
+func (g *Grid) Center(level int, c Cell) points.Point {
+	g.checkLevel(level)
+	if len(c) != g.u.Dim {
+		panic(fmt.Sprintf("grid: cell dimension %d != universe dimension %d", len(c), g.u.Dim))
+	}
+	p := make(points.Point, g.u.Dim)
+	g.PutCenter(p, level, g.EncodeCell(nil, c))
+	return p
+}
+
+// Round maps a point to the center of its cell at the given level — the
+// paper's rounding operation.
+func (g *Grid) Round(level int, p points.Point) points.Point {
+	return g.Center(level, g.Cell(level, p))
+}
+
+// DecodeCell parses EncodeCell output.
+func (g *Grid) DecodeCell(b []byte) (Cell, error) {
+	if len(b) != g.EncodedCellSize() {
+		return nil, fmt.Errorf("grid: decode cell: have %d bytes, want %d", len(b), g.EncodedCellSize())
+	}
+	c := make(Cell, g.u.Dim)
+	for i := range c {
+		c[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return c, nil
+}
 
 func testUniverse(d int, delta int64) points.Universe {
 	return points.Universe{Dim: d, Delta: delta}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -322,6 +323,45 @@ func TestApplyExactDiffErrors(t *testing.T) {
 		case c.want != nil && (err != nil || !slices.EqualFunc(got, c.want, points.Point.Equal)):
 			t.Errorf("%s: %v, %v; want %v", c.what, got, err, c.want)
 		}
+	}
+}
+
+// TestApplyExactDiffAllocCeiling holds the apply of a 64-key difference
+// over 20 000 points (the churn workload's shape) to S'_B's own bytes —
+// its two arrays, a header and d coordinates for each kept and added
+// point, which the allocator hands out in whole 8 KiB pages — plus 8 KiB
+// for the lookup of the named points.
+func TestApplyExactDiffAllocCeiling(t *testing.T) {
+	u := points.Universe{Dim: 2, Delta: 1 << 20}
+	inst, err := workload.Generate(workload.Config{N: 20000, Universe: u, Noise: workload.NoiseNone, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob := inst.Bob
+	keys := points.OccurrenceKeys(bob, u.Dim)
+	var d iblt.Diff
+	for i := range 32 {
+		d.Neg = append(d.Neg, keys[i*601])
+		d.Pos = append(d.Pos, binary.LittleEndian.AppendUint32(points.EncodeNew(points.Point{int64(i), 7}), 0))
+	}
+	var got []points.Point
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 5 {
+		if got, err = applyExactDiff(u, bob, &d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	rows := len(bob) - len(d.Neg) + len(d.Pos)
+	if len(got) != rows || cap(got) != rows {
+		t.Fatalf("S'_B holds %d points of capacity %d, want %d", len(got), cap(got), rows)
+	}
+	pages := func(b int) uint64 { return uint64(b+8191) &^ 8191 }
+	own, each := pages(rows*24)+pages(rows*8*u.Dim), (after.TotalAlloc-before.TotalAlloc)/5
+	if each > own+8<<10 {
+		t.Errorf("the apply allocates %d B, over S'_B's %d B + 8 KiB", each, own)
 	}
 }
 

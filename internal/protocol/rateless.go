@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand/v2"
-	"slices"
 
 	"robustset/internal/hashutil"
 	"robustset/internal/iblt"
@@ -380,7 +378,8 @@ func RunRatelessServed(ctx context.Context, t transport.Transport, cfg RatelessC
 
 // RatelessResult is the fetching side's outcome of a rateless session.
 type RatelessResult struct {
-	// SPrime is Alice's multiset, exactly.
+	// SPrime is Alice's multiset, exactly: copies of the local points
+	// the difference kept, in their order, then the points it added.
 	SPrime []points.Point
 	// Diff is the size of the difference decoded to reach it, in keys: what
 	// a later session's warm opening is sized from (WarmFirst).
@@ -588,112 +587,32 @@ func RunRatelessBob(ctx context.Context, t transport.Transport, cfg RatelessConf
 	}
 }
 
-// dropped is one point a decoded difference removes: the occurrences of
-// it that the Neg keys name, and the indices of Bob's points equal to it.
-type dropped struct {
-	p    points.Point
-	h    uint64 // mixPoint(p)
-	occs []uint32
-	at   []int
-}
-
-// mixPoint is the unkeyed hash applyExactDiff's scan looks points up by.
-func mixPoint(p points.Point) uint64 {
-	var h uint64
-	for _, c := range p {
-		h = (h ^ uint64(c)) * 0x9e3779b97f4a7c15
-		h ^= h >> 29
-	}
-	return h
-}
-
 // applyExactDiff turns decoded keys back into points: Alice-only keys are
 // added, and each Bob-only key (p, occ) names an occurrence of p to drop.
 // Bob's occurrences of p are numbered in slice order, as
 // points.OccurrenceKeys numbers them, so the k keys naming p must name
 // his top k occurrences, and the last k copies of p in bobPts are dropped.
-// One hashed scan of bobPts, which copies them too, finds those copies; a
-// key naming anything else fails with ErrNotLocal. The result is a deep
-// copy carved out of one array.
+// One points.DropOccurrences pass over bobPts finds those copies and
+// copies the rest; a key naming anything else fails with ErrNotLocal. The
+// result is a deep copy carved out of one array, Bob's kept points in his
+// order and then Alice's.
 func applyExactDiff(u points.Universe, bobPts []points.Point, diff *iblt.Diff) ([]points.Point, error) {
-	encSize := points.EncodedSize(u.Dim)
-	for _, keys := range [][][]byte{diff.Pos, diff.Neg} {
-		for _, k := range keys {
-			if len(k) != encSize+4 {
-				return nil, fmt.Errorf("protocol: exact diff key of %d bytes", len(k))
-			}
+	dr, err := points.DropOccurrences(bobPts, u.Dim, points.KeyWords{}, diff.Neg, diff.Pos)
+	switch {
+	case errors.Is(err, points.ErrNotHeld):
+		return nil, fmt.Errorf("%w: %w", ErrNotLocal, err)
+	case err != nil:
+		return nil, fmt.Errorf("protocol: exact diff: %w", err)
+	}
+	enc := points.EncodedSize(u.Dim)
+	for k, key := range diff.Neg {
+		if occ := binary.LittleEndian.Uint32(key[enc:]); occ < dr.Left[k] {
+			return nil, fmt.Errorf("%w: removals of %v must name its top copies; occurrence %d is below the %d kept",
+				ErrNotLocal, dr.Removed[k], occ, dr.Left[k])
 		}
 	}
-	// An open-addressed table of the points Neg names, at most half full:
-	// a slot holds 1 + the point's index in drops.
-	drops := make([]dropped, 0, len(diff.Neg))
-	mask := 1<<bits.Len(uint(2*len(diff.Neg))) - 1
-	slots := make([]int32, mask+1)
-	for _, k := range diff.Neg {
-		p := make(points.Point, u.Dim)
-		if err := points.DecodeInto(p, k[:encSize]); err != nil {
-			return nil, err
-		}
-		h := mixPoint(p)
-		s := int(h) & mask
-		for ; slots[s] != 0 && !drops[slots[s]-1].p.Equal(p); s = (s + 1) & mask {
-		}
-		if slots[s] == 0 {
-			drops = append(drops, dropped{p: p, h: h})
-			slots[s] = int32(len(drops))
-		}
-		dp := &drops[slots[s]-1]
-		dp.occs = append(dp.occs, binary.LittleEndian.Uint32(k[encSize:]))
+	for _, key := range diff.Pos {
+		_ = points.DecodeInto(dr.Add(), key[:enc]) // DropOccurrences checked the length
 	}
-	dim, n := u.Dim, len(bobPts)
-	out := make([]points.Point, n+len(diff.Pos))
-	coords := make([]int64, len(out)*dim)
-	for i, p := range bobPts {
-		q := coords[i*dim : (i+1)*dim : (i+1)*dim]
-		copy(q, p)
-		out[i] = q
-		if len(drops) == 0 {
-			continue
-		}
-		h := mixPoint(p)
-		for s := int(h) & mask; slots[s] != 0; s = (s + 1) & mask {
-			if dp := &drops[slots[s]-1]; dp.h == h && dp.p.Equal(p) {
-				dp.at = append(dp.at, i)
-				break
-			}
-		}
-	}
-	var gone []int // indices into bobPts, one per Neg key
-	for _, dp := range drops {
-		slices.Sort(dp.occs)
-		have, k := len(dp.at), len(dp.occs)
-		for j, occ := range dp.occs {
-			if want := have - k + j; want < 0 || occ != uint32(want) {
-				return nil, fmt.Errorf("%w: %d removals of %v name occurrence %d; Bob holds %d copies",
-					ErrNotLocal, k, dp.p, occ, have)
-			}
-		}
-		gone = append(gone, dp.at[have-k:]...)
-	}
-	if len(gone) > 0 {
-		slices.Sort(gone)
-		w := gone[0]
-		for r := w; r < n; r++ {
-			if len(gone) > 0 && gone[0] == r {
-				gone = gone[1:]
-				continue
-			}
-			out[w] = out[r]
-			w++
-		}
-		out = append(out[:w], out[n:]...)
-	}
-	added := out[len(out)-len(diff.Pos):]
-	for j, k := range diff.Pos {
-		added[j] = coords[(n+j)*dim : (n+j+1)*dim : (n+j+1)*dim]
-		if err := points.DecodeInto(added[j], k[:encSize]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return dr.Kept, nil
 }

@@ -339,23 +339,25 @@ func (d *Dataset) mutateLocked(op store.Op, pts []Point) error {
 func (d *Dataset) applyLocked(op store.Op, pt Point, enc string) error {
 	switch op {
 	case store.OpAdd:
-		if err := d.maintainer.Add(pt); err != nil {
+		held, err := d.maintainer.Update(pt, +1)
+		if err != nil {
 			return err
 		}
 		d.root.Add(d.rootKey.Hash(pt))
 		// A new occurrence takes the next free occurrence index, so the
 		// key multiset stays dense per point.
 		if d.exact != nil {
-			d.exact.Add(enc, uint32(d.maintainer.Multiplicity(pt)-1))
+			d.exact.Add(enc, uint32(held))
 		}
 	case store.OpRemove:
-		if err := d.maintainer.Remove(pt); err != nil {
+		held, err := d.maintainer.Update(pt, -1)
+		if err != nil {
 			return err
 		}
 		d.root.Remove(d.rootKey.Hash(pt))
 		// Removing the highest occurrence index keeps indexes dense.
 		if d.exact != nil {
-			d.exact.Remove(enc, uint32(d.maintainer.Multiplicity(pt)))
+			d.exact.Remove(enc, uint32(held-1))
 		}
 	default:
 		return fmt.Errorf("unknown op %d", op)

@@ -71,7 +71,10 @@ type SyncResult struct {
 	// SPrime is the reconciled multiset (S'_B). For exact strategies it
 	// equals the remote set exactly on success; for robust strategies it
 	// is close to the remote set in Earth Mover's Distance, which
-	// EMD(SPrime, remote, metric) measures.
+	// EMD(SPrime, remote, metric) measures. Robust, Adaptive and Rateless
+	// order it as copies of the local points the difference kept, in the
+	// local slice's order, then the points it added; Naive returns the
+	// remote snapshot in the order it was sent.
 	SPrime []Point
 	// Robust carries the robust protocol's detailed result (chosen level,
 	// added/removed points, per-level outcomes); nil for Rateless and
