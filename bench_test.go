@@ -542,6 +542,78 @@ func BenchmarkRobustFetch20k(b *testing.B) {
 	}
 }
 
+// BenchmarkReplicatorRound16 is the ruler's cluster_quiescent op as a Go
+// benchmark: two nodes publishing the same 32 000 points in 16 shards,
+// and a replicator on the first that pulls from the second with two
+// workers, one RunRound per iteration. converged is the ruler's op: the
+// round is one roots exchange that settles every shard. one-diverged adds
+// a fresh point on the peer before every round, so the round runs the
+// exchange and the full session of that point's shard. streams/op counts
+// the streams the peer accepted (its server_mux_streams_total).
+func BenchmarkReplicatorRound16(b *testing.B) {
+	const shards, perShard = 16, 2000
+	inst, err := workload.Generate(workload.Config{
+		N: shards * perShard, Universe: benchUniverse, Noise: workload.NoiseNone, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := robustset.Params{Universe: benchUniverse, Seed: 7, DiffBudget: 16}
+	for _, name := range []string{"converged", "one-diverged"} {
+		b.Run(name, func(b *testing.B) {
+			m := robustset.NewMetrics()
+			local, remote := robustset.NewServer(), robustset.NewServer(robustset.WithServerMetrics(m))
+			defer local.Close()
+			defer remote.Close()
+			if _, err := local.PublishSharded("cluster", params, inst.Bob, shards); err != nil {
+				b.Fatal(err)
+			}
+			peer, err := remote.PublishSharded("cluster", params, inst.Bob, shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() { _ = remote.Serve(ln) }() // returns ErrServerClosed on Close
+			rep, err := robustset.NewReplicator(local, []robustset.Peer{{Name: "peer", Addr: ln.Addr().String()}},
+				robustset.WithReplicatorWorkers(2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rep.Close()
+			ctx := context.Background()
+			added := 0
+			round := func() int64 {
+				if name == "one-diverged" {
+					// Outside the generated points' range: always fresh.
+					added++
+					if err := peer.Add(robustset.Point{benchUniverse.Delta - 1, int64(added)}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				st, err := rep.RunRound(ctx)
+				if err != nil || st.Errors != 0 || st.Sessions != shards || st.Converged != (name == "converged") {
+					b.Fatalf("round %+v, %v", st, err)
+				}
+				return st.Bytes
+			}
+			round() // dials the peer
+			streams := m.Snapshot()["server_mux_streams_total"]
+			var wire int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wire += round()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
+			b.ReportMetric(float64(m.Snapshot()["server_mux_streams_total"]-streams)/float64(b.N), "streams/op")
+		})
+	}
+}
+
 // BenchmarkAdaptiveFetch20k is the ruler's adaptive_noisy op as a Go
 // benchmark: a server holding 20 000 points under levels 0–10, a loopback
 // client holding a noisy copy with 64 outliers, one estimate-first Fetch

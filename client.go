@@ -362,15 +362,11 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 		strat, taken = c.warm(cs.sess.dataset, w)
 		defer func() { c.learn(cs.sess.dataset, w, taken, res, err) }()
 	}
-	select {
-	case c.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, TransferStats{}, ctx.Err()
-	}
-	defer func() { <-c.sem }()
 	for {
-		var more TransferStats
-		res, more, err = cs.session(ctx, strat, d, local)
+		more, err := c.exchange(ctx, func(t transport.Transport) (err error) {
+			res, err = cs.sess.fetchOver(ctx, t, strat, d, local)
+			return err
+		})
 		stats.Add(more)
 		if err == nil {
 			return res, stats, nil
@@ -393,17 +389,24 @@ func (cs *ClientSession) fetch(ctx context.Context, d *Dataset, local []Point) (
 	}
 }
 
-// session runs one session of strat on one stream of the connection. A
-// connection found dead before the session began is dialed again, once.
-func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset, local []Point) (*SyncResult, TransferStats, error) {
-	c := cs.c
+// exchange runs fn on one stream of the connection — one session, or one
+// roots exchange — and returns the stream's share of the wire. It waits
+// for a free stream slot first. A connection found dead before fn began is
+// dialed again, once.
+func (c *Client) exchange(ctx context.Context, fn func(transport.Transport) error) (TransferStats, error) {
+	select {
+	case c.sem <- struct{}{}:
+	case <-ctx.Done():
+		return TransferStats{}, ctx.Err()
+	}
+	defer func() { <-c.sem }()
 	c.mu.Lock()
 	c.sessions++
 	c.mu.Unlock()
 	for attempt := 0; ; attempt++ {
 		m, err := c.ensure(ctx)
 		if err != nil {
-			return nil, TransferStats{}, err
+			return TransferStats{}, err
 		}
 		st, err := m.Open(ctx)
 		if err != nil {
@@ -411,9 +414,9 @@ func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset
 			if attempt == 0 && ctx.Err() == nil {
 				continue
 			}
-			return nil, TransferStats{}, err
+			return TransferStats{}, err
 		}
-		res, ferr := cs.sess.fetchOver(ctx, st, strat, d, local)
+		ferr := fn(st)
 		stats := st.Stats()
 		if ferr != nil {
 			// Tear this stream down on both ends without disturbing its
@@ -427,11 +430,11 @@ func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset
 			if attempt == 0 && stats.BytesRecv == 0 && m.Err() != nil && ctx.Err() == nil {
 				continue
 			}
-			return nil, stats, ferr
+			return stats, ferr
 		}
 		// The server counts the stream against its per-connection bound
 		// until its own half closes, which is after this side has its
-		// result. Fetch waits for that close before it frees the slot —
+		// result. The exchange waits for that close before it frees the slot —
 		// the server sends it as soon as its session function returns, so
 		// there is rarely anything to wait for — and a client whose bound
 		// equals the server's never has an OPEN refused while the server
@@ -443,6 +446,6 @@ func (cs *ClientSession) session(ctx context.Context, strat Strategy, d *Dataset
 			}
 		}
 		_ = st.Close()
-		return res, stats, nil
+		return stats, nil
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -66,8 +67,9 @@ type RoundStats struct {
 	Round int
 	// Peers are the names of the peers the round contacted.
 	Peers []string
-	// Sessions counts the per-(peer, dataset) reconciliation sessions
-	// attempted, including failed ones.
+	// Sessions counts the (peer, dataset) pairs the round reconciled,
+	// failed and skipped ones included, and shards settled by their
+	// parent's root.
 	Sessions int
 	// Added and Removed count the diff points applied to local datasets.
 	Added, Removed int
@@ -109,8 +111,12 @@ type ReplicatorStats struct {
 // in EMD, for a Client that wants that.) A session opens with the
 // dataset's root (ClientSession.FetchDataset): a peer that holds
 // the same multiset says so in its accept and the session is over — a
-// converged dataset costs one handshake and no snapshot. From the second
-// fetch of a dataset that differed, its session opens warm.
+// converged dataset costs one handshake and no snapshot. A sharded
+// dataset is first settled as a whole: one roots exchange per peer
+// carries the sum of its shard roots, and a peer that holds the same
+// shards says so, or answers with its own shard roots, so that only the
+// shards that differ open sessions. From the second fetch of a dataset
+// that differed, its session opens warm.
 // Datasets reconcile concurrently on a bounded worker pool; within one
 // dataset the selected peers are visited sequentially, each against the
 // dataset as it then stands (a fresh snapshot whenever the peer
@@ -272,8 +278,9 @@ func WithReplicatorMetrics(m *Metrics) ReplicatorOption {
 }
 
 // WithReplicatorTracing records a trace tree for every round into tl:
-// one root per round, one child per (peer, dataset) session carrying
-// that session's phase spans and wire-byte attribution. Round traces are
+// one root per round, one child per (peer, dataset) session and per
+// (peer, sharded dataset) roots exchange carrying its phase spans and
+// wire-byte attribution. Round traces are
 // judged against the log's slow/expensive thresholds like any session.
 func WithReplicatorTracing(tl *TraceLog) ReplicatorOption {
 	return func(r *Replicator) error {
@@ -412,8 +419,9 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 	}
 	var roundTr *trace.Trace
 	if r.traces != nil {
-		// One root per round; syncDataset attaches a child per session, so
-		// the log renders round → peer/dataset → phase spans as one tree.
+		// One root per round; settleShards and syncDataset attach a child
+		// per roots exchange and per session, so the log renders round →
+		// peer/dataset → phase spans as one tree.
 		roundTr = trace.New("round")
 		ctx = trace.NewContext(ctx, roundTr)
 	}
@@ -438,72 +446,93 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 
 	stats := RoundStats{Round: round, Peers: selected}
 	datasets := r.srv.Datasets()
+	sharded := r.srv.shardedDatasets()
 
-	// One task per dataset; within a task the selected peers are visited
-	// sequentially, each session reading the dataset afresh, so a point
-	// learned from one peer is not re-added from the next. Tasks fan out
-	// over the bounded pool — with sharded datasets this is exactly
-	// per-shard parallelism.
 	var (
-		resMu     sync.Mutex
-		peerFail  = make(map[string]bool, len(targets))
-		peerOK    = make(map[string]bool, len(targets))
-		taskCh    = make(chan string)
-		workersWG sync.WaitGroup
+		resMu    sync.Mutex
+		peerFail = make(map[string]bool, len(targets))
+		peerOK   = make(map[string]bool, len(targets))
+		diverged = make(map[string]int64, len(targets)) // per peer: shards a roots exchange left open
+		settled  = make(map[[2]string]bool)             // (shard, peer) pairs a roots exchange settled
 	)
 	failedFast := func(peer string) bool {
 		resMu.Lock()
 		defer resMu.Unlock()
 		return peerFail[peer]
 	}
-	workers := r.workers
-	if len(datasets) < workers {
-		workers = len(datasets)
+	// record books one session's outcome; resMu is held.
+	record := func(peer, name string, n int, err error) {
+		stats.Sessions += n
+		outcome := "ok"
+		switch {
+		case err == nil:
+			peerOK[peer] = true
+		case isUnknownDataset(err):
+			stats.Skipped++
+			peerOK[peer] = true
+			outcome = "skip"
+		default:
+			stats.Errors++
+			peerFail[peer] = true
+			outcome = "error"
+			r.logf("robustset: replicator: peer %s: dataset %q: %v", peer, name, err)
+		}
+		if r.metrics != nil { // no counter name is built while metrics are off
+			r.metrics.Counter("replicator_sessions_total:peer=" + peer + ",outcome=" + outcome).Add(int64(n))
+		}
 	}
-	for w := 0; w < workers; w++ {
-		workersWG.Add(1)
-		go func() {
-			defer workersWG.Done()
-			for name := range taskCh {
-				for _, peer := range targets {
-					// A peer that already failed this round is skipped for
-					// the remaining datasets; backoff handles the retry.
-					if failedFast(peer.name()) {
-						continue
-					}
-					added, removed, bytes, err := r.syncDataset(ctx, peer, name)
-					resMu.Lock()
-					stats.Sessions++
-					stats.Bytes += bytes
-					outcome := "ok"
-					switch {
-					case err == nil:
-						stats.Added += added
-						stats.Removed += removed
-						peerOK[peer.name()] = true
-					case isUnknownDataset(err):
-						stats.Skipped++
-						peerOK[peer.name()] = true
-						outcome = "skip"
-					default:
-						stats.Errors++
-						peerFail[peer.name()] = true
-						outcome = "error"
-						r.logf("robustset: replicator: peer %s: dataset %q: %v", peer.name(), name, err)
-					}
-					if r.metrics != nil { // no counter name is built while metrics are off
-						r.metrics.Counter("replicator_sessions_total:peer=" + peer.name() + ",outcome=" + outcome).Inc()
-					}
-					resMu.Unlock()
-				}
+
+	// Roots first: one exchange per (sharded dataset, peer) settles every
+	// shard whose root the peer holds. A peer that cannot answer for the
+	// whole dataset is left to the per-shard sessions below.
+	r.fanOut(len(sharded), func(i int) {
+		sd := sharded[i]
+		for _, peer := range targets {
+			if failedFast(peer.name()) {
+				continue
 			}
-		}()
-	}
-	for _, name := range datasets {
-		taskCh <- name
-	}
-	close(taskCh)
-	workersWG.Wait()
+			names, bytes, err := r.settleShards(ctx, peer, sd)
+			var refused *protocol.RemoteError
+			resMu.Lock()
+			stats.Bytes += bytes
+			switch {
+			case names != nil:
+				for _, name := range names {
+					settled[[2]string{name, peer.name()}] = true
+				}
+				record(peer.name(), sd.name, len(names), nil)
+				diverged[peer.name()] += int64(len(sd.shards) - len(names))
+			case err != nil && !errors.As(err, &refused):
+				record(peer.name(), sd.name, 1, err)
+			}
+			resMu.Unlock()
+		}
+	})
+
+	// Then one task per dataset the roots left open, over the pool; within
+	// a task the selected peers are visited sequentially, each session
+	// reading the dataset afresh, so a point learned from one peer is not
+	// re-added from the next.
+	open := slices.DeleteFunc(datasets, func(name string) bool {
+		return !slices.ContainsFunc(targets, func(p Peer) bool { return !settled[[2]string{name, p.name()}] })
+	})
+	r.fanOut(len(open), func(i int) {
+		name := open[i]
+		for _, peer := range targets {
+			// A peer that already failed this round is skipped for the
+			// remaining datasets; backoff handles the retry.
+			if settled[[2]string{name, peer.name()}] || failedFast(peer.name()) {
+				continue
+			}
+			added, removed, bytes, err := r.syncDataset(ctx, peer, name)
+			resMu.Lock()
+			stats.Bytes += bytes
+			stats.Added += added
+			stats.Removed += removed
+			record(peer.name(), name, 1, err)
+			resMu.Unlock()
+		}
+	})
 
 	now := time.Now()
 	r.mu.Lock()
@@ -535,6 +564,11 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 	r.last = stats
 	r.mu.Unlock()
 
+	if r.metrics != nil { // no gauge name is built while metrics are off
+		for name := range diverged {
+			r.metrics.Gauge("replicator_peer_divergence:peer=" + name).Set(diverged[name])
+		}
+	}
 	r.metrics.Counter("replicator_rounds_total").Inc()
 	r.metrics.Counter("replicator_session_errors_total").Add(int64(stats.Errors))
 	r.metrics.Counter("replicator_bytes_total").Add(stats.Bytes)
@@ -552,6 +586,88 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 		r.traces.add(roundTr.Snapshot())
 	}
 	return stats, ctx.Err()
+}
+
+// fanOut runs task(i) for every i in [0, n) on at most r.workers
+// goroutines, on this one when one is all it needs.
+func (r *Replicator) fanOut(n int, task func(int)) {
+	workers := min(r.workers, n)
+	if workers <= 1 {
+		for i := range n {
+			task(i)
+		}
+		return
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				task(i)
+			}
+		}()
+	}
+	for i := range n {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+}
+
+// rootsHook runs between a roots exchange's answer and the comparison;
+// tests mutate a shard there.
+var rootsHook = func() {}
+
+// settleShards runs the roots exchange of sd with peer: the hello carries
+// the sum of the local shard roots, and the peer answers "same" or with
+// its shard roots. It returns the names of the shards whose root, read
+// again after the answer, is the peer's — after "same", the one summed —
+// or nil when the peer refused the exchange or shards under another count
+// or seed.
+func (r *Replicator) settleShards(ctx context.Context, peer Peer, sd *ShardedDataset) (settled []string, bytes int64, err error) {
+	if parent := trace.FromContext(ctx); parent != nil {
+		child := parent.Child("peer-session")
+		child.Label(sd.name, coldRateless.Name(), peer.name())
+		ctx = trace.NewContext(ctx, child)
+		defer func() { child.Finish(err) }()
+	}
+	cl, err := r.clientFor(peer)
+	if err != nil {
+		return nil, 0, err
+	}
+	roots := make([]points.Print, len(sd.shards))
+	var sum points.Print
+	for i, d := range sd.shards {
+		roots[i] = d.rootPrint()
+		sum.Merge(roots[i])
+	}
+	tr := trace.FromContext(ctx)
+	var acc protocol.Accept
+	st, err := cl.exchange(ctx, func(t transport.Transport) (err error) {
+		sp := tr.Begin("hello")
+		defer sp.End()
+		acc, err = protocol.RunHello(ctx, t, protocol.Hello{
+			Strategy: coldRateless.code(), Dataset: sd.name, Root: &sum, Shards: len(roots),
+		})
+		return err
+	})
+	if err != nil || acc.Params.Seed != sd.Params().Seed || !acc.Same && len(acc.Roots) != len(roots) {
+		return nil, st.Total(), err
+	}
+	rootsHook()
+	if acc.Same {
+		tr.Stat(trace.StatUnchanged, 1)
+		acc.Roots = roots
+	}
+	settled = make([]string, 0, len(roots))
+	for i, d := range sd.shards {
+		if d.rootPrint() == acc.Roots[i] {
+			settled = append(settled, d.name)
+		}
+	}
+	return settled, st.Total(), nil
 }
 
 // syncDataset reconciles one local dataset against one peer and applies
@@ -582,11 +698,8 @@ func (r *Replicator) syncDataset(ctx context.Context, peer Peer, name string) (a
 		return 0, 0, 0, err
 	}
 	res, st, err := cs.FetchDataset(ctx, d)
-	if err != nil {
-		return 0, 0, st.Total(), err
-	}
-	if res.Unchanged {
-		return 0, 0, st.Total(), nil // converged at the handshake
+	if err != nil || res.Unchanged {
+		return 0, 0, st.Total(), err // converged at the handshake, or failed
 	}
 	add, rem := points.MultisetDiff(res.SPrime, res.local)
 	if len(add) > 0 {

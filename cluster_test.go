@@ -21,9 +21,9 @@ type clusterNode struct {
 
 // startClusterNode publishes pts (sharded when shards > 1) and begins
 // serving on a loopback listener.
-func startClusterNode(t *testing.T, params robustset.Params, pts []robustset.Point, shards int) *clusterNode {
+func startClusterNode(t *testing.T, params robustset.Params, pts []robustset.Point, shards int, opts ...robustset.ServerOption) *clusterNode {
 	t.Helper()
-	srv := robustset.NewServer(WithTestLogger(t))
+	srv := robustset.NewServer(append([]robustset.ServerOption{WithTestLogger(t)}, opts...)...)
 	var err error
 	if shards > 1 {
 		_, err = srv.PublishSharded("data", params, pts, shards)
@@ -475,7 +475,9 @@ func TestReplicatorValidation(t *testing.T) {
 func TestReplicatorMuxConvergence(t *testing.T) {
 	const shards = 8
 	params := robustset.Params{Universe: testU, Seed: 55, DiffBudget: 40}
-	common, extras := clusterWorkload(3, 120, 6)
+	// Enough extras that each node's reach every shard: only shards that
+	// differ open sessions.
+	common, extras := clusterWorkload(3, 120, 48)
 
 	m := robustset.NewMetrics()
 	var nodes []*clusterNode
@@ -530,7 +532,7 @@ func TestReplicatorMuxConvergence(t *testing.T) {
 	if snap["mux_decode_failures_total"] != 0 {
 		t.Errorf("decode failures: %d", snap["mux_decode_failures_total"])
 	}
-	// Each connection carried all 8 shards at least once per sweep.
+	// A connection carried its roots exchange and all 8 shards' sessions.
 	if got := snap["server_mux_streams_per_conn_max"]; got < shards {
 		t.Errorf("streams per conn max: %d, want >= %d", got, shards)
 	}
@@ -592,7 +594,9 @@ func (c *watchedConn) Read(b []byte) (int, error) {
 // sessions dial the new one.
 func TestReplicatorReAddPeerNewAddress(t *testing.T) {
 	params := robustset.Params{Universe: testU, Seed: 55, DiffBudget: 40}
-	common, extras := clusterWorkload(3, 120, 6)
+	// Enough extras that each node's reach every shard: only shards that
+	// differ open sessions.
+	common, extras := clusterWorkload(3, 120, 48)
 	type node struct {
 		srv   *robustset.Server
 		m     *robustset.Metrics

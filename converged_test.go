@@ -25,13 +25,10 @@ func handshakeOnly(s *robustset.SessionTrace) bool {
 	return true
 }
 
-// convergedPair starts two nodes publishing the same points in shards
-// and a traced replicator on the first that pulls from the second.
-func convergedPair(t *testing.T, params robustset.Params, pts []robustset.Point, shards int, opts ...robustset.ReplicatorOption) (a, b *clusterNode, rep *robustset.Replicator, tl *robustset.TraceLog) {
+// tracedReplicator is a traced replicator on a that pulls from b.
+func tracedReplicator(t *testing.T, a, b *clusterNode, opts ...robustset.ReplicatorOption) (*robustset.Replicator, *robustset.TraceLog) {
 	t.Helper()
-	a = startClusterNode(t, params, pts, shards)
-	b = startClusterNode(t, params, pts, shards)
-	tl = robustset.NewTraceLog()
+	tl := robustset.NewTraceLog()
 	opts = append([]robustset.ReplicatorOption{
 		robustset.WithReplicatorTracing(tl), robustset.WithReplicatorWorkers(2),
 		robustset.WithRoundTimeout(time.Minute), robustset.WithReplicatorLogger(t.Logf),
@@ -41,79 +38,261 @@ func convergedPair(t *testing.T, params robustset.Params, pts []robustset.Point,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rep.Close() })
-	return a, b, rep, tl
+	return rep, tl
+}
+
+// roundOf runs rounds of rep and reports, beside each round's stats, its
+// trace and the streams the peer, whose registry m is, accepted during it.
+func roundOf(t *testing.T, rep *robustset.Replicator, tl *robustset.TraceLog, m *robustset.Metrics) func() (robustset.RoundStats, *robustset.SessionTrace, int64) {
+	return func() (robustset.RoundStats, *robustset.SessionTrace, int64) {
+		t.Helper()
+		before := m.Snapshot()["server_mux_streams_total"]
+		st, err := rep.RunRound(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recent := tl.Recent()
+		return st, recent[len(recent)-1], m.Snapshot()["server_mux_streams_total"] - before
+	}
+}
+
+// quietRound requires a round over a converged sharded pair to be one
+// roots exchange: Converged with every shard counted as a session, under
+// 200 wire bytes, one stream, and one traced child — the exchange of the
+// sharded dataset data — carrying one hello and one accept that says
+// "same".
+func quietRound(t *testing.T, label string, shards int, round func() (robustset.RoundStats, *robustset.SessionTrace, int64)) {
+	t.Helper()
+	st, tr, opened := round()
+	if !st.Converged || st.Sessions != shards || st.Errors != 0 || st.Added != 0 || st.Removed != 0 {
+		t.Fatalf("%s: round %+v, want converged with %d sessions", label, st, shards)
+	}
+	if st.Bytes >= 200 || opened != 1 {
+		t.Errorf("%s: %d wire bytes over %d streams, want one stream and < 200 B", label, st.Bytes, opened)
+	}
+	if len(tr.Children) != 1 {
+		t.Fatalf("%s: %d traced children, want the roots exchange alone", label, len(tr.Children))
+	}
+	c := tr.Children[0]
+	if c.Dataset != "data" || !handshakeOnly(c) {
+		t.Errorf("%s: child %s carried %+v, want the roots exchange: one HELLO and one ACCEPT", label, c.Dataset, c.Frames)
+	}
+	if v, ok := c.Stat("unchanged"); !ok || v != 1 {
+		t.Errorf("%s: the roots exchange lacks the unchanged stat", label)
+	}
 }
 
 // TestReplicatorConvergedRoundStopsAtHandshake is the end-to-end
 // statement of a converged round: a round over a converged sharded pair
-// is Converged with one session per shard, and every session's wire
-// attribution holds a hello and an accept and nothing else; one point
-// added on the peer sends exactly its shard down the full path; and the
-// round after that is handshakes again.
+// is one roots exchange (see quietRound) that counts every shard as a
+// session; one point added on the peer runs the exchange and exactly one
+// full session, for the point's shard, and opens no other stream; the
+// nodes are then equal, and the round after that is one exchange again.
 func TestReplicatorConvergedRoundStopsAtHandshake(t *testing.T) {
 	const shards = 8
 	params := robustset.Params{Universe: testU, Seed: 21, DiffBudget: 16}
 	common, _ := clusterWorkload(1, 1600, 0)
 	// The Replicator runs Rateless; the subtest keeps its strategy name.
 	t.Run(robustset.Rateless{}.Name(), func(t *testing.T) {
-		a, b, rep, tl := convergedPair(t, params, common, shards)
-		ctx := context.Background()
-		round := func() (robustset.RoundStats, *robustset.SessionTrace) {
-			t.Helper()
-			st, err := rep.RunRound(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recent := tl.Recent()
-			return st, recent[len(recent)-1]
-		}
-		quiet := func(label string) {
-			t.Helper()
-			st, tr := round()
-			if !st.Converged || st.Sessions != shards || st.Errors != 0 || st.Added != 0 || st.Removed != 0 {
-				t.Fatalf("%s: round %+v, want converged with %d sessions", label, st, shards)
-			}
-			if st.Bytes > 256*shards {
-				t.Errorf("%s: %d wire bytes over %d sessions, want <= 256 each", label, st.Bytes, shards)
-			}
-			if len(tr.Children) != shards {
-				t.Fatalf("%s: %d traced sessions, want %d", label, len(tr.Children), shards)
-			}
-			for _, c := range tr.Children {
-				if !handshakeOnly(c) {
-					t.Errorf("%s: session %s carried %+v, want one HELLO and one ACCEPT", label, c.Dataset, c.Frames)
-				}
-				if v, ok := c.Stat("unchanged"); !ok || v != 1 {
-					t.Errorf("%s: session %s lacks the unchanged stat", label, c.Dataset)
-				}
-			}
-		}
+		m := robustset.NewMetrics()
+		a := startClusterNode(t, params, common, shards)
+		b := startClusterNode(t, params, common, shards, robustset.WithServerMetrics(m))
+		rep, tl := tracedReplicator(t, a, b)
+		round := roundOf(t, rep, tl, m)
 		// The first round also dials the peer; its MUX1 negotiation is
-		// charged to whichever session got there first.
-		if st, _ := round(); !st.Converged || st.Sessions != shards {
+		// charged to the exchange.
+		if st, _, _ := round(); !st.Converged || st.Sessions != shards {
 			t.Fatalf("dialing round %+v, want converged with %d sessions", st, shards)
 		}
-		quiet("second round")
+		quietRound(t, "second round", shards, round)
+		if got := m.Snapshot()["server_sessions_unchanged_total"]; got != 2 {
+			t.Errorf("server_sessions_unchanged_total = %d after two converged rounds, want 2", got)
+		}
 
 		extra := robustset.Point{60_000, 60_001}
 		if err := b.srv.ShardedDataset("data").Add(extra); err != nil {
 			t.Fatal(err)
 		}
 		owner := b.srv.ShardedDataset("data").Shard(extra).Name()
-		st, tr := round()
+		st, tr, opened := round()
 		if st.Added != 1 || st.Converged || st.Sessions != shards || st.Errors != 0 {
 			t.Fatalf("diverged round %+v, want one point added over %d sessions", st, shards)
 		}
-		for _, c := range tr.Children {
-			if full := !handshakeOnly(c); full != (c.Dataset == owner) {
-				t.Errorf("session %s: full path = %v; only %s diverged", c.Dataset, full, owner)
-			}
+		if opened != 2 || len(tr.Children) != 2 {
+			t.Fatalf("diverged round: %d streams, %d traced children; want the exchange and one session", opened, len(tr.Children))
+		}
+		if ex := tr.Children[0]; ex.Dataset != "data" || !handshakeOnly(ex) {
+			t.Errorf("first child %s carried %+v, want the roots exchange", ex.Dataset, ex.Frames)
+		} else if v, _ := ex.Stat("unchanged"); v != 0 {
+			t.Error("the roots exchange of a diverged pair says unchanged")
+		}
+		if s := tr.Children[1]; s.Dataset != owner || handshakeOnly(s) {
+			t.Errorf("second child %s carried %+v, want the full session of %s", s.Dataset, s.Frames, owner)
 		}
 		if !robustset.EqualMultisets(a.snapshot(), b.snapshot()) {
 			t.Fatal("the nodes differ after the diverged round")
 		}
-		quiet("round after the repair")
+		quietRound(t, "round after the repair", shards, round)
 	})
+}
+
+// TestReplicatorRootsFallback: a peer that cannot settle a sharded
+// dataset by its roots — it shards it under another count or seed, or
+// publishes the shards without the base name — is asked shard by shard,
+// with the accounting of per-shard sessions: skips where it lacks the
+// shards, sessions where it holds them.
+func TestReplicatorRootsFallback(t *testing.T) {
+	const shards = 4
+	params := robustset.Params{Universe: testU, Seed: 31, DiffBudget: 16}
+	common, extras := clusterWorkload(1, 400, 1)
+	t.Run("other-K", func(t *testing.T) {
+		m := robustset.NewMetrics()
+		a := startClusterNode(t, params, common, shards)
+		b := startClusterNode(t, params, common, 2*shards, robustset.WithServerMetrics(m))
+		rep, tl := tracedReplicator(t, a, b)
+		st, tr, opened := roundOf(t, rep, tl, m)()
+		if st.Sessions != shards || st.Skipped != shards || st.Errors != 0 || st.Converged {
+			t.Fatalf("round %+v, want %d skipped sessions", st, shards)
+		}
+		if opened != 1+shards || len(tr.Children) != 1+shards {
+			t.Errorf("%d streams, %d traced children; want the exchange and %d sessions", opened, len(tr.Children), shards)
+		}
+	})
+	t.Run("other-seed", func(t *testing.T) {
+		reseeded := params
+		reseeded.Seed++
+		m := robustset.NewMetrics()
+		a := startClusterNode(t, params, common, shards)
+		b := startClusterNode(t, reseeded, common, shards, robustset.WithServerMetrics(m))
+		rep, tl := tracedReplicator(t, a, b)
+		st, _, opened := roundOf(t, rep, tl, m)()
+		if st.Sessions != shards || st.Skipped != 0 || st.Errors != 0 || opened != 1+shards {
+			t.Fatalf("round %+v over %d streams, want the exchange and %d sessions", st, opened, shards)
+		}
+	})
+	t.Run("no-base-name", func(t *testing.T) {
+		// The peer publishes the local shards' contents under the shard
+		// names as plain datasets, one of them with an extra point.
+		a := startClusterNode(t, params, common, shards)
+		m := robustset.NewMetrics()
+		srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(m))
+		for i, d := range a.srv.ShardedDataset("data").Shards() {
+			pts := d.Snapshot()
+			if i == 0 {
+				pts = append(pts, extras[0]...)
+			}
+			if _, err := srv.Publish(d.Name(), params, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := &clusterNode{srv: srv, addr: startServer(t, srv).String()}
+		rep, tl := tracedReplicator(t, a, b)
+		round := roundOf(t, rep, tl, m)
+		st, _, _ := round()
+		if st.Sessions != shards || st.Added != len(extras[0]) || st.Skipped != 0 || st.Errors != 0 {
+			t.Fatalf("round %+v, want %d sessions adding %d points", st, shards, len(extras[0]))
+		}
+		st, _, opened := round()
+		if !st.Converged || st.Sessions != shards || opened != 1+shards {
+			t.Fatalf("caught-up round %+v over %d streams, want converged over the exchange and %d sessions", st, opened, shards)
+		}
+		if !robustset.EqualMultisets(a.snapshot(), b.snapshot()) {
+			t.Error("the nodes differ")
+		}
+	})
+}
+
+// TestReplicatorRootsMirror: a mirror follower of a sharded upstream
+// makes its shards the upstream's, removals included, and then settles
+// them all by one roots exchange a round.
+func TestReplicatorRootsMirror(t *testing.T) {
+	const shards = 4
+	params := robustset.Params{Universe: testU, Seed: 41, DiffBudget: 16}
+	common, extras := clusterWorkload(2, 300, 7)
+	m := robustset.NewMetrics()
+	follower := startClusterNode(t, params, append(robustset.ClonePoints(common), extras[1]...), shards)
+	upstream := startClusterNode(t, params, append(robustset.ClonePoints(common), extras[0]...), shards, robustset.WithServerMetrics(m))
+	rep, tl := tracedReplicator(t, follower, upstream, robustset.WithMirror())
+	round := roundOf(t, rep, tl, m)
+	st, _, _ := round()
+	if st.Added != len(extras[0]) || st.Removed != len(extras[1]) || st.Converged || st.Sessions != shards {
+		t.Fatalf("mirroring round %+v, want +%d/-%d over %d sessions", st, len(extras[0]), len(extras[1]), shards)
+	}
+	if !robustset.EqualMultisets(follower.snapshot(), upstream.snapshot()) {
+		t.Fatal("the follower does not mirror the upstream")
+	}
+	quietRound(t, "caught-up round", shards, round)
+}
+
+// TestReplicatorRootsLocalMutation mutates a local shard between the
+// roots read for the hello and their comparison with the peer's answer:
+// a shard that changed since is not settled by a "same" read before the
+// change, so no round reports Converged while the nodes differ, and the
+// round repairs what the mutation took.
+func TestReplicatorRootsLocalMutation(t *testing.T) {
+	const shards = 4
+	params := robustset.Params{Universe: testU, Seed: 43, DiffBudget: 16}
+	common, _ := clusterWorkload(1, 400, 0)
+	for _, tc := range []struct {
+		name       string
+		peerExtra  bool // the peer holds one more point than the local node
+		localAdded bool // the hook adds that point locally instead of removing one
+		added      int
+	}{
+		{name: "same-then-remove", added: 1},
+		{name: "differ-then-remove", peerExtra: true, added: 2},
+		{name: "differ-then-catch-up", peerExtra: true, localAdded: true, added: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := robustset.NewMetrics()
+			a := startClusterNode(t, params, common, shards)
+			b := startClusterNode(t, params, common, shards, robustset.WithServerMetrics(m))
+			rep, tl := tracedReplicator(t, a, b)
+			round := roundOf(t, rep, tl, m)
+			round() // dials the peer
+			quietRound(t, "before", shards, round)
+			local := a.srv.ShardedDataset("data")
+			extra := robustset.Point{61_000, 61_001}
+			if tc.peerExtra {
+				if err := b.srv.ShardedDataset("data").Add(extra); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Removed, the local point of another shard than the extra's.
+			var victim robustset.Point
+			for _, p := range common {
+				if local.Shard(p) != local.Shard(extra) {
+					victim = p
+					break
+				}
+			}
+			once := false
+			defer robustset.SetRootsHook(func() {
+				if once {
+					return
+				}
+				once = true
+				var err error
+				if tc.localAdded {
+					err = local.Add(extra)
+				} else {
+					err = local.Remove(victim)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			})()
+			st, _, _ := round()
+			equal := robustset.EqualMultisets(a.snapshot(), b.snapshot())
+			if st.Converged && !equal {
+				t.Fatalf("round %+v reported Converged while the nodes differ", st)
+			}
+			if !equal || st.Added != tc.added || st.Errors != 0 || st.Sessions != shards {
+				t.Fatalf("round %+v (nodes equal %v), want %d points added and the nodes equal", st, equal, tc.added)
+			}
+			quietRound(t, "after", shards, round)
+		})
+	}
 }
 
 // TestFetchDatasetAllStrategies: against a server that holds what the

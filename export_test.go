@@ -8,6 +8,15 @@ import (
 	"robustset/internal/protocol"
 )
 
+// SetRootsHook makes f run in every roots exchange between the peer's
+// answer and the comparison of the local shard roots with it, until the
+// returned restore runs.
+func SetRootsHook(f func()) (restore func()) {
+	old := rootsHook
+	rootsHook = f
+	return func() { rootsHook = old }
+}
+
 // ForgetHints drops every hint c keeps for dataset, so its next fetch of
 // it opens cold, as its first did.
 func ForgetHints(c *Client, dataset string) {

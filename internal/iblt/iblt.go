@@ -337,6 +337,10 @@ func (t *Table) DecodeMut() (*Diff, error) {
 	// keys, so bound the total work.
 	maxPeels := 4*t.cfg.Cells + 64
 	peels := 0
+	// Decoded keys are carved out of chunks of keyChunk keys each, one
+	// allocation a chunk instead of one a key.
+	kl := t.cfg.KeyLen
+	var keys []byte
 	for len(queue) > 0 {
 		idx := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -352,7 +356,12 @@ func (t *Table) DecodeMut() (*Diff, error) {
 		if peels++; peels > maxPeels {
 			return diff, &DecodeError{Recovered: diff.Size(), RemainingCells: w.nonZeroCells()}
 		}
-		key := append([]byte(nil), row...)
+		if len(keys) < kl {
+			keys = make([]byte, keyChunk*kl)
+		}
+		key := keys[:kl:kl]
+		keys = keys[kl:]
+		copy(key, row)
 		if cnt == 1 {
 			diff.Pos = append(diff.Pos, key)
 		} else {
@@ -370,6 +379,10 @@ func (t *Table) DecodeMut() (*Diff, error) {
 	}
 	return diff, nil
 }
+
+// keyChunk is the number of decoded keys DecodeMut carves out of one
+// allocation.
+const keyChunk = 64
 
 func (t *Table) nonZeroCells() int {
 	n := 0

@@ -52,5 +52,9 @@ func (k PrintKey) Of(pts []Point) Print {
 // Add puts in a point of hash h.
 func (f *Print) Add(h uint64) { f.Count, f.Sum = f.Count+1, f.Sum+h }
 
+// Merge puts in every point of o, the Print of a multiset under the same
+// key: f becomes the Print of the two multisets' sum.
+func (f *Print) Merge(o Print) { f.Count, f.Sum = f.Count+o.Count, f.Sum+o.Sum }
+
 // Remove takes out a point of hash h; it must be in.
 func (f *Print) Remove(h uint64) { f.Count, f.Sum = f.Count-1, f.Sum-h }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
+	"robustset/internal/cluster"
 	"robustset/internal/core"
 	"robustset/internal/iblt"
 	"robustset/internal/points"
@@ -16,9 +18,10 @@ import (
 )
 
 // FuzzParseHello feeds arbitrary bytes through the server-session
-// handshake parser. The parser fronts every accepted connection, so it
-// must never panic, never over-read, and parse⇄encode must be a stable
-// roundtrip for every accepted input.
+// handshake parser, and through the client's parser of the accept that
+// answers a roots hello. The parsers front every accepted connection and
+// every roots exchange, so they must never panic, never over-read, and
+// parse⇄encode must be a stable roundtrip for every accepted input.
 func FuzzParseHello(f *testing.F) {
 	// Seed corpus: valid hellos of each strategy, edge-length names and
 	// configs, and truncation shapes.
@@ -64,11 +67,56 @@ func FuzzParseHello(f *testing.F) {
 	short, _ := Hello{Strategy: StrategyRobust, Dataset: "d", Root: &points.Print{Count: 1, Sum: 2}}.encode()
 	f.Add(short[:len(short)-1])
 	f.Add(append(short, 0))
+	// Roots hellos: 16 shards, the most there may be; then shard counts of
+	// 0, one too many and 2³²−1, and tails one byte short and long.
+	roots, _ := Hello{Strategy: StrategyRateless, Dataset: "data", Root: &points.Print{Count: 32000, Sum: 5}, Shards: 16}.encode()
+	f.Add(roots)
+	most, _ := Hello{Strategy: StrategyRateless, Dataset: "data", Root: &points.Print{}, Shards: cluster.MaxShards}.encode()
+	f.Add(most)
+	for _, k := range []uint32{0, cluster.MaxShards + 1, ^uint32(0)} {
+		f.Add(binary.LittleEndian.AppendUint32(bytes.Clone(roots[:len(roots)-4]), k))
+	}
+	f.Add(roots[:len(roots)-1])
+	f.Add(append(bytes.Clone(roots), 0))
+	// Accepts of a roots hello: "same", 16 shard roots, a list one root
+	// short of its count, a truncated root, a count of 0, one too many and
+	// 2³²−1 with no roots, and bare parameters.
+	params, err := core.Params{Universe: testU, Seed: 3, DiffBudget: 8}.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(bytes.Clone(params), acceptSame))
+	list, _ := Accept{Params: core.Params{Universe: testU, Seed: 3, DiffBudget: 8}, Roots: make([]points.Print, 16)}.encode()
+	f.Add(list)
+	short16 := bytes.Clone(list[:len(list)-rootLen])
+	f.Add(short16)
+	f.Add(list[:len(list)-1])
+	for _, k := range []uint32{0, cluster.MaxShards + 1, ^uint32(0)} {
+		f.Add(binary.LittleEndian.AppendUint32(bytes.Clone(params), k))
+	}
+	f.Add(params)
 
+	rootsHello := Hello{Strategy: StrategyRateless, Dataset: "data", Root: &points.Print{Count: 1, Sum: 2}, Shards: 16}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if a, err := parseAccept(data, rootsHello); err == nil {
+			if len(a.Roots) > cluster.MaxShards || a.Same && a.Roots != nil {
+				t.Fatalf("roots accept parsed to same=%v with %d roots", a.Same, len(a.Roots))
+			}
+			re, err := a.encode()
+			if err != nil {
+				t.Fatalf("re-encode of a parsed accept failed: %v", err)
+			}
+			a2, err := parseAccept(re, rootsHello)
+			if err != nil || a2.Params != a.Params || a2.Same != a.Same || !slices.Equal(a2.Roots, a.Roots) {
+				t.Fatalf("accept roundtrip diverged: %+v vs %+v (%v)", a, a2, err)
+			}
+		}
 		h, err := parseHello(data)
 		if err != nil {
 			return
+		}
+		if h.Shards != 0 && (h.Root == nil || h.Shards > cluster.MaxShards) {
+			t.Fatalf("roots hello parsed with %d shards and root %v", h.Shards, h.Root)
 		}
 		if len(h.Dataset) > MaxDatasetName {
 			t.Fatalf("parser accepted a %d-byte dataset name", len(h.Dataset))
@@ -87,7 +135,7 @@ func FuzzParseHello(f *testing.F) {
 		if h2.Strategy != h.Strategy || h2.Dataset != h.Dataset || !bytes.Equal(h2.Config, h.Config) {
 			t.Fatalf("hello roundtrip diverged: %+v vs %+v", h, h2)
 		}
-		if (h.Root == nil) != (h2.Root == nil) || (h.Root != nil && *h.Root != *h2.Root) {
+		if (h.Root == nil) != (h2.Root == nil) || (h.Root != nil && *h.Root != *h2.Root) || h.Shards != h2.Shards {
 			t.Fatalf("hello root diverged through the roundtrip: %+v vs %+v", h.Root, h2.Root)
 		}
 		if !bytes.Equal(re, data) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"robustset/internal/cluster"
 	"robustset/internal/core"
 	"robustset/internal/points"
 	"robustset/internal/transport"
@@ -18,14 +19,19 @@ const (
 	// u8 strategy code | u32 name length | dataset name | u32 config length
 	// | strategy config blob | optional root: u64 count, u64 sum.
 	// The root is the points.Print of the client's local multiset; a
-	// client that holds none ends the hello at the config blob.
+	// client that holds none ends the hello at the config blob. A roots
+	// hello names a sharded dataset's base name and follows its root, the
+	// sum of the client's shard roots, with u32 K, its shard count.
 	MsgHello byte = 0x10
 	// MsgAccept answers MsgHello: the dataset's normalized core.Params in
 	// the core wire encoding. The client adopts these parameters, so both
 	// endpoints derive identical grids and hash functions. One more byte,
 	// acceptSame, follows the parameters when the hello carried a root
 	// equal to the served dataset's: the sets are the same and the session
-	// is over.
+	// is over. A roots hello whose root or K differs from the served
+	// sharded dataset's is answered with the parameters, u32 K' and the
+	// K' shard roots (u64 count, u64 sum each) in shard order, and the
+	// exchange is over too.
 	MsgAccept byte = 0x11
 	// MsgMuxHello is the first message of every connection to a server:
 	// "MUX1" magic, u8 version, u32 per-stream receive window. The server
@@ -51,15 +57,16 @@ const (
 // opens cold, version 9 a cold rateless session its 32-cell head in place
 // of the strata estimator, version 10 the hello a root that is a
 // points.Print (the order-free sum, not the XOR over occurrence keys) and
-// the estimator request its 8-byte windowed form alone. Peers of another
-// version are refused at parse time.
-const MuxVersion = 10
+// the estimator request its 8-byte windowed form alone, version 11 the
+// roots hello and its shard-roots accept. Peers of another version are
+// refused at parse time.
+const MuxVersion = 11
 
 // acceptSame is the byte that follows the parameters of an accept which
 // ends the session at the handshake.
 const acceptSame byte = 1
 
-// rootLen is the wire size of a hello's root tail.
+// rootLen is the wire size of a root.
 const rootLen = 16
 
 // muxMagic guards MsgMuxHello against stray tag collisions.
@@ -99,13 +106,17 @@ type Hello struct {
 	// whose dataset has the same root answers with an accept marked "same"
 	// instead of running the strategy.
 	Root *points.Print
+	// Shards, when not 0, makes the hello a roots hello: Dataset is a
+	// sharded dataset's base name and Root the sum of the client's Shards
+	// shard roots. No strategy runs; the accept is the whole exchange.
+	Shards int
 }
 
 func (h Hello) encode() ([]byte, error) {
 	if len(h.Dataset) > MaxDatasetName {
 		return nil, fmt.Errorf("protocol: dataset name of %d bytes exceeds %d", len(h.Dataset), MaxDatasetName)
 	}
-	body := make([]byte, 0, 1+4+len(h.Dataset)+4+len(h.Config)+rootLen)
+	body := make([]byte, 0, 1+4+len(h.Dataset)+4+len(h.Config)+rootLen+4)
 	body = append(body, h.Strategy)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(h.Dataset)))
 	body = append(body, h.Dataset...)
@@ -114,6 +125,9 @@ func (h Hello) encode() ([]byte, error) {
 	if h.Root != nil {
 		body = binary.LittleEndian.AppendUint64(body, h.Root.Count)
 		body = binary.LittleEndian.AppendUint64(body, h.Root.Sum)
+	}
+	if h.Shards != 0 {
+		body = binary.LittleEndian.AppendUint32(body, uint32(h.Shards))
 	}
 	return body, nil
 }
@@ -145,19 +159,30 @@ func parseHello(body []byte) (Hello, error) {
 	if cfgLen > 0 {
 		h.Config = append([]byte(nil), body[:cfgLen]...)
 	}
-	// Nothing, or exactly one root, follows the config: a tail of any
-	// other length comes from a peer that means something else by it.
+	// Nothing, exactly one root, or a root and a shard count follow the
+	// config: a tail of any other length comes from a peer that means
+	// something else by it.
 	switch tail := body[cfgLen:]; len(tail) {
 	case 0:
-	case rootLen:
-		h.Root = &points.Print{
-			Count: binary.LittleEndian.Uint64(tail),
-			Sum:   binary.LittleEndian.Uint64(tail[8:]),
+	case rootLen, rootLen + 4:
+		r := parseRoot(tail)
+		h.Root = &r
+		if len(tail) > rootLen {
+			k := binary.LittleEndian.Uint32(tail[rootLen:])
+			if k < 1 || k > cluster.MaxShards {
+				return h, fmt.Errorf("protocol: malformed roots hello: %d shards outside [1,%d]", k, cluster.MaxShards)
+			}
+			h.Shards = int(k)
 		}
 	default:
-		return h, fmt.Errorf("protocol: malformed hello: %d bytes after the config, want 0 or %d", len(tail), rootLen)
+		return h, fmt.Errorf("protocol: malformed hello: %d bytes after the config, want 0, %d or %d", len(tail), rootLen, rootLen+4)
 	}
 	return h, nil
+}
+
+// parseRoot decodes the root at the front of b, which holds one.
+func parseRoot(b []byte) points.Print {
+	return points.Print{Count: binary.LittleEndian.Uint64(b), Sum: binary.LittleEndian.Uint64(b[8:])}
 }
 
 // Accept is the parsed form of a MsgAccept body.
@@ -167,12 +192,52 @@ type Accept struct {
 	// Same reports that the hello's root equals the served dataset's: the
 	// server has closed the session and nothing follows the accept.
 	Same bool
+	// Roots answer a roots hello that is not Same: the served sharded
+	// dataset's shard roots in shard order. The exchange is over.
+	Roots []points.Print
 }
 
-// RunHello opens a server session: it sends the hello and blocks for the
-// accept. A MsgError reply (unknown dataset, unsupported strategy)
-// surfaces as a *RemoteError; an accept marked "same" in answer to a
-// hello that carried no root is ErrUnexpectedMessage.
+// encode is the accept body: the parameters, then acceptSame or the shard
+// roots.
+func (a Accept) encode() ([]byte, error) {
+	blob, err := a.Params.MarshalBinary()
+	if a.Same {
+		blob = append(blob, acceptSame)
+	} else if a.Roots != nil {
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(len(a.Roots)))
+		for _, r := range a.Roots {
+			blob = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(blob, r.Count), r.Sum)
+		}
+	}
+	return blob, err
+}
+
+// parseAccept decodes the accept that answers h. A root list whose count
+// disagrees with its length, or exceeds cluster.MaxShards, is refused.
+func parseAccept(ab []byte, h Hello) (a Accept, err error) {
+	tail := ab[min(len(ab), core.ParamsWireSize):]
+	switch {
+	case len(tail) == 1 && tail[0] == acceptSame && h.Root != nil:
+		a.Same = true
+	case len(tail) >= 4 && h.Shards != 0:
+		k := binary.LittleEndian.Uint32(tail)
+		if k < 1 || k > cluster.MaxShards || uint64(len(tail)-4) != uint64(k)*rootLen {
+			return a, fmt.Errorf("protocol: malformed roots accept: %d shards in %d bytes", k, len(tail)-4)
+		}
+		a.Roots = make([]points.Print, k)
+		for i := range a.Roots {
+			a.Roots[i] = parseRoot(tail[4+i*rootLen:])
+		}
+	case len(tail) != 0:
+		return a, fmt.Errorf("%w: accept with %d bytes after the parameters", ErrUnexpectedMessage, len(tail))
+	}
+	return a, a.Params.UnmarshalBinary(ab[:len(ab)-len(tail)])
+}
+
+// RunHello opens a server session, or runs a roots exchange: it sends the
+// hello and blocks for the accept. A MsgError reply (unknown dataset,
+// unsupported strategy) surfaces as a *RemoteError; an accept marked
+// "same" in answer to a hello that carried no root is ErrUnexpectedMessage.
 func RunHello(ctx context.Context, t transport.Transport, h Hello) (Accept, error) {
 	body, err := h.encode()
 	if err != nil {
@@ -185,17 +250,7 @@ func RunHello(ctx context.Context, t transport.Transport, h Hello) (Accept, erro
 	if err != nil {
 		return Accept{}, err
 	}
-	var a Accept
-	if len(ab) == core.ParamsWireSize+1 && ab[core.ParamsWireSize] == acceptSame {
-		if h.Root == nil {
-			return Accept{}, fmt.Errorf("%w: accept marked same for a hello without a root", ErrUnexpectedMessage)
-		}
-		a.Same, ab = true, ab[:core.ParamsWireSize]
-	}
-	if err := a.Params.UnmarshalBinary(ab); err != nil {
-		return Accept{}, err
-	}
-	return a, nil
+	return parseAccept(ab, h)
 }
 
 // RunHelloClient is RunHello for a caller that holds no root: whatever
@@ -225,24 +280,30 @@ func RecvHello(ctx context.Context, t transport.Transport) (Hello, error) {
 // SendAccept acknowledges a hello with the dataset's parameters; the
 // session goes on.
 func SendAccept(ctx context.Context, t transport.Transport, p core.Params) error {
-	return sendAccept(ctx, t, p, false)
+	return sendAccept(ctx, t, Accept{Params: p})
 }
 
 // SendAcceptSame acknowledges a hello whose root equals the dataset's:
 // the parameters, then acceptSame. The session is over: t closes with it.
 func SendAcceptSame(ctx context.Context, t transport.Transport, p core.Params) error {
-	return sendAccept(ctx, t, p, true)
+	return sendAccept(ctx, t, Accept{Params: p, Same: true})
 }
 
-func sendAccept(ctx context.Context, t transport.Transport, p core.Params, same bool) error {
-	blob, err := p.MarshalBinary()
+// SendAcceptRoots answers a roots hello with the parameters and the shard
+// roots. The exchange is over: t closes with it.
+func SendAcceptRoots(ctx context.Context, t transport.Transport, p core.Params, roots []points.Print) error {
+	return sendAccept(ctx, t, Accept{Params: p, Roots: roots})
+}
+
+func sendAccept(ctx context.Context, t transport.Transport, a Accept) error {
+	body, err := a.encode()
 	if err != nil {
 		return sendErr(ctx, t, err)
 	}
-	if same {
-		return send(ctx, lastSend{t}, MsgAccept, blob, []byte{acceptSame})
+	if a.Same || a.Roots != nil {
+		t = lastSend{t}
 	}
-	return send(ctx, t, MsgAccept, blob)
+	return send(ctx, t, MsgAccept, body)
 }
 
 // RejectHello refuses a session, relaying reason to the peer and closing

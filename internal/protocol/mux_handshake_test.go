@@ -47,13 +47,14 @@ func TestMuxNegotiationRoundTrip(t *testing.T) {
 // skewed client is refused at parse time with a relayed MsgError, and a
 // skewed server's accept is refused by the client.
 func TestMuxVersionSkew(t *testing.T) {
-	if MuxVersion != 10 {
-		t.Fatalf("MuxVersion is %d; a hello root that is a points.Print is version 10", MuxVersion)
+	if MuxVersion != 11 {
+		t.Fatalf("MuxVersion is %d; the roots hello is version 11", MuxVersion)
 	}
 	ctx := context.Background()
-	// Version 9 roots are XORs over occurrence keys: equal multisets
-	// would never match across the skew, so 9 is refused like any other.
-	for _, v := range []byte{9, MuxVersion + 1} {
+	// A version 10 server would refuse every roots hello as malformed,
+	// and version 9 roots are XORs over occurrence keys: both are refused
+	// like any other.
+	for _, v := range []byte{9, 10, MuxVersion + 1} {
 		at, bt := transport.Pair()
 		done := make(chan error, 1)
 		go func() {

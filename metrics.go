@@ -22,7 +22,7 @@ import (
 //	server_conns_total                 connections accepted
 //	server_sessions_total[:dataset]    sessions served, total and per dataset
 //	server_session_errors_total        sessions that ended in an error
-//	server_sessions_unchanged_total    sessions that ended at the handshake (equal roots)
+//	server_sessions_unchanged_total    sessions that ended at the handshake (equal roots, a roots exchange's once)
 //	server_sessions_cold_total         rateless sessions that read the points, not the served state
 //	dataset_points:dataset             current size of a published dataset
 //	dataset_root_fingerprint:dataset   its root fingerprint; equal on equal datasets of one seed
@@ -36,6 +36,7 @@ import (
 //	replicator_rounds_total            anti-entropy rounds driven
 //	replicator_session_errors_total    failed peer sessions
 //	replicator_bytes_total             round wire traffic
+//	replicator_peer_divergence:peer    shards whose root differed from the peer's last round
 //	replicator_round_seconds           round latency histogram
 //
 // Durable datasets (PublishDurable) add the storage-engine names:

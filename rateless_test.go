@@ -512,11 +512,13 @@ func TestRatelessWarmHelloRefused(t *testing.T) {
 // TestReplicatorWarmDivergedShard: three nodes publish one sharded
 // dataset; between rounds one shard gains a point on both peers of the
 // replicating node. From the second diverged round on, that shard's
-// rateless session against the first peer opens warm (warm=1); no session
-// carries a frame of an estimator — STRATA or any other not a rateless
-// session's own — and every round it leaves the shard holding what a cold
-// client's fetch returns; every other shard, never diverged, ends at the
-// handshake with a cold hello of the same bytes every round.
+// rateless session against the first peer opens warm (warm=1), and its
+// session against the second, which the first already repaired, ends at
+// the handshake cold; no session carries a frame of an estimator — STRATA
+// or any other not a rateless session's own — and every round it leaves
+// the shard holding what a cold client's fetch returns; every other
+// shard, never diverged, opens no session: each peer's roots exchange
+// settles it, with a hello of the same bytes every round.
 func TestReplicatorWarmDivergedShard(t *testing.T) {
 	const shards, rounds = 4, 5
 	params := robustset.Params{Universe: testU, Seed: 101, DiffBudget: 16}
@@ -590,24 +592,34 @@ func TestReplicatorWarmDivergedShard(t *testing.T) {
 			if foreign := foreignFrames(s); foreign != 0 {
 				t.Errorf("round %d: %s/%s carried %d frames of an estimator", round, s.Dataset, s.Peer, foreign)
 			}
+			unchanged, _ := s.Stat("unchanged")
 			switch {
 			case s.Dataset == diverged && s.Peer == "b" && round > 0:
 				if wantWarm := round >= 2; (warm == 1) != wantWarm {
 					t.Errorf("round %d: diverged shard's session warm=%d, want warm %v", round, warm, wantWarm)
 				}
-			case s.Dataset != diverged:
-				if unchanged, _ := s.Stat("unchanged"); unchanged != 1 || warm != 0 {
+			case s.Dataset == diverged && s.Peer == "c" && round > 0:
+				if unchanged != 1 || warm != 0 {
 					t.Errorf("round %d: %s/%s: unchanged %d, warm %d; want a cold session that ends at the handshake", round, s.Dataset, s.Peer, unchanged, warm)
 				}
-				key := s.Dataset + "/" + s.Peer
-				if first, ok := hellos[key]; ok && first != hello {
-					t.Errorf("round %d: %s hello of %d B, %d B in round 0", round, key, hello, first)
+			case s.Dataset == "data":
+				// The roots exchange: "same" while nothing diverged.
+				if wantSame := round == 0; (unchanged == 1) != wantSame || warm != 0 {
+					t.Errorf("round %d: roots exchange with %s: unchanged %d, warm %d", round, s.Peer, unchanged, warm)
 				}
-				hellos[key] = hello
+				if first, ok := hellos[s.Peer]; ok && first != hello {
+					t.Errorf("round %d: roots hello to %s of %d B, %d B in round 0", round, s.Peer, hello, first)
+				}
+				hellos[s.Peer] = hello
+			default:
+				t.Errorf("round %d: %s/%s opened a session; only the diverged shard's may", round, s.Dataset, s.Peer)
 			}
 		}
+		if want := 2 + 2*min(round, 1); len(recent[len(recent)-1].Children) != want {
+			t.Errorf("round %d: %d traced children, want %d", round, len(recent[len(recent)-1].Children), want)
+		}
 	}
-	if len(hellos) != 2*(shards-1) {
-		t.Errorf("%d quiescent shard sessions traced per round, want %d", len(hellos), 2*(shards-1))
+	if len(hellos) != 2 {
+		t.Errorf("roots exchanges with %d peers traced, want 2", len(hellos))
 	}
 }

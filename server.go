@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,18 +136,18 @@ func (d *Dataset) rootPrint() points.Print {
 	return d.root
 }
 
-// openSession is the serving side of a handshake: the parameters to
-// dictate, and whether the client's root (nil if its hello carried none)
-// equals the dataset's at this instant — in which case the two hold the
-// same multiset, up to a 2⁻⁶⁴ fingerprint collision. A retired dataset
-// is never the same as anything: it is rejected here.
-func (d *Dataset) openSession(root *points.Print) (p Params, same bool, err error) {
+// openSession is the serving side of a handshake or of a roots exchange:
+// the parameters to dictate, and the root at this instant — a client's
+// root equal to it holds the same multiset, up to a 2⁻⁶⁴ fingerprint
+// collision. A retired dataset is never the same as anything: it is
+// rejected here.
+func (d *Dataset) openSession() (Params, points.Print, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.retired {
-		return Params{}, false, d.errRetired()
+		return Params{}, points.Print{}, d.errRetired()
 	}
-	return d.maintainer.Params(), root != nil && *root == d.root, nil
+	return d.maintainer.Params(), d.root, nil
 }
 
 // ratelessOpening captures, under one hold of d.mu and in O(cells), what
@@ -985,6 +987,13 @@ func (s *Server) ShardedDataset(name string) *ShardedDataset {
 	return s.sharded[name]
 }
 
+// shardedDatasets returns the published sharded datasets in name order.
+func (s *Server) shardedDatasets() []*ShardedDataset {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.SortedFunc(maps.Values(s.sharded), func(a, b *ShardedDataset) int { return strings.Compare(a.name, b.name) })
+}
+
 // Dataset returns a published dataset, or nil.
 func (s *Server) Dataset(name string) *Dataset {
 	s.mu.Lock()
@@ -1181,6 +1190,9 @@ func (s *Server) recordSessionMetrics(snap *SessionTrace) {
 // and returns the first failure — relayed to the peer where the protocol
 // allows — for serveSession to log.
 func (s *Server) runSession(ctx context.Context, t transport.Transport, hello protocol.Hello) error {
+	if hello.Shards != 0 {
+		return s.runRoots(ctx, t, hello)
+	}
 	d := s.Dataset(hello.Dataset)
 	if d == nil {
 		return protocol.RejectHello(ctx, t, fmt.Errorf("%w: %q", ErrUnknownDataset, hello.Dataset))
@@ -1200,11 +1212,12 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 	// raw hello bytes.
 	tr := trace.FromContext(ctx)
 	tr.Label("", strat.Name(), "")
-	params, same, err := d.openSession(hello.Root)
+	params, root, err := d.openSession()
 	if err != nil {
 		return protocol.RejectHello(ctx, t, err)
 	}
 	accept := protocol.SendAccept
+	same := hello.Root != nil && *hello.Root == root
 	if same {
 		// The client holds what this dataset holds: the accept says so and
 		// the session ends here, whatever the strategy would have sent.
@@ -1216,6 +1229,37 @@ func (s *Server) runSession(ctx context.Context, t transport.Transport, hello pr
 		return err
 	}
 	return strat.serveDataset(ctx, t, params, d)
+}
+
+// runRoots answers a roots hello: "same" when the client's shard count
+// and parent root are the named sharded dataset's, else every shard's
+// root, each read at its own instant as a per-shard handshake reads it.
+func (s *Server) runRoots(ctx context.Context, t transport.Transport, hello protocol.Hello) error {
+	sd := s.ShardedDataset(hello.Dataset)
+	if sd == nil {
+		return protocol.RejectHello(ctx, t, fmt.Errorf("%w: %q", ErrUnknownDataset, hello.Dataset))
+	}
+	if s.metrics != nil { // no counter name is built while metrics are off
+		s.metrics.Counter("server_sessions_total:" + sd.Name()).Inc()
+	}
+	var (
+		params Params
+		parent points.Print
+		err    error
+		roots  = make([]points.Print, len(sd.shards))
+	)
+	for i, d := range sd.shards {
+		if params, roots[i], err = d.openSession(); err != nil {
+			return protocol.RejectHello(ctx, t, err)
+		}
+		parent.Merge(roots[i])
+	}
+	if hello.Shards == len(roots) && *hello.Root == parent {
+		s.metrics.Counter("server_sessions_unchanged_total").Inc()
+		trace.FromContext(ctx).Stat(trace.StatUnchanged, 1)
+		return protocol.SendAcceptSame(ctx, t, params)
+	}
+	return protocol.SendAcceptRoots(ctx, t, params, roots)
 }
 
 func (s *Server) trackListener(ln net.Listener) bool {

@@ -33,18 +33,15 @@ func TestRetiredDatasetServingRejected(t *testing.T) {
 		t.Fatalf("sketchBlob before retirement: %v", err)
 	}
 	root := d.rootPrint()
-	if _, same, err := d.openSession(&root); err != nil || !same {
-		t.Fatalf("openSession with the dataset's own root before retirement: same=%v, %v", same, err)
-	}
-	if _, same, err := d.openSession(nil); err != nil || same {
-		t.Fatalf("openSession without a root: same=%v, %v", same, err)
+	if _, got, err := d.openSession(); err != nil || got != root {
+		t.Fatalf("openSession before retirement: root %+v, %v; want the dataset's %+v", got, err, root)
 	}
 	if err := srv.Unpublish("d"); err != nil {
 		t.Fatal(err)
 	}
 	// A retired dataset is never "same", not even as itself.
-	if _, same, err := d.openSession(&root); !errors.Is(err, ErrUnknownDataset) || same {
-		t.Errorf("openSession on retired dataset: same=%v, %v, want ErrUnknownDataset", same, err)
+	if _, _, err := d.openSession(); !errors.Is(err, ErrUnknownDataset) {
+		t.Errorf("openSession on retired dataset: %v, want ErrUnknownDataset", err)
 	}
 	if _, err := d.servePoints(); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("servePoints on retired dataset: %v, want ErrUnknownDataset", err)
