@@ -76,7 +76,9 @@ type RoundStats struct {
 	// Bytes is the total wire traffic of the round, both directions.
 	Bytes int64
 	// Skipped counts sessions dropped because the peer does not publish
-	// the dataset — expected in mixed catalogs, not an error.
+	// the dataset — expected in mixed catalogs, not an error — and the
+	// shards of a sharded dataset the peer refused to settle by roots or
+	// shards under another seed or shard count.
 	Skipped int
 	// Errors counts failed sessions (unreachable peer, protocol error).
 	Errors int
@@ -115,8 +117,10 @@ type ReplicatorStats struct {
 // dataset is first settled as a whole: one roots exchange per peer
 // carries the sum of its shard roots, and a peer that holds the same
 // shards says so, or answers with its own shard roots, so that only the
-// shards that differ open sessions. From the second fetch of a dataset
-// that differed, its session opens warm.
+// shards that differ open sessions. A peer that refuses the exchange, or
+// shards under another seed or count, reconciles no shard of that dataset:
+// its shards hold other points than the local ones. From the second fetch
+// of a dataset that differed, its session opens warm.
 // Datasets reconcile concurrently on a bounded worker pool; within one
 // dataset the selected peers are visited sequentially, each against the
 // dataset as it then stands (a fresh snapshot whenever the peer
@@ -452,23 +456,35 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 		resMu    sync.Mutex
 		peerFail = make(map[string]bool, len(targets))
 		peerOK   = make(map[string]bool, len(targets))
-		diverged = make(map[string]int64, len(targets)) // per peer: shards a roots exchange left open
-		settled  = make(map[[2]string]bool)             // (shard, peer) pairs a roots exchange settled
+		diverged = make(map[string]int64, len(targets))   // per peer: shards a roots exchange left open
+		peersOf  = make(map[string][]Peer, len(datasets)) // per dataset: the peers it reconciles with
 	)
+	// A shard reconciles only with the peers its roots exchange reports it
+	// different with, a plain dataset with every selected peer.
+	for _, sd := range sharded {
+		for _, d := range sd.shards {
+			peersOf[d.name] = nil
+		}
+	}
+	for _, name := range datasets {
+		if _, isShard := peersOf[name]; !isShard {
+			peersOf[name] = targets
+		}
+	}
 	failedFast := func(peer string) bool {
 		resMu.Lock()
 		defer resMu.Unlock()
 		return peerFail[peer]
 	}
-	// record books one session's outcome; resMu is held.
+	// record books the outcome of n sessions; resMu is held.
 	record := func(peer, name string, n int, err error) {
 		stats.Sessions += n
 		outcome := "ok"
 		switch {
 		case err == nil:
 			peerOK[peer] = true
-		case isUnknownDataset(err):
-			stats.Skipped++
+		case isSkip(err):
+			stats.Skipped += n
 			peerOK[peer] = true
 			outcome = "skip"
 		default:
@@ -483,45 +499,45 @@ func (r *Replicator) RunRound(ctx context.Context) (RoundStats, error) {
 	}
 
 	// Roots first: one exchange per (sharded dataset, peer) settles every
-	// shard whose root the peer holds. A peer that cannot answer for the
-	// whole dataset is left to the per-shard sessions below.
+	// shard whose root the peer holds and names the others. A peer that
+	// refuses the exchange, or shards under another seed or count, routes
+	// points to other shards than this node does: none of its shards is
+	// reconciled this round, and all K count as skipped.
 	r.fanOut(len(sharded), func(i int) {
 		sd := sharded[i]
 		for _, peer := range targets {
 			if failedFast(peer.name()) {
 				continue
 			}
-			names, bytes, err := r.settleShards(ctx, peer, sd)
-			var refused *protocol.RemoteError
+			open, bytes, err := r.settleShards(ctx, peer, sd)
 			resMu.Lock()
 			stats.Bytes += bytes
+			n := len(sd.shards) - len(open)
 			switch {
-			case names != nil:
-				for _, name := range names {
-					settled[[2]string{name, peer.name()}] = true
+			case err == nil:
+				for _, d := range open {
+					peersOf[d.name] = append(peersOf[d.name], peer)
 				}
-				record(peer.name(), sd.name, len(names), nil)
-				diverged[peer.name()] += int64(len(sd.shards) - len(names))
-			case err != nil && !errors.As(err, &refused):
-				record(peer.name(), sd.name, 1, err)
+				diverged[peer.name()] += int64(len(open))
+			case !isSkip(err):
+				n = 1 // one failed exchange
 			}
+			record(peer.name(), sd.name, n, err)
 			resMu.Unlock()
 		}
 	})
 
-	// Then one task per dataset the roots left open, over the pool; within
-	// a task the selected peers are visited sequentially, each session
+	// Then one task per dataset with peers to reconcile with, over the
+	// pool; within a task the peers are visited sequentially, each session
 	// reading the dataset afresh, so a point learned from one peer is not
 	// re-added from the next.
-	open := slices.DeleteFunc(datasets, func(name string) bool {
-		return !slices.ContainsFunc(targets, func(p Peer) bool { return !settled[[2]string{name, p.name()}] })
-	})
+	open := slices.DeleteFunc(datasets, func(name string) bool { return len(peersOf[name]) == 0 })
 	r.fanOut(len(open), func(i int) {
 		name := open[i]
-		for _, peer := range targets {
+		for _, peer := range peersOf[name] {
 			// A peer that already failed this round is skipped for the
 			// remaining datasets; backoff handles the retry.
-			if settled[[2]string{name, peer.name()}] || failedFast(peer.name()) {
+			if failedFast(peer.name()) {
 				continue
 			}
 			added, removed, bytes, err := r.syncDataset(ctx, peer, name)
@@ -620,13 +636,16 @@ func (r *Replicator) fanOut(n int, task func(int)) {
 // tests mutate a shard there.
 var rootsHook = func() {}
 
+// errOtherSharding is a roots exchange answered under another seed or
+// shard count than the local one.
+var errOtherSharding = errors.New("sharded under another seed or shard count")
+
 // settleShards runs the roots exchange of sd with peer: the hello carries
 // the sum of the local shard roots, and the peer answers "same" or with
-// its shard roots. It returns the names of the shards whose root, read
-// again after the answer, is the peer's — after "same", the one summed —
-// or nil when the peer refused the exchange or shards under another count
-// or seed.
-func (r *Replicator) settleShards(ctx context.Context, peer Peer, sd *ShardedDataset) (settled []string, bytes int64, err error) {
+// its shard roots. It returns the shards whose root, read again after the
+// answer, is not the peer's — after "same", not the one summed — or
+// errOtherSharding when the peer shards under another count or seed.
+func (r *Replicator) settleShards(ctx context.Context, peer Peer, sd *ShardedDataset) (open []*Dataset, bytes int64, err error) {
 	if parent := trace.FromContext(ctx); parent != nil {
 		child := parent.Child("peer-session")
 		child.Label(sd.name, coldRateless.Name(), peer.name())
@@ -653,7 +672,13 @@ func (r *Replicator) settleShards(ctx context.Context, peer Peer, sd *ShardedDat
 		})
 		return err
 	})
-	if err != nil || acc.Params.Seed != sd.Params().Seed || !acc.Same && len(acc.Roots) != len(roots) {
+	if err != nil {
+		return nil, st.Total(), err
+	}
+	if seed := sd.Params().Seed; acc.Params.Seed != seed || !acc.Same && len(acc.Roots) != len(roots) {
+		err = fmt.Errorf("%w: seed %d and %d shards here, the peer answered under seed %d with %d shard roots",
+			errOtherSharding, seed, len(roots), acc.Params.Seed, len(acc.Roots))
+		r.logf("robustset: replicator: peer %s: dataset %q: %v", peer.name(), sd.name, err)
 		return nil, st.Total(), err
 	}
 	rootsHook()
@@ -661,13 +686,12 @@ func (r *Replicator) settleShards(ctx context.Context, peer Peer, sd *ShardedDat
 		tr.Stat(trace.StatUnchanged, 1)
 		acc.Roots = roots
 	}
-	settled = make([]string, 0, len(roots))
 	for i, d := range sd.shards {
-		if d.rootPrint() == acc.Roots[i] {
-			settled = append(settled, d.name)
+		if d.rootPrint() != acc.Roots[i] {
+			open = append(open, d)
 		}
 	}
-	return settled, st.Total(), nil
+	return open, st.Total(), nil
 }
 
 // syncDataset reconciles one local dataset against one peer and applies
@@ -749,10 +773,11 @@ func (r *Replicator) Close() error {
 	return nil
 }
 
-// isUnknownDataset reports whether err is the peer's rejection of a
-// dataset it does not publish — an expected condition in mixed catalogs,
-// handled as a skip rather than a peer failure.
-func isUnknownDataset(err error) bool {
+// isSkip reports whether err is the peer's rejection of a dataset it does
+// not publish — an expected condition in mixed catalogs — or a roots
+// answer under another sharding: a skip rather than a peer failure.
+func isSkip(err error) bool {
 	var re *protocol.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Reason, ErrUnknownDataset.Error())
+	return errors.Is(err, errOtherSharding) ||
+		errors.As(err, &re) && strings.Contains(re.Reason, ErrUnknownDataset.Error())
 }

@@ -50,7 +50,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -59,8 +58,8 @@ import (
 
 	"robustset"
 	"robustset/internal/baseline"
-	"robustset/internal/hashutil"
 	"robustset/internal/iblt"
+	"robustset/internal/localcluster"
 	"robustset/internal/points"
 	"robustset/internal/workload"
 )
@@ -277,12 +276,10 @@ func runCell(c cell) Result {
 	}
 	inst, err := genWorkload(c)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 	if res.BuildNS, err = timeBuild(c, inst.Alice); err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 	out, st, ns, err := exchange(c.strategy, c.params, inst.Alice, inst.Bob)
 	res.SyncNS, res.WireBytes = ns, st.Total()
@@ -296,8 +293,7 @@ func runCell(c cell) Result {
 		}
 	}
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 	res.ResultSize = len(out.SPrime)
 	if c.sweep != "" && out.Robust != nil {
@@ -321,177 +317,53 @@ func exchange(strat robustset.Strategy, p robustset.Params, alice, bob []robusts
 	return out, st, time.Since(start).Nanoseconds(), err
 }
 
-// clusterCell is one anti-entropy convergence scenario: nodes replicas
-// of one sharded dataset, each seeded with disjoint extra points, gossip
+// clusterMatrix enumerates the replication scenarios: nodes replicas of
+// one sharded dataset, each seeded with disjoint extra points, gossip
 // until every node holds the identical multiset.
-type clusterCell struct {
-	n      int // shared base points
-	extra  int // disjoint extra points per node
-	nodes  int
-	shards int
-}
-
-// clusterMatrix enumerates the replication scenarios.
-func clusterMatrix(quick bool) []clusterCell {
+func clusterMatrix(quick bool) []localcluster.Config {
 	if quick {
-		return []clusterCell{{n: 1_000, extra: 10, nodes: 3, shards: 4}}
+		return []localcluster.Config{{Nodes: 3, Base: 1_000, Extra: 10, Shards: 4}}
 	}
-	return []clusterCell{{n: 10_000, extra: 50, nodes: 3, shards: 8}}
-}
-
-// clusterWorkload builds the deterministic cluster instance: a common
-// base multiset plus per-node extras in disjoint coordinate stripes, so
-// the expected converged size is exact.
-func clusterWorkload(u robustset.Universe, n, nodes, extra int, seed uint64) ([]robustset.Point, [][]robustset.Point) {
-	inst, err := workload.Generate(workload.Config{
-		N:        n,
-		Universe: points.Universe{Dim: u.Dim, Delta: u.Delta / 2},
-		Seed:     seed,
-	})
-	if err != nil {
-		panic("bench: cluster workload: " + err.Error())
-	}
-	common := inst.Bob
-	h := hashutil.NewHasher(hashutil.DeriveSeed(seed, "bench/cluster-extra"))
-	extras := make([][]robustset.Point, nodes)
-	stripe := u.Delta / 2 / int64(nodes)
-	for nd := range extras {
-		base := u.Delta/2 + int64(nd)*stripe
-		for j := 0; j < extra; j++ {
-			p := make(robustset.Point, u.Dim)
-			p[0] = base + int64(h.HashUint64(uint64(nd)<<32|uint64(j))%uint64(stripe))
-			for k := 1; k < u.Dim; k++ {
-				p[k] = int64(h.HashUint64(uint64(k)<<48|uint64(nd)<<32|uint64(j)) % uint64(u.Delta))
-			}
-			extras[nd] = append(extras[nd], p)
-		}
-	}
-	return common, extras
+	return []localcluster.Config{{Nodes: 3, Base: 10_000, Extra: 50, Shards: 8}}
 }
 
 // runClusterCell stands up the in-process cluster over loopback TCP and
 // drives replicator rounds to convergence.
-func runClusterCell(c clusterCell) Result {
+func runClusterCell(cfg localcluster.Config) Result {
 	res := Result{
-		Strategy: robustset.Rateless{}.Name(), N: c.n,
-		DiffRate: float64(c.extra) / float64(c.n),
+		Strategy: robustset.Rateless{}.Name(), N: cfg.Base,
+		DiffRate: float64(cfg.Extra) / float64(cfg.Base),
 		Dim:      2, Delta: 1 << 20, Regime: "exact",
-		Mode: "cluster", Nodes: c.nodes, Shards: c.shards,
+		Mode: "cluster", Nodes: cfg.Nodes, Shards: cfg.Shards,
 	}
-	u := robustset.Universe{Dim: res.Dim, Delta: res.Delta}
-	params := robustset.Params{Universe: u, Seed: 1009, DiffBudget: c.nodes*c.extra + 8}
-	common, extras := clusterWorkload(u, c.n, c.nodes, c.extra, uint64(c.n)*31+uint64(c.extra))
-
-	type node struct {
-		srv  *robustset.Server
-		addr string
-	}
+	cfg.Dataset, cfg.LayoutSeed = "bench", uint64(cfg.Base)*31+uint64(cfg.Extra)
+	cfg.Params = robustset.Params{Universe: robustset.Universe{Dim: res.Dim, Delta: res.Delta}, Seed: 1009, DiffBudget: cfg.Nodes*cfg.Extra + 8}
 	buildStart := time.Now()
-	nodes := make([]*node, c.nodes)
-	for i := range nodes {
-		srv := robustset.NewServer()
-		defer srv.Close()
-		pts := append(append([]robustset.Point{}, common...), extras[i]...)
-		if _, err := srv.PublishSharded("bench", params, pts, c.shards); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		go srv.Serve(ln)
-		nodes[i] = &node{srv: srv, addr: ln.Addr().String()}
+	cl, err := localcluster.Start(cfg)
+	if err != nil {
+		return failed(res, err)
 	}
+	defer cl.Close()
 	res.BuildNS = time.Since(buildStart).Nanoseconds()
 
-	reps := make([]*robustset.Replicator, c.nodes)
-	for i, nd := range nodes {
-		var peers []robustset.Peer
-		for j, other := range nodes {
-			if j != i {
-				peers = append(peers, robustset.Peer{Name: fmt.Sprintf("n%d", j), Addr: other.addr})
-			}
-		}
-		rep, err := robustset.NewReplicator(nd.srv, peers,
-			robustset.WithPeerSelector(robustset.SelectRoundRobin(len(peers))),
-			robustset.WithRoundTimeout(5*time.Minute),
-		)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		defer rep.Close()
-		reps[i] = rep
-	}
-
-	snapshot := func(nd *node) []robustset.Point {
-		var out []robustset.Point
-		for _, name := range nd.srv.Datasets() {
-			out = append(out, nd.srv.Dataset(name).Snapshot()...)
-		}
-		return out
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	const maxSweeps = 16
 	start := time.Now()
-	for sweep := 1; sweep <= maxSweeps; sweep++ {
-		for i, rep := range reps {
-			st, err := rep.RunRound(ctx)
-			if err != nil {
-				res.Err = fmt.Sprintf("node %d round %d: %v", i, sweep, err)
-				return res
-			}
-			res.WireBytes += st.Bytes
-			if st.Errors > 0 {
-				res.Err = fmt.Sprintf("node %d round %d: %d session errors", i, sweep, st.Errors)
-				return res
-			}
+	res.Rounds, err = cl.Converge(ctx, 16, func(sweep int, s localcluster.Sweep) error {
+		res.WireBytes += s.Bytes
+		if s.Errors > 0 {
+			return fmt.Errorf("round %d: %d session errors", sweep, s.Errors)
 		}
-		ref := snapshot(nodes[0])
-		converged := true
-		for _, nd := range nodes[1:] {
-			if !robustset.EqualMultisets(ref, snapshot(nd)) {
-				converged = false
-				break
-			}
-		}
-		if converged {
-			res.Rounds = sweep
-			res.ResultSize = len(ref)
-			break
-		}
-	}
+		return nil
+	})
 	res.SyncNS = time.Since(start).Nanoseconds()
-	if res.Rounds == 0 {
-		res.Err = fmt.Sprintf("no convergence after %d sweeps", maxSweeps)
-		return res
+	if err != nil {
+		return failed(res, err)
 	}
-	if want := c.n + c.nodes*c.extra; res.ResultSize != want {
-		res.Err = fmt.Sprintf("converged to %d points, want %d", res.ResultSize, want)
+	if res.ResultSize = len(cl.Snapshot(0)); res.ResultSize != cfg.Base+cfg.Nodes*cfg.Extra {
+		res.Err = fmt.Sprintf("converged to %d points, want %d", res.ResultSize, cfg.Base+cfg.Nodes*cfg.Extra)
 	}
 	return res
-}
-
-// runClusterScenario executes the replication matrix.
-func runClusterScenario(quick bool, logf func(format string, args ...any)) []Result {
-	cells := clusterMatrix(quick)
-	out := make([]Result, 0, len(cells))
-	for i, c := range cells {
-		r := runClusterCell(c)
-		out = append(out, r)
-		if r.Err != "" {
-			logf("[cluster %d/%d] %-16s n=%-8d nodes=%d shards=%d ERROR: %s",
-				i+1, len(cells), r.Strategy, r.N, r.Nodes, r.Shards, r.Err)
-			continue
-		}
-		logf("[cluster %d/%d] %-16s n=%-8d nodes=%d shards=%d rounds=%d sync=%-12s wire=%dB",
-			i+1, len(cells), r.Strategy, r.N, r.Nodes, r.Shards, r.Rounds,
-			time.Duration(r.SyncNS), r.WireBytes)
-	}
-	return out
 }
 
 // recoveryReplayCell is one storage-engine measurement: a durable
@@ -532,8 +404,7 @@ func runRecoveryReplayCell(c recoveryReplayCell) Result {
 	}
 	dir, err := os.MkdirTemp("", "bench-recovery-*")
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 	defer os.RemoveAll(dir)
 	u := robustset.Universe{Dim: res.Dim, Delta: res.Delta}
@@ -544,8 +415,7 @@ func runRecoveryReplayCell(c recoveryReplayCell) Result {
 		Seed:     uint64(c.n)*7 + uint64(c.churn),
 	})
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 
 	m := robustset.NewMetrics()
@@ -557,8 +427,7 @@ func runRecoveryReplayCell(c recoveryReplayCell) Result {
 	buildStart := time.Now()
 	d, err := srv.PublishDurable("bench", params, inst.Bob)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 	res.BuildNS = time.Since(buildStart).Nanoseconds()
 
@@ -603,8 +472,7 @@ func runRecoveryReplayCell(c recoveryReplayCell) Result {
 	res.SnapshotBytes = post["store_snapshot_bytes_total"] - pre["store_snapshot_bytes_total"]
 	res.LogicalBytes = logical
 	if err := srv.Close(); err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 
 	// Restart: recovery = open + snapshot load + sketch adoption + tail
@@ -620,8 +488,7 @@ func runRecoveryReplayCell(c recoveryReplayCell) Result {
 	d2, err := srv2.PublishDurable("bench", params, nil)
 	res.RecoveryNS = time.Since(recStart).Nanoseconds()
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 	res.ReplayRecords = int(m2.Snapshot()["store_replay_records_total"])
 	if !robustset.EqualMultisets(d2.Snapshot(), current) {
@@ -660,171 +527,68 @@ func runRecoveryRejoinCell(c recoveryRejoinCell) Result {
 		N: c.n, DiffRate: float64(c.missed) / float64(c.n),
 		Dim: 2, Delta: 1 << 20, Regime: "exact", Nodes: nodes,
 	}
-	u := robustset.Universe{Dim: res.Dim, Delta: res.Delta}
-	params := robustset.Params{Universe: u, Seed: 733, DiffBudget: nodes*c.extra + c.missed + 8}
-	common, extras := clusterWorkload(u, c.n, nodes, c.extra, uint64(c.n)*41+uint64(c.missed))
-
-	dirs := make([]string, nodes)
-	for i := range dirs {
-		dir, err := os.MkdirTemp("", "bench-rejoin-*")
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		defer os.RemoveAll(dir)
-		dirs[i] = dir
+	dir, err := os.MkdirTemp("", "bench-rejoin-*")
+	if err != nil {
+		return failed(res, err)
 	}
-
+	defer os.RemoveAll(dir)
+	u := robustset.Universe{Dim: res.Dim, Delta: res.Delta}
+	cl, err := localcluster.Start(localcluster.Config{
+		Nodes: nodes, Base: c.n, Extra: c.extra, LayoutSeed: uint64(c.n)*41 + uint64(c.missed),
+		Dataset: "bench", Dir: dir,
+		Params: robustset.Params{Universe: u, Seed: 733, DiffBudget: nodes*c.extra + c.missed + 8},
+	})
+	if err != nil {
+		return failed(res, err)
+	}
+	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	srvs := make([]*robustset.Server, nodes)
-	addrs := make([]string, nodes)
-	start := func(i int, pts []robustset.Point) error {
-		srv := robustset.NewServer(robustset.WithServerDataDir(dirs[i]))
-		if _, err := srv.PublishDurable("bench", params, pts); err != nil {
-			return err
-		}
-		laddr := "127.0.0.1:0"
-		if addrs[i] != "" {
-			laddr = addrs[i]
-		}
-		ln, err := net.Listen("tcp", laddr)
-		if err != nil {
-			srv.Close()
-			return err
-		}
-		go srv.Serve(ln)
-		srvs[i], addrs[i] = srv, ln.Addr().String()
-		return nil
-	}
-	for i := range srvs {
-		pts := append(append([]robustset.Point{}, common...), extras[i]...)
-		if err := start(i, pts); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		defer func(i int) { srvs[i].Close() }(i)
-	}
-	reps := make([]*robustset.Replicator, nodes)
-	newRep := func(i int) (*robustset.Replicator, error) {
-		var peers []robustset.Peer
-		for j := range srvs {
-			if j != i {
-				peers = append(peers, robustset.Peer{Name: fmt.Sprintf("n%d", j), Addr: addrs[j]})
-			}
-		}
-		return robustset.NewReplicator(srvs[i], peers,
-			robustset.WithPeerSelector(robustset.SelectRoundRobin(nodes-1)),
-			robustset.WithRoundTimeout(5*time.Minute),
-		)
-	}
-	for i := range reps {
-		rep, err := newRep(i)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		defer func(i int) { reps[i].Close() }(i)
-		reps[i] = rep
-	}
-	converge := func(idx []int) (int, error) {
-		for sweep := 1; sweep <= 16; sweep++ {
-			for _, i := range idx {
-				if _, err := reps[i].RunRound(ctx); err != nil {
-					return 0, fmt.Errorf("node %d round: %w", i, err)
-				}
-			}
-			ref := srvs[idx[0]].Dataset("bench").Snapshot()
-			ok := true
-			for _, i := range idx[1:] {
-				if !robustset.EqualMultisets(ref, srvs[i].Dataset("bench").Snapshot()) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return sweep, nil
-			}
-		}
-		return 0, fmt.Errorf("no convergence after 16 sweeps")
-	}
-	if _, err := converge([]int{0, 1, 2}); err != nil {
-		res.Err = err.Error()
-		return res
+	if _, err := cl.Converge(ctx, 16, nil); err != nil {
+		return failed(res, err)
 	}
 
 	// Node 2 goes down; the survivors absorb the missed delta — distinct
 	// points mined against the converged multiset so the expected counts
 	// stay exact — and re-converge without it.
-	reps[2].Close()
-	if err := srvs[2].Close(); err != nil {
-		res.Err = err.Error()
-		return res
+	if err := cl.Kill(2); err != nil {
+		return failed(res, err)
 	}
-	seen := make(map[string]bool, c.n+nodes*c.extra)
-	for _, pt := range srvs[0].Dataset("bench").Snapshot() {
-		seen[string(points.EncodeNew(pt))] = true
+	if err := cl.AddFresh(0, c.missed, uint64(c.n)); err != nil {
+		return failed(res, err)
 	}
-	h := hashutil.NewHasher(hashutil.DeriveSeed(uint64(c.n), "bench/rejoin-delta"))
-	delta := make([]robustset.Point, 0, c.missed)
-	for attempt := uint64(0); len(delta) < c.missed; attempt++ {
-		p := robustset.Point{
-			int64(h.HashUint64(attempt) % uint64(u.Delta)),
-			int64(h.HashUint64(attempt^0x5bf03635) % uint64(u.Delta)),
-		}
-		enc := string(points.EncodeNew(p))
-		if seen[enc] {
-			continue
-		}
-		seen[enc] = true
-		delta = append(delta, p)
+	if _, err := cl.Converge(ctx, 16, nil); err != nil {
+		return failed(res, err)
 	}
-	if err := srvs[0].Dataset("bench").AddBatch(delta); err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	if _, err := converge([]int{0, 1}); err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	downSize := srvs[0].Dataset("bench").Size() - c.missed
+	downSize := len(cl.Snapshot(0)) - c.missed
 
 	// Restart node 2 from its directory and rejoin: the first round's
 	// traffic is the recovery cost on the wire.
 	recStart := time.Now()
-	if err := start(2, nil); err != nil {
-		res.Err = err.Error()
-		return res
+	if err := cl.Restart(2); err != nil {
+		return failed(res, err)
 	}
 	res.RecoveryNS = time.Since(recStart).Nanoseconds()
-	if got := srvs[2].Dataset("bench").Size(); got != downSize {
-		res.Err = fmt.Sprintf("recovered node holds %d points, held %d at shutdown", got, downSize)
-		return res
+	if got := len(cl.Snapshot(2)); got != downSize {
+		return failed(res, fmt.Errorf("recovered node holds %d points, held %d at shutdown", got, downSize))
 	}
-	rep, err := newRep(2)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	reps[2] = rep
 	rejoinStart := time.Now()
-	st, err := reps[2].RunRound(ctx)
+	st, err := cl.Replicator(2).RunRound(ctx)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 	res.WireBytes = st.Bytes
-	sweeps, err := converge([]int{0, 1, 2})
+	sweeps, err := cl.Converge(ctx, 16, nil)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return failed(res, err)
 	}
 	res.SyncNS = time.Since(rejoinStart).Nanoseconds()
 	res.Rounds = 1 + sweeps
-	res.ResultSize = srvs[0].Dataset("bench").Size()
+	final := cl.Snapshot(0)
+	res.ResultSize = len(final)
 	// The contracted baseline: a naive full-set transfer of the dataset
 	// the node already held on disk.
-	res.BaselineBytes = int64(len(points.EncodeSet(srvs[0].Dataset("bench").Snapshot(), u.Dim)))
+	res.BaselineBytes = int64(len(points.EncodeSet(final, u.Dim)))
 	if want := c.n + nodes*c.extra + c.missed; res.ResultSize != want {
 		res.Err = fmt.Sprintf("converged to %d points, want %d", res.ResultSize, want)
 	}
@@ -834,51 +598,45 @@ func runRecoveryRejoinCell(c recoveryRejoinCell) Result {
 // runRecoveryScenario executes the durability matrix: storage-engine
 // replay cells, then the cluster rejoin cells.
 func runRecoveryScenario(quick bool, logf func(format string, args ...any)) []Result {
-	var out []Result
-	replay := recoveryReplayMatrix(quick)
-	for i, c := range replay {
-		r := runRecoveryReplayCell(c)
+	replay := runRows("replay", recoveryReplayMatrix(quick), runRecoveryReplayCell, func(r Result) string {
+		return fmt.Sprintf("every=%-5d records=%d wal=%dB (amp ×%.2f) replayed=%d recovery=%-12s",
+			r.SnapshotEvery, r.WALRecords, r.WALBytes, float64(r.WALBytes)/float64(r.LogicalBytes),
+			r.ReplayRecords, time.Duration(r.RecoveryNS))
+	}, logf)
+	return append(replay, runRows("rejoin", recoveryRejoinMatrix(quick), runRecoveryRejoinCell, func(r Result) string {
+		return fmt.Sprintf("recovery=%-12s wire=%dB full=%dB (×%.3f) rounds=%d", time.Duration(r.RecoveryNS),
+			r.WireBytes, r.BaselineBytes, float64(r.WireBytes)/float64(r.BaselineBytes), r.Rounds)
+	}, logf)...)
+}
+
+// runRows runs every cell of a scenario in order and logs each row under
+// label; line tells what a successful row measured.
+func runRows[C any](label string, cells []C, run func(C) Result, line func(Result) string, logf func(format string, args ...any)) []Result {
+	out := make([]Result, 0, len(cells))
+	for i, c := range cells {
+		r := run(c)
 		out = append(out, r)
-		if r.Err != "" {
-			logf("[recovery %d/%d] replay n=%-8d every=%-5d ERROR: %s",
-				i+1, len(replay)+1, r.N, c.every, r.Err)
-			continue
+		msg := "ERROR: " + r.Err
+		if r.Err == "" {
+			msg = line(r)
 		}
-		logf("[recovery %d/%d] replay n=%-8d every=%-5d records=%d wal=%dB (amp ×%.2f) replayed=%d recovery=%-12s",
-			i+1, len(replay)+1, r.N, c.every, r.WALRecords, r.WALBytes,
-			float64(r.WALBytes)/float64(r.LogicalBytes), r.ReplayRecords, time.Duration(r.RecoveryNS))
-	}
-	rejoin := recoveryRejoinMatrix(quick)
-	for i, c := range rejoin {
-		r := runRecoveryRejoinCell(c)
-		out = append(out, r)
-		if r.Err != "" {
-			logf("[recovery %d/%d] rejoin n=%-8d missed=%-5d ERROR: %s",
-				len(replay)+i+1, len(replay)+len(rejoin), r.N, c.missed, r.Err)
-			continue
-		}
-		logf("[recovery %d/%d] rejoin n=%-8d missed=%-5d recovery=%-12s wire=%dB full=%dB (×%.3f) rounds=%d",
-			len(replay)+i+1, len(replay)+len(rejoin), r.N, c.missed,
-			time.Duration(r.RecoveryNS), r.WireBytes, r.BaselineBytes,
-			float64(r.WireBytes)/float64(r.BaselineBytes), r.Rounds)
+		logf("[%s %3d/%d] %-16s n=%-8d %s", label, i+1, len(cells), r.Strategy, r.N, msg)
 	}
 	return out
 }
 
+// failed returns res carrying err.
+func failed(res Result, err error) Result {
+	res.Err = err.Error()
+	return res
+}
+
 // runMatrix executes every cell in order.
 func runMatrix(cells []cell, logf func(format string, args ...any)) []Result {
-	out := make([]Result, 0, len(cells))
-	for i, c := range cells {
-		r := runCell(c)
-		out = append(out, r)
-		at := fmt.Sprintf("[%3d/%d] %-3s %-16s n=%-8d rate=%-6g dim=%d", i+1, len(cells), r.Sweep, r.Strategy, r.N, r.DiffRate, r.Dim)
-		if r.Err != "" {
-			logf("%s ERROR: %s", at, r.Err)
-		} else {
-			logf("%s build=%-12s sync=%-12s wire=%dB", at, time.Duration(r.BuildNS), time.Duration(r.SyncNS), r.WireBytes)
-		}
-	}
-	return out
+	return runRows("cell", cells, runCell, func(r Result) string {
+		return fmt.Sprintf("%-3s rate=%-6g dim=%d build=%-12s sync=%-12s wire=%dB",
+			r.Sweep, r.DiffRate, r.Dim, time.Duration(r.BuildNS), time.Duration(r.SyncNS), r.WireBytes)
+	}, logf)
 }
 
 // scenarios are what -mode selects, in run order.
@@ -887,7 +645,12 @@ var scenarios = []struct {
 	run  func(quick bool, logf func(format string, args ...any)) []Result
 }{
 	{"core", func(quick bool, logf func(string, ...any)) []Result { return runMatrix(matrix(quick), logf) }},
-	{"cluster", runClusterScenario},
+	{"cluster", func(quick bool, logf func(string, ...any)) []Result {
+		return runRows("cluster", clusterMatrix(quick), runClusterCell, func(r Result) string {
+			return fmt.Sprintf("nodes=%d shards=%d rounds=%d sync=%-12s wire=%dB",
+				r.Nodes, r.Shards, r.Rounds, time.Duration(r.SyncNS), r.WireBytes)
+		}, logf)
+	}},
 	{"recovery", runRecoveryScenario},
 	{"paper", func(quick bool, logf func(string, ...any)) []Result { return runMatrix(paperMatrix(quick), logf) }},
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"robustset"
+	"robustset/internal/localcluster"
 )
 
 // tinyMatrix is a minimal all-strategies matrix for in-process testing.
@@ -46,8 +47,8 @@ func fullReport(logf func(string, ...any)) Report {
 
 // tinyClusterCell is a minimal convergence scenario for in-process
 // testing.
-func tinyClusterCell() clusterCell {
-	return clusterCell{n: 100, extra: 3, nodes: 2, shards: 2}
+func tinyClusterCell() localcluster.Config {
+	return localcluster.Config{Nodes: 2, Base: 100, Extra: 3, Shards: 2}
 }
 
 // tinyRecoveryCells is a minimal crash-recovery pair for in-process
@@ -97,6 +98,29 @@ func TestRunClusterCell(t *testing.T) {
 	}
 	if want := 100 + 2*3; r.ResultSize != want {
 		t.Errorf("converged size %d, want %d", r.ResultSize, want)
+	}
+}
+
+// TestClusterRowsRepeat runs the cluster row and the rejoin row twice:
+// the recorded rows compare across commits only if each repeats its wire
+// bytes, rounds and result size exactly.
+func TestClusterRowsRepeat(t *testing.T) {
+	_, rejoin := tinyRecoveryCells()
+	for _, run := range []struct {
+		name string
+		row  func() Result
+	}{
+		{"cluster", func() Result { return runClusterCell(tinyClusterCell()) }},
+		{"rejoin", func() Result { return runRecoveryRejoinCell(rejoin) }},
+	} {
+		first, second := run.row(), run.row()
+		if first.Err != "" || second.Err != "" {
+			t.Fatalf("%s: %q, %q", run.name, first.Err, second.Err)
+		}
+		if first.WireBytes != second.WireBytes || first.Rounds != second.Rounds || first.ResultSize != second.ResultSize {
+			t.Errorf("%s: %d B, %d rounds, %d points, then %d B, %d rounds, %d points", run.name,
+				first.WireBytes, first.Rounds, first.ResultSize, second.WireBytes, second.Rounds, second.ResultSize)
+		}
 	}
 }
 

@@ -121,6 +121,18 @@ func TestClusterDemo(t *testing.T) {
 	}
 }
 
+// TestClusterKillRestart runs the crash-recovery demo on durable nodes,
+// sharded and unsharded: one node dies mid-churn, restarts from its data
+// directory and must catch up.
+func TestClusterKillRestart(t *testing.T) {
+	for _, shards := range []string{"2", "1"} {
+		if err := cmdCluster([]string{"-nodes", "3", "-n", "120", "-extra", "4", "-shards", shards,
+			"-data", t.TempDir(), "-fsync", "none", "-kill-restart", "-churn", "16", "-deadline", "30s"}); err != nil {
+			t.Fatalf("-shards %s: %v", shards, err)
+		}
+	}
+}
+
 // TestClusterValidation covers the demo's flag validation.
 func TestClusterValidation(t *testing.T) {
 	if err := cmdCluster([]string{"-nodes", "1"}); err == nil {

@@ -37,12 +37,35 @@ func tracedReplicator(t *testing.T, a, b *clusterNode, opts ...robustset.Replica
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rep.Close() })
+	t.Cleanup(func() { rep.Close(); locals.Delete(rep) })
+	locals.Store(rep, a)
 	return rep, tl
+}
+
+// locals maps each traced replicator to the node it runs on, so that
+// roundOf checks that node's routing after every round.
+var locals sync.Map
+
+// checkRouting fails t unless every point of every shard of n's sharded
+// dataset "data" is one that ShardedDataset.Shard routes to that shard.
+func checkRouting(t *testing.T, n *clusterNode) {
+	t.Helper()
+	sd := n.srv.ShardedDataset("data")
+	if sd == nil {
+		return
+	}
+	for _, d := range sd.Shards() {
+		for _, p := range d.Snapshot() {
+			if owner := sd.Shard(p); owner != d {
+				t.Fatalf("point %v sits in shard %s, but routes to %s", p, d.Name(), owner.Name())
+			}
+		}
+	}
 }
 
 // roundOf runs rounds of rep and reports, beside each round's stats, its
 // trace and the streams the peer, whose registry m is, accepted during it.
+// After every round it checks the local node's shard routing.
 func roundOf(t *testing.T, rep *robustset.Replicator, tl *robustset.TraceLog, m *robustset.Metrics) func() (robustset.RoundStats, *robustset.SessionTrace, int64) {
 	return func() (robustset.RoundStats, *robustset.SessionTrace, int64) {
 		t.Helper()
@@ -50,6 +73,9 @@ func roundOf(t *testing.T, rep *robustset.Replicator, tl *robustset.TraceLog, m 
 		st, err := rep.RunRound(context.Background())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if a, ok := locals.Load(rep); ok {
+			checkRouting(t, a.(*clusterNode))
 		}
 		recent := tl.Recent()
 		return st, recent[len(recent)-1], m.Snapshot()["server_mux_streams_total"] - before
@@ -138,68 +164,105 @@ func TestReplicatorConvergedRoundStopsAtHandshake(t *testing.T) {
 
 // TestReplicatorRootsFallback: a peer that cannot settle a sharded
 // dataset by its roots — it shards it under another count or seed, or
-// publishes the shards without the base name — is asked shard by shard,
-// with the accounting of per-shard sessions: skips where it lacks the
-// shards, sessions where it holds them.
+// publishes the shards without the base name — reconciles none of its
+// shards: the round opens the one exchange stream, counts every shard as
+// skipped, adds nothing and leaves the local multiset as it was. A shard
+// session against such a peer would add points to shards that do not own
+// them, which roundOf's routing check catches.
 func TestReplicatorRootsFallback(t *testing.T) {
 	const shards = 4
 	params := robustset.Params{Universe: testU, Seed: 31, DiffBudget: 16}
 	common, extras := clusterWorkload(1, 400, 1)
-	t.Run("other-K", func(t *testing.T) {
-		m := robustset.NewMetrics()
-		a := startClusterNode(t, params, common, shards)
-		b := startClusterNode(t, params, common, 2*shards, robustset.WithServerMetrics(m))
-		rep, tl := tracedReplicator(t, a, b)
-		st, tr, opened := roundOf(t, rep, tl, m)()
-		if st.Sessions != shards || st.Skipped != shards || st.Errors != 0 || st.Converged {
-			t.Fatalf("round %+v, want %d skipped sessions", st, shards)
-		}
-		if opened != 1+shards || len(tr.Children) != 1+shards {
-			t.Errorf("%d streams, %d traced children; want the exchange and %d sessions", opened, len(tr.Children), shards)
-		}
-	})
-	t.Run("other-seed", func(t *testing.T) {
-		reseeded := params
-		reseeded.Seed++
-		m := robustset.NewMetrics()
-		a := startClusterNode(t, params, common, shards)
-		b := startClusterNode(t, reseeded, common, shards, robustset.WithServerMetrics(m))
-		rep, tl := tracedReplicator(t, a, b)
-		st, _, opened := roundOf(t, rep, tl, m)()
-		if st.Sessions != shards || st.Skipped != 0 || st.Errors != 0 || opened != 1+shards {
-			t.Fatalf("round %+v over %d streams, want the exchange and %d sessions", st, opened, shards)
-		}
-	})
-	t.Run("no-base-name", func(t *testing.T) {
-		// The peer publishes the local shards' contents under the shard
-		// names as plain datasets, one of them with an extra point.
-		a := startClusterNode(t, params, common, shards)
-		m := robustset.NewMetrics()
-		srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(m))
-		for i, d := range a.srv.ShardedDataset("data").Shards() {
-			pts := d.Snapshot()
-			if i == 0 {
-				pts = append(pts, extras[0]...)
+	reseeded := params
+	reseeded.Seed++
+	for _, tc := range []struct {
+		name string
+		peer func(t *testing.T, m *robustset.Metrics, a *clusterNode) *clusterNode
+	}{
+		{"other-K", func(t *testing.T, m *robustset.Metrics, _ *clusterNode) *clusterNode {
+			return startClusterNode(t, params, common, 2*shards, robustset.WithServerMetrics(m))
+		}},
+		{"other-seed", func(t *testing.T, m *robustset.Metrics, _ *clusterNode) *clusterNode {
+			return startClusterNode(t, reseeded, common, shards, robustset.WithServerMetrics(m))
+		}},
+		{"no-base-name", func(t *testing.T, m *robustset.Metrics, a *clusterNode) *clusterNode {
+			// The peer publishes the local shards' contents under the shard
+			// names as plain datasets, one of them with an extra point.
+			srv := robustset.NewServer(WithTestLogger(t), robustset.WithServerMetrics(m))
+			for i, d := range a.srv.ShardedDataset("data").Shards() {
+				pts := d.Snapshot()
+				if i == 0 {
+					pts = append(pts, extras[0]...)
+				}
+				if _, err := srv.Publish(d.Name(), params, pts); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if _, err := srv.Publish(d.Name(), params, pts); err != nil {
+			return &clusterNode{srv: srv, addr: startServer(t, srv).String()}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := robustset.NewMetrics()
+			a := startClusterNode(t, params, common, shards)
+			rep, tl := tracedReplicator(t, a, tc.peer(t, m, a))
+			round := roundOf(t, rep, tl, m)
+			for i := range 2 {
+				st, tr, opened := round()
+				if st.Sessions != shards || st.Skipped != shards || st.Added != 0 || st.Errors != 0 || st.Converged {
+					t.Fatalf("round %d: %+v, want %d skipped sessions and nothing added", i, st, shards)
+				}
+				if opened != 1 || len(tr.Children) != 1 {
+					t.Errorf("round %d: %d streams, %d traced children; want the exchange alone", i, opened, len(tr.Children))
+				}
+				if !robustset.EqualMultisets(a.snapshot(), common) {
+					t.Fatalf("round %d: the local multiset changed", i)
+				}
+			}
+		})
+	}
+}
+
+// TestReplicatorRootsCatalog: two sharded datasets and a plain one on
+// each node, reconciled by two workers. One point the peer holds in each
+// dataset costs the two roots exchanges, one session for each sharded
+// dataset's owner shard and the plain dataset's session; the next round
+// is the two exchanges and the plain dataset's handshake.
+func TestReplicatorRootsCatalog(t *testing.T) {
+	const shards = 4
+	params := robustset.Params{Universe: testU, Seed: 47, DiffBudget: 16}
+	common, extras := clusterWorkload(1, 300, 3)
+	node := func(extra bool, opts ...robustset.ServerOption) *clusterNode {
+		srv := robustset.NewServer(append([]robustset.ServerOption{WithTestLogger(t)}, opts...)...)
+		for i, name := range []string{"a", "b", "c"} {
+			pts := robustset.ClonePoints(common)
+			if extra {
+				pts = append(pts, extras[0][i])
+			}
+			var err error
+			if name == "c" {
+				_, err = srv.Publish(name, params, pts)
+			} else {
+				_, err = srv.PublishSharded(name, params, pts, shards)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		b := &clusterNode{srv: srv, addr: startServer(t, srv).String()}
-		rep, tl := tracedReplicator(t, a, b)
-		round := roundOf(t, rep, tl, m)
-		st, _, _ := round()
-		if st.Sessions != shards || st.Added != len(extras[0]) || st.Skipped != 0 || st.Errors != 0 {
-			t.Fatalf("round %+v, want %d sessions adding %d points", st, shards, len(extras[0]))
-		}
-		st, _, opened := round()
-		if !st.Converged || st.Sessions != shards || opened != 1+shards {
-			t.Fatalf("caught-up round %+v over %d streams, want converged over the exchange and %d sessions", st, opened, shards)
-		}
-		if !robustset.EqualMultisets(a.snapshot(), b.snapshot()) {
-			t.Error("the nodes differ")
-		}
-	})
+		return &clusterNode{srv: srv, addr: startServer(t, srv).String()}
+	}
+	m := robustset.NewMetrics()
+	a, b := node(false), node(true, robustset.WithServerMetrics(m))
+	rep, tl := tracedReplicator(t, a, b)
+	round := roundOf(t, rep, tl, m)
+	if st, _, opened := round(); st.Added != 3 || st.Sessions != 2*shards+1 || st.Errors != 0 || opened != 5 {
+		t.Fatalf("diverged round %+v over %d streams, want 3 points over 5 streams", st, opened)
+	}
+	if !robustset.EqualMultisets(a.snapshot(), b.snapshot()) {
+		t.Fatal("the nodes differ")
+	}
+	if st, _, opened := round(); !st.Converged || st.Sessions != 2*shards+1 || opened != 3 {
+		t.Fatalf("quiet round %+v over %d streams, want converged over 3", st, opened)
+	}
 }
 
 // TestReplicatorRootsMirror: a mirror follower of a sharded upstream

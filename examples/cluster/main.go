@@ -9,9 +9,12 @@
 //     datasets by a deterministic hash, so the nodes agree on every
 //     point's shard and each shard reconciles independently.
 //   - NewReplicator wraps the node's Server with a peer list; every
-//     RunRound selects peers, reconciles each shard dataset against them
-//     with a Rateless session — exact, and sized by the difference it
-//     finds — and applies the diffs through the dataset's batch mutations.
+//     RunRound selects peers and first settles the sharded dataset with
+//     each by one roots exchange: the sum of the shard roots, answered
+//     "same" or with the peer's shard roots. Only the shards that differ
+//     then reconcile, each with a Rateless session — exact, and sized by
+//     the difference it finds — whose diff applies through the dataset's
+//     batch mutations. A converged round is one exchange per peer.
 //   - Diffs apply union-style — missing points are added, local points
 //     kept — which is monotone, so mutual replication converges.
 //
